@@ -7,36 +7,45 @@
 //! intervals that are uniformly distributed in the 30 s interval. The
 //! network starts with 2048 nodes."
 //!
-//! The engine runs in one of two [`TimeModel`]s on the same virtual
-//! clock ([`dht_core::clock`]):
+//! There is one engine: [`run_churn`] is a single event loop on the
+//! virtual clock ([`dht_core::clock`]) whose join, leave, stabilization
+//! tick ([`StabilizePhase`]), audit, and sampler handling is the same
+//! code whatever the configuration. [`TimeModel`] is only the
+//! *lookup-arrival policy*:
 //!
-//! * [`TimeModel::Rounds`] — the original lockstep semantics: lookups
-//!   buffered between membership/stabilization events and routed as
-//!   instantaneous parallel batches. Message delays are *billed* to
-//!   [`dht_core::net::NetCosts::latency_us`] but never advance the
-//!   clock.
-//! * [`TimeModel::Continuous`] — lookups are *suspended* between hops
-//!   ([`dht_core::sim::LookupCursor`]): each hop's reply schedules the
-//!   walk's resumption after its simulated delay, so in-flight lookups
-//!   interleave with joins, leaves, and per-node stabilization timers,
-//!   and reported latency equals virtual-clock elapsed time by
-//!   construction. With zero message delays and the same
-//!   [`StabilizePhase`], the continuous engine reproduces the rounds
-//!   engine's measurements exactly (under zero churn; with churn the
-//!   two differ only in *when* repairs land: streaming per-lookup
-//!   versus after each batch).
+//! * [`TimeModel::Rounds`] — batch before mutation: arrivals are buffered
+//!   and routed as one instantaneous [`Overlay::lookup_batch`] right
+//!   before the next membership/stabilization event. Message delays are
+//!   *billed* to [`dht_core::net::NetCosts::latency_us`] but never
+//!   advance the clock.
+//! * [`TimeModel::Continuous`] — suspend per hop: each arrival becomes a
+//!   [`dht_core::sim::LookupCursor`] whose every hop's reply schedules
+//!   the walk's resumption after its simulated delay, so in-flight
+//!   lookups interleave with joins, leaves, and per-node stabilization
+//!   timers, and reported latency equals virtual-clock elapsed time by
+//!   construction.
+//!
+//! Arrival draws (source, key, next gap) happen in the same order under
+//! both policies, so with zero message delays and zero churn the two
+//! produce identical measurement streams; with churn they differ only in
+//! *when* repair-on-use lands: streaming per lookup versus after each
+//! batch.
+//!
+//! [`run_until_clean`] is the same tick routine driven over a static
+//! population until the full-scope audit is clean — the convergence and
+//! recovery experiments' shared driver.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use dht_core::audit::{AuditReport, AuditScope};
+use dht_core::clock::{exp_delay, EventQueue, SimTime, SECOND};
+use dht_core::hash::splitmix64;
 use dht_core::lookup::LookupTrace;
 use dht_core::net::NetConditions;
 use dht_core::obs::{Event as TraceEvent, Phase, PhaseAccountant, PhaseCosts, SinkHandle};
-use dht_core::overlay::Overlay;
+use dht_core::overlay::{NodeToken, Overlay};
 use dht_core::sim::{CursorStep, LookupCursor};
 use rand::{Rng, RngCore};
-
-use crate::event::{exp_delay, EventQueue, SimTime, SECOND};
 
 /// Which notion of time the churn engine runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -228,6 +237,24 @@ pub struct ChurnOutcome {
     pub samples: Vec<ChurnSample>,
 }
 
+/// The outcome of [`run_until_clean`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CleanRun {
+    /// Simulated seconds until the full-scope audit came back clean:
+    /// `Some(0)` if the overlay already was, `None` if it is still dirty
+    /// after the horizon (the counters then cover the whole horizon).
+    pub clean_s: Option<u64>,
+    /// Per-node stabilization (or repair) routines invoked.
+    pub calls: u64,
+    /// Routing-state entries rewritten (always zero without `repair`).
+    pub entries: u64,
+    /// The full-scope audit's open-violation count at `t = 0` and after
+    /// every simulated second's tick, as `(t_us, violations)` points in
+    /// ascending virtual time. The last point is 0 exactly when the
+    /// overlay came back clean.
+    pub trajectory: Vec<(u64, u64)>,
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
     Lookup,
@@ -235,7 +262,8 @@ enum Event {
     Leave,
     /// Stabilization tick for one bucket of nodes.
     StabilizeBucket(u64),
-    /// Resume the suspended lookup with this id (continuous mode only).
+    /// Resume the suspended lookup with this id ([`TimeModel::Continuous`]
+    /// only).
     Step(u64),
     /// Read-only telemetry snapshot (scheduled only when
     /// [`ChurnParams::sample_every_us`] is nonzero).
@@ -310,25 +338,43 @@ fn record_sample(
     });
 }
 
-/// Per-bucket membership index for [`StabilizePhase::Hashed`]: maps each
-/// per-second stabilization bucket to the set of live tokens hashing into
-/// it, maintained incrementally at every join and leave. A bucket tick
-/// then touches only the nodes that actually fire — amortized O(1) per
-/// membership event plus O(fired) per tick — instead of sweeping all `n`
-/// tokens every simulated second. Tokens are stored sorted, so the fire
-/// order within a bucket is identical to the full ascending sweep the
-/// engine originally ran.
-struct BucketIndex {
+/// Records one completed lookup's measurements. `elapsed` is the
+/// virtual time the walk spanned — `None` under [`TimeModel::Rounds`],
+/// where lookups resolve instantaneously.
+fn record_lookup(outcome: &mut ChurnOutcome, trace: &LookupTrace, elapsed: Option<SimTime>) {
+    outcome.path_lens.push(trace.path_len());
+    outcome.timeouts.push(u64::from(trace.timeouts));
+    outcome.retries.push(u64::from(trace.net.retries));
+    outcome.latency_us.push(trace.net.latency_us);
+    outcome.elapsed_us.extend(elapsed);
+    if !trace.outcome.is_success() {
+        outcome.failures += 1;
+    }
+}
+
+/// The one stabilization tick routine: maps each per-second bucket of
+/// the period to the live tokens whose timer fires in it, maintained
+/// incrementally at every join and leave. A tick then touches only the
+/// nodes that actually fire — amortized O(1) per membership event plus
+/// O(fired) per tick — instead of sweeping all `n` tokens every
+/// simulated second. Under [`StabilizePhase::Hashed`] a token's bucket
+/// is its hash modulo the period; under
+/// [`StabilizePhase::Synchronized`] every token lives in the period's
+/// last bucket. Tokens are stored sorted, so a bucket fires in ascending
+/// token order.
+pub(crate) struct BucketIndex {
+    phase: StabilizePhase,
     period: u64,
-    buckets: Vec<std::collections::BTreeSet<dht_core::overlay::NodeToken>>,
+    buckets: Vec<BTreeSet<NodeToken>>,
 }
 
 impl BucketIndex {
     /// Indexes the overlay's current population.
-    fn new(overlay: &dyn Overlay, period: u64) -> Self {
+    pub(crate) fn new(overlay: &dyn Overlay, phase: StabilizePhase, period: u64) -> Self {
         let mut idx = Self {
+            phase,
             period,
-            buckets: vec![std::collections::BTreeSet::new(); period as usize],
+            buckets: vec![BTreeSet::new(); period as usize],
         };
         for token in overlay.node_tokens() {
             idx.insert(token);
@@ -336,16 +382,19 @@ impl BucketIndex {
         idx
     }
 
-    fn bucket_of(&self, token: dht_core::overlay::NodeToken) -> usize {
-        (dht_core::hash::splitmix64(token) % self.period) as usize
+    fn bucket_of(&self, token: NodeToken) -> usize {
+        match self.phase {
+            StabilizePhase::Hashed => (splitmix64(token) % self.period) as usize,
+            StabilizePhase::Synchronized => self.period as usize - 1,
+        }
     }
 
-    fn insert(&mut self, token: dht_core::overlay::NodeToken) {
+    fn insert(&mut self, token: NodeToken) {
         let b = self.bucket_of(token);
         self.buckets[b].insert(token);
     }
 
-    fn remove(&mut self, token: dht_core::overlay::NodeToken) {
+    fn remove(&mut self, token: NodeToken) {
         let b = self.bucket_of(token);
         self.buckets[b].remove(&token);
     }
@@ -357,7 +406,7 @@ impl BucketIndex {
     /// accountant is enabled, the tick is billed to
     /// [`Phase::Stabilize`] (or [`Phase::Repair`]) — one message per
     /// routing entry examined, via [`Overlay::maintenance_msgs`].
-    fn fire(&self, overlay: &mut dyn Overlay, bucket: u64, repair: bool) -> (u64, u64) {
+    pub(crate) fn fire(&self, overlay: &mut dyn Overlay, bucket: u64, repair: bool) -> (u64, u64) {
         let acct = overlay.phase_accountant();
         let count_msgs = acct.is_enabled();
         let mut calls = 0;
@@ -389,103 +438,63 @@ impl BucketIndex {
     }
 }
 
-/// Builds the incremental bucket index when the phasing benefits from one
-/// ([`StabilizePhase::Hashed`]); synchronized phasing keeps the plain
-/// whole-network sweep.
-fn maybe_bucket_index(
-    overlay: &dyn Overlay,
-    phase: StabilizePhase,
-    period: u64,
-) -> Option<BucketIndex> {
-    match phase {
-        StabilizePhase::Hashed => Some(BucketIndex::new(overlay, period)),
-        StabilizePhase::Synchronized => None,
-    }
-}
-
-/// Runs one per-second stabilization bucket: under [`StabilizePhase::Hashed`]
-/// the nodes whose token hashes into `bucket` stabilize; under
-/// [`StabilizePhase::Synchronized`] the whole network stabilizes on the
-/// period's last bucket and the other buckets are no-ops. Returns the
-/// number of per-node routines invoked.
-///
-/// This is the reference O(n)-sweep formulation; the churn engines use the
-/// incremental [`BucketIndex`] for hashed phasing and fall back to this
-/// sweep for synchronized phasing (and for callers like the convergence
-/// experiment that stabilize a static population).
-pub(crate) fn stabilize_bucket(
+/// Runs the per-second stabilization ticks (or, with `repair`, the
+/// repair ticks) of a static population on the virtual clock until the
+/// **full-scope** audit is clean, under [`StabilizePhase::Hashed`]
+/// timers of the given period. The audit runs at every second boundary,
+/// so [`CleanRun::clean_s`] has one-second resolution: the paper's own
+/// stabilization granularity. Gives up after `max_secs` simulated
+/// seconds.
+#[must_use]
+pub fn run_until_clean(
     overlay: &mut dyn Overlay,
-    phase: StabilizePhase,
     period: u64,
-    bucket: u64,
-) -> u64 {
-    let acct = overlay.phase_accountant();
-    let count_msgs = acct.is_enabled();
-    let mut calls = 0;
-    let mut msgs = 0;
-    for token in overlay.node_tokens() {
-        let fires = match phase {
-            StabilizePhase::Hashed => dht_core::hash::splitmix64(token) % period == bucket,
-            StabilizePhase::Synchronized => bucket + 1 == period,
-        };
-        if fires {
-            if count_msgs {
-                msgs += overlay.maintenance_msgs(token);
-            }
-            overlay.stabilize_node(token);
-            calls += 1;
+    max_secs: u64,
+    repair: bool,
+) -> CleanRun {
+    let period = period.max(1);
+    let violations =
+        |overlay: &dyn Overlay| overlay.audit_state(AuditScope::Full).violations().len() as u64;
+    let start = violations(overlay);
+    let mut run = CleanRun {
+        clean_s: (start == 0).then_some(0),
+        calls: 0,
+        entries: 0,
+        trajectory: vec![(0, start)],
+    };
+    if start == 0 {
+        return run;
+    }
+    let index = BucketIndex::new(overlay, StabilizePhase::Hashed, period);
+    for sec in 1..=max_secs.max(1) {
+        let (calls, entries) = index.fire(overlay, (sec - 1) % period, repair);
+        run.calls += calls;
+        run.entries += entries;
+        let open = violations(overlay);
+        run.trajectory.push((sec * SECOND, open));
+        if open == 0 {
+            run.clean_s = Some(sec);
+            break;
         }
     }
-    acct.bill(Phase::Stabilize, || PhaseCosts {
-        calls,
-        msgs,
-        ..PhaseCosts::default()
-    });
-    calls
-}
-
-/// [`stabilize_bucket`]'s repair-mode sibling: the same per-second timer
-/// phasing, but each firing node runs [`Overlay::repair_node`] instead of
-/// its stabilizer. Returns `(routines invoked, entries repaired)`. Used by
-/// the churn engines when [`ChurnParams::repair`] is set and by the
-/// recovery experiment, which drives repair over a static corrupted
-/// population.
-pub(crate) fn repair_bucket(
-    overlay: &mut dyn Overlay,
-    phase: StabilizePhase,
-    period: u64,
-    bucket: u64,
-) -> (u64, u64) {
-    let acct = overlay.phase_accountant();
-    let count_msgs = acct.is_enabled();
-    let mut calls = 0;
-    let mut entries = 0;
-    let mut msgs = 0;
-    for token in overlay.node_tokens() {
-        let fires = match phase {
-            StabilizePhase::Hashed => dht_core::hash::splitmix64(token) % period == bucket,
-            StabilizePhase::Synchronized => bucket + 1 == period,
-        };
-        if fires {
-            if count_msgs {
-                msgs += overlay.maintenance_msgs(token);
-            }
-            entries += overlay.repair_node(token);
-            calls += 1;
-        }
-    }
-    acct.bill(Phase::Repair, || PhaseCosts {
-        calls,
-        msgs,
-        repair_entries: entries,
-        ..PhaseCosts::default()
-    });
-    (calls, entries)
+    run
 }
 
 /// Runs the churn simulation on `overlay`, which should already contain
-/// the starting population, under the [`TimeModel`] the parameters
-/// select.
+/// the starting population.
+///
+/// One event loop serves both [`TimeModel`]s; the model decides only
+/// what a lookup *arrival* does. Under [`TimeModel::Rounds`] the
+/// arrival is buffered, and the buffer is routed as one
+/// [`Overlay::lookup_batch`] right before the next state mutation
+/// (join, leave, stabilization tick), at the last arrival, and at the
+/// end of the run. Under [`TimeModel::Continuous`] the arrival starts a
+/// suspended [`LookupCursor`] that `Step` events resume once each hop's
+/// reply delay has elapsed, and the lookup's effects are applied when
+/// it completes. Sources, keys, and inter-arrival gaps are drawn at
+/// arrival time in the same order either way, so with zero message
+/// delays — where every walk completes within its arrival instant — the
+/// two models produce identical measurement streams.
 ///
 /// Per-node stabilization at uniformly distributed offsets is modelled by
 /// splitting the period into per-second buckets: every second, the nodes
@@ -523,25 +532,9 @@ pub fn run_churn(
         repair_entries: 0,
         samples: Vec::new(),
     };
-    match params.time {
-        TimeModel::Rounds => run_rounds(overlay, &params, rng, &mut outcome),
-        TimeModel::Continuous => run_continuous(overlay, &params, rng, &mut outcome),
-    }
-    audit_pass(overlay, &mut outcome, &params.sink);
-    outcome.final_size = overlay.len();
-    outcome
-}
 
-/// The lockstep engine: lookups buffered between membership events and
-/// routed as instantaneous parallel batches.
-fn run_rounds(
-    overlay: &mut dyn Overlay,
-    params: &ChurnParams,
-    rng: &mut impl RngCore,
-    outcome: &mut ChurnOutcome,
-) {
     let period = params.stabilization_period_secs.max(1);
-    let mut buckets = maybe_bucket_index(overlay, params.phase, period);
+    let mut buckets = BucketIndex::new(overlay, params.phase, period);
     let mut queue: EventQueue<Event> = EventQueue::new();
     queue.schedule(exp_delay(params.lookup_rate, rng), Event::Lookup);
     if params.churn_rate > 0.0 {
@@ -555,41 +548,49 @@ fn run_rounds(
         queue.schedule(params.sample_every_us, Event::Sample);
     }
 
+    struct InFlight {
+        ordinal: usize,
+        cursor: Box<dyn LookupCursor>,
+        started_at: SimTime,
+    }
+
     let acct = overlay.phase_accountant();
     let mut last_viol = 0u64;
     let mut seen_lookups = 0usize;
-    // Lookups arriving between two membership events are buffered with
-    // their arrival ordinal and routed as one parallel batch right
-    // before the next state mutation (join/leave/stabilization), the
-    // next audit, or the end of the run. Sources, keys, and the
-    // measurement window are drawn/decided at arrival time, so the
-    // workload is identical to the sequential engine's.
-    let mut pending: Vec<(usize, dht_core::overlay::NodeToken, u64)> = Vec::new();
+    // Rounds: arrivals buffered as (arrival ordinal, source, raw key)
+    // until the next `flush`. Always empty under Continuous.
+    let mut pending: Vec<(usize, NodeToken, u64)> = Vec::new();
+    // Continuous: suspended walks by lookup id. Always empty under Rounds.
+    let mut in_flight: BTreeMap<u64, InFlight> = BTreeMap::new();
+    let mut next_id: u64 = 0;
 
-    // Routes the buffered lookups as one batch and records the measured
-    // ones (by arrival ordinal) into the outcome.
+    // Routes the buffered arrivals as one batch and records the measured
+    // ones (by arrival ordinal). No-op when nothing is buffered.
     let flush = |overlay: &mut dyn Overlay,
                  outcome: &mut ChurnOutcome,
-                 pending: &mut Vec<(usize, dht_core::overlay::NodeToken, u64)>| {
+                 pending: &mut Vec<(usize, NodeToken, u64)>| {
         if pending.is_empty() {
             return;
         }
-        let reqs: Vec<(dht_core::overlay::NodeToken, u64)> =
-            pending.iter().map(|&(_, src, raw)| (src, raw)).collect();
+        let reqs: Vec<(NodeToken, u64)> = pending.iter().map(|&(_, src, raw)| (src, raw)).collect();
         let traces = overlay.lookup_batch(&reqs, params.jobs.max(1));
         for ((ordinal, _, _), trace) in pending.drain(..).zip(traces) {
-            let trace: LookupTrace = trace;
             if ordinal > params.warmup_lookups {
-                outcome.path_lens.push(trace.path_len());
-                outcome.timeouts.push(u64::from(trace.timeouts));
-                outcome.retries.push(u64::from(trace.net.retries));
-                outcome.latency_us.push(trace.net.latency_us);
-                if !trace.outcome.is_success() {
-                    outcome.failures += 1;
-                }
+                record_lookup(outcome, &trace, None);
             }
         }
     };
+    // Completes one suspended lookup at virtual time `end`: applies its
+    // deferred effects (in completion order — the continuous model's
+    // canonical stream) and records it if measured.
+    let finalize =
+        |overlay: &mut dyn Overlay, outcome: &mut ChurnOutcome, fl: InFlight, end: SimTime| {
+            let (trace, fx) = fl.cursor.finish();
+            overlay.apply_walk_effects(fx);
+            if fl.ordinal > params.warmup_lookups {
+                record_lookup(outcome, &trace, Some(end.saturating_sub(fl.started_at)));
+            }
+        };
 
     while let Some((now, event)) = queue.pop() {
         match event {
@@ -597,24 +598,60 @@ fn run_rounds(
                 seen_lookups += 1;
                 if let Some(src) = overlay.random_node(rng) {
                     let raw: u64 = rng.gen();
-                    pending.push((seen_lookups, src, raw));
+                    match params.time {
+                        TimeModel::Rounds => pending.push((seen_lookups, src, raw)),
+                        TimeModel::Continuous => {
+                            let fl = InFlight {
+                                ordinal: seen_lookups,
+                                cursor: overlay.lookup_begin(src, raw),
+                                started_at: now,
+                            };
+                            in_flight.insert(next_id, fl);
+                            // First step fires at the arrival instant (FIFO
+                            // after anything already scheduled for `now`).
+                            queue.schedule_in(0, Event::Step(next_id));
+                            next_id += 1;
+                        }
+                    }
                 }
                 if seen_lookups < params.warmup_lookups + params.lookups {
                     queue.schedule_in(exp_delay(params.lookup_rate, rng), Event::Lookup);
                 } else {
                     // Last arrival: route everything still buffered so the
                     // run can stop without waiting for a membership event.
-                    flush(overlay, outcome, &mut pending);
+                    flush(overlay, &mut outcome, &mut pending);
+                }
+            }
+            Event::Step(id) => {
+                let Some(mut fl) = in_flight.remove(&id) else {
+                    unreachable!("step for unknown lookup {id}");
+                };
+                if !overlay.contains(fl.cursor.current()) {
+                    // The node holding the lookup departed while the walk
+                    // was suspended: the lookup is stranded.
+                    fl.cursor.strand();
+                    outcome.stranded += 1;
+                    finalize(overlay, &mut outcome, fl, now);
+                } else {
+                    match fl.cursor.step(&*overlay) {
+                        CursorStep::Forwarded { delay_us } => {
+                            queue.schedule_in(delay_us, Event::Step(id));
+                            in_flight.insert(id, fl);
+                        }
+                        // The final reply lands `delay_us` later; bill it
+                        // without scheduling another event.
+                        CursorStep::Finished { delay_us } => {
+                            finalize(overlay, &mut outcome, fl, now + delay_us);
+                        }
+                    }
                 }
             }
             Event::Join => {
-                flush(overlay, outcome, &mut pending);
+                flush(overlay, &mut outcome, &mut pending);
                 if let Some(node) = overlay.join(rng) {
                     outcome.joins += 1;
                     outcome.peak_size = outcome.peak_size.max(overlay.len());
-                    if let Some(idx) = buckets.as_mut() {
-                        idx.insert(node);
-                    }
+                    buckets.insert(node);
                     params.sink.emit(|| TraceEvent::Join { node });
                     acct.bill(Phase::Join, || PhaseCosts {
                         calls: 1,
@@ -625,7 +662,7 @@ fn run_rounds(
                 queue.schedule_in(exp_delay(params.churn_rate, rng), Event::Join);
             }
             Event::Leave => {
-                flush(overlay, outcome, &mut pending);
+                flush(overlay, &mut outcome, &mut pending);
                 // Keep at least a handful of nodes alive.
                 if overlay.len() > 8 {
                     if let Some(node) = overlay.random_node(rng) {
@@ -638,9 +675,7 @@ fn run_rounds(
                         };
                         if overlay.leave(node) {
                             outcome.leaves += 1;
-                            if let Some(idx) = buckets.as_mut() {
-                                idx.remove(node);
-                            }
+                            buckets.remove(node);
                             params.sink.emit(|| TraceEvent::Leave {
                                 node,
                                 graceful: true,
@@ -656,12 +691,8 @@ fn run_rounds(
                 queue.schedule_in(exp_delay(params.churn_rate, rng), Event::Leave);
             }
             Event::StabilizeBucket(bucket) => {
-                flush(overlay, outcome, &mut pending);
-                let (calls, entries) = match buckets.as_ref() {
-                    Some(idx) => idx.fire(overlay, bucket, params.repair),
-                    None if params.repair => repair_bucket(overlay, params.phase, period, bucket),
-                    None => (stabilize_bucket(overlay, params.phase, period, bucket), 0),
-                };
+                flush(overlay, &mut outcome, &mut pending);
+                let (calls, entries) = buckets.fire(overlay, bucket, params.repair);
                 outcome.stabilize_calls += calls;
                 outcome.repair_entries += entries;
                 // The last bucket closes a full stabilization round:
@@ -673,7 +704,7 @@ fn run_rounds(
                         round,
                         nodes: overlay.len() as u64,
                     });
-                    last_viol = audit_pass(overlay, outcome, &params.sink);
+                    last_viol = audit_pass(overlay, &mut outcome, &params.sink);
                 }
                 queue.schedule_in(period * SECOND, Event::StabilizeBucket(bucket));
             }
@@ -681,195 +712,7 @@ fn run_rounds(
                 // Deliberately no flush: the sampler observes applied
                 // state only, so enabling it cannot reorder the batch
                 // stream.
-                record_sample(overlay, outcome, &acct, now, last_viol);
-                queue.schedule_in(params.sample_every_us, Event::Sample);
-            }
-            Event::Step(_) => unreachable!("rounds mode schedules no Step events"),
-        }
-        if outcome.path_lens.len() >= params.lookups {
-            break;
-        }
-    }
-
-    flush(overlay, outcome, &mut pending);
-    outcome.sim_end_us = queue.now();
-}
-
-/// The discrete-event engine: each in-flight lookup is a suspended
-/// [`LookupCursor`] resumed by a `Step` event when its per-hop reply
-/// delay elapses, interleaving with joins, leaves, and the per-second
-/// stabilization ticks on one virtual clock.
-///
-/// Arrival handling draws from `rng` in exactly the order the rounds
-/// engine does (source, key, next inter-arrival gap), so with zero
-/// message delays — where every walk completes within its arrival
-/// instant — the two engines produce identical measurement streams.
-fn run_continuous(
-    overlay: &mut dyn Overlay,
-    params: &ChurnParams,
-    rng: &mut impl RngCore,
-    outcome: &mut ChurnOutcome,
-) {
-    let period = params.stabilization_period_secs.max(1);
-    let mut buckets = maybe_bucket_index(overlay, params.phase, period);
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    queue.schedule(exp_delay(params.lookup_rate, rng), Event::Lookup);
-    if params.churn_rate > 0.0 {
-        queue.schedule(exp_delay(params.churn_rate, rng), Event::Join);
-        queue.schedule(exp_delay(params.churn_rate, rng), Event::Leave);
-    }
-    for bucket in 0..period {
-        queue.schedule((bucket + 1) * SECOND, Event::StabilizeBucket(bucket));
-    }
-    if params.sample_every_us > 0 {
-        queue.schedule(params.sample_every_us, Event::Sample);
-    }
-    let acct = overlay.phase_accountant();
-    let mut last_viol = 0u64;
-
-    struct InFlight {
-        ordinal: usize,
-        cursor: Box<dyn LookupCursor>,
-        started_at: SimTime,
-    }
-
-    let mut seen_lookups = 0usize;
-    let mut next_id: u64 = 0;
-    let mut in_flight: BTreeMap<u64, InFlight> = BTreeMap::new();
-
-    // Completes one lookup: applies its deferred effects (in completion
-    // order — the continuous engine's canonical stream) and records the
-    // measured ones.
-    let finalize =
-        |overlay: &mut dyn Overlay, outcome: &mut ChurnOutcome, fl: InFlight, end: SimTime| {
-            let (trace, fx) = fl.cursor.finish();
-            overlay.apply_walk_effects(fx);
-            if fl.ordinal > params.warmup_lookups {
-                outcome.path_lens.push(trace.path_len());
-                outcome.timeouts.push(u64::from(trace.timeouts));
-                outcome.retries.push(u64::from(trace.net.retries));
-                outcome.latency_us.push(trace.net.latency_us);
-                outcome.elapsed_us.push(end.saturating_sub(fl.started_at));
-                if !trace.outcome.is_success() {
-                    outcome.failures += 1;
-                }
-            }
-        };
-
-    while let Some((now, event)) = queue.pop() {
-        match event {
-            Event::Lookup => {
-                seen_lookups += 1;
-                if let Some(src) = overlay.random_node(rng) {
-                    let raw: u64 = rng.gen();
-                    let cursor = overlay.lookup_begin(src, raw);
-                    let id = next_id;
-                    next_id += 1;
-                    in_flight.insert(
-                        id,
-                        InFlight {
-                            ordinal: seen_lookups,
-                            cursor,
-                            started_at: now,
-                        },
-                    );
-                    // First step fires at the arrival instant (FIFO after
-                    // anything already scheduled for `now`).
-                    queue.schedule_in(0, Event::Step(id));
-                }
-                if seen_lookups < params.warmup_lookups + params.lookups {
-                    queue.schedule_in(exp_delay(params.lookup_rate, rng), Event::Lookup);
-                }
-            }
-            Event::Step(id) => {
-                let Some(mut fl) = in_flight.remove(&id) else {
-                    unreachable!("step for unknown lookup {id}");
-                };
-                if !overlay.contains(fl.cursor.current()) {
-                    // The node holding the lookup departed while the walk
-                    // was suspended: the lookup is stranded.
-                    fl.cursor.strand();
-                    outcome.stranded += 1;
-                    finalize(overlay, outcome, fl, now);
-                } else {
-                    match fl.cursor.step(&*overlay) {
-                        CursorStep::Forwarded { delay_us } => {
-                            queue.schedule_in(delay_us, Event::Step(id));
-                            in_flight.insert(id, fl);
-                        }
-                        CursorStep::Finished { delay_us } => {
-                            // The final reply lands `delay_us` later; bill
-                            // it without scheduling another event.
-                            finalize(overlay, outcome, fl, now + delay_us);
-                        }
-                    }
-                }
-            }
-            Event::Join => {
-                if let Some(node) = overlay.join(rng) {
-                    outcome.joins += 1;
-                    outcome.peak_size = outcome.peak_size.max(overlay.len());
-                    if let Some(idx) = buckets.as_mut() {
-                        idx.insert(node);
-                    }
-                    params.sink.emit(|| TraceEvent::Join { node });
-                    acct.bill(Phase::Join, || PhaseCosts {
-                        calls: 1,
-                        msgs: overlay.maintenance_msgs(node),
-                        ..PhaseCosts::default()
-                    });
-                }
-                queue.schedule_in(exp_delay(params.churn_rate, rng), Event::Join);
-            }
-            Event::Leave => {
-                // Keep at least a handful of nodes alive.
-                if overlay.len() > 8 {
-                    if let Some(node) = overlay.random_node(rng) {
-                        let msgs = if acct.is_enabled() {
-                            overlay.maintenance_msgs(node)
-                        } else {
-                            0
-                        };
-                        if overlay.leave(node) {
-                            outcome.leaves += 1;
-                            if let Some(idx) = buckets.as_mut() {
-                                idx.remove(node);
-                            }
-                            params.sink.emit(|| TraceEvent::Leave {
-                                node,
-                                graceful: true,
-                            });
-                            acct.bill(Phase::Leave, || PhaseCosts {
-                                calls: 1,
-                                msgs,
-                                ..PhaseCosts::default()
-                            });
-                        }
-                    }
-                }
-                queue.schedule_in(exp_delay(params.churn_rate, rng), Event::Leave);
-            }
-            Event::StabilizeBucket(bucket) => {
-                let (calls, entries) = match buckets.as_ref() {
-                    Some(idx) => idx.fire(overlay, bucket, params.repair),
-                    None if params.repair => repair_bucket(overlay, params.phase, period, bucket),
-                    None => (stabilize_bucket(overlay, params.phase, period, bucket), 0),
-                };
-                outcome.stabilize_calls += calls;
-                outcome.repair_entries += entries;
-                if bucket + 1 == period {
-                    let round = outcome.stabilize_rounds;
-                    outcome.stabilize_rounds += 1;
-                    params.sink.emit(|| TraceEvent::StabilizeRound {
-                        round,
-                        nodes: overlay.len() as u64,
-                    });
-                    last_viol = audit_pass(overlay, outcome, &params.sink);
-                }
-                queue.schedule_in(period * SECOND, Event::StabilizeBucket(bucket));
-            }
-            Event::Sample => {
-                record_sample(overlay, outcome, &acct, now, last_viol);
+                record_sample(overlay, &mut outcome, &acct, now, last_viol);
                 queue.schedule_in(params.sample_every_us, Event::Sample);
             }
         }
@@ -877,7 +720,12 @@ fn run_continuous(
             break;
         }
     }
+    flush(overlay, &mut outcome, &mut pending);
     outcome.sim_end_us = queue.now();
+
+    audit_pass(overlay, &mut outcome, &params.sink);
+    outcome.final_size = overlay.len();
+    outcome
 }
 
 #[cfg(test)]
@@ -1139,15 +987,12 @@ mod tests {
         assert!(out.sim_end_us > 0);
     }
 
-    #[test]
-    fn bucket_index_matches_reference_sweep() {
-        // The incremental index must fire exactly the tokens the O(n)
-        // reference sweep fires, in the same ascending order, including
-        // after churn has moved tokens in and out of buckets.
+    /// Applies a fixed join/leave script to both the overlay and the
+    /// index, as the engine does at every membership event.
+    fn churned_index(phase: StabilizePhase, period: u64) -> (Box<dyn Overlay>, BucketIndex) {
         let mut net = build_overlay(OverlayKind::Chord, 96, 17);
         let mut rng = stream(18, "bucket-index");
-        let period = 30u64;
-        let mut idx = BucketIndex::new(net.as_ref(), period);
+        let mut idx = BucketIndex::new(net.as_ref(), phase, period);
         for step in 0..40 {
             if step % 3 == 0 {
                 let victim = net.node_tokens()[step % net.len()];
@@ -1158,14 +1003,40 @@ mod tests {
                 idx.insert(node);
             }
         }
+        (net, idx)
+    }
+
+    #[test]
+    fn bucket_index_matches_reference_sweep() {
+        // The incremental index must fire exactly the tokens a full O(n)
+        // sweep of the membership would, in the same ascending order,
+        // including after churn has moved tokens in and out of buckets.
+        let period = 30u64;
+        let (net, idx) = churned_index(StabilizePhase::Hashed, period);
         for bucket in 0..period {
             let expected: Vec<_> = net
                 .node_tokens()
                 .into_iter()
-                .filter(|&t| dht_core::hash::splitmix64(t) % period == bucket)
+                .filter(|&t| splitmix64(t) % period == bucket)
                 .collect();
             let got: Vec<_> = idx.buckets[bucket as usize].iter().copied().collect();
             assert_eq!(got, expected, "bucket {bucket}");
+        }
+    }
+
+    #[test]
+    fn synchronized_index_fires_everyone_on_the_last_bucket() {
+        let period = 30u64;
+        let (mut net, idx) = churned_index(StabilizePhase::Synchronized, period);
+        // All live tokens sit in bucket `period - 1`, ascending...
+        let last: Vec<_> = idx.buckets[period as usize - 1].iter().copied().collect();
+        assert_eq!(last, net.node_tokens());
+        assert!(last.windows(2).all(|w| w[0] < w[1]));
+        // ...and no other bucket fires anyone.
+        let n = net.len() as u64;
+        for bucket in 0..period {
+            let (calls, _) = idx.fire(net.as_mut(), bucket, false);
+            assert_eq!(calls, if bucket + 1 == period { n } else { 0 });
         }
     }
 

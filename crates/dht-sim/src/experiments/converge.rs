@@ -25,7 +25,7 @@
 //! virtual-clock elapsed time by construction.
 
 use crossbeam::thread;
-use dht_core::audit::AuditScope;
+use dht_core::clock::SECOND;
 use dht_core::net::{FaultPlan, NetConditions, RetryPolicy};
 use dht_core::obs::MetricsRegistry;
 use dht_core::overlay::Overlay;
@@ -33,8 +33,7 @@ use dht_core::rng::stream_indexed;
 use dht_core::stats::percentile_sorted;
 use rand::Rng;
 
-use crate::churn::{run_churn, stabilize_bucket, ChurnParams, StabilizePhase, TimeModel};
-use crate::event::{EventQueue, SECOND};
+use crate::churn::{run_churn, run_until_clean, ChurnParams, TimeModel};
 use crate::factory::{build_overlay_spaced, OverlayKind};
 
 /// Parameters of the convergence experiment.
@@ -163,61 +162,6 @@ pub struct ConvergeRow {
     pub load: Option<LatencyUnderLoad>,
 }
 
-/// Runs per-second stabilization buckets on the virtual clock until the
-/// full-scope audit is clean, and returns the simulated seconds that
-/// took — `Some(0)` if the overlay is already clean, `None` if it is
-/// still dirty after `max_secs`.
-///
-/// The audit runs at every second boundary, so convergence time has
-/// one-second resolution: the paper's own stabilization granularity.
-#[must_use]
-pub fn time_to_clean(
-    overlay: &mut dyn Overlay,
-    phase: StabilizePhase,
-    period: u64,
-    max_secs: u64,
-) -> Option<u64> {
-    time_to_clean_traced(overlay, phase, period, max_secs).0
-}
-
-/// [`time_to_clean`], additionally recording the convergence
-/// *trajectory*: the full-scope audit's open-violation count at `t = 0`
-/// and after every simulated second's stabilization bucket, as
-/// `(t_us, violations)` points in ascending virtual time. The last
-/// point is 0 exactly when the shock converged.
-#[must_use]
-pub fn time_to_clean_traced(
-    overlay: &mut dyn Overlay,
-    phase: StabilizePhase,
-    period: u64,
-    max_secs: u64,
-) -> (Option<u64>, Vec<(u64, u64)>) {
-    let period = period.max(1);
-    let violations =
-        |overlay: &mut dyn Overlay| overlay.audit_state(AuditScope::Full).violations().len() as u64;
-    let start = violations(overlay);
-    let mut trajectory = vec![(0, start)];
-    if start == 0 {
-        return (Some(0), trajectory);
-    }
-    let mut queue: EventQueue<u64> = EventQueue::new();
-    queue.schedule(SECOND, 1);
-    while let Some((now, sec)) = queue.pop() {
-        let bucket = (sec - 1) % period;
-        stabilize_bucket(overlay, phase, period, bucket);
-        let open = violations(overlay);
-        trajectory.push((now, open));
-        if open == 0 {
-            return (Some(now / SECOND), trajectory);
-        }
-        if sec >= max_secs {
-            return (None, trajectory);
-        }
-        queue.schedule_in(SECOND, sec + 1);
-    }
-    (None, trajectory)
-}
-
 /// Runs the sweep; rows ordered by period then kind.
 #[must_use]
 pub fn measure(params: &ConvergeParams) -> Vec<ConvergeRow> {
@@ -267,8 +211,7 @@ fn run_cell(params: &ConvergeParams, kind: OverlayKind, period: u64, cell: u64) 
             join_added += 1;
         }
     }
-    let (join_clean_s, join_trajectory) =
-        time_to_clean_traced(net.as_mut(), StabilizePhase::Hashed, period, horizon);
+    let join = run_until_clean(net.as_mut(), period, horizon, false);
 
     // Shock 2: burst departure. Each node vanishes *ungracefully* with
     // probability `leave_fraction`, all in one instant, keeping a
@@ -284,8 +227,7 @@ fn run_cell(params: &ConvergeParams, kind: OverlayKind, period: u64, cell: u64) 
             leave_removed += 1;
         }
     }
-    let (leave_clean_s, leave_trajectory) =
-        time_to_clean_traced(net.as_mut(), StabilizePhase::Hashed, period, horizon);
+    let leave = run_until_clean(net.as_mut(), period, horizon, false);
 
     // Latency under load, at the base period only: a fresh overlay
     // under continuous-time churn with message delays.
@@ -338,11 +280,11 @@ fn run_cell(params: &ConvergeParams, kind: OverlayKind, period: u64, cell: u64) 
         label: kind.label().to_string(),
         period,
         join_added,
-        join_clean_s,
+        join_clean_s: join.clean_s,
         leave_removed,
-        leave_clean_s,
-        join_trajectory,
-        leave_trajectory,
+        leave_clean_s: leave.clean_s,
+        join_trajectory: join.trajectory,
+        leave_trajectory: leave.trajectory,
         load,
     }
 }
@@ -424,12 +366,11 @@ mod tests {
     }
 
     #[test]
-    fn time_to_clean_is_zero_on_a_clean_overlay() {
+    fn stabilize_until_clean_is_zero_on_a_clean_overlay() {
         let mut net = build_overlay(OverlayKind::Cycloid7, 64, 1);
-        assert_eq!(
-            time_to_clean(net.as_mut(), StabilizePhase::Hashed, 30, 60),
-            Some(0)
-        );
+        let run = run_until_clean(net.as_mut(), 30, 60, false);
+        assert_eq!(run.clean_s, Some(0));
+        assert_eq!(run.trajectory, vec![(0, 0)]);
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //! same engines as the paper experiments, with the meters switched on.
 
 use crossbeam::thread;
+use dht_core::clock::SECOND;
 use dht_core::net::{DelayModel, FaultPlan, NetConditions, RetryPolicy};
 use dht_core::obs::{Histogram, MetricsRegistry, Phase, PhaseAccountant, PhaseTable, ALL_PHASES};
 use dht_core::rng::stream_indexed;
 
-use crate::churn::{repair_bucket, run_churn, ChurnParams, ChurnSample, StabilizePhase};
-use crate::event::SECOND;
+use crate::churn::{run_churn, BucketIndex, ChurnParams, ChurnSample, StabilizePhase};
 use crate::factory::{build_overlay, OverlayKind, ALL_KINDS};
 
 /// Parameters of the profiling run.
@@ -138,7 +138,7 @@ fn run_cell(params: &ProfileParams, kind: OverlayKind, cell: usize) -> ProfileRo
     // Viceroy — structurally at zero. One explicit full-network repair
     // sweep closes the profile: every kind's repair routine runs once
     // and bills its pass.
-    repair_bucket(net.as_mut(), StabilizePhase::Hashed, 1, 0);
+    BucketIndex::new(net.as_ref(), StabilizePhase::Hashed, 1).fire(net.as_mut(), 0, true);
     let mut latency = Histogram::new();
     for &us in &out.latency_us {
         latency.record(us);

@@ -5,7 +5,7 @@
 //! protocol after *state* shocks: a seeded [`CorruptionPlan`] scrambles
 //! a fraction of the nodes' routing tables through one of the named
 //! [`CorruptionStrategy`]s, then the per-second repair timers
-//! (`churn::repair_bucket`) run on the virtual clock until the
+//! ([`run_until_clean`]) run on the virtual clock until the
 //! **full-scope** audit ([`AuditScope::Full`]) comes back clean — the
 //! audit is the recovery oracle, exactly as it is the convergence
 //! oracle, and the first clean second is the *time to recover*.
@@ -18,15 +18,13 @@
 //! of the recovery contract, not just a clean audit.
 
 use crossbeam::thread;
-use dht_core::audit::AuditScope;
 use dht_core::corrupt::{CorruptionPlan, CorruptionStrategy};
 use dht_core::obs::MetricsRegistry;
 use dht_core::overlay::Overlay;
 use dht_core::rng::stream_indexed;
 use dht_core::workload::random_pairs;
 
-use crate::churn::{repair_bucket, StabilizePhase};
-use crate::event::{EventQueue, SECOND};
+use crate::churn::run_until_clean;
 use crate::experiments::{run_requests_jobs, LookupAggregate};
 use crate::factory::{build_overlay_spaced, OverlayKind};
 
@@ -127,64 +125,6 @@ pub struct RecoverRow {
     pub post: LookupAggregate,
 }
 
-/// Runs per-second repair buckets on the virtual clock until the
-/// full-scope audit is clean. Returns `(seconds to clean, repair calls,
-/// entries repaired)`; seconds is `Some(0)` if the overlay was already
-/// clean and `None` if it is still dirty after `max_secs` (calls and
-/// entries then cover the whole horizon).
-#[must_use]
-pub fn repair_to_clean(
-    overlay: &mut dyn Overlay,
-    phase: StabilizePhase,
-    period: u64,
-    max_secs: u64,
-) -> (Option<u64>, u64, u64) {
-    let (clean_s, calls, entries, _) = repair_to_clean_traced(overlay, phase, period, max_secs);
-    (clean_s, calls, entries)
-}
-
-/// [`repair_to_clean`], additionally recording the recovery
-/// *trajectory*: the full-scope audit's open-violation count at `t = 0`
-/// and after every simulated second's repair bucket, as
-/// `(t_us, violations)` points in ascending virtual time. The last
-/// point is 0 exactly when the overlay recovered.
-#[must_use]
-pub fn repair_to_clean_traced(
-    overlay: &mut dyn Overlay,
-    phase: StabilizePhase,
-    period: u64,
-    max_secs: u64,
-) -> (Option<u64>, u64, u64, Vec<(u64, u64)>) {
-    let period = period.max(1);
-    let mut calls = 0u64;
-    let mut entries = 0u64;
-    let violations =
-        |overlay: &mut dyn Overlay| overlay.audit_state(AuditScope::Full).violations().len() as u64;
-    let start = violations(overlay);
-    let mut trajectory = vec![(0, start)];
-    if start == 0 {
-        return (Some(0), calls, entries, trajectory);
-    }
-    let mut queue: EventQueue<u64> = EventQueue::new();
-    queue.schedule(SECOND, 1);
-    while let Some((now, sec)) = queue.pop() {
-        let bucket = (sec - 1) % period;
-        let (c, e) = repair_bucket(overlay, phase, period, bucket);
-        calls += c;
-        entries += e;
-        let open = violations(overlay);
-        trajectory.push((now, open));
-        if open == 0 {
-            return (Some(now / SECOND), calls, entries, trajectory);
-        }
-        if sec >= max_secs {
-            return (None, calls, entries, trajectory);
-        }
-        queue.schedule_in(SECOND, sec + 1);
-    }
-    (None, calls, entries, trajectory)
-}
-
 /// Runs the sweep; rows ordered by period, then strategy, then
 /// severity, then kind.
 #[must_use]
@@ -239,8 +179,7 @@ fn run_cell(
     let mut net = build_overlay_spaced(kind, params.nodes, id_space, params.seed ^ (cell << 40));
     let plan = CorruptionPlan::new(strategy, severity, params.seed ^ cell);
     let report = net.corrupt_state(&plan);
-    let (clean_s, repair_calls, repaired_entries, trajectory) =
-        repair_to_clean_traced(net.as_mut(), StabilizePhase::Hashed, period, horizon);
+    let repair = run_until_clean(net.as_mut(), period, horizon, true);
     let mut rng = stream_indexed(params.seed, "recover", cell);
     let reqs = random_pairs(net.as_ref(), params.lookups, &mut rng);
     let post = run_requests_jobs(net.as_mut(), &reqs, params.jobs.max(1));
@@ -254,10 +193,10 @@ fn run_cell(
         targeted: report.targeted_nodes as u64,
         corrupted: report.corrupted_nodes as u64,
         mutated_entries: report.mutated_entries,
-        clean_s,
-        repair_calls,
-        repaired_entries,
-        trajectory,
+        clean_s: repair.clean_s,
+        repair_calls: repair.calls,
+        repaired_entries: repair.entries,
+        trajectory: repair.trajectory,
         post,
     }
 }
@@ -333,12 +272,12 @@ mod tests {
     }
 
     #[test]
-    fn repair_to_clean_is_zero_on_a_clean_overlay() {
+    fn repair_until_clean_is_zero_on_a_clean_overlay() {
         let mut net = crate::factory::build_overlay(OverlayKind::Cycloid7, 64, 1);
-        let (secs, calls, entries) = repair_to_clean(net.as_mut(), StabilizePhase::Hashed, 30, 60);
-        assert_eq!(secs, Some(0));
-        assert_eq!(calls, 0);
-        assert_eq!(entries, 0);
+        let run = run_until_clean(net.as_mut(), 30, 60, true);
+        assert_eq!(run.clean_s, Some(0));
+        assert_eq!(run.calls, 0);
+        assert_eq!(run.entries, 0);
     }
 
     #[test]

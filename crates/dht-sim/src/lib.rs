@@ -23,7 +23,6 @@
 
 pub mod chart;
 pub mod churn;
-pub mod event;
 pub mod experiments;
 pub mod factory;
 pub mod report;

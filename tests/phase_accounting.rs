@@ -11,10 +11,10 @@ mod common;
 
 use std::sync::{Arc, Mutex};
 
+use dht_core::clock::SECOND;
 use dht_core::obs::{Event, Phase, PhaseAccountant, PhaseTable, RingBufferSink, SinkHandle};
 use dht_core::rng::stream_indexed;
 use dht_sim::churn::{run_churn, ChurnOutcome, ChurnParams};
-use dht_sim::event::SECOND;
 use dht_sim::{build_overlay, OverlayKind, ALL_KINDS};
 use proptest::prelude::*;
 

@@ -20,8 +20,7 @@ use dht_core::corrupt::{CorruptionPlan, CorruptionStrategy};
 use dht_core::obs::{Event as TraceEvent, RingBufferSink, SinkHandle};
 use dht_core::rng::stream;
 use dht_core::workload::random_pairs;
-use dht_sim::churn::{run_churn, ChurnParams, StabilizePhase};
-use dht_sim::experiments::recover::repair_to_clean;
+use dht_sim::churn::{run_churn, run_until_clean, ChurnParams};
 use dht_sim::experiments::run_requests_jobs;
 use dht_sim::{build_overlay_spaced, ALL_KINDS};
 use proptest::prelude::*;
@@ -51,15 +50,14 @@ fn corrupt_and_recover(
         "{kind:?}/{strategy:?} seed={seed}: targeted {} < {min_targeted}",
         report.targeted_nodes
     );
-    let (secs, _calls, entries) =
-        repair_to_clean(net.as_mut(), StabilizePhase::Hashed, PERIOD, HORIZON_SECS);
-    let secs = secs.unwrap_or_else(|| {
+    let run = run_until_clean(net.as_mut(), PERIOD, HORIZON_SECS, true);
+    let secs = run.clean_s.unwrap_or_else(|| {
         panic!(
             "{kind:?}/{strategy:?} seed={seed}: still dirty after {HORIZON_SECS}s: {}",
             net.audit_state(AuditScope::Full)
         )
     });
-    (net, secs, entries)
+    (net, secs, run.entries)
 }
 
 #[test]
@@ -78,21 +76,25 @@ fn every_kind_recovers_from_every_strategy() {
                 !net.audit_state(AuditScope::Full).is_clean(),
                 "{kind:?}/{strategy:?}: corruption evaded the full audit"
             );
-            let (secs, _, entries) =
-                repair_to_clean(net.as_mut(), StabilizePhase::Hashed, PERIOD, HORIZON_SECS);
-            let secs = secs.unwrap_or_else(|| {
+            let run = run_until_clean(net.as_mut(), PERIOD, HORIZON_SECS, true);
+            let secs = run.clean_s.unwrap_or_else(|| {
                 panic!("{kind:?}/{strategy:?}: unrecovered within {HORIZON_SECS}s")
             });
             assert!(
                 secs > 0,
                 "{kind:?}/{strategy:?}: dirty state cannot be clean at 0s"
             );
-            assert!(entries > 0, "{kind:?}/{strategy:?}: repair fixed nothing");
+            assert!(
+                run.entries > 0,
+                "{kind:?}/{strategy:?}: repair fixed nothing"
+            );
             // Idempotence: a further repair round touches nothing.
-            let (again, _, more) =
-                repair_to_clean(net.as_mut(), StabilizePhase::Hashed, PERIOD, HORIZON_SECS);
-            assert_eq!(again, Some(0), "{kind:?}/{strategy:?}");
-            assert_eq!(more, 0, "{kind:?}/{strategy:?}: repair not idempotent");
+            let again = run_until_clean(net.as_mut(), PERIOD, HORIZON_SECS, true);
+            assert_eq!(again.clean_s, Some(0), "{kind:?}/{strategy:?}");
+            assert_eq!(
+                again.entries, 0,
+                "{kind:?}/{strategy:?}: repair not idempotent"
+            );
         }
     }
 }
@@ -136,9 +138,11 @@ fn ghost_links_to_departed_tokens_repair_without_resurrection() {
             !net.audit_state(AuditScope::Full).is_clean(),
             "{kind:?}: ghost links evaded the full audit"
         );
-        let (secs, _, _) =
-            repair_to_clean(net.as_mut(), StabilizePhase::Hashed, PERIOD, HORIZON_SECS);
-        assert!(secs.is_some(), "{kind:?}: ghost corruption unrecovered");
+        let run = run_until_clean(net.as_mut(), PERIOD, HORIZON_SECS, true);
+        assert!(
+            run.clean_s.is_some(),
+            "{kind:?}: ghost corruption unrecovered"
+        );
         assert_eq!(
             net.node_tokens(),
             members,
