@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cycloid::{CycloidConfig, CycloidNetwork};
 use dht_core::rng::stream;
-use dht_core::sim::{walk_ref, walk_ref_with_scratch, WalkScratch};
+use dht_core::sim::{SimOverlay, WalkCursor, WalkScratch};
 use dht_core::Overlay;
 use dht_sim::{build_overlay, OverlayKind};
 use rand::Rng;
@@ -24,8 +24,8 @@ fn pool_jobs() -> usize {
 /// Read-only walks on a Cycloid(7) network with a fifth of its nodes
 /// failed (so walks actually route around dead entries and the
 /// de-duplication sets fill), comparing a fresh `WalkScratch` per walk
-/// (what `walk_ref` allocates internally) against one reused across
-/// the whole run. The delta is pure allocator traffic: the routes are
+/// (what `walk_from` allocates internally) against one reused across
+/// the whole run (what each executor worker does). The delta is pure allocator traffic: the routes are
 /// identical.
 fn bench_walk_scratch(c: &mut Criterion) {
     let mut g = c.benchmark_group("walk_scratch");
@@ -41,13 +41,19 @@ fn bench_walk_scratch(c: &mut Criterion) {
         .map(|_| (tokens[rng.gen_range(0..tokens.len())], rng.gen()))
         .collect();
 
+    let walk = |i: usize, scratch: &mut WalkScratch| {
+        let (src, raw_key) = keys[i];
+        let state = net.begin_walk(src, raw_key);
+        let (trace, fx) = WalkCursor::begin(&net, src, state, true, i as u64, Some(raw_key))
+            .run(&net, scratch);
+        (trace.path_len(), fx.is_empty())
+    };
+
     let mut i = 0usize;
     g.bench_function("fresh_alloc", |b| {
         b.iter(|| {
             i = (i + 1) % keys.len();
-            let (src, raw_key) = keys[i];
-            let (trace, fx) = walk_ref(&net, src, raw_key, true, i as u64);
-            black_box((trace.path_len(), fx.is_empty()))
+            black_box(walk(i, &mut WalkScratch::new()))
         })
     });
 
@@ -56,10 +62,7 @@ fn bench_walk_scratch(c: &mut Criterion) {
     g.bench_function("reused_scratch", |b| {
         b.iter(|| {
             j = (j + 1) % keys.len();
-            let (src, raw_key) = keys[j];
-            let (trace, fx) =
-                walk_ref_with_scratch(&net, src, raw_key, true, j as u64, &mut scratch);
-            black_box((trace.path_len(), fx.is_empty()))
+            black_box(walk(j, &mut scratch))
         })
     });
     g.finish();

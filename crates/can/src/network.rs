@@ -338,7 +338,7 @@ impl CanNetwork {
     /// eagerly, so lookups never time out.
     pub fn route(&mut self, src: u64, raw_key: u64) -> LookupTrace {
         let point = self.point_of(raw_key);
-        walk_from(self, src, CanWalk { point }, true)
+        walk_from(self, src, CanWalk { point }, None, true)
     }
 
     /// Validates the tiling invariant: every point belongs to exactly one

@@ -291,7 +291,7 @@ impl ChordNetwork {
     /// greedy closest-preceding-finger routing with successor-list
     /// fallback. Dead contacts cost a timeout each.
     pub fn route_to_point(&mut self, src: u64, key: u64) -> LookupTrace {
-        walk_from(self, src, ChordWalk { key }, true)
+        walk_from(self, src, ChordWalk { key }, None, true)
     }
 
     /// Lookup by raw (pre-hash) key.

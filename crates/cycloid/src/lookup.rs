@@ -62,7 +62,7 @@ impl CycloidNetwork {
     /// identifier.
     pub fn route_to_id(&mut self, src: CycloidId, key: CycloidId) -> LookupTrace {
         let walk = self.walk_for(src, key);
-        walk_from(self, src.linear(self.dim()), walk, true)
+        walk_from(self, src.linear(self.dim()), walk, None, true)
     }
 
     /// Routing used by control traffic (join messages): same walk, but
@@ -70,7 +70,7 @@ impl CycloidNetwork {
     /// experiment measures (which count *lookup* queries only).
     pub(crate) fn route_quiet(&mut self, src: CycloidId, key: CycloidId) -> LookupTrace {
         let walk = self.walk_for(src, key);
-        walk_from(self, src.linear(self.dim()), walk, false)
+        walk_from(self, src.linear(self.dim()), walk, None, false)
     }
 
     fn walk_for(&self, src: CycloidId, key: CycloidId) -> CycloidWalk {

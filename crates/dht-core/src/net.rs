@@ -5,7 +5,7 @@
 //! through a stale routing-table entry. Real deployments also lose,
 //! delay, and duplicate individual messages, and the querier responds
 //! with retries and exponential backoff. This module models that layer
-//! for the shared walk engine ([`crate::sim::walk`]):
+//! for the shared walk engine ([`crate::sim::WalkCursor`]):
 //!
 //! * [`FaultPlan`] — a seeded per-message fault model: loss
 //!   probability, round-trip delay distribution in simulated

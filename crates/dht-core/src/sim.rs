@@ -14,35 +14,38 @@
 //!    lookup-message counters of the paper's §4.2 congestion measure,
 //!    kept in lockstep with the membership so a counter exists exactly
 //!    for the live nodes.
-//! 3. **The iterative lookup walk** — [`walk`] (and [`walk_from`] for
-//!    pre-mapped keys) drives a lookup hop by hop: it owns the hop
-//!    budget, the per-step timeout de-duplication for stale entries,
-//!    query-load counting, and [`LookupTrace`] recording. The overlay
-//!    only answers the pure per-hop question "from here, which
-//!    candidates would you try next, in what order?" through
-//!    [`SimOverlay::next_hop`].
+//! 3. **The iterative lookup walk** — [`WalkCursor`] drives a lookup
+//!    hop by hop: it owns the hop budget, the per-step timeout
+//!    de-duplication for stale entries, query-load counting, and
+//!    [`LookupTrace`] recording. The overlay only answers the pure
+//!    per-hop question "from here, which candidates would you try next,
+//!    in what order?" through [`SimOverlay::next_hop`].
 //!
-//! # Read-only walks and deferred effects
+//! # One way to walk
 //!
-//! The walk core is *read-only*: [`walk_ref`] routes against `&T` and
-//! returns the trace **plus** a [`WalkEffects`] record of everything a
-//! mutating walk would have done in place — query-load increments,
-//! repair-on-use evictions, exhaustion accounting, and trace events.
-//! [`apply_effects`] plays such a record back against `&mut T`. The
-//! classic [`walk`]/[`walk_from`] entry points are exactly `walk_ref` +
-//! immediate application, so overlays keep their sequential semantics
-//! (a repair made by lookup *k* is visible to lookup *k + 1*).
+//! Every lookup is `WalkCursor::begin` → `step`* → `finish`. The cursor
+//! is *read-only* on the overlay: it routes against `&T` and yields the
+//! trace **plus** a [`WalkEffects`] record of everything a mutating
+//! walk would have done in place — query-load increments,
+//! repair-on-use evictions, exhaustion accounting, and trace events —
+//! which [`apply_effects`] plays back against `&mut T`. A
+//! discrete-event driver steps a cursor one hop per reply event
+//! ([`LookupCursor`]); everything else calls [`WalkCursor::run`], the
+//! same loop run to the end in place. [`walk_from`] is the one mutating
+//! convenience — `run` + immediate application — so overlays keep their
+//! sequential semantics (a repair made by lookup *k* is visible to
+//! lookup *k + 1*).
 //!
-//! [`ParallelExecutor`] builds on this split: it shards a batch of
-//! lookups across scoped worker threads that all walk the same
-//! snapshot, then merges the effect records in canonical workload
+//! [`ParallelExecutor`] builds on the same split: it shards a batch of
+//! lookups across scoped worker threads that all run cursors against
+//! one snapshot, then merges the effect records in canonical workload
 //! order. Together with the order-independent fault draws of
 //! [`crate::net::NetConditions`], every aggregate, query-load table,
 //! and trace byte is identical for any worker count — including one.
-//! The one semantic difference from the sequential entry points is
-//! *within a batch*: repair-on-use is applied after the whole batch
-//! routes, so all lookups of a batch see the same snapshot (see
-//! DESIGN.md, "Parallel execution").
+//! The one semantic difference from [`walk_from`] is *within a batch*:
+//! repair-on-use is applied after the whole batch routes, so all
+//! lookups of a batch see the same snapshot (see DESIGN.md, "Parallel
+//! execution").
 //!
 //! Implementing [`SimOverlay`] yields [`Overlay`] for free through a
 //! blanket impl, so the experiment harness drives every overlay —
@@ -893,7 +896,7 @@ pub struct HopRepair {
 }
 
 /// Everything a mutating walk would have done in place, recorded by
-/// [`walk_ref`] for deferred application via [`apply_effects`].
+/// a [`WalkCursor`] for deferred application via [`apply_effects`].
 ///
 /// The trace events carry a placeholder lookup id of 0; the real
 /// stream-unique id is stamped at application time so ids are handed
@@ -949,106 +952,29 @@ impl WalkScratch {
     }
 }
 
-/// Read-only lookup from `src` for `raw_key`: routes against `&T` and
-/// returns the trace plus the deferred [`WalkEffects`]. `lookup_index`
-/// keys the fault draws (see
-/// [`crate::net::NetConditions::take_lookup_index`]). When
-/// `count_loads` is set, visited nodes are recorded for query-load
-/// accounting (the §4.2 congestion measure counts lookup traffic only,
-/// so control traffic passes `false`).
-pub fn walk_ref<T: SimOverlay + ?Sized>(
-    net: &T,
-    src: NodeToken,
-    raw_key: u64,
-    count_loads: bool,
-    lookup_index: u64,
-) -> (LookupTrace, WalkEffects) {
-    let mut scratch = WalkScratch::new();
-    walk_ref_with_scratch(net, src, raw_key, count_loads, lookup_index, &mut scratch)
-}
-
-/// Like [`walk_ref`], reusing the caller's scratch buffers across
-/// walks (the parallel executor keeps one per worker).
-pub fn walk_ref_with_scratch<T: SimOverlay + ?Sized>(
-    net: &T,
-    src: NodeToken,
-    raw_key: u64,
-    count_loads: bool,
-    lookup_index: u64,
-    scratch: &mut WalkScratch,
-) -> (LookupTrace, WalkEffects) {
-    assert!(
-        net.membership().contains(src),
-        "lookup source {src} is not live"
-    );
-    let state = net.begin_walk(src, raw_key);
-    walk_ref_inner(
-        net,
-        src,
-        state,
-        count_loads,
-        lookup_index,
-        Some(raw_key),
-        scratch,
-    )
-}
-
-/// Like [`walk_ref`], but with an already-initialized walk state — the
-/// read-only counterpart of [`walk_from`].
-pub fn walk_ref_from<T: SimOverlay + ?Sized>(
-    net: &T,
-    src: NodeToken,
-    state: T::Walk,
-    count_loads: bool,
-    lookup_index: u64,
-) -> (LookupTrace, WalkEffects) {
-    let mut scratch = WalkScratch::new();
-    walk_ref_inner(
-        net,
-        src,
-        state,
-        count_loads,
-        lookup_index,
-        None,
-        &mut scratch,
-    )
-}
-
-/// Performs one lookup from `src` for `raw_key`, walking the overlay
-/// hop by hop using only each node's private routing state, and
-/// returns the full trace. Exactly [`walk_ref`] followed by
-/// [`apply_effects`], so query loads, repair-on-use, and trace events
-/// land immediately. When `count_loads` is set, every visited node's
-/// query-load counter is incremented.
-pub fn walk<T: SimOverlay + ?Sized>(
-    net: &mut T,
-    src: NodeToken,
-    raw_key: u64,
-    count_loads: bool,
-) -> LookupTrace {
-    let index = net
-        .membership_mut()
-        .net_conditions_mut()
-        .take_lookup_index();
-    let (trace, fx) = walk_ref(&*net, src, raw_key, count_loads, index);
-    apply_effects(net, fx);
-    trace
-}
-
-/// Like [`walk`], but with an already-initialized walk state — the
-/// entry point for overlays exposing route-to-point APIs whose key is
-/// pre-mapped.
+/// Performs one lookup from `src` with an already-initialized walk
+/// state, walking the overlay hop by hop using only each node's private
+/// routing state, and returns the full trace: a [`WalkCursor`] run to
+/// completion, followed by [`apply_effects`], so query loads,
+/// repair-on-use, and trace events land immediately. `raw_key` only
+/// tags the `LookupStart` event (`None` for route-to-point entry points
+/// whose key is pre-mapped). When `count_loads` is set, every visited
+/// node's query-load counter is incremented (the §4.2 congestion
+/// measure counts lookup traffic only, so control traffic passes
+/// `false`).
 pub fn walk_from<T: SimOverlay + ?Sized>(
     net: &mut T,
     src: NodeToken,
     state: T::Walk,
+    raw_key: Option<u64>,
     count_loads: bool,
 ) -> LookupTrace {
     let index = net
         .membership_mut()
         .net_conditions_mut()
         .take_lookup_index();
-    let (trace, fx) = walk_ref_from(&*net, src, state, count_loads, index);
+    let (trace, fx) = WalkCursor::begin(&*net, src, state, count_loads, index, raw_key)
+        .run(&*net, &mut WalkScratch::new());
     apply_effects(net, fx);
     trace
 }
@@ -1104,24 +1030,6 @@ pub fn apply_effects<T: SimOverlay + ?Sized>(net: &mut T, fx: WalkEffects) {
     }
 }
 
-/// The read-only iterative walk loop shared by every entry point: a
-/// [`WalkCursor`] stepped to completion in one call. `raw_key` is
-/// purely informational (it tags the `LookupStart` event); routing
-/// reads only the walk state.
-fn walk_ref_inner<T: SimOverlay + ?Sized>(
-    net: &T,
-    src: NodeToken,
-    state: T::Walk,
-    count_loads: bool,
-    lookup_index: u64,
-    raw_key: Option<u64>,
-    scratch: &mut WalkScratch,
-) -> (LookupTrace, WalkEffects) {
-    let mut cursor = WalkCursor::begin(net, src, state, count_loads, lookup_index, raw_key);
-    while let CursorStep::Forwarded { .. } = cursor.step(net, scratch) {}
-    cursor.finish()
-}
-
 /// One advance of a suspended walk (see [`WalkCursor::step`]), tagged
 /// with the virtual time the step consumed: stale-entry waits, retry
 /// backoff, and the answering message's round trip, exactly as billed
@@ -1150,9 +1058,9 @@ pub enum CursorStep {
 /// first-class so a discrete-event driver can interleave many walks on
 /// one virtual clock, resuming each when its reply event fires.
 ///
-/// [`walk_ref`] and every sequential entry point drive this same
-/// cursor to completion in a tight loop, so suspended and inline walks
-/// are one implementation — byte-identical traces by construction.
+/// [`WalkCursor::run`] drives this same cursor to completion in a tight
+/// loop, so suspended and inline walks are one implementation —
+/// byte-identical traces by construction.
 #[derive(Debug)]
 pub struct WalkCursor<W> {
     state: W,
@@ -1385,6 +1293,18 @@ impl<W> WalkCursor<W> {
         }
     }
 
+    /// Steps the walk to completion against one membership snapshot and
+    /// finishes it: the inline (non-suspended) way to walk, read-only on
+    /// the overlay. `scratch` may be reused across walks.
+    pub fn run<T: SimOverlay<Walk = W> + ?Sized>(
+        mut self,
+        net: &T,
+        scratch: &mut WalkScratch,
+    ) -> (LookupTrace, WalkEffects) {
+        while let CursorStep::Forwarded { .. } = self.step(net, scratch) {}
+        self.finish()
+    }
+
     /// Consumes the finished walk, emitting the `LookupEnd` event and
     /// returning the trace plus the deferred effects.
     ///
@@ -1503,7 +1423,7 @@ impl<T: SimOverlay> LookupCursor for TypedCursor<T> {
 /// Deterministic sharded lookup executor: splits a batch of `(src,
 /// raw_key)` requests into contiguous chunks, routes every chunk on a
 /// scoped worker thread against the *same* membership snapshot
-/// (`&T`, via [`walk_ref_with_scratch`]), then applies the
+/// (`&T`, via [`WalkCursor::run`]), then applies the
 /// [`WalkEffects`] in canonical workload order.
 ///
 /// Determinism: fault draws are keyed by the lookup's reserved index
@@ -1570,23 +1490,25 @@ impl ParallelExecutor {
         let shards: Vec<Shard> = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = reqs
                 .chunks(chunk)
-                .map(|slice| {
-                    let offset = (slice.as_ptr() as usize - reqs.as_ptr() as usize)
-                        / std::mem::size_of::<(NodeToken, u64)>();
+                .enumerate()
+                .map(|(i, slice)| {
+                    let offset = i * chunk;
                     scope.spawn(move |_| {
                         let mut scratch = WalkScratch::new();
                         let mut loads: BTreeMap<NodeToken, u64> = BTreeMap::new();
                         let mut walks = Vec::with_capacity(slice.len());
                         for (k, &(src, raw_key)) in slice.iter().enumerate() {
                             let index = base + (offset + k) as u64;
-                            let (trace, mut fx) = walk_ref_with_scratch(
+                            let state = shared.begin_walk(src, raw_key);
+                            let (trace, mut fx) = WalkCursor::begin(
                                 shared,
                                 src,
-                                raw_key,
+                                state,
                                 count_loads,
                                 index,
-                                &mut scratch,
-                            );
+                                Some(raw_key),
+                            )
+                            .run(shared, &mut scratch);
                             for node in fx.queried.drain(..) {
                                 *loads.entry(node).or_insert(0) += 1;
                             }
@@ -1653,7 +1575,8 @@ impl<T: SimOverlay> Overlay for T {
     }
 
     fn lookup(&mut self, src: NodeToken, raw_key: u64) -> LookupTrace {
-        walk(self, src, raw_key, true)
+        let state = self.begin_walk(src, raw_key);
+        walk_from(self, src, state, Some(raw_key), true)
     }
 
     fn lookup_batch(&mut self, reqs: &[(NodeToken, u64)], jobs: usize) -> Vec<LookupTrace> {
@@ -1763,6 +1686,17 @@ impl<T: SimOverlay> Overlay for T {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `begin_walk` + [`walk_from`]: one lookup for a raw key.
+    fn walk_key<T: SimOverlay>(
+        net: &mut T,
+        src: NodeToken,
+        raw_key: u64,
+        count_loads: bool,
+    ) -> LookupTrace {
+        let state = net.begin_walk(src, raw_key);
+        walk_from(net, src, state, Some(raw_key), count_loads)
+    }
 
     /// Minimal substrate client: a ring where each node stores the
     /// successor pointer it had at insertion time and never repairs it,
@@ -1879,7 +1813,7 @@ mod tests {
     #[test]
     fn walk_reaches_owner_and_counts_loads() {
         let mut net = StaleRing::with_tokens(&[0, 16, 32, 48], 64);
-        let t = walk(&mut net, 0, 40, true);
+        let t = walk_key(&mut net, 0, 40, true);
         assert_eq!(t.outcome, LookupOutcome::Found);
         assert_eq!(t.terminal, 48);
         assert_eq!(t.timeouts, 0);
@@ -1892,7 +1826,7 @@ mod tests {
     fn stale_pointers_cost_one_timeout_each_step() {
         let mut net = StaleRing::with_tokens(&[0, 16, 32, 48], 64);
         assert!(net.node_leave(16));
-        let t = walk(&mut net, 0, 40, true);
+        let t = walk_key(&mut net, 0, 40, true);
         assert_eq!(t.outcome, LookupOutcome::Found);
         assert_eq!(t.terminal, 48);
         assert_eq!(t.timeouts, 1, "one stale hop through the departed 16");
@@ -1901,8 +1835,7 @@ mod tests {
     #[test]
     fn quiet_walks_leave_loads_untouched() {
         let mut net = StaleRing::with_tokens(&[0, 16, 32, 48], 64);
-        let state = net.begin_walk(0, 40);
-        let t = walk_from(&mut net, 0, state, false);
+        let t = walk_key(&mut net, 0, 40, false);
         assert_eq!(t.outcome, LookupOutcome::Found);
         assert_eq!(net.members.loads_total(), 0);
     }
@@ -1977,7 +1910,7 @@ mod tests {
             fn stabilize_network(&mut self) {}
         }
         let mut net = Tiny(StaleRing::with_tokens(&[0, 16, 32, 48], 64));
-        let t = walk(&mut net, 0, 40, true);
+        let t = walk_key(&mut net, 0, 40, true);
         assert_eq!(t.outcome, LookupOutcome::HopBudgetExhausted);
         assert_eq!(t.path_len(), 1, "budget of one hop");
     }
@@ -1993,7 +1926,7 @@ mod tests {
         let ring = Arc::new(Mutex::new(RingBufferSink::new(256)));
         net.membership_mut()
             .set_trace_sink(SinkHandle::new(Arc::clone(&ring)));
-        let trace = walk(&mut net, 0, 40, true);
+        let trace = walk_key(&mut net, 0, 40, true);
         let events = ring.lock().unwrap().snapshot();
         // Exactly one lookup: start, per-hop, one stale timeout, end.
         assert!(matches!(
@@ -2058,7 +1991,7 @@ mod tests {
                 ring.membership_mut().set_trace_sink(s);
             }
             (0..24u64)
-                .map(|key| walk(&mut ring, 0, key, true))
+                .map(|key| walk_key(&mut ring, 0, key, true))
                 .collect::<Vec<_>>()
         };
         let silent = run(None);
@@ -2075,14 +2008,14 @@ mod tests {
     #[test]
     fn ideal_network_walk_has_zero_net_costs() {
         let mut net = StaleRing::with_tokens(&[0, 16, 32, 48], 64);
-        let t = walk(&mut net, 0, 40, true);
+        let t = walk_key(&mut net, 0, 40, true);
         assert_eq!(t.net, NetCosts::default());
     }
 
     #[test]
     fn zero_loss_with_delay_keeps_hops_identical_but_bills_latency() {
         let mut ideal = StaleRing::with_tokens(&[0, 16, 32, 48], 64);
-        let baseline = walk(&mut ideal, 0, 40, true);
+        let baseline = walk_key(&mut ideal, 0, 40, true);
 
         let mut delayed = StaleRing::with_tokens(&[0, 16, 32, 48], 64);
         let plan = FaultPlan {
@@ -2094,7 +2027,7 @@ mod tests {
         delayed
             .membership_mut()
             .set_net_conditions(NetConditions::new(plan, RetryPolicy::standard()));
-        let t = walk(&mut delayed, 0, 40, true);
+        let t = walk_key(&mut delayed, 0, 40, true);
         assert_eq!(t.hops, baseline.hops, "delay must not change routing");
         assert_eq!(t.outcome, baseline.outcome);
         assert_eq!(t.net.retries, 0);
@@ -2120,7 +2053,7 @@ mod tests {
                 .set_net_conditions(NetConditions::new(plan, RetryPolicy::standard()));
             let mut traces = Vec::new();
             for key in 0..32u64 {
-                traces.push(walk(&mut ring, 0, key, false));
+                traces.push(walk_key(&mut ring, 0, key, false));
             }
             traces
         };
@@ -2147,7 +2080,7 @@ mod tests {
         let retry = RetryPolicy::standard();
         ring.membership_mut()
             .set_net_conditions(NetConditions::new(plan, retry));
-        let t = walk(&mut ring, 0, 40, true);
+        let t = walk_key(&mut ring, 0, 40, true);
         assert_eq!(t.outcome, LookupOutcome::Stuck);
         assert_eq!(t.path_len(), 0, "no message ever delivered");
         assert_eq!(t.timeouts, 0, "live-node losses are not stale timeouts");
@@ -2176,7 +2109,7 @@ mod tests {
             },
             retry,
         ));
-        let t = walk(&mut ring, 0, 40, true);
+        let t = walk_key(&mut ring, 0, 40, true);
         assert_eq!(t.timeouts, 1);
         assert_eq!(t.net.retries, 0, "stale contacts are not message retries");
         assert_eq!(
@@ -2262,7 +2195,7 @@ mod tests {
     #[test]
     fn parallel_executor_matches_one_walk_at_a_time() {
         // A batch at any width must also agree with the pre-batch
-        // behavior: the same lookups issued one `walk` at a time.
+        // behavior: the same lookups issued one walk at a time.
         let live: Vec<u64> = contested_ring().members.tokens();
         let reqs: Vec<(NodeToken, u64)> = (0..32u64)
             .map(|k| (live[k as usize % live.len()], k * 29))
@@ -2270,7 +2203,7 @@ mod tests {
         let mut loop_ring = contested_ring();
         let loop_traces: Vec<LookupTrace> = reqs
             .iter()
-            .map(|&(src, key)| walk(&mut loop_ring, src, key, true))
+            .map(|&(src, key)| walk_key(&mut loop_ring, src, key, true))
             .collect();
         let mut batch_ring = contested_ring();
         let batch_traces = ParallelExecutor::new(4).run(&mut batch_ring, &reqs, true);

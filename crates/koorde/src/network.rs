@@ -356,7 +356,7 @@ impl KoordeNetwork {
         assert!(self.is_live(src), "lookup source {src} is not live");
         let succ = self.members.get(src).expect("source is live").successor();
         let (i, kshift) = self.imaginary_start(src, succ, key);
-        walk_from(self, src, KoordeWalk { key, i, kshift }, true)
+        walk_from(self, src, KoordeWalk { key, i, kshift }, None, true)
     }
 
     /// Lookup by raw (pre-hash) key.

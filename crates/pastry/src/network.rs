@@ -426,7 +426,7 @@ impl PastryNetwork {
     /// leaf-set fallback. Digit-correcting hops are tagged
     /// [`HopPhase::Finger`], leaf-set hops [`HopPhase::Successor`].
     pub fn route_to_point(&mut self, src: u64, key: u64) -> LookupTrace {
-        walk_from(self, src, PastryWalk { key }, true)
+        walk_from(self, src, PastryWalk { key }, None, true)
     }
 
     /// Lookup by raw (pre-hash) key.

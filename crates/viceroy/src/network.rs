@@ -342,6 +342,7 @@ impl ViceroyNetwork {
                 key,
                 phase: WalkPhase::Up,
             },
+            None,
             true,
         )
     }
