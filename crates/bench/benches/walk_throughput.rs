@@ -44,8 +44,8 @@ fn bench_walk_scratch(c: &mut Criterion) {
     let walk = |i: usize, scratch: &mut WalkScratch| {
         let (src, raw_key) = keys[i];
         let state = net.begin_walk(src, raw_key);
-        let (trace, fx) = WalkCursor::begin(&net, src, state, true, i as u64, Some(raw_key))
-            .run(&net, scratch);
+        let (trace, fx) =
+            WalkCursor::begin(&net, src, state, true, i as u64, Some(raw_key)).run(&net, scratch);
         (trace.path_len(), fx.is_empty())
     };
 

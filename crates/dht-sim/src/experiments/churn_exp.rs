@@ -5,13 +5,13 @@
 //! every node stabilizes once per 30 s at a uniformly distributed offset;
 //! the network starts with 2048 nodes.
 
-use crossbeam::thread;
 use dht_core::net::NetConditions;
 use dht_core::obs::MetricsRegistry;
 use dht_core::rng::stream_indexed;
 use dht_core::stats::Summary;
 
 use crate::churn::{run_churn, ChurnOutcome, ChurnParams};
+use crate::experiments::{grid, run_cells};
 use crate::factory::{build_overlay, OverlayKind};
 
 /// Parameters of the churn experiment.
@@ -109,70 +109,46 @@ pub struct ChurnRow {
 /// Runs the sweep; rows ordered by rate then kind.
 #[must_use]
 pub fn measure(params: &ChurnExpParams) -> Vec<ChurnRow> {
-    let mut cells = Vec::new();
-    let mut idx = 0usize;
-    for &rate in &params.rates {
-        for &kind in &params.kinds {
-            cells.push((idx, kind, rate));
-            idx += 1;
-        }
-    }
-    let mut rows: Vec<Option<ChurnRow>> = vec![None; cells.len()];
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for &(i, kind, rate) in &cells {
-            let params = &params;
-            handles.push((
-                i,
-                scope.spawn(move |_| {
-                    let mut net = build_overlay(kind, params.nodes, params.seed ^ (i as u64) << 40);
-                    let mut rng = stream_indexed(params.seed, "churn-run", i as u64);
-                    let churn_params = ChurnParams {
-                        lookup_rate: 1.0,
-                        churn_rate: rate,
-                        stabilization_period_secs: 30,
-                        lookups: params.lookups,
-                        warmup_lookups: params.lookups / 50,
-                        audit: params.audit,
-                        conditions: params.conditions,
-                        sink: dht_core::obs::SinkHandle::disabled(),
-                        jobs: params.jobs,
-                        ..ChurnParams::default()
-                    };
-                    let out: ChurnOutcome = run_churn(net.as_mut(), churn_params, &mut rng);
-                    let latency_ms: Vec<f64> = out
-                        .latency_us
-                        .iter()
-                        .map(|&us| us as f64 / 1_000.0)
-                        .collect();
-                    ChurnRow {
-                        label: net.name(),
-                        rate,
-                        path: Summary::of_lens(&out.path_lens),
-                        timeouts: Summary::of_counts(&out.timeouts),
-                        failures: out.failures,
-                        joins: out.joins,
-                        leaves: out.leaves,
-                        final_size: out.final_size,
-                        retries: Summary::of_counts(&out.retries),
-                        latency_ms: Summary::of(&latency_ms),
-                        audit: out.audit,
-                        peak_size: out.peak_size,
-                        stabilize_calls: out.stabilize_calls,
-                        stabilize_rounds: out.stabilize_rounds,
-                        audit_us: out.audit_us,
-                    }
-                }),
-            ));
-        }
-        for (i, handle) in handles {
-            rows[i] = Some(handle.join().expect("measurement thread panicked"));
+    let cells = grid(&params.rates, &params.kinds);
+    run_cells(&cells, |i, &(kind, rate)| {
+        let mut net = build_overlay(kind, params.nodes, params.seed ^ (i as u64) << 40);
+        let mut rng = stream_indexed(params.seed, "churn-run", i as u64);
+        let churn_params = ChurnParams {
+            lookup_rate: 1.0,
+            churn_rate: rate,
+            stabilization_period_secs: 30,
+            lookups: params.lookups,
+            warmup_lookups: params.lookups / 50,
+            audit: params.audit,
+            conditions: params.conditions,
+            sink: dht_core::obs::SinkHandle::disabled(),
+            jobs: params.jobs,
+            ..ChurnParams::default()
+        };
+        let out: ChurnOutcome = run_churn(net.as_mut(), churn_params, &mut rng);
+        let latency_ms: Vec<f64> = out
+            .latency_us
+            .iter()
+            .map(|&us| us as f64 / 1_000.0)
+            .collect();
+        ChurnRow {
+            label: net.name(),
+            rate,
+            path: Summary::of_lens(&out.path_lens),
+            timeouts: Summary::of_counts(&out.timeouts),
+            failures: out.failures,
+            joins: out.joins,
+            leaves: out.leaves,
+            final_size: out.final_size,
+            retries: Summary::of_counts(&out.retries),
+            latency_ms: Summary::of(&latency_ms),
+            audit: out.audit,
+            peak_size: out.peak_size,
+            stabilize_calls: out.stabilize_calls,
+            stabilize_rounds: out.stabilize_rounds,
+            audit_us: out.audit_us,
         }
     })
-    .expect("thread scope failed");
-    rows.into_iter()
-        .map(|r| r.expect("all cells filled"))
-        .collect()
 }
 
 /// Registers every row's lookup and maintenance metrics, keyed

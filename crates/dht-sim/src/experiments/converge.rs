@@ -24,7 +24,6 @@
 //! ([`crate::churn::TimeModel::Continuous`]), where reported latency is
 //! virtual-clock elapsed time by construction.
 
-use crossbeam::thread;
 use dht_core::clock::SECOND;
 use dht_core::net::{FaultPlan, NetConditions, RetryPolicy};
 use dht_core::obs::MetricsRegistry;
@@ -34,6 +33,7 @@ use dht_core::stats::percentile_sorted;
 use rand::Rng;
 
 use crate::churn::{run_churn, run_until_clean, ChurnParams, TimeModel};
+use crate::experiments::{grid, run_cells};
 use crate::factory::{build_overlay_spaced, OverlayKind};
 
 /// Parameters of the convergence experiment.
@@ -165,32 +165,10 @@ pub struct ConvergeRow {
 /// Runs the sweep; rows ordered by period then kind.
 #[must_use]
 pub fn measure(params: &ConvergeParams) -> Vec<ConvergeRow> {
-    let mut cells = Vec::new();
-    let mut idx = 0usize;
-    for &period in &params.periods {
-        for &kind in &params.kinds {
-            cells.push((idx, kind, period));
-            idx += 1;
-        }
-    }
-    let mut rows: Vec<Option<ConvergeRow>> = vec![None; cells.len()];
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for &(i, kind, period) in &cells {
-            let params = &params;
-            handles.push((
-                i,
-                scope.spawn(move |_| run_cell(params, kind, period, i as u64)),
-            ));
-        }
-        for (i, handle) in handles {
-            rows[i] = Some(handle.join().expect("measurement thread panicked"));
-        }
+    let cells = grid(&params.periods, &params.kinds);
+    run_cells(&cells, |i, &(kind, period)| {
+        run_cell(params, kind, period, i as u64)
     })
-    .expect("thread scope failed");
-    rows.into_iter()
-        .map(|r| r.expect("all cells filled"))
-        .collect()
 }
 
 fn run_cell(params: &ConvergeParams, kind: OverlayKind, period: u64, cell: u64) -> ConvergeRow {

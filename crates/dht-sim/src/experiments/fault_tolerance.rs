@@ -10,14 +10,13 @@
 //! 0 to 20%, reporting success rate, retry percentiles, and simulated
 //! end-to-end latency.
 
-use crossbeam::thread;
 use dht_core::audit::{AuditReport, AuditScope};
 use dht_core::net::{DelayModel, FaultPlan, NetConditions, RetryPolicy};
 use dht_core::obs::MetricsRegistry;
 use dht_core::rng::stream_indexed;
 use dht_core::workload::random_pairs;
 
-use crate::experiments::{run_requests_jobs, LookupAggregate};
+use crate::experiments::{grid, run_cells, run_requests_jobs, LookupAggregate};
 use crate::factory::{build_overlay, OverlayKind, ALL_KINDS};
 
 /// Parameters of the fault-tolerance sweep.
@@ -104,55 +103,31 @@ impl FaultToleranceRow {
 /// Runs the sweep; rows ordered by loss rate then kind.
 #[must_use]
 pub fn measure(params: &FaultToleranceParams) -> Vec<FaultToleranceRow> {
-    let mut cells = Vec::new();
-    let mut idx = 0usize;
-    for &loss in &params.losses {
-        for &kind in &params.kinds {
-            cells.push((idx, kind, loss));
-            idx += 1;
-        }
-    }
-    let mut rows: Vec<Option<FaultToleranceRow>> = vec![None; cells.len()];
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for &(i, kind, loss) in &cells {
-            let params = &params;
-            handles.push((
-                i,
-                scope.spawn(move |_| {
-                    // Same seed across the loss sweep for one kind: every
-                    // cell of a row sees the same network and workload, so
-                    // differences are attributable to loss alone.
-                    let kind_seed = params.seed ^ u64::from(kind as u8) << 40;
-                    let mut net = build_overlay(kind, params.nodes, kind_seed);
-                    let mut rng = stream_indexed(kind_seed, "fault-load", 0);
-                    let reqs = random_pairs(net.as_ref(), params.lookups, &mut rng);
-                    let plan = FaultPlan {
-                        seed: params.seed ^ (i as u64),
-                        loss,
-                        delay: params.delay,
-                        duplicate: params.duplicate,
-                    };
-                    net.set_net_conditions(NetConditions::new(plan, params.retry));
-                    let agg = run_requests_jobs(net.as_mut(), &reqs, params.jobs);
-                    let audit = params.audit.then(|| net.audit_state(AuditScope::Full));
-                    FaultToleranceRow {
-                        label: net.name(),
-                        loss,
-                        agg,
-                        audit,
-                    }
-                }),
-            ));
-        }
-        for (i, handle) in handles {
-            rows[i] = Some(handle.join().expect("measurement thread panicked"));
+    let cells = grid(&params.losses, &params.kinds);
+    run_cells(&cells, |i, &(kind, loss)| {
+        // Same seed across the loss sweep for one kind: every
+        // cell of a row sees the same network and workload, so
+        // differences are attributable to loss alone.
+        let kind_seed = params.seed ^ u64::from(kind as u8) << 40;
+        let mut net = build_overlay(kind, params.nodes, kind_seed);
+        let mut rng = stream_indexed(kind_seed, "fault-load", 0);
+        let reqs = random_pairs(net.as_ref(), params.lookups, &mut rng);
+        let plan = FaultPlan {
+            seed: params.seed ^ (i as u64),
+            loss,
+            delay: params.delay,
+            duplicate: params.duplicate,
+        };
+        net.set_net_conditions(NetConditions::new(plan, params.retry));
+        let agg = run_requests_jobs(net.as_mut(), &reqs, params.jobs);
+        let audit = params.audit.then(|| net.audit_state(AuditScope::Full));
+        FaultToleranceRow {
+            label: net.name(),
+            loss,
+            agg,
+            audit,
         }
     })
-    .expect("thread scope failed");
-    rows.into_iter()
-        .map(|r| r.expect("all cells filled"))
-        .collect()
 }
 
 /// Registers every row's lookup metrics plus a success-rate gauge, keyed

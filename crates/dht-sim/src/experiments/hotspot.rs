@@ -8,12 +8,12 @@
 //! The skew concentrates load both on the hot keys' owners and on the
 //! routing paths converging towards them.
 
-use crossbeam::thread;
 use dht_core::obs::MetricsRegistry;
 use dht_core::rng::stream_indexed;
 use dht_core::stats::Summary;
 use dht_core::workload::{random_pairs, zipf_pairs, ZipfKeys};
 
+use crate::experiments::run_cells;
 use crate::factory::{build_overlay, OverlayKind};
 
 /// Parameters of the hot-spot experiment.
@@ -93,50 +93,32 @@ impl HotspotRow {
 /// Runs both workloads for each overlay.
 #[must_use]
 pub fn measure(params: &HotspotParams) -> Vec<HotspotRow> {
-    let mut rows: Vec<Option<HotspotRow>> = vec![None; params.kinds.len()];
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (i, &kind) in params.kinds.iter().enumerate() {
-            let params = &params;
-            handles.push((
-                i,
-                scope.spawn(move |_| {
-                    let mut net = build_overlay(kind, params.nodes, params.seed ^ (i as u64) << 12);
-                    let mut rng = stream_indexed(params.seed, "hotspot", i as u64);
-                    // Uniform pass.
-                    net.reset_query_loads();
-                    let reqs: Vec<_> = random_pairs(net.as_ref(), params.lookups, &mut rng)
-                        .iter()
-                        .map(|r| (r.src, r.raw_key))
-                        .collect();
-                    let _ = net.lookup_batch(&reqs, params.jobs);
-                    let uniform = Summary::of_counts(&net.query_loads());
-                    // Zipf pass over a fixed catalogue.
-                    net.reset_query_loads();
-                    let catalogue = ZipfKeys::new(params.catalogue, params.exponent, &mut rng);
-                    let reqs: Vec<_> =
-                        zipf_pairs(net.as_ref(), &catalogue, params.lookups, &mut rng)
-                            .iter()
-                            .map(|r| (r.src, r.raw_key))
-                            .collect();
-                    let _ = net.lookup_batch(&reqs, params.jobs);
-                    let zipf = Summary::of_counts(&net.query_loads());
-                    HotspotRow {
-                        label: net.name(),
-                        uniform,
-                        zipf,
-                    }
-                }),
-            ));
-        }
-        for (i, handle) in handles {
-            rows[i] = Some(handle.join().expect("measurement thread panicked"));
+    run_cells(&params.kinds, |i, &kind| {
+        let mut net = build_overlay(kind, params.nodes, params.seed ^ (i as u64) << 12);
+        let mut rng = stream_indexed(params.seed, "hotspot", i as u64);
+        // Uniform pass.
+        net.reset_query_loads();
+        let reqs: Vec<_> = random_pairs(net.as_ref(), params.lookups, &mut rng)
+            .iter()
+            .map(|r| (r.src, r.raw_key))
+            .collect();
+        let _ = net.lookup_batch(&reqs, params.jobs);
+        let uniform = Summary::of_counts(&net.query_loads());
+        // Zipf pass over a fixed catalogue.
+        net.reset_query_loads();
+        let catalogue = ZipfKeys::new(params.catalogue, params.exponent, &mut rng);
+        let reqs: Vec<_> = zipf_pairs(net.as_ref(), &catalogue, params.lookups, &mut rng)
+            .iter()
+            .map(|r| (r.src, r.raw_key))
+            .collect();
+        let _ = net.lookup_batch(&reqs, params.jobs);
+        let zipf = Summary::of_counts(&net.query_loads());
+        HotspotRow {
+            label: net.name(),
+            uniform,
+            zipf,
         }
     })
-    .expect("thread scope failed");
-    rows.into_iter()
-        .map(|r| r.expect("all cells filled"))
-        .collect()
 }
 
 /// Registers both workloads' query-load distributions and the hot-spot

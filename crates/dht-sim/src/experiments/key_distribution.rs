@@ -6,13 +6,13 @@
 //! Fig. 9 repeats the measurement with only 1000 participants (a sparse
 //! population of the same 2048-slot space).
 
-use crossbeam::thread;
 use dht_core::obs::MetricsRegistry;
 use dht_core::overlay::key_counts;
 use dht_core::rng::stream;
 use dht_core::stats::Summary;
 use dht_core::workload::key_population;
 
+use crate::experiments::run_cells;
 use crate::factory::{build_overlay_spaced, OverlayKind};
 
 /// Parameters of a key-distribution experiment.
@@ -86,42 +86,31 @@ pub struct KeyDistributionRow {
 #[must_use]
 pub fn measure(params: &KeyDistributionParams) -> Vec<KeyDistributionRow> {
     // One overlay per kind (the same network serves every key count).
+    let per_kind = run_cells(&params.kinds, |i, &kind| {
+        let net = build_overlay_spaced(
+            kind,
+            params.nodes,
+            params.id_space,
+            params.seed ^ (i as u64) << 16,
+        );
+        let mut out = Vec::new();
+        for &count in &params.key_counts {
+            let keys = key_population(count, &mut stream(params.seed, "keys"));
+            let counts = key_counts(net.as_ref(), &keys);
+            out.push(KeyDistributionRow {
+                label: net.name(),
+                keys: count,
+                per_node: Summary::of_counts(&counts),
+            });
+        }
+        out
+    });
     let mut rows = Vec::new();
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (i, &kind) in params.kinds.iter().enumerate() {
-            let params = &params;
-            handles.push(scope.spawn(move |_| {
-                let net = build_overlay_spaced(
-                    kind,
-                    params.nodes,
-                    params.id_space,
-                    params.seed ^ (i as u64) << 16,
-                );
-                let mut out = Vec::new();
-                for &count in &params.key_counts {
-                    let keys = key_population(count, &mut stream(params.seed, "keys"));
-                    let counts = key_counts(net.as_ref(), &keys);
-                    out.push(KeyDistributionRow {
-                        label: net.name(),
-                        keys: count,
-                        per_node: Summary::of_counts(&counts),
-                    });
-                }
-                out
-            }));
+    for count_idx in 0..params.key_counts.len() {
+        for kind_rows in &per_kind {
+            rows.push(kind_rows[count_idx].clone());
         }
-        let per_kind: Vec<Vec<KeyDistributionRow>> = handles
-            .into_iter()
-            .map(|h| h.join().expect("measurement thread panicked"))
-            .collect();
-        for count_idx in 0..params.key_counts.len() {
-            for kind_rows in &per_kind {
-                rows.push(kind_rows[count_idx].clone());
-            }
-        }
-    })
-    .expect("thread scope failed");
+    }
     rows
 }
 

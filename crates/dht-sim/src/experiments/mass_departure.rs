@@ -8,13 +8,12 @@
 //! the key's correct storing node." Departures are graceful and no
 //! stabilization runs.
 
-use crossbeam::thread;
 use dht_core::obs::MetricsRegistry;
 use dht_core::rng::{stream, stream_indexed};
 use dht_core::workload::random_pairs;
 use rand::Rng;
 
-use crate::experiments::{run_requests_jobs, LookupAggregate};
+use crate::experiments::{grid, run_cells, run_requests_jobs, LookupAggregate};
 use crate::factory::{build_overlay, OverlayKind};
 
 /// Parameters of the mass-departure experiment.
@@ -82,48 +81,24 @@ pub struct MassDepartureRow {
 /// Runs the sweep; rows ordered by probability then kind.
 #[must_use]
 pub fn measure(params: &MassDepartureParams) -> Vec<MassDepartureRow> {
-    let mut cells = Vec::new();
-    let mut idx = 0usize;
-    for &p in &params.probabilities {
-        for &kind in &params.kinds {
-            cells.push((idx, kind, p));
-            idx += 1;
+    let cells = grid(&params.probabilities, &params.kinds);
+    run_cells(&cells, |i, &(kind, p)| {
+        let mut net = build_overlay(kind, params.nodes, params.seed ^ (i as u64) << 32);
+        // Same departure pattern per probability across kinds:
+        // the decision stream depends on p (via the row index
+        // within the probability group) but not on the overlay.
+        let mut depart_rng = stream(params.seed, &format!("depart-{p}"));
+        for token in net.node_tokens() {
+            if depart_rng.gen_bool(p) {
+                net.leave(token);
+            }
         }
-    }
-    let mut rows: Vec<Option<MassDepartureRow>> = vec![None; cells.len()];
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for &(i, kind, p) in &cells {
-            let params = &params;
-            handles.push((
-                i,
-                scope.spawn(move |_| {
-                    let mut net = build_overlay(kind, params.nodes, params.seed ^ (i as u64) << 32);
-                    // Same departure pattern per probability across kinds:
-                    // the decision stream depends on p (via the row index
-                    // within the probability group) but not on the overlay.
-                    let mut depart_rng = stream(params.seed, &format!("depart-{p}"));
-                    for token in net.node_tokens() {
-                        if depart_rng.gen_bool(p) {
-                            net.leave(token);
-                        }
-                    }
-                    let survivors = net.len();
-                    let mut rng = stream_indexed(params.seed, "mass-lookups", i as u64);
-                    let reqs = random_pairs(net.as_ref(), params.lookups, &mut rng);
-                    let agg = run_requests_jobs(net.as_mut(), &reqs, params.jobs);
-                    MassDepartureRow { p, survivors, agg }
-                }),
-            ));
-        }
-        for (i, handle) in handles {
-            rows[i] = Some(handle.join().expect("measurement thread panicked"));
-        }
+        let survivors = net.len();
+        let mut rng = stream_indexed(params.seed, "mass-lookups", i as u64);
+        let reqs = random_pairs(net.as_ref(), params.lookups, &mut rng);
+        let agg = run_requests_jobs(net.as_mut(), &reqs, params.jobs);
+        MassDepartureRow { p, survivors, agg }
     })
-    .expect("thread scope failed");
-    rows.into_iter()
-        .map(|r| r.expect("all cells filled"))
-        .collect()
 }
 
 /// Registers every row's lookup metrics plus a survivor-count gauge,

@@ -22,11 +22,43 @@ pub mod static_tables;
 pub mod throughput;
 pub mod ungraceful;
 
+use crossbeam::thread;
 use dht_core::lookup::{HopPhase, PhaseBreakdown};
 use dht_core::obs::{Histogram, MetricsRegistry};
 use dht_core::overlay::Overlay;
 use dht_core::stats::Summary;
 use dht_core::workload::LookupRequest;
+
+use crate::factory::OverlayKind;
+
+/// The `outer × kinds` grid most sweeps fan out over: one cell per
+/// (sweep value, overlay kind), outer-major, so a cell's position is the
+/// row index its seeds are derived from.
+pub(crate) fn grid<A: Copy>(outer: &[A], kinds: &[OverlayKind]) -> Vec<(OverlayKind, A)> {
+    outer
+        .iter()
+        .flat_map(|&a| kinds.iter().map(move |&kind| (kind, a)))
+        .collect()
+}
+
+/// Measures every cell on its own scoped thread — `run(i, &cells[i])` —
+/// and returns the rows in cell order, whatever order the threads
+/// finish in.
+pub fn run_cells<C: Sync, R: Send>(cells: &[C], run: impl Fn(usize, &C) -> R + Sync) -> Vec<R> {
+    let run = &run;
+    thread::scope(|scope| {
+        let handles: Vec<_> = cells
+            .iter()
+            .enumerate()
+            .map(|(i, cell)| scope.spawn(move |_| run(i, cell)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("measurement thread panicked"))
+            .collect()
+    })
+    .expect("thread scope failed")
+}
 
 /// Every [`HopPhase`] variant, for phase-indexed accounting.
 const ALL_PHASES: [HopPhase; 6] = [

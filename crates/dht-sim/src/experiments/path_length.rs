@@ -5,12 +5,11 @@
 //! dimension d from 3 to 8. Each node made a total of n/4 lookup requests
 //! to random destinations."
 
-use crossbeam::thread;
 use dht_core::obs::MetricsRegistry;
 use dht_core::rng::stream_indexed;
 use dht_core::workload::per_node_uniform;
 
-use crate::experiments::{paper_sizes, run_requests_jobs, LookupAggregate};
+use crate::experiments::{grid, paper_sizes, run_cells, run_requests_jobs, LookupAggregate};
 use crate::factory::{build_overlay, OverlayKind};
 
 /// Parameters for the path-length sweep.
@@ -78,46 +77,22 @@ pub struct PathLengthRow {
 /// (kind, size) cell runs on its own thread.
 #[must_use]
 pub fn measure(params: &PathLengthParams) -> Vec<PathLengthRow> {
-    let mut cells: Vec<(usize, OverlayKind, u32, usize)> = Vec::new();
-    let mut index = 0usize;
-    for &(d, n) in &params.sizes {
-        for &kind in &params.kinds {
-            cells.push((index, kind, d, n));
-            index += 1;
-        }
-    }
-    let mut rows: Vec<Option<PathLengthRow>> = vec![None; cells.len()];
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for &(idx, kind, d, n) in &cells {
-            let params = &params;
-            handles.push((
-                idx,
-                scope.spawn(move |_| {
-                    let per_node = ((n as f64 * params.per_node_factor).round() as usize).max(1);
-                    let per_node = params
-                        .per_node_cap
-                        .map_or(per_node, |cap| per_node.min(cap));
-                    let mut net = build_overlay(kind, n, params.seed ^ (idx as u64) << 8);
-                    let mut rng = stream_indexed(params.seed, "path-length", idx as u64);
-                    let reqs = per_node_uniform(net.as_ref(), per_node, &mut rng);
-                    let agg = run_requests_jobs(net.as_mut(), &reqs, params.jobs);
-                    PathLengthRow {
-                        dimension: d,
-                        n,
-                        agg,
-                    }
-                }),
-            ));
-        }
-        for (idx, handle) in handles {
-            rows[idx] = Some(handle.join().expect("measurement thread panicked"));
+    let cells = grid(&params.sizes, &params.kinds);
+    run_cells(&cells, |idx, &(kind, (d, n))| {
+        let per_node = ((n as f64 * params.per_node_factor).round() as usize).max(1);
+        let per_node = params
+            .per_node_cap
+            .map_or(per_node, |cap| per_node.min(cap));
+        let mut net = build_overlay(kind, n, params.seed ^ (idx as u64) << 8);
+        let mut rng = stream_indexed(params.seed, "path-length", idx as u64);
+        let reqs = per_node_uniform(net.as_ref(), per_node, &mut rng);
+        let agg = run_requests_jobs(net.as_mut(), &reqs, params.jobs);
+        PathLengthRow {
+            dimension: d,
+            n,
+            agg,
         }
     })
-    .expect("thread scope failed");
-    rows.into_iter()
-        .map(|r| r.expect("all cells filled"))
-        .collect()
 }
 
 /// Registers every row's lookup metrics, keyed `{overlay}/n={n}`.

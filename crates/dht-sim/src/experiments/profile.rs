@@ -6,13 +6,13 @@
 //! the run's telemetry series. This is the observability showcase: the
 //! same engines as the paper experiments, with the meters switched on.
 
-use crossbeam::thread;
 use dht_core::clock::SECOND;
 use dht_core::net::{DelayModel, FaultPlan, NetConditions, RetryPolicy};
 use dht_core::obs::{Histogram, MetricsRegistry, Phase, PhaseAccountant, PhaseTable, ALL_PHASES};
 use dht_core::rng::stream_indexed;
 
 use crate::churn::{run_churn, BucketIndex, ChurnParams, ChurnSample, StabilizePhase};
+use crate::experiments::run_cells;
 use crate::factory::{build_overlay, OverlayKind, ALL_KINDS};
 
 /// Parameters of the profiling run.
@@ -88,21 +88,7 @@ pub struct ProfileRow {
 /// Runs the profile; one row per kind, in `params.kinds` order.
 #[must_use]
 pub fn measure(params: &ProfileParams) -> Vec<ProfileRow> {
-    let mut rows: Vec<Option<ProfileRow>> = vec![None; params.kinds.len()];
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (i, &kind) in params.kinds.iter().enumerate() {
-            let params = &params;
-            handles.push((i, scope.spawn(move |_| run_cell(params, kind, i))));
-        }
-        for (i, handle) in handles {
-            rows[i] = Some(handle.join().expect("measurement thread panicked"));
-        }
-    })
-    .expect("thread scope failed");
-    rows.into_iter()
-        .map(|r| r.expect("all cells filled"))
-        .collect()
+    run_cells(&params.kinds, |i, &kind| run_cell(params, kind, i))
 }
 
 fn run_cell(params: &ProfileParams, kind: OverlayKind, cell: usize) -> ProfileRow {

@@ -4,12 +4,12 @@
 //! a node for lookup requests from different nodes." The paper plots the
 //! mean and the 1st/99th percentiles for networks of 64 and 2048 nodes.
 
-use crossbeam::thread;
 use dht_core::obs::MetricsRegistry;
 use dht_core::rng::stream_indexed;
 use dht_core::stats::Summary;
 use dht_core::workload::per_node_uniform;
 
+use crate::experiments::{grid, run_cells};
 use crate::factory::{build_overlay, OverlayKind};
 
 /// Parameters of a query-load experiment.
@@ -73,50 +73,26 @@ pub struct QueryLoadRow {
 /// Runs the sweep; rows ordered by size then kind.
 #[must_use]
 pub fn measure(params: &QueryLoadParams) -> Vec<QueryLoadRow> {
-    let mut cells = Vec::new();
-    let mut idx = 0usize;
-    for &n in &params.sizes {
-        for &kind in &params.kinds {
-            cells.push((idx, kind, n));
-            idx += 1;
-        }
-    }
-    let mut rows: Vec<Option<QueryLoadRow>> = vec![None; cells.len()];
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for &(i, kind, n) in &cells {
-            let params = &params;
-            handles.push((
-                i,
-                scope.spawn(move |_| {
-                    let per_node = params
-                        .per_node_cap
-                        .map_or(n / 4, |cap| (n / 4).min(cap))
-                        .max(1);
-                    let mut net = build_overlay(kind, n, params.seed ^ (i as u64) << 24);
-                    net.reset_query_loads();
-                    let mut rng = stream_indexed(params.seed, "query-load", i as u64);
-                    let reqs: Vec<_> = per_node_uniform(net.as_ref(), per_node, &mut rng)
-                        .iter()
-                        .map(|r| (r.src, r.raw_key))
-                        .collect();
-                    let _ = net.lookup_batch(&reqs, params.jobs);
-                    QueryLoadRow {
-                        label: net.name(),
-                        n,
-                        load: Summary::of_counts(&net.query_loads()),
-                    }
-                }),
-            ));
-        }
-        for (i, handle) in handles {
-            rows[i] = Some(handle.join().expect("measurement thread panicked"));
+    let cells = grid(&params.sizes, &params.kinds);
+    run_cells(&cells, |i, &(kind, n)| {
+        let per_node = params
+            .per_node_cap
+            .map_or(n / 4, |cap| (n / 4).min(cap))
+            .max(1);
+        let mut net = build_overlay(kind, n, params.seed ^ (i as u64) << 24);
+        net.reset_query_loads();
+        let mut rng = stream_indexed(params.seed, "query-load", i as u64);
+        let reqs: Vec<_> = per_node_uniform(net.as_ref(), per_node, &mut rng)
+            .iter()
+            .map(|r| (r.src, r.raw_key))
+            .collect();
+        let _ = net.lookup_batch(&reqs, params.jobs);
+        QueryLoadRow {
+            label: net.name(),
+            n,
+            load: Summary::of_counts(&net.query_loads()),
         }
     })
-    .expect("thread scope failed");
-    rows.into_iter()
-        .map(|r| r.expect("all cells filled"))
-        .collect()
 }
 
 /// Registers every row's per-node query-load distribution, keyed

@@ -17,7 +17,6 @@
 //! confirms the repaired overlay actually routes: zero failures is part
 //! of the recovery contract, not just a clean audit.
 
-use crossbeam::thread;
 use dht_core::corrupt::{CorruptionPlan, CorruptionStrategy};
 use dht_core::obs::MetricsRegistry;
 use dht_core::overlay::Overlay;
@@ -25,7 +24,7 @@ use dht_core::rng::stream_indexed;
 use dht_core::workload::random_pairs;
 
 use crate::churn::run_until_clean;
-use crate::experiments::{run_requests_jobs, LookupAggregate};
+use crate::experiments::{run_cells, run_requests_jobs, LookupAggregate};
 use crate::factory::{build_overlay_spaced, OverlayKind};
 
 /// Parameters of the recovery experiment.
@@ -130,35 +129,18 @@ pub struct RecoverRow {
 #[must_use]
 pub fn measure(params: &RecoverParams) -> Vec<RecoverRow> {
     let mut cells = Vec::new();
-    let mut idx = 0usize;
     for &period in &params.periods {
         for &strategy in &params.strategies {
             for &severity in &params.severities {
                 for &kind in &params.kinds {
-                    cells.push((idx, kind, strategy, severity, period));
-                    idx += 1;
+                    cells.push((kind, strategy, severity, period));
                 }
             }
         }
     }
-    let mut rows: Vec<Option<RecoverRow>> = vec![None; cells.len()];
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for &(i, kind, strategy, severity, period) in &cells {
-            let params = &params;
-            handles.push((
-                i,
-                scope.spawn(move |_| run_cell(params, kind, strategy, severity, period, i as u64)),
-            ));
-        }
-        for (i, handle) in handles {
-            rows[i] = Some(handle.join().expect("measurement thread panicked"));
-        }
+    run_cells(&cells, |i, &(kind, strategy, severity, period)| {
+        run_cell(params, kind, strategy, severity, period, i as u64)
     })
-    .expect("thread scope failed");
-    rows.into_iter()
-        .map(|r| r.expect("all cells filled"))
-        .collect()
 }
 
 fn run_cell(

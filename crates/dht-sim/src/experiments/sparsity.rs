@@ -6,12 +6,11 @@
 //! nodes." Fig. 14 breaks Koorde's lookup cost into de Bruijn and
 //! successor hops as sparsity grows.
 
-use crossbeam::thread;
 use dht_core::obs::MetricsRegistry;
 use dht_core::rng::stream_indexed;
 use dht_core::workload::random_pairs;
 
-use crate::experiments::{run_requests_jobs, LookupAggregate};
+use crate::experiments::{grid, run_cells, run_requests_jobs, LookupAggregate};
 use crate::factory::{build_overlay_spaced, OverlayKind};
 
 /// Parameters of the sparsity experiment.
@@ -75,48 +74,27 @@ pub struct SparsityRow {
 /// Runs the sweep; rows ordered by sparsity then kind.
 #[must_use]
 pub fn measure(params: &SparsityParams) -> Vec<SparsityRow> {
-    let mut cells = Vec::new();
-    let mut idx = 0usize;
-    for &s in &params.sparsities {
-        let n = ((params.id_space as f64) * (1.0 - s)).round() as usize;
-        for &kind in &params.kinds {
-            cells.push((idx, kind, s, n.max(2)));
-            idx += 1;
-        }
-    }
-    let mut rows: Vec<Option<SparsityRow>> = vec![None; cells.len()];
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for &(i, kind, s, n) in &cells {
-            let params = &params;
-            handles.push((
-                i,
-                scope.spawn(move |_| {
-                    let mut net = build_overlay_spaced(
-                        kind,
-                        n,
-                        params.id_space,
-                        params.seed ^ (i as u64) << 48,
-                    );
-                    let mut rng = stream_indexed(params.seed, "sparsity", i as u64);
-                    let reqs = random_pairs(net.as_ref(), params.lookups, &mut rng);
-                    let agg = run_requests_jobs(net.as_mut(), &reqs, params.jobs);
-                    SparsityRow {
-                        sparsity: s,
-                        n,
-                        agg,
-                    }
-                }),
-            ));
-        }
-        for (i, handle) in handles {
-            rows[i] = Some(handle.join().expect("measurement thread panicked"));
+    let sizes: Vec<(f64, usize)> = params
+        .sparsities
+        .iter()
+        .map(|&s| {
+            let n = ((params.id_space as f64) * (1.0 - s)).round() as usize;
+            (s, n.max(2))
+        })
+        .collect();
+    let cells = grid(&sizes, &params.kinds);
+    run_cells(&cells, |i, &(kind, (s, n))| {
+        let mut net =
+            build_overlay_spaced(kind, n, params.id_space, params.seed ^ (i as u64) << 48);
+        let mut rng = stream_indexed(params.seed, "sparsity", i as u64);
+        let reqs = random_pairs(net.as_ref(), params.lookups, &mut rng);
+        let agg = run_requests_jobs(net.as_mut(), &reqs, params.jobs);
+        SparsityRow {
+            sparsity: s,
+            n,
+            agg,
         }
     })
-    .expect("thread scope failed");
-    rows.into_iter()
-        .map(|r| r.expect("all cells filled"))
-        .collect()
 }
 
 /// Registers every row's lookup metrics plus a node-count gauge, keyed

@@ -13,13 +13,12 @@
 //! an upper bound rather than a measurement of a real Viceroy under
 //! crashes.
 
-use crossbeam::thread;
 use dht_core::obs::MetricsRegistry;
 use dht_core::rng::{stream, stream_indexed};
 use dht_core::workload::random_pairs;
 use rand::Rng;
 
-use crate::experiments::{run_requests_jobs, LookupAggregate};
+use crate::experiments::{grid, run_cells, run_requests_jobs, LookupAggregate};
 use crate::factory::{build_overlay, OverlayKind};
 
 /// Parameters of the ungraceful-failure experiment.
@@ -90,53 +89,29 @@ pub struct UngracefulRow {
 /// Runs the sweep; rows ordered by probability then kind.
 #[must_use]
 pub fn measure(params: &UngracefulParams) -> Vec<UngracefulRow> {
-    let mut cells = Vec::new();
-    let mut idx = 0usize;
-    for &p in &params.probabilities {
-        for &kind in &params.kinds {
-            cells.push((idx, kind, p));
-            idx += 1;
+    let cells = grid(&params.probabilities, &params.kinds);
+    run_cells(&cells, |i, &(kind, p)| {
+        let mut net = build_overlay(kind, params.nodes, params.seed ^ (i as u64) << 56);
+        let mut crash_rng = stream(params.seed, &format!("crash-{p}"));
+        for token in net.node_tokens() {
+            if crash_rng.gen_bool(p) {
+                net.fail(token);
+            }
         }
-    }
-    let mut rows: Vec<Option<UngracefulRow>> = vec![None; cells.len()];
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for &(i, kind, p) in &cells {
-            let params = &params;
-            handles.push((
-                i,
-                scope.spawn(move |_| {
-                    let mut net = build_overlay(kind, params.nodes, params.seed ^ (i as u64) << 56);
-                    let mut crash_rng = stream(params.seed, &format!("crash-{p}"));
-                    for token in net.node_tokens() {
-                        if crash_rng.gen_bool(p) {
-                            net.fail(token);
-                        }
-                    }
-                    let survivors = net.len();
-                    let mut rng = stream_indexed(params.seed, "ungraceful", i as u64);
-                    let reqs = random_pairs(net.as_ref(), params.lookups, &mut rng);
-                    let before_stabilize = run_requests_jobs(net.as_mut(), &reqs, params.jobs);
-                    net.stabilize();
-                    let reqs = random_pairs(net.as_ref(), params.lookups, &mut rng);
-                    let after_stabilize = run_requests_jobs(net.as_mut(), &reqs, params.jobs);
-                    UngracefulRow {
-                        p,
-                        survivors,
-                        before_stabilize,
-                        after_stabilize,
-                    }
-                }),
-            ));
-        }
-        for (i, handle) in handles {
-            rows[i] = Some(handle.join().expect("measurement thread panicked"));
+        let survivors = net.len();
+        let mut rng = stream_indexed(params.seed, "ungraceful", i as u64);
+        let reqs = random_pairs(net.as_ref(), params.lookups, &mut rng);
+        let before_stabilize = run_requests_jobs(net.as_mut(), &reqs, params.jobs);
+        net.stabilize();
+        let reqs = random_pairs(net.as_ref(), params.lookups, &mut rng);
+        let after_stabilize = run_requests_jobs(net.as_mut(), &reqs, params.jobs);
+        UngracefulRow {
+            p,
+            survivors,
+            before_stabilize,
+            after_stabilize,
         }
     })
-    .expect("thread scope failed");
-    rows.into_iter()
-        .map(|r| r.expect("all cells filled"))
-        .collect()
 }
 
 /// Registers both phases' lookup metrics plus a survivor-count gauge,
