@@ -664,7 +664,7 @@ pub enum StepDecision {
 /// An overlay expressed against the shared simulation substrate.
 ///
 /// Implementors provide membership access, key mapping, and the pure
-/// per-hop routing decision; the substrate's [`walk`] owns the
+/// per-hop routing decision; the substrate's [`WalkCursor`] owns the
 /// iterative lookup loop and the blanket [`Overlay`] impl provides the
 /// harness-facing interface.
 ///
@@ -1036,7 +1036,7 @@ pub fn apply_effects<T: SimOverlay + ?Sized>(net: &mut T, fx: WalkEffects) {
 /// to [`NetCosts::latency_us`]. A discrete-event driver schedules the
 /// walk's resumption `delay_us` after the step — which is why reported
 /// lookup latency and virtual-clock elapsed time agree *by
-/// construction* under the continuous engine.
+/// construction* under the continuous time model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CursorStep {
     /// The walk took one hop; it can step again once `delay_us` of

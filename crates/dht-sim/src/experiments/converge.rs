@@ -10,11 +10,11 @@
 //! clock, and record the first simulated second at which the overlay's
 //! **full-scope** audit comes back clean — the *time to stabilize*.
 //!
-//! The full scope ([`AuditScope::Full`]) is the convergence oracle on
-//! purpose: online invariants are kept true by the graceful protocols
-//! at every instant (a violation there is a bug, not staleness), so
-//! only the full scope — which includes lazily-stabilized state —
-//! actually goes dirty after a shock and is then repaired by the
+//! The full scope ([`dht_core::audit::AuditScope::Full`]) is the
+//! convergence oracle on purpose: online invariants are kept true by the
+//! graceful protocols at every instant (a violation there is a bug, not
+//! staleness), so only the full scope — which includes lazily-stabilized
+//! state — actually goes dirty after a shock and is then repaired by the
 //! stabilizers the experiment is timing.
 //!
 //! The experiment sweeps the stabilization period `T` (the paper fixes
@@ -68,7 +68,7 @@ pub struct ConvergeParams {
     pub conditions: NetConditions,
     /// Master seed.
     pub seed: u64,
-    /// Worker-thread cap (the continuous engine is single-threaded per
+    /// Worker-thread cap (a continuous-time run is single-threaded per
     /// cell; cells themselves fan out across threads).
     pub jobs: usize,
 }
@@ -113,7 +113,7 @@ impl ConvergeParams {
     }
 }
 
-/// Lookup-latency percentiles under churn + delays (continuous engine),
+/// Lookup-latency percentiles under churn + delays (continuous time model),
 /// measured only at [`ConvergeParams::base_period`].
 #[derive(Debug, Clone)]
 pub struct LatencyUnderLoad {

@@ -44,7 +44,10 @@ pub(crate) fn grid<A: Copy>(outer: &[A], kinds: &[OverlayKind]) -> Vec<(OverlayK
 /// Measures every cell on its own scoped thread — `run(i, &cells[i])` —
 /// and returns the rows in cell order, whatever order the threads
 /// finish in.
-pub fn run_cells<C: Sync, R: Send>(cells: &[C], run: impl Fn(usize, &C) -> R + Sync) -> Vec<R> {
+pub(crate) fn run_cells<C: Sync, R: Send>(
+    cells: &[C],
+    run: impl Fn(usize, &C) -> R + Sync,
+) -> Vec<R> {
     let run = &run;
     thread::scope(|scope| {
         let handles: Vec<_> = cells

@@ -6,9 +6,10 @@
 //! a fraction of the nodes' routing tables through one of the named
 //! [`CorruptionStrategy`]s, then the per-second repair timers
 //! ([`run_until_clean`]) run on the virtual clock until the
-//! **full-scope** audit ([`AuditScope::Full`]) comes back clean — the
-//! audit is the recovery oracle, exactly as it is the convergence
-//! oracle, and the first clean second is the *time to recover*.
+//! **full-scope** audit ([`dht_core::audit::AuditScope::Full`]) comes
+//! back clean — the audit is the recovery oracle, exactly as it is the
+//! convergence oracle, and the first clean second is the *time to
+//! recover*.
 //!
 //! Alongside time, the sweep accounts recovery *cost*: the repair
 //! routines invoked (the maintenance-message proxy) and the

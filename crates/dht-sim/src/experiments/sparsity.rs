@@ -74,16 +74,9 @@ pub struct SparsityRow {
 /// Runs the sweep; rows ordered by sparsity then kind.
 #[must_use]
 pub fn measure(params: &SparsityParams) -> Vec<SparsityRow> {
-    let sizes: Vec<(f64, usize)> = params
-        .sparsities
-        .iter()
-        .map(|&s| {
-            let n = ((params.id_space as f64) * (1.0 - s)).round() as usize;
-            (s, n.max(2))
-        })
-        .collect();
-    let cells = grid(&sizes, &params.kinds);
-    run_cells(&cells, |i, &(kind, (s, n))| {
+    let cells = grid(&params.sparsities, &params.kinds);
+    run_cells(&cells, |i, &(kind, s)| {
+        let n = (((params.id_space as f64) * (1.0 - s)).round() as usize).max(2);
         let mut net =
             build_overlay_spaced(kind, n, params.id_space, params.seed ^ (i as u64) << 48);
         let mut rng = stream_indexed(params.seed, "sparsity", i as u64);

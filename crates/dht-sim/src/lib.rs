@@ -2,16 +2,16 @@
 //! Cycloid evaluation (§4 of the paper).
 //!
 //! * [`factory`] — builds any of the compared overlays (Cycloid 7/11,
-//!   Viceroy, Koorde, Chord) at a given network size with the sizing rules
-//!   the paper uses,
-//! * [`event`] — a façade over the virtual-clock kernel
-//!   ([`dht_core::clock`]): the time-ordered event queue and Poisson
-//!   arrival streams,
+//!   Viceroy, Koorde and its best-fit ablation, Chord, plus the Pastry
+//!   and CAN extension baselines) at a given network size with the sizing
+//!   rules the paper uses,
 //! * [`churn`] — the §4.4 continuous join/leave simulation (lookups at one
-//!   per second, churn at rate `R`, stabilization every 30 s), optionally
-//!   composed with a message-level [`dht_core::net::FaultPlan`] and
-//!   runnable in lockstep rounds or on the continuous virtual clock
-//!   ([`churn::TimeModel`]),
+//!   per second, churn at rate `R`, stabilization every 30 s) as one event
+//!   loop on the virtual clock ([`dht_core::clock`]), optionally composed
+//!   with a message-level [`dht_core::net::FaultPlan`]; lookups are either
+//!   batched between membership events or suspended per hop
+//!   ([`churn::TimeModel`]), and [`churn::run_until_clean`] drives the same
+//!   stabilize/repair tick over a static population,
 //! * [`experiments`] — one driver per table/figure, returning structured
 //!   rows, including the [`experiments::fault_tolerance`] loss-rate sweep,
 //! * [`report`] — fixed-width table and CSV rendering for the `repro`
