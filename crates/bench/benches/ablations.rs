@@ -11,6 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cycloid::{CycloidConfig, CycloidNetwork};
 use dht_core::rng::stream;
+use dht_core::sim::Refresh;
 use koorde::{KoordeConfig, KoordeNetwork};
 use rand::Rng;
 use std::hint::black_box;
@@ -109,7 +110,7 @@ fn bench_successor_list(c: &mut Criterion) {
         let ids: Vec<_> = net.ids().collect();
         for &id in &ids {
             if rng.gen_bool(0.4) {
-                net.leave(id);
+                net.depart(id, true);
             }
         }
         let live: Vec<_> = net.ids().collect();

@@ -61,6 +61,7 @@ impl StateAudit for ChordNetwork {
 mod tests {
     use super::*;
     use crate::network::ChordConfig;
+    use dht_core::sim::Refresh;
 
     fn ring(n: usize) -> ChordNetwork {
         ChordNetwork::with_nodes(ChordConfig::new(10), n, 11)
@@ -80,7 +81,7 @@ mod tests {
         for step in 0..30 {
             if step % 3 == 0 {
                 let victim = net.ids().nth(step % net.node_count()).unwrap();
-                net.leave(victim);
+                net.depart(victim, true);
             } else {
                 net.join_random();
             }

@@ -6,12 +6,18 @@
 //! query-load counters, and the [`SimOverlay`] impl at the bottom of
 //! this file expresses Chord's routing as a per-hop decision the
 //! substrate's walk driver executes.
+//!
+//! The node lifecycle — `populate`, `join_id`, `join_random`,
+//! `depart(id, notify)`, `refresh_all` — is not written here: it is the
+//! provided half of [`dht_core::sim::Refresh`] (bring the trait into
+//! scope to call it), driven by the five Chord pieces in the
+//! `impl Refresh` below.
 
 use dht_core::hash::{reduce, splitmix64};
 use dht_core::lookup::{HopPhase, LookupTrace};
 use dht_core::overlay::NodeToken;
 use dht_core::ring::{clockwise_dist, in_interval_oc, in_interval_oo};
-use dht_core::sim::{walk_from, Membership, SimOverlay, StepDecision};
+use dht_core::sim::{walk_from, Membership, Refresh, SimOverlay, StepDecision};
 use rand::RngCore;
 
 use crate::node::ChordNode;
@@ -67,18 +73,7 @@ impl ChordNetwork {
     #[must_use]
     pub fn with_nodes(config: ChordConfig, count: usize, seed: u64) -> Self {
         let mut net = Self::new(config, seed);
-        assert!(
-            count as u64 <= config.space(),
-            "{count} nodes exceed the 2^{} ring",
-            config.bits
-        );
-        while net.members.len() < count {
-            let id = net.members.next_in(config.space());
-            if !net.members.contains(id) {
-                net.insert_raw(id);
-            }
-        }
-        net.stabilize_all();
+        net.populate(count);
         net
     }
 
@@ -111,9 +106,9 @@ impl ChordNetwork {
         self.members.get(id)
     }
 
-    /// Exclusive access to a node's state — for the corruption injector
-    /// and the audit tests, which damage state the protocol itself never
-    /// produces.
+    /// Exclusive access to a node's state — for the audit tests, which
+    /// damage state the protocol itself never produces.
+    #[cfg(test)]
     pub(crate) fn node_mut(&mut self, id: u64) -> Option<&mut ChordNode> {
         self.members.get_mut(id)
     }
@@ -137,156 +132,6 @@ impl ChordNetwork {
         self.members.predecessor_of(x)
     }
 
-    fn insert_raw(&mut self, id: u64) {
-        let node = ChordNode::new(id, self.config.bits, self.config.successor_list);
-        self.members.insert(id, node);
-    }
-
-    /// Recomputes every pointer of one node from the live membership (what
-    /// its stabilizer converges to).
-    pub fn refresh_node(&mut self, id: u64) {
-        let bits = self.config.bits;
-        let space = self.config.space();
-        let r = self.config.successor_list;
-        let pred = self
-            .predecessor_of_point(id)
-            .expect("refresh on empty ring");
-        let mut succs = Vec::with_capacity(r);
-        let mut cursor = id;
-        for _ in 0..r {
-            let s = self
-                .successor_of_point((cursor + 1) % space)
-                .expect("non-empty ring");
-            succs.push(s);
-            cursor = s;
-        }
-        let mut fingers = Vec::with_capacity(bits as usize);
-        for i in 0..bits {
-            let target = (id + (1u64 << i)) % space;
-            fingers.push(self.successor_of_point(target).expect("non-empty ring"));
-        }
-        let node = self.members.get_mut(id).expect("refresh of dead node");
-        node.predecessor = pred;
-        node.successors = succs.into();
-        node.fingers = fingers;
-    }
-
-    /// Refreshes only the ring pointers (predecessor + successor list) of
-    /// one node — what join/leave notifications repair.
-    fn refresh_ring_pointers(&mut self, id: u64) {
-        let space = self.config.space();
-        let r = self.config.successor_list;
-        let pred = self
-            .predecessor_of_point(id)
-            .expect("refresh on empty ring");
-        let mut succs = Vec::with_capacity(r);
-        let mut cursor = id;
-        for _ in 0..r {
-            let s = self
-                .successor_of_point((cursor + 1) % space)
-                .expect("non-empty ring");
-            succs.push(s);
-            cursor = s;
-        }
-        let node = self.members.get_mut(id).expect("refresh of dead node");
-        node.predecessor = pred;
-        node.successors = succs.into();
-    }
-
-    /// Full stabilization: every node refreshes its fingers and ring
-    /// pointers.
-    pub fn stabilize_all(&mut self) {
-        let ids: Vec<u64> = self.ids().collect();
-        for id in ids {
-            self.refresh_node(id);
-        }
-    }
-
-    /// The nodes whose successor lists or predecessor pointer reference
-    /// ring position `id`: its `successor_list` nearest live predecessors
-    /// and its live successor.
-    fn ring_neighbors_of(&self, id: u64) -> Vec<u64> {
-        let mut out = Vec::new();
-        if self.members.is_empty() {
-            return out;
-        }
-        // `id + 1`: at join time the node itself is already in the map, and
-        // its *successor* is the neighbour that must learn about it.
-        if let Some(s) = self.successor_of_point((id + 1) % self.config.space()) {
-            out.push(s);
-        }
-        let mut cursor = id;
-        for _ in 0..self.config.successor_list {
-            match self.predecessor_of_point(cursor) {
-                Some(p) if !out.contains(&p) => {
-                    out.push(p);
-                    cursor = p;
-                }
-                Some(p) => {
-                    cursor = p;
-                }
-                None => break,
-            }
-        }
-        out
-    }
-
-    /// Protocol join: the new node builds its own full state and notifies
-    /// its ring neighbourhood (predecessor and successors), which mend
-    /// their ring pointers. Finger tables elsewhere stay stale until
-    /// stabilization.
-    pub fn join_id(&mut self, id: u64) -> bool {
-        if self.is_live(id) {
-            return false;
-        }
-        self.insert_raw(id);
-        self.refresh_node(id);
-        for nb in self.ring_neighbors_of(id) {
-            if nb != id {
-                self.refresh_ring_pointers(nb);
-            }
-        }
-        true
-    }
-
-    /// Join with a freshly hashed identifier.
-    pub fn join_random(&mut self) -> Option<u64> {
-        if self.members.len() as u64 >= self.config.space() {
-            return None;
-        }
-        loop {
-            let id = self.members.next_in(self.config.space());
-            if self.join_id(id) {
-                return Some(id);
-            }
-        }
-    }
-
-    /// Graceful departure: the leaver notifies its predecessor and
-    /// successors, which mend their ring pointers. **Fingers elsewhere are
-    /// not notified** — they stay stale until stabilization (the timeouts
-    /// of §4.3).
-    pub fn leave(&mut self, id: u64) -> bool {
-        if self.members.remove(id).is_none() {
-            return false;
-        }
-        if self.members.is_empty() {
-            return true;
-        }
-        for nb in self.ring_neighbors_of(id) {
-            self.refresh_ring_pointers(nb);
-        }
-        true
-    }
-
-    /// Hop budget for lookups.
-    /// Ungraceful failure: the node vanishes without the leave
-    /// notifications, so even ring successors and predecessors stay stale
-    /// until stabilization.
-    pub fn fail_node(&mut self, id: u64) -> bool {
-        self.members.remove(id).is_some()
-    }
-
     /// One lookup from `src` for ring key `key`, using only per-node state:
     /// greedy closest-preceding-finger routing with successor-list
     /// fallback. Dead contacts cost a timeout each.
@@ -306,6 +151,52 @@ impl ChordNetwork {
 pub struct ChordWalk {
     /// The mapped key.
     pub key: u64,
+}
+
+/// Chord's five protocol pieces for the shared [`Refresh`] lifecycle.
+/// Join/leave notifications mend predecessor and successor list only;
+/// **fingers elsewhere are not notified** and stay stale until
+/// stabilization (the timeouts of §4.3).
+impl Refresh for ChordNetwork {
+    fn id_space(&self) -> u64 {
+        self.config.space()
+    }
+
+    /// Pointers initially self-referential.
+    fn blank_state(&self, id: u64) -> ChordNode {
+        ChordNode::new(id, self.config.bits, self.config.successor_list)
+    }
+
+    fn refresh_node(&mut self, id: u64) {
+        let space = self.config.space();
+        let (pred, succs) = self
+            .members
+            .ring_pointers(id, self.config.successor_list, space)
+            .expect("refresh on empty ring");
+        let fingers = (0..self.config.bits)
+            .map(|i| (id + (1u64 << i)) % space)
+            .map(|target| self.successor_of_point(target).expect("non-empty ring"))
+            .collect();
+        let node = self.members.get_mut(id).expect("refresh of dead node");
+        node.predecessor = pred;
+        node.successors = succs;
+        node.fingers = fingers;
+    }
+
+    fn refresh_notified(&mut self, id: u64) {
+        let (pred, succs) = self
+            .members
+            .ring_pointers(id, self.config.successor_list, self.config.space())
+            .expect("refresh on empty ring");
+        let node = self.members.get_mut(id).expect("refresh of dead node");
+        node.predecessor = pred;
+        node.successors = succs;
+    }
+
+    fn notified_by(&self, id: u64) -> Vec<u64> {
+        self.members
+            .ring_neighbours(id, self.config.successor_list, self.config.space())
+    }
 }
 
 impl SimOverlay for ChordNetwork {
@@ -400,15 +291,15 @@ impl SimOverlay for ChordNetwork {
     }
 
     fn node_leave(&mut self, node: NodeToken) -> bool {
-        self.leave(node)
+        self.depart(node, true)
     }
 
     fn node_fail(&mut self, node: NodeToken) -> bool {
-        self.fail_node(node)
+        self.depart(node, false)
     }
 
     fn stabilize_network(&mut self) {
-        self.stabilize_all();
+        self.refresh_all();
     }
 
     fn stabilize_one(&mut self, node: NodeToken) {
@@ -431,11 +322,12 @@ impl SimOverlay for ChordNetwork {
         &mut self,
         plan: &dht_core::corrupt::CorruptionPlan,
     ) -> dht_core::corrupt::CorruptionReport {
-        self.corrupt(plan)
+        let space = self.config.space();
+        dht_core::corrupt::corrupt_links(self, plan, space, |t| t)
     }
 
     fn repair_step(&mut self, node: NodeToken) -> u64 {
-        self.repair_one(node)
+        dht_core::corrupt::repair_links(self, node)
     }
 }
 
@@ -510,7 +402,7 @@ mod tests {
         let ids: Vec<u64> = net.ids().collect();
         for &id in &ids {
             if rng.gen_bool(0.3) {
-                net.leave(id);
+                net.depart(id, true);
             }
         }
         let live: Vec<u64> = net.ids().collect();
@@ -521,7 +413,7 @@ mod tests {
             timeouts += t.timeouts;
         }
         assert!(timeouts > 0, "stale fingers must time out");
-        net.stabilize_all();
+        net.refresh_all();
         for i in 0..200 {
             let t = net.route(live[i % live.len()], rng.gen());
             assert_eq!(t.timeouts, 0, "stabilization removes timeouts");
@@ -547,7 +439,7 @@ mod tests {
         let victim = ids[10];
         let before_pred = net.predecessor_of_point(victim).unwrap();
         let after_succ = net.successor_of_point((victim + 1) % 256).unwrap();
-        net.leave(victim);
+        net.depart(victim, true);
         let p = net.node(before_pred).unwrap();
         assert_eq!(p.successor(), after_succ, "ring mended around leaver");
         let s = net.node(after_succ).unwrap();

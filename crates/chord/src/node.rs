@@ -12,7 +12,7 @@ pub type SuccessorList = InlineVec<u64, 4>;
 ///
 /// All pointers are node identifiers on the `2^bits` ring; they may be
 /// stale (pointing at departed nodes) until stabilization refreshes them.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChordNode {
     /// This node's ring identifier.
     pub id: u64,

@@ -1,143 +1,55 @@
 //! Corruption and self-stabilizing repair of Chord routing state.
 //!
-//! Maps the shared strategy catalogue ([`CorruptionStrategy`]) onto
-//! Chord's state — predecessor, successor list, finger table — and
-//! implements one node's repair step as an audited recompute from live
-//! membership ([`ChordNetwork::refresh_node`] plus a before/after entry
-//! diff). Repair is an exact no-op on healthy nodes and consumes no RNG
-//! draws.
+//! Chord's link table for the shared skeleton in [`dht_core::corrupt`]:
+//! predecessor, successor list and finger table, each a mandatory
+//! pointer (an erased entry falls back to the node's own id — the "knows
+//! nobody" state of a fresh node). Corruption is
+//! [`dht_core::corrupt::corrupt_links`] over this table; repair is
+//! [`dht_core::corrupt::repair_links`], an audited recompute from live
+//! membership that is an exact no-op on healthy nodes and consumes no
+//! RNG draws.
 
-use dht_core::corrupt::{CorruptionPlan, CorruptionReport, CorruptionStrategy};
+use dht_core::corrupt::Links;
 
-use crate::network::ChordNetwork;
 use crate::node::ChordNode;
 
+// Frozen: `results/bench/BENCH_recover.json` pins the draws these key.
 const SALT_PRED: u64 = 1;
 const SALT_SUCC: u64 = 0x100;
 const SALT_FINGER: u64 = 0x1000;
-const SALT_ATTACKER: u64 = 0xa77a;
 
-/// Entries on which two states differ (predecessor + per-position
-/// successor-list and finger-table slots).
-fn diff_count(a: &ChordNode, b: &ChordNode) -> u64 {
-    let mut n = u64::from(a.predecessor != b.predecessor);
-    n += a
-        .successors
-        .iter()
-        .zip(&b.successors)
-        .filter(|(x, y)| x != y)
-        .count() as u64;
-    n += a
-        .fingers
-        .iter()
-        .zip(&b.fingers)
-        .filter(|(x, y)| x != y)
-        .count() as u64;
-    n
-}
+impl Links for ChordNode {
+    type Id = u64;
 
-impl ChordNetwork {
-    /// Applies a seeded corruption plan (see [`dht_core::corrupt`]) to
-    /// the ring's routing state. Membership and query loads stay
-    /// untouched.
-    pub fn corrupt(&mut self, plan: &CorruptionPlan) -> CorruptionReport {
-        let live: Vec<u64> = self.ids().collect();
-        let victims = plan.victims(&live);
-        let attacker = plan.pick(SALT_ATTACKER, 0, &live);
-        let space = self.config().space();
-        let mut report = CorruptionReport::default();
-        for &id in &victims {
-            let before = self.node(id).expect("victim is live").clone();
-            let mut next = before.clone();
-            match plan.strategy {
-                CorruptionStrategy::RandomizeLinks => {
-                    if let Some(p) = plan.pick(id, SALT_PRED, &live) {
-                        next.predecessor = p;
-                    }
-                    for (i, s) in next.successors.as_mut_slice().iter_mut().enumerate() {
-                        if let Some(v) = plan.pick(id, SALT_SUCC + i as u64, &live) {
-                            *s = v;
-                        }
-                    }
-                    for (i, f) in next.fingers.iter_mut().enumerate() {
-                        if let Some(v) = plan.pick(id, SALT_FINGER + i as u64, &live) {
-                            *f = v;
-                        }
-                    }
-                }
-                CorruptionStrategy::GhostLinks => {
-                    let is_live = |v: u64| live.binary_search(&v).is_ok();
-                    if let Some(g) = plan.ghost(id, SALT_PRED, space, is_live) {
-                        next.predecessor = g;
-                    }
-                    for (i, s) in next.successors.as_mut_slice().iter_mut().enumerate() {
-                        if let Some(g) = plan.ghost(id, SALT_SUCC + i as u64, space, is_live) {
-                            *s = g;
-                        }
-                    }
-                    for (i, f) in next.fingers.iter_mut().enumerate() {
-                        if let Some(g) = plan.ghost(id, SALT_FINGER + i as u64, space, is_live) {
-                            *f = g;
-                        }
-                    }
-                }
-                CorruptionStrategy::CrossWireLeafSets => {
-                    // Chord's "leaf set" is the ring neighborhood: rotate
-                    // the successor list one position and cross the
-                    // predecessor with the farthest successor.
-                    let slots = next.successors.as_mut_slice();
-                    slots.rotate_left(1);
-                    if let Some(last) = slots.last_mut() {
-                        std::mem::swap(&mut next.predecessor, last);
-                    }
-                }
-                CorruptionStrategy::ZeroLinks => {
-                    // The "knows nobody" reset state of a fresh node.
-                    next.predecessor = next.id;
-                    for s in next.successors.as_mut_slice() {
-                        *s = next.id;
-                    }
-                    for f in next.fingers.iter_mut() {
-                        *f = next.id;
-                    }
-                }
-                CorruptionStrategy::EclipseRegion => {
-                    if let Some(attacker) = attacker {
-                        next.predecessor = attacker;
-                        for s in next.successors.as_mut_slice() {
-                            *s = attacker;
-                        }
-                        for f in next.fingers.iter_mut() {
-                            *f = attacker;
-                        }
-                    }
-                }
-            }
-            let mutated = diff_count(&before, &next);
-            *self.node_mut(id).expect("victim is live") = next;
-            report.note(mutated);
+    fn rewrite_links(&mut self, f: &mut dyn FnMut(u64, Option<u64>) -> Option<u64>) {
+        let id = self.id;
+        self.predecessor = f(SALT_PRED, Some(self.predecessor)).unwrap_or(id);
+        for (i, s) in self.successors.iter_mut().enumerate() {
+            *s = f(SALT_SUCC + i as u64, Some(*s)).unwrap_or(id);
         }
-        report
+        for (i, x) in self.fingers.iter_mut().enumerate() {
+            *x = f(SALT_FINGER + i as u64, Some(*x)).unwrap_or(id);
+        }
     }
 
-    /// One node's repair step: recompute predecessor, successor list and
-    /// fingers from live membership; returns entries rewritten (0 on a
-    /// healthy node). Ignores dead tokens.
-    pub fn repair_one(&mut self, id: u64) -> u64 {
-        if !self.is_live(id) {
-            return 0;
+    /// Chord's "leaf set" is the ring neighbourhood: rotate the successor
+    /// list one position and cross the predecessor with the farthest
+    /// successor.
+    fn cross_wire(&mut self) {
+        self.successors.rotate_left(1);
+        if let Some(last) = self.successors.last_mut() {
+            std::mem::swap(&mut self.predecessor, last);
         }
-        let before = self.node(id).expect("live node has state").clone();
-        self.refresh_node(id);
-        diff_count(&before, self.node(id).expect("still live"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::ChordConfig;
+    use crate::network::{ChordConfig, ChordNetwork};
     use dht_core::audit::{AuditScope, StateAudit};
+    use dht_core::corrupt::{link_diff, CorruptionPlan, CorruptionStrategy};
+    use dht_core::overlay::Overlay;
 
     fn net(n: usize) -> ChordNetwork {
         ChordNetwork::with_nodes(ChordConfig::new(11), n, 42)
@@ -145,7 +57,21 @@ mod tests {
 
     fn repair_sweep(net: &mut ChordNetwork) -> u64 {
         let ids: Vec<u64> = net.ids().collect();
-        ids.into_iter().map(|id| net.repair_one(id)).sum()
+        ids.into_iter().map(|id| net.repair_node(id)).sum()
+    }
+
+    #[test]
+    fn link_table_is_salt_ordered_and_equal_to_its_clone() {
+        let n = net(80);
+        let mut state = n.node(n.ids().next().unwrap()).unwrap().clone();
+        let mut salts = Vec::new();
+        state.rewrite_links(&mut |salt, cur| {
+            salts.push(salt);
+            cur
+        });
+        assert_eq!(salts.len(), 1 + 3 + 11, "pred + successors + fingers");
+        assert!(salts.windows(2).all(|w| w[0] < w[1]), "{salts:?}");
+        assert_eq!(link_diff(&mut state.clone(), &mut state), 0);
     }
 
     #[test]
@@ -160,7 +86,7 @@ mod tests {
         for strategy in CorruptionStrategy::ALL {
             let mut n = net(80);
             let plan = CorruptionPlan::new(strategy, 0.5, 9);
-            let report = n.corrupt(&plan);
+            let report = n.corrupt_state(&plan);
             assert_eq!(report.targeted_nodes, 40, "{strategy:?}");
             assert!(report.corrupted_nodes > 0, "{strategy:?} did no damage");
             assert!(

@@ -4,6 +4,7 @@ use chord::{ChordConfig, ChordNetwork};
 use dht_core::lookup::LookupOutcome;
 use dht_core::ring::in_interval_oc;
 use dht_core::rng::stream;
+use dht_core::sim::Refresh;
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -59,7 +60,7 @@ proptest! {
             if net.node_count() > 4 {
                 let ids: Vec<u64> = net.ids().collect();
                 let victim = ids[(rng.gen::<u64>() % ids.len() as u64) as usize];
-                net.leave(victim);
+                net.depart(victim, true);
             }
         }
         let ids: Vec<u64> = net.ids().collect();

@@ -333,11 +333,14 @@ impl SimOverlay for CycloidNetwork {
         &mut self,
         plan: &dht_core::corrupt::CorruptionPlan,
     ) -> dht_core::corrupt::CorruptionReport {
-        self.corrupt(plan)
+        let dim = self.dim();
+        dht_core::corrupt::corrupt_links(self, plan, dim.id_space(), |t| {
+            CycloidId::from_linear(t, dim)
+        })
     }
 
     fn repair_step(&mut self, node: NodeToken) -> u64 {
-        self.repair_one(CycloidId::from_linear(node, self.dim()))
+        dht_core::corrupt::repair_links(self, node)
     }
 }
 

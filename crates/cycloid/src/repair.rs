@@ -1,23 +1,25 @@
 //! Self-stabilizing repair of corrupted routing state.
 //!
-//! The corrupt half maps the shared strategy catalogue
-//! ([`CorruptionStrategy`]) onto Cycloid's seven- or eleven-entry state:
-//! the three routing-table pointers (cubical, two cyclics) and the four
-//! leaf-set slots. The repair half is one node's stabilizer run as an
-//! *audited* recompute: rebuild the node's entire state from live
-//! membership ([`CycloidNetwork::refresh_node`]) and report how many
-//! entries actually changed. On a healthy node that count is zero and
-//! nothing else moves — repair draws from no RNG stream — which is what
-//! lets the churn engine substitute repair for stabilization without
-//! perturbing a single golden byte.
+//! Cycloid's link table for the shared skeleton in
+//! [`dht_core::corrupt`]: the seven- or eleven-entry state — the three
+//! routing-table pointers (cubical, two cyclics; optional, visited even
+//! when unset so corruption can plant one) and the four leaf-set slots
+//! (list entries: an erased entry is dropped). Corruption is
+//! [`dht_core::corrupt::corrupt_links`] over this table. Repair is
+//! [`dht_core::corrupt::repair_links`]: the node's stabilizer run as an
+//! *audited* recompute — rebuild the entire state from live membership
+//! ([`crate::CycloidNetwork::refresh_node`]) and report how many entries
+//! actually changed. On a healthy node that count is zero and nothing
+//! else moves — repair draws from no RNG stream — which is what lets the
+//! churn engine substitute repair for stabilization without perturbing a
+//! single golden byte.
 
-use dht_core::corrupt::{CorruptionPlan, CorruptionReport, CorruptionStrategy};
+use dht_core::corrupt::Links;
 
 use crate::id::CycloidId;
-use crate::network::CycloidNetwork;
-use crate::state::{LeafSlot, NodeState};
+use crate::state::NodeState;
 
-/// Salts separating the deterministic draws of distinct state entries.
+// Frozen: `results/bench/BENCH_recover.json` pins the draws these key.
 const SALT_CUBICAL: u64 = 1;
 const SALT_CYCLIC_LARGER: u64 = 2;
 const SALT_CYCLIC_SMALLER: u64 = 3;
@@ -25,162 +27,69 @@ const SALT_INSIDE_LEFT: u64 = 0x10;
 const SALT_INSIDE_RIGHT: u64 = 0x20;
 const SALT_OUTSIDE_LEFT: u64 = 0x30;
 const SALT_OUTSIDE_RIGHT: u64 = 0x40;
-/// Salt for the eclipse attacker draw (network-wide, not per-victim).
-const SALT_ATTACKER: u64 = 0xa77a;
 
-/// Entries on which two states differ: the three pointers plus every
-/// position of the four leaf slots (a slot that changed length counts
-/// the longer side).
-fn diff_count(a: &NodeState, b: &NodeState) -> u64 {
-    let mut n = 0u64;
-    n += u64::from(a.cubical_neighbor != b.cubical_neighbor);
-    n += u64::from(a.cyclic_larger != b.cyclic_larger);
-    n += u64::from(a.cyclic_smaller != b.cyclic_smaller);
-    for (x, y) in [
-        (&a.inside_left, &b.inside_left),
-        (&a.inside_right, &b.inside_right),
-        (&a.outside_left, &b.outside_left),
-        (&a.outside_right, &b.outside_right),
-    ] {
-        n += slot_diff(x, y);
-    }
-    n
-}
+impl Links for NodeState {
+    type Id = CycloidId;
 
-fn slot_diff(a: &LeafSlot, b: &LeafSlot) -> u64 {
-    let common = a.len().min(b.len());
-    let mut n = (a.len().max(b.len()) - common) as u64;
-    for i in 0..common {
-        n += u64::from(a.as_slice()[i] != b.as_slice()[i]);
-    }
-    n
-}
-
-impl CycloidNetwork {
-    /// Applies a seeded corruption plan (see [`dht_core::corrupt`]) to
-    /// this network's routing state. Membership, the cycle indexes, and
-    /// query loads are untouched — corruption damages what nodes
-    /// *believe*, not who exists.
-    pub fn corrupt(&mut self, plan: &CorruptionPlan) -> CorruptionReport {
-        let dim = self.dim();
-        let live: Vec<u64> = self.ids().map(|id| id.linear(dim)).collect();
-        let victims = plan.victims(&live);
-        let attacker = plan
-            .pick(SALT_ATTACKER, 0, &live)
-            .map(|t| CycloidId::from_linear(t, dim));
-        let mut report = CorruptionReport::default();
-        for &tok in &victims {
-            let id = CycloidId::from_linear(tok, dim);
-            let before = self
-                .node(id)
-                .expect("victim chosen from live tokens")
-                .clone();
-            let mut next = before.clone();
-            match plan.strategy {
-                CorruptionStrategy::RandomizeLinks => {
-                    let rand_id = |salt: u64| {
-                        plan.pick(tok, salt, &live)
-                            .map(|t| CycloidId::from_linear(t, dim))
-                    };
-                    next.cubical_neighbor = rand_id(SALT_CUBICAL);
-                    next.cyclic_larger = rand_id(SALT_CYCLIC_LARGER);
-                    next.cyclic_smaller = rand_id(SALT_CYCLIC_SMALLER);
-                    for (slot, base) in slots(&mut next) {
-                        for (i, entry) in slot.as_mut_slice().iter_mut().enumerate() {
-                            if let Some(r) = rand_id(base + i as u64) {
-                                *entry = r;
-                            }
-                        }
-                    }
-                }
-                CorruptionStrategy::GhostLinks => {
-                    let space = dim.id_space();
-                    let is_live = |v: u64| live.binary_search(&v).is_ok();
-                    let ghost_id = |salt: u64| {
-                        plan.ghost(tok, salt, space, is_live)
-                            .map(|t| CycloidId::from_linear(t, dim))
-                    };
-                    next.cubical_neighbor = ghost_id(SALT_CUBICAL).or(next.cubical_neighbor);
-                    next.cyclic_larger = ghost_id(SALT_CYCLIC_LARGER).or(next.cyclic_larger);
-                    next.cyclic_smaller = ghost_id(SALT_CYCLIC_SMALLER).or(next.cyclic_smaller);
-                    for (slot, base) in slots(&mut next) {
-                        for (i, entry) in slot.as_mut_slice().iter_mut().enumerate() {
-                            if let Some(g) = ghost_id(base + i as u64) {
-                                *entry = g;
-                            }
-                        }
-                    }
-                }
-                CorruptionStrategy::CrossWireLeafSets => {
-                    std::mem::swap(&mut next.inside_left, &mut next.inside_right);
-                    std::mem::swap(&mut next.outside_left, &mut next.outside_right);
-                    std::mem::swap(&mut next.cyclic_larger, &mut next.cyclic_smaller);
-                }
-                CorruptionStrategy::ZeroLinks => {
-                    next.cubical_neighbor = None;
-                    next.cyclic_larger = None;
-                    next.cyclic_smaller = None;
-                    next.inside_left.clear();
-                    next.inside_right.clear();
-                    next.outside_left.clear();
-                    next.outside_right.clear();
-                }
-                CorruptionStrategy::EclipseRegion => {
-                    if let Some(attacker) = attacker {
-                        next.cubical_neighbor = Some(attacker);
-                        next.cyclic_larger = Some(attacker);
-                        next.cyclic_smaller = Some(attacker);
-                        for (slot, _) in slots(&mut next) {
-                            for entry in slot.as_mut_slice().iter_mut() {
-                                *entry = attacker;
-                            }
-                        }
-                    }
-                }
-            }
-            let mutated = diff_count(&before, &next);
-            *self.node_mut(id).expect("victim is live") = next;
-            report.note(mutated);
+    fn rewrite_links(&mut self, f: &mut dyn FnMut(u64, Option<CycloidId>) -> Option<CycloidId>) {
+        self.cubical_neighbor = f(SALT_CUBICAL, self.cubical_neighbor);
+        self.cyclic_larger = f(SALT_CYCLIC_LARGER, self.cyclic_larger);
+        self.cyclic_smaller = f(SALT_CYCLIC_SMALLER, self.cyclic_smaller);
+        for (slot, base) in [
+            (&mut self.inside_left, SALT_INSIDE_LEFT),
+            (&mut self.inside_right, SALT_INSIDE_RIGHT),
+            (&mut self.outside_left, SALT_OUTSIDE_LEFT),
+            (&mut self.outside_right, SALT_OUTSIDE_RIGHT),
+        ] {
+            slot.filter_map_in_place(|i, entry| f(base + i as u64, Some(entry)));
         }
-        report
     }
 
-    /// One node's repair step: recompute its full routing state from
-    /// live membership and return the number of entries rewritten. An
-    /// exact no-op (returning 0) on a healthy node; ignores dead tokens.
-    pub fn repair_one(&mut self, id: CycloidId) -> u64 {
-        if !self.is_live(id) {
-            return 0;
-        }
-        let before = self.node(id).expect("live node has state").clone();
-        self.refresh_node(id);
-        diff_count(&before, self.node(id).expect("still live"))
+    fn cross_wire(&mut self) {
+        std::mem::swap(&mut self.inside_left, &mut self.inside_right);
+        std::mem::swap(&mut self.outside_left, &mut self.outside_right);
+        std::mem::swap(&mut self.cyclic_larger, &mut self.cyclic_smaller);
     }
-}
-
-/// The four leaf slots of a state with their per-slot salt bases.
-fn slots(state: &mut NodeState) -> [(&mut LeafSlot, u64); 4] {
-    [
-        (&mut state.inside_left, SALT_INSIDE_LEFT),
-        (&mut state.inside_right, SALT_INSIDE_RIGHT),
-        (&mut state.outside_left, SALT_OUTSIDE_LEFT),
-        (&mut state.outside_right, SALT_OUTSIDE_RIGHT),
-    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::CycloidConfig;
+    use crate::network::{CycloidConfig, CycloidNetwork};
     use dht_core::audit::{AuditScope, StateAudit};
+    use dht_core::corrupt::{link_diff, CorruptionPlan, CorruptionStrategy};
+    use dht_core::overlay::Overlay;
 
     fn net(n: usize) -> CycloidNetwork {
         CycloidNetwork::with_nodes(CycloidConfig::seven_entry(5), n, 42)
     }
 
     fn repair_sweep(net: &mut CycloidNetwork) -> u64 {
-        let ids: Vec<CycloidId> = net.ids().collect();
-        ids.into_iter().map(|id| net.repair_one(id)).sum()
+        let tokens = net.node_tokens();
+        tokens.into_iter().map(|t| net.repair_node(t)).sum()
+    }
+
+    #[test]
+    fn link_table_is_salt_ordered_and_equal_to_its_clone() {
+        for config in [
+            CycloidConfig::seven_entry(5),
+            CycloidConfig::eleven_entry(5),
+        ] {
+            let n = CycloidNetwork::with_nodes(config, 80, 42);
+            let mut state = n.node(n.ids().last().unwrap()).unwrap().clone();
+            let mut salts = Vec::new();
+            state.rewrite_links(&mut |salt, cur| {
+                salts.push(salt);
+                cur
+            });
+            assert_eq!(
+                salts.len(),
+                3 + 4 * n.leaf_radius(),
+                "pointers + leaf slots"
+            );
+            assert!(salts.windows(2).all(|w| w[0] < w[1]), "{salts:?}");
+            assert_eq!(link_diff(&mut state.clone(), &mut state), 0);
+        }
     }
 
     #[test]
@@ -195,7 +104,7 @@ mod tests {
         for strategy in CorruptionStrategy::ALL {
             let mut n = net(80);
             let plan = CorruptionPlan::new(strategy, 0.5, 9);
-            let report = n.corrupt(&plan);
+            let report = n.corrupt_state(&plan);
             assert_eq!(report.targeted_nodes, 40, "{strategy:?}");
             assert!(report.corrupted_nodes > 0, "{strategy:?} did no damage");
             assert!(
@@ -222,7 +131,7 @@ mod tests {
         let plan = CorruptionPlan::new(CorruptionStrategy::RandomizeLinks, 0.3, 77);
         let run = || {
             let mut n = net(64);
-            let rep = n.corrupt(&plan);
+            let rep = n.corrupt_state(&plan);
             let states: Vec<String> = n
                 .ids()
                 .map(|id| format!("{:?}", n.node(id).unwrap()))
@@ -236,7 +145,7 @@ mod tests {
     fn corruption_leaves_membership_alone() {
         let mut n = net(64);
         let before: Vec<CycloidId> = n.ids().collect();
-        n.corrupt(&CorruptionPlan::new(
+        n.corrupt_state(&CorruptionPlan::new(
             CorruptionStrategy::EclipseRegion,
             1.0,
             3,

@@ -30,7 +30,7 @@ pub type LeafSlot = InlineVec<CycloidId, 4>;
 /// All entries are *outgoing* pointers (§3.3.2: "a node only has outgoing
 /// connections"); they may go stale when the pointed-to node departs, which
 /// is exactly what the paper's timeout experiments measure.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeState {
     /// This node's identifier.
     pub id: CycloidId,

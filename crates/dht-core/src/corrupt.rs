@@ -7,11 +7,17 @@
 //! correct: a catalogue of named corruption strategies
 //! ([`CorruptionStrategy`]) and a seeded, fully deterministic plan
 //! ([`CorruptionPlan`]) for applying one to a chosen fraction of a
-//! network. Overlays implement the actual mutations (they own their
-//! state layouts) via `SimOverlay::corrupt_network`; this module only
-//! decides *who* gets corrupted and supplies deterministic draws for
-//! *what* to write, so that a `(strategy, severity, seed)` triple
-//! names exactly one corrupted network.
+//! network, so that a `(strategy, severity, seed)` triple names exactly
+//! one corrupted network.
+//!
+//! Overlays whose nodes hold a *link table* (Chord, Koorde, Pastry,
+//! Cycloid) describe it once, as a [`Links`] impl on the node state, and
+//! share the rest: [`corrupt_links`] (the victim loop and the only
+//! mapping from strategy to written value), [`repair_links`] (clone, run
+//! the node's stabilizer, count what changed) and [`link_diff`] (the one
+//! definition of "entries that differ"). CAN and Viceroy hold zones and
+//! level claims, not link tables, and keep their own
+//! `SimOverlay::corrupt_network`.
 //!
 //! Two properties matter for the test harness built on top:
 //!
@@ -25,6 +31,8 @@
 //!   composes with any workload without perturbing its draws.
 
 use crate::hash::splitmix64;
+use crate::overlay::NodeToken;
+use crate::sim::SimOverlay;
 
 /// A named way of damaging routing state. Each overlay maps the
 /// strategy onto its own link layout (fingers, de Bruijn pointers,
@@ -196,13 +204,392 @@ impl CorruptionReport {
     }
 }
 
+/// Salt of the network-wide eclipse attacker draw (not per victim).
+const SALT_ATTACKER: u64 = 0xa77a;
+
+/// A node state seen as a table of corruptible links.
+///
+/// Each entry has a *salt* that keys its deterministic draws; the salts
+/// are frozen constants (changing one changes every committed
+/// corruption count). Three kinds of entry exist, told apart by what an
+/// erase (`f` returning `None`) leaves behind: a mandatory pointer falls
+/// back to the node's own id, an optional pointer becomes `None`, a list
+/// entry is dropped from its list.
+pub trait Links: Clone + PartialEq {
+    /// The identifier type the links hold.
+    type Id: Copy + PartialEq;
+
+    /// Visits every corruptible entry in strictly ascending salt order,
+    /// passing its current value (`None` for an unset optional pointer),
+    /// and stores what `f` returns.
+    fn rewrite_links(&mut self, f: &mut dyn FnMut(u64, Option<Self::Id>) -> Option<Self::Id>);
+
+    /// [`CorruptionStrategy::CrossWireLeafSets`]: swap the paired link
+    /// sets against each other.
+    fn cross_wire(&mut self);
+}
+
+/// Entries [`link_diff`] holds on the stack before spilling to the heap;
+/// covers every constant-degree state.
+const INLINE_ENTRIES: usize = 32;
+
+/// Number of entries on which two states differ, matched by salt: an
+/// entry with different values counts once, and so does an entry only
+/// one side has (a list that changed length). `&mut` only because
+/// [`Links::rewrite_links`] is the one visitor; neither state changes.
+pub fn link_diff<S: Links>(a: &mut S, b: &mut S) -> u64 {
+    let mut head = [(0u64, None::<S::Id>); INLINE_ENTRIES];
+    let mut tail = Vec::new();
+    let mut len = 0;
+    a.rewrite_links(&mut |salt, cur| {
+        match head.get_mut(len) {
+            Some(slot) => *slot = (salt, cur),
+            None => tail.push((salt, cur)),
+        }
+        len += 1;
+        cur
+    });
+    let entry = |i: usize| *head.get(i).unwrap_or_else(|| &tail[i - INLINE_ENTRIES]);
+    let (mut i, mut differing) = (0, 0u64);
+    b.rewrite_links(&mut |salt, cur| {
+        while i < len && entry(i).0 < salt {
+            i += 1;
+            differing += 1;
+        }
+        if i < len && entry(i).0 == salt {
+            differing += u64::from(entry(i).1 != cur);
+            i += 1;
+        } else {
+            differing += 1;
+        }
+        cur
+    });
+    differing + (len - i) as u64
+}
+
+/// Applies `plan` to the link tables of `net`: the victim loop and the
+/// one place a strategy becomes a written value. `space` bounds ghost
+/// draws; `to_id` maps a drawn token to the overlay's identifier type.
+/// Membership and query loads stay untouched, and no RNG stream is
+/// drawn from.
+pub fn corrupt_links<T>(
+    net: &mut T,
+    plan: &CorruptionPlan,
+    space: u64,
+    to_id: impl Fn(NodeToken) -> <T::State as Links>::Id,
+) -> CorruptionReport
+where
+    T: SimOverlay + ?Sized,
+    T::State: Links,
+{
+    let live = net.membership().tokens();
+    let attacker = plan.pick(SALT_ATTACKER, 0, &live).map(&to_id);
+    let is_live = |v: u64| live.binary_search(&v).is_ok();
+    let mut report = CorruptionReport::default();
+    for tok in plan.victims(&live) {
+        let state = net
+            .membership_mut()
+            .get_mut(tok)
+            .expect("victim chosen from live tokens");
+        let mut before = state.clone();
+        match plan.strategy {
+            CorruptionStrategy::RandomizeLinks => state
+                .rewrite_links(&mut |salt, cur| plan.pick(tok, salt, &live).map(&to_id).or(cur)),
+            CorruptionStrategy::GhostLinks => state.rewrite_links(&mut |salt, cur| {
+                plan.ghost(tok, salt, space, is_live).map(&to_id).or(cur)
+            }),
+            CorruptionStrategy::CrossWireLeafSets => state.cross_wire(),
+            CorruptionStrategy::ZeroLinks => state.rewrite_links(&mut |_, _| None),
+            CorruptionStrategy::EclipseRegion => {
+                if let Some(attacker) = attacker {
+                    state.rewrite_links(&mut |_, _| Some(attacker));
+                }
+            }
+        }
+        report.note(link_diff(&mut before, state));
+    }
+    report
+}
+
+/// One node's repair step for a link-table overlay: run its stabilizer
+/// ([`SimOverlay::stabilize_one`], a recompute from live membership) and
+/// return the number of entries that changed — 0, through one equality
+/// test, on a healthy node. Ignores dead tokens; draws from no RNG.
+pub fn repair_links<T>(net: &mut T, node: NodeToken) -> u64
+where
+    T: SimOverlay + ?Sized,
+    T::State: Links,
+{
+    let Some(state) = net.membership().get(node) else {
+        return 0;
+    };
+    let mut before = state.clone();
+    net.stabilize_one(node);
+    let after = net
+        .membership_mut()
+        .get_mut(node)
+        .expect("stabilizing keeps the node live");
+    if before == *after {
+        return 0;
+    }
+    link_diff(&mut before, after)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inline::InlineVec;
+    use crate::sim::{Membership, StepDecision};
 
     fn tokens(n: u64) -> Vec<u64> {
         // Deliberately unsorted input: victims() must not rely on order.
         (0..n).map(|i| splitmix64(i) % 10_000).collect()
+    }
+
+    /// A state with one entry of each kind, plus a list long enough to
+    /// push [`link_diff`] past its inline buffer.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Toy {
+        id: u64,
+        ptr: u64,
+        opt: Option<u64>,
+        list: InlineVec<u64, 4>,
+        wide: Vec<u64>,
+    }
+
+    impl Toy {
+        /// What the toy stabilizer converges to.
+        fn healthy(id: u64) -> Self {
+            Self {
+                id,
+                ptr: id + 1,
+                opt: Some(id + 2),
+                list: vec![id + 3, id + 4, id + 5].into(),
+                wide: Vec::new(),
+            }
+        }
+        fn links(&self) -> impl Iterator<Item = u64> + '_ {
+            [self.ptr]
+                .into_iter()
+                .chain(self.opt)
+                .chain(self.list.iter().copied())
+        }
+    }
+
+    impl Links for Toy {
+        type Id = u64;
+        fn rewrite_links(&mut self, f: &mut dyn FnMut(u64, Option<u64>) -> Option<u64>) {
+            self.ptr = f(1, Some(self.ptr)).unwrap_or(self.id);
+            self.opt = f(2, self.opt);
+            self.list
+                .filter_map_in_place(|i, e| f(0x10 + i as u64, Some(e)));
+            let mut i = 0;
+            self.wide.retain_mut(|e| {
+                i += 1;
+                f(0x100 + i, Some(*e)).map(|v| *e = v).is_some()
+            });
+        }
+        fn cross_wire(&mut self) {
+            std::mem::swap(&mut self.ptr, &mut self.list[0]);
+        }
+    }
+
+    /// The least `SimOverlay` that holds `Toy` states: no routing, and a
+    /// stabilizer that resets a node to [`Toy::healthy`].
+    struct ToyNet(Membership<Toy>);
+
+    impl ToyNet {
+        fn with_ids(ids: impl IntoIterator<Item = u64>) -> Self {
+            let mut members = Membership::new(1);
+            for id in ids {
+                members.insert(id, Toy::healthy(id));
+            }
+            Self(members)
+        }
+        fn states(&self) -> Vec<Toy> {
+            self.0.states().cloned().collect()
+        }
+    }
+
+    impl SimOverlay for ToyNet {
+        type State = Toy;
+        type Walk = ();
+        fn membership(&self) -> &Membership<Toy> {
+            &self.0
+        }
+        fn membership_mut(&mut self) -> &mut Membership<Toy> {
+            &mut self.0
+        }
+        fn label(&self) -> String {
+            "Toy".to_string()
+        }
+        fn degree_limit(&self) -> Option<usize> {
+            None
+        }
+        fn map_key(&self, raw_key: u64) -> u64 {
+            raw_key
+        }
+        fn owner_token(&self, _raw_key: u64) -> Option<NodeToken> {
+            None
+        }
+        fn hop_budget(&self) -> usize {
+            0
+        }
+        fn begin_walk(&self, _src: NodeToken, _raw_key: u64) {}
+        fn walk_owner(&self, _walk: &()) -> Option<NodeToken> {
+            None
+        }
+        fn next_hop(&self, _cur: NodeToken, _walk: &mut ()) -> StepDecision {
+            StepDecision::Terminate
+        }
+        fn node_join(&mut self, _rng: &mut dyn rand::RngCore) -> Option<NodeToken> {
+            None
+        }
+        fn node_leave(&mut self, node: NodeToken) -> bool {
+            self.0.remove(node).is_some()
+        }
+        fn stabilize_network(&mut self) {}
+        fn stabilize_one(&mut self, node: NodeToken) {
+            if let Some(state) = self.0.get_mut(node) {
+                *state = Toy::healthy(node);
+            }
+        }
+    }
+
+    #[test]
+    fn link_diff_counts_entries_matched_by_salt() {
+        let mut a = Toy::healthy(10);
+        assert_eq!(link_diff(&mut a.clone(), &mut a), 0);
+
+        let mut b = a.clone();
+        b.ptr = 99;
+        b.opt = None; // an unset optional pointer is still an entry
+        assert_eq!(link_diff(&mut a, &mut b), 2);
+
+        // An erased list entry shifts its successors down one salt: the
+        // moved value differs and the vanished last position counts
+        // once, from whichever side holds it.
+        let mut c = a.clone();
+        c.list = vec![13, 15].into();
+        assert_eq!(link_diff(&mut a, &mut c), 2);
+        assert_eq!(link_diff(&mut c, &mut a), 2);
+        c.list.clear();
+        assert_eq!(link_diff(&mut a, &mut c), 3);
+        assert_eq!(link_diff(&mut c, &mut a), 3);
+        assert_eq!(a, Toy::healthy(10), "diffing leaves both sides alone");
+    }
+
+    #[test]
+    fn link_diff_spills_past_the_inline_buffer() {
+        let mut a = Toy::healthy(10);
+        a.wide = (0..40).collect(); // 5 + 40 entries > INLINE_ENTRIES
+        let mut b = a.clone();
+        assert_eq!(link_diff(&mut a, &mut b), 0);
+        b.wide[3] = 777; // inside the inline part
+        b.wide[35] = 777; // inside the spilled part
+        b.wide.truncate(38); // two entries only `a` has
+        assert_eq!(link_diff(&mut a, &mut b), 4);
+        assert_eq!(link_diff(&mut b, &mut a), 4);
+    }
+
+    /// Runs `plan` on a fresh toy network and checks the report against
+    /// an independent per-victim [`link_diff`].
+    fn corrupt_toy(net: &mut ToyNet, plan: &CorruptionPlan, space: u64) -> Vec<Toy> {
+        let mut before = net.states();
+        let report = corrupt_links(net, plan, space, |t| t);
+        let mut after = net.states();
+        let diffs: Vec<u64> = before
+            .iter_mut()
+            .zip(&mut after)
+            .map(|(b, a)| link_diff(b, a))
+            .collect();
+        assert_eq!(report.mutated_entries, diffs.iter().sum::<u64>());
+        assert_eq!(
+            report.corrupted_nodes,
+            diffs.iter().filter(|&&d| d > 0).count()
+        );
+        assert_eq!(report.targeted_nodes, plan.victims(&net.0.tokens()).len());
+        after
+    }
+
+    #[test]
+    fn zero_erases_every_entry_by_its_kind() {
+        let mut net = ToyNet::with_ids([10, 20, 30, 40]);
+        let plan = CorruptionPlan::new(CorruptionStrategy::ZeroLinks, 1.0, 5);
+        for s in corrupt_toy(&mut net, &plan, 64) {
+            assert_eq!(s.ptr, s.id, "mandatory pointer falls back to own id");
+            assert_eq!(s.opt, None);
+            assert!(s.list.is_empty(), "list entries are dropped");
+        }
+    }
+
+    #[test]
+    fn eclipse_writes_one_live_id_everywhere() {
+        let mut net = ToyNet::with_ids([10, 20, 30, 40]);
+        net.0.get_mut(20).unwrap().opt = None;
+        let plan = CorruptionPlan::new(CorruptionStrategy::EclipseRegion, 1.0, 5);
+        let after = corrupt_toy(&mut net, &plan, 64);
+        let attacker = after[0].ptr;
+        assert!(net.0.contains(attacker));
+        for s in after {
+            assert_eq!(s.ptr, attacker);
+            assert_eq!(s.opt, Some(attacker), "unset pointers are planted too");
+            assert_eq!(s.list, vec![attacker; 3]);
+        }
+    }
+
+    #[test]
+    fn randomize_draws_live_ids_and_ghost_draws_dead_ones() {
+        let plan = |strategy| CorruptionPlan::new(strategy, 0.5, 5);
+        let mut net = ToyNet::with_ids([10, 20, 30, 40]);
+        let after = corrupt_toy(&mut net, &plan(CorruptionStrategy::RandomizeLinks), 64);
+        let victims = plan(CorruptionStrategy::RandomizeLinks).victims(&net.0.tokens());
+        for s in &after {
+            if victims.contains(&s.id) {
+                assert!(s.links().all(|l| net.0.contains(l)), "{s:?}");
+            } else {
+                assert_eq!(*s, Toy::healthy(s.id), "non-victims are untouched");
+            }
+        }
+
+        let mut net = ToyNet::with_ids([10, 20, 30, 40]);
+        let after = corrupt_toy(&mut net, &plan(CorruptionStrategy::GhostLinks), 64);
+        let hit: Vec<&Toy> = after.iter().filter(|s| **s != Toy::healthy(s.id)).collect();
+        assert_eq!(hit.len(), 2);
+        for s in hit {
+            assert!(s.links().all(|l| !net.0.contains(l)), "{s:?}");
+        }
+
+        // A saturated space has no ghost: every draw is `None` and every
+        // entry keeps its current value.
+        let mut net = ToyNet::with_ids(0..8);
+        let healthy = net.states();
+        let after = corrupt_toy(&mut net, &plan(CorruptionStrategy::GhostLinks), 8);
+        assert_eq!(after, healthy);
+    }
+
+    #[test]
+    fn cross_wire_is_the_states_own_swap() {
+        let mut net = ToyNet::with_ids([10]);
+        let plan = CorruptionPlan::new(CorruptionStrategy::CrossWireLeafSets, 1.0, 5);
+        let after = corrupt_toy(&mut net, &plan, 64);
+        assert_eq!((after[0].ptr, after[0].list[0]), (13, 11));
+    }
+
+    #[test]
+    fn repair_links_counts_what_the_stabilizer_rewrote() {
+        let mut net = ToyNet::with_ids([10, 20, 30, 40]);
+        assert_eq!(repair_links(&mut net, 20), 0, "healthy node");
+        assert_eq!(repair_links(&mut net, 21), 0, "dead token");
+        let plan = CorruptionPlan::new(CorruptionStrategy::ZeroLinks, 1.0, 5);
+        let report = corrupt_links(&mut net, &plan, 64, |t| t);
+        let repaired: u64 = [10, 20, 30, 40]
+            .map(|t| repair_links(&mut net, t))
+            .iter()
+            .sum();
+        assert_eq!(repaired, report.mutated_entries);
+        assert_eq!(net.states(), ToyNet::with_ids([10, 20, 30, 40]).states());
+        assert_eq!(repair_links(&mut net, 20), 0, "idempotent");
     }
 
     #[test]

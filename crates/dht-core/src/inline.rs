@@ -106,14 +106,22 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         }
     }
 
+    /// Replaces each element by `f(original index, element)`, dropping
+    /// those mapped to `None` and closing the gaps in order.
+    pub fn filter_map_in_place(&mut self, mut f: impl FnMut(usize, T) -> Option<T>) {
+        let mut kept = 0;
+        for i in 0..self.len() {
+            if let Some(v) = f(i, self.buf[i]) {
+                self.buf[kept] = v;
+                kept += 1;
+            }
+        }
+        self.len = kept as u8;
+    }
+
     /// The live elements as a slice.
     pub fn as_slice(&self) -> &[T] {
         &self.buf[..self.len as usize]
-    }
-
-    /// The live elements as a mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.buf[..self.len as usize]
     }
 }
 
@@ -132,7 +140,7 @@ impl<T: Copy + Default, const N: usize> std::ops::Deref for InlineVec<T, N> {
 
 impl<T: Copy + Default, const N: usize> std::ops::DerefMut for InlineVec<T, N> {
     fn deref_mut(&mut self) -> &mut [T] {
-        self.as_mut_slice()
+        &mut self.buf[..self.len as usize]
     }
 }
 
@@ -230,6 +238,21 @@ mod tests {
         v.truncate(10);
         assert_eq!(v.len(), 2);
         v.clear();
+        assert!(v.is_empty());
+    }
+
+    #[test]
+    fn filter_map_in_place_sees_original_indexes_and_drops_none() {
+        let mut v: InlineVec<u64, 4> = vec![10, 20, 30, 40].into();
+        let mut seen = Vec::new();
+        v.filter_map_in_place(|i, x| {
+            seen.push((i, x));
+            (i != 1).then_some(x + i as u64)
+        });
+        // Index 2 is still reported as 2 after index 1 was dropped.
+        assert_eq!(seen, vec![(0, 10), (1, 20), (2, 30), (3, 40)]);
+        assert_eq!(v, vec![10, 32, 43]);
+        v.filter_map_in_place(|_, _| None);
         assert!(v.is_empty());
     }
 

@@ -264,146 +264,6 @@ pub trait Overlay {
     fn apply_walk_effects(&mut self, fx: WalkEffects);
 }
 
-/// Forwarding impl so factory-built `Box<dyn Overlay>` values satisfy
-/// `O: Overlay` bounds (e.g. the kvstore). Deliberately concrete: a
-/// generic `impl<T: Overlay + ?Sized> Overlay for Box<T>` would overlap
-/// with the blanket [`crate::sim::SimOverlay`] impl.
-impl Overlay for Box<dyn Overlay> {
-    fn name(&self) -> String {
-        (**self).name()
-    }
-
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-
-    fn is_empty(&self) -> bool {
-        (**self).is_empty()
-    }
-
-    fn degree_bound(&self) -> Option<usize> {
-        (**self).degree_bound()
-    }
-
-    fn node_tokens(&self) -> Vec<NodeToken> {
-        (**self).node_tokens()
-    }
-
-    fn random_node(&self, rng: &mut dyn RngCore) -> Option<NodeToken> {
-        (**self).random_node(rng)
-    }
-
-    fn key_id(&self, raw_key: u64) -> u64 {
-        (**self).key_id(raw_key)
-    }
-
-    fn owner_of(&self, raw_key: u64) -> Option<NodeToken> {
-        (**self).owner_of(raw_key)
-    }
-
-    fn lookup(&mut self, src: NodeToken, raw_key: u64) -> LookupTrace {
-        (**self).lookup(src, raw_key)
-    }
-
-    fn lookup_batch(&mut self, reqs: &[(NodeToken, u64)], jobs: usize) -> Vec<LookupTrace> {
-        (**self).lookup_batch(reqs, jobs)
-    }
-
-    fn join(&mut self, rng: &mut dyn RngCore) -> Option<NodeToken> {
-        (**self).join(rng)
-    }
-
-    fn leave(&mut self, node: NodeToken) -> bool {
-        (**self).leave(node)
-    }
-
-    fn fail(&mut self, node: NodeToken) -> bool {
-        (**self).fail(node)
-    }
-
-    fn stabilize(&mut self) {
-        (**self).stabilize();
-    }
-
-    fn stabilize_node(&mut self, node: NodeToken) {
-        (**self).stabilize_node(node);
-    }
-
-    fn audit_state(&self, scope: AuditScope) -> AuditReport {
-        (**self).audit_state(scope)
-    }
-
-    fn corrupt_state(&mut self, plan: &CorruptionPlan) -> CorruptionReport {
-        (**self).corrupt_state(plan)
-    }
-
-    fn repair_node(&mut self, node: NodeToken) -> u64 {
-        (**self).repair_node(node)
-    }
-
-    fn query_loads(&self) -> Vec<u64> {
-        (**self).query_loads()
-    }
-
-    fn reset_query_loads(&mut self) {
-        (**self).reset_query_loads();
-    }
-
-    fn state_bytes(&self) -> usize {
-        (**self).state_bytes()
-    }
-
-    fn bytes_per_node(&self) -> f64 {
-        (**self).bytes_per_node()
-    }
-
-    fn net_conditions(&self) -> NetConditions {
-        (**self).net_conditions()
-    }
-
-    fn set_net_conditions(&mut self, net: NetConditions) {
-        (**self).set_net_conditions(net);
-    }
-
-    fn trace_sink(&self) -> SinkHandle {
-        (**self).trace_sink()
-    }
-
-    fn set_trace_sink(&mut self, sink: SinkHandle) {
-        (**self).set_trace_sink(sink);
-    }
-
-    fn phase_accountant(&self) -> PhaseAccountant {
-        (**self).phase_accountant()
-    }
-
-    fn set_phase_accountant(&mut self, acct: PhaseAccountant) {
-        (**self).set_phase_accountant(acct);
-    }
-
-    fn maintenance_msgs(&self, node: NodeToken) -> u64 {
-        (**self).maintenance_msgs(node)
-    }
-
-    fn contains(&self, node: NodeToken) -> bool {
-        (**self).contains(node)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        // Forward to the inner overlay: a cursor created by the boxed
-        // overlay must downcast to the *concrete* type, not the box.
-        (**self).as_any()
-    }
-
-    fn lookup_begin(&mut self, src: NodeToken, raw_key: u64) -> Box<dyn LookupCursor> {
-        (**self).lookup_begin(src, raw_key)
-    }
-
-    fn apply_walk_effects(&mut self, fx: WalkEffects) {
-        (**self).apply_walk_effects(fx);
-    }
-}
-
 /// Distributes `raw_keys` over the overlay's live nodes by ownership and
 /// returns the per-node key counts in `node_tokens()` order — the data
 /// behind Figs. 8 and 9.

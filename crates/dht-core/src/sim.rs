@@ -78,6 +78,7 @@ use rand::RngCore;
 use crate::audit::{AuditReport, AuditScope};
 use crate::corrupt::{CorruptionPlan, CorruptionReport};
 use crate::hash::IdAllocator;
+use crate::inline::InlineVec;
 use crate::lookup::{HopPhase, LookupOutcome, LookupTrace};
 use crate::net::{NetConditions, NetCosts};
 use crate::obs::{Event, Phase, PhaseAccountant, PhaseCosts, SinkHandle, TimeoutKind};
@@ -536,6 +537,46 @@ impl<S> Membership<S> {
         }
     }
 
+    /// Ring pointers of position `id` on a `space`-point ring: the live
+    /// predecessor and the `r` live successors, nearest first (wrapping,
+    /// so a small ring repeats). `None` on an empty ring.
+    #[must_use]
+    pub fn ring_pointers<const N: usize>(
+        &self,
+        id: u64,
+        r: usize,
+        space: u64,
+    ) -> Option<(NodeToken, InlineVec<NodeToken, N>)> {
+        let pred = self.predecessor_of(id)?;
+        let mut succs = InlineVec::new();
+        let mut cursor = id;
+        for _ in 0..r {
+            cursor = self.successor_of((cursor + 1) % space)?;
+            succs.push(cursor);
+        }
+        Some((pred, succs))
+    }
+
+    /// The live nodes whose [`Membership::ring_pointers`] reference
+    /// position `id`: its live successor, then its `r` nearest live
+    /// predecessors, without repeats. Starts at `id + 1` because at join
+    /// time `id` is already live and its *successor* must learn of it.
+    #[must_use]
+    pub fn ring_neighbours(&self, id: u64, r: usize, space: u64) -> Vec<NodeToken> {
+        let Some(succ) = self.successor_of((id + 1) % space) else {
+            return Vec::new();
+        };
+        let mut out = vec![succ];
+        let mut cursor = id;
+        for _ in 0..r {
+            cursor = self.predecessor_of(cursor).expect("non-empty ring");
+            if !out.contains(&cursor) {
+                out.push(cursor);
+            }
+        }
+        out
+    }
+
     // ------------------------------------------------------------------
     // Query-load accounting
     // ------------------------------------------------------------------
@@ -877,6 +918,107 @@ pub trait SimOverlay: Sync + 'static {
     fn maintenance_msgs(&self, node: NodeToken) -> u64 {
         let _ = node;
         self.degree_limit().map_or(1, |d| d.max(1) as u64)
+    }
+}
+
+/// The node lifecycle of an overlay whose stabilizer is a *refresh*: a
+/// node's links are a pure function of the live membership, so joining,
+/// leaving and stabilizing are all "recompute somebody's links". The
+/// overlay supplies the five protocol pieces; the lifecycle is written
+/// once here (the paper's §3.3 shape: a join or graceful leave notifies
+/// only the neighbourhood that lists the node, everything else waits for
+/// stabilization).
+pub trait Refresh: SimOverlay {
+    /// Size of the identifier space joins draw from.
+    fn id_space(&self) -> u64;
+
+    /// State of a node that knows nobody yet.
+    fn blank_state(&self, id: NodeToken) -> Self::State;
+
+    /// Recomputes every link of the live node `id` from the live
+    /// membership — what its stabilizer converges to. Computes first and
+    /// stores through a single `get_mut`.
+    fn refresh_node(&mut self, id: NodeToken);
+
+    /// Recomputes only the links a join/leave notification mends (ring
+    /// pointers, leaf sets); long-range links stay stale.
+    fn refresh_notified(&mut self, id: NodeToken);
+
+    /// The live nodes a join or departure at position `id` notifies.
+    fn notified_by(&self, id: NodeToken) -> Vec<NodeToken>;
+
+    /// Fills an empty network with `count` uniformly drawn nodes and
+    /// stabilizes it.
+    fn populate(&mut self, count: usize) {
+        let space = self.id_space();
+        assert!(
+            count as u64 <= space,
+            "{count} nodes exceed the {space}-point identifier space"
+        );
+        while self.membership().len() < count {
+            let id = self.membership_mut().next_in(space);
+            if !self.membership().contains(id) {
+                let state = self.blank_state(id);
+                self.membership_mut().insert(id, state);
+            }
+        }
+        self.refresh_all();
+    }
+
+    /// Protocol join at a chosen identifier: the newcomer builds its full
+    /// state and its neighbourhood mends the notified links. `false` if
+    /// `id` is already live.
+    fn join_id(&mut self, id: NodeToken) -> bool {
+        if self.membership().contains(id) {
+            return false;
+        }
+        let state = self.blank_state(id);
+        self.membership_mut().insert(id, state);
+        self.refresh_node(id);
+        for nb in self.notified_by(id) {
+            if nb != id {
+                self.refresh_notified(nb);
+            }
+        }
+        true
+    }
+
+    /// Join at a freshly drawn free identifier; `None` when the space is
+    /// full.
+    fn join_random(&mut self) -> Option<NodeToken> {
+        let space = self.id_space();
+        if self.membership().len() as u64 >= space {
+            return None;
+        }
+        loop {
+            let id = self.membership_mut().next_in(space);
+            if self.join_id(id) {
+                return Some(id);
+            }
+        }
+    }
+
+    /// Removes `id`. With `notify` (a graceful leave) its neighbourhood
+    /// mends the notified links; without (a failure) every pointer to it
+    /// stays stale until stabilization — the timeouts of §4.3. `false` if
+    /// `id` is not live.
+    fn depart(&mut self, id: NodeToken, notify: bool) -> bool {
+        if self.membership_mut().remove(id).is_none() {
+            return false;
+        }
+        if notify {
+            for nb in self.notified_by(id) {
+                self.refresh_notified(nb);
+            }
+        }
+        true
+    }
+
+    /// One full stabilization round: every node refreshes all its links.
+    fn refresh_all(&mut self) {
+        for id in self.membership().tokens() {
+            self.refresh_node(id);
+        }
     }
 }
 
@@ -1808,6 +1950,52 @@ mod tests {
         assert_eq!(m.predecessor_of(10), Some(30), "wraps backward");
         assert_eq!(m.at_or_before(20), Some(20));
         assert_eq!(m.at_or_before(5), Some(30));
+    }
+
+    #[test]
+    fn ring_pointers_and_neighbours_on_small_and_wrapping_rings() {
+        let ring = |tokens: &[u64]| {
+            let mut m: Membership<()> = Membership::new(3);
+            for &t in tokens {
+                m.insert(t, ());
+            }
+            m
+        };
+        let empty = ring(&[]);
+        assert_eq!(empty.ring_pointers::<4>(5, 3, 64), None);
+        assert!(empty.ring_neighbours(5, 3, 64).is_empty());
+
+        // One node is its own predecessor and every successor; as the
+        // neighbourhood of its own position it is listed once.
+        let one = ring(&[7]);
+        assert_eq!(
+            one.ring_pointers::<4>(7, 3, 64),
+            Some((7, vec![7; 3].into()))
+        );
+        assert_eq!(one.ring_neighbours(7, 3, 64), vec![7]);
+
+        // Two nodes: the successor list alternates, the neighbourhood
+        // holds each node once.
+        let two = ring(&[7, 40]);
+        assert_eq!(
+            two.ring_pointers::<4>(7, 3, 64),
+            Some((40, vec![40, 7, 40].into()))
+        );
+        assert_eq!(two.ring_neighbours(7, 3, 64), vec![40, 7]);
+
+        // Wrap-around at both ends of the space, for a live position and
+        // for a departed one (63 is not live).
+        let m = ring(&[0, 10, 20, 50, 60]);
+        assert_eq!(
+            m.ring_pointers::<4>(60, 3, 64),
+            Some((50, vec![0, 10, 20].into()))
+        );
+        assert_eq!(
+            m.ring_pointers::<4>(0, 2, 64),
+            Some((60, vec![10, 20].into()))
+        );
+        assert_eq!(m.ring_neighbours(0, 3, 64), vec![10, 60, 50, 20]);
+        assert_eq!(m.ring_neighbours(63, 2, 64), vec![0, 60, 50]);
     }
 
     #[test]

@@ -27,7 +27,6 @@
 use dht_core::clock::SECOND;
 use dht_core::net::{FaultPlan, NetConditions, RetryPolicy};
 use dht_core::obs::MetricsRegistry;
-use dht_core::overlay::Overlay;
 use dht_core::rng::stream_indexed;
 use dht_core::stats::percentile_sorted;
 use rand::Rng;
@@ -46,8 +45,8 @@ pub struct ConvergeParams {
     /// Mass join: this fraction of `nodes` new nodes join at once.
     pub join_fraction: f64,
     /// Burst departure: each node vanishes with this probability (2/3
-    /// by default), ungracefully ([`Overlay::fail`]), all within one
-    /// instant.
+    /// by default), ungracefully ([`dht_core::overlay::Overlay::fail`]),
+    /// all within one instant.
     pub leave_fraction: f64,
     /// Stabilization periods `T` (seconds) to sweep.
     pub periods: Vec<u64>,

@@ -20,7 +20,6 @@
 
 use dht_core::corrupt::{CorruptionPlan, CorruptionStrategy};
 use dht_core::obs::MetricsRegistry;
-use dht_core::overlay::Overlay;
 use dht_core::rng::stream_indexed;
 use dht_core::workload::random_pairs;
 

@@ -11,7 +11,7 @@
 //! repository level.
 
 use dht_core::audit::AuditScope;
-use dht_core::overlay::{NodeToken, Overlay};
+use dht_core::overlay::NodeToken;
 use dht_core::rng::stream;
 use dht_core::sim::{set_default_store_kind, Membership, StoreKind};
 use dht_sim::factory::{build_overlay, OverlayKind, ALL_KINDS};

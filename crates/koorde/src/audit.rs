@@ -87,6 +87,7 @@ impl StateAudit for KoordeNetwork {
 mod tests {
     use super::*;
     use crate::network::KoordeConfig;
+    use dht_core::sim::Refresh;
 
     fn net(n: usize) -> KoordeNetwork {
         KoordeNetwork::with_nodes(KoordeConfig::new(10), n, 13)
@@ -106,7 +107,7 @@ mod tests {
         for step in 0..30 {
             if step % 3 == 0 {
                 let victim = net.ids().nth(step % net.node_count()).unwrap();
-                net.leave(victim);
+                net.depart(victim, true);
             } else {
                 net.join_random();
             }

@@ -1,14 +1,20 @@
 //! The simulated Koorde ring: membership, de Bruijn pointer resolution,
 //! the imaginary-node routing walk, join/leave, and stabilization.
+//!
+//! The node lifecycle — `populate`, `join_id`, `join_random`,
+//! `depart(id, notify)`, `refresh_all` — is not written here: it is the
+//! provided half of [`dht_core::sim::Refresh`] (bring the trait into
+//! scope to call it), driven by the five Koorde pieces in the
+//! `impl Refresh` below.
 
 use dht_core::hash::{reduce, splitmix64};
 use dht_core::lookup::{HopPhase, LookupOutcome, LookupTrace};
 use dht_core::overlay::NodeToken;
 use dht_core::ring::{in_interval_co, in_interval_oc};
-use dht_core::sim::{walk_from, Membership, SimOverlay, StepDecision};
+use dht_core::sim::{walk_from, Membership, Refresh, SimOverlay, StepDecision};
 use rand::RngCore;
 
-use crate::node::KoordeNode;
+use crate::node::{KoordeNode, RingList};
 
 /// How a lookup picks its starting imaginary node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,18 +111,7 @@ impl KoordeNetwork {
     #[must_use]
     pub fn with_nodes(config: KoordeConfig, count: usize, seed: u64) -> Self {
         let mut net = Self::new(config, seed);
-        assert!(
-            count as u64 <= config.space(),
-            "{count} nodes exceed the 2^{} ring",
-            config.bits
-        );
-        while net.members.len() < count {
-            let id = net.members.next_in(config.space());
-            if !net.members.contains(id) {
-                net.insert_raw(id);
-            }
-        }
-        net.stabilize_all();
+        net.populate(count);
         net
     }
 
@@ -149,9 +144,9 @@ impl KoordeNetwork {
         self.members.get(id)
     }
 
-    /// Exclusive access to one node — for the corruption injector and
-    /// the audit tests, which damage state the protocol itself never
-    /// produces.
+    /// Exclusive access to one node — for the audit tests, which damage
+    /// state the protocol itself never produces.
+    #[cfg(test)]
     pub(crate) fn node_mut(&mut self, id: u64) -> Option<&mut KoordeNode> {
         self.members.get_mut(id)
     }
@@ -187,137 +182,6 @@ impl KoordeNetwork {
     #[must_use]
     pub fn before_point(&self, x: u64) -> Option<u64> {
         self.members.predecessor_of(x)
-    }
-
-    fn insert_raw(&mut self, id: u64) {
-        let node = KoordeNode::new(id, self.config.successor_list, self.config.debruijn_backups);
-        self.members.insert(id, node);
-    }
-
-    /// Recomputes every pointer of one node from the live membership.
-    pub fn refresh_node(&mut self, id: u64) {
-        let space = self.config.space();
-        self.refresh_ring_pointers(id);
-        let db_point = (2 * id) % space;
-        let debruijn = self.at_or_before_point(db_point).expect("non-empty ring");
-        let mut preds = Vec::with_capacity(self.config.debruijn_backups);
-        let mut cursor = debruijn;
-        for _ in 0..self.config.debruijn_backups {
-            let p = self.before_point(cursor).expect("non-empty ring");
-            preds.push(p);
-            cursor = p;
-        }
-        let node = self.members.get_mut(id).expect("refresh of dead node");
-        node.debruijn = debruijn;
-        node.debruijn_preds = preds.into();
-    }
-
-    /// Refreshes only the ring pointers (predecessor + successor list).
-    fn refresh_ring_pointers(&mut self, id: u64) {
-        let space = self.config.space();
-        let r = self.config.successor_list;
-        let pred = self.before_point(id).expect("refresh on empty ring");
-        let mut succs = Vec::with_capacity(r);
-        let mut cursor = id;
-        for _ in 0..r {
-            let s = self
-                .successor_of_point((cursor + 1) % space)
-                .expect("non-empty ring");
-            succs.push(s);
-            cursor = s;
-        }
-        let node = self.members.get_mut(id).expect("refresh of dead node");
-        node.predecessor = pred;
-        node.successors = succs.into();
-    }
-
-    /// Full stabilization: every node refreshes ring and de Bruijn
-    /// pointers ("stabilization updates the first de Bruijn node of each
-    /// node and the de Bruijn node's predecessors in time", §4.4).
-    pub fn stabilize_all(&mut self) {
-        let ids: Vec<u64> = self.ids().collect();
-        for id in ids {
-            self.refresh_node(id);
-        }
-    }
-
-    /// Ring neighbourhood that join/leave notifications repair.
-    fn ring_neighbors_of(&self, id: u64) -> Vec<u64> {
-        let mut out = Vec::new();
-        if self.members.is_empty() {
-            return out;
-        }
-        // `id + 1`: at join time the node itself is already in the map, and
-        // its *successor* is the neighbour that must learn about it.
-        if let Some(s) = self.successor_of_point((id + 1) % self.config.space()) {
-            out.push(s);
-        }
-        let mut cursor = id;
-        for _ in 0..self.config.successor_list {
-            match self.before_point(cursor) {
-                Some(p) if !out.contains(&p) => {
-                    out.push(p);
-                    cursor = p;
-                }
-                Some(p) => cursor = p,
-                None => break,
-            }
-        }
-        out
-    }
-
-    /// Protocol join: the newcomer builds its own state and notifies its
-    /// ring neighbourhood; de Bruijn pointers elsewhere stay stale.
-    pub fn join_id(&mut self, id: u64) -> bool {
-        if self.is_live(id) {
-            return false;
-        }
-        self.insert_raw(id);
-        self.refresh_node(id);
-        for nb in self.ring_neighbors_of(id) {
-            if nb != id {
-                self.refresh_ring_pointers(nb);
-            }
-        }
-        true
-    }
-
-    /// Join with a freshly hashed identifier.
-    pub fn join_random(&mut self) -> Option<u64> {
-        if self.members.len() as u64 >= self.config.space() {
-            return None;
-        }
-        loop {
-            let id = self.members.next_in(self.config.space());
-            if self.join_id(id) {
-                return Some(id);
-            }
-        }
-    }
-
-    /// Graceful departure (§4.3): "when a node leaves, it notifies its
-    /// successors and predecessor... The nodes who take the leaving node
-    /// as their first de Bruijn node or their first de Bruijn node's
-    /// predecessor will not be notified" — those go stale until
-    /// stabilization.
-    pub fn leave(&mut self, id: u64) -> bool {
-        if self.members.remove(id).is_none() {
-            return false;
-        }
-        if self.members.is_empty() {
-            return true;
-        }
-        for nb in self.ring_neighbors_of(id) {
-            self.refresh_ring_pointers(nb);
-        }
-        true
-    }
-
-    /// Ungraceful failure: the node vanishes without the leave
-    /// notifications, so even ring successors and predecessors stay stale
-    /// until stabilization.
-    pub fn fail_node(&mut self, id: u64) -> bool {
-        self.members.remove(id).is_some()
     }
 
     /// Picks the starting imaginary node and pre-shifted key for a lookup
@@ -363,6 +227,61 @@ impl KoordeNetwork {
     pub fn route(&mut self, src: u64, raw_key: u64) -> LookupTrace {
         let key = self.key_of(raw_key);
         self.route_to_point(src, key)
+    }
+}
+
+/// Koorde's five protocol pieces for the shared [`Refresh`] lifecycle.
+/// §4.3: "when a node leaves, it notifies its successors and
+/// predecessor... The nodes who take the leaving node as their first de
+/// Bruijn node or their first de Bruijn node's predecessor will not be
+/// notified" — those go stale until stabilization, which "updates the
+/// first de Bruijn node of each node and the de Bruijn node's
+/// predecessors in time" (§4.4).
+impl Refresh for KoordeNetwork {
+    fn id_space(&self) -> u64 {
+        self.config.space()
+    }
+
+    /// Pointers initially self-referential.
+    fn blank_state(&self, id: u64) -> KoordeNode {
+        KoordeNode::new(id, self.config.successor_list, self.config.debruijn_backups)
+    }
+
+    fn refresh_node(&mut self, id: u64) {
+        let space = self.config.space();
+        let (pred, succs) = self
+            .members
+            .ring_pointers(id, self.config.successor_list, space)
+            .expect("refresh on empty ring");
+        let debruijn = self
+            .at_or_before_point((2 * id) % space)
+            .expect("non-empty ring");
+        let mut preds = RingList::new();
+        let mut cursor = debruijn;
+        for _ in 0..self.config.debruijn_backups {
+            cursor = self.before_point(cursor).expect("non-empty ring");
+            preds.push(cursor);
+        }
+        let node = self.members.get_mut(id).expect("refresh of dead node");
+        node.predecessor = pred;
+        node.successors = succs;
+        node.debruijn = debruijn;
+        node.debruijn_preds = preds;
+    }
+
+    fn refresh_notified(&mut self, id: u64) {
+        let (pred, succs) = self
+            .members
+            .ring_pointers(id, self.config.successor_list, self.config.space())
+            .expect("refresh on empty ring");
+        let node = self.members.get_mut(id).expect("refresh of dead node");
+        node.predecessor = pred;
+        node.successors = succs;
+    }
+
+    fn notified_by(&self, id: u64) -> Vec<u64> {
+        self.members
+            .ring_neighbours(id, self.config.successor_list, self.config.space())
     }
 }
 
@@ -496,15 +415,15 @@ impl SimOverlay for KoordeNetwork {
     }
 
     fn node_leave(&mut self, node: NodeToken) -> bool {
-        self.leave(node)
+        self.depart(node, true)
     }
 
     fn node_fail(&mut self, node: NodeToken) -> bool {
-        self.fail_node(node)
+        self.depart(node, false)
     }
 
     fn stabilize_network(&mut self) {
-        self.stabilize_all();
+        self.refresh_all();
     }
 
     fn stabilize_one(&mut self, node: NodeToken) {
@@ -521,11 +440,12 @@ impl SimOverlay for KoordeNetwork {
         &mut self,
         plan: &dht_core::corrupt::CorruptionPlan,
     ) -> dht_core::corrupt::CorruptionReport {
-        self.corrupt(plan)
+        let space = self.config.space();
+        dht_core::corrupt::corrupt_links(self, plan, space, |t| t)
     }
 
     fn repair_step(&mut self, node: NodeToken) -> u64 {
-        self.repair_one(node)
+        dht_core::corrupt::repair_links(self, node)
     }
 }
 
@@ -648,7 +568,7 @@ mod tests {
         let ids: Vec<u64> = net.ids().collect();
         for &id in &ids {
             if rng.gen_bool(0.2) {
-                net.leave(id);
+                net.depart(id, true);
             }
         }
         let live: Vec<u64> = net.ids().collect();
@@ -673,7 +593,7 @@ mod tests {
         let ids: Vec<u64> = net.ids().collect();
         for &id in &ids {
             if rng.gen_bool(0.5) {
-                net.leave(id);
+                net.depart(id, true);
             }
         }
         let live: Vec<u64> = net.ids().collect();
@@ -698,10 +618,10 @@ mod tests {
         let ids: Vec<u64> = net.ids().collect();
         for &id in &ids {
             if rng.gen_bool(0.5) {
-                net.leave(id);
+                net.depart(id, true);
             }
         }
-        net.stabilize_all();
+        net.refresh_all();
         let live: Vec<u64> = net.ids().collect();
         for i in 0..500 {
             let t = net.route(live[i % live.len()], rng.gen());

@@ -10,7 +10,7 @@ pub type RingList = InlineVec<u64, 4>;
 /// Routing state of one Koorde node (the paper's seven-entry setup:
 /// "one de Bruijn node, three successors and three immediate predecessors
 /// of the de Bruijn node", §4).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KoordeNode {
     /// This node's ring identifier.
     pub id: u64,

@@ -1,149 +1,56 @@
 //! Corruption and self-stabilizing repair of Koorde routing state.
 //!
-//! Maps the shared strategy catalogue ([`CorruptionStrategy`]) onto
-//! Koorde's seven-entry state — predecessor, successor list, de Bruijn
-//! pointer and its backup predecessors — and implements one node's
-//! repair step as an audited recompute from live membership
-//! ([`KoordeNetwork::refresh_node`] plus a before/after entry diff).
-//! Repair is an exact no-op on healthy nodes and consumes no RNG draws.
+//! Koorde's link table for the shared skeleton in [`dht_core::corrupt`]:
+//! the seven-entry state — predecessor, de Bruijn pointer, successor
+//! list and the de Bruijn pointer's backup predecessors — each a
+//! mandatory pointer (an erased entry falls back to the node's own id,
+//! the "knows nobody" state of a fresh node). Corruption is
+//! [`dht_core::corrupt::corrupt_links`] over this table; repair is
+//! [`dht_core::corrupt::repair_links`], an audited recompute from live
+//! membership that is an exact no-op on healthy nodes and consumes no
+//! RNG draws.
 
-use dht_core::corrupt::{CorruptionPlan, CorruptionReport, CorruptionStrategy};
+use dht_core::corrupt::Links;
 
-use crate::network::KoordeNetwork;
 use crate::node::KoordeNode;
 
+// Frozen: `results/bench/BENCH_recover.json` pins the draws these key.
 const SALT_PRED: u64 = 1;
 const SALT_DEBRUIJN: u64 = 2;
 const SALT_SUCC: u64 = 0x100;
 const SALT_BACKUP: u64 = 0x200;
-const SALT_ATTACKER: u64 = 0xa77a;
 
-/// Entries on which two states differ.
-fn diff_count(a: &KoordeNode, b: &KoordeNode) -> u64 {
-    let mut n = u64::from(a.predecessor != b.predecessor);
-    n += u64::from(a.debruijn != b.debruijn);
-    n += a
-        .successors
-        .iter()
-        .zip(&b.successors)
-        .filter(|(x, y)| x != y)
-        .count() as u64;
-    n += a
-        .debruijn_preds
-        .iter()
-        .zip(&b.debruijn_preds)
-        .filter(|(x, y)| x != y)
-        .count() as u64;
-    n
-}
+impl Links for KoordeNode {
+    type Id = u64;
 
-impl KoordeNetwork {
-    /// Applies a seeded corruption plan (see [`dht_core::corrupt`]) to
-    /// the ring's routing state. Membership and query loads stay
-    /// untouched.
-    pub fn corrupt(&mut self, plan: &CorruptionPlan) -> CorruptionReport {
-        let live: Vec<u64> = self.ids().collect();
-        let victims = plan.victims(&live);
-        let attacker = plan.pick(SALT_ATTACKER, 0, &live);
-        let space = self.config().space();
-        let mut report = CorruptionReport::default();
-        for &id in &victims {
-            let before = self.node(id).expect("victim is live").clone();
-            let mut next = before.clone();
-            match plan.strategy {
-                CorruptionStrategy::RandomizeLinks => {
-                    if let Some(p) = plan.pick(id, SALT_PRED, &live) {
-                        next.predecessor = p;
-                    }
-                    if let Some(d) = plan.pick(id, SALT_DEBRUIJN, &live) {
-                        next.debruijn = d;
-                    }
-                    for (i, s) in next.successors.as_mut_slice().iter_mut().enumerate() {
-                        if let Some(v) = plan.pick(id, SALT_SUCC + i as u64, &live) {
-                            *s = v;
-                        }
-                    }
-                    for (i, p) in next.debruijn_preds.as_mut_slice().iter_mut().enumerate() {
-                        if let Some(v) = plan.pick(id, SALT_BACKUP + i as u64, &live) {
-                            *p = v;
-                        }
-                    }
-                }
-                CorruptionStrategy::GhostLinks => {
-                    let is_live = |v: u64| live.binary_search(&v).is_ok();
-                    if let Some(g) = plan.ghost(id, SALT_PRED, space, is_live) {
-                        next.predecessor = g;
-                    }
-                    if let Some(g) = plan.ghost(id, SALT_DEBRUIJN, space, is_live) {
-                        next.debruijn = g;
-                    }
-                    for (i, s) in next.successors.as_mut_slice().iter_mut().enumerate() {
-                        if let Some(g) = plan.ghost(id, SALT_SUCC + i as u64, space, is_live) {
-                            *s = g;
-                        }
-                    }
-                    for (i, p) in next.debruijn_preds.as_mut_slice().iter_mut().enumerate() {
-                        if let Some(g) = plan.ghost(id, SALT_BACKUP + i as u64, space, is_live) {
-                            *p = g;
-                        }
-                    }
-                }
-                CorruptionStrategy::CrossWireLeafSets => {
-                    // Cross the two ring neighborhoods: the successor
-                    // list against the de Bruijn backups, and the
-                    // predecessor against the de Bruijn pointer.
-                    std::mem::swap(&mut next.successors, &mut next.debruijn_preds);
-                    std::mem::swap(&mut next.predecessor, &mut next.debruijn);
-                }
-                CorruptionStrategy::ZeroLinks => {
-                    // The "knows nobody" reset state of a fresh node.
-                    next.predecessor = next.id;
-                    next.debruijn = next.id;
-                    for s in next.successors.as_mut_slice() {
-                        *s = next.id;
-                    }
-                    for p in next.debruijn_preds.as_mut_slice() {
-                        *p = next.id;
-                    }
-                }
-                CorruptionStrategy::EclipseRegion => {
-                    if let Some(attacker) = attacker {
-                        next.predecessor = attacker;
-                        next.debruijn = attacker;
-                        for s in next.successors.as_mut_slice() {
-                            *s = attacker;
-                        }
-                        for p in next.debruijn_preds.as_mut_slice() {
-                            *p = attacker;
-                        }
-                    }
-                }
-            }
-            let mutated = diff_count(&before, &next);
-            *self.node_mut(id).expect("victim is live") = next;
-            report.note(mutated);
+    fn rewrite_links(&mut self, f: &mut dyn FnMut(u64, Option<u64>) -> Option<u64>) {
+        let id = self.id;
+        self.predecessor = f(SALT_PRED, Some(self.predecessor)).unwrap_or(id);
+        self.debruijn = f(SALT_DEBRUIJN, Some(self.debruijn)).unwrap_or(id);
+        for (i, s) in self.successors.iter_mut().enumerate() {
+            *s = f(SALT_SUCC + i as u64, Some(*s)).unwrap_or(id);
         }
-        report
+        for (i, p) in self.debruijn_preds.iter_mut().enumerate() {
+            *p = f(SALT_BACKUP + i as u64, Some(*p)).unwrap_or(id);
+        }
     }
 
-    /// One node's repair step: recompute ring pointers, de Bruijn
-    /// pointer, and backups from live membership; returns entries
-    /// rewritten (0 on a healthy node). Ignores dead tokens.
-    pub fn repair_one(&mut self, id: u64) -> u64 {
-        if !self.is_live(id) {
-            return 0;
-        }
-        let before = self.node(id).expect("live node has state").clone();
-        self.refresh_node(id);
-        diff_count(&before, self.node(id).expect("still live"))
+    /// Cross the two ring neighbourhoods: the successor list against the
+    /// de Bruijn backups, and the predecessor against the de Bruijn
+    /// pointer.
+    fn cross_wire(&mut self) {
+        std::mem::swap(&mut self.successors, &mut self.debruijn_preds);
+        std::mem::swap(&mut self.predecessor, &mut self.debruijn);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::KoordeConfig;
+    use crate::network::{KoordeConfig, KoordeNetwork};
     use dht_core::audit::{AuditScope, StateAudit};
+    use dht_core::corrupt::{link_diff, CorruptionPlan, CorruptionStrategy};
+    use dht_core::overlay::Overlay;
 
     fn net(n: usize) -> KoordeNetwork {
         KoordeNetwork::with_nodes(KoordeConfig::new(11), n, 42)
@@ -151,7 +58,21 @@ mod tests {
 
     fn repair_sweep(net: &mut KoordeNetwork) -> u64 {
         let ids: Vec<u64> = net.ids().collect();
-        ids.into_iter().map(|id| net.repair_one(id)).sum()
+        ids.into_iter().map(|id| net.repair_node(id)).sum()
+    }
+
+    #[test]
+    fn link_table_is_salt_ordered_and_equal_to_its_clone() {
+        let n = net(80);
+        let mut state = n.node(n.ids().next().unwrap()).unwrap().clone();
+        let mut salts = Vec::new();
+        state.rewrite_links(&mut |salt, cur| {
+            salts.push(salt);
+            cur
+        });
+        assert_eq!(salts.len(), 8, "predecessor + the seven-entry state");
+        assert!(salts.windows(2).all(|w| w[0] < w[1]), "{salts:?}");
+        assert_eq!(link_diff(&mut state.clone(), &mut state), 0);
     }
 
     #[test]
@@ -166,7 +87,7 @@ mod tests {
         for strategy in CorruptionStrategy::ALL {
             let mut n = net(80);
             let plan = CorruptionPlan::new(strategy, 0.5, 9);
-            let report = n.corrupt(&plan);
+            let report = n.corrupt_state(&plan);
             assert_eq!(report.targeted_nodes, 40, "{strategy:?}");
             assert!(report.corrupted_nodes > 0, "{strategy:?} did no damage");
             assert!(

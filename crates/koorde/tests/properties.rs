@@ -2,6 +2,7 @@
 
 use dht_core::lookup::LookupOutcome;
 use dht_core::rng::stream;
+use dht_core::sim::Refresh;
 use koorde::{KoordeConfig, KoordeNetwork};
 use proptest::prelude::*;
 use rand::Rng;
@@ -69,7 +70,7 @@ proptest! {
             if net.node_count() > 4 {
                 let ids: Vec<u64> = net.ids().collect();
                 let victim = ids[(rng.gen::<u64>() % ids.len() as u64) as usize];
-                net.leave(victim);
+                net.depart(victim, true);
             }
         }
         let ids: Vec<u64> = net.ids().collect();

@@ -34,7 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use dht_core::hash::{hash_str, splitmix64};
 use dht_core::lookup::LookupTrace;
@@ -80,15 +80,19 @@ pub struct GetResult {
 /// The store owns the overlay: churn must go through
 /// [`KvStore::join_node`] / [`KvStore::leave_node`] / [`KvStore::fail_node`]
 /// so object placement tracks ownership.
+///
+/// Both maps are ordered: the read source, re-placement order and
+/// [`KvStore::shard_of`] contents are functions of the stored data, not
+/// of a per-process hash seed, so two identical stores behave alike.
 #[derive(Debug)]
-pub struct KvStore<O: Overlay> {
-    overlay: O,
+pub struct KvStore<O: Overlay + ?Sized> {
+    overlay: Box<O>,
     replication: u32,
     /// Bytes per object.
-    objects: HashMap<u64, Vec<u8>>,
+    objects: BTreeMap<u64, Vec<u8>>,
     /// Shards: which node stores which replicas. Values are object raw
     /// keys + replica indexes; bytes are deduplicated in `objects`.
-    shards: HashMap<NodeToken, Vec<ReplicaId>>,
+    shards: BTreeMap<NodeToken, Vec<ReplicaId>>,
 }
 
 impl<O: Overlay> KvStore<O> {
@@ -96,12 +100,21 @@ impl<O: Overlay> KvStore<O> {
     /// each object.
     #[must_use]
     pub fn new(overlay: O, replication: u32) -> Self {
+        Self::from_box(Box::new(overlay), replication)
+    }
+}
+
+impl<O: Overlay + ?Sized> KvStore<O> {
+    /// [`KvStore::new`] over an already boxed overlay — in particular the
+    /// factory's `Box<dyn Overlay>`.
+    #[must_use]
+    pub fn from_box(overlay: Box<O>, replication: u32) -> Self {
         assert!(replication >= 1, "need at least one replica");
         Self {
             overlay,
             replication,
-            objects: HashMap::new(),
-            shards: HashMap::new(),
+            objects: BTreeMap::new(),
+            shards: BTreeMap::new(),
         }
     }
 
@@ -168,9 +181,10 @@ impl<O: Overlay> KvStore<O> {
         self.get_raw(hash_str(name))
     }
 
-    /// Reads by pre-hashed key (see [`KvStore::get`]).
+    /// Reads by pre-hashed key (see [`KvStore::get`]), from the
+    /// smallest-token node holding a shard.
     pub fn get_raw(&mut self, raw_key: u64) -> Option<GetResult> {
-        let src = *self.shards.keys().next().or(None)?;
+        let src = *self.shards.keys().next()?;
         self.get_from(src, raw_key)
     }
 
@@ -272,7 +286,10 @@ impl<O: Overlay> KvStore<O> {
     /// Moves every replica to its current owner (anti-entropy pass). Does
     /// not recreate lost replicas; see [`KvStore::repair`].
     pub fn rebalance(&mut self) {
-        let all: Vec<ReplicaId> = self.shards.drain().flat_map(|(_, s)| s).collect();
+        let all: Vec<ReplicaId> = std::mem::take(&mut self.shards)
+            .into_values()
+            .flatten()
+            .collect();
         for replica in all {
             self.place(replica);
         }
@@ -408,8 +425,7 @@ mod tests {
     fn works_over_every_overlay() {
         let mut rng = stream(4, "kv-any");
         for kind in dht_sim::PAPER_KINDS {
-            let net = build_overlay(kind, 150, 5);
-            let mut store = KvStore::new(net, 2);
+            let mut store = KvStore::from_box(build_overlay(kind, 150, 5), 2);
             for i in 0..50 {
                 store.put(&format!("o{i}"), vec![i as u8]);
             }

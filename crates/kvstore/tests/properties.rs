@@ -99,3 +99,23 @@ proptest! {
         prop_assert_eq!(store.misplaced(), 0);
     }
 }
+
+/// Two identical stores in one process must read alike: same routes,
+/// same per-node query loads. (A `HashMap`-ordered shard table picked
+/// the lookup source by per-instance hash seed and broke this.)
+#[test]
+fn get_is_run_stable() {
+    let run = || {
+        let net = CycloidNetwork::with_nodes(CycloidConfig::seven_entry(7), 200, 1);
+        let mut store = KvStore::new(net, 3);
+        for i in 0..50 {
+            store.put(&format!("obj-{i}"), vec![i as u8]);
+        }
+        let traces: Vec<String> = (0..50)
+            .map(|i| store.get(&format!("obj-{i}")).expect("present").trace)
+            .map(|trace| format!("{trace:?}"))
+            .collect();
+        (traces, store.overlay().query_loads())
+    };
+    assert_eq!(run(), run());
+}

@@ -69,6 +69,7 @@ impl StateAudit for PastryNetwork {
 mod tests {
     use super::*;
     use crate::network::PastryConfig;
+    use dht_core::sim::Refresh;
 
     fn net(n: usize) -> PastryNetwork {
         PastryNetwork::with_nodes(PastryConfig::new(10), n, 5)
@@ -88,7 +89,7 @@ mod tests {
         for step in 0..30 {
             if step % 3 == 0 {
                 let victim = net.ids().nth(step % net.node_count()).unwrap();
-                net.leave(victim);
+                net.depart(victim, true);
             } else {
                 net.join_random();
             }

@@ -1,12 +1,18 @@
 //! The simulated Pastry network: digit arithmetic, routing-table and
 //! leaf-set resolution, prefix routing, join/leave, and stabilization.
+//!
+//! The node lifecycle — `populate`, `join_id`, `join_random`,
+//! `depart(id, notify)`, `refresh_all` — is not written here: it is the
+//! provided half of [`dht_core::sim::Refresh`] (bring the trait into
+//! scope to call it), driven by the five Pastry pieces in the
+//! `impl Refresh` below.
 
 use dht_core::hash::{reduce, splitmix64};
 use dht_core::inline::InlineVec;
 use dht_core::lookup::{HopPhase, LookupTrace};
 use dht_core::overlay::NodeToken;
 use dht_core::ring::{clockwise_dist, ring_dist};
-use dht_core::sim::{walk_from, Membership, SimOverlay, StepDecision};
+use dht_core::sim::{walk_from, Membership, Refresh, SimOverlay, StepDecision};
 use rand::RngCore;
 
 /// Configuration of a Pastry deployment.
@@ -94,7 +100,7 @@ impl PastryConfig {
 pub type LeafHalf = InlineVec<u64, 8>;
 
 /// Routing state of one Pastry node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PastryNode {
     /// This node's identifier.
     pub id: u64,
@@ -170,17 +176,7 @@ impl PastryNetwork {
     #[must_use]
     pub fn with_nodes(config: PastryConfig, count: usize, seed: u64) -> Self {
         let mut net = Self::new(config, seed);
-        assert!(
-            count as u64 <= config.space(),
-            "space too small for {count} nodes"
-        );
-        while net.members.len() < count {
-            let id = net.members.next_in(config.space());
-            if !net.members.contains(id) {
-                net.members.insert(id, PastryNode::new(id, config));
-            }
-        }
-        net.stabilize_all();
+        net.populate(count);
         net
     }
 
@@ -213,9 +209,9 @@ impl PastryNetwork {
         self.members.get(id)
     }
 
-    /// Exclusive access to one node — for the corruption injector and
-    /// the audit tests, which damage state the protocol itself never
-    /// produces.
+    /// Exclusive access to one node — for the audit tests, which damage
+    /// state the protocol itself never produces.
+    #[cfg(test)]
     pub(crate) fn node_mut(&mut self, id: u64) -> Option<&mut PastryNode> {
         self.members.get_mut(id)
     }
@@ -315,8 +311,33 @@ impl PastryNetwork {
         (smaller, larger)
     }
 
-    /// Recomputes every entry of one node.
-    pub fn refresh_node(&mut self, id: u64) {
+    /// One lookup from `src` for ring key `key`: prefix routing with
+    /// leaf-set fallback. Digit-correcting hops are tagged
+    /// [`HopPhase::Finger`], leaf-set hops [`HopPhase::Successor`].
+    pub fn route_to_point(&mut self, src: u64, key: u64) -> LookupTrace {
+        walk_from(self, src, PastryWalk { key }, None, true)
+    }
+
+    /// Lookup by raw (pre-hash) key.
+    pub fn route(&mut self, src: u64, raw_key: u64) -> LookupTrace {
+        let key = self.key_of(raw_key);
+        self.route_to_point(src, key)
+    }
+}
+
+/// Pastry's five protocol pieces for the shared [`Refresh`] lifecycle.
+/// A join or graceful leave is learnt by the leaf-set neighbourhood
+/// only; routing tables elsewhere stay stale until stabilization.
+impl Refresh for PastryNetwork {
+    fn id_space(&self) -> u64 {
+        self.config.space()
+    }
+
+    fn blank_state(&self, id: u64) -> PastryNode {
+        PastryNode::new(id, self.config)
+    }
+
+    fn refresh_node(&mut self, id: u64) {
         let c = self.config;
         let mut table = vec![None; (c.digits() * c.base()) as usize];
         for row in 0..c.digits() {
@@ -331,29 +352,18 @@ impl PastryNetwork {
         node.leaf_larger = larger;
     }
 
-    /// Refreshes only the leaf set (what join/leave notifications repair).
-    fn refresh_leafs(&mut self, id: u64) {
+    /// Refreshes only the leaf set.
+    fn refresh_notified(&mut self, id: u64) {
         let (smaller, larger) = self.resolve_leafs(id);
         let node = self.members.get_mut(id).expect("refresh of dead node");
         node.leaf_smaller = smaller;
         node.leaf_larger = larger;
     }
 
-    /// Full stabilization.
-    pub fn stabilize_all(&mut self) {
-        let ids: Vec<u64> = self.ids().collect();
-        for id in ids {
-            self.refresh_node(id);
-        }
-    }
-
     /// Live nodes whose leaf sets reference position `id`.
-    fn leaf_holders_of(&self, id: u64) -> Vec<u64> {
+    fn notified_by(&self, id: u64) -> Vec<u64> {
         let half = self.config.leaf_set / 2;
         let mut out = Vec::new();
-        if self.members.is_empty() {
-            return out;
-        }
         let mut cursor = id;
         for _ in 0..half {
             match self.members.predecessor_of(cursor) {
@@ -375,64 +385,6 @@ impl PastryNetwork {
             }
         }
         out
-    }
-
-    /// Protocol join: the newcomer builds its state; its leaf-set
-    /// neighbourhood learns of it. Routing tables elsewhere stay stale
-    /// until stabilization.
-    pub fn join_id(&mut self, id: u64) -> bool {
-        if self.is_live(id) {
-            return false;
-        }
-        self.members.insert(id, PastryNode::new(id, self.config));
-        self.refresh_node(id);
-        for nb in self.leaf_holders_of(id) {
-            self.refresh_leafs(nb);
-        }
-        true
-    }
-
-    /// Join with a fresh identifier.
-    pub fn join_random(&mut self) -> Option<u64> {
-        if self.members.len() as u64 >= self.config.space() {
-            return None;
-        }
-        loop {
-            let id = self.members.next_in(self.config.space());
-            if self.join_id(id) {
-                return Some(id);
-            }
-        }
-    }
-
-    /// Graceful departure: the leaf-set neighbourhood repairs; routing
-    /// tables elsewhere stay stale.
-    pub fn leave(&mut self, id: u64) -> bool {
-        if self.members.remove(id).is_none() {
-            return false;
-        }
-        for nb in self.leaf_holders_of(id) {
-            self.refresh_leafs(nb);
-        }
-        true
-    }
-
-    /// Ungraceful failure: no notifications at all.
-    pub fn fail_node(&mut self, id: u64) -> bool {
-        self.members.remove(id).is_some()
-    }
-
-    /// One lookup from `src` for ring key `key`: prefix routing with
-    /// leaf-set fallback. Digit-correcting hops are tagged
-    /// [`HopPhase::Finger`], leaf-set hops [`HopPhase::Successor`].
-    pub fn route_to_point(&mut self, src: u64, key: u64) -> LookupTrace {
-        walk_from(self, src, PastryWalk { key }, None, true)
-    }
-
-    /// Lookup by raw (pre-hash) key.
-    pub fn route(&mut self, src: u64, raw_key: u64) -> LookupTrace {
-        let key = self.key_of(raw_key);
-        self.route_to_point(src, key)
     }
 }
 
@@ -530,15 +482,15 @@ impl SimOverlay for PastryNetwork {
     }
 
     fn node_leave(&mut self, node: NodeToken) -> bool {
-        self.leave(node)
+        self.depart(node, true)
     }
 
     fn node_fail(&mut self, node: NodeToken) -> bool {
-        self.fail_node(node)
+        self.depart(node, false)
     }
 
     fn stabilize_network(&mut self) {
-        self.stabilize_all();
+        self.refresh_all();
     }
 
     fn stabilize_one(&mut self, node: NodeToken) {
@@ -561,11 +513,12 @@ impl SimOverlay for PastryNetwork {
         &mut self,
         plan: &dht_core::corrupt::CorruptionPlan,
     ) -> dht_core::corrupt::CorruptionReport {
-        self.corrupt(plan)
+        let space = self.config.space();
+        dht_core::corrupt::corrupt_links(self, plan, space, |t| t)
     }
 
     fn repair_step(&mut self, node: NodeToken) -> u64 {
-        self.repair_one(node)
+        dht_core::corrupt::repair_links(self, node)
     }
 }
 
@@ -646,7 +599,7 @@ mod tests {
         let mut rng = stream(7, "pfail");
         for id in net.ids().collect::<Vec<_>>() {
             if rng.gen_bool(0.3) {
-                net.leave(id);
+                net.depart(id, true);
             }
         }
         let live: Vec<u64> = net.ids().collect();
@@ -657,7 +610,7 @@ mod tests {
             timeouts += t.timeouts;
         }
         assert!(timeouts > 0, "stale table entries must time out");
-        net.stabilize_all();
+        net.refresh_all();
         for i in 0..300 {
             let t = net.route(live[i % live.len()], rng.gen());
             assert_eq!(t.timeouts, 0);
@@ -700,7 +653,7 @@ mod tests {
             joined.push(net.join_random().unwrap());
         }
         for &j in &joined[..10] {
-            assert!(net.leave(j));
+            assert!(net.depart(j, true));
         }
         let ids: Vec<u64> = net.ids().collect();
         for i in 0..500 {

@@ -1,151 +1,56 @@
 //! Corruption and self-stabilizing repair of Pastry routing state.
 //!
-//! Maps the shared strategy catalogue ([`CorruptionStrategy`]) onto
-//! Pastry's state — the prefix routing table and the two leaf-set
-//! halves — and implements one node's repair step as an audited
-//! recompute from live membership ([`PastryNetwork::refresh_node`] plus
-//! a before/after entry diff). Populated table slots are the corruption
-//! surface (own-digit slots are structurally `None` and stay that way,
-//! so the `pastry/table-shape` invariant keeps auditing shape, not
-//! damage). Repair is an exact no-op on healthy nodes and consumes no
+//! Pastry's link table for the shared skeleton in [`dht_core::corrupt`]:
+//! the two leaf-set halves (list entries: an erased entry is dropped)
+//! and the *populated* slots of the prefix routing table (optional
+//! pointers: an erased slot becomes `None`). Empty slots are not part of
+//! the corruption surface — own-digit slots are structurally `None` and
+//! stay that way, so the `pastry/table-shape` invariant keeps auditing
+//! shape, not damage. Corruption is
+//! [`dht_core::corrupt::corrupt_links`] over this table; repair is
+//! [`dht_core::corrupt::repair_links`], an audited recompute from live
+//! membership that is an exact no-op on healthy nodes and consumes no
 //! RNG draws.
 
-use dht_core::corrupt::{CorruptionPlan, CorruptionReport, CorruptionStrategy};
+use dht_core::corrupt::Links;
 
-use crate::network::{PastryNetwork, PastryNode};
+use crate::network::PastryNode;
 
-const SALT_TABLE: u64 = 0x1000;
+// Frozen: `results/bench/BENCH_recover.json` pins the draws these key.
 const SALT_LEAF_SMALLER: u64 = 0x100;
 const SALT_LEAF_LARGER: u64 = 0x200;
-const SALT_ATTACKER: u64 = 0xa77a;
+const SALT_TABLE: u64 = 0x1000;
 
-/// Entries on which two states differ (per table slot and per leaf
-/// position; a leaf half that changed length counts the longer side).
-fn diff_count(a: &PastryNode, b: &PastryNode) -> u64 {
-    let mut n = a.table.iter().zip(&b.table).filter(|(x, y)| x != y).count() as u64;
-    for (x, y) in [
-        (&a.leaf_smaller, &b.leaf_smaller),
-        (&a.leaf_larger, &b.leaf_larger),
-    ] {
-        let common = x.len().min(y.len());
-        n += (x.len().max(y.len()) - common) as u64;
-        n += x.as_slice()[..common]
-            .iter()
-            .zip(&y.as_slice()[..common])
-            .filter(|(p, q)| p != q)
-            .count() as u64;
-    }
-    n
-}
+impl Links for PastryNode {
+    type Id = u64;
 
-impl PastryNetwork {
-    /// Applies a seeded corruption plan (see [`dht_core::corrupt`]) to
-    /// the network's routing state. Membership and query loads stay
-    /// untouched.
-    pub fn corrupt(&mut self, plan: &CorruptionPlan) -> CorruptionReport {
-        let live: Vec<u64> = self.ids().collect();
-        let victims = plan.victims(&live);
-        let attacker = plan.pick(SALT_ATTACKER, 0, &live);
-        let space = self.config().space();
-        let mut report = CorruptionReport::default();
-        for &id in &victims {
-            let before = self.node(id).expect("victim is live").clone();
-            let mut next = before.clone();
-            match plan.strategy {
-                CorruptionStrategy::RandomizeLinks => {
-                    for (i, slot) in next.table.iter_mut().enumerate() {
-                        if slot.is_some() {
-                            *slot = plan.pick(id, SALT_TABLE + i as u64, &live).or(*slot);
-                        }
-                    }
-                    for (i, l) in next.leaf_smaller.as_mut_slice().iter_mut().enumerate() {
-                        if let Some(v) = plan.pick(id, SALT_LEAF_SMALLER + i as u64, &live) {
-                            *l = v;
-                        }
-                    }
-                    for (i, l) in next.leaf_larger.as_mut_slice().iter_mut().enumerate() {
-                        if let Some(v) = plan.pick(id, SALT_LEAF_LARGER + i as u64, &live) {
-                            *l = v;
-                        }
-                    }
-                }
-                CorruptionStrategy::GhostLinks => {
-                    let is_live = |v: u64| live.binary_search(&v).is_ok();
-                    for (i, slot) in next.table.iter_mut().enumerate() {
-                        if slot.is_some() {
-                            *slot = plan
-                                .ghost(id, SALT_TABLE + i as u64, space, is_live)
-                                .or(*slot);
-                        }
-                    }
-                    for (i, l) in next.leaf_smaller.as_mut_slice().iter_mut().enumerate() {
-                        if let Some(g) =
-                            plan.ghost(id, SALT_LEAF_SMALLER + i as u64, space, is_live)
-                        {
-                            *l = g;
-                        }
-                    }
-                    for (i, l) in next.leaf_larger.as_mut_slice().iter_mut().enumerate() {
-                        if let Some(g) = plan.ghost(id, SALT_LEAF_LARGER + i as u64, space, is_live)
-                        {
-                            *l = g;
-                        }
-                    }
-                }
-                CorruptionStrategy::CrossWireLeafSets => {
-                    // The literal cross-wire: smaller and larger halves
-                    // trade places, breaking the leaf set's ring-order
-                    // invariant while every entry stays individually live.
-                    std::mem::swap(&mut next.leaf_smaller, &mut next.leaf_larger);
-                }
-                CorruptionStrategy::ZeroLinks => {
-                    for slot in next.table.iter_mut() {
-                        *slot = None;
-                    }
-                    next.leaf_smaller.clear();
-                    next.leaf_larger.clear();
-                }
-                CorruptionStrategy::EclipseRegion => {
-                    if let Some(attacker) = attacker {
-                        for slot in next.table.iter_mut() {
-                            if slot.is_some() {
-                                *slot = Some(attacker);
-                            }
-                        }
-                        for l in next.leaf_smaller.as_mut_slice() {
-                            *l = attacker;
-                        }
-                        for l in next.leaf_larger.as_mut_slice() {
-                            *l = attacker;
-                        }
-                    }
-                }
+    fn rewrite_links(&mut self, f: &mut dyn FnMut(u64, Option<u64>) -> Option<u64>) {
+        self.leaf_smaller
+            .filter_map_in_place(|i, l| f(SALT_LEAF_SMALLER + i as u64, Some(l)));
+        self.leaf_larger
+            .filter_map_in_place(|i, l| f(SALT_LEAF_LARGER + i as u64, Some(l)));
+        for (i, slot) in self.table.iter_mut().enumerate() {
+            if slot.is_some() {
+                *slot = f(SALT_TABLE + i as u64, *slot);
             }
-            let mutated = diff_count(&before, &next);
-            *self.node_mut(id).expect("victim is live") = next;
-            report.note(mutated);
         }
-        report
     }
 
-    /// One node's repair step: recompute the full prefix table and both
-    /// leaf halves from live membership; returns entries rewritten (0 on
-    /// a healthy node). Ignores dead tokens.
-    pub fn repair_one(&mut self, id: u64) -> u64 {
-        if !self.is_live(id) {
-            return 0;
-        }
-        let before = self.node(id).expect("live node has state").clone();
-        self.refresh_node(id);
-        diff_count(&before, self.node(id).expect("still live"))
+    /// The literal cross-wire: smaller and larger halves trade places,
+    /// breaking the leaf set's ring-order invariant while every entry
+    /// stays individually live.
+    fn cross_wire(&mut self) {
+        std::mem::swap(&mut self.leaf_smaller, &mut self.leaf_larger);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::PastryConfig;
+    use crate::network::{PastryConfig, PastryNetwork};
     use dht_core::audit::{AuditScope, StateAudit};
+    use dht_core::corrupt::{link_diff, CorruptionPlan, CorruptionStrategy};
+    use dht_core::overlay::Overlay;
 
     fn net(n: usize) -> PastryNetwork {
         PastryNetwork::with_nodes(PastryConfig::new(12), n, 42)
@@ -153,7 +58,22 @@ mod tests {
 
     fn repair_sweep(net: &mut PastryNetwork) -> u64 {
         let ids: Vec<u64> = net.ids().collect();
-        ids.into_iter().map(|id| net.repair_one(id)).sum()
+        ids.into_iter().map(|id| net.repair_node(id)).sum()
+    }
+
+    #[test]
+    fn link_table_is_salt_ordered_and_equal_to_its_clone() {
+        let n = net(80);
+        let mut state = n.node(n.ids().next().unwrap()).unwrap().clone();
+        let mut salts = Vec::new();
+        state.rewrite_links(&mut |salt, cur| {
+            salts.push(salt);
+            cur
+        });
+        let populated = state.table.iter().flatten().count();
+        assert_eq!(salts.len(), 8 + populated, "leaf set + populated slots");
+        assert!(salts.windows(2).all(|w| w[0] < w[1]), "{salts:?}");
+        assert_eq!(link_diff(&mut state.clone(), &mut state), 0);
     }
 
     #[test]
@@ -168,7 +88,7 @@ mod tests {
         for strategy in CorruptionStrategy::ALL {
             let mut n = net(80);
             let plan = CorruptionPlan::new(strategy, 0.5, 9);
-            let report = n.corrupt(&plan);
+            let report = n.corrupt_state(&plan);
             assert_eq!(report.targeted_nodes, 40, "{strategy:?}");
             assert!(report.corrupted_nodes > 0, "{strategy:?} did no damage");
             assert!(

@@ -2,6 +2,7 @@
 
 use dht_core::lookup::{HopPhase, LookupOutcome};
 use dht_core::rng::stream;
+use dht_core::sim::Refresh;
 use pastry::{PastryConfig, PastryNetwork};
 use proptest::prelude::*;
 use rand::Rng;
@@ -85,7 +86,7 @@ proptest! {
         for _ in 0..leaves {
             if net.node_count() > 4 {
                 let ids: Vec<u64> = net.ids().collect();
-                net.leave(ids[(rng.gen::<u64>() % ids.len() as u64) as usize]);
+                net.depart(ids[(rng.gen::<u64>() % ids.len() as u64) as usize], true);
             }
         }
         let ids: Vec<u64> = net.ids().collect();

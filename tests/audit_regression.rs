@@ -7,7 +7,6 @@
 //! invariant's name rather than as a drifting figure statistic.
 
 use dht_core::audit::AuditScope;
-use dht_core::overlay::Overlay;
 use dht_core::rng::stream;
 use dht_sim::churn::{run_churn, ChurnParams};
 use dht_sim::{build_overlay, OverlayKind, ALL_KINDS};

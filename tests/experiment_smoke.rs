@@ -3,7 +3,6 @@
 //! reproduction deliverable itself.
 
 use dht_core::audit::AuditScope;
-use dht_core::overlay::Overlay;
 use dht_core::rng::stream;
 use dht_sim::experiments::{
     churn_exp, fault_tolerance, hotspot, key_distribution, maintenance, mass_departure,

@@ -196,13 +196,13 @@ fn replay_regression_through_repair(script: &[bool], seed: u64) {
             "{strategy:?} seed={seed}: post-churn baseline dirty"
         );
 
-        net.corrupt(&CorruptionPlan::new(strategy, 0.5, seed));
+        net.corrupt_state(&CorruptionPlan::new(strategy, 0.5, seed));
         assert!(
             !net.audit_state(AuditScope::Full).is_clean(),
             "{strategy:?} seed={seed}: corruption evaded the audit"
         );
-        for id in net.ids().collect::<Vec<_>>() {
-            net.repair_one(id);
+        for token in net.node_tokens() {
+            net.repair_node(token);
         }
         let report = net.audit_state(AuditScope::Full);
         assert!(report.is_clean(), "{strategy:?} seed={seed}: {report}");
