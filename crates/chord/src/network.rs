@@ -286,6 +286,15 @@ impl SimOverlay for ChordNetwork {
         StepDecision::Forward(candidates)
     }
 
+    /// The state row, and one finger per cache line of the finger block
+    /// behind it (`next_hop` scans them all).
+    fn warm(&self, node: NodeToken) {
+        if let Some(n) = self.members.get(node) {
+            let lines = n.fingers.iter().step_by(8);
+            std::hint::black_box(lines.fold(n.predecessor, |acc, f| acc ^ f));
+        }
+    }
+
     fn node_join(&mut self, _rng: &mut dyn RngCore) -> Option<NodeToken> {
         self.join_random()
     }

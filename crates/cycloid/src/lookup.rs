@@ -267,6 +267,15 @@ impl SimOverlay for CycloidNetwork {
         }
     }
 
+    /// The state row: its id and the entries of every leaf slot, which
+    /// is what `plan_step` reads and spreads over the row's cache lines.
+    fn warm(&self, node: NodeToken) {
+        if let Some(state) = self.members().get(node) {
+            let row = state.leaf_entries().map(|c| c.cubical);
+            std::hint::black_box(row.fold(state.id.cubical, |acc, c| acc ^ c));
+        }
+    }
+
     /// A hop that strictly reduces the key distance can never loop, so it
     /// may revisit; non-improving (phase) hops are blocked from revisiting
     /// to guarantee termination.

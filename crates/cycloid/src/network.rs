@@ -625,7 +625,9 @@ impl CycloidNetwork {
             None
         } else {
             let i = (rng.next_u64() % self.members.len() as u64) as usize;
-            self.ids().nth(i)
+            self.members
+                .token_at(i)
+                .map(|linear| CycloidId::from_linear(linear, self.dim))
         };
         loop {
             let id = CycloidId::from_hash(self.members.next_raw(), self.dim);
@@ -907,6 +909,29 @@ mod tests {
         }
         assert_eq!(net.node_count(), 24);
         assert!(net.join_random(&mut rng).is_none(), "space is full");
+    }
+
+    #[test]
+    fn bootstrap_draw_is_the_ith_smallest_id_on_a_churned_membership() {
+        // `join_random` resolves its bootstrap index with
+        // `Membership::token_at`; it must stay the `ids().nth(i)` it
+        // replaced, or every seeded join sequence changes.
+        let mut net = CycloidNetwork::with_nodes(CycloidConfig::seven_entry(5), 60, 7);
+        let mut rng = dht_core::rng::stream(3, "bootstrap");
+        for round in 0..40 {
+            if round % 3 == 0 {
+                assert!(net.join_random(&mut rng).is_some());
+            } else {
+                let i = (rng.next_u64() % net.node_count() as u64) as usize;
+                let victim = net.ids().nth(i).unwrap();
+                assert!(net.leave(victim));
+            }
+            for (i, id) in net.ids().enumerate() {
+                let at = net.members.token_at(i);
+                assert_eq!(at, Some(id.linear(net.dim)), "index {i}");
+            }
+            assert_eq!(net.members.token_at(net.node_count()), None);
+        }
     }
 
     #[test]

@@ -363,6 +363,13 @@ impl SimOverlay for KoordeNetwork {
         }
     }
 
+    /// The state row, first field to last.
+    fn warm(&self, node: NodeToken) {
+        if let Some(n) = self.members.get(node) {
+            std::hint::black_box((n.predecessor, n.debruijn_preds.last().copied()));
+        }
+    }
+
     fn on_hop(
         &self,
         walk: &mut KoordeWalk,

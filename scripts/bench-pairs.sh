@@ -1,0 +1,113 @@
+#!/bin/sh
+# Alternating parent/change runs of the repo benchmark -- the rule of
+# /BENCHMARK.json's driver and of every perf PR's CHANGES entry, as one
+# command. Run from anywhere inside the repo:
+#
+#   scripts/bench-pairs.sh <parent-ref> <workload> [pairs=10]
+#   scripts/bench-pairs.sh <parent-ref> --smoke    [pairs=10]
+#
+# Unpacks <parent-ref> with `git archive` under bench-out/pairs/ (its own
+# source tree, so its own benchmark/target), builds both benchmarks, runs
+# `pairs` pairs on seeds 101, 102, ... -- odd pairs parent first, even
+# pairs change first -- and prints, per host metric, each side's median
+# and quartiles, how many pairs the change won, and every value read.
+# Sim metrics and fingerprints must agree seed by seed; exit 1 if not.
+# Every run's full output stays in bench-out/pairs/<side>-<seed>.out.
+set -eu
+[ $# -ge 2 ] || {
+    echo "usage: $0 <parent-ref> <workload>|--smoke [pairs=10]" >&2
+    exit 2
+}
+cd "$(git rev-parse --show-toplevel)"
+sha=$(git rev-parse --short "$1^{commit}")
+pairs=${3:-10}
+if [ "$2" = --smoke ]; then
+    what=--smoke
+else
+    seconds=$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json)
+    what="--workload $2 --seconds $seconds --trace 0"
+fi
+
+out=bench-out/pairs
+parent=$out/src-$sha
+mkdir -p "$out"
+rm -f "$out"/*.out
+[ -d "$parent" ] || {
+    mkdir "$parent"
+    git archive "$sha" | tar -x -C "$parent"
+}
+for root in "$parent" .; do
+    cargo build --release --offline --quiet --manifest-path "$root/benchmark/Cargo.toml"
+done
+
+# run <side> <root> <seed>
+run() {
+    # shellcheck disable=SC2086  # $what is a word list
+    (cd "$2" && benchmark/target/release/benchmark $what --seed "$3") >"$out/$1-$3.out"
+}
+i=0
+while [ "$i" -lt "$pairs" ]; do
+    seed=$((101 + i))
+    if [ $((i % 2)) -eq 0 ]; then
+        run parent "$parent" "$seed"
+        run change . "$seed"
+    else
+        run change . "$seed"
+        run parent "$parent" "$seed"
+    fi
+    i=$((i + 1))
+done
+
+echo "# parent $sha vs working tree: $2, $pairs pairs, seeds 101..$((100 + pairs))"
+echo "# $(nproc) cores, $(sed -n 's/^model name[^:]*: *//p' /proc/cpuinfo | head -n 1)"
+awk '
+# q-quantile (linear interpolation) of v[1..n], sorted ascending.
+function quantile(v, n, q,    h, lo) {
+    h = 1 + (n - 1) * q; lo = int(h)
+    return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
+}
+function summary(side, m,    v, n, s, j, k, t) {
+    n = 0
+    for (s = 1; s <= seeds; s++) if ((side, m, seed[s]) in val) v[++n] = val[side, m, seed[s]]
+    for (j = 2; j <= n; j++) { t = v[j]; for (k = j - 1; k >= 1 && v[k] > t; k--) v[k + 1] = v[k]; v[k + 1] = t }
+    return sprintf("%14.6g [%.6g .. %.6g]", quantile(v, n, 0.5), quantile(v, n, 0.25), quantile(v, n, 0.75))
+}
+function values(side, m,    s, line) {
+    line = ""
+    for (s = 1; s <= seeds; s++) line = line sprintf(" %.6g", val[side, m, seed[s]])
+    return line
+}
+FNR == 1 {
+    side = FILENAME; sub(/.*\//, "", side); sub(/\.out$/, "", side)
+    sd = side; sub(/.*-/, "", sd); sub(/-.*/, "", side)
+    if (!(sd in seen)) { seen[sd] = 1; seed[++seeds] = sd }
+}
+# "<name> <value> <unit> host|sim higher|lower"
+NF == 5 && ($4 == "host" || $4 == "sim") && ($5 == "higher" || $5 == "lower") {
+    if ($4 == "sim") { sim[side, sd] = sim[side, sd] $1 "=" $2 ";"; next }
+    if (!($1 in unit)) { unit[$1] = $3; better[$1] = $5; order[++metrics] = $1 }
+    val[side, $1, sd] = $2
+    next
+}
+/fingerprint/ { sim[side, sd] = sim[side, sd] $0 ";" }
+END {
+    for (k = 1; k <= metrics; k++) {
+        m = order[k]; won = 0; lost = 0
+        for (s = 1; s <= seeds; s++) {
+            p = val["parent", m, seed[s]]; c = val["change", m, seed[s]]
+            if (better[m] == "lower") { t = p; p = c; c = t }
+            if (c > p) won++; else if (c < p) lost++
+        }
+        printf "%-24s %-5s %-6s parent %s  change %s  change won %d, lost %d of %d\n", \
+            m, unit[m], better[m], summary("parent", m), summary("change", m), won, lost, seeds
+        printf "    parent:%s\n    change:%s\n", values("parent", m), values("change", m)
+    }
+    bad = 0
+    for (s = 1; s <= seeds; s++) {
+        if (sim["parent", seed[s]] == "" || sim["parent", seed[s]] != sim["change", seed[s]]) {
+            bad++; printf "seed %s: sim metrics or fingerprint DIFFER\n", seed[s]
+        }
+    }
+    printf "sim metrics and fingerprints: %s on %d of %d seeds\n", (bad ? "DIFFER" : "identical"), (bad ? bad : seeds), seeds
+    exit (bad > 0)
+}' "$out"/parent-[0-9]*.out "$out"/change-[0-9]*.out

@@ -16,13 +16,24 @@ use proptest::prelude::*;
 
 const JOBS: [usize; 3] = [1, 2, 8];
 
+/// Batch lengths: many rounds of the executor's eight lanes per worker,
+/// and a ragged one — 13 requests are one round and five refills at one
+/// worker, shards shorter than the lane count at two, and fewer shards
+/// (seven, the last of one request) than workers at eight.
+const LOOKUPS: [usize; 2] = [300, 13];
+
 /// One full batch at the given worker count on a freshly built overlay:
 /// the aggregate plus the final query-load table.
-fn run_batch(kind: OverlayKind, seed: u64, jobs: usize) -> (LookupAggregate, Vec<u64>) {
+fn run_batch(
+    kind: OverlayKind,
+    seed: u64,
+    jobs: usize,
+    lookups: usize,
+) -> (LookupAggregate, Vec<u64>) {
     let mut net = build_overlay(kind, 96, seed);
     // The workload stream depends only on the seed, never on `jobs`.
     let mut rng = stream_indexed(seed, "parallel-determinism", 0);
-    let reqs = random_pairs(net.as_ref(), 300, &mut rng);
+    let reqs = random_pairs(net.as_ref(), lookups, &mut rng);
     let agg = run_requests_jobs(net.as_mut(), &reqs, jobs);
     (agg, net.query_loads())
 }
@@ -48,12 +59,15 @@ fn fingerprint(a: &LookupAggregate) -> String {
 #[test]
 fn aggregates_and_loads_are_jobs_invariant_for_every_kind() {
     for kind in ALL_KINDS {
-        let (base_agg, base_loads) = run_batch(kind, 42, JOBS[0]);
-        let base = fingerprint(&base_agg);
-        for &jobs in &JOBS[1..] {
-            let (agg, loads) = run_batch(kind, 42, jobs);
-            assert_eq!(base, fingerprint(&agg), "{kind:?} aggregate at jobs={jobs}");
-            assert_eq!(base_loads, loads, "{kind:?} query loads at jobs={jobs}");
+        for lookups in LOOKUPS {
+            let (base_agg, base_loads) = run_batch(kind, 42, JOBS[0], lookups);
+            let base = fingerprint(&base_agg);
+            for &jobs in &JOBS[1..] {
+                let (agg, loads) = run_batch(kind, 42, jobs, lookups);
+                let at = format!("{kind:?}, {lookups} lookups at jobs={jobs}");
+                assert_eq!(base, fingerprint(&agg), "aggregate: {at}");
+                assert_eq!(base_loads, loads, "query loads: {at}");
+            }
         }
     }
 }
@@ -91,8 +105,8 @@ proptest! {
     #[test]
     fn any_seed_is_jobs_invariant(seed in 0u64..10_000, kind_ix in 0usize..8) {
         let kind = ALL_KINDS[kind_ix];
-        let (seq_agg, seq_loads) = run_batch(kind, seed, 1);
-        let (par_agg, par_loads) = run_batch(kind, seed, 8);
+        let (seq_agg, seq_loads) = run_batch(kind, seed, 1, LOOKUPS[0]);
+        let (par_agg, par_loads) = run_batch(kind, seed, 8, LOOKUPS[0]);
         prop_assert_eq!(fingerprint(&seq_agg), fingerprint(&par_agg), "{:?} seed={}", kind, seed);
         prop_assert_eq!(seq_loads, par_loads, "{:?} seed={} loads", kind, seed);
     }
