@@ -199,7 +199,19 @@ fn render_with(
             .map(|&(src, key)| net.lookup(src, key))
             .collect(),
     };
-    for (i, (&(src, key), trace)) in reqs.iter().zip(&traces).enumerate() {
+    render_lines(&mut out, &reqs, &traces, conditions.is_some());
+    out
+}
+
+/// Appends one line per lookup in the golden line format; `lossy` adds
+/// the retry and latency columns.
+pub fn render_lines(
+    out: &mut String,
+    reqs: &[(u64, u64)],
+    traces: &[dht_core::lookup::LookupTrace],
+    lossy: bool,
+) {
+    for (i, (&(src, key), trace)) in reqs.iter().zip(traces).enumerate() {
         let phases = if trace.hops.is_empty() {
             "-".to_string()
         } else {
@@ -210,7 +222,7 @@ fn render_with(
                 .collect::<Vec<_>>()
                 .join(",")
         };
-        if conditions.is_some() {
+        if lossy {
             writeln!(
                 out,
                 "{i:02} src={src:#x} key={key:#018x} -> {:?} @{:#x} timeouts={} retries={} latency_us={} {phases}",
@@ -226,5 +238,4 @@ fn render_with(
             .unwrap();
         }
     }
-    out
 }

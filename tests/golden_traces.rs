@@ -22,6 +22,12 @@
 //! membership, the telemetry samples, and the phase table, plus the
 //! scalar counters in the clear so a diff names what moved.
 //!
+//! `stale.txt` pins the fallback order: every kind at n = 256 after 40%
+//! of the nodes `fail` with no stabilization, 64 lookups each through
+//! `lookup`, so repair-on-use runs between them. The per-lookup files
+//! above never time out; here most walks meet dead candidates and take
+//! the second or third entry of a plan.
+//!
 //! To regenerate after an *intentional* routing change:
 //!
 //! ```text
@@ -33,14 +39,15 @@ mod common;
 
 use std::fmt::Write as _;
 
-use common::{golden_path, lossy_conditions, render_traces, SEED};
-use cycloid_repro::prelude::OverlayKind;
+use common::{golden_path, lossy_conditions, render_lines, render_traces, SEED};
+use cycloid_repro::prelude::{build_overlay, OverlayKind};
 use dht_core::hash::splitmix64;
 use dht_core::net::NetConditions;
 use dht_core::obs::{Phase, PhaseAccountant};
 use dht_core::rng::stream_indexed;
 use dht_sim::churn::{run_churn, ChurnParams, StabilizePhase, TimeModel};
 use dht_sim::factory::{build_overlay_spaced, ALL_KINDS};
+use rand::Rng;
 
 /// Compares the replayed trace against the checked-in golden file, or
 /// rewrites the file when `GOLDEN_REGEN` is set.
@@ -261,4 +268,44 @@ fn render_churn_grid() -> String {
 #[test]
 fn golden_churn() {
     check_golden_text("churn", &render_churn_grid());
+}
+
+/// Renders the stale-entry workload for all eight kinds (see the module
+/// docs).
+fn render_stale() -> String {
+    const NODES: usize = 256;
+    const LOOKUPS: usize = 64;
+    let mut out = String::new();
+    for (k, &kind) in ALL_KINDS.iter().enumerate() {
+        let mut net = build_overlay(kind, NODES, SEED);
+        let mut rng = stream_indexed(SEED, "golden-stale", k as u64);
+        for token in net.node_tokens() {
+            if rng.gen_bool(0.4) {
+                net.fail(token);
+            }
+        }
+        let live = net.node_tokens();
+        writeln!(
+            out,
+            "# golden stale: {} n={NODES} seed={SEED} failed={} lookups={LOOKUPS}\n\
+             # line: index src key -> outcome @terminal timeouts phases",
+            kind.label(),
+            NODES - live.len()
+        )
+        .unwrap();
+        let reqs: Vec<(u64, u64)> = (0..LOOKUPS)
+            .map(|i| (live[i % live.len()], rng.gen()))
+            .collect();
+        let traces: Vec<_> = reqs
+            .iter()
+            .map(|&(src, key)| net.lookup(src, key))
+            .collect();
+        render_lines(&mut out, &reqs, &traces, false);
+    }
+    out
+}
+
+#[test]
+fn golden_stale() {
+    check_golden_text("stale", &render_stale());
 }
