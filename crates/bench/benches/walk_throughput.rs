@@ -23,10 +23,11 @@ fn pool_jobs() -> usize {
 
 /// Read-only walks on a Cycloid(7) network with a fifth of its nodes
 /// failed (so walks actually route around dead entries and the
-/// de-duplication sets fill), comparing a fresh `WalkScratch` per walk
-/// (what `walk_from` allocates internally) against one reused across
-/// the whole run (what each executor worker does). The delta is pure allocator traffic: the routes are
-/// identical.
+/// skipped-candidate lists fill), comparing a fresh `WalkScratch` per
+/// walk (what `walk_from` allocates internally: the candidate buffer
+/// `next_hop` fills grows once per walk) against one reused across the
+/// whole run (what each executor worker does). The delta is pure
+/// allocator traffic: the routes are identical.
 fn bench_walk_scratch(c: &mut Criterion) {
     let mut g = c.benchmark_group("walk_scratch");
     g.measurement_time(Duration::from_secs(3));
@@ -53,11 +54,11 @@ fn bench_walk_scratch(c: &mut Criterion) {
     g.bench_function("fresh_alloc", |b| {
         b.iter(|| {
             i = (i + 1) % keys.len();
-            black_box(walk(i, &mut WalkScratch::new()))
+            black_box(walk(i, &mut WalkScratch::default()))
         })
     });
 
-    let mut scratch = WalkScratch::new();
+    let mut scratch = WalkScratch::default();
     let mut j = 0usize;
     g.bench_function("reused_scratch", |b| {
         b.iter(|| {

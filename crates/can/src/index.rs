@@ -111,10 +111,16 @@ impl ZoneIndex {
             if let Some(&slot) = self.boxes.get(&self.key(depth, &cursor.lo)) {
                 return (cursor, slot);
             }
-            let (lower, upper) = cursor
-                .split()
-                .expect("index tiles the torus: some prefix box is an entry");
-            cursor = if lower.contains(p) { lower } else { upper };
+            // The half of `Zone::split` that contains `p`, in place: the
+            // cursor contains `p`, so only the split dimension decides.
+            let k = cursor.longest_dim();
+            let mid = cursor.lo[k] + (cursor.hi[k] - cursor.lo[k]) / 2;
+            assert!(mid > cursor.lo[k], "index tiles the torus: a unit box");
+            if p[k] < mid {
+                cursor.hi[k] = mid;
+            } else {
+                cursor.lo[k] = mid;
+            }
             depth += 1;
         }
     }

@@ -419,7 +419,12 @@ impl SimOverlay for CanNetwork {
         self.owner_of_point(&walk.point)
     }
 
-    fn next_hop(&self, cur: NodeToken, walk: &mut CanWalk) -> StepDecision {
+    fn next_hop(
+        &self,
+        cur: NodeToken,
+        walk: &mut CanWalk,
+        out: &mut Vec<(HopPhase, NodeToken)>,
+    ) -> StepDecision {
         let cur_dist = self.zone_dist(cur, &walk.point);
         if cur_dist == 0 {
             return StepDecision::Terminate;
@@ -430,12 +435,11 @@ impl SimOverlay for CanNetwork {
             .map(|t| (self.zone_dist(t, &walk.point), t))
             .filter(|&(d, _)| d < cur_dist)
             .min();
-        match next {
-            Some((_, t)) => StepDecision::Forward(vec![(HopPhase::Finger, t)]),
-            // Local minimum: the target zone is orphaned (or the greedy
-            // frontier is blocked by a hole) — Stuck via `on_exhausted`.
-            None => StepDecision::Forward(Vec::new()),
-        }
+        // No closer neighbour is a local minimum: the target zone is
+        // orphaned (or the greedy frontier is blocked by a hole) —
+        // Stuck via `on_exhausted`.
+        out.extend(next.map(|(_, t)| (HopPhase::Finger, t)));
+        StepDecision::Forward
     }
 
     fn budget_before_terminal(&self) -> bool {

@@ -248,7 +248,12 @@ impl SimOverlay for ChordNetwork {
         self.successor_of_point(walk.key)
     }
 
-    fn next_hop(&self, cur: NodeToken, walk: &mut ChordWalk) -> StepDecision {
+    fn next_hop(
+        &self,
+        cur: NodeToken,
+        walk: &mut ChordWalk,
+        out: &mut Vec<(HopPhase, NodeToken)>,
+    ) -> StepDecision {
         let space = self.config.space();
         let key = walk.key;
         let node = self.members.get(cur).expect("current node is live");
@@ -260,30 +265,20 @@ impl SimOverlay for ChordNetwork {
         // go to the successor (it is the owner); otherwise the closest
         // preceding finger, falling back through lower fingers and the
         // successor list on timeouts.
-        let mut candidates: Vec<(HopPhase, u64)> = Vec::new();
-        if in_interval_oc(key, cur, node.successor(), space) {
-            for &s in &node.successors {
-                candidates.push((HopPhase::Successor, s));
-            }
-        } else {
-            let mut fingers: Vec<u64> = node
-                .fingers
-                .iter()
-                .copied()
-                .filter(|&f| f != cur && in_interval_oo(f, cur, key, space))
-                .collect();
+        if !in_interval_oc(key, cur, node.successor(), space) {
+            out.extend(
+                node.fingers
+                    .iter()
+                    .filter(|&&f| f != cur && in_interval_oo(f, cur, key, space))
+                    .map(|&f| (HopPhase::Finger, f)),
+            );
             // Closest preceding first: maximal clockwise distance from
             // cur (i.e. nearest to the key without passing it).
-            fingers.sort_unstable_by_key(|&f| std::cmp::Reverse(clockwise_dist(cur, f, space)));
-            fingers.dedup();
-            for f in fingers {
-                candidates.push((HopPhase::Finger, f));
-            }
-            for &s in &node.successors {
-                candidates.push((HopPhase::Successor, s));
-            }
+            out.sort_unstable_by_key(|&(_, f)| std::cmp::Reverse(clockwise_dist(cur, f, space)));
+            out.dedup();
         }
-        StepDecision::Forward(candidates)
+        out.extend(node.successors.iter().map(|&s| (HopPhase::Successor, s)));
+        StepDecision::Forward
     }
 
     /// The state row, and one finger per cache line of the finger block

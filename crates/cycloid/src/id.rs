@@ -137,7 +137,10 @@ pub fn prefix_len(a: u64, b: u64, dim: Dim) -> u32 {
 /// metric, making the minimum unique and the metric strictly unimodal
 /// around each ring (which is what guarantees greedy leaf-set routing
 /// terminates at the true owner).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// `Default` is the zero distance (node == key), which also pads the
+/// fixed-capacity candidate lists `plan_step` sorts on the stack.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct KeyDistance {
     cubical_v: u64,
     cyclic_v: u64,
@@ -161,21 +164,6 @@ impl KeyDistance {
             cubical_v: 2 * cub + cub_ccw,
             cyclic_v: 2 * cyc + cyc_ccw,
         }
-    }
-
-    /// The zero distance (node == key).
-    #[must_use]
-    pub fn zero() -> Self {
-        Self {
-            cubical_v: 0,
-            cyclic_v: 0,
-        }
-    }
-
-    /// True if the cubical components match (same-distance cycles).
-    #[must_use]
-    pub fn same_cycle_distance(self, other: Self) -> bool {
-        self.cubical_v == other.cubical_v
     }
 }
 
@@ -256,8 +244,8 @@ mod tests {
     fn key_distance_zero_iff_same_id() {
         let dim = Dim::new(6);
         let key = CycloidId::new(3, 17);
-        assert_eq!(KeyDistance::between(key, key, dim), KeyDistance::zero());
-        assert!(KeyDistance::between(key, CycloidId::new(4, 17), dim) > KeyDistance::zero());
+        assert_eq!(KeyDistance::between(key, key, dim), KeyDistance::default());
+        assert!(KeyDistance::between(key, CycloidId::new(4, 17), dim) > KeyDistance::default());
     }
 
     #[test]

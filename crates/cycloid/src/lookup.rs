@@ -17,8 +17,9 @@
 //! node that is numerically closer to the destination among the leaf sets
 //! is chosen" — the leaf sets are the fault-tolerance backbone.
 
-use std::collections::HashSet;
+use std::cmp::Reverse;
 
+use dht_core::inline::InlineVec;
 use dht_core::lookup::{HopPhase, LookupOutcome, LookupTrace};
 use dht_core::overlay::NodeToken;
 use dht_core::ring::clockwise_dist;
@@ -29,23 +30,15 @@ use crate::id::{msdb, prefix_len, CycloidId, KeyDistance};
 use crate::network::CycloidNetwork;
 use crate::state::NodeState;
 
-/// Walk state of one Cycloid lookup: the mapped key plus the set of
-/// already-visited nodes (non-improving hops may not revisit, which
-/// guarantees termination; see [`SimOverlay::admit`]).
+/// Walk state of one Cycloid lookup: the mapped key plus the
+/// already-visited nodes in hop order (non-improving hops may not
+/// revisit, which guarantees termination; see [`SimOverlay::admit`]).
+/// A path is `O(d)` nodes, so the list is scanned linearly.
 #[derive(Debug, Clone)]
 pub struct CycloidWalk {
     /// The key identifier the lookup is routing towards.
     pub key: CycloidId,
-    visited: HashSet<u64>,
-}
-
-/// One planned forwarding step: an ordered preference list of candidates,
-/// each tagged with the phase it would be accounted to.
-enum StepPlan {
-    /// The current node is (locally provably) the closest node to the key.
-    Terminate,
-    /// Try these candidates in order; skip dead ones with a timeout.
-    Forward(Vec<(HopPhase, CycloidId)>),
+    visited: Vec<u64>,
 }
 
 impl CycloidNetwork {
@@ -76,12 +69,22 @@ impl CycloidNetwork {
     fn walk_for(&self, src: CycloidId, key: CycloidId) -> CycloidWalk {
         CycloidWalk {
             key,
-            visited: HashSet::from([src.linear(self.dim())]),
+            visited: vec![src.linear(self.dim())],
         }
     }
 
-    /// Builds the forwarding plan for one step at `cur` (Fig. 3).
-    fn plan_step(&self, cur: CycloidId, key: CycloidId) -> StepPlan {
+    /// Builds the forwarding plan for one step at `cur` (Fig. 3): an
+    /// ordered preference list of candidates appended to `out`, each
+    /// tagged with the phase it would be accounted to. The sorted lists
+    /// behind it live on the stack, sized by the leaf-radius bound (four
+    /// slots of up to four entries), and are filled by `push`: `collect`
+    /// builds a list in a temporary and copies all of it out, ~50 ns a hop.
+    fn plan_step(
+        &self,
+        cur: CycloidId,
+        key: CycloidId,
+        out: &mut Vec<(HopPhase, NodeToken)>,
+    ) -> StepDecision {
         let dim = self.dim();
         let state = self.node(cur).expect("current node must be live");
         let cur_dist = KeyDistance::between(key, cur, dim);
@@ -89,91 +92,77 @@ impl CycloidNetwork {
         // Live leaf-set entries strictly closer to the key than the
         // current node, sorted closest-first. This is both the termination
         // test ("the closest node is the current node itself") and the
-        // universal fallback.
-        let mut closer_leafs: Vec<(KeyDistance, CycloidId)> = state
-            .leaf_entries()
-            .filter(|&c| c != cur && self.is_live(c))
-            .map(|c| (KeyDistance::between(key, c, dim), c))
-            .filter(|&(d, _)| d < cur_dist)
-            .collect();
+        // universal fallback. A closer entry is never `cur` itself, and
+        // liveness is only asked of the closer ones.
+        let mut closer_leafs = InlineVec::<(KeyDistance, CycloidId), 16>::new();
+        for c in state.leaf_entries() {
+            let d = KeyDistance::between(key, c, dim);
+            if d < cur_dist && self.is_live(c) {
+                closer_leafs.push((d, c));
+            }
+        }
         closer_leafs.sort_unstable();
         closer_leafs.dedup();
         if closer_leafs.is_empty() {
-            return StepPlan::Terminate;
+            return StepDecision::Terminate;
         }
+        let mut emit = |phase: HopPhase, c: CycloidId| out.push((phase, c.linear(dim)));
 
-        if self.target_within_leaf_span(state, key) {
-            // Phase 3: traverse cycle.
-            let plan = closer_leafs
-                .into_iter()
-                .map(|(_, c)| (HopPhase::TraverseCycle, c))
-                .collect();
-            return StepPlan::Forward(plan);
-        }
-
-        let m = msdb(cur.cubical, key.cubical)
-            .expect("outside the leaf span implies differing cubical indices");
-        let k = cur.cyclic;
-
-        if k < m {
-            // Phase 1: ascending — outside-leaf hop towards the target,
-            // preferring the entry whose cubical index is closest to the
-            // destination, then any closer leaf.
-            let mut plan: Vec<(HopPhase, CycloidId)> = Vec::new();
-            let mut outside: Vec<(KeyDistance, CycloidId)> = state
-                .outside_left
-                .iter()
-                .chain(&state.outside_right)
-                .map(|&c| (KeyDistance::between(key, c, dim), c))
-                .collect();
-            outside.sort_unstable();
-            outside.dedup();
-            plan.extend(outside.into_iter().map(|(_, c)| (HopPhase::Ascending, c)));
-            plan.extend(
-                closer_leafs
-                    .into_iter()
-                    .map(|(_, c)| (HopPhase::Ascending, c)),
-            );
-            return StepPlan::Forward(plan);
-        }
-
-        // Phase 2: descending.
-        let mut plan: Vec<(HopPhase, CycloidId)> = Vec::new();
-        if k == m {
-            // Correct bit k through the cubical neighbour.
-            if let Some(cb) = state.cubical_neighbor {
-                plan.push((HopPhase::Descending, cb));
-            }
+        let phase = if self.target_within_leaf_span(state, key) {
+            // Phase 3: traverse cycle — the fallback is the whole plan.
+            HopPhase::TraverseCycle
         } else {
-            // k > m: lower the cyclic index towards MSDB through the
-            // cyclic neighbours or inside leaf set, "whichever is closer
-            // to the target": maximal shared cubical prefix with the key,
-            // then minimal key distance.
-            let mut cands: Vec<(u32, KeyDistance, CycloidId)> = state
-                .cyclic_smaller
-                .into_iter()
-                .chain(state.cyclic_larger)
-                .chain(state.inside_left.iter().copied())
-                .chain(state.inside_right.iter().copied())
-                .filter(|c| c.cyclic >= m && c.cyclic < k)
-                .map(|c| {
-                    (
-                        prefix_len(c.cubical, key.cubical, dim),
-                        KeyDistance::between(key, c, dim),
-                        c,
-                    )
-                })
-                .collect();
-            cands.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-            cands.dedup_by_key(|e| e.2);
-            plan.extend(cands.into_iter().map(|(_, _, c)| (HopPhase::Descending, c)));
-        }
-        plan.extend(
-            closer_leafs
-                .into_iter()
-                .map(|(_, c)| (HopPhase::Descending, c)),
-        );
-        StepPlan::Forward(plan)
+            let m = msdb(cur.cubical, key.cubical)
+                .expect("outside the leaf span implies differing cubical indices");
+            let k = cur.cyclic;
+            if k < m {
+                // Phase 1: ascending — outside-leaf hop towards the target,
+                // preferring the entry whose cubical index is closest to
+                // the destination, then any closer leaf.
+                let mut outside = InlineVec::<(KeyDistance, CycloidId), 8>::new();
+                for &c in state.outside_left.iter().chain(&state.outside_right) {
+                    outside.push((KeyDistance::between(key, c, dim), c));
+                }
+                outside.sort_unstable();
+                outside.dedup();
+                outside
+                    .iter()
+                    .for_each(|&(_, c)| emit(HopPhase::Ascending, c));
+                HopPhase::Ascending
+            } else {
+                // Phase 2: descending.
+                if k == m {
+                    // Correct bit k through the cubical neighbour.
+                    if let Some(cb) = state.cubical_neighbor {
+                        emit(HopPhase::Descending, cb);
+                    }
+                } else {
+                    // k > m: lower the cyclic index towards MSDB through
+                    // the cyclic neighbours or inside leaf set, "whichever
+                    // is closer to the target": maximal shared cubical
+                    // prefix with the key, then minimal key distance.
+                    let mut cands = InlineVec::<(Reverse<u32>, KeyDistance, CycloidId), 10>::new();
+                    let lower = state
+                        .cyclic_smaller
+                        .into_iter()
+                        .chain(state.cyclic_larger)
+                        .chain(state.inside_left.iter().copied())
+                        .chain(state.inside_right.iter().copied());
+                    for c in lower.filter(|c| c.cyclic >= m && c.cyclic < k) {
+                        let prefix = prefix_len(c.cubical, key.cubical, dim);
+                        cands.push((Reverse(prefix), KeyDistance::between(key, c, dim), c));
+                    }
+                    cands.sort_unstable();
+                    cands.dedup();
+                    cands
+                        .iter()
+                        .for_each(|&(_, _, c)| emit(HopPhase::Descending, c));
+                }
+                HopPhase::Descending
+            }
+        };
+        closer_leafs.iter().for_each(|&(_, c)| emit(phase, c));
+        StepDecision::Forward
     }
 
     /// "The target ID is within the leaf sets": the key's cycle coincides
@@ -253,18 +242,13 @@ impl SimOverlay for CycloidNetwork {
         self.owner_of_key(walk.key).map(|id| id.linear(self.dim()))
     }
 
-    fn next_hop(&self, cur: NodeToken, walk: &mut CycloidWalk) -> StepDecision {
-        let dim = self.dim();
-        let cur = CycloidId::from_linear(cur, dim);
-        match self.plan_step(cur, walk.key) {
-            StepPlan::Terminate => StepDecision::Terminate,
-            StepPlan::Forward(candidates) => StepDecision::Forward(
-                candidates
-                    .into_iter()
-                    .map(|(phase, c)| (phase, c.linear(dim)))
-                    .collect(),
-            ),
-        }
+    fn next_hop(
+        &self,
+        cur: NodeToken,
+        walk: &mut CycloidWalk,
+        out: &mut Vec<(HopPhase, NodeToken)>,
+    ) -> StepDecision {
+        self.plan_step(CycloidId::from_linear(cur, self.dim()), walk.key, out)
     }
 
     /// The state row: its id and the entries of every leaf slot, which
@@ -295,7 +279,7 @@ impl SimOverlay for CycloidNetwork {
         to: NodeToken,
         _timed_out: &[NodeToken],
     ) {
-        walk.visited.insert(to);
+        walk.visited.push(to);
     }
 
     /// A walk whose candidates were all skipped stops where it stands and

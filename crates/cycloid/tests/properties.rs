@@ -57,7 +57,7 @@ proptest! {
         let key = CycloidId::from_hash(key_raw, dim);
         let a = CycloidId::from_hash(n1, dim);
         let b = CycloidId::from_hash(n2, dim);
-        prop_assert_eq!(KeyDistance::between(key, key, dim), KeyDistance::zero());
+        prop_assert_eq!(KeyDistance::between(key, key, dim), KeyDistance::default());
         // The metric separates distinct nodes (unique owners).
         if a != b {
             prop_assert_ne!(

@@ -339,6 +339,7 @@ where
 mod tests {
     use super::*;
     use crate::inline::InlineVec;
+    use crate::lookup::HopPhase;
     use crate::sim::{Membership, StepDecision};
 
     fn tokens(n: u64) -> Vec<u64> {
@@ -439,7 +440,12 @@ mod tests {
         fn walk_owner(&self, _walk: &()) -> Option<NodeToken> {
             None
         }
-        fn next_hop(&self, _cur: NodeToken, _walk: &mut ()) -> StepDecision {
+        fn next_hop(
+            &self,
+            _cur: NodeToken,
+            _walk: &mut (),
+            _out: &mut Vec<(HopPhase, NodeToken)>,
+        ) -> StepDecision {
             StepDecision::Terminate
         }
         fn node_join(&mut self, _rng: &mut dyn rand::RngCore) -> Option<NodeToken> {

@@ -119,6 +119,15 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         self.len = kept as u8;
     }
 
+    /// Drops every element equal to the one before it, as `Vec::dedup`.
+    pub fn dedup(&mut self)
+    where
+        T: PartialEq,
+    {
+        let mut prev = None;
+        self.filter_map_in_place(|_, x| (prev.replace(x) != Some(x)).then_some(x));
+    }
+
     /// The live elements as a slice.
     pub fn as_slice(&self) -> &[T] {
         &self.buf[..self.len as usize]
@@ -254,6 +263,13 @@ mod tests {
         assert_eq!(v, vec![10, 32, 43]);
         v.filter_map_in_place(|_, _| None);
         assert!(v.is_empty());
+    }
+
+    #[test]
+    fn dedup_drops_adjacent_repeats_only() {
+        let mut v: InlineVec<u64, 8> = vec![1, 1, 2, 3, 3, 3, 1].into();
+        v.dedup();
+        assert_eq!(v, vec![1, 2, 3, 1]);
     }
 
     #[test]

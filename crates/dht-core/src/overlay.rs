@@ -287,6 +287,7 @@ pub fn key_counts<O: Overlay + ?Sized>(overlay: &O, raw_keys: &[u64]) -> Vec<u64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lookup::HopPhase;
     use crate::lookup::LookupOutcome;
     use crate::sim::{Membership, SimOverlay, StepDecision};
 
@@ -343,7 +344,12 @@ mod tests {
         fn walk_owner(&self, _walk: &()) -> Option<NodeToken> {
             Some(7)
         }
-        fn next_hop(&self, _cur: NodeToken, _walk: &mut ()) -> StepDecision {
+        fn next_hop(
+            &self,
+            _cur: NodeToken,
+            _walk: &mut (),
+            _out: &mut Vec<(HopPhase, NodeToken)>,
+        ) -> StepDecision {
             StepDecision::Terminate
         }
         fn node_join(&mut self, _rng: &mut dyn RngCore) -> Option<NodeToken> {

@@ -72,7 +72,6 @@
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::collections::HashSet;
 
 use rand::RngCore;
 
@@ -689,16 +688,17 @@ impl<S> Membership<S> {
 }
 
 /// What one node decides about a lookup it currently holds.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepDecision {
     /// The current node is (locally provably) where the walk stops;
     /// classify via [`SimOverlay::classify_terminal`].
     Terminate,
-    /// Forward to the first live candidate, in preference order; each
+    /// Forward to the first live candidate of the buffer
+    /// [`SimOverlay::next_hop`] filled, in preference order; each
     /// candidate is tagged with the phase the hop would be accounted
     /// to. Dead candidates cost one timeout each (de-duplicated within
     /// the step) and are skipped.
-    Forward(Vec<(HopPhase, NodeToken)>),
+    Forward,
 }
 
 /// An overlay expressed against the shared simulation substrate.
@@ -753,8 +753,16 @@ pub trait SimOverlay: Sync + 'static {
 
     /// The per-hop routing decision at `cur`, using only `cur`'s own
     /// routing state (plus the walk cursor). May mutate the walk state
-    /// for phase transitions that happen *before* forwarding.
-    fn next_hop(&self, cur: NodeToken, walk: &mut Self::Walk) -> StepDecision;
+    /// for phase transitions that happen *before* forwarding. The
+    /// candidates of a [`StepDecision::Forward`] are appended to `out`,
+    /// which arrives empty and is the caller's to reuse: a hop
+    /// allocates nothing once the buffer has grown to the longest plan.
+    fn next_hop(
+        &self,
+        cur: NodeToken,
+        walk: &mut Self::Walk,
+        out: &mut Vec<(HopPhase, NodeToken)>,
+    ) -> StepDecision;
 
     /// Touches the memory [`SimOverlay::next_hop`] will read at `node`,
     /// so that [`ParallelExecutor`] can start those cache misses for
@@ -1087,22 +1095,16 @@ impl WalkEffects {
 }
 
 /// Reusable per-walk scratch buffers for the step loop. One instance
-/// per worker (or per call site) avoids re-allocating the two
-/// de-duplication sets and the dead-candidate list on every step —
-/// see `benches/walk_throughput.rs` for the measured win.
+/// per worker (or per call site) avoids re-allocating the candidate
+/// buffer [`SimOverlay::next_hop`] fills and the two skipped-candidate
+/// lists on every step — see `crates/bench/benches/walk_throughput.rs`
+/// for the measured win. A step sees a few dozen candidates at most,
+/// so the lists are scanned linearly.
 #[derive(Debug, Default)]
 pub struct WalkScratch {
-    dead_seen: HashSet<NodeToken>,
-    unreachable_seen: HashSet<NodeToken>,
+    candidates: Vec<(HopPhase, NodeToken)>,
+    unreachable_seen: Vec<NodeToken>,
     step_dead: Vec<NodeToken>,
-}
-
-impl WalkScratch {
-    /// Fresh (empty) scratch buffers.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// Performs one lookup from `src` with an already-initialized walk
@@ -1127,7 +1129,7 @@ pub fn walk_from<T: SimOverlay + ?Sized>(
         .net_conditions_mut()
         .take_lookup_index();
     let (trace, fx) = WalkCursor::begin(&*net, src, state, count_loads, index, raw_key)
-        .run(&*net, &mut WalkScratch::new());
+        .run(&*net, &mut WalkScratch::default());
     apply_effects(net, fx);
     trace
 }
@@ -1340,12 +1342,11 @@ impl<W> WalkCursor<W> {
         if net.budget_before_terminal() && self.hops.len() >= self.budget {
             return Some(LookupOutcome::HopBudgetExhausted);
         }
-        let candidates = match net.next_hop(self.cur, &mut self.state) {
-            StepDecision::Terminate => {
-                return Some(net.classify_terminal(self.cur, &self.state));
-            }
-            StepDecision::Forward(candidates) => candidates,
-        };
+        scratch.candidates.clear();
+        let decision = net.next_hop(self.cur, &mut self.state, &mut scratch.candidates);
+        if decision == StepDecision::Terminate {
+            return Some(net.classify_terminal(self.cur, &self.state));
+        }
         if !net.budget_before_terminal() && self.hops.len() >= self.budget {
             return Some(LookupOutcome::HopBudgetExhausted);
         }
@@ -1356,15 +1357,14 @@ impl<W> WalkCursor<W> {
         // covers live candidates whose messages the fault plan
         // swallowed (`unreachable_seen`): one exhausted retry
         // cycle per step, never two.
-        scratch.dead_seen.clear();
         scratch.unreachable_seen.clear();
         scratch.step_dead.clear();
-        for (phase, cand) in candidates {
+        for &(phase, cand) in &scratch.candidates {
             if cand == self.cur || !net.admit(&self.state, self.cur, cand) {
                 continue;
             }
             if !net.membership().contains(cand) {
-                if scratch.dead_seen.insert(cand) {
+                if !scratch.step_dead.contains(&cand) {
                     self.timeouts += 1;
                     self.costs.absorb_stale(self.conditions.stale_wait_us());
                     scratch.step_dead.push(cand);
@@ -1406,7 +1406,7 @@ impl<W> WalkCursor<W> {
                         kind: TimeoutKind::Message,
                     });
                 }
-                scratch.unreachable_seen.insert(cand);
+                scratch.unreachable_seen.push(cand);
                 continue;
             }
             next = Some((phase, cand));
@@ -1713,7 +1713,7 @@ fn route_shard<T: SimOverlay + ?Sized>(
     let mut waiting = 0..reqs.len();
     let mut lanes: Vec<(usize, WalkCursor<T::Walk>)> =
         waiting.by_ref().take(LANES).map(begin).collect();
-    let mut scratch = WalkScratch::new();
+    let mut scratch = WalkScratch::default();
     let mut visited = Vec::new();
     while !lanes.is_empty() {
         for (_, cursor) in &lanes {
@@ -1877,7 +1877,7 @@ impl<T: SimOverlay> Overlay for T {
         let cursor = WalkCursor::begin(&*self, src, state, true, index, Some(raw_key));
         Box::new(TypedCursor::<Self> {
             cursor,
-            scratch: WalkScratch::new(),
+            scratch: WalkScratch::default(),
         })
     }
 
@@ -1963,7 +1963,12 @@ mod tests {
         fn walk_owner(&self, walk: &u64) -> Option<NodeToken> {
             self.members.successor_of(*walk)
         }
-        fn next_hop(&self, cur: NodeToken, walk: &mut u64) -> StepDecision {
+        fn next_hop(
+            &self,
+            cur: NodeToken,
+            walk: &mut u64,
+            out: &mut Vec<(HopPhase, NodeToken)>,
+        ) -> StepDecision {
             if self.members.successor_of(*walk) == Some(cur) {
                 return StepDecision::Terminate;
             }
@@ -1971,10 +1976,8 @@ mod tests {
             // true successor as the repair fallback.
             let stored = *self.members.get(cur).unwrap();
             let live = self.members.successor_after(cur).unwrap();
-            StepDecision::Forward(vec![
-                (HopPhase::Successor, stored),
-                (HopPhase::Successor, live),
-            ])
+            out.extend([(HopPhase::Successor, stored), (HopPhase::Successor, live)]);
+            StepDecision::Forward
         }
         fn repair_on_use(
             &mut self,
@@ -2168,8 +2171,13 @@ mod tests {
             fn walk_owner(&self, walk: &u64) -> Option<NodeToken> {
                 self.0.walk_owner(walk)
             }
-            fn next_hop(&self, cur: NodeToken, walk: &mut u64) -> StepDecision {
-                self.0.next_hop(cur, walk)
+            fn next_hop(
+                &self,
+                cur: NodeToken,
+                walk: &mut u64,
+                out: &mut Vec<(HopPhase, NodeToken)>,
+            ) -> StepDecision {
+                self.0.next_hop(cur, walk, out)
             }
             fn node_join(&mut self, _rng: &mut dyn RngCore) -> Option<NodeToken> {
                 None
@@ -2476,7 +2484,7 @@ mod tests {
             .map(|(i, &(src, key))| {
                 let state = ring.begin_walk(src, key);
                 WalkCursor::begin(&*ring, src, state, true, base + i as u64, Some(key))
-                    .run(&*ring, &mut WalkScratch::new())
+                    .run(&*ring, &mut WalkScratch::default())
             })
             .collect();
         walks

@@ -154,6 +154,7 @@ pub fn zipf_pairs<O: Overlay + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lookup::HopPhase;
     use crate::rng::stream;
     use crate::sim::{Membership, SimOverlay, StepDecision};
 
@@ -200,7 +201,12 @@ mod tests {
         fn walk_owner(&self, _walk: &()) -> Option<NodeToken> {
             self.members.first_token()
         }
-        fn next_hop(&self, _cur: NodeToken, _walk: &mut ()) -> StepDecision {
+        fn next_hop(
+            &self,
+            _cur: NodeToken,
+            _walk: &mut (),
+            _out: &mut Vec<(HopPhase, NodeToken)>,
+        ) -> StepDecision {
             StepDecision::Terminate
         }
         fn node_join(&mut self, _rng: &mut dyn RngCore) -> Option<NodeToken> {

@@ -245,6 +245,8 @@ mod tests {
             other => panic!("unexpected: {other:?}"),
         }
         assert!(reg.get(&format!("Koorde/n={n}.lookups_per_sec")).is_some());
-        assert!(reg.get(&format!("Koorde/n={n}.join_wall_us_mean")).is_some());
+        assert!(reg
+            .get(&format!("Koorde/n={n}.join_wall_us_mean"))
+            .is_some());
     }
 }

@@ -335,7 +335,12 @@ impl SimOverlay for KoordeNetwork {
         self.successor_of_point(walk.key)
     }
 
-    fn next_hop(&self, cur: NodeToken, walk: &mut KoordeWalk) -> StepDecision {
+    fn next_hop(
+        &self,
+        cur: NodeToken,
+        walk: &mut KoordeWalk,
+        out: &mut Vec<(HopPhase, NodeToken)>,
+    ) -> StepDecision {
         let space = self.config.space();
         let node = self.members.get(cur).expect("current node is live");
         if in_interval_oc(walk.key, node.predecessor, cur, space) {
@@ -346,21 +351,20 @@ impl SimOverlay for KoordeNetwork {
         if take_debruijn {
             // Walk down the de Bruijn edge (backups after the pointer);
             // the bit shift into the imaginary node happens in `on_hop`.
-            StepDecision::Forward(
+            out.extend(
                 std::iter::once(node.debruijn)
                     .chain(node.debruijn_preds.iter().copied())
-                    .map(|cand| (HopPhase::DeBruijn, cand))
-                    .collect(),
-            )
+                    .map(|cand| (HopPhase::DeBruijn, cand)),
+            );
         } else {
             // Ring fix-up (or final approach) through the successor list.
-            StepDecision::Forward(
+            out.extend(
                 node.successors
                     .iter()
-                    .map(|&cand| (HopPhase::Successor, cand))
-                    .collect(),
-            )
+                    .map(|&cand| (HopPhase::Successor, cand)),
+            );
         }
+        StepDecision::Forward
     }
 
     /// The state row, first field to last.

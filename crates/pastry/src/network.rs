@@ -437,7 +437,12 @@ impl SimOverlay for PastryNetwork {
         self.owner_of_point(walk.key)
     }
 
-    fn next_hop(&self, cur: NodeToken, walk: &mut PastryWalk) -> StepDecision {
+    fn next_hop(
+        &self,
+        cur: NodeToken,
+        walk: &mut PastryWalk,
+        out: &mut Vec<(HopPhase, NodeToken)>,
+    ) -> StepDecision {
         let c = self.config;
         let key = walk.key;
         let node = self.members.get(cur).expect("current node is live");
@@ -446,12 +451,13 @@ impl SimOverlay for PastryNetwork {
         // Leaf-set candidates strictly closer to the key. Dead leaf
         // entries are dropped here (the leaf set is the termination
         // test's ground, not a contact attempt), so they cost no timeout.
-        let mut leafs: Vec<(u64, u64)> = node
-            .leafs()
-            .filter(|&l| self.is_live(l))
-            .map(|l| (self.key_metric(key, l), l))
-            .filter(|&(m, _)| m < cur_metric)
-            .collect();
+        let mut leafs = InlineVec::<(u64, u64), 16>::new();
+        for l in node.leafs() {
+            let m = self.key_metric(key, l);
+            if m < cur_metric && self.is_live(l) {
+                leafs.push((m, l));
+            }
+        }
         leafs.sort_unstable();
         leafs.dedup();
 
@@ -464,17 +470,16 @@ impl SimOverlay for PastryNetwork {
         // Preferred hop: the routing-table entry for the first differing
         // digit ("forwards the query to a node which matches one more
         // digit"); a stale entry costs a timeout.
-        let mut plan: Vec<(HopPhase, NodeToken)> = Vec::new();
         let row = c.shared_prefix(cur, key);
         if row < c.digits() {
             let col = c.digit(key, row);
             if let Some(entry) = node.table[(row * c.base() + col) as usize] {
-                plan.push((HopPhase::Finger, entry));
+                out.push((HopPhase::Finger, entry));
             }
         }
         // Fallback ("the rare case"): any leaf numerically closer.
-        plan.extend(leafs.iter().map(|&(_, l)| (HopPhase::Successor, l)));
-        StepDecision::Forward(plan)
+        out.extend(leafs.iter().map(|&(_, l)| (HopPhase::Successor, l)));
+        StepDecision::Forward
     }
 
     fn node_join(&mut self, _rng: &mut dyn RngCore) -> Option<NodeToken> {

@@ -404,17 +404,22 @@ impl SimOverlay for ViceroyNetwork {
         self.successor_of_point(walk.key)
     }
 
-    fn next_hop(&self, cur: NodeToken, walk: &mut ViceroyWalk) -> StepDecision {
+    fn next_hop(
+        &self,
+        cur: NodeToken,
+        walk: &mut ViceroyWalk,
+        out: &mut Vec<(HopPhase, NodeToken)>,
+    ) -> StepDecision {
         let space = self.config.space();
         let key = walk.key;
         if self.key_lands_here(cur, key) {
             return StepDecision::Terminate;
         }
-        loop {
+        let next = loop {
             match walk.phase {
                 // Phase 1: ascend to a level-1 node via up links.
                 WalkPhase::Up => match self.up_link(cur) {
-                    Some(up) => return StepDecision::Forward(vec![(HopPhase::Ascending, up)]),
+                    Some(up) => break Some((HopPhase::Ascending, up)),
                     None => walk.phase = WalkPhase::Down,
                 },
                 // Phase 2: descend along down links until a node with no
@@ -429,7 +434,7 @@ impl SimOverlay for ViceroyNetwork {
                         .filter(|&n| n != cur)
                         .min_by_key(|&n| ring_dist(n, key, space));
                     match next {
-                        Some(n) => return StepDecision::Forward(vec![(HopPhase::Descending, n)]),
+                        Some(n) => break Some((HopPhase::Descending, n)),
                         None => walk.phase = WalkPhase::Traverse,
                     }
                 }
@@ -453,17 +458,16 @@ impl SimOverlay for ViceroyNetwork {
                     // No strict ring progress left: the key sits between
                     // this node and its successor — the successor is the
                     // storing node.
-                    let next = greedy.or_else(|| {
+                    let fixup = || {
                         self.succ_link(cur)
                             .filter(|&s| in_interval_oc(key, cur, s, space))
-                    });
-                    return match next {
-                        Some(n) => StepDecision::Forward(vec![(HopPhase::TraverseCycle, n)]),
-                        None => StepDecision::Forward(Vec::new()),
                     };
+                    break greedy.or_else(fixup).map(|n| (HopPhase::TraverseCycle, n));
                 }
             }
-        }
+        };
+        out.extend(next);
+        StepDecision::Forward
     }
 
     fn budget_before_terminal(&self) -> bool {

@@ -1,0 +1,99 @@
+//! A hop must not allocate: `SimOverlay::next_hop` fills a candidate
+//! buffer the walk engine reuses, and Cycloid sorts its plan on the
+//! stack. What a *lookup* may still allocate is a handful of growing
+//! vectors (the hop-phase list, the visited nodes, the trace), so the
+//! bound below is per lookup, not per hop — one allocation per hop
+//! breaks it at once on Viceroy (~80 hops a lookup at this size) and
+//! Koorde (~30).
+//!
+//! CAN is left out: its `neighbors_of` still builds two `Vec`s per hop
+//! (ROADMAP item 1(c)).
+//!
+//! The counting allocator is this test binary's only; every library
+//! crate stays `#![forbid(unsafe_code)]`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use dht_core::rng::stream_indexed;
+use dht_sim::{build_overlay, OverlayKind, ALL_KINDS};
+use rand::Rng;
+
+thread_local! {
+    /// Allocations made by this thread (the harness runs tests on
+    /// several, and `lookup_batch(_, 1)` routes on the caller's).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a plain thread-local cell
+// with no destructor, so touching it never allocates or re-enters.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const NODES: usize = 2_000;
+const LOOKUPS: usize = 500;
+
+/// Builds `kind`, fails `departed` of its nodes without stabilizing, and
+/// asserts the allocation bound over one sequential batch.
+fn assert_lookups_allocate_little(kind: OverlayKind, departed: f64) {
+    let mut net = build_overlay(kind, NODES, 15);
+    let mut rng = stream_indexed(15, "hop-allocations", kind as u64);
+    for token in net.node_tokens() {
+        if rng.gen_bool(departed) {
+            net.fail(token);
+        }
+    }
+    let live = net.node_tokens();
+    let reqs: Vec<(u64, u64)> = (0..LOOKUPS)
+        .map(|_| (live[rng.gen_range(0..live.len())], rng.gen()))
+        .collect();
+    let before = ALLOCATIONS.with(Cell::get);
+    let traces = net.lookup_batch(&reqs, 1);
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    let hops: usize = traces.iter().map(|t| t.path_len()).sum();
+    let bound = 16 * LOOKUPS as u64 + 64;
+    assert!(
+        allocations <= bound,
+        "{} ({departed} departed): {allocations} allocations over {LOOKUPS} lookups and {hops} hops \
+         exceed {bound}",
+        kind.label()
+    );
+}
+
+#[test]
+fn healthy_lookups_allocate_per_lookup_not_per_hop() {
+    for kind in ALL_KINDS {
+        if kind != OverlayKind::Can {
+            assert_lookups_allocate_little(kind, 0.0);
+        }
+    }
+}
+
+/// 30% unstabilized departures put Cycloid's walks on the fallback
+/// branches of `plan_step` (stale cubical/cyclic entries, dead leaves).
+#[test]
+fn cycloid_fallback_hops_do_not_allocate_either() {
+    for kind in [OverlayKind::Cycloid7, OverlayKind::Cycloid11] {
+        assert_lookups_allocate_little(kind, 0.3);
+    }
+}
