@@ -115,7 +115,7 @@ impl ZoneIndex {
             // cursor contains `p`, so only the split dimension decides.
             let k = cursor.longest_dim();
             let mid = cursor.lo[k] + (cursor.hi[k] - cursor.lo[k]) / 2;
-            assert!(mid > cursor.lo[k], "index tiles the torus: a unit box");
+            assert!(mid > cursor.lo[k], "no index entry above a unit box");
             if p[k] < mid {
                 cursor.hi[k] = mid;
             } else {

@@ -125,9 +125,9 @@ impl CycloidNetwork {
                 }
                 outside.sort_unstable();
                 outside.dedup();
-                outside
-                    .iter()
-                    .for_each(|&(_, c)| emit(HopPhase::Ascending, c));
+                for &(_, c) in outside.iter() {
+                    emit(HopPhase::Ascending, c);
+                }
                 HopPhase::Ascending
             } else {
                 // Phase 2: descending.
@@ -154,9 +154,9 @@ impl CycloidNetwork {
                     }
                     cands.sort_unstable();
                     cands.dedup();
-                    cands
-                        .iter()
-                        .for_each(|&(_, _, c)| emit(HopPhase::Descending, c));
+                    for &(_, _, c) in cands.iter() {
+                        emit(HopPhase::Descending, c);
+                    }
                 }
                 HopPhase::Descending
             }

@@ -287,8 +287,7 @@ pub fn key_counts<O: Overlay + ?Sized>(overlay: &O, raw_keys: &[u64]) -> Vec<u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lookup::HopPhase;
-    use crate::lookup::LookupOutcome;
+    use crate::lookup::{HopPhase, LookupOutcome};
     use crate::sim::{Membership, SimOverlay, StepDecision};
 
     /// A degenerate single-node overlay (token 7) used to exercise the
