@@ -396,7 +396,9 @@ mod tests {
     }
 
     /// The least `SimOverlay` that holds `Toy` states: no routing, and a
-    /// stabilizer that resets a node to [`Toy::healthy`].
+    /// stabilizer that resets a node to [`Toy::healthy`]. Not
+    /// `sim::fixture::StaleRing`, whose `u64` state has no `Links` to corrupt
+    /// and whose stabilizer repairs nothing.
     struct ToyNet(Membership<Toy>);
 
     impl ToyNet {

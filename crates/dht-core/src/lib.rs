@@ -74,8 +74,8 @@ pub use obs::{
 };
 pub use overlay::{NodeToken, Overlay};
 pub use sim::{
-    default_store_kind, set_default_store_kind, CursorStep, LookupCursor, Membership, QueryLoads,
-    SimOverlay, StepDecision, StoreKind, WalkCursor, WalkEffects, WalkScratch,
+    CursorStep, LookupCursor, Membership, SimOverlay, StepDecision, WalkCursor, WalkEffects,
+    WalkScratch,
 };
 pub use stats::Summary;
 pub use store::CompactStore;

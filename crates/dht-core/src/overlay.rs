@@ -287,88 +287,27 @@ pub fn key_counts<O: Overlay + ?Sized>(overlay: &O, raw_keys: &[u64]) -> Vec<u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lookup::{HopPhase, LookupOutcome};
-    use crate::sim::{Membership, SimOverlay, StepDecision};
+    use crate::lookup::LookupOutcome;
+    use crate::sim::fixture::StaleRing;
 
-    /// A degenerate single-node overlay (token 7) used to exercise the
-    /// trait's default methods and `key_counts`. When `ghost_owner` is
-    /// set, `owner_of` names a token that is not a live node — the
-    /// inconsistency `key_counts` must tolerate.
-    struct OneNode {
-        members: Membership<()>,
-        ghost_owner: bool,
-    }
-
-    impl OneNode {
-        fn new(ghost_owner: bool) -> Self {
-            let mut members = Membership::new(0);
-            members.insert(7, ());
-            Self {
-                members,
-                ghost_owner,
-            }
-        }
-    }
-
-    impl SimOverlay for OneNode {
-        type State = ();
-        type Walk = ();
-
-        fn membership(&self) -> &Membership<()> {
-            &self.members
-        }
-        fn membership_mut(&mut self) -> &mut Membership<()> {
-            &mut self.members
-        }
-        fn label(&self) -> String {
-            "OneNode".into()
-        }
-        fn degree_limit(&self) -> Option<usize> {
-            Some(0)
-        }
-        fn map_key(&self, raw_key: u64) -> u64 {
-            raw_key
-        }
-        fn owner_token(&self, _raw_key: u64) -> Option<NodeToken> {
-            if self.ghost_owner {
-                Some(999)
-            } else {
-                Some(7)
-            }
-        }
-        fn hop_budget(&self) -> usize {
-            4
-        }
-        fn begin_walk(&self, _src: NodeToken, _raw_key: u64) {}
-        fn walk_owner(&self, _walk: &()) -> Option<NodeToken> {
-            Some(7)
-        }
-        fn next_hop(
-            &self,
-            _cur: NodeToken,
-            _walk: &mut (),
-            _out: &mut Vec<(HopPhase, NodeToken)>,
-        ) -> StepDecision {
-            StepDecision::Terminate
-        }
-        fn node_join(&mut self, _rng: &mut dyn RngCore) -> Option<NodeToken> {
-            None
-        }
-        fn node_leave(&mut self, _node: NodeToken) -> bool {
-            false
-        }
-        fn stabilize_network(&mut self) {}
+    /// A single-node ring (token 7). With `ghost_owner`, `owner_of`
+    /// names a token that is not a live node — the inconsistency
+    /// `key_counts` must tolerate.
+    fn one_node(ghost_owner: bool) -> StaleRing {
+        let mut ring = StaleRing::with_tokens(&[7], 16);
+        ring.ghost_owner = ghost_owner.then_some(999);
+        ring
     }
 
     #[test]
     fn default_is_empty_uses_len() {
-        let o = OneNode::new(false);
+        let o = one_node(false);
         assert!(!o.is_empty());
     }
 
     #[test]
     fn key_counts_assigns_everything_to_owner() {
-        let o = OneNode::new(false);
+        let o = one_node(false);
         let counts = key_counts(&o, &[1, 2, 3, 4, 5]);
         assert_eq!(counts, vec![5]);
     }
@@ -377,14 +316,14 @@ mod tests {
     fn key_counts_skips_owner_outside_membership() {
         // Regression: an owner token absent from `node_tokens()` used to
         // panic on the index lookup; it must be skipped instead.
-        let o = OneNode::new(true);
+        let o = one_node(true);
         let counts = key_counts(&o, &[1, 2, 3, 4, 5]);
         assert_eq!(counts, vec![0]);
     }
 
     #[test]
     fn lookup_counts_queries_and_reset_clears() {
-        let mut o = OneNode::new(false);
+        let mut o = one_node(false);
         let t = o.lookup(7, 99);
         assert_eq!(t.outcome, LookupOutcome::Found);
         assert_eq!(o.query_loads(), vec![1]);

@@ -1,12 +1,10 @@
 //! Compact struct-of-arrays node store backing [`crate::sim::Membership`].
 //!
-//! The original arena kept per-node state in a `BTreeMap<NodeToken, S>`
-//! plus a dense sorted `Vec<NodeToken>` mirror. That pairing is fine at
-//! the paper's d·2^d ≈ 90k scale but caps million-node runs twice over:
-//! the B-tree scatters small state structs across pointer-chased tree
-//! nodes, and the dense mirror pays an O(n) `memmove` per join/leave.
+//! A `BTreeMap<NodeToken, S>` scatters small state structs across
+//! pointer-chased tree nodes, and a dense sorted `Vec<NodeToken>` pays an
+//! O(n) `memmove` per join/leave; either caps million-node runs.
 //!
-//! [`CompactStore`] replaces both with three coupled structures:
+//! [`CompactStore`] is three coupled structures instead:
 //!
 //! ```text
 //!  chunks:  [ tokens ≤1024 | slots ]  [ tokens | slots ]  ...   sorted
@@ -21,9 +19,9 @@
 //!
 //! * **Chunked sorted tokens** — the token order lives in bounded chunks
 //!   (≤ [`CHUNK_CAP`] entries), so a join/leave shifts at most one chunk:
-//!   amortized O(1) with a ~8 KiB worst-case `memmove` instead of the
-//!   old O(n) one. Ordered ring searches binary-search the chunk spine
-//!   and then the chunk, preserving the exact BTreeMap range semantics.
+//!   amortized O(1) with a ~8 KiB worst-case `memmove` instead of an
+//!   O(n) one. Ordered ring searches binary-search the chunk spine and
+//!   then the chunk.
 //! * **State slab** — states are dense `Vec<S>` entries addressed by
 //!   `slot`; removal swap-removes and patches the two references (hash
 //!   index + chunk) to the moved entry. Iteration in token order walks
@@ -37,11 +35,12 @@
 //! departed node can never resurrect a "ghost" counter because its slot
 //! is gone.
 //!
-//! Every operation reproduces the observable behavior of the BTreeMap
-//! backend exactly (same iteration order, same range semantics, same
-//! duplicate-insert panic), which is what keeps the golden traces
-//! byte-identical; `tests/compact_membership.rs` pins this equivalence
-//! property end-to-end.
+//! Every read is what a `BTreeMap` from token to state would answer —
+//! same iteration order, same range results, except that an inverted
+//! range holds nothing where `BTreeMap::range` panics — and a duplicate
+//! insert panics. The golden traces depend on it; the model test in
+//! `sim/membership.rs` compares every read with such a map after every
+//! step of arbitrary scripts.
 
 use crate::hash::splitmix64;
 use crate::overlay::NodeToken;
@@ -277,8 +276,8 @@ impl<S> CompactStore<S> {
     /// Inserts a new node with a zeroed query-load counter.
     ///
     /// # Panics
-    /// Panics if `token` is already live (same contract as the BTreeMap
-    /// backend: joins must re-draw identifiers on collision).
+    /// Panics if `token` is already live: joins must re-draw identifiers
+    /// on collision.
     pub fn insert(&mut self, token: NodeToken, state: S) {
         assert!(
             self.index.get(token).is_none(),
@@ -428,7 +427,7 @@ impl<S> CompactStore<S> {
     }
 
     // ------------------------------------------------------------------
-    // Ordered ring searches (exact BTreeMap range semantics)
+    // Ordered ring searches (`BTreeMap::range` semantics)
     // ------------------------------------------------------------------
 
     /// First live token `>= point`, without wrapping.
@@ -476,13 +475,15 @@ impl<S> CompactStore<S> {
         self.upper_bound(point, true).or_else(|| self.last_token())
     }
 
-    /// Smallest live token in `[lo, hi]` (no wrapping).
+    /// Smallest live token in `[lo, hi]` (no wrapping); `None` when the
+    /// range is inverted (`lo > hi`).
     #[must_use]
     pub fn first_in_range(&self, lo: u64, hi: u64) -> Option<NodeToken> {
         self.lower_bound(lo).filter(|&t| t <= hi)
     }
 
-    /// Largest live token in `[lo, hi]` (no wrapping).
+    /// Largest live token in `[lo, hi]` (no wrapping); `None` when the
+    /// range is inverted (`lo > hi`).
     #[must_use]
     pub fn last_in_range(&self, lo: u64, hi: u64) -> Option<NodeToken> {
         self.upper_bound(hi, true).filter(|&t| t >= lo)
@@ -552,7 +553,7 @@ impl<S> CompactStore<S> {
     /// hash index, chunks are sorted and non-empty, and the slab columns
     /// agree.
     #[cfg(test)]
-    fn check_invariants(&self) {
+    pub(crate) fn check_invariants(&self) {
         assert_eq!(self.states.len(), self.tokens_by_slot.len());
         assert_eq!(self.states.len(), self.loads.len());
         assert_eq!(self.index.len, self.states.len());
@@ -577,17 +578,6 @@ impl<S> CompactStore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
-
-    /// Deterministic token stream for model tests.
-    fn stream(seed: u64) -> impl Iterator<Item = u64> {
-        let mut x = seed;
-        std::iter::repeat_with(move || {
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            splitmix64(x)
-        })
-    }
-
     #[test]
     fn insert_get_remove_roundtrip() {
         let mut s: CompactStore<String> = CompactStore::new();
@@ -609,75 +599,6 @@ mod tests {
         let mut s: CompactStore<u32> = CompactStore::new();
         s.insert(1, 0);
         s.insert(1, 0);
-    }
-
-    #[test]
-    fn matches_btreemap_model_through_churn() {
-        let mut s: CompactStore<u64> = CompactStore::new();
-        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-        let tokens: Vec<u64> = stream(42).take(4000).map(|t| t % 10_000).collect();
-        for (i, &t) in tokens.iter().enumerate() {
-            if let std::collections::btree_map::Entry::Vacant(e) = model.entry(t) {
-                s.insert(t, i as u64);
-                e.insert(i as u64);
-            } else {
-                // Alternate removing the probed token and a model member.
-                assert_eq!(s.remove(t), model.remove(&t));
-            }
-            if i % 512 == 0 {
-                s.check_invariants();
-                assert_eq!(s.tokens(), model.keys().copied().collect::<Vec<_>>());
-            }
-        }
-        s.check_invariants();
-        assert_eq!(s.len(), model.len());
-        assert_eq!(s.tokens(), model.keys().copied().collect::<Vec<_>>());
-        for (i, (&t, &v)) in model.iter().enumerate() {
-            assert_eq!(s.get(t), Some(&v));
-            assert_eq!(s.token_at(i), Some(t));
-        }
-        assert_eq!(s.token_at(model.len()), None);
-        // Ordered iteration matches.
-        let pairs: Vec<(u64, u64)> = s.iter().map(|(t, &v)| (t, v)).collect();
-        let want: Vec<(u64, u64)> = model.iter().map(|(&t, &v)| (t, v)).collect();
-        assert_eq!(pairs, want);
-    }
-
-    #[test]
-    fn ordered_queries_match_model() {
-        let mut s: CompactStore<()> = CompactStore::new();
-        let mut model: BTreeMap<u64, ()> = BTreeMap::new();
-        for t in stream(7).take(3000).map(|t| t % 5_000) {
-            if let std::collections::btree_map::Entry::Vacant(e) = model.entry(t) {
-                s.insert(t, ());
-                e.insert(());
-            }
-        }
-        for point in stream(99).take(500).map(|p| p % 5_100) {
-            let succ = model
-                .range(point..)
-                .next()
-                .or_else(|| model.iter().next())
-                .map(|(&t, ())| t);
-            assert_eq!(s.successor_of(point), succ, "successor_of({point})");
-            let pred = model
-                .range(..point)
-                .next_back()
-                .or_else(|| model.iter().next_back())
-                .map(|(&t, ())| t);
-            assert_eq!(s.predecessor_of(point), pred, "predecessor_of({point})");
-            let aob = model
-                .range(..=point)
-                .next_back()
-                .or_else(|| model.iter().next_back())
-                .map(|(&t, ())| t);
-            assert_eq!(s.at_or_before(point), aob, "at_or_before({point})");
-            let lo = point.saturating_sub(300);
-            let fir = model.range(lo..=point).next().map(|(&t, ())| t);
-            assert_eq!(s.first_in_range(lo, point), fir);
-            let lir = model.range(lo..=point).next_back().map(|(&t, ())| t);
-            assert_eq!(s.last_in_range(lo, point), lir);
-        }
     }
 
     #[test]

@@ -154,73 +154,17 @@ pub fn zipf_pairs<O: Overlay + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lookup::HopPhase;
     use crate::rng::stream;
-    use crate::sim::{Membership, SimOverlay, StepDecision};
+    use crate::sim::fixture::StaleRing;
 
-    struct FakeOverlay {
-        members: Membership<()>,
-    }
-
-    impl FakeOverlay {
-        fn new(n: usize) -> Self {
-            let mut members = Membership::new(0);
-            for t in 0..n as u64 {
-                members.insert(t, ());
-            }
-            Self { members }
-        }
-    }
-
-    impl SimOverlay for FakeOverlay {
-        type State = ();
-        type Walk = ();
-
-        fn membership(&self) -> &Membership<()> {
-            &self.members
-        }
-        fn membership_mut(&mut self) -> &mut Membership<()> {
-            &mut self.members
-        }
-        fn label(&self) -> String {
-            "fake".into()
-        }
-        fn degree_limit(&self) -> Option<usize> {
-            None
-        }
-        fn map_key(&self, raw_key: u64) -> u64 {
-            raw_key
-        }
-        fn owner_token(&self, _raw_key: u64) -> Option<NodeToken> {
-            self.members.first_token()
-        }
-        fn hop_budget(&self) -> usize {
-            4
-        }
-        fn begin_walk(&self, _src: NodeToken, _raw_key: u64) {}
-        fn walk_owner(&self, _walk: &()) -> Option<NodeToken> {
-            self.members.first_token()
-        }
-        fn next_hop(
-            &self,
-            _cur: NodeToken,
-            _walk: &mut (),
-            _out: &mut Vec<(HopPhase, NodeToken)>,
-        ) -> StepDecision {
-            StepDecision::Terminate
-        }
-        fn node_join(&mut self, _rng: &mut dyn RngCore) -> Option<NodeToken> {
-            None
-        }
-        fn node_leave(&mut self, _node: NodeToken) -> bool {
-            false
-        }
-        fn stabilize_network(&mut self) {}
+    /// A ring of the tokens `0..n`.
+    fn ring(n: u64) -> StaleRing {
+        StaleRing::with_tokens(&(0..n).collect::<Vec<_>>(), 64)
     }
 
     #[test]
     fn per_node_uniform_counts() {
-        let o = FakeOverlay::new(10);
+        let o = ring(10);
         let reqs = per_node_uniform(&o, 4, &mut stream(1, "w"));
         assert_eq!(reqs.len(), 40);
         // Every node appears exactly 4 times as a source.
@@ -231,7 +175,7 @@ mod tests {
 
     #[test]
     fn random_pairs_sources_are_live() {
-        let o = FakeOverlay::new(5);
+        let o = ring(5);
         let reqs = random_pairs(&o, 100, &mut stream(2, "w"));
         assert_eq!(reqs.len(), 100);
         assert!(reqs.iter().all(|r| r.src < 5));
@@ -248,7 +192,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty overlay")]
     fn random_pairs_rejects_empty() {
-        let o = FakeOverlay::new(0);
+        let o = ring(0);
         let _ = random_pairs(&o, 1, &mut stream(4, "w"));
     }
 
@@ -293,7 +237,7 @@ mod tests {
 
     #[test]
     fn zipf_pairs_draw_from_catalogue() {
-        let o = FakeOverlay::new(8);
+        let o = ring(8);
         let mut rng = stream(7, "zp");
         let cat = ZipfKeys::new(50, 1.0, &mut rng);
         let reqs = zipf_pairs(&o, &cat, 200, &mut rng);
