@@ -8,29 +8,25 @@
 //! cargo run --release -p bench --bin repro -- metrics --metrics-out bench-out
 //! ```
 //!
-//! Experiments: `table1 table2 table3 fig5 fig6 fig7 fig8 fig9 fig10
-//! fig11 table4 fig12 table5 fig13 fig14`, the extensions `extfail
-//! extpath extdegree exthotspot fault`, the `all` shorthand, the `path`
-//! alias (figs 5–7), and `metrics` (summarise previously written
-//! `BENCH_*.json` files).
+//! Experiments: the paper's tables and figures plus four extensions
+//! ([`ALL`], also reachable as `all`), the `path` alias (figs 5–7), and
+//! the subcommands of [`EXTRA`], which `all` leaves out: `metrics`
+//! summarises previously written `BENCH_*.json` files; `converge`
+//! measures time-to-stabilize after membership shocks and lookup latency
+//! under continuous-time churn; `scale` sweeps 10⁴–10⁶ node populations
+//! for memory footprint and path quality; `recover` corrupts routing
+//! state through the seeded strategy catalogue and measures time and
+//! repair cost to audit-clean; `profile` runs every kind under default
+//! churn with the phase accountant and the telemetry sampler on.
 //! Flags: `--quick` (reduced workloads), `--seed <u64>` (default 2004),
 //! `--csv` (machine-readable output), `--chart` (terminal line charts
 //! for the line figures), `--metrics-out <dir>` (write one versioned
 //! `BENCH_<experiment>.json` per experiment group), `--quiet` (suppress
 //! progress lines; `REPRO_LOG=debug|info|quiet` overrides), and
 //! `--jobs <N>` (worker threads per lookup batch; default: available
-//! parallelism). Results are bit-identical for every `--jobs` value —
-//! the flag only changes wall clock. The extra `throughput` subcommand
-//! (not part of `all`) measures the sequential-vs-sharded speedup and
-//! exports it as `BENCH_lookup_throughput.json`; the extra `converge`
-//! subcommand measures time-to-stabilize after membership shocks and
-//! lookup latency under continuous-time churn, exported as
-//! `BENCH_converge.json`; the extra `scale` subcommand sweeps 10⁴–10⁶
-//! node populations on the compact membership store and exports memory
-//! footprint, throughput, and join latency as `BENCH_scale.json`; the
-//! extra `recover` subcommand corrupts routing state through the seeded
-//! strategy catalogue and measures time and repair cost to audit-clean,
-//! exported as `BENCH_recover.json`.
+//! parallelism). Everything printed to stdout or exported is seeded and
+//! bit-identical for every `--jobs` value; the only wall clock `repro`
+//! reads is its closing "done in" progress line.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -42,8 +38,7 @@ use dht_core::lookup::HopPhase;
 use dht_core::obs::{to_bench_json, BenchMeta, LogLevel, MetricsRegistry, Phase, Progress};
 use dht_sim::experiments::{
     churn_exp, converge, fault_tolerance, hotspot, key_distribution, maintenance, mass_departure,
-    path_length, profile, query_load, recover, scale, sparsity, static_tables, throughput,
-    ungraceful,
+    path_length, profile, query_load, recover, scale, sparsity, static_tables, ungraceful,
 };
 use dht_sim::report::Table;
 
@@ -82,13 +77,17 @@ const ALL: &[&str] = &[
     "fault",
 ];
 
+/// Subcommands `all` does not include.
+const EXTRA: &[&str] = &["metrics", "converge", "scale", "recover", "profile"];
+
 fn usage() -> ! {
     eprintln!(
         "usage: repro [EXPERIMENT...] [--quick] [--csv] [--chart] [--quiet]\n\
          \x20            [--seed N] [--metrics-out DIR]\n\
          \x20            [--jobs N]\n\
-         experiments: {} all path metrics throughput converge scale recover profile",
-        ALL.join(" ")
+         experiments: {} all path {}",
+        ALL.join(" "),
+        EXTRA.join(" ")
     );
     std::process::exit(2);
 }
@@ -134,25 +133,7 @@ fn parse_args() -> Options {
                 opts.experiments
                     .extend(["fig5", "fig6", "fig7"].map(str::to_string));
             }
-            "metrics" => {
-                opts.experiments.insert("metrics".to_string());
-            }
-            "throughput" => {
-                opts.experiments.insert("throughput".to_string());
-            }
-            "converge" => {
-                opts.experiments.insert("converge".to_string());
-            }
-            "scale" => {
-                opts.experiments.insert("scale".to_string());
-            }
-            "recover" => {
-                opts.experiments.insert("recover".to_string());
-            }
-            "profile" => {
-                opts.experiments.insert("profile".to_string());
-            }
-            name if ALL.contains(&name) => {
+            name if ALL.contains(&name) || EXTRA.contains(&name) => {
                 opts.experiments.insert(name.to_string());
             }
             _ => usage(),
@@ -547,30 +528,6 @@ fn main() {
         write_bench("ungraceful", &reg);
     }
 
-    if wants("throughput") {
-        progress.info(format!(
-            "running lookup-throughput benchmark (jobs={})...",
-            opts.jobs
-        ));
-        let params = if opts.quick {
-            throughput::ThroughputParams::quick(opts.seed, opts.jobs)
-        } else {
-            throughput::ThroughputParams::paper(opts.seed, opts.jobs)
-        };
-        let rows = throughput::measure(&params);
-        emit(&render::throughput(&rows), opts.csv);
-        if let Some(bad) = rows.iter().find(|r| !r.results_identical()) {
-            eprintln!(
-                "[repro] error: {} results diverged between jobs=1 and jobs={}",
-                bad.label, bad.jobs
-            );
-            std::process::exit(1);
-        }
-        let mut reg = MetricsRegistry::new();
-        throughput::register_metrics(&rows, &mut reg);
-        write_bench("lookup_throughput", &reg);
-    }
-
     if wants("converge") {
         progress.info("running stabilization-convergence sweep (virtual clock)...");
         let mut params = if opts.quick {
@@ -630,17 +587,7 @@ fn main() {
             scale::ScaleParams::paper(opts.seed)
         };
         params.jobs = opts.jobs;
-        let rows = scale::measure_with(&params, |row| {
-            progress.info(format!(
-                "{} n={}: build {:.1}s, {:.0} bytes/node, {:.1}k lookups/s, join p99 {:.0}µs",
-                row.label,
-                row.n,
-                row.build_us as f64 / 1_000_000.0,
-                row.bytes_per_node,
-                row.lookups_per_sec() / 1_000.0,
-                row.join_us.p99,
-            ));
-        });
+        let rows = scale::measure(&params);
         emit(&render::scale(&rows), opts.csv);
         let mut reg = MetricsRegistry::new();
         scale::register_metrics(&rows, &mut reg);

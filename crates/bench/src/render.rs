@@ -13,7 +13,6 @@ use dht_sim::experiments::recover::RecoverRow;
 use dht_sim::experiments::scale::ScaleRow;
 use dht_sim::experiments::sparsity::SparsityRow;
 use dht_sim::experiments::static_tables;
-use dht_sim::experiments::throughput::ThroughputRow;
 use dht_sim::experiments::ungraceful::UngracefulRow;
 use dht_sim::report::{audit_cell, f, mean_p01_p99, Table};
 
@@ -304,43 +303,8 @@ pub fn churn_audit(rows: &[ChurnRow]) -> Table {
     )
 }
 
-/// The lookup-throughput benchmark: sequential vs sharded wall clock
-/// per overlay, with the determinism check. Timings are intentionally
-/// absent from every other table so `repro` output stays byte-stable
-/// across `--jobs`; this table is the one place wall clock is shown.
-#[must_use]
-pub fn throughput(rows: &[ThroughputRow]) -> Table {
-    let mut t = Table::new(
-        "Benchmark: lookup throughput, sequential vs sharded execution",
-        &[
-            "system",
-            "lookups",
-            "jobs",
-            "seq klookups/s",
-            "par klookups/s",
-            "speedup",
-            "identical",
-        ],
-    );
-    for r in rows {
-        t.row(vec![
-            r.label.clone(),
-            format!("{}", r.sequential.path.n),
-            format!("{}", r.jobs),
-            format!("{:.1}", r.sequential.lookups_per_sec() / 1_000.0),
-            format!("{:.1}", r.parallel.lookups_per_sec() / 1_000.0),
-            format!("{:.2}x", r.speedup()),
-            if r.results_identical() { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-    t
-}
-
 /// Extension: compact-membership footprint and routing quality across
-/// populations. Only run-invariant columns appear here — wall-clock
-/// figures (build time, lookups/sec, join latency) live in
-/// `BENCH_scale.json` and the stderr progress stream, so this table is
-/// byte-identical across `--jobs` values (the CI determinism check).
+/// populations.
 #[must_use]
 pub fn scale(rows: &[ScaleRow]) -> Table {
     let mut t = Table::new(

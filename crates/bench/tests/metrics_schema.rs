@@ -5,8 +5,8 @@
 //! results/bench`, it re-runs this suite with
 //! `METRICS_OUT_DIR=results/bench` and the test validates every written
 //! document end to end — schema validity plus the acceptance floor:
-//! throughput, a per-phase hop histogram, and a wall-clock timer for
-//! every overlay in the sweep. A relative `METRICS_OUT_DIR` is resolved
+//! the hop histogram and a per-phase hop histogram for every overlay in
+//! the sweep. A relative `METRICS_OUT_DIR` is resolved
 //! against the **workspace root** (where the CI steps run), not the
 //! test binary's own working directory.
 
@@ -107,7 +107,6 @@ fn written_bench_files_conform() {
                     .iter()
                     .any(|n| n.starts_with(&format!("{overlay}/")) && n.ends_with(suffix))
             };
-            assert!(has(".lookups_per_sec"), "{overlay}: missing throughput");
             assert!(has(".hops"), "{overlay}: missing hop histogram");
             assert!(
                 names
@@ -115,7 +114,6 @@ fn written_bench_files_conform() {
                     .any(|n| n.starts_with(&format!("{overlay}/")) && n.contains(".hops.")),
                 "{overlay}: missing per-phase hop histograms"
             );
-            assert!(has(".wall"), "{overlay}: missing wall-clock timer");
         }
     }
 }

@@ -120,7 +120,7 @@ impl LookupTrace {
 
 /// Accumulates hop counts per phase over many lookups and reports each
 /// phase's share of the total path length (Fig. 7's stacked bars).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseBreakdown {
     counts: Vec<(HopPhase, u64)>,
     total_hops: u64,

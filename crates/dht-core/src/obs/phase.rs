@@ -35,8 +35,8 @@
 //!   must (un)announce, again via `maintenance_msgs`; an ungraceful
 //!   failure sends nothing.
 //! * **Audit**: one message per invariant check (the auditor reads each
-//!   node's state once per check). Audit `time_us` is wall-clock — the
-//!   audit is a measurement-side activity with no virtual cost.
+//!   node's state once per check), and no time — the audit is a
+//!   measurement-side activity with no virtual cost.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -114,9 +114,9 @@ pub struct PhaseCosts {
     pub timeouts: u64,
     /// Routing entries rewritten.
     pub repair_entries: u64,
-    /// Time attributed to the phase, in microseconds (virtual for
-    /// lookups, wall-clock for audits, zero for instantaneous
-    /// maintenance events).
+    /// Virtual time attributed to the phase, in microseconds (a
+    /// lookup's simulated latency; zero for every other phase, whose
+    /// events are instantaneous on the virtual clock).
     pub time_us: u64,
 }
 

@@ -271,9 +271,9 @@ enum Event {
 }
 
 /// One timed online audit pass: merged into the accumulated report,
-/// billed to `audit_us` (and, when accounting is on, to
-/// [`Phase::Audit`] — one message per invariant check, wall-clock
-/// time), and announced through the sink. Returns the number of
+/// its wall clock added to `audit_us`, billed (when accounting is on)
+/// to [`Phase::Audit`] — one message per invariant check, no virtual
+/// time — and announced through the sink. Returns the number of
 /// violations this pass found; no-op returning 0 when auditing is off.
 fn audit_pass(overlay: &mut dyn Overlay, outcome: &mut ChurnOutcome, sink: &SinkHandle) -> u64 {
     if outcome.audit.is_none() {
@@ -294,7 +294,6 @@ fn audit_pass(overlay: &mut dyn Overlay, outcome: &mut ChurnOutcome, sink: &Sink
         .bill(Phase::Audit, || PhaseCosts {
             calls: 1,
             msgs: report.checked_nodes() as u64,
-            time_us: wall_us,
             ..PhaseCosts::default()
         });
     if let Some(acc) = outcome.audit.as_mut() {

@@ -102,8 +102,6 @@ pub struct ChurnRow {
     pub stabilize_calls: u64,
     /// Full stabilization rounds completed.
     pub stabilize_rounds: u64,
-    /// Wall-clock time spent in audit passes, in µs.
-    pub audit_us: u64,
 }
 
 /// Runs the sweep; rows ordered by rate then kind.
@@ -146,14 +144,13 @@ pub fn measure(params: &ChurnExpParams) -> Vec<ChurnRow> {
             peak_size: out.peak_size,
             stabilize_calls: out.stabilize_calls,
             stabilize_rounds: out.stabilize_rounds,
-            audit_us: out.audit_us,
         }
     })
 }
 
 /// Registers every row's lookup and maintenance metrics, keyed
-/// `{overlay}/R={rate}`: membership-event and stabilization counters, the
-/// peak/final size gauges, and the accumulated audit wall-clock timer.
+/// `{overlay}/R={rate}`: membership-event and stabilization counters and
+/// the peak/final size gauges.
 pub fn register_metrics(rows: &[ChurnRow], reg: &mut MetricsRegistry) {
     for row in rows {
         let prefix = format!("{}/R={}", row.label, row.rate);
@@ -176,8 +173,6 @@ pub fn register_metrics(rows: &[ChurnRow], reg: &mut MetricsRegistry) {
         reg.gauge(&format!("{prefix}.mean_path")).set(row.path.mean);
         reg.gauge(&format!("{prefix}.mean_timeouts"))
             .set(row.timeouts.mean);
-        reg.timer(&format!("{prefix}.audit_wall"))
-            .record_us(row.audit_us);
     }
 }
 

@@ -1,9 +1,8 @@
 //! One driver per table/figure of the paper's evaluation (§4).
 //!
-//! Every driver returns plain row structs so the `repro` binary, the
-//! Criterion benches, and the integration tests can all consume the same
-//! data. Each driver has paper-scale defaults and a `quick()` parameter
-//! set for fast smoke runs.
+//! Every driver returns plain row structs so the `repro` binary and the
+//! integration tests consume the same data. Each driver has paper-scale
+//! defaults and a `quick()` parameter set for fast smoke runs.
 
 pub mod churn_exp;
 pub mod converge;
@@ -19,7 +18,6 @@ pub mod recover;
 pub mod scale;
 pub mod sparsity;
 pub mod static_tables;
-pub mod throughput;
 pub mod ungraceful;
 
 use crossbeam::thread;
@@ -74,7 +72,7 @@ const ALL_PHASES: [HopPhase; 6] = [
 ];
 
 /// Aggregate statistics of one batch of lookups on one overlay.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LookupAggregate {
     /// Overlay display name.
     pub label: String,
@@ -112,28 +110,11 @@ pub struct LookupAggregate {
     pub retries_total: u64,
     /// Total message timeouts across the batch.
     pub msg_timeouts_total: u64,
-    /// Wall-clock time the batch took, in µs.
-    pub elapsed_us: u64,
-}
-
-impl LookupAggregate {
-    /// Measured throughput: lookups completed per wall-clock second.
-    #[must_use]
-    pub fn lookups_per_sec(&self) -> f64 {
-        self.path.n as f64 / (self.elapsed_us.max(1) as f64 / 1_000_000.0)
-    }
-}
-
-/// Runs a batch of lookup requests sequentially and aggregates the
-/// traces. Equivalent to [`run_requests_jobs`] with `jobs == 1`.
-pub fn run_requests(overlay: &mut dyn Overlay, reqs: &[LookupRequest]) -> LookupAggregate {
-    run_requests_jobs(overlay, reqs, 1)
 }
 
 /// Runs a batch of lookup requests across up to `jobs` worker threads
 /// (via [`Overlay::lookup_batch`]) and aggregates the traces. The
-/// aggregate is bit-identical for every `jobs` value; only `elapsed_us`
-/// (wall clock) varies.
+/// aggregate is bit-identical for every `jobs` value.
 pub fn run_requests_jobs(
     overlay: &mut dyn Overlay,
     reqs: &[LookupRequest],
@@ -154,9 +135,7 @@ pub fn run_requests_jobs(
     let mut phase_counts: [Vec<u64>; 6] = Default::default();
     let pairs: Vec<(dht_core::overlay::NodeToken, u64)> =
         reqs.iter().map(|r| (r.src, r.raw_key)).collect();
-    let started = std::time::Instant::now();
     let traces = overlay.lookup_batch(&pairs, jobs);
-    let elapsed_us = started.elapsed().as_micros() as u64;
     for trace in &traces {
         paths.push(trace.path_len());
         timeouts.push(u64::from(trace.timeouts));
@@ -199,15 +178,13 @@ pub fn run_requests_jobs(
         timeouts_total: timeouts.iter().sum(),
         retries_total: retries.iter().sum(),
         msg_timeouts_total: msg_timeouts.iter().sum(),
-        elapsed_us,
     }
 }
 
 /// Registers one aggregate's metrics under `prefix` — the uniform export
 /// every lookup-batch experiment shares: lookup/failure counters, the
 /// path-length histogram, per-phase hop histograms keyed by
-/// [`HopPhase::label`], fault counters, the latency histogram, the batch
-/// wall-clock timer, and the throughput gauge.
+/// [`HopPhase::label`], fault counters, and the latency histogram.
 pub fn register_lookup_metrics(reg: &mut MetricsRegistry, prefix: &str, agg: &LookupAggregate) {
     reg.counter(&format!("{prefix}.lookups"))
         .add(agg.path.n as u64);
@@ -227,10 +204,6 @@ pub fn register_lookup_metrics(reg: &mut MetricsRegistry, prefix: &str, agg: &Lo
         .add(agg.msg_timeouts_total);
     reg.histogram(&format!("{prefix}.latency_us"))
         .merge(&agg.latency_hist);
-    reg.timer(&format!("{prefix}.wall"))
-        .record_us(agg.elapsed_us);
-    reg.gauge(&format!("{prefix}.lookups_per_sec"))
-        .set(agg.lookups_per_sec());
 }
 
 /// Registers a [`Summary`]'s headline statistics under `prefix`: a
@@ -274,7 +247,7 @@ mod tests {
     fn run_requests_aggregates() {
         let mut net = build_overlay(OverlayKind::Cycloid7, 64, 1);
         let reqs = random_pairs(net.as_ref(), 200, &mut stream(2, "agg"));
-        let agg = run_requests(net.as_mut(), &reqs);
+        let agg = run_requests_jobs(net.as_mut(), &reqs, 1);
         assert_eq!(agg.label, "Cycloid(7)");
         assert_eq!(agg.n_start, 64);
         assert_eq!(agg.path.n, 200);
@@ -290,7 +263,7 @@ mod tests {
     fn aggregate_histograms_match_summaries() {
         let mut net = build_overlay(OverlayKind::Cycloid7, 64, 1);
         let reqs = random_pairs(net.as_ref(), 200, &mut stream(2, "hist"));
-        let agg = run_requests(net.as_mut(), &reqs);
+        let agg = run_requests_jobs(net.as_mut(), &reqs, 1);
         assert_eq!(agg.path_hist.count(), 200);
         assert_eq!(agg.path_hist.max(), Some(agg.path.max as u64));
         assert_eq!(agg.path_hist.min(), Some(agg.path.min as u64));
@@ -301,7 +274,6 @@ mod tests {
         let phase_sum: u64 = agg.phase_hists.iter().map(|(_, h)| h.sum()).sum();
         assert_eq!(phase_sum, agg.path_hist.sum());
         assert_eq!(agg.timeouts_total, 0);
-        assert!(agg.lookups_per_sec() > 0.0);
     }
 
     #[test]
@@ -309,7 +281,7 @@ mod tests {
         use dht_core::obs::Metric;
         let mut net = build_overlay(OverlayKind::Cycloid7, 64, 1);
         let reqs = random_pairs(net.as_ref(), 100, &mut stream(2, "reg"));
-        let agg = run_requests(net.as_mut(), &reqs);
+        let agg = run_requests_jobs(net.as_mut(), &reqs, 1);
         let mut reg = MetricsRegistry::new();
         register_lookup_metrics(&mut reg, "Cycloid(7)/n=64", &agg);
         match reg.get("Cycloid(7)/n=64.lookups") {
@@ -324,11 +296,6 @@ mod tests {
             reg.iter().any(|(name, _)| name.contains(".hops.")),
             "per-phase histograms registered"
         );
-        match reg.get("Cycloid(7)/n=64.wall") {
-            Some(Metric::Timer(t)) => assert_eq!(t.spans(), 1),
-            other => panic!("unexpected: {other:?}"),
-        }
-        assert!(reg.get("Cycloid(7)/n=64.lookups_per_sec").is_some());
     }
 
     #[test]
@@ -340,7 +307,7 @@ mod tests {
             RetryPolicy::standard(),
         ));
         let reqs = random_pairs(net.as_ref(), 200, &mut stream(2, "agg"));
-        let agg = run_requests(net.as_mut(), &reqs);
+        let agg = run_requests_jobs(net.as_mut(), &reqs, 1);
         assert!(
             agg.retries.max > 0.0,
             "10% loss over 200 lookups must retry"

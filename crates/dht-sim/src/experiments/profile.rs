@@ -8,7 +8,7 @@
 
 use dht_core::clock::SECOND;
 use dht_core::net::{DelayModel, FaultPlan, NetConditions, RetryPolicy};
-use dht_core::obs::{Histogram, MetricsRegistry, Phase, PhaseAccountant, PhaseTable, ALL_PHASES};
+use dht_core::obs::{Histogram, MetricsRegistry, PhaseAccountant, PhaseTable, ALL_PHASES};
 use dht_core::rng::stream_indexed;
 
 use crate::churn::{run_churn, BucketIndex, ChurnParams, ChurnSample, StabilizePhase};
@@ -145,11 +145,6 @@ fn run_cell(params: &ProfileParams, kind: OverlayKind, cell: usize) -> ProfileRo
 
 /// Registers every row's phase counters, latency histogram, and
 /// telemetry series, keyed by overlay label.
-///
-/// Virtual-time phase costs become counters (deterministic, so the
-/// bench-regression gate can band them); the audit phase's `time_us` is
-/// wall-clock — the one documented exception — so it is exported as a
-/// timer, which the gate skips.
 pub fn register_metrics(rows: &[ProfileRow], reg: &mut MetricsRegistry) {
     for row in rows {
         let label = &row.label;
@@ -165,13 +160,8 @@ pub fn register_metrics(rows: &[ProfileRow], reg: &mut MetricsRegistry) {
                 .add(costs.timeouts);
             reg.counter(&format!("{label}.phase.{p}.repair_entries"))
                 .add(costs.repair_entries);
-            if phase == Phase::Audit {
-                reg.timer(&format!("{label}.phase.{p}.wall"))
-                    .record_us(costs.time_us);
-            } else {
-                reg.counter(&format!("{label}.phase.{p}.time_us"))
-                    .add(costs.time_us);
-            }
+            reg.counter(&format!("{label}.phase.{p}.time_us"))
+                .add(costs.time_us);
         }
         reg.counter(&format!("{label}.failures"))
             .add(row.failures as u64);
@@ -210,6 +200,7 @@ pub fn register_metrics(rows: &[ProfileRow], reg: &mut MetricsRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dht_core::obs::Phase;
 
     #[test]
     fn every_kind_bills_every_maintenance_phase() {

@@ -9,21 +9,19 @@
 //!   [`Overlay::state_bytes`](dht_core::overlay::Overlay::state_bytes) / [`Overlay::bytes_per_node`](dht_core::overlay::Overlay::bytes_per_node) (the dense
 //!   token array, the inline routing slots, and each overlay's auxiliary
 //!   indexes), deterministic for a given build;
-//! * **lookups/sec** — wall-clock routing throughput of a uniform random
-//!   workload through [`run_requests_jobs`];
-//! * **join latency** — wall-clock cost of one graceful join followed by
-//!   the joined node's own stabilization routine (the incremental
-//!   per-node scheduling unit the churn engine fires from its bucket
-//!   index, instead of a full O(n) round).
+//! * **path quality** — hops and failures of a uniform random workload
+//!   through [`run_requests_jobs`], after `joins` graceful joins each
+//!   followed by the joined node's own stabilization routine (the
+//!   incremental per-node scheduling unit the churn engine fires from
+//!   its bucket index, instead of a full O(n) round).
 //!
-//! Wall-clock figures are exported through the metrics registry
-//! (`BENCH_scale.json`) and stderr progress lines only; the stdout table
-//! carries just the run-invariant columns so `repro scale --jobs 1` and
-//! `--jobs 4` produce byte-identical stdout (the CI determinism check).
+//! Every column is seeded, so `repro scale --jobs 1` and `--jobs 4`
+//! print and export the same values. How long a build, a join or a
+//! lookup takes at these sizes is the repo benchmark's to say
+//! (`benchmark/README.md`).
 
 use dht_core::obs::MetricsRegistry;
 use dht_core::rng::stream_indexed;
-use dht_core::stats::Summary;
 use dht_core::workload::random_pairs;
 
 use crate::experiments::{register_lookup_metrics, run_requests_jobs, LookupAggregate};
@@ -38,8 +36,8 @@ pub struct ScaleParams {
     pub sizes: Vec<usize>,
     /// Lookups per cell.
     pub lookups: usize,
-    /// Timed graceful joins per cell (the identifier space is sized to
-    /// hold `n + joins` so every join has room).
+    /// Graceful joins per cell before the lookups (the identifier space
+    /// is sized to hold `n + joins` so every join has room).
     pub joins: usize,
     /// Worker-thread cap for the lookup batch.
     pub jobs: usize,
@@ -80,76 +78,45 @@ pub struct ScaleRow {
     pub label: String,
     /// Population when measured.
     pub n: usize,
-    /// Wall-clock build time, µs.
-    pub build_us: u64,
     /// Total routing-state bytes ([`Overlay::state_bytes`](dht_core::overlay::Overlay::state_bytes)).
     pub state_bytes: usize,
     /// [`Overlay::bytes_per_node`](dht_core::overlay::Overlay::bytes_per_node) at population `n`.
     pub bytes_per_node: f64,
-    /// Wall-clock µs of each timed join+stabilize.
-    pub join_us: Summary,
-    /// The lookup batch (path lengths, failures, wall clock).
+    /// The lookup batch (path lengths, failures).
     pub agg: LookupAggregate,
-}
-
-impl ScaleRow {
-    /// Measured lookup throughput, lookups per wall-clock second.
-    #[must_use]
-    pub fn lookups_per_sec(&self) -> f64 {
-        self.agg.lookups_per_sec()
-    }
 }
 
 /// Runs the sweep; rows ordered by size then kind. Cells run strictly
 /// one at a time and each overlay is dropped before the next is built,
-/// so peak memory is a single million-node network, and wall-clock
-/// throughput is never skewed by sibling cells.
+/// so peak memory is a single million-node network.
 #[must_use]
 pub fn measure(params: &ScaleParams) -> Vec<ScaleRow> {
-    measure_with(params, |_| {})
-}
-
-/// [`measure`] with a per-row callback (the `repro` binary streams
-/// wall-clock summaries to stderr as cells finish).
-#[must_use]
-pub fn measure_with(params: &ScaleParams, mut on_row: impl FnMut(&ScaleRow)) -> Vec<ScaleRow> {
     let mut rows = Vec::new();
     let mut cell = 0u64;
     for &n in &params.sizes {
         for &kind in &params.kinds {
             let mut rng = stream_indexed(params.seed, "scale", cell);
             let build_seed = params.seed ^ (cell << 32);
-            let started = std::time::Instant::now();
             let mut net = build_overlay_spaced(kind, n, n + params.joins, build_seed);
-            let build_us = started.elapsed().as_micros() as u64;
 
-            // Timed joins: one graceful join plus the joined node's own
-            // stabilization routine per sample — the per-node repair
-            // unit, not a full round.
-            let mut join_us = Vec::with_capacity(params.joins);
+            // One graceful join plus the joined node's own stabilization
+            // routine each — the per-node repair unit, not a full round.
             for _ in 0..params.joins {
-                let started = std::time::Instant::now();
                 if let Some(token) = net.join(&mut rng) {
                     net.stabilize_node(token);
-                    join_us.push(started.elapsed().as_micros() as u64);
                 }
             }
 
             let reqs = random_pairs(net.as_ref(), params.lookups, &mut rng);
             let agg = run_requests_jobs(net.as_mut(), &reqs, params.jobs.max(1));
 
-            let state_bytes = net.state_bytes();
-            let row = ScaleRow {
+            rows.push(ScaleRow {
                 label: kind.label().to_string(),
                 n: net.len(),
-                build_us,
-                state_bytes,
+                state_bytes: net.state_bytes(),
                 bytes_per_node: net.bytes_per_node(),
-                join_us: Summary::of_counts(&join_us),
                 agg,
-            };
-            on_row(&row);
-            rows.push(row);
+            });
             cell += 1;
         }
     }
@@ -157,9 +124,7 @@ pub fn measure_with(params: &ScaleParams, mut on_row: impl FnMut(&ScaleRow)) -> 
 }
 
 /// Registers every row's scale metrics, keyed `{overlay}/n={size}`: the
-/// deterministic memory gauges, the wall-clock build timer and join
-/// latency gauges, the throughput gauge, and the shared lookup-batch
-/// export.
+/// memory gauges and the shared lookup-batch export.
 pub fn register_metrics(rows: &[ScaleRow], reg: &mut MetricsRegistry) {
     for row in rows {
         let prefix = format!("{}/n={}", row.label, row.n);
@@ -168,14 +133,6 @@ pub fn register_metrics(rows: &[ScaleRow], reg: &mut MetricsRegistry) {
             .set(row.state_bytes as f64);
         reg.gauge(&format!("{prefix}.bytes_per_node"))
             .set(row.bytes_per_node);
-        reg.timer(&format!("{prefix}.build_wall"))
-            .record_us(row.build_us);
-        // The "wall" infix marks these as wall-clock measurements so the
-        // bench-diff regression gate knows to skip them.
-        reg.gauge(&format!("{prefix}.join_wall_us_mean"))
-            .set(row.join_us.mean);
-        reg.gauge(&format!("{prefix}.join_wall_us_p99"))
-            .set(row.join_us.p99);
         register_lookup_metrics(reg, &prefix, &row.agg);
     }
 }
@@ -197,16 +154,20 @@ mod tests {
 
     #[test]
     fn sweep_measures_every_cell() {
-        let rows = measure(&tiny_params());
+        let params = tiny_params();
+        let rows = measure(&params);
         assert_eq!(rows.len(), 4);
-        for row in &rows {
-            assert!(row.n >= 128, "{}: population grew by the joins", row.label);
+        for (row, size) in rows.iter().zip([128, 128, 512, 512]) {
+            assert_eq!(
+                row.n,
+                size + params.joins,
+                "{}: every join succeeded",
+                row.label
+            );
             assert!(row.state_bytes > 0, "{}: bytes accounted", row.label);
             assert!(row.bytes_per_node > 0.0);
             assert_eq!(row.agg.path.n, 200);
             assert_eq!(row.agg.failures, 0, "{}: stabilized overlay", row.label);
-            assert_eq!(row.join_us.n, 8, "{}: every join succeeded", row.label);
-            assert!(row.lookups_per_sec() > 0.0);
         }
     }
 
@@ -225,8 +186,7 @@ mod tests {
             assert_eq!(x.n, y.n);
             assert_eq!(x.state_bytes, y.state_bytes);
             assert_eq!(x.bytes_per_node, y.bytes_per_node);
-            assert_eq!(x.agg.path, y.agg.path);
-            assert_eq!(x.agg.failures, y.agg.failures);
+            assert_eq!(x.agg, y.agg);
         }
     }
 
@@ -244,9 +204,6 @@ mod tests {
             Some(Metric::Gauge(g)) => assert!(g.get() > 0.0),
             other => panic!("unexpected: {other:?}"),
         }
-        assert!(reg.get(&format!("Koorde/n={n}.lookups_per_sec")).is_some());
-        assert!(reg
-            .get(&format!("Koorde/n={n}.join_wall_us_mean"))
-            .is_some());
+        assert!(reg.get(&format!("Koorde/n={n}.lookups")).is_some());
     }
 }

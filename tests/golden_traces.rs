@@ -43,7 +43,7 @@ use common::{golden_path, lossy_conditions, render_lines, render_traces, SEED};
 use cycloid_repro::prelude::{build_overlay, OverlayKind};
 use dht_core::hash::splitmix64;
 use dht_core::net::NetConditions;
-use dht_core::obs::{Phase, PhaseAccountant};
+use dht_core::obs::PhaseAccountant;
 use dht_core::rng::stream_indexed;
 use dht_sim::churn::{run_churn, ChurnParams, StabilizePhase, TimeModel};
 use dht_sim::factory::{build_overlay_spaced, ALL_KINDS};
@@ -220,17 +220,14 @@ fn render_churn_grid() -> String {
                             fold(s.bytes_per_node.to_bits());
                         }
                         let table = acct.snapshot().expect("accountant enabled");
-                        for (p, c) in table.iter() {
-                            // Audit time is wall clock: the one
-                            // non-deterministic cell of the table.
-                            let time_us = if p == Phase::Audit { 0 } else { c.time_us };
+                        for (_, c) in table.iter() {
                             [
                                 c.calls,
                                 c.msgs,
                                 c.retries,
                                 c.timeouts,
                                 c.repair_entries,
-                                time_us,
+                                c.time_us,
                             ]
                             .into_iter()
                             .for_each(&mut fold);
