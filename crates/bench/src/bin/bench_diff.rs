@@ -1,19 +1,14 @@
 //! `bench-diff`: the CI bench-regression gate.
 //!
 //! Compares every `BENCH_*.json` in a fresh output directory against
-//! the committed baselines, under the gating rules of [`bench::diff`]:
-//! counters, histograms, deterministic gauges, and telemetry series
-//! must match within the tolerance band (exact by default — the
-//! simulations are seeded and run on a virtual clock); timers and
-//! wall-clock gauges are skipped; a baseline metric missing from the
-//! fresh run is a regression; files whose `quick` flag or seed differ
-//! are skipped whole.
+//! the committed baselines under the rule of [`bench::diff`]: every
+//! baseline entry must equal its fresh counterpart.
 //!
 //! ```text
-//! bench-diff FRESH_DIR BASELINE_DIR [--tolerance FRACTION] [--update-baselines]
+//! bench-diff FRESH_DIR BASELINE_DIR [--update-baselines]
 //! ```
 //!
-//! Exits 0 when every gated value matched, 1 on any regression or
+//! Exits 0 when every gated entry matched, 1 on any regression or
 //! unreadable document, 2 on usage errors. `--update-baselines` copies
 //! each fresh document over its baseline (creating new ones) instead of
 //! comparing — run it after an intentional behaviour change, then
@@ -29,31 +24,19 @@ use bench::metrics_io;
 struct Options {
     fresh: PathBuf,
     baseline: PathBuf,
-    tolerance: f64,
     update: bool,
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: bench-diff FRESH_DIR BASELINE_DIR [--tolerance FRACTION] [--update-baselines]"
-    );
+    eprintln!("usage: bench-diff FRESH_DIR BASELINE_DIR [--update-baselines]");
     std::process::exit(2);
 }
 
 fn parse_args() -> Options {
     let mut dirs = Vec::new();
-    let mut tolerance = 0.0f64;
     let mut update = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--tolerance" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                tolerance = v.parse().unwrap_or_else(|_| usage());
-                if !(0.0..=1.0).contains(&tolerance) {
-                    usage();
-                }
-            }
             "--update-baselines" => update = true,
             "--help" | "-h" => usage(),
             _ if arg.starts_with('-') => usage(),
@@ -68,7 +51,6 @@ fn parse_args() -> Options {
     Options {
         fresh,
         baseline,
-        tolerance,
         update,
     }
 }
@@ -147,7 +129,7 @@ fn main() -> ExitCode {
             println!("[bench-diff] {name}: SKIP (not produced by this run)");
             continue;
         };
-        let diff = compare_docs(&base.doc, &counterpart.doc, opts.tolerance);
+        let diff = compare_docs(&base.doc, &counterpart.doc);
         if let Some(reason) = &diff.skipped_file {
             println!("[bench-diff] {name}: SKIP ({reason})");
             continue;
@@ -158,10 +140,7 @@ fn main() -> ExitCode {
             } else {
                 String::new()
             };
-            println!(
-                "[bench-diff] {name}: OK ({} gated, {} skipped{extra})",
-                diff.gated, diff.skipped
-            );
+            println!("[bench-diff] {name}: OK ({} gated{extra})", diff.gated);
         } else {
             regressions += diff.failures.len();
             println!(

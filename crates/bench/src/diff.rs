@@ -1,24 +1,19 @@
 //! Comparing fresh `BENCH_*.json` documents against committed baselines.
 //!
 //! This is the library side of the `bench-diff` binary — the CI
-//! regression gate. The rules, also documented in
-//! `results/bench/README.md`:
+//! regression gate. Its rule is stated here and in
+//! `results/bench/README.md`; everything else links:
 //!
-//! - **Gated**: counters, histograms (count/sum/min/max and every
-//!   bucket), deterministic gauges, and telemetry series. All of these
-//!   derive from seeded simulation on the virtual clock, so a fresh run
-//!   with the same seed must reproduce the baseline exactly; the
-//!   optional tolerance widens the band for intentionally noisy setups.
-//! - **Skipped**: timers (wall-clock by construction) and gauges whose
-//!   name marks them as wall-clock or machine-dependent (`per_sec`,
-//!   `wall`, `speedup`, `jobs`).
-//! - A baseline metric or series missing from the fresh run is a
-//!   failure — silently dropping instrumentation is itself a
-//!   regression.
-//! - A baseline file whose `quick` flag or `seed` differs from the
-//!   fresh run is skipped whole: the documents describe different
-//!   workloads, so value comparison would be noise. This is how the
-//!   committed paper-scale profile coexists with quick CI runs.
+//! Every baseline entry — metric or series — must **equal** its fresh
+//! counterpart (same type, same fields, same values): everything `repro`
+//! exports is seeded simulation on the virtual clock, so a fresh run with
+//! the same seed reproduces the baseline exactly. A baseline entry
+//! missing from the fresh run fails, because silently dropping
+//! instrumentation is itself a regression; an extra fresh entry is
+//! counted, not failed. A baseline file whose `quick` flag or `seed`
+//! differs from the fresh run is skipped whole: the documents describe
+//! different workloads — this is how the committed paper-scale profile
+//! coexists with quick CI runs.
 
 use std::collections::BTreeMap;
 
@@ -28,10 +23,8 @@ use dht_core::obs::json::Json;
 /// counterpart.
 #[derive(Debug, Default)]
 pub struct FileDiff {
-    /// Metrics and series actually value-compared.
+    /// Baseline metrics and series compared against a fresh entry.
     pub gated: usize,
-    /// Entries skipped by the wall-clock rules.
-    pub skipped: usize,
     /// Fresh entries with no baseline counterpart (worth a baseline
     /// refresh, but not a regression).
     pub extra: usize,
@@ -51,200 +44,82 @@ impl FileDiff {
     }
 }
 
-/// True for gauge names the gate must not compare: throughputs and
-/// latencies measured on the host's wall clock, and run-shape echoes
-/// like the job count.
-#[must_use]
-pub fn is_wall_clock_gauge(name: &str) -> bool {
-    name.contains("per_sec")
-        || name.contains("wall")
-        || name.contains("speedup")
-        || name.ends_with(".jobs")
-}
-
-fn within(baseline: f64, fresh: f64, tol: f64) -> bool {
-    if baseline == fresh {
-        return true;
-    }
-    (fresh - baseline).abs() <= tol * baseline.abs().max(1.0)
-}
-
-fn name_of(entry: &Json) -> String {
-    entry
-        .get("name")
-        .and_then(Json::as_str)
-        .unwrap_or("<unnamed>")
-        .to_string()
-}
-
-fn index_by_name<'a>(doc: &'a Json, key: &str) -> BTreeMap<String, &'a Json> {
-    doc.get(key)
+fn index_by_name<'a>(doc: &'a Json, section: &str) -> BTreeMap<&'a str, &'a Json> {
+    let name_of = |e: &'a Json| e.get("name").and_then(Json::as_str).unwrap_or("<unnamed>");
+    doc.get(section)
         .and_then(Json::as_array)
         .map(|entries| entries.iter().map(|e| (name_of(e), e)).collect())
         .unwrap_or_default()
 }
 
-fn num(entry: &Json, key: &str) -> f64 {
-    entry.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN)
-}
-
-fn compare_field(
-    name: &str,
-    key: &str,
-    base: &Json,
-    fresh: &Json,
-    tol: f64,
-    failures: &mut Vec<String>,
-) {
-    let b = num(base, key);
-    let f = num(fresh, key);
-    if !within(b, f, tol) {
-        failures.push(format!("{name}: {key} changed {b} -> {f}"));
+fn show(v: &Json) -> String {
+    match v {
+        Json::Num(n) => n.to_string(),
+        Json::Str(s) => s.clone(),
+        Json::Bool(b) => b.to_string(),
+        other => format!("{other:?}"),
     }
 }
 
-fn compare_metric(name: &str, base: &Json, fresh: &Json, tol: f64, failures: &mut Vec<String>) {
-    let kind = base.get("type").and_then(Json::as_str).unwrap_or("");
-    let fresh_kind = fresh.get("type").and_then(Json::as_str).unwrap_or("");
-    if kind != fresh_kind {
-        failures.push(format!("{name}: type changed {kind} -> {fresh_kind}"));
-        return;
-    }
-    match kind {
-        "counter" | "gauge" => compare_field(name, "value", base, fresh, tol, failures),
-        "histogram" => {
-            for key in ["count", "sum", "min", "max"] {
-                compare_field(name, key, base, fresh, tol, failures);
-            }
-            let empty: &[Json] = &[];
-            let b_buckets = base
-                .get("buckets")
-                .and_then(Json::as_array)
-                .unwrap_or(empty);
-            let f_buckets = fresh
-                .get("buckets")
-                .and_then(Json::as_array)
-                .unwrap_or(empty);
-            if b_buckets.len() != f_buckets.len() {
-                failures.push(format!(
-                    "{name}: bucket count changed {} -> {}",
-                    b_buckets.len(),
-                    f_buckets.len()
-                ));
-                return;
-            }
-            for (b, f) in b_buckets.iter().zip(f_buckets) {
-                if num(b, "le") != num(f, "le") {
-                    failures.push(format!("{name}: bucket bounds changed"));
-                    return;
-                }
-                if !within(num(b, "count"), num(f, "count"), tol) {
-                    failures.push(format!(
-                        "{name}: bucket le={} count changed {} -> {}",
-                        num(b, "le"),
-                        num(b, "count"),
-                        num(f, "count")
-                    ));
-                    return;
-                }
-            }
-        }
-        _ => {}
-    }
-}
-
-fn compare_series(name: &str, base: &Json, fresh: &Json, tol: f64, failures: &mut Vec<String>) {
-    let empty: &[Json] = &[];
-    let b_points = base.get("points").and_then(Json::as_array).unwrap_or(empty);
-    let f_points = fresh
-        .get("points")
-        .and_then(Json::as_array)
-        .unwrap_or(empty);
-    if b_points.len() != f_points.len() {
-        failures.push(format!(
-            "series {name}: point count changed {} -> {}",
-            b_points.len(),
-            f_points.len()
-        ));
-        return;
-    }
-    for (b, f) in b_points.iter().zip(f_points) {
-        if num(b, "t_us") != num(f, "t_us") {
-            failures.push(format!(
-                "series {name}: timestamp changed {} -> {}",
-                num(b, "t_us"),
-                num(f, "t_us")
-            ));
-            return;
-        }
-        if !within(num(b, "value"), num(f, "value"), tol) {
-            failures.push(format!(
-                "series {name}: value at t_us={} changed {} -> {}",
-                num(b, "t_us"),
-                num(b, "value"),
-                num(f, "value")
-            ));
-            return;
-        }
+/// The first place `base` and `fresh` differ, as a path suffix plus what
+/// changed (`.points[0].value: changed 0 -> 1`): objects by key, arrays
+/// by index. `None` when they are equal.
+fn first_difference(base: &Json, fresh: &Json) -> Option<String> {
+    match (base, fresh) {
+        (Json::Obj(b), Json::Obj(f)) => b
+            .iter()
+            .find_map(|(key, bv)| match f.get(key) {
+                Some(fv) => first_difference(bv, fv).map(|d| format!(".{key}{d}")),
+                None => Some(format!(".{key}: missing from fresh run")),
+            })
+            .or_else(|| {
+                let added = f.keys().find(|key| !b.contains_key(*key))?;
+                Some(format!(".{added}: not in baseline"))
+            }),
+        (Json::Arr(b), Json::Arr(f)) => b
+            .iter()
+            .zip(f)
+            .enumerate()
+            .find_map(|(i, (bv, fv))| first_difference(bv, fv).map(|d| format!("[{i}]{d}")))
+            .or_else(|| {
+                (b.len() != f.len())
+                    .then(|| format!(": length changed {} -> {}", b.len(), f.len()))
+            }),
+        _ => (base != fresh).then(|| format!(": changed {} -> {}", show(base), show(fresh))),
     }
 }
 
 /// Compares one schema-valid baseline document against its fresh
-/// counterpart under relative tolerance `tol` (`0.0` = exact).
+/// counterpart under the rule in the module docs.
 #[must_use]
-pub fn compare_docs(baseline: &Json, fresh: &Json, tol: f64) -> FileDiff {
+pub fn compare_docs(baseline: &Json, fresh: &Json) -> FileDiff {
     let mut diff = FileDiff::default();
-    let header = |doc: &Json, key: &str| doc.get(key).cloned();
     for key in ["quick", "seed"] {
-        let (b, f) = (header(baseline, key), header(fresh, key));
-        let same = match (&b, &f) {
-            (Some(b), Some(f)) => b.as_bool() == f.as_bool() && b.as_f64() == f.as_f64(),
-            _ => false,
-        };
-        if !same {
+        if baseline.get(key).is_none() || baseline.get(key) != fresh.get(key) {
             diff.skipped_file = Some(format!("`{key}` differs; the runs are not comparable"));
             return diff;
         }
     }
-    let fresh_metrics = index_by_name(fresh, "metrics");
-    for (name, base) in index_by_name(baseline, "metrics") {
-        let kind = base.get("type").and_then(Json::as_str).unwrap_or("");
-        if kind == "timer" || (kind == "gauge" && is_wall_clock_gauge(&name)) {
-            diff.skipped += 1;
-            continue;
-        }
-        match fresh_metrics.get(&name) {
-            Some(f) => {
-                diff.gated += 1;
-                compare_metric(&name, base, f, tol, &mut diff.failures);
+    for (section, prefix) in [("metrics", ""), ("series", "series ")] {
+        let base_entries = index_by_name(baseline, section);
+        let fresh_entries = index_by_name(fresh, section);
+        for (name, base) in &base_entries {
+            let Some(f) = fresh_entries.get(name) else {
+                diff.failures.push(format!(
+                    "{prefix}{name}: present in baseline, missing from fresh run"
+                ));
+                continue;
+            };
+            diff.gated += 1;
+            if let Some(d) = first_difference(base, f) {
+                diff.failures.push(format!("{prefix}{name}{d}"));
             }
-            None => diff.failures.push(format!(
-                "{name}: present in baseline, missing from fresh run"
-            )),
         }
+        diff.extra += fresh_entries
+            .keys()
+            .filter(|name| !base_entries.contains_key(*name))
+            .count();
     }
-    let baseline_metrics = index_by_name(baseline, "metrics");
-    diff.extra += fresh_metrics
-        .keys()
-        .filter(|n| !baseline_metrics.contains_key(*n))
-        .count();
-    let fresh_series = index_by_name(fresh, "series");
-    let baseline_series = index_by_name(baseline, "series");
-    for (name, base) in &baseline_series {
-        match fresh_series.get(name) {
-            Some(f) => {
-                diff.gated += 1;
-                compare_series(name, base, f, tol, &mut diff.failures);
-            }
-            None => diff.failures.push(format!(
-                "series {name}: present in baseline, missing from fresh run"
-            )),
-        }
-    }
-    diff.extra += fresh_series
-        .keys()
-        .filter(|n| !baseline_series.contains_key(*n))
-        .count();
     diff
 }
 
@@ -255,7 +130,7 @@ mod tests {
 
     fn doc(metrics: &str, series: &str) -> Json {
         json::parse(&format!(
-            r#"{{"schema_version": 2, "experiment": "x", "git_rev": "abc",
+            r#"{{"schema_version": 3, "experiment": "x", "git_rev": "abc",
                  "seed": 7, "quick": true, "metrics": [{metrics}],
                  "series": [{series}]}}"#
         ))
@@ -266,27 +141,34 @@ mod tests {
     const SERIES: &str =
         r#"{"name": "a.live", "points": [{"t_us": 0, "value": 64}, {"t_us": 5, "value": 63}]}"#;
 
+    /// The single failure of a comparison that must produce exactly one.
+    fn failure(base: &Json, fresh: &Json) -> String {
+        let mut diff = compare_docs(base, fresh);
+        assert_eq!(diff.failures.len(), 1, "{:?}", diff.failures);
+        diff.failures.remove(0)
+    }
+
     #[test]
     fn identical_documents_pass() {
         let d = doc(COUNTER, SERIES);
-        let diff = compare_docs(&d, &d, 0.0);
+        let diff = compare_docs(&d, &d);
         assert!(diff.passed(), "{:?}", diff.failures);
         assert_eq!(diff.gated, 2);
     }
 
     #[test]
-    fn perturbed_counter_fails_exact_but_passes_in_band() {
+    fn perturbed_counter_fails() {
         let base = doc(COUNTER, "");
         let fresh = doc(r#"{"name": "a.msgs", "type": "counter", "value": 101}"#, "");
-        assert!(!compare_docs(&base, &fresh, 0.0).passed());
-        assert!(compare_docs(&base, &fresh, 0.05).passed());
+        assert!(!compare_docs(&base, &fresh).passed());
+        assert_eq!(failure(&base, &fresh), "a.msgs.value: changed 100 -> 101");
     }
 
     #[test]
     fn missing_metric_fails() {
         let base = doc(COUNTER, "");
         let fresh = doc("", "");
-        let diff = compare_docs(&base, &fresh, 0.5);
+        let diff = compare_docs(&base, &fresh);
         assert_eq!(diff.failures.len(), 1);
         assert!(diff.failures[0].contains("missing from fresh run"));
     }
@@ -295,38 +177,57 @@ mod tests {
     fn extra_fresh_metric_is_not_a_failure() {
         let base = doc("", "");
         let fresh = doc(COUNTER, SERIES);
-        let diff = compare_docs(&base, &fresh, 0.0);
+        let diff = compare_docs(&base, &fresh);
         assert!(diff.passed());
         assert_eq!(diff.extra, 2);
     }
 
     #[test]
-    fn timers_and_wall_gauges_are_skipped() {
-        let base = doc(
-            r#"{"name": "a.wall", "type": "timer", "total_us": 5, "spans": 1, "max_us": 5},
-               {"name": "a.lookups_per_sec", "type": "gauge", "value": 123.0}"#,
+    fn no_name_exempts_a_gauge() {
+        let gauge = |value: f64| {
+            doc(
+                &format!(r#"{{"name": "a.wall_per_sec_speedup", "type": "gauge", "value": {value}}}"#),
+                "",
+            )
+        };
+        let diff = compare_docs(&gauge(123.0), &gauge(999.0));
+        assert!(!diff.passed());
+        assert_eq!(diff.gated, 1);
+    }
+
+    #[test]
+    fn changed_type_fails_naming_the_entry_and_the_key() {
+        let base = doc(COUNTER, "");
+        let fresh = doc(r#"{"name": "a.msgs", "type": "gauge", "value": 100}"#, "");
+        assert_eq!(
+            failure(&base, &fresh),
+            "a.msgs.type: changed counter -> gauge"
+        );
+    }
+
+    #[test]
+    fn gained_or_lost_field_fails_naming_the_entry_and_the_key() {
+        let plain = doc(COUNTER, "");
+        let wider = doc(
+            r#"{"name": "a.msgs", "type": "counter", "value": 100, "unit": "msgs"}"#,
             "",
         );
-        let fresh = doc(
-            r#"{"name": "a.wall", "type": "timer", "total_us": 900, "spans": 1, "max_us": 900},
-               {"name": "a.lookups_per_sec", "type": "gauge", "value": 999.0}"#,
-            "",
+        assert_eq!(failure(&plain, &wider), "a.msgs.unit: not in baseline");
+        assert_eq!(
+            failure(&wider, &plain),
+            "a.msgs.unit: missing from fresh run"
         );
-        let diff = compare_docs(&base, &fresh, 0.0);
-        assert!(diff.passed());
-        assert_eq!(diff.skipped, 2);
-        assert_eq!(diff.gated, 0);
     }
 
     #[test]
     fn quick_flag_mismatch_skips_the_file() {
         let base = doc(COUNTER, "");
         let fresh = json::parse(
-            r#"{"schema_version": 2, "experiment": "x", "git_rev": "abc",
+            r#"{"schema_version": 3, "experiment": "x", "git_rev": "abc",
                 "seed": 7, "quick": false, "metrics": [], "series": []}"#,
         )
         .expect("parses");
-        let diff = compare_docs(&base, &fresh, 0.0);
+        let diff = compare_docs(&base, &fresh);
         assert!(diff.passed());
         assert!(diff.skipped_file.expect("skipped").contains("quick"));
     }
@@ -338,18 +239,29 @@ mod tests {
             "",
             r#"{"name": "a.live", "points": [{"t_us": 0, "value": 64}]}"#,
         );
-        assert!(!compare_docs(&base, &shorter, 0.0).passed());
+        assert!(!compare_docs(&base, &shorter).passed());
+        assert_eq!(
+            failure(&base, &shorter),
+            "series a.live.points: length changed 2 -> 1"
+        );
         let moved = doc(
             "",
             r#"{"name": "a.live", "points": [{"t_us": 0, "value": 64}, {"t_us": 6, "value": 63}]}"#,
         );
-        assert!(!compare_docs(&base, &moved, 0.5).passed());
+        assert!(!compare_docs(&base, &moved).passed());
+        assert_eq!(
+            failure(&base, &moved),
+            "series a.live.points[1].t_us: changed 5 -> 6"
+        );
         let drifted = doc(
             "",
             r#"{"name": "a.live", "points": [{"t_us": 0, "value": 64}, {"t_us": 5, "value": 99}]}"#,
         );
-        assert!(!compare_docs(&base, &drifted, 0.0).passed());
-        assert!(compare_docs(&base, &drifted, 0.6).passed());
+        assert!(!compare_docs(&base, &drifted).passed());
+        assert_eq!(
+            failure(&base, &drifted),
+            "series a.live.points[1].value: changed 63 -> 99"
+        );
     }
 
     #[test]
@@ -364,7 +276,11 @@ mod tests {
         };
         let base = doc(&h(2), "");
         let fresh = doc(&h(3), "");
-        assert!(compare_docs(&base, &base, 0.0).passed());
-        assert!(!compare_docs(&base, &fresh, 0.0).passed());
+        assert!(compare_docs(&base, &base).passed());
+        assert!(!compare_docs(&base, &fresh).passed());
+        assert_eq!(
+            failure(&base, &fresh),
+            "a.lat.buckets[1].count: changed 1 -> 2"
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Reading and validating the `BENCH_*.json` documents `repro` writes.
 //!
-//! The schema (version 2) is produced by
+//! The schema (version 3) is produced by
 //! [`dht_core::obs::to_bench_json`]; this module is the consuming side:
 //! it re-parses the documents with the same zero-dependency JSON reader
 //! and checks every field the writer promises, so a drifting writer
@@ -59,11 +59,6 @@ fn validate_metric(entry: &Json) -> Result<(), String> {
     match kind.as_str() {
         "counter" | "gauge" => {
             require_num(entry, "value").map_err(ctx)?;
-        }
-        "timer" => {
-            require_num(entry, "total_us").map_err(ctx)?;
-            require_num(entry, "spans").map_err(ctx)?;
-            require_num(entry, "max_us").map_err(ctx)?;
         }
         "histogram" => {
             let count = require_num(entry, "count").map_err(ctx)?;
@@ -195,12 +190,11 @@ mod tests {
     fn sample_doc() -> String {
         let mut reg = MetricsRegistry::new();
         reg.counter("a.lookups").add(10);
-        reg.gauge("a.lookups_per_sec").set(123.5);
+        reg.gauge("a.mean_path").set(123.5);
         let h = reg.histogram("a.hops");
         h.record(1);
         h.record(3);
         h.record(9);
-        reg.timer("a.wall").record_us(42);
         reg.series("a.live").push(0, 19.5);
         reg.series("a.live").push(7, 21.5);
         to_bench_json(
@@ -222,17 +216,35 @@ mod tests {
 
     #[test]
     fn rejects_wrong_schema_version() {
-        let text = sample_doc().replacen("\"schema_version\": 2", "\"schema_version\": 99", 1);
+        let text = sample_doc().replacen("\"schema_version\": 3", "\"schema_version\": 99", 1);
         let err = parse_and_validate(&text).unwrap_err();
         assert!(err.contains("schema_version"), "{err}");
     }
 
     #[test]
-    fn rejects_v1_documents() {
-        // Pre-series documents must be regenerated, not silently read.
-        let text = sample_doc().replacen("\"schema_version\": 2", "\"schema_version\": 1", 1);
+    fn rejects_older_documents() {
+        // Pre-series (v1) and timer-carrying (v2) documents must be
+        // regenerated, not silently read.
+        for old in [1, 2] {
+            let text = sample_doc().replacen(
+                "\"schema_version\": 3",
+                &format!("\"schema_version\": {old}"),
+                1,
+            );
+            let err = parse_and_validate(&text).unwrap_err();
+            assert!(err.contains("schema_version"), "{err}");
+        }
+    }
+
+    #[test]
+    fn rejects_timer_entries_as_an_unknown_type() {
+        let text = sample_doc().replacen(
+            "\"type\": \"counter\", \"value\": 10",
+            "\"type\": \"timer\", \"total_us\": 5, \"spans\": 1, \"max_us\": 5",
+            1,
+        );
         let err = parse_and_validate(&text).unwrap_err();
-        assert!(err.contains("schema_version"), "{err}");
+        assert!(err.contains("unknown metric type \"timer\""), "{err}");
     }
 
     #[test]

@@ -825,7 +825,6 @@ pub fn metrics_summary(files: &[crate::metrics_io::BenchFile]) -> Table {
             let value = match kind {
                 "counter" => format!("{}", num("value")),
                 "gauge" => f(num("value")),
-                "timer" => format!("{} µs over {} span(s)", num("total_us"), num("spans")),
                 "histogram" => {
                     format!(
                         "n={} mean={} max={}",

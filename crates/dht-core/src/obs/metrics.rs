@@ -1,6 +1,7 @@
-//! Metrics registry: counters, gauges, log-scale histograms, and
-//! wall-clock timers, serialisable to the versioned `BENCH_*.json`
-//! benchmark export.
+//! Metrics registry: counters, gauges and log-scale histograms,
+//! serialisable to the versioned `BENCH_*.json` benchmark export. Every
+//! value is seeded simulation output; wall clock is measured by the repo
+//! benchmark (`benchmark/`), never here.
 //!
 //! Experiments populate a [`MetricsRegistry`] as they run; the `repro`
 //! binary serialises it with [`to_bench_json`] when `--metrics-out` is
@@ -10,7 +11,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use super::json::{escape, num};
 
@@ -18,8 +18,9 @@ use super::json::{escape, num};
 /// reject files with a version they do not understand.
 ///
 /// History: v1 = header + `metrics` array; v2 adds the `series` array
-/// of virtual-time telemetry samples (and is otherwise identical).
-pub const SCHEMA_VERSION: u32 = 2;
+/// of virtual-time telemetry samples (and is otherwise identical); v3
+/// removes the wall-clock `timer` metric type.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// A saturating event counter.
 ///
@@ -251,61 +252,6 @@ impl Histogram {
     }
 }
 
-/// Accumulated wall-clock time over any number of spans.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Timer {
-    total_us: u64,
-    spans: u64,
-    max_us: u64,
-}
-
-impl Timer {
-    /// Starts a span; pass the result to [`Timer::record`] to stop it.
-    #[must_use]
-    pub fn start() -> TimerSpan {
-        TimerSpan {
-            started: Instant::now(),
-        }
-    }
-
-    /// Stops `span` and folds its elapsed wall-clock time in.
-    pub fn record(&mut self, span: TimerSpan) {
-        // `as_micros` of an Instant delta fits u64 for ~584k years.
-        self.record_us(span.started.elapsed().as_micros() as u64);
-    }
-
-    /// Folds in an externally measured duration (microseconds).
-    pub fn record_us(&mut self, us: u64) {
-        self.total_us = self.total_us.saturating_add(us);
-        self.spans = self.spans.saturating_add(1);
-        self.max_us = self.max_us.max(us);
-    }
-
-    /// Total recorded time in microseconds.
-    #[must_use]
-    pub fn total_us(&self) -> u64 {
-        self.total_us
-    }
-
-    /// Number of recorded spans.
-    #[must_use]
-    pub fn spans(&self) -> u64 {
-        self.spans
-    }
-
-    /// Longest single span in microseconds.
-    #[must_use]
-    pub fn max_us(&self) -> u64 {
-        self.max_us
-    }
-}
-
-/// An in-flight wall-clock span (see [`Timer::start`]).
-#[derive(Debug)]
-pub struct TimerSpan {
-    started: Instant,
-}
-
 /// One named metric in a [`MetricsRegistry`].
 // The `Histogram` variant dominates the enum size (its fixed bucket
 // array), but registries hold at most a few thousand entries inside a
@@ -320,8 +266,6 @@ pub enum Metric {
     Gauge(Gauge),
     /// A log₂-bucket histogram.
     Histogram(Histogram),
-    /// Accumulated wall-clock spans.
-    Timer(Timer),
 }
 
 impl Metric {
@@ -332,7 +276,6 @@ impl Metric {
             Metric::Counter(_) => "counter",
             Metric::Gauge(_) => "gauge",
             Metric::Histogram(_) => "histogram",
-            Metric::Timer(_) => "timer",
         }
     }
 }
@@ -446,21 +389,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// The timer named `name`, created empty on first access.
-    ///
-    /// # Panics
-    /// If `name` already holds a non-timer metric.
-    pub fn timer(&mut self, name: &str) -> &mut Timer {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Timer(Timer::default()))
-        {
-            Metric::Timer(t) => t,
-            other => panic!("metric '{name}' is a {}, not a timer", other.kind()),
-        }
-    }
-
     /// Read-only view of a metric, if present.
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&Metric> {
@@ -528,7 +456,7 @@ pub struct BenchMeta {
 ///
 /// ```json
 /// {
-///   "schema_version": 2,
+///   "schema_version": 3,
 ///   "experiment": "path",
 ///   "git_rev": "abc1234",
 ///   "seed": 42,
@@ -536,7 +464,6 @@ pub struct BenchMeta {
 ///   "metrics": [
 ///     {"name": "...", "type": "counter", "value": 10},
 ///     {"name": "...", "type": "gauge", "value": 1.5},
-///     {"name": "...", "type": "timer", "total_us": 9, "spans": 1, "max_us": 9},
 ///     {"name": "...", "type": "histogram", "count": 3, "sum": 7,
 ///      "min": 1, "max": 4, "mean": 2.33,
 ///      "buckets": [{"le": 1, "count": 2}, {"le": 7, "count": 1}]}
@@ -573,15 +500,6 @@ pub fn to_bench_json(meta: &BenchMeta, reg: &MetricsRegistry) -> String {
             }
             Metric::Gauge(g) => {
                 let _ = write!(entry, ", \"value\": {}", num(g.get()));
-            }
-            Metric::Timer(t) => {
-                let _ = write!(
-                    entry,
-                    ", \"total_us\": {}, \"spans\": {}, \"max_us\": {}",
-                    t.total_us(),
-                    t.spans(),
-                    t.max_us()
-                );
             }
             Metric::Histogram(h) => {
                 let _ = write!(
@@ -797,37 +715,19 @@ mod tests {
     }
 
     #[test]
-    fn timer_is_monotone() {
-        let mut t = Timer::default();
-        let span = Timer::start();
-        // Burn a little time so elapsed is visibly non-negative even on
-        // coarse clocks.
-        std::hint::black_box((0..1000).sum::<u64>());
-        t.record(span);
-        assert_eq!(t.spans(), 1);
-        assert!(t.max_us() <= t.total_us());
-        let before = t.total_us();
-        t.record_us(250);
-        assert_eq!(t.spans(), 2);
-        assert_eq!(t.total_us(), before + 250, "totals only ever grow");
-        assert!(t.max_us() >= 250);
-    }
-
-    #[test]
     fn registry_creates_on_first_use_and_checks_kinds() {
         let mut reg = MetricsRegistry::new();
         reg.counter("a").add(2);
         reg.counter("a").inc();
         reg.gauge("b").set(1.5);
         reg.histogram("c").record(7);
-        reg.timer("d").record_us(10);
-        assert_eq!(reg.len(), 4);
+        assert_eq!(reg.len(), 3);
         match reg.get("a") {
             Some(Metric::Counter(c)) => assert_eq!(c.get(), 3),
             other => panic!("unexpected: {other:?}"),
         }
         let names: Vec<_> = reg.iter().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["a", "b", "c", "d"], "iteration is name-sorted");
+        assert_eq!(names, vec!["a", "b", "c"], "iteration is name-sorted");
     }
 
     #[test]
@@ -843,10 +743,9 @@ mod tests {
         use super::super::json::{parse, Json};
         let mut reg = MetricsRegistry::new();
         reg.counter("lookups").add(100);
-        reg.gauge("lookups_per_sec").set(123.5);
+        reg.gauge("mean_path").set(123.5);
         reg.histogram("hops").record(3);
         reg.histogram("hops").record(9);
-        reg.timer("wall").record_us(4200);
         reg.series("live_nodes").push(0, 64.0);
         reg.series("live_nodes").push(500_000, 66.0);
         let meta = BenchMeta {
@@ -863,7 +762,7 @@ mod tests {
         assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("unit"));
         assert_eq!(doc.get("quick").and_then(Json::as_bool), Some(true));
         let metrics = doc.get("metrics").and_then(Json::as_array).unwrap();
-        assert_eq!(metrics.len(), 4);
+        assert_eq!(metrics.len(), 3);
         let hops = metrics
             .iter()
             .find(|m| m.get("name").and_then(Json::as_str) == Some("hops"))

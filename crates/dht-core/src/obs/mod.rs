@@ -29,18 +29,17 @@
 //!
 //! # Metrics
 //!
-//! [`metrics`] provides [`Counter`], [`Gauge`], log₂-bucket
-//! [`Histogram`], and wall-clock [`Timer`] primitives under a
-//! name-keyed [`MetricsRegistry`], serialisable to the versioned
-//! `BENCH_*.json` export via [`metrics::to_bench_json`].
+//! [`metrics`] provides [`Counter`], [`Gauge`] and log₂-bucket
+//! [`Histogram`] primitives under a name-keyed [`MetricsRegistry`],
+//! serialisable to the versioned `BENCH_*.json` export via
+//! [`metrics::to_bench_json`].
 
 pub mod json;
 pub mod metrics;
 pub mod phase;
 
 pub use metrics::{
-    to_bench_json, BenchMeta, Counter, Gauge, Histogram, Metric, MetricsRegistry, Timer, TimerSpan,
-    SCHEMA_VERSION,
+    to_bench_json, BenchMeta, Counter, Gauge, Histogram, Metric, MetricsRegistry, SCHEMA_VERSION,
 };
 pub use phase::{Phase, PhaseAccountant, PhaseCosts, PhaseTable, ALL_PHASES};
 
