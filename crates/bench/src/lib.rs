@@ -1,9 +1,11 @@
 //! Benchmark and reproduction harness for the Cycloid paper.
 //!
 //! The `repro` binary (`cargo run --release -p bench --bin repro -- all`)
-//! regenerates every table and figure of the evaluation; the Criterion
-//! benches (`cargo bench -p bench`) time the underlying operations. This
-//! library crate hosts the shared rendering helpers both entry points use.
+//! regenerates every table and figure of the evaluation and `bench-diff`
+//! gates its exports against committed baselines; this library crate
+//! hosts the rendering, document-reading and comparison helpers they
+//! share. Wall clock is not measured here: that is the repo benchmark's
+//! job (`benchmark/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

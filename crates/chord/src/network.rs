@@ -20,7 +20,7 @@ use dht_core::ring::{clockwise_dist, in_interval_oc, in_interval_oo};
 use dht_core::sim::{walk_from, Membership, Refresh, SimOverlay, StepDecision};
 use rand::RngCore;
 
-use crate::node::ChordNode;
+use crate::node::{ChordNode, SuccessorList};
 
 /// Configuration of a Chord deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,9 +60,15 @@ pub struct ChordNetwork {
 }
 
 impl ChordNetwork {
-    /// Creates an empty ring.
+    /// Creates an empty ring. Panics if `config.successor_list` does not
+    /// fit the nodes' inline [`SuccessorList`].
     #[must_use]
     pub fn new(config: ChordConfig, seed: u64) -> Self {
+        let cap = SuccessorList::new().capacity();
+        assert!(
+            (1..=cap).contains(&config.successor_list),
+            "Chord successor_list must be in [1, {cap}]"
+        );
         Self {
             config,
             members: Membership::new(seed),
@@ -341,6 +347,16 @@ mod tests {
     use dht_core::lookup::LookupOutcome;
     use dht_core::rng::stream;
     use rand::Rng;
+
+    #[test]
+    #[should_panic(expected = "Chord successor_list must be in [1, 4]")]
+    fn successor_list_over_the_inline_capacity_is_rejected_by_name() {
+        let config = ChordConfig {
+            successor_list: 5,
+            ..ChordConfig::new(11)
+        };
+        let _ = ChordNetwork::with_nodes(config, 8, 1);
+    }
 
     #[test]
     fn with_nodes_builds_and_stabilizes() {

@@ -78,9 +78,9 @@ impl WalkEffects {
 /// Reusable per-walk scratch buffers for the step loop. One instance
 /// per worker (or per call site) avoids re-allocating the candidate
 /// buffer [`SimOverlay::next_hop`] fills and the two skipped-candidate
-/// lists on every step — see `crates/bench/benches/walk_throughput.rs`
-/// for the measured win. A step sees a few dozen candidates at most,
-/// so the lists are scanned linearly.
+/// lists on every step — `tests/hop_allocations.rs` pins that a hop
+/// allocates nothing. A step sees a few dozen candidates at most, so
+/// the lists are scanned linearly.
 #[derive(Debug, Default)]
 pub struct WalkScratch {
     candidates: Vec<(HopPhase, NodeToken)>,

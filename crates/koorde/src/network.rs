@@ -97,9 +97,19 @@ pub struct KoordeNetwork {
 }
 
 impl KoordeNetwork {
-    /// Creates an empty ring.
+    /// Creates an empty ring. Panics if a list length of `config` does
+    /// not fit the nodes' inline [`RingList`]s.
     #[must_use]
     pub fn new(config: KoordeConfig, seed: u64) -> Self {
+        let cap = RingList::new().capacity();
+        assert!(
+            (1..=cap).contains(&config.successor_list),
+            "Koorde successor_list must be in [1, {cap}]"
+        );
+        assert!(
+            (1..=cap).contains(&config.debruijn_backups),
+            "Koorde debruijn_backups must be in [1, {cap}]"
+        );
         Self {
             config,
             members: Membership::new(seed),
@@ -465,6 +475,16 @@ mod tests {
     use super::*;
     use dht_core::rng::stream;
     use rand::Rng;
+
+    #[test]
+    #[should_panic(expected = "Koorde debruijn_backups must be in [1, 4]")]
+    fn list_lengths_over_the_inline_capacity_are_rejected_by_name() {
+        let config = KoordeConfig {
+            debruijn_backups: 5,
+            ..KoordeConfig::new(11)
+        };
+        let _ = KoordeNetwork::with_nodes(config, 8, 1);
+    }
 
     #[test]
     fn debruijn_pointer_is_pred_of_double() {
