@@ -82,8 +82,7 @@ fn first_difference(base: &Json, fresh: &Json) -> Option<String> {
             .enumerate()
             .find_map(|(i, (bv, fv))| first_difference(bv, fv).map(|d| format!("[{i}]{d}")))
             .or_else(|| {
-                (b.len() != f.len())
-                    .then(|| format!(": length changed {} -> {}", b.len(), f.len()))
+                (b.len() != f.len()).then(|| format!(": length changed {} -> {}", b.len(), f.len()))
             }),
         _ => (base != fresh).then(|| format!(": changed {} -> {}", show(base), show(fresh))),
     }
@@ -186,7 +185,9 @@ mod tests {
     fn no_name_exempts_a_gauge() {
         let gauge = |value: f64| {
             doc(
-                &format!(r#"{{"name": "a.wall_per_sec_speedup", "type": "gauge", "value": {value}}}"#),
+                &format!(
+                    r#"{{"name": "a.wall_per_sec_speedup", "type": "gauge", "value": {value}}}"#
+                ),
                 "",
             )
         };

@@ -6,9 +6,9 @@
 //! `METRICS_OUT_DIR=results/bench` and the test validates every written
 //! document end to end — schema validity plus the acceptance floor:
 //! the hop histogram and a per-phase hop histogram for every overlay in
-//! the sweep. A relative `METRICS_OUT_DIR` is resolved
-//! against the **workspace root** (where the CI steps run), not the
-//! test binary's own working directory.
+//! the sweep. A relative `METRICS_OUT_DIR` is resolved against the
+//! **workspace root** (where the CI steps run), not the test binary's
+//! own working directory.
 
 use bench::metrics_io::{self, BenchFile};
 use dht_core::obs::json::Json;

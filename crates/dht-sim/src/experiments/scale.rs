@@ -157,6 +157,7 @@ mod tests {
         let params = tiny_params();
         let rows = measure(&params);
         assert_eq!(rows.len(), 4);
+        // Rows are size-major: two kinds per size.
         for (row, size) in rows.iter().zip([128, 128, 512, 512]) {
             assert_eq!(
                 row.n,

@@ -14,6 +14,11 @@ use rand::Rng;
 
 const LOOKUPS: usize = 2000;
 
+/// Mean of `hops(i)` over the `LOOKUPS` lookups of one ablation cell.
+fn mean_hops(hops: impl FnMut(usize) -> usize) -> f64 {
+    (0..LOOKUPS).map(hops).sum::<usize>() as f64 / LOOKUPS as f64
+}
+
 #[test]
 fn wider_leaf_sets_shorten_paths_with_diminishing_returns() {
     let hops = [1usize, 2, 3].map(|radius| {
@@ -24,10 +29,7 @@ fn wider_leaf_sets_shorten_paths_with_diminishing_returns() {
         let mut net = CycloidNetwork::with_nodes(config, 1024, 7);
         let ids: Vec<_> = net.ids().collect();
         let mut rng = stream(7, "ablate-radius");
-        let total: usize = (0..LOOKUPS)
-            .map(|i| net.route(ids[i % ids.len()], rng.gen()).path_len())
-            .sum();
-        let hops = total as f64 / LOOKUPS as f64;
+        let hops = mean_hops(|i| net.route(ids[i % ids.len()], rng.gen()).path_len());
         println!(
             "[ablation] leaf radius {radius} (degree {}): mean path {hops:.3} hops",
             3 + 4 * radius
@@ -51,16 +53,18 @@ fn best_fit_start_beats_basic_on_an_oversized_ring() {
         let mut net = KoordeNetwork::with_nodes(config, 1024, 9);
         let ids: Vec<_> = net.ids().collect();
         let mut rng = stream(9, label);
-        let total: usize = (0..LOOKUPS)
-            .map(|i| net.route(ids[i % ids.len()], rng.gen()).path_len())
-            .sum();
-        let hops = total as f64 / LOOKUPS as f64;
+        let hops = mean_hops(|i| net.route(ids[i % ids.len()], rng.gen()).path_len());
         println!(
             "[ablation] koorde start {label}: mean path {hops:.3} hops (1024 nodes, 2^14 ring)"
         );
         hops
     });
-    assert!(hops[1] < hops[0], "best-fit {} vs basic {}", hops[1], hops[0]);
+    assert!(
+        hops[1] < hops[0],
+        "best-fit {} vs basic {}",
+        hops[1],
+        hops[0]
+    );
 }
 
 #[test]
@@ -103,13 +107,10 @@ fn primary_shortcut_keeps_the_ascending_phase_under_one_hop() {
         let mut net = CycloidNetwork::complete(CycloidConfig::seven_entry(d));
         let ids: Vec<_> = net.ids().collect();
         let mut rng = stream(13, "asc");
-        let asc: usize = (0..LOOKUPS)
-            .map(|i| {
-                net.route(ids[i % ids.len()], rng.gen())
-                    .hops_in_phase(HopPhase::Ascending)
-            })
-            .sum();
-        let per_lookup = asc as f64 / LOOKUPS as f64;
+        let per_lookup = mean_hops(|i| {
+            net.route(ids[i % ids.len()], rng.gen())
+                .hops_in_phase(HopPhase::Ascending)
+        });
         println!(
             "[ablation] ascending hops at d={d}: {per_lookup:.3} per lookup (primary shortcut keeps this ~1)"
         );
