@@ -7,9 +7,11 @@
 //! only repaired by stabilization and are checked at [`AuditScope::Full`].
 
 use dht_core::audit::{AuditReport, AuditScope, StateAudit};
+use dht_core::ring::ring_sides;
 use dht_core::sim::SimOverlay;
 
 use crate::network::ChordNetwork;
+use crate::node::SuccessorList;
 
 impl StateAudit for ChordNetwork {
     fn audit(&self, scope: AuditScope) -> AuditReport {
@@ -17,24 +19,19 @@ impl StateAudit for ChordNetwork {
         let config = self.config();
         let space = config.space();
         let r = config.successor_list;
-        for id in self.ids() {
+        // Ring order is token order: a node's ring pointers are the
+        // entries next to it in the sorted token list, wrapping at the
+        // ends. No resolver is asked, so a wrong one cannot audit clean.
+        let tokens = self.membership().tokens();
+        for (i, (id, node)) in self.membership().iter().enumerate() {
             report.note_checked(1);
-            let node = self.node(id).expect("live id");
             report.check_eq(id, "chord/node-id", &node.id, &id);
 
             // Ring pointers: repaired eagerly on every graceful join/leave.
-            let pred = self.predecessor_of_point(id).expect("non-empty ring");
-            report.check_eq(id, "chord/predecessor", &node.predecessor, &pred);
-            let mut expected = crate::node::SuccessorList::new();
-            let mut cursor = id;
-            for _ in 0..r {
-                let s = self
-                    .successor_of_point((cursor + 1) % space)
-                    .expect("non-empty ring");
-                expected.push(s);
-                cursor = s;
-            }
-            report.check_eq(id, "chord/successor-list", &node.successors, &expected);
+            let (pred, succs): (SuccessorList, SuccessorList) =
+                ring_sides(i, tokens.len(), 1, r, |j| tokens[j]);
+            report.check_eq(id, "chord/predecessor", &node.predecessor, &pred[0]);
+            report.check_eq(id, "chord/successor-list", &node.successors, &succs);
 
             // Fingers: `fingers[i] = successor(id + 2^i)`, lazily repaired.
             if scope == AuditScope::Full {

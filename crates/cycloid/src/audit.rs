@@ -8,108 +8,166 @@
 //! Chord" (§3.3.2) and are only checked at [`AuditScope::Full`].
 
 use dht_core::audit::{AuditReport, AuditScope, StateAudit};
+use dht_core::overlay::NodeToken;
+use dht_core::ring::ring_sides;
 use dht_core::sim::SimOverlay;
 
+use crate::id::CycloidId;
 use crate::network::CycloidNetwork;
+use crate::state::LeafSlot;
+
+impl CycloidNetwork {
+    /// `cycloid/cycle-index`: the membership indexes `cycles` and
+    /// `by_cyclic` — which every resolver and `owner_of_key` read — hold
+    /// exactly the live identifiers. A drifted index makes join, leave,
+    /// stabilize and the owner oracle agree on the same wrong answer, so
+    /// only a check against the token list can see it.
+    fn audit_cycle_index(&self, tokens: &[NodeToken], report: &mut AuditReport) {
+        const NAME: &str = "cycloid/cycle-index";
+        let d = u64::from(self.dim().get());
+        for &t in tokens {
+            let (k, cubical) = ((t % d) as u32, t / d);
+            let in_cycles = self.cycles.get(&cubical).is_some_and(|m| m.contains(&k));
+            let in_by_cyclic = self.by_cyclic[k as usize].contains(&cubical);
+            report.check(t, NAME, in_cycles && in_by_cyclic, || {
+                format!("live, but in cycles: {in_cycles}, in by_cyclic: {in_by_cyclic}")
+            });
+        }
+        let cycles = self.cycles.iter().flat_map(|(&cubical, ks)| {
+            ks.iter()
+                .map(move |&k| ("cycles", cubical * d + u64::from(k)))
+        });
+        let by_cyclic = self.by_cyclic.iter().zip(0u64..).flat_map(|(cubicals, k)| {
+            cubicals
+                .iter()
+                .map(move |&cubical| ("by_cyclic", cubical * d + k))
+        });
+        for (index, t) in cycles.chain(by_cyclic) {
+            report.check(t, NAME, tokens.binary_search(&t).is_ok(), || {
+                format!("in {index}, but not live")
+            });
+        }
+    }
+}
 
 impl StateAudit for CycloidNetwork {
     fn audit(&self, scope: AuditScope) -> AuditReport {
         let mut report = AuditReport::new(self.label(), scope);
         let dim = self.dim();
-        let bound = 3 + 4 * self.leaf_radius();
-        for (token, state) in self.members().iter() {
-            report.note_checked(1);
-            let id = state.id;
-            report.check_eq(token, "cycloid/id-token", &id.linear(dim), &token);
+        let d = u64::from(dim.get());
+        let r = self.leaf_radius();
+        let bound = 3 + 4 * r;
+        // Ground truth is the sorted token list alone. A token is
+        // `cubical * d + cyclic`, so each non-empty cycle is one run of
+        // the list, in local-cycle order, ending at the cycle's primary;
+        // `runs[x]` is the `x`-th run's cubical index and end position.
+        // No resolver and no membership index is asked, so a wrong one
+        // cannot audit clean.
+        let tokens = self.members().tokens();
+        let mut runs: Vec<(u64, usize)> =
+            Vec::with_capacity(tokens.len().min(dim.cubical_space() as usize));
+        for (i, &t) in tokens.iter().enumerate() {
+            match runs.last_mut() {
+                Some((cubical, end)) if t < (*cubical + 1) * d => *end = i + 1,
+                _ => runs.push((t / d, i + 1)),
+            }
+        }
+        let q = runs.len();
+        let primary = |x: usize| {
+            let (cubical, end) = runs[x];
+            CycloidId::new((tokens[end - 1] - cubical * d) as u32, cubical)
+        };
+        if scope == AuditScope::Full {
+            self.audit_cycle_index(&tokens, &mut report);
+        }
 
-            // §2.1: at most 7 (or 11) outgoing routing entries, and each
-            // of the four leaf-set sides holds exactly `leaf_radius` slots.
-            let r = self.leaf_radius();
-            report.check(
-                token,
-                "cycloid/state-size",
-                state.degree() <= bound
-                    && state.inside_left.len() == r
-                    && state.inside_right.len() == r
-                    && state.outside_left.len() == r
-                    && state.outside_right.len() == r,
-                || {
-                    format!(
-                        "degree {} (bound {bound}), leaf sides {}/{}/{}/{} (radius {r})",
-                        state.degree(),
-                        state.inside_left.len(),
-                        state.inside_right.len(),
-                        state.outside_left.len(),
-                        state.outside_right.len()
-                    )
-                },
-            );
+        let mut states = self.members().iter();
+        let mut start = 0;
+        for (x, &(cubical, end)) in runs.iter().enumerate() {
+            // Outside leaf set, shared by the whole cycle: primaries of
+            // the nearest non-empty cycles either side, wrapping onto the
+            // cycle's own primary when there are fewer than `r` others.
+            let (out_left, out_right): (LeafSlot, LeafSlot) = ring_sides(x, q, r, r, primary);
+            let cycle = &tokens[start..end];
+            let m = cycle.len();
+            let member = |pos: usize| CycloidId::new((cycle[pos] - cubical * d) as u32, cubical);
+            for (pos, (token, state)) in states.by_ref().take(m).enumerate() {
+                report.note_checked(1);
+                let id = member(pos);
+                report.check_eq(token, "cycloid/id-token", &state.id.linear(dim), &token);
 
-            // A node with cyclic index 0 has no cubical or cyclic
-            // neighbours (its routing table holds only leaf sets, §3.1).
-            if id.cyclic == 0 {
+                // §2.1: at most 7 (or 11) outgoing routing entries, and each
+                // of the four leaf-set sides holds exactly `leaf_radius` slots.
                 report.check(
                     token,
-                    "cycloid/k0-no-routing-neighbors",
-                    state.cubical_neighbor.is_none()
-                        && state.cyclic_smaller.is_none()
-                        && state.cyclic_larger.is_none(),
+                    "cycloid/state-size",
+                    state.degree_within(bound)
+                        && state.inside_left.len() == r
+                        && state.inside_right.len() == r
+                        && state.outside_left.len() == r
+                        && state.outside_right.len() == r,
                     || {
                         format!(
-                            "cyclic index 0 but cubical={:?} smaller={:?} larger={:?}",
-                            state.cubical_neighbor, state.cyclic_smaller, state.cyclic_larger
+                            "degree {} (bound {bound}), leaf sides {}/{}/{}/{} (radius {r})",
+                            state.degree(),
+                            state.inside_left.len(),
+                            state.inside_right.len(),
+                            state.outside_left.len(),
+                            state.outside_right.len()
                         )
                     },
                 );
+
+                // A node with cyclic index 0 has no cubical or cyclic
+                // neighbours (its routing table holds only leaf sets, §3.1).
+                if id.cyclic == 0 {
+                    report.check(
+                        token,
+                        "cycloid/k0-no-routing-neighbors",
+                        state.cubical_neighbor.is_none()
+                            && state.cyclic_smaller.is_none()
+                            && state.cyclic_larger.is_none(),
+                        || {
+                            format!(
+                                "cyclic index 0 but cubical={:?} smaller={:?} larger={:?}",
+                                state.cubical_neighbor, state.cyclic_smaller, state.cyclic_larger
+                            )
+                        },
+                    );
+                }
+
+                // Inside leaf set: the nearest live local-cycle
+                // predecessors/successors — the entries either side of the
+                // node in its own run, wrapping (a node alone on its cycle
+                // points at itself).
+                let (in_left, in_right): (LeafSlot, LeafSlot) = ring_sides(pos, m, r, r, member);
+                // Both leaf sets are eagerly repaired on join/leave.
+                for (invariant, actual, expected) in [
+                    ("cycloid/inside-leaf-set", &state.inside_left, &in_left),
+                    ("cycloid/inside-leaf-set", &state.inside_right, &in_right),
+                    ("cycloid/outside-leaf-set", &state.outside_left, &out_left),
+                    ("cycloid/outside-leaf-set", &state.outside_right, &out_right),
+                ] {
+                    report.check_eq(token, invariant, actual, expected);
+                }
+
+                if scope == AuditScope::Full {
+                    report.check_eq(
+                        token,
+                        "cycloid/cubical-neighbor",
+                        &state.cubical_neighbor,
+                        &self.resolve_cubical_neighbor(id),
+                    );
+                    let (smaller, larger) = self.resolve_cyclic_neighbors(id);
+                    report.check_eq(
+                        token,
+                        "cycloid/cyclic-neighbors",
+                        &(state.cyclic_smaller, state.cyclic_larger),
+                        &(smaller, larger),
+                    );
+                }
             }
-
-            // Inside leaf set: the true nearest live local-cycle
-            // predecessors/successors, eagerly repaired on join/leave.
-            let (in_left, in_right) = self.resolve_inside_leafs(id);
-            report.check_eq(
-                token,
-                "cycloid/inside-leaf-set",
-                &state.inside_left,
-                &in_left,
-            );
-            report.check_eq(
-                token,
-                "cycloid/inside-leaf-set",
-                &state.inside_right,
-                &in_right,
-            );
-
-            // Outside leaf set: primaries of the nearest non-empty
-            // adjacent cycles, also eagerly repaired.
-            let (out_left, out_right) = self.resolve_outside_leafs(id);
-            report.check_eq(
-                token,
-                "cycloid/outside-leaf-set",
-                &state.outside_left,
-                &out_left,
-            );
-            report.check_eq(
-                token,
-                "cycloid/outside-leaf-set",
-                &state.outside_right,
-                &out_right,
-            );
-
-            if scope == AuditScope::Full {
-                report.check_eq(
-                    token,
-                    "cycloid/cubical-neighbor",
-                    &state.cubical_neighbor,
-                    &self.resolve_cubical_neighbor(id),
-                );
-                let (smaller, larger) = self.resolve_cyclic_neighbors(id);
-                report.check_eq(
-                    token,
-                    "cycloid/cyclic-neighbors",
-                    &(state.cyclic_smaller, state.cyclic_larger),
-                    &(smaller, larger),
-                );
-            }
+            start = end;
         }
         report
     }
@@ -180,6 +238,62 @@ mod tests {
                 .contains(&"cycloid/inside-leaf-set"),
             "{report}"
         );
+    }
+
+    #[test]
+    fn desynced_cycle_index_is_caught_by_name_in_full_scope_only() {
+        let clean = net(80);
+        let live = clean.ids().next().unwrap();
+        let dead = (0..clean.dim().id_space())
+            .map(|t| CycloidId::from_linear(t, clean.dim()))
+            .find(|&id| !clean.is_live(id))
+            .unwrap();
+        let named = |net: &CycloidNetwork, token: u64, detail: &str| {
+            let report = net.audit(AuditScope::Full);
+            let hits: Vec<_> = report
+                .violations()
+                .iter()
+                .filter(|v| v.invariant == "cycloid/cycle-index")
+                .map(|v| (v.node, v.detail.as_str()))
+                .collect();
+            assert_eq!(hits, vec![(token, detail)], "{report}");
+            // Index drift breaks no *state*: resolvers, stabilization and
+            // the owner oracle all agree with the drifted index, and churn
+            // runs do not pay for this check.
+            assert!(net.audit(AuditScope::Online).is_clean());
+        };
+
+        // A live node dropped from either index...
+        let mut net = clean.clone();
+        net.cycles
+            .get_mut(&live.cubical)
+            .unwrap()
+            .remove(&live.cyclic);
+        let token = live.linear(net.dim());
+        named(
+            &net,
+            token,
+            "live, but in cycles: false, in by_cyclic: true",
+        );
+        let mut net = clean.clone();
+        net.by_cyclic[live.cyclic as usize].remove(&live.cubical);
+        named(
+            &net,
+            token,
+            "live, but in cycles: true, in by_cyclic: false",
+        );
+
+        // ...and a departed one left behind in either.
+        let mut net = clean.clone();
+        net.cycles
+            .entry(dead.cubical)
+            .or_default()
+            .insert(dead.cyclic);
+        let token = dead.linear(net.dim());
+        named(&net, token, "in cycles, but not live");
+        let mut net = clean;
+        net.by_cyclic[dead.cyclic as usize].insert(dead.cubical);
+        named(&net, token, "in by_cyclic, but not live");
     }
 
     #[test]

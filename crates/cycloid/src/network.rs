@@ -63,10 +63,10 @@ pub struct CycloidNetwork {
     /// Live nodes, keyed by linear identifier (`cubical * d + cyclic`).
     members: Membership<NodeState>,
     /// Non-empty cycles: cubical index → live cyclic indices on that cycle.
-    cycles: BTreeMap<u64, BTreeSet<u32>>,
+    pub(crate) cycles: BTreeMap<u64, BTreeSet<u32>>,
     /// Per-cyclic-index membership: `by_cyclic[k]` holds the cubical
     /// indices of cycles containing a node with cyclic index `k`.
-    by_cyclic: Vec<BTreeSet<u64>>,
+    pub(crate) by_cyclic: Vec<BTreeSet<u64>>,
 }
 
 impl CycloidNetwork {
@@ -104,6 +104,7 @@ impl CycloidNetwork {
                 net.insert_membership(id);
             }
         }
+        net.members.order_slab();
         net.stabilize_all();
         net
     }

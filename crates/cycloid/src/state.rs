@@ -93,6 +93,14 @@ impl NodeState {
             .copied()
     }
 
+    /// `self.degree() <= bound`, not counted when the state has no more
+    /// filled slots than `bound` — as on every node of the right shape.
+    #[must_use]
+    pub fn degree_within(&self, bound: usize) -> bool {
+        self.routing_entries().count() + self.leaf_entries().count() <= bound
+            || self.degree() <= bound
+    }
+
     /// Every contact this node knows (routing table + both leaf sets),
     /// deduplicated, excluding itself.
     #[must_use]
@@ -108,7 +116,14 @@ impl NodeState {
     /// degree. Bounded by 7 (leaf radius 1) or 11 (leaf radius 2).
     #[must_use]
     pub fn degree(&self) -> usize {
-        self.known_contacts().len()
+        // Three routing entries plus four full leaf slots.
+        let mut distinct = InlineVec::<CycloidId, 19>::new();
+        for c in self.routing_entries().chain(self.leaf_entries()) {
+            if c != self.id && !distinct.contains(&c) {
+                distinct.push(c);
+            }
+        }
+        distinct.len()
     }
 }
 
@@ -142,6 +157,36 @@ mod tests {
         let contacts = s.known_contacts();
         assert!(!contacts.contains(&me), "self must be excluded");
         assert_eq!(contacts.len(), 3, "duplicates must collapse: {contacts:?}");
+    }
+
+    #[test]
+    fn degree_is_the_known_contact_count_on_every_shape() {
+        // Duplicates across slots, self-pointers, unset routing entries
+        // and over-long sides: the stack count is the sorted-and-deduped
+        // list's length, and `degree_within` is the plain comparison.
+        let me = id(2, 5);
+        let mut s = NodeState::new(me);
+        let mut shapes = vec![s.clone()];
+        s.cubical_neighbor = Some(id(1, 7));
+        s.cyclic_larger = Some(id(1, 7));
+        s.inside_left = vec![me, id(3, 5)].into();
+        s.inside_right = vec![id(3, 5), me].into();
+        shapes.push(s.clone());
+        s.cyclic_smaller = Some(id(1, 4));
+        s.outside_left = (0..4).map(|c| id(4, c)).collect();
+        s.outside_right = (2..6).map(|c| id(4, c)).collect();
+        shapes.push(s.clone());
+        s.inside_left = (8..12).map(|c| id(0, c)).collect();
+        s.inside_right = (12..16).map(|c| id(0, c)).collect();
+        shapes.push(s);
+        let degrees: Vec<usize> = shapes.iter().map(NodeState::degree).collect();
+        assert_eq!(degrees, vec![0, 2, 9, 16]);
+        for s in &shapes {
+            assert_eq!(s.degree(), s.known_contacts().len());
+            for bound in 0..=20 {
+                assert_eq!(s.degree_within(bound), s.degree() <= bound, "bound {bound}");
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! operations: clockwise distance, minimal (either-direction) distance, and
 //! half-open interval membership with wraparound.
 
+use crate::inline::InlineVec;
+
 /// Clockwise (increasing-identifier) distance from `from` to `to` on a ring
 /// of size `modulus`.
 #[inline]
@@ -71,6 +73,33 @@ pub fn in_interval_oo(x: u64, from: u64, to: u64, modulus: u64) -> bool {
     x != to && in_interval_oc(x, from, to, modulus)
 }
 
+/// Reads a neighbourhood off a ring laid out as a sorted list of `n`
+/// entries: the `before` entries counter-clockwise and the `after`
+/// entries clockwise of position `i`, nearest first, each fetched by
+/// `at(position)`. Positions wrap, so a reach longer than the ring
+/// repeats it (position `i` included) — what successive nearest-neighbour
+/// searches on the ring return. The audits read every expected pointer
+/// this way, off the sorted token list alone.
+#[must_use]
+pub fn ring_sides<T: Copy + Default, const N: usize>(
+    i: usize,
+    n: usize,
+    before: usize,
+    after: usize,
+    at: impl Fn(usize) -> T,
+) -> (InlineVec<T, N>, InlineVec<T, N>) {
+    // A position is rarely past `n` and all but never past `2n`:
+    // subtract, and divide only when that is not enough.
+    let wrap = |j: usize| match j.checked_sub(n) {
+        None => j,
+        Some(over) if over < n => over,
+        Some(over) => over % n,
+    };
+    let back = (1..=before).map(|k| at(wrap(i + n - wrap(k))));
+    let forth = (1..=after).map(|k| at(wrap(i + k)));
+    (back.collect(), forth.collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,6 +150,32 @@ mod tests {
         assert!(!in_interval_co(5, 14, 2, 16));
         // Degenerate: single node owns every imaginary point.
         assert!(in_interval_co(9, 3, 3, 16));
+    }
+
+    #[test]
+    fn ring_sides_wrap_like_modular_arithmetic() {
+        // Every ring size from one entry to past the longest reach, every
+        // position, every reach the inline capacity allows: the entries
+        // are the plain `mod n` ones, nearest first.
+        for n in 1..=7usize {
+            let ring: Vec<u64> = (0..n as u64).map(|t| 10 * t + 3).collect();
+            for i in 0..n {
+                for (before, after) in [(0, 0), (1, 3), (2, 2), (4, 4), (3, 1)] {
+                    let (back, forth): (InlineVec<u64, 4>, InlineVec<u64, 4>) =
+                        ring_sides(i, n, before, after, |j| ring[j]);
+                    let want_back: Vec<u64> =
+                        (1..=before).map(|k| ring[(i + n * k - k) % n]).collect();
+                    let want_forth: Vec<u64> = (1..=after).map(|k| ring[(i + k) % n]).collect();
+                    assert_eq!(back, want_back, "n={n} i={i} before={before}");
+                    assert_eq!(forth, want_forth, "n={n} i={i} after={after}");
+                }
+            }
+        }
+        // Spelled out: two entries, reach three — the ring repeats and
+        // passes through the position itself.
+        let (back, forth): (InlineVec<u64, 4>, InlineVec<u64, 4>) =
+            ring_sides(0, 2, 1, 3, |j| [7u64, 40][j]);
+        assert_eq!((back, forth), (vec![40].into(), vec![40, 7, 40].into()));
     }
 
     #[test]

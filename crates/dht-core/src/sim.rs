@@ -371,6 +371,7 @@ pub trait Refresh: SimOverlay {
                 self.membership_mut().insert(id, state);
             }
         }
+        self.membership_mut().order_slab();
         self.refresh_all();
     }
 

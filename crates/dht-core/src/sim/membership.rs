@@ -93,6 +93,12 @@ impl<S> Membership<S> {
         self.store.remove(node)
     }
 
+    /// Lays the state slab out in token order, once a bulk build is
+    /// done (see [`CompactStore::order_slab`]); no read changes.
+    pub fn order_slab(&mut self) {
+        self.store.order_slab();
+    }
+
     /// Live tokens in ascending order.
     #[must_use]
     pub fn tokens(&self) -> Vec<NodeToken> {
@@ -427,6 +433,8 @@ mod tests {
         ResetLoads,
         /// Rewrites every state through `states_mut`, by position.
         Rewrite,
+        /// Lays the slab out in token order; no read may change.
+        OrderSlab,
     }
 
     /// The reference: token → (state, query load) in a plain `BTreeMap`.
@@ -468,6 +476,10 @@ mod tests {
                 m.states_mut().enumerate().for_each(|(i, s)| rewrite(i, s));
                 let states = model.values_mut().map(|(s, _)| s);
                 states.enumerate().for_each(|(i, s)| rewrite(i, s));
+            }
+            Op::OrderSlab => {
+                m.order_slab();
+                assert!(m.store.slab_is_ordered(), "slots do not ascend");
             }
         }
     }
@@ -570,6 +582,7 @@ mod tests {
             (token(), 1u64..9).prop_map(|(t, k)| Op::AddLoad(t, k)),
             Just(Op::ResetLoads),
             Just(Op::Rewrite),
+            Just(Op::OrderSlab),
         ]
     }
 
@@ -577,9 +590,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The one reference for the store: an arbitrary script of
-        /// inserts, removals, overwrites and load updates leaves
-        /// `Membership` and a `BTreeMap` agreeing on every public read
-        /// after every step.
+        /// inserts, removals, overwrites, load updates and slab
+        /// re-orderings leaves `Membership` and a `BTreeMap` agreeing on
+        /// every public read after every step.
         #[test]
         fn membership_matches_btreemap_model(
             script in proptest::collection::vec(op_strategy(), 0..80),
@@ -632,6 +645,42 @@ mod tests {
             }
         }
         assert!(m.is_empty());
+        check_reads(&m, &model, &points);
+    }
+
+    /// The layout is invisible and repeatable: a store ordered after its
+    /// bulk build, churned until swap-removes have scattered the slab
+    /// again, then ordered a second time, answers every read as the
+    /// model does at each of the three points.
+    #[test]
+    fn ordering_the_slab_twice_around_churn_changes_no_read() {
+        let mut rng = crate::rng::stream(43, "membership-order");
+        let mut draw = |n: usize| -> Vec<u64> { (0..n).map(|_| rng.next_u64() % 8_000).collect() };
+        let (build, churn) = (draw(3 * CHUNK_CAP), draw(2 * CHUNK_CAP));
+        let points = around(build.iter().chain(&churn).step_by(50).copied());
+        let mut m: Membership<u64> = Membership::new(1);
+        let mut model = Model::new();
+        let toggle = |m: &mut Membership<u64>, model: &mut Model, t: u64, step: usize| {
+            let op = if model.contains_key(&t) {
+                Op::Remove(t)
+            } else {
+                Op::Insert(t)
+            };
+            apply(m, model, op, step as u64);
+            apply(m, model, Op::AddLoad(t, 1 + t % 5), 0);
+        };
+        for (step, &t) in build.iter().enumerate() {
+            toggle(&mut m, &mut model, t, step);
+        }
+        assert!(m.len() > CHUNK_CAP && !m.store.slab_is_ordered());
+        apply(&mut m, &mut model, Op::OrderSlab, 0);
+        check_reads(&m, &model, &points);
+        for (step, &t) in churn.iter().enumerate() {
+            toggle(&mut m, &mut model, t, step);
+        }
+        assert!(!m.store.slab_is_ordered(), "churn left the slab ordered");
+        check_reads(&m, &model, &points);
+        apply(&mut m, &mut model, Op::OrderSlab, 0);
         check_reads(&m, &model, &points);
     }
 }

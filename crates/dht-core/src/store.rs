@@ -11,7 +11,7 @@
 //!              │ binary search over chunk `last()`s, then in-chunk
 //!              ▼
 //!  slab:    states[slot]   tokens_by_slot[slot]   loads[slot]
-//!              ▲ unordered, swap-remove compacted, never shifts
+//!              ▲ any order, swap-remove compacted, never shifts
 //!              │
 //!  index:   open-addressed token → slot hash table (linear probing,
 //!           backward-shift deletion)
@@ -25,7 +25,8 @@
 //! * **State slab** — states are dense `Vec<S>` entries addressed by
 //!   `slot`; removal swap-removes and patches the two references (hash
 //!   index + chunk) to the moved entry. Iteration in token order walks
-//!   the chunks and indexes the slab.
+//!   the chunks and indexes the slab — a sequential stream once
+//!   [`CompactStore::order_slab`] has laid the slab out in token order.
 //! * **Hash index** — token → slot lookups are O(1) without touching the
 //!   ordered structure; this is the `contains`/`get` hot path.
 //!
@@ -353,6 +354,37 @@ impl<S> CompactStore<S> {
         Some(state)
     }
 
+    /// Permutes the slab in place so that slot order is token order:
+    /// every token-ordered pass (`iter`, a full refresh, an audit sweep, a
+    /// stabilize bucket firing ascending tokens) then streams through
+    /// `states` instead of missing on every row. Called once after a bulk
+    /// build; each later removal swap-moves the tail row out of order
+    /// again and nothing re-sorts. No read changes and no `Vec` is
+    /// reallocated, so `heap_bytes` is what it was.
+    pub fn order_slab(&mut self) {
+        // `dest[old slot]` is the token's rank: the slot it moves to.
+        let mut dest = vec![0u32; self.len()];
+        let slots = self.chunks.iter_mut().flat_map(|c| &mut c.slots);
+        for (rank, slot) in (0u32..).zip(slots) {
+            dest[*slot as usize] = rank;
+            *slot = rank;
+        }
+        for (_, slot) in self.index.entries.iter_mut().filter(|e| e.1 != EMPTY) {
+            *slot = dest[*slot as usize];
+        }
+        // Follow the permutation's cycles: each swap puts one row where
+        // it belongs, so there are fewer than `len` of them.
+        for i in 0..dest.len() {
+            while dest[i] as usize != i {
+                let j = dest[i] as usize;
+                self.states.swap(i, j);
+                self.tokens_by_slot.swap(i, j);
+                self.loads.swap(i, j);
+                dest.swap(i, j);
+            }
+        }
+    }
+
     /// Live tokens in ascending order.
     #[must_use]
     pub fn tokens(&self) -> Vec<NodeToken> {
@@ -578,6 +610,15 @@ impl<S> CompactStore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<S> CompactStore<S> {
+        /// `true` iff slot order is token order, as `order_slab` leaves
+        /// it (for the model test in `sim/membership.rs`).
+        pub(crate) fn slab_is_ordered(&self) -> bool {
+            self.tokens_by_slot.windows(2).all(|w| w[0] < w[1])
+        }
+    }
+
     #[test]
     fn insert_get_remove_roundtrip() {
         let mut s: CompactStore<String> = CompactStore::new();

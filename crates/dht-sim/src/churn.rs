@@ -317,14 +317,14 @@ fn record_sample(
             phase_msgs[i] = costs.msgs;
         }
     }
+    // Nearest rank by selection, not a sort: O(n) per snapshot.
     let mut loads = overlay.query_loads();
-    loads.sort_unstable();
-    let rank = |q: f64| -> u64 {
+    let mut rank = |q: f64| -> u64 {
         if loads.is_empty() {
             return 0;
         }
         let idx = ((q * loads.len() as f64).ceil() as usize).clamp(1, loads.len()) - 1;
-        loads[idx]
+        *loads.select_nth_unstable(idx).1
     };
     outcome.samples.push(ChurnSample {
         t_us,
@@ -368,16 +368,19 @@ pub(crate) struct BucketIndex {
 }
 
 impl BucketIndex {
-    /// Indexes the overlay's current population.
+    /// Indexes the overlay's current population, bulk-building each set
+    /// from its run of the ascending token list (linear; `n` inserts were not).
     pub(crate) fn new(overlay: &dyn Overlay, phase: StabilizePhase, period: u64) -> Self {
         let mut idx = Self {
             phase,
             period,
-            buckets: vec![BTreeSet::new(); period as usize],
+            buckets: Vec::new(),
         };
+        let mut runs = vec![Vec::new(); period as usize];
         for token in overlay.node_tokens() {
-            idx.insert(token);
+            runs[idx.bucket_of(token)].push(token);
         }
+        idx.buckets = runs.into_iter().map(BTreeSet::from_iter).collect();
         idx
     }
 
@@ -986,13 +989,18 @@ mod tests {
         assert!(out.sim_end_us > 0);
     }
 
-    /// Applies a fixed join/leave script to both the overlay and the
-    /// index, as the engine does at every membership event.
-    fn churned_index(phase: StabilizePhase, period: u64) -> (Box<dyn Overlay>, BucketIndex) {
+    /// Bulk-builds the index over a fresh overlay, then applies `steps`
+    /// of a fixed join/leave script to both, as the engine does at every
+    /// membership event. Zero steps leave the bulk build as it came.
+    fn churned_index(
+        phase: StabilizePhase,
+        period: u64,
+        steps: usize,
+    ) -> (Box<dyn Overlay>, BucketIndex) {
         let mut net = build_overlay(OverlayKind::Chord, 96, 17);
         let mut rng = stream(18, "bucket-index");
         let mut idx = BucketIndex::new(net.as_ref(), phase, period);
-        for step in 0..40 {
+        for step in 0..steps {
             if step % 3 == 0 {
                 let victim = net.node_tokens()[step % net.len()];
                 assert!(net.leave(victim));
@@ -1011,31 +1019,35 @@ mod tests {
         // sweep of the membership would, in the same ascending order,
         // including after churn has moved tokens in and out of buckets.
         let period = 30u64;
-        let (net, idx) = churned_index(StabilizePhase::Hashed, period);
-        for bucket in 0..period {
-            let expected: Vec<_> = net
-                .node_tokens()
-                .into_iter()
-                .filter(|&t| splitmix64(t) % period == bucket)
-                .collect();
-            let got: Vec<_> = idx.buckets[bucket as usize].iter().copied().collect();
-            assert_eq!(got, expected, "bucket {bucket}");
+        for steps in [0, 40] {
+            let (net, idx) = churned_index(StabilizePhase::Hashed, period, steps);
+            for bucket in 0..period {
+                let expected: Vec<_> = net
+                    .node_tokens()
+                    .into_iter()
+                    .filter(|&t| splitmix64(t) % period == bucket)
+                    .collect();
+                let got: Vec<_> = idx.buckets[bucket as usize].iter().copied().collect();
+                assert_eq!(got, expected, "bucket {bucket} after {steps} steps");
+            }
         }
     }
 
     #[test]
     fn synchronized_index_fires_everyone_on_the_last_bucket() {
         let period = 30u64;
-        let (mut net, idx) = churned_index(StabilizePhase::Synchronized, period);
-        // All live tokens sit in bucket `period - 1`, ascending...
-        let last: Vec<_> = idx.buckets[period as usize - 1].iter().copied().collect();
-        assert_eq!(last, net.node_tokens());
-        assert!(last.windows(2).all(|w| w[0] < w[1]));
-        // ...and no other bucket fires anyone.
-        let n = net.len() as u64;
-        for bucket in 0..period {
-            let (calls, _) = idx.fire(net.as_mut(), bucket, false);
-            assert_eq!(calls, if bucket + 1 == period { n } else { 0 });
+        for steps in [0, 40] {
+            let (mut net, idx) = churned_index(StabilizePhase::Synchronized, period, steps);
+            // All live tokens sit in bucket `period - 1`, ascending...
+            let last: Vec<_> = idx.buckets[period as usize - 1].iter().copied().collect();
+            assert_eq!(last, net.node_tokens());
+            assert!(last.windows(2).all(|w| w[0] < w[1]));
+            // ...and no other bucket fires anyone.
+            let n = net.len() as u64;
+            for bucket in 0..period {
+                let (calls, _) = idx.fire(net.as_mut(), bucket, false);
+                assert_eq!(calls, if bucket + 1 == period { n } else { 0 });
+            }
         }
     }
 
@@ -1106,6 +1118,33 @@ mod tests {
             assert!(last.live_nodes > 0, "{time:?}");
             assert!(last.bytes_per_node > 0.0, "{time:?}");
             assert!(last.load_p99 >= last.load_p50, "{time:?}");
+        }
+    }
+
+    #[test]
+    fn sampler_ranks_are_the_sorted_nearest_ranks() {
+        // Selection must read exactly what the sort it replaced read: on
+        // one node, on two, where n is no multiple of 100, and on the
+        // tied and skewed loads that lookups leave behind.
+        let mut net = build_overlay(OverlayKind::Koorde, 50, 7);
+        let mut rng = stream(8, "sampler-ranks");
+        let mut outcome = run_churn(net.as_mut(), small_params(0.0), &mut rng);
+        for n in [1usize, 2, 3, 50, 199, 200] {
+            let mut net = build_overlay(OverlayKind::Koorde, n, 7);
+            let src = net.node_tokens()[0];
+            for key in 0..3 * n as u64 {
+                net.lookup(src, splitmix64(key));
+            }
+            let acct = PhaseAccountant::disabled();
+            record_sample(net.as_ref(), &mut outcome, &acct, 0, 0);
+            let mut sorted = net.query_loads();
+            sorted.sort_unstable();
+            assert!(n == 1 || sorted[n - 1] > sorted[0], "n = {n}: no skew");
+            assert!(n < 50 || sorted.windows(2).any(|w| w[0] == w[1]), "no ties");
+            let rank = |q: f64| sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
+            let sample = outcome.samples.last().unwrap();
+            let ranks = (sample.load_p50, sample.load_p99);
+            assert_eq!(ranks, (rank(0.5), rank(0.99)), "n = {n}");
         }
     }
 

@@ -9,9 +9,11 @@
 //! backup it used), so they are only checked at [`AuditScope::Full`].
 
 use dht_core::audit::{AuditReport, AuditScope, StateAudit};
+use dht_core::ring::ring_sides;
 use dht_core::sim::SimOverlay;
 
 use crate::network::KoordeNetwork;
+use crate::node::RingList;
 
 impl StateAudit for KoordeNetwork {
     fn audit(&self, scope: AuditScope) -> AuditReport {
@@ -19,9 +21,12 @@ impl StateAudit for KoordeNetwork {
         let config = self.config();
         let space = config.space();
         let r = config.successor_list;
-        for id in self.ids() {
+        // Ring order is token order: a node's ring pointers are the
+        // entries next to it in the sorted token list, wrapping at the
+        // ends. No resolver is asked, so a wrong one cannot audit clean.
+        let tokens = self.membership().tokens();
+        for (i, (id, node)) in self.membership().iter().enumerate() {
             report.note_checked(1);
-            let node = self.node(id).expect("live id");
             report.check_eq(id, "koorde/node-id", &node.id, &id);
 
             // The paper's seven-entry bound on *outgoing* contacts: one de
@@ -30,7 +35,7 @@ impl StateAudit for KoordeNetwork {
             report.check(
                 id,
                 "koorde/state-size",
-                node.degree() <= bound
+                node.degree_within(bound)
                     && node.successors.len() == r
                     && node.debruijn_preds.len() == config.debruijn_backups,
                 || {
@@ -44,18 +49,10 @@ impl StateAudit for KoordeNetwork {
             );
 
             // Ring pointers: repaired eagerly on every graceful join/leave.
-            let pred = self.before_point(id).expect("non-empty ring");
-            report.check_eq(id, "koorde/predecessor", &node.predecessor, &pred);
-            let mut expected = crate::node::RingList::new();
-            let mut cursor = id;
-            for _ in 0..r {
-                let s = self
-                    .successor_of_point((cursor + 1) % space)
-                    .expect("non-empty ring");
-                expected.push(s);
-                cursor = s;
-            }
-            report.check_eq(id, "koorde/successor-list", &node.successors, &expected);
+            let (pred, succs): (RingList, RingList) =
+                ring_sides(i, tokens.len(), 1, r, |j| tokens[j]);
+            report.check_eq(id, "koorde/predecessor", &node.predecessor, &pred[0]);
+            report.check_eq(id, "koorde/successor-list", &node.successors, &succs);
 
             // De Bruijn pointer `predecessor(2 * id)` plus backups: lazily
             // stabilized and rewritten by repair-on-use mid-lookup.
@@ -64,7 +61,7 @@ impl StateAudit for KoordeNetwork {
                     .at_or_before_point((2 * id) % space)
                     .expect("non-empty ring");
                 report.check_eq(id, "koorde/debruijn-pointer", &node.debruijn, &db);
-                let mut backups = crate::node::RingList::new();
+                let mut backups = RingList::new();
                 let mut cursor = db;
                 for _ in 0..config.debruijn_backups {
                     let p = self.before_point(cursor).expect("non-empty ring");

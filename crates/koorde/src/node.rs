@@ -45,21 +45,25 @@ impl KoordeNode {
         self.successors[0]
     }
 
+    /// `self.degree() <= bound`, not counted when the state has no more
+    /// slots than `bound` — as on every node of the right shape.
+    #[must_use]
+    pub fn degree_within(&self, bound: usize) -> bool {
+        self.successors.len() + self.debruijn_preds.len() < bound || self.degree() <= bound
+    }
+
     /// Distinct non-self contacts (actual degree, bounded by 7 in the
     /// paper's configuration).
     #[must_use]
     pub fn degree(&self) -> usize {
-        let mut all: Vec<u64> = self
-            .successors
-            .iter()
-            .chain(self.debruijn_preds.iter())
-            .copied()
-            .chain([self.debruijn])
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        all.retain(|&x| x != self.id);
-        all.len()
+        let mut distinct = InlineVec::<u64, 9>::new();
+        let contacts = self.successors.iter().chain(&self.debruijn_preds);
+        for &c in contacts.chain([&self.debruijn]) {
+            if c != self.id && !distinct.contains(&c) {
+                distinct.push(c);
+            }
+        }
+        distinct.len()
     }
 }
 
@@ -72,6 +76,24 @@ mod tests {
         let n = KoordeNode::new(9, 3, 3);
         assert_eq!(n.successor(), 9);
         assert_eq!(n.degree(), 0);
+    }
+
+    #[test]
+    fn degree_counts_distinct_non_self_contacts() {
+        let mut n = KoordeNode::new(5, 3, 3);
+        let mut shapes = vec![(n.clone(), 0)];
+        n.successors = vec![6, 5, 6].into();
+        n.debruijn = 10;
+        n.debruijn_preds = vec![9, 6, 10].into();
+        shapes.push((n.clone(), 3)); // {6, 9, 10}
+        n.successors = vec![6, 7, 8, 11].into();
+        shapes.push((n, 6)); // {6, 7, 8, 9, 10, 11}
+        for (n, degree) in shapes {
+            assert_eq!(n.degree(), degree);
+            for bound in 0..=10 {
+                assert_eq!(n.degree_within(bound), degree <= bound, "bound {bound}");
+            }
+        }
     }
 
     #[test]

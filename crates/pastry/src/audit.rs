@@ -6,17 +6,24 @@
 //! repaired by stabilization and are checked at [`AuditScope::Full`].
 
 use dht_core::audit::{AuditReport, AuditScope, StateAudit};
+use dht_core::ring::ring_sides;
 use dht_core::sim::SimOverlay;
 
-use crate::network::PastryNetwork;
+use crate::network::{LeafHalf, PastryNetwork};
 
 impl StateAudit for PastryNetwork {
     fn audit(&self, scope: AuditScope) -> AuditReport {
         let mut report = AuditReport::new(self.label(), scope);
         let c = self.config();
-        for id in self.ids() {
+        // Ring order is token order: a node's leaf set is the run of
+        // entries either side of it in the sorted token list, wrapping at
+        // the ends but never round to the node itself. No resolver is
+        // asked, so a wrong one cannot audit clean.
+        let tokens = self.membership().tokens();
+        let n = tokens.len();
+        let reach = (c.leaf_set / 2).min(n.saturating_sub(1));
+        for (i, (id, node)) in self.membership().iter().enumerate() {
             report.note_checked(1);
-            let node = self.node(id).expect("live id");
             report.check_eq(id, "pastry/node-id", &node.id, &id);
 
             // Structural shape: `digits × base` slots, and the slot for a
@@ -40,7 +47,8 @@ impl StateAudit for PastryNetwork {
 
             // Leaf set: the true nearest smaller/larger live identifiers,
             // eagerly repaired on join/leave.
-            let (smaller, larger) = self.resolve_leafs(id);
+            let (smaller, larger): (LeafHalf, LeafHalf) =
+                ring_sides(i, n, reach, reach, |j| tokens[j]);
             report.check_eq(id, "pastry/leaf-set", &node.leaf_smaller, &smaller);
             report.check_eq(id, "pastry/leaf-set", &node.leaf_larger, &larger);
 

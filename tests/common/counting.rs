@@ -1,0 +1,44 @@
+//! A counting global allocator for the allocation-bound tests
+//! (`hop_allocations.rs`, `audit_allocations.rs`). Pulled in with
+//! `#[path = "common/counting.rs"] mod counting;`, it becomes that test
+//! binary's allocator and nothing else's; every library crate stays
+//! `#![forbid(unsafe_code)]`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations made by this thread (the harness runs tests on
+    /// several, and the code under test runs on the caller's).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a plain thread-local cell
+// with no destructor, so touching it never allocates or re-enters.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations (and reallocations) this thread has made so far.
+pub fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}

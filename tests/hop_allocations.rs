@@ -9,46 +9,16 @@
 //! CAN is left out: its `neighbors_of` still builds two `Vec`s per hop
 //! (ROADMAP item 1(c)).
 //!
-//! The counting allocator is this test binary's only; every library
-//! crate stays `#![forbid(unsafe_code)]`.
+//! The counting allocator (`common/counting.rs`) is this test binary's
+//! only; every library crate stays `#![forbid(unsafe_code)]`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "common/counting.rs"]
+mod counting;
 
+use counting::allocations;
 use dht_core::rng::stream_indexed;
 use dht_sim::{build_overlay, OverlayKind, ALL_KINDS};
 use rand::Rng;
-
-thread_local! {
-    /// Allocations made by this thread (the harness runs tests on
-    /// several, and `lookup_batch(_, 1)` routes on the caller's).
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a plain thread-local cell
-// with no destructor, so touching it never allocates or re-enters.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's `layout` is passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 const NODES: usize = 2_000;
 const LOOKUPS: usize = 500;
@@ -67,9 +37,9 @@ fn assert_lookups_allocate_little(kind: OverlayKind, departed: f64) {
     let reqs: Vec<(u64, u64)> = (0..LOOKUPS)
         .map(|_| (live[rng.gen_range(0..live.len())], rng.gen()))
         .collect();
-    let before = ALLOCATIONS.with(Cell::get);
+    let before = allocations();
     let traces = net.lookup_batch(&reqs, 1);
-    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    let allocations = allocations() - before;
     let hops: usize = traces.iter().map(|t| t.path_len()).sum();
     let bound = 16 * LOOKUPS as u64 + 64;
     assert!(
