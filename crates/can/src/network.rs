@@ -7,6 +7,7 @@ use dht_core::hash::{reduce, splitmix64};
 use dht_core::lookup::{HopPhase, LookupTrace};
 use dht_core::overlay::NodeToken;
 use dht_core::sim::{walk_from, Membership, SimOverlay, StepDecision};
+use dht_core::store::Hints;
 use rand::RngCore;
 
 /// Configuration of a CAN deployment.
@@ -466,7 +467,7 @@ impl SimOverlay for CanNetwork {
         self.stabilize_takeover();
     }
 
-    fn stabilize_one(&mut self, _node: NodeToken) {
+    fn stabilize_one(&mut self, _node: NodeToken, _hints: &mut Hints) {
         // Takeover is a zone-level (not per-node) repair.
         self.stabilize_takeover();
     }

@@ -18,6 +18,7 @@ use dht_core::lookup::{HopPhase, LookupTrace};
 use dht_core::overlay::NodeToken;
 use dht_core::ring::{clockwise_dist, in_interval_oc, in_interval_oo};
 use dht_core::sim::{walk_from, Membership, Refresh, SimOverlay, StepDecision};
+use dht_core::store::{Hints, Pos};
 use rand::RngCore;
 
 use crate::node::{ChordNode, SuccessorList};
@@ -173,17 +174,26 @@ impl Refresh for ChordNetwork {
         ChordNode::new(id, self.config.bits, self.config.successor_list)
     }
 
-    fn refresh_node(&mut self, id: u64) {
-        let space = self.config.space();
+    /// Hint 0 is the node's own place in the order, hint `1 + i` finger
+    /// `i`'s: `id + 2^i` ascends with `id`, up to one wrap per finger.
+    fn refresh_node(&mut self, id: u64, hints: &mut Hints) {
+        let Some(own) = self.members.store.position_of(hints.slot(0), id) else {
+            return;
+        };
         let (pred, succs) = self
             .members
-            .ring_pointers(id, self.config.successor_list, space)
-            .expect("refresh on empty ring");
-        let fingers = (0..self.config.bits)
-            .map(|i| (id + (1u64 << i)) % space)
-            .map(|target| self.successor_of_point(target).expect("non-empty ring"))
-            .collect();
-        let node = self.members.get_mut(id).expect("refresh of dead node");
+            .ring_pointers(id, self.config.successor_list, hints.slot(0))
+            .expect("own ring is not empty");
+        // Refilled in the buffer `ChordNode::new` sized for `bits` fingers.
+        let mut fingers = std::mem::take(&mut self.members.store.state_at_mut(own).fingers);
+        fingers.clear();
+        let order = &self.members.store;
+        let space = self.config.space();
+        fingers.extend((0..self.config.bits as usize).map(|i| {
+            let at = order.successor_from(hints.slot(1 + i), (id + (1u64 << i)) % space);
+            order.token_at(at.expect("own ring is not empty"))
+        }));
+        let node = self.members.store.state_at_mut(own);
         node.predecessor = pred;
         node.successors = succs;
         node.fingers = fingers;
@@ -192,7 +202,7 @@ impl Refresh for ChordNetwork {
     fn refresh_notified(&mut self, id: u64) {
         let (pred, succs) = self
             .members
-            .ring_pointers(id, self.config.successor_list, self.config.space())
+            .ring_pointers(id, self.config.successor_list, &mut Pos::default())
             .expect("refresh on empty ring");
         let node = self.members.get_mut(id).expect("refresh of dead node");
         node.predecessor = pred;
@@ -312,10 +322,8 @@ impl SimOverlay for ChordNetwork {
         self.refresh_all();
     }
 
-    fn stabilize_one(&mut self, node: NodeToken) {
-        if self.is_live(node) {
-            self.refresh_node(node);
-        }
+    fn stabilize_one(&mut self, node: NodeToken, hints: &mut Hints) {
+        self.refresh_node(node, hints);
     }
 
     fn state_heap_bytes(&self, state: &ChordNode) -> usize {
@@ -368,6 +376,23 @@ mod tests {
             assert!(net.is_live(n.successor()));
             assert!(net.is_live(n.predecessor));
         }
+    }
+
+    #[test]
+    fn refresh_refills_the_finger_buffer_in_place() {
+        use dht_core::overlay::Overlay;
+        let mut net = ChordNetwork::with_nodes(ChordConfig::new(11), 300, 1);
+        let buffers = |net: &ChordNetwork| -> Vec<(usize, *const u64)> {
+            let fingers = net.ids().map(|id| &net.node(id).unwrap().fingers);
+            fingers.map(|f| (f.capacity(), f.as_ptr())).collect()
+        };
+        let before = buffers(&net);
+        assert!(before.iter().all(|&(capacity, _)| capacity == 11));
+        net.refresh_all();
+        let ids: Vec<u64> = net.ids().collect();
+        net.stabilize_node(ids[17]);
+        assert_eq!(net.repair_node(ids[18]), 0);
+        assert_eq!(buffers(&net), before, "a refresh reallocated fingers");
     }
 
     #[test]

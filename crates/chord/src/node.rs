@@ -44,20 +44,19 @@ impl ChordNode {
         self.successors[0]
     }
 
-    /// Distinct non-self entries currently held (the node's actual degree).
+    /// Distinct non-self entries currently held (the node's actual
+    /// degree), counted on the stack: at most 63 fingers, four successors
+    /// and the predecessor.
     #[must_use]
     pub fn degree(&self) -> usize {
-        let mut all: Vec<u64> = self
-            .successors
-            .iter()
-            .chain(self.fingers.iter())
-            .copied()
-            .chain(std::iter::once(self.predecessor))
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        all.retain(|&x| x != self.id);
-        all.len()
+        let mut distinct = InlineVec::<u64, 68>::new();
+        let contacts = self.successors.iter().chain(&self.fingers);
+        for &c in contacts.chain([&self.predecessor]) {
+            if c != self.id && !distinct.contains(&c) {
+                distinct.push(c);
+            }
+        }
+        distinct.len()
     }
 }
 
@@ -82,5 +81,20 @@ mod tests {
         n.fingers = vec![3, 3, 7, 9];
         n.predecessor = 12;
         assert_eq!(n.degree(), 4); // {3, 7, 9, 12}
+    }
+
+    #[test]
+    fn degree_fits_the_widest_ring() {
+        // 63 bits: every finger, successor and the predecessor distinct.
+        let mut n = ChordNode::new(0, 63, 4);
+        n.fingers = (1..=63).collect();
+        n.successors = vec![100, 101, 102, 103].into();
+        n.predecessor = 200;
+        assert_eq!(n.degree(), 68);
+        // ... and collapsing onto the node itself and one contact.
+        n.fingers = vec![0; 63];
+        n.successors = vec![7; 4].into();
+        n.predecessor = 7;
+        assert_eq!(n.degree(), 1);
     }
 }

@@ -24,6 +24,7 @@ use dht_core::lookup::{HopPhase, LookupOutcome, LookupTrace};
 use dht_core::overlay::NodeToken;
 use dht_core::ring::clockwise_dist;
 use dht_core::sim::{walk_from, Membership, SimOverlay, StepDecision};
+use dht_core::store::Hints;
 use rand::RngCore;
 
 use crate::id::{msdb, prefix_len, CycloidId, KeyDistance};
@@ -307,11 +308,8 @@ impl SimOverlay for CycloidNetwork {
         self.stabilize_all();
     }
 
-    fn stabilize_one(&mut self, node: NodeToken) {
-        let id = CycloidId::from_linear(node, self.dim());
-        if self.is_live(id) {
-            self.refresh_node(id);
-        }
+    fn stabilize_one(&mut self, node: NodeToken, hints: &mut Hints) {
+        self.refresh_node(CycloidId::from_linear(node, self.dim()), hints);
     }
 
     fn aux_bytes(&self) -> usize {

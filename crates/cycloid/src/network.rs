@@ -11,7 +11,9 @@
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
+use dht_core::overlay::Overlay;
 use dht_core::sim::Membership;
+use dht_core::store::{Hints, Pos};
 use rand::RngCore;
 
 use crate::id::{CycloidId, Dim, KeyDistance};
@@ -101,9 +103,11 @@ impl CycloidNetwork {
         while net.members.len() < count {
             let id = CycloidId::from_hash(net.members.next_raw(), net.dim);
             if !net.is_live(id) {
-                net.insert_membership(id);
+                let linear = id.linear(net.dim);
+                net.members.insert(linear, NodeState::new(id));
             }
         }
+        net.index_members();
         net.members.order_slab();
         net.stabilize_all();
         net
@@ -116,8 +120,10 @@ impl CycloidNetwork {
     pub fn complete(config: CycloidConfig) -> Self {
         let mut net = Self::new(config, 0);
         for linear in 0..net.dim.id_space() {
-            net.insert_membership(CycloidId::from_linear(linear, net.dim));
+            let id = CycloidId::from_linear(linear, net.dim);
+            net.members.insert(linear, NodeState::new(id));
         }
+        net.index_members();
         net.stabilize_all();
         net
     }
@@ -236,6 +242,23 @@ impl CycloidNetwork {
     // ------------------------------------------------------------------
     // Membership indexes
     // ------------------------------------------------------------------
+
+    /// Builds `cycles` and `by_cyclic` for a population inserted into
+    /// `members` alone: the ascending token list is already every cycle's
+    /// run and, split by cyclic index, every `by_cyclic[k]`'s, and a tree
+    /// built from a sorted run is built in linear time — the same sets
+    /// that one [`Self::insert_membership`] per node would leave.
+    fn index_members(&mut self) {
+        let ids: Vec<CycloidId> = self.ids().collect();
+        let mut by_cyclic = vec![Vec::new(); self.by_cyclic.len()];
+        for id in &ids {
+            by_cyclic[id.cyclic as usize].push(id.cubical);
+        }
+        let cycles = ids.chunk_by(|a, b| a.cubical == b.cubical);
+        let cyclics = |run: &[CycloidId]| run.iter().map(|id| id.cyclic).collect();
+        self.cycles = cycles.map(|run| (run[0].cubical, cyclics(run))).collect();
+        self.by_cyclic = by_cyclic.into_iter().map(BTreeSet::from_iter).collect();
+    }
 
     fn insert_membership(&mut self, id: CycloidId) {
         let linear = id.linear(self.dim);
@@ -370,26 +393,9 @@ impl CycloidNetwork {
     /// itself (§3.3.1 case 2).
     #[must_use]
     pub fn resolve_inside_leafs(&self, id: CycloidId) -> (LeafSlot, LeafSlot) {
-        let members = self
-            .cycles
-            .get(&id.cubical)
-            .expect("inside leafs of a node on an empty cycle");
-        let r = self.leaf_radius;
-        if members.len() <= 1 {
-            return (LeafSlot::repeat(id, r), LeafSlot::repeat(id, r));
-        }
-        let sorted: Vec<u32> = members.iter().copied().collect();
-        let pos = sorted
-            .binary_search(&id.cyclic)
-            .expect("node missing from its own cycle");
-        let n = sorted.len();
-        let mut left = LeafSlot::new();
-        let mut right = LeafSlot::new();
-        for i in 1..=r {
-            left.push(CycloidId::new(sorted[(pos + n - (i % n)) % n], id.cubical));
-            right.push(CycloidId::new(sorted[(pos + i) % n], id.cubical));
-        }
-        (left, right)
+        let order = &self.members.store;
+        let own = order.position_of(&mut Pos::default(), id.linear(self.dim));
+        self.inside_leafs_at(id, own.expect("inside leafs of a node that is not live"))
     }
 
     /// Resolves the outside leaf set of `id`: primaries of the
@@ -398,32 +404,93 @@ impl CycloidNetwork {
     /// other cycles exist, entries wrap onto the node's own primary.
     #[must_use]
     pub fn resolve_outside_leafs(&self, id: CycloidId) -> (LeafSlot, LeafSlot) {
-        let r = self.leaf_radius;
-        let mut left = LeafSlot::new();
-        let mut right = LeafSlot::new();
-        let mut c = id.cubical;
-        for _ in 0..r {
-            c = self.prev_nonempty_cycle(c).unwrap_or(id.cubical);
-            left.push(self.primary_of(c).unwrap_or(id));
+        let order = &self.members.store;
+        match order.successor_from(&mut Pos::default(), id.linear(self.dim)) {
+            Some(near) => self.outside_leafs_at(id, near),
+            None => {
+                let own = LeafSlot::repeat(id, self.leaf_radius);
+                (own, own)
+            }
         }
-        let mut c = id.cubical;
-        for _ in 0..r {
-            c = self.next_nonempty_cycle(c).unwrap_or(id.cubical);
-            right.push(self.primary_of(c).unwrap_or(id));
+    }
+
+    /// Position of cycle `cubical`'s first member — the token order runs
+    /// cycle by cycle, cycle `a` being the tokens in `[a·d, (a+1)·d)` — or,
+    /// if the cycle is empty, of the next non-empty cycle's; wrapping.
+    /// Searched from `near`, on a ring that is not empty.
+    fn cycle_start(&self, cubical: u64, mut near: Pos) -> Pos {
+        let point = cubical * u64::from(self.dim.get());
+        let order = &self.members.store;
+        order.successor_from(&mut near, point).expect("live ring")
+    }
+
+    /// Position of cycle `cubical`'s primary (its last member) or, if the
+    /// cycle is empty, of the nearest preceding one's; wrapping. Searched
+    /// from `near`, on a ring that is not empty.
+    fn cycle_end(&self, cubical: u64, mut near: Pos) -> Pos {
+        let point = (cubical + 1) * u64::from(self.dim.get());
+        let order = &self.members.store;
+        order.predecessor_from(&mut near, point).expect("live ring")
+    }
+
+    /// The inside leaf set of the live node `id`, which sits at `own`: one
+    /// step a side per entry, wrapping at the ends of the cycle's run.
+    fn inside_leafs_at(&self, id: CycloidId, own: Pos) -> (LeafSlot, LeafSlot) {
+        let order = &self.members.store;
+        let at = |pos: Pos| CycloidId::from_linear(order.token_at(pos), self.dim);
+        let (mut left, mut right) = (LeafSlot::new(), LeafSlot::new());
+        let (mut before, mut after) = (own, own);
+        for _ in 0..self.leaf_radius {
+            before = order.prev(before);
+            if at(before).cubical != id.cubical {
+                before = self.cycle_end(id.cubical, before);
+            }
+            after = order.next(after);
+            if at(after).cubical != id.cubical {
+                after = self.cycle_start(id.cubical, after);
+            }
+            left.push(at(before));
+            right.push(at(after));
+        }
+        (left, right)
+    }
+
+    /// The outside leaf set of `id`, searched from `near` (its own place,
+    /// or any other): the token before a cycle's first member is the
+    /// previous non-empty cycle's primary, and the token after its primary
+    /// is the next one's first member.
+    fn outside_leafs_at(&self, id: CycloidId, near: Pos) -> (LeafSlot, LeafSlot) {
+        let order = &self.members.store;
+        let at = |pos: Pos| CycloidId::from_linear(order.token_at(pos), self.dim);
+        let (mut left, mut right) = (LeafSlot::new(), LeafSlot::new());
+        let (mut before, mut after) = (near, near);
+        let (mut preceding, mut succeeding) = (id.cubical, id.cubical);
+        for _ in 0..self.leaf_radius {
+            before = order.prev(self.cycle_start(preceding, before));
+            preceding = at(before).cubical;
+            left.push(at(before));
+            after = order.next(self.cycle_end(succeeding, after));
+            succeeding = at(after).cubical;
+            after = self.cycle_end(succeeding, after);
+            right.push(at(after));
         }
         (left, right)
     }
 
     /// Recomputes every entry of one node's routing state (what the node's
-    /// own stabilizer plus fresh leaf-set knowledge would produce).
-    pub fn refresh_node(&mut self, id: CycloidId) {
+    /// own stabilizer plus fresh leaf-set knowledge would produce). Hint 0
+    /// is the node's own place in the token order; a departed `id` is
+    /// ignored.
+    pub fn refresh_node(&mut self, id: CycloidId, hints: &mut Hints) {
+        let linear = id.linear(self.dim);
+        let Some(own) = self.members.store.position_of(hints.slot(0), linear) else {
+            return;
+        };
         let cubical = self.resolve_cubical_neighbor(id);
         let (cyc_small, cyc_large) = self.resolve_cyclic_neighbors(id);
-        let (in_l, in_r) = self.resolve_inside_leafs(id);
-        let (out_l, out_r) = self.resolve_outside_leafs(id);
-        let state = self
-            .node_mut(id)
-            .expect("refresh of a node that is not live");
+        let (in_l, in_r) = self.inside_leafs_at(id, own);
+        let (out_l, out_r) = self.outside_leafs_at(id, own);
+        let state = self.members.store.state_at_mut(own);
         state.cubical_neighbor = cubical;
         state.cyclic_smaller = cyc_small;
         state.cyclic_larger = cyc_large;
@@ -433,14 +500,15 @@ impl CycloidNetwork {
         state.outside_right = out_r;
     }
 
-    /// Refreshes only the leaf sets of one node (join/leave notifications
-    /// repair leaf sets but *not* cubical/cyclic neighbours, §3.3.2).
-    pub fn refresh_leaf_sets(&mut self, id: CycloidId) {
-        let (in_l, in_r) = self.resolve_inside_leafs(id);
-        let (out_l, out_r) = self.resolve_outside_leafs(id);
-        let state = self
-            .node_mut(id)
-            .expect("leaf refresh of a node that is not live");
+    /// Refreshes only the leaf sets of one live node (join/leave
+    /// notifications repair leaf sets but *not* cubical/cyclic neighbours,
+    /// §3.3.2). Its place in the token order is searched from `hint`.
+    pub fn refresh_leaf_sets(&mut self, id: CycloidId, hint: &mut Pos) {
+        let own = self.members.store.position_of(hint, id.linear(self.dim));
+        let own = own.expect("leaf refresh of a node that is not live");
+        let (in_l, in_r) = self.inside_leafs_at(id, own);
+        let (out_l, out_r) = self.outside_leafs_at(id, own);
+        let state = self.members.store.state_at_mut(own);
         state.inside_left = in_l;
         state.inside_right = in_r;
         state.outside_left = out_l;
@@ -450,12 +518,10 @@ impl CycloidNetwork {
     /// One full stabilization round: every node refreshes its cubical and
     /// cyclic neighbours ("updating cubical and cyclic neighbours are the
     /// responsibility of system stabilization, as in Chord", §3.3.2) and
-    /// its leaf sets.
+    /// its leaf sets, as one ascending run.
     pub fn stabilize_all(&mut self) {
-        let ids: Vec<CycloidId> = self.ids().collect();
-        for id in ids {
-            self.refresh_node(id);
-        }
+        let tokens = self.members.tokens();
+        self.stabilize_nodes(&tokens);
     }
 
     // ------------------------------------------------------------------
@@ -473,7 +539,7 @@ impl CycloidNetwork {
             return false;
         }
         self.insert_membership(id);
-        self.refresh_node(id);
+        self.refresh_node(id, &mut Hints::default());
         self.notify_after_membership_change(id);
         true
     }
@@ -627,7 +693,8 @@ impl CycloidNetwork {
         } else {
             let i = (rng.next_u64() % self.members.len() as u64) as usize;
             self.members
-                .token_at(i)
+                .store
+                .nth_token(i)
                 .map(|linear| CycloidId::from_linear(linear, self.dim))
         };
         loop {
@@ -712,9 +779,10 @@ impl CycloidNetwork {
                 to_refresh.extend(members.iter().map(|&k| CycloidId::new(k, cubical)));
             }
         }
+        let mut hint = Pos::default();
         for node in to_refresh {
             if Some(node) != skip {
-                self.refresh_leaf_sets(node);
+                self.refresh_leaf_sets(node, &mut hint);
             }
         }
     }
@@ -739,6 +807,45 @@ mod tests {
     fn with_nodes_builds_requested_count() {
         let net = CycloidNetwork::with_nodes(CycloidConfig::seven_entry(8), 2000, 1);
         assert_eq!(net.node_count(), 2000);
+    }
+
+    /// The bulk-built indexes of `with_nodes` / `complete` are the ones
+    /// one `insert_membership` per identifier leaves — same `cycles`, same
+    /// `by_cyclic`, same stabilized states — and audit clean by name.
+    #[test]
+    fn bulk_built_indexes_equal_incremental_inserts() {
+        use dht_core::audit::{AuditScope, StateAudit};
+        let config = |d, radius| match radius {
+            1 => CycloidConfig::seven_entry(d),
+            _ => CycloidConfig::eleven_entry(d),
+        };
+        for radius in [1, 2] {
+            // One node, two, a cycle's worth, most of a space, all of one.
+            let mut built: Vec<CycloidNetwork> = [1, 2, 6, 300]
+                .iter()
+                .map(|&n| CycloidNetwork::with_nodes(config(6, radius), n, n as u64))
+                .collect();
+            built.push(CycloidNetwork::complete(config(4, radius)));
+            for bulk in built {
+                let n = bulk.node_count();
+                let d = bulk.dim().get();
+                let mut one_by_one = CycloidNetwork::new(config(d, radius), 0);
+                // Descending, so no insert lands where the last one did.
+                let ids: Vec<CycloidId> = bulk.ids().collect();
+                ids.iter()
+                    .rev()
+                    .for_each(|&id| one_by_one.insert_membership(id));
+                one_by_one.stabilize_all();
+                assert_eq!(bulk.cycles, one_by_one.cycles, "cycles, n = {n}");
+                assert_eq!(bulk.by_cyclic, one_by_one.by_cyclic, "by_cyclic, n = {n}");
+                assert!(bulk.ids().eq(one_by_one.ids()));
+                for &id in &ids {
+                    assert_eq!(bulk.node(id), one_by_one.node(id), "{id:?}, n = {n}");
+                }
+                let report = bulk.audit(AuditScope::Full);
+                assert!(report.is_clean(), "n = {n}: {report}");
+            }
+        }
     }
 
     #[test]
@@ -915,7 +1022,7 @@ mod tests {
     #[test]
     fn bootstrap_draw_is_the_ith_smallest_id_on_a_churned_membership() {
         // `join_random` resolves its bootstrap index with
-        // `Membership::token_at`; it must stay the `ids().nth(i)` it
+        // `CompactStore::nth_token`; it must stay the `ids().nth(i)` it
         // replaced, or every seeded join sequence changes.
         let mut net = CycloidNetwork::with_nodes(CycloidConfig::seven_entry(5), 60, 7);
         let mut rng = dht_core::rng::stream(3, "bootstrap");
@@ -928,10 +1035,10 @@ mod tests {
                 assert!(net.leave(victim));
             }
             for (i, id) in net.ids().enumerate() {
-                let at = net.members.token_at(i);
+                let at = net.members.store.nth_token(i);
                 assert_eq!(at, Some(id.linear(net.dim)), "index {i}");
             }
-            assert_eq!(net.members.token_at(net.node_count()), None);
+            assert_eq!(net.members.store.nth_token(net.node_count()), None);
         }
     }
 

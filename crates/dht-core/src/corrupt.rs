@@ -33,6 +33,7 @@
 use crate::hash::splitmix64;
 use crate::overlay::NodeToken;
 use crate::sim::SimOverlay;
+use crate::store::Hints;
 
 /// A named way of damaging routing state. Each overlay maps the
 /// strategy onto its own link layout (fingers, de Bruijn pointers,
@@ -324,7 +325,7 @@ where
         return 0;
     };
     let mut before = state.clone();
-    net.stabilize_one(node);
+    net.stabilize_one(node, &mut Hints::default());
     let after = net
         .membership_mut()
         .get_mut(node)
@@ -457,7 +458,7 @@ mod tests {
             self.0.remove(node).is_some()
         }
         fn stabilize_network(&mut self) {}
-        fn stabilize_one(&mut self, node: NodeToken) {
+        fn stabilize_one(&mut self, node: NodeToken, _hints: &mut Hints) {
             if let Some(state) = self.0.get_mut(node) {
                 *state = Toy::healthy(node);
             }

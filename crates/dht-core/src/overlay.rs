@@ -115,6 +115,20 @@ pub trait Overlay {
         self.stabilize();
     }
 
+    /// [`Overlay::stabilize_node`] for each of `nodes`, in order, as one
+    /// *run* (a tick's bucket, a full round's every token): same state
+    /// afterwards, for any order, repeats and departed tokens included,
+    /// but a substrate overlay starts each node's ordered searches where
+    /// the last node's ended. Returns the [`Overlay::maintenance_msgs`] of
+    /// the run, each node's read just before its own refresh — 0 while
+    /// the accountant is off, as from this default.
+    fn stabilize_nodes(&mut self, nodes: &[NodeToken]) -> u64 {
+        for &node in nodes {
+            self.stabilize_node(node);
+        }
+        0
+    }
+
     /// Audits every node's routing state against the overlay's
     /// paper-specified invariants (see [`crate::audit`]). The default
     /// reports nothing checked; overlays with a

@@ -78,6 +78,7 @@ use crate::lookup::{HopPhase, LookupOutcome, LookupTrace};
 use crate::net::NetConditions;
 use crate::obs::{PhaseAccountant, SinkHandle};
 use crate::overlay::{NodeToken, Overlay};
+use crate::store::Hints;
 
 mod executor;
 mod membership;
@@ -263,9 +264,11 @@ pub trait SimOverlay: Sync + 'static {
     fn stabilize_network(&mut self);
 
     /// Stabilization work of a single node; defaults to a full round
-    /// for protocols without a per-node refresh.
-    fn stabilize_one(&mut self, node: NodeToken) {
-        let _ = node;
+    /// for protocols without a per-node refresh. `hints` are where the
+    /// last node of the same run left its searches (fresh for a run of
+    /// one): starting points only, which a resolver may ignore.
+    fn stabilize_one(&mut self, node: NodeToken, hints: &mut Hints) {
+        let _ = (node, hints);
         self.stabilize_network();
     }
 
@@ -298,7 +301,7 @@ pub trait SimOverlay: Sync + 'static {
     /// byte-identical. The default falls back to the stabilizer and
     /// reports zero rewrites.
     fn repair_step(&mut self, node: NodeToken) -> u64 {
-        self.stabilize_one(node);
+        self.stabilize_one(node, &mut Hints::default());
         0
     }
 
@@ -337,17 +340,17 @@ pub trait SimOverlay: Sync + 'static {
 /// once here (the paper's §3.3 shape: a join or graceful leave notifies
 /// only the neighbourhood that lists the node, everything else waits for
 /// stabilization).
-pub trait Refresh: SimOverlay {
+pub trait Refresh: SimOverlay + Sized {
     /// Size of the identifier space joins draw from.
     fn id_space(&self) -> u64;
 
     /// State of a node that knows nobody yet.
     fn blank_state(&self, id: NodeToken) -> Self::State;
 
-    /// Recomputes every link of the live node `id` from the live
-    /// membership — what its stabilizer converges to. Computes first and
-    /// stores through a single `get_mut`.
-    fn refresh_node(&mut self, id: NodeToken);
+    /// Recomputes every link of node `id` from the live membership — what
+    /// its stabilizer converges to — searching from `hints` and leaving
+    /// them at this node's answers. A departed `id` is ignored.
+    fn refresh_node(&mut self, id: NodeToken, hints: &mut Hints);
 
     /// Recomputes only the links a join/leave notification mends (ring
     /// pointers, leaf sets); long-range links stay stale.
@@ -384,7 +387,7 @@ pub trait Refresh: SimOverlay {
         }
         let state = self.blank_state(id);
         self.membership_mut().insert(id, state);
-        self.refresh_node(id);
+        self.refresh_node(id, &mut Hints::default());
         for nb in self.notified_by(id) {
             if nb != id {
                 self.refresh_notified(nb);
@@ -424,11 +427,11 @@ pub trait Refresh: SimOverlay {
         true
     }
 
-    /// One full stabilization round: every node refreshes all its links.
+    /// One full stabilization round: every node refreshes all its links,
+    /// as one ascending run.
     fn refresh_all(&mut self) {
-        for id in self.membership().tokens() {
-            self.refresh_node(id);
-        }
+        let tokens = self.membership().tokens();
+        self.stabilize_nodes(&tokens);
     }
 }
 
@@ -455,7 +458,7 @@ impl<T: SimOverlay> Overlay for T {
             return None;
         }
         let i = (rng.next_u64() % n as u64) as usize;
-        self.membership().token_at(i)
+        self.membership().store.nth_token(i)
     }
 
     fn key_id(&self, raw_key: u64) -> u64 {
@@ -492,7 +495,20 @@ impl<T: SimOverlay> Overlay for T {
     }
 
     fn stabilize_node(&mut self, node: NodeToken) {
-        self.stabilize_one(node);
+        self.stabilize_one(node, &mut Hints::default());
+    }
+
+    fn stabilize_nodes(&mut self, nodes: &[NodeToken]) -> u64 {
+        let billed = self.membership().phase_accountant().is_enabled();
+        let mut hints = Hints::default();
+        let mut msgs = 0;
+        for &node in nodes {
+            if billed {
+                msgs += SimOverlay::maintenance_msgs(self, node);
+            }
+            self.stabilize_one(node, &mut hints);
+        }
+        msgs
     }
 
     fn audit_state(&self, scope: AuditScope) -> AuditReport {

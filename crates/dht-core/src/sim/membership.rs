@@ -7,7 +7,7 @@ use crate::inline::InlineVec;
 use crate::net::NetConditions;
 use crate::obs::{PhaseAccountant, SinkHandle};
 use crate::overlay::NodeToken;
-use crate::store::CompactStore;
+use crate::store::{CompactStore, Pos};
 
 /// The node arena shared by every overlay simulator: live node states
 /// keyed by [`NodeToken`], the query-load counters kept in lockstep,
@@ -18,7 +18,9 @@ use crate::store::CompactStore;
 /// of insertion history.
 #[derive(Debug, Clone)]
 pub struct Membership<S> {
-    store: CompactStore<S>,
+    /// The node store. The methods below forward its whole-token reads
+    /// and writes; positions ([`Pos`]) and hinted searches are its own.
+    pub store: CompactStore<S>,
     alloc: IdAllocator,
     net: NetConditions,
     sink: SinkHandle,
@@ -105,13 +107,6 @@ impl<S> Membership<S> {
         self.store.tokens()
     }
 
-    /// The `i`-th smallest live token — the indexed draw behind
-    /// [`crate::overlay::Overlay::random_node`]. O(#chunks) ≈ O(n/1024).
-    #[must_use]
-    pub fn token_at(&self, i: usize) -> Option<NodeToken> {
-        self.store.token_at(i)
-    }
-
     /// Iterates live tokens in ascending order without allocating.
     pub fn token_iter(&self) -> impl Iterator<Item = NodeToken> + '_ {
         self.store.token_iter()
@@ -131,11 +126,6 @@ impl<S> Membership<S> {
     /// Iterates node states in ascending token order.
     pub fn states(&self) -> impl Iterator<Item = &S> {
         self.store.states()
-    }
-
-    /// Mutably iterates node states in ascending token order.
-    pub fn states_mut(&mut self) -> impl Iterator<Item = &mut S> {
-        self.store.states_mut()
     }
 
     /// Draws a fresh raw identifier from the allocator.
@@ -170,45 +160,29 @@ impl<S> Membership<S> {
     /// Last live token `< point`, wrapping to the largest.
     #[must_use]
     pub fn predecessor_of(&self, point: u64) -> Option<NodeToken> {
-        self.store.predecessor_of(point)
+        let at = self.store.predecessor_from(&mut Pos::default(), point)?;
+        Some(self.store.token_at(at))
     }
 
-    /// Last live token `<= point`, wrapping to the largest.
-    #[must_use]
-    pub fn at_or_before(&self, point: u64) -> Option<NodeToken> {
-        self.store.at_or_before(point)
-    }
-
-    /// Smallest live token in `[lo, hi]` (no wrapping); `None` when the
-    /// range is inverted (`lo > hi`).
-    #[must_use]
-    pub fn first_in_range(&self, lo: u64, hi: u64) -> Option<NodeToken> {
-        self.store.first_in_range(lo, hi)
-    }
-
-    /// Largest live token in `[lo, hi]` (no wrapping); `None` when the
-    /// range is inverted (`lo > hi`).
-    #[must_use]
-    pub fn last_in_range(&self, lo: u64, hi: u64) -> Option<NodeToken> {
-        self.store.last_in_range(lo, hi)
-    }
-
-    /// Ring pointers of position `id` on a `space`-point ring: the live
-    /// predecessor and the `r` live successors, nearest first (wrapping,
-    /// so a small ring repeats). `None` on an empty ring.
-    #[must_use]
+    /// Ring pointers of position `id`: the live predecessor and the `r`
+    /// live successors, nearest first (wrapping, so a small ring repeats).
+    /// One search, from `hint`, for `id`'s own place in the order; the
+    /// rest are steps. `None` on an empty ring.
     pub fn ring_pointers<const N: usize>(
         &self,
         id: u64,
         r: usize,
-        space: u64,
+        hint: &mut Pos,
     ) -> Option<(NodeToken, InlineVec<NodeToken, N>)> {
-        let pred = self.predecessor_of(id)?;
+        let at = self.store.successor_from(hint, id)?;
+        let pred = self.store.token_at(self.store.prev(at));
+        // A live `id` is not its own nearest successor.
+        let live = self.store.token_at(at) == id;
+        let mut cursor = if live { self.store.next(at) } else { at };
         let mut succs = InlineVec::new();
-        let mut cursor = id;
         for _ in 0..r {
-            cursor = self.successor_of((cursor + 1) % space)?;
-            succs.push(cursor);
+            succs.push(self.store.token_at(cursor));
+            cursor = self.store.next(cursor);
         }
         Some((pred, succs))
     }
@@ -370,8 +344,12 @@ mod tests {
         assert_eq!(m.successor_after(30), Some(10));
         assert_eq!(m.successor_after(u64::MAX), Some(10));
         assert_eq!(m.predecessor_of(10), Some(30), "wraps backward");
-        assert_eq!(m.at_or_before(20), Some(20));
-        assert_eq!(m.at_or_before(5), Some(30));
+        let at_or_before = |point| {
+            let at = m.store.at_or_before_from(&mut Pos::default(), point);
+            at.map(|p| m.store.token_at(p))
+        };
+        assert_eq!(at_or_before(20), Some(20));
+        assert_eq!(at_or_before(5), Some(30), "wraps backward");
     }
 
     #[test]
@@ -384,14 +362,14 @@ mod tests {
             m
         };
         let empty = ring(&[]);
-        assert_eq!(empty.ring_pointers::<4>(5, 3, 64), None);
+        assert_eq!(empty.ring_pointers::<4>(5, 3, &mut Pos::default()), None);
         assert!(empty.ring_neighbours(5, 3, 64).is_empty());
 
         // One node is its own predecessor and every successor; as the
         // neighbourhood of its own position it is listed once.
         let one = ring(&[7]);
         assert_eq!(
-            one.ring_pointers::<4>(7, 3, 64),
+            one.ring_pointers::<4>(7, 3, &mut Pos::default()),
             Some((7, vec![7; 3].into()))
         );
         assert_eq!(one.ring_neighbours(7, 3, 64), vec![7]);
@@ -400,7 +378,7 @@ mod tests {
         // holds each node once.
         let two = ring(&[7, 40]);
         assert_eq!(
-            two.ring_pointers::<4>(7, 3, 64),
+            two.ring_pointers::<4>(7, 3, &mut Pos::default()),
             Some((40, vec![40, 7, 40].into()))
         );
         assert_eq!(two.ring_neighbours(7, 3, 64), vec![40, 7]);
@@ -409,11 +387,11 @@ mod tests {
         // for a departed one (63 is not live).
         let m = ring(&[0, 10, 20, 50, 60]);
         assert_eq!(
-            m.ring_pointers::<4>(60, 3, 64),
+            m.ring_pointers::<4>(60, 3, &mut Pos::default()),
             Some((50, vec![0, 10, 20].into()))
         );
         assert_eq!(
-            m.ring_pointers::<4>(0, 2, 64),
+            m.ring_pointers::<4>(0, 2, &mut Pos::default()),
             Some((60, vec![10, 20].into()))
         );
         assert_eq!(m.ring_neighbours(0, 3, 64), vec![10, 60, 50, 20]);
@@ -431,10 +409,33 @@ mod tests {
         Set(u64),
         AddLoad(u64, u64),
         ResetLoads,
-        /// Rewrites every state through `states_mut`, by position.
+        /// Rewrites every state through `state_at_mut`, position by
+        /// position from the first.
         Rewrite,
         /// Lays the slab out in token order; no read may change.
         OrderSlab,
+        /// Asks the hinted searches about a point, starting from the hint.
+        Seek(u64, Hint),
+        /// Keeps the last answer's position as the stale hint.
+        Keep,
+    }
+
+    /// Where a hinted search starts.
+    #[derive(Debug, Clone, Copy)]
+    enum Hint {
+        /// Where the last hinted search ended.
+        Last,
+        /// A position kept since before whatever the script did next.
+        Stale,
+        /// Anything at all.
+        Any(u32, u32),
+    }
+
+    /// The positions a script carries from step to step.
+    #[derive(Default)]
+    struct Kept {
+        last: Pos,
+        stale: Pos,
     }
 
     /// The reference: token → (state, query load) in a plain `BTreeMap`.
@@ -442,8 +443,17 @@ mod tests {
 
     /// Applies `op` to both sides and compares what the write returns.
     /// `step` is the state value an insert or overwrite stores.
-    fn apply(m: &mut Membership<u64>, model: &mut Model, op: Op, step: u64) {
+    fn apply(m: &mut Membership<u64>, model: &mut Model, op: Op, step: u64, kept: &mut Kept) {
         match op {
+            Op::Seek(point, hint) => {
+                let from = match hint {
+                    Hint::Last => kept.last,
+                    Hint::Stale => kept.stale,
+                    Hint::Any(chunk, index) => Pos { chunk, index },
+                };
+                kept.last = check_hinted(m, model, point, from);
+            }
+            Op::Keep => kept.stale = kept.last,
             Op::Insert(t) if model.contains_key(&t) => {
                 let dup = catch_unwind(AssertUnwindSafe(|| m.insert(t, step)));
                 assert!(dup.is_err(), "duplicate insert of {t} did not panic");
@@ -473,7 +483,11 @@ mod tests {
             }
             Op::Rewrite => {
                 let rewrite = |i: usize, s: &mut u64| *s = s.wrapping_mul(31) + i as u64;
-                m.states_mut().enumerate().for_each(|(i, s)| rewrite(i, s));
+                let mut pos = Pos::default();
+                for i in 0..m.len() {
+                    rewrite(i, m.store.state_at_mut(pos));
+                    pos = m.store.next(pos);
+                }
                 let states = model.values_mut().map(|(s, _)| s);
                 states.enumerate().for_each(|(i, s)| rewrite(i, s));
             }
@@ -484,11 +498,47 @@ mod tests {
         }
     }
 
+    /// What the model says the wrapping searches answer at `p`: first
+    /// token `>= p`, first `> p`, last `< p`, last `<= p`.
+    fn model_reads(model: &Model, p: u64) -> [Option<u64>; 4] {
+        let token = |(&t, _): (&u64, &(u64, u64))| t;
+        let first = model.keys().next().copied();
+        let last = model.keys().next_back().copied();
+        let after = model.range((Excluded(p), Unbounded)).next();
+        [
+            model.range(p..).next().map(token).or(first),
+            after.map(token).or(first),
+            model.range(..p).next_back().map(token).or(last),
+            model.range(..=p).next_back().map(token).or(last),
+        ]
+    }
+
+    /// The three hinted searches at `p`, each started from `hint`, equal
+    /// the model whatever `hint` is. Returns where the first one ended.
+    fn check_hinted(m: &Membership<u64>, model: &Model, p: u64, hint: Pos) -> Pos {
+        let [succ, _, pred, aob] = model_reads(model, p);
+        let store = &m.store;
+        let mut end = hint;
+        let got = store
+            .successor_from(&mut end, p)
+            .map(|at| store.token_at(at));
+        assert_eq!(got, succ, "successor_from({hint:?}, {p})");
+        let got = store.predecessor_from(&mut { hint }, p);
+        let got = got.map(|at| store.token_at(at));
+        assert_eq!(got, pred, "predecessor_from({hint:?}, {p})");
+        let got = store.at_or_before_from(&mut { hint }, p);
+        let got = got.map(|at| store.token_at(at));
+        assert_eq!(got, aob, "at_or_before_from({hint:?}, {p})");
+        let live = store
+            .position_of(&mut { hint }, p)
+            .map(|at| store.token_at(at));
+        assert_eq!(live, model.contains_key(&p).then_some(p), "position_of");
+        end
+    }
+
     /// Compares every public read of `m` with the model. `points` are
     /// the positions the per-token reads and ordered searches are asked
-    /// about, ascending; every pair of a quarter of them (and
-    /// `u64::MAX`) bounds a range query, so inverted ranges, `lo == hi`
-    /// and `hi == u64::MAX` are all among the cases.
+    /// about, ascending.
     fn check_reads(m: &Membership<u64>, model: &Model, points: &[u64]) {
         m.store.check_invariants();
         let tokens: Vec<u64> = model.keys().copied().collect();
@@ -498,9 +548,9 @@ mod tests {
         assert_eq!(m.token_iter().collect::<Vec<_>>(), tokens);
         assert_eq!(m.first_token(), tokens.first().copied());
         for (i, &t) in tokens.iter().enumerate() {
-            assert_eq!(m.token_at(i), Some(t), "token_at({i})");
+            assert_eq!(m.store.nth_token(i), Some(t), "nth_token({i})");
         }
-        assert_eq!(m.token_at(tokens.len()), None);
+        assert_eq!(m.store.nth_token(tokens.len()), None);
         let pairs: Vec<(u64, u64)> = model.iter().map(|(&t, &(s, _))| (t, s)).collect();
         assert_eq!(m.iter().map(|(t, &s)| (t, s)).collect::<Vec<_>>(), pairs);
         let states: Vec<u64> = model.values().map(|&(s, _)| s).collect();
@@ -509,44 +559,18 @@ mod tests {
         assert_eq!(m.query_loads(), loads);
         assert_eq!(m.loads_total(), loads.iter().sum::<u64>());
 
-        let first = tokens.first().copied();
-        let last = tokens.last().copied();
-        let token = |(&t, _): (&u64, &(u64, u64))| t;
+        // One hint carried along the ascending points, as a run carries it.
+        let mut run = Pos::default();
         for &p in points {
             assert_eq!(m.contains(p), model.contains_key(&p), "contains({p})");
             assert_eq!(m.get(p), model.get(&p).map(|(s, _)| s), "get({p})");
             let load = model.get(&p).map_or(0, |&(_, load)| load);
             assert_eq!(m.load_of(p), load, "load_of({p})");
-            let succ = model.range(p..).next().map(token).or(first);
+            let [succ, after, pred, _] = model_reads(model, p);
             assert_eq!(m.successor_of(p), succ, "successor_of({p})");
-            let after = model.range((Excluded(p), Unbounded)).next();
-            let after = after.map(token).or(first);
             assert_eq!(m.successor_after(p), after, "successor_after({p})");
-            let pred = model.range(..p).next_back().map(token).or(last);
             assert_eq!(m.predecessor_of(p), pred, "predecessor_of({p})");
-            let aob = model.range(..=p).next_back().map(token).or(last);
-            assert_eq!(m.at_or_before(p), aob, "at_or_before({p})");
-        }
-        let ends: Vec<u64> = points
-            .iter()
-            .step_by(4)
-            .copied()
-            .chain([u64::MAX])
-            .collect();
-        for &lo in &ends {
-            for &hi in &ends {
-                // `BTreeMap::range` panics on an inverted range; ours
-                // is documented to hold nothing.
-                let (low, high) = if lo <= hi {
-                    let mut inside = model.range(lo..=hi).map(token);
-                    let low = inside.next();
-                    (low, inside.next_back().or(low))
-                } else {
-                    (None, None)
-                };
-                assert_eq!(m.first_in_range(lo, hi), low, "first_in_range({lo}, {hi})");
-                assert_eq!(m.last_in_range(lo, hi), high, "last_in_range({lo}, {hi})");
-            }
+            run = check_hinted(m, model, p, run);
         }
     }
 
@@ -570,6 +594,17 @@ mod tests {
         points
     }
 
+    /// Hints of every kind; the made-up ones are mostly near the one
+    /// chunk a palette store has, sometimes anywhere.
+    fn hint_strategy() -> impl Strategy<Value = Hint> {
+        prop_oneof![
+            Just(Hint::Last),
+            Just(Hint::Stale),
+            (0u32..3, 0u32..40).prop_map(|(c, i)| Hint::Any(c, i)),
+            (any::<u32>(), any::<u32>()).prop_map(|(c, i)| Hint::Any(c, i)),
+        ]
+    }
+
     fn op_strategy() -> impl Strategy<Value = Op> {
         let token = || (0u64..28).prop_map(palette);
         prop_oneof![
@@ -583,6 +618,9 @@ mod tests {
             Just(Op::ResetLoads),
             Just(Op::Rewrite),
             Just(Op::OrderSlab),
+            Just(Op::Keep),
+            (token(), hint_strategy()).prop_map(|(t, h)| Op::Seek(t, h)),
+            (token(), hint_strategy()).prop_map(|(t, h)| Op::Seek(t.wrapping_add(1), h)),
         ]
     }
 
@@ -592,7 +630,9 @@ mod tests {
         /// The one reference for the store: an arbitrary script of
         /// inserts, removals, overwrites, load updates and slab
         /// re-orderings leaves `Membership` and a `BTreeMap` agreeing on
-        /// every public read after every step.
+        /// every public read after every step — the hinted searches
+        /// among them, from the last answer, from a position kept across
+        /// any number of writes, and from positions that never existed.
         #[test]
         fn membership_matches_btreemap_model(
             script in proptest::collection::vec(op_strategy(), 0..80),
@@ -600,18 +640,36 @@ mod tests {
             let points = around((0..28).map(palette));
             let mut m: Membership<u64> = Membership::new(1);
             let mut model = Model::new();
+            let mut kept = Kept::default();
             check_reads(&m, &model, &points);
             for (step, &op) in script.iter().enumerate() {
-                apply(&mut m, &mut model, op, step as u64);
+                apply(&mut m, &mut model, op, step as u64, &mut kept);
                 check_reads(&m, &model, &points);
             }
         }
     }
 
+    /// A hinted search at step `step` of a long script: about a token the
+    /// script uses, from each kind of hint in turn, the made-up ones
+    /// spread over the first few chunks and past the end of any.
+    fn seek_op(script: &[u64], step: usize) -> Op {
+        let mix = crate::hash::splitmix64(step as u64);
+        let hint = match step % 3 {
+            0 => Hint::Last,
+            1 => Hint::Stale,
+            _ => Hint::Any(
+                (mix % 8) as u32,
+                (mix >> 8) as u32 % (CHUNK_CAP as u32 + 64),
+            ),
+        };
+        Op::Seek(script[(step * 7) % script.len()] + mix % 2, hint)
+    }
+
     /// The same comparison across chunk boundaries: a toggling script
     /// grows the store past two full chunks (so chunks split in the
     /// middle of the order), then removals from the front drain whole
-    /// chunks until nothing is left.
+    /// chunks until nothing is left. Hinted searches run at every step,
+    /// their stale hint kept across ~100 writes at a time.
     #[test]
     fn model_holds_across_chunk_splits_and_drains() {
         let mut rng = crate::rng::stream(42, "membership-model");
@@ -619,6 +677,7 @@ mod tests {
         let points = around(script.iter().step_by(150).copied());
         let mut m: Membership<u64> = Membership::new(1);
         let mut model = Model::new();
+        let mut kept = Kept::default();
         let mut peak = 0;
         for (step, &t) in script.iter().enumerate() {
             let op = if model.contains_key(&t) {
@@ -626,8 +685,18 @@ mod tests {
             } else {
                 Op::Insert(t)
             };
-            apply(&mut m, &mut model, op, step as u64);
-            apply(&mut m, &mut model, Op::AddLoad(script[step / 2], 1), 0);
+            apply(&mut m, &mut model, op, step as u64, &mut kept);
+            apply(
+                &mut m,
+                &mut model,
+                Op::AddLoad(script[step / 2], 1),
+                0,
+                &mut kept,
+            );
+            apply(&mut m, &mut model, seek_op(&script, step), 0, &mut kept);
+            if step % 97 == 0 {
+                apply(&mut m, &mut model, Op::Keep, 0, &mut kept);
+            }
             peak = peak.max(m.len());
             if step % 500 == 0 {
                 check_reads(&m, &model, &points);
@@ -639,7 +708,8 @@ mod tests {
         );
         check_reads(&m, &model, &points);
         for (step, t) in m.tokens().into_iter().enumerate() {
-            apply(&mut m, &mut model, Op::Remove(t), 0);
+            apply(&mut m, &mut model, Op::Remove(t), 0, &mut kept);
+            apply(&mut m, &mut model, seek_op(&script, step), 0, &mut kept);
             if step % 500 == 0 {
                 check_reads(&m, &model, &points);
             }
@@ -660,27 +730,29 @@ mod tests {
         let points = around(build.iter().chain(&churn).step_by(50).copied());
         let mut m: Membership<u64> = Membership::new(1);
         let mut model = Model::new();
-        let toggle = |m: &mut Membership<u64>, model: &mut Model, t: u64, step: usize| {
+        let mut kept = Kept::default();
+        let mut toggle = |m: &mut Membership<u64>, model: &mut Model, t: u64, step: usize| {
             let op = if model.contains_key(&t) {
                 Op::Remove(t)
             } else {
                 Op::Insert(t)
             };
-            apply(m, model, op, step as u64);
-            apply(m, model, Op::AddLoad(t, 1 + t % 5), 0);
+            apply(m, model, op, step as u64, &mut kept);
+            apply(m, model, Op::AddLoad(t, 1 + t % 5), 0, &mut kept);
+            apply(m, model, seek_op(&build, step), 0, &mut kept);
         };
         for (step, &t) in build.iter().enumerate() {
             toggle(&mut m, &mut model, t, step);
         }
         assert!(m.len() > CHUNK_CAP && !m.store.slab_is_ordered());
-        apply(&mut m, &mut model, Op::OrderSlab, 0);
+        apply(&mut m, &mut model, Op::OrderSlab, 0, &mut Kept::default());
         check_reads(&m, &model, &points);
         for (step, &t) in churn.iter().enumerate() {
             toggle(&mut m, &mut model, t, step);
         }
         assert!(!m.store.slab_is_ordered(), "churn left the slab ordered");
         check_reads(&m, &model, &points);
-        apply(&mut m, &mut model, Op::OrderSlab, 0);
+        apply(&mut m, &mut model, Op::OrderSlab, 0, &mut Kept::default());
         check_reads(&m, &model, &points);
     }
 }

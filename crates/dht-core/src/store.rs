@@ -8,7 +8,8 @@
 //!
 //! ```text
 //!  chunks:  [ tokens ≤1024 | slots ]  [ tokens | slots ]  ...   sorted
-//!              │ binary search over chunk `last()`s, then in-chunk
+//!              │ gallop from a position hint, else binary search
+//!              │ over chunk `last()`s, then in-chunk
 //!              ▼
 //!  slab:    states[slot]   tokens_by_slot[slot]   loads[slot]
 //!              ▲ any order, swap-remove compacted, never shifts
@@ -20,8 +21,8 @@
 //! * **Chunked sorted tokens** — the token order lives in bounded chunks
 //!   (≤ [`CHUNK_CAP`] entries), so a join/leave shifts at most one chunk:
 //!   amortized O(1) with a ~8 KiB worst-case `memmove` instead of an
-//!   O(n) one. Ordered ring searches binary-search the chunk spine and
-//!   then the chunk.
+//!   O(n) one. An ordered ring search returns a [`Pos`] and can start
+//!   from one: steps and nearby searches never touch the chunk spine.
 //! * **State slab** — states are dense `Vec<S>` entries addressed by
 //!   `slot`; removal swap-removes and patches the two references (hash
 //!   index + chunk) to the moved entry. Iteration in token order walks
@@ -36,9 +37,8 @@
 //! departed node can never resurrect a "ghost" counter because its slot
 //! is gone.
 //!
-//! Every read is what a `BTreeMap` from token to state would answer —
-//! same iteration order, same range results, except that an inverted
-//! range holds nothing where `BTreeMap::range` panics — and a duplicate
+//! Every read is what a `BTreeMap` from token to state would answer, in
+//! the same iteration order, whatever hint it starts from; a duplicate
 //! insert panics. The golden traces depend on it; the model test in
 //! `sim/membership.rs` compares every read with such a map after every
 //! step of arbitrary scripts.
@@ -67,6 +67,69 @@ pub fn approx_btree_bytes(len: usize, entry_bytes: usize) -> usize {
     // node header plus parent pointers amortize to roughly 16 bytes per
     // entry on top of the (padded) payload.
     len * (entry_bytes + 16)
+}
+
+/// A place in the token order of a [`CompactStore`] (chunk, index; the
+/// default is the first token). Exact when fresh from a search; once the
+/// store has changed, or made up, a *hint* that [`CompactStore::seek_from`]
+/// checks before believing — hence a plain `Copy` value, not a borrow.
+/// The default doubles as "no hint": a search from it is the cold one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Pos {
+    pub(crate) chunk: u32,
+    pub(crate) index: u32,
+}
+
+impl Pos {
+    /// A store holds at most `u32::MAX` slots, so neither part overflows.
+    fn new(chunk: usize, index: usize) -> Self {
+        let (chunk, index) = (chunk as u32, index as u32);
+        Self { chunk, index }
+    }
+}
+
+/// The hints a resolver carries along a run of refreshes: one [`Pos`] per
+/// search site (own position, finger `k`, table cell ...), where that
+/// site's last search ended. Inline, so a fresh one allocates nothing;
+/// sites past the last slot share slots, at the cost of searches only.
+#[derive(Debug, Clone)]
+pub struct Hints([Pos; 64]);
+
+impl Hints {
+    /// The hint of search site number `site`.
+    pub fn slot(&mut self, site: usize) -> &mut Pos {
+        &mut self.0[site % 64]
+    }
+}
+
+impl Default for Hints {
+    fn default() -> Self {
+        Self([Pos::default(); 64])
+    }
+}
+
+/// First index of sorted `tokens` holding a token `>= point` (their
+/// length if none does): doubling steps outward from index `from`, then
+/// a binary search of the last step — O(log distance).
+fn gallop(tokens: &[u64], from: usize, point: u64) -> usize {
+    let from = from.min(tokens.len());
+    let below = |i: usize| tokens[i] < point;
+    let (lo, mut hi, mut step) = (from + 1, tokens.len(), 1);
+    let lo = if from < hi && below(from) {
+        while from + step < hi && below(from + step) {
+            step *= 2;
+        }
+        hi = hi.min(from + step);
+        lo + step / 2
+    } else {
+        hi = from;
+        while step <= from && !below(from - step) {
+            hi = from - step;
+            step *= 2;
+        }
+        lo.saturating_sub(step)
+    };
+    lo + tokens[lo..hi].partition_point(|&t| t < point)
 }
 
 /// One bounded run of the sorted token order.
@@ -266,14 +329,6 @@ impl<S> CompactStore<S> {
             .map(|slot| &mut self.states[slot as usize])
     }
 
-    /// Position of the chunk whose range should hold `token`: the first
-    /// chunk whose last element is `>= token`, or the final chunk when
-    /// `token` is beyond every chunk.
-    fn chunk_for(&self, token: u64) -> usize {
-        let p = self.chunks.partition_point(|c| c.last() < token);
-        p.min(self.chunks.len().saturating_sub(1))
-    }
-
     /// Inserts a new node with a zeroed query-load counter.
     ///
     /// # Panics
@@ -297,9 +352,12 @@ impl<S> CompactStore<S> {
             });
             return;
         }
-        let ci = self.chunk_for(token);
+        // Before the first token above it, or at the very end.
+        let last = self.chunks.len() - 1;
+        let end = (last, self.chunks[last].tokens.len());
+        let at = self.seek(token);
+        let (ci, pos) = at.map_or(end, |p| (p.chunk as usize, p.index as usize));
         let chunk = &mut self.chunks[ci];
-        let pos = chunk.tokens.partition_point(|&t| t < token);
         chunk.tokens.insert(pos, token);
         chunk.slots.insert(pos, slot);
         if chunk.tokens.len() >= CHUNK_CAP {
@@ -322,12 +380,10 @@ impl<S> CompactStore<S> {
         let slot = self.index.remove(token)? as usize;
 
         // Drop the ordered entry.
-        let ci = self.chunk_for(token);
+        let at = self.position_of(&mut Pos::default(), token);
+        let at = at.expect("ordered view out of sync with index");
+        let (ci, pos) = (at.chunk as usize, at.index as usize);
         let chunk = &mut self.chunks[ci];
-        let pos = chunk
-            .tokens
-            .binary_search(&token)
-            .expect("ordered view out of sync with index");
         chunk.tokens.remove(pos);
         chunk.slots.remove(pos);
         if chunk.tokens.is_empty() {
@@ -343,13 +399,9 @@ impl<S> CompactStore<S> {
             let moved = self.tokens_by_slot[slot];
             let new_slot = u32::try_from(slot).expect("slot fits u32");
             self.index.set_slot(moved, new_slot);
-            let mi = self.chunk_for(moved);
-            let mchunk = &mut self.chunks[mi];
-            let mpos = mchunk
-                .tokens
-                .binary_search(&moved)
-                .expect("moved token missing from ordered view");
-            mchunk.slots[mpos] = new_slot;
+            let at = self.position_of(&mut Pos::default(), moved);
+            let at = at.expect("moved token missing from ordered view");
+            self.chunks[at.chunk as usize].slots[at.index as usize] = new_slot;
         }
         Some(state)
     }
@@ -395,9 +447,10 @@ impl<S> CompactStore<S> {
         out
     }
 
-    /// The `i`-th smallest live token, in O(#chunks).
+    /// The `i`-th smallest live token — the indexed draw behind
+    /// [`crate::overlay::Overlay::random_node`] — in O(#chunks) ≈ O(n/1024).
     #[must_use]
-    pub fn token_at(&self, i: usize) -> Option<NodeToken> {
+    pub fn nth_token(&self, i: usize) -> Option<NodeToken> {
         let mut before = 0;
         for c in &self.chunks {
             let n = c.tokens.len();
@@ -420,12 +473,6 @@ impl<S> CompactStore<S> {
         self.chunks.first().map(|c| c.tokens[0])
     }
 
-    /// Largest live token.
-    #[must_use]
-    pub fn last_token(&self) -> Option<NodeToken> {
-        self.chunks.last().map(|c| c.last())
-    }
-
     /// Iterates `(token, state)` pairs in ascending token order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeToken, &S)> {
         self.chunks.iter().flat_map(move |c| {
@@ -441,84 +488,112 @@ impl<S> CompactStore<S> {
         self.iter().map(|(_, s)| s)
     }
 
-    /// Mutably iterates node states in ascending token order.
-    ///
-    /// The slab is unordered, so this materialises one `Option<&mut S>`
-    /// per slot and yields them in chunk order — O(n) setup, used only
-    /// by whole-membership sweeps which are O(n) anyway.
-    pub fn states_mut(&mut self) -> impl Iterator<Item = &mut S> {
-        let mut refs: Vec<Option<&mut S>> = self.states.iter_mut().map(Some).collect();
-        let order: Vec<u32> = self
-            .chunks
-            .iter()
-            .flat_map(|c| c.slots.iter().copied())
-            .collect();
-        order
-            .into_iter()
-            .map(move |slot| refs[slot as usize].take().expect("slot yielded twice"))
-    }
-
     // ------------------------------------------------------------------
-    // Ordered ring searches (`BTreeMap::range` semantics)
+    // Positions, and ordered ring searches that start from a hint
     // ------------------------------------------------------------------
 
-    /// First live token `>= point`, without wrapping.
-    #[must_use]
-    pub fn lower_bound(&self, point: u64) -> Option<NodeToken> {
-        let p = self.chunks.partition_point(|c| c.last() < point);
-        let c = self.chunks.get(p)?;
-        let i = c.tokens.partition_point(|&t| t < point);
-        Some(c.tokens[i])
+    /// The cold search: down the chunk spine, then the chunk.
+    fn seek(&self, point: u64) -> Option<Pos> {
+        let c = self.chunks.partition_point(|c| c.last() < point);
+        let i = self.chunks.get(c)?.tokens.partition_point(|&t| t < point);
+        Some(Pos::new(c, i))
     }
 
-    /// Last live token `< point` (or `<= point` when `inclusive`),
-    /// without wrapping.
+    /// Position of the first live token `>= point`, without wrapping,
+    /// searched from `hint`: if the hinted chunk or the one after it
+    /// brackets `point`, a gallop from the hinted index, else the cold
+    /// search. Every branch compares tokens, so the answer is the cold
+    /// search's for any `hint` at all; a wrong one costs it two probes
+    /// (two misses at 10⁶) more, which the default `Pos` skips.
     #[must_use]
-    pub fn upper_bound(&self, point: u64, inclusive: bool) -> Option<NodeToken> {
-        let below = |t: u64| if inclusive { t <= point } else { t < point };
-        let p = self.chunks.partition_point(|c| below(c.last()));
-        if let Some(c) = self.chunks.get(p) {
-            let i = c.tokens.partition_point(|&t| below(t));
-            if i > 0 {
-                return Some(c.tokens[i - 1]);
+    pub fn seek_from(&self, hint: Pos, point: u64) -> Option<Pos> {
+        let (mut c, mut from) = (hint.chunk as usize, hint.index as usize);
+        let hinted = self.chunks.get(c).filter(|_| hint != Pos::default());
+        let Some(mut chunk) = hinted else {
+            return self.seek(point);
+        };
+        if chunk.last() < point {
+            (c, from) = (c + 1, 0);
+            match self.chunks.get(c) {
+                Some(next) if point <= next.last() => chunk = next,
+                _ => return self.seek(point),
             }
+        } else if c > 0 && point < chunk.tokens[0] {
+            return self.seek(point);
         }
-        if p > 0 {
-            return Some(self.chunks[p - 1].last());
+        Some(Pos::new(c, gallop(&chunk.tokens, from, point)))
+    }
+
+    /// The token at `pos`. Panics — as `next`, `prev` and `state_at_mut`
+    /// do — on a `pos` no search of the store as it is now returned.
+    #[must_use]
+    pub fn token_at(&self, pos: Pos) -> NodeToken {
+        self.chunks[pos.chunk as usize].tokens[pos.index as usize]
+    }
+
+    /// Mutable state of the node at `pos`, found through the chunk's slot
+    /// column: no hash probe.
+    pub fn state_at_mut(&mut self, pos: Pos) -> &mut S {
+        let slot = self.chunks[pos.chunk as usize].slots[pos.index as usize];
+        &mut self.states[slot as usize]
+    }
+
+    /// The position after `pos`, wrapping to the first token.
+    #[must_use]
+    pub fn next(&self, pos: Pos) -> Pos {
+        let (c, i) = (pos.chunk as usize, pos.index as usize + 1);
+        if i < self.chunks[c].tokens.len() {
+            return Pos::new(c, i);
         }
-        None
+        Pos::new(if c + 1 < self.chunks.len() { c + 1 } else { 0 }, 0)
+    }
+
+    /// The position before `pos`, wrapping to the last token.
+    #[must_use]
+    pub fn prev(&self, pos: Pos) -> Pos {
+        let (c, i) = (pos.chunk as usize, pos.index as usize);
+        if i > 0 {
+            return Pos::new(c, i - 1);
+        }
+        let c = c.checked_sub(1).unwrap_or(self.chunks.len() - 1);
+        Pos::new(c, self.chunks[c].tokens.len() - 1)
+    }
+
+    /// Position of the first live token `>= point`, wrapping to the
+    /// smallest; `None` on an empty store. Searched from `hint`, which is
+    /// left at the answer for the next search from the same site.
+    pub fn successor_from(&self, hint: &mut Pos, point: u64) -> Option<Pos> {
+        let first = || (!self.is_empty()).then(Pos::default);
+        *hint = self.seek_from(*hint, point).or_else(first)?;
+        Some(*hint)
+    }
+
+    /// Position of the last live token `< point`, wrapping to the
+    /// largest; hinted as [`Self::successor_from`] is.
+    pub fn predecessor_from(&self, hint: &mut Pos, point: u64) -> Option<Pos> {
+        self.successor_from(hint, point).map(|p| self.prev(p))
+    }
+
+    /// Position of the last live token `<= point`, wrapping to the
+    /// largest; hinted as [`Self::successor_from`] is.
+    pub fn at_or_before_from(&self, hint: &mut Pos, point: u64) -> Option<Pos> {
+        let p = self.successor_from(hint, point)?;
+        let exact = self.token_at(p) == point;
+        Some(if exact { p } else { self.prev(p) })
+    }
+
+    /// Position of the live token `token`, hinted as
+    /// [`Self::successor_from`] is; `None` if it has departed.
+    pub fn position_of(&self, hint: &mut Pos, token: NodeToken) -> Option<Pos> {
+        let p = self.successor_from(hint, token)?;
+        (self.token_at(p) == token).then_some(p)
     }
 
     /// First live token `>= point`, wrapping to the smallest.
     #[must_use]
     pub fn successor_of(&self, point: u64) -> Option<NodeToken> {
-        self.lower_bound(point).or_else(|| self.first_token())
-    }
-
-    /// Last live token `< point`, wrapping to the largest.
-    #[must_use]
-    pub fn predecessor_of(&self, point: u64) -> Option<NodeToken> {
-        self.upper_bound(point, false).or_else(|| self.last_token())
-    }
-
-    /// Last live token `<= point`, wrapping to the largest.
-    #[must_use]
-    pub fn at_or_before(&self, point: u64) -> Option<NodeToken> {
-        self.upper_bound(point, true).or_else(|| self.last_token())
-    }
-
-    /// Smallest live token in `[lo, hi]` (no wrapping); `None` when the
-    /// range is inverted (`lo > hi`).
-    #[must_use]
-    pub fn first_in_range(&self, lo: u64, hi: u64) -> Option<NodeToken> {
-        self.lower_bound(lo).filter(|&t| t <= hi)
-    }
-
-    /// Largest live token in `[lo, hi]` (no wrapping); `None` when the
-    /// range is inverted (`lo > hi`).
-    #[must_use]
-    pub fn last_in_range(&self, lo: u64, hi: u64) -> Option<NodeToken> {
-        self.upper_bound(hi, true).filter(|&t| t >= lo)
+        let p = self.successor_from(&mut Pos::default(), point)?;
+        Some(self.token_at(p))
     }
 
     // ------------------------------------------------------------------
@@ -646,10 +721,9 @@ mod tests {
     fn ordered_queries_on_empty_store() {
         let s: CompactStore<()> = CompactStore::new();
         assert_eq!(s.successor_of(0), None);
-        assert_eq!(s.predecessor_of(0), None);
-        assert_eq!(s.at_or_before(0), None);
-        assert_eq!(s.first_in_range(0, u64::MAX), None);
-        assert_eq!(s.token_at(0), None);
+        assert_eq!(s.predecessor_from(&mut Pos::default(), 0), None);
+        assert_eq!(s.at_or_before_from(&mut Pos::default(), 0), None);
+        assert_eq!(s.nth_token(0), None);
         assert_eq!(s.first_token(), None);
     }
 
@@ -681,7 +755,7 @@ mod tests {
     }
 
     #[test]
-    fn states_mut_yields_token_order() {
+    fn state_at_mut_follows_token_order_not_slab_order() {
         let mut s: CompactStore<u64> = CompactStore::new();
         for (i, t) in [50u64, 10, 30, 20, 40].iter().enumerate() {
             s.insert(*t, i as u64);
@@ -689,11 +763,12 @@ mod tests {
         // Force slab disorder via removals.
         s.remove(30);
         s.insert(35, 99);
-        let seen: Vec<u64> = s.states_mut().map(|v| *v).collect();
         // Token order 10,20,35,40,50 → insertion values 1,3,99,4,0.
-        assert_eq!(seen, vec![1, 3, 99, 4, 0]);
-        for v in s.states_mut() {
-            *v += 1;
+        let mut pos = Pos::default();
+        for want in [1, 3, 99, 4, 0] {
+            assert_eq!(*s.state_at_mut(pos), want);
+            *s.state_at_mut(pos) += 1;
+            pos = s.next(pos);
         }
         assert_eq!(s.get(35), Some(&100));
     }
@@ -707,13 +782,67 @@ mod tests {
         }
         assert!(s.chunks.len() > 1, "expected chunk splits");
         s.check_invariants();
-        assert_eq!(s.token_at(CHUNK_CAP + 5), Some((CHUNK_CAP + 5) as u64));
+        assert_eq!(s.nth_token(CHUNK_CAP + 5), Some((CHUNK_CAP + 5) as u64));
         for t in 0..n as u64 {
             assert!(s.remove(t).is_some());
         }
         assert!(s.is_empty());
         assert!(s.chunks.is_empty(), "drained chunks must be dropped");
         s.check_invariants();
+    }
+
+    /// `next` from the first position passes every token once, ascending,
+    /// and wraps to the first; `prev` undoes it.
+    fn assert_steps_round_the_ring(s: &CompactStore<()>) {
+        let tokens = s.tokens();
+        let (mut fwd, mut back) = (Pos::default(), Pos::default());
+        for i in 0..tokens.len() {
+            assert_eq!(s.token_at(fwd), tokens[i], "next, step {i}");
+            assert_eq!(s.prev(s.next(fwd)), fwd);
+            fwd = s.next(fwd);
+            back = s.prev(back);
+            assert_eq!(
+                s.token_at(back),
+                tokens[tokens.len() - 1 - i],
+                "prev, step {i}"
+            );
+        }
+        assert_eq!((fwd, back), (Pos::default(), Pos::default()), "no wrap");
+    }
+
+    #[test]
+    fn positions_step_and_wrap_at_every_chunk_shape() {
+        for n in [1, 2, CHUNK_CAP - 1, CHUNK_CAP + 1, 3 * CHUNK_CAP] {
+            let mut s: CompactStore<()> = CompactStore::new();
+            (0..n as u64).for_each(|t| s.insert(3 * t, ()));
+            assert_eq!(s.chunks.len() > 1, n >= CHUNK_CAP, "n = {n}");
+            assert_steps_round_the_ring(&s);
+        }
+        // Across a chunk that emptied and was dropped: a run of tokens
+        // longer than two chunks can be holds at least one whole chunk.
+        let mut s: CompactStore<()> = CompactStore::new();
+        (0..3 * CHUNK_CAP as u64).for_each(|t| s.insert(t, ()));
+        let chunks = s.chunks.len();
+        for t in (CHUNK_CAP / 2) as u64..(5 * CHUNK_CAP / 2) as u64 {
+            s.remove(t);
+        }
+        assert!(s.chunks.len() < chunks, "no chunk emptied");
+        s.check_invariants();
+        assert_steps_round_the_ring(&s);
+    }
+
+    #[test]
+    fn gallop_finds_the_lower_bound_from_every_start() {
+        let tokens: Vec<u64> = (0..40).map(|t| 10 * t + 5).collect();
+        for len in [0, 1, 2, 7, 40] {
+            let tokens = &tokens[..len];
+            for point in 0..=(10 * len as u64 + 10) {
+                let want = tokens.partition_point(|&t| t < point);
+                for from in 0..len + 3 {
+                    assert_eq!(gallop(tokens, from, point), want, "{len} {from} {point}");
+                }
+            }
+        }
     }
 
     #[test]

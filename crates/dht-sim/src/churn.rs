@@ -35,7 +35,7 @@
 //! population until the full-scope audit is clean — the convergence and
 //! recovery experiments' shared driver.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use dht_core::audit::{AuditReport, AuditScope};
 use dht_core::clock::{exp_delay, EventQueue, SimTime, SECOND};
@@ -354,33 +354,32 @@ fn record_lookup(outcome: &mut ChurnOutcome, trace: &LookupTrace, elapsed: Optio
 /// The one stabilization tick routine: maps each per-second bucket of
 /// the period to the live tokens whose timer fires in it, maintained
 /// incrementally at every join and leave. A tick then touches only the
-/// nodes that actually fire — amortized O(1) per membership event plus
-/// O(fired) per tick — instead of sweeping all `n` tokens every
+/// nodes that actually fire — O(bucket) to shift per membership event
+/// plus O(fired) per tick — instead of sweeping all `n` tokens every
 /// simulated second. Under [`StabilizePhase::Hashed`] a token's bucket
 /// is its hash modulo the period; under
 /// [`StabilizePhase::Synchronized`] every token lives in the period's
-/// last bucket. Tokens are stored sorted, so a bucket fires in ascending
-/// token order.
+/// last bucket. Each bucket is a sorted `Vec`, so it fires in ascending
+/// token order, as the one slice [`Overlay::stabilize_nodes`] takes.
 pub(crate) struct BucketIndex {
     phase: StabilizePhase,
     period: u64,
-    buckets: Vec<BTreeSet<NodeToken>>,
+    buckets: Vec<Vec<NodeToken>>,
 }
 
 impl BucketIndex {
-    /// Indexes the overlay's current population, bulk-building each set
-    /// from its run of the ascending token list (linear; `n` inserts were not).
+    /// Indexes the overlay's current population: the ascending token list,
+    /// partitioned, is each bucket's sorted run as it stands.
     pub(crate) fn new(overlay: &dyn Overlay, phase: StabilizePhase, period: u64) -> Self {
         let mut idx = Self {
             phase,
             period,
-            buckets: Vec::new(),
+            buckets: vec![Vec::new(); period as usize],
         };
-        let mut runs = vec![Vec::new(); period as usize];
         for token in overlay.node_tokens() {
-            runs[idx.bucket_of(token)].push(token);
+            let b = idx.bucket_of(token);
+            idx.buckets[b].push(token);
         }
-        idx.buckets = runs.into_iter().map(BTreeSet::from_iter).collect();
         idx
     }
 
@@ -391,45 +390,46 @@ impl BucketIndex {
         }
     }
 
+    /// Adds `token` to its bucket; no-op if it is there already.
     fn insert(&mut self, token: NodeToken) {
         let b = self.bucket_of(token);
-        self.buckets[b].insert(token);
+        if let Err(at) = self.buckets[b].binary_search(&token) {
+            self.buckets[b].insert(at, token);
+        }
     }
 
+    /// Drops `token` from its bucket; no-op if it is not there.
     fn remove(&mut self, token: NodeToken) {
         let b = self.bucket_of(token);
-        self.buckets[b].remove(&token);
+        if let Ok(at) = self.buckets[b].binary_search(&token) {
+            self.buckets[b].remove(at);
+        }
     }
 
     /// Runs the stabilization (or, with `repair`, the self-stabilizing
     /// repair) routines of every node in `bucket`, in ascending token
-    /// order. Returns the number of routines invoked and the entries
-    /// repaired (always zero without `repair`). When the overlay's
-    /// accountant is enabled, the tick is billed to
-    /// [`Phase::Stabilize`] (or [`Phase::Repair`]) — one message per
-    /// routing entry examined, via [`Overlay::maintenance_msgs`].
+    /// order: the stabilizers as one run, repairs node by node. Returns
+    /// the number of routines invoked and the entries repaired (always
+    /// zero without `repair`). When the overlay's accountant is enabled,
+    /// the tick is billed to [`Phase::Stabilize`] (or [`Phase::Repair`]) —
+    /// one message per routing entry examined, via
+    /// [`Overlay::maintenance_msgs`].
     pub(crate) fn fire(&self, overlay: &mut dyn Overlay, bucket: u64, repair: bool) -> (u64, u64) {
+        let nodes = &self.buckets[bucket as usize];
         let acct = overlay.phase_accountant();
-        let count_msgs = acct.is_enabled();
-        let mut calls = 0;
-        let mut entries = 0;
-        let mut msgs = 0;
-        for &token in &self.buckets[bucket as usize] {
-            if count_msgs {
-                msgs += overlay.maintenance_msgs(token);
-            }
-            if repair {
+        let (mut phase, mut msgs, mut entries) = (Phase::Stabilize, 0, 0);
+        if repair {
+            phase = Phase::Repair;
+            for &token in nodes {
+                if acct.is_enabled() {
+                    msgs += overlay.maintenance_msgs(token);
+                }
                 entries += overlay.repair_node(token);
-            } else {
-                overlay.stabilize_node(token);
             }
-            calls += 1;
-        }
-        let phase = if repair {
-            Phase::Repair
         } else {
-            Phase::Stabilize
-        };
+            msgs = overlay.stabilize_nodes(nodes);
+        }
+        let calls = nodes.len() as u64;
         acct.bill(phase, || PhaseCosts {
             calls,
             msgs,
@@ -991,7 +991,8 @@ mod tests {
 
     /// Bulk-builds the index over a fresh overlay, then applies `steps`
     /// of a fixed join/leave script to both, as the engine does at every
-    /// membership event. Zero steps leave the bulk build as it came.
+    /// membership event — zero steps leave the bulk build as it came —
+    /// and ends on a duplicate insert and an absent remove.
     fn churned_index(
         phase: StabilizePhase,
         period: u64,
@@ -1010,6 +1011,12 @@ mod tests {
                 idx.insert(node);
             }
         }
+        // A second insert of a live token and the removal of one that is
+        // not there must both leave the index as it is.
+        let live = net.node_tokens()[7];
+        let absent = (0..).find(|&t| !net.contains(t)).expect("ring has gaps");
+        idx.insert(live);
+        idx.remove(absent);
         (net, idx)
     }
 
@@ -1027,8 +1034,10 @@ mod tests {
                     .into_iter()
                     .filter(|&t| splitmix64(t) % period == bucket)
                     .collect();
-                let got: Vec<_> = idx.buckets[bucket as usize].iter().copied().collect();
-                assert_eq!(got, expected, "bucket {bucket} after {steps} steps");
+                assert_eq!(
+                    idx.buckets[bucket as usize], expected,
+                    "bucket {bucket} after {steps} steps"
+                );
             }
         }
     }
@@ -1039,8 +1048,8 @@ mod tests {
         for steps in [0, 40] {
             let (mut net, idx) = churned_index(StabilizePhase::Synchronized, period, steps);
             // All live tokens sit in bucket `period - 1`, ascending...
-            let last: Vec<_> = idx.buckets[period as usize - 1].iter().copied().collect();
-            assert_eq!(last, net.node_tokens());
+            let last = &idx.buckets[period as usize - 1];
+            assert_eq!(*last, net.node_tokens());
             assert!(last.windows(2).all(|w| w[0] < w[1]));
             // ...and no other bucket fires anyone.
             let n = net.len() as u64;

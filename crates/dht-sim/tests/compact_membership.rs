@@ -13,7 +13,7 @@ use dht_core::sim::Membership;
 use dht_sim::factory::{build_overlay, OverlayKind};
 use rand::RngCore;
 
-/// Regression: `token_at` stays consistent with the sorted token list
+/// Regression: `nth_token` stays consistent with the sorted token list
 /// when the same token joins, leaves, and rejoins interleaved with other
 /// churn — the swap-remove + index-patch path the store takes on every
 /// removal.
@@ -36,10 +36,10 @@ fn token_at_survives_interleaved_rejoin() {
         let tokens = m.tokens();
         assert!(tokens.windows(2).all(|w| w[0] < w[1]), "sorted");
         for (i, &t) in tokens.iter().enumerate() {
-            assert_eq!(m.token_at(i), Some(t), "position {i}");
+            assert_eq!(m.store.nth_token(i), Some(t), "position {i}");
             assert_eq!(m.get(t), Some(&t), "state of {t}");
         }
-        assert_eq!(m.token_at(tokens.len()), None);
+        assert_eq!(m.store.nth_token(tokens.len()), None);
     }
     assert_eq!(m.len(), 64);
 }

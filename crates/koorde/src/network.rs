@@ -12,6 +12,7 @@ use dht_core::lookup::{HopPhase, LookupOutcome, LookupTrace};
 use dht_core::overlay::NodeToken;
 use dht_core::ring::{in_interval_co, in_interval_oc};
 use dht_core::sim::{walk_from, Membership, Refresh, SimOverlay, StepDecision};
+use dht_core::store::{Hints, Pos};
 use rand::RngCore;
 
 use crate::node::{KoordeNode, RingList};
@@ -185,7 +186,9 @@ impl KoordeNetwork {
     /// own de Bruijn image).
     #[must_use]
     pub fn at_or_before_point(&self, x: u64) -> Option<u64> {
-        self.members.at_or_before(x)
+        let order = &self.members.store;
+        let at = order.at_or_before_from(&mut Pos::default(), x)?;
+        Some(order.token_at(at))
     }
 
     /// Ground truth: live node strictly preceding ring point `x`.
@@ -257,22 +260,28 @@ impl Refresh for KoordeNetwork {
         KoordeNode::new(id, self.config.successor_list, self.config.debruijn_backups)
     }
 
-    fn refresh_node(&mut self, id: u64) {
-        let space = self.config.space();
+    /// Hint 0 is the node's own place in the order, hint 1 the de Bruijn
+    /// point's: `2 * id` ascends with `id`, wrapping once per round. The
+    /// backups are steps back from the pointer.
+    fn refresh_node(&mut self, id: u64, hints: &mut Hints) {
+        let order = &self.members.store;
+        let Some(own) = order.position_of(hints.slot(0), id) else {
+            return;
+        };
         let (pred, succs) = self
             .members
-            .ring_pointers(id, self.config.successor_list, space)
-            .expect("refresh on empty ring");
-        let debruijn = self
-            .at_or_before_point((2 * id) % space)
-            .expect("non-empty ring");
+            .ring_pointers(id, self.config.successor_list, hints.slot(0))
+            .expect("own ring is not empty");
+        let mut cursor = order
+            .at_or_before_from(hints.slot(1), (2 * id) % self.config.space())
+            .expect("own ring is not empty");
+        let debruijn = order.token_at(cursor);
         let mut preds = RingList::new();
-        let mut cursor = debruijn;
         for _ in 0..self.config.debruijn_backups {
-            cursor = self.before_point(cursor).expect("non-empty ring");
-            preds.push(cursor);
+            cursor = order.prev(cursor);
+            preds.push(order.token_at(cursor));
         }
-        let node = self.members.get_mut(id).expect("refresh of dead node");
+        let node = self.members.store.state_at_mut(own);
         node.predecessor = pred;
         node.successors = succs;
         node.debruijn = debruijn;
@@ -282,7 +291,7 @@ impl Refresh for KoordeNetwork {
     fn refresh_notified(&mut self, id: u64) {
         let (pred, succs) = self
             .members
-            .ring_pointers(id, self.config.successor_list, self.config.space())
+            .ring_pointers(id, self.config.successor_list, &mut Pos::default())
             .expect("refresh on empty ring");
         let node = self.members.get_mut(id).expect("refresh of dead node");
         node.predecessor = pred;
@@ -447,10 +456,8 @@ impl SimOverlay for KoordeNetwork {
         self.refresh_all();
     }
 
-    fn stabilize_one(&mut self, node: NodeToken) {
-        if self.is_live(node) {
-            self.refresh_node(node);
-        }
+    fn stabilize_one(&mut self, node: NodeToken, hints: &mut Hints) {
+        self.refresh_node(node, hints);
     }
 
     fn audit_network(&self, scope: dht_core::audit::AuditScope) -> dht_core::audit::AuditReport {

@@ -8,6 +8,7 @@
 use dht_core::audit::{AuditReport, AuditScope, StateAudit};
 use dht_core::ring::ring_sides;
 use dht_core::sim::SimOverlay;
+use dht_core::store::Hints;
 
 use crate::network::{LeafHalf, PastryNetwork};
 
@@ -22,6 +23,7 @@ impl StateAudit for PastryNetwork {
         let tokens = self.membership().tokens();
         let n = tokens.len();
         let reach = (c.leaf_set / 2).min(n.saturating_sub(1));
+        let mut hints = Hints::default();
         for (i, (id, node)) in self.membership().iter().enumerate() {
             report.note_checked(1);
             report.check_eq(id, "pastry/node-id", &node.id, &id);
@@ -58,7 +60,7 @@ impl StateAudit for PastryNetwork {
                 for row in 0..c.digits() {
                     for col in 0..c.base() {
                         let idx = (row * c.base() + col) as usize;
-                        let expect = self.resolve_entry(id, row, col);
+                        let expect = self.resolve_entry(id, row, col, hints.slot(idx));
                         report.check(id, "pastry/prefix-table", node.table[idx] == expect, || {
                             format!(
                                 "table[{row}][{col}] = {:?}, expected {expect:?}",

@@ -13,6 +13,7 @@ use dht_core::lookup::{HopPhase, LookupTrace};
 use dht_core::overlay::NodeToken;
 use dht_core::ring::{clockwise_dist, ring_dist};
 use dht_core::sim::{walk_from, Membership, Refresh, SimOverlay, StepDecision};
+use dht_core::store::{Hints, Pos};
 use rand::RngCore;
 
 /// Configuration of a Pastry deployment.
@@ -249,9 +250,10 @@ impl PastryNetwork {
     /// Resolves one routing-table entry: a live node sharing `row` digits
     /// of prefix with `id` and having digit `col` at position `row`,
     /// choosing the numerically closest such node to `id` (a locality
-    /// metric would pick by proximity; hop counts are unaffected).
-    #[must_use]
-    pub fn resolve_entry(&self, id: u64, row: u32, col: u32) -> Option<u64> {
+    /// metric would pick by proximity; hop counts are unaffected). One
+    /// search, from `hint`: every `id` with the same `row`-digit prefix
+    /// asks about the same block, so along a sorted run the hint is exact.
+    pub fn resolve_entry(&self, id: u64, row: u32, col: u32, hint: &mut Pos) -> Option<u64> {
         let c = self.config;
         if self.config.digit(id, row) == col {
             return None; // own digit: the row "points at" the node itself
@@ -265,48 +267,42 @@ impl PastryNetwork {
         let base = (id & prefix_mask) | (u64::from(col) << digit_shift);
         let top = base | ((1u64 << digit_shift) - 1);
         // Nearest to id within [base, top]; since id is outside the block,
-        // the closest element is one of the block's ends.
-        let first = self.members.first_in_range(base, top);
-        let last = self.members.last_in_range(base, top);
-        match (first, last) {
-            (Some(f), Some(l)) => {
-                if id < base {
-                    Some(f)
-                } else {
-                    Some(l)
-                }
-            }
-            (a, b) => a.or(b),
-        }
+        // that is the block's first node from below and its last from
+        // above. Either search wraps past an empty block.
+        let order = &self.members.store;
+        let at = if id < base {
+            order.successor_from(hint, base)
+        } else {
+            order.predecessor_from(hint, top + 1)
+        };
+        let nearest = order.token_at(at?);
+        (base..=top).contains(&nearest).then_some(nearest)
     }
 
     /// Resolves the leaf set of `id`: the `|L|/2` nearest live smaller and
-    /// larger identifiers on the ring.
-    #[must_use]
-    pub fn resolve_leafs(&self, id: u64) -> (LeafHalf, LeafHalf) {
-        let half = self.config.leaf_set / 2;
+    /// larger identifiers on the ring, by stepping out from `id`'s own
+    /// place in the order (searched from `hint`).
+    pub fn resolve_leafs(&self, id: u64, hint: &mut Pos) -> (LeafHalf, LeafHalf) {
+        let order = &self.members.store;
+        let half = (self.config.leaf_set / 2).min(self.members.len().saturating_sub(1));
         let mut smaller = LeafHalf::new();
         let mut larger = LeafHalf::new();
-        if self.members.len() <= 1 {
+        let Some(at) = order.successor_from(hint, id) else {
             return (smaller, larger);
+        };
+        let mut cursor = order.prev(at);
+        while smaller.len() < half && order.token_at(cursor) != id {
+            smaller.push(order.token_at(cursor));
+            cursor = order.prev(cursor);
         }
-        let mut cursor = id;
-        for _ in 0..half.min(self.members.len() - 1) {
-            let prev = self.members.predecessor_of(cursor).expect("non-empty");
-            if prev == id {
-                break;
-            }
-            smaller.push(prev);
-            cursor = prev;
+        // A live `id` is not its own nearest larger neighbour.
+        let mut cursor = at;
+        if order.token_at(at) == id {
+            cursor = order.next(at);
         }
-        let mut cursor = id;
-        for _ in 0..half.min(self.members.len() - 1) {
-            let next = self.members.successor_after(cursor).expect("non-empty");
-            if next == id {
-                break;
-            }
-            larger.push(next);
-            cursor = next;
+        while larger.len() < half && order.token_at(cursor) != id {
+            larger.push(order.token_at(cursor));
+            cursor = order.next(cursor);
         }
         (smaller, larger)
     }
@@ -337,16 +333,21 @@ impl Refresh for PastryNetwork {
         PastryNode::new(id, self.config)
     }
 
-    fn refresh_node(&mut self, id: u64) {
+    /// Hint 0 is the node's own place in the order, hint `1 + cell` the
+    /// table cell's. The table is refilled in the buffer it has.
+    fn refresh_node(&mut self, id: u64, hints: &mut Hints) {
+        let Some(own) = self.members.store.position_of(hints.slot(0), id) else {
+            return;
+        };
         let c = self.config;
-        let mut table = vec![None; (c.digits() * c.base()) as usize];
-        for row in 0..c.digits() {
-            for col in 0..c.base() {
-                table[(row * c.base() + col) as usize] = self.resolve_entry(id, row, col);
-            }
+        let mut table = std::mem::take(&mut self.members.store.state_at_mut(own).table);
+        table.clear();
+        for cell in 0..c.digits() * c.base() {
+            let hint = hints.slot(1 + cell as usize);
+            table.push(self.resolve_entry(id, cell / c.base(), cell % c.base(), hint));
         }
-        let (smaller, larger) = self.resolve_leafs(id);
-        let node = self.members.get_mut(id).expect("refresh of dead node");
+        let (smaller, larger) = self.resolve_leafs(id, hints.slot(0));
+        let node = self.members.store.state_at_mut(own);
         node.table = table;
         node.leaf_smaller = smaller;
         node.leaf_larger = larger;
@@ -354,7 +355,7 @@ impl Refresh for PastryNetwork {
 
     /// Refreshes only the leaf set.
     fn refresh_notified(&mut self, id: u64) {
-        let (smaller, larger) = self.resolve_leafs(id);
+        let (smaller, larger) = self.resolve_leafs(id, &mut Pos::default());
         let node = self.members.get_mut(id).expect("refresh of dead node");
         node.leaf_smaller = smaller;
         node.leaf_larger = larger;
@@ -498,10 +499,8 @@ impl SimOverlay for PastryNetwork {
         self.refresh_all();
     }
 
-    fn stabilize_one(&mut self, node: NodeToken) {
-        if self.is_live(node) {
-            self.refresh_node(node);
-        }
+    fn stabilize_one(&mut self, node: NodeToken, hints: &mut Hints) {
+        self.refresh_node(node, hints);
     }
 
     fn state_heap_bytes(&self, state: &PastryNode) -> usize {
@@ -533,6 +532,22 @@ mod tests {
     use dht_core::lookup::LookupOutcome;
     use dht_core::rng::stream;
     use rand::Rng;
+
+    #[test]
+    fn refresh_refills_the_table_buffer_in_place() {
+        use dht_core::overlay::Overlay;
+        let mut net = PastryNetwork::with_nodes(PastryConfig::new(12), 300, 1);
+        let buffers = |net: &PastryNetwork| -> Vec<(usize, *const Option<u64>)> {
+            let tables = net.ids().map(|id| &net.node(id).unwrap().table);
+            tables.map(|t| (t.capacity(), t.as_ptr())).collect()
+        };
+        let before = buffers(&net);
+        assert!(before.iter().all(|&(capacity, _)| capacity == 24));
+        net.refresh_all();
+        let ids: Vec<u64> = net.ids().collect();
+        net.stabilize_node(ids[17]);
+        assert_eq!(buffers(&net), before, "a refresh reallocated a table");
+    }
 
     #[test]
     fn digit_arithmetic() {

@@ -3,6 +3,7 @@
 use dht_core::lookup::{HopPhase, LookupOutcome};
 use dht_core::rng::stream;
 use dht_core::sim::Refresh;
+use dht_core::store::Pos;
 use pastry::{PastryConfig, PastryNetwork};
 use proptest::prelude::*;
 use rand::Rng;
@@ -28,7 +29,7 @@ proptest! {
                         // genuinely unpopulated prefix block.
                         if c.digit(id, row) != col {
                             prop_assert_eq!(
-                                net.resolve_entry(id, row, col),
+                                net.resolve_entry(id, row, col, &mut Pos::default()),
                                 None,
                                 "cell ({},{}) of {} wrongly empty",
                                 row,

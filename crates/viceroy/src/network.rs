@@ -8,6 +8,7 @@ use dht_core::lookup::{HopPhase, LookupTrace};
 use dht_core::overlay::NodeToken;
 use dht_core::ring::{in_interval_oc, ring_dist};
 use dht_core::sim::{walk_from, Membership, SimOverlay, StepDecision};
+use dht_core::store::Hints;
 use rand::{Rng, RngCore};
 
 /// Configuration of a Viceroy deployment.
@@ -490,7 +491,7 @@ impl SimOverlay for ViceroyNetwork {
         // is nothing left for periodic stabilization to do.
     }
 
-    fn stabilize_one(&mut self, _node: NodeToken) {}
+    fn stabilize_one(&mut self, _node: NodeToken, _hints: &mut Hints) {}
 
     fn aux_bytes(&self) -> usize {
         // The per-level membership index outside the node arena.

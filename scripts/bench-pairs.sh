@@ -10,7 +10,11 @@
 # source tree, so its own benchmark/target), builds both benchmarks, runs
 # `pairs` pairs on seeds 101, 102, ... -- odd pairs parent first, even
 # pairs change first -- and prints, per host metric, each side's median
-# and quartiles, how many pairs the change won, and every value read.
+# and quartiles, how many pairs the change won, every value read, and the
+# verdict on its spread: each side's inter-quartile distance against
+# BENCHMARK.json's bound x the parent's median (`ok` / `OVER` -- a metric
+# that is OVER is unresolved, not unchanged) unless every run of the
+# change reads better than every run of the parent (`clear: yes`).
 # Sim metrics and fingerprints must agree seed by seed; exit 1 if not.
 # Every run's full output stays in bench-out/pairs/<side>-<seed>.out.
 set -eu
@@ -70,12 +74,28 @@ function summary(side, m,    v, n, s, j, k, t) {
     n = 0
     for (s = 1; s <= seeds; s++) if ((side, m, seed[s]) in val) v[++n] = val[side, m, seed[s]]
     for (j = 2; j <= n; j++) { t = v[j]; for (k = j - 1; k >= 1 && v[k] > t; k--) v[k + 1] = v[k]; v[k + 1] = t }
-    return sprintf("%14.6g [%.6g .. %.6g]", quantile(v, n, 0.5), quantile(v, n, 0.25), quantile(v, n, 0.75))
+    med[side] = quantile(v, n, 0.5); iqr[side] = quantile(v, n, 0.75) - quantile(v, n, 0.25)
+    edge[side] = (better[m] == "lower") == (side == "change") ? v[n] : v[1]
+    return sprintf("%14.6g [%.6g .. %.6g]", med[side], quantile(v, n, 0.25), quantile(v, n, 0.75))
+}
+# "<side> iqr <distance> ok|OVER": the inter-quartile distance of one side
+# against the bound of the metric, a share of the median of the parent.
+function spread(side, m) {
+    return sprintf("%s iqr %.4g %s", side, iqr[side], iqr[side] <= bound[m] * med["parent"] ? "ok" : "OVER")
 }
 function values(side, m,    s, line) {
     line = ""
     for (s = 1; s <= seeds; s++) line = line sprintf(" %.6g", val[side, m, seed[s]])
     return line
+}
+# BENCHMARK.json: {"name": "<name>", ..., "bound": <share>}
+FILENAME == "BENCHMARK.json" {
+    if (match($0, /"bound": *[0-9.]+/)) {
+        b = substr($0, RSTART, RLENGTH); sub(/.*: */, "", b)
+        match($0, /"name": *"[^"]*"/); name = substr($0, RSTART, RLENGTH)
+        gsub(/"name": *|"/, "", name); bound[name] = b
+    }
+    next
 }
 FNR == 1 {
     side = FILENAME; sub(/.*\//, "", side); sub(/\.out$/, "", side)
@@ -101,6 +121,11 @@ END {
         printf "%-24s %-5s %-6s parent %s  change %s  change won %d, lost %d of %d\n", \
             m, unit[m], better[m], summary("parent", m), summary("change", m), won, lost, seeds
         printf "    parent:%s\n    change:%s\n", values("parent", m), values("change", m)
+        if (m in bound) {
+            clear = better[m] == "lower" ? edge["change"] < edge["parent"] : edge["change"] > edge["parent"]
+            printf "    spread: bound %g x parent median = %.4g; %s, %s; change/parent %.3f; clear: %s\n", bound[m], \
+                bound[m] * med["parent"], spread("parent", m), spread("change", m), med["change"] / med["parent"], (clear ? "yes" : "no")
+        }
     }
     bad = 0
     for (s = 1; s <= seeds; s++) {
@@ -110,4 +135,4 @@ END {
     }
     printf "sim metrics and fingerprints: %s on %d of %d seeds\n", (bad ? "DIFFER" : "identical"), (bad ? bad : seeds), seeds
     exit (bad > 0)
-}' "$out"/parent-[0-9]*.out "$out"/change-[0-9]*.out
+}' BENCHMARK.json "$out"/parent-[0-9]*.out "$out"/change-[0-9]*.out

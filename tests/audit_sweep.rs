@@ -15,6 +15,7 @@ use cycloid_repro::prelude::*;
 use dht_core::corrupt::{CorruptionPlan, CorruptionStrategy};
 use dht_core::rng::stream_indexed;
 use dht_core::sim::SimOverlay;
+use dht_core::store::Pos;
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -28,7 +29,7 @@ fn chord_oracle(net: &ChordNetwork) -> AuditReport {
         report.check_eq(id, "chord/node-id", &node.id, &id);
         let (pred, succs) = net
             .membership()
-            .ring_pointers(id, config.successor_list, config.space())
+            .ring_pointers(id, config.successor_list, &mut Pos::default())
             .expect("non-empty ring");
         report.check_eq(id, "chord/predecessor", &node.predecessor, &pred);
         report.check_eq(id, "chord/successor-list", &node.successors, &succs);
@@ -64,7 +65,7 @@ fn koorde_oracle(net: &KoordeNetwork) -> AuditReport {
         );
         let (pred, succs) = net
             .membership()
-            .ring_pointers(id, r, config.space())
+            .ring_pointers(id, r, &mut Pos::default())
             .expect("non-empty ring");
         report.check_eq(id, "koorde/predecessor", &node.predecessor, &pred);
         report.check_eq(id, "koorde/successor-list", &node.successors, &succs);
@@ -94,7 +95,7 @@ fn pastry_oracle(net: &PastryNetwork) -> AuditReport {
                 )
             },
         );
-        let (smaller, larger) = net.resolve_leafs(id);
+        let (smaller, larger) = net.resolve_leafs(id, &mut Pos::default());
         report.check_eq(id, "pastry/leaf-set", &node.leaf_smaller, &smaller);
         report.check_eq(id, "pastry/leaf-set", &node.leaf_larger, &larger);
     }

@@ -1,5 +1,6 @@
 //! A counting global allocator for the allocation-bound tests
-//! (`hop_allocations.rs`, `audit_allocations.rs`). Pulled in with
+//! (`hop_allocations.rs`, `audit_allocations.rs`,
+//! `stabilize_allocations.rs`). Pulled in with
 //! `#[path = "common/counting.rs"] mod counting;`, it becomes that test
 //! binary's allocator and nothing else's; every library crate stays
 //! `#![forbid(unsafe_code)]`.
