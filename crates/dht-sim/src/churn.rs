@@ -9,8 +9,8 @@
 //!
 //! There is one engine: [`run_churn`] is a single event loop on the
 //! virtual clock ([`dht_core::clock`]) whose join, leave, stabilization
-//! tick ([`StabilizePhase`]), audit, and sampler handling is the same
-//! code whatever the configuration. [`TimeModel`] is only the
+//! tick, audit, and sampler handling is the same code whatever the
+//! configuration. [`TimeModel`] is only the
 //! *lookup-arrival policy*:
 //!
 //! * [`TimeModel::Rounds`] — batch before mutation: arrivals are buffered
@@ -60,20 +60,6 @@ pub enum TimeModel {
     Continuous,
 }
 
-/// How per-node stabilization timers are phased within the period.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StabilizePhase {
-    /// Each node's timer offset is its token hash modulo the period —
-    /// the paper's "intervals uniformly distributed in the 30 s
-    /// interval" (§4.4).
-    #[default]
-    Hashed,
-    /// Every node stabilizes at the end of the period, in one sweep —
-    /// the degenerate phasing that, with zero message delays, recovers
-    /// classic round-based semantics.
-    Synchronized,
-}
-
 /// Parameters of one churn run.
 #[derive(Debug, Clone)]
 pub struct ChurnParams {
@@ -107,8 +93,6 @@ pub struct ChurnParams {
     pub jobs: usize,
     /// Which notion of time the run uses. Default: [`TimeModel::Rounds`].
     pub time: TimeModel,
-    /// Stabilization timer phasing. Default: [`StabilizePhase::Hashed`].
-    pub phase: StabilizePhase,
     /// Run each node's self-stabilizing repair routine
     /// ([`Overlay::repair_node`]) on its stabilization timer *instead of*
     /// the plain stabilizer. Repair subsumes stabilization — on a healthy
@@ -146,7 +130,6 @@ impl Default for ChurnParams {
             sink: SinkHandle::disabled(),
             jobs: 1,
             time: TimeModel::default(),
-            phase: StabilizePhase::default(),
             repair: false,
             accountant: PhaseAccountant::disabled(),
             sample_every_us: 0,
@@ -356,13 +339,11 @@ fn record_lookup(outcome: &mut ChurnOutcome, trace: &LookupTrace, elapsed: Optio
 /// incrementally at every join and leave. A tick then touches only the
 /// nodes that actually fire — O(bucket) to shift per membership event
 /// plus O(fired) per tick — instead of sweeping all `n` tokens every
-/// simulated second. Under [`StabilizePhase::Hashed`] a token's bucket
-/// is its hash modulo the period; under
-/// [`StabilizePhase::Synchronized`] every token lives in the period's
-/// last bucket. Each bucket is a sorted `Vec`, so it fires in ascending
+/// simulated second. A token's bucket is its hash modulo the period —
+/// the paper's "intervals uniformly distributed in the 30 s interval"
+/// (§4.4). Each bucket is a sorted `Vec`, so it fires in ascending
 /// token order, as the one slice [`Overlay::stabilize_nodes`] takes.
 pub(crate) struct BucketIndex {
-    phase: StabilizePhase,
     period: u64,
     buckets: Vec<Vec<NodeToken>>,
 }
@@ -370,9 +351,8 @@ pub(crate) struct BucketIndex {
 impl BucketIndex {
     /// Indexes the overlay's current population: the ascending token list,
     /// partitioned, is each bucket's sorted run as it stands.
-    pub(crate) fn new(overlay: &dyn Overlay, phase: StabilizePhase, period: u64) -> Self {
+    pub(crate) fn new(overlay: &dyn Overlay, period: u64) -> Self {
         let mut idx = Self {
-            phase,
             period,
             buckets: vec![Vec::new(); period as usize],
         };
@@ -384,10 +364,7 @@ impl BucketIndex {
     }
 
     fn bucket_of(&self, token: NodeToken) -> usize {
-        match self.phase {
-            StabilizePhase::Hashed => (splitmix64(token) % self.period) as usize,
-            StabilizePhase::Synchronized => self.period as usize - 1,
-        }
+        (splitmix64(token) % self.period) as usize
     }
 
     /// Adds `token` to its bucket; no-op if it is there already.
@@ -442,8 +419,8 @@ impl BucketIndex {
 
 /// Runs the per-second stabilization ticks (or, with `repair`, the
 /// repair ticks) of a static population on the virtual clock until the
-/// **full-scope** audit is clean, under [`StabilizePhase::Hashed`]
-/// timers of the given period. The audit runs at every second boundary,
+/// **full-scope** audit is clean, under hashed timers of the given
+/// period. The audit runs at every second boundary,
 /// so [`CleanRun::clean_s`] has one-second resolution: the paper's own
 /// stabilization granularity. Gives up after `max_secs` simulated
 /// seconds.
@@ -467,7 +444,7 @@ pub fn run_until_clean(
     if start == 0 {
         return run;
     }
-    let index = BucketIndex::new(overlay, StabilizePhase::Hashed, period);
+    let index = BucketIndex::new(overlay, period);
     for sec in 1..=max_secs.max(1) {
         let (calls, entries) = index.fire(overlay, (sec - 1) % period, repair);
         run.calls += calls;
@@ -502,7 +479,7 @@ pub fn run_until_clean(
 /// splitting the period into per-second buckets: every second, the nodes
 /// whose token hashes into that bucket run their stabilization routine —
 /// statistically identical to each node keeping its own 30 s timer with a
-/// uniform phase (see [`StabilizePhase`]).
+/// uniform phase.
 pub fn run_churn(
     overlay: &mut dyn Overlay,
     params: ChurnParams,
@@ -536,7 +513,7 @@ pub fn run_churn(
     };
 
     let period = params.stabilization_period_secs.max(1);
-    let mut buckets = BucketIndex::new(overlay, params.phase, period);
+    let mut buckets = BucketIndex::new(overlay, period);
     let mut queue: EventQueue<Event> = EventQueue::new();
     queue.schedule(exp_delay(params.lookup_rate, rng), Event::Lookup);
     if params.churn_rate > 0.0 {
@@ -748,7 +725,6 @@ mod tests {
             sink: SinkHandle::disabled(),
             jobs: 1,
             time: TimeModel::Rounds,
-            phase: StabilizePhase::Hashed,
             repair: false,
             accountant: PhaseAccountant::disabled(),
             sample_every_us: 0,
@@ -993,14 +969,10 @@ mod tests {
     /// of a fixed join/leave script to both, as the engine does at every
     /// membership event — zero steps leave the bulk build as it came —
     /// and ends on a duplicate insert and an absent remove.
-    fn churned_index(
-        phase: StabilizePhase,
-        period: u64,
-        steps: usize,
-    ) -> (Box<dyn Overlay>, BucketIndex) {
+    fn churned_index(period: u64, steps: usize) -> (Box<dyn Overlay>, BucketIndex) {
         let mut net = build_overlay(OverlayKind::Chord, 96, 17);
         let mut rng = stream(18, "bucket-index");
-        let mut idx = BucketIndex::new(net.as_ref(), phase, period);
+        let mut idx = BucketIndex::new(net.as_ref(), period);
         for step in 0..steps {
             if step % 3 == 0 {
                 let victim = net.node_tokens()[step % net.len()];
@@ -1027,7 +999,7 @@ mod tests {
         // including after churn has moved tokens in and out of buckets.
         let period = 30u64;
         for steps in [0, 40] {
-            let (net, idx) = churned_index(StabilizePhase::Hashed, period, steps);
+            let (net, idx) = churned_index(period, steps);
             for bucket in 0..period {
                 let expected: Vec<_> = net
                     .node_tokens()
@@ -1038,24 +1010,6 @@ mod tests {
                     idx.buckets[bucket as usize], expected,
                     "bucket {bucket} after {steps} steps"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn synchronized_index_fires_everyone_on_the_last_bucket() {
-        let period = 30u64;
-        for steps in [0, 40] {
-            let (mut net, idx) = churned_index(StabilizePhase::Synchronized, period, steps);
-            // All live tokens sit in bucket `period - 1`, ascending...
-            let last = &idx.buckets[period as usize - 1];
-            assert_eq!(*last, net.node_tokens());
-            assert!(last.windows(2).all(|w| w[0] < w[1]));
-            // ...and no other bucket fires anyone.
-            let n = net.len() as u64;
-            for bucket in 0..period {
-                let (calls, _) = idx.fire(net.as_mut(), bucket, false);
-                assert_eq!(calls, if bucket + 1 == period { n } else { 0 });
             }
         }
     }
@@ -1177,18 +1131,5 @@ mod tests {
         assert_eq!(base.final_size, sampled.final_size);
         assert_eq!(base.stabilize_calls, sampled.stabilize_calls);
         assert!(base.samples.is_empty() && !sampled.samples.is_empty());
-    }
-
-    #[test]
-    fn synchronized_phase_stabilizes_everyone_at_once() {
-        let mut net = build_overlay(OverlayKind::Chord, 64, 5);
-        let mut rng = stream(6, "sync-phase");
-        let mut p = small_params(0.0);
-        p.phase = StabilizePhase::Synchronized;
-        p.lookups = 100;
-        p.warmup_lookups = 0;
-        let out = run_churn(net.as_mut(), p, &mut rng);
-        // Every full round stabilizes the whole (static) network.
-        assert_eq!(out.stabilize_calls, out.stabilize_rounds * 64);
     }
 }

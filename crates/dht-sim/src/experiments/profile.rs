@@ -11,7 +11,7 @@ use dht_core::net::{DelayModel, FaultPlan, NetConditions, RetryPolicy};
 use dht_core::obs::{Histogram, MetricsRegistry, PhaseAccountant, PhaseTable, ALL_PHASES};
 use dht_core::rng::stream_indexed;
 
-use crate::churn::{run_churn, BucketIndex, ChurnParams, ChurnSample, StabilizePhase};
+use crate::churn::{run_churn, BucketIndex, ChurnParams, ChurnSample};
 use crate::experiments::run_cells;
 use crate::factory::{build_overlay, OverlayKind, ALL_KINDS};
 
@@ -124,7 +124,7 @@ fn run_cell(params: &ProfileParams, kind: OverlayKind, cell: usize) -> ProfileRo
     // Viceroy — structurally at zero. One explicit full-network repair
     // sweep closes the profile: every kind's repair routine runs once
     // and bills its pass.
-    BucketIndex::new(net.as_ref(), StabilizePhase::Hashed, 1).fire(net.as_mut(), 0, true);
+    BucketIndex::new(net.as_ref(), 1).fire(net.as_mut(), 0, true);
     let mut latency = Histogram::new();
     for &us in &out.latency_us {
         latency.record(us);

@@ -15,9 +15,9 @@
 //! simulated latency, covering the deterministic fault path end to end.
 //!
 //! `churn.txt` pins the churn engine instead of single lookups: one line
-//! per cell of a 128-configuration grid (8 kinds × 2 time models × 2
-//! timer phasings × repair on/off × ideal/lossy network) with the
-//! accountant, sampler, and audit on. Each line carries a `splitmix64`
+//! per cell of a 64-configuration grid (8 kinds × 2 time models ×
+//! repair on/off × ideal/lossy network) with the accountant, sampler,
+//! and audit on. Each line carries a `splitmix64`
 //! fold over every per-lookup stream, the final load table and
 //! membership, the telemetry samples, and the phase table, plus the
 //! scalar counters in the clear so a diff names what moved.
@@ -45,7 +45,7 @@ use dht_core::hash::splitmix64;
 use dht_core::net::NetConditions;
 use dht_core::obs::PhaseAccountant;
 use dht_core::rng::stream_indexed;
-use dht_sim::churn::{run_churn, ChurnParams, StabilizePhase, TimeModel};
+use dht_sim::churn::{run_churn, ChurnParams, TimeModel};
 use dht_sim::factory::{build_overlay_spaced, ALL_KINDS};
 use rand::Rng;
 
@@ -169,92 +169,89 @@ fn golden_workload_is_replayable() {
 fn render_churn_grid() -> String {
     let mut out = String::from(
         "# golden churn: n=96 id_space=160 lookups=300 lookup_rate=2 churn_rate=0.3 T=10 jobs=2 sample=7s\n\
-         # line: kind time phase repair net hash failures joins leaves final peak \
+         # line: kind time repair net hash failures joins leaves final peak \
          stabilize_calls stabilize_rounds sim_end_us stranded repair_entries\n",
     );
     for (k, &kind) in ALL_KINDS.iter().enumerate() {
         for time in [TimeModel::Rounds, TimeModel::Continuous] {
-            for phase in [StabilizePhase::Hashed, StabilizePhase::Synchronized] {
-                for repair in [false, true] {
-                    for lossy in [false, true] {
-                        let mut net = build_overlay_spaced(kind, 96, 160, SEED + k as u64);
-                        let mut rng = stream_indexed(SEED, "golden-churn", k as u64);
-                        let acct = PhaseAccountant::enabled();
-                        let params = ChurnParams {
-                            lookup_rate: 2.0,
-                            churn_rate: 0.3,
-                            stabilization_period_secs: 10,
-                            lookups: 300,
-                            warmup_lookups: 10,
-                            audit: true,
-                            conditions: if lossy {
-                                lossy_conditions()
-                            } else {
-                                NetConditions::ideal()
-                            },
-                            jobs: 2,
-                            time,
-                            phase,
-                            repair,
-                            accountant: acct.clone(),
-                            sample_every_us: 7_000_000,
-                            ..ChurnParams::default()
-                        };
-                        let o = run_churn(net.as_mut(), params, &mut rng);
-                        let mut h = 0u64;
-                        let mut fold = |x: u64| h = splitmix64(h ^ x);
-                        for stream in [&o.timeouts, &o.retries, &o.latency_us, &o.elapsed_us] {
-                            fold(stream.len() as u64);
-                            stream.iter().for_each(|&x| fold(x));
-                        }
-                        o.path_lens.iter().for_each(|&x| fold(x as u64));
-                        net.query_loads().into_iter().for_each(&mut fold);
-                        net.node_tokens().into_iter().for_each(&mut fold);
-                        for s in &o.samples {
-                            fold(s.t_us);
-                            fold(s.live_nodes);
-                            s.phase_msgs.iter().for_each(|&x| fold(x));
-                            fold(s.load_p50);
-                            fold(s.load_p99);
-                            fold(s.audit_violations);
-                            fold(s.bytes_per_node.to_bits());
-                        }
-                        let table = acct.snapshot().expect("accountant enabled");
-                        for (_, c) in table.iter() {
-                            [
-                                c.calls,
-                                c.msgs,
-                                c.retries,
-                                c.timeouts,
-                                c.repair_entries,
-                                c.time_us,
-                            ]
-                            .into_iter()
-                            .for_each(&mut fold);
-                        }
-                        let audit = o.audit.as_ref().expect("audit requested");
-                        fold(audit.checked_nodes() as u64);
-                        fold(audit.violations().len() as u64);
-                        writeln!(
-                            out,
-                            "{} {time:?} {phase:?} repair={repair} net={} hash={h:016x} \
+            for repair in [false, true] {
+                for lossy in [false, true] {
+                    let mut net = build_overlay_spaced(kind, 96, 160, SEED + k as u64);
+                    let mut rng = stream_indexed(SEED, "golden-churn", k as u64);
+                    let acct = PhaseAccountant::enabled();
+                    let params = ChurnParams {
+                        lookup_rate: 2.0,
+                        churn_rate: 0.3,
+                        stabilization_period_secs: 10,
+                        lookups: 300,
+                        warmup_lookups: 10,
+                        audit: true,
+                        conditions: if lossy {
+                            lossy_conditions()
+                        } else {
+                            NetConditions::ideal()
+                        },
+                        jobs: 2,
+                        time,
+                        repair,
+                        accountant: acct.clone(),
+                        sample_every_us: 7_000_000,
+                        ..ChurnParams::default()
+                    };
+                    let o = run_churn(net.as_mut(), params, &mut rng);
+                    let mut h = 0u64;
+                    let mut fold = |x: u64| h = splitmix64(h ^ x);
+                    for stream in [&o.timeouts, &o.retries, &o.latency_us, &o.elapsed_us] {
+                        fold(stream.len() as u64);
+                        stream.iter().for_each(|&x| fold(x));
+                    }
+                    o.path_lens.iter().for_each(|&x| fold(x as u64));
+                    net.query_loads().into_iter().for_each(&mut fold);
+                    net.node_tokens().into_iter().for_each(&mut fold);
+                    for s in &o.samples {
+                        fold(s.t_us);
+                        fold(s.live_nodes);
+                        s.phase_msgs.iter().for_each(|&x| fold(x));
+                        fold(s.load_p50);
+                        fold(s.load_p99);
+                        fold(s.audit_violations);
+                        fold(s.bytes_per_node.to_bits());
+                    }
+                    let table = acct.snapshot().expect("accountant enabled");
+                    for (_, c) in table.iter() {
+                        [
+                            c.calls,
+                            c.msgs,
+                            c.retries,
+                            c.timeouts,
+                            c.repair_entries,
+                            c.time_us,
+                        ]
+                        .into_iter()
+                        .for_each(&mut fold);
+                    }
+                    let audit = o.audit.as_ref().expect("audit requested");
+                    fold(audit.checked_nodes() as u64);
+                    fold(audit.violations().len() as u64);
+                    writeln!(
+                        out,
+                        "{} {time:?} repair={repair} net={} hash={h:016x} \
                              failures={} joins={} leaves={} final={} peak={} stabilize_calls={} \
                              stabilize_rounds={} sim_end_us={} stranded={} repair_entries={}",
-                            kind.label(),
-                            if lossy { "lossy" } else { "ideal" },
-                            o.failures,
-                            o.joins,
-                            o.leaves,
-                            o.final_size,
-                            o.peak_size,
-                            o.stabilize_calls,
-                            o.stabilize_rounds,
-                            o.sim_end_us,
-                            o.stranded,
-                            o.repair_entries
-                        )
-                        .unwrap();
-                    }
+                        kind.label(),
+                        if lossy { "lossy" } else { "ideal" },
+                        o.failures,
+                        o.joins,
+                        o.leaves,
+                        o.final_size,
+                        o.peak_size,
+                        o.stabilize_calls,
+                        o.stabilize_rounds,
+                        o.sim_end_us,
+                        o.stranded,
+                        o.repair_entries
+                    )
+                    .unwrap();
                 }
             }
         }

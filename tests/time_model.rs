@@ -6,13 +6,13 @@
 //! `jobs` value (see DESIGN.md "Time model").
 
 use dht_core::net::{FaultPlan, NetConditions, RetryPolicy};
-use dht_sim::churn::{run_churn, ChurnOutcome, ChurnParams, StabilizePhase, TimeModel};
+use dht_sim::churn::{run_churn, ChurnOutcome, ChurnParams, TimeModel};
 use dht_sim::{build_overlay, build_overlay_spaced, OverlayKind, ALL_KINDS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn params(time: TimeModel, phase: StabilizePhase, churn_rate: f64) -> ChurnParams {
+fn params(time: TimeModel, churn_rate: f64) -> ChurnParams {
     ChurnParams {
         lookup_rate: 1.0,
         churn_rate,
@@ -21,7 +21,6 @@ fn params(time: TimeModel, phase: StabilizePhase, churn_rate: f64) -> ChurnParam
         warmup_lookups: 10,
         jobs: 1,
         time,
-        phase,
         ..ChurnParams::default()
     }
 }
@@ -62,24 +61,18 @@ fn fingerprint(o: &ChurnOutcome) -> String {
 /// With zero message delays and no churn, suspending lookups on the
 /// virtual clock changes nothing observable: every walk completes
 /// within its arrival instant, in arrival order, so the continuous
-/// engine reproduces the round-based measurement streams exactly —
-/// under either timer phasing, for every overlay kind.
+/// engine reproduces the round-based measurement streams exactly, for
+/// every overlay kind.
 #[test]
 fn continuous_degenerates_to_rounds_without_delays_or_churn() {
     for kind in ALL_KINDS {
-        let base = measurements(&run(
-            kind,
-            42,
-            params(TimeModel::Rounds, StabilizePhase::Hashed, 0.0),
-        ));
-        for phase in [StabilizePhase::Hashed, StabilizePhase::Synchronized] {
-            let cont = run(kind, 42, params(TimeModel::Continuous, phase, 0.0));
-            assert_eq!(
-                base,
-                measurements(&cont),
-                "{kind:?} continuous/{phase:?} diverges from rounds"
-            );
-        }
+        let base = run(kind, 42, params(TimeModel::Rounds, 0.0));
+        let cont = run(kind, 42, params(TimeModel::Continuous, 0.0));
+        assert_eq!(
+            measurements(&base),
+            measurements(&cont),
+            "{kind:?} continuous diverges from rounds"
+        );
     }
 }
 
@@ -92,7 +85,7 @@ fn continuous_degenerates_to_rounds_without_delays_or_churn() {
 #[test]
 fn continuous_latency_is_virtual_clock_elapsed_time() {
     for kind in ALL_KINDS {
-        let mut p = params(TimeModel::Continuous, StabilizePhase::Hashed, 0.1);
+        let mut p = params(TimeModel::Continuous, 0.1);
         p.conditions = NetConditions::new(FaultPlan::lossy(7, 0.02), RetryPolicy::standard());
         let out = run(kind, 11, p);
         assert_eq!(out.path_lens.len(), 200, "{kind:?} measured lookups");
@@ -110,11 +103,7 @@ fn continuous_latency_is_virtual_clock_elapsed_time() {
 /// Rounds mode has no clock to elapse: the aligned stream stays empty.
 #[test]
 fn rounds_mode_has_no_elapsed_stream() {
-    let out = run(
-        OverlayKind::Cycloid7,
-        42,
-        params(TimeModel::Rounds, StabilizePhase::Hashed, 0.1),
-    );
+    let out = run(OverlayKind::Cycloid7, 42, params(TimeModel::Rounds, 0.1));
     assert!(out.elapsed_us.is_empty());
     assert_eq!(out.path_lens.len(), 200);
 }
@@ -128,7 +117,7 @@ proptest! {
     fn any_seed_is_deterministic_across_runs(seed in 0u64..10_000, kind_ix in 0usize..8) {
         let kind = ALL_KINDS[kind_ix];
         for time in [TimeModel::Rounds, TimeModel::Continuous] {
-            let mut p = params(time, StabilizePhase::Hashed, 0.2);
+            let mut p = params(time, 0.2);
             p.lookups = 80;
             p.conditions = NetConditions::new(FaultPlan::lossy(seed ^ 5, 0.02), RetryPolicy::standard());
             let a = run(kind, seed, p.clone());
@@ -144,7 +133,7 @@ proptest! {
     fn any_seed_is_jobs_invariant(seed in 0u64..10_000, kind_ix in 0usize..8) {
         let kind = ALL_KINDS[kind_ix];
         for time in [TimeModel::Rounds, TimeModel::Continuous] {
-            let mut p = params(time, StabilizePhase::Hashed, 0.2);
+            let mut p = params(time, 0.2);
             p.lookups = 80;
             p.conditions = NetConditions::new(FaultPlan::lossy(seed ^ 9, 0.02), RetryPolicy::standard());
             let a = run(kind, seed, ChurnParams { jobs: 1, ..p.clone() });
@@ -165,7 +154,7 @@ fn continuous_run_without_churn_leaves_overlay_clean() {
     use dht_core::audit::AuditScope;
     let mut net = build_overlay(OverlayKind::Cycloid7, 64, 42);
     let mut rng = StdRng::seed_from_u64(42);
-    let p = params(TimeModel::Continuous, StabilizePhase::Hashed, 0.0);
+    let p = params(TimeModel::Continuous, 0.0);
     let out = run_churn(net.as_mut(), p, &mut rng);
     assert_eq!(out.failures, 0);
     assert!(net.audit_state(AuditScope::Full).is_clean());
