@@ -17,35 +17,26 @@ use crate::network::CycloidNetwork;
 use crate::state::LeafSlot;
 
 impl CycloidNetwork {
-    /// `cycloid/cycle-index`: the membership indexes `cycles` and
-    /// `by_cyclic` — which every resolver and `owner_of_key` read — hold
-    /// exactly the live identifiers. A drifted index makes join, leave,
-    /// stabilize and the owner oracle agree on the same wrong answer, so
-    /// only a check against the token list can see it.
+    /// `cycloid/cycle-index`: the membership index `by_cyclic` — which the
+    /// cubical- and cyclic-neighbour resolvers read — holds exactly the
+    /// live identifiers. A drifted index makes stabilization and the
+    /// `Full` checks below agree on the same wrong neighbour, so only a
+    /// check against the token list can see it. The owner rule, the
+    /// primaries and the join/leave fan-out read that list itself: a cycle
+    /// has no second copy to drift.
     fn audit_cycle_index(&self, tokens: &[NodeToken], report: &mut AuditReport) {
         const NAME: &str = "cycloid/cycle-index";
         let d = u64::from(self.dim().get());
         for &t in tokens {
-            let (k, cubical) = ((t % d) as u32, t / d);
-            let in_cycles = self.cycles.get(&cubical).is_some_and(|m| m.contains(&k));
-            let in_by_cyclic = self.by_cyclic[k as usize].contains(&cubical);
-            report.check(t, NAME, in_cycles && in_by_cyclic, || {
-                format!("live, but in cycles: {in_cycles}, in by_cyclic: {in_by_cyclic}")
-            });
+            let indexed = self.by_cyclic[(t % d) as usize].contains(&(t / d));
+            report.check(t, NAME, indexed, || "live, but not in by_cyclic".into());
         }
-        let cycles = self.cycles.iter().flat_map(|(&cubical, ks)| {
-            ks.iter()
-                .map(move |&k| ("cycles", cubical * d + u64::from(k)))
-        });
-        let by_cyclic = self.by_cyclic.iter().zip(0u64..).flat_map(|(cubicals, k)| {
-            cubicals
-                .iter()
-                .map(move |&cubical| ("by_cyclic", cubical * d + k))
-        });
-        for (index, t) in cycles.chain(by_cyclic) {
-            report.check(t, NAME, tokens.binary_search(&t).is_ok(), || {
-                format!("in {index}, but not live")
-            });
+        for (cubicals, k) in self.by_cyclic.iter().zip(0u64..) {
+            for &cubical in cubicals {
+                let t = cubical * d + k;
+                let live = tokens.binary_search(&t).is_ok();
+                report.check(t, NAME, live, || "in by_cyclic, but not live".into());
+            }
         }
     }
 }
@@ -257,43 +248,21 @@ mod tests {
                 .map(|v| (v.node, v.detail.as_str()))
                 .collect();
             assert_eq!(hits, vec![(token, detail)], "{report}");
-            // Index drift breaks no *state*: resolvers, stabilization and
-            // the owner oracle all agree with the drifted index, and churn
-            // runs do not pay for this check.
+            // Index drift breaks no *state*: the neighbour resolvers and
+            // stabilization agree with the drifted index, and churn runs
+            // do not pay for this check.
             assert!(net.audit(AuditScope::Online).is_clean());
         };
 
-        // A live node dropped from either index...
-        let mut net = clean.clone();
-        net.cycles
-            .get_mut(&live.cubical)
-            .unwrap()
-            .remove(&live.cyclic);
-        let token = live.linear(net.dim());
-        named(
-            &net,
-            token,
-            "live, but in cycles: false, in by_cyclic: true",
-        );
+        // A live node dropped from the index...
         let mut net = clean.clone();
         net.by_cyclic[live.cyclic as usize].remove(&live.cubical);
-        named(
-            &net,
-            token,
-            "live, but in cycles: true, in by_cyclic: false",
-        );
+        named(&net, live.linear(net.dim()), "live, but not in by_cyclic");
 
-        // ...and a departed one left behind in either.
-        let mut net = clean.clone();
-        net.cycles
-            .entry(dead.cubical)
-            .or_default()
-            .insert(dead.cyclic);
-        let token = dead.linear(net.dim());
-        named(&net, token, "in cycles, but not live");
+        // ...and a departed one left behind in it.
         let mut net = clean;
         net.by_cyclic[dead.cyclic as usize].insert(dead.cubical);
-        named(&net, token, "in by_cyclic, but not live");
+        named(&net, dead.linear(net.dim()), "in by_cyclic, but not live");
     }
 
     #[test]

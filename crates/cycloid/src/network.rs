@@ -11,9 +11,9 @@
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
-use dht_core::overlay::Overlay;
+use dht_core::overlay::{NodeToken, Overlay};
 use dht_core::sim::Membership;
-use dht_core::store::{Hints, Pos};
+use dht_core::store::{CompactStore, Hints, Pos};
 use rand::RngCore;
 
 use crate::id::{CycloidId, Dim, KeyDistance};
@@ -62,10 +62,10 @@ impl CycloidConfig {
 pub struct CycloidNetwork {
     dim: Dim,
     leaf_radius: usize,
-    /// Live nodes, keyed by linear identifier (`cubical * d + cyclic`).
+    /// Live nodes, keyed by linear identifier (`cubical * d + cyclic`):
+    /// in token order, cycle `a` is the run of tokens in `[a·d, (a+1)·d)`
+    /// and its primary the run's last.
     members: Membership<NodeState>,
-    /// Non-empty cycles: cubical index → live cyclic indices on that cycle.
-    pub(crate) cycles: BTreeMap<u64, BTreeSet<u32>>,
     /// Per-cyclic-index membership: `by_cyclic[k]` holds the cubical
     /// indices of cycles containing a node with cyclic index `k`.
     pub(crate) by_cyclic: Vec<BTreeSet<u64>>,
@@ -84,7 +84,6 @@ impl CycloidNetwork {
             dim,
             leaf_radius: config.leaf_radius,
             members: Membership::new(seed),
-            cycles: BTreeMap::new(),
             by_cyclic: vec![BTreeSet::new(); config.dimension as usize],
         }
     }
@@ -189,136 +188,137 @@ impl CycloidNetwork {
     /// The live node responsible for `key`: the unique minimum of
     /// [`KeyDistance`] over all live nodes (§3.1's assignment rule).
     ///
-    /// Computed from the membership indexes in `O(log n)`-ish time: only
-    /// the nearest non-empty cycle on each side of the key (plus the key's
-    /// own cycle) can contain the owner.
+    /// One search of the token order: only the nearest non-empty cycle on
+    /// each side of the key (plus the key's own cycle) can contain the
+    /// owner.
     #[must_use]
     pub fn owner_of_key(&self, key: CycloidId) -> Option<CycloidId> {
-        if self.members.is_empty() {
-            return None;
-        }
-        let mut best: Option<(KeyDistance, CycloidId)> = None;
-        let mut consider = |cubical: u64, net: &Self| {
-            if let Some(members) = net.cycles.get(&cubical) {
-                for &k in members {
-                    let cand = CycloidId::new(k, cubical);
-                    let d = KeyDistance::between(key, cand, net.dim);
-                    if best.is_none_or(|(bd, _)| d < bd) {
-                        best = Some((d, cand));
-                    }
-                }
-            }
-        };
-        consider(key.cubical, self);
-        if let Some(next) = self.next_nonempty_cycle(key.cubical) {
-            consider(next, self);
-        }
-        if let Some(prev) = self.prev_nonempty_cycle(key.cubical) {
-            consider(prev, self);
-        }
-        best.map(|(_, id)| id)
+        self.cycles_around(key.cubical, 1)?
+            .min_by_key(|&node| KeyDistance::between(key, node, self.dim))
     }
 
-    /// Approximate heap bytes of the membership indexes (`cycles`,
-    /// `by_cyclic`) — the overlay-level structures outside the node
-    /// arena, reported through `SimOverlay::aux_bytes`.
+    /// Approximate heap bytes of the membership index `by_cyclic` — the
+    /// overlay-level structure outside the node arena, reported through
+    /// `SimOverlay::aux_bytes`.
     #[must_use]
     pub fn index_bytes(&self) -> usize {
         use dht_core::store::approx_btree_bytes;
-        let cycles: usize = self
-            .cycles
-            .values()
-            .map(|s| approx_btree_bytes(s.len(), std::mem::size_of::<u32>()))
-            .sum::<usize>()
-            + approx_btree_bytes(self.cycles.len(), std::mem::size_of::<(u64, usize)>());
-        let by_cyclic: usize = self
-            .by_cyclic
+        self.by_cyclic
             .iter()
             .map(|s| approx_btree_bytes(s.len(), std::mem::size_of::<u64>()))
-            .sum();
-        cycles + by_cyclic
+            .sum()
     }
 
     // ------------------------------------------------------------------
-    // Membership indexes
+    // Membership: the token order, and the per-cyclic-index index
     // ------------------------------------------------------------------
 
-    /// Builds `cycles` and `by_cyclic` for a population inserted into
-    /// `members` alone: the ascending token list is already every cycle's
-    /// run and, split by cyclic index, every `by_cyclic[k]`'s, and a tree
-    /// built from a sorted run is built in linear time — the same sets
-    /// that one [`Self::insert_membership`] per node would leave.
+    /// Builds `by_cyclic` for a population inserted into `members` alone:
+    /// the ascending token list, split by cyclic index, is every
+    /// `by_cyclic[k]` in order, and a tree built from a sorted run is built
+    /// in linear time — the same sets that one [`Self::insert_membership`]
+    /// per node would leave.
     fn index_members(&mut self) {
-        let ids: Vec<CycloidId> = self.ids().collect();
         let mut by_cyclic = vec![Vec::new(); self.by_cyclic.len()];
-        for id in &ids {
+        for id in self.ids() {
             by_cyclic[id.cyclic as usize].push(id.cubical);
         }
-        let cycles = ids.chunk_by(|a, b| a.cubical == b.cubical);
-        let cyclics = |run: &[CycloidId]| run.iter().map(|id| id.cyclic).collect();
-        self.cycles = cycles.map(|run| (run[0].cubical, cyclics(run))).collect();
         self.by_cyclic = by_cyclic.into_iter().map(BTreeSet::from_iter).collect();
     }
 
     fn insert_membership(&mut self, id: CycloidId) {
         let linear = id.linear(self.dim);
         self.members.insert(linear, NodeState::new(id));
-        self.cycles.entry(id.cubical).or_default().insert(id.cyclic);
         self.by_cyclic[id.cyclic as usize].insert(id.cubical);
     }
 
     fn remove_membership(&mut self, id: CycloidId) -> Option<NodeState> {
         let linear = id.linear(self.dim);
         let state = self.members.remove(linear)?;
-        let members = self
-            .cycles
-            .get_mut(&id.cubical)
-            .expect("cycle index out of sync");
-        members.remove(&id.cyclic);
-        if members.is_empty() {
-            self.cycles.remove(&id.cubical);
-        }
         self.by_cyclic[id.cyclic as usize].remove(&id.cubical);
         Some(state)
+    }
+
+    /// The identifier of the live node at `pos` of the token order.
+    fn id_at(&self, pos: Pos) -> CycloidId {
+        CycloidId::from_linear(self.members.store.token_at(pos), self.dim)
     }
 
     /// Primary node (largest cyclic index, §3.1) of cycle `cubical`, if the
     /// cycle is non-empty.
     #[must_use]
     pub fn primary_of(&self, cubical: u64) -> Option<CycloidId> {
-        self.cycles
-            .get(&cubical)
-            .and_then(|m| m.iter().next_back())
-            .map(|&k| CycloidId::new(k, cubical))
+        if self.members.is_empty() {
+            return None;
+        }
+        let end = self.id_at(self.cycle_end(cubical, Pos::default()));
+        (end.cubical == cubical).then_some(end)
     }
 
     /// Nearest non-empty cycle clockwise (increasing cubical index,
-    /// wrapping) strictly after `cubical`. Returns `cubical` itself only if
-    /// it is the sole non-empty cycle.
+    /// wrapping) strictly after `cubical`: the cycle of the token after
+    /// `cubical`'s end. Returns `cubical` itself only if it is the sole
+    /// non-empty cycle.
     #[must_use]
     pub fn next_nonempty_cycle(&self, cubical: u64) -> Option<u64> {
-        if self.cycles.is_empty() {
+        if self.members.is_empty() {
             return None;
         }
-        self.cycles
-            .range(cubical + 1..)
-            .next()
-            .or_else(|| self.cycles.range(..=cubical).next())
-            .map(|(&c, _)| c)
+        let end = self.cycle_end(cubical, Pos::default());
+        Some(self.id_at(self.members.store.next(end)).cubical)
     }
 
     /// Nearest non-empty cycle counter-clockwise strictly before `cubical`
-    /// (wrapping).
+    /// (wrapping): the cycle of the token before `cubical`'s start.
     #[must_use]
     pub fn prev_nonempty_cycle(&self, cubical: u64) -> Option<u64> {
-        if self.cycles.is_empty() {
+        if self.members.is_empty() {
             return None;
         }
-        self.cycles
-            .range(..cubical)
-            .next_back()
-            .or_else(|| self.cycles.range(cubical..).next_back())
-            .map(|(&c, _)| c)
+        let start = self.cycle_start(cubical, Pos::default());
+        Some(self.id_at(self.members.store.prev(start)).cubical)
+    }
+
+    /// The live nodes from `from` on, one `step` (`next` or `prev`) of the
+    /// token order at a time, through `count` whole cycles' runs or one lap
+    /// of the ring, whichever ends first. `from` is a run's first member
+    /// when stepping forwards, its last when stepping backwards.
+    fn runs<'a>(
+        &'a self,
+        from: Pos,
+        step: impl Fn(&'a CompactStore<NodeState>, Pos) -> Pos + 'a,
+        count: usize,
+    ) -> impl Iterator<Item = CycloidId> + 'a {
+        let order = &self.members.store;
+        let (mut cycle, mut left) = (self.id_at(from).cubical, count);
+        std::iter::successors(Some(from), move |&pos| Some(step(order, pos)))
+            .take(order.len())
+            .map(|pos| self.id_at(pos))
+            .take_while(move |id| {
+                if id.cubical != cycle {
+                    (cycle, left) = (id.cubical, left - 1);
+                }
+                left > 0
+            })
+    }
+
+    /// The live nodes of cycle `cubical` and of the `radius` nearest
+    /// non-empty cycles on each side of it, wrapping: forwards from
+    /// `cubical`'s start its own run (if it has one) and `radius` more,
+    /// backwards from the token before it `radius` runs. On a ring of
+    /// fewer cycles the two walks overlap. `None` on an empty ring.
+    fn cycles_around(
+        &self,
+        cubical: u64,
+        radius: usize,
+    ) -> Option<impl Iterator<Item = CycloidId> + '_> {
+        let order = &self.members.store;
+        let point = cubical * u64::from(self.dim.get());
+        let first = order.successor_from(&mut Pos::default(), point)?;
+        let own = usize::from(self.id_at(first).cubical == cubical);
+        let ahead = self.runs(first, CompactStore::next, radius + own);
+        let behind = self.runs(order.prev(first), CompactStore::prev, radius);
+        Some(ahead.chain(behind))
     }
 
     // ------------------------------------------------------------------
@@ -437,20 +437,19 @@ impl CycloidNetwork {
     /// step a side per entry, wrapping at the ends of the cycle's run.
     fn inside_leafs_at(&self, id: CycloidId, own: Pos) -> (LeafSlot, LeafSlot) {
         let order = &self.members.store;
-        let at = |pos: Pos| CycloidId::from_linear(order.token_at(pos), self.dim);
         let (mut left, mut right) = (LeafSlot::new(), LeafSlot::new());
         let (mut before, mut after) = (own, own);
         for _ in 0..self.leaf_radius {
             before = order.prev(before);
-            if at(before).cubical != id.cubical {
+            if self.id_at(before).cubical != id.cubical {
                 before = self.cycle_end(id.cubical, before);
             }
             after = order.next(after);
-            if at(after).cubical != id.cubical {
+            if self.id_at(after).cubical != id.cubical {
                 after = self.cycle_start(id.cubical, after);
             }
-            left.push(at(before));
-            right.push(at(after));
+            left.push(self.id_at(before));
+            right.push(self.id_at(after));
         }
         (left, right)
     }
@@ -461,18 +460,17 @@ impl CycloidNetwork {
     /// is the next one's first member.
     fn outside_leafs_at(&self, id: CycloidId, near: Pos) -> (LeafSlot, LeafSlot) {
         let order = &self.members.store;
-        let at = |pos: Pos| CycloidId::from_linear(order.token_at(pos), self.dim);
         let (mut left, mut right) = (LeafSlot::new(), LeafSlot::new());
         let (mut before, mut after) = (near, near);
         let (mut preceding, mut succeeding) = (id.cubical, id.cubical);
         for _ in 0..self.leaf_radius {
             before = order.prev(self.cycle_start(preceding, before));
-            preceding = at(before).cubical;
-            left.push(at(before));
+            preceding = self.id_at(before).cubical;
+            left.push(self.id_at(before));
             after = order.next(self.cycle_end(succeeding, after));
-            succeeding = at(after).cubical;
+            succeeding = self.id_at(after).cubical;
             after = self.cycle_end(succeeding, after);
-            right.push(at(after));
+            right.push(self.id_at(after));
         }
         (left, right)
     }
@@ -751,36 +749,16 @@ impl CycloidNetwork {
     /// protocol join derives them from `Z` and must not have them
     /// overwritten by the oracle refresh).
     fn notify_after_membership_change_except(&mut self, id: CycloidId, skip: Option<CycloidId>) {
-        let mut affected: BTreeSet<u64> = BTreeSet::new();
-        affected.insert(id.cubical);
-        let mut c = id.cubical;
-        for _ in 0..self.leaf_radius {
-            match self.prev_nonempty_cycle(c) {
-                Some(p) => {
-                    affected.insert(p);
-                    c = p;
-                }
-                None => break,
-            }
-        }
-        let mut c = id.cubical;
-        for _ in 0..self.leaf_radius {
-            match self.next_nonempty_cycle(c) {
-                Some(n) => {
-                    affected.insert(n);
-                    c = n;
-                }
-                None => break,
-            }
-        }
-        let mut to_refresh: Vec<CycloidId> = Vec::new();
-        for cubical in affected {
-            if let Some(members) = self.cycles.get(&cubical) {
-                to_refresh.extend(members.iter().map(|&k| CycloidId::new(k, cubical)));
-            }
-        }
+        let Some(affected) = self.cycles_around(id.cubical, self.leaf_radius) else {
+            return;
+        };
+        // Ascending, each node once, so one hint follows the whole pass.
+        let mut to_refresh: Vec<NodeToken> = affected.map(|n| n.linear(self.dim)).collect();
+        to_refresh.sort_unstable();
+        to_refresh.dedup();
         let mut hint = Pos::default();
         for node in to_refresh {
+            let node = CycloidId::from_linear(node, self.dim);
             if Some(node) != skip {
                 self.refresh_leaf_sets(node, &mut hint);
             }
@@ -809,9 +787,9 @@ mod tests {
         assert_eq!(net.node_count(), 2000);
     }
 
-    /// The bulk-built indexes of `with_nodes` / `complete` are the ones
-    /// one `insert_membership` per identifier leaves — same `cycles`, same
-    /// `by_cyclic`, same stabilized states — and audit clean by name.
+    /// The bulk-built index of `with_nodes` / `complete` is the one that
+    /// one `insert_membership` per identifier leaves — same `by_cyclic`,
+    /// same stabilized states — and audits clean by name.
     #[test]
     fn bulk_built_indexes_equal_incremental_inserts() {
         use dht_core::audit::{AuditScope, StateAudit};
@@ -836,7 +814,6 @@ mod tests {
                     .rev()
                     .for_each(|&id| one_by_one.insert_membership(id));
                 one_by_one.stabilize_all();
-                assert_eq!(bulk.cycles, one_by_one.cycles, "cycles, n = {n}");
                 assert_eq!(bulk.by_cyclic, one_by_one.by_cyclic, "by_cyclic, n = {n}");
                 assert!(bulk.ids().eq(one_by_one.ids()));
                 for &id in &ids {

@@ -13,6 +13,57 @@ fn dim_strategy() -> impl Strategy<Value = u32> {
     3u32..=8
 }
 
+/// §3.1's assignment rule, written out: the minimum of [`KeyDistance`]
+/// over every live node.
+fn owner_by_definition(net: &CycloidNetwork, key: CycloidId) -> Option<CycloidId> {
+    net.ids()
+        .min_by_key(|&n| KeyDistance::between(key, n, net.dim()))
+}
+
+/// `owner_of_key`, `primary_of`, `next_nonempty_cycle` and
+/// `prev_nonempty_cycle` against their definitions over `net.ids()`: the
+/// owner on hashed keys and on keys in cycle 0, in cycle `2^d - 1` and in
+/// an empty cycle, the other three for every cubical index.
+fn check_positional_readers(net: &CycloidNetwork, rng: &mut impl Rng) -> Result<(), TestCaseError> {
+    let dim = net.dim();
+    let cycles = dim.cubical_space();
+    let live: Vec<CycloidId> = net.ids().collect();
+    let is_empty = |c: u64| live.iter().all(|n| n.cubical != c);
+    let start = rng.gen_range(0..cycles);
+    let empty = (0..cycles)
+        .map(|i| (start + i) % cycles)
+        .find(|&c| is_empty(c));
+    let mut keys: Vec<CycloidId> = (0..4).map(|_| net.key_of(rng.gen())).collect();
+    for c in [Some(0), Some(cycles - 1), empty].into_iter().flatten() {
+        keys.push(CycloidId::new(rng.gen_range(0..dim.get()), c));
+    }
+    for key in keys {
+        let owner = owner_by_definition(net, key);
+        prop_assert_eq!(net.owner_of_key(key), owner, "key {}", key);
+    }
+    for c in 0..cycles {
+        // The primary is its cycle's largest cyclic index; the nearest
+        // non-empty cycle either way is the live cubical index the fewest
+        // steps past `c`, `c` itself being the farthest.
+        let primary = live
+            .iter()
+            .filter(|n| n.cubical == c)
+            .max_by_key(|n| n.cyclic);
+        let next = live
+            .iter()
+            .map(|n| n.cubical)
+            .min_by_key(|&a| (a + cycles - c - 1) % cycles);
+        let prev = live
+            .iter()
+            .map(|n| n.cubical)
+            .min_by_key(|&a| (c + cycles - a - 1) % cycles);
+        prop_assert_eq!(net.primary_of(c), primary.copied(), "primary of {}", c);
+        prop_assert_eq!(net.next_nonempty_cycle(c), next, "next after {}", c);
+        prop_assert_eq!(net.prev_nonempty_cycle(c), prev, "prev before {}", c);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -68,23 +119,51 @@ proptest! {
     }
 
     #[test]
-    fn owner_matches_brute_force(seed in any::<u64>(), count in 2usize..80) {
-        let mut net = CycloidNetwork::with_nodes(CycloidConfig::seven_entry(6), count, seed);
+    fn owner_matches_brute_force(
+        seed in any::<u64>(),
+        shape in 0usize..6,
+        count in 2usize..80,
+        radius in 1usize..=2,
+        script in proptest::collection::vec((0u8..3, any::<u64>()), 0..12),
+    ) {
+        // One node, two, one full cycle (at cubical 0, at 2^d - 1, somewhere
+        // between), the complete d = 4 network, or `count` uniform nodes.
+        let config = |dimension| CycloidConfig { dimension, leaf_radius: radius };
+        let full_cycle = |cubical: u64| {
+            let mut net = CycloidNetwork::new(config(6), seed);
+            (0..6).for_each(|k| assert!(net.join_id(CycloidId::new(k, cubical))));
+            net
+        };
+        let mut net = match shape {
+            0 => CycloidNetwork::with_nodes(config(6), 1, seed),
+            1 => CycloidNetwork::with_nodes(config(6), 2, seed),
+            2 => full_cycle([0, 63, seed % 64][(seed % 3) as usize]),
+            3 => CycloidNetwork::complete(config(4)),
+            _ => CycloidNetwork::with_nodes(config(6), count, seed),
+        };
         let mut rng = stream(seed, "owner-prop");
         for _ in 0..10 {
+            // Routing from an arbitrary source terminates at the owner.
             let raw: u64 = rng.gen();
-            let key = net.key_of(raw);
-            let fast = net.owner_of_key(key).unwrap();
-            let brute = net
-                .ids()
-                .min_by_key(|&n| KeyDistance::between(key, n, net.dim()))
-                .unwrap();
-            prop_assert_eq!(fast, brute);
-            // And routing from an arbitrary source terminates there.
+            let brute = owner_by_definition(&net, net.key_of(raw)).unwrap();
             let src = net.ids().next().unwrap();
             let trace = net.route(src, raw);
             prop_assert_eq!(trace.outcome, LookupOutcome::Found);
             prop_assert_eq!(trace.terminal, brute.linear(net.dim()));
+        }
+        check_positional_readers(&net, &mut rng)?;
+        // Joins, graceful leaves and failures, down to the empty ring.
+        for (op, pick) in script {
+            let victim = net.ids().nth((pick % net.node_count().max(1) as u64) as usize);
+            match (op, victim) {
+                (1, Some(victim)) => prop_assert!(net.leave(victim)),
+                (2, Some(victim)) => prop_assert!(net.fail_node(victim)),
+                _ => {
+                    let room = (net.node_count() as u64) < net.dim().id_space();
+                    prop_assert_eq!(net.join_random(&mut rng).is_some(), room);
+                }
+            }
+            check_positional_readers(&net, &mut rng)?;
         }
     }
 
