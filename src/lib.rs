@@ -12,8 +12,7 @@
 //! * [`dht_core`] — shared identifiers, traces, statistics and the
 //!   [`dht_core::Overlay`] trait;
 //! * [`dht_sim`] — the experiment harness regenerating every table and
-//!   figure;
-//! * [`kvstore`] — a replicated key-value storage layer over any overlay.
+//!   figure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +24,6 @@ pub use cycloid;
 pub use dht_core;
 pub use dht_sim;
 pub use koorde;
-pub use kvstore;
 pub use pastry;
 pub use viceroy;
 
@@ -43,7 +41,6 @@ pub mod prelude {
     pub use dht_core::stats::Summary;
     pub use dht_sim::{build_overlay, OverlayKind, PAPER_KINDS};
     pub use koorde::{KoordeConfig, KoordeNetwork};
-    pub use kvstore::KvStore;
     pub use pastry::{PastryConfig, PastryNetwork};
     pub use viceroy::{ViceroyConfig, ViceroyNetwork};
 }
