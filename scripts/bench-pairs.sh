@@ -15,7 +15,10 @@
 # BENCHMARK.json's bound x the parent's median (`ok` / `OVER` -- a metric
 # that is OVER is unresolved, not unchanged) unless every run of the
 # change reads better than every run of the parent (`clear: yes`).
-# Sim metrics and fingerprints must agree seed by seed; exit 1 if not.
+# Sim metrics and fingerprints must agree seed by seed; exit 1 if not,
+# after naming, per seed, each sim metric that differs with both values
+# (`bytes_per_node 302.43 -> 297.9`) and whether the fingerprint does, so
+# a declared move of one sim metric reads apart from an undeclared one.
 # Every run's full output stays in bench-out/pairs/<side>-<seed>.out.
 set -eu
 [ $# -ge 2 ] || {
@@ -104,12 +107,17 @@ FNR == 1 {
 }
 # "<name> <value> <unit> host|sim higher|lower"
 NF == 5 && ($4 == "host" || $4 == "sim") && ($5 == "higher" || $5 == "lower") {
-    if ($4 == "sim") { sim[side, sd] = sim[side, sd] $1 "=" $2 ";"; next }
+    if ($4 == "sim") {
+        sim[side, sd] = sim[side, sd] $1 "=" $2 ";"
+        if (!($1 in simseen)) { simseen[$1] = 1; simname[++sims] = $1 }
+        simval[side, $1, sd] = $2
+        next
+    }
     if (!($1 in unit)) { unit[$1] = $3; better[$1] = $5; order[++metrics] = $1 }
     val[side, $1, sd] = $2
     next
 }
-/fingerprint/ { sim[side, sd] = sim[side, sd] $0 ";" }
+/fingerprint/ { sim[side, sd] = sim[side, sd] $0 ";"; print_[side, sd] = print_[side, sd] $0 ";" }
 END {
     for (k = 1; k <= metrics; k++) {
         m = order[k]; won = 0; lost = 0
@@ -131,6 +139,12 @@ END {
     for (s = 1; s <= seeds; s++) {
         if (sim["parent", seed[s]] == "" || sim["parent", seed[s]] != sim["change", seed[s]]) {
             bad++; printf "seed %s: sim metrics or fingerprint DIFFER\n", seed[s]
+            for (k = 1; k <= sims; k++) {
+                p = simval["parent", simname[k], seed[s]]; c = simval["change", simname[k], seed[s]]
+                if (p != c) printf "seed %s: %s %s -> %s\n", seed[s], simname[k], p, c
+            }
+            printf "seed %s: fingerprint %s\n", seed[s], \
+                (print_["parent", seed[s]] == print_["change", seed[s]] ? "identical" : "DIFFERS")
         }
     }
     printf "sim metrics and fingerprints: %s on %d of %d seeds\n", (bad ? "DIFFER" : "identical"), (bad ? bad : seeds), seeds
