@@ -99,7 +99,7 @@ fn overlay_query_loads_track_departures() {
 }
 
 /// CI smoke: a 10k-node Cycloid(7) stays under the documented
-/// bytes/node budget (DESIGN.md §12). Measured ~711 bytes/node: ~352 B of inline `NodeState` (four fixed-width leaf
+/// bytes/node budget (DESIGN.md §12). Measured ~712 bytes/node: ~352 B of inline `NodeState` (four fixed-width leaf
 /// slots), the dense token/load columns, the hash side-table, and the
 /// `by_cyclic` index — with up to 2× slack from `Vec` capacity doubling,
 /// which the budget's headroom absorbs.
