@@ -117,7 +117,7 @@ NF == 5 && ($4 == "host" || $4 == "sim") && ($5 == "higher" || $5 == "lower") {
     val[side, $1, sd] = $2
     next
 }
-/fingerprint/ { sim[side, sd] = sim[side, sd] $0 ";"; print_[side, sd] = print_[side, sd] $0 ";" }
+/fingerprint/ { sim[side, sd] = sim[side, sd] $0 ";"; fp[side, sd] = fp[side, sd] $0 ";" }
 END {
     for (k = 1; k <= metrics; k++) {
         m = order[k]; won = 0; lost = 0
@@ -144,7 +144,7 @@ END {
                 if (p != c) printf "seed %s: %s %s -> %s\n", seed[s], simname[k], p, c
             }
             printf "seed %s: fingerprint %s\n", seed[s], \
-                (print_["parent", seed[s]] == print_["change", seed[s]] ? "identical" : "DIFFERS")
+                (fp["parent", seed[s]] == fp["change", seed[s]] ? "identical" : "DIFFERS")
         }
     }
     printf "sim metrics and fingerprints: %s on %d of %d seeds\n", (bad ? "DIFFER" : "identical"), (bad ? bad : seeds), seeds
