@@ -188,13 +188,17 @@ impl CycloidNetwork {
     /// The live node responsible for `key`: the unique minimum of
     /// [`KeyDistance`] over all live nodes (§3.1's assignment rule).
     ///
-    /// One search of the token order: only the nearest non-empty cycle on
-    /// each side of the key (plus the key's own cycle) can contain the
-    /// owner.
+    /// The metric ranks by cubical distance first, so the owner is on the
+    /// key's own cycle if that has a live node — one search of the token
+    /// order and one run — and else on the nearest non-empty cycle on
+    /// either side of it.
     #[must_use]
     pub fn owner_of_key(&self, key: CycloidId) -> Option<CycloidId> {
-        self.cycles_around(key.cubical, 1)?
-            .min_by_key(|&node| KeyDistance::between(key, node, self.dim))
+        let nearest = |radius| {
+            self.cycles_around(key.cubical, radius)?
+                .min_by_key(|&node| KeyDistance::between(key, node, self.dim))
+        };
+        nearest(0).or_else(|| nearest(1))
     }
 
     /// Approximate heap bytes of the membership index `by_cyclic` — the
@@ -290,15 +294,17 @@ impl CycloidNetwork {
         count: usize,
     ) -> impl Iterator<Item = CycloidId> + 'a {
         let order = &self.members.store;
-        let (mut cycle, mut left) = (self.id_at(from).cubical, count);
+        let d = u64::from(self.dim.get());
+        // One division a run, not one a token.
+        let (mut cycle, mut left) = (order.token_at(from) / d, count);
         std::iter::successors(Some(from), move |&pos| Some(step(order, pos)))
             .take(order.len())
-            .map(|pos| self.id_at(pos))
-            .take_while(move |id| {
-                if id.cubical != cycle {
-                    (cycle, left) = (id.cubical, left - 1);
+            .map(|pos| order.token_at(pos))
+            .map_while(move |token| {
+                if !(cycle * d..(cycle + 1) * d).contains(&token) {
+                    (cycle, left) = (token / d, left - 1);
                 }
-                left > 0
+                (left > 0).then(|| CycloidId::new((token - cycle * d) as u32, cycle))
             })
     }
 
