@@ -1,16 +1,29 @@
-//! Conformance audit: checks zone geometry, volume conservation, and
-//! neighbour consistency of the CAN torus tiling.
+//! Conformance audit: checks zone geometry, volume conservation, and the
+//! neighbour tables of the CAN torus tiling.
 //!
-//! Zone ownership *is* CAN's routing state, and graceful joins/leaves keep
-//! the tiling exact at every instant, so geometry, volume conservation,
-//! and neighbour connectivity are checked at [`AuditScope::Online`].
+//! Zone ownership and the tables that follow it are CAN's routing state,
+//! and graceful joins/leaves keep both exact at every instant, so they
+//! are checked at [`AuditScope::Online`]. The tables are checked against
+//! zone geometry alone, without probing the zone index:
+//!
+//! * `can/neighbor-table`: every entry is in ascending order, live, not
+//!   the node itself, owns a zone abutting one of the node's zones, and
+//!   lists the node back;
+//! * `can/neighbor-complete`: the one-cell layer just outside each face
+//!   of each zone is covered exactly by the node's own zones, its
+//!   neighbours' zones and the orphan zones. The zones tile the torus, so
+//!   a layer left short holds a piece of a node the table misses.
+//!
 //! Crash-orphaned zones are only re-adopted by the takeover stabilizer, so
-//! the no-orphans and probe-grid tiling checks run at [`AuditScope::Full`].
+//! the no-orphans and probe-grid tiling checks run at [`AuditScope::Full`],
+//! which also recomputes every table by face sweeps of the zone index
+//! (`can/neighbor-sweep`).
 
 use dht_core::audit::{AuditReport, AuditScope, StateAudit};
 use dht_core::sim::SimOverlay;
 
-use crate::network::CanNetwork;
+use crate::network::{abut, CanNetwork, CanNode};
+use crate::zone::{Zone, MAX_DIMS};
 
 impl StateAudit for CanNetwork {
     fn audit(&self, scope: AuditScope) -> AuditReport {
@@ -20,31 +33,66 @@ impl StateAudit for CanNetwork {
         let n = self.node_count();
 
         let mut total: u128 = 0;
-        for token in self.tokens() {
+        for (token, node) in self.members.iter() {
             report.note_checked(1);
-            let node = self.node(token).expect("live token");
             report.check_eq(token, "can/token-id", &node.token, &token);
 
-            // Every zone is a non-degenerate box inside the torus, and a
-            // live node owns at least one.
+            // Every zone belongs to this torus, and a live node owns at
+            // least one.
             let valid = !node.zones.is_empty()
-                && node.zones.iter().all(|z| {
-                    z.dims() == config.dims
-                        && (0..config.dims).all(|k| z.lo[k] < z.hi[k] && z.hi[k] <= side)
-                });
+                && node
+                    .zones
+                    .iter()
+                    .all(|z| z.dims() == config.dims && z.side() == side);
             report.check(token, "can/zone-valid", valid, || {
                 format!("invalid zone list: {:?}", node.zones)
             });
             total += node.volume();
+
+            let table = &node.neighbors[..];
+            let bad = table.iter().enumerate().find(|&(i, &y)| {
+                let listed = (i == 0 || table[i - 1] < y) && y != token;
+                !(listed
+                    && self.node(y).is_some_and(|other| {
+                        abut(&node.zones, &other.zones)
+                            && other.neighbors.binary_search(&token).is_ok()
+                    }))
+            });
+            report.check(token, "can/neighbor-table", bad.is_none(), || {
+                format!(
+                    "entry {:?} of {table:?} is out of order, the node itself, departed, \
+                     not abutting, or not listing the node back",
+                    bad.map(|(_, y)| y)
+                )
+            });
+            report.check(
+                token,
+                "can/neighbor-complete",
+                self.faces_covered(node),
+                || {
+                    format!(
+                        "a face of {:?} is not covered by its own zones, the zones of {table:?} \
+                         and the orphans",
+                        node.zones
+                    )
+                },
+            );
 
             // The tiling is connected: every node in a multi-node network
             // abuts at least one other node's zone.
             report.check(
                 token,
                 "can/neighbor-connectivity",
-                n <= 1 || !self.neighbors_of(token).is_empty(),
+                n <= 1 || !table.is_empty(),
                 || "node has no neighbours in a multi-node network".to_string(),
             );
+
+            if scope == AuditScope::Full {
+                let swept = self.sweep_neighbors(token);
+                report.check(token, "can/neighbor-sweep", swept == table, || {
+                    format!("stored {table:?}, face sweep {swept:?}")
+                });
+            }
         }
 
         // Live zones plus crash orphans always partition the torus, so
@@ -76,11 +124,61 @@ impl StateAudit for CanNetwork {
     }
 }
 
+impl CanNetwork {
+    /// `true` iff every face layer of `node`'s zones is covered exactly
+    /// by its own zones, its table's zones and the orphans. The orphan
+    /// list is read only for a zone the first two leave short.
+    fn faces_covered(&self, node: &CanNode) -> bool {
+        let tabled = node.neighbors.iter().filter_map(|&y| self.node(y));
+        node.zones.iter().all(|z| {
+            let mut got = [0; 2 * MAX_DIMS];
+            for w in node
+                .zones
+                .iter()
+                .chain(tabled.clone().flat_map(|o| o.zones.iter()))
+            {
+                cover_faces(z, w, &mut got);
+            }
+            if !faces_full(z, &got) {
+                for w in self.orphan_zones() {
+                    cover_faces(z, w, &mut got);
+                }
+            }
+            faces_full(z, &got)
+        })
+    }
+}
+
+/// Adds to `got[2k]` and `got[2k + 1]` the measure of `w`'s intersection
+/// with the one-cell layers just past `z`'s upper face and just below its
+/// lower face in dimension `k`, wrapped across the seam.
+fn cover_faces(z: &Zone, w: &Zone, got: &mut [u128; 2 * MAX_DIMS]) {
+    let side = z.side();
+    for k in 0..z.dims() {
+        for (f, c) in [
+            (2 * k, z.hi(k) % side),
+            (2 * k + 1, (z.lo(k) + side - 1) % side),
+        ] {
+            if (w.lo(k)..w.hi(k)).contains(&c) {
+                got[f] += (0..z.dims())
+                    .filter(|&j| j != k)
+                    .map(|j| u128::from(z.hi(j).min(w.hi(j)).saturating_sub(z.lo(j).max(w.lo(j)))))
+                    .product::<u128>();
+            }
+        }
+    }
+}
+
+/// `true` iff every face layer of `z` is covered exactly: a layer's
+/// measure is the zone's volume over its extent in the layer's dimension.
+fn faces_full(z: &Zone, got: &[u128; 2 * MAX_DIMS]) -> bool {
+    (0..2 * z.dims()).all(|f| got[f] == z.volume() >> z.log_extent(f / 2))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::network::CanConfig;
-    use crate::zone::Zone;
 
     fn net(n: usize) -> CanNetwork {
         CanNetwork::with_nodes(CanConfig::new(2), n, 3)
@@ -129,18 +227,7 @@ mod tests {
         let mut net = net(40);
         let token = net.tokens()[3];
         // Shrink one zone: geometry stays valid but volume leaks.
-        let zone = {
-            let z = &net.node(token).unwrap().zones[0];
-            Zone {
-                lo: z.lo.clone(),
-                hi: z
-                    .hi
-                    .iter()
-                    .zip(&z.lo)
-                    .map(|(&h, &l)| l + (h - l) / 2)
-                    .collect(),
-            }
-        };
+        let zone = net.node(token).unwrap().zones[0].split().unwrap().0;
         net.node_mut(token).unwrap().zones[0] = zone;
         let report = net.audit(AuditScope::Online);
         assert!(
@@ -148,6 +235,30 @@ mod tests {
                 .violated_invariants()
                 .contains(&"can/volume-conservation"),
             "{report}"
+        );
+    }
+
+    #[test]
+    fn a_dropped_table_entry_is_caught_at_both_ends() {
+        let mut net = net(40);
+        let token = net.tokens()[5];
+        let gone = net.neighbors_of(token)[0];
+        net.node_mut(token).unwrap().relink(Some(gone), None);
+        let online = net.audit(AuditScope::Online);
+        let nodes = |name: &str| -> Vec<u64> {
+            online
+                .violations()
+                .iter()
+                .filter(|v| v.invariant == name)
+                .map(|v| v.node)
+                .collect()
+        };
+        assert_eq!(nodes("can/neighbor-complete"), vec![token], "{online}");
+        assert_eq!(nodes("can/neighbor-table"), vec![gone], "{online}");
+        let full = net.audit(AuditScope::Full);
+        assert!(
+            full.violated_invariants().contains(&"can/neighbor-sweep"),
+            "{full}"
         );
     }
 }

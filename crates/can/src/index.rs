@@ -1,14 +1,12 @@
-//! Dyadic zone index: constant-ish-time point location and neighbour
-//! enumeration over the CAN tiling.
+//! Dyadic zone index: constant-ish-time point location and face sweeps
+//! over the CAN tiling.
 //!
-//! Every zone in the network is produced by repeatedly halving the full
-//! torus ([`Zone::split`] cuts the longest dimension, ties toward the
-//! lowest index), so the set of boxes that can ever exist forms one fixed
-//! binary-space partition: all zones after `k` splits are congruent, and
-//! a zone is uniquely identified by `(split depth, lower corner)`. The
-//! index keeps exactly one entry per *current* zone — keyed by that pair,
-//! valued by the owning token (`None` while the zone is crash-orphaned) —
-//! and answers two queries without touching the membership:
+//! Every zone in the network is a box of one fixed binary-space
+//! partition (see [`crate::zone`]), identified by `(split depth, lower
+//! corner)` — which is what a [`Zone`] stores. The index keeps exactly
+//! one entry per *current* zone, keyed by the zone, valued by the owning
+//! token (`None` while the zone is orphaned), and answers two queries
+//! without touching the membership:
 //!
 //! * [`ZoneIndex::locate`]: descend the partition from the root towards a
 //!   point, probing each depth's box, `O(depth)` hash lookups (depth ≤
@@ -23,80 +21,85 @@
 //! replace a parent with its two halves; departures only change owners),
 //! so `locate` finds the unique covering zone, and the face sweep finds a
 //! zone iff it touches the probed face and overlaps the zone's extent in
-//! every other dimension — precisely [`Zone::abuts`]. The equivalence is
-//! pinned against the scan formulations in `network.rs` tests.
+//! every other dimension — precisely [`Zone::abuts`]. Routing reads the
+//! nodes' stored neighbour tables instead; the sweep serves orphan zones
+//! (which have no owner's table) and the `Full` audit's recomputation.
+//! The equivalences are pinned against the scan formulations in
+//! `network.rs` tests.
 
-use crate::zone::Zone;
+use crate::zone::{Zone, MAX_DIMS};
+use dht_core::hash::splitmix64;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Owner-or-orphan of one zone: the adopting token, or `None` between a
 /// crash and the takeover stabilizer.
-type Slot = Option<u64>;
+pub(crate) type Slot = Option<u64>;
+
+/// One splitmix64 round per word written. Only splits insert keys, at
+/// points the network draws from its own allocator, so no caller can
+/// craft colliding ones; and a `locate` probes up to `dims · bits` of
+/// them, so SipHash's cost per probe is not worth paying.
+#[derive(Default)]
+struct ZoneHasher(u64);
+
+impl Hasher for ZoneHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = splitmix64(self.0 ^ x);
+    }
+}
+
+/// A non-wrapping box that need not be a zone of the partition: a face
+/// layer, or what is left of one.
+#[derive(Clone, Copy)]
+struct Region {
+    lo: [u64; MAX_DIMS],
+    hi: [u64; MAX_DIMS],
+}
 
 /// The index: one entry per current zone of the tiling.
 #[derive(Debug, Clone)]
 pub(crate) struct ZoneIndex {
-    dims: usize,
-    side: u64,
-    bits: u32,
-    /// `(split depth, packed lower corner)` → owner.
-    boxes: HashMap<(u8, u128), Slot>,
+    root: Zone,
+    boxes: HashMap<Zone, Slot, BuildHasherDefault<ZoneHasher>>,
 }
 
 impl ZoneIndex {
     /// An empty index over a `dims`-dimensional torus with side
-    /// `2^bits`. The packed-corner key needs `dims · bits ≤ 128`.
+    /// `2^bits` (the limits of [`Zone::full`]).
     pub(crate) fn new(dims: usize, bits: u32) -> Self {
-        assert!(
-            dims as u32 * bits <= 128,
-            "zone index requires dims * bits_per_dim <= 128"
-        );
         Self {
-            dims,
-            side: 1u64 << bits,
-            bits,
-            boxes: HashMap::new(),
+            root: Zone::full(dims, bits),
+            boxes: HashMap::default(),
         }
-    }
-
-    /// Packs a zone's lower corner into the key (bijective because every
-    /// coordinate is below `2^bits`).
-    fn key(&self, depth: u8, lo: &[u64]) -> (u8, u128) {
-        let mut packed = 0u128;
-        for (k, &c) in lo.iter().enumerate() {
-            packed |= u128::from(c) << (k as u32 * self.bits);
-        }
-        (depth, packed)
-    }
-
-    /// Split depth of `zone`: volume exactly halves per split, so the
-    /// depth is the log of its share of the full space.
-    fn depth_of(&self, zone: &Zone) -> u8 {
-        let full = u128::from(self.side).pow(self.dims as u32);
-        let ratio = full / zone.volume();
-        debug_assert!(ratio.is_power_of_two(), "zones come from halving");
-        ratio.trailing_zeros() as u8
     }
 
     /// Registers the founding zone (the full torus).
     pub(crate) fn insert_root(&mut self, owner: u64) {
-        let root = Zone::full(self.dims, self.side);
-        self.boxes.insert(self.key(0, &root.lo), Some(owner));
+        self.boxes.insert(self.root, Some(owner));
     }
 
     /// Replaces `parent` with its two halves.
-    pub(crate) fn split(&mut self, parent: &Zone, a: (&Zone, u64), b: (&Zone, u64)) {
-        let depth = self.depth_of(parent);
-        let removed = self.boxes.remove(&self.key(depth, &parent.lo));
+    pub(crate) fn split(&mut self, parent: Zone, a: (Zone, u64), b: (Zone, u64)) {
+        let removed = self.boxes.remove(&parent);
         debug_assert!(removed.is_some(), "split of an unindexed zone");
-        self.boxes.insert(self.key(depth + 1, &a.0.lo), Some(a.1));
-        self.boxes.insert(self.key(depth + 1, &b.0.lo), Some(b.1));
+        self.boxes.insert(a.0, Some(a.1));
+        self.boxes.insert(b.0, Some(b.1));
     }
 
     /// Reassigns a zone's owner (`None` orphans it).
-    pub(crate) fn set_owner(&mut self, zone: &Zone, owner: Slot) {
-        let key = self.key(self.depth_of(zone), &zone.lo);
-        let slot = self.boxes.get_mut(&key).expect("zone is indexed");
+    pub(crate) fn set_owner(&mut self, zone: Zone, owner: Slot) {
+        let slot = self.boxes.get_mut(&zone).expect("zone is indexed");
         *slot = owner;
     }
 
@@ -105,23 +108,16 @@ impl ZoneIndex {
     /// is found. The entries always tile the torus, so this cannot miss
     /// for in-range points.
     pub(crate) fn locate(&self, p: &[u64]) -> (Zone, Slot) {
-        let mut cursor = Zone::full(self.dims, self.side);
-        let mut depth = 0u8;
+        let mut cursor = self.root;
         loop {
-            if let Some(&slot) = self.boxes.get(&self.key(depth, &cursor.lo)) {
+            if let Some(&slot) = self.boxes.get(&cursor) {
                 return (cursor, slot);
             }
-            // The half of `Zone::split` that contains `p`, in place: the
-            // cursor contains `p`, so only the split dimension decides.
-            let k = cursor.longest_dim();
-            let mid = cursor.lo[k] + (cursor.hi[k] - cursor.lo[k]) / 2;
-            assert!(mid > cursor.lo[k], "no index entry above a unit box");
-            if p[k] < mid {
-                cursor.hi[k] = mid;
-            } else {
-                cursor.lo[k] = mid;
-            }
-            depth += 1;
+            // The cursor contains `p`, so only the split dimension
+            // decides which half does.
+            let k = cursor.split_dim();
+            let (lower, upper) = cursor.split().expect("no index entry above a unit box");
+            cursor = if p[k] < upper.lo(k) { lower } else { upper };
         }
     }
 
@@ -129,7 +125,17 @@ impl ZoneIndex {
     /// [`Zone::abuts`] sense, torus wrap included) to `out`. Owners are
     /// *not* deduplicated, and orphaned zones contribute `None`.
     pub(crate) fn face_owners(&self, zone: &Zone, out: &mut Vec<Slot>) {
-        for k in 0..self.dims {
+        let dims = zone.dims();
+        let side = zone.side();
+        let mut extent = Region {
+            lo: [0; MAX_DIMS],
+            hi: [0; MAX_DIMS],
+        };
+        for k in 0..dims {
+            extent.lo[k] = zone.lo(k);
+            extent.hi[k] = zone.hi(k);
+        }
+        for k in 0..dims {
             // One-cell-thick layers just outside the two faces of
             // dimension k, wrapped across the seam; each spans the zone's
             // own (half-open) extent in every other dimension, which is
@@ -138,38 +144,30 @@ impl ZoneIndex {
             // itself and contribute only its own owner, which callers
             // filter — consistent with the scan, where full-span
             // dimensions can never be the touching dimension.
-            let coords = [
-                zone.hi[k] % self.side,
-                (zone.lo[k] + self.side - 1) % self.side,
-            ];
-            for c in coords {
-                let mut region = zone.clone();
-                region.lo[k] = c;
-                region.hi[k] = c + 1;
-                self.cover(region, out);
+            for c in [extent.hi[k] % side, (extent.lo[k] + side - 1) % side] {
+                let mut layer = extent;
+                layer.lo[k] = c;
+                layer.hi[k] = c + 1;
+                self.cover(layer, dims, out);
             }
         }
     }
 
-    /// Covers `region` (a non-wrapping box) with located zones,
-    /// appending each one's owner: locate the zone at the region's lower
-    /// corner, subtract it, and recurse on the guillotine remainders.
-    fn cover(&self, region: Zone, out: &mut Vec<Slot>) {
-        let mut stack = vec![region];
-        while let Some(mut r) = stack.pop() {
-            let (zone, slot) = self.locate(&r.lo);
-            out.push(slot);
-            // The located zone contains r.lo, so its intersection with r
-            // is anchored at r.lo; carve the remainder one axis at a
-            // time.
-            for k in 0..self.dims {
-                let cut = zone.hi[k].min(r.hi[k]);
-                if cut < r.hi[k] {
-                    let mut rem = r.clone();
-                    rem.lo[k] = cut;
-                    stack.push(rem);
-                    r.hi[k] = cut;
-                }
+    /// Covers `region` with located zones, appending each one's owner:
+    /// locate the zone at the region's lower corner, then cover the
+    /// guillotine remainders one axis at a time.
+    fn cover(&self, mut region: Region, dims: usize, out: &mut Vec<Slot>) {
+        let (zone, slot) = self.locate(&region.lo[..dims]);
+        out.push(slot);
+        // The located zone contains the lower corner, so its
+        // intersection with the region is anchored there.
+        for k in 0..dims {
+            let cut = zone.hi(k).min(region.hi[k]);
+            if cut < region.hi[k] {
+                let mut rest = region;
+                rest.lo[k] = cut;
+                self.cover(rest, dims, out);
+                region.hi[k] = cut;
             }
         }
     }
@@ -182,7 +180,7 @@ impl ZoneIndex {
     /// is diffed across `--jobs` values in CI).
     pub(crate) fn heap_bytes(&self) -> usize {
         let slots = (self.boxes.len() * 8).div_ceil(7);
-        slots * (std::mem::size_of::<((u8, u128), Slot)>() + std::mem::size_of::<u64>())
+        slots * (std::mem::size_of::<(Zone, Slot)>() + std::mem::size_of::<u64>())
     }
 }
 
@@ -194,12 +192,12 @@ mod tests {
     fn locate_descends_to_split_zones() {
         let mut idx = ZoneIndex::new(2, 4);
         idx.insert_root(7);
-        let root = Zone::full(2, 16);
+        let root = Zone::full(2, 4);
         let (lower, upper) = root.split().unwrap();
-        idx.split(&root, (&lower, 7), (&upper, 9));
+        idx.split(root, (lower, 7), (upper, 9));
         assert_eq!(idx.locate(&[0, 0]).1, Some(7));
         assert_eq!(idx.locate(&[8, 0]).1, Some(9));
-        idx.set_owner(&upper, None);
+        idx.set_owner(upper, None);
         assert_eq!(idx.locate(&[15, 15]).1, None);
     }
 
@@ -207,9 +205,9 @@ mod tests {
     fn face_owners_sees_both_sides_and_wrap() {
         let mut idx = ZoneIndex::new(1, 4);
         idx.insert_root(1);
-        let root = Zone::full(1, 16);
+        let root = Zone::full(1, 4);
         let (a, b) = root.split().unwrap();
-        idx.split(&root, (&a, 1), (&b, 2));
+        idx.split(root, (a, 1), (b, 2));
         let mut out = Vec::new();
         idx.face_owners(&a, &mut out);
         // b abuts a across the interior cut and across the torus seam.

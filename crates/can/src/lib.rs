@@ -12,6 +12,13 @@
 //! leaves hand the zone to the smallest neighbour (which may then own
 //! several boxes, as in real CAN before defragmentation); crashes orphan
 //! the zone until the stabilizer's takeover reassigns it.
+//!
+//! Each node stores its neighbour table, the `O(d)` routing entries
+//! Table 1 charges CAN for, and every zone handover updates the tables of
+//! the few nodes involved, so a hop reads stored tokens. A [`Zone`] is a
+//! `Copy` value, split depth plus packed lower corner, and doubles as the
+//! key of the dyadic zone index. That index locates points and finds the
+//! neighbours of orphan zones, which have no owner's table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,7 @@
 //! The simulated CAN: membership, zone splitting/takeover, greedy torus
 //! routing, and stabilization.
 
-use crate::index::ZoneIndex;
+use crate::index::{Slot, ZoneIndex};
 use crate::zone::{Point, Zone};
 use dht_core::hash::{reduce, splitmix64};
 use dht_core::lookup::{HopPhase, LookupTrace};
@@ -38,14 +38,19 @@ impl CanConfig {
     }
 }
 
-/// One CAN node: a token plus the zones it currently owns (one after a
-/// plain join; several after takeovers).
+/// One CAN node: a token, the zones it currently owns (one after a plain
+/// join; several after takeovers), and its neighbour table.
 #[derive(Debug, Clone)]
 pub struct CanNode {
     /// Opaque node token.
     pub token: u64,
-    /// Owned zones (disjoint boxes).
-    pub zones: Vec<Zone>,
+    /// Owned zones (disjoint boxes), without spare capacity.
+    pub zones: Box<[Zone]>,
+    /// The routing table Table 1 charges CAN for: the live nodes owning
+    /// a zone that abuts one of `zones`, ascending, without repeats or
+    /// spare capacity. Kept equal to the tiling's adjacency at every
+    /// zone handover, so routing never re-derives it.
+    pub(crate) neighbors: Box<[u64]>,
 }
 
 impl CanNode {
@@ -54,6 +59,48 @@ impl CanNode {
     pub fn volume(&self) -> u128 {
         self.zones.iter().map(Zone::volume).sum()
     }
+
+    /// Replaces the table with `table`, sorted and deduplicated.
+    fn set_table(&mut self, mut table: Vec<u64>) {
+        table.sort_unstable();
+        table.dedup();
+        self.neighbors = table.into_boxed_slice();
+    }
+
+    /// Drops `gone` from the table and adds `new`, each only if that
+    /// changes the table. A swap is made in place; a change of length
+    /// rebuilds the table at its exact size.
+    pub(crate) fn relink(&mut self, gone: Option<u64>, new: Option<u64>) {
+        let n = &self.neighbors;
+        let gone = gone.and_then(|t| n.binary_search(&t).ok());
+        let new = new.and_then(|t| n.binary_search(&t).err().map(|i| (i, t)));
+        self.neighbors = match (gone, new) {
+            (None, None) => return,
+            (Some(i), Some((_, t))) => {
+                self.neighbors[i] = t;
+                self.neighbors.sort_unstable();
+                return;
+            }
+            (Some(i), None) => [&n[..i], &n[i + 1..]].concat(),
+            (None, Some((i, t))) => [&n[..i], &[t], &n[i..]].concat(),
+        }
+        .into_boxed_slice();
+    }
+}
+
+/// `true` iff some zone of `a` abuts some zone of `b`.
+pub(crate) fn abut(a: &[Zone], b: &[Zone]) -> bool {
+    a.iter().any(|x| b.iter().any(|y| x.abuts(y)))
+}
+
+/// Minimum torus distance from any of `zones` to `point` (`u64::MAX`
+/// for none).
+fn zone_dist(zones: &[Zone], point: &[u64]) -> u64 {
+    zones
+        .iter()
+        .map(|z| z.torus_distance(point))
+        .min()
+        .unwrap_or(u64::MAX)
 }
 
 /// The walk state of one CAN lookup: the target point on the torus.
@@ -70,9 +117,10 @@ pub struct CanNetwork {
     pub(crate) members: Membership<CanNode>,
     /// Zones whose owner crashed, awaiting takeover by the stabilizer.
     pub(crate) orphans: Vec<Zone>,
-    /// Dyadic index of the current tiling: point location and neighbour
-    /// sweeps in `O(depth)` instead of a full membership scan. Mirrors
-    /// the zone lists exactly on every protocol transition; the
+    /// Dyadic index of the current tiling: point location, and the face
+    /// sweeps that find an orphan zone's neighbours, in `O(depth)`
+    /// instead of a full membership scan. Mirrors the zone lists exactly
+    /// on every protocol transition; the
     /// `index_matches_membership_scans_under_churn` test pins the
     /// equivalence against the original scan formulations.
     pub(crate) index: ZoneIndex,
@@ -87,7 +135,8 @@ impl CanNetwork {
         let token = members.next_raw();
         let founder = CanNode {
             token,
-            zones: vec![Zone::full(config.dims, config.side())],
+            zones: Box::new([Zone::full(config.dims, config.bits_per_dim)]),
+            neighbors: Box::default(),
         };
         members.insert(token, founder);
         let mut index = ZoneIndex::new(config.dims, config.bits_per_dim);
@@ -178,12 +227,19 @@ impl CanNetwork {
     }
 
     /// Tokens of the nodes whose zones abut any of `token`'s zones, in
-    /// ascending token order.
+    /// ascending token order: the node's stored table (empty for a
+    /// departed token).
     #[must_use]
-    pub fn neighbors_of(&self, token: u64) -> Vec<u64> {
-        let me = match self.members.get(token) {
-            Some(n) => n,
-            None => return Vec::new(),
+    pub fn neighbors_of(&self, token: u64) -> &[u64] {
+        self.members.get(token).map_or(&[], |n| &n.neighbors)
+    }
+
+    /// The same set recomputed from the tiling by face sweeps of the
+    /// zone index — the independent side of the `Full` audit's
+    /// `can/neighbor-sweep` check.
+    pub(crate) fn sweep_neighbors(&self, token: u64) -> Vec<u64> {
+        let Some(me) = self.members.get(token) else {
+            return Vec::new();
         };
         let mut slots = Vec::new();
         for zone in &me.zones {
@@ -211,62 +267,102 @@ impl CanNetwork {
     }
 
     /// Protocol join at an explicit point.
+    ///
+    /// Only the splitting owner's table changes shape: the newcomer's
+    /// half lies inside the parent zone, so every zone abutting it
+    /// abutted the parent, and its owner is already in the owner's
+    /// table. Each of those neighbours is checked against both halves.
     pub fn join_at(&mut self, point: &[u64]) -> Option<u64> {
-        let owner = self.owner_of_point(point)?;
+        let (parent, owner) = self.index.locate(point);
+        let owner = owner?;
+        let (lower, upper) = parent.split()?;
+        let (newcomer_zone, keeper_zone) = if lower.contains(point) {
+            (lower, upper)
+        } else {
+            (upper, lower)
+        };
+        let token = self.members.next_raw();
         let owner_node = self.members.get_mut(owner).expect("owner is live");
         let zone_idx = owner_node
             .zones
             .iter()
-            .position(|z| z.contains(point))
-            .expect("owner contains the point");
-        let parent = owner_node.zones[zone_idx].clone();
-        let (lower, upper) = parent.split()?;
-        let newcomer_zone = if lower.contains(point) {
-            lower.clone()
-        } else {
-            upper.clone()
-        };
-        let keeper_zone = if lower.contains(point) { upper } else { lower };
-        owner_node.zones[zone_idx] = keeper_zone.clone();
-        let token = self.members.next_raw();
-        self.members.insert(
+            .position(|z| *z == parent)
+            .expect("owner holds the located zone");
+        owner_node.zones[zone_idx] = keeper_zone;
+        let old = std::mem::take(&mut owner_node.neighbors);
+        let mut owner_table = Vec::with_capacity(old.len() + 1);
+        let mut newcomer_table = Vec::with_capacity(old.len() + 1);
+        owner_table.push(token);
+        newcomer_table.push(owner);
+        for &y in old.iter() {
+            let y_zones = &self.members.get(y).expect("neighbours are live").zones;
+            let to_newcomer = y_zones.iter().any(|z| z.abuts(&newcomer_zone));
+            let to_owner = abut(y_zones, &self.members.get(owner).expect("live").zones);
+            if to_newcomer {
+                newcomer_table.push(y);
+            }
+            if to_owner {
+                owner_table.push(y);
+            }
+            self.members
+                .get_mut(y)
+                .expect("live")
+                .relink((!to_owner).then_some(owner), to_newcomer.then_some(token));
+        }
+        self.members
+            .get_mut(owner)
+            .expect("live")
+            .set_table(owner_table);
+        let mut newcomer = CanNode {
             token,
-            CanNode {
-                token,
-                zones: vec![newcomer_zone.clone()],
-            },
-        );
+            zones: Box::new([newcomer_zone]),
+            neighbors: Box::default(),
+        };
+        newcomer.set_table(newcomer_table);
+        self.members.insert(token, newcomer);
         self.index
-            .split(&parent, (&keeper_zone, owner), (&newcomer_zone, token));
+            .split(parent, (keeper_zone, owner), (newcomer_zone, token));
         Some(token)
     }
 
     /// Graceful departure: the leaver hands all its zones to its
     /// smallest-volume neighbour (real CAN's takeover, without the later
-    /// defragmentation — the successor may own several boxes).
+    /// defragmentation — the successor may own several boxes), and the
+    /// heir takes the leaver's place in every neighbour's table.
     pub fn leave(&mut self, token: u64) -> bool {
         if !self.is_live(token) || self.members.len() == 1 {
             return false;
         }
-        let heirs = self.neighbors_of(token);
-        let node = self.members.remove(token).expect("checked live");
-        let heir = heirs
-            .into_iter()
-            .filter(|t| self.is_live(*t))
+        let heir = self
+            .neighbors_of(token)
+            .iter()
+            .copied()
             .min_by_key(|&t| (self.members.get(t).expect("live").volume(), t));
+        let node = self.members.remove(token).expect("checked live");
+        for &y in node.neighbors.iter().filter(|&&y| Some(y) != heir) {
+            self.members
+                .get_mut(y)
+                .expect("neighbours are live")
+                .relink(Some(token), heir);
+        }
         match heir {
             Some(h) => {
-                for zone in &node.zones {
+                for &zone in &node.zones {
                     self.index.set_owner(zone, Some(h));
                 }
-                self.members
-                    .get_mut(h)
-                    .expect("heir is live")
-                    .zones
-                    .extend(node.zones);
+                let heir = self.members.get_mut(h).expect("heir is live");
+                let table = heir
+                    .neighbors
+                    .iter()
+                    .chain(node.neighbors.iter())
+                    .copied()
+                    .filter(|&t| t != token && t != h)
+                    .collect();
+                heir.set_table(table);
+                heir.zones = [&heir.zones[..], &node.zones[..]].concat().into();
             }
             None => {
-                for zone in &node.zones {
+                for &zone in &node.zones {
                     self.index.set_owner(zone, None);
                 }
                 self.orphans.extend(node.zones);
@@ -281,8 +377,14 @@ impl CanNetwork {
             return false;
         }
         let node = self.members.remove(token).expect("checked live");
-        for zone in &node.zones {
+        for &zone in &node.zones {
             self.index.set_owner(zone, None);
+        }
+        for &y in node.neighbors.iter() {
+            self.members
+                .get_mut(y)
+                .expect("neighbours are live")
+                .relink(Some(token), None);
         }
         self.orphans.extend(node.zones);
         true
@@ -308,35 +410,35 @@ impl CanNetwork {
                 .min_by_key(|&t| (self.members.get(t).expect("live").volume(), t))
                 .or_else(|| self.members.first_token());
             match adopter {
-                Some(t) => {
-                    self.index.set_owner(&zone, Some(t));
-                    self.members.get_mut(t).expect("live").zones.push(zone);
-                }
+                Some(t) => self.adopt(t, zone, &slots),
                 None => self.orphans.push(zone), // empty network
             }
         }
     }
 
-    /// Minimum torus distance from any of `token`'s zones to `point`.
-    fn zone_dist(&self, token: u64, point: &[u64]) -> u64 {
-        let side = self.config.side();
-        self.members
-            .get(token)
-            .map(|n| {
-                n.zones
-                    .iter()
-                    .map(|z| z.torus_distance(point, side))
-                    .min()
-                    .unwrap_or(u64::MAX)
-            })
-            .unwrap_or(u64::MAX)
+    /// `token` adopts the orphan `zone`, whose abutting zones' owners are
+    /// `owners` (a face sweep of it): the index, the zone list, and both
+    /// ends of every new adjacency.
+    pub(crate) fn adopt(&mut self, token: u64, zone: Zone, owners: &[Slot]) {
+        self.index.set_owner(zone, Some(token));
+        let mut table = self.neighbors_of(token).to_vec();
+        for &y in owners.iter().flatten().filter(|&&y| y != token) {
+            table.push(y);
+            self.members
+                .get_mut(y)
+                .expect("owners are live")
+                .relink(None, Some(token));
+        }
+        let node = self.members.get_mut(token).expect("adopter is live");
+        node.set_table(table);
+        node.zones = [&node.zones[..], &[zone]].concat().into();
     }
 
     /// One lookup from `src` towards the point of `raw_key`: greedy
     /// forwarding to the neighbour whose zone is torus-closest to the
     /// target. All hops are tagged [`HopPhase::Finger`] (geometric
-    /// forwarding has a single phase). Zone handover repairs adjacency
-    /// eagerly, so lookups never time out.
+    /// forwarding has a single phase). Zone handover repairs the
+    /// neighbour tables eagerly, so lookups never time out.
     pub fn route(&mut self, src: u64, raw_key: u64) -> LookupTrace {
         let point = self.point_of(raw_key);
         walk_from(self, src, CanWalk { point }, None, true)
@@ -426,14 +528,20 @@ impl SimOverlay for CanNetwork {
         walk: &mut CanWalk,
         out: &mut Vec<(HopPhase, NodeToken)>,
     ) -> StepDecision {
-        let cur_dist = self.zone_dist(cur, &walk.point);
+        let Some(node) = self.members.get(cur) else {
+            return StepDecision::Forward;
+        };
+        let cur_dist = zone_dist(&node.zones, &walk.point);
         if cur_dist == 0 {
             return StepDecision::Terminate;
         }
-        let next = self
-            .neighbors_of(cur)
-            .into_iter()
-            .map(|t| (self.zone_dist(t, &walk.point), t))
+        let next = node
+            .neighbors
+            .iter()
+            .map(|&t| {
+                let zones = self.members.get(t).map_or(&[][..], |n| &n.zones);
+                (zone_dist(zones, &walk.point), t)
+            })
             .filter(|&(d, _)| d < cur_dist)
             .min();
         // No closer neighbour is a local minimum: the target zone is
@@ -473,24 +581,13 @@ impl SimOverlay for CanNetwork {
     }
 
     fn state_heap_bytes(&self, state: &CanNode) -> usize {
-        // Zone list plus each zone's coordinate vectors.
-        state.zones.capacity() * std::mem::size_of::<Zone>()
-            + state
-                .zones
-                .iter()
-                .map(|z| (z.lo.capacity() + z.hi.capacity()) * std::mem::size_of::<u64>())
-                .sum::<usize>()
+        // Zone list plus the neighbour table.
+        std::mem::size_of_val(&*state.zones) + std::mem::size_of_val(&*state.neighbors)
     }
 
     fn aux_bytes(&self) -> usize {
         // The dyadic zone index plus the orphan list.
-        self.index.heap_bytes()
-            + self.orphans.capacity() * std::mem::size_of::<Zone>()
-            + self
-                .orphans
-                .iter()
-                .map(|z| (z.lo.capacity() + z.hi.capacity()) * std::mem::size_of::<u64>())
-                .sum::<usize>()
+        self.index.heap_bytes() + self.orphans.capacity() * std::mem::size_of::<Zone>()
     }
 
     fn audit_network(&self, scope: dht_core::audit::AuditScope) -> dht_core::audit::AuditReport {
@@ -514,6 +611,7 @@ mod tests {
     use super::*;
     use dht_core::lookup::LookupOutcome;
     use dht_core::rng::stream;
+    use proptest::prelude::*;
     use rand::Rng;
 
     #[test]
@@ -618,7 +716,6 @@ mod tests {
     /// The original O(n²)-ish membership-scan formulation of
     /// [`CanNetwork::neighbors_of`], sorted for comparison.
     fn scan_neighbors(net: &CanNetwork, token: u64) -> Vec<u64> {
-        let side = net.config.side();
         let me = match net.members.get(token) {
             Some(n) => n,
             None => return Vec::new(),
@@ -626,52 +723,105 @@ mod tests {
         let mut nbrs: Vec<u64> = net
             .members
             .iter()
-            .filter(|&(other, _)| other != token)
-            .filter(|(_, on)| {
-                me.zones
-                    .iter()
-                    .any(|a| on.zones.iter().any(|b| a.abuts(b, side)))
-            })
+            .filter(|&(other, on)| other != token && abut(&me.zones, &on.zones))
             .map(|(other, _)| other)
             .collect();
         nbrs.sort_unstable();
         nbrs
     }
 
-    #[test]
-    fn index_matches_membership_scans_under_churn() {
-        for dims in [1usize, 2, 3] {
-            let mut net = CanNetwork::with_nodes(CanConfig::new(dims), 40, 21 + dims as u64);
-            let mut rng = stream(22, "canidx");
-            for step in 0..60 {
-                match step % 4 {
-                    0 => {
-                        net.join_random_point();
-                    }
-                    1 if net.node_count() > 2 => {
-                        let toks = net.tokens();
-                        net.leave(toks[rng.gen::<usize>() % toks.len()]);
-                    }
-                    2 if net.node_count() > 2 => {
-                        let toks = net.tokens();
-                        net.fail_node(toks[rng.gen::<usize>() % toks.len()]);
-                    }
-                    _ => net.stabilize_takeover(),
-                }
-                for &t in &net.tokens() {
-                    assert_eq!(
-                        net.neighbors_of(t),
-                        scan_neighbors(&net, t),
-                        "dims {dims} step {step} token {t}"
-                    );
-                }
-                for probe in 0..16u64 {
-                    let p = net.point_of(rng.gen::<u64>() ^ probe);
-                    assert_eq!(
-                        net.owner_of_point(&p),
-                        scan_owner_of_point(&net, &p),
-                        "dims {dims} step {step} point {p:?}"
-                    );
+    /// One protocol transition of a churn script; indices pick a live
+    /// node modulo the population.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Join,
+        Leave(usize),
+        Fail(usize),
+        Takeover,
+        Corrupt(u64),
+        Repair(usize),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        (0u8..11, any::<u64>()).prop_map(|(op, x)| match op {
+            0..=2 => Step::Join,
+            3 | 4 => Step::Leave(x as usize),
+            5 | 6 => Step::Fail(x as usize),
+            7 => Step::Takeover,
+            8 => Step::Corrupt(x),
+            _ => Step::Repair(x as usize),
+        })
+    }
+
+    fn apply(net: &mut CanNetwork, step: &Step) {
+        use dht_core::corrupt::{CorruptionPlan, CorruptionStrategy};
+        let toks = net.tokens();
+        let pick = |i: usize| toks[i % toks.len()];
+        match *step {
+            Step::Join => {
+                net.join_random_point();
+            }
+            Step::Leave(i) => {
+                net.leave(pick(i));
+            }
+            Step::Fail(i) => {
+                net.fail_node(pick(i));
+            }
+            Step::Takeover => net.stabilize_takeover(),
+            Step::Corrupt(seed) => {
+                let all = CorruptionStrategy::ALL;
+                let strategy = all[(seed % all.len() as u64) as usize];
+                net.corrupt(&CorruptionPlan::new(strategy, 0.15, seed));
+            }
+            Step::Repair(i) => {
+                net.repair_one(pick(i));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// After every step of a join / leave / fail / takeover /
+        /// corrupt / repair script, each live node's stored table equals
+        /// both the face sweep and the membership scan, the `Online`
+        /// audit's table invariants are clean exactly when they do, and
+        /// the index locates points like the scan.
+        #[test]
+        fn index_matches_membership_scans_under_churn(
+            dims in 1usize..=3,
+            seed in any::<u64>(),
+            script in proptest::collection::vec(step(), 1..40),
+        ) {
+            use dht_core::audit::{AuditScope, StateAudit};
+            let mut net = CanNetwork::with_nodes(CanConfig::new(dims), 24, seed);
+            let mut rng = stream(seed, "canidx");
+            for (i, step) in script.iter().enumerate() {
+                apply(&mut net, step);
+                let disagree: Vec<u64> = net
+                    .tokens()
+                    .into_iter()
+                    .filter(|&t| {
+                        let table = net.neighbors_of(t);
+                        table != net.sweep_neighbors(t) || table != scan_neighbors(&net, t)
+                    })
+                    .collect();
+                let report = net.audit(AuditScope::Online);
+                let flagged: Vec<_> = report
+                    .violations()
+                    .iter()
+                    .filter(|v| matches!(v.invariant, "can/neighbor-table" | "can/neighbor-complete"))
+                    .collect();
+                prop_assert_eq!(
+                    disagree.is_empty(),
+                    flagged.is_empty(),
+                    "step {} {:?}: tables disagree at {:?}; Online audit flags {:?}",
+                    i, step, disagree, flagged
+                );
+                prop_assert!(disagree.is_empty(), "step {} {:?}: tables disagree at {:?}", i, step, disagree);
+                for _ in 0..8 {
+                    let p = net.point_of(rng.gen());
+                    prop_assert_eq!(net.owner_of_point(&p), scan_owner_of_point(&net, &p));
                 }
             }
         }
@@ -681,7 +831,7 @@ mod tests {
     fn neighbors_are_symmetric() {
         let net = CanNetwork::with_nodes(CanConfig::new(2), 40, 10);
         for &t in &net.tokens() {
-            for nb in net.neighbors_of(t) {
+            for &nb in net.neighbors_of(t) {
                 assert!(
                     net.neighbors_of(nb).contains(&t),
                     "adjacency must be symmetric"

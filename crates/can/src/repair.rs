@@ -1,13 +1,16 @@
 //! Corruption and self-stabilizing repair of CAN zone ownership.
 //!
-//! CAN has no per-node routing table to scramble: neighbour lists are
-//! derived from the tiling on demand, so *zone ownership is the routing
-//! state*. Every strategy of the shared catalogue therefore maps to the
-//! one damage CAN can suffer — a node's zones become ownerless orphans
-//! (exactly the post-crash state of [`CanNetwork::fail_node`], except
-//! the node stays live and zoneless). Strategies still differ through
-//! the plan's victim selection: `EclipseRegion` orphans a contiguous
-//! token range, the rest a seeded uniform sample.
+//! A CAN node's neighbour table follows its zone ownership: every
+//! handover updates both ends of each adjacency it creates or ends. So
+//! corruption still attacks ownership, not the table. Every strategy of
+//! the shared catalogue maps to one damage: a node's zones become
+//! ownerless orphans. That is exactly the post-crash state of
+//! [`CanNetwork::fail_node`], except that the node stays live and
+//! zoneless, and its table empties with its zones. Strategies still
+//! differ through the plan's victim selection: `EclipseRegion` orphans a
+//! contiguous token range, the rest a seeded uniform sample. Scrambling
+//! the table itself is left to the arbitrary-state generator of ROADMAP
+//! item 3.
 //!
 //! Repair is per-node takeover with two extra duties the global
 //! [`CanNetwork::stabilize_takeover`] does not have:
@@ -27,17 +30,25 @@ use crate::network::CanNetwork;
 
 impl CanNetwork {
     /// Applies a seeded corruption plan (see [`dht_core::corrupt`]):
-    /// every victim's zones are orphaned while the victim stays live.
-    /// Mutated entries count the zones torn from their owners.
+    /// every victim's zones are orphaned while the victim stays live, and
+    /// it leaves its neighbours' tables along with its own. Mutated
+    /// entries count the zones torn from their owners.
     pub fn corrupt(&mut self, plan: &CorruptionPlan) -> CorruptionReport {
         let live = self.tokens();
         let victims = plan.victims(&live);
         let mut report = CorruptionReport::default();
         for &token in &victims {
-            let zones =
-                std::mem::take(&mut self.members.get_mut(token).expect("victim is live").zones);
-            for zone in &zones {
+            let node = self.members.get_mut(token).expect("victim is live");
+            let zones = std::mem::take(&mut node.zones);
+            let table = std::mem::take(&mut node.neighbors);
+            for &zone in &zones {
                 self.index.set_owner(zone, None);
+            }
+            for &y in table.iter() {
+                self.members
+                    .get_mut(y)
+                    .expect("neighbours are live")
+                    .relink(Some(token), None);
             }
             report.note(zones.len() as u64);
             self.orphans.extend(zones);
@@ -53,30 +64,33 @@ impl CanNetwork {
     /// zoneless nodes unrepairable forever (corruption guarantees the
     /// pool starts at least as large as the zoneless population, and
     /// both repair moves preserve that inequality). Returns the number
-    /// of zones adopted (0 on a healthy network); ignores dead tokens.
+    /// of zones adopted (0 on a healthy network, which costs one
+    /// membership probe); ignores dead tokens.
     pub fn repair_one(&mut self, token: u64) -> u64 {
-        if !self.is_live(token) {
+        let Some(node) = self.node(token) else {
             return 0;
-        }
+        };
         let mut adopted = 0u64;
-        if self.node(token).expect("live").zones.is_empty() {
+        let mut slots = Vec::new();
+        if node.zones.is_empty() {
             if let Some(zone) = self.orphans.pop() {
-                self.index.set_owner(&zone, Some(token));
-                self.members.get_mut(token).expect("live").zones.push(zone);
+                self.index.face_owners(&zone, &mut slots);
+                self.adopt(token, zone, &slots);
                 adopted += 1;
             }
         }
+        if self.orphans.is_empty() {
+            return adopted;
+        }
         let reserved = self.members.states().filter(|n| n.zones.is_empty()).count();
-        let mut slots = Vec::new();
         let mut i = 0;
         while self.orphans.len() > reserved && i < self.orphans.len() {
-            let zone = self.orphans[i].clone();
+            let zone = self.orphans[i];
             slots.clear();
             self.index.face_owners(&zone, &mut slots);
-            if slots.iter().copied().flatten().any(|t| t == token) {
+            if slots.contains(&Some(token)) {
                 self.orphans.swap_remove(i);
-                self.index.set_owner(&zone, Some(token));
-                self.members.get_mut(token).expect("live").zones.push(zone);
+                self.adopt(token, zone, &slots);
                 adopted += 1;
                 i = 0; // new faces: earlier orphans may now abut us
             } else {

@@ -62,16 +62,20 @@ proptest! {
     }
 
     #[test]
-    fn split_preserves_containment(lo in 0u64..100, sx in 2u64..64, sy in 2u64..64, px in 0u64..64, py in 0u64..64) {
-        let zone = Zone {
-            lo: vec![lo, lo],
-            hi: vec![lo + sx, lo + sy],
-        };
-        let p = vec![lo + px % sx, lo + py % sy];
+    fn split_preserves_containment(depth in 0u32..=12, px in 0u64..64, py in 0u64..64) {
+        // The zone of the partition at `depth` that holds `p`.
+        let p = vec![px, py];
+        let mut zone = Zone::full(2, 6);
+        for _ in 0..depth {
+            let (a, b) = zone.split().unwrap();
+            zone = if a.contains(&p) { a } else { b };
+        }
         prop_assert!(zone.contains(&p));
         if let Some((a, b)) = zone.split() {
             prop_assert!(a.contains(&p) ^ b.contains(&p));
             prop_assert_eq!(a.volume() + b.volume(), zone.volume());
+        } else {
+            prop_assert_eq!(zone.volume(), 1);
         }
     }
 

@@ -19,6 +19,9 @@
 # after naming, per seed, each sim metric that differs with both values
 # (`bytes_per_node 302.43 -> 297.9`) and whether the fingerprint does, so
 # a declared move of one sim metric reads apart from an undeclared one.
+# After the host metrics, per kind of the runs' kind table: the median of
+# each side and their ratio for lookup/s, cycles/s, audit n/s and B/node,
+# so a geomean that moved names the kind that moved it.
 # Every run's full output stays in bench-out/pairs/<side>-<seed>.out.
 set -eu
 [ $# -ge 2 ] || {
@@ -86,6 +89,18 @@ function summary(side, m,    v, n, s, j, k, t) {
 function spread(side, m) {
     return sprintf("%s iqr %.4g %s", side, iqr[side], iqr[side] <= bound[m] * med["parent"] ? "ok" : "OVER")
 }
+# Median over the seeds of column c in the row of kind k on one side, skipping
+# "-" cells; "" if every cell is "-".
+function kmedian(side, k, c,    v, n, s, x, j, i, t) {
+    n = 0
+    for (s = 1; s <= seeds; s++) {
+        x = kv[side, k, c, seed[s]]
+        if (x != "" && x != "-") v[++n] = x + 0
+    }
+    if (n == 0) return ""
+    for (j = 2; j <= n; j++) { t = v[j]; for (i = j - 1; i >= 1 && v[i] > t; i--) v[i + 1] = v[i]; v[i + 1] = t }
+    return quantile(v, n, 0.5)
+}
 function values(side, m,    s, line) {
     line = ""
     for (s = 1; s <= seeds; s++) line = line sprintf(" %.6g", val[side, m, seed[s]])
@@ -104,6 +119,18 @@ FNR == 1 {
     side = FILENAME; sub(/.*\//, "", side); sub(/\.out$/, "", side)
     sd = side; sub(/.*-/, "", sd); sub(/-.*/, "", side)
     if (!(sd in seen)) { seen[sd] = 1; seed[++seeds] = sd }
+    intable = 0
+}
+# The kind table: a "kind build_s lookup/s ..." header, then one row per
+# kind up to the first blank line. The p99 cell may hold a space, so
+# B/node is counted from the end.
+$1 == "kind" && $2 == "build_s" { intable = 1; next }
+NF == 0 { intable = 0 }
+intable && $1 !~ /:$/ {
+    if (!($1 in kseen)) { kseen[$1] = 1; kind[++kinds] = $1 }
+    kv[side, $1, "lookup/s", sd] = $3; kv[side, $1, "cycles/s", sd] = $7
+    kv[side, $1, "audit n/s", sd] = $8; kv[side, $1, "B/node", sd] = $(NF - 2)
+    next
 }
 # "<name> <value> <unit> host|sim higher|lower"
 NF == 5 && ($4 == "host" || $4 == "sim") && ($5 == "higher" || $5 == "lower") {
@@ -135,6 +162,14 @@ END {
                 bound[m] * med["parent"], spread("parent", m), spread("change", m), med["change"] / med["parent"], (clear ? "yes" : "no")
         }
     }
+    ncols = split("lookup/s,cycles/s,audit n/s,B/node", col, ",")
+    for (k = 1; k <= kinds; k++)
+        for (c = 1; c <= ncols; c++) {
+            p = kmedian("parent", kind[k], col[c]); q = kmedian("change", kind[k], col[c])
+            if (p != "" && q != "")
+                printf "kind %-10s %-9s median parent %14.6g  change %14.6g  change/parent %.3f\n", \
+                    kind[k], col[c], p, q, p ? q / p : 0
+        }
     bad = 0
     for (s = 1; s <= seeds; s++) {
         if (sim["parent", seed[s]] == "" || sim["parent", seed[s]] != sim["change", seed[s]]) {

@@ -6,9 +6,6 @@
 //! breaks it at once on Viceroy (~80 hops a lookup at this size) and
 //! Koorde (~30).
 //!
-//! CAN is left out: its `neighbors_of` still builds two `Vec`s per hop
-//! (ROADMAP item 1(c)).
-//!
 //! The counting allocator (`common/counting.rs`) is this test binary's
 //! only; every library crate stays `#![forbid(unsafe_code)]`.
 
@@ -53,9 +50,7 @@ fn assert_lookups_allocate_little(kind: OverlayKind, departed: f64) {
 #[test]
 fn healthy_lookups_allocate_per_lookup_not_per_hop() {
     for kind in ALL_KINDS {
-        if kind != OverlayKind::Can {
-            assert_lookups_allocate_little(kind, 0.0);
-        }
+        assert_lookups_allocate_little(kind, 0.0);
     }
 }
 
