@@ -28,12 +28,12 @@ impl CycloidNetwork {
         const NAME: &str = "cycloid/cycle-index";
         let d = u64::from(self.dim().get());
         for &t in tokens {
-            let indexed = self.by_cyclic[(t % d) as usize].contains(&(t / d));
+            let indexed = self.by_cyclic[(t % d) as usize].contains(&((t / d) as u32));
             report.check(t, NAME, indexed, || "live, but not in by_cyclic".into());
         }
         for (cubicals, k) in self.by_cyclic.iter().zip(0u64..) {
             for &cubical in cubicals {
-                let t = cubical * d + k;
+                let t = u64::from(cubical) * d + k;
                 let live = tokens.binary_search(&t).is_ok();
                 report.check(t, NAME, live, || "in by_cyclic, but not live".into());
             }
@@ -55,18 +55,18 @@ impl StateAudit for CycloidNetwork {
         // No resolver and no membership index is asked, so a wrong one
         // cannot audit clean.
         let tokens = self.members().tokens();
-        let mut runs: Vec<(u64, usize)> =
+        let mut runs: Vec<(u32, usize)> =
             Vec::with_capacity(tokens.len().min(dim.cubical_space() as usize));
         for (i, &t) in tokens.iter().enumerate() {
             match runs.last_mut() {
-                Some((cubical, end)) if t < (*cubical + 1) * d => *end = i + 1,
-                _ => runs.push((t / d, i + 1)),
+                Some((cubical, end)) if t < (u64::from(*cubical) + 1) * d => *end = i + 1,
+                _ => runs.push(((t / d) as u32, i + 1)),
             }
         }
         let q = runs.len();
         let primary = |x: usize| {
             let (cubical, end) = runs[x];
-            CycloidId::new((tokens[end - 1] - cubical * d) as u32, cubical)
+            CycloidId::new((tokens[end - 1] - u64::from(cubical) * d) as u32, cubical)
         };
         if scope == AuditScope::Full {
             self.audit_cycle_index(&tokens, &mut report);
@@ -79,20 +79,19 @@ impl StateAudit for CycloidNetwork {
             // the nearest non-empty cycles either side, wrapping onto the
             // cycle's own primary when there are fewer than `r` others.
             let (out_left, out_right): (LeafSlot, LeafSlot) = ring_sides(x, q, r, r, primary);
-            let cycle = &tokens[start..end];
+            let (cycle, base) = (&tokens[start..end], u64::from(cubical) * d);
             let m = cycle.len();
-            let member = |pos: usize| CycloidId::new((cycle[pos] - cubical * d) as u32, cubical);
+            let member = |pos: usize| CycloidId::new((cycle[pos] - base) as u32, cubical);
             for (pos, (token, state)) in states.by_ref().take(m).enumerate() {
                 report.note_checked(1);
                 let id = member(pos);
-                report.check_eq(token, "cycloid/id-token", &state.id.linear(dim), &token);
 
                 // §2.1: at most 7 (or 11) outgoing routing entries, and each
                 // of the four leaf-set sides holds exactly `leaf_radius` slots.
                 report.check(
                     token,
                     "cycloid/state-size",
-                    state.degree_within(bound)
+                    state.degree_within(id, bound)
                         && state.inside_left.len() == r
                         && state.inside_right.len() == r
                         && state.outside_left.len() == r
@@ -100,7 +99,7 @@ impl StateAudit for CycloidNetwork {
                     || {
                         format!(
                             "degree {} (bound {bound}), leaf sides {}/{}/{}/{} (radius {r})",
-                            state.degree(),
+                            state.degree(id),
                             state.inside_left.len(),
                             state.inside_right.len(),
                             state.outside_left.len(),

@@ -15,7 +15,8 @@ pub struct Dim(u32);
 
 impl Dim {
     /// Creates a dimension. The paper simulates `d ∈ [3, 8]`; anything in
-    /// `[1, 32]` is accepted.
+    /// `[1, 32]` is accepted. The cap of 32 is what lets a [`CycloidId`]
+    /// store its cubical index `a < 2^d` as a `u32`, and so fit in 8 bytes.
     ///
     /// # Panics
     /// Panics if `d == 0` or `d > 32`.
@@ -47,7 +48,10 @@ impl Dim {
     }
 }
 
-/// A Cycloid identifier: `(cyclic, cubical)`.
+/// A Cycloid identifier: `(cyclic, cubical)`, 8 bytes.
+///
+/// Both indices fit a `u32` because [`Dim::new`] caps `d` at 32. The
+/// derived order is cyclic index first, then cubical index.
 ///
 /// `Default` is `(0, 0)` — only used as the padding value inside
 /// fixed-capacity leaf-set slots, never observed as a live identifier.
@@ -56,13 +60,13 @@ pub struct CycloidId {
     /// Cyclic index `k ∈ [0, d)` — position on the local cycle.
     pub cyclic: u32,
     /// Cubical index `a ∈ [0, 2^d)` — which local cycle.
-    pub cubical: u64,
+    pub cubical: u32,
 }
 
 impl CycloidId {
     /// Convenience constructor.
     #[must_use]
-    pub fn new(cyclic: u32, cubical: u64) -> Self {
+    pub fn new(cyclic: u32, cubical: u32) -> Self {
         Self { cyclic, cubical }
     }
 
@@ -72,7 +76,7 @@ impl CycloidId {
         debug_assert!(linear < dim.id_space());
         Self {
             cyclic: (linear % u64::from(dim.get())) as u32,
-            cubical: linear / u64::from(dim.get()),
+            cubical: (linear / u64::from(dim.get())) as u32,
         }
     }
 
@@ -81,8 +85,8 @@ impl CycloidId {
     /// `a + 1`.
     #[must_use]
     pub fn linear(self, dim: Dim) -> u64 {
-        debug_assert!(self.cyclic < dim.get() && self.cubical < dim.cubical_space());
-        self.cubical * u64::from(dim.get()) + u64::from(self.cyclic)
+        debug_assert!(self.cyclic < dim.get() && u64::from(self.cubical) < dim.cubical_space());
+        u64::from(self.cubical) * u64::from(dim.get()) + u64::from(self.cyclic)
     }
 
     /// Maps a raw 64-bit hash onto the identifier space: the hash is
@@ -106,12 +110,12 @@ impl std::fmt::Display for CycloidId {
 /// two indices differ.
 #[inline]
 #[must_use]
-pub fn msdb(a: u64, b: u64) -> Option<u32> {
+pub fn msdb(a: u32, b: u32) -> Option<u32> {
     let x = a ^ b;
     if x == 0 {
         None
     } else {
-        Some(63 - x.leading_zeros())
+        Some(31 - x.leading_zeros())
     }
 }
 
@@ -119,7 +123,7 @@ pub fn msdb(a: u64, b: u64) -> Option<u32> {
 /// within a `d`-bit space: `d` when equal, `d - 1 - msdb` otherwise.
 #[inline]
 #[must_use]
-pub fn prefix_len(a: u64, b: u64, dim: Dim) -> u32 {
+pub fn prefix_len(a: u32, b: u32, dim: Dim) -> u32 {
     match msdb(a, b) {
         None => dim.get(),
         Some(m) => dim.get() - 1 - m,
@@ -152,10 +156,11 @@ impl KeyDistance {
     pub fn between(key: CycloidId, node: CycloidId, dim: Dim) -> Self {
         let m = dim.cubical_space();
         let d = u64::from(dim.get());
-        let cub = ring_dist(key.cubical, node.cubical, m);
+        let (key_cub, node_cub) = (u64::from(key.cubical), u64::from(node.cubical));
+        let cub = ring_dist(key_cub, node_cub, m);
         // "Counter-clockwise of the key" == the clockwise walk from key to
         // node is the long way around.
-        let cub_ccw = u64::from(cub != 0 && clockwise_dist(key.cubical, node.cubical, m) != cub);
+        let cub_ccw = u64::from(cub != 0 && clockwise_dist(key_cub, node_cub, m) != cub);
         let cyc = ring_dist(u64::from(key.cyclic), u64::from(node.cyclic), d);
         let cyc_ccw = u64::from(
             cyc != 0 && clockwise_dist(u64::from(key.cyclic), u64::from(node.cyclic), d) != cyc,
@@ -170,6 +175,7 @@ impl KeyDistance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
 
     #[test]
     fn dim_space_sizes() {
@@ -198,7 +204,97 @@ mod tests {
             let id = CycloidId::from_hash(raw, dim);
             let h = id.linear(dim);
             assert_eq!(u64::from(id.cyclic), h % 8);
-            assert_eq!(id.cubical, h / 8);
+            assert_eq!(u64::from(id.cubical), h / 8);
+        }
+    }
+
+    /// The dimensions where a `u32` cubical index is tightest: one bit,
+    /// and the top of the range `Dim::new` accepts.
+    const EDGE_DIMS: [u32; 3] = [1, 31, 32];
+
+    #[test]
+    fn linear_roundtrip_at_the_ends_of_the_widest_spaces() {
+        for d in EDGE_DIMS {
+            let dim = Dim::new(d);
+            let last = dim.id_space() - 1;
+            assert_eq!(CycloidId::from_linear(0, dim), CycloidId::new(0, 0));
+            let top = CycloidId::from_linear(last, dim);
+            assert_eq!(
+                (top.cyclic, u64::from(top.cubical)),
+                (d - 1, dim.cubical_space() - 1)
+            );
+            assert_eq!(top.linear(dim), last, "d = {d}");
+        }
+    }
+
+    #[test]
+    fn from_hash_splits_mod_div_in_the_widest_spaces() {
+        let mut rng = dht_core::rng::stream(28, "id-edges");
+        for d in EDGE_DIMS {
+            let dim = Dim::new(d);
+            for raw in [0, 1, u64::MAX]
+                .into_iter()
+                .chain((0..64).map(|_| rng.next_u64()))
+            {
+                let id = CycloidId::from_hash(raw, dim);
+                let h = reduce(splitmix64(raw), dim.id_space());
+                assert_eq!(u64::from(id.cyclic), h % u64::from(d), "d = {d}");
+                assert_eq!(u64::from(id.cubical), h / u64::from(d), "d = {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn order_is_cyclic_then_cubical_as_wide_pairs() {
+        let mut rng = dht_core::rng::stream(28, "id-order");
+        let wide = |ids: &[CycloidId]| -> Vec<(u32, u64)> {
+            ids.iter()
+                .map(|id| (id.cyclic, u64::from(id.cubical)))
+                .collect()
+        };
+        for d in EDGE_DIMS {
+            let dim = Dim::new(d);
+            let mut ids: Vec<CycloidId> = (0..256)
+                .map(|_| CycloidId::from_linear(rng.next_u64() % dim.id_space(), dim))
+                .chain([CycloidId::from_linear(dim.id_space() - 1, dim)])
+                .collect();
+            let mut pairs = wide(&ids);
+            ids.sort_unstable();
+            pairs.sort_unstable();
+            assert_eq!(wide(&ids), pairs, "d = {d}");
+        }
+    }
+
+    #[test]
+    fn key_distance_at_the_top_cubical_index_is_the_wide_formula() {
+        // Both ring distances written out in u64: the shorter way round,
+        // doubled, plus one when the node lies counter-clockwise.
+        let wide = |key: CycloidId, node: CycloidId, dim: Dim| {
+            let component = |k: u64, n: u64, m: u64| {
+                let (cw, ccw) = ((n + m - k) % m, (k + m - n) % m);
+                2 * cw.min(ccw) + u64::from(ccw < cw)
+            };
+            let m = dim.cubical_space();
+            let cub = component(u64::from(key.cubical), u64::from(node.cubical), m);
+            let d = u64::from(dim.get());
+            let cyc = component(u64::from(key.cyclic), u64::from(node.cyclic), d);
+            (cub, cyc)
+        };
+        for d in EDGE_DIMS {
+            let dim = Dim::new(d);
+            // At d = 32 the top cubical index is 2^32 - 1, u32::MAX.
+            let high = u32::try_from(dim.cubical_space() - 1).unwrap();
+            let cubicals = [0, 1, high / 2, high / 2 + 1, high - 1, high];
+            for &a in &cubicals {
+                for &b in &cubicals {
+                    for (k, l) in [(0, 0), (0, d - 1), (d - 1, 0)] {
+                        let (key, node) = (CycloidId::new(k, a), CycloidId::new(l, b));
+                        let got = KeyDistance::between(key, node, dim);
+                        let got = (got.cubical_v, got.cyclic_v);
+                        assert_eq!(got, wide(key, node, dim), "{key} {node}, d = {d}");
+                    }
+                }
+            }
         }
     }
 
@@ -274,7 +370,8 @@ mod tests {
         let dim = Dim::new(5);
         let key = CycloidId::new(0, 13);
         let m = dim.cubical_space();
-        let v = |c: u64| KeyDistance::between(key, CycloidId::new(0, c % m), dim).cubical_v;
+        let v =
+            |c: u64| KeyDistance::between(key, CycloidId::new(0, (c % m) as u32), dim).cubical_v;
         for step in 0..(m / 2 - 1) {
             assert!(v(13 + step) < v(13 + step + 1), "clockwise walk");
             assert!(

@@ -109,7 +109,7 @@ impl CycloidNetwork {
         }
         let mut emit = |phase: HopPhase, c: CycloidId| out.push((phase, c.linear(dim)));
 
-        let phase = if self.target_within_leaf_span(state, key) {
+        let phase = if self.target_within_leaf_span(cur, state, key) {
             // Phase 3: traverse cycle — the fallback is the whole plan.
             HopPhase::TraverseCycle
         } else {
@@ -170,8 +170,7 @@ impl CycloidNetwork {
     /// with the current node's, or lies on the clockwise arc from the
     /// farthest preceding outside-leaf cycle to the farthest succeeding
     /// one (the arc through the current node).
-    fn target_within_leaf_span(&self, state: &NodeState, key: CycloidId) -> bool {
-        let cur = state.id;
+    fn target_within_leaf_span(&self, cur: CycloidId, state: &NodeState, key: CycloidId) -> bool {
         if key.cubical == cur.cubical {
             return true;
         }
@@ -187,7 +186,8 @@ impl CycloidNetwork {
             return true; // network has a single cycle
         }
         let m = self.dim().cubical_space();
-        clockwise_dist(left_outer, key.cubical, m) <= clockwise_dist(left_outer, right_outer, m)
+        let from_left = |c: u32| clockwise_dist(u64::from(left_outer), u64::from(c), m);
+        from_left(key.cubical) <= from_left(right_outer)
     }
 }
 
@@ -214,9 +214,10 @@ impl SimOverlay for CycloidNetwork {
     /// One message per routing-table/leaf-set entry the node actually
     /// holds (floored at one: even a lone node probes its cycle).
     fn maintenance_msgs(&self, node: NodeToken) -> u64 {
+        let id = CycloidId::from_linear(node, self.dim());
         self.members()
             .get(node)
-            .map_or(1, |s| (s.degree() as u64).max(1))
+            .map_or(1, |s| (s.degree(id) as u64).max(1))
     }
 
     fn map_key(&self, raw_key: u64) -> u64 {
@@ -252,12 +253,12 @@ impl SimOverlay for CycloidNetwork {
         self.plan_step(CycloidId::from_linear(cur, self.dim()), walk.key, out)
     }
 
-    /// The state row: its id and the entries of every leaf slot, which
-    /// is what `plan_step` reads and spreads over the row's cache lines.
+    /// The state row: every routing-table and leaf-slot entry, which is
+    /// what `plan_step` reads and spreads over the row's cache lines.
     fn warm(&self, node: NodeToken) {
         if let Some(state) = self.members().get(node) {
-            let row = state.leaf_entries().map(|c| c.cubical);
-            std::hint::black_box(row.fold(state.id.cubical, |acc, c| acc ^ c));
+            let row = state.routing_entries().chain(state.leaf_entries());
+            std::hint::black_box(row.fold(0, |acc, c| acc ^ c.cubical));
         }
     }
 
@@ -343,7 +344,7 @@ mod tests {
     use dht_core::rng::stream;
     use rand::Rng;
 
-    fn id(k: u32, a: u64) -> CycloidId {
+    fn id(k: u32, a: u32) -> CycloidId {
         CycloidId::new(k, a)
     }
 

@@ -68,7 +68,7 @@ pub struct CycloidNetwork {
     members: Membership<NodeState>,
     /// Per-cyclic-index membership: `by_cyclic[k]` holds the cubical
     /// indices of cycles containing a node with cyclic index `k`.
-    pub(crate) by_cyclic: Vec<BTreeSet<u64>>,
+    pub(crate) by_cyclic: Vec<BTreeSet<u32>>,
 }
 
 impl CycloidNetwork {
@@ -103,7 +103,7 @@ impl CycloidNetwork {
             let id = CycloidId::from_hash(net.members.next_raw(), net.dim);
             if !net.is_live(id) {
                 let linear = id.linear(net.dim);
-                net.members.insert(linear, NodeState::new(id));
+                net.members.insert(linear, NodeState::default());
             }
         }
         net.index_members();
@@ -119,8 +119,7 @@ impl CycloidNetwork {
     pub fn complete(config: CycloidConfig) -> Self {
         let mut net = Self::new(config, 0);
         for linear in 0..net.dim.id_space() {
-            let id = CycloidId::from_linear(linear, net.dim);
-            net.members.insert(linear, NodeState::new(id));
+            net.members.insert(linear, NodeState::default());
         }
         net.index_members();
         net.stabilize_all();
@@ -209,7 +208,7 @@ impl CycloidNetwork {
         use dht_core::store::approx_btree_bytes;
         self.by_cyclic
             .iter()
-            .map(|s| approx_btree_bytes(s.len(), std::mem::size_of::<u64>()))
+            .map(|s| approx_btree_bytes(s.len(), std::mem::size_of::<u32>()))
             .sum()
     }
 
@@ -232,7 +231,7 @@ impl CycloidNetwork {
 
     fn insert_membership(&mut self, id: CycloidId) {
         let linear = id.linear(self.dim);
-        self.members.insert(linear, NodeState::new(id));
+        self.members.insert(linear, NodeState::default());
         self.by_cyclic[id.cyclic as usize].insert(id.cubical);
     }
 
@@ -251,7 +250,7 @@ impl CycloidNetwork {
     /// Primary node (largest cyclic index, §3.1) of cycle `cubical`, if the
     /// cycle is non-empty.
     #[must_use]
-    pub fn primary_of(&self, cubical: u64) -> Option<CycloidId> {
+    pub fn primary_of(&self, cubical: u32) -> Option<CycloidId> {
         if self.members.is_empty() {
             return None;
         }
@@ -264,7 +263,7 @@ impl CycloidNetwork {
     /// `cubical`'s end. Returns `cubical` itself only if it is the sole
     /// non-empty cycle.
     #[must_use]
-    pub fn next_nonempty_cycle(&self, cubical: u64) -> Option<u64> {
+    pub fn next_nonempty_cycle(&self, cubical: u32) -> Option<u32> {
         if self.members.is_empty() {
             return None;
         }
@@ -275,7 +274,7 @@ impl CycloidNetwork {
     /// Nearest non-empty cycle counter-clockwise strictly before `cubical`
     /// (wrapping): the cycle of the token before `cubical`'s start.
     #[must_use]
-    pub fn prev_nonempty_cycle(&self, cubical: u64) -> Option<u64> {
+    pub fn prev_nonempty_cycle(&self, cubical: u32) -> Option<u32> {
         if self.members.is_empty() {
             return None;
         }
@@ -304,7 +303,7 @@ impl CycloidNetwork {
                 if !(cycle * d..(cycle + 1) * d).contains(&token) {
                     (cycle, left) = (token / d, left - 1);
                 }
-                (left > 0).then(|| CycloidId::new((token - cycle * d) as u32, cycle))
+                (left > 0).then(|| CycloidId::new((token - cycle * d) as u32, cycle as u32))
             })
     }
 
@@ -315,11 +314,11 @@ impl CycloidNetwork {
     /// fewer cycles the two walks overlap. `None` on an empty ring.
     fn cycles_around(
         &self,
-        cubical: u64,
+        cubical: u32,
         radius: usize,
     ) -> Option<impl Iterator<Item = CycloidId> + '_> {
         let order = &self.members.store;
-        let point = cubical * u64::from(self.dim.get());
+        let point = u64::from(cubical) * u64::from(self.dim.get());
         let first = order.successor_from(&mut Pos::default(), point)?;
         let own = usize::from(self.id_at(first).cubical == cubical);
         let ahead = self.runs(first, CompactStore::next, radius + own);
@@ -343,8 +342,8 @@ impl CycloidNetwork {
         if k == 0 {
             return None;
         }
-        let target = id.cubical ^ (1u64 << k);
-        let low_mask = (1u64 << k) - 1;
+        let target = id.cubical ^ (1 << k);
+        let low_mask = (1 << k) - 1;
         let base = target & !low_mask;
         let set = &self.by_cyclic[(k - 1) as usize];
         let above = set.range(target..=base | low_mask).next().copied();
@@ -375,7 +374,7 @@ impl CycloidNetwork {
         if k == 0 {
             return (None, None);
         }
-        let low_mask = (1u64 << k) - 1;
+        let low_mask = (1 << k) - 1;
         let base = id.cubical & !low_mask;
         let top = base | low_mask;
         let set = &self.by_cyclic[(k - 1) as usize];
@@ -424,8 +423,8 @@ impl CycloidNetwork {
     /// cycle by cycle, cycle `a` being the tokens in `[a·d, (a+1)·d)` — or,
     /// if the cycle is empty, of the next non-empty cycle's; wrapping.
     /// Searched from `near`, on a ring that is not empty.
-    fn cycle_start(&self, cubical: u64, mut near: Pos) -> Pos {
-        let point = cubical * u64::from(self.dim.get());
+    fn cycle_start(&self, cubical: u32, mut near: Pos) -> Pos {
+        let point = u64::from(cubical) * u64::from(self.dim.get());
         let order = &self.members.store;
         order.successor_from(&mut near, point).expect("live ring")
     }
@@ -433,8 +432,8 @@ impl CycloidNetwork {
     /// Position of cycle `cubical`'s primary (its last member) or, if the
     /// cycle is empty, of the nearest preceding one's; wrapping. Searched
     /// from `near`, on a ring that is not empty.
-    fn cycle_end(&self, cubical: u64, mut near: Pos) -> Pos {
-        let point = (cubical + 1) * u64::from(self.dim.get());
+    fn cycle_end(&self, cubical: u32, mut near: Pos) -> Pos {
+        let point = (u64::from(cubical) + 1) * u64::from(self.dim.get());
         let order = &self.members.store;
         order.predecessor_from(&mut near, point).expect("live ring")
     }
@@ -641,7 +640,7 @@ impl CycloidNetwork {
             let inside = LeafSlot::repeat(x, r);
             // Locally known non-empty cycles and their primaries: Z's own
             // cycle (Z reports its primary) plus Z's outside entries.
-            let mut known: BTreeMap<u64, CycloidId> = BTreeMap::new();
+            let mut known: BTreeMap<u32, CycloidId> = BTreeMap::new();
             known.insert(
                 z.cubical,
                 self.primary_of(z.cubical).expect("Z's cycle is non-empty"),
@@ -650,7 +649,7 @@ impl CycloidNetwork {
                 known.insert(p.cubical, *p);
             }
             known.remove(&x.cubical);
-            let cubicals: Vec<u64> = known.keys().copied().collect();
+            let cubicals: Vec<u32> = known.keys().copied().collect();
             let pick = |dir_left: bool| -> LeafSlot {
                 let mut out = LeafSlot::new();
                 let mut cursor = x.cubical;
@@ -776,7 +775,7 @@ impl CycloidNetwork {
 mod tests {
     use super::*;
 
-    fn id(k: u32, a: u64) -> CycloidId {
+    fn id(k: u32, a: u32) -> CycloidId {
         CycloidId::new(k, a)
     }
 
@@ -900,7 +899,7 @@ mod tests {
     fn degree_bound_holds_in_complete_network() {
         let net = CycloidNetwork::complete(CycloidConfig::seven_entry(5));
         for node_id in net.ids() {
-            let deg = net.node(node_id).unwrap().degree();
+            let deg = net.node(node_id).unwrap().degree(node_id);
             assert!(deg <= 7, "node {node_id} has degree {deg} > 7");
         }
     }
@@ -909,7 +908,7 @@ mod tests {
     fn eleven_entry_degree_bound() {
         let net = CycloidNetwork::with_nodes(CycloidConfig::eleven_entry(6), 200, 5);
         for node_id in net.ids() {
-            let deg = net.node(node_id).unwrap().degree();
+            let deg = net.node(node_id).unwrap().degree(node_id);
             assert!(deg <= 11, "node {node_id} has degree {deg} > 11");
         }
     }

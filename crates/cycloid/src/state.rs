@@ -25,15 +25,16 @@ use crate::id::CycloidId;
 /// per-node heap allocations.
 pub type LeafSlot = InlineVec<CycloidId, 4>;
 
-/// Routing state of one Cycloid node.
+/// Routing state of one Cycloid node: 180 bytes, every entry an 8-byte
+/// [`CycloidId`]. The node's own identifier is not stored here — the
+/// membership store keys the row by it — so the methods that exclude
+/// the node itself take it as an argument.
 ///
 /// All entries are *outgoing* pointers (§3.3.2: "a node only has outgoing
 /// connections"); they may go stale when the pointed-to node departs, which
 /// is exactly what the paper's timeout experiments measure.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct NodeState {
-    /// This node's identifier.
-    pub id: CycloidId,
     /// Cubical neighbour: a node matching `(k-1, a_{d-1}…a_{k+1} ā_k x…x)`,
     /// or `None` when `k == 0` or no such node is live.
     pub cubical_neighbor: Option<CycloidId>,
@@ -59,21 +60,6 @@ pub struct NodeState {
 }
 
 impl NodeState {
-    /// Fresh state with empty tables.
-    #[must_use]
-    pub fn new(id: CycloidId) -> Self {
-        Self {
-            id,
-            cubical_neighbor: None,
-            cyclic_larger: None,
-            cyclic_smaller: None,
-            inside_left: LeafSlot::new(),
-            inside_right: LeafSlot::new(),
-            outside_left: LeafSlot::new(),
-            outside_right: LeafSlot::new(),
-        }
-    }
-
     /// All distinct routing-table entries (the three neighbours), live or
     /// stale.
     pub fn routing_entries(&self) -> impl Iterator<Item = CycloidId> + '_ {
@@ -93,33 +79,34 @@ impl NodeState {
             .copied()
     }
 
-    /// `self.degree() <= bound`, not counted when the state has no more
+    /// `self.degree(id) <= bound`, not counted when the state has no more
     /// filled slots than `bound` — as on every node of the right shape.
     #[must_use]
-    pub fn degree_within(&self, bound: usize) -> bool {
+    pub fn degree_within(&self, id: CycloidId, bound: usize) -> bool {
         self.routing_entries().count() + self.leaf_entries().count() <= bound
-            || self.degree() <= bound
+            || self.degree(id) <= bound
     }
 
-    /// Every contact this node knows (routing table + both leaf sets),
+    /// Every contact the node `id` knows (routing table + both leaf sets),
     /// deduplicated, excluding itself.
     #[must_use]
-    pub fn known_contacts(&self) -> Vec<CycloidId> {
+    pub fn known_contacts(&self, id: CycloidId) -> Vec<CycloidId> {
         let mut v: Vec<CycloidId> = self.routing_entries().chain(self.leaf_entries()).collect();
         v.sort_unstable();
         v.dedup();
-        v.retain(|&c| c != self.id);
+        v.retain(|&c| c != id);
         v
     }
 
-    /// Number of distinct non-self entries currently held — the node's
-    /// degree. Bounded by 7 (leaf radius 1) or 11 (leaf radius 2).
+    /// Number of distinct entries other than `id` itself that the node
+    /// `id` holds — its degree. Bounded by 7 (leaf radius 1) or 11 (leaf
+    /// radius 2).
     #[must_use]
-    pub fn degree(&self) -> usize {
+    pub fn degree(&self, id: CycloidId) -> usize {
         // Three routing entries plus four full leaf slots.
         let mut distinct = InlineVec::<CycloidId, 19>::new();
         for c in self.routing_entries().chain(self.leaf_entries()) {
-            if c != self.id && !distinct.contains(&c) {
+            if c != id && !distinct.contains(&c) {
                 distinct.push(c);
             }
         }
@@ -131,14 +118,22 @@ impl NodeState {
 mod tests {
     use super::*;
 
-    fn id(k: u32, a: u64) -> CycloidId {
+    fn id(k: u32, a: u32) -> CycloidId {
         CycloidId::new(k, a)
     }
 
     #[test]
+    fn a_row_is_its_entries_and_nothing_else() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<CycloidId>(), 8);
+        // Three 12-byte optional pointers and four 36-byte leaf slots.
+        assert!(size_of::<NodeState>() <= 184, "{}", size_of::<NodeState>());
+    }
+
+    #[test]
     fn fresh_state_is_empty() {
-        let s = NodeState::new(id(4, 0b1011_0110));
-        assert_eq!(s.degree(), 0);
+        let s = NodeState::default();
+        assert_eq!(s.degree(id(4, 0b1011_0110)), 0);
         assert_eq!(s.routing_entries().count(), 0);
         assert_eq!(s.leaf_entries().count(), 0);
     }
@@ -147,14 +142,16 @@ mod tests {
     fn known_contacts_dedup_and_exclude_self() {
         let me = id(2, 5);
         let other = id(1, 5);
-        let mut s = NodeState::new(me);
-        s.cubical_neighbor = Some(other);
-        s.cyclic_larger = Some(other);
-        s.inside_left = vec![me].into(); // alone on cycle: points at self
-        s.inside_right = vec![me].into();
-        s.outside_left = vec![id(0, 4)].into();
-        s.outside_right = vec![id(0, 6)].into();
-        let contacts = s.known_contacts();
+        let s = NodeState {
+            cubical_neighbor: Some(other),
+            cyclic_larger: Some(other),
+            cyclic_smaller: None,
+            inside_left: vec![me].into(), // alone on cycle: points at self
+            inside_right: vec![me].into(),
+            outside_left: vec![id(0, 4)].into(),
+            outside_right: vec![id(0, 6)].into(),
+        };
+        let contacts = s.known_contacts(me);
         assert!(!contacts.contains(&me), "self must be excluded");
         assert_eq!(contacts.len(), 3, "duplicates must collapse: {contacts:?}");
     }
@@ -165,7 +162,7 @@ mod tests {
         // and over-long sides: the stack count is the sorted-and-deduped
         // list's length, and `degree_within` is the plain comparison.
         let me = id(2, 5);
-        let mut s = NodeState::new(me);
+        let mut s = NodeState::default();
         let mut shapes = vec![s.clone()];
         s.cubical_neighbor = Some(id(1, 7));
         s.cyclic_larger = Some(id(1, 7));
@@ -179,12 +176,16 @@ mod tests {
         s.inside_left = (8..12).map(|c| id(0, c)).collect();
         s.inside_right = (12..16).map(|c| id(0, c)).collect();
         shapes.push(s);
-        let degrees: Vec<usize> = shapes.iter().map(NodeState::degree).collect();
+        let degrees: Vec<usize> = shapes.iter().map(|s| s.degree(me)).collect();
         assert_eq!(degrees, vec![0, 2, 9, 16]);
         for s in &shapes {
-            assert_eq!(s.degree(), s.known_contacts().len());
+            assert_eq!(s.degree(me), s.known_contacts(me).len());
             for bound in 0..=20 {
-                assert_eq!(s.degree_within(bound), s.degree() <= bound, "bound {bound}");
+                assert_eq!(
+                    s.degree_within(me, bound),
+                    s.degree(me) <= bound,
+                    "bound {bound}"
+                );
             }
         }
     }
@@ -193,15 +194,16 @@ mod tests {
     fn seven_entry_bound() {
         // Radius-1 leaf sets + 3 routing entries can never exceed 7.
         let me = id(3, 9);
-        let mut s = NodeState::new(me);
-        s.cubical_neighbor = Some(id(2, 1));
-        s.cyclic_larger = Some(id(2, 9));
-        s.cyclic_smaller = Some(id(2, 8));
-        s.inside_left = vec![id(1, 9)].into();
-        s.inside_right = vec![id(4, 9)].into();
-        s.outside_left = vec![id(7, 8)].into();
-        s.outside_right = vec![id(7, 10)].into();
-        assert!(s.degree() <= 7);
-        assert_eq!(s.degree(), 7);
+        let s = NodeState {
+            cubical_neighbor: Some(id(2, 1)),
+            cyclic_larger: Some(id(2, 9)),
+            cyclic_smaller: Some(id(2, 8)),
+            inside_left: vec![id(1, 9)].into(),
+            inside_right: vec![id(4, 9)].into(),
+            outside_left: vec![id(7, 8)].into(),
+            outside_right: vec![id(7, 10)].into(),
+        };
+        assert!(s.degree(me) <= 7);
+        assert_eq!(s.degree(me), 7);
     }
 }

@@ -26,9 +26,9 @@ fn owner_by_definition(net: &CycloidNetwork, key: CycloidId) -> Option<CycloidId
 /// an empty cycle, the other three for every cubical index.
 fn check_positional_readers(net: &CycloidNetwork, rng: &mut impl Rng) -> Result<(), TestCaseError> {
     let dim = net.dim();
-    let cycles = dim.cubical_space();
+    let cycles = u32::try_from(dim.cubical_space()).expect("d < 32");
     let live: Vec<CycloidId> = net.ids().collect();
-    let is_empty = |c: u64| live.iter().all(|n| n.cubical != c);
+    let is_empty = |c: u32| live.iter().all(|n| n.cubical != c);
     let start = rng.gen_range(0..cycles);
     let empty = (0..cycles)
         .map(|i| (start + i) % cycles)
@@ -72,18 +72,18 @@ proptest! {
         let dim = Dim::new(d);
         let id = CycloidId::from_hash(raw, dim);
         prop_assert!(id.cyclic < d);
-        prop_assert!(id.cubical < dim.cubical_space());
+        prop_assert!(u64::from(id.cubical) < dim.cubical_space());
         let lin = id.linear(dim);
         prop_assert_eq!(CycloidId::from_linear(lin, dim), id);
         // The paper's split: cyclic = h mod d, cubical = h div d.
         prop_assert_eq!(u64::from(id.cyclic), lin % u64::from(d));
-        prop_assert_eq!(id.cubical, lin / u64::from(d));
+        prop_assert_eq!(u64::from(id.cubical), lin / u64::from(d));
     }
 
     #[test]
-    fn msdb_matches_prefix_len(d in dim_strategy(), a in any::<u64>(), b in any::<u64>()) {
+    fn msdb_matches_prefix_len(d in dim_strategy(), a in any::<u32>(), b in any::<u32>()) {
         let dim = Dim::new(d);
-        let mask = dim.cubical_space() - 1;
+        let mask = u32::try_from(dim.cubical_space() - 1).expect("d <= 32");
         let (a, b) = (a & mask, b & mask);
         match msdb(a, b) {
             None => prop_assert_eq!(a, b),
@@ -129,7 +129,7 @@ proptest! {
         // One node, two, one full cycle (at cubical 0, at 2^d - 1, somewhere
         // between), the complete d = 4 network, or `count` uniform nodes.
         let config = |dimension| CycloidConfig { dimension, leaf_radius: radius };
-        let full_cycle = |cubical: u64| {
+        let full_cycle = |cubical: u32| {
             let mut net = CycloidNetwork::new(config(6), seed);
             (0..6).for_each(|k| assert!(net.join_id(CycloidId::new(k, cubical))));
             net
@@ -137,7 +137,7 @@ proptest! {
         let mut net = match shape {
             0 => CycloidNetwork::with_nodes(config(6), 1, seed),
             1 => CycloidNetwork::with_nodes(config(6), 2, seed),
-            2 => full_cycle([0, 63, seed % 64][(seed % 3) as usize]),
+            2 => full_cycle([0, 63, (seed % 64) as u32][(seed % 3) as usize]),
             3 => CycloidNetwork::complete(config(4)),
             _ => CycloidNetwork::with_nodes(config(6), count, seed),
         };
@@ -173,7 +173,7 @@ proptest! {
         let net = CycloidNetwork::with_nodes(config, count, seed);
         let bound = 3 + 4 * radius;
         for id in net.ids() {
-            prop_assert!(net.node(id).unwrap().degree() <= bound);
+            prop_assert!(net.node(id).unwrap().degree(id) <= bound);
         }
     }
 

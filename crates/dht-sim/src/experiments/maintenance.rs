@@ -101,7 +101,7 @@ pub fn measure(params: &MaintenanceParams) -> Vec<MaintenanceRow> {
         let dim = net.dim();
         let mut edges = Vec::new();
         for id in net.ids() {
-            for c in net.node(id).unwrap().known_contacts() {
+            for c in net.node(id).unwrap().known_contacts(id) {
                 edges.push((id.linear(dim), c.linear(dim)));
             }
         }

@@ -99,17 +99,18 @@ fn overlay_query_loads_track_departures() {
 }
 
 /// CI smoke: a 10k-node Cycloid(7) stays under the documented
-/// bytes/node budget (DESIGN.md §12). Measured ~712 bytes/node: ~352 B of inline `NodeState` (four fixed-width leaf
-/// slots), the dense token/load columns, the hash side-table, and the
-/// `by_cyclic` index — with up to 2× slack from `Vec` capacity doubling,
-/// which the budget's headroom absorbs.
+/// bytes/node budget (DESIGN.md §12). Measured ~387 bytes/node: a
+/// 180 B inline `NodeState` row (seven links and their spare leaf slots,
+/// each an 8-byte `CycloidId`), the dense token/load columns, the hash
+/// side-table and the `by_cyclic` index, with the slack `Vec` capacity
+/// doubling leaves, which the budget's headroom absorbs.
 #[test]
 fn cycloid_10k_bytes_per_node_budget() {
     let net = build_overlay(OverlayKind::Cycloid7, 10_000, 1);
     let bpn = net.bytes_per_node();
     assert!(bpn > 0.0, "accounting hooks are wired");
     assert!(
-        bpn < 900.0,
-        "Cycloid(7) at n=10k must stay under 900 bytes/node, got {bpn:.1}"
+        bpn < 450.0,
+        "Cycloid(7) at n=10k must stay under 450 bytes/node, got {bpn:.1}"
     );
 }

@@ -55,7 +55,7 @@ fn main() {
     let state = net.node(some).unwrap();
     println!(
         "\nrouting state of node {some} (degree {}):",
-        state.degree()
+        state.degree(some)
     );
     println!(
         "  cubical neighbor : {:?}",

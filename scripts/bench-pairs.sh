@@ -20,8 +20,9 @@
 # (`bytes_per_node 302.43 -> 297.9`) and whether the fingerprint does, so
 # a declared move of one sim metric reads apart from an undeclared one.
 # After the host metrics, per kind of the runs' kind table: the median of
-# each side and their ratio for lookup/s, cycles/s, audit n/s and B/node,
-# so a geomean that moved names the kind that moved it.
+# each side and their ratio for lookup/s, ns/hop, cycles/s, audit n/s and
+# B/node, so a geomean that moved names the kind that moved it, and a
+# lookup/s that moved shows whether the hop did.
 # Every run's full output stays in bench-out/pairs/<side>-<seed>.out.
 set -eu
 [ $# -ge 2 ] || {
@@ -128,7 +129,7 @@ $1 == "kind" && $2 == "build_s" { intable = 1; next }
 NF == 0 { intable = 0 }
 intable && $1 !~ /:$/ {
     if (!($1 in kseen)) { kseen[$1] = 1; kind[++kinds] = $1 }
-    kv[side, $1, "lookup/s", sd] = $3; kv[side, $1, "cycles/s", sd] = $7
+    kv[side, $1, "lookup/s", sd] = $3; kv[side, $1, "ns/hop", sd] = $6; kv[side, $1, "cycles/s", sd] = $7
     kv[side, $1, "audit n/s", sd] = $8; kv[side, $1, "B/node", sd] = $(NF - 2)
     next
 }
@@ -162,7 +163,7 @@ END {
                 bound[m] * med["parent"], spread("parent", m), spread("change", m), med["change"] / med["parent"], (clear ? "yes" : "no")
         }
     }
-    ncols = split("lookup/s,cycles/s,audit n/s,B/node", col, ",")
+    ncols = split("lookup/s,ns/hop,cycles/s,audit n/s,B/node", col, ",")
     for (k = 1; k <= kinds; k++)
         for (c = 1; c <= ncols; c++) {
             p = kmedian("parent", kind[k], col[c]); q = kmedian("change", kind[k], col[c])

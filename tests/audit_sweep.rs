@@ -114,11 +114,10 @@ fn cycloid_oracle(net: &CycloidNetwork) -> AuditReport {
         report.note_checked(1);
         let token = id.linear(dim);
         let state = net.node(id).expect("live id");
-        report.check_eq(token, "cycloid/id-token", &state.id.linear(dim), &token);
         report.check(
             token,
             "cycloid/state-size",
-            state.degree() <= bound
+            state.degree(id) <= bound
                 && state.inside_left.len() == r
                 && state.inside_right.len() == r
                 && state.outside_left.len() == r
@@ -126,7 +125,7 @@ fn cycloid_oracle(net: &CycloidNetwork) -> AuditReport {
             || {
                 format!(
                     "degree {} (bound {bound}), leaf sides {}/{}/{}/{} (radius {r})",
-                    state.degree(),
+                    state.degree(id),
                     state.inside_left.len(),
                     state.inside_right.len(),
                     state.outside_left.len(),
@@ -383,7 +382,7 @@ fn tiny_rings_audit_clean_and_match_the_oracle() {
 }
 
 /// A Cycloid network holding exactly `ids`, joined one by one.
-fn cycloid_of(config: CycloidConfig, ids: &[(u32, u64)]) -> CycloidNetwork {
+fn cycloid_of(config: CycloidConfig, ids: &[(u32, u32)]) -> CycloidNetwork {
     let mut net = CycloidNetwork::new(config, 1);
     for &(cyclic, cubical) in ids {
         assert!(net.join_id(CycloidId::new(cyclic, cubical)));
@@ -396,8 +395,8 @@ fn cycloid_of(config: CycloidConfig, ids: &[(u32, u64)]) -> CycloidNetwork {
 /// and last cycle of the cubical space.
 #[test]
 fn cycloid_edge_shapes_audit_clean_and_match_the_oracle() {
-    let last = (1u64 << 5) - 1;
-    let shapes: [(&str, &[(u32, u64)]); 6] = [
+    let last = (1u32 << 5) - 1;
+    let shapes: [(&str, &[(u32, u32)]); 6] = [
         ("one node", &[(3, 9)]),
         ("one cycle", &[(0, 9), (2, 9), (4, 9)]),
         (

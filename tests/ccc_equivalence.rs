@@ -9,7 +9,7 @@ use dht_core::rng::stream;
 use rand::Rng;
 
 fn as_ccc(id: CycloidId) -> CccNode {
-    CccNode::new(id.cyclic, id.cubical)
+    CccNode::new(id.cyclic, u64::from(id.cubical))
 }
 
 #[test]
@@ -92,7 +92,7 @@ fn complete_network_degree_matches_constant_bound() {
     let net = CycloidNetwork::complete(CycloidConfig::seven_entry(5));
     let mut max_deg = 0;
     for id in net.ids() {
-        max_deg = max_deg.max(net.node(id).unwrap().degree());
+        max_deg = max_deg.max(net.node(id).unwrap().degree(id));
     }
     assert!(max_deg <= 7);
     assert!(max_deg >= 5, "complete network should use most entries");

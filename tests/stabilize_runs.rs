@@ -298,8 +298,8 @@ fn ring_pointers_step_to_what_the_searches_found() {
 /// public resolvers name what the refreshed state holds.
 #[test]
 fn cycloid_runs_hold_where_the_cycles_wrap() {
-    let last = (1u64 << 5) - 1;
-    let shapes: [&[(u32, u64)]; 7] = [
+    let last = (1u32 << 5) - 1;
+    let shapes: [&[(u32, u32)]; 7] = [
         &[(3, 9)],
         &[(0, 9), (2, 9), (4, 9)],
         &[(1, 4), (3, 4), (2, 9), (0, 20), (4, 20)],
