@@ -30,10 +30,10 @@ impl StateAudit for CanNetwork {
         let mut report = AuditReport::new(self.label(), scope);
         let config = self.config();
         let side = config.side();
-        let n = self.node_count();
+        let n = self.members.store.len();
 
         let mut total: u128 = 0;
-        for (token, node) in self.members.iter() {
+        for (token, node) in self.members.store.iter() {
             report.note_checked(1);
             report.check_eq(token, "can/token-id", &node.token, &token);
 
@@ -53,7 +53,7 @@ impl StateAudit for CanNetwork {
             let bad = table.iter().enumerate().find(|&(i, &y)| {
                 let listed = (i == 0 || table[i - 1] < y) && y != token;
                 !(listed
-                    && self.node(y).is_some_and(|other| {
+                    && self.members.store.get(y).is_some_and(|other| {
                         abut(&node.zones, &other.zones)
                             && other.neighbors.binary_search(&token).is_ok()
                     }))
@@ -129,7 +129,10 @@ impl CanNetwork {
     /// by its own zones, its table's zones and the orphans. The orphan
     /// list is read only for a zone the first two leave short.
     fn faces_covered(&self, node: &CanNode) -> bool {
-        let tabled = node.neighbors.iter().filter_map(|&y| self.node(y));
+        let tabled = node
+            .neighbors
+            .iter()
+            .filter_map(|&y| self.members.store.get(y));
         node.zones.iter().all(|z| {
             let mut got = [0; 2 * MAX_DIMS];
             for w in node
@@ -197,7 +200,7 @@ mod tests {
         let mut net = net(48);
         for step in 0..30 {
             if step % 3 == 0 {
-                let victim = net.tokens()[step % net.node_count()];
+                let victim = net.members.store.tokens()[step % net.members.store.len()];
                 net.leave(victim);
             } else {
                 net.join_random_point();
@@ -210,7 +213,7 @@ mod tests {
     #[test]
     fn crash_orphans_fail_full_but_not_online_audit() {
         let mut net = net(40);
-        let victim = net.tokens()[7];
+        let victim = net.members.store.tokens()[7];
         net.fail_node(victim);
         assert!(net.audit(AuditScope::Online).is_clean());
         let report = net.audit(AuditScope::Full);
@@ -225,10 +228,13 @@ mod tests {
     #[test]
     fn corrupted_zone_is_caught_by_name() {
         let mut net = net(40);
-        let token = net.tokens()[3];
+        let token = net.members.store.tokens()[3];
         // Shrink one zone: geometry stays valid but volume leaks.
-        let zone = net.node(token).unwrap().zones[0].split().unwrap().0;
-        net.node_mut(token).unwrap().zones[0] = zone;
+        let zone = net.members.store.get(token).unwrap().zones[0]
+            .split()
+            .unwrap()
+            .0;
+        net.members.store.get_mut(token).unwrap().zones[0] = zone;
         let report = net.audit(AuditScope::Online);
         assert!(
             report
@@ -241,9 +247,13 @@ mod tests {
     #[test]
     fn a_dropped_table_entry_is_caught_at_both_ends() {
         let mut net = net(40);
-        let token = net.tokens()[5];
+        let token = net.members.store.tokens()[5];
         let gone = net.neighbors_of(token)[0];
-        net.node_mut(token).unwrap().relink(Some(gone), None);
+        net.members
+            .store
+            .get_mut(token)
+            .unwrap()
+            .relink(Some(gone), None);
         let online = net.audit(AuditScope::Online);
         let nodes = |name: &str| -> Vec<u64> {
             online

@@ -25,10 +25,11 @@
 
 //! ```
 //! use can::{CanConfig, CanNetwork};
+//! use dht_core::overlay::Overlay;
 //!
 //! let mut net = CanNetwork::with_nodes(CanConfig::new(2), 100, 42);
-//! let src = net.tokens()[0];
-//! let trace = net.route(src, 0xfeed);
+//! let src = net.node_tokens()[0];
+//! let trace = net.lookup(src, 0xfeed);
 //! assert!(trace.outcome.is_success());
 //! assert_eq!(net.tiling_holes(200), 0); // zones tile the torus exactly
 //! ```

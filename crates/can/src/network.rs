@@ -4,9 +4,9 @@
 use crate::index::{Slot, ZoneIndex};
 use crate::zone::{Point, Zone};
 use dht_core::hash::{reduce, splitmix64};
-use dht_core::lookup::{HopPhase, LookupTrace};
+use dht_core::lookup::HopPhase;
 use dht_core::overlay::NodeToken;
-use dht_core::sim::{walk_from, Membership, SimOverlay, StepDecision};
+use dht_core::sim::{Membership, SimOverlay, StepDecision};
 use dht_core::store::Hints;
 use rand::RngCore;
 
@@ -138,7 +138,7 @@ impl CanNetwork {
             zones: Box::new([Zone::full(config.dims, config.bits_per_dim)]),
             neighbors: Box::default(),
         };
-        members.insert(token, founder);
+        members.store.insert(token, founder);
         let mut index = ZoneIndex::new(config.dims, config.bits_per_dim);
         index.insert_root(token);
         Self {
@@ -154,7 +154,7 @@ impl CanNetwork {
     pub fn with_nodes(config: CanConfig, count: usize, seed: u64) -> Self {
         assert!(count >= 1);
         let mut net = Self::bootstrap(config, seed);
-        while net.node_count() < count {
+        while net.members.store.len() < count {
             net.join_random_point()
                 .expect("space has room for another split");
         }
@@ -165,37 +165,6 @@ impl CanNetwork {
     #[must_use]
     pub fn config(&self) -> CanConfig {
         self.config
-    }
-
-    /// Number of live nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.members.len()
-    }
-
-    /// `true` iff `token` is live.
-    #[must_use]
-    pub fn is_live(&self, token: u64) -> bool {
-        self.members.contains(token)
-    }
-
-    /// Live node tokens in ascending token order.
-    #[must_use]
-    pub fn tokens(&self) -> Vec<u64> {
-        self.members.tokens()
-    }
-
-    /// Read access to one node.
-    #[must_use]
-    pub fn node(&self, token: u64) -> Option<&CanNode> {
-        self.members.get(token)
-    }
-
-    /// Exclusive access to one node — for the audit tests, which inject
-    /// corruptions the protocol itself never produces.
-    #[cfg(test)]
-    pub(crate) fn node_mut(&mut self, token: u64) -> Option<&mut CanNode> {
-        self.members.get_mut(token)
     }
 
     /// Zones orphaned by crashes, awaiting takeover.
@@ -231,14 +200,14 @@ impl CanNetwork {
     /// departed token).
     #[must_use]
     pub fn neighbors_of(&self, token: u64) -> &[u64] {
-        self.members.get(token).map_or(&[], |n| &n.neighbors)
+        self.members.store.get(token).map_or(&[], |n| &n.neighbors)
     }
 
     /// The same set recomputed from the tiling by face sweeps of the
     /// zone index — the independent side of the `Full` audit's
     /// `can/neighbor-sweep` check.
     pub(crate) fn sweep_neighbors(&self, token: u64) -> Vec<u64> {
-        let Some(me) = self.members.get(token) else {
+        let Some(me) = self.members.store.get(token) else {
             return Vec::new();
         };
         let mut slots = Vec::new();
@@ -282,7 +251,7 @@ impl CanNetwork {
             (upper, lower)
         };
         let token = self.members.next_raw();
-        let owner_node = self.members.get_mut(owner).expect("owner is live");
+        let owner_node = self.members.store.get_mut(owner).expect("owner is live");
         let zone_idx = owner_node
             .zones
             .iter()
@@ -295,9 +264,14 @@ impl CanNetwork {
         owner_table.push(token);
         newcomer_table.push(owner);
         for &y in old.iter() {
-            let y_zones = &self.members.get(y).expect("neighbours are live").zones;
+            let y_zones = &self
+                .members
+                .store
+                .get(y)
+                .expect("neighbours are live")
+                .zones;
             let to_newcomer = y_zones.iter().any(|z| z.abuts(&newcomer_zone));
-            let to_owner = abut(y_zones, &self.members.get(owner).expect("live").zones);
+            let to_owner = abut(y_zones, &self.members.store.get(owner).expect("live").zones);
             if to_newcomer {
                 newcomer_table.push(y);
             }
@@ -305,11 +279,13 @@ impl CanNetwork {
                 owner_table.push(y);
             }
             self.members
+                .store
                 .get_mut(y)
                 .expect("live")
                 .relink((!to_owner).then_some(owner), to_newcomer.then_some(token));
         }
         self.members
+            .store
             .get_mut(owner)
             .expect("live")
             .set_table(owner_table);
@@ -319,7 +295,7 @@ impl CanNetwork {
             neighbors: Box::default(),
         };
         newcomer.set_table(newcomer_table);
-        self.members.insert(token, newcomer);
+        self.members.store.insert(token, newcomer);
         self.index
             .split(parent, (keeper_zone, owner), (newcomer_zone, token));
         Some(token)
@@ -330,17 +306,18 @@ impl CanNetwork {
     /// defragmentation — the successor may own several boxes), and the
     /// heir takes the leaver's place in every neighbour's table.
     pub fn leave(&mut self, token: u64) -> bool {
-        if !self.is_live(token) || self.members.len() == 1 {
+        if !self.members.store.contains(token) || self.members.store.len() == 1 {
             return false;
         }
         let heir = self
             .neighbors_of(token)
             .iter()
             .copied()
-            .min_by_key(|&t| (self.members.get(t).expect("live").volume(), t));
-        let node = self.members.remove(token).expect("checked live");
+            .min_by_key(|&t| (self.members.store.get(t).expect("live").volume(), t));
+        let node = self.members.store.remove(token).expect("checked live");
         for &y in node.neighbors.iter().filter(|&&y| Some(y) != heir) {
             self.members
+                .store
                 .get_mut(y)
                 .expect("neighbours are live")
                 .relink(Some(token), heir);
@@ -350,7 +327,7 @@ impl CanNetwork {
                 for &zone in &node.zones {
                     self.index.set_owner(zone, Some(h));
                 }
-                let heir = self.members.get_mut(h).expect("heir is live");
+                let heir = self.members.store.get_mut(h).expect("heir is live");
                 let table = heir
                     .neighbors
                     .iter()
@@ -373,15 +350,16 @@ impl CanNetwork {
 
     /// Ungraceful failure: the zones are orphaned until [`CanNetwork::stabilize_takeover`].
     pub fn fail_node(&mut self, token: u64) -> bool {
-        if !self.is_live(token) || self.members.len() == 1 {
+        if !self.members.store.contains(token) || self.members.store.len() == 1 {
             return false;
         }
-        let node = self.members.remove(token).expect("checked live");
+        let node = self.members.store.remove(token).expect("checked live");
         for &zone in &node.zones {
             self.index.set_owner(zone, None);
         }
         for &y in node.neighbors.iter() {
             self.members
+                .store
                 .get_mut(y)
                 .expect("neighbours are live")
                 .relink(Some(token), None);
@@ -407,8 +385,8 @@ impl CanNetwork {
                 .iter()
                 .copied()
                 .flatten()
-                .min_by_key(|&t| (self.members.get(t).expect("live").volume(), t))
-                .or_else(|| self.members.first_token());
+                .min_by_key(|&t| (self.members.store.get(t).expect("live").volume(), t))
+                .or_else(|| self.members.store.first_token());
             match adopter {
                 Some(t) => self.adopt(t, zone, &slots),
                 None => self.orphans.push(zone), // empty network
@@ -425,23 +403,14 @@ impl CanNetwork {
         for &y in owners.iter().flatten().filter(|&&y| y != token) {
             table.push(y);
             self.members
+                .store
                 .get_mut(y)
                 .expect("owners are live")
                 .relink(None, Some(token));
         }
-        let node = self.members.get_mut(token).expect("adopter is live");
+        let node = self.members.store.get_mut(token).expect("adopter is live");
         node.set_table(table);
         node.zones = [&node.zones[..], &[zone]].concat().into();
-    }
-
-    /// One lookup from `src` towards the point of `raw_key`: greedy
-    /// forwarding to the neighbour whose zone is torus-closest to the
-    /// target. All hops are tagged [`HopPhase::Finger`] (geometric
-    /// forwarding has a single phase). Zone handover repairs the
-    /// neighbour tables eagerly, so lookups never time out.
-    pub fn route(&mut self, src: u64, raw_key: u64) -> LookupTrace {
-        let point = self.point_of(raw_key);
-        walk_from(self, src, CanWalk { point }, None, true)
     }
 
     /// Validates the tiling invariant: every point belongs to exactly one
@@ -457,6 +426,7 @@ impl CanNetwork {
                 .collect();
             let owners = self
                 .members
+                .store
                 .states()
                 .flat_map(|n| &n.zones)
                 .chain(&self.orphans)
@@ -507,7 +477,7 @@ impl SimOverlay for CanNetwork {
     }
 
     fn hop_budget(&self) -> usize {
-        let n = self.members.len().max(2) as f64;
+        let n = self.members.store.len().max(2) as f64;
         let d = self.config.dims as f64;
         (8.0 * d * n.powf(1.0 / d)) as usize + 64
     }
@@ -522,13 +492,17 @@ impl SimOverlay for CanNetwork {
         self.owner_of_point(&walk.point)
     }
 
+    /// Greedy forwarding to the neighbour whose zone is torus-closest to
+    /// the target. Every hop is a [`HopPhase::Finger`] (geometric
+    /// forwarding has a single phase), and zone handover repairs the
+    /// tables eagerly, so lookups never time out.
     fn next_hop(
         &self,
         cur: NodeToken,
         walk: &mut CanWalk,
         out: &mut Vec<(HopPhase, NodeToken)>,
     ) -> StepDecision {
-        let Some(node) = self.members.get(cur) else {
+        let Some(node) = self.members.store.get(cur) else {
             return StepDecision::Forward;
         };
         let cur_dist = zone_dist(&node.zones, &walk.point);
@@ -539,7 +513,7 @@ impl SimOverlay for CanNetwork {
             .neighbors
             .iter()
             .map(|&t| {
-                let zones = self.members.get(t).map_or(&[][..], |n| &n.zones);
+                let zones = self.members.store.get(t).map_or(&[][..], |n| &n.zones);
                 (zone_dist(zones, &walk.point), t)
             })
             .filter(|&(d, _)| d < cur_dist)
@@ -590,10 +564,6 @@ impl SimOverlay for CanNetwork {
         self.index.heap_bytes() + self.orphans.capacity() * std::mem::size_of::<Zone>()
     }
 
-    fn audit_network(&self, scope: dht_core::audit::AuditScope) -> dht_core::audit::AuditReport {
-        dht_core::audit::StateAudit::audit(self, scope)
-    }
-
     fn corrupt_network(
         &mut self,
         plan: &dht_core::corrupt::CorruptionPlan,
@@ -610,6 +580,7 @@ impl SimOverlay for CanNetwork {
 mod tests {
     use super::*;
     use dht_core::lookup::LookupOutcome;
+    use dht_core::overlay::Overlay;
     use dht_core::rng::stream;
     use proptest::prelude::*;
     use rand::Rng;
@@ -617,12 +588,14 @@ mod tests {
     #[test]
     fn with_nodes_tiles_the_torus() {
         let net = CanNetwork::with_nodes(CanConfig::new(2), 100, 1);
-        assert_eq!(net.node_count(), 100);
+        assert_eq!(net.members.store.len(), 100);
         assert_eq!(net.tiling_holes(500), 0, "zones must tile exactly");
         let total: u128 = net
+            .members
+            .store
             .tokens()
             .iter()
-            .map(|&t| net.node(t).unwrap().volume())
+            .map(|&t| net.members.store.get(t).unwrap().volume())
             .sum();
         assert_eq!(total, u128::from(net.config().side()).pow(2));
     }
@@ -630,11 +603,11 @@ mod tests {
     #[test]
     fn all_lookups_resolve() {
         let mut net = CanNetwork::with_nodes(CanConfig::new(2), 128, 2);
-        let toks = net.tokens();
+        let toks = net.members.store.tokens();
         let mut rng = stream(3, "can");
         for i in 0..500 {
             let raw: u64 = rng.gen();
-            let t = net.route(toks[i % toks.len()], raw);
+            let t = net.lookup(toks[i % toks.len()], raw);
             assert_eq!(t.outcome, LookupOutcome::Found, "lookup {i}");
             assert_eq!(Some(t.terminal), net.owner_of_point(&net.point_of(raw)));
             assert_eq!(t.timeouts, 0, "zone handover repairs adjacency eagerly");
@@ -646,11 +619,11 @@ mod tests {
         // O(d n^{1/d}): quadrupling n in 2-d should roughly double paths.
         let mean = |n: usize| {
             let mut net = CanNetwork::with_nodes(CanConfig::new(2), n, 4);
-            let toks = net.tokens();
+            let toks = net.members.store.tokens();
             let mut rng = stream(5, "canlen");
             let mut total = 0usize;
             for i in 0..400 {
-                total += net.route(toks[i % toks.len()], rng.gen()).path_len();
+                total += net.lookup(toks[i % toks.len()], rng.gen()).path_len();
             }
             total as f64 / 400.0
         };
@@ -665,14 +638,14 @@ mod tests {
     #[test]
     fn graceful_leave_hands_zones_over() {
         let mut net = CanNetwork::with_nodes(CanConfig::new(2), 50, 6);
-        let toks = net.tokens();
+        let toks = net.members.store.tokens();
         assert!(net.leave(toks[10]));
-        assert_eq!(net.node_count(), 49);
+        assert_eq!(net.members.store.len(), 49);
         assert_eq!(net.tiling_holes(300), 0, "no holes after graceful leave");
         let mut rng = stream(7, "canleave");
-        let toks = net.tokens();
+        let toks = net.members.store.tokens();
         for i in 0..200 {
-            let t = net.route(toks[i % toks.len()], rng.gen());
+            let t = net.lookup(toks[i % toks.len()], rng.gen());
             assert_eq!(t.outcome, LookupOutcome::Found);
         }
     }
@@ -680,14 +653,14 @@ mod tests {
     #[test]
     fn crash_orphans_zone_until_takeover() {
         let mut net = CanNetwork::with_nodes(CanConfig::new(2), 60, 8);
-        let toks = net.tokens();
+        let toks = net.members.store.tokens();
         let victim = toks[30];
         assert!(net.fail_node(victim));
         // Lookups towards the orphaned zone get stuck...
         let mut rng = stream(9, "cancrash");
         let mut stuck = 0;
         for _ in 0..400 {
-            let t = net.route(net.tokens()[0], rng.gen());
+            let t = net.lookup(net.members.store.tokens()[0], rng.gen());
             if !t.outcome.is_success() {
                 stuck += 1;
             }
@@ -698,7 +671,10 @@ mod tests {
         assert_eq!(net.tiling_holes(300), 0);
         let mut rng = stream(9, "cancrash");
         for i in 0..400 {
-            let t = net.route(net.tokens()[i % net.node_count()], rng.gen());
+            let t = net.lookup(
+                net.members.store.tokens()[i % net.members.store.len()],
+                rng.gen(),
+            );
             assert_eq!(t.outcome, LookupOutcome::Found);
         }
     }
@@ -708,6 +684,7 @@ mod tests {
     /// index must reproduce.
     fn scan_owner_of_point(net: &CanNetwork, point: &[u64]) -> Option<u64> {
         net.members
+            .store
             .states()
             .find(|n| n.zones.iter().any(|z| z.contains(point)))
             .map(|n| n.token)
@@ -716,12 +693,13 @@ mod tests {
     /// The original O(n²)-ish membership-scan formulation of
     /// [`CanNetwork::neighbors_of`], sorted for comparison.
     fn scan_neighbors(net: &CanNetwork, token: u64) -> Vec<u64> {
-        let me = match net.members.get(token) {
+        let me = match net.members.store.get(token) {
             Some(n) => n,
             None => return Vec::new(),
         };
         let mut nbrs: Vec<u64> = net
             .members
+            .store
             .iter()
             .filter(|&(other, on)| other != token && abut(&me.zones, &on.zones))
             .map(|(other, _)| other)
@@ -755,7 +733,7 @@ mod tests {
 
     fn apply(net: &mut CanNetwork, step: &Step) {
         use dht_core::corrupt::{CorruptionPlan, CorruptionStrategy};
-        let toks = net.tokens();
+        let toks = net.members.store.tokens();
         let pick = |i: usize| toks[i % toks.len()];
         match *step {
             Step::Join => {
@@ -799,7 +777,7 @@ mod tests {
             for (i, step) in script.iter().enumerate() {
                 apply(&mut net, step);
                 let disagree: Vec<u64> = net
-                    .tokens()
+                    .members.store.tokens()
                     .into_iter()
                     .filter(|&t| {
                         let table = net.neighbors_of(t);
@@ -830,7 +808,7 @@ mod tests {
     #[test]
     fn neighbors_are_symmetric() {
         let net = CanNetwork::with_nodes(CanConfig::new(2), 40, 10);
-        for &t in &net.tokens() {
+        for &t in &net.members.store.tokens() {
             for &nb in net.neighbors_of(t) {
                 assert!(
                     net.neighbors_of(nb).contains(&t),
@@ -844,11 +822,13 @@ mod tests {
     fn mean_degree_is_order_2d() {
         let net = CanNetwork::with_nodes(CanConfig::new(2), 200, 11);
         let mean: f64 = net
+            .members
+            .store
             .tokens()
             .iter()
             .map(|&t| net.neighbors_of(t).len() as f64)
             .sum::<f64>()
-            / net.node_count() as f64;
+            / net.members.store.len() as f64;
         // 2-d CAN: ~2d = 4 neighbours on average (more for irregular
         // tilings, but bounded well below log n scales).
         assert!((3.0..=9.0).contains(&mean), "mean degree {mean}");
@@ -858,17 +838,16 @@ mod tests {
     fn three_dimensional_torus_works() {
         let mut net = CanNetwork::with_nodes(CanConfig::new(3), 64, 12);
         assert_eq!(net.tiling_holes(300), 0);
-        let toks = net.tokens();
+        let toks = net.members.store.tokens();
         let mut rng = stream(13, "can3");
         for i in 0..300 {
-            let t = net.route(toks[i % toks.len()], rng.gen());
+            let t = net.lookup(toks[i % toks.len()], rng.gen());
             assert_eq!(t.outcome, LookupOutcome::Found);
         }
     }
 
     #[test]
     fn trait_roundtrip() {
-        use dht_core::overlay::Overlay;
         let mut net: Box<dyn Overlay> = Box::new(CanNetwork::with_nodes(CanConfig::new(2), 80, 1));
         assert_eq!(net.name(), "CAN(d=2)");
         let tokens = net.node_tokens();
@@ -889,7 +868,6 @@ mod tests {
 
     #[test]
     fn churn_through_trait() {
-        use dht_core::overlay::Overlay;
         let mut net = CanNetwork::with_nodes(CanConfig::new(2), 32, 4);
         let mut rng = stream(5, "canj");
         let n = Overlay::join(&mut net, &mut rng).unwrap();

@@ -34,11 +34,11 @@ impl CanNetwork {
     /// it leaves its neighbours' tables along with its own. Mutated
     /// entries count the zones torn from their owners.
     pub fn corrupt(&mut self, plan: &CorruptionPlan) -> CorruptionReport {
-        let live = self.tokens();
+        let live = self.members.store.tokens();
         let victims = plan.victims(&live);
         let mut report = CorruptionReport::default();
         for &token in &victims {
-            let node = self.members.get_mut(token).expect("victim is live");
+            let node = self.members.store.get_mut(token).expect("victim is live");
             let zones = std::mem::take(&mut node.zones);
             let table = std::mem::take(&mut node.neighbors);
             for &zone in &zones {
@@ -46,6 +46,7 @@ impl CanNetwork {
             }
             for &y in table.iter() {
                 self.members
+                    .store
                     .get_mut(y)
                     .expect("neighbours are live")
                     .relink(Some(token), None);
@@ -67,7 +68,7 @@ impl CanNetwork {
     /// of zones adopted (0 on a healthy network, which costs one
     /// membership probe); ignores dead tokens.
     pub fn repair_one(&mut self, token: u64) -> u64 {
-        let Some(node) = self.node(token) else {
+        let Some(node) = self.members.store.get(token) else {
             return 0;
         };
         let mut adopted = 0u64;
@@ -82,7 +83,12 @@ impl CanNetwork {
         if self.orphans.is_empty() {
             return adopted;
         }
-        let reserved = self.members.states().filter(|n| n.zones.is_empty()).count();
+        let reserved = self
+            .members
+            .store
+            .states()
+            .filter(|n| n.zones.is_empty())
+            .count();
         let mut i = 0;
         while self.orphans.len() > reserved && i < self.orphans.len() {
             let zone = self.orphans[i];
@@ -114,7 +120,7 @@ mod tests {
 
     fn repair_sweep(net: &mut CanNetwork) -> u64 {
         let mut total = 0;
-        for token in net.tokens() {
+        for token in net.members.store.tokens() {
             total += net.repair_one(token);
         }
         total
@@ -167,15 +173,17 @@ mod tests {
             3,
         ));
         let zoneless: Vec<u64> = n
+            .members
+            .store
             .tokens()
             .into_iter()
-            .filter(|&t| n.node(t).unwrap().zones.is_empty())
+            .filter(|&t| n.members.store.get(t).unwrap().zones.is_empty())
             .collect();
         assert!(!zoneless.is_empty());
         for &t in &zoneless {
             n.repair_one(t);
             assert!(
-                !n.node(t).unwrap().zones.is_empty(),
+                !n.members.store.get(t).unwrap().zones.is_empty(),
                 "node {t} still zoneless"
             );
         }

@@ -2,7 +2,9 @@
 
 use can::{CanConfig, CanNetwork, Zone};
 use dht_core::lookup::LookupOutcome;
+use dht_core::overlay::Overlay;
 use dht_core::rng::stream;
+use dht_core::sim::SimOverlay;
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -14,9 +16,9 @@ proptest! {
         let net = CanNetwork::with_nodes(CanConfig::new(dims), count, seed);
         prop_assert_eq!(net.tiling_holes(200), 0);
         let total: u128 = net
-            .tokens()
+            .membership().store.tokens()
             .iter()
-            .map(|&t| net.node(t).unwrap().volume())
+            .map(|&t| net.membership().store.get(t).unwrap().volume())
             .sum();
         prop_assert_eq!(total, u128::from(net.config().side()).pow(dims as u32));
     }
@@ -28,16 +30,16 @@ proptest! {
         for _ in 0..steps {
             if rng.gen_bool(0.5) {
                 let _ = net.join_random_point();
-            } else if net.node_count() > 2 {
-                let toks = net.tokens();
+            } else if net.len() > 2 {
+                let toks = net.membership().store.tokens();
                 net.leave(toks[(rng.gen::<u64>() % toks.len() as u64) as usize]);
             }
         }
         prop_assert_eq!(net.tiling_holes(200), 0);
         // Every lookup still resolves.
-        let toks = net.tokens();
+        let toks = net.membership().store.tokens();
         for i in 0..10 {
-            let t = net.route(toks[i % toks.len()], rng.gen());
+            let t = net.lookup(toks[i % toks.len()], rng.gen());
             prop_assert_eq!(t.outcome, LookupOutcome::Found);
         }
     }
@@ -47,16 +49,16 @@ proptest! {
         let mut net = CanNetwork::with_nodes(CanConfig::new(2), 50, seed);
         let mut rng = stream(seed, "can-crash-prop");
         for _ in 0..crashes {
-            if net.node_count() > 2 {
-                let toks = net.tokens();
+            if net.len() > 2 {
+                let toks = net.membership().store.tokens();
                 net.fail_node(toks[(rng.gen::<u64>() % toks.len() as u64) as usize]);
             }
         }
         net.stabilize_takeover();
         prop_assert_eq!(net.tiling_holes(200), 0);
-        let toks = net.tokens();
+        let toks = net.membership().store.tokens();
         for i in 0..10 {
-            let t = net.route(toks[i % toks.len()], rng.gen());
+            let t = net.lookup(toks[i % toks.len()], rng.gen());
             prop_assert_eq!(t.outcome, LookupOutcome::Found);
         }
     }

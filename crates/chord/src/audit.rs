@@ -22,8 +22,8 @@ impl StateAudit for ChordNetwork {
         // Ring order is token order: a node's ring pointers are the
         // entries next to it in the sorted token list, wrapping at the
         // ends. No resolver is asked, so a wrong one cannot audit clean.
-        let tokens = self.membership().tokens();
-        for (i, (id, node)) in self.membership().iter().enumerate() {
+        let tokens = self.membership().store.tokens();
+        for (i, (id, node)) in self.membership().store.iter().enumerate() {
             report.note_checked(1);
             report.check_eq(id, "chord/node-id", &node.id, &id);
 
@@ -43,7 +43,11 @@ impl StateAudit for ChordNetwork {
                 );
                 for (i, &finger) in node.fingers.iter().enumerate() {
                     let target = (id + (1u64 << i)) % space;
-                    let expect = self.successor_of_point(target).expect("non-empty ring");
+                    let expect = self
+                        .membership()
+                        .store
+                        .successor_of(target)
+                        .expect("non-empty ring");
                     report.check(id, "chord/finger-table", finger == expect, || {
                         format!("finger[{i}] = {finger}, expected successor({target}) = {expect}")
                     });
@@ -58,6 +62,7 @@ impl StateAudit for ChordNetwork {
 mod tests {
     use super::*;
     use crate::network::ChordConfig;
+    use dht_core::overlay::Overlay;
     use dht_core::sim::Refresh;
 
     fn ring(n: usize) -> ChordNetwork {
@@ -77,7 +82,7 @@ mod tests {
         let mut net = ring(64);
         for step in 0..30 {
             if step % 3 == 0 {
-                let victim = net.ids().nth(step % net.node_count()).unwrap();
+                let victim = net.node_tokens()[step % net.len()];
                 net.depart(victim, true);
             } else {
                 net.join_random();
@@ -90,9 +95,9 @@ mod tests {
     #[test]
     fn corrupted_finger_is_caught_by_name() {
         let mut net = ring(90);
-        let id = net.ids().next().unwrap();
+        let id = net.node_tokens()[0];
         let wrong = (id + 1) % net.config().space();
-        net.node_mut(id).unwrap().fingers[5] = wrong;
+        net.membership_mut().store.get_mut(id).unwrap().fingers[5] = wrong;
         let report = net.audit(AuditScope::Full);
         assert!(
             report.violated_invariants().contains(&"chord/finger-table"),
@@ -105,8 +110,8 @@ mod tests {
     #[test]
     fn corrupted_successor_list_is_caught_online() {
         let mut net = ring(90);
-        let id = net.ids().next().unwrap();
-        net.node_mut(id).unwrap().successors[0] = id;
+        let id = net.node_tokens()[0];
+        net.membership_mut().store.get_mut(id).unwrap().successors[0] = id;
         let report = net.audit(AuditScope::Online);
         assert!(
             report

@@ -18,10 +18,11 @@
 
 //! ```
 //! use chord::{ChordConfig, ChordNetwork};
+//! use dht_core::overlay::Overlay;
 //!
 //! let mut ring = ChordNetwork::with_nodes(ChordConfig::new(11), 500, 42);
-//! let src = ring.ids().next().unwrap();
-//! let trace = ring.route(src, 0xfeed);
+//! let src = ring.node_tokens()[0];
+//! let trace = ring.lookup(src, 0xfeed);
 //! assert!(trace.outcome.is_success());
 //! assert!(trace.path_len() <= 22); // O(log n)
 //! ```

@@ -90,53 +90,10 @@ impl ChordNetwork {
         self.config
     }
 
-    /// Number of live nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.members.len()
-    }
-
-    /// `true` iff `id` is live.
-    #[must_use]
-    pub fn is_live(&self, id: u64) -> bool {
-        self.members.contains(id)
-    }
-
-    /// Live node identifiers in ring order.
-    pub fn ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.members.token_iter()
-    }
-
-    /// Shared read access to a node's state.
-    #[must_use]
-    pub fn node(&self, id: u64) -> Option<&ChordNode> {
-        self.members.get(id)
-    }
-
-    /// Exclusive access to a node's state — for the audit tests, which
-    /// damage state the protocol itself never produces.
-    #[cfg(test)]
-    pub(crate) fn node_mut(&mut self, id: u64) -> Option<&mut ChordNode> {
-        self.members.get_mut(id)
-    }
-
     /// Maps a raw key onto the ring.
     #[must_use]
     pub fn key_of(&self, raw_key: u64) -> u64 {
         reduce(splitmix64(raw_key), self.config.space())
-    }
-
-    /// Ground truth: the live successor of ring point `x` (the node
-    /// storing key `x`).
-    #[must_use]
-    pub fn successor_of_point(&self, x: u64) -> Option<u64> {
-        self.members.successor_of(x)
-    }
-
-    /// Ground truth: the live node strictly preceding ring point `x`.
-    #[must_use]
-    pub fn predecessor_of_point(&self, x: u64) -> Option<u64> {
-        self.members.predecessor_of(x)
     }
 
     /// One lookup from `src` for ring key `key`, using only per-node state:
@@ -144,12 +101,6 @@ impl ChordNetwork {
     /// fallback. Dead contacts cost a timeout each.
     pub fn route_to_point(&mut self, src: u64, key: u64) -> LookupTrace {
         walk_from(self, src, ChordWalk { key }, None, true)
-    }
-
-    /// Lookup by raw (pre-hash) key.
-    pub fn route(&mut self, src: u64, raw_key: u64) -> LookupTrace {
-        let key = self.key_of(raw_key);
-        self.route_to_point(src, key)
     }
 }
 
@@ -204,7 +155,11 @@ impl Refresh for ChordNetwork {
             .members
             .ring_pointers(id, self.config.successor_list, &mut Pos::default())
             .expect("refresh on empty ring");
-        let node = self.members.get_mut(id).expect("refresh of dead node");
+        let node = self
+            .members
+            .store
+            .get_mut(id)
+            .expect("refresh of dead node");
         node.predecessor = pred;
         node.successors = succs;
     }
@@ -238,6 +193,7 @@ impl SimOverlay for ChordNetwork {
     /// One message per distinct finger/successor/predecessor entry.
     fn maintenance_msgs(&self, node: NodeToken) -> u64 {
         self.members
+            .store
             .get(node)
             .map_or(1, |s| (s.degree() as u64).max(1))
     }
@@ -247,7 +203,7 @@ impl SimOverlay for ChordNetwork {
     }
 
     fn owner_token(&self, raw_key: u64) -> Option<NodeToken> {
-        self.successor_of_point(self.key_of(raw_key))
+        self.members.store.successor_of(self.key_of(raw_key))
     }
 
     fn hop_budget(&self) -> usize {
@@ -261,7 +217,7 @@ impl SimOverlay for ChordNetwork {
     }
 
     fn walk_owner(&self, walk: &ChordWalk) -> Option<NodeToken> {
-        self.successor_of_point(walk.key)
+        self.members.store.successor_of(walk.key)
     }
 
     fn next_hop(
@@ -272,7 +228,7 @@ impl SimOverlay for ChordNetwork {
     ) -> StepDecision {
         let space = self.config.space();
         let key = walk.key;
-        let node = self.members.get(cur).expect("current node is live");
+        let node = self.members.store.get(cur).expect("current node is live");
         // Terminal test: cur owns (pred, cur].
         if in_interval_oc(key, node.predecessor, cur, space) {
             return StepDecision::Terminate;
@@ -300,7 +256,7 @@ impl SimOverlay for ChordNetwork {
     /// The state row, and one finger per cache line of the finger block
     /// behind it (`next_hop` scans them all).
     fn warm(&self, node: NodeToken) {
-        if let Some(n) = self.members.get(node) {
+        if let Some(n) = self.members.store.get(node) {
             let lines = n.fingers.iter().step_by(8);
             std::hint::black_box(lines.fold(n.predecessor, |acc, f| acc ^ f));
         }
@@ -332,10 +288,6 @@ impl SimOverlay for ChordNetwork {
         state.fingers.capacity() * std::mem::size_of::<u64>()
     }
 
-    fn audit_network(&self, scope: dht_core::audit::AuditScope) -> dht_core::audit::AuditReport {
-        dht_core::audit::StateAudit::audit(self, scope)
-    }
-
     fn corrupt_network(
         &mut self,
         plan: &dht_core::corrupt::CorruptionPlan,
@@ -353,6 +305,7 @@ impl SimOverlay for ChordNetwork {
 mod tests {
     use super::*;
     use dht_core::lookup::LookupOutcome;
+    use dht_core::overlay::Overlay;
     use dht_core::rng::stream;
     use rand::Rng;
 
@@ -369,27 +322,26 @@ mod tests {
     #[test]
     fn with_nodes_builds_and_stabilizes() {
         let net = ChordNetwork::with_nodes(ChordConfig::new(11), 500, 1);
-        assert_eq!(net.node_count(), 500);
-        for id in net.ids() {
-            let n = net.node(id).unwrap();
+        assert_eq!(net.len(), 500);
+        for id in net.members.store.token_iter() {
+            let n = net.members.store.get(id).unwrap();
             assert_eq!(n.fingers.len(), 11);
-            assert!(net.is_live(n.successor()));
-            assert!(net.is_live(n.predecessor));
+            assert!(net.contains(n.successor()));
+            assert!(net.contains(n.predecessor));
         }
     }
 
     #[test]
     fn refresh_refills_the_finger_buffer_in_place() {
-        use dht_core::overlay::Overlay;
         let mut net = ChordNetwork::with_nodes(ChordConfig::new(11), 300, 1);
         let buffers = |net: &ChordNetwork| -> Vec<(usize, *const u64)> {
-            let fingers = net.ids().map(|id| &net.node(id).unwrap().fingers);
+            let fingers = net.members.store.states().map(|n| &n.fingers);
             fingers.map(|f| (f.capacity(), f.as_ptr())).collect()
         };
         let before = buffers(&net);
         assert!(before.iter().all(|&(capacity, _)| capacity == 11));
         net.refresh_all();
-        let ids: Vec<u64> = net.ids().collect();
+        let ids: Vec<u64> = net.members.store.token_iter().collect();
         net.stabilize_node(ids[17]);
         assert_eq!(net.repair_node(ids[18]), 0);
         assert_eq!(buffers(&net), before, "a refresh reallocated fingers");
@@ -401,26 +353,26 @@ mod tests {
         for id in [5u64, 20, 40, 60] {
             net.join_id(id);
         }
-        assert_eq!(net.successor_of_point(5), Some(5));
-        assert_eq!(net.successor_of_point(6), Some(20));
-        assert_eq!(net.successor_of_point(61), Some(5), "wraps");
-        assert_eq!(net.predecessor_of_point(5), Some(60), "wraps back");
-        assert_eq!(net.predecessor_of_point(21), Some(20));
+        assert_eq!(net.members.store.successor_of(5), Some(5));
+        assert_eq!(net.members.store.successor_of(6), Some(20));
+        assert_eq!(net.members.store.successor_of(61), Some(5), "wraps");
+        assert_eq!(net.members.predecessor_of(5), Some(60), "wraps back");
+        assert_eq!(net.members.predecessor_of(21), Some(20));
     }
 
     #[test]
     fn all_lookups_resolve_in_stable_ring() {
         let mut net = ChordNetwork::with_nodes(ChordConfig::new(11), 300, 3);
-        let ids: Vec<u64> = net.ids().collect();
+        let ids: Vec<u64> = net.members.store.token_iter().collect();
         let mut rng = stream(4, "chord");
         for i in 0..2000 {
             let src = ids[i % ids.len()];
             let raw: u64 = rng.gen();
             let key = net.key_of(raw);
-            let t = net.route(src, raw);
+            let t = net.lookup(src, raw);
             assert_eq!(t.outcome, LookupOutcome::Found, "lookup {i}");
             assert_eq!(t.timeouts, 0);
-            assert_eq!(Some(t.terminal), net.successor_of_point(key));
+            assert_eq!(Some(t.terminal), net.members.store.successor_of(key));
         }
     }
 
@@ -428,13 +380,13 @@ mod tests {
     fn path_length_is_logarithmic() {
         // Mean path must be around (log2 n)/2 and well below log2 n + slack.
         let mut net = ChordNetwork::with_nodes(ChordConfig::new(16), 1024, 5);
-        let ids: Vec<u64> = net.ids().collect();
+        let ids: Vec<u64> = net.members.store.token_iter().collect();
         let mut rng = stream(6, "chordlen");
         let mut total = 0usize;
         let trials = 2000;
         for i in 0..trials {
             let src = ids[i % ids.len()];
-            total += net.route(src, rng.gen()).path_len();
+            total += net.lookup(src, rng.gen()).path_len();
         }
         let mean = total as f64 / trials as f64;
         assert!(mean > 2.0 && mean < 11.0, "mean path {mean} not O(log n)");
@@ -444,23 +396,23 @@ mod tests {
     fn graceful_leave_keeps_lookups_correct_with_timeouts() {
         let mut net = ChordNetwork::with_nodes(ChordConfig::new(11), 1024, 7);
         let mut rng = stream(8, "chordfail");
-        let ids: Vec<u64> = net.ids().collect();
+        let ids: Vec<u64> = net.members.store.token_iter().collect();
         for &id in &ids {
             if rng.gen_bool(0.3) {
                 net.depart(id, true);
             }
         }
-        let live: Vec<u64> = net.ids().collect();
+        let live: Vec<u64> = net.members.store.token_iter().collect();
         let mut timeouts = 0u32;
         for i in 0..1000 {
-            let t = net.route(live[i % live.len()], rng.gen());
+            let t = net.lookup(live[i % live.len()], rng.gen());
             assert_eq!(t.outcome, LookupOutcome::Found, "lookup {i}");
             timeouts += t.timeouts;
         }
         assert!(timeouts > 0, "stale fingers must time out");
         net.refresh_all();
         for i in 0..200 {
-            let t = net.route(live[i % live.len()], rng.gen());
+            let t = net.lookup(live[i % live.len()], rng.gen());
             assert_eq!(t.timeouts, 0, "stabilization removes timeouts");
         }
     }
@@ -471,7 +423,7 @@ mod tests {
         let newcomer = net.join_random().unwrap();
         // A key just below the newcomer maps to it.
         let probe = newcomer; // key == node id -> successor is the node
-        let src = net.ids().next().unwrap();
+        let src = net.node_tokens()[0];
         let t = net.route_to_point(src, probe);
         assert_eq!(t.outcome, LookupOutcome::Found);
         assert_eq!(t.terminal, newcomer);
@@ -480,14 +432,14 @@ mod tests {
     #[test]
     fn leave_mends_ring_pointers() {
         let mut net = ChordNetwork::with_nodes(ChordConfig::new(8), 50, 10);
-        let ids: Vec<u64> = net.ids().collect();
+        let ids: Vec<u64> = net.members.store.token_iter().collect();
         let victim = ids[10];
-        let before_pred = net.predecessor_of_point(victim).unwrap();
-        let after_succ = net.successor_of_point((victim + 1) % 256).unwrap();
+        let before_pred = net.members.predecessor_of(victim).unwrap();
+        let after_succ = net.members.store.successor_of((victim + 1) % 256).unwrap();
         net.depart(victim, true);
-        let p = net.node(before_pred).unwrap();
+        let p = net.members.store.get(before_pred).unwrap();
         assert_eq!(p.successor(), after_succ, "ring mended around leaver");
-        let s = net.node(after_succ).unwrap();
+        let s = net.members.store.get(after_succ).unwrap();
         assert_eq!(s.predecessor, before_pred);
     }
 
@@ -506,16 +458,17 @@ mod tests {
         // must exceed any constant-degree DHT's 7 entries.
         let net = ChordNetwork::with_nodes(ChordConfig::new(12), 512, 12);
         let mean: f64 = net
-            .ids()
-            .map(|id| net.node(id).unwrap().degree() as f64)
+            .members
+            .store
+            .states()
+            .map(|n| n.degree() as f64)
             .sum::<f64>()
-            / net.node_count() as f64;
+            / net.len() as f64;
         assert!(mean > 7.0, "Chord mean degree {mean} should exceed 7");
     }
 
     #[test]
     fn trait_roundtrip() {
-        use dht_core::overlay::Overlay;
         let mut net: Box<dyn Overlay> =
             Box::new(ChordNetwork::with_nodes(ChordConfig::new(11), 200, 1));
         assert_eq!(net.name(), "Chord");
@@ -536,7 +489,6 @@ mod tests {
 
     #[test]
     fn churn_through_trait() {
-        use dht_core::overlay::Overlay;
         let mut net = ChordNetwork::with_nodes(ChordConfig::new(11), 64, 4);
         let mut rng = stream(5, "cj");
         let n = Overlay::join(&mut net, &mut rng).unwrap();

@@ -50,20 +50,26 @@ mod tests {
     use dht_core::audit::{AuditScope, StateAudit};
     use dht_core::corrupt::{link_diff, CorruptionPlan, CorruptionStrategy};
     use dht_core::overlay::Overlay;
+    use dht_core::sim::SimOverlay;
 
     fn net(n: usize) -> ChordNetwork {
         ChordNetwork::with_nodes(ChordConfig::new(11), n, 42)
     }
 
     fn repair_sweep(net: &mut ChordNetwork) -> u64 {
-        let ids: Vec<u64> = net.ids().collect();
+        let ids: Vec<u64> = net.node_tokens();
         ids.into_iter().map(|id| net.repair_node(id)).sum()
     }
 
     #[test]
     fn link_table_is_salt_ordered_and_equal_to_its_clone() {
         let n = net(80);
-        let mut state = n.node(n.ids().next().unwrap()).unwrap().clone();
+        let mut state = n
+            .membership()
+            .store
+            .get(n.node_tokens()[0])
+            .unwrap()
+            .clone();
         let mut salts = Vec::new();
         state.rewrite_links(&mut |salt, cur| {
             salts.push(salt);

@@ -2,9 +2,10 @@
 
 use chord::{ChordConfig, ChordNetwork};
 use dht_core::lookup::LookupOutcome;
+use dht_core::overlay::Overlay;
 use dht_core::ring::in_interval_oc;
 use dht_core::rng::stream;
-use dht_core::sim::Refresh;
+use dht_core::sim::{Refresh, SimOverlay};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -16,12 +17,12 @@ proptest! {
         let net = ChordNetwork::with_nodes(ChordConfig::new(10), count, seed);
         // Following successors from any node visits every node exactly
         // once before returning.
-        let start = net.ids().next().unwrap();
+        let start = net.node_tokens()[0];
         let mut cur = start;
         let mut visited = std::collections::HashSet::new();
         loop {
             prop_assert!(visited.insert(cur), "successor cycle revisited {cur}");
-            cur = net.node(cur).unwrap().successor();
+            cur = net.membership().store.get(cur).unwrap().successor();
             if cur == start {
                 break;
             }
@@ -33,11 +34,11 @@ proptest! {
     fn fingers_are_successors_of_their_targets(seed in any::<u64>(), count in 2usize..120) {
         let net = ChordNetwork::with_nodes(ChordConfig::new(10), count, seed);
         let space = 1u64 << 10;
-        for id in net.ids() {
-            let node = net.node(id).unwrap();
+        for id in net.node_tokens() {
+            let node = net.membership().store.get(id).unwrap();
             for (i, &f) in node.fingers.iter().enumerate() {
                 let target = (id + (1u64 << i)) % space;
-                prop_assert_eq!(Some(f), net.successor_of_point(target));
+                prop_assert_eq!(Some(f), net.membership().store.successor_of(target));
             }
         }
     }
@@ -47,8 +48,8 @@ proptest! {
         let net = ChordNetwork::with_nodes(ChordConfig::new(12), count, seed);
         let space = 1u64 << 12;
         let k = net.key_of(key);
-        let owner = net.successor_of_point(k).unwrap();
-        let pred = net.predecessor_of_point(owner).unwrap();
+        let owner = net.membership().store.successor_of(k).unwrap();
+        let pred = net.membership().predecessor_of(owner).unwrap();
         prop_assert!(in_interval_oc(k, pred, owner, space));
     }
 
@@ -57,15 +58,15 @@ proptest! {
         let mut net = ChordNetwork::with_nodes(ChordConfig::new(11), 120, seed);
         let mut rng = stream(seed, "chord-prop");
         for _ in 0..leaves {
-            if net.node_count() > 4 {
-                let ids: Vec<u64> = net.ids().collect();
+            if net.len() > 4 {
+                let ids: Vec<u64> = net.node_tokens();
                 let victim = ids[(rng.gen::<u64>() % ids.len() as u64) as usize];
                 net.depart(victim, true);
             }
         }
-        let ids: Vec<u64> = net.ids().collect();
+        let ids: Vec<u64> = net.node_tokens();
         for i in 0..20 {
-            let t = net.route(ids[i % ids.len()], rng.gen());
+            let t = net.lookup(ids[i % ids.len()], rng.gen());
             prop_assert_eq!(t.outcome, LookupOutcome::Found);
         }
     }

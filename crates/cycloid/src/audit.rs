@@ -54,7 +54,7 @@ impl StateAudit for CycloidNetwork {
         // `runs[x]` is the `x`-th run's cubical index and end position.
         // No resolver and no membership index is asked, so a wrong one
         // cannot audit clean.
-        let tokens = self.members().tokens();
+        let tokens = self.members.store.tokens();
         let mut runs: Vec<(u32, usize)> =
             Vec::with_capacity(tokens.len().min(dim.cubical_space() as usize));
         for (i, &t) in tokens.iter().enumerate() {
@@ -72,7 +72,7 @@ impl StateAudit for CycloidNetwork {
             self.audit_cycle_index(&tokens, &mut report);
         }
 
-        let mut states = self.members().iter();
+        let mut states = self.members.store.iter();
         let mut start = 0;
         for (x, &(cubical, end)) in runs.iter().enumerate() {
             // Outside leaf set, shared by the whole cycle: primaries of
@@ -168,6 +168,7 @@ mod tests {
     use super::*;
     use crate::network::CycloidConfig;
     use crate::CycloidId;
+    use dht_core::overlay::Overlay;
     use dht_core::rng::stream;
 
     fn net(n: usize) -> CycloidNetwork {
@@ -188,7 +189,7 @@ mod tests {
         let mut rng = stream(3, "cycloid-audit-churn");
         for step in 0..40 {
             if step % 3 == 0 {
-                let victim = net.ids().nth(step % net.node_count()).unwrap();
+                let victim = net.ids().nth(step % net.len()).unwrap();
                 net.leave(victim);
             } else {
                 net.join_random(&mut rng);

@@ -196,11 +196,11 @@ impl SimOverlay for CycloidNetwork {
     type Walk = CycloidWalk;
 
     fn membership(&self) -> &Membership<NodeState> {
-        self.members()
+        &self.members
     }
 
     fn membership_mut(&mut self) -> &mut Membership<NodeState> {
-        self.members_mut()
+        &mut self.members
     }
 
     fn label(&self) -> String {
@@ -215,7 +215,8 @@ impl SimOverlay for CycloidNetwork {
     /// holds (floored at one: even a lone node probes its cycle).
     fn maintenance_msgs(&self, node: NodeToken) -> u64 {
         let id = CycloidId::from_linear(node, self.dim());
-        self.members()
+        self.members
+            .store
             .get(node)
             .map_or(1, |s| (s.degree(id) as u64).max(1))
     }
@@ -256,7 +257,7 @@ impl SimOverlay for CycloidNetwork {
     /// The state row: every routing-table and leaf-slot entry, which is
     /// what `plan_step` reads and spreads over the row's cache lines.
     fn warm(&self, node: NodeToken) {
-        if let Some(state) = self.members().get(node) {
+        if let Some(state) = self.members.store.get(node) {
             let row = state.routing_entries().chain(state.leaf_entries());
             std::hint::black_box(row.fold(0, |acc, c| acc ^ c.cubical));
         }
@@ -315,10 +316,6 @@ impl SimOverlay for CycloidNetwork {
 
     fn aux_bytes(&self) -> usize {
         self.index_bytes()
-    }
-
-    fn audit_network(&self, scope: dht_core::audit::AuditScope) -> dht_core::audit::AuditReport {
-        dht_core::audit::StateAudit::audit(self, scope)
     }
 
     fn corrupt_network(

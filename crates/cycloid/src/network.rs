@@ -65,7 +65,7 @@ pub struct CycloidNetwork {
     /// Live nodes, keyed by linear identifier (`cubical * d + cyclic`):
     /// in token order, cycle `a` is the run of tokens in `[a·d, (a+1)·d)`
     /// and its primary the run's last.
-    members: Membership<NodeState>,
+    pub(crate) members: Membership<NodeState>,
     /// Per-cyclic-index membership: `by_cyclic[k]` holds the cubical
     /// indices of cycles containing a node with cyclic index `k`.
     pub(crate) by_cyclic: Vec<BTreeSet<u32>>,
@@ -99,15 +99,15 @@ impl CycloidNetwork {
             "{count} nodes exceed the {}-slot identifier space",
             net.dim.id_space()
         );
-        while net.members.len() < count {
+        while net.members.store.len() < count {
             let id = CycloidId::from_hash(net.members.next_raw(), net.dim);
             if !net.is_live(id) {
                 let linear = id.linear(net.dim);
-                net.members.insert(linear, NodeState::default());
+                net.members.store.insert(linear, NodeState::default());
             }
         }
         net.index_members();
-        net.members.order_slab();
+        net.members.store.order_slab();
         net.stabilize_all();
         net
     }
@@ -119,7 +119,7 @@ impl CycloidNetwork {
     pub fn complete(config: CycloidConfig) -> Self {
         let mut net = Self::new(config, 0);
         for linear in 0..net.dim.id_space() {
-            net.members.insert(linear, NodeState::default());
+            net.members.store.insert(linear, NodeState::default());
         }
         net.index_members();
         net.stabilize_all();
@@ -138,42 +138,27 @@ impl CycloidNetwork {
         self.leaf_radius
     }
 
-    /// Number of live nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.members.len()
-    }
-
     /// `true` iff `id` is a live node.
     #[must_use]
     pub fn is_live(&self, id: CycloidId) -> bool {
-        self.members.contains(id.linear(self.dim))
+        self.members.store.contains(id.linear(self.dim))
     }
 
     /// State of a live node.
     #[must_use]
     pub fn node(&self, id: CycloidId) -> Option<&NodeState> {
-        self.members.get(id.linear(self.dim))
+        self.members.store.get(id.linear(self.dim))
     }
 
     /// Mutable state of a live node.
     pub fn node_mut(&mut self, id: CycloidId) -> Option<&mut NodeState> {
-        self.members.get_mut(id.linear(self.dim))
-    }
-
-    /// The node arena (for the simulation substrate).
-    pub(crate) fn members(&self) -> &Membership<NodeState> {
-        &self.members
-    }
-
-    /// The node arena, mutably (for the simulation substrate).
-    pub(crate) fn members_mut(&mut self) -> &mut Membership<NodeState> {
-        &mut self.members
+        self.members.store.get_mut(id.linear(self.dim))
     }
 
     /// Iterates over live node identifiers in linear order.
     pub fn ids(&self) -> impl Iterator<Item = CycloidId> + '_ {
         self.members
+            .store
             .token_iter()
             .map(move |linear| CycloidId::from_linear(linear, self.dim))
     }
@@ -231,13 +216,13 @@ impl CycloidNetwork {
 
     fn insert_membership(&mut self, id: CycloidId) {
         let linear = id.linear(self.dim);
-        self.members.insert(linear, NodeState::default());
+        self.members.store.insert(linear, NodeState::default());
         self.by_cyclic[id.cyclic as usize].insert(id.cubical);
     }
 
     fn remove_membership(&mut self, id: CycloidId) -> Option<NodeState> {
         let linear = id.linear(self.dim);
-        let state = self.members.remove(linear)?;
+        let state = self.members.store.remove(linear)?;
         self.by_cyclic[id.cyclic as usize].remove(&id.cubical);
         Some(state)
     }
@@ -251,7 +236,7 @@ impl CycloidNetwork {
     /// cycle is non-empty.
     #[must_use]
     pub fn primary_of(&self, cubical: u32) -> Option<CycloidId> {
-        if self.members.is_empty() {
+        if self.members.store.is_empty() {
             return None;
         }
         let end = self.id_at(self.cycle_end(cubical, Pos::default()));
@@ -264,7 +249,7 @@ impl CycloidNetwork {
     /// non-empty cycle.
     #[must_use]
     pub fn next_nonempty_cycle(&self, cubical: u32) -> Option<u32> {
-        if self.members.is_empty() {
+        if self.members.store.is_empty() {
             return None;
         }
         let end = self.cycle_end(cubical, Pos::default());
@@ -275,7 +260,7 @@ impl CycloidNetwork {
     /// (wrapping): the cycle of the token before `cubical`'s start.
     #[must_use]
     pub fn prev_nonempty_cycle(&self, cubical: u32) -> Option<u32> {
-        if self.members.is_empty() {
+        if self.members.store.is_empty() {
             return None;
         }
         let start = self.cycle_start(cubical, Pos::default());
@@ -523,7 +508,7 @@ impl CycloidNetwork {
     /// responsibility of system stabilization, as in Chord", §3.3.2) and
     /// its leaf sets, as one ascending run.
     pub fn stabilize_all(&mut self) {
-        let tokens = self.members.tokens();
+        let tokens = self.members.store.tokens();
         self.stabilize_nodes(&tokens);
     }
 
@@ -688,13 +673,13 @@ impl CycloidNetwork {
     /// live node through the full §3.3.1 message path. Returns the new
     /// node, or `None` if the identifier space is full.
     pub fn join_random(&mut self, rng: &mut dyn RngCore) -> Option<CycloidId> {
-        if self.members.len() as u64 >= self.dim.id_space() {
+        if self.members.store.len() as u64 >= self.dim.id_space() {
             return None;
         }
-        let bootstrap = if self.members.is_empty() {
+        let bootstrap = if self.members.store.is_empty() {
             None
         } else {
-            let i = (rng.next_u64() % self.members.len() as u64) as usize;
+            let i = (rng.next_u64() % self.members.store.len() as u64) as usize;
             self.members
                 .store
                 .nth_token(i)
@@ -782,14 +767,14 @@ mod tests {
     #[test]
     fn complete_network_has_full_space() {
         let net = CycloidNetwork::complete(CycloidConfig::seven_entry(4));
-        assert_eq!(net.node_count(), 64);
+        assert_eq!(net.len(), 64);
         assert_eq!(net.ids().count(), 64);
     }
 
     #[test]
     fn with_nodes_builds_requested_count() {
         let net = CycloidNetwork::with_nodes(CycloidConfig::seven_entry(8), 2000, 1);
-        assert_eq!(net.node_count(), 2000);
+        assert_eq!(net.len(), 2000);
     }
 
     /// The bulk-built index of `with_nodes` / `complete` is the one that
@@ -810,7 +795,7 @@ mod tests {
                 .collect();
             built.push(CycloidNetwork::complete(config(4, radius)));
             for bulk in built {
-                let n = bulk.node_count();
+                let n = bulk.len();
                 let d = bulk.dim().get();
                 let mut one_by_one = CycloidNetwork::new(config(d, radius), 0);
                 // Descending, so no insert lands where the last one did.
@@ -997,7 +982,7 @@ mod tests {
         for _ in 0..24 {
             assert!(net.join_random(&mut rng).is_some());
         }
-        assert_eq!(net.node_count(), 24);
+        assert_eq!(net.len(), 24);
         assert!(net.join_random(&mut rng).is_none(), "space is full");
     }
 
@@ -1012,7 +997,7 @@ mod tests {
             if round % 3 == 0 {
                 assert!(net.join_random(&mut rng).is_some());
             } else {
-                let i = (rng.next_u64() % net.node_count() as u64) as usize;
+                let i = (rng.next_u64() % net.len() as u64) as usize;
                 let victim = net.ids().nth(i).unwrap();
                 assert!(net.leave(victim));
             }
@@ -1020,7 +1005,7 @@ mod tests {
                 let at = net.members.store.nth_token(i);
                 assert_eq!(at, Some(id.linear(net.dim)), "index {i}");
             }
-            assert_eq!(net.members.store.nth_token(net.node_count()), None);
+            assert_eq!(net.members.store.nth_token(net.len()), None);
         }
     }
 

@@ -154,12 +154,12 @@ proptest! {
         check_positional_readers(&net, &mut rng)?;
         // Joins, graceful leaves and failures, down to the empty ring.
         for (op, pick) in script {
-            let victim = net.ids().nth((pick % net.node_count().max(1) as u64) as usize);
+            let victim = net.ids().nth((pick % net.len().max(1) as u64) as usize);
             match (op, victim) {
                 (1, Some(victim)) => prop_assert!(net.leave(victim)),
                 (2, Some(victim)) => prop_assert!(net.fail_node(victim)),
                 _ => {
-                    let room = (net.node_count() as u64) < net.dim().id_space();
+                    let room = (net.len() as u64) < net.dim().id_space();
                     prop_assert_eq!(net.join_random(&mut rng).is_some(), room);
                 }
             }

@@ -283,13 +283,14 @@ where
     T: SimOverlay + ?Sized,
     T::State: Links,
 {
-    let live = net.membership().tokens();
+    let live = net.membership().store.tokens();
     let attacker = plan.pick(SALT_ATTACKER, 0, &live).map(&to_id);
     let is_live = |v: u64| live.binary_search(&v).is_ok();
     let mut report = CorruptionReport::default();
     for tok in plan.victims(&live) {
         let state = net
             .membership_mut()
+            .store
             .get_mut(tok)
             .expect("victim chosen from live tokens");
         let mut before = state.clone();
@@ -321,13 +322,14 @@ where
     T: SimOverlay + ?Sized,
     T::State: Links,
 {
-    let Some(state) = net.membership().get(node) else {
+    let Some(state) = net.membership().store.get(node) else {
         return 0;
     };
     let mut before = state.clone();
     net.stabilize_one(node, &mut Hints::default());
     let after = net
         .membership_mut()
+        .store
         .get_mut(node)
         .expect("stabilizing keeps the node live");
     if before == *after {
@@ -406,12 +408,19 @@ mod tests {
         fn with_ids(ids: impl IntoIterator<Item = u64>) -> Self {
             let mut members = Membership::new(1);
             for id in ids {
-                members.insert(id, Toy::healthy(id));
+                members.store.insert(id, Toy::healthy(id));
             }
             Self(members)
         }
         fn states(&self) -> Vec<Toy> {
-            self.0.states().cloned().collect()
+            self.0.store.states().cloned().collect()
+        }
+    }
+
+    /// Corruption needs no audit: every report is clean.
+    impl crate::audit::StateAudit for ToyNet {
+        fn audit(&self, scope: crate::audit::AuditScope) -> crate::audit::AuditReport {
+            crate::audit::AuditReport::new("Toy", scope)
         }
     }
 
@@ -455,11 +464,11 @@ mod tests {
             None
         }
         fn node_leave(&mut self, node: NodeToken) -> bool {
-            self.0.remove(node).is_some()
+            self.0.store.remove(node).is_some()
         }
         fn stabilize_network(&mut self) {}
         fn stabilize_one(&mut self, node: NodeToken, _hints: &mut Hints) {
-            if let Some(state) = self.0.get_mut(node) {
+            if let Some(state) = self.0.store.get_mut(node) {
                 *state = Toy::healthy(node);
             }
         }
@@ -517,7 +526,10 @@ mod tests {
             report.corrupted_nodes,
             diffs.iter().filter(|&&d| d > 0).count()
         );
-        assert_eq!(report.targeted_nodes, plan.victims(&net.0.tokens()).len());
+        assert_eq!(
+            report.targeted_nodes,
+            plan.victims(&net.0.store.tokens()).len()
+        );
         after
     }
 
@@ -535,11 +547,11 @@ mod tests {
     #[test]
     fn eclipse_writes_one_live_id_everywhere() {
         let mut net = ToyNet::with_ids([10, 20, 30, 40]);
-        net.0.get_mut(20).unwrap().opt = None;
+        net.0.store.get_mut(20).unwrap().opt = None;
         let plan = CorruptionPlan::new(CorruptionStrategy::EclipseRegion, 1.0, 5);
         let after = corrupt_toy(&mut net, &plan, 64);
         let attacker = after[0].ptr;
-        assert!(net.0.contains(attacker));
+        assert!(net.0.store.contains(attacker));
         for s in after {
             assert_eq!(s.ptr, attacker);
             assert_eq!(s.opt, Some(attacker), "unset pointers are planted too");
@@ -552,10 +564,10 @@ mod tests {
         let plan = |strategy| CorruptionPlan::new(strategy, 0.5, 5);
         let mut net = ToyNet::with_ids([10, 20, 30, 40]);
         let after = corrupt_toy(&mut net, &plan(CorruptionStrategy::RandomizeLinks), 64);
-        let victims = plan(CorruptionStrategy::RandomizeLinks).victims(&net.0.tokens());
+        let victims = plan(CorruptionStrategy::RandomizeLinks).victims(&net.0.store.tokens());
         for s in &after {
             if victims.contains(&s.id) {
-                assert!(s.links().all(|l| net.0.contains(l)), "{s:?}");
+                assert!(s.links().all(|l| net.0.store.contains(l)), "{s:?}");
             } else {
                 assert_eq!(*s, Toy::healthy(s.id), "non-victims are untouched");
             }
@@ -566,7 +578,7 @@ mod tests {
         let hit: Vec<&Toy> = after.iter().filter(|s| **s != Toy::healthy(s.id)).collect();
         assert_eq!(hit.len(), 2);
         for s in hit {
-            assert!(s.links().all(|l| !net.0.contains(l)), "{s:?}");
+            assert!(s.links().all(|l| !net.0.store.contains(l)), "{s:?}");
         }
 
         // A saturated space has no ghost: every draw is `None` and every

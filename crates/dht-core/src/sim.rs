@@ -56,8 +56,14 @@
 //!
 //! Define a network type holding a `Membership<YourNodeState>`, pick a
 //! per-walk state type (usually the mapped key plus any cursor the
-//! routing algorithm threads through hops), and implement the required
-//! [`SimOverlay`] methods. Override the defaulted hooks only where the
+//! routing algorithm threads through hops), and implement
+//! [`crate::audit::StateAudit`] and the required [`SimOverlay`] methods.
+//! Ask the substrate each question by its own name: liveness, states,
+//! token order and loads are `membership().store`'s
+//! ([`crate::store::CompactStore`]), and callers outside the crate use
+//! [`Overlay`]'s (`contains`, `node_tokens`, `lookup`, `owner_of`). Add
+//! an inherent method only where it converts an identifier or computes
+//! something. Override the defaulted hooks only where the
 //! protocol deviates: [`SimOverlay::admit`] for candidate filters
 //! beyond liveness, [`SimOverlay::on_hop`] for per-hop *walk-state*
 //! bookkeeping (cursor advancement, visited sets),
@@ -72,7 +78,7 @@ use std::any::Any;
 
 use rand::RngCore;
 
-use crate::audit::{AuditReport, AuditScope};
+use crate::audit::{AuditReport, AuditScope, StateAudit};
 use crate::corrupt::{CorruptionPlan, CorruptionReport};
 use crate::lookup::{HopPhase, LookupOutcome, LookupTrace};
 use crate::net::NetConditions;
@@ -94,15 +100,16 @@ pub use walk::{
 
 /// An overlay expressed against the shared simulation substrate.
 ///
-/// Implementors provide membership access, key mapping, and the pure
-/// per-hop routing decision; the substrate's [`WalkCursor`] owns the
+/// Implementors provide membership access, key mapping, the pure
+/// per-hop routing decision and, through the [`StateAudit`] supertrait,
+/// their invariant audit; the substrate's [`WalkCursor`] owns the
 /// iterative lookup loop and the blanket [`Overlay`] impl provides the
 /// harness-facing interface.
 ///
 /// `Sync` is a supertrait because the substrate's [`ParallelExecutor`]
 /// shards lookup batches across scoped threads that share `&self`;
 /// node states are plain data in every overlay, so this costs nothing.
-pub trait SimOverlay: Sync + 'static {
+pub trait SimOverlay: StateAudit + Sync + 'static {
     /// Per-node routing state stored in the [`Membership`] arena.
     type State;
     /// Per-lookup walk state: the mapped key plus whatever cursor the
@@ -164,7 +171,7 @@ pub trait SimOverlay: Sync + 'static {
     /// probe; overlays whose hop is bound by memory latency also read
     /// the state row and what hangs off it.
     fn warm(&self, node: NodeToken) {
-        std::hint::black_box(self.membership().contains(node));
+        std::hint::black_box(self.membership().store.contains(node));
     }
 
     /// Extra candidate filter applied before the liveness check
@@ -272,14 +279,6 @@ pub trait SimOverlay: Sync + 'static {
         self.stabilize_network();
     }
 
-    /// Audits every node's routing state (see [`crate::audit`]). Overlays
-    /// with a [`crate::audit::StateAudit`] impl override this one-liner to
-    /// run it; the default reports nothing checked. The blanket
-    /// [`Overlay`] impl forwards [`Overlay::audit_state`] here.
-    fn audit_network(&self, scope: AuditScope) -> AuditReport {
-        AuditReport::new(self.label(), scope)
-    }
-
     /// Applies a seeded corruption plan to the network's routing state
     /// (see [`crate::corrupt`]): the plan chooses the victims and the
     /// value draws, the overlay maps the plan's strategy onto its own
@@ -367,14 +366,14 @@ pub trait Refresh: SimOverlay + Sized {
             count as u64 <= space,
             "{count} nodes exceed the {space}-point identifier space"
         );
-        while self.membership().len() < count {
+        while self.membership().store.len() < count {
             let id = self.membership_mut().next_in(space);
-            if !self.membership().contains(id) {
+            if !self.membership().store.contains(id) {
                 let state = self.blank_state(id);
-                self.membership_mut().insert(id, state);
+                self.membership_mut().store.insert(id, state);
             }
         }
-        self.membership_mut().order_slab();
+        self.membership_mut().store.order_slab();
         self.refresh_all();
     }
 
@@ -382,11 +381,11 @@ pub trait Refresh: SimOverlay + Sized {
     /// state and its neighbourhood mends the notified links. `false` if
     /// `id` is already live.
     fn join_id(&mut self, id: NodeToken) -> bool {
-        if self.membership().contains(id) {
+        if self.membership().store.contains(id) {
             return false;
         }
         let state = self.blank_state(id);
-        self.membership_mut().insert(id, state);
+        self.membership_mut().store.insert(id, state);
         self.refresh_node(id, &mut Hints::default());
         for nb in self.notified_by(id) {
             if nb != id {
@@ -400,7 +399,7 @@ pub trait Refresh: SimOverlay + Sized {
     /// full.
     fn join_random(&mut self) -> Option<NodeToken> {
         let space = self.id_space();
-        if self.membership().len() as u64 >= space {
+        if self.membership().store.len() as u64 >= space {
             return None;
         }
         loop {
@@ -416,7 +415,7 @@ pub trait Refresh: SimOverlay + Sized {
     /// stays stale until stabilization — the timeouts of §4.3. `false` if
     /// `id` is not live.
     fn depart(&mut self, id: NodeToken, notify: bool) -> bool {
-        if self.membership_mut().remove(id).is_none() {
+        if self.membership_mut().store.remove(id).is_none() {
             return false;
         }
         if notify {
@@ -430,7 +429,7 @@ pub trait Refresh: SimOverlay + Sized {
     /// One full stabilization round: every node refreshes all its links,
     /// as one ascending run.
     fn refresh_all(&mut self) {
-        let tokens = self.membership().tokens();
+        let tokens = self.membership().store.tokens();
         self.stabilize_nodes(&tokens);
     }
 }
@@ -441,7 +440,7 @@ impl<T: SimOverlay> Overlay for T {
     }
 
     fn len(&self) -> usize {
-        self.membership().len()
+        self.membership().store.len()
     }
 
     fn degree_bound(&self) -> Option<usize> {
@@ -449,11 +448,11 @@ impl<T: SimOverlay> Overlay for T {
     }
 
     fn node_tokens(&self) -> Vec<NodeToken> {
-        self.membership().tokens()
+        self.membership().store.tokens()
     }
 
     fn random_node(&self, rng: &mut dyn RngCore) -> Option<NodeToken> {
-        let n = self.membership().len();
+        let n = self.membership().store.len();
         if n == 0 {
             return None;
         }
@@ -494,12 +493,8 @@ impl<T: SimOverlay> Overlay for T {
         self.stabilize_network();
     }
 
-    fn stabilize_node(&mut self, node: NodeToken) {
-        self.stabilize_one(node, &mut Hints::default());
-    }
-
     fn stabilize_nodes(&mut self, nodes: &[NodeToken]) -> u64 {
-        let billed = self.membership().phase_accountant().is_enabled();
+        let billed = self.membership().accountant.is_enabled();
         let mut hints = Hints::default();
         let mut msgs = 0;
         for &node in nodes {
@@ -512,7 +507,7 @@ impl<T: SimOverlay> Overlay for T {
     }
 
     fn audit_state(&self, scope: AuditScope) -> AuditReport {
-        self.audit_network(scope)
+        StateAudit::audit(self, scope)
     }
 
     fn corrupt_state(&mut self, plan: &CorruptionPlan) -> CorruptionReport {
@@ -524,41 +519,41 @@ impl<T: SimOverlay> Overlay for T {
     }
 
     fn query_loads(&self) -> Vec<u64> {
-        self.membership().query_loads()
+        self.membership().store.loads_vec()
     }
 
     fn reset_query_loads(&mut self) {
-        self.membership_mut().reset_query_loads();
+        self.membership_mut().store.reset_loads();
     }
 
     fn state_bytes(&self) -> usize {
-        let m = self.membership();
-        let heap: usize = m.states().map(|s| self.state_heap_bytes(s)).sum();
-        m.store_bytes() + heap + self.aux_bytes()
+        let store = &self.membership().store;
+        let heap: usize = store.states().map(|s| self.state_heap_bytes(s)).sum();
+        store.heap_bytes() + heap + self.aux_bytes()
     }
 
     fn net_conditions(&self) -> NetConditions {
-        *self.membership().net_conditions()
+        self.membership().net
     }
 
     fn set_net_conditions(&mut self, net: NetConditions) {
-        self.membership_mut().set_net_conditions(net);
+        self.membership_mut().net = net;
     }
 
     fn trace_sink(&self) -> SinkHandle {
-        self.membership().trace_sink().clone()
+        self.membership().sink.clone()
     }
 
     fn set_trace_sink(&mut self, sink: SinkHandle) {
-        self.membership_mut().set_trace_sink(sink);
+        self.membership_mut().sink = sink;
     }
 
     fn phase_accountant(&self) -> PhaseAccountant {
-        self.membership().phase_accountant().clone()
+        self.membership().accountant.clone()
     }
 
     fn set_phase_accountant(&mut self, acct: PhaseAccountant) {
-        self.membership_mut().set_phase_accountant(acct);
+        self.membership_mut().accountant = acct;
     }
 
     fn maintenance_msgs(&self, node: NodeToken) -> u64 {
@@ -566,7 +561,7 @@ impl<T: SimOverlay> Overlay for T {
     }
 
     fn contains(&self, node: NodeToken) -> bool {
-        self.membership().contains(node)
+        self.membership().store.contains(node)
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -574,10 +569,7 @@ impl<T: SimOverlay> Overlay for T {
     }
 
     fn lookup_begin(&mut self, src: NodeToken, raw_key: u64) -> Box<dyn LookupCursor> {
-        let index = self
-            .membership_mut()
-            .net_conditions_mut()
-            .take_lookup_index();
+        let index = self.membership_mut().net.take_lookup_index();
         let state = self.begin_walk(src, raw_key);
         let cursor = WalkCursor::begin(&*self, src, state, true, index, Some(raw_key));
         Box::new(TypedCursor::<Self> {
@@ -617,12 +609,12 @@ pub(crate) mod fixture {
         pub(crate) fn with_tokens(tokens: &[u64], space: u64) -> Self {
             let mut members: Membership<u64> = Membership::new(0);
             for &t in tokens {
-                members.insert(t, t);
+                members.store.insert(t, t);
             }
-            let snapshot: Vec<u64> = members.tokens();
+            let snapshot: Vec<u64> = members.store.tokens();
             for &t in &snapshot {
                 let succ = members.successor_after(t).unwrap();
-                *members.get_mut(t).unwrap() = succ;
+                *members.store.get_mut(t).unwrap() = succ;
             }
             Self {
                 members,
@@ -655,16 +647,16 @@ pub(crate) mod fixture {
         }
         fn owner_token(&self, raw_key: u64) -> Option<NodeToken> {
             self.ghost_owner
-                .or_else(|| self.members.successor_of(self.map_key(raw_key)))
+                .or_else(|| self.members.store.successor_of(self.map_key(raw_key)))
         }
         fn hop_budget(&self) -> usize {
-            (2 * self.members.len() + 4).min(self.budget_cap)
+            (2 * self.members.store.len() + 4).min(self.budget_cap)
         }
         fn begin_walk(&self, _src: NodeToken, raw_key: u64) -> u64 {
             self.map_key(raw_key)
         }
         fn walk_owner(&self, walk: &u64) -> Option<NodeToken> {
-            self.members.successor_of(*walk)
+            self.members.store.successor_of(*walk)
         }
         fn next_hop(
             &self,
@@ -672,12 +664,12 @@ pub(crate) mod fixture {
             walk: &mut u64,
             out: &mut Vec<(HopPhase, NodeToken)>,
         ) -> StepDecision {
-            if self.members.successor_of(*walk) == Some(cur) {
+            if self.members.store.successor_of(*walk) == Some(cur) {
                 return StepDecision::Terminate;
             }
             // Prefer the (possibly stale) stored pointer, then the
             // true successor as the repair fallback.
-            let stored = *self.members.get(cur).unwrap();
+            let stored = *self.members.store.get(cur).unwrap();
             let live = self.members.successor_after(cur).unwrap();
             out.extend([(HopPhase::Successor, stored), (HopPhase::Successor, live)]);
             StepDecision::Forward
@@ -700,9 +692,16 @@ pub(crate) mod fixture {
             None
         }
         fn node_leave(&mut self, node: NodeToken) -> bool {
-            self.members.remove(node).is_some()
+            self.members.store.remove(node).is_some()
         }
         fn stabilize_network(&mut self) {}
+    }
+
+    /// The ring keeps no invariant worth checking: every audit is clean.
+    impl StateAudit for StaleRing {
+        fn audit(&self, scope: AuditScope) -> AuditReport {
+            AuditReport::new(self.label(), scope)
+        }
     }
 
     /// `begin_walk` + [`walk_from`]: one lookup for a raw key.

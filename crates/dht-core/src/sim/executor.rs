@@ -80,7 +80,7 @@ impl ParallelExecutor {
         }
         let base = net
             .membership_mut()
-            .net_conditions_mut()
+            .net
             .reserve_lookup_indices(reqs.len() as u64);
         let workers = self.jobs.min(reqs.len());
         let chunk = reqs.len().div_ceil(workers);
@@ -110,7 +110,7 @@ impl ParallelExecutor {
             .expect("worker pool")
         };
         for node in visited.into_iter().flatten() {
-            net.membership_mut().count_query(node);
+            net.membership_mut().store.add_load(node, 1);
         }
         // Canonical merge: `routed` is in request order whatever order
         // the lanes finished in.
@@ -192,7 +192,7 @@ mod tests {
         for t in [32u64, 96, 208] {
             assert!(ring.node_leave(t));
         }
-        ring.membership_mut().set_net_conditions(NetConditions::new(
+        ring.membership_mut().net = NetConditions::new(
             FaultPlan {
                 seed: 13,
                 loss: 0.25,
@@ -200,7 +200,7 @@ mod tests {
                 duplicate: 0.05,
             },
             RetryPolicy::standard(),
-        ));
+        );
         ring
     }
 
@@ -218,14 +218,13 @@ mod tests {
         use std::sync::{Arc, Mutex};
         let mut ring = contested_ring();
         let sink = Arc::new(Mutex::new(RingBufferSink::new(4096)));
-        ring.membership_mut()
-            .set_trace_sink(SinkHandle::new(Arc::clone(&sink)));
+        ring.membership_mut().sink = SinkHandle::new(Arc::clone(&sink));
         let traces = route(&mut ring, reqs);
         let events = sink.lock().unwrap().snapshot();
         (
             traces.iter().map(|t| format!("{t:?}")).collect(),
             events.iter().map(|e| format!("{e:?}")).collect(),
-            ring.members.query_loads(),
+            ring.members.store.loads_vec(),
             ring.repair_log,
         )
     }
@@ -236,7 +235,7 @@ mod tests {
     fn one_cursor_per_request(ring: &mut StaleRing, reqs: &[(NodeToken, u64)]) -> Vec<LookupTrace> {
         let base = ring
             .membership_mut()
-            .net_conditions_mut()
+            .net
             .reserve_lookup_indices(reqs.len() as u64);
         let walks: Vec<(LookupTrace, WalkEffects)> = reqs
             .iter()
@@ -264,7 +263,7 @@ mod tests {
         (0..len as u64)
             .map(|k| {
                 let key = k * 37 % 256;
-                let owner = ring.members.successor_of(key).unwrap();
+                let owner = ring.members.store.successor_of(key).unwrap();
                 if k % 2 == 1 {
                     return (owner, key);
                 }
@@ -313,7 +312,7 @@ mod tests {
     fn parallel_executor_matches_one_walk_at_a_time() {
         // A batch at any width must also agree with the pre-batch
         // behavior: the same lookups issued one walk at a time.
-        let live: Vec<u64> = contested_ring().members.tokens();
+        let live: Vec<u64> = contested_ring().members.store.tokens();
         let reqs: Vec<(NodeToken, u64)> = (0..32u64)
             .map(|k| (live[k as usize % live.len()], k * 29))
             .collect();
@@ -329,8 +328,8 @@ mod tests {
             assert_eq!(a.net, b.net);
         }
         assert_eq!(
-            loop_ring.members.query_loads(),
-            batch_ring.members.query_loads()
+            loop_ring.members.store.loads_vec(),
+            batch_ring.members.store.loads_vec()
         );
     }
 }

@@ -105,10 +105,7 @@ pub fn walk_from<T: SimOverlay + ?Sized>(
     raw_key: Option<u64>,
     count_loads: bool,
 ) -> LookupTrace {
-    let index = net
-        .membership_mut()
-        .net_conditions_mut()
-        .take_lookup_index();
+    let index = net.membership_mut().net.take_lookup_index();
     let (trace, fx) = WalkCursor::begin(&*net, src, state, count_loads, index, raw_key)
         .run(&*net, &mut WalkScratch::default());
     apply_effects(net, fx);
@@ -129,7 +126,7 @@ pub fn apply_effects<T: SimOverlay + ?Sized>(net: &mut T, fx: WalkEffects) {
         bill,
     } = fx;
     for &node in &queried {
-        net.membership_mut().count_query(node);
+        net.membership_mut().store.add_load(node, 1);
     }
     // Repair-on-use costs are billed to `Repair`, not `Lookup`: the
     // lookup only *detected* the stale entries; rewriting them is
@@ -137,7 +134,7 @@ pub fn apply_effects<T: SimOverlay + ?Sized>(net: &mut T, fx: WalkEffects) {
     if !repairs.is_empty() {
         let entries: u64 = repairs.iter().map(|r| r.timed_out.len() as u64).sum();
         net.membership()
-            .phase_accountant()
+            .accountant
             .bill(Phase::Repair, || PhaseCosts {
                 calls: repairs.len() as u64,
                 msgs: entries,
@@ -152,12 +149,10 @@ pub fn apply_effects<T: SimOverlay + ?Sized>(net: &mut T, fx: WalkEffects) {
         net.record_exhausted(terminal);
     }
     if let Some(costs) = bill {
-        net.membership()
-            .phase_accountant()
-            .bill(Phase::Lookup, || costs);
+        net.membership().accountant.bill(Phase::Lookup, || costs);
     }
     if !events.is_empty() {
-        let sink = net.membership().trace_sink().clone();
+        let sink = net.membership().sink.clone();
         let id = sink.next_lookup_id();
         for mut event in events {
             event.set_lookup_id(id);
@@ -230,15 +225,15 @@ impl<W> WalkCursor<W> {
         raw_key: Option<u64>,
     ) -> Self {
         assert!(
-            net.membership().contains(src),
+            net.membership().store.contains(src),
             "lookup source {src} is not live"
         );
         // Record events only when a sink is installed, preserving the
         // zero-cost-when-disabled guarantee. Ids are stamped at apply
         // time. Phase billing snapshots enablement the same way.
-        let record_events = net.membership().trace_sink().is_enabled();
-        let bill_phase = net.membership().phase_accountant().is_enabled();
-        let conditions = *net.membership().net_conditions();
+        let record_events = net.membership().sink.is_enabled();
+        let bill_phase = net.membership().accountant.is_enabled();
+        let conditions = net.membership().net;
         let mut fx = WalkEffects::default();
         if record_events {
             fx.events.push(Event::LookupStart {
@@ -344,7 +339,7 @@ impl<W> WalkCursor<W> {
             if cand == self.cur || !net.admit(&self.state, self.cur, cand) {
                 continue;
             }
-            if !net.membership().contains(cand) {
+            if !net.membership().store.contains(cand) {
                 if !scratch.step_dead.contains(&cand) {
                     self.timeouts += 1;
                     self.costs.absorb_stale(self.conditions.stale_wait_us());
@@ -570,7 +565,7 @@ mod tests {
         assert_eq!(t.timeouts, 0);
         assert_eq!(t.hops.len(), 3);
         // Every visited node (source included) counted once.
-        assert_eq!(net.members.query_loads(), vec![1, 1, 1, 1]);
+        assert_eq!(net.members.store.loads_vec(), vec![1, 1, 1, 1]);
     }
 
     #[test]
@@ -588,7 +583,7 @@ mod tests {
         let mut net = StaleRing::with_tokens(&[0, 16, 32, 48], 64);
         let t = walk_key(&mut net, 0, 40, false);
         assert_eq!(t.outcome, LookupOutcome::Found);
-        assert_eq!(net.members.loads_total(), 0);
+        assert_eq!(net.members.store.loads_total(), 0);
     }
 
     #[test]
@@ -607,8 +602,7 @@ mod tests {
         let mut net = StaleRing::with_tokens(&[0, 16, 32, 48], 64);
         assert!(net.node_leave(16));
         let ring = Arc::new(Mutex::new(RingBufferSink::new(256)));
-        net.membership_mut()
-            .set_trace_sink(SinkHandle::new(Arc::clone(&ring)));
+        net.membership_mut().sink = SinkHandle::new(Arc::clone(&ring));
         let trace = walk_key(&mut net, 0, 40, true);
         let events = ring.lock().unwrap().snapshot();
         // Exactly one lookup: start, per-hop, one stale timeout, end.
@@ -671,7 +665,7 @@ mod tests {
             let mut ring = StaleRing::with_tokens(&[0, 16, 32, 48], 64);
             assert!(ring.node_leave(16));
             if let Some(s) = sink {
-                ring.membership_mut().set_trace_sink(s);
+                ring.membership_mut().sink = s;
             }
             (0..24u64)
                 .map(|key| walk_key(&mut ring, 0, key, true))
@@ -707,9 +701,7 @@ mod tests {
             delay: DelayModel::Uniform(10_000, 30_000),
             duplicate: 0.0,
         };
-        delayed
-            .membership_mut()
-            .set_net_conditions(NetConditions::new(plan, RetryPolicy::standard()));
+        delayed.membership_mut().net = NetConditions::new(plan, RetryPolicy::standard());
         let t = walk_key(&mut delayed, 0, 40, true);
         assert_eq!(t.hops, baseline.hops, "delay must not change routing");
         assert_eq!(t.outcome, baseline.outcome);
@@ -732,8 +724,7 @@ mod tests {
                 delay: DelayModel::Constant(1_000),
                 duplicate: 0.1,
             };
-            ring.membership_mut()
-                .set_net_conditions(NetConditions::new(plan, RetryPolicy::standard()));
+            ring.membership_mut().net = NetConditions::new(plan, RetryPolicy::standard());
             let mut traces = Vec::new();
             for key in 0..32u64 {
                 traces.push(walk_key(&mut ring, 0, key, false));
@@ -753,7 +744,7 @@ mod tests {
     #[test]
     fn total_loss_strands_the_source_without_mutating_state() {
         let mut ring = StaleRing::with_tokens(&[0, 16, 32, 48], 64);
-        let before: Vec<u64> = ring.members.tokens();
+        let before: Vec<u64> = ring.members.store.tokens();
         let plan = FaultPlan {
             seed: 3,
             loss: 1.0,
@@ -761,8 +752,7 @@ mod tests {
             duplicate: 0.0,
         };
         let retry = RetryPolicy::standard();
-        ring.membership_mut()
-            .set_net_conditions(NetConditions::new(plan, retry));
+        ring.membership_mut().net = NetConditions::new(plan, retry);
         let t = walk_key(&mut ring, 0, 40, true);
         assert_eq!(t.outcome, LookupOutcome::Stuck);
         assert_eq!(t.path_len(), 0, "no message ever delivered");
@@ -772,7 +762,7 @@ mod tests {
         assert_eq!(t.net.retries, t.net.msg_timeouts * (retry.max_attempts - 1));
         assert!(t.net.msg_timeouts > 0);
         assert_eq!(
-            ring.members.tokens(),
+            ring.members.store.tokens(),
             before,
             "faults never touch membership"
         );
@@ -783,7 +773,7 @@ mod tests {
         let mut ring = StaleRing::with_tokens(&[0, 16, 32, 48], 64);
         assert!(ring.node_leave(16));
         let retry = RetryPolicy::standard();
-        ring.membership_mut().set_net_conditions(NetConditions::new(
+        ring.membership_mut().net = NetConditions::new(
             FaultPlan {
                 seed: 5,
                 loss: 0.0,
@@ -791,7 +781,7 @@ mod tests {
                 duplicate: 0.0,
             },
             retry,
-        ));
+        );
         let t = walk_key(&mut ring, 0, 40, true);
         assert_eq!(t.timeouts, 1);
         assert_eq!(t.net.retries, 0, "stale contacts are not message retries");

@@ -13,6 +13,7 @@
 use chord::{ChordConfig, ChordNetwork};
 use cycloid::{CycloidConfig, CycloidNetwork};
 use dht_core::obs::MetricsRegistry;
+use dht_core::sim::SimOverlay;
 use dht_core::stats::Summary;
 use koorde::{KoordeConfig, KoordeNetwork};
 use pastry::{PastryConfig, PastryNetwork};
@@ -112,7 +113,7 @@ pub fn measure(params: &MaintenanceParams) -> Vec<MaintenanceRow> {
     {
         let net = ViceroyNetwork::with_nodes(ViceroyConfig::new(), n, seed);
         let mut edges = Vec::new();
-        for id in net.ids() {
+        for id in net.membership().store.token_iter() {
             let links = [
                 net.succ_link(id),
                 net.pred_link(id),
@@ -137,8 +138,7 @@ pub fn measure(params: &MaintenanceParams) -> Vec<MaintenanceRow> {
     {
         let net = KoordeNetwork::with_nodes(KoordeConfig::new(ring_bits_for(n)), n, seed);
         let mut edges = Vec::new();
-        for id in net.ids() {
-            let node = net.node(id).unwrap();
+        for (id, node) in net.membership().store.iter() {
             let mut seen = Vec::new();
             for c in node
                 .successors
@@ -160,8 +160,7 @@ pub fn measure(params: &MaintenanceParams) -> Vec<MaintenanceRow> {
     {
         let net = ChordNetwork::with_nodes(ChordConfig::new(ring_bits_for(n)), n, seed);
         let mut edges = Vec::new();
-        for id in net.ids() {
-            let node = net.node(id).unwrap();
+        for (id, node) in net.membership().store.iter() {
             let mut seen = Vec::new();
             for c in node
                 .fingers
@@ -184,8 +183,7 @@ pub fn measure(params: &MaintenanceParams) -> Vec<MaintenanceRow> {
         let bits = ring_bits_for(n).div_ceil(2) * 2;
         let net = PastryNetwork::with_nodes(PastryConfig::new(bits), n, seed);
         let mut edges = Vec::new();
-        for id in net.ids() {
-            let node = net.node(id).unwrap();
+        for (id, node) in net.membership().store.iter() {
             let mut seen = Vec::new();
             for c in node.table.iter().flatten().copied().chain(node.leafs()) {
                 if !seen.contains(&c) {

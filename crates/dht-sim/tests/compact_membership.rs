@@ -1,15 +1,15 @@
 //! Regressions for the membership store behind every overlay.
 //!
-//! `dht_core::sim::Membership` forwards to one backend,
-//! `dht_core::store::CompactStore`; what it must answer is pinned by the
-//! `BTreeMap` model test next to it (`dht-core/src/sim/membership.rs`),
+//! `dht_core::sim::Membership` keeps its nodes in one backend, its public
+//! `store`, a `dht_core::store::CompactStore`; what that must answer is
+//! pinned by the `BTreeMap` model test in `dht-core/src/sim/membership.rs`,
 //! and what the eight overlay kinds do on top of it by the golden traces
 //! and `tests/parallel_determinism.rs`. This file keeps the named
 //! regressions the store has had — rejoins against the swap-remove
 //! path, ghost query-load counters — and the bytes/node budget.
 
 use dht_core::rng::stream;
-use dht_core::sim::Membership;
+use dht_core::store::CompactStore;
 use dht_sim::factory::{build_overlay, OverlayKind};
 use rand::RngCore;
 
@@ -19,7 +19,7 @@ use rand::RngCore;
 /// removal.
 #[test]
 fn token_at_survives_interleaved_rejoin() {
-    let mut m: Membership<u64> = Membership::new(7);
+    let mut m: CompactStore<u64> = CompactStore::new();
     for t in (0..64u64).map(|i| i * 97) {
         m.insert(t, t);
     }
@@ -36,10 +36,10 @@ fn token_at_survives_interleaved_rejoin() {
         let tokens = m.tokens();
         assert!(tokens.windows(2).all(|w| w[0] < w[1]), "sorted");
         for (i, &t) in tokens.iter().enumerate() {
-            assert_eq!(m.store.nth_token(i), Some(t), "position {i}");
+            assert_eq!(m.nth_token(i), Some(t), "position {i}");
             assert_eq!(m.get(t), Some(&t), "state of {t}");
         }
-        assert_eq!(m.store.nth_token(tokens.len()), None);
+        assert_eq!(m.nth_token(tokens.len()), None);
     }
     assert_eq!(m.len(), 64);
 }
@@ -49,22 +49,22 @@ fn token_at_survives_interleaved_rejoin() {
 /// equal to the surviving nodes' counts.
 #[test]
 fn query_loads_survive_departure_without_ghosts() {
-    let mut m: Membership<()> = Membership::new(3);
+    let mut m: CompactStore<()> = CompactStore::new();
     for t in [10u64, 20, 30, 40, 50] {
         m.insert(t, ());
     }
     for (t, k) in [(10u64, 4u64), (20, 3), (30, 2), (40, 1)] {
-        m.add_queries(t, k);
+        m.add_load(t, k);
     }
     assert_eq!(m.loads_total(), 10);
     m.remove(20);
     assert_eq!(m.load_of(20), 0, "departed node forgotten");
     assert_eq!(m.loads_total(), 7, "total drops with it");
-    assert_eq!(m.query_loads(), vec![4, 2, 1, 0]);
+    assert_eq!(m.loads_vec(), vec![4, 2, 1, 0]);
     // A rejoin starts from zero, not the ghost of the old count.
     m.insert(20, ());
     assert_eq!(m.load_of(20), 0, "rejoin starts clean");
-    assert_eq!(m.query_loads(), vec![4, 0, 2, 1, 0]);
+    assert_eq!(m.loads_vec(), vec![4, 0, 2, 1, 0]);
 }
 
 /// Overlay-level version of the ghost-entry check: lookups accumulate

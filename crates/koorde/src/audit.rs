@@ -24,8 +24,8 @@ impl StateAudit for KoordeNetwork {
         // Ring order is token order: a node's ring pointers are the
         // entries next to it in the sorted token list, wrapping at the
         // ends. No resolver is asked, so a wrong one cannot audit clean.
-        let tokens = self.membership().tokens();
-        for (i, (id, node)) in self.membership().iter().enumerate() {
+        let tokens = self.membership().store.tokens();
+        for (i, (id, node)) in self.membership().store.iter().enumerate() {
             report.note_checked(1);
             report.check_eq(id, "koorde/node-id", &node.id, &id);
 
@@ -64,7 +64,10 @@ impl StateAudit for KoordeNetwork {
                 let mut backups = RingList::new();
                 let mut cursor = db;
                 for _ in 0..config.debruijn_backups {
-                    let p = self.before_point(cursor).expect("non-empty ring");
+                    let p = self
+                        .membership()
+                        .predecessor_of(cursor)
+                        .expect("non-empty ring");
                     backups.push(p);
                     cursor = p;
                 }
@@ -84,6 +87,7 @@ impl StateAudit for KoordeNetwork {
 mod tests {
     use super::*;
     use crate::network::KoordeConfig;
+    use dht_core::overlay::Overlay;
     use dht_core::sim::Refresh;
 
     fn net(n: usize) -> KoordeNetwork {
@@ -103,7 +107,7 @@ mod tests {
         let mut net = net(64);
         for step in 0..30 {
             if step % 3 == 0 {
-                let victim = net.ids().nth(step % net.node_count()).unwrap();
+                let victim = net.node_tokens()[step % net.len()];
                 net.depart(victim, true);
             } else {
                 net.join_random();
@@ -116,11 +120,11 @@ mod tests {
     #[test]
     fn corrupted_debruijn_pointer_is_caught_by_name() {
         let mut net = net(90);
-        let id = net.ids().next().unwrap();
-        let other = net.ids().nth(40).unwrap();
-        let wrong = net.node(id).unwrap().debruijn;
+        let id = net.node_tokens()[0];
+        let other = net.node_tokens()[40];
+        let wrong = net.membership().store.get(id).unwrap().debruijn;
         let wrong = if wrong == other { id } else { other };
-        net.node_mut(id).unwrap().debruijn = wrong;
+        net.membership_mut().store.get_mut(id).unwrap().debruijn = wrong;
         let report = net.audit(AuditScope::Full);
         assert!(
             report
@@ -135,8 +139,8 @@ mod tests {
     #[test]
     fn corrupted_predecessor_is_caught_online() {
         let mut net = net(90);
-        let id = net.ids().next().unwrap();
-        net.node_mut(id).unwrap().predecessor = id;
+        let id = net.node_tokens()[0];
+        net.membership_mut().store.get_mut(id).unwrap().predecessor = id;
         let report = net.audit(AuditScope::Online);
         assert!(
             report.violated_invariants().contains(&"koorde/predecessor"),

@@ -20,13 +20,15 @@
 
 //! ```
 //! use koorde::{KoordeConfig, KoordeNetwork};
+//! use dht_core::overlay::Overlay;
+//! use dht_core::sim::SimOverlay;
 //!
 //! let mut ring = KoordeNetwork::with_nodes(KoordeConfig::new(11), 500, 42);
-//! let src = ring.ids().next().unwrap();
-//! let trace = ring.route(src, 0xfeed);
+//! let src = ring.node_tokens()[0];
+//! let trace = ring.lookup(src, 0xfeed);
 //! assert!(trace.outcome.is_success());
 //! // Seven neighbours per node: 1 de Bruijn + 3 successors + 3 backups.
-//! assert!(ring.node(src).unwrap().degree() <= 7);
+//! assert!(ring.membership().store.get(src).unwrap().degree() <= 7);
 //! ```
 
 mod audit;

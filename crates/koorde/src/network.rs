@@ -8,10 +8,10 @@
 //! `impl Refresh` below.
 
 use dht_core::hash::{reduce, splitmix64};
-use dht_core::lookup::{HopPhase, LookupOutcome, LookupTrace};
+use dht_core::lookup::{HopPhase, LookupOutcome};
 use dht_core::overlay::NodeToken;
 use dht_core::ring::{in_interval_co, in_interval_oc};
-use dht_core::sim::{walk_from, Membership, Refresh, SimOverlay, StepDecision};
+use dht_core::sim::{Membership, Refresh, SimOverlay, StepDecision};
 use dht_core::store::{Hints, Pos};
 use rand::RngCore;
 
@@ -132,36 +132,6 @@ impl KoordeNetwork {
         self.config
     }
 
-    /// Number of live nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.members.len()
-    }
-
-    /// `true` iff `id` is live.
-    #[must_use]
-    pub fn is_live(&self, id: u64) -> bool {
-        self.members.contains(id)
-    }
-
-    /// Live node identifiers in ring order.
-    pub fn ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.members.token_iter()
-    }
-
-    /// Shared read access to one node.
-    #[must_use]
-    pub fn node(&self, id: u64) -> Option<&KoordeNode> {
-        self.members.get(id)
-    }
-
-    /// Exclusive access to one node — for the audit tests, which damage
-    /// state the protocol itself never produces.
-    #[cfg(test)]
-    pub(crate) fn node_mut(&mut self, id: u64) -> Option<&mut KoordeNode> {
-        self.members.get_mut(id)
-    }
-
     /// Total failed lookups so far (de Bruijn pointer and all backups
     /// dead).
     #[must_use]
@@ -175,12 +145,6 @@ impl KoordeNetwork {
         reduce(splitmix64(raw_key), self.config.space())
     }
 
-    /// Ground truth: live successor of ring point `x`.
-    #[must_use]
-    pub fn successor_of_point(&self, x: u64) -> Option<u64> {
-        self.members.successor_of(x)
-    }
-
     /// Ground truth: live node at or immediately preceding ring point `x`
     /// ("the node immediately precedes `2m`": a node exactly at `x` is its
     /// own de Bruijn image).
@@ -189,12 +153,6 @@ impl KoordeNetwork {
         let order = &self.members.store;
         let at = order.at_or_before_from(&mut Pos::default(), x)?;
         Some(order.token_at(at))
-    }
-
-    /// Ground truth: live node strictly preceding ring point `x`.
-    #[must_use]
-    pub fn before_point(&self, x: u64) -> Option<u64> {
-        self.members.predecessor_of(x)
     }
 
     /// Picks the starting imaginary node and pre-shifted key for a lookup
@@ -222,24 +180,6 @@ impl KoordeNetwork {
                 (m, key)
             }
         }
-    }
-
-    /// One lookup from `src` for ring key `key`: the Kaashoek–Karger
-    /// imaginary-node walk. De Bruijn hops are tagged
-    /// [`HopPhase::DeBruijn`], ring fix-ups [`HopPhase::Successor`]
-    /// (Fig. 7(c), Fig. 14's breakdown). A dead contact costs a timeout;
-    /// a de Bruijn pointer whose backups are all dead fails the lookup.
-    pub fn route_to_point(&mut self, src: u64, key: u64) -> LookupTrace {
-        assert!(self.is_live(src), "lookup source {src} is not live");
-        let succ = self.members.get(src).expect("source is live").successor();
-        let (i, kshift) = self.imaginary_start(src, succ, key);
-        walk_from(self, src, KoordeWalk { key, i, kshift }, None, true)
-    }
-
-    /// Lookup by raw (pre-hash) key.
-    pub fn route(&mut self, src: u64, raw_key: u64) -> LookupTrace {
-        let key = self.key_of(raw_key);
-        self.route_to_point(src, key)
     }
 }
 
@@ -293,7 +233,11 @@ impl Refresh for KoordeNetwork {
             .members
             .ring_pointers(id, self.config.successor_list, &mut Pos::default())
             .expect("refresh on empty ring");
-        let node = self.members.get_mut(id).expect("refresh of dead node");
+        let node = self
+            .members
+            .store
+            .get_mut(id)
+            .expect("refresh of dead node");
         node.predecessor = pred;
         node.successors = succs;
     }
@@ -327,6 +271,7 @@ impl SimOverlay for KoordeNetwork {
     /// One message per distinct successor/de-Bruijn entry actually held.
     fn maintenance_msgs(&self, node: NodeToken) -> u64 {
         self.members
+            .store
             .get(node)
             .map_or(1, |s| (s.degree() as u64).max(1))
     }
@@ -336,7 +281,7 @@ impl SimOverlay for KoordeNetwork {
     }
 
     fn owner_token(&self, raw_key: u64) -> Option<NodeToken> {
-        self.successor_of_point(self.key_of(raw_key))
+        self.members.store.successor_of(self.key_of(raw_key))
     }
 
     fn hop_budget(&self) -> usize {
@@ -345,15 +290,25 @@ impl SimOverlay for KoordeNetwork {
 
     fn begin_walk(&self, src: NodeToken, raw_key: u64) -> KoordeWalk {
         let key = self.key_of(raw_key);
-        let succ = self.members.get(src).expect("source is live").successor();
+        let succ = self
+            .members
+            .store
+            .get(src)
+            .expect("source is live")
+            .successor();
         let (i, kshift) = self.imaginary_start(src, succ, key);
         KoordeWalk { key, i, kshift }
     }
 
     fn walk_owner(&self, walk: &KoordeWalk) -> Option<NodeToken> {
-        self.successor_of_point(walk.key)
+        self.members.store.successor_of(walk.key)
     }
 
+    /// One step of the Kaashoek–Karger imaginary-node walk. De Bruijn
+    /// hops are tagged [`HopPhase::DeBruijn`], ring fix-ups
+    /// [`HopPhase::Successor`] (Fig. 7(c), Fig. 14's breakdown); a dead
+    /// contact costs a timeout, and a de Bruijn pointer whose backups are
+    /// all dead fails the lookup.
     fn next_hop(
         &self,
         cur: NodeToken,
@@ -361,7 +316,7 @@ impl SimOverlay for KoordeNetwork {
         out: &mut Vec<(HopPhase, NodeToken)>,
     ) -> StepDecision {
         let space = self.config.space();
-        let node = self.members.get(cur).expect("current node is live");
+        let node = self.members.store.get(cur).expect("current node is live");
         if in_interval_oc(walk.key, node.predecessor, cur, space) {
             return StepDecision::Terminate;
         }
@@ -388,7 +343,7 @@ impl SimOverlay for KoordeNetwork {
 
     /// The state row, first field to last.
     fn warm(&self, node: NodeToken) {
-        if let Some(n) = self.members.get(node) {
+        if let Some(n) = self.members.store.get(node) {
             std::hint::black_box((n.predecessor, n.debruijn_preds.last().copied()));
         }
     }
@@ -425,7 +380,7 @@ impl SimOverlay for KoordeNetwork {
         // effect-apply time, after the walk (or the whole batch, under
         // the parallel executor) has routed.
         if phase == HopPhase::DeBruijn && !timed_out.is_empty() {
-            if let Some(n) = self.members.get_mut(from) {
+            if let Some(n) = self.members.store.get_mut(from) {
                 n.debruijn = to;
             }
         }
@@ -460,10 +415,6 @@ impl SimOverlay for KoordeNetwork {
         self.refresh_node(node, hints);
     }
 
-    fn audit_network(&self, scope: dht_core::audit::AuditScope) -> dht_core::audit::AuditReport {
-        dht_core::audit::StateAudit::audit(self, scope)
-    }
-
     fn corrupt_network(
         &mut self,
         plan: &dht_core::corrupt::CorruptionPlan,
@@ -480,6 +431,7 @@ impl SimOverlay for KoordeNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dht_core::overlay::Overlay;
     use dht_core::rng::stream;
     use rand::Rng;
 
@@ -496,8 +448,8 @@ mod tests {
     #[test]
     fn debruijn_pointer_is_pred_of_double() {
         let net = KoordeNetwork::with_nodes(KoordeConfig::new(11), 500, 1);
-        for id in net.ids() {
-            let n = net.node(id).unwrap();
+        for id in net.members.store.token_iter() {
+            let n = net.members.store.get(id).unwrap();
             let expected = net.at_or_before_point((2 * id) % 2048).unwrap();
             assert_eq!(n.debruijn, expected);
         }
@@ -506,16 +458,16 @@ mod tests {
     #[test]
     fn all_lookups_resolve_in_stable_ring() {
         let mut net = KoordeNetwork::with_nodes(KoordeConfig::new(11), 300, 2);
-        let ids: Vec<u64> = net.ids().collect();
+        let ids: Vec<u64> = net.members.store.token_iter().collect();
         let mut rng = stream(3, "koorde");
         for i in 0..2000 {
             let src = ids[i % ids.len()];
             let raw: u64 = rng.gen();
             let key = net.key_of(raw);
-            let t = net.route(src, raw);
+            let t = net.lookup(src, raw);
             assert_eq!(t.outcome, LookupOutcome::Found, "lookup {i}");
             assert_eq!(t.timeouts, 0);
-            assert_eq!(Some(t.terminal), net.successor_of_point(key));
+            assert_eq!(Some(t.terminal), net.members.store.successor_of(key));
         }
         assert_eq!(net.failure_count(), 0);
     }
@@ -525,14 +477,14 @@ mod tests {
         // §4.1: in a dense network Koorde's path length is "close to d"
         // (the ring bit-width), with successor hops around 30% of it.
         let mut net = KoordeNetwork::with_nodes(KoordeConfig::new(11), 2048, 4);
-        assert_eq!(net.node_count(), 2048, "dense: every slot occupied");
-        let ids: Vec<u64> = net.ids().collect();
+        assert_eq!(net.len(), 2048, "dense: every slot occupied");
+        let ids: Vec<u64> = net.members.store.token_iter().collect();
         let mut rng = stream(5, "dense");
         let mut total = 0usize;
         let mut db = 0usize;
         let trials = 2000;
         for i in 0..trials {
-            let t = net.route(ids[i % ids.len()], rng.gen());
+            let t = net.lookup(ids[i % ids.len()], rng.gen());
             assert_eq!(t.outcome, LookupOutcome::Found);
             total += t.path_len();
             db += t.hops_in_phase(HopPhase::DeBruijn);
@@ -555,12 +507,12 @@ mod tests {
         // the successor share of the path grows.
         let share = |count: usize| -> f64 {
             let mut net = KoordeNetwork::with_nodes(KoordeConfig::new(11), count, 6);
-            let ids: Vec<u64> = net.ids().collect();
+            let ids: Vec<u64> = net.members.store.token_iter().collect();
             let mut rng = stream(7, "sparse");
             let mut total = 0usize;
             let mut succ = 0usize;
             for i in 0..1500 {
-                let t = net.route(ids[i % ids.len()], rng.gen());
+                let t = net.lookup(ids[i % ids.len()], rng.gen());
                 assert_eq!(t.outcome, LookupOutcome::Found);
                 total += t.path_len();
                 succ += t.hops_in_phase(HopPhase::Successor);
@@ -579,11 +531,11 @@ mod tests {
     fn best_fit_start_shortens_paths() {
         let mean_path = |config: KoordeConfig| -> f64 {
             let mut net = KoordeNetwork::with_nodes(config, 512, 8);
-            let ids: Vec<u64> = net.ids().collect();
+            let ids: Vec<u64> = net.members.store.token_iter().collect();
             let mut rng = stream(9, "fit");
             let mut total = 0usize;
             for i in 0..1500 {
-                let t = net.route(ids[i % ids.len()], rng.gen());
+                let t = net.lookup(ids[i % ids.len()], rng.gen());
                 assert_eq!(t.outcome, LookupOutcome::Found);
                 total += t.path_len();
             }
@@ -603,16 +555,16 @@ mod tests {
         // queries can be solved successfully".
         let mut net = KoordeNetwork::with_nodes(KoordeConfig::new(11), 2048, 10);
         let mut rng = stream(11, "kfail");
-        let ids: Vec<u64> = net.ids().collect();
+        let ids: Vec<u64> = net.members.store.token_iter().collect();
         for &id in &ids {
             if rng.gen_bool(0.2) {
                 net.depart(id, true);
             }
         }
-        let live: Vec<u64> = net.ids().collect();
+        let live: Vec<u64> = net.members.store.token_iter().collect();
         let mut failures = 0usize;
         for i in 0..1000 {
-            let t = net.route(live[i % live.len()], rng.gen());
+            let t = net.lookup(live[i % live.len()], rng.gen());
             if !t.outcome.is_success() {
                 failures += 1;
             }
@@ -628,16 +580,16 @@ mod tests {
         // all backups dead).
         let mut net = KoordeNetwork::with_nodes(KoordeConfig::new(11), 2048, 12);
         let mut rng = stream(13, "kheavy");
-        let ids: Vec<u64> = net.ids().collect();
+        let ids: Vec<u64> = net.members.store.token_iter().collect();
         for &id in &ids {
             if rng.gen_bool(0.5) {
                 net.depart(id, true);
             }
         }
-        let live: Vec<u64> = net.ids().collect();
+        let live: Vec<u64> = net.members.store.token_iter().collect();
         let mut failures = 0usize;
         for i in 0..2000 {
-            let t = net.route(live[i % live.len()], rng.gen());
+            let t = net.lookup(live[i % live.len()], rng.gen());
             if !t.outcome.is_success() {
                 failures += 1;
             }
@@ -653,16 +605,16 @@ mod tests {
     fn stabilization_restores_correctness() {
         let mut net = KoordeNetwork::with_nodes(KoordeConfig::new(11), 2048, 14);
         let mut rng = stream(15, "kstab");
-        let ids: Vec<u64> = net.ids().collect();
+        let ids: Vec<u64> = net.members.store.token_iter().collect();
         for &id in &ids {
             if rng.gen_bool(0.5) {
                 net.depart(id, true);
             }
         }
         net.refresh_all();
-        let live: Vec<u64> = net.ids().collect();
+        let live: Vec<u64> = net.members.store.token_iter().collect();
         for i in 0..500 {
-            let t = net.route(live[i % live.len()], rng.gen());
+            let t = net.lookup(live[i % live.len()], rng.gen());
             assert_eq!(t.outcome, LookupOutcome::Found);
             assert_eq!(t.timeouts, 0);
         }
@@ -672,7 +624,7 @@ mod tests {
     fn single_node_owns_everything() {
         let mut net = KoordeNetwork::new(KoordeConfig::new(8), 16);
         net.join_id(99);
-        let t = net.route_to_point(99, 5);
+        let t = net.lookup(99, 5);
         assert_eq!(t.outcome, LookupOutcome::Found);
         assert_eq!(t.path_len(), 0);
     }
@@ -680,15 +632,14 @@ mod tests {
     #[test]
     fn degree_bounded_by_seven() {
         let net = KoordeNetwork::with_nodes(KoordeConfig::new(11), 700, 17);
-        for id in net.ids() {
-            let deg = net.node(id).unwrap().degree();
+        for id in net.members.store.token_iter() {
+            let deg = net.members.store.get(id).unwrap().degree();
             assert!(deg <= 7, "node {id} degree {deg} > 7");
         }
     }
 
     #[test]
     fn trait_roundtrip() {
-        use dht_core::overlay::Overlay;
         let mut net: Box<dyn Overlay> =
             Box::new(KoordeNetwork::with_nodes(KoordeConfig::new(11), 150, 1));
         assert_eq!(net.name(), "Koorde");
@@ -711,7 +662,6 @@ mod tests {
 
     #[test]
     fn churn_through_trait() {
-        use dht_core::overlay::Overlay;
         let mut net = KoordeNetwork::with_nodes(KoordeConfig::new(11), 64, 4);
         let mut rng = stream(5, "kt");
         let n = Overlay::join(&mut net, &mut rng).unwrap();

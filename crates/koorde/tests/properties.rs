@@ -1,8 +1,9 @@
 //! Property-based tests of the Koorde de Bruijn invariants.
 
 use dht_core::lookup::LookupOutcome;
+use dht_core::overlay::Overlay;
 use dht_core::rng::stream;
-use dht_core::sim::Refresh;
+use dht_core::sim::{Refresh, SimOverlay};
 use koorde::{KoordeConfig, KoordeNetwork};
 use proptest::prelude::*;
 use rand::Rng;
@@ -14,13 +15,13 @@ proptest! {
     fn debruijn_pointer_is_at_or_before_double(seed in any::<u64>(), count in 2usize..150) {
         let net = KoordeNetwork::with_nodes(KoordeConfig::new(10), count, seed);
         let space = 1u64 << 10;
-        for id in net.ids() {
-            let n = net.node(id).unwrap();
+        for id in net.node_tokens() {
+            let n = net.membership().store.get(id).unwrap();
             prop_assert_eq!(Some(n.debruijn), net.at_or_before_point((2 * id) % space));
             // Backups are the chain of immediate predecessors of d.
             let mut cursor = n.debruijn;
             for &b in &n.debruijn_preds {
-                prop_assert_eq!(Some(b), net.before_point(cursor));
+                prop_assert_eq!(Some(b), net.membership().predecessor_of(cursor));
                 cursor = b;
             }
         }
@@ -29,14 +30,14 @@ proptest! {
     #[test]
     fn stable_lookups_converge_at_successor(seed in any::<u64>(), count in 2usize..150) {
         let mut net = KoordeNetwork::with_nodes(KoordeConfig::new(11), count, seed);
-        let ids: Vec<u64> = net.ids().collect();
+        let ids: Vec<u64> = net.node_tokens();
         let mut rng = stream(seed, "koorde-prop");
         for i in 0..15 {
             let raw: u64 = rng.gen();
             let k = net.key_of(raw);
-            let t = net.route(ids[i % ids.len()], raw);
+            let t = net.lookup(ids[i % ids.len()], raw);
             prop_assert_eq!(t.outcome, LookupOutcome::Found);
-            prop_assert_eq!(Some(t.terminal), net.successor_of_point(k));
+            prop_assert_eq!(Some(t.terminal), net.membership().store.successor_of(k));
             prop_assert_eq!(t.timeouts, 0);
         }
     }
@@ -47,11 +48,11 @@ proptest! {
         // lengthen the mean path.
         let mean = |config: KoordeConfig| {
             let mut net = KoordeNetwork::with_nodes(config, 256, seed);
-            let ids: Vec<u64> = net.ids().collect();
+            let ids: Vec<u64> = net.node_tokens();
             let mut rng = stream(seed, "fit-prop");
             let mut total = 0usize;
             for i in 0..300 {
-                total += net.route(ids[i % ids.len()], rng.gen()).path_len();
+                total += net.lookup(ids[i % ids.len()], rng.gen()).path_len();
             }
             total as f64 / 300.0
         };
@@ -67,15 +68,15 @@ proptest! {
         let mut net = KoordeNetwork::with_nodes(KoordeConfig::new(11), 150, seed);
         let mut rng = stream(seed, "kwrong");
         for _ in 0..leaves {
-            if net.node_count() > 4 {
-                let ids: Vec<u64> = net.ids().collect();
+            if net.len() > 4 {
+                let ids: Vec<u64> = net.node_tokens();
                 let victim = ids[(rng.gen::<u64>() % ids.len() as u64) as usize];
                 net.depart(victim, true);
             }
         }
-        let ids: Vec<u64> = net.ids().collect();
+        let ids: Vec<u64> = net.node_tokens();
         for i in 0..25 {
-            let t = net.route(ids[i % ids.len()], rng.gen());
+            let t = net.lookup(ids[i % ids.len()], rng.gen());
             prop_assert!(
                 matches!(t.outcome, LookupOutcome::Found | LookupOutcome::Stuck),
                 "unexpected outcome {:?}",

@@ -20,11 +20,11 @@ impl StateAudit for PastryNetwork {
         // entries either side of it in the sorted token list, wrapping at
         // the ends but never round to the node itself. No resolver is
         // asked, so a wrong one cannot audit clean.
-        let tokens = self.membership().tokens();
+        let tokens = self.membership().store.tokens();
         let n = tokens.len();
         let reach = (c.leaf_set / 2).min(n.saturating_sub(1));
         let mut hints = Hints::default();
-        for (i, (id, node)) in self.membership().iter().enumerate() {
+        for (i, (id, node)) in self.membership().store.iter().enumerate() {
             report.note_checked(1);
             report.check_eq(id, "pastry/node-id", &node.id, &id);
 
@@ -79,6 +79,7 @@ impl StateAudit for PastryNetwork {
 mod tests {
     use super::*;
     use crate::network::PastryConfig;
+    use dht_core::overlay::Overlay;
     use dht_core::sim::Refresh;
 
     fn net(n: usize) -> PastryNetwork {
@@ -98,7 +99,7 @@ mod tests {
         let mut net = net(64);
         for step in 0..30 {
             if step % 3 == 0 {
-                let victim = net.ids().nth(step % net.node_count()).unwrap();
+                let victim = net.node_tokens()[step % net.len()];
                 net.depart(victim, true);
             } else {
                 net.join_random();
@@ -112,18 +113,20 @@ mod tests {
     fn corrupted_table_entry_is_caught_by_name() {
         let mut net = net(90);
         let (id, other) = {
-            let mut ids = net.ids();
+            let mut ids = net.membership().store.token_iter();
             (ids.next().unwrap(), ids.nth(40).unwrap())
         };
         // Overwrite a populated slot with a node that cannot belong there.
         let idx = net
-            .node(id)
+            .membership()
+            .store
+            .get(id)
             .unwrap()
             .table
             .iter()
             .position(|e| e.is_some() && *e != Some(other))
             .unwrap();
-        net.node_mut(id).unwrap().table[idx] = Some(other);
+        net.membership_mut().store.get_mut(id).unwrap().table[idx] = Some(other);
         let report = net.audit(AuditScope::Full);
         assert!(
             report
@@ -138,8 +141,13 @@ mod tests {
     #[test]
     fn corrupted_leaf_set_is_caught_online() {
         let mut net = net(90);
-        let id = net.ids().next().unwrap();
-        net.node_mut(id).unwrap().leaf_larger.clear();
+        let id = net.node_tokens()[0];
+        net.membership_mut()
+            .store
+            .get_mut(id)
+            .unwrap()
+            .leaf_larger
+            .clear();
         let report = net.audit(AuditScope::Online);
         assert!(
             report.violated_invariants().contains(&"pastry/leaf-set"),

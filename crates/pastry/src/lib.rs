@@ -23,10 +23,11 @@
 
 //! ```
 //! use pastry::{PastryConfig, PastryNetwork};
+//! use dht_core::overlay::Overlay;
 //!
 //! let mut net = PastryNetwork::with_nodes(PastryConfig::new(12), 500, 42);
-//! let src = net.ids().next().unwrap();
-//! let trace = net.route(src, 0xfeed);
+//! let src = net.node_tokens()[0];
+//! let trace = net.lookup(src, 0xfeed);
 //! assert!(trace.outcome.is_success());
 //! assert!(trace.path_len() <= 12); // one hop per corrected digit + slack
 //! ```

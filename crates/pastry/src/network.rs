@@ -9,10 +9,10 @@
 
 use dht_core::hash::{reduce, splitmix64};
 use dht_core::inline::InlineVec;
-use dht_core::lookup::{HopPhase, LookupTrace};
+use dht_core::lookup::HopPhase;
 use dht_core::overlay::NodeToken;
 use dht_core::ring::{clockwise_dist, ring_dist};
-use dht_core::sim::{walk_from, Membership, Refresh, SimOverlay, StepDecision};
+use dht_core::sim::{Membership, Refresh, SimOverlay, StepDecision};
 use dht_core::store::{Hints, Pos};
 use rand::RngCore;
 
@@ -187,36 +187,6 @@ impl PastryNetwork {
         self.config
     }
 
-    /// Number of live nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.members.len()
-    }
-
-    /// `true` iff `id` is live.
-    #[must_use]
-    pub fn is_live(&self, id: u64) -> bool {
-        self.members.contains(id)
-    }
-
-    /// Live node identifiers in ring order.
-    pub fn ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.members.token_iter()
-    }
-
-    /// Read access to one node.
-    #[must_use]
-    pub fn node(&self, id: u64) -> Option<&PastryNode> {
-        self.members.get(id)
-    }
-
-    /// Exclusive access to one node — for the audit tests, which damage
-    /// state the protocol itself never produces.
-    #[cfg(test)]
-    pub(crate) fn node_mut(&mut self, id: u64) -> Option<&mut PastryNode> {
-        self.members.get_mut(id)
-    }
-
     /// Maps a raw key onto the ring.
     #[must_use]
     pub fn key_of(&self, raw_key: u64) -> u64 {
@@ -239,7 +209,7 @@ impl PastryNetwork {
     #[must_use]
     pub fn owner_of_point(&self, key: u64) -> Option<u64> {
         // Only the two ring neighbours of the key can be closest.
-        let above = self.members.successor_of(key);
+        let above = self.members.store.successor_of(key);
         let below = self.members.predecessor_of(key);
         [above, below]
             .into_iter()
@@ -284,7 +254,7 @@ impl PastryNetwork {
     /// place in the order (searched from `hint`).
     pub fn resolve_leafs(&self, id: u64, hint: &mut Pos) -> (LeafHalf, LeafHalf) {
         let order = &self.members.store;
-        let half = (self.config.leaf_set / 2).min(self.members.len().saturating_sub(1));
+        let half = (self.config.leaf_set / 2).min(self.members.store.len().saturating_sub(1));
         let mut smaller = LeafHalf::new();
         let mut larger = LeafHalf::new();
         let Some(at) = order.successor_from(hint, id) else {
@@ -305,19 +275,6 @@ impl PastryNetwork {
             cursor = order.next(cursor);
         }
         (smaller, larger)
-    }
-
-    /// One lookup from `src` for ring key `key`: prefix routing with
-    /// leaf-set fallback. Digit-correcting hops are tagged
-    /// [`HopPhase::Finger`], leaf-set hops [`HopPhase::Successor`].
-    pub fn route_to_point(&mut self, src: u64, key: u64) -> LookupTrace {
-        walk_from(self, src, PastryWalk { key }, None, true)
-    }
-
-    /// Lookup by raw (pre-hash) key.
-    pub fn route(&mut self, src: u64, raw_key: u64) -> LookupTrace {
-        let key = self.key_of(raw_key);
-        self.route_to_point(src, key)
     }
 }
 
@@ -356,7 +313,11 @@ impl Refresh for PastryNetwork {
     /// Refreshes only the leaf set.
     fn refresh_notified(&mut self, id: u64) {
         let (smaller, larger) = self.resolve_leafs(id, &mut Pos::default());
-        let node = self.members.get_mut(id).expect("refresh of dead node");
+        let node = self
+            .members
+            .store
+            .get_mut(id)
+            .expect("refresh of dead node");
         node.leaf_smaller = smaller;
         node.leaf_larger = larger;
     }
@@ -412,6 +373,7 @@ impl SimOverlay for PastryNetwork {
     /// One message per distinct routing-table/leaf-set entry.
     fn maintenance_msgs(&self, node: NodeToken) -> u64 {
         self.members
+            .store
             .get(node)
             .map_or(1, |s| (s.degree() as u64).max(1))
     }
@@ -438,6 +400,8 @@ impl SimOverlay for PastryNetwork {
         self.owner_of_point(walk.key)
     }
 
+    /// Prefix routing with leaf-set fallback: digit-correcting hops are
+    /// tagged [`HopPhase::Finger`], leaf-set hops [`HopPhase::Successor`].
     fn next_hop(
         &self,
         cur: NodeToken,
@@ -446,7 +410,7 @@ impl SimOverlay for PastryNetwork {
     ) -> StepDecision {
         let c = self.config;
         let key = walk.key;
-        let node = self.members.get(cur).expect("current node is live");
+        let node = self.members.store.get(cur).expect("current node is live");
         let cur_metric = self.key_metric(key, cur);
 
         // Leaf-set candidates strictly closer to the key. Dead leaf
@@ -455,7 +419,7 @@ impl SimOverlay for PastryNetwork {
         let mut leafs = InlineVec::<(u64, u64), 16>::new();
         for l in node.leafs() {
             let m = self.key_metric(key, l);
-            if m < cur_metric && self.is_live(l) {
+            if m < cur_metric && self.members.store.contains(l) {
                 leafs.push((m, l));
             }
         }
@@ -509,10 +473,6 @@ impl SimOverlay for PastryNetwork {
         state.table.capacity() * std::mem::size_of::<Option<u64>>()
     }
 
-    fn audit_network(&self, scope: dht_core::audit::AuditScope) -> dht_core::audit::AuditReport {
-        dht_core::audit::StateAudit::audit(self, scope)
-    }
-
     fn corrupt_network(
         &mut self,
         plan: &dht_core::corrupt::CorruptionPlan,
@@ -530,21 +490,21 @@ impl SimOverlay for PastryNetwork {
 mod tests {
     use super::*;
     use dht_core::lookup::LookupOutcome;
+    use dht_core::overlay::Overlay;
     use dht_core::rng::stream;
     use rand::Rng;
 
     #[test]
     fn refresh_refills_the_table_buffer_in_place() {
-        use dht_core::overlay::Overlay;
         let mut net = PastryNetwork::with_nodes(PastryConfig::new(12), 300, 1);
         let buffers = |net: &PastryNetwork| -> Vec<(usize, *const Option<u64>)> {
-            let tables = net.ids().map(|id| &net.node(id).unwrap().table);
+            let tables = net.members.store.states().map(|n| &n.table);
             tables.map(|t| (t.capacity(), t.as_ptr())).collect()
         };
         let before = buffers(&net);
         assert!(before.iter().all(|&(capacity, _)| capacity == 24));
         net.refresh_all();
-        let ids: Vec<u64> = net.ids().collect();
+        let ids: Vec<u64> = net.members.store.token_iter().collect();
         net.stabilize_node(ids[17]);
         assert_eq!(buffers(&net), before, "a refresh reallocated a table");
     }
@@ -569,12 +529,12 @@ mod tests {
     fn routing_table_entries_share_prefix_and_differ_next_digit() {
         let net = PastryNetwork::with_nodes(PastryConfig::new(12), 500, 1);
         let c = net.config();
-        for id in net.ids().take(50) {
-            let node = net.node(id).unwrap();
+        for id in net.members.store.token_iter().take(50) {
+            let node = net.members.store.get(id).unwrap();
             for row in 0..c.digits() {
                 for col in 0..c.base() {
                     if let Some(entry) = node.table[(row * c.base() + col) as usize] {
-                        assert!(net.is_live(entry));
+                        assert!(net.contains(entry));
                         assert_eq!(c.shared_prefix(id, entry), row, "row {row} col {col}");
                         assert_eq!(c.digit(entry, row), col);
                     }
@@ -586,13 +546,13 @@ mod tests {
     #[test]
     fn all_lookups_resolve() {
         let mut net = PastryNetwork::with_nodes(PastryConfig::new(12), 400, 2);
-        let ids: Vec<u64> = net.ids().collect();
+        let ids: Vec<u64> = net.members.store.token_iter().collect();
         let mut rng = stream(3, "pastry");
         for i in 0..2000 {
             let src = ids[i % ids.len()];
             let raw: u64 = rng.gen();
             let key = net.key_of(raw);
-            let t = net.route(src, raw);
+            let t = net.lookup(src, raw);
             assert_eq!(t.outcome, LookupOutcome::Found, "lookup {i}");
             assert_eq!(t.timeouts, 0);
             assert_eq!(Some(t.terminal), net.owner_of_point(key));
@@ -603,11 +563,11 @@ mod tests {
     fn paths_are_logarithmic() {
         // O(log_{2^b} n) = log4(1024) = 5 digits to correct.
         let mut net = PastryNetwork::with_nodes(PastryConfig::new(16), 1024, 4);
-        let ids: Vec<u64> = net.ids().collect();
+        let ids: Vec<u64> = net.members.store.token_iter().collect();
         let mut rng = stream(5, "plen");
         let mut total = 0usize;
         for i in 0..2000 {
-            total += net.route(ids[i % ids.len()], rng.gen()).path_len();
+            total += net.lookup(ids[i % ids.len()], rng.gen()).path_len();
         }
         let mean = total as f64 / 2000.0;
         assert!(mean > 2.0 && mean < 9.0, "mean {mean} should be ~log4(n)");
@@ -617,22 +577,22 @@ mod tests {
     fn graceful_departures_timeout_but_resolve() {
         let mut net = PastryNetwork::with_nodes(PastryConfig::new(12), 1024, 6);
         let mut rng = stream(7, "pfail");
-        for id in net.ids().collect::<Vec<_>>() {
+        for id in net.members.store.token_iter().collect::<Vec<_>>() {
             if rng.gen_bool(0.3) {
                 net.depart(id, true);
             }
         }
-        let live: Vec<u64> = net.ids().collect();
+        let live: Vec<u64> = net.members.store.token_iter().collect();
         let mut timeouts = 0u32;
         for i in 0..1000 {
-            let t = net.route(live[i % live.len()], rng.gen());
+            let t = net.lookup(live[i % live.len()], rng.gen());
             assert_eq!(t.outcome, LookupOutcome::Found, "lookup {i}");
             timeouts += t.timeouts;
         }
         assert!(timeouts > 0, "stale table entries must time out");
         net.refresh_all();
         for i in 0..300 {
-            let t = net.route(live[i % live.len()], rng.gen());
+            let t = net.lookup(live[i % live.len()], rng.gen());
             assert_eq!(t.timeouts, 0);
         }
     }
@@ -640,9 +600,9 @@ mod tests {
     #[test]
     fn leaf_sets_are_ring_neighbors() {
         let net = PastryNetwork::with_nodes(PastryConfig::new(10), 100, 8);
-        let ids: Vec<u64> = net.ids().collect();
+        let ids: Vec<u64> = net.members.store.token_iter().collect();
         for (i, &id) in ids.iter().enumerate() {
-            let node = net.node(id).unwrap();
+            let node = net.members.store.get(id).unwrap();
             let succ = ids[(i + 1) % ids.len()];
             let pred = ids[(i + ids.len() - 1) % ids.len()];
             assert_eq!(node.leaf_larger.first(), Some(&succ), "node {id}");
@@ -654,10 +614,12 @@ mod tests {
     fn degree_is_logarithmic_not_constant() {
         let net = PastryNetwork::with_nodes(PastryConfig::new(16), 1024, 9);
         let mean: f64 = net
-            .ids()
-            .map(|id| net.node(id).unwrap().degree() as f64)
+            .membership()
+            .store
+            .token_iter()
+            .map(|id| net.members.store.get(id).unwrap().degree() as f64)
             .sum::<f64>()
-            / net.node_count() as f64;
+            / net.len() as f64;
         assert!(
             mean > 10.0,
             "Pastry keeps O(log n) state; mean degree {mean} too small"
@@ -675,16 +637,15 @@ mod tests {
         for &j in &joined[..10] {
             assert!(net.depart(j, true));
         }
-        let ids: Vec<u64> = net.ids().collect();
+        let ids: Vec<u64> = net.members.store.token_iter().collect();
         for i in 0..500 {
-            let t = net.route(ids[i % ids.len()], rng.gen());
+            let t = net.lookup(ids[i % ids.len()], rng.gen());
             assert_eq!(t.outcome, LookupOutcome::Found, "lookup {i}");
         }
     }
 
     #[test]
     fn trait_roundtrip() {
-        use dht_core::overlay::Overlay;
         let mut net: Box<dyn Overlay> =
             Box::new(PastryNetwork::with_nodes(PastryConfig::new(12), 150, 1));
         assert_eq!(net.name(), "Pastry");
@@ -707,7 +668,6 @@ mod tests {
 
     #[test]
     fn churn_through_trait() {
-        use dht_core::overlay::Overlay;
         let mut net = PastryNetwork::with_nodes(PastryConfig::new(12), 64, 4);
         let mut rng = stream(5, "pt");
         let n = Overlay::join(&mut net, &mut rng).unwrap();

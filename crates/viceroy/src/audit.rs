@@ -15,10 +15,10 @@ impl StateAudit for ViceroyNetwork {
     fn audit(&self, scope: AuditScope) -> AuditReport {
         let mut report = AuditReport::new(self.label(), scope);
         let levels = self.level_sets();
+        let store = &self.members.store;
 
-        for id in self.ids() {
+        for (id, node) in store.iter() {
             report.note_checked(1);
-            let node = self.node(id).expect("live id");
             report.check_eq(id, "viceroy/node-id", &node.id, &id);
 
             // Levels are 1-based (§2.4 draws from [1, log n₀]).
@@ -39,7 +39,7 @@ impl StateAudit for ViceroyNetwork {
             // Butterfly links must land on live nodes of the right level.
             let check_link = |report: &mut AuditReport, name, link: Option<u64>, want: u32| {
                 if let Some(peer) = link {
-                    match self.node(peer) {
+                    match store.get(peer) {
                         Some(p) => report.check(id, "viceroy/link-sanity", p.level == want, || {
                             format!("{name} link {peer} at level {}, expected {want}", p.level)
                         }),
@@ -73,7 +73,7 @@ impl StateAudit for ViceroyNetwork {
         // already proves every live node is indexed exactly once).
         for (l, set) in levels.iter().enumerate() {
             for &id in set {
-                report.check(id, "viceroy/level-index", self.is_live(id), || {
+                report.check(id, "viceroy/level-index", store.contains(id), || {
                     format!("dead node indexed at level {}", l + 1)
                 });
             }
@@ -86,6 +86,7 @@ impl StateAudit for ViceroyNetwork {
 mod tests {
     use super::*;
     use crate::network::ViceroyConfig;
+    use dht_core::overlay::Overlay;
     use dht_core::rng::stream;
 
     fn net(n: usize) -> ViceroyNetwork {
@@ -106,7 +107,7 @@ mod tests {
         let mut rng = stream(4, "viceroy-audit-churn");
         for step in 0..30 {
             if step % 3 == 0 {
-                let victim = net.ids().nth(step % net.node_count()).unwrap();
+                let victim = net.node_tokens()[step % net.len()];
                 net.leave(victim);
             } else {
                 net.join_random(&mut rng);
@@ -124,10 +125,13 @@ mod tests {
         // the partition check must flag it.
         let max = net.level_sets().len() as u32;
         let id = net
-            .ids()
-            .find(|&i| net.node(i).unwrap().level < max)
+            .members
+            .store
+            .iter()
+            .find(|(_, node)| node.level < max)
+            .map(|(i, _)| i)
             .unwrap();
-        net.node_mut(id).unwrap().level += 1;
+        net.members.store.get_mut(id).unwrap().level += 1;
         let report = net.audit(AuditScope::Online);
         assert!(
             report

@@ -23,10 +23,11 @@
 
 //! ```
 //! use viceroy::{ViceroyConfig, ViceroyNetwork};
+//! use dht_core::overlay::Overlay;
 //!
 //! let mut net = ViceroyNetwork::with_nodes(ViceroyConfig::new(), 500, 42);
-//! let src = net.ids().next().unwrap();
-//! let trace = net.route(src, 0xfeed);
+//! let src = net.node_tokens()[0];
+//! let trace = net.lookup(src, 0xfeed);
 //! assert!(trace.outcome.is_success());
 //! assert_eq!(trace.timeouts, 0); // Viceroy never times out
 //! ```

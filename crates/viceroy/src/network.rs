@@ -4,10 +4,10 @@
 use std::collections::BTreeSet;
 
 use dht_core::hash::{reduce, splitmix64};
-use dht_core::lookup::{HopPhase, LookupTrace};
+use dht_core::lookup::HopPhase;
 use dht_core::overlay::NodeToken;
 use dht_core::ring::{in_interval_oc, ring_dist};
-use dht_core::sim::{walk_from, Membership, SimOverlay, StepDecision};
+use dht_core::sim::{Membership, SimOverlay, StepDecision};
 use dht_core::store::Hints;
 use rand::{Rng, RngCore};
 
@@ -81,7 +81,7 @@ pub struct ViceroyWalk {
 #[derive(Debug, Clone)]
 pub struct ViceroyNetwork {
     config: ViceroyConfig,
-    members: Membership<ViceroyNode>,
+    pub(crate) members: Membership<ViceroyNode>,
     /// `by_level[l]` holds identifiers of the nodes at level `l+1`.
     by_level: Vec<BTreeSet<u64>>,
 }
@@ -104,9 +104,9 @@ impl ViceroyNetwork {
         let mut net = Self::new(config, seed);
         let mut rng = dht_core::rng::stream(seed, "viceroy-levels");
         let max_level = Self::level_range_for(count);
-        while net.members.len() < count {
+        while net.members.store.len() < count {
             let id = net.members.next_in(config.space());
-            if !net.members.contains(id) {
+            if !net.members.store.contains(id) {
                 let level = rng.gen_range(1..=max_level);
                 net.insert_raw(id, level);
             }
@@ -127,36 +127,6 @@ impl ViceroyNetwork {
         self.config
     }
 
-    /// Number of live nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.members.len()
-    }
-
-    /// `true` iff `id` is live.
-    #[must_use]
-    pub fn is_live(&self, id: u64) -> bool {
-        self.members.contains(id)
-    }
-
-    /// Live node identifiers in ring order.
-    pub fn ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.members.token_iter()
-    }
-
-    /// Read access to one node.
-    #[must_use]
-    pub fn node(&self, id: u64) -> Option<&ViceroyNode> {
-        self.members.get(id)
-    }
-
-    /// Exclusive access to one node — for the corruption injector and
-    /// the audit tests, which damage state the protocol itself never
-    /// produces.
-    pub(crate) fn node_mut(&mut self, id: u64) -> Option<&mut ViceroyNode> {
-        self.members.get_mut(id)
-    }
-
     /// The per-level identifier index (`level_sets()[l]` holds level
     /// `l+1`), for the audit's partition-consistency check.
     pub(crate) fn level_sets(&self) -> &[BTreeSet<u64>] {
@@ -169,15 +139,8 @@ impl ViceroyNetwork {
         reduce(splitmix64(raw_key), self.config.space())
     }
 
-    /// Ground truth: the key's successor — the storing node (§2.4:
-    /// "Viceroy stores keys in the keys' successors").
-    #[must_use]
-    pub fn successor_of_point(&self, x: u64) -> Option<u64> {
-        self.members.successor_of(x)
-    }
-
     fn insert_raw(&mut self, id: u64, level: u32) {
-        self.members.insert(id, ViceroyNode { id, level });
+        self.members.store.insert(id, ViceroyNode { id, level });
         if self.by_level.len() < level as usize {
             self.by_level.resize(level as usize, BTreeSet::new());
         }
@@ -185,7 +148,7 @@ impl ViceroyNetwork {
     }
 
     fn remove_raw(&mut self, id: u64) -> Option<ViceroyNode> {
-        let node = self.members.remove(id)?;
+        let node = self.members.store.remove(id)?;
         self.by_level[(node.level - 1) as usize].remove(&id);
         Some(node)
     }
@@ -194,13 +157,13 @@ impl ViceroyNetwork {
     /// current size estimate. All affected links are repaired immediately
     /// (Viceroy's expensive-but-thorough join).
     pub fn join_random(&mut self, rng: &mut dyn RngCore) -> Option<u64> {
-        if self.members.len() as u64 >= self.config.space() {
+        if self.members.store.len() as u64 >= self.config.space() {
             return None;
         }
-        let max_level = Self::level_range_for(self.members.len() + 1);
+        let max_level = Self::level_range_for(self.members.store.len() + 1);
         loop {
             let id = self.members.next_in(self.config.space());
-            if !self.members.contains(id) {
+            if !self.members.store.contains(id) {
                 let level = 1 + (rng.next_u64() % u64::from(max_level)) as u32;
                 self.insert_raw(id, level);
                 return Some(id);
@@ -221,7 +184,7 @@ impl ViceroyNetwork {
     /// General-ring successor link of node `id`.
     #[must_use]
     pub fn succ_link(&self, id: u64) -> Option<u64> {
-        if self.members.len() <= 1 {
+        if self.members.store.len() <= 1 {
             return None;
         }
         self.members.successor_after(id)
@@ -230,7 +193,7 @@ impl ViceroyNetwork {
     /// General-ring predecessor link of node `id`.
     #[must_use]
     pub fn pred_link(&self, id: u64) -> Option<u64> {
-        if self.members.len() <= 1 {
+        if self.members.store.len() <= 1 {
             return None;
         }
         self.members.predecessor_of(id)
@@ -265,7 +228,7 @@ impl ViceroyNetwork {
     /// Level-ring "next" link: the next node of the same level clockwise.
     #[must_use]
     pub fn level_next_link(&self, id: u64) -> Option<u64> {
-        let level = self.members.get(id)?.level;
+        let level = self.members.store.get(id)?.level;
         let set = &self.by_level[(level - 1) as usize];
         if set.len() <= 1 {
             return None;
@@ -279,7 +242,7 @@ impl ViceroyNetwork {
     /// Level-ring "previous" link: the previous node of the same level.
     #[must_use]
     pub fn level_prev_link(&self, id: u64) -> Option<u64> {
-        let level = self.members.get(id)?.level;
+        let level = self.members.store.get(id)?.level;
         let set = &self.by_level[(level - 1) as usize];
         if set.len() <= 1 {
             return None;
@@ -294,7 +257,7 @@ impl ViceroyNetwork {
     /// from the node's own position.
     #[must_use]
     pub fn down_left_link(&self, id: u64) -> Option<u64> {
-        let level = self.members.get(id)?.level;
+        let level = self.members.store.get(id)?.level;
         self.nearest_at_level(level + 1, id)
     }
 
@@ -302,7 +265,7 @@ impl ViceroyNetwork {
     /// from `id + 2^{-l}` (a jump of one butterfly span).
     #[must_use]
     pub fn down_right_link(&self, id: u64) -> Option<u64> {
-        let level = self.members.get(id)?.level;
+        let level = self.members.store.get(id)?.level;
         let space = self.config.space();
         let jump = space >> level.min(self.config.bits);
         self.nearest_at_level(level + 1, (id + jump) % space)
@@ -312,7 +275,7 @@ impl ViceroyNetwork {
     /// at level 1.
     #[must_use]
     pub fn up_link(&self, id: u64) -> Option<u64> {
-        let level = self.members.get(id)?.level;
+        let level = self.members.store.get(id)?.level;
         if level <= 1 {
             return None;
         }
@@ -330,28 +293,6 @@ impl ViceroyNetwork {
             Some(pred) => in_interval_oc(key, pred, cur, self.config.space()),
             None => true,
         }
-    }
-
-    /// One lookup from `src` for ring key `key`: ascend to level 1,
-    /// descend the butterfly, then traverse ring and level-ring pointers
-    /// to the key's successor.
-    pub fn route_to_point(&mut self, src: u64, key: u64) -> LookupTrace {
-        walk_from(
-            self,
-            src,
-            ViceroyWalk {
-                key,
-                phase: WalkPhase::Up,
-            },
-            None,
-            true,
-        )
-    }
-
-    /// Lookup by raw (pre-hash) key.
-    pub fn route(&mut self, src: u64, raw_key: u64) -> LookupTrace {
-        let key = self.key_of(raw_key);
-        self.route_to_point(src, key)
     }
 }
 
@@ -379,7 +320,7 @@ impl SimOverlay for ViceroyNetwork {
     /// probes the full constant link set — capped by the nodes that
     /// actually exist to answer.
     fn maintenance_msgs(&self, _node: NodeToken) -> u64 {
-        (self.members.len().saturating_sub(1) as u64).clamp(1, 7)
+        (self.members.store.len().saturating_sub(1) as u64).clamp(1, 7)
     }
 
     fn map_key(&self, raw_key: u64) -> u64 {
@@ -387,11 +328,11 @@ impl SimOverlay for ViceroyNetwork {
     }
 
     fn owner_token(&self, raw_key: u64) -> Option<NodeToken> {
-        self.successor_of_point(self.key_of(raw_key))
+        self.members.store.successor_of(self.key_of(raw_key))
     }
 
     fn hop_budget(&self) -> usize {
-        8 * (usize::BITS - self.members.len().leading_zeros()) as usize + 256
+        8 * (usize::BITS - self.members.store.len().leading_zeros()) as usize + 256
     }
 
     fn begin_walk(&self, _src: NodeToken, raw_key: u64) -> ViceroyWalk {
@@ -402,9 +343,11 @@ impl SimOverlay for ViceroyNetwork {
     }
 
     fn walk_owner(&self, walk: &ViceroyWalk) -> Option<NodeToken> {
-        self.successor_of_point(walk.key)
+        self.members.store.successor_of(walk.key)
     }
 
+    /// Ascend to level 1, descend the butterfly, then traverse ring and
+    /// level-ring pointers to the key's successor.
     fn next_hop(
         &self,
         cur: NodeToken,
@@ -501,10 +444,6 @@ impl SimOverlay for ViceroyNetwork {
             .sum()
     }
 
-    fn audit_network(&self, scope: dht_core::audit::AuditScope) -> dht_core::audit::AuditReport {
-        dht_core::audit::StateAudit::audit(self, scope)
-    }
-
     fn corrupt_network(
         &mut self,
         plan: &dht_core::corrupt::CorruptionPlan,
@@ -521,16 +460,17 @@ impl SimOverlay for ViceroyNetwork {
 mod tests {
     use super::*;
     use dht_core::lookup::LookupOutcome;
+    use dht_core::overlay::Overlay;
     use dht_core::rng::stream;
 
     #[test]
     fn with_nodes_levels_in_range() {
         let net = ViceroyNetwork::with_nodes(ViceroyConfig::new(), 1000, 1);
-        assert_eq!(net.node_count(), 1000);
+        assert_eq!(net.len(), 1000);
         let max = ViceroyNetwork::level_range_for(1000);
         assert_eq!(max, 10);
-        for id in net.ids() {
-            let l = net.node(id).unwrap().level;
+        for id in net.members.store.token_iter() {
+            let l = net.members.store.get(id).unwrap().level;
             assert!(l >= 1 && l <= max, "level {l} out of [1, {max}]");
         }
     }
@@ -538,28 +478,28 @@ mod tests {
     #[test]
     fn all_lookups_resolve() {
         let mut net = ViceroyNetwork::with_nodes(ViceroyConfig::new(), 500, 2);
-        let ids: Vec<u64> = net.ids().collect();
+        let ids: Vec<u64> = net.members.store.token_iter().collect();
         let mut rng = stream(3, "vic");
         for i in 0..2000 {
             let src = ids[i % ids.len()];
             let raw: u64 = rng.gen();
             let key = net.key_of(raw);
-            let t = net.route(src, raw);
+            let t = net.lookup(src, raw);
             assert_eq!(t.outcome, LookupOutcome::Found, "lookup {i}");
             assert_eq!(t.timeouts, 0);
-            assert_eq!(Some(t.terminal), net.successor_of_point(key));
+            assert_eq!(Some(t.terminal), net.members.store.successor_of(key));
         }
     }
 
     #[test]
     fn paths_are_logarithmic_but_longer_than_constant_dht() {
         let mut net = ViceroyNetwork::with_nodes(ViceroyConfig::new(), 1024, 4);
-        let ids: Vec<u64> = net.ids().collect();
+        let ids: Vec<u64> = net.members.store.token_iter().collect();
         let mut rng = stream(5, "viclen");
         let mut total = 0usize;
         let trials = 1500;
         for i in 0..trials {
-            let t = net.route(ids[i % ids.len()], rng.gen());
+            let t = net.lookup(ids[i % ids.len()], rng.gen());
             assert_eq!(t.outcome, LookupOutcome::Found);
             total += t.path_len();
         }
@@ -573,13 +513,13 @@ mod tests {
     #[test]
     fn three_phases_all_appear() {
         let mut net = ViceroyNetwork::with_nodes(ViceroyConfig::new(), 800, 6);
-        let ids: Vec<u64> = net.ids().collect();
+        let ids: Vec<u64> = net.members.store.token_iter().collect();
         let mut rng = stream(7, "vicphase");
         let mut asc = 0usize;
         let mut desc = 0usize;
         let mut trav = 0usize;
         for i in 0..500 {
-            let t = net.route(ids[i % ids.len()], rng.gen());
+            let t = net.lookup(ids[i % ids.len()], rng.gen());
             asc += t.hops_in_phase(HopPhase::Ascending);
             desc += t.hops_in_phase(HopPhase::Descending);
             trav += t.hops_in_phase(HopPhase::TraverseCycle);
@@ -601,12 +541,12 @@ mod tests {
         let mut rng = stream(9, "vicchurn");
         for round in 0..50 {
             let _ = net.join_random(&mut rng);
-            let ids: Vec<u64> = net.ids().collect();
+            let ids: Vec<u64> = net.members.store.token_iter().collect();
             let victim = ids[(rng.gen::<u64>() % ids.len() as u64) as usize];
             net.leave(victim);
-            let ids: Vec<u64> = net.ids().collect();
+            let ids: Vec<u64> = net.members.store.token_iter().collect();
             let src = ids[round % ids.len()];
-            let t = net.route(src, rng.gen());
+            let t = net.lookup(src, rng.gen());
             assert_eq!(t.outcome, LookupOutcome::Found, "round {round}");
             assert_eq!(t.timeouts, 0);
         }
@@ -618,11 +558,11 @@ mod tests {
         // that of a half-size network.
         let mean_path = |count: usize, seed: u64| -> f64 {
             let mut net = ViceroyNetwork::with_nodes(ViceroyConfig::new(), count, seed);
-            let ids: Vec<u64> = net.ids().collect();
+            let ids: Vec<u64> = net.members.store.token_iter().collect();
             let mut rng = stream(seed, "vicshrink");
             let mut total = 0usize;
             for i in 0..800 {
-                total += net.route(ids[i % ids.len()], rng.gen()).path_len();
+                total += net.lookup(ids[i % ids.len()], rng.gen()).path_len();
             }
             total as f64 / 800.0
         };
@@ -639,7 +579,7 @@ mod tests {
         let mut net = ViceroyNetwork::new(ViceroyConfig::new(), 12);
         let mut rng = stream(13, "lone");
         let id = net.join_random(&mut rng).unwrap();
-        let t = net.route_to_point(id, 12345);
+        let t = net.lookup(id, 12345);
         assert_eq!(t.outcome, LookupOutcome::Found);
         assert_eq!(t.path_len(), 0);
     }
@@ -663,7 +603,6 @@ mod tests {
 
     #[test]
     fn trait_roundtrip() {
-        use dht_core::overlay::Overlay;
         let mut net: Box<dyn Overlay> =
             Box::new(ViceroyNetwork::with_nodes(ViceroyConfig::new(), 200, 1));
         assert_eq!(net.name(), "Viceroy");
@@ -686,7 +625,6 @@ mod tests {
 
     #[test]
     fn churn_through_trait() {
-        use dht_core::overlay::Overlay;
         let mut net = ViceroyNetwork::with_nodes(ViceroyConfig::new(), 64, 4);
         let mut rng = stream(5, "vt");
         let n = Overlay::join(&mut net, &mut rng).unwrap();

@@ -27,25 +27,26 @@ impl ViceroyNetwork {
     /// the nodes' level claims. Membership, the level index, and query
     /// loads stay untouched.
     pub fn corrupt(&mut self, plan: &CorruptionPlan) -> CorruptionReport {
-        let live: Vec<u64> = self.ids().collect();
+        let live = self.members.store.tokens();
         let victims = plan.victims(&live);
         let levels = self.level_sets().len() as u32;
         let mut report = CorruptionReport::default();
         if levels == 0 {
             return report;
         }
+        let store = &mut self.members.store;
         let attacker_level = plan
             .pick(SALT_ATTACKER, 0, &live)
-            .and_then(|a| self.node(a))
+            .and_then(|a| store.get(a))
             .map(|n| n.level);
         if plan.strategy == CorruptionStrategy::CrossWireLeafSets {
             // Cross-wire: consecutive victims trade level claims.
             for pair in victims.chunks(2) {
                 if let [a, b] = *pair {
-                    let la = self.node(a).expect("victim is live").level;
-                    let lb = self.node(b).expect("victim is live").level;
-                    self.node_mut(a).expect("victim is live").level = lb;
-                    self.node_mut(b).expect("victim is live").level = la;
+                    let la = store.get(a).expect("victim is live").level;
+                    let lb = store.get(b).expect("victim is live").level;
+                    store.get_mut(a).expect("victim is live").level = lb;
+                    store.get_mut(b).expect("victim is live").level = la;
                     let mutated = u64::from(la != lb);
                     report.note(mutated);
                     report.note(mutated);
@@ -56,7 +57,8 @@ impl ViceroyNetwork {
             return report;
         }
         for &id in &victims {
-            let current = self.node(id).expect("victim is live").level;
+            let node = store.get_mut(id).expect("victim is live");
+            let current = node.level;
             let target = match plan.strategy {
                 CorruptionStrategy::RandomizeLinks | CorruptionStrategy::GhostLinks => {
                     // A seeded level other than the real one when the
@@ -75,7 +77,7 @@ impl ViceroyNetwork {
                 CorruptionStrategy::CrossWireLeafSets => unreachable!("handled above"),
             };
             let mutated = u64::from(target != current);
-            self.node_mut(id).expect("victim is live").level = target;
+            node.level = target;
             report.note(mutated);
         }
         report
@@ -88,7 +90,7 @@ impl ViceroyNetwork {
     /// level — joins and leaves keep the index in lockstep — so the scan
     /// always finds it.
     pub fn repair_one(&mut self, id: u64) -> u64 {
-        if !self.is_live(id) {
+        if !self.members.store.contains(id) {
             return 0;
         }
         let Some(indexed) = self
@@ -99,7 +101,7 @@ impl ViceroyNetwork {
         else {
             return 0;
         };
-        let node = self.node_mut(id).expect("live node has state");
+        let node = self.members.store.get_mut(id).expect("live node has state");
         if node.level == indexed {
             0
         } else {
@@ -114,13 +116,14 @@ mod tests {
     use super::*;
     use crate::network::ViceroyConfig;
     use dht_core::audit::{AuditScope, StateAudit};
+    use dht_core::overlay::Overlay;
 
     fn net(n: usize) -> ViceroyNetwork {
         ViceroyNetwork::with_nodes(ViceroyConfig::new(), n, 42)
     }
 
     fn repair_sweep(net: &mut ViceroyNetwork) -> u64 {
-        let ids: Vec<u64> = net.ids().collect();
+        let ids: Vec<u64> = net.node_tokens();
         ids.into_iter().map(|id| net.repair_one(id)).sum()
     }
 
@@ -135,7 +138,10 @@ mod tests {
     fn every_strategy_is_detected_and_repaired() {
         for strategy in CorruptionStrategy::ALL {
             let mut n = net(80);
-            let before: Vec<u32> = n.ids().map(|id| n.node(id).unwrap().level).collect();
+            let levels = |n: &ViceroyNetwork| -> Vec<u32> {
+                n.members.store.states().map(|node| node.level).collect()
+            };
+            let before = levels(&n);
             let plan = CorruptionPlan::new(strategy, 0.5, 9);
             let report = n.corrupt(&plan);
             assert_eq!(report.targeted_nodes, 40, "{strategy:?}");
@@ -150,8 +156,11 @@ mod tests {
                 "{strategy:?} not repaired: {}",
                 n.audit(AuditScope::Full)
             );
-            let after: Vec<u32> = n.ids().map(|id| n.node(id).unwrap().level).collect();
-            assert_eq!(before, after, "{strategy:?}: repair must restore levels");
+            assert_eq!(
+                before,
+                levels(&n),
+                "{strategy:?}: repair must restore levels"
+            );
             assert_eq!(
                 repair_sweep(&mut n),
                 0,
@@ -166,8 +175,7 @@ mod tests {
             let mut n = net(60);
             let levels = n.level_sets().len() as u32;
             n.corrupt(&CorruptionPlan::new(strategy, 1.0, 5));
-            for id in n.ids().collect::<Vec<_>>() {
-                let l = n.node(id).unwrap().level;
+            for l in n.members.store.states().map(|node| node.level) {
                 assert!(
                     (1..=levels).contains(&l),
                     "{strategy:?}: level {l} of {levels}"

@@ -1,7 +1,9 @@
 //! Property-based tests of the Viceroy butterfly invariants.
 
 use dht_core::lookup::LookupOutcome;
+use dht_core::overlay::Overlay;
 use dht_core::rng::stream;
+use dht_core::sim::SimOverlay;
 use proptest::prelude::*;
 use rand::Rng;
 use viceroy::{ViceroyConfig, ViceroyNetwork};
@@ -13,8 +15,8 @@ proptest! {
     fn levels_respect_the_estimate_range(seed in any::<u64>(), count in 2usize..400) {
         let net = ViceroyNetwork::with_nodes(ViceroyConfig::new(), count, seed);
         let max = ViceroyNetwork::level_range_for(count);
-        for id in net.ids() {
-            let l = net.node(id).unwrap().level;
+        for id in net.node_tokens() {
+            let l = net.membership().store.get(id).unwrap().level;
             prop_assert!(l >= 1 && l <= max);
         }
     }
@@ -25,19 +27,19 @@ proptest! {
         // link must be a live node, and up/down links must be at the
         // adjacent level.
         let net = ViceroyNetwork::with_nodes(ViceroyConfig::new(), count, seed);
-        for id in net.ids() {
-            let level = net.node(id).unwrap().level;
+        for id in net.node_tokens() {
+            let level = net.membership().store.get(id).unwrap().level;
             for link in [net.succ_link(id), net.pred_link(id), net.level_next_link(id)]
                 .into_iter()
                 .flatten()
             {
-                prop_assert!(net.is_live(link));
+                prop_assert!(net.contains(link));
             }
             if let Some(up) = net.up_link(id) {
-                prop_assert_eq!(net.node(up).unwrap().level, level - 1);
+                prop_assert_eq!(net.membership().store.get(up).unwrap().level, level - 1);
             }
             for down in [net.down_left_link(id), net.down_right_link(id)].into_iter().flatten() {
-                prop_assert_eq!(net.node(down).unwrap().level, level + 1);
+                prop_assert_eq!(net.membership().store.get(down).unwrap().level, level + 1);
             }
         }
     }
@@ -45,15 +47,15 @@ proptest! {
     #[test]
     fn lookups_find_successors_with_zero_timeouts(seed in any::<u64>(), count in 2usize..300) {
         let mut net = ViceroyNetwork::with_nodes(ViceroyConfig::new(), count, seed);
-        let ids: Vec<u64> = net.ids().collect();
+        let ids: Vec<u64> = net.node_tokens();
         let mut rng = stream(seed, "vic-prop");
         for i in 0..15 {
             let raw: u64 = rng.gen();
             let k = net.key_of(raw);
-            let t = net.route(ids[i % ids.len()], raw);
+            let t = net.lookup(ids[i % ids.len()], raw);
             prop_assert_eq!(t.outcome, LookupOutcome::Found);
             prop_assert_eq!(t.timeouts, 0, "Viceroy never times out");
-            prop_assert_eq!(Some(t.terminal), net.successor_of_point(k));
+            prop_assert_eq!(Some(t.terminal), net.membership().store.successor_of(k));
         }
     }
 
@@ -66,12 +68,12 @@ proptest! {
         for _ in 0..steps {
             if rng.gen_bool(0.5) {
                 let _ = net.join_random(&mut rng);
-            } else if net.node_count() > 4 {
-                let ids: Vec<u64> = net.ids().collect();
+            } else if net.len() > 4 {
+                let ids: Vec<u64> = net.node_tokens();
                 net.leave(ids[(rng.gen::<u64>() % ids.len() as u64) as usize]);
             }
-            let ids: Vec<u64> = net.ids().collect();
-            let t = net.route(ids[0], rng.gen());
+            let ids: Vec<u64> = net.node_tokens();
+            let t = net.lookup(ids[0], rng.gen());
             prop_assert_eq!(t.outcome, LookupOutcome::Found);
         }
     }

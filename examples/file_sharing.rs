@@ -36,7 +36,7 @@ fn main() {
     println!(
         "sharing {} files across a {}-node Cycloid network",
         files.len(),
-        net.node_count()
+        net.len()
     );
 
     // Publish: each file's index record lands on its key's owner.

@@ -16,7 +16,7 @@ fn main() {
     let mut net = CycloidNetwork::with_nodes(CycloidConfig::seven_entry(8), 500, 42);
     println!(
         "built a Cycloid(d=8) network: {} nodes, degree bound 7, id space {}",
-        net.node_count(),
+        net.len(),
         net.dim().id_space()
     );
 
@@ -80,16 +80,10 @@ fn main() {
 
     // Churn: a node joins, a node leaves, lookups keep resolving.
     let newcomer = net.join_random(&mut rng).expect("space not full");
-    println!(
-        "\nnode {newcomer} joined (network now {})",
-        net.node_count()
-    );
+    println!("\nnode {newcomer} joined (network now {})", net.len());
     let leaver = net.ids().nth(100).unwrap();
     net.leave(leaver);
-    println!(
-        "node {leaver} left gracefully (network now {})",
-        net.node_count()
-    );
+    println!("node {leaver} left gracefully (network now {})", net.len());
     let src = net.ids().next().unwrap();
     let trace = net.route(src, hash_str("alpha.iso"));
     println!(

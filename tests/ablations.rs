@@ -7,6 +7,7 @@
 
 use cycloid::{CycloidConfig, CycloidNetwork};
 use dht_core::lookup::HopPhase;
+use dht_core::overlay::Overlay;
 use dht_core::rng::stream;
 use dht_core::sim::Refresh;
 use koorde::{ImaginaryStart, KoordeConfig, KoordeNetwork};
@@ -51,9 +52,9 @@ fn best_fit_start_beats_basic_on_an_oversized_ring() {
     ]
     .map(|(label, config)| {
         let mut net = KoordeNetwork::with_nodes(config, 1024, 9);
-        let ids: Vec<_> = net.ids().collect();
+        let ids = net.node_tokens();
         let mut rng = stream(9, label);
-        let hops = mean_hops(|i| net.route(ids[i % ids.len()], rng.gen()).path_len());
+        let hops = mean_hops(|i| net.lookup(ids[i % ids.len()], rng.gen()).path_len());
         println!(
             "[ablation] koorde start {label}: mean path {hops:.3} hops (1024 nodes, 2^14 ring)"
         );
@@ -78,16 +79,16 @@ fn longer_backup_lists_survive_more_departures() {
         };
         let mut net = KoordeNetwork::with_nodes(config, 2048, 11);
         let mut rng = stream(11, "ablate-succ");
-        let ids: Vec<_> = net.ids().collect();
+        let ids = net.node_tokens();
         for &id in &ids {
             if rng.gen_bool(0.4) {
                 net.depart(id, true);
             }
         }
-        let live: Vec<_> = net.ids().collect();
+        let live = net.node_tokens();
         let failures = (0..LOOKUPS)
             .filter(|i| {
-                !net.route(live[i % live.len()], rng.gen())
+                !net.lookup(live[i % live.len()], rng.gen())
                     .outcome
                     .is_success()
             })

@@ -23,9 +23,8 @@ use rand::Rng;
 fn chord_oracle(net: &ChordNetwork) -> AuditReport {
     let mut report = AuditReport::new(net.name(), AuditScope::Online);
     let config = net.config();
-    for id in net.ids() {
+    for (id, node) in net.membership().store.iter() {
         report.note_checked(1);
-        let node = net.node(id).expect("live id");
         report.check_eq(id, "chord/node-id", &node.id, &id);
         let (pred, succs) = net
             .membership()
@@ -43,9 +42,8 @@ fn koorde_oracle(net: &KoordeNetwork) -> AuditReport {
     let mut report = AuditReport::new(net.name(), AuditScope::Online);
     let config = net.config();
     let r = config.successor_list;
-    for id in net.ids() {
+    for (id, node) in net.membership().store.iter() {
         report.note_checked(1);
-        let node = net.node(id).expect("live id");
         report.check_eq(id, "koorde/node-id", &node.id, &id);
         let bound = r + config.debruijn_backups + 1;
         report.check(
@@ -77,9 +75,8 @@ fn koorde_oracle(net: &KoordeNetwork) -> AuditReport {
 fn pastry_oracle(net: &PastryNetwork) -> AuditReport {
     let mut report = AuditReport::new(net.name(), AuditScope::Online);
     let c = net.config();
-    for id in net.ids() {
+    for (id, node) in net.membership().store.iter() {
         report.note_checked(1);
-        let node = net.node(id).expect("live id");
         report.check_eq(id, "pastry/node-id", &node.id, &id);
         let slots = (c.digits() * c.base()) as usize;
         report.check(
@@ -347,14 +344,9 @@ fn tiny_rings_audit_clean_and_match_the_oracle() {
         let Net::Chord(net) = Net::build("chord", n, 1) else {
             unreachable!()
         };
-        let held = |id| {
-            let node = net.node(id).unwrap();
-            (node.predecessor, node.successors.to_vec())
-        };
-        (
-            net.ids().collect::<Vec<u64>>(),
-            net.ids().map(held).collect::<Vec<_>>(),
-        )
+        let states = net.membership().store.states();
+        let held = states.map(|node| (node.predecessor, node.successors.to_vec()));
+        (net.node_tokens(), held.collect::<Vec<_>>())
     };
     // One node is its own predecessor and all three successors.
     let (t, held) = chord(1);
@@ -375,8 +367,8 @@ fn tiny_rings_audit_clean_and_match_the_oracle() {
     let Net::Pastry(three) = Net::build("pastry", 3, 1) else {
         unreachable!()
     };
-    let ids: Vec<u64> = three.ids().collect();
-    let high = three.node(ids[2]).unwrap();
+    let ids = three.node_tokens();
+    let high = three.membership().store.get(ids[2]).unwrap();
     assert_eq!(high.leaf_smaller, vec![ids[1], ids[0]]);
     assert_eq!(high.leaf_larger, vec![ids[0], ids[1]]);
 }

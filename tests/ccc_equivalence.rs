@@ -5,6 +5,7 @@
 
 use ccc::{classic_route, CccGraph, CccNode};
 use cycloid::{CycloidConfig, CycloidId, CycloidNetwork};
+use dht_core::overlay::Overlay;
 use dht_core::rng::stream;
 use rand::Rng;
 
@@ -17,7 +18,7 @@ fn identifier_spaces_coincide() {
     for d in 3..=8 {
         let g = CccGraph::new(d);
         let net = CycloidNetwork::complete(CycloidConfig::seven_entry(d));
-        assert_eq!(net.node_count() as u64, g.node_count());
+        assert_eq!(net.len() as u64, g.node_count());
         // The linearization orders agree node by node.
         for id in net.ids() {
             assert_eq!(id.linear(net.dim()), g.index_of(as_ccc(id)));

@@ -205,11 +205,11 @@ fn fig13_sparsity_leaves_cycloid_unharmed_but_slows_koorde() {
     // Koorde at fixed 2^11 ring: dense 2048 vs 60%-sparse 819 nodes.
     let koorde_at = |count: usize| {
         let mut net = KoordeNetwork::with_nodes(KoordeConfig::new(11), count, 17);
-        let ids: Vec<u64> = net.ids().collect();
+        let ids = net.node_tokens();
         let mut rng = stream(17, "ks");
         let mut total = 0usize;
         for i in 0..1500 {
-            let t = net.route(ids[i % ids.len()], rng.gen());
+            let t = net.lookup(ids[i % ids.len()], rng.gen());
             assert!(t.outcome.is_success());
             total += t.path_len();
         }

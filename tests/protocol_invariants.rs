@@ -24,7 +24,7 @@ proptest! {
         for &join in &script {
             if join {
                 let _ = net.join_random(&mut rng);
-            } else if net.node_count() > 4 {
+            } else if net.len() > 4 {
                 let ids: Vec<_> = net.ids().collect();
                 let victim = ids[(rng.gen::<u64>() % ids.len() as u64) as usize];
                 net.leave(victim);
@@ -51,7 +51,7 @@ proptest! {
         for &join in &script {
             if join {
                 let _ = net.join_random(&mut rng);
-            } else if net.node_count() > 4 {
+            } else if net.len() > 4 {
                 let ids: Vec<_> = net.ids().collect();
                 let victim = ids[(rng.gen::<u64>() % ids.len() as u64) as usize];
                 net.leave(victim);
@@ -130,7 +130,7 @@ proptest! {
         for (step, &join) in script.iter().enumerate() {
             if join {
                 let _ = net.join_random(&mut rng);
-            } else if net.node_count() > 4 {
+            } else if net.len() > 4 {
                 let ids: Vec<_> = net.ids().collect();
                 let victim = ids[(rng.gen::<u64>() % ids.len() as u64) as usize];
                 net.leave(victim);
@@ -141,7 +141,7 @@ proptest! {
         net.stabilize_all();
         let report = net.audit_state(AuditScope::Full);
         prop_assert!(report.is_clean(), "after stabilization: {}", report);
-        prop_assert_eq!(report.checked_nodes(), net.node_count());
+        prop_assert_eq!(report.checked_nodes(), net.len());
     }
 
     #[test]
@@ -184,7 +184,7 @@ fn replay_regression_through_repair(script: &[bool], seed: u64) {
         for &join in script {
             if join {
                 let _ = net.join_random(&mut rng);
-            } else if net.node_count() > 4 {
+            } else if net.len() > 4 {
                 let ids: Vec<_> = net.ids().collect();
                 let victim = ids[(rng.gen::<u64>() % ids.len() as u64) as usize];
                 net.leave(victim);

@@ -4,9 +4,11 @@
 //! them. So: on all eight kinds, after arbitrary join / leave / fail
 //! scripts and every corruption strategy, a run — ascending (a tick's
 //! bucket, a full round), descending, shuffled, with repeats, with
-//! departed tokens — leaves every node state equal to what per-node
-//! `stabilize_node` calls over the same tokens leave, and bills the same
-//! messages. `Membership::ring_pointers`, which now steps where it
+//! departed tokens — leaves every node state equal to what
+//! `SimOverlay::stabilize_one` leaves, called node by node over the same
+//! tokens with fresh hints, and bills the same messages. The reference
+//! is not `Overlay::stabilize_node`: that is a run of one, so it would
+//! compare runs with runs. `Membership::ring_pointers`, which now steps where it
 //! searched, is held to its old definition, written out here, and
 //! Cycloid's leaf resolvers, which now read the token order instead of
 //! the cycle index, to the edge shapes `audit_sweep.rs` lists.
@@ -18,7 +20,7 @@ use dht_core::corrupt::{CorruptionPlan, CorruptionStrategy};
 use dht_core::obs::PhaseAccountant;
 use dht_core::rng::stream_indexed;
 use dht_core::sim::{Membership, SimOverlay};
-use dht_core::store::Pos;
+use dht_core::store::{Hints, Pos};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -30,6 +32,7 @@ where
     T::State: Debug,
 {
     let (got, want) = (got.membership(), want.membership());
+    let (got, want) = (&got.store, &want.store);
     assert_eq!(got.tokens(), want.tokens(), "{ctx}: live tokens");
     for ((token, got), (_, want)) in got.iter().zip(want.iter()) {
         assert_eq!(
@@ -41,8 +44,8 @@ where
 }
 
 /// `run` as one `stabilize_nodes` call against the same tokens through
-/// `stabilize_node`, each on its own clone of `net`, with the accountant
-/// on: equal states, equal messages. And with it off: nothing billed.
+/// `stabilize_one` with fresh hints, each on its own clone of `net`, with
+/// the accountant on: equal states, equal messages. And with it off: nothing billed.
 fn assert_run_is_its_nodes<T>(net: &T, run: &[NodeToken], ctx: &str)
 where
     T: SimOverlay + Clone,
@@ -55,7 +58,7 @@ where
     let mut msgs = 0;
     for &node in run {
         msgs += Overlay::maintenance_msgs(&one_by_one, node);
-        one_by_one.stabilize_node(node);
+        one_by_one.stabilize_one(node, &mut Hints::default());
     }
     assert_eq!(billed, msgs, "{ctx}: billed messages");
     assert_same_states(&as_run, &one_by_one, ctx);
@@ -73,7 +76,7 @@ where
     T: SimOverlay + Clone,
     T::State: Debug,
 {
-    let live = net.membership().tokens();
+    let live = net.membership().store.tokens();
     let mut shuffled = live.clone();
     for i in (1..shuffled.len()).rev() {
         shuffled.swap(i, rng.gen_range(0..=i));
@@ -130,7 +133,7 @@ where
     let mut rng = stream_indexed(seed, "stabilize-runs", kind);
     let mut departed = Vec::new();
     for &op in script {
-        let live = net.membership().tokens();
+        let live = net.membership().store.tokens();
         let victim = |i: usize| live[i % live.len()];
         match op {
             Step::Join => {
@@ -205,7 +208,7 @@ fn runs_cross_chunk_boundaries() {
         let mut rng = stream_indexed(3, "stabilize-runs-chunks", kind);
         let mut departed = Vec::new();
         for i in 0..250 {
-            let live = net.membership().tokens();
+            let live = net.membership().store.tokens();
             let victim = live[rng.gen_range(0..live.len())];
             assert!(if i % 2 == 0 {
                 net.fail(victim)
@@ -248,7 +251,7 @@ fn ring_pointers_by_search(
     let mut succs = Vec::new();
     let mut cursor = id;
     for _ in 0..r {
-        cursor = ring.successor_of((cursor + 1) % space)?;
+        cursor = ring.store.successor_of((cursor + 1) % space)?;
         succs.push(cursor);
     }
     Some((pred, succs))
@@ -272,7 +275,7 @@ fn ring_pointers_step_to_what_the_searches_found() {
     ];
     for tokens in rings {
         let mut ring: Membership<()> = Membership::new(1);
-        tokens.iter().for_each(|&t| ring.insert(t, ()));
+        tokens.iter().for_each(|&t| ring.store.insert(t, ()));
         let mut carried = Pos::default();
         for id in 0..space {
             let want = ring_pointers_by_search(&ring, id, r, space);
