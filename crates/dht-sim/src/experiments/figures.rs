@@ -1,0 +1,1102 @@
+//! The tables and figures `repro all` regenerates, one [`Experiment`]
+//! each, in the order `repro` prints them: the paper's Tables 1–5 and
+//! Figs 5–14 (§4), and the extensions beyond them.
+//!
+//! Every entry says what `{x}` sweeps. Paper-scale grids follow the
+//! paper's setup, which each cell function's comment quotes; quick grids
+//! shrink them for CI.
+
+use std::collections::BTreeMap;
+
+use chord::ChordNetwork;
+use cycloid::{CycloidConfig, CycloidId, CycloidNetwork};
+use dht_core::audit::AuditScope;
+use dht_core::corrupt::Links;
+use dht_core::lookup::HopPhase;
+use dht_core::net::{DelayModel, FaultPlan, NetConditions, RetryPolicy};
+use dht_core::overlay::{key_counts, Overlay};
+use dht_core::rng::{stream, stream_indexed};
+use dht_core::sim::SimOverlay;
+use dht_core::stats::Summary;
+use dht_core::workload::{
+    key_population, per_node_uniform, random_pairs, zipf_pairs, LookupRequest, ZipfKeys,
+};
+use koorde::KoordeNetwork;
+use pastry::PastryNetwork;
+use rand::Rng;
+use viceroy::ViceroyNetwork;
+
+use super::{run_requests_jobs, At, Cell, Experiment, Grid, LookupAggregate, Measured, Value};
+use crate::churn::{run_churn, ChurnParams};
+use crate::factory::{cycloid_dim_for, OverlayKind, ALL_KINDS, EXTENDED_KINDS, PAPER_KINDS};
+use crate::report::{f, mean_p01_p99, Column, Layout, Table};
+
+use OverlayKind::{Can, Chord, Cycloid7, Koorde, Pastry, Viceroy};
+
+/// Every experiment behind `repro all`, in print order.
+pub static EXPERIMENTS: &[Experiment] = &[
+    // {x}: the network size the degrees are measured at.
+    Experiment {
+        name: "static_tables",
+        what: "regenerating tables 1-3...",
+        quick: TABLE1_GRID,
+        paper: TABLE1_GRID,
+        metric: "table1.{label}",
+        measure: table1,
+        layouts: &[
+            (
+                "table1",
+                Layout::Flat {
+                    title: "Table 1: comparison of representative P2P DHTs",
+                    only: None,
+                    cols: &[
+                        ("System", |c| c.label.clone()),
+                        ("Base network", |c| c.text("base").into()),
+                        ("Lookup complexity", |c| c.text("lookup").into()),
+                        ("Routing table size", |c| c.text("size").into()),
+                    ],
+                },
+            ),
+            ("table2", Layout::Fixed(table2)),
+            ("table3", Layout::Fixed(table3)),
+        ],
+    },
+    // {x}: network size n = d·2^d.
+    Experiment {
+        name: "path_length",
+        what: "running path-length sweep (figs 5-7)...",
+        quick: Grid {
+            kinds: &PAPER_KINDS,
+            axis: &[24.0, 64.0, 160.0, 384.0, 896.0, 2048.0],
+            lookups: 8,
+            ..NONE
+        },
+        paper: Grid {
+            kinds: &PAPER_KINDS,
+            axis: &[24.0, 64.0, 160.0, 384.0, 896.0, 2048.0],
+            lookups: 512,
+            ..NONE
+        },
+        metric: "{label}/n={x}",
+        measure: path_length,
+        layouts: &[
+            (
+                "fig5",
+                Layout::Pivot {
+                    title: "Fig 5: mean path length vs network size (n = d*2^d)",
+                    x_header: "n",
+                    x: int,
+                    cell: |c| f(mean_path(c)),
+                },
+            ),
+            (
+                "fig5",
+                Layout::Chart {
+                    title: "Fig 5 (chart): mean path length vs n",
+                    x: int,
+                    y: mean_path,
+                },
+            ),
+            (
+                "fig6",
+                Layout::Pivot {
+                    title: "Fig 6: mean path length vs dimension d",
+                    x_header: "d",
+                    x: dim,
+                    cell: |c| f(mean_path(c)),
+                },
+            ),
+            (
+                "fig6",
+                Layout::Chart {
+                    title: "Fig 6 (chart): mean path length vs d",
+                    x: dim,
+                    y: mean_path,
+                },
+            ),
+            (
+                "fig7",
+                Layout::Flat {
+                    title: "Fig 7: path-length breakdown — Cycloid(7)",
+                    only: Some("Cycloid(7)"),
+                    cols: CYCLOID_PHASES,
+                },
+            ),
+            (
+                "fig7",
+                Layout::Flat {
+                    title: "Fig 7: path-length breakdown — Cycloid(11)",
+                    only: Some("Cycloid(11)"),
+                    cols: CYCLOID_PHASES,
+                },
+            ),
+            (
+                "fig7",
+                Layout::Flat {
+                    title: "Fig 7: path-length breakdown — Viceroy",
+                    only: Some("Viceroy"),
+                    cols: CYCLOID_PHASES,
+                },
+            ),
+            (
+                "fig7",
+                Layout::Flat {
+                    title: "Fig 7: path-length breakdown — Koorde",
+                    only: Some("Koorde"),
+                    cols: KOORDE_PHASES,
+                },
+            ),
+        ],
+    },
+    // {x}: keys distributed.
+    Experiment {
+        name: "key_distribution_dense",
+        what: "running key-distribution sweep (fig 8, dense)...",
+        quick: Grid {
+            kinds: &[Cycloid7, Viceroy, Koorde],
+            axis: &[10_000.0, 50_000.0, 100_000.0],
+            nodes: 2000,
+            space: 2048,
+            ..NONE
+        },
+        paper: Grid {
+            kinds: &PAPER_KINDS,
+            axis: KEY_COUNTS,
+            nodes: 2000,
+            space: 2048,
+            ..NONE
+        },
+        metric: "{label}/keys={x}",
+        measure: key_distribution,
+        layouts: &[(
+            "fig8",
+            Layout::Pivot {
+                title: "Fig 8: keys per node, 2000 nodes in a 2048-slot space, mean (p01, p99)",
+                x_header: "keys",
+                x: int,
+                cell: |c| mean_p01_p99(c.summary(".keys_per_node")),
+            },
+        )],
+    },
+    // {x}: keys distributed.
+    Experiment {
+        name: "key_distribution_sparse",
+        what: "running key-distribution sweep (fig 9, sparse)...",
+        quick: Grid {
+            kinds: &[Cycloid7, Viceroy, Koorde],
+            axis: &[10_000.0, 50_000.0, 100_000.0],
+            nodes: 1000,
+            space: 2048,
+            ..NONE
+        },
+        paper: Grid {
+            kinds: &PAPER_KINDS,
+            axis: KEY_COUNTS,
+            nodes: 1000,
+            space: 2048,
+            ..NONE
+        },
+        metric: "{label}/keys={x}",
+        measure: key_distribution,
+        layouts: &[(
+            "fig9",
+            Layout::Pivot {
+                title: "Fig 9: keys per node, 1000 nodes in a 2048-slot space, mean (p01, p99)",
+                x_header: "keys",
+                x: int,
+                cell: |c| mean_p01_p99(c.summary(".keys_per_node")),
+            },
+        )],
+    },
+    // {x}: network size.
+    Experiment {
+        name: "query_load",
+        what: "running query-load sweep (fig 10)...",
+        quick: Grid {
+            kinds: &PAPER_KINDS,
+            axis: &[64.0, 512.0],
+            lookups: 16,
+            ..NONE
+        },
+        paper: Grid {
+            kinds: &PAPER_KINDS,
+            axis: &[64.0, 2048.0],
+            lookups: 512,
+            ..NONE
+        },
+        metric: "{label}/n={x}",
+        measure: query_load,
+        layouts: &[(
+            "fig10",
+            Layout::Pivot {
+                title: "Fig 10: query load per node, mean (1st pct, 99th pct)",
+                x_header: "n",
+                x: int,
+                cell: |c| mean_p01_p99(c.summary(".load")),
+            },
+        )],
+    },
+    // {x}: departure probability p.
+    Experiment {
+        name: "mass_departure",
+        what: "running mass-departure sweep (fig 11 / table 4)...",
+        quick: Grid {
+            kinds: &PAPER_KINDS,
+            axis: &[0.2, 0.5],
+            nodes: 2048,
+            lookups: 2_000,
+            ..NONE
+        },
+        paper: Grid {
+            kinds: &PAPER_KINDS,
+            axis: &[0.1, 0.2, 0.3, 0.4, 0.5],
+            nodes: 2048,
+            lookups: 10_000,
+            ..NONE
+        },
+        metric: "{label}/p={x}",
+        measure: mass_departure,
+        layouts: &[
+            (
+                "fig11",
+                Layout::Pivot {
+                    title: "Fig 11: mean path length vs node departure probability p",
+                    x_header: "p",
+                    x: dec1,
+                    cell: |c| f(mean_path(c)),
+                },
+            ),
+            (
+                "fig11",
+                Layout::Chart {
+                    title: "Fig 11 (chart): mean path length vs departure probability",
+                    x: dec1,
+                    y: mean_path,
+                },
+            ),
+            (
+                "table4",
+                Layout::Pivot {
+                    title: "Table 4: timeouts per lookup, mean (1st pct, 99th pct)",
+                    x_header: "p",
+                    x: dec1,
+                    cell: |c| mean_p01_p99(&c.lookups("").timeouts),
+                },
+            ),
+            (
+                "table4",
+                Layout::Pivot {
+                    title: "Lookup failures under mass departures",
+                    x_header: "p",
+                    x: dec1,
+                    cell: |c| c.lookups("").failures.to_string(),
+                },
+            ),
+        ],
+    },
+    // {x}: churn rate R, joins and leaves per second each.
+    Experiment {
+        name: "churn",
+        what: "running churn sweep (fig 12 / table 5)...",
+        quick: Grid {
+            kinds: &PAPER_KINDS,
+            axis: &[0.05, 0.20, 0.40],
+            nodes: 512,
+            lookups: 1_000,
+            audit: true,
+            ..NONE
+        },
+        paper: Grid {
+            kinds: &PAPER_KINDS,
+            axis: &[0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40],
+            nodes: 2048,
+            lookups: 10_000,
+            ..NONE
+        },
+        metric: "{label}/R={x}",
+        measure: churn,
+        layouts: &[
+            (
+                "fig12",
+                Layout::Pivot {
+                    title: "Fig 12: mean path length vs node join/leave rate R (per second)",
+                    x_header: "R",
+                    x: dec2,
+                    cell: |c| f(c.num(".mean_path")),
+                },
+            ),
+            (
+                "fig12",
+                Layout::Chart {
+                    title: "Fig 12 (chart): mean path length vs churn rate R",
+                    x: dec2,
+                    y: |c| c.num(".mean_path"),
+                },
+            ),
+            (
+                "table5",
+                Layout::Pivot {
+                    title: "Table 5: timeouts per lookup under churn, mean (1st pct, 99th pct)",
+                    x_header: "R",
+                    x: dec2,
+                    cell: |c| {
+                        let t = c.summary("timeouts");
+                        format!("{:.4} ({:.0}, {:.0})", t.mean, t.p01, t.p99)
+                    },
+                },
+            ),
+            (
+                "",
+                Layout::Audit {
+                    title: "Online protocol-invariant audit under churn (nodes checked)",
+                    x_header: "R",
+                    x: dec2,
+                },
+            ),
+        ],
+    },
+    // {x}: sparsity, the fraction of the identifier space left empty.
+    Experiment {
+        name: "sparsity",
+        what: "running sparsity sweep (figs 13-14)...",
+        quick: Grid {
+            kinds: &PAPER_KINDS,
+            axis: &[0.0, 0.3, 0.6, 0.9],
+            space: 2048,
+            lookups: 2_000,
+            ..NONE
+        },
+        paper: Grid {
+            kinds: &PAPER_KINDS,
+            axis: &[0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
+            space: 2048,
+            lookups: 10_000,
+            ..NONE
+        },
+        metric: "{label}/sparsity={x}",
+        measure: sparsity,
+        layouts: &[
+            (
+                "fig13",
+                Layout::Pivot {
+                    title: "Fig 13: mean path length vs degree of network sparsity",
+                    x_header: "sparsity",
+                    x: pct,
+                    cell: |c| f(mean_path(c)),
+                },
+            ),
+            (
+                "fig13",
+                Layout::Chart {
+                    title: "Fig 13 (chart): mean path length vs sparsity",
+                    x: pct,
+                    y: mean_path,
+                },
+            ),
+            (
+                "fig14",
+                Layout::Flat {
+                    title: "Fig 14: Koorde path-length breakdown vs sparsity",
+                    only: Some("Koorde"),
+                    cols: &[
+                        ("sparsity", |c| pct(c.x)),
+                        ("debruijn hops", |c| hops(c, HopPhase::DeBruijn)),
+                        ("successor hops", |c| hops(c, HopPhase::Successor)),
+                        ("successor %", |c| share(c, HopPhase::Successor)),
+                    ],
+                },
+            ),
+        ],
+    },
+    // {x}: network size. Fig 5's sweep over Table 1's baselines too.
+    Experiment {
+        name: "ext_path",
+        what: "running extended path-length comparison (Pastry, CAN)...",
+        quick: Grid {
+            kinds: &EXTENDED_KINDS,
+            axis: &[64.0, 160.0, 384.0],
+            lookups: 8,
+            ..NONE
+        },
+        paper: Grid {
+            kinds: &EXTENDED_KINDS,
+            axis: &[64.0, 160.0, 384.0],
+            lookups: 32,
+            ..NONE
+        },
+        metric: "{label}/n={x}",
+        measure: path_length,
+        layouts: &[(
+            "extpath",
+            Layout::Pivot {
+                title: "Extension: mean path length incl. Pastry (hypercube) and CAN (mesh)",
+                x_header: "n",
+                x: int,
+                cell: |c| f(mean_path(c)),
+            },
+        )],
+    },
+    // {x}: catalogue size of the Zipf workload.
+    Experiment {
+        name: "hotspot",
+        what: "running hot-spot workload extension...",
+        quick: Grid {
+            kinds: &[Cycloid7, Chord],
+            axis: &[2_000.0],
+            nodes: 256,
+            lookups: 5_000,
+            ..NONE
+        },
+        paper: Grid {
+            kinds: &PAPER_KINDS,
+            axis: &[10_000.0],
+            nodes: 2048,
+            lookups: 50_000,
+            ..NONE
+        },
+        metric: "{label}",
+        measure: hotspot,
+        layouts: &[(
+            "exthotspot",
+            Layout::Flat {
+                title: "Extension: query load under uniform vs Zipf(1.0) key popularity",
+                only: None,
+                cols: &[
+                    ("system", |c| c.label.clone()),
+                    ("uniform mean (p01, p99)", |c| {
+                        mean_p01_p99(c.summary(".uniform"))
+                    }),
+                    ("uniform max", |c| {
+                        format!("{:.0}", c.summary(".uniform").max)
+                    }),
+                    ("zipf mean (p01, p99)", |c| mean_p01_p99(c.summary(".zipf"))),
+                    ("zipf max", |c| format!("{:.0}", c.summary(".zipf").max)),
+                    ("hot-spot amplification", |c| {
+                        format!("{:.2}x", c.num(".amplification"))
+                    }),
+                ],
+            },
+        )],
+    },
+    // {x}: network size.
+    Experiment {
+        name: "maintenance",
+        what: "measuring maintenance degrees (extension)...",
+        quick: Grid {
+            kinds: &[Cycloid7, Viceroy, Koorde, Chord, Pastry],
+            axis: &[256.0],
+            ..NONE
+        },
+        paper: Grid {
+            kinds: &[Cycloid7, Viceroy, Koorde, Chord, Pastry],
+            axis: &[2048.0],
+            ..NONE
+        },
+        metric: "{label}/n={x}",
+        measure: maintenance,
+        layouts: &[(
+            "extdegree",
+            Layout::Flat {
+                title: "Extension: routing-state degree and departure repair bill",
+                only: None,
+                cols: &[
+                    ("system", |c| c.label.clone()),
+                    ("n", |c| int(c.x)),
+                    ("out-degree mean", |c| f(c.summary(".out_degree").mean)),
+                    ("out max", |c| {
+                        format!("{:.0}", c.summary(".out_degree").max)
+                    }),
+                    ("in-degree p99", |c| {
+                        format!("{:.0}", c.summary(".in_degree").p99)
+                    }),
+                    ("in max", |c| format!("{:.0}", c.summary(".in_degree").max)),
+                ],
+            },
+        )],
+    },
+    // {x}: per-message loss probability.
+    Experiment {
+        name: "fault",
+        what: "running message-loss sweep (fault extension)...",
+        quick: Grid {
+            kinds: &ALL_KINDS,
+            axis: LOSSES,
+            nodes: 128,
+            lookups: 200,
+            audit: true,
+            ..NONE
+        },
+        paper: Grid {
+            kinds: &ALL_KINDS,
+            axis: LOSSES,
+            nodes: 1024,
+            lookups: 2_000,
+            ..NONE
+        },
+        metric: "{label}/loss={x}",
+        measure: fault,
+        layouts: &[
+            (
+                "fault",
+                Layout::Flat {
+                    title: "Extension: lookup resilience under message loss (retry w/ backoff)",
+                    only: None,
+                    cols: &[
+                        ("loss %", |c| format!("{:.0}", 100.0 * c.x)),
+                        ("system", |c| c.label.clone()),
+                        ("success %", |c| {
+                            format!("{:.2}", 100.0 * c.num(".success_rate"))
+                        }),
+                        ("path mean", |c| f(c.lookups("").path.mean)),
+                        ("retries mean (p99)", |c| {
+                            let r = &c.lookups("").retries;
+                            format!("{:.3} ({:.0})", r.mean, r.p99)
+                        }),
+                        ("msg timeouts mean", |c| {
+                            format!("{:.4}", c.lookups("").msg_timeouts.mean)
+                        }),
+                        ("latency ms mean (p50, p99)", |c| {
+                            let l = &c.lookups("").latency_ms;
+                            format!("{:.1} ({:.1}, {:.1})", l.mean, l.p50, l.p99)
+                        }),
+                    ],
+                },
+            ),
+            (
+                "fault",
+                Layout::Chart {
+                    title: "Fault sweep (chart): lookup success % vs message loss",
+                    x: pct,
+                    y: |c| 100.0 * c.num(".success_rate"),
+                },
+            ),
+            (
+                "fault",
+                Layout::Audit {
+                    title: "Routing-state audit after lossy lookups (nodes checked)",
+                    x_header: "loss",
+                    x: pct,
+                },
+            ),
+        ],
+    },
+    // {x}: crash probability p.
+    Experiment {
+        name: "ungraceful",
+        what: "running ungraceful-failure extension...",
+        quick: Grid {
+            kinds: &[Cycloid7, Koorde, Chord],
+            axis: &[0.2, 0.4],
+            nodes: 512,
+            lookups: 800,
+            ..NONE
+        },
+        paper: Grid {
+            kinds: &PAPER_KINDS,
+            axis: &[0.1, 0.2, 0.3, 0.4, 0.5],
+            nodes: 2048,
+            lookups: 10_000,
+            ..NONE
+        },
+        metric: "{label}/p={x}",
+        measure: ungraceful,
+        layouts: &[(
+            "extfail",
+            Layout::Flat {
+                title: "Extension: ungraceful failures — lookup success rate and timeouts",
+                only: None,
+                cols: &[
+                    ("p", |c| dec1(c.x)),
+                    ("system", |c| c.label.clone()),
+                    ("survivors", |c| c.num(".survivors").to_string()),
+                    ("success % (pre-stab)", |c| ok_pct(c.lookups("/before"))),
+                    ("timeouts (pre-stab)", |c| {
+                        mean_p01_p99(&c.lookups("/before").timeouts)
+                    }),
+                    ("success % (post-stab)", |c| ok_pct(c.lookups("/after"))),
+                ],
+            },
+        )],
+    },
+];
+
+/// The grid fields an experiment leaves unset.
+const NONE: Grid = Grid {
+    kinds: &[],
+    axis: &[],
+    nodes: 0,
+    space: 0,
+    lookups: 0,
+    audit: false,
+};
+
+/// Table 1's systems, in [`TABLE1`]'s order; `repro --quick` changes
+/// nothing in a static table.
+const TABLE1_GRID: Grid = Grid {
+    kinds: &[Chord, Can, Pastry, Viceroy, Koorde, Cycloid7],
+    axis: &[64.0],
+    ..NONE
+};
+
+/// §4.2: "from 10^4 to 10^5 in increments of 10^4".
+const KEY_COUNTS: &[f64] = &[
+    10_000.0, 20_000.0, 30_000.0, 40_000.0, 50_000.0, 60_000.0, 70_000.0, 80_000.0, 90_000.0,
+    100_000.0,
+];
+
+/// The loss rates of the fault sweep, 0 to 20 %.
+const LOSSES: &[f64] = &[0.0, 0.01, 0.02, 0.05, 0.10, 0.20];
+
+/// Table 1's text per system, in [`TABLE1_GRID`]'s kind order: name,
+/// base network, lookup complexity, and the routing-table size where it
+/// is asymptotic (`None`: the live implementation's degree bound).
+const TABLE1: [(&str, &str, &str, Option<&str>); 6] = [
+    ("Chord", "Cycle", "O(log n)", None),
+    ("CAN", "Mesh", "O(d n^(1/d))", Some("O(d)")),
+    (
+        "Pastry/Tapestry",
+        "Hypercube",
+        "O(log n)",
+        Some("O(|L|)+O(|M|)+O(log n)"),
+    ),
+    ("Viceroy", "Butterfly", "O(log n)", None),
+    ("Koorde", "de Bruijn", "O(log n)", None),
+    ("Cycloid", "CCC", "O(d)", None),
+];
+
+/// Table 1: the constant-degree rows report the degree bound measured on
+/// the live implementation, exported as `table1.{system}.degree`.
+fn table1(g: &Grid, at: At) -> Measured {
+    let (system, base, lookup, size) = TABLE1[at.k];
+    let degree = size
+        .is_none()
+        .then(|| g.build(at.kind, at.x as usize, 1).degree_bound())
+        .flatten();
+    let size = size.map_or_else(
+        || degree.map_or("O(log n)".to_string(), |d| d.to_string()),
+        String::from,
+    );
+    let mut cols = vec![
+        ("base", Value::Text(base.into())),
+        ("lookup", Value::Text(lookup.into())),
+        ("size", Value::Text(size)),
+    ];
+    if let Some(d) = degree {
+        cols.push((".degree", Value::Gauge(d as f64)));
+    }
+    (system.into(), cols)
+}
+
+/// Table 2: the routing state of node (4, 10110110), read off a live
+/// complete eight-dimensional Cycloid.
+fn table2() -> Table {
+    let net = CycloidNetwork::complete(CycloidConfig::seven_entry(8));
+    let node = CycloidId::new(4, 0b1011_0110);
+    let state = net.node(node).expect("node exists in complete network");
+    let fmt = |id: CycloidId| format!("({},{:08b})", id.cyclic, id.cubical);
+    let fmt_opt = |id: Option<CycloidId>| id.map_or("-".to_string(), fmt);
+    let mut t = Table::new(
+        "Table 2: routing table state of Cycloid node (4,10110110), d = 8",
+        &["Entry", "Value"],
+    );
+    for (entry, value) in [
+        ("node", fmt(node)),
+        ("cubical neighbor", fmt_opt(state.cubical_neighbor)),
+        ("cyclic neighbor (larger)", fmt_opt(state.cyclic_larger)),
+        ("cyclic neighbor (smaller)", fmt_opt(state.cyclic_smaller)),
+        ("inside leaf set (pred)", fmt(state.inside_left[0])),
+        ("inside leaf set (succ)", fmt(state.inside_right[0])),
+        (
+            "outside leaf set (preceding primary)",
+            fmt(state.outside_left[0]),
+        ),
+        (
+            "outside leaf set (succeeding primary)",
+            fmt(state.outside_right[0]),
+        ),
+    ] {
+        t.row(vec![entry.into(), value]);
+    }
+    t
+}
+
+/// Table 3: node identification and key assignment (definitional).
+fn table3() -> Table {
+    let mut t = Table::new(
+        "Table 3: node identification and key assignment",
+        &["Property", "Cycloid", "Viceroy", "Koorde"],
+    );
+    for row in [
+        ["Base network", "CCC", "Butterfly", "de Bruijn"],
+        [
+            "ID space",
+            "([0,d), [0,d*2^d))",
+            "([0,3 log n), [0,1))",
+            "[0,2^d)",
+        ],
+        [
+            "Node identity",
+            "(k, a_{d-1}..a_0), k static",
+            "(level, id), level dynamic",
+            "id",
+        ],
+        [
+            "Key placement",
+            "Numerically closest node",
+            "Successor",
+            "Successor",
+        ],
+    ] {
+        t.row(row.map(String::from).to_vec());
+    }
+    t
+}
+
+/// Figs 5–7, §4.1: "we simulated networks with n = d·2^d nodes and
+/// varied the dimension d from 3 to 8. Each node made a total of n/4
+/// lookup requests to random destinations", at most `lookups` a node.
+fn path_length(g: &Grid, at: At) -> Measured {
+    let n = at.x as usize;
+    let mut net = g.build(at.kind, n, at.seed ^ (at.i as u64) << 8);
+    let mut rng = stream_indexed(at.seed, "path-length", at.i as u64);
+    let reqs = per_node_uniform(net.as_ref(), (n / 4).min(g.lookups).max(1), &mut rng);
+    let agg = lookups(net.as_mut(), &reqs, at.jobs);
+    (net.name(), vec![("", agg)])
+}
+
+/// Figs 8/9, §4.2: "we simulated different DHT networks of 2000 nodes
+/// each... Assume the network ID space is of 2048 nodes"; Fig 9 has 1000
+/// participants. One key population per count, shared by every kind.
+fn key_distribution(g: &Grid, at: At) -> Measured {
+    let net = g.build(at.kind, g.nodes, at.seed ^ (at.k as u64) << 16);
+    let keys = key_population(at.x as usize, &mut stream(at.seed, "keys"));
+    let per_node = Summary::of_counts(&key_counts(net.as_ref(), &keys));
+    (
+        net.name(),
+        vec![(".keys_per_node", Value::Summary(per_node))],
+    )
+}
+
+/// Fig 10, §4.2: "the number of queries received by a node for lookup
+/// requests from different nodes", under Fig 5's n/4-per-node workload.
+fn query_load(g: &Grid, at: At) -> Measured {
+    let n = at.x as usize;
+    let mut net = g.build(at.kind, n, at.seed ^ (at.i as u64) << 24);
+    let mut rng = stream_indexed(at.seed, "query-load", at.i as u64);
+    let reqs = per_node_uniform(net.as_ref(), (n / 4).min(g.lookups).max(1), &mut rng);
+    let load = loads(net.as_mut(), &reqs, at.jobs);
+    (net.name(), vec![(".load", Value::Summary(load))])
+}
+
+/// Fig 11 / Table 4, §4.3: "each node is made to fail with probability
+/// p... After a failure occurs, we performed 10,000 lookups with random
+/// sources and destinations." Departures are graceful, the departure
+/// pattern is the same for every kind, and no stabilization runs.
+fn mass_departure(g: &Grid, at: At) -> Measured {
+    let mut net = g.build(at.kind, g.nodes, at.seed ^ (at.i as u64) << 32);
+    let mut depart = stream(at.seed, &format!("depart-{}", at.x));
+    for token in net.node_tokens() {
+        if depart.gen_bool(at.x) {
+            net.leave(token);
+        }
+    }
+    let survivors = net.len() as f64;
+    let mut rng = stream_indexed(at.seed, "mass-lookups", at.i as u64);
+    let reqs = random_pairs(net.as_ref(), g.lookups, &mut rng);
+    let agg = lookups(net.as_mut(), &reqs, at.jobs);
+    (
+        net.name(),
+        vec![("", agg), (".survivors", Value::Gauge(survivors))],
+    )
+}
+
+/// Fig 12 / Table 5, §4.4: lookups arrive at one per second, joins and
+/// leaves each at rate R, and every node stabilizes every 30 s.
+fn churn(g: &Grid, at: At) -> Measured {
+    let mut net = g.build(at.kind, g.nodes, at.seed ^ (at.i as u64) << 40);
+    let mut rng = stream_indexed(at.seed, "churn-run", at.i as u64);
+    let params = ChurnParams {
+        churn_rate: at.x,
+        lookups: g.lookups,
+        warmup_lookups: g.lookups / 50,
+        audit: g.audit,
+        jobs: at.jobs,
+        ..ChurnParams::default()
+    };
+    let out = run_churn(net.as_mut(), params, &mut rng);
+    let path = Summary::of_lens(&out.path_lens);
+    let timeouts = Summary::of_counts(&out.timeouts);
+    let mut cols = vec![
+        (".lookups", Value::Count(path.n as u64)),
+        (".failures", Value::Count(out.failures as u64)),
+        (".joins", Value::Count(out.joins as u64)),
+        (".leaves", Value::Count(out.leaves as u64)),
+        (".stabilize_calls", Value::Count(out.stabilize_calls)),
+        (".stabilize_rounds", Value::Count(out.stabilize_rounds)),
+        (".peak_size", Value::Gauge(out.peak_size as f64)),
+        (".final_size", Value::Gauge(out.final_size as f64)),
+        (".mean_path", Value::Gauge(path.mean)),
+        (".mean_timeouts", Value::Gauge(timeouts.mean)),
+        ("timeouts", Value::Summary(timeouts)),
+    ];
+    cols.extend(out.audit.map(|a| ("audit", Value::Audit(a))));
+    (net.name(), cols)
+}
+
+/// Figs 13/14, §4.5: "We tested a total of 10,000 lookups in different
+/// DHT networks with an ID space of 2048 nodes", a fraction `{x}` of it
+/// left empty.
+fn sparsity(g: &Grid, at: At) -> Measured {
+    let n = ((g.space as f64 * (1.0 - at.x)).round() as usize).max(2);
+    let mut net = g.build(at.kind, n, at.seed ^ (at.i as u64) << 48);
+    let mut rng = stream_indexed(at.seed, "sparsity", at.i as u64);
+    let reqs = random_pairs(net.as_ref(), g.lookups, &mut rng);
+    let agg = lookups(net.as_mut(), &reqs, at.jobs);
+    (
+        net.name(),
+        vec![("", agg), (".nodes", Value::Gauge(n as f64))],
+    )
+}
+
+/// §2 names hot spots "for too frequently accessed files" as a weakness
+/// of structured DHTs. The same lookup volume runs with uniform keys and
+/// with Zipf(1.0)-popular keys from a catalogue of `{x}` objects;
+/// `.amplification` is the ratio of the two maximum loads.
+fn hotspot(g: &Grid, at: At) -> Measured {
+    let mut net = g.build(at.kind, g.nodes, at.seed ^ (at.k as u64) << 12);
+    let mut rng = stream_indexed(at.seed, "hotspot", at.k as u64);
+    let reqs = random_pairs(net.as_ref(), g.lookups, &mut rng);
+    let uniform = loads(net.as_mut(), &reqs, at.jobs);
+    let catalogue = ZipfKeys::new(at.x as usize, 1.0, &mut rng);
+    let reqs = zipf_pairs(net.as_ref(), &catalogue, g.lookups, &mut rng);
+    let zipf = loads(net.as_mut(), &reqs, at.jobs);
+    let amplification = if uniform.max == 0.0 {
+        0.0
+    } else {
+        zipf.max / uniform.max
+    };
+    let cols = vec![
+        (".uniform", Value::Summary(uniform)),
+        (".zipf", Value::Summary(zipf)),
+        (".amplification", Value::Gauge(amplification)),
+    ];
+    (net.name(), cols)
+}
+
+/// The maintenance overhead §4 lists but never quantifies. A node's
+/// in-degree is how many nodes hold a pointer to it: the pointers that
+/// dangle when it departs, whether a departure repairs them eagerly
+/// (Viceroy) or leaves them to stabilization. Each holder counts a
+/// target once, and never itself.
+fn maintenance(g: &Grid, at: At) -> Measured {
+    let net = g.build(at.kind, at.x as usize, at.seed);
+    let mut degrees: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+    for (id, mut targets) in links(net.as_ref()) {
+        targets.sort_unstable();
+        targets.dedup();
+        targets.retain(|&t| t != id);
+        degrees.entry(id).or_default().0 += targets.len() as u64;
+        for t in targets {
+            degrees.entry(t).or_default().1 += 1;
+        }
+    }
+    let (out, inc): (Vec<u64>, Vec<u64>) = degrees.into_values().unzip();
+    let cols = vec![
+        (".out_degree", Value::Summary(Summary::of_counts(&out))),
+        (".in_degree", Value::Summary(Summary::of_counts(&inc))),
+    ];
+    (net.name(), cols)
+}
+
+/// Every node's routing-state entries as tokens, repeats included: the
+/// link table [`Links`] visits, and Viceroy's seven resolved links.
+fn links(net: &dyn Overlay) -> Vec<(u64, Vec<u64>)> {
+    let any = net.as_any();
+    if let Some(net) = any.downcast_ref::<CycloidNetwork>() {
+        let dim = net.dim();
+        return link_table(net, |id| id.linear(dim));
+    }
+    if let Some(net) = any.downcast_ref::<KoordeNetwork>() {
+        return link_table(net, |id| id);
+    }
+    if let Some(net) = any.downcast_ref::<ChordNetwork>() {
+        return link_table(net, |id| id);
+    }
+    if let Some(net) = any.downcast_ref::<PastryNetwork>() {
+        return link_table(net, |id| id);
+    }
+    let Some(net) = any.downcast_ref::<ViceroyNetwork>() else {
+        panic!("{} has no link table to count", net.name());
+    };
+    let links = |id| {
+        [
+            net.succ_link(id),
+            net.pred_link(id),
+            net.level_next_link(id),
+            net.level_prev_link(id),
+            net.up_link(id),
+            net.down_left_link(id),
+            net.down_right_link(id),
+        ]
+    };
+    let tokens = net.membership().store.token_iter();
+    tokens
+        .map(|id| (id, links(id).into_iter().flatten().collect()))
+        .collect()
+}
+
+/// The entries [`Links::rewrite_links`] visits, node by node.
+fn link_table<O: SimOverlay>(
+    net: &O,
+    token: impl Fn(<O::State as Links>::Id) -> u64,
+) -> Vec<(u64, Vec<u64>)>
+where
+    O::State: Links,
+{
+    let entries = |state: &O::State| {
+        let mut targets = Vec::new();
+        state.clone().rewrite_links(&mut |_, link| {
+            targets.extend(link.map(&token));
+            link
+        });
+        targets
+    };
+    let store = &net.membership().store;
+    store
+        .iter()
+        .map(|(id, state)| (id, entries(state)))
+        .collect()
+}
+
+/// Message loss beyond §4.3–4.4's node failures: every per-hop contact is
+/// lost with probability `{x}`, retried with exponential backoff, delayed
+/// by a 20–80 ms RTT draw and duplicated 1 % of the time. Every cell of a
+/// kind sees the same network and workload, so loss alone differs.
+fn fault(g: &Grid, at: At) -> Measured {
+    let kind_seed = at.seed ^ u64::from(at.kind as u8) << 40;
+    let mut net = g.build(at.kind, g.nodes, kind_seed);
+    let mut rng = stream_indexed(kind_seed, "fault-load", 0);
+    let reqs = random_pairs(net.as_ref(), g.lookups, &mut rng);
+    let plan = FaultPlan {
+        seed: at.seed ^ at.i as u64,
+        loss: at.x,
+        delay: DelayModel::Uniform(20_000, 80_000),
+        duplicate: 0.01,
+    };
+    net.set_net_conditions(NetConditions::new(plan, RetryPolicy::standard()));
+    let agg = run_requests_jobs(net.as_mut(), &reqs, at.jobs);
+    let success = if agg.path.n == 0 {
+        1.0
+    } else {
+        1.0 - agg.failures as f64 / agg.path.n as f64
+    };
+    let mut cols = vec![
+        ("", Value::Lookups(Box::new(agg))),
+        (".success_rate", Value::Gauge(success)),
+    ];
+    if g.audit {
+        cols.push(("audit", Value::Audit(net.audit_state(AuditScope::Full))));
+    }
+    (net.name(), cols)
+}
+
+/// §3.4 assumes "nodes must notify others before leaving", and §5 names
+/// unannounced departures as constant-degree DHTs' common weakness. A
+/// fraction `{x}` of the nodes crash without notice; lookups run before
+/// and after one stabilization round. Our Viceroy repairs eagerly, so its
+/// "before" is an upper bound.
+fn ungraceful(g: &Grid, at: At) -> Measured {
+    let mut net = g.build(at.kind, g.nodes, at.seed ^ (at.i as u64) << 56);
+    let mut crash = stream(at.seed, &format!("crash-{}", at.x));
+    for token in net.node_tokens() {
+        if crash.gen_bool(at.x) {
+            net.fail(token);
+        }
+    }
+    let survivors = net.len() as f64;
+    let mut rng = stream_indexed(at.seed, "ungraceful", at.i as u64);
+    let reqs = random_pairs(net.as_ref(), g.lookups, &mut rng);
+    let before = lookups(net.as_mut(), &reqs, at.jobs);
+    net.stabilize();
+    let reqs = random_pairs(net.as_ref(), g.lookups, &mut rng);
+    let after = lookups(net.as_mut(), &reqs, at.jobs);
+    let cols = vec![
+        ("/before", before),
+        ("/after", after),
+        (".survivors", Value::Gauge(survivors)),
+    ];
+    (net.name(), cols)
+}
+
+/// One lookup batch as a column.
+fn lookups(net: &mut dyn Overlay, reqs: &[LookupRequest], jobs: usize) -> Value {
+    Value::Lookups(Box::new(run_requests_jobs(net, reqs, jobs)))
+}
+
+/// The per-node query loads one batch of lookups leaves.
+fn loads(net: &mut dyn Overlay, reqs: &[LookupRequest], jobs: usize) -> Summary {
+    net.reset_query_loads();
+    let pairs: Vec<_> = reqs.iter().map(|r| (r.src, r.raw_key)).collect();
+    let _ = net.lookup_batch(&pairs, jobs);
+    Summary::of_counts(&net.query_loads())
+}
+
+/// Fig 7's columns: hops and share per routing phase, then the whole
+/// path.
+const CYCLOID_PHASES: &[Column] = &[
+    ("n", |c| int(c.x)),
+    ("ascending hops", |c| hops(c, HopPhase::Ascending)),
+    ("ascending %", |c| share(c, HopPhase::Ascending)),
+    ("descending hops", |c| hops(c, HopPhase::Descending)),
+    ("descending %", |c| share(c, HopPhase::Descending)),
+    ("traverse hops", |c| hops(c, HopPhase::TraverseCycle)),
+    ("traverse %", |c| share(c, HopPhase::TraverseCycle)),
+    ("total", |c| f(c.lookups("").breakdown.mean_path_len())),
+];
+
+/// Fig 7's columns for Koorde's two phases.
+const KOORDE_PHASES: &[Column] = &[
+    ("n", |c| int(c.x)),
+    ("debruijn hops", |c| hops(c, HopPhase::DeBruijn)),
+    ("debruijn %", |c| share(c, HopPhase::DeBruijn)),
+    ("successor hops", |c| hops(c, HopPhase::Successor)),
+    ("successor %", |c| share(c, HopPhase::Successor)),
+    ("total", |c| f(c.lookups("").breakdown.mean_path_len())),
+];
+
+fn hops(c: &Cell, phase: HopPhase) -> String {
+    f(c.lookups("").breakdown.mean_hops(phase))
+}
+
+fn share(c: &Cell, phase: HopPhase) -> String {
+    format!("{:.1}", 100.0 * c.lookups("").breakdown.share(phase))
+}
+
+fn mean_path(c: &Cell) -> f64 {
+    c.lookups("").path.mean
+}
+
+fn ok_pct(agg: &LookupAggregate) -> String {
+    let ok = 100.0 * (agg.path.n - agg.failures) as f64 / agg.path.n.max(1) as f64;
+    format!("{ok:.2}")
+}
+
+fn int(x: f64) -> String {
+    x.to_string()
+}
+
+fn dim(n: f64) -> String {
+    cycloid_dim_for(n as usize).to_string()
+}
+
+fn dec1(x: f64) -> String {
+    format!("{x:.1}")
+}
+
+fn dec2(x: f64) -> String {
+    format!("{x:.2}")
+}
+
+fn pct(x: f64) -> String {
+    format!("{:.0}%", 100.0 * x)
+}

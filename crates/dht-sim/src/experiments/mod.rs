@@ -1,33 +1,31 @@
-//! One driver per table/figure of the paper's evaluation (§4).
+//! The evaluation of §4 as data. Each table and figure `repro all`
+//! regenerates belongs to one [`Experiment`] of [`figures::EXPERIMENTS`]:
+//! a quick and a paper [`Grid`] of overlay kinds × one swept axis, a
+//! cell function that measures one (axis value, kind) pair into named,
+//! typed columns ([`Value`]), and the [`Layout`]s that show them. One
+//! runner ([`Experiment::run`]) fans the cells out, one exporter
+//! ([`Experiment::export`]) writes every column under its metric name,
+//! and one renderer ([`Layout::render`]) prints every table and chart.
 //!
-//! Every driver returns plain row structs so the `repro` binary and the
-//! integration tests consume the same data. Each driver has paper-scale
-//! defaults and a `quick()` parameter set for fast smoke runs.
+//! [`converge`], [`recover`], [`scale`] and [`profile`], the `repro`
+//! subcommands `all` leaves out, keep their own parameter and row types.
 
-pub mod churn_exp;
 pub mod converge;
-pub mod fault_tolerance;
-pub mod hotspot;
-pub mod key_distribution;
-pub mod maintenance;
-pub mod mass_departure;
-pub mod path_length;
+pub mod figures;
 pub mod profile;
-pub mod query_load;
 pub mod recover;
 pub mod scale;
-pub mod sparsity;
-pub mod static_tables;
-pub mod ungraceful;
 
 use crossbeam::thread;
+use dht_core::audit::AuditReport;
 use dht_core::lookup::{HopPhase, PhaseBreakdown};
 use dht_core::obs::{Histogram, MetricsRegistry};
 use dht_core::overlay::Overlay;
 use dht_core::stats::Summary;
 use dht_core::workload::LookupRequest;
 
-use crate::factory::OverlayKind;
+use crate::factory::{build_overlay_spaced, OverlayKind};
+use crate::report::Layout;
 
 /// The `outer × kinds` grid most sweeps fan out over: one cell per
 /// (sweep value, overlay kind), outer-major, so a cell's position is the
@@ -59,6 +57,226 @@ pub(crate) fn run_cells<C: Sync, R: Send>(
             .collect()
     })
     .expect("thread scope failed")
+}
+
+/// One measured value, typed by how it is exported.
+#[derive(Debug, Clone)]
+pub enum Value {
+    /// A counter.
+    Count(u64),
+    /// A gauge.
+    Gauge(f64),
+    /// A distribution: a `.samples` counter and `.mean`, `.p01`, `.p99`
+    /// and `.max` gauges.
+    Summary(Summary),
+    /// One batch of lookups, exported by [`register_lookup_metrics`].
+    Lookups(Box<LookupAggregate>),
+    /// A routing-state audit; shown, never exported.
+    Audit(AuditReport),
+    /// Text; shown, never exported.
+    Text(String),
+}
+
+/// One measured (axis value, kind) pair.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// The overlay's name: a table's series and a metric name's head.
+    pub label: String,
+    /// The axis value.
+    pub x: f64,
+    /// Named columns. A name that is empty or starts with `.` or `/` is
+    /// the tail of the column's metric name and is exported; any other
+    /// name is shown only.
+    pub cols: Vec<(&'static str, Value)>,
+}
+
+impl Cell {
+    fn get(&self, name: &str) -> &Value {
+        self.cols
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or_else(|| panic!("{}: no column {name:?}", self.label), |(_, v)| v)
+    }
+
+    /// A count or gauge column.
+    #[must_use]
+    pub fn num(&self, name: &str) -> f64 {
+        match self.get(name) {
+            Value::Count(n) => *n as f64,
+            Value::Gauge(v) => *v,
+            v => panic!("{name:?} is not a number: {v:?}"),
+        }
+    }
+
+    /// A distribution column.
+    #[must_use]
+    pub fn summary(&self, name: &str) -> &Summary {
+        match self.get(name) {
+            Value::Summary(s) => s,
+            v => panic!("{name:?} is not a summary: {v:?}"),
+        }
+    }
+
+    /// A lookup-batch column (`""` is a cell's only batch).
+    #[must_use]
+    pub fn lookups(&self, name: &str) -> &LookupAggregate {
+        match self.get(name) {
+            Value::Lookups(agg) => agg,
+            v => panic!("{name:?} is not a lookup batch: {v:?}"),
+        }
+    }
+
+    /// A text column.
+    #[must_use]
+    pub fn text(&self, name: &str) -> &str {
+        match self.get(name) {
+            Value::Text(t) => t,
+            v => panic!("{name:?} is not text: {v:?}"),
+        }
+    }
+
+    /// The cell's audit, if its grid audits.
+    #[must_use]
+    pub fn audit(&self) -> Option<&AuditReport> {
+        self.cols.iter().find_map(|(_, v)| match v {
+            Value::Audit(report) => Some(report),
+            _ => None,
+        })
+    }
+}
+
+/// Overlay kinds × one swept axis, and the sizes every cell reads. What
+/// the axis sweeps is each [`figures::EXPERIMENTS`] entry's `{x}`.
+#[derive(Debug, Clone, Copy)]
+pub struct Grid {
+    /// Overlays, measured at every axis value.
+    pub kinds: &'static [OverlayKind],
+    /// The swept values.
+    pub axis: &'static [f64],
+    /// Network size, where the axis is not.
+    pub nodes: usize,
+    /// Identifier-space capacity; `0` sizes the space to the population.
+    pub space: usize,
+    /// Lookups per cell, or per node where each node issues its own.
+    pub lookups: usize,
+    /// Whether every cell audits its routing state.
+    pub audit: bool,
+}
+
+impl Grid {
+    /// Builds `kind` with `n` nodes in this grid's identifier space.
+    #[must_use]
+    pub fn build(&self, kind: OverlayKind, n: usize, seed: u64) -> Box<dyn Overlay> {
+        build_overlay_spaced(kind, n, self.space, seed)
+    }
+}
+
+/// Where a cell sits in its grid.
+#[derive(Debug, Clone, Copy)]
+pub struct At {
+    /// The cell's overlay kind.
+    pub kind: OverlayKind,
+    /// The cell's axis value.
+    pub x: f64,
+    /// Axis-major cell index, which the cell's seeds derive from.
+    pub i: usize,
+    /// Index of `kind` in the grid's kinds.
+    pub k: usize,
+    /// Master seed.
+    pub seed: u64,
+    /// Worker threads per lookup batch (results are identical for every
+    /// value).
+    pub jobs: usize,
+}
+
+/// A cell function's result: the cell's label and columns.
+pub type Measured = (String, Vec<(&'static str, Value)>);
+
+/// One experiment: its grids, what it measures and how it is shown.
+#[derive(Debug)]
+pub struct Experiment {
+    /// Export name: `repro --metrics-out` writes `BENCH_{name}.json`.
+    pub name: &'static str,
+    /// The progress line while the grid runs.
+    pub what: &'static str,
+    /// The `--quick` grid.
+    pub quick: Grid,
+    /// The paper-scale grid.
+    pub paper: Grid,
+    /// A cell's metric-name head; `{label}` and `{x}` are the cell's.
+    pub metric: &'static str,
+    /// Measures one cell.
+    pub measure: fn(&Grid, At) -> Measured,
+    /// The layouts, each under the `repro` name that shows it; `""`
+    /// shows with any of the experiment's names.
+    pub layouts: &'static [(&'static str, Layout)],
+}
+
+impl Experiment {
+    /// Whether `repro <name>` shows part of this experiment.
+    #[must_use]
+    pub fn answers(&self, name: &str) -> bool {
+        !name.is_empty() && self.layouts.iter().any(|(n, _)| *n == name)
+    }
+
+    /// Measures every cell of the quick or the paper grid, each on its
+    /// own thread, axis-major. The cells are identical for every `jobs`.
+    #[must_use]
+    pub fn run(&self, quick: bool, seed: u64, jobs: usize) -> Vec<Cell> {
+        let grid = if quick { &self.quick } else { &self.paper };
+        let mut at = Vec::new();
+        for &x in grid.axis {
+            for (k, &kind) in grid.kinds.iter().enumerate() {
+                let i = at.len();
+                at.push(At {
+                    kind,
+                    x,
+                    i,
+                    k,
+                    seed,
+                    jobs,
+                });
+            }
+        }
+        run_cells(&at, |_, &at| {
+            let (label, cols) = (self.measure)(grid, at);
+            Cell {
+                label,
+                x: at.x,
+                cols,
+            }
+        })
+    }
+
+    /// Registers every exported column of `cells` under `{head}{name}`,
+    /// in cell order.
+    pub fn export(&self, cells: &[Cell], reg: &mut MetricsRegistry) {
+        for cell in cells {
+            let head = self
+                .metric
+                .replace("{label}", &cell.label)
+                .replace("{x}", &cell.x.to_string());
+            for (name, value) in &cell.cols {
+                if !(name.is_empty() || name.starts_with(['.', '/'])) {
+                    continue;
+                }
+                let key = format!("{head}{name}");
+                match value {
+                    Value::Count(n) => reg.counter(&key).add(*n),
+                    Value::Gauge(v) => reg.gauge(&key).set(*v),
+                    Value::Summary(s) => {
+                        reg.counter(&format!("{key}.samples")).add(s.n as u64);
+                        reg.gauge(&format!("{key}.mean")).set(s.mean);
+                        reg.gauge(&format!("{key}.p01")).set(s.p01);
+                        reg.gauge(&format!("{key}.p99")).set(s.p99);
+                        reg.gauge(&format!("{key}.max")).set(s.max);
+                    }
+                    Value::Lookups(agg) => register_lookup_metrics(reg, &key, agg),
+                    Value::Audit(_) | Value::Text(_) => {}
+                }
+            }
+        }
+    }
 }
 
 /// Every [`HopPhase`] variant, for phase-indexed accounting.
@@ -206,42 +424,12 @@ pub fn register_lookup_metrics(reg: &mut MetricsRegistry, prefix: &str, agg: &Lo
         .merge(&agg.latency_hist);
 }
 
-/// Registers a [`Summary`]'s headline statistics under `prefix`: a
-/// `.samples` counter plus `.mean`, `.p01`, `.p99`, and `.max` gauges.
-/// Used by the experiments whose rows carry distributions rather than
-/// full lookup aggregates (query load, key distribution, degrees).
-pub fn register_summary_gauges(reg: &mut MetricsRegistry, prefix: &str, s: &Summary) {
-    reg.counter(&format!("{prefix}.samples")).add(s.n as u64);
-    reg.gauge(&format!("{prefix}.mean")).set(s.mean);
-    reg.gauge(&format!("{prefix}.p01")).set(s.p01);
-    reg.gauge(&format!("{prefix}.p99")).set(s.p99);
-    reg.gauge(&format!("{prefix}.max")).set(s.max);
-}
-
-/// The paper's network sizes: `n = d * 2^d` for `d = 3..=8`
-/// (24, 64, 160, 384, 896, 2048 nodes).
-#[must_use]
-pub fn paper_sizes() -> Vec<(u32, usize)> {
-    (3..=8u32)
-        .map(|d| (d, (u64::from(d) << d) as usize))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::factory::{build_overlay, OverlayKind};
     use dht_core::rng::stream;
     use dht_core::workload::random_pairs;
-
-    #[test]
-    fn paper_sizes_match_formula() {
-        let sizes = paper_sizes();
-        assert_eq!(
-            sizes,
-            vec![(3, 24), (4, 64), (5, 160), (6, 384), (7, 896), (8, 2048)]
-        );
-    }
 
     #[test]
     fn run_requests_aggregates() {

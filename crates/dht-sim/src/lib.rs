@@ -12,10 +12,11 @@
 //!   batched between membership events or suspended per hop
 //!   ([`churn::TimeModel`]), and [`churn::run_until_clean`] drives the same
 //!   stabilize/repair tick over a static population,
-//! * [`experiments`] — one driver per table/figure, returning structured
-//!   rows, including the [`experiments::fault_tolerance`] loss-rate sweep,
-//! * [`report`] — fixed-width table and CSV rendering for the `repro`
-//!   binary,
+//! * [`experiments`] — every table and figure as data: grids, a cell
+//!   function and layouts per experiment ([`experiments::figures`]), and
+//!   the modules of the `repro` subcommands `all` leaves out,
+//! * [`report`] — fixed-width table, CSV and chart rendering of those
+//!   layouts for the `repro` binary,
 //! * [`chart`] — terminal line charts so the figures render as figures.
 
 #![forbid(unsafe_code)]

@@ -1,7 +1,11 @@
-//! Fixed-width table and CSV rendering for the `repro` binary.
+//! Fixed-width table, CSV and chart rendering for the `repro` binary:
+//! [`Table`], and the [`Layout`]s that show an experiment's cells.
 
 use dht_core::audit::AuditReport;
 use dht_core::stats::Summary;
+
+use crate::chart::chart_from_triples;
+use crate::experiments::Cell;
 
 /// A simple text table builder with fixed-width columns.
 #[derive(Debug, Clone)]
@@ -94,6 +98,146 @@ impl Table {
     }
 }
 
+/// A [`Layout::Flat`] column: its header and how it formats a cell.
+pub type Column = (&'static str, fn(&Cell) -> String);
+
+/// How one table or chart shows an experiment's cells.
+#[derive(Debug, Clone, Copy)]
+pub enum Layout {
+    /// One value per cell: a row per axis value, a column per label.
+    Pivot {
+        /// Table title.
+        title: &'static str,
+        /// Header of the axis column.
+        x_header: &'static str,
+        /// Formats an axis value.
+        x: fn(f64) -> String,
+        /// Formats a cell.
+        cell: fn(&Cell) -> String,
+    },
+    /// The cells' audits, pivoted like [`Layout::Pivot`]; left out when
+    /// no cell audited.
+    Audit {
+        /// Table title.
+        title: &'static str,
+        /// Header of the axis column.
+        x_header: &'static str,
+        /// Formats an axis value.
+        x: fn(f64) -> String,
+    },
+    /// One row per cell, or per cell of one label, and one column per
+    /// `(header, format)` entry.
+    Flat {
+        /// Table title.
+        title: &'static str,
+        /// Only the cells of this label, when set.
+        only: Option<&'static str>,
+        /// The columns.
+        cols: &'static [Column],
+    },
+    /// A line per label over the axis; shown only with `--chart`.
+    Chart {
+        /// Chart title.
+        title: &'static str,
+        /// Formats an axis value.
+        x: fn(f64) -> String,
+        /// The plotted value of a cell.
+        y: fn(&Cell) -> f64,
+    },
+    /// A table of text, not of measurements.
+    Fixed(fn() -> Table),
+}
+
+impl Layout {
+    /// The layout as `repro` prints it: a table as text or CSV, a chart
+    /// when `chart` is set, each followed by an empty line. `None` when
+    /// it shows nothing.
+    #[must_use]
+    pub fn render(&self, cells: &[Cell], csv: bool, chart: bool) -> Option<String> {
+        let table = match *self {
+            Layout::Pivot {
+                title,
+                x_header,
+                x,
+                cell,
+            } => {
+                let triples: Vec<_> = cells
+                    .iter()
+                    .map(|c| (x(c.x), c.label.clone(), cell(c)))
+                    .collect();
+                pivot(title, x_header, &triples)
+            }
+            Layout::Audit { title, x_header, x } => {
+                let triples: Vec<_> = cells
+                    .iter()
+                    .filter_map(|c| Some((x(c.x), c.label.clone(), audit_cell(Some(c.audit()?)))))
+                    .collect();
+                if triples.is_empty() {
+                    return None;
+                }
+                pivot(title, x_header, &triples)
+            }
+            Layout::Flat { title, only, cols } => {
+                let headers: Vec<_> = cols.iter().map(|(h, _)| *h).collect();
+                let mut t = Table::new(title, &headers);
+                for c in cells.iter().filter(|c| only.is_none_or(|l| c.label == l)) {
+                    t.row(cols.iter().map(|(_, format)| format(c)).collect());
+                }
+                t
+            }
+            Layout::Chart { .. } if !chart => return None,
+            Layout::Chart { title, x, y } => {
+                let triples: Vec<_> = cells
+                    .iter()
+                    .map(|c| (x(c.x), c.label.clone(), y(c)))
+                    .collect();
+                return Some(format!(
+                    "{}\n",
+                    chart_from_triples(title, &triples).render()
+                ));
+            }
+            Layout::Fixed(table) => table(),
+        };
+        Some(if csv {
+            format!("{}\n", table.render_csv())
+        } else {
+            format!("{}\n", table.render())
+        })
+    }
+}
+
+/// Pivots `(x, series, value)` triples into a table with one row per `x`
+/// and one column per series, in first-appearance order; a missing pair
+/// reads `-`, and of two equal pairs the first is shown.
+#[must_use]
+pub fn pivot(title: &str, x_header: &str, triples: &[(String, String, String)]) -> Table {
+    let mut xs: Vec<String> = Vec::new();
+    let mut series: Vec<String> = Vec::new();
+    for (x, s, _) in triples {
+        if !xs.contains(x) {
+            xs.push(x.clone());
+        }
+        if !series.contains(s) {
+            series.push(s.clone());
+        }
+    }
+    let mut headers: Vec<&str> = vec![x_header];
+    headers.extend(series.iter().map(String::as_str));
+    let mut table = Table::new(title, &headers);
+    for x in &xs {
+        let mut cells = vec![x.clone()];
+        for s in &series {
+            let v = triples
+                .iter()
+                .find(|(tx, ts, _)| tx == x && ts == s)
+                .map_or("-".to_string(), |(_, _, v)| v.clone());
+            cells.push(v);
+        }
+        table.row(cells);
+    }
+    table
+}
+
 /// Formats a float with three significant decimals.
 #[must_use]
 pub fn f(x: f64) -> String {
@@ -148,6 +292,16 @@ mod tests {
         t.row(vec!["a,b".into(), "plain".into()]);
         let csv = t.render_csv();
         assert!(csv.contains("\"a,b\",plain"));
+    }
+
+    #[test]
+    fn pivot_fills_missing_with_dash() {
+        let triples = vec![
+            ("1".to_string(), "A".to_string(), "x".to_string()),
+            ("2".to_string(), "B".to_string(), "y".to_string()),
+        ];
+        let s = pivot("t", "k", &triples).render();
+        assert!(s.contains('-'), "missing cells dashed:\n{s}");
     }
 
     #[test]
