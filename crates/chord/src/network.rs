@@ -150,23 +150,20 @@ impl Refresh for ChordNetwork {
         node.fingers = fingers;
     }
 
-    fn refresh_notified(&mut self, id: u64) {
+    fn refresh_notified(&mut self, id: u64, mut hint: Pos) {
         let (pred, succs) = self
             .members
-            .ring_pointers(id, self.config.successor_list, &mut Pos::default())
+            .ring_pointers(id, self.config.successor_list, &mut hint)
             .expect("refresh on empty ring");
-        let node = self
-            .members
-            .store
-            .get_mut(id)
-            .expect("refresh of dead node");
+        let node = self.members.store.state_at_mut(hint);
         node.predecessor = pred;
         node.successors = succs;
     }
 
-    fn notified_by(&self, id: u64) -> Vec<u64> {
-        self.members
-            .ring_neighbours(id, self.config.successor_list, self.config.space())
+    /// The `r` predecessors hold `id` in their successor lists, the
+    /// successor as its predecessor.
+    fn notified_window(&self) -> (usize, usize) {
+        (self.config.successor_list, 1)
     }
 }
 

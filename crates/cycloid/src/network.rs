@@ -11,7 +11,9 @@
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
-use dht_core::overlay::{NodeToken, Overlay};
+use dht_core::inline::InlineVec;
+use dht_core::overlay::Overlay;
+use dht_core::ring::ring_sides;
 use dht_core::sim::Membership;
 use dht_core::store::{CompactStore, Hints, Pos};
 use rand::RngCore;
@@ -488,21 +490,6 @@ impl CycloidNetwork {
         state.outside_right = out_r;
     }
 
-    /// Refreshes only the leaf sets of one live node (join/leave
-    /// notifications repair leaf sets but *not* cubical/cyclic neighbours,
-    /// §3.3.2). Its place in the token order is searched from `hint`.
-    pub fn refresh_leaf_sets(&mut self, id: CycloidId, hint: &mut Pos) {
-        let own = self.members.store.position_of(hint, id.linear(self.dim));
-        let own = own.expect("leaf refresh of a node that is not live");
-        let (in_l, in_r) = self.inside_leafs_at(id, own);
-        let (out_l, out_r) = self.outside_leafs_at(id, own);
-        let state = self.members.store.state_at_mut(own);
-        state.inside_left = in_l;
-        state.inside_right = in_r;
-        state.outside_left = out_l;
-        state.outside_right = out_r;
-    }
-
     /// One full stabilization round: every node refreshes its cubical and
     /// cyclic neighbours ("updating cubical and cyclic neighbours are the
     /// responsibility of system stabilization, as in Chord", §3.3.2) and
@@ -528,7 +515,7 @@ impl CycloidNetwork {
         }
         self.insert_membership(id);
         self.refresh_node(id, &mut Hints::default());
-        self.notify_after_membership_change(id);
+        self.notify_runs(id, None);
         true
     }
 
@@ -578,7 +565,7 @@ impl CycloidNetwork {
         // 4. Notifications: inside leaf set, plus the outside propagation
         //    when the newcomer is a primary. The newcomer's own sets were
         //    derived above and must not be overwritten.
-        self.notify_after_membership_change_except(id, Some(id));
+        self.notify_runs(id, Some(id));
         true
     }
 
@@ -710,7 +697,7 @@ impl CycloidNetwork {
             return false;
         }
         self.remove_membership(id);
-        self.notify_after_membership_change(id);
+        self.notify_runs(id, None);
         true
     }
 
@@ -729,30 +716,65 @@ impl CycloidNetwork {
     /// cycles on each side (outside leaf sets — reached via the primary
     /// notification that "is passed along in the joining node's
     /// neighbouring remote cycle until all the nodes in that cycle finish
-    /// updating").
-    fn notify_after_membership_change(&mut self, id: CycloidId) {
-        self.notify_after_membership_change_except(id, None);
-    }
-
-    /// Like [`Self::notify_after_membership_change`], but skipping one
-    /// node whose leaf sets were already initialized by other means (the
-    /// protocol join derives them from `Z` and must not have them
-    /// overwritten by the oracle refresh).
-    fn notify_after_membership_change_except(&mut self, id: CycloidId, skip: Option<CycloidId>) {
-        let Some(affected) = self.cycles_around(id.cubical, self.leaf_radius) else {
+    /// updating"). `skip` names a node whose leaf sets were initialized by
+    /// other means: the protocol join derives them from `Z`, and they must
+    /// not be overwritten.
+    ///
+    /// One walk of the token order, at most one lap, through those runs:
+    /// back `leaf_radius` runs from `id`'s place, then forwards run by run.
+    fn notify_runs(&mut self, id: CycloidId, skip: Option<CycloidId>) {
+        let order = &self.members.store;
+        let point = u64::from(id.cubical) * u64::from(self.dim.get());
+        let Some(mut start) = order.successor_from(&mut Pos::default(), point) else {
             return;
         };
-        // Ascending, each node once, so one hint follows the whole pass.
-        let mut to_refresh: Vec<NodeToken> = affected.map(|n| n.linear(self.dim)).collect();
-        to_refresh.sort_unstable();
-        to_refresh.dedup();
-        let mut hint = Pos::default();
-        for node in to_refresh {
-            let node = CycloidId::from_linear(node, self.dim);
-            if Some(node) != skip {
-                self.refresh_leaf_sets(node, &mut hint);
-            }
+        let own = usize::from(self.id_at(start).cubical == id.cubical);
+        for _ in 0..self.leaf_radius {
+            let last = order.prev(start);
+            start = self.cycle_start(self.id_at(last).cubical, last);
         }
+        let mut left = order.len();
+        for _ in 0..2 * self.leaf_radius + own {
+            if left == 0 {
+                break;
+            }
+            start = self.notify_run(start, &mut left, skip);
+        }
+    }
+
+    /// Mends the leaf sets of every member of the run that starts at
+    /// `start` but `skip`, taking at most `left` of them off `left`, and
+    /// returns the position after the last. The outside leaf set depends
+    /// only on the cubical index, so it is resolved once for the run; the
+    /// inside leaf sets are the run read by index, wrapping at its ends.
+    fn notify_run(&mut self, start: Pos, left: &mut usize, skip: Option<CycloidId>) -> Pos {
+        let order = &self.members.store;
+        let d = u64::from(self.dim.get());
+        // One division a run, not one a token.
+        let base = order.token_at(start) / d * d;
+        let cubical = (base / d) as u32;
+        let mut run = InlineVec::<(Pos, u32), 32>::new(); // d ≤ 32 (`Dim::new`)
+        let mut pos = start;
+        while *left > 0 && (base..base + d).contains(&order.token_at(pos)) {
+            run.push((pos, (order.token_at(pos) - base) as u32));
+            pos = order.next(pos);
+            *left -= 1;
+        }
+        let (n, r) = (run.len(), self.leaf_radius);
+        let member = |i: usize| CycloidId::new(run[i].1, cubical);
+        let (out_l, out_r) = self.outside_leafs_at(member(0), start);
+        for (i, &(at, cyclic)) in run.iter().enumerate() {
+            if skip == Some(CycloidId::new(cyclic, cubical)) {
+                continue;
+            }
+            let (in_l, in_r) = ring_sides(i, n, r, r, member);
+            let state = self.members.store.state_at_mut(at);
+            state.inside_left = in_l;
+            state.inside_right = in_r;
+            state.outside_left = out_l;
+            state.outside_right = out_r;
+        }
+        pos
     }
 }
 

@@ -166,6 +166,7 @@ impl<T: Copy + Default, const N: usize> From<&[T]> for InlineVec<T, N> {
 }
 
 impl<T: Copy + Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
+    #[inline]
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut v = Self::new();
         for item in iter {

@@ -84,7 +84,7 @@ use crate::lookup::{HopPhase, LookupOutcome, LookupTrace};
 use crate::net::NetConditions;
 use crate::obs::{PhaseAccountant, SinkHandle};
 use crate::overlay::{NodeToken, Overlay};
-use crate::store::Hints;
+use crate::store::{Hints, Pos};
 
 mod executor;
 mod membership;
@@ -352,11 +352,12 @@ pub trait Refresh: SimOverlay + Sized {
     fn refresh_node(&mut self, id: NodeToken, hints: &mut Hints);
 
     /// Recomputes only the links a join/leave notification mends (ring
-    /// pointers, leaf sets); long-range links stay stale.
-    fn refresh_notified(&mut self, id: NodeToken);
+    /// pointers, leaf sets) of the live node `id`, found from `hint`, in
+    /// place (`state_at_mut`); long-range links stay stale.
+    fn refresh_notified(&mut self, id: NodeToken, hint: Pos);
 
-    /// The live nodes a join or departure at position `id` notifies.
-    fn notified_by(&self, id: NodeToken) -> Vec<NodeToken>;
+    /// How many live nodes before and after a changed position it notifies.
+    fn notified_window(&self) -> (usize, usize);
 
     /// Fills an empty network with `count` uniformly drawn nodes and
     /// stabilizes it.
@@ -386,12 +387,9 @@ pub trait Refresh: SimOverlay + Sized {
         }
         let state = self.blank_state(id);
         self.membership_mut().store.insert(id, state);
-        self.refresh_node(id, &mut Hints::default());
-        for nb in self.notified_by(id) {
-            if nb != id {
-                self.refresh_notified(nb);
-            }
-        }
+        let mut hints = Hints::default();
+        self.refresh_node(id, &mut hints);
+        notify_window(self, id, *hints.slot(0));
         true
     }
 
@@ -419,9 +417,7 @@ pub trait Refresh: SimOverlay + Sized {
             return false;
         }
         if notify {
-            for nb in self.notified_by(id) {
-                self.refresh_notified(nb);
-            }
+            notify_window(self, id, Pos::default());
         }
         true
     }
@@ -431,6 +427,29 @@ pub trait Refresh: SimOverlay + Sized {
     fn refresh_all(&mut self) {
         let tokens = self.membership().store.tokens();
         self.stabilize_nodes(&tokens);
+    }
+}
+
+/// The fan-out of a join or graceful leave at `id`: one search from
+/// `hint`, then steps through the [`Refresh::notified_window`] around it,
+/// at most one lap and the joiner skipped.
+fn notify_window<T: Refresh>(net: &mut T, id: NodeToken, mut hint: Pos) {
+    let (before, after) = net.notified_window();
+    let store = &net.membership().store;
+    let Some(mut pos) = store.successor_from(&mut hint, id) else {
+        return;
+    };
+    let others = store.len() - usize::from(store.token_at(pos) == id);
+    for _ in 0..before.min(others) {
+        pos = store.prev(pos);
+    }
+    for _ in 0..(before + after).min(others) {
+        let store = &net.membership().store;
+        if store.token_at(pos) == id {
+            pos = store.next(pos);
+        }
+        net.refresh_notified(store.token_at(pos), pos);
+        pos = net.membership().store.next(pos);
     }
 }
 

@@ -105,26 +105,6 @@ impl<S> Membership<S> {
         }
         Some((pred, succs))
     }
-
-    /// The live nodes whose [`Membership::ring_pointers`] reference
-    /// position `id`: its live successor, then its `r` nearest live
-    /// predecessors, without repeats. Starts at `id + 1` because at join
-    /// time `id` is already live and its *successor* must learn of it.
-    #[must_use]
-    pub fn ring_neighbours(&self, id: u64, r: usize, space: u64) -> Vec<NodeToken> {
-        let Some(succ) = self.store.successor_of((id + 1) % space) else {
-            return Vec::new();
-        };
-        let mut out = vec![succ];
-        let mut cursor = id;
-        for _ in 0..r {
-            cursor = self.predecessor_of(cursor).expect("non-empty ring");
-            if !out.contains(&cursor) {
-                out.push(cursor);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -177,7 +157,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_pointers_and_neighbours_on_small_and_wrapping_rings() {
+    fn ring_pointers_on_small_and_wrapping_rings() {
         let ring = |tokens: &[u64]| {
             let mut m: Membership<()> = Membership::new(3);
             for &t in tokens {
@@ -187,28 +167,22 @@ mod tests {
         };
         let empty = ring(&[]);
         assert_eq!(empty.ring_pointers::<4>(5, 3, &mut Pos::default()), None);
-        assert!(empty.ring_neighbours(5, 3, 64).is_empty());
 
-        // One node is its own predecessor and every successor; as the
-        // neighbourhood of its own position it is listed once.
+        // One node is its own predecessor and every successor.
         let one = ring(&[7]);
         assert_eq!(
             one.ring_pointers::<4>(7, 3, &mut Pos::default()),
             Some((7, vec![7; 3].into()))
         );
-        assert_eq!(one.ring_neighbours(7, 3, 64), vec![7]);
 
-        // Two nodes: the successor list alternates, the neighbourhood
-        // holds each node once.
+        // Two nodes: the successor list alternates.
         let two = ring(&[7, 40]);
         assert_eq!(
             two.ring_pointers::<4>(7, 3, &mut Pos::default()),
             Some((40, vec![40, 7, 40].into()))
         );
-        assert_eq!(two.ring_neighbours(7, 3, 64), vec![40, 7]);
 
-        // Wrap-around at both ends of the space, for a live position and
-        // for a departed one (63 is not live).
+        // Wrap-around at both ends of the space.
         let m = ring(&[0, 10, 20, 50, 60]);
         assert_eq!(
             m.ring_pointers::<4>(60, 3, &mut Pos::default()),
@@ -218,8 +192,6 @@ mod tests {
             m.ring_pointers::<4>(0, 2, &mut Pos::default()),
             Some((60, vec![10, 20].into()))
         );
-        assert_eq!(m.ring_neighbours(0, 3, 64), vec![10, 60, 50, 20]);
-        assert_eq!(m.ring_neighbours(63, 2, 64), vec![0, 60, 50]);
     }
 
     /// One step of a membership script.

@@ -311,42 +311,17 @@ impl Refresh for PastryNetwork {
     }
 
     /// Refreshes only the leaf set.
-    fn refresh_notified(&mut self, id: u64) {
-        let (smaller, larger) = self.resolve_leafs(id, &mut Pos::default());
-        let node = self
-            .members
-            .store
-            .get_mut(id)
-            .expect("refresh of dead node");
+    fn refresh_notified(&mut self, id: u64, mut hint: Pos) {
+        let (smaller, larger) = self.resolve_leafs(id, &mut hint);
+        let node = self.members.store.state_at_mut(hint);
         node.leaf_smaller = smaller;
         node.leaf_larger = larger;
     }
 
-    /// Live nodes whose leaf sets reference position `id`.
-    fn notified_by(&self, id: u64) -> Vec<u64> {
+    /// The `|L|/2` nodes either side hold `id` in their leaf sets.
+    fn notified_window(&self) -> (usize, usize) {
         let half = self.config.leaf_set / 2;
-        let mut out = Vec::new();
-        let mut cursor = id;
-        for _ in 0..half {
-            match self.members.predecessor_of(cursor) {
-                Some(p) if p != id && !out.contains(&p) => {
-                    out.push(p);
-                    cursor = p;
-                }
-                _ => break,
-            }
-        }
-        let mut cursor = id;
-        for _ in 0..half {
-            match self.members.successor_after(cursor) {
-                Some(n) if n != id && !out.contains(&n) => {
-                    out.push(n);
-                    cursor = n;
-                }
-                _ => break,
-            }
-        }
-        out
+        (half, half)
     }
 }
 
