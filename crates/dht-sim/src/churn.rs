@@ -1015,6 +1015,17 @@ mod tests {
     }
 
     #[test]
+    fn run_until_clean_is_zero_on_a_clean_overlay() {
+        for repair in [false, true] {
+            let mut net = build_overlay(OverlayKind::Cycloid7, 64, 1);
+            let run = run_until_clean(net.as_mut(), 30, 60, repair);
+            assert_eq!(run.clean_s, Some(0), "repair {repair}");
+            assert_eq!(run.trajectory, vec![(0, 0)], "repair {repair}");
+            assert_eq!((run.calls, run.entries), (0, 0), "repair {repair}");
+        }
+    }
+
+    #[test]
     fn accountant_bills_every_active_phase_in_both_time_models() {
         for time in [TimeModel::Rounds, TimeModel::Continuous] {
             let mut net = build_overlay(OverlayKind::Cycloid7, 128, 9);

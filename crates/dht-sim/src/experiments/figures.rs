@@ -1,6 +1,7 @@
-//! The tables and figures `repro all` regenerates, one [`Experiment`]
-//! each, in the order `repro` prints them: the paper's Tables 1–5 and
-//! Figs 5–14 (§4), and the extensions beyond them.
+//! Every table and figure `repro` prints, one [`Experiment`] each, in
+//! print order: the paper's Tables 1–5 and Figs 5–14 (§4) and the
+//! extensions `repro all` adds, then `converge`, `recover`, `scale` and
+//! `profile`, which `all` leaves out.
 //!
 //! Every entry says what `{x}` sweeps. Paper-scale grids follow the
 //! paper's setup, which each cell function's comment quotes; quick grids
@@ -11,13 +12,15 @@ use std::collections::BTreeMap;
 use chord::ChordNetwork;
 use cycloid::{CycloidConfig, CycloidId, CycloidNetwork};
 use dht_core::audit::AuditScope;
-use dht_core::corrupt::Links;
+use dht_core::clock::SECOND;
+use dht_core::corrupt::{CorruptionPlan, CorruptionStrategy, Links};
 use dht_core::lookup::HopPhase;
 use dht_core::net::{DelayModel, FaultPlan, NetConditions, RetryPolicy};
+use dht_core::obs::{Histogram, Phase, PhaseAccountant, ALL_PHASES};
 use dht_core::overlay::{key_counts, Overlay};
 use dht_core::rng::{stream, stream_indexed};
 use dht_core::sim::SimOverlay;
-use dht_core::stats::Summary;
+use dht_core::stats::{percentile_sorted, Summary};
 use dht_core::workload::{
     key_population, per_node_uniform, random_pairs, zipf_pairs, LookupRequest, ZipfKeys,
 };
@@ -27,13 +30,15 @@ use rand::Rng;
 use viceroy::ViceroyNetwork;
 
 use super::{run_requests_jobs, At, Cell, Experiment, Grid, LookupAggregate, Measured, Value};
-use crate::churn::{run_churn, ChurnParams};
-use crate::factory::{cycloid_dim_for, OverlayKind, ALL_KINDS, EXTENDED_KINDS, PAPER_KINDS};
+use crate::churn::{run_churn, run_until_clean, BucketIndex, ChurnParams, ChurnSample, TimeModel};
+use crate::factory::{
+    build_overlay_spaced, cycloid_dim_for, OverlayKind, ALL_KINDS, EXTENDED_KINDS, PAPER_KINDS,
+};
 use crate::report::{f, mean_p01_p99, Column, Layout, Table};
 
 use OverlayKind::{Can, Chord, Cycloid7, Koorde, Pastry, Viceroy};
 
-/// Every experiment behind `repro all`, in print order.
+/// Every experiment `repro` runs, in print order.
 pub static EXPERIMENTS: &[Experiment] = &[
     // {x}: the network size the degrees are measured at.
     Experiment {
@@ -41,14 +46,14 @@ pub static EXPERIMENTS: &[Experiment] = &[
         what: "regenerating tables 1-3...",
         quick: TABLE1_GRID,
         paper: TABLE1_GRID,
-        metric: "table1.{label}",
+        metric: |c| format!("table1.{}", c.label),
         measure: table1,
         layouts: &[
             (
                 "table1",
                 Layout::Flat {
                     title: "Table 1: comparison of representative P2P DHTs",
-                    only: None,
+                    rows: |_| true,
                     cols: &[
                         ("System", |c| c.label.clone()),
                         ("Base network", |c| c.text("base").into()),
@@ -60,6 +65,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
             ("table2", Layout::Fixed(table2)),
             ("table3", Layout::Fixed(table3)),
         ],
+        check: |_| Ok(()),
     },
     // {x}: network size n = d·2^d.
     Experiment {
@@ -77,7 +83,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
             lookups: 512,
             ..NONE
         },
-        metric: "{label}/n={x}",
+        metric: |c| format!("{}/n={}", c.label, c.x),
         measure: path_length,
         layouts: &[
             (
@@ -118,7 +124,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
                 "fig7",
                 Layout::Flat {
                     title: "Fig 7: path-length breakdown — Cycloid(7)",
-                    only: Some("Cycloid(7)"),
+                    rows: |c| c.label == "Cycloid(7)",
                     cols: CYCLOID_PHASES,
                 },
             ),
@@ -126,7 +132,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
                 "fig7",
                 Layout::Flat {
                     title: "Fig 7: path-length breakdown — Cycloid(11)",
-                    only: Some("Cycloid(11)"),
+                    rows: |c| c.label == "Cycloid(11)",
                     cols: CYCLOID_PHASES,
                 },
             ),
@@ -134,7 +140,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
                 "fig7",
                 Layout::Flat {
                     title: "Fig 7: path-length breakdown — Viceroy",
-                    only: Some("Viceroy"),
+                    rows: |c| c.label == "Viceroy",
                     cols: CYCLOID_PHASES,
                 },
             ),
@@ -142,11 +148,12 @@ pub static EXPERIMENTS: &[Experiment] = &[
                 "fig7",
                 Layout::Flat {
                     title: "Fig 7: path-length breakdown — Koorde",
-                    only: Some("Koorde"),
+                    rows: |c| c.label == "Koorde",
                     cols: KOORDE_PHASES,
                 },
             ),
         ],
+        check: |_| Ok(()),
     },
     // {x}: keys distributed.
     Experiment {
@@ -166,7 +173,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
             space: 2048,
             ..NONE
         },
-        metric: "{label}/keys={x}",
+        metric: |c| format!("{}/keys={}", c.label, c.x),
         measure: key_distribution,
         layouts: &[(
             "fig8",
@@ -177,6 +184,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
                 cell: |c| mean_p01_p99(c.summary(".keys_per_node")),
             },
         )],
+        check: |_| Ok(()),
     },
     // {x}: keys distributed.
     Experiment {
@@ -196,7 +204,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
             space: 2048,
             ..NONE
         },
-        metric: "{label}/keys={x}",
+        metric: |c| format!("{}/keys={}", c.label, c.x),
         measure: key_distribution,
         layouts: &[(
             "fig9",
@@ -207,6 +215,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
                 cell: |c| mean_p01_p99(c.summary(".keys_per_node")),
             },
         )],
+        check: |_| Ok(()),
     },
     // {x}: network size.
     Experiment {
@@ -224,7 +233,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
             lookups: 512,
             ..NONE
         },
-        metric: "{label}/n={x}",
+        metric: |c| format!("{}/n={}", c.label, c.x),
         measure: query_load,
         layouts: &[(
             "fig10",
@@ -235,6 +244,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
                 cell: |c| mean_p01_p99(c.summary(".load")),
             },
         )],
+        check: |_| Ok(()),
     },
     // {x}: departure probability p.
     Experiment {
@@ -254,7 +264,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
             lookups: 10_000,
             ..NONE
         },
-        metric: "{label}/p={x}",
+        metric: |c| format!("{}/p={}", c.label, c.x),
         measure: mass_departure,
         layouts: &[
             (
@@ -293,6 +303,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
                 },
             ),
         ],
+        check: |_| Ok(()),
     },
     // {x}: churn rate R, joins and leaves per second each.
     Experiment {
@@ -313,7 +324,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
             lookups: 10_000,
             ..NONE
         },
-        metric: "{label}/R={x}",
+        metric: |c| format!("{}/R={}", c.label, c.x),
         measure: churn,
         layouts: &[
             (
@@ -354,6 +365,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
                 },
             ),
         ],
+        check: |_| Ok(()),
     },
     // {x}: sparsity, the fraction of the identifier space left empty.
     Experiment {
@@ -373,7 +385,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
             lookups: 10_000,
             ..NONE
         },
-        metric: "{label}/sparsity={x}",
+        metric: |c| format!("{}/sparsity={}", c.label, c.x),
         measure: sparsity,
         layouts: &[
             (
@@ -397,7 +409,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
                 "fig14",
                 Layout::Flat {
                     title: "Fig 14: Koorde path-length breakdown vs sparsity",
-                    only: Some("Koorde"),
+                    rows: |c| c.label == "Koorde",
                     cols: &[
                         ("sparsity", |c| pct(c.x)),
                         ("debruijn hops", |c| hops(c, HopPhase::DeBruijn)),
@@ -407,6 +419,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
                 },
             ),
         ],
+        check: |_| Ok(()),
     },
     // {x}: network size. Fig 5's sweep over Table 1's baselines too.
     Experiment {
@@ -424,7 +437,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
             lookups: 32,
             ..NONE
         },
-        metric: "{label}/n={x}",
+        metric: |c| format!("{}/n={}", c.label, c.x),
         measure: path_length,
         layouts: &[(
             "extpath",
@@ -435,6 +448,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
                 cell: |c| f(mean_path(c)),
             },
         )],
+        check: |_| Ok(()),
     },
     // {x}: catalogue size of the Zipf workload.
     Experiment {
@@ -454,13 +468,13 @@ pub static EXPERIMENTS: &[Experiment] = &[
             lookups: 50_000,
             ..NONE
         },
-        metric: "{label}",
+        metric: |c| c.label.clone(),
         measure: hotspot,
         layouts: &[(
             "exthotspot",
             Layout::Flat {
                 title: "Extension: query load under uniform vs Zipf(1.0) key popularity",
-                only: None,
+                rows: |_| true,
                 cols: &[
                     ("system", |c| c.label.clone()),
                     ("uniform mean (p01, p99)", |c| {
@@ -477,6 +491,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
                 ],
             },
         )],
+        check: |_| Ok(()),
     },
     // {x}: network size.
     Experiment {
@@ -492,13 +507,13 @@ pub static EXPERIMENTS: &[Experiment] = &[
             axis: &[2048.0],
             ..NONE
         },
-        metric: "{label}/n={x}",
+        metric: |c| format!("{}/n={}", c.label, c.x),
         measure: maintenance,
         layouts: &[(
             "extdegree",
             Layout::Flat {
                 title: "Extension: routing-state degree and departure repair bill",
-                only: None,
+                rows: |_| true,
                 cols: &[
                     ("system", |c| c.label.clone()),
                     ("n", |c| int(c.x)),
@@ -513,6 +528,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
                 ],
             },
         )],
+        check: |_| Ok(()),
     },
     // {x}: per-message loss probability.
     Experiment {
@@ -533,14 +549,14 @@ pub static EXPERIMENTS: &[Experiment] = &[
             lookups: 2_000,
             ..NONE
         },
-        metric: "{label}/loss={x}",
+        metric: |c| format!("{}/loss={}", c.label, c.x),
         measure: fault,
         layouts: &[
             (
                 "fault",
                 Layout::Flat {
                     title: "Extension: lookup resilience under message loss (retry w/ backoff)",
-                    only: None,
+                    rows: |_| true,
                     cols: &[
                         ("loss %", |c| format!("{:.0}", 100.0 * c.x)),
                         ("system", |c| c.label.clone()),
@@ -579,6 +595,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
                 },
             ),
         ],
+        check: |_| Ok(()),
     },
     // {x}: crash probability p.
     Experiment {
@@ -598,13 +615,13 @@ pub static EXPERIMENTS: &[Experiment] = &[
             lookups: 10_000,
             ..NONE
         },
-        metric: "{label}/p={x}",
+        metric: |c| format!("{}/p={}", c.label, c.x),
         measure: ungraceful,
         layouts: &[(
             "extfail",
             Layout::Flat {
                 title: "Extension: ungraceful failures — lookup success rate and timeouts",
-                only: None,
+                rows: |_| true,
                 cols: &[
                     ("p", |c| dec1(c.x)),
                     ("system", |c| c.label.clone()),
@@ -617,6 +634,228 @@ pub static EXPERIMENTS: &[Experiment] = &[
                 ],
             },
         )],
+        check: |_| Ok(()),
+    },
+    // {x}: stabilization period T, seconds.
+    Experiment {
+        name: "converge",
+        what: "running stabilization-convergence sweep (virtual clock)...",
+        quick: Grid {
+            kinds: &ALL_KINDS,
+            axis: &[10.0, 30.0],
+            nodes: 128,
+            space: 192,
+            lookups: 300,
+            ..NONE
+        },
+        paper: Grid {
+            kinds: &ALL_KINDS,
+            axis: &[10.0, 30.0, 60.0],
+            nodes: 1024,
+            space: 1536,
+            lookups: 2_000,
+            ..NONE
+        },
+        metric: |c| format!("{}/T={}", c.label, c.x),
+        measure: converge,
+        layouts: &[
+            (
+                "converge",
+                Layout::Flat {
+                    title: "Extension: time to audit-clean after membership shocks (simulated seconds)",
+                    rows: |_| true,
+                    cols: &[
+                        ("T (s)", |c| int(c.x)),
+                        ("system", |c| c.label.clone()),
+                        ("joined", |c| count(c, ".join_added")),
+                        ("join clean (s)", |c| clean(c, ".join_clean_s")),
+                        ("left", |c| count(c, ".leave_removed")),
+                        ("leave clean (s)", |c| clean(c, ".leave_clean_s")),
+                    ],
+                },
+            ),
+            (
+                "converge",
+                Layout::Flat {
+                    title: "Extension: lookup latency under churn on the virtual clock (continuous time)",
+                    rows: |c| c.has(".load.sim_secs"),
+                    cols: &[
+                        ("system", |c| c.label.clone()),
+                        ("T (s)", |c| int(c.x)),
+                        ("p50 ms", |c| f(c.num(".load.latency_p50_ms"))),
+                        ("p95 ms", |c| f(c.num(".load.latency_p95_ms"))),
+                        ("p99 ms", |c| f(c.num(".load.latency_p99_ms"))),
+                        ("mean ms", |c| f(c.num(".load.latency_mean_ms"))),
+                        ("timeouts mean", |c| f(c.num(".load.timeouts_mean"))),
+                        ("stranded", |c| count(c, ".load.stranded")),
+                        ("failures", |c| count(c, ".load.failures")),
+                        ("sim secs", |c| format!("{:.0}", c.num(".load.sim_secs"))),
+                    ],
+                },
+            ),
+        ],
+        check: |_| Ok(()),
+    },
+    // {x}: a point of the recovery sweep, see `recovery`.
+    Experiment {
+        name: "recover",
+        what: "running corruption-recovery sweep (virtual clock)...",
+        quick: Grid {
+            kinds: &ALL_KINDS,
+            axis: &[0.0, 2.0, 4.0, 6.0, 8.0],
+            nodes: 96,
+            space: 144,
+            lookups: 150,
+            ..NONE
+        },
+        paper: Grid {
+            kinds: &ALL_KINDS,
+            axis: &[
+                0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0,
+                15.0, 16.0, 17.0, 18.0, 19.0,
+            ],
+            nodes: 512,
+            space: 768,
+            lookups: 1_000,
+            ..NONE
+        },
+        metric: |c| {
+            let (period, strategy, severity) = recovery(c.x);
+            let strategy = strategy.label();
+            format!("{}/{strategy}/s={severity}/T={period}", c.label)
+        },
+        measure: recover,
+        layouts: &[(
+            "recover",
+            Layout::Flat {
+                title: "Extension: self-stabilizing recovery from corrupted routing state",
+                rows: |_| true,
+                cols: &[
+                    ("strategy", |c| recovery(c.x).1.label().into()),
+                    ("severity", |c| format!("{:.2}", recovery(c.x).2)),
+                    ("T (s)", |c| recovery(c.x).0.to_string()),
+                    ("system", |c| c.label.clone()),
+                    ("targeted", |c| count(c, ".targeted")),
+                    ("entries hit", |c| count(c, ".mutated_entries")),
+                    ("clean (s)", |c| clean(c, ".clean_s")),
+                    ("repair calls", |c| count(c, ".repair_calls")),
+                    ("entries fixed", |c| count(c, ".repaired_entries")),
+                    ("post failures", |c| count(c, ".post_failures")),
+                ],
+            },
+        )],
+        check: recovered,
+    },
+    // {x}: network size before `nodes` more nodes join.
+    Experiment {
+        name: "scale",
+        what: "running large-population scale sweep...",
+        quick: Grid {
+            kinds: &ALL_KINDS,
+            axis: &[10_000.0],
+            nodes: 16,
+            lookups: 1_000,
+            ..NONE
+        },
+        paper: Grid {
+            kinds: &ALL_KINDS,
+            axis: &[10_000.0, 100_000.0, 1_000_000.0],
+            nodes: 64,
+            lookups: 5_000,
+            ..NONE
+        },
+        metric: |c| format!("{}/n={}", c.label, c.num(".nodes")),
+        measure: scale,
+        layouts: &[(
+            "scale",
+            Layout::Flat {
+                title: "Extension: memory footprint and path quality at scale (compact membership)",
+                rows: |_| true,
+                cols: &[
+                    ("system", |c| c.label.clone()),
+                    ("n", |c| count(c, ".nodes")),
+                    ("bytes/node", |c| format!("{:.1}", c.num(".bytes_per_node"))),
+                    ("state MiB", |c| {
+                        format!("{:.1}", c.num(".state_bytes") / (1024.0 * 1024.0))
+                    }),
+                    ("mean hops", |c| f(c.lookups("").path.mean)),
+                    ("p99 hops", |c| f(c.lookups("").path.p99)),
+                    ("failures", |c| c.lookups("").failures.to_string()),
+                ],
+            },
+        )],
+        check: |_| Ok(()),
+    },
+    // {x}: the telemetry sampling period, seconds.
+    Experiment {
+        name: "profile",
+        what: "running per-phase cost profile (all kinds, default churn)...",
+        quick: Grid {
+            kinds: &ALL_KINDS,
+            axis: &[30.0],
+            nodes: 128,
+            lookups: 300,
+            ..NONE
+        },
+        paper: Grid {
+            kinds: &ALL_KINDS,
+            axis: &[60.0],
+            nodes: 4096,
+            lookups: 10_000,
+            ..NONE
+        },
+        metric: |c| c.label.clone(),
+        measure: profile,
+        layouts: &[
+            (
+                "profile",
+                Layout::Flat {
+                    title: "Profile: messages billed per phase under default churn",
+                    rows: |_| true,
+                    cols: &[
+                        ("Overlay", |c| c.label.clone()),
+                        ("lookup", |c| count(c, ".phase.lookup.msgs")),
+                        ("stabilize", |c| count(c, ".phase.stabilize.msgs")),
+                        ("repair", |c| count(c, ".phase.repair.msgs")),
+                        ("join", |c| count(c, ".phase.join.msgs")),
+                        ("leave", |c| count(c, ".phase.leave.msgs")),
+                        ("audit", |c| count(c, ".phase.audit.msgs")),
+                    ],
+                },
+            ),
+            (
+                "profile",
+                Layout::Flat {
+                    title: "Profile: phase invocations under default churn",
+                    rows: |_| true,
+                    cols: &[
+                        ("Overlay", |c| c.label.clone()),
+                        ("lookup", |c| count(c, ".phase.lookup.calls")),
+                        ("stabilize", |c| count(c, ".phase.stabilize.calls")),
+                        ("repair", |c| count(c, ".phase.repair.calls")),
+                        ("join", |c| count(c, ".phase.join.calls")),
+                        ("leave", |c| count(c, ".phase.leave.calls")),
+                        ("audit", |c| count(c, ".phase.audit.calls")),
+                    ],
+                },
+            ),
+            (
+                "profile",
+                Layout::Flat {
+                    title: "Profile: simulated lookup latency quantiles (µs)",
+                    rows: |_| true,
+                    cols: &[
+                        ("Overlay", |c| c.label.clone()),
+                        ("p50", |c| quantile(c, 0.5)),
+                        ("p90", |c| quantile(c, 0.9)),
+                        ("p99", |c| quantile(c, 0.99)),
+                        ("max", |c| quantile(c, 1.0)),
+                        ("lookups", |c| c.histogram(".latency_us").count().to_string()),
+                    ],
+                },
+            ),
+        ],
+        check: billed,
     },
 ];
 
@@ -677,12 +916,12 @@ fn table1(g: &Grid, at: At) -> Measured {
         String::from,
     );
     let mut cols = vec![
-        ("base", Value::Text(base.into())),
-        ("lookup", Value::Text(lookup.into())),
-        ("size", Value::Text(size)),
+        ("base".into(), Value::Text(base.into())),
+        ("lookup".into(), Value::Text(lookup.into())),
+        ("size".into(), Value::Text(size)),
     ];
     if let Some(d) = degree {
-        cols.push((".degree", Value::Gauge(d as f64)));
+        cols.push((".degree".into(), Value::Gauge(d as f64)));
     }
     (system.into(), cols)
 }
@@ -761,7 +1000,7 @@ fn path_length(g: &Grid, at: At) -> Measured {
     let mut rng = stream_indexed(at.seed, "path-length", at.i as u64);
     let reqs = per_node_uniform(net.as_ref(), (n / 4).min(g.lookups).max(1), &mut rng);
     let agg = lookups(net.as_mut(), &reqs, at.jobs);
-    (net.name(), vec![("", agg)])
+    (net.name(), vec![("".into(), agg)])
 }
 
 /// Figs 8/9, §4.2: "we simulated different DHT networks of 2000 nodes
@@ -773,7 +1012,7 @@ fn key_distribution(g: &Grid, at: At) -> Measured {
     let per_node = Summary::of_counts(&key_counts(net.as_ref(), &keys));
     (
         net.name(),
-        vec![(".keys_per_node", Value::Summary(per_node))],
+        vec![(".keys_per_node".into(), Value::Summary(per_node))],
     )
 }
 
@@ -785,7 +1024,7 @@ fn query_load(g: &Grid, at: At) -> Measured {
     let mut rng = stream_indexed(at.seed, "query-load", at.i as u64);
     let reqs = per_node_uniform(net.as_ref(), (n / 4).min(g.lookups).max(1), &mut rng);
     let load = loads(net.as_mut(), &reqs, at.jobs);
-    (net.name(), vec![(".load", Value::Summary(load))])
+    (net.name(), vec![(".load".into(), Value::Summary(load))])
 }
 
 /// Fig 11 / Table 4, §4.3: "each node is made to fail with probability
@@ -806,7 +1045,10 @@ fn mass_departure(g: &Grid, at: At) -> Measured {
     let agg = lookups(net.as_mut(), &reqs, at.jobs);
     (
         net.name(),
-        vec![("", agg), (".survivors", Value::Gauge(survivors))],
+        vec![
+            ("".into(), agg),
+            (".survivors".into(), Value::Gauge(survivors)),
+        ],
     )
 }
 
@@ -827,19 +1069,22 @@ fn churn(g: &Grid, at: At) -> Measured {
     let path = Summary::of_lens(&out.path_lens);
     let timeouts = Summary::of_counts(&out.timeouts);
     let mut cols = vec![
-        (".lookups", Value::Count(path.n as u64)),
-        (".failures", Value::Count(out.failures as u64)),
-        (".joins", Value::Count(out.joins as u64)),
-        (".leaves", Value::Count(out.leaves as u64)),
-        (".stabilize_calls", Value::Count(out.stabilize_calls)),
-        (".stabilize_rounds", Value::Count(out.stabilize_rounds)),
-        (".peak_size", Value::Gauge(out.peak_size as f64)),
-        (".final_size", Value::Gauge(out.final_size as f64)),
-        (".mean_path", Value::Gauge(path.mean)),
-        (".mean_timeouts", Value::Gauge(timeouts.mean)),
-        ("timeouts", Value::Summary(timeouts)),
+        (".lookups".into(), Value::Count(path.n as u64)),
+        (".failures".into(), Value::Count(out.failures as u64)),
+        (".joins".into(), Value::Count(out.joins as u64)),
+        (".leaves".into(), Value::Count(out.leaves as u64)),
+        (".stabilize_calls".into(), Value::Count(out.stabilize_calls)),
+        (
+            ".stabilize_rounds".into(),
+            Value::Count(out.stabilize_rounds),
+        ),
+        (".peak_size".into(), Value::Gauge(out.peak_size as f64)),
+        (".final_size".into(), Value::Gauge(out.final_size as f64)),
+        (".mean_path".into(), Value::Gauge(path.mean)),
+        (".mean_timeouts".into(), Value::Gauge(timeouts.mean)),
+        ("timeouts".into(), Value::Summary(timeouts)),
     ];
-    cols.extend(out.audit.map(|a| ("audit", Value::Audit(a))));
+    cols.extend(out.audit.map(|a| ("audit".into(), Value::Audit(a))));
     (net.name(), cols)
 }
 
@@ -854,7 +1099,7 @@ fn sparsity(g: &Grid, at: At) -> Measured {
     let agg = lookups(net.as_mut(), &reqs, at.jobs);
     (
         net.name(),
-        vec![("", agg), (".nodes", Value::Gauge(n as f64))],
+        vec![("".into(), agg), (".nodes".into(), Value::Gauge(n as f64))],
     )
 }
 
@@ -876,9 +1121,9 @@ fn hotspot(g: &Grid, at: At) -> Measured {
         zipf.max / uniform.max
     };
     let cols = vec![
-        (".uniform", Value::Summary(uniform)),
-        (".zipf", Value::Summary(zipf)),
-        (".amplification", Value::Gauge(amplification)),
+        (".uniform".into(), Value::Summary(uniform)),
+        (".zipf".into(), Value::Summary(zipf)),
+        (".amplification".into(), Value::Gauge(amplification)),
     ];
     (net.name(), cols)
 }
@@ -902,8 +1147,14 @@ fn maintenance(g: &Grid, at: At) -> Measured {
     }
     let (out, inc): (Vec<u64>, Vec<u64>) = degrees.into_values().unzip();
     let cols = vec![
-        (".out_degree", Value::Summary(Summary::of_counts(&out))),
-        (".in_degree", Value::Summary(Summary::of_counts(&inc))),
+        (
+            ".out_degree".into(),
+            Value::Summary(Summary::of_counts(&out)),
+        ),
+        (
+            ".in_degree".into(),
+            Value::Summary(Summary::of_counts(&inc)),
+        ),
     ];
     (net.name(), cols)
 }
@@ -991,11 +1242,14 @@ fn fault(g: &Grid, at: At) -> Measured {
         1.0 - agg.failures as f64 / agg.path.n as f64
     };
     let mut cols = vec![
-        ("", Value::Lookups(Box::new(agg))),
-        (".success_rate", Value::Gauge(success)),
+        ("".into(), Value::Lookups(Box::new(agg))),
+        (".success_rate".into(), Value::Gauge(success)),
     ];
     if g.audit {
-        cols.push(("audit", Value::Audit(net.audit_state(AuditScope::Full))));
+        cols.push((
+            "audit".into(),
+            Value::Audit(net.audit_state(AuditScope::Full)),
+        ));
     }
     (net.name(), cols)
 }
@@ -1021,11 +1275,256 @@ fn ungraceful(g: &Grid, at: At) -> Measured {
     let reqs = random_pairs(net.as_ref(), g.lookups, &mut rng);
     let after = lookups(net.as_mut(), &reqs, at.jobs);
     let cols = vec![
-        ("/before", before),
-        ("/after", after),
-        (".survivors", Value::Gauge(survivors)),
+        ("/before".into(), before),
+        ("/after".into(), after),
+        (".survivors".into(), Value::Gauge(survivors)),
     ];
     (net.name(), cols)
+}
+
+/// §3.3's stabilization, timed. A mass join of half the population, then
+/// an ungraceful burst departure of two thirds of it (the case §5 calls
+/// hard), each followed by per-second stabilization buckets of period
+/// `{x}` until the full-scope audit is clean, within six periods. Only the
+/// full scope goes dirty: graceful protocols keep the online invariants
+/// at every instant. `space` leaves room for the joiners. At the sweep's
+/// middle period a fresh overlay also runs continuous-time churn with
+/// message delays, where a lookup's latency is virtual-clock time.
+fn converge(g: &Grid, at: At) -> Measured {
+    let period = at.x as u64;
+    let cell = at.i as u64;
+    let mut rng = stream_indexed(at.seed, "converge", cell);
+    let mut net = g.build(at.kind, g.nodes, at.seed ^ (cell << 40));
+    let joined = (0..g.space - g.nodes)
+        .filter(|_| net.join(&mut rng).is_some())
+        .count();
+    let join = run_until_clean(net.as_mut(), period, 6 * period, false);
+    let mut left = 0u64;
+    for token in net.node_tokens() {
+        if net.len() <= 8 {
+            break;
+        }
+        if rng.gen_bool(2.0 / 3.0) && net.fail(token) {
+            left += 1;
+        }
+    }
+    let leave = run_until_clean(net.as_mut(), period, 6 * period, false);
+    let mut cols = vec![
+        (".join_added".into(), Value::Count(joined as u64)),
+        (".join_clean_s".into(), clean_s(join.clean_s)),
+        (".join_violations".into(), trajectory(&join.trajectory)),
+        (".leave_removed".into(), Value::Count(left)),
+        (".leave_clean_s".into(), clean_s(leave.clean_s)),
+        (".leave_violations".into(), trajectory(&leave.trajectory)),
+    ];
+    if at.x == g.axis[(g.axis.len() - 1) / 2] {
+        let mut fresh = g.build(at.kind, g.nodes, at.seed ^ (cell << 40) ^ 1);
+        let mut rng = stream_indexed(at.seed, "converge-load", cell);
+        let params = ChurnParams {
+            churn_rate: 0.2,
+            stabilization_period_secs: period,
+            lookups: g.lookups,
+            warmup_lookups: g.lookups / 50,
+            conditions: NetConditions::new(FaultPlan::lossy(11, 0.01), RetryPolicy::standard()),
+            time: TimeModel::Continuous,
+            ..ChurnParams::default()
+        };
+        let out = run_churn(fresh.as_mut(), params, &mut rng);
+        let mut ms: Vec<f64> = out.latency_us.iter().map(|&us| us as f64 / 1e3).collect();
+        ms.sort_by(f64::total_cmp);
+        let mean = |sum: f64, n: usize| if n == 0 { 0.0 } else { sum / n as f64 };
+        let timeouts = out.timeouts.iter().sum::<u64>() as f64;
+        let gauge = |name: &str, v: f64| (format!(".load.{name}"), Value::Gauge(v));
+        cols.extend([
+            gauge("latency_p50_ms", percentile_sorted(&ms, 0.50)),
+            gauge("latency_p95_ms", percentile_sorted(&ms, 0.95)),
+            gauge("latency_p99_ms", percentile_sorted(&ms, 0.99)),
+            gauge("latency_mean_ms", mean(ms.iter().sum(), ms.len())),
+            gauge("timeouts_mean", mean(timeouts, out.timeouts.len())),
+            (".load.stranded".into(), Value::Count(out.stranded as u64)),
+            (".load.failures".into(), Value::Count(out.failures as u64)),
+            gauge("sim_secs", out.sim_end_us as f64 / SECOND as f64),
+        ]);
+    }
+    (at.kind.label().into(), cols)
+}
+
+/// The points of the recovery sweep, in paper order: repair period,
+/// then strategy, then severity, the fraction of nodes corrupted.
+fn recovery(x: f64) -> (u64, CorruptionStrategy, f64) {
+    let (j, strategies) = (x as usize, CorruptionStrategy::ALL.len());
+    let strategy = CorruptionStrategy::ALL[j / 2 % strategies];
+    ([10, 30][j / (2 * strategies)], strategy, [0.25, 0.5][j % 2])
+}
+
+/// Self-stabilization from corrupted state, in the sense of Feldmann &
+/// Scheideler: a seeded plan scrambles the routing state of a fraction
+/// of the nodes, then per-node repair timers run on the virtual clock
+/// until the full-scope audit is clean, within eight periods. A lookup
+/// batch then checks that the repaired overlay routes. `space` is 1.5×
+/// the population: an exact fit can fill a power-of-two ring (512 nodes
+/// in a 2⁹ Chord space) and leave ghost links no dead token to point at.
+fn recover(g: &Grid, at: At) -> Measured {
+    let (period, strategy, severity) = recovery(at.x);
+    let cell = at.i as u64;
+    let mut net = g.build(at.kind, g.nodes, at.seed ^ (cell << 40));
+    let hit = net.corrupt_state(&CorruptionPlan::new(strategy, severity, at.seed ^ cell));
+    let repair = run_until_clean(net.as_mut(), period, 8 * period, true);
+    let mut rng = stream_indexed(at.seed, "recover", cell);
+    let reqs = random_pairs(net.as_ref(), g.lookups, &mut rng);
+    let post = run_requests_jobs(net.as_mut(), &reqs, at.jobs);
+    let cols = vec![
+        (".targeted".into(), Value::Count(hit.targeted_nodes as u64)),
+        (
+            ".corrupted".into(),
+            Value::Count(hit.corrupted_nodes as u64),
+        ),
+        (".mutated_entries".into(), Value::Count(hit.mutated_entries)),
+        (".clean_s".into(), clean_s(repair.clean_s)),
+        (".repair_calls".into(), Value::Count(repair.calls)),
+        (".repaired_entries".into(), Value::Count(repair.entries)),
+        (".post_failures".into(), Value::Count(post.failures as u64)),
+        (".post_path_mean".into(), Value::Gauge(post.path.mean)),
+        (".violations".into(), trajectory(&repair.trajectory)),
+    ];
+    (at.kind.label().into(), cols)
+}
+
+/// `repro recover` fails unless every cell recovered within its horizon
+/// and then routed every lookup.
+fn recovered(cells: &[Cell]) -> Result<(), String> {
+    let strategy = |c: &Cell| recovery(c.x).1.label();
+    if let Some(c) = cells.iter().find(|c| c.num(".clean_s") < 0.0) {
+        return Err(format!(
+            "{} did not recover from {} within the horizon",
+            c.label,
+            strategy(c)
+        ));
+    }
+    if let Some(c) = cells.iter().find(|c| c.num(".post_failures") > 0.0) {
+        return Err(format!(
+            "{} failed {} lookups after recovering from {}",
+            c.label,
+            c.num(".post_failures"),
+            strategy(c)
+        ));
+    }
+    Ok(())
+}
+
+/// The paper stops at 2048 nodes (§4.1); this takes the same overlays to
+/// 10⁴–10⁶ for the per-node footprint of the compact membership store.
+/// `nodes` graceful joins, each followed by the joiner's own
+/// stabilization (the per-node unit the churn engine fires), precede a
+/// uniform lookup batch; the space holds the joiners.
+fn scale(g: &Grid, at: At) -> Measured {
+    let n = at.x as usize;
+    let cell = at.i as u64;
+    let mut rng = stream_indexed(at.seed, "scale", cell);
+    let mut net = build_overlay_spaced(at.kind, n, n + g.nodes, at.seed ^ (cell << 32));
+    for _ in 0..g.nodes {
+        if let Some(token) = net.join(&mut rng) {
+            net.stabilize_node(token);
+        }
+    }
+    let reqs = random_pairs(net.as_ref(), g.lookups, &mut rng);
+    let agg = lookups(net.as_mut(), &reqs, at.jobs);
+    let bytes = net.state_bytes() as f64;
+    let cols = vec![
+        ("".into(), agg),
+        (".nodes".into(), Value::Count(net.len() as u64)),
+        (".state_bytes".into(), Value::Gauge(bytes)),
+        (".bytes_per_node".into(), Value::Gauge(net.bytes_per_node())),
+    ];
+    (at.kind.label().into(), cols)
+}
+
+/// Where each overlay spends its messages: §4.4's churn at the default
+/// rate with the phase accountant and the telemetry sampler on, under
+/// delay-only conditions (20–80 ms round trips, nothing lost, so routing
+/// matches the ideal network while latency measures something real).
+/// Churn repairs entries only on use, which leaves lazily derived links
+/// (Viceroy's) at zero, so one full repair sweep closes the run.
+fn profile(g: &Grid, at: At) -> Measured {
+    let cell = at.i as u64;
+    let mut net = g.build(at.kind, g.nodes, at.seed ^ (cell << 40));
+    let mut rng = stream_indexed(at.seed, "profile", cell);
+    let accountant = PhaseAccountant::enabled();
+    let plan = FaultPlan {
+        seed: at.seed ^ (cell << 32),
+        loss: 0.0,
+        delay: DelayModel::Uniform(20_000, 80_000),
+        duplicate: 0.0,
+    };
+    let params = ChurnParams {
+        lookups: g.lookups,
+        warmup_lookups: g.lookups / 50,
+        audit: true,
+        conditions: NetConditions::new(plan, RetryPolicy::standard()),
+        jobs: at.jobs,
+        accountant: accountant.clone(),
+        sample_every_us: at.x as u64 * SECOND,
+        ..ChurnParams::default()
+    };
+    let out = run_churn(net.as_mut(), params, &mut rng);
+    BucketIndex::new(net.as_ref(), 1).fire(net.as_mut(), 0, true);
+    let mut cols = Vec::new();
+    for (phase, c) in accountant.snapshot().expect("enabled").iter() {
+        for (name, n) in [
+            ("calls", c.calls),
+            ("msgs", c.msgs),
+            ("retries", c.retries),
+            ("timeouts", c.timeouts),
+            ("repair_entries", c.repair_entries),
+            ("time_us", c.time_us),
+        ] {
+            cols.push((format!(".phase.{}.{name}", phase.label()), Value::Count(n)));
+        }
+    }
+    let mut latency = Histogram::new();
+    for &us in &out.latency_us {
+        latency.record(us);
+    }
+    cols.extend([
+        (".failures".into(), Value::Count(out.failures as u64)),
+        (".final_size".into(), Value::Gauge(out.final_size as f64)),
+        (".peak_size".into(), Value::Gauge(out.peak_size as f64)),
+        (".latency_us".into(), Value::Histogram(Box::new(latency))),
+    ]);
+    if !out.samples.is_empty() {
+        let series = |value: &dyn Fn(&ChurnSample) -> f64| {
+            Value::Series(out.samples.iter().map(|s| (s.t_us, value(s))).collect())
+        };
+        for (i, phase) in ALL_PHASES.iter().enumerate() {
+            let msgs = series(&|s| s.phase_msgs[i] as f64);
+            cols.push((format!(".msgs.{}", phase.label()), msgs));
+        }
+        cols.extend([
+            (".live_nodes".into(), series(&|s| s.live_nodes as f64)),
+            (".load_p50".into(), series(&|s| s.load_p50 as f64)),
+            (".load_p99".into(), series(&|s| s.load_p99 as f64)),
+            (
+                ".audit_violations".into(),
+                series(&|s| s.audit_violations as f64),
+            ),
+            (".bytes_per_node".into(), series(&|s| s.bytes_per_node)),
+        ]);
+    }
+    (at.kind.label().into(), cols)
+}
+
+/// `repro profile` fails when a kind bills no lookup, stabilize or
+/// repair messages: the accounting lost a billing site, and the export
+/// would have a hole.
+fn billed(cells: &[Cell]) -> Result<(), String> {
+    for c in cells {
+        for phase in [Phase::Lookup, Phase::Stabilize, Phase::Repair] {
+            if c.num(&format!(".phase.{}.msgs", phase.label())) == 0.0 {
+                return Err(format!("{} billed no {} messages", c.label, phase.label()));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// One lookup batch as a column.
@@ -1099,4 +1598,35 @@ fn dec2(x: f64) -> String {
 
 fn pct(x: f64) -> String {
     format!("{:.0}%", 100.0 * x)
+}
+
+/// A time-to-clean column: `-1` when the horizon passed first.
+fn clean_s(secs: Option<u64>) -> Value {
+    Value::Gauge(secs.map_or(-1.0, |s| s as f64))
+}
+
+/// Shows a time-to-clean column; `—` when the horizon passed first.
+fn clean(c: &Cell, name: &str) -> String {
+    let secs = c.num(name);
+    if secs < 0.0 {
+        "—".into()
+    } else {
+        secs.to_string()
+    }
+}
+
+/// Open audit violations over virtual time, as a series.
+fn trajectory(points: &[(u64, u64)]) -> Value {
+    Value::Series(points.iter().map(|&(t_us, v)| (t_us, v as f64)).collect())
+}
+
+fn quantile(c: &Cell, q: f64) -> String {
+    let latency = c.histogram(".latency_us");
+    latency
+        .quantile(q)
+        .map_or_else(|| "—".into(), |v| v.to_string())
+}
+
+fn count(c: &Cell, name: &str) -> String {
+    c.num(name).to_string()
 }

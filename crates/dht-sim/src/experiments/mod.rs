@@ -1,20 +1,17 @@
-//! The evaluation of §4 as data. Each table and figure `repro all`
-//! regenerates belongs to one [`Experiment`] of [`figures::EXPERIMENTS`]:
-//! a quick and a paper [`Grid`] of overlay kinds × one swept axis, a
-//! cell function that measures one (axis value, kind) pair into named,
-//! typed columns ([`Value`]), and the [`Layout`]s that show them. One
-//! runner ([`Experiment::run`]) fans the cells out, one exporter
-//! ([`Experiment::export`]) writes every column under its metric name,
-//! and one renderer ([`Layout::render`]) prints every table and chart.
-//!
-//! [`converge`], [`recover`], [`scale`] and [`profile`], the `repro`
-//! subcommands `all` leaves out, keep their own parameter and row types.
+//! The evaluation of §4 as data. Each table and figure `repro` prints
+//! belongs to one [`Experiment`] of [`figures::EXPERIMENTS`]: a quick and
+//! a paper [`Grid`] of overlay kinds × one swept axis, a cell function
+//! that measures one (axis value, kind) pair into named, typed columns
+//! ([`Value`]), the [`Layout`]s that show them, and a check that can fail
+//! the run. One runner ([`Experiment::run`]) fans the cells out, one
+//! exporter ([`Experiment::export`]) writes every column under its metric
+//! name, and one renderer ([`Layout::render`]) prints every table and
+//! chart.
 
-pub mod converge;
 pub mod figures;
-pub mod profile;
-pub mod recover;
-pub mod scale;
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use crossbeam::thread;
 use dht_core::audit::AuditReport;
@@ -26,38 +23,6 @@ use dht_core::workload::LookupRequest;
 
 use crate::factory::{build_overlay_spaced, OverlayKind};
 use crate::report::Layout;
-
-/// The `outer × kinds` grid most sweeps fan out over: one cell per
-/// (sweep value, overlay kind), outer-major, so a cell's position is the
-/// row index its seeds are derived from.
-pub(crate) fn grid<A: Copy>(outer: &[A], kinds: &[OverlayKind]) -> Vec<(OverlayKind, A)> {
-    outer
-        .iter()
-        .flat_map(|&a| kinds.iter().map(move |&kind| (kind, a)))
-        .collect()
-}
-
-/// Measures every cell on its own scoped thread — `run(i, &cells[i])` —
-/// and returns the rows in cell order, whatever order the threads
-/// finish in.
-pub(crate) fn run_cells<C: Sync, R: Send>(
-    cells: &[C],
-    run: impl Fn(usize, &C) -> R + Sync,
-) -> Vec<R> {
-    let run = &run;
-    thread::scope(|scope| {
-        let handles: Vec<_> = cells
-            .iter()
-            .enumerate()
-            .map(|(i, cell)| scope.spawn(move |_| run(i, cell)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("measurement thread panicked"))
-            .collect()
-    })
-    .expect("thread scope failed")
-}
 
 /// One measured value, typed by how it is exported.
 #[derive(Debug, Clone)]
@@ -71,6 +36,10 @@ pub enum Value {
     Summary(Summary),
     /// One batch of lookups, exported by [`register_lookup_metrics`].
     Lookups(Box<LookupAggregate>),
+    /// A time series of `(t_us, value)` points.
+    Series(Vec<(u64, f64)>),
+    /// A log₂-bucket histogram.
+    Histogram(Box<Histogram>),
     /// A routing-state audit; shown, never exported.
     Audit(AuditReport),
     /// Text; shown, never exported.
@@ -87,15 +56,21 @@ pub struct Cell {
     /// Named columns. A name that is empty or starts with `.` or `/` is
     /// the tail of the column's metric name and is exported; any other
     /// name is shown only.
-    pub cols: Vec<(&'static str, Value)>,
+    pub cols: Vec<(String, Value)>,
 }
 
 impl Cell {
     fn get(&self, name: &str) -> &Value {
         self.cols
             .iter()
-            .find(|(n, _)| *n == name)
+            .find(|(n, _)| n == name)
             .map_or_else(|| panic!("{}: no column {name:?}", self.label), |(_, v)| v)
+    }
+
+    /// Whether the cell has a column `name`.
+    #[must_use]
+    pub fn has(&self, name: &str) -> bool {
+        self.cols.iter().any(|(n, _)| n == name)
     }
 
     /// A count or gauge column.
@@ -126,6 +101,15 @@ impl Cell {
         }
     }
 
+    /// A histogram column.
+    #[must_use]
+    pub fn histogram(&self, name: &str) -> &Histogram {
+        match self.get(name) {
+            Value::Histogram(h) => h,
+            v => panic!("{name:?} is not a histogram: {v:?}"),
+        }
+    }
+
     /// A text column.
     #[must_use]
     pub fn text(&self, name: &str) -> &str {
@@ -153,7 +137,8 @@ pub struct Grid {
     pub kinds: &'static [OverlayKind],
     /// The swept values.
     pub axis: &'static [f64],
-    /// Network size, where the axis is not.
+    /// Network size, where the axis is not; where it is, the nodes that
+    /// join each network before it is measured.
     pub nodes: usize,
     /// Identifier-space capacity; `0` sizes the space to the population.
     pub space: usize,
@@ -190,7 +175,7 @@ pub struct At {
 }
 
 /// A cell function's result: the cell's label and columns.
-pub type Measured = (String, Vec<(&'static str, Value)>);
+pub type Measured = (String, Vec<(String, Value)>);
 
 /// One experiment: its grids, what it measures and how it is shown.
 #[derive(Debug)]
@@ -203,13 +188,16 @@ pub struct Experiment {
     pub quick: Grid,
     /// The paper-scale grid.
     pub paper: Grid,
-    /// A cell's metric-name head; `{label}` and `{x}` are the cell's.
-    pub metric: &'static str,
+    /// A cell's metric-name head.
+    pub metric: fn(&Cell) -> String,
     /// Measures one cell.
     pub measure: fn(&Grid, At) -> Measured,
     /// The layouts, each under the `repro` name that shows it; `""`
     /// shows with any of the experiment's names.
     pub layouts: &'static [(&'static str, Layout)],
+    /// Fails the run with a reason, after the layouts print and before
+    /// anything is exported.
+    pub check: fn(&[Cell]) -> Result<(), String>,
 }
 
 impl Experiment {
@@ -219,8 +207,11 @@ impl Experiment {
         !name.is_empty() && self.layouts.iter().any(|(n, _)| *n == name)
     }
 
-    /// Measures every cell of the quick or the paper grid, each on its
-    /// own thread, axis-major. The cells are identical for every `jobs`.
+    /// Measures every cell of the quick or the paper grid, axis-major,
+    /// on up to `jobs` threads that each take the next cell: at
+    /// `--jobs 1` one cell's network is alive at a time. A cell is a
+    /// function of its grid and [`At`], so the cells are identical for
+    /// every `jobs`.
     #[must_use]
     pub fn run(&self, quick: bool, seed: u64, jobs: usize) -> Vec<Cell> {
         let grid = if quick { &self.quick } else { &self.paper };
@@ -238,24 +229,31 @@ impl Experiment {
                 });
             }
         }
-        run_cells(&at, |_, &at| {
-            let (label, cols) = (self.measure)(grid, at);
-            Cell {
-                label,
-                x: at.x,
-                cols,
+        let cells: Vec<OnceLock<Cell>> = at.iter().map(|_| OnceLock::new()).collect();
+        let next = AtomicUsize::new(0);
+        thread::scope(|scope| {
+            for _ in 0..jobs.max(1).min(at.len()) {
+                scope.spawn(|_| {
+                    while let Some(&at) = at.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let (label, cols) = (self.measure)(grid, at);
+                        let _ = cells[at.i].set(Cell {
+                            label,
+                            x: at.x,
+                            cols,
+                        });
+                    }
+                });
             }
         })
+        .expect("measurement thread panicked");
+        cells.into_iter().filter_map(OnceLock::into_inner).collect()
     }
 
     /// Registers every exported column of `cells` under `{head}{name}`,
     /// in cell order.
     pub fn export(&self, cells: &[Cell], reg: &mut MetricsRegistry) {
         for cell in cells {
-            let head = self
-                .metric
-                .replace("{label}", &cell.label)
-                .replace("{x}", &cell.x.to_string());
+            let head = (self.metric)(cell);
             for (name, value) in &cell.cols {
                 if !(name.is_empty() || name.starts_with(['.', '/'])) {
                     continue;
@@ -272,6 +270,13 @@ impl Experiment {
                         reg.gauge(&format!("{key}.max")).set(s.max);
                     }
                     Value::Lookups(agg) => register_lookup_metrics(reg, &key, agg),
+                    Value::Series(points) => {
+                        let series = reg.series(&key);
+                        for &(t_us, v) in points {
+                            series.push(t_us, v);
+                        }
+                    }
+                    Value::Histogram(h) => reg.histogram(&key).merge(h),
                     Value::Audit(_) | Value::Text(_) => {}
                 }
             }

@@ -12,9 +12,9 @@
 //!   batched between membership events or suspended per hop
 //!   ([`churn::TimeModel`]), and [`churn::run_until_clean`] drives the same
 //!   stabilize/repair tick over a static population,
-//! * [`experiments`] — every table and figure as data: grids, a cell
-//!   function and layouts per experiment ([`experiments::figures`]), and
-//!   the modules of the `repro` subcommands `all` leaves out,
+//! * [`experiments`] — every table and figure `repro` prints as data:
+//!   grids, a cell function, layouts and a check per experiment
+//!   ([`experiments::figures`]),
 //! * [`report`] — fixed-width table, CSV and chart rendering of those
 //!   layouts for the `repro` binary,
 //! * [`chart`] — terminal line charts so the figures render as figures.

@@ -125,13 +125,13 @@ pub enum Layout {
         /// Formats an axis value.
         x: fn(f64) -> String,
     },
-    /// One row per cell, or per cell of one label, and one column per
+    /// One row per cell that `rows` keeps, and one column per
     /// `(header, format)` entry.
     Flat {
         /// Table title.
         title: &'static str,
-        /// Only the cells of this label, when set.
-        only: Option<&'static str>,
+        /// Which cells get a row.
+        rows: fn(&Cell) -> bool,
         /// The columns.
         cols: &'static [Column],
     },
@@ -177,10 +177,10 @@ impl Layout {
                 }
                 pivot(title, x_header, &triples)
             }
-            Layout::Flat { title, only, cols } => {
+            Layout::Flat { title, rows, cols } => {
                 let headers: Vec<_> = cols.iter().map(|(h, _)| *h).collect();
                 let mut t = Table::new(title, &headers);
-                for c in cells.iter().filter(|c| only.is_none_or(|l| c.label == l)) {
+                for c in cells.iter().filter(|c| rows(c)) {
                     t.row(cols.iter().map(|(_, format)| format(c)).collect());
                 }
                 t

@@ -1,4 +1,4 @@
-//! End-to-end smoke tests of every experiment behind `repro all`: each
+//! End-to-end smoke tests of every experiment `repro` runs: each
 //! figure/table must come out of its quick grid well-formed, with the
 //! shapes the paper reports. Every test runs the grid `repro --quick`
 //! prints, at `repro`'s default seed. Protects the reproduction
@@ -7,9 +7,10 @@
 use chord::ChordNetwork;
 use dht_core::audit::AuditScope;
 use dht_core::lookup::HopPhase;
+use dht_core::obs::{to_bench_json, BenchMeta, Metric, MetricsRegistry, ALL_PHASES};
 use dht_core::rng::stream;
 use dht_sim::experiments::figures::EXPERIMENTS;
-use dht_sim::experiments::{Cell, Experiment};
+use dht_sim::experiments::{Cell, Experiment, Value};
 use dht_sim::{build_overlay, build_overlay_spaced, OverlayKind, ALL_KINDS, PAPER_KINDS};
 use koorde::KoordeNetwork;
 use rand::Rng;
@@ -36,6 +37,28 @@ fn at<'a>(cells: &'a [Cell], label: &str, x: f64) -> &'a Cell {
         .iter()
         .find(|c| c.label == label && c.x == x)
         .unwrap_or_else(|| panic!("no cell {label} at {x}"))
+}
+
+/// What `repro --metrics-out` exports for one experiment's cells.
+fn exported(name: &str, cells: &[Cell]) -> MetricsRegistry {
+    let mut reg = MetricsRegistry::new();
+    experiment(name).export(cells, &mut reg);
+    reg
+}
+
+/// The cells of one experiment's quick grid, after checking that they
+/// export the same document at `--jobs 1` and `--jobs 4`.
+fn jobs_invariant(name: &str) -> Vec<Cell> {
+    let meta = BenchMeta {
+        experiment: name.into(),
+        git_rev: String::new(),
+        seed: SEED,
+        quick: true,
+    };
+    let [one, four] = [1, 4].map(|jobs| experiment(name).run(true, SEED, jobs));
+    let json = |cells: &[Cell]| to_bench_json(&meta, &exported(name, cells));
+    assert_eq!(json(&one), json(&four), "{name}: jobs 1 and 4 differ");
+    four
 }
 
 /// What `repro <figure> --quick` prints for `figure`.
@@ -561,4 +584,153 @@ fn hotspot_audit_smoke() {
     }
     let report = net.audit_state(AuditScope::Full);
     assert!(report.is_clean(), "{report}");
+}
+
+#[test]
+fn converge_extension_driver() {
+    // Both shocks are audit-clean within the horizon of six periods, and
+    // the cells of the sweep's middle period measure latency under load.
+    let grid = experiment("converge").quick;
+    let cells = jobs_invariant("converge");
+    assert_eq!(cells.len(), grid.kinds.len() * grid.axis.len());
+    for c in &cells {
+        assert!(c.num(".join_added") > 0.0 && c.num(".leave_removed") > 0.0);
+        for shock in [".join_clean_s", ".leave_clean_s"] {
+            let secs = c.num(shock);
+            assert!(
+                (0.0..=6.0 * c.x).contains(&secs),
+                "{} {shock} at T={}: {secs}",
+                c.label,
+                c.x
+            );
+        }
+        assert_eq!(c.has(".load.sim_secs"), c.x == 10.0, "{}", c.label);
+        if c.x == 10.0 {
+            let ms = |p: &str| c.num(&format!(".load.latency_{p}_ms"));
+            assert!(ms("p50") > 0.0, "{}: delays make latency nonzero", c.label);
+            assert!(ms("p99") >= ms("p95") && ms("p95") >= ms("p50"));
+            assert!(c.num(".load.sim_secs") > 0.0);
+        }
+    }
+    let shown = shown("converge", "converge", &cells);
+    assert_eq!(shown.matches("Cycloid(7) ").count(), 3, "{shown}");
+}
+
+#[test]
+fn recover_extension_driver() {
+    // Every kind recovers from every strategy, at a cost, and then routes.
+    let grid = experiment("recover").quick;
+    let cells = jobs_invariant("recover");
+    assert_eq!(cells.len(), grid.kinds.len() * 5);
+    for c in &cells {
+        let targeted = c.num(".targeted");
+        assert!(
+            targeted >= grid.nodes as f64 / 4.0,
+            "{}: {targeted}",
+            c.label
+        );
+        assert!(c.num(".corrupted") > 0.0, "{}: no damage done", c.label);
+        let secs = c.num(".clean_s");
+        assert!(secs > 0.0, "{}: clean at {secs} s", c.label);
+        assert!(c.num(".repair_calls") > 0.0);
+        assert_eq!(c.num(".post_failures"), 0.0, "{} must route", c.label);
+    }
+    assert_eq!((experiment("recover").check)(&cells), Ok(()));
+}
+
+#[test]
+fn scale_extension_driver() {
+    let grid = experiment("scale").quick;
+    let cells = jobs_invariant("scale");
+    assert_eq!(cells.len(), grid.kinds.len());
+    for c in &cells {
+        let n = c.num(".nodes");
+        assert_eq!(
+            n,
+            c.x + grid.nodes as f64,
+            "{}: every join succeeds",
+            c.label
+        );
+        assert!(c.num(".state_bytes") > 0.0 && c.num(".bytes_per_node") > 0.0);
+        let agg = c.lookups("");
+        assert_eq!(agg.path.n, grid.lookups);
+        assert_eq!(agg.failures, 0, "{}: stabilized overlay", c.label);
+    }
+    // Metric names carry the population after the joins.
+    let reg = exported("scale", &cells);
+    match reg.get("Koorde/n=10016.bytes_per_node") {
+        Some(Metric::Gauge(g)) => assert!(g.get() > 0.0),
+        other => panic!("unexpected: {other:?}"),
+    }
+    assert!(reg.get("Koorde/n=10016.lookups").is_some());
+}
+
+#[test]
+fn profile_extension_driver() {
+    // Every kind bills every phase, and exports the phase counters, the
+    // latency histogram and the telemetry series.
+    let cells = quick("profile");
+    assert_eq!(cells.len(), ALL_KINDS.len());
+    for c in &cells {
+        assert_eq!(c.num(".failures"), 0.0, "{}: lookups failed", c.label);
+        for phase in ALL_PHASES {
+            let msgs = c.num(&format!(".phase.{}.msgs", phase.label()));
+            assert!(msgs > 0.0, "{}: no {} messages", c.label, phase.label());
+        }
+    }
+    assert_eq!((experiment("profile").check)(&cells), Ok(()));
+    let reg = exported("profile", &cells);
+    for label in cells.iter().map(|c| &c.label) {
+        let series = |name: &str| reg.get_series(&format!("{label}.{name}"));
+        assert!(series("live_nodes").is_some_and(|s| !s.is_empty()));
+        assert!(series("msgs.lookup").is_some());
+        match reg.get(&format!("{label}.latency_us")) {
+            Some(Metric::Histogram(h)) => assert!(h.quantile(0.5).is_some()),
+            other => panic!("unexpected: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn failing_checks_stop_the_run_with_a_reason() {
+    // `repro` prints a failed check as `[repro] error: <reason>` and exits
+    // 1 before it exports anything.
+    let cell = |label: &str, x: f64, cols: &[(&str, Value)]| Cell {
+        label: label.into(),
+        x,
+        cols: cols
+            .iter()
+            .map(|(n, v)| (n.to_string(), v.clone()))
+            .collect(),
+    };
+    let recover = experiment("recover").check;
+    let recovered = |clean_s: f64, post_failures: u64| {
+        let cols = [
+            (".clean_s", Value::Gauge(clean_s)),
+            (".post_failures", Value::Count(post_failures)),
+        ];
+        // Point 2 of the sweep: ghost links at T = 10 s.
+        recover(&[cell("Chord", 2.0, &cols)])
+    };
+    assert_eq!(recovered(10.0, 0), Ok(()));
+    assert_eq!(
+        recovered(-1.0, 0),
+        Err("Chord did not recover from ghost within the horizon".into())
+    );
+    assert_eq!(
+        recovered(10.0, 3),
+        Err("Chord failed 3 lookups after recovering from ghost".into())
+    );
+
+    let profile = experiment("profile").check;
+    let billed = |repair: u64| {
+        let cols = [
+            (".phase.lookup.msgs", Value::Count(5)),
+            (".phase.stabilize.msgs", Value::Count(5)),
+            (".phase.repair.msgs", Value::Count(repair)),
+        ];
+        profile(&[cell("Viceroy", 30.0, &cols)])
+    };
+    assert_eq!(billed(1), Ok(()));
+    assert_eq!(billed(0), Err("Viceroy billed no repair messages".into()));
 }
