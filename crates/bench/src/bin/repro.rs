@@ -17,16 +17,16 @@
 //! for memory footprint and path quality; `recover` corrupts routing
 //! state through the seeded strategy catalogue and measures time and
 //! repair cost to audit-clean; `profile` runs every kind under default
-//! churn with the phase accountant and the telemetry sampler on. Every
-//! name but `metrics` belongs to an entry of [`EXPERIMENTS`], which one
-//! loop runs, prints, checks and exports in that order: a failed check
+//! churn with telemetry and the sampler on. Every name but `metrics`
+//! belongs to an entry of [`EXPERIMENTS`], which one loop runs, prints,
+//! checks and exports in that order: a failed check
 //! prints `[repro] error: <reason>` and exits 1 before its entry writes
 //! an export.
 //! Flags: `--quick` (reduced workloads), `--seed <u64>` (default 2004),
 //! `--csv` (machine-readable output), `--chart` (terminal line charts
 //! for the line figures), `--metrics-out <dir>` (write one versioned
 //! `BENCH_<experiment>.json` per experiment group), `--quiet` (suppress
-//! progress lines; `REPRO_LOG=debug|info|quiet` overrides), and
+//! the `[repro]` progress lines on stderr; errors still print), and
 //! `--jobs <N>` (cells measured at once, and worker threads per lookup
 //! batch; default: available parallelism). Everything printed to stdout
 //! or exported is seeded and bit-identical for every `--jobs` value; the
@@ -38,7 +38,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use bench::{metrics_io, render};
-use dht_core::obs::{to_bench_json, BenchMeta, LogLevel, MetricsRegistry, Progress};
+use dht_core::obs::{to_bench_json, BenchMeta, MetricsRegistry};
 use dht_sim::experiments::figures::EXPERIMENTS;
 use dht_sim::report::Table;
 
@@ -158,7 +158,7 @@ fn emit(table: &Table, csv: bool) {
 /// Summarises previously exported `BENCH_*.json` files from `dir`.
 /// Exits nonzero when the directory is unreadable or any document fails
 /// schema validation.
-fn run_metrics(dir: &std::path::Path, csv: bool, progress: &Progress) {
+fn run_metrics(dir: &std::path::Path, csv: bool, progress: &dyn Fn(&str)) {
     let entries = match metrics_io::read_dir(dir) {
         Ok(entries) => entries,
         Err(e) => {
@@ -184,7 +184,7 @@ fn run_metrics(dir: &std::path::Path, csv: bool, progress: &Progress) {
             }
         }
     }
-    progress.info(format!(
+    progress(&format!(
         "validated {} benchmark file(s) in {}",
         files.len(),
         dir.display()
@@ -198,15 +198,12 @@ fn run_metrics(dir: &std::path::Path, csv: bool, progress: &Progress) {
 
 fn main() {
     let opts = parse_args();
-    let progress = Progress::from_env(
-        "repro",
-        "REPRO_LOG",
-        if opts.quiet {
-            LogLevel::Quiet
-        } else {
-            LogLevel::Info
-        },
-    );
+    // Progress lines go to stderr, so stdout stays the seeded output.
+    let progress = |msg: &str| {
+        if !opts.quiet {
+            eprintln!("[repro] {msg}");
+        }
+    };
     let wants = |name: &str| opts.experiments.contains(name);
     let started = Instant::now();
 
@@ -231,14 +228,14 @@ fn main() {
             eprintln!("[repro] error: cannot write {}: {e}", path.display());
             std::process::exit(1);
         }
-        progress.info(format!("wrote {}", path.display()));
+        progress(&format!("wrote {}", path.display()));
     };
 
     for exp in EXPERIMENTS {
         if !opts.experiments.iter().any(|name| exp.answers(name)) {
             continue;
         }
-        progress.info(exp.what);
+        progress(exp.what);
         let cells = exp.run(opts.quick, opts.seed, opts.jobs);
         for (name, layout) in exp.layouts {
             if name.is_empty() || wants(name) {
@@ -266,7 +263,7 @@ fn main() {
         run_metrics(&dir, opts.csv, &progress);
     }
 
-    progress.info(format!(
+    progress(&format!(
         "done in {:.1}s (seed {}, {})",
         started.elapsed().as_secs_f64(),
         opts.seed,

@@ -24,10 +24,10 @@
 //!   [`net::FaultPlan`] (message loss / delay / duplication) plus a
 //!   [`net::RetryPolicy`] (attempts, exponential backoff) applied by the
 //!   shared walk engine to every per-hop contact,
-//! * [`obs`] — observability: zero-cost-when-disabled structured event
-//!   tracing ([`obs::TraceSink`], [`obs::SinkHandle`]), the metrics
-//!   registry behind the `BENCH_*.json` export, and a leveled progress
-//!   logger,
+//! * [`obs`] — observability: the [`obs::Telemetry`] handle, zero-cost
+//!   when disabled, that records trace events and per-phase costs into
+//!   one record, and the metrics registry behind the `BENCH_*.json`
+//!   export,
 //! * [`inline`] — fixed-capacity inline vectors ([`inline::InlineVec`])
 //!   keeping constant-degree routing tables inside the state slab,
 //! * [`overlay`] — the [`overlay::Overlay`] trait: the uniform simulation
@@ -68,10 +68,7 @@ pub use corrupt::{CorruptionPlan, CorruptionReport, CorruptionStrategy};
 pub use inline::InlineVec;
 pub use lookup::{HopPhase, LookupOutcome, LookupTrace};
 pub use net::{DelayModel, FaultPlan, NetConditions, NetCosts, RetryPolicy};
-pub use obs::{
-    Event, JsonlSink, LogLevel, MetricsRegistry, NullSink, Progress, RingBufferSink, SinkHandle,
-    TimeoutKind, TraceSink,
-};
+pub use obs::{Event, MetricsRegistry, Telemetry, TimeoutKind};
 pub use overlay::{NodeToken, Overlay};
 pub use sim::{
     CursorStep, LookupCursor, Membership, SimOverlay, StepDecision, WalkCursor, WalkEffects,

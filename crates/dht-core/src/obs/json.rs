@@ -3,9 +3,8 @@
 //! The workspace is dependency-free by design (the build environment is
 //! air-gapped), so the machine-readable exports hand-roll their JSON.
 //! This module owns the two halves: escaping/formatting helpers used by
-//! the writers ([`crate::obs::JsonlSink`], the `BENCH_*.json` export),
-//! and a small recursive-descent parser used by schema validators and
-//! tools that read the exports back.
+//! the `BENCH_*.json` writer, and a small recursive-descent parser used
+//! by schema validators and tools that read the exports back.
 //!
 //! The parser accepts exactly the JSON this crate emits (objects,
 //! arrays, strings with the standard escapes, finite numbers, booleans,

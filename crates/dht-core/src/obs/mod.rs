@@ -1,31 +1,24 @@
-//! Observability: structured event tracing, a metrics registry, and a
-//! leveled progress logger.
+//! Observability: one telemetry recorder and a metrics registry.
 //!
-//! # Tracing
+//! # Telemetry
 //!
-//! The simulation substrate ([`crate::sim`]), the retry loop
-//! ([`crate::net`]), and the churn engine emit typed [`Event`]s through a
-//! [`SinkHandle`] installed on the [`crate::sim::Membership`]. Because
-//! emission happens in the shared walk engine, every overlay inherits
-//! instrumentation without overlay-local changes.
+//! A [`Telemetry`] handle is installed on an overlay
+//! ([`crate::overlay::Overlay::set_telemetry`], kept in
+//! [`crate::sim::Membership`]) or on a churn run. An enabled handle
+//! keeps one [`Record`]: the typed [`Event`]s the walk engine
+//! ([`crate::sim`]) and the churn engine emit, in apply order, and the
+//! [`PhaseTable`] every lookup, stabilization pass, repair, membership
+//! change and audit bills its costs into ([`phase`]). Because emission
+//! and billing happen in the shared engines, every overlay inherits
+//! them without overlay-local changes.
 //!
 //! The handle is **zero-cost when disabled**: the default
-//! [`SinkHandle::disabled`] holds no sink, [`SinkHandle::emit`] takes the
-//! event as a closure that is never called, and cloning the handle copies
-//! an `Option<Arc<_>>` that is `None`. Disabled-handle runs are therefore
-//! byte-identical to pre-observability runs — the golden-trace suite pins
-//! this (`tests/obs_traces.rs` additionally pins that an *enabled*
-//! [`NullSink`] changes nothing either).
-//!
-//! Three sinks ship with the crate:
-//!
-//! * [`NullSink`] — receives and discards; for measuring emission
-//!   overhead and for tests that only need "enabled" semantics,
-//! * [`RingBufferSink`] — keeps the last `capacity` events in memory and
-//!   counts what it dropped; for tests and interactive debugging,
-//! * [`JsonlSink`] — writes one JSON object per event to any
-//!   [`std::io::Write`]; for offline analysis
-//!   (see `examples/tracing_lookup.rs`).
+//! [`Telemetry::disabled`] is an `Option::None`, [`Telemetry::emit`] and
+//! [`Telemetry::bill`] take closures that are never called, and cloning
+//! copies the `None`. Enabled or not, the handle never feeds back into
+//! routing: `tests/obs_traces.rs` pins every golden byte-identical with
+//! it enabled. [`Event::to_json_line`] renders a recorded event as one
+//! JSON line (see `examples/tracing_lookup.rs`).
 //!
 //! # Metrics
 //!
@@ -41,11 +34,9 @@ pub mod phase;
 pub use metrics::{
     to_bench_json, BenchMeta, Counter, Gauge, Histogram, Metric, MetricsRegistry, SCHEMA_VERSION,
 };
-pub use phase::{Phase, PhaseAccountant, PhaseCosts, PhaseTable, ALL_PHASES};
+pub use phase::{Phase, PhaseCosts, PhaseTable, ALL_PHASES};
 
 use std::fmt;
-use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::lookup::{HopPhase, LookupOutcome};
@@ -87,10 +78,11 @@ impl TimeoutKind {
 
 /// A structured trace event.
 ///
-/// Lookup-scoped events carry the `lookup` id handed out by
-/// [`SinkHandle::next_lookup_id`], so interleaved lookups (e.g. under
-/// churn) can be demultiplexed from one stream. Node identifiers are the
-/// same opaque tokens the [`crate::overlay::Overlay`] API uses.
+/// Lookup-scoped events carry the `lookup` id [`Telemetry`] stamps as
+/// it records them (1, 2, … in apply order), so interleaved lookups
+/// (e.g. under churn) can be demultiplexed from one stream. Node
+/// identifiers are the same opaque tokens the
+/// [`crate::overlay::Overlay`] API uses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
     /// A lookup entered the walk engine.
@@ -179,23 +171,10 @@ pub enum Event {
 }
 
 impl Event {
-    /// The lookup id, for lookup-scoped events.
-    #[must_use]
-    pub fn lookup_id(&self) -> Option<u64> {
-        match self {
-            Event::LookupStart { lookup, .. }
-            | Event::Hop { lookup, .. }
-            | Event::Retry { lookup, .. }
-            | Event::Timeout { lookup, .. }
-            | Event::LookupEnd { lookup, .. } => Some(*lookup),
-            _ => None,
-        }
-    }
-
     /// Sets the lookup id on lookup-scoped events (no-op otherwise).
-    /// Deferred walks record events with a placeholder id of 0 and
-    /// stamp the stream-unique id at effect-apply time.
-    pub fn set_lookup_id(&mut self, id: u64) {
+    /// Deferred walks record events with a placeholder id of 0, which
+    /// [`Telemetry::record_lookup`] replaces.
+    fn set_lookup_id(&mut self, id: u64) {
         match self {
             Event::LookupStart { lookup, .. }
             | Event::Hop { lookup, .. }
@@ -207,7 +186,7 @@ impl Event {
     }
 
     /// Renders the event as a single-line JSON object (no trailing
-    /// newline), the format [`JsonlSink`] writes.
+    /// newline).
     #[must_use]
     pub fn to_json_line(&self) -> String {
         match self {
@@ -272,328 +251,104 @@ impl Event {
     }
 }
 
-/// Receives structured trace events.
-///
-/// Implementations must be cheap: the walk engine calls
-/// [`TraceSink::record`] inline on the lookup hot path whenever a sink is
-/// installed.
-pub trait TraceSink {
-    /// Receives one event.
-    fn record(&mut self, event: &Event);
-}
+const POISONED: &str = "telemetry poisoned";
 
-/// A sink that discards every event.
-///
-/// Useful for measuring the cost of event *construction* in isolation and
-/// for tests that need "a sink is installed" semantics without storage.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _event: &Event) {}
-}
-
-/// A bounded in-memory sink keeping the most recent events.
-///
-/// When full, the oldest event is evicted and counted in
-/// [`RingBufferSink::dropped`].
-#[derive(Debug, Clone)]
-pub struct RingBufferSink {
-    capacity: usize,
-    events: std::collections::VecDeque<Event>,
-    dropped: u64,
-}
-
-impl RingBufferSink {
-    /// A ring buffer holding at most `capacity` events (at least 1).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity: capacity.max(1),
-            events: std::collections::VecDeque::new(),
-            dropped: 0,
-        }
-    }
-
-    /// The retained events, oldest first.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<Event> {
-        self.events.iter().cloned().collect()
-    }
-
-    /// Events evicted because the buffer was full.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of retained events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events are retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Takes the retained events *together with* the number evicted
-    /// before them, leaving the sink empty.
-    ///
-    /// This is the read path consumers should prefer over
-    /// [`RingBufferSink::snapshot`]: a full buffer silently sheds its
-    /// oldest events, so any reader that only sees the retained suffix
-    /// can mistake a truncated trace for a complete one. The drain
-    /// couples the events with the drop count so truncation is always
-    /// visible ([`DrainedTrace::is_complete`]).
-    pub fn drain(&mut self) -> DrainedTrace {
-        let drained = DrainedTrace {
-            events: self.events.drain(..).collect(),
-            dropped: self.dropped,
-        };
-        self.dropped = 0;
-        drained
-    }
-}
-
-/// The output of [`RingBufferSink::drain`]: the retained events plus
-/// how many older events were evicted before them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DrainedTrace {
-    /// The retained events, oldest first.
+/// What an enabled [`Telemetry`] handle has recorded.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Record {
+    /// Trace events in apply order.
     pub events: Vec<Event>,
-    /// Events evicted because the buffer was full; `0` means `events`
-    /// is the complete stream.
-    pub dropped: u64,
+    /// Costs billed per phase.
+    pub phases: PhaseTable,
+    /// Lookups recorded, which is also the last lookup id handed out.
+    pub lookups: u64,
 }
 
-impl DrainedTrace {
-    /// Whether the trace is the complete stream (nothing was evicted).
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.dropped == 0
-    }
-}
-
-impl TraceSink for RingBufferSink {
-    fn record(&mut self, event: &Event) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event.clone());
-    }
-}
-
-/// A sink writing one JSON object per line to a [`Write`] target.
-///
-/// I/O errors are counted, not propagated — the walk engine cannot
-/// surface them mid-lookup.
-#[derive(Debug)]
-pub struct JsonlSink<W: Write> {
-    writer: W,
-    errors: u64,
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// Wraps `writer`.
-    pub fn new(writer: W) -> Self {
-        Self { writer, errors: 0 }
-    }
-
-    /// Write errors swallowed so far.
-    #[must_use]
-    pub fn errors(&self) -> u64 {
-        self.errors
-    }
-
-    /// Flushes and returns the underlying writer.
-    pub fn into_inner(mut self) -> W {
-        let _ = self.writer.flush();
-        self.writer
-    }
-}
-
-impl<W: Write> TraceSink for JsonlSink<W> {
-    fn record(&mut self, event: &Event) {
-        if writeln!(self.writer, "{}", event.to_json_line()).is_err() {
-            self.errors += 1;
-        }
-    }
-}
-
-/// Lets a caller install a sink it keeps shared access to:
-/// `SinkHandle::new` takes the sink by value, so shared inspection goes
-/// through an `Arc<Mutex<_>>` the caller clones first.
-impl<S: TraceSink> TraceSink for Arc<Mutex<S>> {
-    fn record(&mut self, event: &Event) {
-        self.lock().expect("sink poisoned").record(event);
-    }
-}
-
-struct SinkShared {
-    sink: Mutex<Box<dyn TraceSink + Send>>,
-    next_lookup: AtomicU64,
-}
-
-/// A cheaply clonable, possibly-disabled handle to a [`TraceSink`].
+/// A cheaply clonable, possibly-disabled handle to one shared
+/// [`Record`].
 ///
 /// This is what instrumented code holds. The default (disabled) handle
-/// is an `Option::None` — cloning it, checking it, and "emitting" through
-/// it are all no-ops, which is the zero-cost-when-disabled guarantee.
-/// All clones of an enabled handle share one sink and one lookup-id
-/// sequence.
+/// is an `Option::None`: cloning it, checking it, emitting and billing
+/// through it are all no-ops, which is the zero-cost-when-disabled
+/// guarantee. All clones of an enabled handle share one record.
 #[derive(Clone, Default)]
-pub struct SinkHandle {
-    inner: Option<Arc<SinkShared>>,
+pub struct Telemetry {
+    inner: Option<Arc<Mutex<Record>>>,
 }
 
-impl fmt::Debug for SinkHandle {
+impl fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SinkHandle")
+        f.debug_struct("Telemetry")
             .field("enabled", &self.is_enabled())
             .finish()
     }
 }
 
-impl SinkHandle {
+impl Telemetry {
     /// The disabled handle: every operation is a no-op.
     #[must_use]
     pub fn disabled() -> Self {
         Self { inner: None }
     }
 
-    /// A handle delivering events to `sink`.
-    ///
-    /// To keep inspecting the sink after installing it, wrap it in
-    /// `Arc<Mutex<_>>` first and hand the handle a clone:
+    /// A handle recording into a fresh shared [`Record`].
     ///
     /// ```
-    /// use std::sync::{Arc, Mutex};
-    /// use dht_core::obs::{Event, RingBufferSink, SinkHandle};
+    /// use dht_core::obs::{Event, Telemetry};
     ///
-    /// let ring = Arc::new(Mutex::new(RingBufferSink::new(16)));
-    /// let handle = SinkHandle::new(Arc::clone(&ring));
-    /// handle.emit(|| Event::Join { node: 7 });
-    /// assert_eq!(ring.lock().unwrap().len(), 1);
+    /// let telemetry = Telemetry::enabled();
+    /// telemetry.clone().emit(|| Event::Join { node: 7 });
+    /// assert_eq!(telemetry.read(|r| r.events.len()), Some(1));
     /// ```
     #[must_use]
-    pub fn new<S: TraceSink + Send + 'static>(sink: S) -> Self {
+    pub fn enabled() -> Self {
         Self {
-            inner: Some(Arc::new(SinkShared {
-                sink: Mutex::new(Box::new(sink)),
-                next_lookup: AtomicU64::new(1),
-            })),
+            inner: Some(Arc::default()),
         }
     }
 
-    /// Whether a sink is installed.
+    /// Whether anything is being recorded.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
 
-    /// Delivers `make()` to the sink, constructing the event only when a
-    /// sink is installed.
+    /// Records `make()`, constructing the event only when enabled.
     pub fn emit(&self, make: impl FnOnce() -> Event) {
-        if let Some(shared) = &self.inner {
+        if let Some(record) = &self.inner {
             let event = make();
-            shared.sink.lock().expect("sink poisoned").record(&event);
+            record.lock().expect(POISONED).events.push(event);
         }
     }
 
-    /// Hands out the next stream-unique lookup id, or `0` when disabled
-    /// (disabled runs never emit, so the id is never observed).
-    #[must_use]
-    pub fn next_lookup_id(&self) -> u64 {
-        match &self.inner {
-            Some(shared) => shared.next_lookup.fetch_add(1, Ordering::Relaxed),
-            None => 0,
-        }
-    }
-}
-
-/// Verbosity of the [`Progress`] logger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum LogLevel {
-    /// Print nothing.
-    Quiet,
-    /// Print per-experiment progress (the default).
-    Info,
-    /// Print additional detail.
-    Debug,
-}
-
-impl LogLevel {
-    /// Parses `"quiet"` / `"info"` / `"debug"` (case-insensitive).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "quiet" | "off" => Some(LogLevel::Quiet),
-            "info" => Some(LogLevel::Info),
-            "debug" => Some(LogLevel::Debug),
-            _ => None,
-        }
-    }
-}
-
-/// A leveled stderr progress logger with a fixed line prefix.
-///
-/// Replaces ad-hoc `eprintln!("[repro] ...")` lines: messages below the
-/// configured level are skipped, and the level can come from a CLI flag
-/// or an environment variable (see [`Progress::from_env`]).
-#[derive(Debug, Clone)]
-pub struct Progress {
-    prefix: &'static str,
-    level: LogLevel,
-}
-
-impl Progress {
-    /// A logger printing `[prefix] message` for messages at or below
-    /// `level`.
-    #[must_use]
-    pub fn new(prefix: &'static str, level: LogLevel) -> Self {
-        Self { prefix, level }
-    }
-
-    /// Like [`Progress::new`], but `env_var` (e.g. `REPRO_LOG`) overrides
-    /// `default` when set to a recognised level name. Unrecognised values
-    /// are ignored.
-    #[must_use]
-    pub fn from_env(prefix: &'static str, env_var: &str, default: LogLevel) -> Self {
-        let level = std::env::var(env_var)
-            .ok()
-            .and_then(|v| LogLevel::parse(&v))
-            .unwrap_or(default);
-        Self::new(prefix, level)
-    }
-
-    /// The active level.
-    #[must_use]
-    pub fn level(&self) -> LogLevel {
-        self.level
-    }
-
-    /// Whether `level` messages would print.
-    #[must_use]
-    pub fn enabled(&self, level: LogLevel) -> bool {
-        level != LogLevel::Quiet && level <= self.level
-    }
-
-    /// Prints an info-level progress line to stderr.
-    pub fn info(&self, msg: impl fmt::Display) {
-        if self.enabled(LogLevel::Info) {
-            eprintln!("[{}] {msg}", self.prefix);
+    /// Bills `make()` to `phase`, constructing the costs only when
+    /// enabled.
+    pub fn bill(&self, phase: Phase, make: impl FnOnce() -> PhaseCosts) {
+        if let Some(record) = &self.inner {
+            let costs = make();
+            let mut record = record.lock().expect(POISONED);
+            record.phases.get_mut(phase).absorb(&costs);
         }
     }
 
-    /// Prints a debug-level progress line to stderr.
-    pub fn debug(&self, msg: impl fmt::Display) {
-        if self.enabled(LogLevel::Debug) {
-            eprintln!("[{}] {msg}", self.prefix);
+    /// Records one lookup's events under the next lookup id.
+    pub(crate) fn record_lookup(&self, events: Vec<Event>) {
+        if let Some(record) = &self.inner {
+            let mut record = record.lock().expect(POISONED);
+            record.lookups += 1;
+            let id = record.lookups;
+            record.events.extend(events.into_iter().map(|mut event| {
+                event.set_lookup_id(id);
+                event
+            }));
         }
+    }
+
+    /// Reads the record, or `None` when disabled.
+    pub fn read<R>(&self, f: impl FnOnce(&Record) -> R) -> Option<R> {
+        self.inner
+            .as_ref()
+            .map(|record| f(&record.lock().expect(POISONED)))
     }
 }
 
@@ -652,147 +407,92 @@ mod tests {
 
     #[test]
     fn disabled_handle_is_inert() {
-        let h = SinkHandle::disabled();
-        assert!(!h.is_enabled());
-        assert_eq!(h.next_lookup_id(), 0);
-        assert_eq!(h.next_lookup_id(), 0);
+        let t = Telemetry::disabled();
+        assert!(!t.is_enabled());
+        assert!(!Telemetry::default().is_enabled());
         let mut constructed = false;
-        h.emit(|| {
+        t.emit(|| {
             constructed = true;
             Event::Join { node: 1 }
         });
-        assert!(!constructed, "disabled handle must not build events");
+        t.bill(Phase::Lookup, || {
+            constructed = true;
+            PhaseCosts::default()
+        });
+        t.record_lookup(sample_events());
+        assert!(
+            !constructed,
+            "disabled handle must not build events or bills"
+        );
+        assert_eq!(t.read(|r| r.lookups), None);
         // Clones of a disabled handle are independent no-ops too.
-        let h2 = h.clone();
-        assert!(!h2.is_enabled());
+        assert!(!t.clone().is_enabled());
     }
 
     #[test]
-    fn default_handle_is_disabled() {
-        assert!(!SinkHandle::default().is_enabled());
-    }
-
-    #[test]
-    fn clones_share_sink_and_id_sequence() {
-        let ring = Arc::new(Mutex::new(RingBufferSink::new(8)));
-        let h = SinkHandle::new(Arc::clone(&ring));
-        let h2 = h.clone();
-        assert_eq!(h.next_lookup_id(), 1);
-        assert_eq!(h2.next_lookup_id(), 2, "clones share one sequence");
-        h.emit(|| Event::Join { node: 1 });
-        h2.emit(|| Event::Join { node: 2 });
-        let events = ring.lock().unwrap().snapshot();
+    fn clones_share_one_record() {
+        let t = Telemetry::enabled();
+        let t2 = t.clone();
+        t.emit(|| Event::Join { node: 1 });
+        t2.emit(|| Event::Join { node: 2 });
+        t.bill(Phase::Lookup, || PhaseCosts {
+            calls: 1,
+            msgs: 3,
+            ..PhaseCosts::default()
+        });
+        t2.bill(Phase::Repair, || PhaseCosts {
+            repair_entries: 2,
+            msgs: 2,
+            ..PhaseCosts::default()
+        });
+        let record = t.read(Record::clone).expect("enabled");
         assert_eq!(
-            events,
+            record.events,
             vec![Event::Join { node: 1 }, Event::Join { node: 2 }]
         );
+        assert_eq!(record.phases.get(Phase::Lookup).msgs, 3);
+        assert_eq!(record.phases.get(Phase::Repair).repair_entries, 2);
+        assert_eq!(record.phases.total().msgs, 5);
     }
 
     #[test]
-    fn ring_buffer_evicts_oldest_and_counts_drops() {
-        let mut ring = RingBufferSink::new(2);
-        for node in 0..5u64 {
-            ring.record(&Event::Join { node });
+    fn record_lookup_stamps_one_id_per_lookup_on_lookup_events_only() {
+        let t = Telemetry::enabled();
+        let zeroed: Vec<Event> = sample_events()
+            .into_iter()
+            .map(|mut e| {
+                e.set_lookup_id(0);
+                e
+            })
+            .collect();
+        t.record_lookup(zeroed.clone());
+        t.clone().record_lookup(zeroed);
+        let record = t.read(Record::clone).expect("enabled");
+        assert_eq!(record.lookups, 2, "clones share one id sequence");
+        let (first, second) = record.events.split_at(sample_events().len());
+        assert_eq!(first, sample_events(), "lookup events carry id 1");
+        for (got, want) in second.iter().zip(sample_events()) {
+            let mut want = want;
+            want.set_lookup_id(2);
+            assert_eq!(*got, want);
         }
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.dropped(), 3);
-        assert_eq!(
-            ring.snapshot(),
-            vec![Event::Join { node: 3 }, Event::Join { node: 4 }]
-        );
     }
 
     #[test]
-    fn ring_buffer_drain_surfaces_drops_at_capacity_boundary() {
-        // Exactly at capacity: nothing dropped, trace complete.
-        let mut ring = RingBufferSink::new(3);
-        for node in 0..3u64 {
-            ring.record(&Event::Join { node });
-        }
-        let full = ring.drain();
-        assert!(full.is_complete());
-        assert_eq!(full.dropped, 0);
-        assert_eq!(full.events.len(), 3);
-        assert!(ring.is_empty(), "drain empties the sink");
-
-        // One past capacity: the eviction must be visible in the drain.
-        for node in 0..4u64 {
-            ring.record(&Event::Join { node });
-        }
-        let truncated = ring.drain();
-        assert!(!truncated.is_complete());
-        assert_eq!(truncated.dropped, 1);
-        assert_eq!(
-            truncated.events,
-            vec![
-                Event::Join { node: 1 },
-                Event::Join { node: 2 },
-                Event::Join { node: 3 }
-            ]
-        );
-        // The drain resets the drop counter for the next window.
-        ring.record(&Event::Join { node: 9 });
-        assert!(ring.drain().is_complete());
-    }
-
-    #[test]
-    fn jsonl_sink_writes_parseable_lines() {
-        let mut sink = JsonlSink::new(Vec::new());
-        for e in sample_events() {
-            sink.record(&e);
-        }
-        assert_eq!(sink.errors(), 0);
-        let bytes = sink.into_inner();
-        let text = String::from_utf8(bytes).unwrap();
-        let lines: Vec<_> = text.lines().collect();
-        assert_eq!(lines.len(), sample_events().len());
-        for line in &lines {
-            let doc = json::parse(line).expect("every event line is valid JSON");
+    fn json_lines_parse() {
+        let events = sample_events();
+        for e in &events {
+            let line = e.to_json_line();
+            let doc = json::parse(&line).expect("every event line is valid JSON");
             assert!(
                 doc.get("ev").and_then(json::Json::as_str).is_some(),
                 "every line carries an 'ev' tag: {line}"
             );
         }
-        assert!(lines[0].contains("\"ev\":\"lookup_start\""));
-        assert!(lines[1].contains("\"phase\":\"ascending\""));
-        assert!(lines[3].contains("\"kind\":\"stale\""));
-        assert!(lines[4].contains("\"outcome\":\"found\""));
-    }
-
-    #[test]
-    fn lookup_id_scoping() {
-        for e in sample_events() {
-            match e {
-                Event::Join { .. }
-                | Event::Leave { .. }
-                | Event::StabilizeRound { .. }
-                | Event::AuditRun { .. } => assert_eq!(e.lookup_id(), None),
-                _ => assert_eq!(e.lookup_id(), Some(1)),
-            }
-        }
-    }
-
-    #[test]
-    fn log_level_parse_and_order() {
-        assert_eq!(LogLevel::parse("quiet"), Some(LogLevel::Quiet));
-        assert_eq!(LogLevel::parse("INFO"), Some(LogLevel::Info));
-        assert_eq!(LogLevel::parse("Debug"), Some(LogLevel::Debug));
-        assert_eq!(LogLevel::parse("nope"), None);
-        assert!(LogLevel::Quiet < LogLevel::Info);
-        assert!(LogLevel::Info < LogLevel::Debug);
-    }
-
-    #[test]
-    fn progress_levels_gate_output() {
-        let quiet = Progress::new("t", LogLevel::Quiet);
-        assert!(!quiet.enabled(LogLevel::Info));
-        assert!(!quiet.enabled(LogLevel::Quiet), "quiet never prints");
-        let info = Progress::new("t", LogLevel::Info);
-        assert!(info.enabled(LogLevel::Info));
-        assert!(!info.enabled(LogLevel::Debug));
-        let debug = Progress::new("t", LogLevel::Debug);
-        assert!(debug.enabled(LogLevel::Info));
-        assert!(debug.enabled(LogLevel::Debug));
+        assert!(events[0].to_json_line().contains("\"ev\":\"lookup_start\""));
+        assert!(events[1].to_json_line().contains("\"phase\":\"ascending\""));
+        assert!(events[3].to_json_line().contains("\"kind\":\"stale\""));
+        assert!(events[4].to_json_line().contains("\"outcome\":\"found\""));
     }
 
     #[test]

@@ -8,12 +8,11 @@
 //! microsecond of virtual time is attributed to the [`Phase`] that
 //! caused it.
 //!
-//! The [`PhaseAccountant`] follows the same zero-cost-when-disabled
-//! contract as [`crate::obs::SinkHandle`]: the default handle holds
-//! nothing, recording through it is a no-op that constructs no bill,
-//! and enabling it changes no routing decision — the walk engine reads
-//! state through the same paths either way, so goldens stay
-//! byte-identical (pinned by `tests/phase_accounting.rs`).
+//! Costs are billed through [`crate::obs::Telemetry::bill`] into the
+//! [`PhaseTable`] of the handle's record: a disabled handle constructs
+//! no bill, and an enabled one changes no routing decision — the walk
+//! engine reads state through the same paths either way (pinned by
+//! `tests/phase_accounting.rs`).
 //!
 //! # Message-count conventions
 //!
@@ -39,7 +38,6 @@
 //!   measurement-side activity with no virtual cost.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
 /// The activity a cost is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -191,133 +189,25 @@ impl PhaseTable {
     }
 }
 
-struct AccountantShared {
-    table: Mutex<PhaseTable>,
-}
-
-/// A cheaply clonable, possibly-disabled handle to a [`PhaseTable`].
-///
-/// Mirrors [`crate::obs::SinkHandle`]: the default (disabled) handle is
-/// an `Option::None`, so cloning, checking, and "billing" through it
-/// are all no-ops. All clones of an enabled handle share one table.
-#[derive(Clone, Default)]
-pub struct PhaseAccountant {
-    inner: Option<Arc<AccountantShared>>,
-}
-
-impl fmt::Debug for PhaseAccountant {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PhaseAccountant")
-            .field("enabled", &self.is_enabled())
-            .finish()
-    }
-}
-
-impl PhaseAccountant {
-    /// The disabled handle: every operation is a no-op.
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self { inner: None }
-    }
-
-    /// A handle billing into a fresh shared table.
-    #[must_use]
-    pub fn enabled() -> Self {
-        Self {
-            inner: Some(Arc::new(AccountantShared {
-                table: Mutex::new(PhaseTable::new()),
-            })),
-        }
-    }
-
-    /// Whether costs are being collected.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Bills `make()` to `phase`, constructing the costs only when
-    /// accounting is enabled.
-    pub fn bill(&self, phase: Phase, make: impl FnOnce() -> PhaseCosts) {
-        if let Some(shared) = &self.inner {
-            let costs = make();
-            shared
-                .table
-                .lock()
-                .expect("phase table poisoned")
-                .get_mut(phase)
-                .absorb(&costs);
-        }
-    }
-
-    /// A copy of the current table, or `None` when disabled.
-    #[must_use]
-    pub fn snapshot(&self) -> Option<PhaseTable> {
-        self.inner
-            .as_ref()
-            .map(|s| s.table.lock().expect("phase table poisoned").clone())
-    }
-
-    /// Clears the table (no-op when disabled).
-    pub fn reset(&self) {
-        if let Some(shared) = &self.inner {
-            *shared.table.lock().expect("phase table poisoned") = PhaseTable::new();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn disabled_accountant_is_inert() {
-        let acct = PhaseAccountant::disabled();
-        assert!(!acct.is_enabled());
-        let mut constructed = false;
-        acct.bill(Phase::Lookup, || {
-            constructed = true;
-            PhaseCosts::default()
-        });
-        assert!(!constructed, "disabled accountant must not build bills");
-        assert!(acct.snapshot().is_none());
-        assert!(!PhaseAccountant::default().is_enabled());
-    }
-
-    #[test]
-    fn clones_share_one_table() {
-        let acct = PhaseAccountant::enabled();
-        let clone = acct.clone();
-        acct.bill(Phase::Lookup, || PhaseCosts {
-            calls: 1,
-            msgs: 3,
-            ..PhaseCosts::default()
-        });
-        clone.bill(Phase::Repair, || PhaseCosts {
-            repair_entries: 2,
-            msgs: 2,
-            ..PhaseCosts::default()
-        });
-        let table = acct.snapshot().expect("enabled");
-        assert_eq!(table.get(Phase::Lookup).msgs, 3);
-        assert_eq!(table.get(Phase::Repair).repair_entries, 2);
-        assert_eq!(table.total().msgs, 5);
-    }
-
-    #[test]
-    fn merge_and_reset() {
-        let acct = PhaseAccountant::enabled();
-        acct.bill(Phase::Stabilize, || PhaseCosts {
+    fn merge_adds_every_cell() {
+        let mut table = PhaseTable::new();
+        table.get_mut(Phase::Stabilize).absorb(&PhaseCosts {
             calls: 4,
             msgs: 40,
             ..PhaseCosts::default()
         });
         let mut merged = PhaseTable::new();
-        merged.merge(&acct.snapshot().unwrap());
-        merged.merge(&acct.snapshot().unwrap());
+        merged.merge(&table);
+        merged.merge(&table);
         assert_eq!(merged.get(Phase::Stabilize).msgs, 80);
-        acct.reset();
-        assert!(acct.snapshot().unwrap().is_empty());
+        assert_eq!(merged.get(Phase::Stabilize).calls, 8);
+        assert!(!merged.is_empty());
+        assert!(PhaseTable::new().is_empty());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::audit::{AuditReport, AuditScope};
 use crate::corrupt::{CorruptionPlan, CorruptionReport};
 use crate::lookup::LookupTrace;
 use crate::net::NetConditions;
-use crate::obs::{PhaseAccountant, SinkHandle};
+use crate::obs::Telemetry;
 use crate::sim::{LookupCursor, WalkEffects};
 
 /// Opaque, overlay-assigned identity of a live node.
@@ -115,7 +115,7 @@ pub trait Overlay {
     /// repeats and departed tokens included, but each node's ordered
     /// searches start where the last node's ended. Returns the
     /// [`Overlay::maintenance_msgs`] of the run, each node's read just
-    /// before its own refresh — 0 while the accountant is off.
+    /// before its own refresh — 0 while telemetry is off.
     fn stabilize_nodes(&mut self, nodes: &[NodeToken]) -> u64;
 
     /// Audits every node's routing state against the overlay's
@@ -167,23 +167,16 @@ pub trait Overlay {
     /// Replaces the network conditions every subsequent lookup runs under.
     fn set_net_conditions(&mut self, net: NetConditions);
 
-    /// The trace sink handle lookups emit structured events through
-    /// (see [`crate::obs`]); disabled until one is installed.
-    fn trace_sink(&self) -> SinkHandle;
+    /// The telemetry handle lookups record trace events into and every
+    /// lookup, stabilization pass, repair, and membership change bills
+    /// its costs into (see [`crate::obs`]); disabled until one is
+    /// installed. Handles are cheap clones (`Option<Arc<_>>`), so this
+    /// returns by value.
+    fn telemetry(&self) -> Telemetry;
 
-    /// Installs a trace sink handle. Pass [`SinkHandle::disabled`] to
-    /// turn tracing back off.
-    fn set_trace_sink(&mut self, sink: SinkHandle);
-
-    /// The per-phase cost accountant every lookup, stabilization pass,
-    /// repair, and membership change bills into (see
-    /// [`crate::obs::phase`]); disabled until one is installed. Handles
-    /// are cheap clones (`Option<Arc<_>>`), so this returns by value.
-    fn phase_accountant(&self) -> PhaseAccountant;
-
-    /// Installs a phase accountant handle. Pass
-    /// [`PhaseAccountant::disabled`] to turn accounting back off.
-    fn set_phase_accountant(&mut self, acct: PhaseAccountant);
+    /// Installs a telemetry handle. Pass [`Telemetry::disabled`] to
+    /// turn recording back off.
+    fn set_telemetry(&mut self, telemetry: Telemetry);
 
     /// Messages one maintenance pass over `node`'s routing links costs
     /// — the hook behind the Stabilize/Repair/Join/Leave message

@@ -82,7 +82,7 @@ use crate::audit::{AuditReport, AuditScope, StateAudit};
 use crate::corrupt::{CorruptionPlan, CorruptionReport};
 use crate::lookup::{HopPhase, LookupOutcome, LookupTrace};
 use crate::net::NetConditions;
-use crate::obs::{PhaseAccountant, SinkHandle};
+use crate::obs::Telemetry;
 use crate::overlay::{NodeToken, Overlay};
 use crate::store::{Hints, Pos};
 
@@ -513,7 +513,7 @@ impl<T: SimOverlay> Overlay for T {
     }
 
     fn stabilize_nodes(&mut self, nodes: &[NodeToken]) -> u64 {
-        let billed = self.membership().accountant.is_enabled();
+        let billed = self.membership().telemetry.is_enabled();
         let mut hints = Hints::default();
         let mut msgs = 0;
         for &node in nodes {
@@ -559,20 +559,12 @@ impl<T: SimOverlay> Overlay for T {
         self.membership_mut().net = net;
     }
 
-    fn trace_sink(&self) -> SinkHandle {
-        self.membership().sink.clone()
+    fn telemetry(&self) -> Telemetry {
+        self.membership().telemetry.clone()
     }
 
-    fn set_trace_sink(&mut self, sink: SinkHandle) {
-        self.membership_mut().sink = sink;
-    }
-
-    fn phase_accountant(&self) -> PhaseAccountant {
-        self.membership().accountant.clone()
-    }
-
-    fn set_phase_accountant(&mut self, acct: PhaseAccountant) {
-        self.membership_mut().accountant = acct;
+    fn set_telemetry(&mut self, telemetry: Telemetry) {
+        self.membership_mut().telemetry = telemetry;
     }
 
     fn maintenance_msgs(&self, node: NodeToken) -> u64 {

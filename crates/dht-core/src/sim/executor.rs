@@ -180,7 +180,7 @@ fn route_shard<T: SimOverlay + ?Sized>(
 mod tests {
     use super::*;
     use crate::net::{DelayModel, FaultPlan, NetConditions, RetryPolicy};
-    use crate::obs::SinkHandle;
+    use crate::obs::Telemetry;
     use crate::sim::fixture::{walk_key, StaleRing};
     use crate::sim::HopRepair;
 
@@ -208,19 +208,17 @@ mod tests {
     /// (rendered), query loads, and the `repair_on_use` calls.
     type BatchRecord = (Vec<String>, Vec<String>, Vec<u64>, Vec<HopRepair>);
 
-    /// Routes `reqs` on a fresh [`contested_ring`] with an event sink
-    /// installed and records what the batch left behind.
+    /// Routes `reqs` on a fresh [`contested_ring`] with telemetry
+    /// enabled and records what the batch left behind.
     fn batch_record(
         reqs: &[(NodeToken, u64)],
         route: impl FnOnce(&mut StaleRing, &[(NodeToken, u64)]) -> Vec<LookupTrace>,
     ) -> BatchRecord {
-        use crate::obs::RingBufferSink;
-        use std::sync::{Arc, Mutex};
         let mut ring = contested_ring();
-        let sink = Arc::new(Mutex::new(RingBufferSink::new(4096)));
-        ring.membership_mut().sink = SinkHandle::new(Arc::clone(&sink));
+        let telemetry = Telemetry::enabled();
+        ring.membership_mut().telemetry = telemetry.clone();
         let traces = route(&mut ring, reqs);
-        let events = sink.lock().unwrap().snapshot();
+        let events = telemetry.read(|r| r.events.clone()).unwrap();
         (
             traces.iter().map(|t| format!("{t:?}")).collect(),
             events.iter().map(|e| format!("{e:?}")).collect(),

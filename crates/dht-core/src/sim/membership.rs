@@ -1,18 +1,18 @@
 //! The node arena: [`Membership`] is a [`CompactStore`] plus the three
 //! things every overlay keeps next to its nodes — the identifier
-//! allocator, the network conditions and the observability handles.
+//! allocator, the network conditions and the telemetry handle.
 
 use crate::hash::IdAllocator;
 use crate::inline::InlineVec;
 use crate::net::NetConditions;
-use crate::obs::{PhaseAccountant, SinkHandle};
+use crate::obs::Telemetry;
 use crate::overlay::NodeToken;
 use crate::store::{CompactStore, Pos};
 
 /// The node arena shared by every overlay simulator: live node states
 /// keyed by [`NodeToken`] with their query-load counters (the `store`),
 /// the deterministic identifier allocator used by joins, and the
-/// per-overlay network conditions and observability handles.
+/// per-overlay network conditions and telemetry handle.
 ///
 /// Reads and writes of nodes and loads go to the `store` directly, by
 /// its own names; the methods here are only those that compute
@@ -27,29 +27,25 @@ pub struct Membership<S> {
     alloc: IdAllocator,
     /// The network conditions lookups run under; the walk engine takes
     /// lookup indices (the fault-draw keys) from it. Outside the crate,
-    /// this and the two handles below are set through `Overlay` only.
+    /// this and the handle below are set through `Overlay` only.
     pub(crate) net: NetConditions,
-    /// The trace sink the walk engine emits structured events through
-    /// (see [`crate::obs`]); disabled by default.
-    pub(crate) sink: SinkHandle,
-    /// The accountant the walk engine and maintenance drivers bill
-    /// per-phase costs into (see [`crate::obs::phase`]); disabled by
-    /// default.
-    pub(crate) accountant: PhaseAccountant,
+    /// The handle the walk engine and maintenance drivers record trace
+    /// events and per-phase costs into (see [`crate::obs`]); disabled
+    /// by default.
+    pub(crate) telemetry: Telemetry,
 }
 
 impl<S> Membership<S> {
     /// Empty membership whose identifier allocator is seeded with
     /// `seed`. Network conditions start ideal (no message faults) and
-    /// tracing and accounting start disabled.
+    /// telemetry starts disabled.
     #[must_use]
     pub fn new(seed: u64) -> Self {
         Self {
             store: CompactStore::new(),
             alloc: IdAllocator::new(seed),
             net: NetConditions::ideal(),
-            sink: SinkHandle::disabled(),
-            accountant: PhaseAccountant::disabled(),
+            telemetry: Telemetry::disabled(),
         }
     }
 

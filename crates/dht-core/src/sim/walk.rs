@@ -54,12 +54,12 @@ pub struct WalkEffects {
     /// Terminal of an exhausted walk (no live candidate), for
     /// [`SimOverlay::record_exhausted`].
     pub exhausted: Option<NodeToken>,
-    /// Trace events in emission order (empty when tracing is off).
+    /// Trace events in emission order (empty when telemetry is off).
     pub events: Vec<Event>,
-    /// The walk's [`Phase::Lookup`] bill, recorded only when the
-    /// overlay's [`crate::obs::PhaseAccountant`] was enabled at walk
-    /// start (the same snapshot discipline as `events`); billed at apply
-    /// time so parallel walks account in canonical workload order.
+    /// The walk's [`Phase::Lookup`] bill, recorded like `events` only
+    /// when the overlay's [`crate::obs::Telemetry`] was enabled at walk
+    /// start; billed at apply time so parallel walks account in
+    /// canonical workload order.
     pub bill: Option<PhaseCosts>,
 }
 
@@ -113,10 +113,10 @@ pub fn walk_from<T: SimOverlay + ?Sized>(
 }
 
 /// Plays a [`WalkEffects`] record back against the overlay: query-load
-/// increments, repair-on-use, exhaustion accounting, and trace-event
-/// emission (stamping the stream-unique lookup id). Application order
-/// across walks defines the canonical byte stream, so callers must
-/// apply records in workload order.
+/// increments, repair-on-use, exhaustion accounting, the walk's bills
+/// and its trace events (stamped with the next lookup id). Application
+/// order across walks defines the canonical byte stream, so callers
+/// must apply records in workload order.
 pub fn apply_effects<T: SimOverlay + ?Sized>(net: &mut T, fx: WalkEffects) {
     let WalkEffects {
         queried,
@@ -128,19 +128,18 @@ pub fn apply_effects<T: SimOverlay + ?Sized>(net: &mut T, fx: WalkEffects) {
     for &node in &queried {
         net.membership_mut().store.add_load(node, 1);
     }
+    let telemetry = net.membership().telemetry.clone();
     // Repair-on-use costs are billed to `Repair`, not `Lookup`: the
     // lookup only *detected* the stale entries; rewriting them is
     // maintenance work (one message per evicted entry).
     if !repairs.is_empty() {
         let entries: u64 = repairs.iter().map(|r| r.timed_out.len() as u64).sum();
-        net.membership()
-            .accountant
-            .bill(Phase::Repair, || PhaseCosts {
-                calls: repairs.len() as u64,
-                msgs: entries,
-                repair_entries: entries,
-                ..PhaseCosts::default()
-            });
+        telemetry.bill(Phase::Repair, || PhaseCosts {
+            calls: repairs.len() as u64,
+            msgs: entries,
+            repair_entries: entries,
+            ..PhaseCosts::default()
+        });
     }
     for r in &repairs {
         net.repair_on_use(r.from, r.phase, r.to, &r.timed_out);
@@ -149,16 +148,9 @@ pub fn apply_effects<T: SimOverlay + ?Sized>(net: &mut T, fx: WalkEffects) {
         net.record_exhausted(terminal);
     }
     if let Some(costs) = bill {
-        net.membership().accountant.bill(Phase::Lookup, || costs);
+        telemetry.bill(Phase::Lookup, || costs);
     }
-    if !events.is_empty() {
-        let sink = net.membership().sink.clone();
-        let id = sink.next_lookup_id();
-        for mut event in events {
-            event.set_lookup_id(id);
-            sink.emit(move || event);
-        }
-    }
+    telemetry.record_lookup(events);
 }
 
 /// One advance of a suspended walk (see [`WalkCursor::step`]), tagged
@@ -203,15 +195,14 @@ pub struct WalkCursor<W> {
     outcome: Option<LookupOutcome>,
     lookup_index: u64,
     count_loads: bool,
-    record_events: bool,
-    bill_phase: bool,
+    record: bool,
     conditions: NetConditions,
     budget: usize,
 }
 
 impl<W> WalkCursor<W> {
     /// Starts a walk at the live node `src` with an initialized walk
-    /// state. Snapshots the overlay's network conditions and sink
+    /// state. Snapshots the overlay's network conditions and telemetry
     /// enablement; `lookup_index` keys the fault draws.
     ///
     /// # Panics
@@ -228,14 +219,13 @@ impl<W> WalkCursor<W> {
             net.membership().store.contains(src),
             "lookup source {src} is not live"
         );
-        // Record events only when a sink is installed, preserving the
-        // zero-cost-when-disabled guarantee. Ids are stamped at apply
-        // time. Phase billing snapshots enablement the same way.
-        let record_events = net.membership().sink.is_enabled();
-        let bill_phase = net.membership().accountant.is_enabled();
+        // Record events and the bill only when telemetry is enabled,
+        // preserving the zero-cost-when-disabled guarantee. Ids are
+        // stamped at apply time.
+        let record = net.membership().telemetry.is_enabled();
         let conditions = net.membership().net;
         let mut fx = WalkEffects::default();
-        if record_events {
+        if record {
             fx.events.push(Event::LookupStart {
                 lookup: 0,
                 src,
@@ -255,8 +245,7 @@ impl<W> WalkCursor<W> {
             outcome: None,
             lookup_index,
             count_loads,
-            record_events,
-            bill_phase,
+            record,
             conditions,
             budget: net.hop_budget(),
         }
@@ -344,7 +333,7 @@ impl<W> WalkCursor<W> {
                     self.timeouts += 1;
                     self.costs.absorb_stale(self.conditions.stale_wait_us());
                     scratch.step_dead.push(cand);
-                    if self.record_events {
+                    if self.record {
                         self.fx.events.push(Event::Timeout {
                             lookup: 0,
                             target: cand,
@@ -363,7 +352,7 @@ impl<W> WalkCursor<W> {
             // is independent of every other contact.
             let contact = self.conditions.contact(self.lookup_index, cand);
             self.costs.absorb(&contact);
-            if self.record_events && contact.attempts > 1 {
+            if self.record && contact.attempts > 1 {
                 self.fx.events.push(Event::Retry {
                     lookup: 0,
                     target: cand,
@@ -375,7 +364,7 @@ impl<W> WalkCursor<W> {
                 // is alive, so it must NOT be reported through
                 // `timed_out` — repair-on-use evicting it would
                 // let the fault layer mutate routing state.
-                if self.record_events {
+                if self.record {
                     self.fx.events.push(Event::Timeout {
                         lookup: 0,
                         target: cand,
@@ -399,7 +388,7 @@ impl<W> WalkCursor<W> {
                         timed_out: scratch.step_dead.clone(),
                     });
                 }
-                if self.record_events {
+                if self.record {
                     self.fx.events.push(Event::Hop {
                         lookup: 0,
                         index: self.hops.len() as u32,
@@ -448,12 +437,11 @@ impl<W> WalkCursor<W> {
             costs,
             mut fx,
             outcome,
-            record_events,
-            bill_phase,
+            record,
             ..
         } = self;
         let outcome = outcome.expect("finishing an unfinished walk");
-        if record_events {
+        if record {
             fx.events.push(Event::LookupEnd {
                 lookup: 0,
                 outcome,
@@ -462,8 +450,6 @@ impl<W> WalkCursor<W> {
                 timeouts,
                 latency_us: costs.latency_us,
             });
-        }
-        if bill_phase {
             // Message convention (see `crate::obs::phase`): one per hop
             // taken, one per extra send attempt, one per timed-out
             // contact (stale entry or exhausted retries).
@@ -553,7 +539,7 @@ impl<T: SimOverlay> LookupCursor for TypedCursor<T> {
 mod tests {
     use super::*;
     use crate::net::{DelayModel, FaultPlan, RetryPolicy};
-    use crate::obs::SinkHandle;
+    use crate::obs::Telemetry;
     use crate::sim::fixture::{walk_key, StaleRing};
 
     #[test]
@@ -597,14 +583,12 @@ mod tests {
 
     #[test]
     fn walk_emits_structured_events_matching_the_trace() {
-        use crate::obs::RingBufferSink;
-        use std::sync::{Arc, Mutex};
         let mut net = StaleRing::with_tokens(&[0, 16, 32, 48], 64);
         assert!(net.node_leave(16));
-        let ring = Arc::new(Mutex::new(RingBufferSink::new(256)));
-        net.membership_mut().sink = SinkHandle::new(Arc::clone(&ring));
+        let telemetry = Telemetry::enabled();
+        net.membership_mut().telemetry = telemetry.clone();
         let trace = walk_key(&mut net, 0, 40, true);
-        let events = ring.lock().unwrap().snapshot();
+        let events = telemetry.read(|r| r.events.clone()).unwrap();
         // Exactly one lookup: start, per-hop, one stale timeout, end.
         assert!(matches!(
             events.first(),
@@ -660,19 +644,16 @@ mod tests {
 
     #[test]
     fn tracing_does_not_change_routing() {
-        use crate::obs::NullSink;
-        let run = |sink: Option<SinkHandle>| {
+        let run = |telemetry: Telemetry| {
             let mut ring = StaleRing::with_tokens(&[0, 16, 32, 48], 64);
             assert!(ring.node_leave(16));
-            if let Some(s) = sink {
-                ring.membership_mut().sink = s;
-            }
+            ring.membership_mut().telemetry = telemetry;
             (0..24u64)
                 .map(|key| walk_key(&mut ring, 0, key, true))
                 .collect::<Vec<_>>()
         };
-        let silent = run(None);
-        let traced = run(Some(SinkHandle::new(NullSink)));
+        let silent = run(Telemetry::disabled());
+        let traced = run(Telemetry::enabled());
         for (a, b) in silent.iter().zip(&traced) {
             assert_eq!(a.hops, b.hops);
             assert_eq!(a.outcome, b.outcome);

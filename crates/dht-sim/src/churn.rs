@@ -42,7 +42,7 @@ use dht_core::clock::{exp_delay, EventQueue, SimTime, SECOND};
 use dht_core::hash::splitmix64;
 use dht_core::lookup::LookupTrace;
 use dht_core::net::NetConditions;
-use dht_core::obs::{Event as TraceEvent, Phase, PhaseAccountant, PhaseCosts, SinkHandle};
+use dht_core::obs::{Event as TraceEvent, Phase, PhaseCosts, Telemetry};
 use dht_core::overlay::{NodeToken, Overlay};
 use dht_core::sim::{CursorStep, LookupCursor};
 use rand::{Rng, RngCore};
@@ -79,10 +79,14 @@ pub struct ChurnParams {
     /// Network conditions (fault plan + retry policy) lookups run under,
     /// so message loss and churn compose. Default: an ideal network.
     pub conditions: NetConditions,
-    /// Trace sink installed on the overlay for the run: the walk engine
-    /// emits lookup events through it, and the churn engine adds
-    /// `Join`/`Leave`/`StabilizeRound`/`AuditRun`. Default: disabled.
-    pub sink: SinkHandle,
+    /// Telemetry installed on the overlay for the run. The walk engine
+    /// records lookup events into it and the churn engine adds
+    /// `Join`/`Leave`/`StabilizeRound`/`AuditRun`; every lookup,
+    /// stabilization sweep, repair, join, leave, and audit bills its
+    /// messages and virtual time to its [`Phase`]. Like every disabled
+    /// handle, the default records nothing and changes no routing
+    /// result. Default: disabled.
+    pub telemetry: Telemetry,
     /// Worker-thread cap for lookup batches. Lookups arriving between two
     /// membership/stabilization events are independent reads, so the
     /// engine buffers them and routes each batch through
@@ -102,12 +106,6 @@ pub struct ChurnParams {
     /// difference is that repaired entries are counted into
     /// [`ChurnOutcome::repair_entries`]. Default: false.
     pub repair: bool,
-    /// Per-phase cost accountant installed on the overlay for the run:
-    /// every lookup, stabilization sweep, repair, join, leave, and audit
-    /// bills its messages and virtual time to its [`Phase`]. Like the
-    /// sink, the disabled default records nothing and changes no routing
-    /// result. Default: disabled.
-    pub accountant: PhaseAccountant,
     /// Telemetry sampling cadence in virtual µs: every `sample_every_us`
     /// of simulated time, a read-only [`ChurnSample`] snapshot is pushed
     /// into [`ChurnOutcome::samples`]. The sampler draws no RNG, mutates
@@ -127,11 +125,10 @@ impl Default for ChurnParams {
             warmup_lookups: 200,
             audit: false,
             conditions: NetConditions::ideal(),
-            sink: SinkHandle::disabled(),
+            telemetry: Telemetry::disabled(),
             jobs: 1,
             time: TimeModel::default(),
             repair: false,
-            accountant: PhaseAccountant::disabled(),
             sample_every_us: 0,
         }
     }
@@ -149,7 +146,7 @@ pub struct ChurnSample {
     pub live_nodes: u64,
     /// Cumulative messages billed per phase, indexed in
     /// [`dht_core::obs::ALL_PHASES`] order. All-zero when the run's
-    /// [`ChurnParams::accountant`] is disabled.
+    /// [`ChurnParams::telemetry`] is disabled.
     pub phase_msgs: [u64; 6],
     /// Median per-node query load (nearest rank over live nodes).
     pub load_p50: u64,
@@ -254,11 +251,11 @@ enum Event {
 }
 
 /// One timed online audit pass: merged into the accumulated report,
-/// its wall clock added to `audit_us`, billed (when accounting is on)
-/// to [`Phase::Audit`] — one message per invariant check, no virtual
-/// time — and announced through the sink. Returns the number of
+/// its wall clock added to `audit_us`, and, when telemetry is on,
+/// recorded as an `AuditRun` event and billed to [`Phase::Audit`] — one
+/// message per invariant check, no virtual time. Returns the number of
 /// violations this pass found; no-op returning 0 when auditing is off.
-fn audit_pass(overlay: &mut dyn Overlay, outcome: &mut ChurnOutcome, sink: &SinkHandle) -> u64 {
+fn audit_pass(overlay: &mut dyn Overlay, outcome: &mut ChurnOutcome) -> u64 {
     if outcome.audit.is_none() {
         return 0;
     }
@@ -267,18 +264,17 @@ fn audit_pass(overlay: &mut dyn Overlay, outcome: &mut ChurnOutcome, sink: &Sink
     let wall_us = started.elapsed().as_micros() as u64;
     outcome.audit_us = outcome.audit_us.saturating_add(wall_us);
     let violations = report.violations().len() as u64;
-    sink.emit(|| TraceEvent::AuditRun {
+    let telemetry = overlay.telemetry();
+    telemetry.emit(|| TraceEvent::AuditRun {
         clean: report.is_clean(),
         checked: report.checked_nodes() as u64,
         violations,
     });
-    overlay
-        .phase_accountant()
-        .bill(Phase::Audit, || PhaseCosts {
-            calls: 1,
-            msgs: report.checked_nodes() as u64,
-            ..PhaseCosts::default()
-        });
+    telemetry.bill(Phase::Audit, || PhaseCosts {
+        calls: 1,
+        msgs: report.checked_nodes() as u64,
+        ..PhaseCosts::default()
+    });
     if let Some(acc) = outcome.audit.as_mut() {
         acc.merge(report);
     }
@@ -290,16 +286,15 @@ fn audit_pass(overlay: &mut dyn Overlay, outcome: &mut ChurnOutcome, sink: &Sink
 fn record_sample(
     overlay: &dyn Overlay,
     outcome: &mut ChurnOutcome,
-    acct: &PhaseAccountant,
     t_us: SimTime,
     audit_violations: u64,
 ) {
     let mut phase_msgs = [0u64; 6];
-    if let Some(table) = acct.snapshot() {
-        for (i, (_, costs)) in table.iter().enumerate() {
+    overlay.telemetry().read(|r| {
+        for (i, (_, costs)) in r.phases.iter().enumerate() {
             phase_msgs[i] = costs.msgs;
         }
-    }
+    });
     // Nearest rank by selection, not a sort: O(n) per snapshot.
     let mut loads = overlay.query_loads();
     let mut rank = |q: f64| -> u64 {
@@ -387,18 +382,18 @@ impl BucketIndex {
     /// repair) routines of every node in `bucket`, in ascending token
     /// order: the stabilizers as one run, repairs node by node. Returns
     /// the number of routines invoked and the entries repaired (always
-    /// zero without `repair`). When the overlay's accountant is enabled,
+    /// zero without `repair`). When the overlay's telemetry is enabled,
     /// the tick is billed to [`Phase::Stabilize`] (or [`Phase::Repair`]) —
     /// one message per routing entry examined, via
     /// [`Overlay::maintenance_msgs`].
     pub(crate) fn fire(&self, overlay: &mut dyn Overlay, bucket: u64, repair: bool) -> (u64, u64) {
         let nodes = &self.buckets[bucket as usize];
-        let acct = overlay.phase_accountant();
+        let telemetry = overlay.telemetry();
         let (mut phase, mut msgs, mut entries) = (Phase::Stabilize, 0, 0);
         if repair {
             phase = Phase::Repair;
             for &token in nodes {
-                if acct.is_enabled() {
+                if telemetry.is_enabled() {
                     msgs += overlay.maintenance_msgs(token);
                 }
                 entries += overlay.repair_node(token);
@@ -407,7 +402,7 @@ impl BucketIndex {
             msgs = overlay.stabilize_nodes(nodes);
         }
         let calls = nodes.len() as u64;
-        acct.bill(phase, || PhaseCosts {
+        telemetry.bill(phase, || PhaseCosts {
             calls,
             msgs,
             repair_entries: entries,
@@ -487,8 +482,7 @@ pub fn run_churn(
 ) -> ChurnOutcome {
     assert!(overlay.len() > 1, "churn needs a populated overlay");
     overlay.set_net_conditions(params.conditions);
-    overlay.set_trace_sink(params.sink.clone());
-    overlay.set_phase_accountant(params.accountant.clone());
+    overlay.set_telemetry(params.telemetry.clone());
     let mut outcome = ChurnOutcome {
         path_lens: Vec::with_capacity(params.lookups),
         timeouts: Vec::with_capacity(params.lookups),
@@ -533,7 +527,7 @@ pub fn run_churn(
         started_at: SimTime,
     }
 
-    let acct = overlay.phase_accountant();
+    let telemetry = params.telemetry.clone();
     let mut last_viol = 0u64;
     let mut seen_lookups = 0usize;
     // Rounds: arrivals buffered as (arrival ordinal, source, raw key)
@@ -631,8 +625,8 @@ pub fn run_churn(
                     outcome.joins += 1;
                     outcome.peak_size = outcome.peak_size.max(overlay.len());
                     buckets.insert(node);
-                    params.sink.emit(|| TraceEvent::Join { node });
-                    acct.bill(Phase::Join, || PhaseCosts {
+                    telemetry.emit(|| TraceEvent::Join { node });
+                    telemetry.bill(Phase::Join, || PhaseCosts {
                         calls: 1,
                         msgs: overlay.maintenance_msgs(node),
                         ..PhaseCosts::default()
@@ -646,8 +640,8 @@ pub fn run_churn(
                 if overlay.len() > 8 {
                     if let Some(node) = overlay.random_node(rng) {
                         // Teardown messages go to the links held *before*
-                        // departure; computed only when accounting is on.
-                        let msgs = if acct.is_enabled() {
+                        // departure; computed only when telemetry is on.
+                        let msgs = if telemetry.is_enabled() {
                             overlay.maintenance_msgs(node)
                         } else {
                             0
@@ -655,11 +649,11 @@ pub fn run_churn(
                         if overlay.leave(node) {
                             outcome.leaves += 1;
                             buckets.remove(node);
-                            params.sink.emit(|| TraceEvent::Leave {
+                            telemetry.emit(|| TraceEvent::Leave {
                                 node,
                                 graceful: true,
                             });
-                            acct.bill(Phase::Leave, || PhaseCosts {
+                            telemetry.bill(Phase::Leave, || PhaseCosts {
                                 calls: 1,
                                 msgs,
                                 ..PhaseCosts::default()
@@ -679,11 +673,11 @@ pub fn run_churn(
                 if bucket + 1 == period {
                     let round = outcome.stabilize_rounds;
                     outcome.stabilize_rounds += 1;
-                    params.sink.emit(|| TraceEvent::StabilizeRound {
+                    telemetry.emit(|| TraceEvent::StabilizeRound {
                         round,
                         nodes: overlay.len() as u64,
                     });
-                    last_viol = audit_pass(overlay, &mut outcome, &params.sink);
+                    last_viol = audit_pass(overlay, &mut outcome);
                 }
                 queue.schedule_in(period * SECOND, Event::StabilizeBucket(bucket));
             }
@@ -691,7 +685,7 @@ pub fn run_churn(
                 // Deliberately no flush: the sampler observes applied
                 // state only, so enabling it cannot reorder the batch
                 // stream.
-                record_sample(overlay, &mut outcome, &acct, now, last_viol);
+                record_sample(overlay, &mut outcome, now, last_viol);
                 queue.schedule_in(params.sample_every_us, Event::Sample);
             }
         }
@@ -702,7 +696,7 @@ pub fn run_churn(
     flush(overlay, &mut outcome, &mut pending);
     outcome.sim_end_us = queue.now();
 
-    audit_pass(overlay, &mut outcome, &params.sink);
+    audit_pass(overlay, &mut outcome);
     outcome.final_size = overlay.len();
     outcome
 }
@@ -722,11 +716,10 @@ mod tests {
             warmup_lookups: 20,
             audit: false,
             conditions: NetConditions::ideal(),
-            sink: SinkHandle::disabled(),
+            telemetry: Telemetry::disabled(),
             jobs: 1,
             time: TimeModel::Rounds,
             repair: false,
-            accountant: PhaseAccountant::disabled(),
             sample_every_us: 0,
         }
     }
@@ -872,16 +865,14 @@ mod tests {
 
     #[test]
     fn churn_emits_membership_and_round_events() {
-        use dht_core::obs::RingBufferSink;
-        use std::sync::{Arc, Mutex};
-        let ring = Arc::new(Mutex::new(RingBufferSink::new(1 << 16)));
+        let telemetry = Telemetry::enabled();
         let mut net = build_overlay(OverlayKind::Chord, 128, 9);
         let mut rng = stream(10, "churn-events");
         let mut params = small_params(0.3);
         params.audit = true;
-        params.sink = SinkHandle::new(Arc::clone(&ring));
+        params.telemetry = telemetry.clone();
         let out = run_churn(net.as_mut(), params, &mut rng);
-        let events = ring.lock().unwrap().snapshot();
+        let events = telemetry.read(|r| r.events.clone()).unwrap();
         let count = |f: &dyn Fn(&TraceEvent) -> bool| events.iter().filter(|e| f(e)).count();
         assert_eq!(
             count(&|e| matches!(e, TraceEvent::Join { .. })),
@@ -904,7 +895,7 @@ mod tests {
         assert!(out.audit_us > 0, "audit passes are timed");
         assert!(
             count(&|e| matches!(e, TraceEvent::LookupStart { .. })) > 0,
-            "lookup events flow through the same sink"
+            "lookup events land in the same record"
         );
     }
 
@@ -1026,17 +1017,17 @@ mod tests {
     }
 
     #[test]
-    fn accountant_bills_every_active_phase_in_both_time_models() {
+    fn telemetry_bills_every_active_phase_in_both_time_models() {
         for time in [TimeModel::Rounds, TimeModel::Continuous] {
             let mut net = build_overlay(OverlayKind::Cycloid7, 128, 9);
             let mut rng = stream(10, "churn-billing");
-            let acct = PhaseAccountant::enabled();
+            let telemetry = Telemetry::enabled();
             let mut p = small_params(0.2);
             p.time = time;
             p.audit = true;
-            p.accountant = acct.clone();
+            p.telemetry = telemetry.clone();
             let out = run_churn(net.as_mut(), p, &mut rng);
-            let table = acct.snapshot().expect("enabled accountant snapshots");
+            let table = telemetry.read(|r| r.phases.clone()).unwrap();
             let ctx = format!("{time:?}");
             for phase in [
                 Phase::Lookup,
@@ -1071,7 +1062,7 @@ mod tests {
             let mut p = small_params(0.1);
             p.time = time;
             p.audit = true;
-            p.accountant = PhaseAccountant::enabled();
+            p.telemetry = Telemetry::enabled();
             p.sample_every_us = 20 * SECOND;
             let out = run_churn(net.as_mut(), p, &mut rng);
             assert!(
@@ -1109,8 +1100,7 @@ mod tests {
             for key in 0..3 * n as u64 {
                 net.lookup(src, splitmix64(key));
             }
-            let acct = PhaseAccountant::disabled();
-            record_sample(net.as_ref(), &mut outcome, &acct, 0, 0);
+            record_sample(net.as_ref(), &mut outcome, 0, 0);
             let mut sorted = net.query_loads();
             sorted.sort_unstable();
             assert!(n == 1 || sorted[n - 1] > sorted[0], "n = {n}: no skew");

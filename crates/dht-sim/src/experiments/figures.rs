@@ -16,7 +16,7 @@ use dht_core::clock::SECOND;
 use dht_core::corrupt::{CorruptionPlan, CorruptionStrategy, Links};
 use dht_core::lookup::HopPhase;
 use dht_core::net::{DelayModel, FaultPlan, NetConditions, RetryPolicy};
-use dht_core::obs::{Histogram, Phase, PhaseAccountant, ALL_PHASES};
+use dht_core::obs::{Histogram, Phase, Telemetry, ALL_PHASES};
 use dht_core::overlay::{key_counts, Overlay};
 use dht_core::rng::{stream, stream_indexed};
 use dht_core::sim::SimOverlay;
@@ -1440,7 +1440,7 @@ fn scale(g: &Grid, at: At) -> Measured {
 }
 
 /// Where each overlay spends its messages: §4.4's churn at the default
-/// rate with the phase accountant and the telemetry sampler on, under
+/// rate with telemetry and the sampler on, under
 /// delay-only conditions (20–80 ms round trips, nothing lost, so routing
 /// matches the ideal network while latency measures something real).
 /// Churn repairs entries only on use, which leaves lazily derived links
@@ -1449,7 +1449,7 @@ fn profile(g: &Grid, at: At) -> Measured {
     let cell = at.i as u64;
     let mut net = g.build(at.kind, g.nodes, at.seed ^ (cell << 40));
     let mut rng = stream_indexed(at.seed, "profile", cell);
-    let accountant = PhaseAccountant::enabled();
+    let telemetry = Telemetry::enabled();
     let plan = FaultPlan {
         seed: at.seed ^ (cell << 32),
         loss: 0.0,
@@ -1462,14 +1462,15 @@ fn profile(g: &Grid, at: At) -> Measured {
         audit: true,
         conditions: NetConditions::new(plan, RetryPolicy::standard()),
         jobs: at.jobs,
-        accountant: accountant.clone(),
+        telemetry: telemetry.clone(),
         sample_every_us: at.x as u64 * SECOND,
         ..ChurnParams::default()
     };
     let out = run_churn(net.as_mut(), params, &mut rng);
     BucketIndex::new(net.as_ref(), 1).fire(net.as_mut(), 0, true);
     let mut cols = Vec::new();
-    for (phase, c) in accountant.snapshot().expect("enabled").iter() {
+    let table = telemetry.read(|r| r.phases.clone()).expect("enabled");
+    for (phase, c) in table.iter() {
         for (name, n) in [
             ("calls", c.calls),
             ("msgs", c.msgs),

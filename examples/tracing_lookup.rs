@@ -1,20 +1,18 @@
-//! Structured event tracing: stream a Cycloid lookup's life as JSONL.
+//! Structured event tracing: a Cycloid lookup's life as JSON lines.
 //!
-//! Builds a 64-node Cycloid(7) network, installs a [`JsonlSink`] on it,
-//! and runs a handful of lookups. Every routing step is emitted as one
-//! JSON object on stdout — `lookup_start`, a `hop` per forwarding step
+//! Builds a 64-node Cycloid(7) network, enables [`Telemetry`] on it, runs
+//! eight lookups, then prints every recorded event as one JSON object
+//! per line on stdout: a `lookup_start`, a `hop` per forwarding step
 //! tagged with its routing phase (ascending → descending → traverse, the
 //! paper's §3.3 three-phase scheme), and a `lookup_end` with the outcome.
-//! Commentary goes to stderr, so the JSONL stream stays pipeable:
+//! Commentary goes to stderr, so the stream stays pipeable:
 //!
 //! ```text
 //! cargo run --release --example tracing_lookup 2>/dev/null | head
 //! ```
 
-use std::sync::{Arc, Mutex};
-
 use cycloid_repro::prelude::{build_overlay, OverlayKind};
-use dht_core::obs::{JsonlSink, SinkHandle};
+use dht_core::obs::Telemetry;
 use dht_core::rng::stream;
 use rand::Rng;
 
@@ -22,9 +20,8 @@ fn main() {
     let mut net = build_overlay(OverlayKind::Cycloid7, 64, 42);
     eprintln!("built {} with {} nodes", net.name(), net.len());
 
-    // Shared handle so we can check for swallowed write errors at the end.
-    let sink = Arc::new(Mutex::new(JsonlSink::new(std::io::stdout())));
-    net.set_trace_sink(SinkHandle::new(Arc::clone(&sink)));
+    let telemetry = Telemetry::enabled();
+    net.set_telemetry(telemetry.clone());
 
     let tokens = net.node_tokens();
     let mut keys = stream(42, "tracing-example");
@@ -46,7 +43,9 @@ fn main() {
         );
     }
 
-    let errors = sink.lock().unwrap().errors();
-    assert_eq!(errors, 0, "stdout writes failed");
-    eprintln!("event stream complete; pipe stdout to jq for analysis");
+    let events = telemetry.read(|r| r.events.clone()).expect("enabled");
+    for event in &events {
+        println!("{}", event.to_json_line());
+    }
+    eprintln!("{} events; pipe stdout to jq for analysis", events.len());
 }

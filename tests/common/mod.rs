@@ -2,7 +2,7 @@
 //! a freshly built overlay and renders the line-per-lookup trace format
 //! the files under `tests/golden/` pin. Used by `golden_traces.rs` (the
 //! byte-level regression tests) and `obs_traces.rs` (which re-runs the
-//! same workload with event sinks installed to prove tracing never
+//! same workload with telemetry enabled to prove recording never
 //! perturbs routing).
 #![allow(dead_code)] // each test binary uses its own subset
 
@@ -11,8 +11,9 @@ use std::path::PathBuf;
 
 use cycloid_repro::prelude::{build_overlay, OverlayKind};
 use dht_core::net::{DelayModel, FaultPlan, NetConditions, RetryPolicy};
-use dht_core::obs::{PhaseAccountant, SinkHandle};
-use dht_core::rng::stream;
+use dht_core::obs::Telemetry;
+use dht_core::rng::{stream, stream_indexed};
+use dht_sim::ALL_KINDS;
 use rand::Rng;
 
 /// Network size for every golden trace.
@@ -55,23 +56,27 @@ pub fn golden_path(name: &str) -> PathBuf {
 }
 
 /// Replays the fixed workload on a freshly built overlay and renders the
-/// trace file content with no event sink installed. With `conditions`,
+/// trace file content with telemetry disabled. With `conditions`,
 /// lookups run under that fault plan and every line additionally pins
 /// retries and latency; without, the format is byte-identical to the
 /// pre-fault-layer files.
 pub fn render_traces(kind: OverlayKind, conditions: Option<NetConditions>) -> String {
-    render_traces_with_sink(kind, conditions, SinkHandle::disabled())
+    render_with(kind, conditions, None, None)
 }
 
-/// [`render_traces`] with an event sink installed before the workload
-/// runs. The rendered text must not depend on the sink — `obs_traces.rs`
-/// pins that equivalence against the checked-in golden files.
-pub fn render_traces_with_sink(
+/// [`render_traces`] with `telemetry` installed before the workload
+/// runs. Recording is observation, never a routing input, so the
+/// rendered text must not depend on it — `obs_traces.rs` pins that
+/// equivalence against the checked-in golden files.
+pub fn render_traces_with(
     kind: OverlayKind,
     conditions: Option<NetConditions>,
-    sink: SinkHandle,
+    telemetry: Telemetry,
 ) -> String {
-    render_inner(kind, conditions, sink, None)
+    let prepare: PrepareFn = &move |net: &mut dyn dht_core::overlay::Overlay| {
+        net.set_telemetry(telemetry.clone());
+    };
+    render_with(kind, conditions, None, Some(prepare))
 }
 
 /// [`render_traces`] routed through `Overlay::lookup_batch` with the
@@ -85,28 +90,7 @@ pub fn render_traces_jobs(
     conditions: Option<NetConditions>,
     jobs: usize,
 ) -> String {
-    render_inner(kind, conditions, SinkHandle::disabled(), Some(jobs))
-}
-
-/// [`render_traces`] with a phase accountant installed before the
-/// workload runs. Billing is cost *observation*, never a routing input,
-/// so the rendered text must stay byte-identical to the accountant-free
-/// goldens — `phase_accounting.rs` pins that equivalence.
-pub fn render_traces_accounted(
-    kind: OverlayKind,
-    conditions: Option<NetConditions>,
-    acct: PhaseAccountant,
-) -> String {
-    let prepare: PrepareFn = &move |net: &mut dyn dht_core::overlay::Overlay| {
-        net.set_phase_accountant(acct.clone());
-    };
-    render_with(
-        kind,
-        conditions,
-        SinkHandle::disabled(),
-        None,
-        Some(prepare),
-    )
+    render_with(kind, conditions, Some(jobs), None)
 }
 
 /// A hook run on the freshly built overlay before the golden workload.
@@ -121,28 +105,12 @@ pub fn render_traces_prepared(
     conditions: Option<NetConditions>,
     prepare: PrepareFn,
 ) -> String {
-    render_with(
-        kind,
-        conditions,
-        SinkHandle::disabled(),
-        None,
-        Some(prepare),
-    )
-}
-
-fn render_inner(
-    kind: OverlayKind,
-    conditions: Option<NetConditions>,
-    sink: SinkHandle,
-    jobs: Option<usize>,
-) -> String {
-    render_with(kind, conditions, sink, jobs, None)
+    render_with(kind, conditions, None, Some(prepare))
 }
 
 fn render_with(
     kind: OverlayKind,
     conditions: Option<NetConditions>,
-    sink: SinkHandle,
     jobs: Option<usize>,
     prepare: Option<PrepareFn>,
 ) -> String {
@@ -153,7 +121,6 @@ fn render_with(
     if let Some(c) = conditions {
         net.set_net_conditions(c);
     }
-    net.set_trace_sink(sink);
     let tokens = net.node_tokens();
     let mut keys = stream(SEED, "golden-keys");
     let mut out = String::new();
@@ -200,6 +167,44 @@ fn render_with(
             .collect(),
     };
     render_lines(&mut out, &reqs, &traces, conditions.is_some());
+    out
+}
+
+/// Renders the `stale.txt` workload for all eight kinds with
+/// `telemetry` installed: every kind at n = 256 after 40% of the nodes
+/// `fail` with no stabilization, 64 lookups each through `lookup`, so
+/// repair-on-use runs between them.
+pub fn render_stale(telemetry: Telemetry) -> String {
+    const NODES: usize = 256;
+    const LOOKUPS: usize = 64;
+    let mut out = String::new();
+    for (k, &kind) in ALL_KINDS.iter().enumerate() {
+        let mut net = build_overlay(kind, NODES, SEED);
+        net.set_telemetry(telemetry.clone());
+        let mut rng = stream_indexed(SEED, "golden-stale", k as u64);
+        for token in net.node_tokens() {
+            if rng.gen_bool(0.4) {
+                net.fail(token);
+            }
+        }
+        let live = net.node_tokens();
+        writeln!(
+            out,
+            "# golden stale: {} n={NODES} seed={SEED} failed={} lookups={LOOKUPS}\n\
+             # line: index src key -> outcome @terminal timeouts phases",
+            kind.label(),
+            NODES - live.len()
+        )
+        .unwrap();
+        let reqs: Vec<(u64, u64)> = (0..LOOKUPS)
+            .map(|i| (live[i % live.len()], rng.gen()))
+            .collect();
+        let traces: Vec<_> = reqs
+            .iter()
+            .map(|&(src, key)| net.lookup(src, key))
+            .collect();
+        render_lines(&mut out, &reqs, &traces, false);
+    }
     out
 }
 

@@ -16,8 +16,8 @@
 //!
 //! `churn.txt` pins the churn engine instead of single lookups: one line
 //! per cell of a 64-configuration grid (8 kinds × 2 time models ×
-//! repair on/off × ideal/lossy network) with the accountant, sampler,
-//! and audit on. Each line carries a `splitmix64`
+//! repair on/off × ideal/lossy network) with telemetry, the sampler,
+//! and the audit on. Each line carries a `splitmix64`
 //! fold over every per-lookup stream, the final load table and
 //! membership, the telemetry samples, and the phase table, plus the
 //! scalar counters in the clear so a diff names what moved.
@@ -39,15 +39,14 @@ mod common;
 
 use std::fmt::Write as _;
 
-use common::{golden_path, lossy_conditions, render_lines, render_traces, SEED};
-use cycloid_repro::prelude::{build_overlay, OverlayKind};
+use common::{golden_path, lossy_conditions, render_stale, render_traces, SEED};
+use cycloid_repro::prelude::OverlayKind;
 use dht_core::hash::splitmix64;
 use dht_core::net::NetConditions;
-use dht_core::obs::PhaseAccountant;
+use dht_core::obs::Telemetry;
 use dht_core::rng::stream_indexed;
 use dht_sim::churn::{run_churn, ChurnParams, TimeModel};
 use dht_sim::factory::{build_overlay_spaced, ALL_KINDS};
-use rand::Rng;
 
 /// Compares the replayed trace against the checked-in golden file, or
 /// rewrites the file when `GOLDEN_REGEN` is set.
@@ -178,7 +177,7 @@ fn render_churn_grid() -> String {
                 for lossy in [false, true] {
                     let mut net = build_overlay_spaced(kind, 96, 160, SEED + k as u64);
                     let mut rng = stream_indexed(SEED, "golden-churn", k as u64);
-                    let acct = PhaseAccountant::enabled();
+                    let telemetry = Telemetry::enabled();
                     let params = ChurnParams {
                         lookup_rate: 2.0,
                         churn_rate: 0.3,
@@ -194,9 +193,8 @@ fn render_churn_grid() -> String {
                         jobs: 2,
                         time,
                         repair,
-                        accountant: acct.clone(),
+                        telemetry: telemetry.clone(),
                         sample_every_us: 7_000_000,
-                        ..ChurnParams::default()
                     };
                     let o = run_churn(net.as_mut(), params, &mut rng);
                     let mut h = 0u64;
@@ -217,7 +215,7 @@ fn render_churn_grid() -> String {
                         fold(s.audit_violations);
                         fold(s.bytes_per_node.to_bits());
                     }
-                    let table = acct.snapshot().expect("accountant enabled");
+                    let table = telemetry.read(|r| r.phases.clone()).unwrap();
                     for (_, c) in table.iter() {
                         [
                             c.calls,
@@ -264,42 +262,7 @@ fn golden_churn() {
     check_golden_text("churn", &render_churn_grid());
 }
 
-/// Renders the stale-entry workload for all eight kinds (see the module
-/// docs).
-fn render_stale() -> String {
-    const NODES: usize = 256;
-    const LOOKUPS: usize = 64;
-    let mut out = String::new();
-    for (k, &kind) in ALL_KINDS.iter().enumerate() {
-        let mut net = build_overlay(kind, NODES, SEED);
-        let mut rng = stream_indexed(SEED, "golden-stale", k as u64);
-        for token in net.node_tokens() {
-            if rng.gen_bool(0.4) {
-                net.fail(token);
-            }
-        }
-        let live = net.node_tokens();
-        writeln!(
-            out,
-            "# golden stale: {} n={NODES} seed={SEED} failed={} lookups={LOOKUPS}\n\
-             # line: index src key -> outcome @terminal timeouts phases",
-            kind.label(),
-            NODES - live.len()
-        )
-        .unwrap();
-        let reqs: Vec<(u64, u64)> = (0..LOOKUPS)
-            .map(|i| (live[i % live.len()], rng.gen()))
-            .collect();
-        let traces: Vec<_> = reqs
-            .iter()
-            .map(|&(src, key)| net.lookup(src, key))
-            .collect();
-        render_lines(&mut out, &reqs, &traces, false);
-    }
-    out
-}
-
 #[test]
 fn golden_stale() {
-    check_golden_text("stale", &render_stale());
+    check_golden_text("stale", &render_stale(Telemetry::disabled()));
 }

@@ -13,11 +13,9 @@
 
 mod common;
 
-use std::sync::{Arc, Mutex};
-
 use cycloid_repro::prelude::*;
 use dht_core::corrupt::{CorruptionPlan, CorruptionStrategy};
-use dht_core::obs::{Event as TraceEvent, RingBufferSink, SinkHandle};
+use dht_core::obs::Telemetry;
 use dht_core::rng::stream;
 use dht_core::workload::random_pairs;
 use dht_sim::churn::{run_churn, run_until_clean, ChurnParams};
@@ -163,7 +161,7 @@ fn ghost_links_to_departed_tokens_repair_without_resurrection() {
 #[test]
 fn repair_enabled_churn_is_bit_identical_on_healthy_networks() {
     let run = |kind: OverlayKind, jobs: usize, repair: bool| {
-        let ring = Arc::new(Mutex::new(RingBufferSink::new(1 << 16)));
+        let telemetry = Telemetry::enabled();
         let mut net = build_overlay_spaced(kind, 64, 96, 7);
         let mut rng = stream(8, "repair-noop");
         let params = ChurnParams {
@@ -172,13 +170,13 @@ fn repair_enabled_churn_is_bit_identical_on_healthy_networks() {
             lookups: 200,
             warmup_lookups: 10,
             audit: true,
-            sink: SinkHandle::new(Arc::clone(&ring)),
+            telemetry: telemetry.clone(),
             jobs,
             repair,
             ..ChurnParams::default()
         };
         let out = run_churn(net.as_mut(), params, &mut rng);
-        let events: Vec<TraceEvent> = ring.lock().unwrap().snapshot();
+        let events = telemetry.read(|r| r.events.clone()).unwrap();
         let audit = out.audit.as_ref().expect("audit requested");
         (
             out.path_lens.clone(),

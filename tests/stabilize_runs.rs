@@ -17,7 +17,7 @@ use std::fmt::Debug;
 
 use cycloid_repro::prelude::*;
 use dht_core::corrupt::{CorruptionPlan, CorruptionStrategy};
-use dht_core::obs::PhaseAccountant;
+use dht_core::obs::Telemetry;
 use dht_core::rng::stream_indexed;
 use dht_core::sim::{Membership, SimOverlay};
 use dht_core::store::{Hints, Pos};
@@ -45,15 +45,15 @@ where
 
 /// `run` as one `stabilize_nodes` call against the same tokens through
 /// `stabilize_one` with fresh hints, each on its own clone of `net`, with
-/// the accountant on: equal states, equal messages. And with it off: nothing billed.
+/// telemetry on: equal states, equal messages. And with it off: nothing billed.
 fn assert_run_is_its_nodes<T>(net: &T, run: &[NodeToken], ctx: &str)
 where
     T: SimOverlay + Clone,
     T::State: Debug,
 {
     let (mut as_run, mut one_by_one) = (net.clone(), net.clone());
-    as_run.set_phase_accountant(PhaseAccountant::enabled());
-    one_by_one.set_phase_accountant(PhaseAccountant::enabled());
+    as_run.set_telemetry(Telemetry::enabled());
+    one_by_one.set_telemetry(Telemetry::enabled());
     let billed = as_run.stabilize_nodes(run);
     let mut msgs = 0;
     for &node in run {
@@ -63,9 +63,9 @@ where
     assert_eq!(billed, msgs, "{ctx}: billed messages");
     assert_same_states(&as_run, &one_by_one, ctx);
     let mut unbilled = net.clone();
-    unbilled.set_phase_accountant(PhaseAccountant::disabled());
-    assert_eq!(unbilled.stabilize_nodes(run), 0, "{ctx}: accountant off");
-    assert_same_states(&unbilled, &as_run, &format!("{ctx}, accountant off"));
+    unbilled.set_telemetry(Telemetry::disabled());
+    assert_eq!(unbilled.stabilize_nodes(run), 0, "{ctx}: telemetry off");
+    assert_same_states(&unbilled, &as_run, &format!("{ctx}, telemetry off"));
 }
 
 /// The runs of one state of `net`: every live token ascending and
