@@ -37,9 +37,10 @@ use std::fs;
 use std::path::PathBuf;
 use std::time::Instant;
 
+use bench::export::{to_bench_json, BenchMeta};
 use bench::{metrics_io, render};
-use dht_core::obs::{to_bench_json, BenchMeta, MetricsRegistry};
 use dht_sim::experiments::figures::EXPERIMENTS;
+use dht_sim::experiments::{Cell, Experiment};
 use dht_sim::report::Table;
 
 #[derive(Debug, Clone)]
@@ -209,7 +210,7 @@ fn main() {
 
     // Writes one versioned BENCH_<experiment>.json when --metrics-out is
     // set; a write failure is fatal (CI consumes these files).
-    let write_bench = |experiment: &str, reg: &MetricsRegistry| {
+    let write_bench = |exp: &Experiment, cells: &[Cell]| {
         let Some(dir) = &opts.metrics_out else {
             return;
         };
@@ -218,13 +219,12 @@ fn main() {
             std::process::exit(1);
         }
         let meta = BenchMeta {
-            experiment: experiment.to_string(),
             git_rev: metrics_io::git_rev(),
             seed: opts.seed,
             quick: opts.quick,
         };
-        let path = dir.join(format!("BENCH_{experiment}.json"));
-        if let Err(e) = fs::write(&path, to_bench_json(&meta, reg)) {
+        let path = dir.join(format!("BENCH_{}.json", exp.name));
+        if let Err(e) = fs::write(&path, to_bench_json(exp, cells, &meta)) {
             eprintln!("[repro] error: cannot write {}: {e}", path.display());
             std::process::exit(1);
         }
@@ -248,9 +248,7 @@ fn main() {
             eprintln!("[repro] error: {e}");
             std::process::exit(1);
         }
-        let mut reg = MetricsRegistry::new();
-        exp.export(&cells, &mut reg);
-        write_bench(exp.name, &reg);
+        write_bench(exp, &cells);
     }
 
     // Reader side, after any producers so `repro path metrics

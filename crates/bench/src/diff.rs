@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use dht_core::obs::json::Json;
+use crate::json::Json;
 
 /// Outcome of comparing one baseline document against its fresh
 /// counterpart.
@@ -125,7 +125,7 @@ pub fn compare_docs(baseline: &Json, fresh: &Json) -> FileDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dht_core::obs::json;
+    use crate::json;
 
     fn doc(metrics: &str, series: &str) -> Json {
         json::parse(&format!(

@@ -1,19 +1,18 @@
-//! Reading and validating the `BENCH_*.json` documents `repro` writes.
+//! Reading and validating the `BENCH_*.json` documents `repro` writes
+//! with [`crate::export::to_bench_json`].
 //!
-//! The schema (version 3) is produced by
-//! [`dht_core::obs::to_bench_json`]; this module is the consuming side:
-//! it re-parses the documents with the same zero-dependency JSON reader
-//! and checks every field the writer promises, so a drifting writer
-//! fails the `metrics` subcommand (and CI) instead of silently emitting
-//! documents downstream tooling cannot read.
+//! Every document is re-parsed ([`crate::json`]) and checked for every
+//! field the writer promises, so a drifting writer fails the `metrics`
+//! subcommand (and CI) instead of emitting documents downstream tooling
+//! cannot read.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use dht_core::obs::json::{self, Json};
-use dht_core::obs::SCHEMA_VERSION;
+use crate::export::SCHEMA_VERSION;
+use crate::json::{self, Json};
 
 /// Short git revision of the working tree, or `"unknown"` when git (or
 /// the repository) is unavailable — e.g. when building from a tarball.
@@ -185,33 +184,42 @@ pub fn read_dir(dir: &Path) -> io::Result<Vec<(PathBuf, Result<BenchFile, String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dht_core::obs::{to_bench_json, BenchMeta, MetricsRegistry};
+    use crate::export::{to_bench_json, BenchMeta};
+    use dht_core::stats::Histogram;
+    use dht_sim::experiments::figures::EXPERIMENTS;
+    use dht_sim::experiments::{Cell, Value};
 
+    /// One cell's counter, gauge, histogram and series, under `fault`'s
+    /// metric head.
     fn sample_doc() -> String {
-        let mut reg = MetricsRegistry::new();
-        reg.counter("a.lookups").add(10);
-        reg.gauge("a.mean_path").set(123.5);
-        let h = reg.histogram("a.hops");
-        h.record(1);
-        h.record(3);
-        h.record(9);
-        reg.series("a.live").push(0, 19.5);
-        reg.series("a.live").push(7, 21.5);
-        to_bench_json(
-            &BenchMeta {
-                experiment: "sample".into(),
-                git_rev: "deadbee".into(),
-                seed: 7,
-                quick: true,
-            },
-            &reg,
-        )
+        let mut hops = Histogram::new();
+        for v in [1, 3, 9] {
+            hops.record(v);
+        }
+        let cols = [
+            (".lookups", Value::Count(10)),
+            (".mean_path", Value::Gauge(123.5)),
+            (".hops", Value::Histogram(Box::new(hops))),
+            (".live", Value::Series(vec![(0, 19.5), (7, 21.5)])),
+        ];
+        let cell = Cell {
+            label: "a".into(),
+            x: 0.0,
+            cols: cols.into_iter().map(|(n, v)| (n.into(), v)).collect(),
+        };
+        let fault = EXPERIMENTS.iter().find(|e| e.name == "fault").unwrap();
+        let meta = BenchMeta {
+            git_rev: "deadbee".into(),
+            seed: 7,
+            quick: true,
+        };
+        to_bench_json(fault, &[cell], &meta)
     }
 
     #[test]
     fn writer_output_validates() {
         let doc = parse_and_validate(&sample_doc()).expect("round-trip");
-        assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("sample"));
+        assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("fault"));
     }
 
     #[test]

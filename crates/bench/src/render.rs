@@ -8,7 +8,7 @@ use dht_sim::report::{f, Table};
 /// `BENCH_*.json` document, with a compact type-appropriate value cell.
 #[must_use]
 pub fn metrics_summary(files: &[crate::metrics_io::BenchFile]) -> Table {
-    use dht_core::obs::json::Json;
+    use crate::json::Json;
     let mut t = Table::new(
         "Benchmark metrics (BENCH_*.json)",
         &["experiment", "metric", "type", "value"],

@@ -10,24 +10,28 @@
 //! **workspace root** (where the CI steps run), not the test binary's
 //! own working directory.
 
+use bench::export::{to_bench_json, BenchMeta};
+use bench::json::Json;
 use bench::metrics_io::{self, BenchFile};
-use dht_core::obs::json::Json;
-use dht_core::obs::{to_bench_json, BenchMeta, MetricsRegistry};
+use dht_core::stats::Histogram;
+use dht_sim::experiments::figures::EXPERIMENTS;
+use dht_sim::experiments::{Cell, Value};
 use std::path::Path;
 
-fn meta() -> BenchMeta {
-    BenchMeta {
-        experiment: "schema_test".into(),
+/// `cells` written as `repro --metrics-out` writes the `fault` sweep.
+fn written(cells: &[Cell]) -> String {
+    let fault = EXPERIMENTS.iter().find(|e| e.name == "fault").unwrap();
+    let meta = BenchMeta {
         git_rev: metrics_io::git_rev(),
         seed: 2004,
         quick: true,
-    }
+    };
+    to_bench_json(fault, cells, &meta)
 }
 
 #[test]
-fn empty_registry_round_trips() {
-    let reg = MetricsRegistry::new();
-    let doc = metrics_io::parse_and_validate(&to_bench_json(&meta(), &reg)).expect("valid");
+fn no_cells_round_trip() {
+    let doc = metrics_io::parse_and_validate(&written(&[])).expect("valid");
     assert_eq!(
         doc.get("metrics").and_then(Json::as_array).map(<[_]>::len),
         Some(0)
@@ -36,14 +40,20 @@ fn empty_registry_round_trips() {
 
 #[test]
 fn every_metric_kind_round_trips() {
-    let mut reg = MetricsRegistry::new();
-    reg.counter("c").add(3);
-    reg.gauge("g").set(-1.25);
-    let h = reg.histogram("h");
+    let mut h = Histogram::new();
     for v in [0, 1, 2, 1000, u64::MAX] {
         h.record(v);
     }
-    let text = to_bench_json(&meta(), &reg);
+    let cell = Cell {
+        label: "Chord".into(),
+        x: 0.1,
+        cols: vec![
+            (".c".into(), Value::Count(3)),
+            (".g".into(), Value::Gauge(-1.25)),
+            (".h".into(), Value::Histogram(Box::new(h))),
+        ],
+    };
+    let text = written(&[cell]);
     let doc = metrics_io::parse_and_validate(&text).expect("valid");
     let metrics = doc.get("metrics").and_then(Json::as_array).unwrap();
     assert_eq!(metrics.len(), 3);
@@ -51,8 +61,7 @@ fn every_metric_kind_round_trips() {
 
 #[test]
 fn validator_rejects_each_missing_header_field() {
-    let reg = MetricsRegistry::new();
-    let good = to_bench_json(&meta(), &reg);
+    let good = written(&[]);
     for field in ["schema_version", "experiment", "git_rev", "seed", "quick"] {
         let broken = good.replacen(&format!("\"{field}\""), "\"renamed\"", 1);
         let err = metrics_io::parse_and_validate(&broken)

@@ -26,8 +26,7 @@
 //!   shared walk engine to every per-hop contact,
 //! * [`obs`] — observability: the [`obs::Telemetry`] handle, zero-cost
 //!   when disabled, that records trace events and per-phase costs into
-//!   one record, and the metrics registry behind the `BENCH_*.json`
-//!   export,
+//!   one record,
 //! * [`inline`] — fixed-capacity inline vectors ([`inline::InlineVec`])
 //!   keeping constant-degree routing tables inside the state slab,
 //! * [`overlay`] — the [`overlay::Overlay`] trait: the uniform simulation
@@ -40,7 +39,7 @@
 //!   node arena, query-load accounting, and the iterative lookup walk
 //!   driver behind the [`sim::SimOverlay`] per-hop routing interface,
 //! * [`stats`] — mean and 1st/99th-percentile summaries exactly as the
-//!   paper plots them,
+//!   paper plots them, and log₂-bucket histograms,
 //! * [`workload`] — lookup and key-placement workload generators.
 
 #![forbid(unsafe_code)]
@@ -68,7 +67,7 @@ pub use corrupt::{CorruptionPlan, CorruptionReport, CorruptionStrategy};
 pub use inline::InlineVec;
 pub use lookup::{HopPhase, LookupOutcome, LookupTrace};
 pub use net::{DelayModel, FaultPlan, NetConditions, NetCosts, RetryPolicy};
-pub use obs::{Event, MetricsRegistry, Telemetry, TimeoutKind};
+pub use obs::{Event, Telemetry, TimeoutKind};
 pub use overlay::{NodeToken, Overlay};
 pub use sim::{
     CursorStep, LookupCursor, Membership, SimOverlay, StepDecision, WalkCursor, WalkEffects,

@@ -1,6 +1,4 @@
-//! Observability: one telemetry recorder and a metrics registry.
-//!
-//! # Telemetry
+//! Observability: one telemetry recorder.
 //!
 //! A [`Telemetry`] handle is installed on an overlay
 //! ([`crate::overlay::Overlay::set_telemetry`], kept in
@@ -19,21 +17,9 @@
 //! routing: `tests/obs_traces.rs` pins every golden byte-identical with
 //! it enabled. [`Event::to_json_line`] renders a recorded event as one
 //! JSON line (see `examples/tracing_lookup.rs`).
-//!
-//! # Metrics
-//!
-//! [`metrics`] provides [`Counter`], [`Gauge`] and log₂-bucket
-//! [`Histogram`] primitives under a name-keyed [`MetricsRegistry`],
-//! serialisable to the versioned `BENCH_*.json` export via
-//! [`metrics::to_bench_json`].
 
-pub mod json;
-pub mod metrics;
 pub mod phase;
 
-pub use metrics::{
-    to_bench_json, BenchMeta, Counter, Gauge, Histogram, Metric, MetricsRegistry, SCHEMA_VERSION,
-};
 pub use phase::{Phase, PhaseCosts, PhaseTable, ALL_PHASES};
 
 use std::fmt;
@@ -476,23 +462,6 @@ mod tests {
             want.set_lookup_id(2);
             assert_eq!(*got, want);
         }
-    }
-
-    #[test]
-    fn json_lines_parse() {
-        let events = sample_events();
-        for e in &events {
-            let line = e.to_json_line();
-            let doc = json::parse(&line).expect("every event line is valid JSON");
-            assert!(
-                doc.get("ev").and_then(json::Json::as_str).is_some(),
-                "every line carries an 'ev' tag: {line}"
-            );
-        }
-        assert!(events[0].to_json_line().contains("\"ev\":\"lookup_start\""));
-        assert!(events[1].to_json_line().contains("\"phase\":\"ascending\""));
-        assert!(events[3].to_json_line().contains("\"kind\":\"stale\""));
-        assert!(events[4].to_json_line().contains("\"outcome\":\"found\""));
     }
 
     #[test]

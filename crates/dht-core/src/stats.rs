@@ -3,6 +3,8 @@
 //! Every distributional figure (key counts, query loads, timeouts) plots
 //! "the mean, the 1st and 99th percentiles" (§4.2–§4.4), so [`Summary`]
 //! carries precisely those plus min/max/std for the extended reports.
+//! [`Histogram`] keeps a whole distribution in log₂ buckets, for the
+//! hop and latency histograms the experiments export.
 
 /// Mean, standard deviation, and order statistics of a sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,6 +93,168 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     // lower clamp bound to catch it.
     let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
     sorted[rank.min(sorted.len()) - 1]
+}
+
+/// Number of buckets in a [`Histogram`]: bucket 0 holds exact zeros and
+/// bucket `i >= 1` holds values in `[2^(i-1), 2^i)`, so 64 value buckets
+/// cover the whole `u64` range.
+pub const HISTOGRAM_BUCKETS: usize = 65;
+
+/// A fixed-shape log₂-bucket histogram over `u64` observations (path
+/// lengths, per-phase hop counts, latencies in µs). Alongside the
+/// buckets it tracks exact `count`, `sum`, `min`, and `max`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Histogram {
+    buckets: [u64; HISTOGRAM_BUCKETS],
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Histogram {
+    /// An empty histogram.
+    #[must_use]
+    pub fn new() -> Self {
+        Self {
+            buckets: [0; HISTOGRAM_BUCKETS],
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+
+    /// Index of the bucket that would hold `value`.
+    #[must_use]
+    pub fn bucket_index(value: u64) -> usize {
+        if value == 0 {
+            0
+        } else {
+            // value in [2^(i-1), 2^i) => ilog2(value) == i-1.
+            value.ilog2() as usize + 1
+        }
+    }
+
+    /// Inclusive upper bound of bucket `i` (`0` for bucket 0, `2^i - 1`
+    /// otherwise; bucket 64's bound is `u64::MAX`).
+    #[must_use]
+    pub fn bucket_upper_bound(i: usize) -> u64 {
+        assert!(i < HISTOGRAM_BUCKETS, "bucket index out of range");
+        if i == 0 {
+            0
+        } else if i == HISTOGRAM_BUCKETS - 1 {
+            u64::MAX
+        } else {
+            (1u64 << i) - 1
+        }
+    }
+
+    /// Records one observation.
+    pub fn record(&mut self, value: u64) {
+        self.buckets[Self::bucket_index(value)] += 1;
+        self.count = self.count.saturating_add(1);
+        self.sum = self.sum.saturating_add(value);
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+
+    /// Number of observations.
+    #[must_use]
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Sum of all observations (saturating).
+    #[must_use]
+    pub fn sum(&self) -> u64 {
+        self.sum
+    }
+
+    /// Smallest observation, or `None` if empty.
+    #[must_use]
+    pub fn min(&self) -> Option<u64> {
+        (self.count > 0).then_some(self.min)
+    }
+
+    /// Largest observation, or `None` if empty.
+    #[must_use]
+    pub fn max(&self) -> Option<u64> {
+        (self.count > 0).then_some(self.max)
+    }
+
+    /// Mean of all observations, or `0.0` if empty.
+    #[must_use]
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
+    }
+
+    /// Non-empty buckets as `(upper_bound, count)` pairs — the compact
+    /// form written to the JSON export.
+    #[must_use]
+    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c > 0)
+            .map(|(i, &c)| (Self::bucket_upper_bound(i), c))
+            .collect()
+    }
+
+    /// Estimates the `q`-quantile (`q` clamped to `[0, 1]`) by the
+    /// nearest-rank rule over the log₂ buckets, or `None` if empty.
+    ///
+    /// **Error bound.** The rank is exact (bucket counts are exact), so
+    /// the true quantile lies inside the selected bucket; the estimate
+    /// is that bucket's midpoint, clamped to the exact observed
+    /// `[min, max]`. A bucket spans `[2^(i-1), 2^i)`, so the estimate
+    /// is always within a factor of 2 of the true quantile — and exact
+    /// whenever the bucket is degenerate: an empty-range clamp (all
+    /// observations equal), the zero bucket, or a quantile pinned to
+    /// `min`/`max`.
+    #[must_use]
+    pub fn quantile(&self, q: f64) -> Option<u64> {
+        if self.count == 0 {
+            return None;
+        }
+        let q = q.clamp(0.0, 1.0);
+        // Nearest rank, 1-based: smallest r with r/count >= q.
+        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        // The first and last ranks are the exact observed extremes.
+        if rank == 1 {
+            return Some(self.min);
+        }
+        if rank == self.count {
+            return Some(self.max);
+        }
+        let mut seen = 0u64;
+        let mut idx = HISTOGRAM_BUCKETS - 1;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            seen = seen.saturating_add(c);
+            if seen >= rank {
+                idx = i;
+                break;
+            }
+        }
+        let estimate = if idx == 0 {
+            0
+        } else {
+            let low = 1u64 << (idx - 1);
+            let high = Self::bucket_upper_bound(idx);
+            low + (high - low) / 2
+        };
+        Some(estimate.clamp(self.min, self.max))
+    }
 }
 
 #[cfg(test)]
@@ -202,5 +366,107 @@ mod tests {
         assert_eq!(s.p99, expect);
         assert_eq!(s.std_dev, 0.0, "identical samples have zero spread");
         assert!(s.mean.is_finite());
+    }
+
+    #[test]
+    fn histogram_bucket_boundaries() {
+        // Bucket 0 is exact zeros; bucket i covers [2^(i-1), 2^i).
+        assert_eq!(Histogram::bucket_index(0), 0);
+        assert_eq!(Histogram::bucket_index(1), 1);
+        assert_eq!(Histogram::bucket_index(2), 2);
+        assert_eq!(Histogram::bucket_index(3), 2);
+        assert_eq!(Histogram::bucket_index(4), 3);
+        assert_eq!(Histogram::bucket_index(7), 3);
+        assert_eq!(Histogram::bucket_index(8), 4);
+        assert_eq!(Histogram::bucket_index(u64::MAX), 64);
+        // Upper bounds line up with the index rule: a value lands in the
+        // first bucket whose bound is >= value.
+        for i in 0..HISTOGRAM_BUCKETS {
+            let ub = Histogram::bucket_upper_bound(i);
+            assert_eq!(Histogram::bucket_index(ub), i, "bound of bucket {i}");
+            if i > 0 && i < HISTOGRAM_BUCKETS - 1 {
+                assert_eq!(Histogram::bucket_index(ub + 1), i + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn histogram_records_and_summarises() {
+        let mut h = Histogram::new();
+        for v in [0, 1, 2, 3, 8] {
+            h.record(v);
+        }
+        assert_eq!(h.count(), 5);
+        assert_eq!(h.sum(), 14);
+        assert_eq!(h.min(), Some(0));
+        assert_eq!(h.max(), Some(8));
+        assert!((h.mean() - 2.8).abs() < 1e-12);
+        // The zero; 1; 2 and 3; 8.
+        assert_eq!(h.nonzero_buckets(), vec![(0, 1), (1, 1), (3, 2), (15, 1)]);
+    }
+
+    #[test]
+    fn empty_histogram_has_no_extremes() {
+        let h = Histogram::new();
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.min(), None);
+        assert_eq!(h.max(), None);
+        assert_eq!(h.mean(), 0.0);
+        assert!(h.nonzero_buckets().is_empty());
+    }
+
+    #[test]
+    fn quantile_edge_cases() {
+        // Empty: no quantile exists.
+        assert_eq!(Histogram::new().quantile(0.5), None);
+
+        // All zeros: every quantile is the zero bucket, exactly.
+        let mut zeros = Histogram::new();
+        for _ in 0..10 {
+            zeros.record(0);
+        }
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(zeros.quantile(q), Some(0), "q={q}");
+        }
+
+        // Single bucket with equal observations: the [min, max] clamp
+        // collapses the bucket-midpoint error to zero.
+        let mut single = Histogram::new();
+        for _ in 0..5 {
+            single.record(100);
+        }
+        assert_eq!(single.quantile(0.5), Some(100));
+        assert_eq!(single.quantile(1.0), Some(100));
+
+        // u64::MAX lands in the last bucket; q=1 clamps to the exact max.
+        let mut extreme = Histogram::new();
+        extreme.record(1);
+        extreme.record(u64::MAX);
+        assert_eq!(extreme.quantile(0.0), Some(1));
+        assert_eq!(extreme.quantile(0.5), Some(1));
+        assert_eq!(extreme.quantile(1.0), Some(u64::MAX));
+
+        // Out-of-range q clamps instead of panicking.
+        assert_eq!(extreme.quantile(-1.0), Some(1));
+        assert_eq!(extreme.quantile(2.0), Some(u64::MAX));
+    }
+
+    #[test]
+    fn quantile_within_factor_of_two() {
+        // The documented bound: estimate and true quantile share a
+        // log₂ bucket, so they differ by at most 2x.
+        let mut h = Histogram::new();
+        let values: Vec<u64> = (1..=1000).collect();
+        for &v in &values {
+            h.record(v);
+        }
+        for q in [0.1f64, 0.5, 0.9, 0.99] {
+            let truth = values[((q * 1000.0).ceil() as usize).clamp(1, 1000) - 1];
+            let est = h.quantile(q).unwrap();
+            assert!(
+                est >= truth / 2 && est <= truth.saturating_mul(2),
+                "q={q}: estimate {est} vs true {truth}"
+            );
+        }
     }
 }

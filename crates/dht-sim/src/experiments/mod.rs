@@ -3,10 +3,9 @@
 //! a paper [`Grid`] of overlay kinds × one swept axis, a cell function
 //! that measures one (axis value, kind) pair into named, typed columns
 //! ([`Value`]), the [`Layout`]s that show them, and a check that can fail
-//! the run. One runner ([`Experiment::run`]) fans the cells out, one
-//! exporter ([`Experiment::export`]) writes every column under its metric
-//! name, and one renderer ([`Layout::render`]) prints every table and
-//! chart.
+//! the run. One runner ([`Experiment::run`]) fans the cells out and one
+//! renderer ([`Layout::render`]) prints every table and chart; `repro
+//! --metrics-out` writes every exported column under its metric name.
 
 pub mod figures;
 
@@ -16,25 +15,24 @@ use std::sync::OnceLock;
 use crossbeam::thread;
 use dht_core::audit::AuditReport;
 use dht_core::lookup::{HopPhase, PhaseBreakdown};
-use dht_core::obs::{Histogram, MetricsRegistry};
 use dht_core::overlay::Overlay;
-use dht_core::stats::Summary;
+use dht_core::stats::{Histogram, Summary};
 use dht_core::workload::LookupRequest;
 
 use crate::factory::{build_overlay_spaced, OverlayKind};
 use crate::report::Layout;
 
-/// One measured value, typed by how it is exported.
+/// One measured value, typed by how it is exported (`bench::export`
+/// expands each variant into counters, gauges, histograms or a series).
 #[derive(Debug, Clone)]
 pub enum Value {
     /// A counter.
     Count(u64),
     /// A gauge.
     Gauge(f64),
-    /// A distribution: a `.samples` counter and `.mean`, `.p01`, `.p99`
-    /// and `.max` gauges.
+    /// A distribution.
     Summary(Summary),
-    /// One batch of lookups, exported by [`register_lookup_metrics`].
+    /// One batch of lookups.
     Lookups(Box<LookupAggregate>),
     /// A time series of `(t_us, value)` points.
     Series(Vec<(u64, f64)>),
@@ -248,40 +246,6 @@ impl Experiment {
         .expect("measurement thread panicked");
         cells.into_iter().filter_map(OnceLock::into_inner).collect()
     }
-
-    /// Registers every exported column of `cells` under `{head}{name}`,
-    /// in cell order.
-    pub fn export(&self, cells: &[Cell], reg: &mut MetricsRegistry) {
-        for cell in cells {
-            let head = (self.metric)(cell);
-            for (name, value) in &cell.cols {
-                if !(name.is_empty() || name.starts_with(['.', '/'])) {
-                    continue;
-                }
-                let key = format!("{head}{name}");
-                match value {
-                    Value::Count(n) => reg.counter(&key).add(*n),
-                    Value::Gauge(v) => reg.gauge(&key).set(*v),
-                    Value::Summary(s) => {
-                        reg.counter(&format!("{key}.samples")).add(s.n as u64);
-                        reg.gauge(&format!("{key}.mean")).set(s.mean);
-                        reg.gauge(&format!("{key}.p01")).set(s.p01);
-                        reg.gauge(&format!("{key}.p99")).set(s.p99);
-                        reg.gauge(&format!("{key}.max")).set(s.max);
-                    }
-                    Value::Lookups(agg) => register_lookup_metrics(reg, &key, agg),
-                    Value::Series(points) => {
-                        let series = reg.series(&key);
-                        for &(t_us, v) in points {
-                            series.push(t_us, v);
-                        }
-                    }
-                    Value::Histogram(h) => reg.histogram(&key).merge(h),
-                    Value::Audit(_) | Value::Text(_) => {}
-                }
-            }
-        }
-    }
 }
 
 /// Every [`HopPhase`] variant, for phase-indexed accounting.
@@ -404,31 +368,6 @@ pub fn run_requests_jobs(
     }
 }
 
-/// Registers one aggregate's metrics under `prefix` — the uniform export
-/// every lookup-batch experiment shares: lookup/failure counters, the
-/// path-length histogram, per-phase hop histograms keyed by
-/// [`HopPhase::label`], fault counters, and the latency histogram.
-pub fn register_lookup_metrics(reg: &mut MetricsRegistry, prefix: &str, agg: &LookupAggregate) {
-    reg.counter(&format!("{prefix}.lookups"))
-        .add(agg.path.n as u64);
-    reg.counter(&format!("{prefix}.failures"))
-        .add(agg.failures as u64);
-    reg.histogram(&format!("{prefix}.hops"))
-        .merge(&agg.path_hist);
-    for (phase, hist) in &agg.phase_hists {
-        reg.histogram(&format!("{prefix}.hops.{}", phase.label()))
-            .merge(hist);
-    }
-    reg.counter(&format!("{prefix}.stale_timeouts"))
-        .add(agg.timeouts_total);
-    reg.counter(&format!("{prefix}.retries"))
-        .add(agg.retries_total);
-    reg.counter(&format!("{prefix}.msg_timeouts"))
-        .add(agg.msg_timeouts_total);
-    reg.histogram(&format!("{prefix}.latency_us"))
-        .merge(&agg.latency_hist);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -467,28 +406,6 @@ mod tests {
         let phase_sum: u64 = agg.phase_hists.iter().map(|(_, h)| h.sum()).sum();
         assert_eq!(phase_sum, agg.path_hist.sum());
         assert_eq!(agg.timeouts_total, 0);
-    }
-
-    #[test]
-    fn register_lookup_metrics_exports_uniform_names() {
-        use dht_core::obs::Metric;
-        let mut net = build_overlay(OverlayKind::Cycloid7, 64, 1);
-        let reqs = random_pairs(net.as_ref(), 100, &mut stream(2, "reg"));
-        let agg = run_requests_jobs(net.as_mut(), &reqs, 1);
-        let mut reg = MetricsRegistry::new();
-        register_lookup_metrics(&mut reg, "Cycloid(7)/n=64", &agg);
-        match reg.get("Cycloid(7)/n=64.lookups") {
-            Some(Metric::Counter(c)) => assert_eq!(c.get(), 100),
-            other => panic!("unexpected: {other:?}"),
-        }
-        match reg.get("Cycloid(7)/n=64.hops") {
-            Some(Metric::Histogram(h)) => assert_eq!(h.count(), 100),
-            other => panic!("unexpected: {other:?}"),
-        }
-        assert!(
-            reg.iter().any(|(name, _)| name.contains(".hops.")),
-            "per-phase histograms registered"
-        );
     }
 
     #[test]
