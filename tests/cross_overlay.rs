@@ -230,3 +230,53 @@ fn extension_baselines_honour_the_same_contract() {
         }
     }
 }
+
+#[test]
+fn full_round_stabilize_is_a_run_over_every_token() {
+    // `stabilize()` is one full round: the same state, audit and lookups
+    // as `stabilize_nodes` over every live token, after a seeded fifth of
+    // the network fails without notice — and the round heals it.
+    for kind in dht_sim::ALL_KINDS {
+        let build = || {
+            let mut net = build_overlay(kind, 512, 37);
+            let mut tokens = net.node_tokens();
+            let mut rng = stream(8, kind.label());
+            for _ in 0..tokens.len() / 5 {
+                let victim = tokens.swap_remove(rng.gen_range(0..tokens.len()));
+                assert!(net.fail(victim), "{}", kind.label());
+            }
+            net
+        };
+        let (mut round, mut run) = (build(), build());
+        round.stabilize();
+        let tokens = run.node_tokens();
+        run.stabilize_nodes(&tokens);
+        let full = round.audit_state(AuditScope::Full);
+        assert_eq!(
+            format!("{full:?}"),
+            format!("{:?}", run.audit_state(AuditScope::Full)),
+            "{} full audit",
+            kind.label()
+        );
+        assert!(full.is_clean(), "{}: {full}", kind.label());
+        let mut rng = stream(9, "batch");
+        let reqs: Vec<(NodeToken, u64)> = (0..200)
+            .map(|i| (tokens[i % tokens.len()], rng.gen()))
+            .collect();
+        for net in [&mut round, &mut run] {
+            net.reset_query_loads();
+        }
+        assert_eq!(
+            format!("{:?}", round.lookup_batch(&reqs, 1)),
+            format!("{:?}", run.lookup_batch(&reqs, 1)),
+            "{} traces",
+            kind.label()
+        );
+        assert_eq!(
+            round.query_loads(),
+            run.query_loads(),
+            "{} query loads",
+            kind.label()
+        );
+    }
+}
