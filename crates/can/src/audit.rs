@@ -20,14 +20,14 @@
 //! (`can/neighbor-sweep`).
 
 use dht_core::audit::{AuditReport, AuditScope, StateAudit};
-use dht_core::sim::SimOverlay;
+use dht_core::overlay::Protocol;
 
 use crate::network::{abut, CanNetwork, CanNode};
 use crate::zone::{Zone, MAX_DIMS};
 
 impl StateAudit for CanNetwork {
-    fn audit(&self, scope: AuditScope) -> AuditReport {
-        let mut report = AuditReport::new(self.label(), scope);
+    fn audit_state(&self, scope: AuditScope) -> AuditReport {
+        let mut report = AuditReport::new(self.name(), scope);
         let config = self.config();
         let side = config.side();
         let n = self.members.store.len();
@@ -190,7 +190,7 @@ mod tests {
     #[test]
     fn fresh_network_is_fully_clean() {
         let net = net(70);
-        let report = net.audit(AuditScope::Full);
+        let report = net.audit_state(AuditScope::Full);
         assert_eq!(report.checked_nodes(), 70);
         assert!(report.is_clean(), "{report}");
     }
@@ -205,7 +205,7 @@ mod tests {
             } else {
                 net.join_random_point();
             }
-            let report = net.audit(AuditScope::Online);
+            let report = net.audit_state(AuditScope::Online);
             assert!(report.is_clean(), "after step {step}: {report}");
         }
     }
@@ -214,15 +214,15 @@ mod tests {
     fn crash_orphans_fail_full_but_not_online_audit() {
         let mut net = net(40);
         let victim = net.members.store.tokens()[7];
-        net.fail_node(victim);
-        assert!(net.audit(AuditScope::Online).is_clean());
-        let report = net.audit(AuditScope::Full);
+        net.fail(victim);
+        assert!(net.audit_state(AuditScope::Online).is_clean());
+        let report = net.audit_state(AuditScope::Full);
         assert!(
             report.violated_invariants().contains(&"can/no-orphans"),
             "{report}"
         );
         net.stabilize_takeover();
-        assert!(net.audit(AuditScope::Full).is_clean());
+        assert!(net.audit_state(AuditScope::Full).is_clean());
     }
 
     #[test]
@@ -235,7 +235,7 @@ mod tests {
             .unwrap()
             .0;
         net.members.store.get_mut(token).unwrap().zones[0] = zone;
-        let report = net.audit(AuditScope::Online);
+        let report = net.audit_state(AuditScope::Online);
         assert!(
             report
                 .violated_invariants()
@@ -254,7 +254,7 @@ mod tests {
             .get_mut(token)
             .unwrap()
             .relink(Some(gone), None);
-        let online = net.audit(AuditScope::Online);
+        let online = net.audit_state(AuditScope::Online);
         let nodes = |name: &str| -> Vec<u64> {
             online
                 .violations()
@@ -265,7 +265,7 @@ mod tests {
         };
         assert_eq!(nodes("can/neighbor-complete"), vec![token], "{online}");
         assert_eq!(nodes("can/neighbor-table"), vec![gone], "{online}");
-        let full = net.audit(AuditScope::Full);
+        let full = net.audit_state(AuditScope::Full);
         assert!(
             full.violated_invariants().contains(&"can/neighbor-sweep"),
             "{full}"

@@ -5,7 +5,7 @@ use crate::index::{Slot, ZoneIndex};
 use crate::zone::{Point, Zone};
 use dht_core::hash::{reduce, splitmix64};
 use dht_core::lookup::HopPhase;
-use dht_core::overlay::NodeToken;
+use dht_core::overlay::{NodeToken, Protocol};
 use dht_core::sim::{Membership, SimOverlay, StepDecision};
 use dht_core::store::Hints;
 use rand::RngCore;
@@ -301,73 +301,6 @@ impl CanNetwork {
         Some(token)
     }
 
-    /// Graceful departure: the leaver hands all its zones to its
-    /// smallest-volume neighbour (real CAN's takeover, without the later
-    /// defragmentation — the successor may own several boxes), and the
-    /// heir takes the leaver's place in every neighbour's table.
-    pub fn leave(&mut self, token: u64) -> bool {
-        if !self.members.store.contains(token) || self.members.store.len() == 1 {
-            return false;
-        }
-        let heir = self
-            .neighbors_of(token)
-            .iter()
-            .copied()
-            .min_by_key(|&t| (self.members.store.get(t).expect("live").volume(), t));
-        let node = self.members.store.remove(token).expect("checked live");
-        for &y in node.neighbors.iter().filter(|&&y| Some(y) != heir) {
-            self.members
-                .store
-                .get_mut(y)
-                .expect("neighbours are live")
-                .relink(Some(token), heir);
-        }
-        match heir {
-            Some(h) => {
-                for &zone in &node.zones {
-                    self.index.set_owner(zone, Some(h));
-                }
-                let heir = self.members.store.get_mut(h).expect("heir is live");
-                let table = heir
-                    .neighbors
-                    .iter()
-                    .chain(node.neighbors.iter())
-                    .copied()
-                    .filter(|&t| t != token && t != h)
-                    .collect();
-                heir.set_table(table);
-                heir.zones = [&heir.zones[..], &node.zones[..]].concat().into();
-            }
-            None => {
-                for &zone in &node.zones {
-                    self.index.set_owner(zone, None);
-                }
-                self.orphans.extend(node.zones);
-            }
-        }
-        true
-    }
-
-    /// Ungraceful failure: the zones are orphaned until [`CanNetwork::stabilize_takeover`].
-    pub fn fail_node(&mut self, token: u64) -> bool {
-        if !self.members.store.contains(token) || self.members.store.len() == 1 {
-            return false;
-        }
-        let node = self.members.store.remove(token).expect("checked live");
-        for &zone in &node.zones {
-            self.index.set_owner(zone, None);
-        }
-        for &y in node.neighbors.iter() {
-            self.members
-                .store
-                .get_mut(y)
-                .expect("neighbours are live")
-                .relink(Some(token), None);
-        }
-        self.orphans.extend(node.zones);
-        true
-    }
-
     /// The takeover protocol: each orphaned zone is adopted by the live
     /// node with the smallest volume among those abutting it.
     pub fn stabilize_takeover(&mut self) {
@@ -440,6 +373,116 @@ impl CanNetwork {
     }
 }
 
+impl Protocol for CanNetwork {
+    fn name(&self) -> String {
+        format!("CAN(d={})", self.config.dims)
+    }
+
+    fn degree_bound(&self) -> Option<usize> {
+        // O(d) on average, but irregular tilings have no hard per-node
+        // bound; report unbounded like the other non-constant systems.
+        None
+    }
+
+    fn key_id(&self, raw_key: u64) -> u64 {
+        // No scalar identifier space; report the first coordinate.
+        self.point_of(raw_key)[0]
+    }
+
+    fn owner_of(&self, raw_key: u64) -> Option<NodeToken> {
+        self.owner_of_point(&self.point_of(raw_key))
+    }
+
+    fn join(&mut self, _rng: &mut dyn RngCore) -> Option<NodeToken> {
+        // Joins draw their point from the network's own deterministic
+        // allocator, not the caller's churn stream.
+        self.join_random_point()
+    }
+
+    /// Graceful departure: the leaver hands all its zones to its
+    /// smallest-volume neighbour (real CAN's takeover, without the later
+    /// defragmentation — the successor may own several boxes), and the
+    /// heir takes the leaver's place in every neighbour's table.
+    fn leave(&mut self, token: NodeToken) -> bool {
+        if !self.members.store.contains(token) || self.members.store.len() == 1 {
+            return false;
+        }
+        let heir = self
+            .neighbors_of(token)
+            .iter()
+            .copied()
+            .min_by_key(|&t| (self.members.store.get(t).expect("live").volume(), t));
+        let node = self.members.store.remove(token).expect("checked live");
+        for &y in node.neighbors.iter().filter(|&&y| Some(y) != heir) {
+            self.members
+                .store
+                .get_mut(y)
+                .expect("neighbours are live")
+                .relink(Some(token), heir);
+        }
+        match heir {
+            Some(h) => {
+                for &zone in &node.zones {
+                    self.index.set_owner(zone, Some(h));
+                }
+                let heir = self.members.store.get_mut(h).expect("heir is live");
+                let table = heir
+                    .neighbors
+                    .iter()
+                    .chain(node.neighbors.iter())
+                    .copied()
+                    .filter(|&t| t != token && t != h)
+                    .collect();
+                heir.set_table(table);
+                heir.zones = [&heir.zones[..], &node.zones[..]].concat().into();
+            }
+            None => {
+                for &zone in &node.zones {
+                    self.index.set_owner(zone, None);
+                }
+                self.orphans.extend(node.zones);
+            }
+        }
+        true
+    }
+
+    /// Ungraceful failure: the zones are orphaned until [`CanNetwork::stabilize_takeover`].
+    fn fail(&mut self, token: NodeToken) -> bool {
+        if !self.members.store.contains(token) || self.members.store.len() == 1 {
+            return false;
+        }
+        let node = self.members.store.remove(token).expect("checked live");
+        for &zone in &node.zones {
+            self.index.set_owner(zone, None);
+        }
+        for &y in node.neighbors.iter() {
+            self.members
+                .store
+                .get_mut(y)
+                .expect("neighbours are live")
+                .relink(Some(token), None);
+        }
+        self.orphans.extend(node.zones);
+        true
+    }
+
+    fn corrupt_state(
+        &mut self,
+        plan: &dht_core::corrupt::CorruptionPlan,
+    ) -> dht_core::corrupt::CorruptionReport {
+        self.corrupt(plan)
+    }
+
+    fn repair_node(&mut self, node: NodeToken) -> u64 {
+        self.repair_one(node)
+    }
+
+    /// One message per zone-abutting neighbour of the node's zones.
+    fn maintenance_msgs(&self, node: NodeToken) -> u64 {
+        (self.neighbors_of(node).len() as u64).max(1)
+    }
+}
+
 impl SimOverlay for CanNetwork {
     type State = CanNode;
     type Walk = CanWalk;
@@ -450,30 +493,6 @@ impl SimOverlay for CanNetwork {
 
     fn membership_mut(&mut self) -> &mut Membership<CanNode> {
         &mut self.members
-    }
-
-    fn label(&self) -> String {
-        format!("CAN(d={})", self.config.dims)
-    }
-
-    fn degree_limit(&self) -> Option<usize> {
-        // O(d) on average, but irregular tilings have no hard per-node
-        // bound; report unbounded like the other non-constant systems.
-        None
-    }
-
-    /// One message per zone-abutting neighbour of the node's zones.
-    fn maintenance_msgs(&self, node: NodeToken) -> u64 {
-        (self.neighbors_of(node).len() as u64).max(1)
-    }
-
-    fn map_key(&self, raw_key: u64) -> u64 {
-        // No scalar identifier space; report the first coordinate.
-        self.point_of(raw_key)[0]
-    }
-
-    fn owner_token(&self, raw_key: u64) -> Option<NodeToken> {
-        self.owner_of_point(&self.point_of(raw_key))
     }
 
     fn hop_budget(&self) -> usize {
@@ -531,24 +550,6 @@ impl SimOverlay for CanNetwork {
         false
     }
 
-    fn node_join(&mut self, _rng: &mut dyn RngCore) -> Option<NodeToken> {
-        // Joins draw their point from the network's own deterministic
-        // allocator, not the caller's churn stream.
-        self.join_random_point()
-    }
-
-    fn node_leave(&mut self, node: NodeToken) -> bool {
-        self.leave(node)
-    }
-
-    fn node_fail(&mut self, node: NodeToken) -> bool {
-        self.fail_node(node)
-    }
-
-    fn stabilize_network(&mut self) {
-        self.stabilize_takeover();
-    }
-
     fn stabilize_one(&mut self, _node: NodeToken, _hints: &mut Hints) {
         // Takeover is a zone-level (not per-node) repair.
         self.stabilize_takeover();
@@ -563,24 +564,13 @@ impl SimOverlay for CanNetwork {
         // The dyadic zone index plus the orphan list.
         self.index.heap_bytes() + self.orphans.capacity() * std::mem::size_of::<Zone>()
     }
-
-    fn corrupt_network(
-        &mut self,
-        plan: &dht_core::corrupt::CorruptionPlan,
-    ) -> dht_core::corrupt::CorruptionReport {
-        self.corrupt(plan)
-    }
-
-    fn repair_step(&mut self, node: NodeToken) -> u64 {
-        self.repair_one(node)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dht_core::lookup::LookupOutcome;
-    use dht_core::overlay::Overlay;
+    use dht_core::overlay::{Overlay, Protocol};
     use dht_core::rng::stream;
     use proptest::prelude::*;
     use rand::Rng;
@@ -655,7 +645,7 @@ mod tests {
         let mut net = CanNetwork::with_nodes(CanConfig::new(2), 60, 8);
         let toks = net.members.store.tokens();
         let victim = toks[30];
-        assert!(net.fail_node(victim));
+        assert!(net.fail(victim));
         // Lookups towards the orphaned zone get stuck...
         let mut rng = stream(9, "cancrash");
         let mut stuck = 0;
@@ -743,7 +733,7 @@ mod tests {
                 net.leave(pick(i));
             }
             Step::Fail(i) => {
-                net.fail_node(pick(i));
+                net.fail(pick(i));
             }
             Step::Takeover => net.stabilize_takeover(),
             Step::Corrupt(seed) => {
@@ -784,7 +774,7 @@ mod tests {
                         table != net.sweep_neighbors(t) || table != scan_neighbors(&net, t)
                     })
                     .collect();
-                let report = net.audit(AuditScope::Online);
+                let report = net.audit_state(AuditScope::Online);
                 let flagged: Vec<_> = report
                     .violations()
                     .iter()
@@ -870,9 +860,9 @@ mod tests {
     fn churn_through_trait() {
         let mut net = CanNetwork::with_nodes(CanConfig::new(2), 32, 4);
         let mut rng = stream(5, "canj");
-        let n = Overlay::join(&mut net, &mut rng).unwrap();
+        let n = Protocol::join(&mut net, &mut rng).unwrap();
         assert_eq!(net.len(), 33);
-        assert!(Overlay::leave(&mut net, n));
+        assert!(Protocol::leave(&mut net, n));
         assert_eq!(net.len(), 32);
     }
 }

@@ -5,7 +5,7 @@
 //! corruption still attacks ownership, not the table. Every strategy of
 //! the shared catalogue maps to one damage: a node's zones become
 //! ownerless orphans. That is exactly the post-crash state of
-//! [`CanNetwork::fail_node`], except that the node stays live and
+//! a failure (`Protocol::fail`), except that the node stays live and
 //! zoneless, and its table empties with its zones. Strategies still
 //! differ through the plan's victim selection: `EclipseRegion` orphans a
 //! contiguous token range, the rest a seeded uniform sample. Scrambling
@@ -129,7 +129,7 @@ mod tests {
     #[test]
     fn repair_is_a_noop_on_a_healthy_network() {
         let mut n = net(64);
-        assert!(n.audit(AuditScope::Full).is_clean());
+        assert!(n.audit_state(AuditScope::Full).is_clean());
         assert_eq!(repair_sweep(&mut n), 0);
     }
 
@@ -145,13 +145,13 @@ mod tests {
                 "{strategy:?} orphaned too little"
             );
             assert!(
-                !n.audit(AuditScope::Full).is_clean(),
+                !n.audit_state(AuditScope::Full).is_clean(),
                 "{strategy:?} evaded the audit"
             );
             // Boundary peeling: a contiguous corrupted region can need
             // several sweeps before interior zones reach a live face.
             let mut sweeps = 0;
-            while !n.audit(AuditScope::Full).is_clean() {
+            while !n.audit_state(AuditScope::Full).is_clean() {
                 assert!(sweeps < 64, "{strategy:?} did not converge");
                 repair_sweep(&mut n);
                 sweeps += 1;

@@ -2,7 +2,7 @@
 
 use can::{CanConfig, CanNetwork, Zone};
 use dht_core::lookup::LookupOutcome;
-use dht_core::overlay::Overlay;
+use dht_core::overlay::{Overlay, Protocol};
 use dht_core::rng::stream;
 use dht_core::sim::SimOverlay;
 use proptest::prelude::*;
@@ -51,7 +51,7 @@ proptest! {
         for _ in 0..crashes {
             if net.len() > 2 {
                 let toks = net.membership().store.tokens();
-                net.fail_node(toks[(rng.gen::<u64>() % toks.len() as u64) as usize]);
+                net.fail(toks[(rng.gen::<u64>() % toks.len() as u64) as usize]);
             }
         }
         net.stabilize_takeover();

@@ -7,6 +7,7 @@
 //! only repaired by stabilization and are checked at [`AuditScope::Full`].
 
 use dht_core::audit::{AuditReport, AuditScope, StateAudit};
+use dht_core::overlay::Protocol;
 use dht_core::ring::ring_sides;
 use dht_core::sim::SimOverlay;
 
@@ -14,8 +15,8 @@ use crate::network::ChordNetwork;
 use crate::node::SuccessorList;
 
 impl StateAudit for ChordNetwork {
-    fn audit(&self, scope: AuditScope) -> AuditReport {
-        let mut report = AuditReport::new(self.label(), scope);
+    fn audit_state(&self, scope: AuditScope) -> AuditReport {
+        let mut report = AuditReport::new(self.name(), scope);
         let config = self.config();
         let space = config.space();
         let r = config.successor_list;
@@ -72,7 +73,7 @@ mod tests {
     #[test]
     fn stabilized_ring_is_fully_clean() {
         let net = ring(90);
-        let report = net.audit(AuditScope::Full);
+        let report = net.audit_state(AuditScope::Full);
         assert_eq!(report.checked_nodes(), 90);
         assert!(report.is_clean(), "{report}");
     }
@@ -87,7 +88,7 @@ mod tests {
             } else {
                 net.join_random();
             }
-            let report = net.audit(AuditScope::Online);
+            let report = net.audit_state(AuditScope::Online);
             assert!(report.is_clean(), "after step {step}: {report}");
         }
     }
@@ -98,13 +99,13 @@ mod tests {
         let id = net.node_tokens()[0];
         let wrong = (id + 1) % net.config().space();
         net.membership_mut().store.get_mut(id).unwrap().fingers[5] = wrong;
-        let report = net.audit(AuditScope::Full);
+        let report = net.audit_state(AuditScope::Full);
         assert!(
             report.violated_invariants().contains(&"chord/finger-table"),
             "{report}"
         );
         // Fingers are lazily stabilized: the online audit ignores them.
-        assert!(net.audit(AuditScope::Online).is_clean());
+        assert!(net.audit_state(AuditScope::Online).is_clean());
     }
 
     #[test]
@@ -112,7 +113,7 @@ mod tests {
         let mut net = ring(90);
         let id = net.node_tokens()[0];
         net.membership_mut().store.get_mut(id).unwrap().successors[0] = id;
-        let report = net.audit(AuditScope::Online);
+        let report = net.audit_state(AuditScope::Online);
         assert!(
             report
                 .violated_invariants()

@@ -8,14 +8,13 @@
 //! substrate's walk driver executes.
 //!
 //! The node lifecycle — `populate`, `join_id`, `join_random`,
-//! `depart(id, notify)`, `refresh_all` — is not written here: it is the
-//! provided half of [`dht_core::sim::Refresh`] (bring the trait into
-//! scope to call it), driven by the five Chord pieces in the
-//! `impl Refresh` below.
+//! `depart(id, notify)` — is not written here: it is the provided half
+//! of [`dht_core::sim::Refresh`] (bring the trait into scope to call
+//! it), driven by the five Chord pieces in the `impl Refresh` below.
 
 use dht_core::hash::{reduce, splitmix64};
 use dht_core::lookup::{HopPhase, LookupTrace};
-use dht_core::overlay::NodeToken;
+use dht_core::overlay::{NodeToken, Protocol};
 use dht_core::ring::{clockwise_dist, in_interval_oc, in_interval_oo};
 use dht_core::sim::{walk_from, Membership, Refresh, SimOverlay, StepDecision};
 use dht_core::store::{Hints, Pos};
@@ -167,6 +166,56 @@ impl Refresh for ChordNetwork {
     }
 }
 
+impl Protocol for ChordNetwork {
+    fn name(&self) -> String {
+        "Chord".to_string()
+    }
+
+    fn degree_bound(&self) -> Option<usize> {
+        None // O(log n) fingers: not constant-degree
+    }
+
+    fn key_id(&self, raw_key: u64) -> u64 {
+        self.key_of(raw_key)
+    }
+
+    fn owner_of(&self, raw_key: u64) -> Option<NodeToken> {
+        self.members.store.successor_of(self.key_of(raw_key))
+    }
+
+    fn join(&mut self, _rng: &mut dyn RngCore) -> Option<NodeToken> {
+        self.join_random()
+    }
+
+    fn leave(&mut self, node: NodeToken) -> bool {
+        self.depart(node, true)
+    }
+
+    fn fail(&mut self, node: NodeToken) -> bool {
+        self.depart(node, false)
+    }
+
+    fn corrupt_state(
+        &mut self,
+        plan: &dht_core::corrupt::CorruptionPlan,
+    ) -> dht_core::corrupt::CorruptionReport {
+        let space = self.config.space();
+        dht_core::corrupt::corrupt_links(self, plan, space, |t| t)
+    }
+
+    fn repair_node(&mut self, node: NodeToken) -> u64 {
+        dht_core::corrupt::repair_links(self, node)
+    }
+
+    /// One message per distinct finger/successor/predecessor entry.
+    fn maintenance_msgs(&self, node: NodeToken) -> u64 {
+        self.members
+            .store
+            .get(node)
+            .map_or(1, |s| (s.degree() as u64).max(1))
+    }
+}
+
 impl SimOverlay for ChordNetwork {
     type State = ChordNode;
     type Walk = ChordWalk;
@@ -177,30 +226,6 @@ impl SimOverlay for ChordNetwork {
 
     fn membership_mut(&mut self) -> &mut Membership<ChordNode> {
         &mut self.members
-    }
-
-    fn label(&self) -> String {
-        "Chord".to_string()
-    }
-
-    fn degree_limit(&self) -> Option<usize> {
-        None // O(log n) fingers: not constant-degree
-    }
-
-    /// One message per distinct finger/successor/predecessor entry.
-    fn maintenance_msgs(&self, node: NodeToken) -> u64 {
-        self.members
-            .store
-            .get(node)
-            .map_or(1, |s| (s.degree() as u64).max(1))
-    }
-
-    fn map_key(&self, raw_key: u64) -> u64 {
-        self.key_of(raw_key)
-    }
-
-    fn owner_token(&self, raw_key: u64) -> Option<NodeToken> {
-        self.members.store.successor_of(self.key_of(raw_key))
     }
 
     fn hop_budget(&self) -> usize {
@@ -259,22 +284,6 @@ impl SimOverlay for ChordNetwork {
         }
     }
 
-    fn node_join(&mut self, _rng: &mut dyn RngCore) -> Option<NodeToken> {
-        self.join_random()
-    }
-
-    fn node_leave(&mut self, node: NodeToken) -> bool {
-        self.depart(node, true)
-    }
-
-    fn node_fail(&mut self, node: NodeToken) -> bool {
-        self.depart(node, false)
-    }
-
-    fn stabilize_network(&mut self) {
-        self.refresh_all();
-    }
-
     fn stabilize_one(&mut self, node: NodeToken, hints: &mut Hints) {
         self.refresh_node(node, hints);
     }
@@ -284,25 +293,13 @@ impl SimOverlay for ChordNetwork {
         // lives on the heap.
         state.fingers.capacity() * std::mem::size_of::<u64>()
     }
-
-    fn corrupt_network(
-        &mut self,
-        plan: &dht_core::corrupt::CorruptionPlan,
-    ) -> dht_core::corrupt::CorruptionReport {
-        let space = self.config.space();
-        dht_core::corrupt::corrupt_links(self, plan, space, |t| t)
-    }
-
-    fn repair_step(&mut self, node: NodeToken) -> u64 {
-        dht_core::corrupt::repair_links(self, node)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dht_core::lookup::LookupOutcome;
-    use dht_core::overlay::Overlay;
+    use dht_core::overlay::{Overlay, Protocol};
     use dht_core::rng::stream;
     use rand::Rng;
 
@@ -337,7 +334,7 @@ mod tests {
         };
         let before = buffers(&net);
         assert!(before.iter().all(|&(capacity, _)| capacity == 11));
-        net.refresh_all();
+        net.stabilize();
         let ids: Vec<u64> = net.members.store.token_iter().collect();
         net.stabilize_node(ids[17]);
         assert_eq!(net.repair_node(ids[18]), 0);
@@ -407,7 +404,7 @@ mod tests {
             timeouts += t.timeouts;
         }
         assert!(timeouts > 0, "stale fingers must time out");
-        net.refresh_all();
+        net.stabilize();
         for i in 0..200 {
             let t = net.lookup(live[i % live.len()], rng.gen());
             assert_eq!(t.timeouts, 0, "stabilization removes timeouts");
@@ -488,9 +485,9 @@ mod tests {
     fn churn_through_trait() {
         let mut net = ChordNetwork::with_nodes(ChordConfig::new(11), 64, 4);
         let mut rng = stream(5, "cj");
-        let n = Overlay::join(&mut net, &mut rng).unwrap();
+        let n = Protocol::join(&mut net, &mut rng).unwrap();
         assert_eq!(net.len(), 65);
-        assert!(Overlay::leave(&mut net, n));
+        assert!(Protocol::leave(&mut net, n));
         assert_eq!(net.len(), 64);
     }
 }

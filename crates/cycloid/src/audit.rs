@@ -8,9 +8,8 @@
 //! Chord" (§3.3.2) and are only checked at [`AuditScope::Full`].
 
 use dht_core::audit::{AuditReport, AuditScope, StateAudit};
-use dht_core::overlay::NodeToken;
+use dht_core::overlay::{NodeToken, Protocol};
 use dht_core::ring::ring_sides;
-use dht_core::sim::SimOverlay;
 
 use crate::id::CycloidId;
 use crate::network::CycloidNetwork;
@@ -42,8 +41,8 @@ impl CycloidNetwork {
 }
 
 impl StateAudit for CycloidNetwork {
-    fn audit(&self, scope: AuditScope) -> AuditReport {
-        let mut report = AuditReport::new(self.label(), scope);
+    fn audit_state(&self, scope: AuditScope) -> AuditReport {
+        let mut report = AuditReport::new(self.name(), scope);
         let dim = self.dim();
         let d = u64::from(dim.get());
         let r = self.leaf_radius();
@@ -178,7 +177,7 @@ mod tests {
     #[test]
     fn stabilized_network_is_fully_clean() {
         let net = net(80);
-        let report = net.audit(AuditScope::Full);
+        let report = net.audit_state(AuditScope::Full);
         assert_eq!(report.checked_nodes(), 80);
         assert!(report.is_clean(), "{report}");
     }
@@ -194,7 +193,7 @@ mod tests {
             } else {
                 net.join_random(&mut rng);
             }
-            let report = net.audit(AuditScope::Online);
+            let report = net.audit_state(AuditScope::Online);
             assert!(report.is_clean(), "after step {step}: {report}");
         }
     }
@@ -205,7 +204,7 @@ mod tests {
         let id = net.ids().find(|i| i.cyclic > 0).unwrap();
         let wrong = CycloidId::new(id.cyclic - 1, id.cubical ^ 1);
         net.node_mut(id).unwrap().cubical_neighbor = Some(wrong);
-        let report = net.audit(AuditScope::Full);
+        let report = net.audit_state(AuditScope::Full);
         assert!(
             report
                 .violated_invariants()
@@ -214,7 +213,7 @@ mod tests {
         );
         // The corruption is in lazily-stabilized state, so the online
         // audit must NOT flag it.
-        assert!(net.audit(AuditScope::Online).is_clean());
+        assert!(net.audit_state(AuditScope::Online).is_clean());
     }
 
     #[test]
@@ -222,7 +221,7 @@ mod tests {
         let mut net = net(80);
         let id = net.ids().next().unwrap();
         net.node_mut(id).unwrap().inside_right.clear();
-        let report = net.audit(AuditScope::Online);
+        let report = net.audit_state(AuditScope::Online);
         assert!(
             report
                 .violated_invariants()
@@ -240,7 +239,7 @@ mod tests {
             .find(|&id| !clean.is_live(id))
             .unwrap();
         let named = |net: &CycloidNetwork, token: u64, detail: &str| {
-            let report = net.audit(AuditScope::Full);
+            let report = net.audit_state(AuditScope::Full);
             let hits: Vec<_> = report
                 .violations()
                 .iter()
@@ -251,7 +250,7 @@ mod tests {
             // Index drift breaks no *state*: the neighbour resolvers and
             // stabilization agree with the drifted index, and churn runs
             // do not pay for this check.
-            assert!(net.audit(AuditScope::Online).is_clean());
+            assert!(net.audit_state(AuditScope::Online).is_clean());
         };
 
         // A live node dropped from the index...
@@ -276,7 +275,7 @@ mod tests {
         state.inside_left = (0..4).map(|c| CycloidId::new(4, c)).collect();
         state.inside_right = (4..8).map(|c| CycloidId::new(4, c)).collect();
         state.outside_left = (8..12).map(|c| CycloidId::new(4, c)).collect();
-        let report = net.audit(AuditScope::Online);
+        let report = net.audit_state(AuditScope::Online);
         assert!(
             report.violated_invariants().contains(&"cycloid/state-size"),
             "{report}"

@@ -21,7 +21,7 @@ use std::cmp::Reverse;
 
 use dht_core::inline::InlineVec;
 use dht_core::lookup::{HopPhase, LookupOutcome, LookupTrace};
-use dht_core::overlay::NodeToken;
+use dht_core::overlay::{NodeToken, Protocol};
 use dht_core::ring::clockwise_dist;
 use dht_core::sim::{walk_from, Membership, SimOverlay, StepDecision};
 use dht_core::store::Hints;
@@ -191,24 +191,50 @@ impl CycloidNetwork {
     }
 }
 
-impl SimOverlay for CycloidNetwork {
-    type State = NodeState;
-    type Walk = CycloidWalk;
-
-    fn membership(&self) -> &Membership<NodeState> {
-        &self.members
-    }
-
-    fn membership_mut(&mut self) -> &mut Membership<NodeState> {
-        &mut self.members
-    }
-
-    fn label(&self) -> String {
+impl Protocol for CycloidNetwork {
+    fn name(&self) -> String {
         format!("Cycloid({})", 3 + 4 * self.leaf_radius())
     }
 
-    fn degree_limit(&self) -> Option<usize> {
+    fn degree_bound(&self) -> Option<usize> {
         Some(3 + 4 * self.leaf_radius())
+    }
+
+    fn key_id(&self, raw_key: u64) -> u64 {
+        self.key_of(raw_key).linear(self.dim())
+    }
+
+    fn owner_of(&self, raw_key: u64) -> Option<NodeToken> {
+        let key = self.key_of(raw_key);
+        self.owner_of_key(key).map(|id| id.linear(self.dim()))
+    }
+
+    fn join(&mut self, rng: &mut dyn RngCore) -> Option<NodeToken> {
+        self.join_random(rng).map(|id| id.linear(self.dim()))
+    }
+
+    fn leave(&mut self, node: NodeToken) -> bool {
+        let id = CycloidId::from_linear(node, self.dim());
+        self.leave(id)
+    }
+
+    fn fail(&mut self, node: NodeToken) -> bool {
+        let id = CycloidId::from_linear(node, self.dim());
+        self.fail_node(id)
+    }
+
+    fn corrupt_state(
+        &mut self,
+        plan: &dht_core::corrupt::CorruptionPlan,
+    ) -> dht_core::corrupt::CorruptionReport {
+        let dim = self.dim();
+        dht_core::corrupt::corrupt_links(self, plan, dim.id_space(), |t| {
+            CycloidId::from_linear(t, dim)
+        })
+    }
+
+    fn repair_node(&mut self, node: NodeToken) -> u64 {
+        dht_core::corrupt::repair_links(self, node)
     }
 
     /// One message per routing-table/leaf-set entry the node actually
@@ -220,14 +246,18 @@ impl SimOverlay for CycloidNetwork {
             .get(node)
             .map_or(1, |s| (s.degree(id) as u64).max(1))
     }
+}
 
-    fn map_key(&self, raw_key: u64) -> u64 {
-        self.key_of(raw_key).linear(self.dim())
+impl SimOverlay for CycloidNetwork {
+    type State = NodeState;
+    type Walk = CycloidWalk;
+
+    fn membership(&self) -> &Membership<NodeState> {
+        &self.members
     }
 
-    fn owner_token(&self, raw_key: u64) -> Option<NodeToken> {
-        let key = self.key_of(raw_key);
-        self.owner_of_key(key).map(|id| id.linear(self.dim()))
+    fn membership_mut(&mut self) -> &mut Membership<NodeState> {
+        &mut self.members
     }
 
     /// Hop budget: a correct lookup needs `O(d)` hops; the budget leaves a
@@ -292,44 +322,12 @@ impl SimOverlay for CycloidNetwork {
         self.classify_terminal(cur, walk)
     }
 
-    fn node_join(&mut self, rng: &mut dyn RngCore) -> Option<NodeToken> {
-        self.join_random(rng).map(|id| id.linear(self.dim()))
-    }
-
-    fn node_leave(&mut self, node: NodeToken) -> bool {
-        let id = CycloidId::from_linear(node, self.dim());
-        self.leave(id)
-    }
-
-    fn node_fail(&mut self, node: NodeToken) -> bool {
-        let id = CycloidId::from_linear(node, self.dim());
-        self.fail_node(id)
-    }
-
-    fn stabilize_network(&mut self) {
-        self.stabilize_all();
-    }
-
     fn stabilize_one(&mut self, node: NodeToken, hints: &mut Hints) {
         self.refresh_node(CycloidId::from_linear(node, self.dim()), hints);
     }
 
     fn aux_bytes(&self) -> usize {
         self.index_bytes()
-    }
-
-    fn corrupt_network(
-        &mut self,
-        plan: &dht_core::corrupt::CorruptionPlan,
-    ) -> dht_core::corrupt::CorruptionReport {
-        let dim = self.dim();
-        dht_core::corrupt::corrupt_links(self, plan, dim.id_space(), |t| {
-            CycloidId::from_linear(t, dim)
-        })
-    }
-
-    fn repair_step(&mut self, node: NodeToken) -> u64 {
-        dht_core::corrupt::repair_links(self, node)
     }
 }
 
@@ -528,7 +526,7 @@ mod tests {
                 net.leave(node);
             }
         }
-        net.stabilize_all();
+        net.stabilize();
         let live: Vec<CycloidId> = net.ids().collect();
         for i in 0..500 {
             let src = live[i % live.len()];
@@ -572,7 +570,7 @@ mod tests {
         let mut net = CycloidNetwork::new(CycloidConfig::seven_entry(4), 51);
         net.join_id(id(1, 2));
         net.join_id(id(3, 11));
-        net.stabilize_all();
+        net.stabilize();
         for raw in 0..50u64 {
             let t = net.route(id(1, 2), raw.wrapping_mul(0x1234_5678_9abc));
             assert_eq!(t.outcome, LookupOutcome::Found);

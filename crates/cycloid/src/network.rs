@@ -110,7 +110,7 @@ impl CycloidNetwork {
         }
         net.index_members();
         net.members.store.order_slab();
-        net.stabilize_all();
+        net.stabilize();
         net
     }
 
@@ -124,7 +124,7 @@ impl CycloidNetwork {
             net.members.store.insert(linear, NodeState::default());
         }
         net.index_members();
-        net.stabilize_all();
+        net.stabilize();
         net
     }
 
@@ -490,15 +490,6 @@ impl CycloidNetwork {
         state.outside_right = out_r;
     }
 
-    /// One full stabilization round: every node refreshes its cubical and
-    /// cyclic neighbours ("updating cubical and cyclic neighbours are the
-    /// responsibility of system stabilization, as in Chord", §3.3.2) and
-    /// its leaf sets, as one ascending run.
-    pub fn stabilize_all(&mut self) {
-        let tokens = self.members.store.tokens();
-        self.stabilize_nodes(&tokens);
-    }
-
     // ------------------------------------------------------------------
     // Join / leave protocols (§3.3)
     // ------------------------------------------------------------------
@@ -825,13 +816,13 @@ mod tests {
                 ids.iter()
                     .rev()
                     .for_each(|&id| one_by_one.insert_membership(id));
-                one_by_one.stabilize_all();
+                one_by_one.stabilize();
                 assert_eq!(bulk.by_cyclic, one_by_one.by_cyclic, "by_cyclic, n = {n}");
                 assert!(bulk.ids().eq(one_by_one.ids()));
                 for &id in &ids {
                     assert_eq!(bulk.node(id), one_by_one.node(id), "{id:?}, n = {n}");
                 }
-                let report = bulk.audit(AuditScope::Full);
+                let report = bulk.audit_state(AuditScope::Full);
                 assert!(report.is_clean(), "n = {n}: {report}");
             }
         }
@@ -992,7 +983,7 @@ mod tests {
         let still = net.node(holder).unwrap().cubical_neighbor;
         assert_eq!(still, Some(victim), "stale pointer must remain");
         // ... until stabilization repairs it.
-        net.stabilize_all();
+        net.stabilize();
         let repaired = net.node(holder).unwrap().cubical_neighbor;
         assert_ne!(repaired, Some(victim));
     }
@@ -1073,22 +1064,25 @@ mod tests {
 
     #[test]
     fn eleven_entry_name_and_bound() {
-        use dht_core::overlay::Overlay;
+        use dht_core::overlay::Protocol;
         let net = CycloidNetwork::with_nodes(CycloidConfig::eleven_entry(6), 50, 2);
         assert_eq!(net.name(), "Cycloid(11)");
-        assert_eq!(Overlay::degree_bound(&net), Some(11));
+        assert_eq!(Protocol::degree_bound(&net), Some(11));
     }
 
     #[test]
     fn join_and_leave_through_trait() {
-        use dht_core::overlay::Overlay;
+        use dht_core::overlay::{Overlay, Protocol};
         let mut net = CycloidNetwork::with_nodes(CycloidConfig::seven_entry(6), 50, 3);
         let mut rng = dht_core::rng::stream(5, "trait");
-        let newcomer = Overlay::join(&mut net, &mut rng).expect("space not full");
+        let newcomer = Protocol::join(&mut net, &mut rng).expect("space not full");
         assert_eq!(net.len(), 51);
-        assert!(Overlay::leave(&mut net, newcomer));
+        assert!(Protocol::leave(&mut net, newcomer));
         assert_eq!(net.len(), 50);
-        assert!(!Overlay::leave(&mut net, newcomer), "double leave rejected");
+        assert!(
+            !Protocol::leave(&mut net, newcomer),
+            "double leave rejected"
+        );
     }
 
     #[test]

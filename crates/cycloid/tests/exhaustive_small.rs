@@ -6,6 +6,7 @@
 
 use cycloid::{CycloidConfig, CycloidId, CycloidNetwork, Dim};
 use dht_core::lookup::LookupOutcome;
+use dht_core::overlay::Overlay;
 use dht_core::rng::stream_indexed;
 use rand::Rng;
 
@@ -52,7 +53,7 @@ fn every_pair_resolves_in_sampled_memberships() {
         }
         for radius in [1usize, 2] {
             let mut net = network_from_mask(mask, radius).unwrap();
-            net.stabilize_all();
+            net.stabilize();
             let ids: Vec<CycloidId> = net.ids().collect();
             for &src in &ids {
                 for key_lin in 0..SLOTS {
@@ -111,7 +112,7 @@ fn all_two_node_networks_resolve() {
         for b in (a + 1)..SLOTS {
             let mask = (1u32 << a) | (1 << b);
             let mut net = network_from_mask(mask, 1).unwrap();
-            net.stabilize_all();
+            net.stabilize();
             for src_lin in [a, b] {
                 let src = CycloidId::from_linear(src_lin, dim);
                 for key_lin in 0..SLOTS {

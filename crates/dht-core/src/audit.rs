@@ -20,9 +20,9 @@
 //! * [`StateAudit`] — the trait each overlay crate implements to check its
 //!   own paper-specified invariants against a membership snapshot.
 //!
-//! The simulation driver exposes the auditor through
-//! `Overlay::audit_state`, so experiment code can audit any boxed overlay
-//! without naming its concrete type.
+//! [`StateAudit`] is a supertrait of [`crate::overlay::Protocol`], so
+//! experiment code can call `audit_state` on any boxed overlay without
+//! naming its concrete type.
 
 use std::fmt;
 
@@ -236,7 +236,7 @@ impl fmt::Display for AuditReport {
 /// `Box<dyn Overlay>` without knowing the concrete overlay.
 pub trait StateAudit {
     /// Audits every live node's state at the given scope.
-    fn audit(&self, scope: AuditScope) -> AuditReport;
+    fn audit_state(&self, scope: AuditScope) -> AuditReport;
 }
 
 #[cfg(test)]

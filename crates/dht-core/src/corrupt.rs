@@ -16,8 +16,8 @@
 //! mapping from strategy to written value), [`repair_links`] (clone, run
 //! the node's stabilizer, count what changed) and [`link_diff`] (the one
 //! definition of "entries that differ"). CAN and Viceroy hold zones and
-//! level claims, not link tables, and keep their own
-//! `SimOverlay::corrupt_network`.
+//! level claims, not link tables, and write their own
+//! `Protocol::corrupt_state`.
 //!
 //! Two properties matter for the test harness built on top:
 //!
@@ -419,8 +419,38 @@ mod tests {
 
     /// Corruption needs no audit: every report is clean.
     impl crate::audit::StateAudit for ToyNet {
-        fn audit(&self, scope: crate::audit::AuditScope) -> crate::audit::AuditReport {
+        fn audit_state(&self, scope: crate::audit::AuditScope) -> crate::audit::AuditReport {
             crate::audit::AuditReport::new("Toy", scope)
+        }
+    }
+
+    impl crate::overlay::Protocol for ToyNet {
+        fn name(&self) -> String {
+            "Toy".to_string()
+        }
+        fn degree_bound(&self) -> Option<usize> {
+            None
+        }
+        fn key_id(&self, raw_key: u64) -> u64 {
+            raw_key
+        }
+        fn owner_of(&self, _raw_key: u64) -> Option<NodeToken> {
+            None
+        }
+        fn join(&mut self, _rng: &mut dyn rand::RngCore) -> Option<NodeToken> {
+            None
+        }
+        fn leave(&mut self, node: NodeToken) -> bool {
+            self.0.store.remove(node).is_some()
+        }
+        fn corrupt_state(&mut self, plan: &CorruptionPlan) -> CorruptionReport {
+            corrupt_links(self, plan, 64, |t| t)
+        }
+        fn repair_node(&mut self, node: NodeToken) -> u64 {
+            repair_links(self, node)
+        }
+        fn maintenance_msgs(&self, _node: NodeToken) -> u64 {
+            1
         }
     }
 
@@ -432,18 +462,6 @@ mod tests {
         }
         fn membership_mut(&mut self) -> &mut Membership<Toy> {
             &mut self.0
-        }
-        fn label(&self) -> String {
-            "Toy".to_string()
-        }
-        fn degree_limit(&self) -> Option<usize> {
-            None
-        }
-        fn map_key(&self, raw_key: u64) -> u64 {
-            raw_key
-        }
-        fn owner_token(&self, _raw_key: u64) -> Option<NodeToken> {
-            None
         }
         fn hop_budget(&self) -> usize {
             0
@@ -460,13 +478,6 @@ mod tests {
         ) -> StepDecision {
             StepDecision::Terminate
         }
-        fn node_join(&mut self, _rng: &mut dyn rand::RngCore) -> Option<NodeToken> {
-            None
-        }
-        fn node_leave(&mut self, node: NodeToken) -> bool {
-            self.0.store.remove(node).is_some()
-        }
-        fn stabilize_network(&mut self) {}
         fn stabilize_one(&mut self, node: NodeToken, _hints: &mut Hints) {
             if let Some(state) = self.0.store.get_mut(node) {
                 *state = Toy::healthy(node);

@@ -31,6 +31,8 @@
 //!   keeping constant-degree routing tables inside the state slab,
 //! * [`overlay`] — the [`overlay::Overlay`] trait: the uniform simulation
 //!   interface (join / graceful leave / lookup / stabilize / query loads),
+//!   and its [`overlay::Protocol`] supertrait, the operations each overlay
+//!   writes once,
 //! * [`store`] — the compact struct-of-arrays node store
 //!   ([`store::CompactStore`]) backing million-node memberships,
 //! * [`ring`] — modular-ring interval and distance arithmetic shared by the
@@ -68,7 +70,7 @@ pub use inline::InlineVec;
 pub use lookup::{HopPhase, LookupOutcome, LookupTrace};
 pub use net::{DelayModel, FaultPlan, NetConditions, NetCosts, RetryPolicy};
 pub use obs::{Event, Telemetry, TimeoutKind};
-pub use overlay::{NodeToken, Overlay};
+pub use overlay::{NodeToken, Overlay, Protocol};
 pub use sim::{
     CursorStep, LookupCursor, Membership, SimOverlay, StepDecision, WalkCursor, WalkEffects,
     WalkScratch,

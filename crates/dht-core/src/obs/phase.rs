@@ -26,7 +26,7 @@
 //!   is the lookup's end-to-end simulated latency.
 //! * **Stabilize / Repair (timer-driven)**: one message per routing
 //!   entry examined — a maintenance pass probes each link once — as
-//!   reported by [`crate::overlay::Overlay::maintenance_msgs`].
+//!   reported by [`crate::overlay::Protocol::maintenance_msgs`].
 //! * **Repair (on use)**: one message per routing entry rewritten when
 //!   a lookup stumbles on a stale entry (§4.3's repair-on-use); billed
 //!   to `Repair`, not `Lookup`, so the two costs stay separable.

@@ -4,13 +4,15 @@
 //! Chord) under identical workloads. [`Overlay`] is the common surface the
 //! experiment harness drives: membership changes, key lookups with full
 //! traces, stabilization, and the bookkeeping the figures need (key
-//! ownership, per-node query loads).
+//! ownership, per-node query loads). Its supertrait [`Protocol`] holds the
+//! operations each overlay writes itself; the rest is the substrate's
+//! (see [`crate::sim`]).
 
 use std::any::Any;
 
 use rand::RngCore;
 
-use crate::audit::{AuditReport, AuditScope};
+use crate::audit::StateAudit;
 use crate::corrupt::{CorruptionPlan, CorruptionReport};
 use crate::lookup::LookupTrace;
 use crate::net::NetConditions;
@@ -24,58 +26,32 @@ use crate::sim::{LookupCursor, WalkEffects};
 /// `u64`. Tokens are only meaningful to the overlay that issued them.
 pub type NodeToken = u64;
 
-/// A structured P2P overlay under simulation.
+/// The operations each overlay kind supplies itself: its name and key
+/// space, its join, leave and failure protocols, and how its routing
+/// state is corrupted, repaired and probed. Its supertrait
+/// [`StateAudit`] checks that state against the paper's invariants.
 ///
-/// Implementations are *simulators in the paper's sense*: the whole
-/// membership lives in one process, lookups are iterative walks over each
-/// node's private routing state, and a "timeout" is an attempt to use a
-/// routing-table entry pointing at a departed node.
-///
-/// This is the dyn-safe face the harness holds as `Box<dyn Overlay>`.
-/// Its one impl is the blanket impl over [`crate::sim::SimOverlay`], so
-/// the methods below state contracts, not fallbacks.
-pub trait Overlay {
+/// Object-safe, and a supertrait of both [`Overlay`] and
+/// [`crate::sim::SimOverlay`], so a `dyn Overlay` answers every method
+/// below without this trait in scope; code calling them on a concrete
+/// network imports it.
+pub trait Protocol: StateAudit {
     /// Human-readable name used in reports ("Cycloid(7)", "Koorde", ...).
     fn name(&self) -> String;
-
-    /// Number of live nodes.
-    fn len(&self) -> usize;
-
-    /// `true` iff no node is live.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 
     /// Upper bound on routing-state entries per node (Table 1's
     /// "routing table size" column). `None` for degrees that grow with the
     /// network, like Chord's `O(log n)`.
     fn degree_bound(&self) -> Option<usize>;
 
-    /// Tokens of all live nodes, in an overlay-chosen deterministic order.
-    fn node_tokens(&self) -> Vec<NodeToken>;
-
-    /// Token of a uniformly random live node.
-    fn random_node(&self, rng: &mut dyn RngCore) -> Option<NodeToken>;
-
     /// Hashes an application key into this overlay's identifier space and
     /// returns the identifier (useful for deterministic workloads).
     fn key_id(&self, raw_key: u64) -> u64;
 
     /// The live node responsible for `raw_key`, computed from global
-    /// knowledge (the ground truth lookups are checked against).
+    /// knowledge (the ground truth lookups are checked against), or
+    /// `None` if the overlay cannot name an owner.
     fn owner_of(&self, raw_key: u64) -> Option<NodeToken>;
-
-    /// Performs one lookup for `raw_key` starting at node `src`, walking
-    /// the overlay hop by hop using only per-node routing state. Updates
-    /// per-node query-load counters.
-    fn lookup(&mut self, src: NodeToken, raw_key: u64) -> LookupTrace;
-
-    /// Performs a batch of independent lookups, returning the traces in
-    /// request order. `jobs` is the worker-thread cap; the traces and
-    /// every side effect are bit-identical to `jobs == 1` (the batch is
-    /// sharded across scoped threads and the effects merged in request
-    /// order — see `dht_core::sim::ParallelExecutor`).
-    fn lookup_batch(&mut self, reqs: &[(NodeToken, u64)], jobs: usize) -> Vec<LookupTrace>;
 
     /// A new node joins, bootstrapped per the overlay's join protocol.
     /// Returns its token, or `None` if the identifier space is full.
@@ -93,14 +69,83 @@ pub trait Overlay {
     /// (leaf sets, ring successors) go stale until stabilization. The
     /// paper defers this case ("nodes must notify others before leaving",
     /// §3.4) and flags it as the constant-degree DHTs' weakness (§5); a
-    /// protocol that does not distinguish the two leaves gracefully.
-    fn fail(&mut self, node: NodeToken) -> bool;
+    /// protocol that does not distinguish the two leaves gracefully, the
+    /// default.
+    fn fail(&mut self, node: NodeToken) -> bool {
+        self.leave(node)
+    }
+
+    /// Seeded, deterministic corruption of routing state — the adversary
+    /// half of the self-stabilization contract (see [`crate::corrupt`]):
+    /// the plan chooses the victims and the value draws, the overlay maps
+    /// its strategy onto its own link layout. Deterministic in
+    /// `(current state, plan)`, drawing from no RNG stream. The returned
+    /// report says how much damage was actually done.
+    fn corrupt_state(&mut self, plan: &CorruptionPlan) -> CorruptionReport;
+
+    /// One node's repair routine: recomputes the routing entries its
+    /// stabilizer owns from live membership and returns how many entries
+    /// were rewritten. Repair subsumes [`Overlay::stabilize_node`] (the
+    /// churn engine fires it *instead of* the stabilizer when repair is
+    /// enabled) and must be an exact no-op on healthy state (zero
+    /// rewrites, no other state change, no RNG draws), which is what pins
+    /// goldens and repair-enabled churn runs byte-identical.
+    fn repair_node(&mut self, node: NodeToken) -> u64;
+
+    /// Messages one maintenance pass over `node`'s routing links costs
+    /// — the hook behind the Stabilize/Repair/Join/Leave message
+    /// conventions (one probe per routing entry the node actually holds;
+    /// see [`crate::obs::phase`]). Must not mutate anything or draw from
+    /// any RNG stream.
+    fn maintenance_msgs(&self, node: NodeToken) -> u64;
+}
+
+/// A structured P2P overlay under simulation.
+///
+/// Implementations are *simulators in the paper's sense*: the whole
+/// membership lives in one process, lookups are iterative walks over each
+/// node's private routing state, and a "timeout" is an attempt to use a
+/// routing-table entry pointing at a departed node.
+///
+/// This is the dyn-safe face the harness holds as `Box<dyn Overlay>`.
+/// Its one impl is the blanket impl over [`crate::sim::SimOverlay`]: the
+/// methods below are what the substrate computes, and the per-kind ones
+/// come from the [`Protocol`] supertrait.
+pub trait Overlay: Protocol {
+    /// Number of live nodes.
+    fn len(&self) -> usize;
+
+    /// `true` iff no node is live.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Tokens of all live nodes, in an overlay-chosen deterministic order.
+    fn node_tokens(&self) -> Vec<NodeToken>;
+
+    /// Token of a uniformly random live node.
+    fn random_node(&self, rng: &mut dyn RngCore) -> Option<NodeToken>;
+
+    /// Performs one lookup for `raw_key` starting at node `src`, walking
+    /// the overlay hop by hop using only per-node routing state. Updates
+    /// per-node query-load counters.
+    fn lookup(&mut self, src: NodeToken, raw_key: u64) -> LookupTrace;
+
+    /// Performs a batch of independent lookups, returning the traces in
+    /// request order. `jobs` is the worker-thread cap; the traces and
+    /// every side effect are bit-identical to `jobs == 1` (the batch is
+    /// sharded across scoped threads and the effects merged in request
+    /// order — see `dht_core::sim::ParallelExecutor`).
+    fn lookup_batch(&mut self, reqs: &[(NodeToken, u64)], jobs: usize) -> Vec<LookupTrace>;
 
     /// One full stabilization round: every node refreshes the routing
     /// entries its stabilizer is responsible for (§3.3.2: "updating cubical
     /// and cyclic neighbors are the responsibility of system stabilization,
-    /// as in Chord").
-    fn stabilize(&mut self);
+    /// as in Chord"), as one ascending run over [`Overlay::node_tokens`].
+    fn stabilize(&mut self) {
+        let tokens = self.node_tokens();
+        self.stabilize_nodes(&tokens);
+    }
 
     /// One node's stabilization routine (§4.4 runs these "at intervals
     /// that are uniformly distributed in the 30 s interval"): a run of
@@ -114,25 +159,9 @@ pub trait Overlay {
     /// afterwards as refreshing each node on its own, for any order,
     /// repeats and departed tokens included, but each node's ordered
     /// searches start where the last node's ended. Returns the
-    /// [`Overlay::maintenance_msgs`] of the run, each node's read just
+    /// [`Protocol::maintenance_msgs`] of the run, each node's read just
     /// before its own refresh — 0 while telemetry is off.
     fn stabilize_nodes(&mut self, nodes: &[NodeToken]) -> u64;
-
-    /// Audits every node's routing state against the overlay's
-    /// paper-specified invariants (see [`crate::audit`]).
-    fn audit_state(&self, scope: AuditScope) -> AuditReport;
-
-    /// Seeded, deterministic corruption of routing state — the adversary
-    /// half of the self-stabilization contract (see [`crate::corrupt`]).
-    /// The returned report says how much damage was actually done.
-    fn corrupt_state(&mut self, plan: &CorruptionPlan) -> CorruptionReport;
-
-    /// One node's repair routine: recomputes the routing entries its
-    /// stabilizer owns from live membership and returns how many entries
-    /// were rewritten. Repair subsumes [`Overlay::stabilize_node`] (the
-    /// churn engine fires it *instead of* the stabilizer when repair is
-    /// enabled) and must be an exact no-op on healthy state.
-    fn repair_node(&mut self, node: NodeToken) -> u64;
 
     /// Per-node query loads: number of lookup messages each live node has
     /// received (as source, intermediate, or terminal) since the last
@@ -160,11 +189,9 @@ pub trait Overlay {
         }
     }
 
-    /// The network conditions (fault plan + retry policy) lookups run
-    /// under, stored in the overlay's [`crate::sim::Membership`].
-    fn net_conditions(&self) -> NetConditions;
-
-    /// Replaces the network conditions every subsequent lookup runs under.
+    /// Replaces the network conditions (fault plan + retry policy) every
+    /// subsequent lookup runs under, stored in the overlay's
+    /// [`crate::sim::Membership`].
     fn set_net_conditions(&mut self, net: NetConditions);
 
     /// The telemetry handle lookups record trace events into and every
@@ -177,12 +204,6 @@ pub trait Overlay {
     /// Installs a telemetry handle. Pass [`Telemetry::disabled`] to
     /// turn recording back off.
     fn set_telemetry(&mut self, telemetry: Telemetry);
-
-    /// Messages one maintenance pass over `node`'s routing links costs
-    /// — the hook behind the Stabilize/Repair/Join/Leave message
-    /// conventions (one probe per routing entry; see
-    /// [`crate::obs::phase`]).
-    fn maintenance_msgs(&self, node: NodeToken) -> u64;
 
     /// `true` iff `node` is live.
     fn contains(&self, node: NodeToken) -> bool;

@@ -56,13 +56,17 @@
 //!
 //! Define a network type holding a `Membership<YourNodeState>`, pick a
 //! per-walk state type (usually the mapped key plus any cursor the
-//! routing algorithm threads through hops), and implement
-//! [`crate::audit::StateAudit`] and the required [`SimOverlay`] methods.
-//! Ask the substrate each question by its own name: liveness, states,
-//! token order and loads are `membership().store`'s
-//! ([`crate::store::CompactStore`]), and callers outside the crate use
-//! [`Overlay`]'s (`contains`, `node_tokens`, `lookup`, `owner_of`). Add
-//! an inherent method only where it converts an identifier or computes
+//! routing algorithm threads through hops), and implement three traits,
+//! each operation once under its one name:
+//! [`crate::audit::StateAudit`] (the invariant audit),
+//! [`Protocol`] (name, key space, join/leave/fail, corruption, repair,
+//! maintenance cost) and [`SimOverlay`] (membership access, the per-hop
+//! routing decision, the per-node stabilizer). Everything else —
+//! lookups, batches, full-round and run stabilization, loads, bytes —
+//! is the blanket [`Overlay`] impl's. Ask the substrate each question by
+//! its own name: liveness, states, token order and loads are
+//! `membership().store`'s ([`crate::store::CompactStore`]). Add an
+//! inherent method only where it converts an identifier or computes
 //! something. Override the defaulted hooks only where the
 //! protocol deviates: [`SimOverlay::admit`] for candidate filters
 //! beyond liveness, [`SimOverlay::on_hop`] for per-hop *walk-state*
@@ -78,12 +82,10 @@ use std::any::Any;
 
 use rand::RngCore;
 
-use crate::audit::{AuditReport, AuditScope, StateAudit};
-use crate::corrupt::{CorruptionPlan, CorruptionReport};
 use crate::lookup::{HopPhase, LookupOutcome, LookupTrace};
 use crate::net::NetConditions;
 use crate::obs::Telemetry;
-use crate::overlay::{NodeToken, Overlay};
+use crate::overlay::{NodeToken, Overlay, Protocol};
 use crate::store::{Hints, Pos};
 
 mod executor;
@@ -100,16 +102,16 @@ pub use walk::{
 
 /// An overlay expressed against the shared simulation substrate.
 ///
-/// Implementors provide membership access, key mapping, the pure
-/// per-hop routing decision and, through the [`StateAudit`] supertrait,
-/// their invariant audit; the substrate's [`WalkCursor`] owns the
-/// iterative lookup loop and the blanket [`Overlay`] impl provides the
-/// harness-facing interface.
+/// Implementors provide membership access, the pure per-hop routing
+/// decision and the per-node stabilizer; the per-kind protocol comes
+/// from the [`Protocol`] supertrait. The substrate's [`WalkCursor`] owns
+/// the iterative lookup loop and the blanket [`Overlay`] impl provides
+/// the harness-facing interface.
 ///
 /// `Sync` is a supertrait because the substrate's [`ParallelExecutor`]
 /// shards lookup batches across scoped threads that share `&self`;
 /// node states are plain data in every overlay, so this costs nothing.
-pub trait SimOverlay: StateAudit + Sync + 'static {
+pub trait SimOverlay: Protocol + Sync + 'static {
     /// Per-node routing state stored in the [`Membership`] arena.
     type State;
     /// Per-lookup walk state: the mapped key plus whatever cursor the
@@ -122,21 +124,6 @@ pub trait SimOverlay: StateAudit + Sync + 'static {
     fn membership(&self) -> &Membership<Self::State>;
     /// The node arena, mutably.
     fn membership_mut(&mut self) -> &mut Membership<Self::State>;
-
-    /// Display name (e.g. `"Cycloid(7)"`).
-    fn label(&self) -> String;
-
-    /// Worst-case routing-state size per node, if the protocol bounds
-    /// it by a constant.
-    fn degree_limit(&self) -> Option<usize>;
-
-    /// Maps a raw key to its identifier in this overlay's space.
-    fn map_key(&self, raw_key: u64) -> u64;
-
-    /// The live node responsible for `raw_key` (ground truth, computed
-    /// from global membership), or `None` if the overlay cannot name
-    /// an owner.
-    fn owner_token(&self, raw_key: u64) -> Option<NodeToken>;
 
     /// Maximum hops before a walk is declared broken. Generous by
     /// design: only genuinely broken routing should trip it.
@@ -254,55 +241,12 @@ pub trait SimOverlay: StateAudit + Sync + 'static {
         true
     }
 
-    /// Joins one node (protocol-defined identifier draw), returning
-    /// its token.
-    fn node_join(&mut self, rng: &mut dyn RngCore) -> Option<NodeToken>;
-
-    /// Graceful departure; `false` if `node` is not live.
-    fn node_leave(&mut self, node: NodeToken) -> bool;
-
-    /// Ungraceful failure; defaults to a graceful leave for protocols
-    /// that do not distinguish the two.
-    fn node_fail(&mut self, node: NodeToken) -> bool {
-        self.node_leave(node)
-    }
-
-    /// One full stabilization round over the network.
-    fn stabilize_network(&mut self);
-
-    /// Stabilization work of a single node; defaults to a full round
-    /// for protocols without a per-node refresh. `hints` are where the
-    /// last node of the same run left its searches (fresh for a run of
-    /// one): starting points only, which a resolver may ignore.
-    fn stabilize_one(&mut self, node: NodeToken, hints: &mut Hints) {
-        let _ = (node, hints);
-        self.stabilize_network();
-    }
-
-    /// Applies a seeded corruption plan to the network's routing state
-    /// (see [`crate::corrupt`]): the plan chooses the victims and the
-    /// value draws, the overlay maps the plan's strategy onto its own
-    /// link layout. Implementations must be deterministic in
-    /// `(current state, plan)` and must not draw from any RNG stream.
-    /// The default corrupts nothing — overlays without mutable routing
-    /// links report zero targets.
-    fn corrupt_network(&mut self, plan: &CorruptionPlan) -> CorruptionReport {
-        let _ = plan;
-        CorruptionReport::default()
-    }
-
-    /// One node's *repair* routine: recomputes every routing entry the
-    /// node's stabilizer owns from live membership and returns how many
-    /// entries were actually rewritten. Repair subsumes
-    /// [`SimOverlay::stabilize_one`] — on a healthy network it must be
-    /// an exact no-op (zero rewrites, no other state change, no RNG
-    /// draws), which is what pins goldens and repair-enabled churn runs
-    /// byte-identical. The default falls back to the stabilizer and
-    /// reports zero rewrites.
-    fn repair_step(&mut self, node: NodeToken) -> u64 {
-        self.stabilize_one(node, &mut Hints::default());
-        0
-    }
+    /// The stabilization routine of a single node: a full round is
+    /// this over every live token ([`Overlay::stabilize`]), and a
+    /// departed `node` is ignored. `hints` are where the last node of
+    /// the same run left its searches (fresh for a run of one):
+    /// starting points only, which a resolver may ignore.
+    fn stabilize_one(&mut self, node: NodeToken, hints: &mut Hints);
 
     /// Heap bytes owned by one node's routing state beyond
     /// `size_of::<Self::State>()` — e.g. a Chord finger table's `Vec`
@@ -318,17 +262,6 @@ pub trait SimOverlay: StateAudit + Sync + 'static {
     /// Default: none.
     fn aux_bytes(&self) -> usize {
         0
-    }
-
-    /// Messages one maintenance pass over `node`'s routing links costs
-    /// (one probe per routing entry — see the [`crate::obs::phase`]
-    /// conventions). Overlays override this with their actual per-node
-    /// link count; the default assumes the constant degree bound, or 1
-    /// when the degree grows with the network. Must not mutate anything
-    /// or draw from any RNG stream.
-    fn maintenance_msgs(&self, node: NodeToken) -> u64 {
-        let _ = node;
-        self.degree_limit().map_or(1, |d| d.max(1) as u64)
     }
 }
 
@@ -375,7 +308,7 @@ pub trait Refresh: SimOverlay + Sized {
             }
         }
         self.membership_mut().store.order_slab();
-        self.refresh_all();
+        self.stabilize();
     }
 
     /// Protocol join at a chosen identifier: the newcomer builds its full
@@ -421,13 +354,6 @@ pub trait Refresh: SimOverlay + Sized {
         }
         true
     }
-
-    /// One full stabilization round: every node refreshes all its links,
-    /// as one ascending run.
-    fn refresh_all(&mut self) {
-        let tokens = self.membership().store.tokens();
-        self.stabilize_nodes(&tokens);
-    }
 }
 
 /// The fan-out of a join or graceful leave at `id`: one search from
@@ -454,16 +380,8 @@ fn notify_window<T: Refresh>(net: &mut T, id: NodeToken, mut hint: Pos) {
 }
 
 impl<T: SimOverlay> Overlay for T {
-    fn name(&self) -> String {
-        self.label()
-    }
-
     fn len(&self) -> usize {
         self.membership().store.len()
-    }
-
-    fn degree_bound(&self) -> Option<usize> {
-        self.degree_limit()
     }
 
     fn node_tokens(&self) -> Vec<NodeToken> {
@@ -479,14 +397,6 @@ impl<T: SimOverlay> Overlay for T {
         self.membership().store.nth_token(i)
     }
 
-    fn key_id(&self, raw_key: u64) -> u64 {
-        self.map_key(raw_key)
-    }
-
-    fn owner_of(&self, raw_key: u64) -> Option<NodeToken> {
-        self.owner_token(raw_key)
-    }
-
     fn lookup(&mut self, src: NodeToken, raw_key: u64) -> LookupTrace {
         let state = self.begin_walk(src, raw_key);
         walk_from(self, src, state, Some(raw_key), true)
@@ -496,45 +406,17 @@ impl<T: SimOverlay> Overlay for T {
         ParallelExecutor::new(jobs).run(self, reqs, true)
     }
 
-    fn join(&mut self, rng: &mut dyn RngCore) -> Option<NodeToken> {
-        self.node_join(rng)
-    }
-
-    fn leave(&mut self, node: NodeToken) -> bool {
-        self.node_leave(node)
-    }
-
-    fn fail(&mut self, node: NodeToken) -> bool {
-        self.node_fail(node)
-    }
-
-    fn stabilize(&mut self) {
-        self.stabilize_network();
-    }
-
     fn stabilize_nodes(&mut self, nodes: &[NodeToken]) -> u64 {
         let billed = self.membership().telemetry.is_enabled();
         let mut hints = Hints::default();
         let mut msgs = 0;
         for &node in nodes {
             if billed {
-                msgs += SimOverlay::maintenance_msgs(self, node);
+                msgs += self.maintenance_msgs(node);
             }
             self.stabilize_one(node, &mut hints);
         }
         msgs
-    }
-
-    fn audit_state(&self, scope: AuditScope) -> AuditReport {
-        StateAudit::audit(self, scope)
-    }
-
-    fn corrupt_state(&mut self, plan: &CorruptionPlan) -> CorruptionReport {
-        self.corrupt_network(plan)
-    }
-
-    fn repair_node(&mut self, node: NodeToken) -> u64 {
-        self.repair_step(node)
     }
 
     fn query_loads(&self) -> Vec<u64> {
@@ -551,10 +433,6 @@ impl<T: SimOverlay> Overlay for T {
         store.heap_bytes() + heap + self.aux_bytes()
     }
 
-    fn net_conditions(&self) -> NetConditions {
-        self.membership().net
-    }
-
     fn set_net_conditions(&mut self, net: NetConditions) {
         self.membership_mut().net = net;
     }
@@ -565,10 +443,6 @@ impl<T: SimOverlay> Overlay for T {
 
     fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.membership_mut().telemetry = telemetry;
-    }
-
-    fn maintenance_msgs(&self, node: NodeToken) -> u64 {
-        SimOverlay::maintenance_msgs(self, node)
     }
 
     fn contains(&self, node: NodeToken) -> bool {
@@ -598,6 +472,8 @@ impl<T: SimOverlay> Overlay for T {
 /// The one toy overlay of this crate's unit tests.
 pub(crate) mod fixture {
     use super::*;
+    use crate::audit::{AuditReport, AuditScope, StateAudit};
+    use crate::corrupt::{CorruptionPlan, CorruptionReport};
 
     /// Minimal substrate client: a ring where each node stores the
     /// successor pointer it had at insertion time and never repairs it,
@@ -611,7 +487,7 @@ pub(crate) mod fixture {
         pub(crate) repair_log: Vec<HopRepair>,
         /// Upper limit on the hop budget; lower it to exhaust a walk.
         pub(crate) budget_cap: usize,
-        /// When set, `owner_token` names this token, live or not — the
+        /// When set, `owner_of` names this token, live or not — the
         /// inconsistency `overlay::key_counts` must tolerate.
         pub(crate) ghost_owner: Option<NodeToken>,
     }
@@ -637,6 +513,38 @@ pub(crate) mod fixture {
         }
     }
 
+    /// The ring neither corrupts nor repairs anything.
+    impl Protocol for StaleRing {
+        fn name(&self) -> String {
+            "stale-ring".into()
+        }
+        fn degree_bound(&self) -> Option<usize> {
+            Some(1)
+        }
+        fn key_id(&self, raw_key: u64) -> u64 {
+            raw_key % self.space
+        }
+        fn owner_of(&self, raw_key: u64) -> Option<NodeToken> {
+            self.ghost_owner
+                .or_else(|| self.members.store.successor_of(self.key_id(raw_key)))
+        }
+        fn join(&mut self, _rng: &mut dyn RngCore) -> Option<NodeToken> {
+            None
+        }
+        fn leave(&mut self, node: NodeToken) -> bool {
+            self.members.store.remove(node).is_some()
+        }
+        fn corrupt_state(&mut self, _plan: &CorruptionPlan) -> CorruptionReport {
+            CorruptionReport::default()
+        }
+        fn repair_node(&mut self, _node: NodeToken) -> u64 {
+            0
+        }
+        fn maintenance_msgs(&self, _node: NodeToken) -> u64 {
+            1
+        }
+    }
+
     impl SimOverlay for StaleRing {
         type State = u64;
         type Walk = u64;
@@ -647,24 +555,11 @@ pub(crate) mod fixture {
         fn membership_mut(&mut self) -> &mut Membership<u64> {
             &mut self.members
         }
-        fn label(&self) -> String {
-            "stale-ring".into()
-        }
-        fn degree_limit(&self) -> Option<usize> {
-            Some(1)
-        }
-        fn map_key(&self, raw_key: u64) -> u64 {
-            raw_key % self.space
-        }
-        fn owner_token(&self, raw_key: u64) -> Option<NodeToken> {
-            self.ghost_owner
-                .or_else(|| self.members.store.successor_of(self.map_key(raw_key)))
-        }
         fn hop_budget(&self) -> usize {
             (2 * self.members.store.len() + 4).min(self.budget_cap)
         }
         fn begin_walk(&self, _src: NodeToken, raw_key: u64) -> u64 {
-            self.map_key(raw_key)
+            self.key_id(raw_key)
         }
         fn walk_owner(&self, walk: &u64) -> Option<NodeToken> {
             self.members.store.successor_of(*walk)
@@ -699,19 +594,13 @@ pub(crate) mod fixture {
                 timed_out: timed_out.to_vec(),
             });
         }
-        fn node_join(&mut self, _rng: &mut dyn RngCore) -> Option<NodeToken> {
-            None
-        }
-        fn node_leave(&mut self, node: NodeToken) -> bool {
-            self.members.store.remove(node).is_some()
-        }
-        fn stabilize_network(&mut self) {}
+        fn stabilize_one(&mut self, _node: NodeToken, _hints: &mut Hints) {}
     }
 
     /// The ring keeps no invariant worth checking: every audit is clean.
     impl StateAudit for StaleRing {
-        fn audit(&self, scope: AuditScope) -> AuditReport {
-            AuditReport::new(self.label(), scope)
+        fn audit_state(&self, scope: AuditScope) -> AuditReport {
+            AuditReport::new(self.name(), scope)
         }
     }
 

@@ -540,6 +540,7 @@ mod tests {
     use super::*;
     use crate::net::{DelayModel, FaultPlan, RetryPolicy};
     use crate::obs::Telemetry;
+    use crate::overlay::Protocol;
     use crate::sim::fixture::{walk_key, StaleRing};
 
     #[test]
@@ -557,7 +558,7 @@ mod tests {
     #[test]
     fn stale_pointers_cost_one_timeout_each_step() {
         let mut net = StaleRing::with_tokens(&[0, 16, 32, 48], 64);
-        assert!(net.node_leave(16));
+        assert!(net.leave(16));
         let t = walk_key(&mut net, 0, 40, true);
         assert_eq!(t.outcome, LookupOutcome::Found);
         assert_eq!(t.terminal, 48);
@@ -584,7 +585,7 @@ mod tests {
     #[test]
     fn walk_emits_structured_events_matching_the_trace() {
         let mut net = StaleRing::with_tokens(&[0, 16, 32, 48], 64);
-        assert!(net.node_leave(16));
+        assert!(net.leave(16));
         let telemetry = Telemetry::enabled();
         net.membership_mut().telemetry = telemetry.clone();
         let trace = walk_key(&mut net, 0, 40, true);
@@ -646,7 +647,7 @@ mod tests {
     fn tracing_does_not_change_routing() {
         let run = |telemetry: Telemetry| {
             let mut ring = StaleRing::with_tokens(&[0, 16, 32, 48], 64);
-            assert!(ring.node_leave(16));
+            assert!(ring.leave(16));
             ring.membership_mut().telemetry = telemetry;
             (0..24u64)
                 .map(|key| walk_key(&mut ring, 0, key, true))
@@ -752,7 +753,7 @@ mod tests {
     #[test]
     fn stale_entries_bill_a_full_retry_cycle_of_latency() {
         let mut ring = StaleRing::with_tokens(&[0, 16, 32, 48], 64);
-        assert!(ring.node_leave(16));
+        assert!(ring.leave(16));
         let retry = RetryPolicy::standard();
         ring.membership_mut().net = NetConditions::new(
             FaultPlan {

@@ -98,7 +98,7 @@ pub struct ChurnParams {
     /// Which notion of time the run uses. Default: [`TimeModel::Rounds`].
     pub time: TimeModel,
     /// Run each node's self-stabilizing repair routine
-    /// ([`Overlay::repair_node`]) on its stabilization timer *instead of*
+    /// ([`Protocol::repair_node`](dht_core::overlay::Protocol::repair_node)) on its stabilization timer *instead of*
     /// the plain stabilizer. Repair subsumes stabilization — on a healthy
     /// or merely stale network it performs exactly the refresh the
     /// stabilizer would (same state, same RNG draws), so enabling it on
@@ -207,7 +207,7 @@ pub struct ChurnOutcome {
     /// events.
     pub stranded: usize,
     /// Routing-state entries rewritten by repair routines, summed over
-    /// every [`Overlay::repair_node`] call the run fired. Always zero
+    /// every [`Protocol::repair_node`](dht_core::overlay::Protocol::repair_node) call the run fired. Always zero
     /// when [`ChurnParams::repair`] is off, and zero on a run whose
     /// network was never corrupted (repair is a no-op on healthy state).
     pub repair_entries: u64,
@@ -385,7 +385,7 @@ impl BucketIndex {
     /// zero without `repair`). When the overlay's telemetry is enabled,
     /// the tick is billed to [`Phase::Stabilize`] (or [`Phase::Repair`]) —
     /// one message per routing entry examined, via
-    /// [`Overlay::maintenance_msgs`].
+    /// [`Protocol::maintenance_msgs`](dht_core::overlay::Protocol::maintenance_msgs).
     pub(crate) fn fire(&self, overlay: &mut dyn Overlay, bucket: u64, repair: bool) -> (u64, u64) {
         let nodes = &self.buckets[bucket as usize];
         let telemetry = overlay.telemetry();

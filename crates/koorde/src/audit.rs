@@ -9,6 +9,7 @@
 //! backup it used), so they are only checked at [`AuditScope::Full`].
 
 use dht_core::audit::{AuditReport, AuditScope, StateAudit};
+use dht_core::overlay::Protocol;
 use dht_core::ring::ring_sides;
 use dht_core::sim::SimOverlay;
 
@@ -16,8 +17,8 @@ use crate::network::KoordeNetwork;
 use crate::node::RingList;
 
 impl StateAudit for KoordeNetwork {
-    fn audit(&self, scope: AuditScope) -> AuditReport {
-        let mut report = AuditReport::new(self.label(), scope);
+    fn audit_state(&self, scope: AuditScope) -> AuditReport {
+        let mut report = AuditReport::new(self.name(), scope);
         let config = self.config();
         let space = config.space();
         let r = config.successor_list;
@@ -97,7 +98,7 @@ mod tests {
     #[test]
     fn stabilized_network_is_fully_clean() {
         let net = net(90);
-        let report = net.audit(AuditScope::Full);
+        let report = net.audit_state(AuditScope::Full);
         assert_eq!(report.checked_nodes(), 90);
         assert!(report.is_clean(), "{report}");
     }
@@ -112,7 +113,7 @@ mod tests {
             } else {
                 net.join_random();
             }
-            let report = net.audit(AuditScope::Online);
+            let report = net.audit_state(AuditScope::Online);
             assert!(report.is_clean(), "after step {step}: {report}");
         }
     }
@@ -125,7 +126,7 @@ mod tests {
         let wrong = net.membership().store.get(id).unwrap().debruijn;
         let wrong = if wrong == other { id } else { other };
         net.membership_mut().store.get_mut(id).unwrap().debruijn = wrong;
-        let report = net.audit(AuditScope::Full);
+        let report = net.audit_state(AuditScope::Full);
         assert!(
             report
                 .violated_invariants()
@@ -133,7 +134,7 @@ mod tests {
             "{report}"
         );
         // De Bruijn state is lazily stabilized: online audits ignore it.
-        assert!(net.audit(AuditScope::Online).is_clean());
+        assert!(net.audit_state(AuditScope::Online).is_clean());
     }
 
     #[test]
@@ -141,7 +142,7 @@ mod tests {
         let mut net = net(90);
         let id = net.node_tokens()[0];
         net.membership_mut().store.get_mut(id).unwrap().predecessor = id;
-        let report = net.audit(AuditScope::Online);
+        let report = net.audit_state(AuditScope::Online);
         assert!(
             report.violated_invariants().contains(&"koorde/predecessor"),
             "{report}"

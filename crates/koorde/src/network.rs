@@ -2,14 +2,13 @@
 //! the imaginary-node routing walk, join/leave, and stabilization.
 //!
 //! The node lifecycle — `populate`, `join_id`, `join_random`,
-//! `depart(id, notify)`, `refresh_all` — is not written here: it is the
-//! provided half of [`dht_core::sim::Refresh`] (bring the trait into
-//! scope to call it), driven by the five Koorde pieces in the
-//! `impl Refresh` below.
+//! `depart(id, notify)` — is not written here: it is the provided half
+//! of [`dht_core::sim::Refresh`] (bring the trait into scope to call
+//! it), driven by the five Koorde pieces in the `impl Refresh` below.
 
 use dht_core::hash::{reduce, splitmix64};
 use dht_core::lookup::{HopPhase, LookupOutcome};
-use dht_core::overlay::NodeToken;
+use dht_core::overlay::{NodeToken, Protocol};
 use dht_core::ring::{in_interval_co, in_interval_oc};
 use dht_core::sim::{Membership, Refresh, SimOverlay, StepDecision};
 use dht_core::store::{Hints, Pos};
@@ -245,6 +244,56 @@ impl Refresh for KoordeNetwork {
     }
 }
 
+impl Protocol for KoordeNetwork {
+    fn name(&self) -> String {
+        "Koorde".to_string()
+    }
+
+    fn degree_bound(&self) -> Option<usize> {
+        Some(self.config.successor_list + self.config.debruijn_backups + 1)
+    }
+
+    fn key_id(&self, raw_key: u64) -> u64 {
+        self.key_of(raw_key)
+    }
+
+    fn owner_of(&self, raw_key: u64) -> Option<NodeToken> {
+        self.members.store.successor_of(self.key_of(raw_key))
+    }
+
+    fn join(&mut self, _rng: &mut dyn RngCore) -> Option<NodeToken> {
+        self.join_random()
+    }
+
+    fn leave(&mut self, node: NodeToken) -> bool {
+        self.depart(node, true)
+    }
+
+    fn fail(&mut self, node: NodeToken) -> bool {
+        self.depart(node, false)
+    }
+
+    fn corrupt_state(
+        &mut self,
+        plan: &dht_core::corrupt::CorruptionPlan,
+    ) -> dht_core::corrupt::CorruptionReport {
+        let space = self.config.space();
+        dht_core::corrupt::corrupt_links(self, plan, space, |t| t)
+    }
+
+    fn repair_node(&mut self, node: NodeToken) -> u64 {
+        dht_core::corrupt::repair_links(self, node)
+    }
+
+    /// One message per distinct successor/de-Bruijn entry actually held.
+    fn maintenance_msgs(&self, node: NodeToken) -> u64 {
+        self.members
+            .store
+            .get(node)
+            .map_or(1, |s| (s.degree() as u64).max(1))
+    }
+}
+
 impl SimOverlay for KoordeNetwork {
     type State = KoordeNode;
     type Walk = KoordeWalk;
@@ -255,30 +304,6 @@ impl SimOverlay for KoordeNetwork {
 
     fn membership_mut(&mut self) -> &mut Membership<KoordeNode> {
         &mut self.members
-    }
-
-    fn label(&self) -> String {
-        "Koorde".to_string()
-    }
-
-    fn degree_limit(&self) -> Option<usize> {
-        Some(self.config.successor_list + self.config.debruijn_backups + 1)
-    }
-
-    /// One message per distinct successor/de-Bruijn entry actually held.
-    fn maintenance_msgs(&self, node: NodeToken) -> u64 {
-        self.members
-            .store
-            .get(node)
-            .map_or(1, |s| (s.degree() as u64).max(1))
-    }
-
-    fn map_key(&self, raw_key: u64) -> u64 {
-        self.key_of(raw_key)
-    }
-
-    fn owner_token(&self, raw_key: u64) -> Option<NodeToken> {
-        self.members.store.successor_of(self.key_of(raw_key))
     }
 
     fn hop_budget(&self) -> usize {
@@ -392,43 +417,15 @@ impl SimOverlay for KoordeNetwork {
         self.failures += 1;
     }
 
-    fn node_join(&mut self, _rng: &mut dyn RngCore) -> Option<NodeToken> {
-        self.join_random()
-    }
-
-    fn node_leave(&mut self, node: NodeToken) -> bool {
-        self.depart(node, true)
-    }
-
-    fn node_fail(&mut self, node: NodeToken) -> bool {
-        self.depart(node, false)
-    }
-
-    fn stabilize_network(&mut self) {
-        self.refresh_all();
-    }
-
     fn stabilize_one(&mut self, node: NodeToken, hints: &mut Hints) {
         self.refresh_node(node, hints);
-    }
-
-    fn corrupt_network(
-        &mut self,
-        plan: &dht_core::corrupt::CorruptionPlan,
-    ) -> dht_core::corrupt::CorruptionReport {
-        let space = self.config.space();
-        dht_core::corrupt::corrupt_links(self, plan, space, |t| t)
-    }
-
-    fn repair_step(&mut self, node: NodeToken) -> u64 {
-        dht_core::corrupt::repair_links(self, node)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dht_core::overlay::Overlay;
+    use dht_core::overlay::{Overlay, Protocol};
     use dht_core::rng::stream;
     use rand::Rng;
 
@@ -608,7 +605,7 @@ mod tests {
                 net.depart(id, true);
             }
         }
-        net.refresh_all();
+        net.stabilize();
         let live: Vec<u64> = net.members.store.token_iter().collect();
         for i in 0..500 {
             let t = net.lookup(live[i % live.len()], rng.gen());
@@ -661,8 +658,8 @@ mod tests {
     fn churn_through_trait() {
         let mut net = KoordeNetwork::with_nodes(KoordeConfig::new(11), 64, 4);
         let mut rng = stream(5, "kt");
-        let n = Overlay::join(&mut net, &mut rng).unwrap();
-        assert!(Overlay::leave(&mut net, n));
+        let n = Protocol::join(&mut net, &mut rng).unwrap();
+        assert!(Protocol::leave(&mut net, n));
         assert_eq!(net.len(), 64);
     }
 }

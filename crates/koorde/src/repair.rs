@@ -50,7 +50,7 @@ mod tests {
     use crate::network::{KoordeConfig, KoordeNetwork};
     use dht_core::audit::{AuditScope, StateAudit};
     use dht_core::corrupt::{link_diff, CorruptionPlan, CorruptionStrategy};
-    use dht_core::overlay::Overlay;
+    use dht_core::overlay::{Overlay, Protocol};
     use dht_core::sim::SimOverlay;
 
     fn net(n: usize) -> KoordeNetwork {
@@ -84,7 +84,7 @@ mod tests {
     #[test]
     fn repair_is_a_noop_on_a_healthy_ring() {
         let mut n = net(80);
-        assert!(n.audit(AuditScope::Full).is_clean());
+        assert!(n.audit_state(AuditScope::Full).is_clean());
         assert_eq!(repair_sweep(&mut n), 0);
     }
 
@@ -97,14 +97,14 @@ mod tests {
             assert_eq!(report.targeted_nodes, 40, "{strategy:?}");
             assert!(report.corrupted_nodes > 0, "{strategy:?} did no damage");
             assert!(
-                !n.audit(AuditScope::Full).is_clean(),
+                !n.audit_state(AuditScope::Full).is_clean(),
                 "{strategy:?} evaded the audit"
             );
             repair_sweep(&mut n);
             assert!(
-                n.audit(AuditScope::Full).is_clean(),
+                n.audit_state(AuditScope::Full).is_clean(),
                 "{strategy:?} not repaired: {}",
-                n.audit(AuditScope::Full)
+                n.audit_state(AuditScope::Full)
             );
             assert_eq!(
                 repair_sweep(&mut n),

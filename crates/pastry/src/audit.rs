@@ -6,6 +6,7 @@
 //! repaired by stabilization and are checked at [`AuditScope::Full`].
 
 use dht_core::audit::{AuditReport, AuditScope, StateAudit};
+use dht_core::overlay::Protocol;
 use dht_core::ring::ring_sides;
 use dht_core::sim::SimOverlay;
 use dht_core::store::Hints;
@@ -13,8 +14,8 @@ use dht_core::store::Hints;
 use crate::network::{LeafHalf, PastryNetwork};
 
 impl StateAudit for PastryNetwork {
-    fn audit(&self, scope: AuditScope) -> AuditReport {
-        let mut report = AuditReport::new(self.label(), scope);
+    fn audit_state(&self, scope: AuditScope) -> AuditReport {
+        let mut report = AuditReport::new(self.name(), scope);
         let c = self.config();
         // Ring order is token order: a node's leaf set is the run of
         // entries either side of it in the sorted token list, wrapping at
@@ -89,7 +90,7 @@ mod tests {
     #[test]
     fn stabilized_network_is_fully_clean() {
         let net = net(90);
-        let report = net.audit(AuditScope::Full);
+        let report = net.audit_state(AuditScope::Full);
         assert_eq!(report.checked_nodes(), 90);
         assert!(report.is_clean(), "{report}");
     }
@@ -104,7 +105,7 @@ mod tests {
             } else {
                 net.join_random();
             }
-            let report = net.audit(AuditScope::Online);
+            let report = net.audit_state(AuditScope::Online);
             assert!(report.is_clean(), "after step {step}: {report}");
         }
     }
@@ -127,7 +128,7 @@ mod tests {
             .position(|e| e.is_some() && *e != Some(other))
             .unwrap();
         net.membership_mut().store.get_mut(id).unwrap().table[idx] = Some(other);
-        let report = net.audit(AuditScope::Full);
+        let report = net.audit_state(AuditScope::Full);
         assert!(
             report
                 .violated_invariants()
@@ -135,7 +136,7 @@ mod tests {
             "{report}"
         );
         // The table is lazily stabilized: online audits ignore it.
-        assert!(net.audit(AuditScope::Online).is_clean());
+        assert!(net.audit_state(AuditScope::Online).is_clean());
     }
 
     #[test]
@@ -148,7 +149,7 @@ mod tests {
             .unwrap()
             .leaf_larger
             .clear();
-        let report = net.audit(AuditScope::Online);
+        let report = net.audit_state(AuditScope::Online);
         assert!(
             report.violated_invariants().contains(&"pastry/leaf-set"),
             "{report}"

@@ -2,15 +2,14 @@
 //! leaf-set resolution, prefix routing, join/leave, and stabilization.
 //!
 //! The node lifecycle — `populate`, `join_id`, `join_random`,
-//! `depart(id, notify)`, `refresh_all` — is not written here: it is the
-//! provided half of [`dht_core::sim::Refresh`] (bring the trait into
-//! scope to call it), driven by the five Pastry pieces in the
-//! `impl Refresh` below.
+//! `depart(id, notify)` — is not written here: it is the provided half
+//! of [`dht_core::sim::Refresh`] (bring the trait into scope to call
+//! it), driven by the five Pastry pieces in the `impl Refresh` below.
 
 use dht_core::hash::{reduce, splitmix64};
 use dht_core::inline::InlineVec;
 use dht_core::lookup::HopPhase;
-use dht_core::overlay::NodeToken;
+use dht_core::overlay::{NodeToken, Protocol};
 use dht_core::ring::{clockwise_dist, ring_dist};
 use dht_core::sim::{Membership, Refresh, SimOverlay, StepDecision};
 use dht_core::store::{Hints, Pos};
@@ -325,6 +324,56 @@ impl Refresh for PastryNetwork {
     }
 }
 
+impl Protocol for PastryNetwork {
+    fn name(&self) -> String {
+        "Pastry".to_string()
+    }
+
+    fn degree_bound(&self) -> Option<usize> {
+        None // O(log n) routing table
+    }
+
+    fn key_id(&self, raw_key: u64) -> u64 {
+        self.key_of(raw_key)
+    }
+
+    fn owner_of(&self, raw_key: u64) -> Option<NodeToken> {
+        self.owner_of_point(self.key_of(raw_key))
+    }
+
+    fn join(&mut self, _rng: &mut dyn RngCore) -> Option<NodeToken> {
+        self.join_random()
+    }
+
+    fn leave(&mut self, node: NodeToken) -> bool {
+        self.depart(node, true)
+    }
+
+    fn fail(&mut self, node: NodeToken) -> bool {
+        self.depart(node, false)
+    }
+
+    fn corrupt_state(
+        &mut self,
+        plan: &dht_core::corrupt::CorruptionPlan,
+    ) -> dht_core::corrupt::CorruptionReport {
+        let space = self.config.space();
+        dht_core::corrupt::corrupt_links(self, plan, space, |t| t)
+    }
+
+    fn repair_node(&mut self, node: NodeToken) -> u64 {
+        dht_core::corrupt::repair_links(self, node)
+    }
+
+    /// One message per distinct routing-table/leaf-set entry.
+    fn maintenance_msgs(&self, node: NodeToken) -> u64 {
+        self.members
+            .store
+            .get(node)
+            .map_or(1, |s| (s.degree() as u64).max(1))
+    }
+}
+
 impl SimOverlay for PastryNetwork {
     type State = PastryNode;
     type Walk = PastryWalk;
@@ -335,30 +384,6 @@ impl SimOverlay for PastryNetwork {
 
     fn membership_mut(&mut self) -> &mut Membership<PastryNode> {
         &mut self.members
-    }
-
-    fn label(&self) -> String {
-        "Pastry".to_string()
-    }
-
-    fn degree_limit(&self) -> Option<usize> {
-        None // O(log n) routing table
-    }
-
-    /// One message per distinct routing-table/leaf-set entry.
-    fn maintenance_msgs(&self, node: NodeToken) -> u64 {
-        self.members
-            .store
-            .get(node)
-            .map_or(1, |s| (s.degree() as u64).max(1))
-    }
-
-    fn map_key(&self, raw_key: u64) -> u64 {
-        self.key_of(raw_key)
-    }
-
-    fn owner_token(&self, raw_key: u64) -> Option<NodeToken> {
-        self.owner_of_point(self.key_of(raw_key))
     }
 
     fn hop_budget(&self) -> usize {
@@ -422,22 +447,6 @@ impl SimOverlay for PastryNetwork {
         StepDecision::Forward
     }
 
-    fn node_join(&mut self, _rng: &mut dyn RngCore) -> Option<NodeToken> {
-        self.join_random()
-    }
-
-    fn node_leave(&mut self, node: NodeToken) -> bool {
-        self.depart(node, true)
-    }
-
-    fn node_fail(&mut self, node: NodeToken) -> bool {
-        self.depart(node, false)
-    }
-
-    fn stabilize_network(&mut self) {
-        self.refresh_all();
-    }
-
     fn stabilize_one(&mut self, node: NodeToken, hints: &mut Hints) {
         self.refresh_node(node, hints);
     }
@@ -447,25 +456,13 @@ impl SimOverlay for PastryNetwork {
         // heap payload.
         state.table.capacity() * std::mem::size_of::<Option<u64>>()
     }
-
-    fn corrupt_network(
-        &mut self,
-        plan: &dht_core::corrupt::CorruptionPlan,
-    ) -> dht_core::corrupt::CorruptionReport {
-        let space = self.config.space();
-        dht_core::corrupt::corrupt_links(self, plan, space, |t| t)
-    }
-
-    fn repair_step(&mut self, node: NodeToken) -> u64 {
-        dht_core::corrupt::repair_links(self, node)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dht_core::lookup::LookupOutcome;
-    use dht_core::overlay::Overlay;
+    use dht_core::overlay::{Overlay, Protocol};
     use dht_core::rng::stream;
     use rand::Rng;
 
@@ -478,7 +475,7 @@ mod tests {
         };
         let before = buffers(&net);
         assert!(before.iter().all(|&(capacity, _)| capacity == 24));
-        net.refresh_all();
+        net.stabilize();
         let ids: Vec<u64> = net.members.store.token_iter().collect();
         net.stabilize_node(ids[17]);
         assert_eq!(buffers(&net), before, "a refresh reallocated a table");
@@ -565,7 +562,7 @@ mod tests {
             timeouts += t.timeouts;
         }
         assert!(timeouts > 0, "stale table entries must time out");
-        net.refresh_all();
+        net.stabilize();
         for i in 0..300 {
             let t = net.lookup(live[i % live.len()], rng.gen());
             assert_eq!(t.timeouts, 0);
@@ -645,8 +642,8 @@ mod tests {
     fn churn_through_trait() {
         let mut net = PastryNetwork::with_nodes(PastryConfig::new(12), 64, 4);
         let mut rng = stream(5, "pt");
-        let n = Overlay::join(&mut net, &mut rng).unwrap();
-        assert!(Overlay::leave(&mut net, n));
+        let n = Protocol::join(&mut net, &mut rng).unwrap();
+        assert!(Protocol::leave(&mut net, n));
         assert_eq!(net.len(), 64);
     }
 }

@@ -7,13 +7,13 @@
 //! checks the same set at [`AuditScope::Online`] and [`AuditScope::Full`].
 
 use dht_core::audit::{AuditReport, AuditScope, StateAudit};
-use dht_core::sim::SimOverlay;
+use dht_core::overlay::Protocol;
 
 use crate::network::ViceroyNetwork;
 
 impl StateAudit for ViceroyNetwork {
-    fn audit(&self, scope: AuditScope) -> AuditReport {
-        let mut report = AuditReport::new(self.label(), scope);
+    fn audit_state(&self, scope: AuditScope) -> AuditReport {
+        let mut report = AuditReport::new(self.name(), scope);
         let levels = self.level_sets();
         let store = &self.members.store;
 
@@ -86,7 +86,7 @@ impl StateAudit for ViceroyNetwork {
 mod tests {
     use super::*;
     use crate::network::ViceroyConfig;
-    use dht_core::overlay::Overlay;
+    use dht_core::overlay::{Overlay, Protocol};
     use dht_core::rng::stream;
 
     fn net(n: usize) -> ViceroyNetwork {
@@ -96,7 +96,7 @@ mod tests {
     #[test]
     fn fresh_network_is_fully_clean() {
         let net = net(90);
-        let report = net.audit(AuditScope::Full);
+        let report = net.audit_state(AuditScope::Full);
         assert_eq!(report.checked_nodes(), 90);
         assert!(report.is_clean(), "{report}");
     }
@@ -110,9 +110,9 @@ mod tests {
                 let victim = net.node_tokens()[step % net.len()];
                 net.leave(victim);
             } else {
-                net.join_random(&mut rng);
+                net.join(&mut rng);
             }
-            let report = net.audit(AuditScope::Online);
+            let report = net.audit_state(AuditScope::Online);
             assert!(report.is_clean(), "after step {step}: {report}");
         }
     }
@@ -132,7 +132,7 @@ mod tests {
             .map(|(i, _)| i)
             .unwrap();
         net.members.store.get_mut(id).unwrap().level += 1;
-        let report = net.audit(AuditScope::Online);
+        let report = net.audit_state(AuditScope::Online);
         assert!(
             report
                 .violated_invariants()

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 
 use dht_core::hash::{reduce, splitmix64};
 use dht_core::lookup::HopPhase;
-use dht_core::overlay::NodeToken;
+use dht_core::overlay::{NodeToken, Protocol};
 use dht_core::ring::{in_interval_oc, ring_dist};
 use dht_core::sim::{Membership, SimOverlay, StepDecision};
 use dht_core::store::Hints;
@@ -153,30 +153,6 @@ impl ViceroyNetwork {
         Some(node)
     }
 
-    /// A node joins with a fresh identifier; its level is drawn from the
-    /// current size estimate. All affected links are repaired immediately
-    /// (Viceroy's expensive-but-thorough join).
-    pub fn join_random(&mut self, rng: &mut dyn RngCore) -> Option<u64> {
-        if self.members.store.len() as u64 >= self.config.space() {
-            return None;
-        }
-        let max_level = Self::level_range_for(self.members.store.len() + 1);
-        loop {
-            let id = self.members.next_in(self.config.space());
-            if !self.members.store.contains(id) {
-                let level = 1 + (rng.next_u64() % u64::from(max_level)) as u32;
-                self.insert_raw(id, level);
-                return Some(id);
-            }
-        }
-    }
-
-    /// Graceful departure; every node that referenced the leaver is
-    /// repaired before it goes (hence zero timeouts, §4.3).
-    pub fn leave(&mut self, id: u64) -> bool {
-        self.remove_raw(id).is_some()
-    }
-
     // ------------------------------------------------------------------
     // Link resolution (always-correct, see crate docs)
     // ------------------------------------------------------------------
@@ -296,6 +272,66 @@ impl ViceroyNetwork {
     }
 }
 
+impl Protocol for ViceroyNetwork {
+    fn name(&self) -> String {
+        "Viceroy".to_string()
+    }
+
+    fn degree_bound(&self) -> Option<usize> {
+        Some(7) // succ, pred, level next/prev, down-left, down-right, up
+    }
+
+    fn key_id(&self, raw_key: u64) -> u64 {
+        self.key_of(raw_key)
+    }
+
+    fn owner_of(&self, raw_key: u64) -> Option<NodeToken> {
+        self.members.store.successor_of(self.key_of(raw_key))
+    }
+
+    /// A node joins with a fresh identifier; its level is drawn from the
+    /// current size estimate. All affected links are repaired immediately
+    /// (Viceroy's expensive-but-thorough join).
+    fn join(&mut self, rng: &mut dyn RngCore) -> Option<NodeToken> {
+        if self.members.store.len() as u64 >= self.config.space() {
+            return None;
+        }
+        let max_level = Self::level_range_for(self.members.store.len() + 1);
+        loop {
+            let id = self.members.next_in(self.config.space());
+            if !self.members.store.contains(id) {
+                let level = 1 + (rng.next_u64() % u64::from(max_level)) as u32;
+                self.insert_raw(id, level);
+                return Some(id);
+            }
+        }
+    }
+
+    /// Graceful departure; every node that referenced the leaver is
+    /// repaired before it goes (hence zero timeouts, §4.3).
+    fn leave(&mut self, node: NodeToken) -> bool {
+        self.remove_raw(node).is_some()
+    }
+
+    fn corrupt_state(
+        &mut self,
+        plan: &dht_core::corrupt::CorruptionPlan,
+    ) -> dht_core::corrupt::CorruptionReport {
+        self.corrupt(plan)
+    }
+
+    fn repair_node(&mut self, node: NodeToken) -> u64 {
+        self.repair_one(node)
+    }
+
+    /// Links resolve lazily from live membership, so a maintenance pass
+    /// probes the full constant link set — capped by the nodes that
+    /// actually exist to answer.
+    fn maintenance_msgs(&self, _node: NodeToken) -> u64 {
+        (self.members.store.len().saturating_sub(1) as u64).clamp(1, 7)
+    }
+}
+
 impl SimOverlay for ViceroyNetwork {
     type State = ViceroyNode;
     type Walk = ViceroyWalk;
@@ -306,29 +342,6 @@ impl SimOverlay for ViceroyNetwork {
 
     fn membership_mut(&mut self) -> &mut Membership<ViceroyNode> {
         &mut self.members
-    }
-
-    fn label(&self) -> String {
-        "Viceroy".to_string()
-    }
-
-    fn degree_limit(&self) -> Option<usize> {
-        Some(7) // succ, pred, level next/prev, down-left, down-right, up
-    }
-
-    /// Links resolve lazily from live membership, so a maintenance pass
-    /// probes the full constant link set — capped by the nodes that
-    /// actually exist to answer.
-    fn maintenance_msgs(&self, _node: NodeToken) -> u64 {
-        (self.members.store.len().saturating_sub(1) as u64).clamp(1, 7)
-    }
-
-    fn map_key(&self, raw_key: u64) -> u64 {
-        self.key_of(raw_key)
-    }
-
-    fn owner_token(&self, raw_key: u64) -> Option<NodeToken> {
-        self.members.store.successor_of(self.key_of(raw_key))
     }
 
     fn hop_budget(&self) -> usize {
@@ -421,19 +434,6 @@ impl SimOverlay for ViceroyNetwork {
         false
     }
 
-    fn node_join(&mut self, rng: &mut dyn RngCore) -> Option<NodeToken> {
-        self.join_random(rng)
-    }
-
-    fn node_leave(&mut self, node: NodeToken) -> bool {
-        self.leave(node)
-    }
-
-    fn stabilize_network(&mut self) {
-        // Viceroy repairs links eagerly on every membership change; there
-        // is nothing left for periodic stabilization to do.
-    }
-
     fn stabilize_one(&mut self, _node: NodeToken, _hints: &mut Hints) {}
 
     fn aux_bytes(&self) -> usize {
@@ -443,24 +443,13 @@ impl SimOverlay for ViceroyNetwork {
             .map(|s| dht_core::store::approx_btree_bytes(s.len(), std::mem::size_of::<u64>()))
             .sum()
     }
-
-    fn corrupt_network(
-        &mut self,
-        plan: &dht_core::corrupt::CorruptionPlan,
-    ) -> dht_core::corrupt::CorruptionReport {
-        self.corrupt(plan)
-    }
-
-    fn repair_step(&mut self, node: NodeToken) -> u64 {
-        self.repair_one(node)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dht_core::lookup::LookupOutcome;
-    use dht_core::overlay::Overlay;
+    use dht_core::overlay::{Overlay, Protocol};
     use dht_core::rng::stream;
 
     #[test]
@@ -540,7 +529,7 @@ mod tests {
         let mut net = ViceroyNetwork::with_nodes(ViceroyConfig::new(), 256, 8);
         let mut rng = stream(9, "vicchurn");
         for round in 0..50 {
-            let _ = net.join_random(&mut rng);
+            let _ = net.join(&mut rng);
             let ids: Vec<u64> = net.members.store.token_iter().collect();
             let victim = ids[(rng.gen::<u64>() % ids.len() as u64) as usize];
             net.leave(victim);
@@ -578,7 +567,7 @@ mod tests {
     fn lone_node_owns_everything() {
         let mut net = ViceroyNetwork::new(ViceroyConfig::new(), 12);
         let mut rng = stream(13, "lone");
-        let id = net.join_random(&mut rng).unwrap();
+        let id = net.join(&mut rng).unwrap();
         let t = net.lookup(id, 12345);
         assert_eq!(t.outcome, LookupOutcome::Found);
         assert_eq!(t.path_len(), 0);
@@ -627,8 +616,8 @@ mod tests {
     fn churn_through_trait() {
         let mut net = ViceroyNetwork::with_nodes(ViceroyConfig::new(), 64, 4);
         let mut rng = stream(5, "vt");
-        let n = Overlay::join(&mut net, &mut rng).unwrap();
-        assert!(Overlay::leave(&mut net, n));
+        let n = Protocol::join(&mut net, &mut rng).unwrap();
+        assert!(Protocol::leave(&mut net, n));
         assert_eq!(net.len(), 64);
     }
 }

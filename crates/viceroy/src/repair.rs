@@ -130,7 +130,7 @@ mod tests {
     #[test]
     fn repair_is_a_noop_on_a_healthy_network() {
         let mut n = net(80);
-        assert!(n.audit(AuditScope::Full).is_clean());
+        assert!(n.audit_state(AuditScope::Full).is_clean());
         assert_eq!(repair_sweep(&mut n), 0);
     }
 
@@ -147,14 +147,14 @@ mod tests {
             assert_eq!(report.targeted_nodes, 40, "{strategy:?}");
             assert!(report.corrupted_nodes > 0, "{strategy:?} did no damage");
             assert!(
-                !n.audit(AuditScope::Full).is_clean(),
+                !n.audit_state(AuditScope::Full).is_clean(),
                 "{strategy:?} evaded the audit"
             );
             repair_sweep(&mut n);
             assert!(
-                n.audit(AuditScope::Full).is_clean(),
+                n.audit_state(AuditScope::Full).is_clean(),
                 "{strategy:?} not repaired: {}",
-                n.audit(AuditScope::Full)
+                n.audit_state(AuditScope::Full)
             );
             assert_eq!(
                 before,

@@ -1,7 +1,7 @@
 //! Property-based tests of the Viceroy butterfly invariants.
 
 use dht_core::lookup::LookupOutcome;
-use dht_core::overlay::Overlay;
+use dht_core::overlay::{Overlay, Protocol};
 use dht_core::rng::stream;
 use dht_core::sim::SimOverlay;
 use proptest::prelude::*;
@@ -67,7 +67,7 @@ proptest! {
         let mut rng = stream(seed, "vic-churn-prop");
         for _ in 0..steps {
             if rng.gen_bool(0.5) {
-                let _ = net.join_random(&mut rng);
+                let _ = net.join(&mut rng);
             } else if net.len() > 4 {
                 let ids: Vec<u64> = net.node_tokens();
                 net.leave(ids[(rng.gen::<u64>() % ids.len() as u64) as usize]);

@@ -36,7 +36,7 @@ pub mod prelude {
     pub use dht_core::hash::hash_str;
     pub use dht_core::lookup::{HopPhase, LookupOutcome, LookupTrace};
     pub use dht_core::net::{DelayModel, FaultPlan, NetConditions, NetCosts, RetryPolicy};
-    pub use dht_core::overlay::{key_counts, NodeToken, Overlay};
+    pub use dht_core::overlay::{key_counts, NodeToken, Overlay, Protocol};
     pub use dht_core::sim::Refresh;
     pub use dht_core::stats::Summary;
     pub use dht_sim::{build_overlay, OverlayKind, PAPER_KINDS};

@@ -180,12 +180,12 @@ fn cycloid_oracle(net: &CycloidNetwork) -> AuditReport {
 /// the same online half (it runs the same sweep before its own probes).
 /// Returns the sweep's online report.
 fn assert_sweep_is_oracle<T: StateAudit>(net: &T, oracle: &AuditReport, ctx: &str) -> AuditReport {
-    let online = net.audit(AuditScope::Online);
+    let online = net.audit_state(AuditScope::Online);
     assert_eq!(online.overlay(), oracle.overlay(), "{ctx}");
     assert_eq!(online.checked_nodes(), oracle.checked_nodes(), "{ctx}");
     assert_eq!(online.violations(), oracle.violations(), "{ctx}");
     let names = oracle.violated_invariants();
-    let full = net.audit(AuditScope::Full);
+    let full = net.audit_state(AuditScope::Full);
     let embedded: Vec<&AuditViolation> = full
         .violations()
         .iter()
@@ -419,8 +419,8 @@ fn cycloid_edge_shapes_audit_clean_and_match_the_oracle() {
             let ctx = format!("{} / {shape}", net.name());
             let report = assert_sweep_is_oracle(&net, &cycloid_oracle(&net), &ctx);
             assert!(report.is_clean(), "{ctx}: {report}");
-            net.stabilize_all();
-            let report = net.audit(AuditScope::Full);
+            net.stabilize();
+            let report = net.audit_state(AuditScope::Full);
             assert!(report.is_clean(), "{ctx}: {report}");
         }
     }

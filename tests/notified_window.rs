@@ -230,16 +230,16 @@ where
         let ctx = format!("{}, step {i} ({op:?}) at {} nodes", net.name(), live.len());
         match op {
             Step::Join => {
-                if let Some(id) = Overlay::join(&mut net, &mut rng as &mut dyn RngCore) {
+                if let Some(id) = Protocol::join(&mut net, &mut rng as &mut dyn RngCore) {
                     assert_window(&before, &net, id, true, &ctx);
                 }
             }
             Step::Leave(i) if live.len() > 1 => {
-                assert!(Overlay::leave(&mut net, victim(i)));
+                assert!(Protocol::leave(&mut net, victim(i)));
                 assert_window(&before, &net, victim(i), false, &ctx);
             }
             Step::Fail(i) if live.len() > 1 => {
-                assert!(Overlay::fail(&mut net, victim(i)));
+                assert!(Protocol::fail(&mut net, victim(i)));
             }
             Step::Leave(_) | Step::Fail(_) => {}
         }

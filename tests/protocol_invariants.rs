@@ -138,7 +138,7 @@ proptest! {
             let report = net.audit_state(AuditScope::Online);
             prop_assert!(report.is_clean(), "after step {}: {}", step, report);
         }
-        net.stabilize_all();
+        net.stabilize();
         let report = net.audit_state(AuditScope::Full);
         prop_assert!(report.is_clean(), "after stabilization: {}", report);
         prop_assert_eq!(report.checked_nodes(), net.len());
@@ -190,7 +190,7 @@ fn replay_regression_through_repair(script: &[bool], seed: u64) {
                 net.leave(victim);
             }
         }
-        net.stabilize_all();
+        net.stabilize();
         assert!(
             net.audit_state(AuditScope::Full).is_clean(),
             "{strategy:?} seed={seed}: post-churn baseline dirty"
@@ -267,13 +267,13 @@ fn cycloid_join_equals_bulk_construction() {
             members.push(id);
         }
     }
-    by_joins.stabilize_all();
+    by_joins.stabilize();
 
     let mut bulk = CycloidNetwork::new(CycloidConfig::seven_entry(6), 100);
     for &id in &members {
         assert!(bulk.join_id(id));
     }
-    bulk.stabilize_all();
+    bulk.stabilize();
 
     for &id in &members {
         let a = by_joins.node(id).unwrap();

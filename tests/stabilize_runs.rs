@@ -57,7 +57,7 @@ where
     let billed = as_run.stabilize_nodes(run);
     let mut msgs = 0;
     for &node in run {
-        msgs += Overlay::maintenance_msgs(&one_by_one, node);
+        msgs += one_by_one.maintenance_msgs(node);
         one_by_one.stabilize_one(node, &mut Hints::default());
     }
     assert_eq!(billed, msgs, "{ctx}: billed messages");
@@ -327,8 +327,8 @@ fn cycloid_runs_hold_where_the_cycles_wrap() {
             let zero = CorruptionPlan::new(CorruptionStrategy::ZeroLinks, 1.0, 7);
             net.corrupt_state(&zero);
             assert_runs(&net, &[], &mut rng, &format!("{ctx}, zeroed"));
-            net.stabilize_all();
-            let report = net.audit(AuditScope::Full);
+            net.stabilize();
+            let report = net.audit_state(AuditScope::Full);
             assert!(report.is_clean(), "{ctx}: {report}");
             for id in net.ids().collect::<Vec<_>>() {
                 let node = net.node(id).unwrap();
