@@ -9,13 +9,15 @@
 /// Glyphs assigned to series in order.
 const GLYPHS: [char; 8] = ['o', 'x', '+', '*', '#', '@', '%', '&'];
 
+/// Plot height in rows.
+const ROWS: usize = 16;
+
 /// A multi-series line chart.
 #[derive(Debug, Clone)]
 pub struct Chart {
     title: String,
     x_labels: Vec<String>,
     series: Vec<(String, Vec<Option<f64>>)>,
-    height: usize,
 }
 
 impl Chart {
@@ -26,15 +28,7 @@ impl Chart {
             title: title.to_string(),
             x_labels,
             series: Vec::new(),
-            height: 16,
         }
-    }
-
-    /// Sets the plot height in rows (default 16).
-    #[must_use]
-    pub fn with_height(mut self, rows: usize) -> Self {
-        self.height = rows.clamp(4, 64);
-        self
     }
 
     /// Adds a series; its length must match the x labels (use `None` for
@@ -69,17 +63,17 @@ impl Chart {
         }
         let y_max = points.iter().copied().fold(f64::MIN, f64::max).max(1e-9);
         let y_min = 0.0f64; // figures in this suite are all zero-based
-        let rows = self.height;
+
         // One column per x position, spaced for readability.
         let col_width = 6usize;
         let width = self.x_labels.len() * col_width;
-        let mut grid = vec![vec![' '; width]; rows];
+        let mut grid = vec![vec![' '; width]; ROWS];
         for (si, (_, values)) in self.series.iter().enumerate() {
             let glyph = GLYPHS[si % GLYPHS.len()];
             for (xi, v) in values.iter().enumerate() {
                 if let Some(v) = v {
                     let frac = ((v - y_min) / (y_max - y_min)).clamp(0.0, 1.0);
-                    let row = ((1.0 - frac) * (rows - 1) as f64).round() as usize;
+                    let row = ((1.0 - frac) * (ROWS - 1) as f64).round() as usize;
                     let col = xi * col_width + col_width / 2;
                     // Stack overlapping series markers side by side.
                     let mut c = col;
@@ -94,8 +88,8 @@ impl Chart {
         }
         let label_width = 8;
         for (ri, row) in grid.iter().enumerate() {
-            let y_val = y_max * (1.0 - ri as f64 / (rows - 1) as f64);
-            let label = if ri % 4 == 0 || ri == rows - 1 {
+            let y_val = y_max * (1.0 - ri as f64 / (ROWS - 1) as f64);
+            let label = if ri % 4 == 0 || ri == ROWS - 1 {
                 format!("{y_val:>7.1}")
             } else {
                 " ".repeat(7)

@@ -12,7 +12,6 @@ pub mod figures;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use crossbeam::thread;
 use dht_core::audit::AuditReport;
 use dht_core::lookup::{HopPhase, PhaseBreakdown};
 use dht_core::overlay::Overlay;
@@ -229,9 +228,9 @@ impl Experiment {
         }
         let cells: Vec<OnceLock<Cell>> = at.iter().map(|_| OnceLock::new()).collect();
         let next = AtomicUsize::new(0);
-        thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..jobs.max(1).min(at.len()) {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     while let Some(&at) = at.get(next.fetch_add(1, Ordering::Relaxed)) {
                         let (label, cols) = (self.measure)(grid, at);
                         let _ = cells[at.i].set(Cell {
@@ -242,8 +241,7 @@ impl Experiment {
                     }
                 });
             }
-        })
-        .expect("measurement thread panicked");
+        });
         cells.into_iter().filter_map(OnceLock::into_inner).collect()
     }
 }
