@@ -64,8 +64,84 @@ fn check_positional_readers(net: &CycloidNetwork, rng: &mut impl Rng) -> Result<
     Ok(())
 }
 
+/// §3.1's routing-table neighbours of `id`, written out over the live
+/// identifiers `live`: candidates have cyclic index `k - 1` and keep `a`'s
+/// bits above `k`. The cubical neighbour also flips bit `k` and is the
+/// candidate nearest `a XOR 2^k`, ties toward the smaller index; the cyclic
+/// pair is the nearest candidate below `a` and the nearest above it. A node
+/// with `k = 0` has none.
+fn routing_neighbours_by_definition(
+    live: &[CycloidId],
+    id: CycloidId,
+) -> (Option<CycloidId>, (Option<CycloidId>, Option<CycloidId>)) {
+    let k = id.cyclic;
+    if k == 0 {
+        return (None, (None, None));
+    }
+    let candidates = || {
+        live.iter()
+            .copied()
+            .filter(move |n| n.cyclic == k - 1 && n.cubical >> (k + 1) == id.cubical >> (k + 1))
+    };
+    let target = id.cubical ^ (1 << k);
+    let cubical = candidates()
+        .filter(|n| (n.cubical >> k) & 1 == (target >> k) & 1)
+        .min_by_key(|n| (n.cubical.abs_diff(target), n.cubical));
+    let cyclic = candidates().filter(|n| n.cubical >> k == id.cubical >> k);
+    let smaller = cyclic
+        .clone()
+        .filter(|n| n.cubical < id.cubical)
+        .max_by_key(|n| n.cubical);
+    let larger = cyclic
+        .filter(|n| n.cubical > id.cubical)
+        .min_by_key(|n| n.cubical);
+    (cubical, (smaller, larger))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn routing_neighbours_follow_the_definition(
+        seed in any::<u64>(),
+        d in dim_strategy(),
+        fill in 0u64..=100,
+        radius in 1usize..=2,
+        departures in 0usize..32,
+    ) {
+        // From one node to every slot, then a seeded mix of graceful leaves
+        // and failures that nothing stabilizes: the resolvers read the
+        // membership as it is, and stabilization stores what they read.
+        let space = Dim::new(d).id_space();
+        let count = (space * fill / 100).max(1) as usize;
+        let config = CycloidConfig { dimension: d, leaf_radius: radius };
+        let mut net = CycloidNetwork::with_nodes(config, count, seed);
+        let mut rng = stream(seed, "neighbour-prop");
+        for _ in 0..departures.min(net.len() - 1) {
+            let victim = net.ids().nth(rng.gen_range(0..net.len())).unwrap();
+            if rng.gen() {
+                prop_assert!(net.leave(victim));
+            } else {
+                prop_assert!(net.fail_node(victim));
+            }
+        }
+        let live: Vec<CycloidId> = net.ids().collect();
+        let expected: Vec<_> = live
+            .iter()
+            .map(|&id| routing_neighbours_by_definition(&live, id))
+            .collect();
+        for (&id, (cubical, cyclic)) in live.iter().zip(&expected) {
+            prop_assert_eq!(&net.resolve_cubical_neighbor(id), cubical, "cubical of {}", id);
+            prop_assert_eq!(&net.resolve_cyclic_neighbors(id), cyclic, "cyclic of {}", id);
+        }
+        net.stabilize();
+        for (&id, (cubical, cyclic)) in live.iter().zip(&expected) {
+            let state = net.node(id).unwrap();
+            prop_assert_eq!(&state.cubical_neighbor, cubical, "stored cubical of {}", id);
+            let stored = (state.cyclic_smaller, state.cyclic_larger);
+            prop_assert_eq!(&stored, cyclic, "stored cyclic of {}", id);
+        }
+    }
 
     #[test]
     fn linear_roundtrip_everywhere(d in dim_strategy(), raw in any::<u64>()) {
