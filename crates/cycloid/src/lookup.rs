@@ -325,10 +325,6 @@ impl SimOverlay for CycloidNetwork {
     fn stabilize_one(&mut self, node: NodeToken, hints: &mut Hints) {
         self.refresh_node(CycloidId::from_linear(node, self.dim()), hints);
     }
-
-    fn aux_bytes(&self) -> usize {
-        self.index_bytes()
-    }
 }
 
 #[cfg(test)]
