@@ -71,9 +71,8 @@
 //! protocol deviates: [`SimOverlay::admit`] for candidate filters
 //! beyond liveness, [`SimOverlay::on_hop`] for per-hop *walk-state*
 //! bookkeeping (cursor advancement, visited sets),
-//! [`SimOverlay::repair_on_use`] / [`SimOverlay::record_exhausted`]
-//! for deferred *network-state* mutations (stale-entry eviction,
-//! failure counters), [`SimOverlay::on_exhausted`] /
+//! [`SimOverlay::repair_on_use`] for the deferred *network-state*
+//! mutation (stale-entry eviction), [`SimOverlay::on_exhausted`] /
 //! [`SimOverlay::classify_terminal`] for outcome classification, and
 //! [`SimOverlay::budget_before_terminal`] when the protocol checks its
 //! termination test before the hop budget.
@@ -216,8 +215,7 @@ pub trait SimOverlay: Protocol + Sync + 'static {
     }
 
     /// Classifies a walk stranded at `cur` with no live candidate —
-    /// read-only; accounting belongs in
-    /// [`SimOverlay::record_exhausted`]. Default:
+    /// read-only. Default:
     /// [`LookupOutcome::Found`] when `cur` happens to be the owner,
     /// otherwise [`LookupOutcome::Stuck`].
     fn on_exhausted(&self, cur: NodeToken, walk: &Self::Walk) -> LookupOutcome {
@@ -225,13 +223,6 @@ pub trait SimOverlay: Protocol + Sync + 'static {
             Some(owner) if owner == cur => LookupOutcome::Found,
             _ => LookupOutcome::Stuck,
         }
-    }
-
-    /// Deferred accounting for a walk that exhausted its candidates at
-    /// `terminal` (e.g. a protocol failure counter). Called when the
-    /// walk's effects are applied. Default: nothing.
-    fn record_exhausted(&mut self, terminal: NodeToken) {
-        let _ = terminal;
     }
 
     /// Whether the hop budget is checked before the terminal test.
@@ -258,8 +249,7 @@ pub trait SimOverlay: Protocol + Sync + 'static {
     }
 
     /// Heap bytes of overlay-level auxiliary indexes outside the
-    /// [`Membership`] arena (e.g. Cycloid's per-cycle member sets).
-    /// Default: none.
+    /// [`Membership`] arena (e.g. Viceroy's level sets). Default: none.
     fn aux_bytes(&self) -> usize {
         0
     }
@@ -403,7 +393,7 @@ impl<T: SimOverlay> Overlay for T {
     }
 
     fn lookup_batch(&mut self, reqs: &[(NodeToken, u64)], jobs: usize) -> Vec<LookupTrace> {
-        ParallelExecutor::new(jobs).run(self, reqs, true)
+        ParallelExecutor::new(jobs).run(self, reqs)
     }
 
     fn stabilize_nodes(&mut self, nodes: &[NodeToken]) -> u64 {

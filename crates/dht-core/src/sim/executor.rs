@@ -31,8 +31,8 @@ type Routed = Option<(LookupTrace, WalkEffects)>;
 ///
 /// Determinism: fault draws are keyed by the lookup's reserved index
 /// (`base + i`), finished walks are stored by request position, query
-/// loads are commutative counter increments, and repairs / failure
-/// accounting / trace events are applied strictly in request order
+/// loads are commutative counter increments, and repairs and trace
+/// events are applied strictly in request order
 /// after all routing is done — so aggregates, load tables, and event
 /// streams are bit-identical for any `jobs` value, including 1, and for
 /// any order in which the lanes happen to finish.
@@ -48,32 +48,14 @@ impl ParallelExecutor {
         Self { jobs: jobs.max(1) }
     }
 
-    /// An executor sized to the machine's available parallelism.
-    #[must_use]
-    pub fn available() -> Self {
-        Self::new(
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        )
-    }
-
-    /// The configured worker cap.
-    #[must_use]
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
     /// Routes `reqs` (pairs of source token and raw key) and returns
     /// the traces in request order. All walks observe the membership as
-    /// it is on entry; effects (query loads, repair-on-use, failure
-    /// accounting, trace events) are applied in request order before
-    /// returning.
+    /// it is on entry; effects (query loads, repair-on-use, trace events)
+    /// are applied in request order before returning.
     pub fn run<T: SimOverlay + ?Sized>(
         &self,
         net: &mut T,
         reqs: &[(NodeToken, u64)],
-        count_loads: bool,
     ) -> Vec<LookupTrace> {
         if reqs.is_empty() {
             return Vec::new();
@@ -90,7 +72,7 @@ impl ParallelExecutor {
         // One flat list of visited nodes per shard; a thread only when
         // there is more than one shard.
         let visited: Vec<Vec<NodeToken>> = if workers == 1 {
-            vec![route_shard(shared, reqs, base, count_loads, &mut routed)]
+            vec![route_shard(shared, reqs, base, &mut routed)]
         } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = reqs
@@ -99,7 +81,7 @@ impl ParallelExecutor {
                     .enumerate()
                     .map(|(i, (slice, out))| {
                         let first = base + (i * chunk) as u64;
-                        scope.spawn(move || route_shard(shared, slice, first, count_loads, out))
+                        scope.spawn(move || route_shard(shared, slice, first, out))
                     })
                     .collect();
                 handles
@@ -132,14 +114,13 @@ fn route_shard<T: SimOverlay + ?Sized>(
     net: &T,
     reqs: &[(NodeToken, u64)],
     first_index: u64,
-    count_loads: bool,
     out: &mut [Routed],
 ) -> Vec<NodeToken> {
     let begin = |pos: usize| {
         let (src, raw_key) = reqs[pos];
         let state = net.begin_walk(src, raw_key);
         let index = first_index + pos as u64;
-        let cursor = WalkCursor::begin(net, src, state, count_loads, index, Some(raw_key));
+        let cursor = WalkCursor::begin(net, src, state, true, index, Some(raw_key));
         (pos, cursor)
     };
     let mut waiting = 0..reqs.len();
@@ -281,7 +262,7 @@ mod tests {
             let want = batch_record(&reqs, one_cursor_per_request);
             for jobs in [1, 3] {
                 let got = batch_record(&reqs, |ring, reqs| {
-                    ParallelExecutor::new(jobs).run(ring, reqs, true)
+                    ParallelExecutor::new(jobs).run(ring, reqs)
                 });
                 assert_eq!(want, got, "{len} requests at jobs={jobs}");
             }
@@ -300,7 +281,7 @@ mod tests {
         // needs fewer steps than an earlier one, so its lane is
         // refilled while the earlier walk is still in flight.
         let reqs = mixed_requests(25);
-        let traces = ParallelExecutor::new(1).run(&mut contested_ring(), &reqs, true);
+        let traces = ParallelExecutor::new(1).run(&mut contested_ring(), &reqs);
         for pair in traces.chunks_exact(2) {
             assert!(pair[0].path_len() > pair[1].path_len() + 1);
         }
@@ -320,7 +301,7 @@ mod tests {
             .map(|&(src, key)| walk_key(&mut loop_ring, src, key, true))
             .collect();
         let mut batch_ring = contested_ring();
-        let batch_traces = ParallelExecutor::new(4).run(&mut batch_ring, &reqs, true);
+        let batch_traces = ParallelExecutor::new(4).run(&mut batch_ring, &reqs);
         for (a, b) in loop_traces.iter().zip(&batch_traces) {
             assert_eq!(a.hops, b.hops);
             assert_eq!(a.net, b.net);

@@ -51,9 +51,6 @@ pub struct WalkEffects {
     pub queried: Vec<NodeToken>,
     /// Hops that skipped dead candidates, for repair-on-use.
     pub repairs: Vec<HopRepair>,
-    /// Terminal of an exhausted walk (no live candidate), for
-    /// [`SimOverlay::record_exhausted`].
-    pub exhausted: Option<NodeToken>,
     /// Trace events in emission order (empty when telemetry is off).
     pub events: Vec<Event>,
     /// The walk's [`Phase::Lookup`] bill, recorded like `events` only
@@ -61,18 +58,6 @@ pub struct WalkEffects {
     /// start; billed at apply time so parallel walks account in
     /// canonical workload order.
     pub bill: Option<PhaseCosts>,
-}
-
-impl WalkEffects {
-    /// `true` iff applying these effects would change nothing.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.queried.is_empty()
-            && self.repairs.is_empty()
-            && self.exhausted.is_none()
-            && self.events.is_empty()
-            && self.bill.is_none()
-    }
 }
 
 /// Reusable per-walk scratch buffers for the step loop. One instance
@@ -113,7 +98,7 @@ pub fn walk_from<T: SimOverlay + ?Sized>(
 }
 
 /// Plays a [`WalkEffects`] record back against the overlay: query-load
-/// increments, repair-on-use, exhaustion accounting, the walk's bills
+/// increments, repair-on-use, the walk's bills
 /// and its trace events (stamped with the next lookup id). Application
 /// order across walks defines the canonical byte stream, so callers
 /// must apply records in workload order.
@@ -121,7 +106,6 @@ pub fn apply_effects<T: SimOverlay + ?Sized>(net: &mut T, fx: WalkEffects) {
     let WalkEffects {
         queried,
         repairs,
-        exhausted,
         events,
         bill,
     } = fx;
@@ -143,9 +127,6 @@ pub fn apply_effects<T: SimOverlay + ?Sized>(net: &mut T, fx: WalkEffects) {
     }
     for r in &repairs {
         net.repair_on_use(r.from, r.phase, r.to, &r.timed_out);
-    }
-    if let Some(terminal) = exhausted {
-        net.record_exhausted(terminal);
     }
     if let Some(costs) = bill {
         telemetry.bill(Phase::Lookup, || costs);
@@ -404,10 +385,7 @@ impl<W> WalkCursor<W> {
                 }
                 None
             }
-            None => {
-                self.fx.exhausted = Some(self.cur);
-                Some(net.on_exhausted(self.cur, &self.state))
-            }
+            None => Some(net.on_exhausted(self.cur, &self.state)),
         }
     }
 

@@ -91,9 +91,6 @@ pub struct KoordeWalk {
 pub struct KoordeNetwork {
     config: KoordeConfig,
     members: Membership<KoordeNode>,
-    /// Lookups that failed because a de Bruijn pointer and all backups
-    /// were dead (§4.3's failure count).
-    failures: u64,
 }
 
 impl KoordeNetwork {
@@ -113,7 +110,6 @@ impl KoordeNetwork {
         Self {
             config,
             members: Membership::new(seed),
-            failures: 0,
         }
     }
 
@@ -129,13 +125,6 @@ impl KoordeNetwork {
     #[must_use]
     pub fn config(&self) -> KoordeConfig {
         self.config
-    }
-
-    /// Total failed lookups so far (de Bruijn pointer and all backups
-    /// dead).
-    #[must_use]
-    pub fn failure_count(&self) -> u64 {
-        self.failures
     }
 
     /// Maps a raw key onto the ring.
@@ -413,10 +402,6 @@ impl SimOverlay for KoordeNetwork {
         LookupOutcome::Stuck
     }
 
-    fn record_exhausted(&mut self, _terminal: NodeToken) {
-        self.failures += 1;
-    }
-
     fn stabilize_one(&mut self, node: NodeToken, hints: &mut Hints) {
         self.refresh_node(node, hints);
     }
@@ -463,7 +448,6 @@ mod tests {
             assert_eq!(t.timeouts, 0);
             assert_eq!(Some(t.terminal), net.members.store.successor_of(key));
         }
-        assert_eq!(net.failure_count(), 0);
     }
 
     #[test]
@@ -592,7 +576,6 @@ mod tests {
             failures > 0,
             "p=0.5 must produce some lookup failures (got none)"
         );
-        assert_eq!(net.failure_count() as usize, failures);
     }
 
     #[test]
