@@ -413,8 +413,9 @@ fn cycloid_edge_shapes_audit_clean_and_match_the_oracle() {
             CycloidConfig::seven_entry(5),
             CycloidConfig::eleven_entry(5),
         ] {
-            // Joins keep the online invariants; the full scope (and its
-            // cycle-index check) wants one stabilization round first.
+            // Joins keep the online invariants; the full scope (the
+            // cubical and cyclic neighbours) wants one stabilization
+            // round first.
             let mut net = cycloid_of(config, ids);
             let ctx = format!("{} / {shape}", net.name());
             let report = assert_sweep_is_oracle(&net, &cycloid_oracle(&net), &ctx);
