@@ -280,3 +280,117 @@ fn full_round_stabilize_is_a_run_over_every_token() {
         );
     }
 }
+
+/// One constant per drawn build, as the build is today: `(kind, n, seed,
+/// fold)`. The fold is [`drawn_build_fold`].
+const DRAWN_BUILDS: [(OverlayKind, usize, u64, u64); 48] = [
+    (OverlayKind::Cycloid7, 250, 3, 0xe79dec71f964d493),
+    (OverlayKind::Cycloid7, 250, 2004, 0x2e5e0c73b0a4dc23),
+    (OverlayKind::Cycloid7, 1000, 3, 0x1fc2e6785a0ec59e),
+    (OverlayKind::Cycloid7, 1000, 2004, 0x8e436d11cf737890),
+    (OverlayKind::Cycloid7, 4096, 3, 0x5efefdb1547695b1),
+    (OverlayKind::Cycloid7, 4096, 2004, 0xe964458c9b99820d),
+    (OverlayKind::Cycloid7, 20000, 3, 0xbd46846f3586c4a0),
+    (OverlayKind::Cycloid7, 20000, 2004, 0xecfc778072eb3e2d),
+    (OverlayKind::Cycloid11, 250, 3, 0x5dec42f59309d8a8),
+    (OverlayKind::Cycloid11, 250, 2004, 0xaa0d006a89db4487),
+    (OverlayKind::Cycloid11, 1000, 3, 0xb1a3a2f5bae0dc96),
+    (OverlayKind::Cycloid11, 1000, 2004, 0xd4381ff46b73455e),
+    (OverlayKind::Cycloid11, 4096, 3, 0xd415374b07fa9829),
+    (OverlayKind::Cycloid11, 4096, 2004, 0xf222cc34fc7fb4d3),
+    (OverlayKind::Cycloid11, 20000, 3, 0xf92aa545cf30c295),
+    (OverlayKind::Cycloid11, 20000, 2004, 0xa973a99b3355451d),
+    (OverlayKind::Koorde, 250, 3, 0xecbd3a7186c565b3),
+    (OverlayKind::Koorde, 250, 2004, 0x6fa0850487e97ae2),
+    (OverlayKind::Koorde, 1000, 3, 0x2d4d3674752b0d28),
+    (OverlayKind::Koorde, 1000, 2004, 0xa25d1c0b62b11ebf),
+    (OverlayKind::Koorde, 4096, 3, 0x0e8062a5f34d6300),
+    (OverlayKind::Koorde, 4096, 2004, 0x905580d8051ac779),
+    (OverlayKind::Koorde, 20000, 3, 0x3a9d89812bbab2b5),
+    (OverlayKind::Koorde, 20000, 2004, 0x2696663a5d6a31bb),
+    (OverlayKind::KoordeBestFit, 250, 3, 0x3e2df70d2a08dcfe),
+    (OverlayKind::KoordeBestFit, 250, 2004, 0x7edd77d22afc347d),
+    (OverlayKind::KoordeBestFit, 1000, 3, 0x195378f76e6479be),
+    (OverlayKind::KoordeBestFit, 1000, 2004, 0x6276dbb96d1cd13f),
+    (OverlayKind::KoordeBestFit, 4096, 3, 0x0e8062a5f34d6300),
+    (OverlayKind::KoordeBestFit, 4096, 2004, 0x905580d8051ac779),
+    (OverlayKind::KoordeBestFit, 20000, 3, 0x3f5f1609d9b58f0d),
+    (OverlayKind::KoordeBestFit, 20000, 2004, 0x6c462f99f994078a),
+    (OverlayKind::Chord, 250, 3, 0xab7f0b3278210d30),
+    (OverlayKind::Chord, 250, 2004, 0x77513c1d12c5b788),
+    (OverlayKind::Chord, 1000, 3, 0x65e2dc7f9471907a),
+    (OverlayKind::Chord, 1000, 2004, 0x5602e74fdac0d22b),
+    (OverlayKind::Chord, 4096, 3, 0xb45c0129651408a2),
+    (OverlayKind::Chord, 4096, 2004, 0x6f99ab469df3547e),
+    (OverlayKind::Chord, 20000, 3, 0xc98d1d71bd7348a5),
+    (OverlayKind::Chord, 20000, 2004, 0x3a90b073f8d001be),
+    (OverlayKind::Pastry, 250, 3, 0xf0f1f9d1a58db3eb),
+    (OverlayKind::Pastry, 250, 2004, 0x490e8718c2882ba3),
+    (OverlayKind::Pastry, 1000, 3, 0x72458fc0ab915f18),
+    (OverlayKind::Pastry, 1000, 2004, 0x3c142d1e2ede5e7f),
+    (OverlayKind::Pastry, 4096, 3, 0xaf079f9d1ce431e7),
+    (OverlayKind::Pastry, 4096, 2004, 0x5ddb5301cfd8247b),
+    (OverlayKind::Pastry, 20000, 3, 0x93b3179e1a5da250),
+    (OverlayKind::Pastry, 20000, 2004, 0xe50adc3cffe86e31),
+];
+
+/// Folds what a drawn build decides into one number: the live tokens,
+/// the heap the store holds while it is one chunk (`bytes_per_node`'s
+/// bits), the traces of 256 lookups, and the token the next join draws,
+/// which is where the build left the identifier allocator. A build that
+/// fills its space first fails every fourth node, so the join has free
+/// identifiers to draw among.
+fn drawn_build_fold(kind: OverlayKind, n: usize, seed: u64) -> u64 {
+    let mut net = build_overlay(kind, n, seed);
+    let what = format!("{} n={n} seed={seed}", kind.label());
+    let audit = net.audit_state(AuditScope::Full);
+    assert!(audit.is_clean(), "{what}: {audit}");
+    let tokens = net.node_tokens();
+    let mut fold = hash_str(&format!("{tokens:?}"));
+    let mut mix = |x: u64| fold = dht_core::hash::splitmix64(fold ^ x);
+    if n < dht_core::store::CHUNK_CAP {
+        mix(net.bytes_per_node().to_bits());
+    }
+    let mut rng = stream(10, "drawn-builds");
+    for i in 0..256 {
+        let trace = net.lookup(tokens[(i * 37) % tokens.len()], rng.gen());
+        mix(hash_str(&format!("{trace:?}")));
+    }
+    if net.len() as u64 == tokens.last().map_or(0, |&t| t + 1) {
+        tokens.iter().step_by(4).for_each(|&t| assert!(net.fail(t)));
+    }
+    mix(net.join(&mut rng).expect("the space has room"));
+    fold
+}
+
+#[test]
+fn drawn_builds_are_pinned() {
+    // Every kind whose build draws its identifiers through `Membership`
+    // (CAN splits zones; Viceroy draws a level per node) builds the same
+    // network, holds the same heap while it is one chunk, routes the same
+    // and leaves the allocator where it was, size by size and seed by
+    // seed.
+    let kinds = [
+        OverlayKind::Cycloid7,
+        OverlayKind::Cycloid11,
+        OverlayKind::Koorde,
+        OverlayKind::KoordeBestFit,
+        OverlayKind::Chord,
+        OverlayKind::Pastry,
+    ];
+    let mut got = Vec::new();
+    for kind in kinds {
+        for n in [250, 1_000, 4_096, 20_000] {
+            for seed in [3, 2004] {
+                got.push((kind, n, seed, drawn_build_fold(kind, n, seed)));
+            }
+        }
+    }
+    let table: String = got
+        .iter()
+        .map(|(kind, n, seed, fold)| {
+            format!("    (OverlayKind::{kind:?}, {n}, {seed}, {fold:#018x}),\n")
+        })
+        .collect();
+    assert_eq!(got, DRAWN_BUILDS, "measured:\n{table}");
+}
