@@ -96,14 +96,9 @@ impl CycloidNetwork {
             "{count} nodes exceed the {}-slot identifier space",
             net.dim.id_space()
         );
-        while net.members.store.len() < count {
-            let id = CycloidId::from_hash(net.members.next_raw(), net.dim);
-            if !net.is_live(id) {
-                let linear = id.linear(net.dim);
-                net.members.store.insert(linear, NodeState::default());
-            }
-        }
-        net.members.store.order_slab();
+        let dim = net.dim;
+        let draw = || CycloidId::from_hash(net.members.next_raw(), dim).linear(dim);
+        net.members.store = CompactStore::fill(count, draw, |_| NodeState::default());
         net.stabilize();
         net
     }

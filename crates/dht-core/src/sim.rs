@@ -85,7 +85,7 @@ use crate::lookup::{HopPhase, LookupOutcome, LookupTrace};
 use crate::net::NetConditions;
 use crate::obs::Telemetry;
 use crate::overlay::{NodeToken, Overlay, Protocol};
-use crate::store::{Hints, Pos};
+use crate::store::{CompactStore, Hints, Pos};
 
 mod executor;
 mod membership;
@@ -290,14 +290,16 @@ pub trait Refresh: SimOverlay + Sized {
             count as u64 <= space,
             "{count} nodes exceed the {space}-point identifier space"
         );
-        while self.membership().store.len() < count {
-            let id = self.membership_mut().next_in(space);
-            if !self.membership().store.contains(id) {
-                let state = self.blank_state(id);
-                self.membership_mut().store.insert(id, state);
-            }
-        }
-        self.membership_mut().store.order_slab();
+        assert!(
+            self.membership().store.is_empty(),
+            "populate fills an empty network"
+        );
+        // The allocator draws while `blank_state` reads the overlay, so
+        // the membership is lifted out for the build.
+        let mut members = std::mem::replace(self.membership_mut(), Membership::new(0));
+        members.store =
+            CompactStore::fill(count, || members.next_in(space), |id| self.blank_state(id));
+        *self.membership_mut() = members;
         self.stabilize();
     }
 
