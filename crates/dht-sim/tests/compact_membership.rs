@@ -99,7 +99,7 @@ fn overlay_query_loads_track_departures() {
 }
 
 /// CI smoke: a 10k-node Cycloid(7) stays under the documented
-/// bytes/node budget (DESIGN.md §12). Measured ~367 bytes/node: a
+/// bytes/node budget (DESIGN.md §12). Measured ~362 bytes/node: a
 /// 180 B inline `NodeState` row (seven links and their spare leaf slots,
 /// each an 8-byte `CycloidId`), the dense token/load columns and the
 /// hash side-table, with the slack `Vec` capacity doubling leaves, which
