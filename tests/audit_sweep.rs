@@ -10,6 +10,14 @@
 //! every corruption strategy — so no second audit path has to live in
 //! `src`, and a resolver and the sweep can only be wrong together if they
 //! are wrong in the same way.
+//!
+//! The `Full` scope gets the same treatment with a stricter source: its
+//! lazily repaired links (Chord's fingers, Koorde's de Bruijn pointer
+//! and backups, Pastry's prefix table, Cycloid's cubical and cyclic
+//! neighbours) are recomputed here from the sorted `Vec` of live
+//! identifiers and each paper's definition, asking no resolver at all.
+//! The full audit must report exactly the online oracle's violations
+//! plus these, as a multiset of (node, invariant) pairs.
 
 use cycloid_repro::prelude::*;
 use dht_core::corrupt::{CorruptionPlan, CorruptionStrategy};
@@ -175,6 +183,173 @@ fn cycloid_oracle(net: &CycloidNetwork) -> AuditReport {
     report
 }
 
+/// The first live id at or after `x`, wrapping to the smallest.
+fn first_at_or_after(live: &[u64], x: u64) -> u64 {
+    let i = live.partition_point(|&t| t < x);
+    live.get(i).copied().unwrap_or(live[0])
+}
+
+/// Index in `live` of the last live id at or before `x`, wrapping to
+/// the largest.
+fn last_at_or_before(live: &[u64], x: u64) -> usize {
+    live.partition_point(|&t| t <= x)
+        .checked_sub(1)
+        .unwrap_or(live.len() - 1)
+}
+
+/// One (node, invariant) pair per lazily repaired link that differs
+/// from its definition: `expected[i]` against `held[i]`, where a
+/// position only one side has differs too.
+fn per_entry<T: PartialEq>(
+    out: &mut Vec<(NodeToken, &'static str)>,
+    node: NodeToken,
+    invariant: &'static str,
+    held: &[T],
+    expected: &[T],
+) {
+    for i in 0..held.len().max(expected.len()) {
+        if held.get(i) != expected.get(i) {
+            out.push((node, invariant));
+        }
+    }
+}
+
+/// Chord: finger `k` is the first live id at or after `id + 2^k`.
+fn chord_lazy(net: &ChordNetwork) -> Vec<(NodeToken, &'static str)> {
+    let live = net.node_tokens();
+    let config = net.config();
+    let mut out = Vec::new();
+    for (id, node) in net.membership().store.iter() {
+        let expected: Vec<u64> = (0..config.bits)
+            .map(|k| first_at_or_after(&live, (id + (1u64 << k)) % config.space()))
+            .collect();
+        per_entry(&mut out, id, "chord/finger-table", &node.fingers, &expected);
+    }
+    out
+}
+
+/// Koorde (either start): the de Bruijn pointer is the last live id at
+/// or before `2·id`, and its backups the `b` live ids before it, nearest
+/// first, wrapping; the backups count once per node.
+fn koorde_lazy(net: &KoordeNetwork) -> Vec<(NodeToken, &'static str)> {
+    let live = net.node_tokens();
+    let n = live.len();
+    let config = net.config();
+    let mut out = Vec::new();
+    for (id, node) in net.membership().store.iter() {
+        let at = last_at_or_before(&live, (2 * id) % config.space());
+        if node.debruijn != live[at] {
+            out.push((id, "koorde/debruijn-pointer"));
+        }
+        let backups: Vec<u64> = (1..=config.debruijn_backups)
+            .map(|i| live[(at + n * i - i) % n])
+            .collect();
+        if node.debruijn_preds[..] != backups[..] {
+            out.push((id, "koorde/debruijn-backups"));
+        }
+    }
+    out
+}
+
+/// Pastry: slot `(row, col)` holds the live id numerically closest to
+/// the node among those sharing its first `row` digits and having digit
+/// `col` at `row`; `None` for the node's own digit or an empty block.
+fn pastry_lazy(net: &PastryNetwork) -> Vec<(NodeToken, &'static str)> {
+    let live = net.node_tokens();
+    let c = net.config();
+    let mut out = Vec::new();
+    for (id, node) in net.membership().store.iter() {
+        let mut expected = Vec::new();
+        for row in 0..c.digits() {
+            for col in 0..c.base() {
+                let in_block = |x: u64| {
+                    (0..row).all(|r| c.digit(x, r) == c.digit(id, r)) && c.digit(x, row) == col
+                };
+                let holder = live
+                    .iter()
+                    .copied()
+                    .filter(|&x| in_block(x))
+                    .min_by_key(|&x| x.abs_diff(id));
+                expected.push(holder.filter(|_| c.digit(id, row) != col));
+            }
+        }
+        per_entry(&mut out, id, "pastry/prefix-table", &node.table, &expected);
+    }
+    out
+}
+
+/// Cycloid, §3.1: a node `(k, a)` with `k > 0` links to cyclic index
+/// `k - 1`. Its cubical neighbour agrees with `a` above bit `k` and not
+/// at bit `k`, nearest to `a XOR 2^k` (ties to the smaller index); its
+/// cyclic neighbours agree with `a` from bit `k` up and are the first
+/// smaller and first larger such index. Index 0 links to nobody. The
+/// cyclic pair counts once per node.
+fn cycloid_lazy(net: &CycloidNetwork) -> Vec<(NodeToken, &'static str)> {
+    let dim = net.dim();
+    let d = u64::from(dim.get());
+    let live: Vec<CycloidId> = net
+        .node_tokens()
+        .into_iter()
+        .map(|t| CycloidId::new((t % d) as u32, (t / d) as u32))
+        .collect();
+    let mut out = Vec::new();
+    for id in net.ids() {
+        let state = net.node(id).expect("live id");
+        let (mut cubical, mut smaller, mut larger) = (None, None, None);
+        if id.cyclic > 0 {
+            let k = id.cyclic;
+            let above = |c: u32, bit: u32| c >> bit == id.cubical >> bit;
+            let level = live.iter().filter(|x| x.cyclic == k - 1);
+            let target = id.cubical ^ (1 << k);
+            cubical = level
+                .clone()
+                .filter(|x| above(x.cubical, k + 1) && !above(x.cubical, k))
+                .min_by_key(|x| (x.cubical.abs_diff(target), x.cubical))
+                .copied();
+            let block = level.filter(|x| above(x.cubical, k));
+            smaller = block
+                .clone()
+                .filter(|x| x.cubical < id.cubical)
+                .max_by_key(|x| x.cubical);
+            larger = block
+                .filter(|x| x.cubical > id.cubical)
+                .min_by_key(|x| x.cubical);
+        }
+        let token = id.linear(dim);
+        if state.cubical_neighbor != cubical {
+            out.push((token, "cycloid/cubical-neighbor"));
+        }
+        if (state.cyclic_smaller, state.cyclic_larger) != (smaller.copied(), larger.copied()) {
+            out.push((token, "cycloid/cyclic-neighbors"));
+        }
+    }
+    out
+}
+
+/// Asserts that the full audit reports the online oracle's violations
+/// plus the definitional `lazy` ones, as sorted (node, invariant)
+/// multisets.
+fn assert_full_is_definition<T: StateAudit>(
+    net: &T,
+    online: &AuditReport,
+    lazy: Vec<(NodeToken, &'static str)>,
+    ctx: &str,
+) {
+    let pairs = |r: &AuditReport| -> Vec<(NodeToken, &'static str)> {
+        r.violations()
+            .iter()
+            .map(|v| (v.node, v.invariant))
+            .collect()
+    };
+    let mut expected = pairs(online);
+    expected.extend(lazy);
+    expected.sort_unstable();
+    let full = net.audit_state(AuditScope::Full);
+    let mut found = pairs(&full);
+    found.sort_unstable();
+    assert_eq!(found, expected, "{ctx}: full audit against the definition");
+}
+
 /// Asserts that the sweep's online report is the oracle's, violation by
 /// violation and in order, and that the full-scope audit embeds exactly
 /// the same online half (it runs the same sweep before its own probes).
@@ -248,12 +423,30 @@ impl Net {
         }
     }
 
+    /// Holds the online sweep to the resolver oracle and the full audit
+    /// to the definitional one; returns the sweep's online report.
     fn assert_sweep_is_oracle(&self, ctx: &str) -> AuditReport {
         match self {
-            Net::Chord(net) => assert_sweep_is_oracle(net, &chord_oracle(net), ctx),
-            Net::Koorde(net) => assert_sweep_is_oracle(net, &koorde_oracle(net), ctx),
-            Net::Pastry(net) => assert_sweep_is_oracle(net, &pastry_oracle(net), ctx),
-            Net::Cycloid(net) => assert_sweep_is_oracle(net, &cycloid_oracle(net), ctx),
+            Net::Chord(net) => {
+                let online = assert_sweep_is_oracle(net, &chord_oracle(net), ctx);
+                assert_full_is_definition(net, &online, chord_lazy(net), ctx);
+                online
+            }
+            Net::Koorde(net) => {
+                let online = assert_sweep_is_oracle(net, &koorde_oracle(net), ctx);
+                assert_full_is_definition(net, &online, koorde_lazy(net), ctx);
+                online
+            }
+            Net::Pastry(net) => {
+                let online = assert_sweep_is_oracle(net, &pastry_oracle(net), ctx);
+                assert_full_is_definition(net, &online, pastry_lazy(net), ctx);
+                online
+            }
+            Net::Cycloid(net) => {
+                let online = assert_sweep_is_oracle(net, &cycloid_oracle(net), ctx);
+                assert_full_is_definition(net, &online, cycloid_lazy(net), ctx);
+                online
+            }
         }
     }
 }
@@ -416,12 +609,13 @@ fn cycloid_edge_shapes_audit_clean_and_match_the_oracle() {
             // Joins keep the online invariants; the full scope (the
             // cubical and cyclic neighbours) wants one stabilization
             // round first.
-            let mut net = cycloid_of(config, ids);
-            let ctx = format!("{} / {shape}", net.name());
-            let report = assert_sweep_is_oracle(&net, &cycloid_oracle(&net), &ctx);
+            let mut net = Net::Cycloid(cycloid_of(config, ids));
+            let ctx = format!("{} / {shape}", net.overlay().name());
+            let report = net.assert_sweep_is_oracle(&ctx);
             assert!(report.is_clean(), "{ctx}: {report}");
-            net.stabilize();
-            let report = net.audit_state(AuditScope::Full);
+            net.overlay().stabilize();
+            net.assert_sweep_is_oracle(&format!("{ctx}, stabilized"));
+            let report = net.overlay().audit_state(AuditScope::Full);
             assert!(report.is_clean(), "{ctx}: {report}");
         }
     }
