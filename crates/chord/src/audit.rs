@@ -3,10 +3,13 @@
 //!
 //! The graceful join/leave protocol notifies exactly the ring
 //! neighbourhood, so the predecessor pointer and successor list are always
-//! correct and are checked at [`AuditScope::Online`]; finger tables are
-//! only repaired by stabilization and are checked at [`AuditScope::Full`].
+//! correct and are checked at [`AuditScope::Online`]. Fingers are only
+//! repaired by stabilization, so [`AuditScope::Full`] adds
+//! [`audit_lazy_links`]: would one round rewrite a finger? Their
+//! independent definition lives in `tests/audit_sweep.rs`.
 
 use dht_core::audit::{AuditReport, AuditScope, StateAudit};
+use dht_core::corrupt::audit_lazy_links;
 use dht_core::overlay::Protocol;
 use dht_core::ring::ring_sides;
 use dht_core::sim::SimOverlay;
@@ -17,9 +20,7 @@ use crate::node::SuccessorList;
 impl StateAudit for ChordNetwork {
     fn audit_state(&self, scope: AuditScope) -> AuditReport {
         let mut report = AuditReport::new(self.name(), scope);
-        let config = self.config();
-        let space = config.space();
-        let r = config.successor_list;
+        let r = self.config().successor_list;
         // Ring order is token order: a node's ring pointers are the
         // entries next to it in the sorted token list, wrapping at the
         // ends. No resolver is asked, so a wrong one cannot audit clean.
@@ -33,29 +34,8 @@ impl StateAudit for ChordNetwork {
                 ring_sides(i, tokens.len(), 1, r, |j| tokens[j]);
             report.check_eq(id, "chord/predecessor", &node.predecessor, &pred[0]);
             report.check_eq(id, "chord/successor-list", &node.successors, &succs);
-
-            // Fingers: `fingers[i] = successor(id + 2^i)`, lazily repaired.
-            if scope == AuditScope::Full {
-                report.check(
-                    id,
-                    "chord/finger-table",
-                    node.fingers.len() == config.bits as usize,
-                    || format!("{} fingers, expected {}", node.fingers.len(), config.bits),
-                );
-                for (i, &finger) in node.fingers.iter().enumerate() {
-                    let target = (id + (1u64 << i)) % space;
-                    let expect = self
-                        .membership()
-                        .store
-                        .successor_of(target)
-                        .expect("non-empty ring");
-                    report.check(id, "chord/finger-table", finger == expect, || {
-                        format!("finger[{i}] = {finger}, expected successor({target}) = {expect}")
-                    });
-                }
-            }
         }
-        report
+        audit_lazy_links(self, report)
     }
 }
 

@@ -14,8 +14,9 @@
 //! Cycloid) describe it once, as a [`Links`] impl on the node state, and
 //! share the rest: [`corrupt_links`] (the victim loop and the only
 //! mapping from strategy to written value), [`repair_links`] (clone, run
-//! the node's stabilizer, count what changed) and [`link_diff`] (the one
-//! definition of "entries that differ"). CAN and Viceroy hold zones and
+//! the node's stabilizer, count what changed), [`audit_lazy_links`]
+//! (would a round rewrite a lazily repaired link?) and [`link_diff`] (the
+//! one definition of "entries that differ"). CAN and Viceroy hold zones and
 //! level claims, not link tables, and write their own
 //! `Protocol::corrupt_state`.
 //!
@@ -30,8 +31,10 @@
 //!   overlay's seeded RNG streams, so a corrupt-then-repair episode
 //!   composes with any workload without perturbing its draws.
 
+use crate::audit::{AuditReport, AuditScope};
 use crate::hash::splitmix64;
-use crate::overlay::NodeToken;
+use crate::obs::Telemetry;
+use crate::overlay::{NodeToken, Overlay};
 use crate::sim::SimOverlay;
 use crate::store::Hints;
 
@@ -218,7 +221,12 @@ const SALT_ATTACKER: u64 = 0xa77a;
 /// entry is dropped from its list.
 pub trait Links: Clone + PartialEq {
     /// The identifier type the links hold.
-    type Id: Copy + PartialEq;
+    type Id: Copy + PartialEq + std::fmt::Debug;
+
+    /// The lazily repaired family of the entry at `salt`, if any: what
+    /// only a stabilization round mends, which [`audit_lazy_links`]
+    /// checks. The other entries are mended by join/leave notifications.
+    fn lazy_family(salt: u64) -> Option<LazyFamily>;
 
     /// Visits every corruptible entry in strictly ascending salt order,
     /// passing its current value (`None` for an unset optional pointer),
@@ -230,6 +238,15 @@ pub trait Links: Clone + PartialEq {
     fn cross_wire(&mut self);
 }
 
+/// How a `Full` audit counts a lazily repaired family, by invariant name.
+#[derive(Debug, Clone, Copy)]
+pub enum LazyFamily {
+    /// One violation per differing entry.
+    PerEntry(&'static str),
+    /// One per node with any differing entry: a list checked whole.
+    PerNode(&'static str),
+}
+
 /// Entries [`link_diff`] holds on the stack before spilling to the heap;
 /// covers every constant-degree state.
 const INLINE_ENTRIES: usize = 32;
@@ -239,6 +256,14 @@ const INLINE_ENTRIES: usize = 32;
 /// one side has (a list that changed length). `&mut` only because
 /// [`Links::rewrite_links`] is the one visitor; neither state changes.
 pub fn link_diff<S: Links>(a: &mut S, b: &mut S) -> u64 {
+    let mut differing = 0;
+    by_salt(a, b, |_, _, _| differing += 1);
+    differing
+}
+
+/// [`link_diff`]'s walk: `f(salt, in a, in b)` for each differing
+/// entry, by ascending salt; the side an entry is missing from reads `None`.
+fn by_salt<S: Links>(a: &mut S, b: &mut S, mut f: impl FnMut(u64, Option<S::Id>, Option<S::Id>)) {
     let mut head = [(0u64, None::<S::Id>); INLINE_ENTRIES];
     let mut tail = Vec::new();
     let mut len = 0;
@@ -251,21 +276,25 @@ pub fn link_diff<S: Links>(a: &mut S, b: &mut S) -> u64 {
         cur
     });
     let entry = |i: usize| *head.get(i).unwrap_or_else(|| &tail[i - INLINE_ENTRIES]);
-    let (mut i, mut differing) = (0, 0u64);
+    let mut i = 0;
     b.rewrite_links(&mut |salt, cur| {
         while i < len && entry(i).0 < salt {
+            f(entry(i).0, entry(i).1, None);
             i += 1;
-            differing += 1;
         }
         if i < len && entry(i).0 == salt {
-            differing += u64::from(entry(i).1 != cur);
+            if entry(i).1 != cur {
+                f(salt, entry(i).1, cur);
+            }
             i += 1;
         } else {
-            differing += 1;
+            f(salt, None, cur);
         }
         cur
     });
-    differing + (len - i) as u64
+    for (salt, held) in (i..len).map(entry) {
+        f(salt, held, None);
+    }
 }
 
 /// Applies `plan` to the link tables of `net`: the victim loop and the
@@ -338,6 +367,41 @@ where
     link_diff(&mut before, after)
 }
 
+/// The lazily repaired half of a [`AuditScope::Full`] report (an
+/// `Online` one is left as it is): would one stabilization round rewrite
+/// a lazily repaired link? Runs the round on a clone of `net`, with
+/// telemetry disabled so that nothing is billed, then diffs each node's
+/// state against its refreshed twin by salt, recording each differing
+/// entry of a [`Links::lazy_family`] as its family counts.
+pub fn audit_lazy_links<T>(net: &T, mut report: AuditReport) -> AuditReport
+where
+    T: SimOverlay + Clone,
+    T::State: Links,
+{
+    if report.scope() != AuditScope::Full {
+        return report;
+    }
+    let mut twin = net.clone();
+    twin.membership_mut().telemetry = Telemetry::disabled();
+    twin.stabilize();
+    let refreshed = twin.membership().store.states();
+    let pairs = net.membership().store.iter().zip(refreshed);
+    for ((node, held), fresh) in pairs.filter(|((_, held), fresh)| held != fresh) {
+        let mut listed = Vec::new();
+        by_salt(&mut held.clone(), &mut fresh.clone(), |salt, was, now| {
+            let name = match T::State::lazy_family(salt) {
+                Some(LazyFamily::PerEntry(name)) => name,
+                Some(LazyFamily::PerNode(name)) if !listed.contains(&name) => name,
+                _ => return,
+            };
+            listed.push(name);
+            let detail = format!("link {salt:#x}: {was:?}, a round writes {now:?}");
+            report.record(node, name, detail);
+        });
+    }
+    report
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,6 +446,13 @@ mod tests {
 
     impl Links for Toy {
         type Id = u64;
+        fn lazy_family(salt: u64) -> Option<LazyFamily> {
+            match salt {
+                2 => Some(LazyFamily::PerEntry("toy/opt")),
+                0x10..0x100 => Some(LazyFamily::PerNode("toy/list")),
+                _ => None,
+            }
+        }
         fn rewrite_links(&mut self, f: &mut dyn FnMut(u64, Option<u64>) -> Option<u64>) {
             self.ptr = f(1, Some(self.ptr)).unwrap_or(self.id);
             self.opt = f(2, self.opt);
@@ -402,6 +473,7 @@ mod tests {
     /// stabilizer that resets a node to [`Toy::healthy`]. Not
     /// `sim::fixture::StaleRing`, whose `u64` state has no `Links` to corrupt
     /// and whose stabilizer repairs nothing.
+    #[derive(Clone)]
     struct ToyNet(Membership<Toy>);
 
     impl ToyNet {
@@ -622,6 +694,34 @@ mod tests {
         assert_eq!(repaired, report.mutated_entries);
         assert_eq!(net.states(), ToyNet::with_ids([10, 20, 30, 40]).states());
         assert_eq!(repair_links(&mut net, 20), 0, "idempotent");
+    }
+
+    #[test]
+    fn lazy_audit_counts_what_a_round_would_rewrite_by_family() {
+        let mut net = ToyNet::with_ids([10, 20, 30]);
+        let audit = |net: &ToyNet, scope| audit_lazy_links(net, AuditReport::new("Toy", scope));
+        assert!(audit(&net, AuditScope::Full).is_clean());
+        let state = net.0.store.get_mut(20).unwrap();
+        state.ptr = 7; // not in a lazy family: the online sweep's
+        state.opt = None;
+        state.list = vec![1, 2].into(); // three entries differ, one node
+        assert!(audit(&net, AuditScope::Online).is_clean(), "online: no-op");
+        let report = audit(&net, AuditScope::Full);
+        let found: Vec<_> = report
+            .violations()
+            .iter()
+            .map(|v| (v.node, v.invariant))
+            .collect();
+        assert_eq!(found, [(20, "toy/opt"), (20, "toy/list")]);
+        assert_eq!(
+            report.violations()[0].detail,
+            "link 0x2: None, a round writes Some(22)"
+        );
+        assert_eq!(
+            net.0.store.get(20).unwrap().ptr,
+            7,
+            "the audit repairs nothing"
+        );
     }
 
     #[test]

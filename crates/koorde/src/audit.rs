@@ -6,9 +6,12 @@
 //! [`AuditScope::Online`]. The de Bruijn pointer and its predecessor
 //! backups are repaired by stabilization (§4.4) *and* opportunistically
 //! during lookups (a querier that times out on a de Bruijn hop adopts the
-//! backup it used), so they are only checked at [`AuditScope::Full`].
+//! backup it used), so only [`AuditScope::Full`] checks them, by
+//! [`audit_lazy_links`]: would one stabilization round rewrite them?
+//! Their independent definition lives in `tests/audit_sweep.rs`.
 
 use dht_core::audit::{AuditReport, AuditScope, StateAudit};
+use dht_core::corrupt::audit_lazy_links;
 use dht_core::overlay::Protocol;
 use dht_core::ring::ring_sides;
 use dht_core::sim::SimOverlay;
@@ -20,7 +23,6 @@ impl StateAudit for KoordeNetwork {
     fn audit_state(&self, scope: AuditScope) -> AuditReport {
         let mut report = AuditReport::new(self.name(), scope);
         let config = self.config();
-        let space = config.space();
         let r = config.successor_list;
         // Ring order is token order: a node's ring pointers are the
         // entries next to it in the sorted token list, wrapping at the
@@ -54,33 +56,8 @@ impl StateAudit for KoordeNetwork {
                 ring_sides(i, tokens.len(), 1, r, |j| tokens[j]);
             report.check_eq(id, "koorde/predecessor", &node.predecessor, &pred[0]);
             report.check_eq(id, "koorde/successor-list", &node.successors, &succs);
-
-            // De Bruijn pointer `predecessor(2 * id)` plus backups: lazily
-            // stabilized and rewritten by repair-on-use mid-lookup.
-            if scope == AuditScope::Full {
-                let db = self
-                    .at_or_before_point((2 * id) % space)
-                    .expect("non-empty ring");
-                report.check_eq(id, "koorde/debruijn-pointer", &node.debruijn, &db);
-                let mut backups = RingList::new();
-                let mut cursor = db;
-                for _ in 0..config.debruijn_backups {
-                    let p = self
-                        .membership()
-                        .predecessor_of(cursor)
-                        .expect("non-empty ring");
-                    backups.push(p);
-                    cursor = p;
-                }
-                report.check_eq(
-                    id,
-                    "koorde/debruijn-backups",
-                    &node.debruijn_preds,
-                    &backups,
-                );
-            }
         }
-        report
+        audit_lazy_links(self, report)
     }
 }
 

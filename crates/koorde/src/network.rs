@@ -133,16 +133,6 @@ impl KoordeNetwork {
         reduce(splitmix64(raw_key), self.config.space())
     }
 
-    /// Ground truth: live node at or immediately preceding ring point `x`
-    /// ("the node immediately precedes `2m`": a node exactly at `x` is its
-    /// own de Bruijn image).
-    #[must_use]
-    pub fn at_or_before_point(&self, x: u64) -> Option<u64> {
-        let order = &self.members.store;
-        let at = order.at_or_before_from(&mut Pos::default(), x)?;
-        Some(order.token_at(at))
-    }
-
     /// Picks the starting imaginary node and pre-shifted key for a lookup
     /// from `m` (whose live successor is `succ`) towards `key`.
     fn imaginary_start(&self, m: u64, succ: u64, key: u64) -> (u64, u64) {
@@ -427,10 +417,15 @@ mod tests {
     #[test]
     fn debruijn_pointer_is_pred_of_double() {
         let net = KoordeNetwork::with_nodes(KoordeConfig::new(11), 500, 1);
-        for id in net.members.store.token_iter() {
-            let n = net.members.store.get(id).unwrap();
-            let expected = net.at_or_before_point((2 * id) % 2048).unwrap();
-            assert_eq!(n.debruijn, expected);
+        let live = net.node_tokens();
+        for (id, n) in net.members.store.iter() {
+            // The last live id at or before 2·id: a node exactly there is
+            // its own image.
+            let below = live.partition_point(|&t| t <= (2 * id) % 2048);
+            assert_eq!(
+                n.debruijn,
+                live[below.checked_sub(1).unwrap_or(live.len() - 1)]
+            );
         }
     }
 

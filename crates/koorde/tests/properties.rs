@@ -15,9 +15,12 @@ proptest! {
     fn debruijn_pointer_is_at_or_before_double(seed in any::<u64>(), count in 2usize..150) {
         let net = KoordeNetwork::with_nodes(KoordeConfig::new(10), count, seed);
         let space = 1u64 << 10;
-        for id in net.node_tokens() {
+        let live = net.node_tokens();
+        for &id in &live {
             let n = net.membership().store.get(id).unwrap();
-            prop_assert_eq!(Some(n.debruijn), net.at_or_before_point((2 * id) % space));
+            // The last live id at or before 2·id, wrapping to the largest.
+            let below = live.partition_point(|&t| t <= (2 * id) % space);
+            prop_assert_eq!(n.debruijn, live[below.checked_sub(1).unwrap_or(live.len() - 1)]);
             // Backups are the chain of immediate predecessors of d.
             let mut cursor = n.debruijn;
             for &b in &n.debruijn_preds {

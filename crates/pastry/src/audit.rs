@@ -2,14 +2,16 @@
 //! table against the live membership.
 //!
 //! Leaf sets are repaired eagerly by the graceful join/leave protocol and
-//! are checked at [`AuditScope::Online`]; routing-table rows are only
-//! repaired by stabilization and are checked at [`AuditScope::Full`].
+//! are checked at [`AuditScope::Online`]; table slots are only repaired by
+//! stabilization, so [`AuditScope::Full`] adds [`audit_lazy_links`]: would
+//! one round rewrite a slot? Their independent definition lives in
+//! `tests/audit_sweep.rs`.
 
 use dht_core::audit::{AuditReport, AuditScope, StateAudit};
+use dht_core::corrupt::audit_lazy_links;
 use dht_core::overlay::Protocol;
 use dht_core::ring::ring_sides;
 use dht_core::sim::SimOverlay;
-use dht_core::store::Hints;
 
 use crate::network::{LeafHalf, PastryNetwork};
 
@@ -24,7 +26,6 @@ impl StateAudit for PastryNetwork {
         let tokens = self.membership().store.tokens();
         let n = tokens.len();
         let reach = (c.leaf_set / 2).min(n.saturating_sub(1));
-        let mut hints = Hints::default();
         for (i, (id, node)) in self.membership().store.iter().enumerate() {
             report.note_checked(1);
             report.check_eq(id, "pastry/node-id", &node.id, &id);
@@ -54,25 +55,8 @@ impl StateAudit for PastryNetwork {
                 ring_sides(i, n, reach, reach, |j| tokens[j]);
             report.check_eq(id, "pastry/leaf-set", &node.leaf_smaller, &smaller);
             report.check_eq(id, "pastry/leaf-set", &node.leaf_larger, &larger);
-
-            // Prefix table: each slot holds the node resolve_entry picks,
-            // lazily repaired by stabilization.
-            if scope == AuditScope::Full && node.table.len() == slots {
-                for row in 0..c.digits() {
-                    for col in 0..c.base() {
-                        let idx = (row * c.base() + col) as usize;
-                        let expect = self.resolve_entry(id, row, col, hints.slot(idx));
-                        report.check(id, "pastry/prefix-table", node.table[idx] == expect, || {
-                            format!(
-                                "table[{row}][{col}] = {:?}, expected {expect:?}",
-                                node.table[idx]
-                            )
-                        });
-                    }
-                }
-            }
         }
-        report
+        audit_lazy_links(self, report)
     }
 }
 
