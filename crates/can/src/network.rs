@@ -3,6 +3,7 @@
 
 use crate::index::{Slot, ZoneIndex};
 use crate::zone::{Point, Zone};
+use dht_core::corrupt::{CorruptionPlan, CorruptionReport};
 use dht_core::hash::{reduce, splitmix64};
 use dht_core::lookup::HopPhase;
 use dht_core::overlay::{NodeToken, Protocol};
@@ -466,15 +467,80 @@ impl Protocol for CanNetwork {
         true
     }
 
-    fn corrupt_state(
-        &mut self,
-        plan: &dht_core::corrupt::CorruptionPlan,
-    ) -> dht_core::corrupt::CorruptionReport {
-        self.corrupt(plan)
+    /// Every victim's zones are orphaned while the victim stays live, and
+    /// it leaves its neighbours' tables along with its own (`repair.rs`).
+    /// Mutated entries count the zones torn from their owners.
+    fn corrupt_state(&mut self, plan: &CorruptionPlan) -> CorruptionReport {
+        let live = self.members.store.tokens();
+        let victims = plan.victims(&live);
+        let mut report = CorruptionReport::default();
+        for &token in &victims {
+            let node = self.members.store.get_mut(token).expect("victim is live");
+            let zones = std::mem::take(&mut node.zones);
+            let table = std::mem::take(&mut node.neighbors);
+            for &zone in &zones {
+                self.index.set_owner(zone, None);
+            }
+            for &y in table.iter() {
+                self.members
+                    .store
+                    .get_mut(y)
+                    .expect("neighbours are live")
+                    .relink(Some(token), None);
+            }
+            report.note(zones.len() as u64);
+            self.orphans.extend(zones);
+        }
+        report
     }
 
-    fn repair_node(&mut self, node: NodeToken) -> u64 {
-        self.repair_one(node)
+    /// Reclaims a zone if this node has none, then adopts orphans
+    /// abutting its zones, chaining through the newly adopted faces
+    /// (`repair.rs`). Adoption **reserves one orphan per still-zoneless
+    /// live node** — without the reservation, whichever nodes repair
+    /// first would swallow the whole orphan pool and leave late-firing
+    /// zoneless nodes unrepairable forever (corruption guarantees the
+    /// pool starts at least as large as the zoneless population, and
+    /// both repair moves preserve that inequality). Returns the number
+    /// of zones adopted (0 on a healthy network, which costs one
+    /// membership probe); ignores dead tokens.
+    fn repair_node(&mut self, token: NodeToken) -> u64 {
+        let Some(node) = self.members.store.get(token) else {
+            return 0;
+        };
+        let mut adopted = 0u64;
+        let mut slots = Vec::new();
+        if node.zones.is_empty() {
+            if let Some(zone) = self.orphans.pop() {
+                self.index.face_owners(&zone, &mut slots);
+                self.adopt(token, zone, &slots);
+                adopted += 1;
+            }
+        }
+        if self.orphans.is_empty() {
+            return adopted;
+        }
+        let reserved = self
+            .members
+            .store
+            .states()
+            .filter(|n| n.zones.is_empty())
+            .count();
+        let mut i = 0;
+        while self.orphans.len() > reserved && i < self.orphans.len() {
+            let zone = self.orphans[i];
+            slots.clear();
+            self.index.face_owners(&zone, &mut slots);
+            if slots.contains(&Some(token)) {
+                self.orphans.swap_remove(i);
+                self.adopt(token, zone, &slots);
+                adopted += 1;
+                i = 0; // new faces: earlier orphans may now abut us
+            } else {
+                i += 1;
+            }
+        }
+        adopted
     }
 
     /// One message per zone-abutting neighbour of the node's zones.
@@ -722,7 +788,7 @@ mod tests {
     }
 
     fn apply(net: &mut CanNetwork, step: &Step) {
-        use dht_core::corrupt::{CorruptionPlan, CorruptionStrategy};
+        use dht_core::corrupt::CorruptionStrategy;
         let toks = net.members.store.tokens();
         let pick = |i: usize| toks[i % toks.len()];
         match *step {
@@ -739,10 +805,10 @@ mod tests {
             Step::Corrupt(seed) => {
                 let all = CorruptionStrategy::ALL;
                 let strategy = all[(seed % all.len() as u64) as usize];
-                net.corrupt(&CorruptionPlan::new(strategy, 0.15, seed));
+                net.corrupt_state(&CorruptionPlan::new(strategy, 0.15, seed));
             }
             Step::Repair(i) => {
-                net.repair_one(pick(i));
+                net.repair_node(pick(i));
             }
         }
     }

@@ -12,8 +12,9 @@
 //! the table itself is left to the arbitrary-state generator of ROADMAP
 //! item 3.
 //!
-//! Repair is per-node takeover with two extra duties the global
-//! [`CanNetwork::stabilize_takeover`] does not have:
+//! Both are the `Protocol` impl's `corrupt_state` and `repair_node`, in
+//! `network.rs`. Repair is per-node takeover with two extra duties the
+//! global [`crate::CanNetwork::stabilize_takeover`] does not have:
 //!
 //! 1. A **zoneless live node** violates `can/zone-valid` and — owning no
 //!    faces — can never be chosen as an adopter by the face sweep, so
@@ -24,95 +25,12 @@
 //!    region is thus peeled from its boundary inward, one repair step at
 //!    a time, bounding rounds-to-recovery by the region's diameter.
 
-use dht_core::corrupt::{CorruptionPlan, CorruptionReport};
-
-use crate::network::CanNetwork;
-
-impl CanNetwork {
-    /// Applies a seeded corruption plan (see [`dht_core::corrupt`]):
-    /// every victim's zones are orphaned while the victim stays live, and
-    /// it leaves its neighbours' tables along with its own. Mutated
-    /// entries count the zones torn from their owners.
-    pub fn corrupt(&mut self, plan: &CorruptionPlan) -> CorruptionReport {
-        let live = self.members.store.tokens();
-        let victims = plan.victims(&live);
-        let mut report = CorruptionReport::default();
-        for &token in &victims {
-            let node = self.members.store.get_mut(token).expect("victim is live");
-            let zones = std::mem::take(&mut node.zones);
-            let table = std::mem::take(&mut node.neighbors);
-            for &zone in &zones {
-                self.index.set_owner(zone, None);
-            }
-            for &y in table.iter() {
-                self.members
-                    .store
-                    .get_mut(y)
-                    .expect("neighbours are live")
-                    .relink(Some(token), None);
-            }
-            report.note(zones.len() as u64);
-            self.orphans.extend(zones);
-        }
-        report
-    }
-
-    /// One node's repair step: reclaim a zone if this node has none,
-    /// then adopt orphans abutting its zones, chaining through the newly
-    /// adopted faces. Adoption **reserves one orphan per still-zoneless
-    /// live node** — without the reservation, whichever nodes repair
-    /// first would swallow the whole orphan pool and leave late-firing
-    /// zoneless nodes unrepairable forever (corruption guarantees the
-    /// pool starts at least as large as the zoneless population, and
-    /// both repair moves preserve that inequality). Returns the number
-    /// of zones adopted (0 on a healthy network, which costs one
-    /// membership probe); ignores dead tokens.
-    pub fn repair_one(&mut self, token: u64) -> u64 {
-        let Some(node) = self.members.store.get(token) else {
-            return 0;
-        };
-        let mut adopted = 0u64;
-        let mut slots = Vec::new();
-        if node.zones.is_empty() {
-            if let Some(zone) = self.orphans.pop() {
-                self.index.face_owners(&zone, &mut slots);
-                self.adopt(token, zone, &slots);
-                adopted += 1;
-            }
-        }
-        if self.orphans.is_empty() {
-            return adopted;
-        }
-        let reserved = self
-            .members
-            .store
-            .states()
-            .filter(|n| n.zones.is_empty())
-            .count();
-        let mut i = 0;
-        while self.orphans.len() > reserved && i < self.orphans.len() {
-            let zone = self.orphans[i];
-            slots.clear();
-            self.index.face_owners(&zone, &mut slots);
-            if slots.contains(&Some(token)) {
-                self.orphans.swap_remove(i);
-                self.adopt(token, zone, &slots);
-                adopted += 1;
-                i = 0; // new faces: earlier orphans may now abut us
-            } else {
-                i += 1;
-            }
-        }
-        adopted
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::network::CanConfig;
+    use crate::network::{CanConfig, CanNetwork};
     use dht_core::audit::{AuditScope, StateAudit};
-    use dht_core::corrupt::CorruptionStrategy;
+    use dht_core::corrupt::{CorruptionPlan, CorruptionStrategy};
+    use dht_core::overlay::Protocol;
 
     fn net(n: usize) -> CanNetwork {
         CanNetwork::with_nodes(CanConfig::new(2), n, 42)
@@ -121,7 +39,7 @@ mod tests {
     fn repair_sweep(net: &mut CanNetwork) -> u64 {
         let mut total = 0;
         for token in net.members.store.tokens() {
-            total += net.repair_one(token);
+            total += net.repair_node(token);
         }
         total
     }
@@ -138,7 +56,7 @@ mod tests {
         for strategy in CorruptionStrategy::ALL {
             let mut n = net(64);
             let plan = CorruptionPlan::new(strategy, 0.5, 9);
-            let report = n.corrupt(&plan);
+            let report = n.corrupt_state(&plan);
             assert_eq!(report.targeted_nodes, 32, "{strategy:?}");
             assert!(
                 report.mutated_entries >= 32,
@@ -167,7 +85,7 @@ mod tests {
     #[test]
     fn zoneless_nodes_get_a_zone_back() {
         let mut n = net(48);
-        n.corrupt(&CorruptionPlan::new(
+        n.corrupt_state(&CorruptionPlan::new(
             CorruptionStrategy::RandomizeLinks,
             0.25,
             3,
@@ -181,7 +99,7 @@ mod tests {
             .collect();
         assert!(!zoneless.is_empty());
         for &t in &zoneless {
-            n.repair_one(t);
+            n.repair_node(t);
             assert!(
                 !n.members.store.get(t).unwrap().zones.is_empty(),
                 "node {t} still zoneless"
