@@ -6,8 +6,10 @@
 #   scripts/bench-pairs.sh <parent-ref> <workload> [pairs=10]
 #   scripts/bench-pairs.sh <parent-ref> --smoke    [pairs=10]
 #
-# Unpacks <parent-ref> with `git archive` under bench-out/pairs/ (its own
-# source tree, so its own benchmark/target), builds both benchmarks, runs
+# Checks <parent-ref> out as a detached `git worktree` under
+# bench-out/pairs/ (so its runs' `git` header names the parent; the
+# worktree is removed on exit, its build kept in bench-out/pairs/target-*),
+# builds both benchmarks, runs
 # `pairs` pairs on seeds 101, 102, ... -- odd pairs parent first, even
 # pairs change first -- and prints, per host metric, each side's median
 # and quartiles, how many pairs the change won, every value read, and the
@@ -43,28 +45,33 @@ out=bench-out/pairs
 parent=$out/src-$sha
 mkdir -p "$out"
 rm -f "$out"/*.out
-[ -d "$parent" ] || {
-    mkdir "$parent"
-    git archive "$sha" | tar -x -C "$parent"
-}
-for root in "$parent" .; do
-    cargo build --release --offline --quiet --manifest-path "$root/benchmark/Cargo.toml"
-done
+rm -rf "$parent"
+git worktree prune
+git worktree add --quiet --detach "$parent" "$sha"
+trap 'git worktree remove --force "$parent"' EXIT
+cargo build --release --offline --quiet --manifest-path "$parent/benchmark/Cargo.toml" \
+    --target-dir "$out/target-$sha"
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 
-# run <side> <root> <seed>
+# run <side> <seed>: each side from its own tree, for its `git` header.
 run() {
+    if [ "$1" = parent ]; then
+        root=$parent bin=$(pwd)/$out/target-$sha/release/benchmark
+    else
+        root=. bin=$(pwd)/benchmark/target/release/benchmark
+    fi
     # shellcheck disable=SC2086  # $what is a word list
-    (cd "$2" && benchmark/target/release/benchmark $what --seed "$3") >"$out/$1-$3.out"
+    (cd "$root" && "$bin" $what --seed "$2") >"$out/$1-$2.out"
 }
 i=0
 while [ "$i" -lt "$pairs" ]; do
     seed=$((101 + i))
     if [ $((i % 2)) -eq 0 ]; then
-        run parent "$parent" "$seed"
-        run change . "$seed"
+        run parent "$seed"
+        run change "$seed"
     else
-        run change . "$seed"
-        run parent "$parent" "$seed"
+        run change "$seed"
+        run parent "$seed"
     fi
     i=$((i + 1))
 done
