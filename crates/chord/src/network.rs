@@ -10,13 +10,16 @@
 //! The node lifecycle — `populate`, `join_id`, `join_random`,
 //! `depart(id, notify)` — is not written here: it is the provided half
 //! of [`dht_core::sim::Refresh`] (bring the trait into scope to call
-//! it), driven by the five Chord pieces in the `impl Refresh` below.
+//! it), driven by the Chord pieces in the `impl Refresh` below and the
+//! row computation in `impl RefreshInto`.
 
 use dht_core::hash::{reduce, splitmix64};
 use dht_core::lookup::{HopPhase, LookupTrace};
 use dht_core::overlay::{NodeToken, Protocol};
 use dht_core::ring::{clockwise_dist, in_interval_oc, in_interval_oo};
-use dht_core::sim::{walk_from, Membership, Refresh, SimOverlay, StepDecision};
+use dht_core::sim::{
+    refresh_in_place, walk_from, Membership, Refresh, RefreshInto, SimOverlay, StepDecision,
+};
 use dht_core::store::{Hints, Pos};
 use rand::RngCore;
 
@@ -110,43 +113,40 @@ pub struct ChordWalk {
     pub key: u64,
 }
 
-/// Chord's five protocol pieces for the shared [`Refresh`] lifecycle.
+/// Chord's row: ring pointers, successor list and fingers.
+impl RefreshInto for ChordNetwork {
+    /// Hint 0 is the node's own place in the order, hint `1 + i` finger
+    /// `i`'s: `id + 2^i` ascends with `id`, up to one wrap per finger.
+    /// The fingers are refilled in the buffer `out` has.
+    fn refresh_into(&self, id: u64, hints: &mut Hints, out: &mut ChordNode) -> bool {
+        let order = &self.members.store;
+        if order.position_of(hints.slot(0), id).is_none() {
+            return false;
+        }
+        let (pred, succs) = self
+            .members
+            .ring_pointers(id, self.config.successor_list, hints.slot(0))
+            .expect("own ring is not empty");
+        out.id = id;
+        out.predecessor = pred;
+        out.successors = succs;
+        out.fingers.clear();
+        let space = self.config.space();
+        out.fingers.extend((0..self.config.bits as usize).map(|i| {
+            let at = order.successor_from(hints.slot(1 + i), (id + (1u64 << i)) % space);
+            order.token_at(at.expect("own ring is not empty"))
+        }));
+        true
+    }
+}
+
+/// Chord's protocol pieces for the shared [`Refresh`] lifecycle.
 /// Join/leave notifications mend predecessor and successor list only;
 /// **fingers elsewhere are not notified** and stay stale until
 /// stabilization (the timeouts of §4.3).
 impl Refresh for ChordNetwork {
     fn id_space(&self) -> u64 {
         self.config.space()
-    }
-
-    /// Pointers initially self-referential.
-    fn blank_state(&self, id: u64) -> ChordNode {
-        ChordNode::new(id, self.config.bits, self.config.successor_list)
-    }
-
-    /// Hint 0 is the node's own place in the order, hint `1 + i` finger
-    /// `i`'s: `id + 2^i` ascends with `id`, up to one wrap per finger.
-    fn refresh_node(&mut self, id: u64, hints: &mut Hints) {
-        let Some(own) = self.members.store.position_of(hints.slot(0), id) else {
-            return;
-        };
-        let (pred, succs) = self
-            .members
-            .ring_pointers(id, self.config.successor_list, hints.slot(0))
-            .expect("own ring is not empty");
-        // Refilled in the buffer `ChordNode::new` sized for `bits` fingers.
-        let mut fingers = std::mem::take(&mut self.members.store.state_at_mut(own).fingers);
-        fingers.clear();
-        let order = &self.members.store;
-        let space = self.config.space();
-        fingers.extend((0..self.config.bits as usize).map(|i| {
-            let at = order.successor_from(hints.slot(1 + i), (id + (1u64 << i)) % space);
-            order.token_at(at.expect("own ring is not empty"))
-        }));
-        let node = self.members.store.state_at_mut(own);
-        node.predecessor = pred;
-        node.successors = succs;
-        node.fingers = fingers;
     }
 
     fn refresh_notified(&mut self, id: u64, mut hint: Pos) {
@@ -285,7 +285,7 @@ impl SimOverlay for ChordNetwork {
     }
 
     fn stabilize_one(&mut self, node: NodeToken, hints: &mut Hints) {
-        self.refresh_node(node, hints);
+        refresh_in_place(self, node, hints);
     }
 
     fn state_heap_bytes(&self, state: &ChordNode) -> usize {

@@ -12,7 +12,8 @@ pub type SuccessorList = InlineVec<u64, 4>;
 ///
 /// All pointers are node identifiers on the `2^bits` ring; they may be
 /// stale (pointing at departed nodes) until stabilization refreshes them.
-#[derive(Debug, Clone, PartialEq)]
+/// The `Default` row is empty and holds no heap buffer.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ChordNode {
     /// This node's ring identifier.
     pub id: u64,
@@ -26,18 +27,6 @@ pub struct ChordNode {
 }
 
 impl ChordNode {
-    /// Fresh state; pointers initially self-referential (a lone node is its
-    /// own successor and predecessor).
-    #[must_use]
-    pub fn new(id: u64, bits: u32, succ_list_len: usize) -> Self {
-        Self {
-            id,
-            predecessor: id,
-            successors: SuccessorList::repeat(id, succ_list_len),
-            fingers: vec![id; bits as usize],
-        }
-    }
-
     /// The primary successor.
     #[must_use]
     pub fn successor(&self) -> u64 {
@@ -64,9 +53,19 @@ impl ChordNode {
 mod tests {
     use super::*;
 
+    /// A node that knows only itself: its own successor and predecessor.
+    fn lone(id: u64, bits: u32, succ_list_len: usize) -> ChordNode {
+        ChordNode {
+            id,
+            predecessor: id,
+            successors: SuccessorList::repeat(id, succ_list_len),
+            fingers: vec![id; bits as usize],
+        }
+    }
+
     #[test]
     fn lone_node_points_at_itself() {
-        let n = ChordNode::new(5, 8, 3);
+        let n = lone(5, 8, 3);
         assert_eq!(n.successor(), 5);
         assert_eq!(n.predecessor, 5);
         assert_eq!(n.degree(), 0);
@@ -76,7 +75,7 @@ mod tests {
 
     #[test]
     fn degree_counts_distinct_contacts() {
-        let mut n = ChordNode::new(0, 4, 2);
+        let mut n = lone(0, 4, 2);
         n.successors = vec![3, 7].into();
         n.fingers = vec![3, 3, 7, 9];
         n.predecessor = 12;
@@ -86,7 +85,7 @@ mod tests {
     #[test]
     fn degree_fits_the_widest_ring() {
         // 63 bits: every finger, successor and the predecessor distinct.
-        let mut n = ChordNode::new(0, 63, 4);
+        let mut n = lone(0, 63, 4);
         n.fingers = (1..=63).collect();
         n.successors = vec![100, 101, 102, 103].into();
         n.predecessor = 200;

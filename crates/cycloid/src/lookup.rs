@@ -23,7 +23,7 @@ use dht_core::inline::InlineVec;
 use dht_core::lookup::{HopPhase, LookupOutcome, LookupTrace};
 use dht_core::overlay::{NodeToken, Protocol};
 use dht_core::ring::clockwise_dist;
-use dht_core::sim::{walk_from, Membership, SimOverlay, StepDecision};
+use dht_core::sim::{refresh_in_place, walk_from, Membership, SimOverlay, StepDecision};
 use dht_core::store::Hints;
 use rand::RngCore;
 
@@ -323,7 +323,7 @@ impl SimOverlay for CycloidNetwork {
     }
 
     fn stabilize_one(&mut self, node: NodeToken, hints: &mut Hints) {
-        self.refresh_node(CycloidId::from_linear(node, self.dim()), hints);
+        refresh_in_place(self, node, hints);
     }
 }
 

@@ -7,11 +7,12 @@
 //! (list entries: an erased entry is dropped). Corruption is
 //! [`dht_core::corrupt::corrupt_links`] over this table. Repair is
 //! [`dht_core::corrupt::repair_links`]: the node's stabilizer run as an
-//! *audited* recompute — rebuild the entire state from live membership
-//! ([`crate::CycloidNetwork::refresh_node`]) and report how many entries
-//! actually changed. On a healthy node that count is zero and nothing
-//! else moves — repair draws from no RNG stream — which is what lets the
-//! churn engine substitute repair for stabilization without perturbing a
+//! *audited* recompute — compute the entire state from live membership
+//! (the network's [`dht_core::sim::RefreshInto`]) into a copy of the
+//! held one, write it back if it differs, and report how many entries
+//! changed. On a healthy node that count is zero and nothing is written
+//! — repair draws from no RNG stream — which is what lets the churn
+//! engine substitute repair for stabilization without perturbing a
 //! single golden byte.
 
 use dht_core::corrupt::{LazyFamily, Links};

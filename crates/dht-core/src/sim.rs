@@ -255,24 +255,40 @@ pub trait SimOverlay: Protocol + Sync + 'static {
     }
 }
 
+/// An overlay whose stabilizer is a *refresh*: a node's row is a pure
+/// function of the sorted live membership. Read by [`refresh_in_place`],
+/// `corrupt::repair_links` and `corrupt::audit_lazy_links`; the `Default`
+/// row is what a node knows before its first refresh.
+pub trait RefreshInto: SimOverlay<State: Default> {
+    /// Writes every field of live node `id`'s row into `out`, searching
+    /// from `hints` and leaving them at this node's answers; `false`, with
+    /// `out` untouched, if `id` has departed.
+    fn refresh_into(&self, id: NodeToken, hints: &mut Hints, out: &mut Self::State) -> bool;
+}
+
+/// The one writer of [`RefreshInto::refresh_into`]: node `id`'s row moves
+/// out of its slot, is recomputed in its own buffers and moves back, so
+/// nothing is copied or reallocated. A departed `id` is ignored.
+pub fn refresh_in_place<T: RefreshInto + ?Sized>(net: &mut T, id: NodeToken, hints: &mut Hints) {
+    let store = &mut net.membership_mut().store;
+    let Some(own) = store.position_of(hints.slot(0), id) else {
+        return;
+    };
+    let mut row = std::mem::take(store.state_at_mut(own));
+    net.refresh_into(id, hints, &mut row);
+    *net.membership_mut().store.state_at_mut(own) = row;
+}
+
 /// The node lifecycle of an overlay whose stabilizer is a *refresh*: a
 /// node's links are a pure function of the live membership, so joining,
 /// leaving and stabilizing are all "recompute somebody's links". The
-/// overlay supplies the five protocol pieces; the lifecycle is written
-/// once here (the paper's §3.3 shape: a join or graceful leave notifies
-/// only the neighbourhood that lists the node, everything else waits for
-/// stabilization).
-pub trait Refresh: SimOverlay + Sized {
+/// overlay supplies the three protocol pieces below plus its
+/// [`RefreshInto`]; the lifecycle is written once here (the paper's §3.3
+/// shape: a join or graceful leave notifies only the neighbourhood that
+/// lists the node, everything else waits for stabilization).
+pub trait Refresh: RefreshInto + Sized {
     /// Size of the identifier space joins draw from.
     fn id_space(&self) -> u64;
-
-    /// State of a node that knows nobody yet.
-    fn blank_state(&self, id: NodeToken) -> Self::State;
-
-    /// Recomputes every link of node `id` from the live membership — what
-    /// its stabilizer converges to — searching from `hints` and leaving
-    /// them at this node's answers. A departed `id` is ignored.
-    fn refresh_node(&mut self, id: NodeToken, hints: &mut Hints);
 
     /// Recomputes only the links a join/leave notification mends (ring
     /// pointers, leaf sets) of the live node `id`, found from `hint`, in
@@ -294,12 +310,9 @@ pub trait Refresh: SimOverlay + Sized {
             self.membership().store.is_empty(),
             "populate fills an empty network"
         );
-        // The allocator draws while `blank_state` reads the overlay, so
-        // the membership is lifted out for the build.
-        let mut members = std::mem::replace(self.membership_mut(), Membership::new(0));
+        let members = self.membership_mut();
         members.store =
-            CompactStore::fill(count, || members.next_in(space), |id| self.blank_state(id));
-        *self.membership_mut() = members;
+            CompactStore::fill(count, || members.next_in(space), |_| Default::default());
         self.stabilize();
     }
 
@@ -310,10 +323,9 @@ pub trait Refresh: SimOverlay + Sized {
         if self.membership().store.contains(id) {
             return false;
         }
-        let state = self.blank_state(id);
-        self.membership_mut().store.insert(id, state);
+        self.membership_mut().store.insert(id, Default::default());
         let mut hints = Hints::default();
-        self.refresh_node(id, &mut hints);
+        refresh_in_place(self, id, &mut hints);
         notify_window(self, id, *hints.slot(0));
         true
     }

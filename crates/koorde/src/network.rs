@@ -4,13 +4,14 @@
 //! The node lifecycle — `populate`, `join_id`, `join_random`,
 //! `depart(id, notify)` — is not written here: it is the provided half
 //! of [`dht_core::sim::Refresh`] (bring the trait into scope to call
-//! it), driven by the five Koorde pieces in the `impl Refresh` below.
+//! it), driven by the Koorde pieces in the `impl Refresh` below and the
+//! row computation in `impl RefreshInto`.
 
 use dht_core::hash::{reduce, splitmix64};
 use dht_core::lookup::{HopPhase, LookupOutcome};
 use dht_core::overlay::{NodeToken, Protocol};
 use dht_core::ring::{in_interval_co, in_interval_oc};
-use dht_core::sim::{Membership, Refresh, SimOverlay, StepDecision};
+use dht_core::sim::{refresh_in_place, Membership, Refresh, RefreshInto, SimOverlay, StepDecision};
 use dht_core::store::{Hints, Pos};
 use rand::RngCore;
 
@@ -161,7 +162,38 @@ impl KoordeNetwork {
     }
 }
 
-/// Koorde's five protocol pieces for the shared [`Refresh`] lifecycle.
+/// Koorde's row: ring pointers, successor list, de Bruijn pointer and
+/// its backups.
+impl RefreshInto for KoordeNetwork {
+    /// Hint 0 is the node's own place in the order, hint 1 the de Bruijn
+    /// point's: `2 * id` ascends with `id`, wrapping once per round. The
+    /// backups are steps back from the pointer.
+    fn refresh_into(&self, id: u64, hints: &mut Hints, out: &mut KoordeNode) -> bool {
+        let order = &self.members.store;
+        if order.position_of(hints.slot(0), id).is_none() {
+            return false;
+        }
+        let (pred, succs) = self
+            .members
+            .ring_pointers(id, self.config.successor_list, hints.slot(0))
+            .expect("own ring is not empty");
+        let mut cursor = order
+            .at_or_before_from(hints.slot(1), (2 * id) % self.config.space())
+            .expect("own ring is not empty");
+        out.id = id;
+        out.predecessor = pred;
+        out.successors = succs;
+        out.debruijn = order.token_at(cursor);
+        out.debruijn_preds.clear();
+        for _ in 0..self.config.debruijn_backups {
+            cursor = order.prev(cursor);
+            out.debruijn_preds.push(order.token_at(cursor));
+        }
+        true
+    }
+}
+
+/// Koorde's protocol pieces for the shared [`Refresh`] lifecycle.
 /// §4.3: "when a node leaves, it notifies its successors and
 /// predecessor... The nodes who take the leaving node as their first de
 /// Bruijn node or their first de Bruijn node's predecessor will not be
@@ -171,39 +203,6 @@ impl KoordeNetwork {
 impl Refresh for KoordeNetwork {
     fn id_space(&self) -> u64 {
         self.config.space()
-    }
-
-    /// Pointers initially self-referential.
-    fn blank_state(&self, id: u64) -> KoordeNode {
-        KoordeNode::new(id, self.config.successor_list, self.config.debruijn_backups)
-    }
-
-    /// Hint 0 is the node's own place in the order, hint 1 the de Bruijn
-    /// point's: `2 * id` ascends with `id`, wrapping once per round. The
-    /// backups are steps back from the pointer.
-    fn refresh_node(&mut self, id: u64, hints: &mut Hints) {
-        let order = &self.members.store;
-        let Some(own) = order.position_of(hints.slot(0), id) else {
-            return;
-        };
-        let (pred, succs) = self
-            .members
-            .ring_pointers(id, self.config.successor_list, hints.slot(0))
-            .expect("own ring is not empty");
-        let mut cursor = order
-            .at_or_before_from(hints.slot(1), (2 * id) % self.config.space())
-            .expect("own ring is not empty");
-        let debruijn = order.token_at(cursor);
-        let mut preds = RingList::new();
-        for _ in 0..self.config.debruijn_backups {
-            cursor = order.prev(cursor);
-            preds.push(order.token_at(cursor));
-        }
-        let node = self.members.store.state_at_mut(own);
-        node.predecessor = pred;
-        node.successors = succs;
-        node.debruijn = debruijn;
-        node.debruijn_preds = preds;
     }
 
     fn refresh_notified(&mut self, id: u64, mut hint: Pos) {
@@ -393,7 +392,7 @@ impl SimOverlay for KoordeNetwork {
     }
 
     fn stabilize_one(&mut self, node: NodeToken, hints: &mut Hints) {
-        self.refresh_node(node, hints);
+        refresh_in_place(self, node, hints);
     }
 }
 

@@ -10,7 +10,7 @@ pub type RingList = InlineVec<u64, 4>;
 /// Routing state of one Koorde node (the paper's seven-entry setup:
 /// "one de Bruijn node, three successors and three immediate predecessors
 /// of the de Bruijn node", §4).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct KoordeNode {
     /// This node's ring identifier.
     pub id: u64,
@@ -27,18 +27,6 @@ pub struct KoordeNode {
 }
 
 impl KoordeNode {
-    /// Fresh state; pointers initially self-referential.
-    #[must_use]
-    pub fn new(id: u64, succ_list_len: usize, backup_len: usize) -> Self {
-        Self {
-            id,
-            predecessor: id,
-            successors: RingList::repeat(id, succ_list_len),
-            debruijn: id,
-            debruijn_preds: RingList::repeat(id, backup_len),
-        }
-    }
-
     /// The primary successor.
     #[must_use]
     pub fn successor(&self) -> u64 {
@@ -71,16 +59,27 @@ impl KoordeNode {
 mod tests {
     use super::*;
 
+    /// A node that knows only itself: every pointer is its own id.
+    fn lone(id: u64, succ_list_len: usize, backup_len: usize) -> KoordeNode {
+        KoordeNode {
+            id,
+            predecessor: id,
+            successors: RingList::repeat(id, succ_list_len),
+            debruijn: id,
+            debruijn_preds: RingList::repeat(id, backup_len),
+        }
+    }
+
     #[test]
     fn lone_node_state() {
-        let n = KoordeNode::new(9, 3, 3);
+        let n = lone(9, 3, 3);
         assert_eq!(n.successor(), 9);
         assert_eq!(n.degree(), 0);
     }
 
     #[test]
     fn degree_counts_distinct_non_self_contacts() {
-        let mut n = KoordeNode::new(5, 3, 3);
+        let mut n = lone(5, 3, 3);
         let mut shapes = vec![(n.clone(), 0)];
         n.successors = vec![6, 5, 6].into();
         n.debruijn = 10;
@@ -98,7 +97,7 @@ mod tests {
 
     #[test]
     fn degree_is_bounded_by_seven() {
-        let mut n = KoordeNode::new(0, 3, 3);
+        let mut n = lone(0, 3, 3);
         n.successors = vec![1, 2, 3].into();
         n.debruijn = 10;
         n.debruijn_preds = vec![9, 8, 7].into();

@@ -4,14 +4,15 @@
 //! The node lifecycle — `populate`, `join_id`, `join_random`,
 //! `depart(id, notify)` — is not written here: it is the provided half
 //! of [`dht_core::sim::Refresh`] (bring the trait into scope to call
-//! it), driven by the five Pastry pieces in the `impl Refresh` below.
+//! it), driven by the Pastry pieces in the `impl Refresh` below and the
+//! row computation in `impl RefreshInto`.
 
 use dht_core::hash::{reduce, splitmix64};
 use dht_core::inline::InlineVec;
 use dht_core::lookup::HopPhase;
 use dht_core::overlay::{NodeToken, Protocol};
 use dht_core::ring::{clockwise_dist, ring_dist};
-use dht_core::sim::{Membership, Refresh, SimOverlay, StepDecision};
+use dht_core::sim::{refresh_in_place, Membership, Refresh, RefreshInto, SimOverlay, StepDecision};
 use dht_core::store::{Hints, Pos};
 use rand::RngCore;
 
@@ -100,7 +101,7 @@ impl PastryConfig {
 pub type LeafHalf = InlineVec<u64, 8>;
 
 /// Routing state of one Pastry node.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PastryNode {
     /// This node's identifier.
     pub id: u64,
@@ -116,15 +117,6 @@ pub struct PastryNode {
 }
 
 impl PastryNode {
-    fn new(id: u64, config: PastryConfig) -> Self {
-        Self {
-            id,
-            table: vec![None; (config.digits() * config.base()) as usize],
-            leaf_smaller: LeafHalf::new(),
-            leaf_larger: LeafHalf::new(),
-        }
-    }
-
     /// All leaf-set entries.
     pub fn leafs(&self) -> impl Iterator<Item = u64> + '_ {
         self.leaf_smaller.iter().chain(&self.leaf_larger).copied()
@@ -277,36 +269,32 @@ impl PastryNetwork {
     }
 }
 
-/// Pastry's five protocol pieces for the shared [`Refresh`] lifecycle.
+/// Pastry's row: the prefix table and both leaf halves.
+impl RefreshInto for PastryNetwork {
+    /// Hint 0 is the node's own place in the order, hint `1 + cell` the
+    /// table cell's. The table is refilled in the buffer `out` has.
+    fn refresh_into(&self, id: u64, hints: &mut Hints, out: &mut PastryNode) -> bool {
+        if self.members.store.position_of(hints.slot(0), id).is_none() {
+            return false;
+        }
+        let c = self.config;
+        out.id = id;
+        out.table.clear();
+        out.table.extend((0..c.digits() * c.base()).map(|cell| {
+            let hint = hints.slot(1 + cell as usize);
+            self.resolve_entry(id, cell / c.base(), cell % c.base(), hint)
+        }));
+        (out.leaf_smaller, out.leaf_larger) = self.resolve_leafs(id, hints.slot(0));
+        true
+    }
+}
+
+/// Pastry's protocol pieces for the shared [`Refresh`] lifecycle.
 /// A join or graceful leave is learnt by the leaf-set neighbourhood
 /// only; routing tables elsewhere stay stale until stabilization.
 impl Refresh for PastryNetwork {
     fn id_space(&self) -> u64 {
         self.config.space()
-    }
-
-    fn blank_state(&self, id: u64) -> PastryNode {
-        PastryNode::new(id, self.config)
-    }
-
-    /// Hint 0 is the node's own place in the order, hint `1 + cell` the
-    /// table cell's. The table is refilled in the buffer it has.
-    fn refresh_node(&mut self, id: u64, hints: &mut Hints) {
-        let Some(own) = self.members.store.position_of(hints.slot(0), id) else {
-            return;
-        };
-        let c = self.config;
-        let mut table = std::mem::take(&mut self.members.store.state_at_mut(own).table);
-        table.clear();
-        for cell in 0..c.digits() * c.base() {
-            let hint = hints.slot(1 + cell as usize);
-            table.push(self.resolve_entry(id, cell / c.base(), cell % c.base(), hint));
-        }
-        let (smaller, larger) = self.resolve_leafs(id, hints.slot(0));
-        let node = self.members.store.state_at_mut(own);
-        node.table = table;
-        node.leaf_smaller = smaller;
-        node.leaf_larger = larger;
     }
 
     /// Refreshes only the leaf set.
@@ -448,7 +436,7 @@ impl SimOverlay for PastryNetwork {
     }
 
     fn stabilize_one(&mut self, node: NodeToken, hints: &mut Hints) {
-        self.refresh_node(node, hints);
+        refresh_in_place(self, node, hints);
     }
 
     fn state_heap_bytes(&self, state: &PastryNode) -> usize {

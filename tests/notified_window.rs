@@ -5,8 +5,9 @@
 //! - every row in the notified window holds what the public resolvers,
 //!   asked cold, name for the links a notification mends — ring pointers
 //!   (`Membership::ring_pointers` from `Pos::default()`), Pastry's leaf
-//!   set (`resolve_leafs`), Cycloid's inside and outside leaf sets — and
-//!   every other link it held before;
+//!   set (`resolve_leafs`), Cycloid's inside and outside leaf sets (those
+//!   of its `refresh_into` row from fresh hints) — and every other link
+//!   it held before;
 //! - every row outside the window is unchanged. A stale finger, de Bruijn
 //!   pointer, prefix cell or cubical/cyclic neighbour stays stale until
 //!   stabilization: the §4.3 timeouts count those;
@@ -31,7 +32,7 @@ use chord::ChordNode;
 use cycloid::NodeState;
 use cycloid_repro::prelude::*;
 use dht_core::rng::stream_indexed;
-use dht_core::sim::SimOverlay;
+use dht_core::sim::{RefreshInto, SimOverlay};
 use dht_core::store::{Hints, Pos};
 use koorde::KoordeNode;
 use pastry::PastryNode;
@@ -55,7 +56,7 @@ fn ring_window(live: &[u64], id: u64, before: usize, after: usize) -> BTreeSet<u
 }
 
 /// An overlay whose join and leave notifications mend listed links.
-trait Notified: SimOverlay + Clone {
+trait Notified: RefreshInto + Clone {
     /// The live nodes a join or leave at position `id` notifies.
     fn window(&self, id: NodeToken) -> BTreeSet<NodeToken>;
 
@@ -65,14 +66,16 @@ trait Notified: SimOverlay + Clone {
 
     /// What the joiner `token`, which holds `_held`, must hold: what its
     /// own stabilizer computes.
-    fn joined(&self, token: NodeToken, _held: &Self::State) -> Self::State
-    where
-        Self::State: Clone,
-    {
-        let mut net = self.clone();
-        net.stabilize_one(token, &mut Hints::default());
-        net.membership().store.get(token).unwrap().clone()
+    fn joined(&self, token: NodeToken, _held: &Self::State) -> Self::State {
+        refreshed(self, token)
     }
+}
+
+/// The row the live node `token`'s stabilizer computes, from fresh hints.
+fn refreshed<T: RefreshInto>(net: &T, token: NodeToken) -> T::State {
+    let mut row = T::State::default();
+    assert!(net.refresh_into(token, &mut Hints::default(), &mut row));
+    row
 }
 
 /// A ring kind's window and mended pointers: predecessor and successor
@@ -139,14 +142,12 @@ impl Notified for CycloidNetwork {
     }
 
     fn mended(&self, token: NodeToken, state: &NodeState) -> NodeState {
-        let id = CycloidId::from_linear(token, self.dim());
-        let (inside_left, inside_right) = self.resolve_inside_leafs(id);
-        let (outside_left, outside_right) = self.resolve_outside_leafs(id);
+        let fresh = refreshed(self, token);
         NodeState {
-            inside_left,
-            inside_right,
-            outside_left,
-            outside_right,
+            inside_left: fresh.inside_left,
+            inside_right: fresh.inside_right,
+            outside_left: fresh.outside_left,
+            outside_right: fresh.outside_right,
             ..state.clone()
         }
     }
@@ -154,9 +155,7 @@ impl Notified for CycloidNetwork {
     /// The routing table is the stabilizer's; the leaf sets are the
     /// §3.3.1 derivation's.
     fn joined(&self, token: NodeToken, held: &NodeState) -> NodeState {
-        let mut net = self.clone();
-        net.stabilize_one(token, &mut Hints::default());
-        let stabilized = net.membership().store.get(token).unwrap();
+        let stabilized = refreshed(self, token);
         NodeState {
             cubical_neighbor: stabilized.cubical_neighbor,
             cyclic_larger: stabilized.cyclic_larger,

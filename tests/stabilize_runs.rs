@@ -15,11 +15,12 @@
 
 use std::fmt::Debug;
 
+use cycloid::NodeState;
 use cycloid_repro::prelude::*;
 use dht_core::corrupt::{CorruptionPlan, CorruptionStrategy};
 use dht_core::obs::Telemetry;
 use dht_core::rng::stream_indexed;
-use dht_core::sim::{Membership, SimOverlay};
+use dht_core::sim::{Membership, RefreshInto, SimOverlay};
 use dht_core::store::{Hints, Pos};
 use proptest::prelude::*;
 use rand::Rng;
@@ -297,8 +298,8 @@ fn ring_pointers_step_to_what_the_searches_found() {
 /// one node, one cycle, a lone node between two cycles, fewer other
 /// cycles than the radius, and the first and last cycle of the space —
 /// at both radii. Every run equals its nodes one by one, a full round
-/// audits clean at full scope (the audit reads no resolver), and the
-/// public resolvers name what the refreshed state holds.
+/// audits clean at full scope (the audit reads no resolver), and a
+/// node's leaf sets computed from fresh hints are what the run wrote.
 #[test]
 fn cycloid_runs_hold_where_the_cycles_wrap() {
     let last = (1u32 << 5) - 1;
@@ -332,10 +333,13 @@ fn cycloid_runs_hold_where_the_cycles_wrap() {
             assert!(report.is_clean(), "{ctx}: {report}");
             for id in net.ids().collect::<Vec<_>>() {
                 let node = net.node(id).unwrap();
-                let inside = (node.inside_left, node.inside_right);
-                let outside = (node.outside_left, node.outside_right);
-                assert_eq!(net.resolve_inside_leafs(id), inside, "{ctx}: {id}");
-                assert_eq!(net.resolve_outside_leafs(id), outside, "{ctx}: {id}");
+                let mut fresh = NodeState::default();
+                assert!(net.refresh_into(id.linear(net.dim()), &mut Hints::default(), &mut fresh));
+                let leafs = |s: &NodeState| {
+                    let inside = (s.inside_left, s.inside_right);
+                    (inside, (s.outside_left, s.outside_right))
+                };
+                assert_eq!(leafs(&fresh), leafs(node), "{ctx}: {id}");
             }
         }
     }
