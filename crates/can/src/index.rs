@@ -10,7 +10,7 @@
 //!
 //! * [`ZoneIndex::locate`]: descend the partition from the root towards a
 //!   point, probing each depth's box, `O(depth)` hash lookups (depth ≤
-//!   `dims · bits_per_dim`).
+//!   `dims · CanConfig::BITS_PER_DIM`).
 //! * [`ZoneIndex::face_owners`]: owners of every zone abutting a given
 //!   zone, found by sweeping a one-cell-thick probe layer just outside
 //!   each face (wrapping across the torus seam) and covering it with

@@ -6,7 +6,8 @@
 //! torus, neighbours are the owners of abutting zones, and routing greedily
 //! forwards towards the key's point. Nodes keep `O(d)` neighbours and
 //! lookups take `O(d · n^{1/d})` hops — the other end of the
-//! degree/diameter tradeoff from the constant-degree DHTs.
+//! degree/diameter tradeoff from the constant-degree DHTs. Only `d` is
+//! configured; every coordinate has [`CanConfig::BITS_PER_DIM`] = 16 bits.
 //!
 //! Joins split the zone containing the newcomer's random point; graceful
 //! leaves hand the zone to the smallest neighbour (which may then own

@@ -11,31 +11,30 @@ use dht_core::sim::{Membership, SimOverlay, StepDecision};
 use dht_core::store::Hints;
 use rand::RngCore;
 
-/// Configuration of a CAN deployment.
+/// Configuration of a CAN deployment: a `d`-dimensional torus with
+/// 16-bit coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CanConfig {
     /// Number of torus dimensions `d` (CAN's original evaluation uses 2
     /// by default).
     pub dims: usize,
-    /// Bits per coordinate: each dimension has side `2^bits_per_dim`.
-    pub bits_per_dim: u32,
 }
 
 impl CanConfig {
+    /// Bits per coordinate: each dimension has side `2^BITS_PER_DIM`.
+    pub const BITS_PER_DIM: u32 = 16;
+
     /// A `d`-dimensional torus with 16-bit coordinates.
     #[must_use]
     pub fn new(dims: usize) -> Self {
         assert!((1..=8).contains(&dims), "dims must be in [1, 8]");
-        Self {
-            dims,
-            bits_per_dim: 16,
-        }
+        Self { dims }
     }
 
     /// Side length of each dimension.
     #[must_use]
     pub fn side(&self) -> u64 {
-        1u64 << self.bits_per_dim
+        1u64 << Self::BITS_PER_DIM
     }
 }
 
@@ -136,11 +135,11 @@ impl CanNetwork {
         let token = members.next_raw();
         let founder = CanNode {
             token,
-            zones: Box::new([Zone::full(config.dims, config.bits_per_dim)]),
+            zones: Box::new([Zone::full(config.dims, CanConfig::BITS_PER_DIM)]),
             neighbors: Box::default(),
         };
         members.store.insert(token, founder);
-        let mut index = ZoneIndex::new(config.dims, config.bits_per_dim);
+        let mut index = ZoneIndex::new(config.dims, CanConfig::BITS_PER_DIM);
         index.insert_root(token);
         Self {
             config,

@@ -14,12 +14,10 @@
 //! row computation in `impl RefreshInto`.
 
 use dht_core::hash::{reduce, splitmix64};
-use dht_core::lookup::{HopPhase, LookupTrace};
+use dht_core::lookup::HopPhase;
 use dht_core::overlay::{NodeToken, Protocol};
 use dht_core::ring::{clockwise_dist, in_interval_oc, in_interval_oo};
-use dht_core::sim::{
-    refresh_in_place, walk_from, Membership, Refresh, RefreshInto, SimOverlay, StepDecision,
-};
+use dht_core::sim::{refresh_in_place, Membership, Refresh, RefreshInto, SimOverlay, StepDecision};
 use dht_core::store::{Hints, Pos};
 use rand::RngCore;
 
@@ -96,13 +94,6 @@ impl ChordNetwork {
     #[must_use]
     pub fn key_of(&self, raw_key: u64) -> u64 {
         reduce(splitmix64(raw_key), self.config.space())
-    }
-
-    /// One lookup from `src` for ring key `key`, using only per-node state:
-    /// greedy closest-preceding-finger routing with successor-list
-    /// fallback. Dead contacts cost a timeout each.
-    pub fn route_to_point(&mut self, src: u64, key: u64) -> LookupTrace {
-        walk_from(self, src, ChordWalk { key }, None, true)
     }
 }
 
@@ -301,6 +292,7 @@ mod tests {
     use dht_core::lookup::LookupOutcome;
     use dht_core::overlay::{Overlay, Protocol};
     use dht_core::rng::stream;
+    use dht_core::sim::walk_from;
     use rand::Rng;
 
     #[test]
@@ -418,7 +410,7 @@ mod tests {
         // A key just below the newcomer maps to it.
         let probe = newcomer; // key == node id -> successor is the node
         let src = net.node_tokens()[0];
-        let t = net.route_to_point(src, probe);
+        let t = walk_from(&mut net, src, ChordWalk { key: probe }, None, true);
         assert_eq!(t.outcome, LookupOutcome::Found);
         assert_eq!(t.terminal, newcomer);
     }
@@ -441,7 +433,7 @@ mod tests {
     fn single_node_ring_owns_everything() {
         let mut net = ChordNetwork::new(ChordConfig::new(8), 11);
         net.join_id(42);
-        let t = net.route_to_point(42, 7);
+        let t = net.lookup(42, 7);
         assert_eq!(t.outcome, LookupOutcome::Found);
         assert_eq!(t.path_len(), 0);
     }

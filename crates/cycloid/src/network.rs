@@ -205,30 +205,6 @@ impl CycloidNetwork {
         (end.cubical == cubical).then_some(end)
     }
 
-    /// Nearest non-empty cycle clockwise (increasing cubical index,
-    /// wrapping) strictly after `cubical`: the cycle of the token after
-    /// `cubical`'s end. Returns `cubical` itself only if it is the sole
-    /// non-empty cycle.
-    #[must_use]
-    pub fn next_nonempty_cycle(&self, cubical: u32) -> Option<u32> {
-        if self.members.store.is_empty() {
-            return None;
-        }
-        let end = self.cycle_end(cubical, Pos::default());
-        Some(self.id_at(self.members.store.next(end)).cubical)
-    }
-
-    /// Nearest non-empty cycle counter-clockwise strictly before `cubical`
-    /// (wrapping): the cycle of the token before `cubical`'s start.
-    #[must_use]
-    pub fn prev_nonempty_cycle(&self, cubical: u32) -> Option<u32> {
-        if self.members.store.is_empty() {
-            return None;
-        }
-        let start = self.cycle_start(cubical, Pos::default());
-        Some(self.id_at(self.members.store.prev(start)).cubical)
-    }
-
     /// The live nodes from `from` on, one `step` (`next` or `prev`) of the
     /// token order at a time, through `count` whole cycles' runs or one lap
     /// of the ring, whichever ends first. `from` is a run's first member
@@ -335,33 +311,6 @@ impl CycloidNetwork {
         let smaller = self.first_live(k - 1, (base..id.cubical).rev());
         let larger = self.first_live(k - 1, (id.cubical..=top).skip(1));
         (smaller, larger)
-    }
-
-    /// Resolves the inside leaf set of `id`: the `leaf_radius` nearest live
-    /// predecessors and successors on the local cycle, in cyclic order
-    /// (mod `d`), nearest first. A node alone on its cycle points at
-    /// itself (§3.3.1 case 2).
-    #[must_use]
-    pub fn resolve_inside_leafs(&self, id: CycloidId) -> (LeafSlot, LeafSlot) {
-        let order = &self.members.store;
-        let own = order.position_of(&mut Pos::default(), id.linear(self.dim));
-        self.inside_leafs_at(id, own.expect("inside leafs of a node that is not live"))
-    }
-
-    /// Resolves the outside leaf set of `id`: primaries of the
-    /// `leaf_radius` nearest non-empty preceding and succeeding remote
-    /// cycles (wrapping on the large ring), nearest first. When fewer
-    /// other cycles exist, entries wrap onto the node's own primary.
-    #[must_use]
-    pub fn resolve_outside_leafs(&self, id: CycloidId) -> (LeafSlot, LeafSlot) {
-        let order = &self.members.store;
-        match order.successor_from(&mut Pos::default(), id.linear(self.dim)) {
-            Some(near) => self.outside_leafs_at(id, near),
-            None => {
-                let own = LeafSlot::repeat(id, self.leaf_radius);
-                (own, own)
-            }
-        }
     }
 
     /// Position of cycle `cubical`'s first member — the token order runs
@@ -729,6 +678,13 @@ mod tests {
         CycloidId::new(k, a)
     }
 
+    /// The row one refresh of the live `id` computes from the membership.
+    fn fresh_row(net: &CycloidNetwork, id: CycloidId) -> NodeState {
+        let mut row = NodeState::default();
+        assert!(net.refresh_into(id.linear(net.dim), &mut Hints::default(), &mut row));
+        row
+    }
+
     #[test]
     fn complete_network_has_full_space() {
         let net = CycloidNetwork::complete(CycloidConfig::seven_entry(4));
@@ -806,9 +762,9 @@ mod tests {
         // Inside leaf set of (4, 10110110) in the complete network: local
         // cycle predecessor (3, 10110110) and successor (5, 10110110).
         let net = CycloidNetwork::complete(CycloidConfig::seven_entry(8));
-        let (left, right) = net.resolve_inside_leafs(id(4, 0b1011_0110));
-        assert_eq!(left, vec![id(3, 0b1011_0110)]);
-        assert_eq!(right, vec![id(5, 0b1011_0110)]);
+        let row = fresh_row(&net, id(4, 0b1011_0110));
+        assert_eq!(row.inside_left, vec![id(3, 0b1011_0110)]);
+        assert_eq!(row.inside_right, vec![id(5, 0b1011_0110)]);
     }
 
     #[test]
@@ -816,9 +772,9 @@ mod tests {
         // Outside leaf set: primaries (cyclic index 7) of cycles 10110101
         // and 10110111.
         let net = CycloidNetwork::complete(CycloidConfig::seven_entry(8));
-        let (left, right) = net.resolve_outside_leafs(id(4, 0b1011_0110));
-        assert_eq!(left, vec![id(7, 0b1011_0101)]);
-        assert_eq!(right, vec![id(7, 0b1011_0111)]);
+        let row = fresh_row(&net, id(4, 0b1011_0110));
+        assert_eq!(row.outside_left, vec![id(7, 0b1011_0101)]);
+        assert_eq!(row.outside_right, vec![id(7, 0b1011_0111)]);
     }
 
     #[test]
@@ -835,13 +791,12 @@ mod tests {
         let mut net = CycloidNetwork::new(CycloidConfig::seven_entry(5), 3);
         net.join_id(id(2, 9));
         net.join_id(id(1, 20));
-        let (l, r) = net.resolve_inside_leafs(id(2, 9));
-        assert_eq!(l, vec![id(2, 9)]);
-        assert_eq!(r, vec![id(2, 9)]);
+        let row = fresh_row(&net, id(2, 9));
+        assert_eq!(row.inside_left, vec![id(2, 9)]);
+        assert_eq!(row.inside_right, vec![id(2, 9)]);
         // Outside leafs point to the only other cycle's primary both ways.
-        let (ol, or) = net.resolve_outside_leafs(id(2, 9));
-        assert_eq!(ol, vec![id(1, 20)]);
-        assert_eq!(or, vec![id(1, 20)]);
+        assert_eq!(row.outside_left, vec![id(1, 20)]);
+        assert_eq!(row.outside_right, vec![id(1, 20)]);
     }
 
     #[test]
@@ -1055,16 +1010,5 @@ mod tests {
             let t = net.random_node(&mut rng).unwrap();
             assert!(net.node_tokens().contains(&t));
         }
-    }
-
-    #[test]
-    fn nonempty_cycle_navigation_wraps() {
-        let mut net = CycloidNetwork::new(CycloidConfig::seven_entry(4), 4);
-        net.join_id(id(0, 2));
-        net.join_id(id(0, 14));
-        assert_eq!(net.next_nonempty_cycle(14), Some(2), "wraps forward");
-        assert_eq!(net.prev_nonempty_cycle(2), Some(14), "wraps backward");
-        assert_eq!(net.next_nonempty_cycle(2), Some(14));
-        assert_eq!(net.prev_nonempty_cycle(14), Some(2));
     }
 }

@@ -20,10 +20,9 @@ fn owner_by_definition(net: &CycloidNetwork, key: CycloidId) -> Option<CycloidId
         .min_by_key(|&n| KeyDistance::between(key, n, net.dim()))
 }
 
-/// `owner_of_key`, `primary_of`, `next_nonempty_cycle` and
-/// `prev_nonempty_cycle` against their definitions over `net.ids()`: the
-/// owner on hashed keys and on keys in cycle 0, in cycle `2^d - 1` and in
-/// an empty cycle, the other three for every cubical index.
+/// `owner_of_key` and `primary_of` against their definitions over
+/// `net.ids()`: the owner on hashed keys and on keys in cycle 0, in cycle
+/// `2^d - 1` and in an empty cycle, the primary for every cubical index.
 fn check_positional_readers(net: &CycloidNetwork, rng: &mut impl Rng) -> Result<(), TestCaseError> {
     let dim = net.dim();
     let cycles = u32::try_from(dim.cubical_space()).expect("d < 32");
@@ -42,24 +41,12 @@ fn check_positional_readers(net: &CycloidNetwork, rng: &mut impl Rng) -> Result<
         prop_assert_eq!(net.owner_of_key(key), owner, "key {}", key);
     }
     for c in 0..cycles {
-        // The primary is its cycle's largest cyclic index; the nearest
-        // non-empty cycle either way is the live cubical index the fewest
-        // steps past `c`, `c` itself being the farthest.
+        // The primary is its cycle's largest cyclic index.
         let primary = live
             .iter()
             .filter(|n| n.cubical == c)
             .max_by_key(|n| n.cyclic);
-        let next = live
-            .iter()
-            .map(|n| n.cubical)
-            .min_by_key(|&a| (a + cycles - c - 1) % cycles);
-        let prev = live
-            .iter()
-            .map(|n| n.cubical)
-            .min_by_key(|&a| (c + cycles - a - 1) % cycles);
         prop_assert_eq!(net.primary_of(c), primary.copied(), "primary of {}", c);
-        prop_assert_eq!(net.next_nonempty_cycle(c), next, "next after {}", c);
-        prop_assert_eq!(net.prev_nonempty_cycle(c), prev, "prev before {}", c);
     }
     Ok(())
 }

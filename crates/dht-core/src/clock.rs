@@ -130,12 +130,6 @@ impl<E: Eq> EventQueue<E> {
         Some((s.time, s.event))
     }
 
-    /// Timestamp of the next pending event without popping it.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
-    }
-
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -171,12 +165,10 @@ mod tests {
         q.schedule(30, "c");
         q.schedule(10, "a");
         q.schedule(20, "b");
-        assert_eq!(q.peek_time(), Some(10));
         assert_eq!(q.pop(), Some((10, "a")));
         assert_eq!(q.pop(), Some((20, "b")));
         assert_eq!(q.pop(), Some((30, "c")));
         assert_eq!(q.pop(), None);
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

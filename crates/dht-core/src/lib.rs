@@ -21,9 +21,10 @@
 //!   success) that every overlay reports and every figure of the paper is
 //!   computed from,
 //! * [`net`] — the deterministic unreliable-network model: a seeded
-//!   [`net::FaultPlan`] (message loss / delay / duplication) plus a
-//!   [`net::RetryPolicy`] (attempts, exponential backoff) applied by the
-//!   shared walk engine to every per-hop contact,
+//!   [`net::FaultPlan`] (message loss / delay / duplication) plus the
+//!   fixed [`net::RetryPolicy`] (its attempts and exponential backoff are
+//!   constants) applied by the shared walk engine to every per-hop
+//!   contact,
 //! * [`obs`] — observability: the [`obs::Telemetry`] handle, zero-cost
 //!   when disabled, that records trace events and per-phase costs into
 //!   one record,

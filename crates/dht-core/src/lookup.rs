@@ -93,18 +93,6 @@ pub struct LookupTrace {
 }
 
 impl LookupTrace {
-    /// A zero-hop trace: the source itself stores the key.
-    #[must_use]
-    pub fn trivial(terminal: u64) -> Self {
-        Self {
-            hops: Vec::new(),
-            timeouts: 0,
-            outcome: LookupOutcome::Found,
-            terminal,
-            net: NetCosts::default(),
-        }
-    }
-
     /// Path length in hops (the y-axis of Figs. 5, 6, 11, 12, 13).
     #[must_use]
     pub fn path_len(&self) -> usize {
@@ -115,87 +103,6 @@ impl LookupTrace {
     #[must_use]
     pub fn hops_in_phase(&self, phase: HopPhase) -> usize {
         self.hops.iter().filter(|&&p| p == phase).count()
-    }
-}
-
-/// Accumulates hop counts per phase over many lookups and reports each
-/// phase's share of the total path length (Fig. 7's stacked bars).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PhaseBreakdown {
-    counts: Vec<(HopPhase, u64)>,
-    total_hops: u64,
-    lookups: u64,
-}
-
-impl PhaseBreakdown {
-    /// Creates an empty breakdown.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one lookup trace.
-    pub fn record(&mut self, trace: &LookupTrace) {
-        self.lookups += 1;
-        for &hop in &trace.hops {
-            self.total_hops += 1;
-            if let Some(entry) = self.counts.iter_mut().find(|(p, _)| *p == hop) {
-                entry.1 += 1;
-            } else {
-                self.counts.push((hop, 1));
-            }
-        }
-    }
-
-    /// Mean number of hops per lookup spent in `phase`.
-    #[must_use]
-    pub fn mean_hops(&self, phase: HopPhase) -> f64 {
-        if self.lookups == 0 {
-            return 0.0;
-        }
-        let c = self
-            .counts
-            .iter()
-            .find(|(p, _)| *p == phase)
-            .map_or(0, |(_, c)| *c);
-        c as f64 / self.lookups as f64
-    }
-
-    /// Fraction of all hops spent in `phase` (0..=1).
-    #[must_use]
-    pub fn share(&self, phase: HopPhase) -> f64 {
-        if self.total_hops == 0 {
-            return 0.0;
-        }
-        let c = self
-            .counts
-            .iter()
-            .find(|(p, _)| *p == phase)
-            .map_or(0, |(_, c)| *c);
-        c as f64 / self.total_hops as f64
-    }
-
-    /// All phases observed, with their hop counts, ordered by first
-    /// appearance.
-    #[must_use]
-    pub fn phases(&self) -> &[(HopPhase, u64)] {
-        &self.counts
-    }
-
-    /// Total lookups recorded.
-    #[must_use]
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
-    /// Mean total path length per lookup.
-    #[must_use]
-    pub fn mean_path_len(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.total_hops as f64 / self.lookups as f64
-        }
     }
 }
 
@@ -214,14 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn trivial_trace_is_zero_hop_success() {
-        let t = LookupTrace::trivial(9);
-        assert_eq!(t.path_len(), 0);
-        assert!(t.outcome.is_success());
-        assert_eq!(t.terminal, 9);
-    }
-
-    #[test]
     fn hops_in_phase_counts() {
         let t = trace(vec![
             HopPhase::Ascending,
@@ -232,31 +131,6 @@ mod tests {
         assert_eq!(t.path_len(), 4);
         assert_eq!(t.hops_in_phase(HopPhase::Descending), 2);
         assert_eq!(t.hops_in_phase(HopPhase::DeBruijn), 0);
-    }
-
-    #[test]
-    fn breakdown_shares_sum_to_one() {
-        let mut b = PhaseBreakdown::new();
-        b.record(&trace(vec![HopPhase::Ascending, HopPhase::Descending]));
-        b.record(&trace(vec![
-            HopPhase::Descending,
-            HopPhase::TraverseCycle,
-            HopPhase::TraverseCycle,
-        ]));
-        let total = b.share(HopPhase::Ascending)
-            + b.share(HopPhase::Descending)
-            + b.share(HopPhase::TraverseCycle);
-        assert!((total - 1.0).abs() < 1e-12);
-        assert_eq!(b.lookups(), 2);
-        assert!((b.mean_path_len() - 2.5).abs() < 1e-12);
-        assert!((b.mean_hops(HopPhase::Descending) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn breakdown_empty_is_zero() {
-        let b = PhaseBreakdown::new();
-        assert_eq!(b.share(HopPhase::Ascending), 0.0);
-        assert_eq!(b.mean_path_len(), 0.0);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   microseconds, and optional duplication of delivered messages.
 //! * [`RetryPolicy`] — what the querier does about it: a bounded number
 //!   of attempts per contact, a base timeout, and exponential backoff
-//!   with a cap.
-//! * [`NetConditions`] — the live session combining both plus a
-//!   monotone *lookup-index* counter, owned by every
+//!   with a cap. One querier is modelled, so these are constants.
+//! * [`NetConditions`] — the live session: the plan plus a monotone
+//!   *lookup-index* counter, owned by every
 //!   [`crate::sim::Membership`]. All fault draws are pure functions of
 //!   `(plan seed, lookup index, target, attempt)`, so a fixed-seed run
 //!   is bit-identical across executions, independent of the overlay's
@@ -33,7 +33,7 @@
 //! contacted node has departed; no retry can help; reported in
 //! [`crate::lookup::LookupTrace::timeouts`]) from the *message* timeout
 //! introduced here (the node is live but every one of the
-//! [`RetryPolicy::max_attempts`] sends was lost; reported in
+//! [`RetryPolicy::MAX_ATTEMPTS`] sends was lost; reported in
 //! [`NetCosts::msg_timeouts`]). Both cost the querier the full retry
 //! cycle of waiting — it cannot tell the cases apart on the wire — but
 //! only the former may feed repair-on-use, because the latter's target
@@ -59,9 +59,8 @@ pub type SimMicros = u64;
 /// Round-trip delay distribution for one delivered message.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DelayModel {
-    /// Every delivered message takes exactly this round trip, in µs.
-    Constant(SimMicros),
-    /// Round trips drawn uniformly from `[lo, hi]` µs (inclusive).
+    /// Round trips drawn uniformly from `[lo, hi]` µs (inclusive);
+    /// `Uniform(x, x)` is a constant `x`.
     Uniform(SimMicros, SimMicros),
 }
 
@@ -69,19 +68,14 @@ impl DelayModel {
     /// The round trip for a message whose fault draw is `r`.
     #[must_use]
     fn sample(self, r: u64) -> SimMicros {
-        match self {
-            DelayModel::Constant(rtt) => rtt,
-            DelayModel::Uniform(lo, hi) => {
-                let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
-                let span = hi - lo;
-                if span == 0 {
-                    return lo;
-                }
-                // Lemire reduction onto [0, span] (span < 2^64, so +1 fits
-                // in u128).
-                lo + ((u128::from(r) * (u128::from(span) + 1)) >> 64) as u64
-            }
+        let DelayModel::Uniform(lo, hi) = self;
+        let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
+        let span = hi - lo;
+        if span == 0 {
+            return lo;
         }
+        // Lemire reduction onto [0, span] (span < 2^64, so +1 fits in u128).
+        lo + ((u128::from(r) * (u128::from(span) + 1)) >> 64) as u64
     }
 }
 
@@ -112,7 +106,7 @@ impl FaultPlan {
         Self {
             seed: 0,
             loss: 0.0,
-            delay: DelayModel::Constant(0),
+            delay: DelayModel::Uniform(0, 0),
             duplicate: 0.0,
         }
     }
@@ -136,30 +130,26 @@ impl Default for FaultPlan {
     }
 }
 
-/// Retry/backoff behaviour of the querier for one contact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total sends per contact (first attempt included). At least 1.
-    pub max_attempts: u32,
-    /// Timeout the querier waits before the first retry, in µs.
-    pub base_timeout_us: SimMicros,
-    /// Multiplier applied to the timeout after every failed attempt.
-    pub backoff_factor: u32,
-    /// Upper bound on any single backoff wait, in µs.
-    pub max_timeout_us: SimMicros,
-}
+/// Retry/backoff behaviour of the querier for one contact: 4 attempts,
+/// a 250 ms base timeout, doubling backoff capped at 2 s. Every run uses
+/// these numbers, so they are constants and the type carries no state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RetryPolicy;
 
 impl RetryPolicy {
-    /// The default querier: 4 attempts, 250 ms base timeout, doubling
-    /// backoff capped at 2 s.
+    /// Total sends per contact, first attempt included.
+    pub const MAX_ATTEMPTS: u32 = 4;
+    /// Timeout the querier waits before the first retry, in µs.
+    pub const BASE_TIMEOUT_US: SimMicros = 250_000;
+    /// Multiplier applied to the timeout after every failed attempt.
+    pub const BACKOFF_FACTOR: u32 = 2;
+    /// Upper bound on any single backoff wait, in µs.
+    pub const MAX_TIMEOUT_US: SimMicros = 2_000_000;
+
+    /// The querier every run uses.
     #[must_use]
     pub fn standard() -> Self {
-        Self {
-            max_attempts: 4,
-            base_timeout_us: 250_000,
-            backoff_factor: 2,
-            max_timeout_us: 2_000_000,
-        }
+        Self
     }
 
     /// The timeout waited after the `attempt`-th send (1-based) goes
@@ -168,32 +158,26 @@ impl RetryPolicy {
     /// # Panics
     /// Panics if `attempt` is zero (attempts are 1-based).
     #[must_use]
-    pub fn timeout_us(&self, attempt: u32) -> SimMicros {
+    pub fn timeout_us(attempt: u32) -> SimMicros {
         assert!(attempt >= 1, "attempts are 1-based");
-        let factor = u64::from(self.backoff_factor).saturating_pow(attempt - 1);
-        self.base_timeout_us
+        let factor = u64::from(Self::BACKOFF_FACTOR).saturating_pow(attempt - 1);
+        Self::BASE_TIMEOUT_US
             .saturating_mul(factor)
-            .min(self.max_timeout_us)
+            .min(Self::MAX_TIMEOUT_US)
     }
 
     /// Total time spent declaring one contact unreachable: the sum of
-    /// all [`RetryPolicy::max_attempts`] timeouts.
+    /// all [`RetryPolicy::MAX_ATTEMPTS`] timeouts.
     #[must_use]
-    pub fn give_up_us(&self) -> SimMicros {
-        (1..=self.max_attempts.max(1))
-            .map(|a| self.timeout_us(a))
-            .fold(0u64, SimMicros::saturating_add)
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self::standard()
+    pub fn give_up_us() -> SimMicros {
+        (1..=Self::MAX_ATTEMPTS)
+            .map(Self::timeout_us)
+            .fold(0, SimMicros::saturating_add)
     }
 }
 
 /// Outcome of one contact (one candidate, up to
-/// [`RetryPolicy::max_attempts`] sends) under the fault plan.
+/// [`RetryPolicy::MAX_ATTEMPTS`] sends) under the fault plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContactOutcome {
     /// `true` iff some send was answered within the attempt budget.
@@ -208,14 +192,12 @@ pub struct ContactOutcome {
 }
 
 /// The live network conditions of one simulated overlay: the fault
-/// plan, the retry policy, and the monotone lookup-index counter that
-/// keys the deterministic draws.
+/// plan and the monotone lookup-index counter that keys the
+/// deterministic draws. The querier follows [`RetryPolicy`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetConditions {
     /// Per-message fault model.
     pub plan: FaultPlan,
-    /// Querier retry/backoff behaviour.
-    pub retry: RetryPolicy,
     /// Next workload lookup index (monotone across all walks; each
     /// sequential walk takes one, the parallel executor reserves a
     /// contiguous range per batch).
@@ -223,13 +205,12 @@ pub struct NetConditions {
 }
 
 impl NetConditions {
-    /// Conditions combining `plan` and `retry`, starting at lookup
-    /// index zero.
+    /// Conditions under `plan` with the [`RetryPolicy`] querier,
+    /// starting at lookup index zero.
     #[must_use]
-    pub fn new(plan: FaultPlan, retry: RetryPolicy) -> Self {
+    pub fn new(plan: FaultPlan, _retry: RetryPolicy) -> Self {
         Self {
             plan,
-            retry,
             next_lookup: 0,
         }
     }
@@ -239,13 +220,6 @@ impl NetConditions {
     #[must_use]
     pub fn ideal() -> Self {
         Self::new(FaultPlan::none(), RetryPolicy::standard())
-    }
-
-    /// Number of lookup indices handed out so far under these
-    /// conditions.
-    #[must_use]
-    pub fn lookups_started(&self) -> u64 {
-        self.next_lookup
     }
 
     /// Takes the next lookup index — the walk engine calls this once
@@ -281,16 +255,15 @@ impl NetConditions {
     /// sends until a message gets through or the attempt budget is
     /// spent, accumulating backoff waits and the final round trip.
     ///
-    /// The outcome is a pure function of `(plan, retry, lookup,
-    /// target)` — contacting the same target twice within one lookup
-    /// yields the same outcome (the network's disposition toward that
-    /// pair is fixed for the lookup's duration), and contacts from
-    /// different lookups never perturb each other.
+    /// The outcome is a pure function of `(plan, lookup, target)` —
+    /// contacting the same target twice within one lookup yields the
+    /// same outcome (the network's disposition toward that pair is fixed
+    /// for the lookup's duration), and contacts from different lookups
+    /// never perturb each other.
     #[must_use]
     pub fn contact(&self, lookup: u64, target: u64) -> ContactOutcome {
-        let max_attempts = self.retry.max_attempts.max(1);
         let mut latency: SimMicros = 0;
-        for attempt in 1..=max_attempts {
+        for attempt in 1..=RetryPolicy::MAX_ATTEMPTS {
             let r = self.draw(lookup, target, attempt);
             if !roll(r, self.plan.loss) {
                 latency =
@@ -302,11 +275,11 @@ impl NetConditions {
                     duplicated: roll(splitmix64(r ^ 0x0064_7570), self.plan.duplicate),
                 };
             }
-            latency = latency.saturating_add(self.retry.timeout_us(attempt));
+            latency = latency.saturating_add(RetryPolicy::timeout_us(attempt));
         }
         ContactOutcome {
             delivered: false,
-            attempts: max_attempts,
+            attempts: RetryPolicy::MAX_ATTEMPTS,
             latency_us: latency,
             duplicated: false,
         }
@@ -319,7 +292,7 @@ impl NetConditions {
     /// also lost the request.
     #[must_use]
     pub fn stale_wait_us(&self) -> SimMicros {
-        self.retry.give_up_us()
+        RetryPolicy::give_up_us()
     }
 }
 
@@ -396,12 +369,11 @@ mod tests {
     #[test]
     fn lookup_indices_are_monotone_and_reservable() {
         let mut net = NetConditions::ideal();
-        assert_eq!(net.lookups_started(), 0);
         assert_eq!(net.take_lookup_index(), 0);
         assert_eq!(net.take_lookup_index(), 1);
         assert_eq!(net.reserve_lookup_indices(10), 2, "batch starts after");
         assert_eq!(net.take_lookup_index(), 12, "batch advances the counter");
-        assert_eq!(net.lookups_started(), 13);
+        assert_eq!(net.take_lookup_index(), 13);
     }
 
     #[test]
@@ -409,44 +381,37 @@ mod tests {
         let plan = FaultPlan {
             seed: 3,
             loss: 1.0,
-            delay: DelayModel::Constant(5_000),
+            delay: DelayModel::Uniform(5_000, 5_000),
             duplicate: 0.0,
         };
-        let retry = RetryPolicy {
-            max_attempts: 3,
-            base_timeout_us: 100,
-            backoff_factor: 2,
-            max_timeout_us: 10_000,
-        };
-        let net = NetConditions::new(plan, retry);
+        let net = NetConditions::new(plan, RetryPolicy::standard());
         let c = net.contact(0, 1);
         assert!(!c.delivered);
-        assert_eq!(c.attempts, 3);
-        assert_eq!(c.latency_us, 100 + 200 + 400);
+        assert_eq!(c.attempts, 4);
+        assert_eq!(c.latency_us, 250_000 + 500_000 + 1_000_000 + 2_000_000);
     }
 
     #[test]
     fn backoff_caps_at_max_timeout() {
-        let retry = RetryPolicy {
-            max_attempts: 10,
-            base_timeout_us: 1_000,
-            backoff_factor: 10,
-            max_timeout_us: 50_000,
-        };
-        assert_eq!(retry.timeout_us(1), 1_000);
-        assert_eq!(retry.timeout_us(2), 10_000);
-        assert_eq!(retry.timeout_us(3), 50_000, "capped");
-        assert_eq!(retry.timeout_us(9), 50_000, "saturates without overflow");
+        assert_eq!(RetryPolicy::timeout_us(1), 250_000);
+        assert_eq!(RetryPolicy::timeout_us(2), 500_000);
+        assert_eq!(RetryPolicy::timeout_us(3), 1_000_000);
+        assert_eq!(RetryPolicy::timeout_us(4), 2_000_000);
+        assert_eq!(RetryPolicy::timeout_us(5), 2_000_000, "capped");
         assert_eq!(
-            retry.give_up_us(),
-            1_000 + 10_000 + 8 * 50_000,
+            RetryPolicy::timeout_us(100),
+            2_000_000,
+            "saturates without overflow"
+        );
+        assert_eq!(
+            RetryPolicy::give_up_us(),
+            250_000 + 500_000 + 1_000_000 + 2_000_000,
             "give-up time sums every capped wait"
         );
     }
 
     #[test]
     fn delay_models_stay_in_bounds() {
-        assert_eq!(DelayModel::Constant(7).sample(u64::MAX), 7);
         for r in [0u64, 1, u64::MAX, 0x8000_0000_0000_0000, 12345] {
             let d = DelayModel::Uniform(10, 20).sample(r);
             assert!((10..=20).contains(&d), "draw {d} outside [10, 20]");
@@ -498,23 +463,17 @@ mod tests {
         let plan = FaultPlan {
             seed: 5,
             loss: 0.2,
-            delay: DelayModel::Constant(0),
+            delay: DelayModel::Uniform(0, 0),
             duplicate: 0.0,
         };
-        // Single-attempt policy so every contact is one Bernoulli draw.
-        let retry = RetryPolicy {
-            max_attempts: 1,
-            base_timeout_us: 1,
-            backoff_factor: 1,
-            max_timeout_us: 1,
-        };
-        let net = NetConditions::new(plan, retry);
-        let lost = (0..10_000)
-            .filter(|&i| !net.contact(i, 1).delivered)
+        // The first attempt of every contact is one Bernoulli draw.
+        let net = NetConditions::new(plan, RetryPolicy::standard());
+        let first_try = (0..10_000)
+            .filter(|&i| net.contact(i, 1).attempts == 1)
             .count();
         assert!(
-            (1_700..=2_300).contains(&lost),
-            "empirical loss {lost}/10000 should be ~2000"
+            (7_700..=8_300).contains(&first_try),
+            "{first_try}/10000 delivered first time, should be ~8000"
         );
     }
 
@@ -556,6 +515,6 @@ mod tests {
     #[test]
     fn stale_wait_matches_give_up_cycle() {
         let net = NetConditions::ideal();
-        assert_eq!(net.stale_wait_us(), net.retry.give_up_us());
+        assert_eq!(net.stale_wait_us(), RetryPolicy::give_up_us());
     }
 }

@@ -681,7 +681,7 @@ mod tests {
             let plan = FaultPlan {
                 seed: 7,
                 loss: 0.4,
-                delay: DelayModel::Constant(1_000),
+                delay: DelayModel::Uniform(1_000, 1_000),
                 duplicate: 0.1,
             };
             ring.membership_mut().net = NetConditions::new(plan, RetryPolicy::standard());
@@ -708,7 +708,7 @@ mod tests {
         let plan = FaultPlan {
             seed: 3,
             loss: 1.0,
-            delay: DelayModel::Constant(0),
+            delay: DelayModel::Uniform(0, 0),
             duplicate: 0.0,
         };
         let retry = RetryPolicy::standard();
@@ -719,7 +719,10 @@ mod tests {
         assert_eq!(t.timeouts, 0, "live-node losses are not stale timeouts");
         // Each distinct candidate is tried exactly once per step, and each
         // failed contact burns exactly max_attempts sends.
-        assert_eq!(t.net.retries, t.net.msg_timeouts * (retry.max_attempts - 1));
+        assert_eq!(
+            t.net.retries,
+            t.net.msg_timeouts * (RetryPolicy::MAX_ATTEMPTS - 1)
+        );
         assert!(t.net.msg_timeouts > 0);
         assert_eq!(
             ring.members.store.tokens(),
@@ -737,7 +740,7 @@ mod tests {
             FaultPlan {
                 seed: 5,
                 loss: 0.0,
-                delay: DelayModel::Constant(0),
+                delay: DelayModel::Uniform(0, 0),
                 duplicate: 0.0,
             },
             retry,
@@ -747,7 +750,7 @@ mod tests {
         assert_eq!(t.net.retries, 0, "stale contacts are not message retries");
         assert_eq!(
             t.net.latency_us,
-            retry.give_up_us(),
+            RetryPolicy::give_up_us(),
             "the one dead contact costs one exhausted retry cycle"
         );
     }

@@ -42,11 +42,6 @@ impl Chart {
         self.series.push((name.to_string(), values));
     }
 
-    /// Convenience: adds a fully populated series.
-    pub fn series_full(&mut self, name: &str, values: Vec<f64>) {
-        self.series(name, values.into_iter().map(Some).collect());
-    }
-
     /// Renders the chart.
     #[must_use]
     pub fn render(&self) -> String {
@@ -155,8 +150,8 @@ mod tests {
     #[test]
     fn render_contains_axes_labels_and_legend() {
         let mut c = Chart::new("demo", vec!["1".into(), "2".into(), "4".into()]);
-        c.series_full("up", vec![1.0, 2.0, 4.0]);
-        c.series_full("flat", vec![2.0, 2.0, 2.0]);
+        c.series("up", vec![Some(1.0), Some(2.0), Some(4.0)]);
+        c.series("flat", vec![Some(2.0), Some(2.0), Some(2.0)]);
         let s = c.render();
         assert!(s.contains("== demo =="));
         assert!(s.contains("o up"));
@@ -169,7 +164,10 @@ mod tests {
     #[test]
     fn monotone_series_renders_monotone_rows() {
         let mut c = Chart::new("mono", (1..=5).map(|i| i.to_string()).collect());
-        c.series_full("grow", vec![1.0, 2.0, 3.0, 4.0, 5.0]);
+        c.series(
+            "grow",
+            vec![Some(1.0), Some(2.0), Some(3.0), Some(4.0), Some(5.0)],
+        );
         let s = c.render();
         // The glyph for larger values appears on earlier (higher) lines.
         let lines: Vec<&str> = s.lines().collect();
@@ -211,6 +209,6 @@ mod tests {
     #[should_panic(expected = "length must match")]
     fn mismatched_series_rejected() {
         let mut c = Chart::new("bad", vec!["1".into(), "2".into()]);
-        c.series_full("s", vec![1.0]);
+        c.series("s", vec![Some(1.0)]);
     }
 }

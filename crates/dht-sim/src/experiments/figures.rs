@@ -1554,7 +1554,7 @@ const CYCLOID_PHASES: &[Column] = &[
     ("descending %", |c| share(c, HopPhase::Descending)),
     ("traverse hops", |c| hops(c, HopPhase::TraverseCycle)),
     ("traverse %", |c| share(c, HopPhase::TraverseCycle)),
-    ("total", |c| f(c.lookups("").breakdown.mean_path_len())),
+    ("total", |c| f(c.lookups("").path_hist.mean())),
 ];
 
 /// Fig 7's columns for Koorde's two phases.
@@ -1564,15 +1564,15 @@ const KOORDE_PHASES: &[Column] = &[
     ("debruijn %", |c| share(c, HopPhase::DeBruijn)),
     ("successor hops", |c| hops(c, HopPhase::Successor)),
     ("successor %", |c| share(c, HopPhase::Successor)),
-    ("total", |c| f(c.lookups("").breakdown.mean_path_len())),
+    ("total", |c| f(c.lookups("").path_hist.mean())),
 ];
 
 fn hops(c: &Cell, phase: HopPhase) -> String {
-    f(c.lookups("").breakdown.mean_hops(phase))
+    f(c.lookups("").phase_mean_hops(phase))
 }
 
 fn share(c: &Cell, phase: HopPhase) -> String {
-    format!("{:.1}", 100.0 * c.lookups("").breakdown.share(phase))
+    format!("{:.1}", 100.0 * c.lookups("").phase_share(phase))
 }
 
 fn mean_path(c: &Cell) -> f64 {

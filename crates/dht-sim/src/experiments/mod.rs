@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use dht_core::audit::AuditReport;
-use dht_core::lookup::{HopPhase, PhaseBreakdown};
+use dht_core::lookup::HopPhase;
 use dht_core::overlay::Overlay;
 use dht_core::stats::{Histogram, Summary};
 use dht_core::workload::LookupRequest;
@@ -269,8 +269,6 @@ pub struct LookupAggregate {
     pub timeouts: Summary,
     /// Lookups that did not terminate at the key's owner.
     pub failures: usize,
-    /// Per-phase hop accounting.
-    pub breakdown: PhaseBreakdown,
     /// Per-lookup message-retry distribution (loss-induced re-sends only;
     /// all-zero on an ideal network).
     pub retries: Summary,
@@ -297,6 +295,33 @@ pub struct LookupAggregate {
     pub msg_timeouts_total: u64,
 }
 
+impl LookupAggregate {
+    /// Mean hops per lookup spent in `phase` (Figs. 7, 14); 0 for a
+    /// phase the batch never used.
+    #[must_use]
+    pub fn phase_mean_hops(&self, phase: HopPhase) -> f64 {
+        self.phase_hist(phase).map_or(0.0, Histogram::mean)
+    }
+
+    /// Fraction (0..=1) of all the batch's hops spent in `phase` (Fig.
+    /// 7's stacked bars).
+    #[must_use]
+    pub fn phase_share(&self, phase: HopPhase) -> f64 {
+        let total = self.path_hist.sum();
+        if total == 0 {
+            return 0.0;
+        }
+        self.phase_hist(phase).map_or(0, Histogram::sum) as f64 / total as f64
+    }
+
+    fn phase_hist(&self, phase: HopPhase) -> Option<&Histogram> {
+        self.phase_hists
+            .iter()
+            .find(|(p, _)| *p == phase)
+            .map(|(_, h)| h)
+    }
+}
+
 /// Runs a batch of lookup requests across up to `jobs` worker threads
 /// (via [`Overlay::lookup_batch`]) and aggregates the traces. The
 /// aggregate is bit-identical for every `jobs` value.
@@ -312,12 +337,11 @@ pub fn run_requests_jobs(
     let mut msg_timeouts = Vec::with_capacity(reqs.len());
     let mut latency_ms = Vec::with_capacity(reqs.len());
     let mut failures = 0usize;
-    let mut breakdown = PhaseBreakdown::new();
     let mut path_hist = Histogram::new();
     let mut latency_hist = Histogram::new();
-    // Per-lookup hop counts for every phase; histograms are built only
-    // for phases the batch actually used.
-    let mut phase_counts: [Vec<u64>; 6] = Default::default();
+    // Per-lookup hop counts for every phase; only the phases the batch
+    // actually used are kept.
+    let mut phase_hists = ALL_PHASES.map(|phase| (phase, Histogram::new()));
     let pairs: Vec<(dht_core::overlay::NodeToken, u64)> =
         reqs.iter().map(|r| (r.src, r.raw_key)).collect();
     let traces = overlay.lookup_batch(&pairs, jobs);
@@ -332,19 +356,8 @@ pub fn run_requests_jobs(
         }
         path_hist.record(trace.path_len() as u64);
         latency_hist.record(trace.net.latency_us);
-        for (i, &phase) in ALL_PHASES.iter().enumerate() {
-            phase_counts[i].push(trace.hops_in_phase(phase) as u64);
-        }
-        breakdown.record(trace);
-    }
-    let mut phase_hists = Vec::new();
-    for (i, &phase) in ALL_PHASES.iter().enumerate() {
-        if phase_counts[i].iter().any(|&c| c > 0) {
-            let mut h = Histogram::new();
-            for &c in &phase_counts[i] {
-                h.record(c);
-            }
-            phase_hists.push((phase, h));
+        for (phase, h) in &mut phase_hists {
+            h.record(trace.hops_in_phase(*phase) as u64);
         }
     }
     LookupAggregate {
@@ -353,12 +366,14 @@ pub fn run_requests_jobs(
         path: Summary::of_lens(&paths),
         timeouts: Summary::of_counts(&timeouts),
         failures,
-        breakdown,
         retries: Summary::of_counts(&retries),
         msg_timeouts: Summary::of_counts(&msg_timeouts),
         latency_ms: Summary::of(&latency_ms),
         path_hist,
-        phase_hists,
+        phase_hists: phase_hists
+            .into_iter()
+            .filter(|(_, h)| h.sum() > 0)
+            .collect(),
         latency_hist,
         timeouts_total: timeouts.iter().sum(),
         retries_total: retries.iter().sum(),
@@ -382,7 +397,6 @@ mod tests {
         assert_eq!(agg.n_start, 64);
         assert_eq!(agg.path.n, 200);
         assert_eq!(agg.failures, 0);
-        assert_eq!(agg.breakdown.lookups(), 200);
         assert!(agg.path.mean > 0.0);
         assert_eq!(agg.retries.max, 0.0, "ideal network never retries");
         assert_eq!(agg.msg_timeouts.max, 0.0);

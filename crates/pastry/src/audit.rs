@@ -13,7 +13,7 @@ use dht_core::overlay::Protocol;
 use dht_core::ring::ring_sides;
 use dht_core::sim::SimOverlay;
 
-use crate::network::{LeafHalf, PastryNetwork};
+use crate::network::{LeafHalf, PastryConfig, PastryNetwork};
 
 impl StateAudit for PastryNetwork {
     fn audit_state(&self, scope: AuditScope) -> AuditReport {
@@ -25,7 +25,7 @@ impl StateAudit for PastryNetwork {
         // asked, so a wrong one cannot audit clean.
         let tokens = self.membership().store.tokens();
         let n = tokens.len();
-        let reach = (c.leaf_set / 2).min(n.saturating_sub(1));
+        let reach = (PastryConfig::LEAF_SET / 2).min(n.saturating_sub(1));
         for (i, (id, node)) in self.membership().store.iter().enumerate() {
             report.note_checked(1);
             report.check_eq(id, "pastry/node-id", &node.id, &id);
@@ -63,7 +63,6 @@ impl StateAudit for PastryNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::PastryConfig;
     use dht_core::overlay::Overlay;
     use dht_core::sim::Refresh;
 

@@ -8,6 +8,9 @@
 //! next digit" — plus a **leaf set** `L` of the numerically closest nodes
 //! (half smaller, half larger). Routing corrects one digit per hop, left
 //! to right, resolving in `O(log n)` hops with `O(log n)`-sized state.
+//! Every run here uses base-4 digits and `|L| = 8`
+//! ([`PastryConfig::DIGIT_BITS`], [`PastryConfig::LEAF_SET`]); only the
+//! identifier width is configured.
 //!
 //! Cycloid borrows exactly this left-to-right prefix correction for its
 //! descending phase and the leaf-set fallback for its fault tolerance, so

@@ -16,30 +16,28 @@ use dht_core::sim::{refresh_in_place, Membership, Refresh, RefreshInto, SimOverl
 use dht_core::store::{Hints, Pos};
 use rand::RngCore;
 
-/// Configuration of a Pastry deployment.
+/// Configuration of a Pastry deployment: base-4 digits (`b = 2`) and a
+/// leaf set of `|L| = 8`, over a ring of `2^bits` identifiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PastryConfig {
     /// Total identifier bits; the ring has `2^bits` positions.
     pub bits: u32,
-    /// Bits per digit (`b`; base `2^b` digits). Pastry's default is 4;
-    /// the simulations use 2 to keep tables reasonable at small scales.
-    pub digit_bits: u32,
-    /// Leaf-set size `|L|` (half numerically smaller, half larger).
-    pub leaf_set: usize,
 }
 
 impl PastryConfig {
-    /// Standard configuration: base-4 digits (`b = 2`), `|L| = 8`.
+    /// Bits per digit (`b`; base `2^b` digits). Pastry's default is 4;
+    /// the simulations use 2 to keep tables reasonable at small scales.
+    pub const DIGIT_BITS: u32 = 2;
+    /// Leaf-set size `|L|` (half numerically smaller, half larger).
+    pub const LEAF_SET: usize = 8;
+
+    /// A ring of `2^bits` identifiers.
     ///
     /// # Panics
-    /// Panics unless `digit_bits` divides `bits`.
+    /// Panics unless [`PastryConfig::DIGIT_BITS`] divides `bits`.
     #[must_use]
     pub fn new(bits: u32) -> Self {
-        let config = Self {
-            bits,
-            digit_bits: 2,
-            leaf_set: 8,
-        };
+        let config = Self { bits };
         config.validate();
         config
     }
@@ -47,16 +45,8 @@ impl PastryConfig {
     fn validate(&self) {
         assert!(self.bits >= 1 && self.bits <= 63, "bits must be in [1, 63]");
         assert!(
-            self.digit_bits >= 1 && self.bits.is_multiple_of(self.digit_bits),
-            "digit_bits must divide bits"
-        );
-        assert!(
-            self.leaf_set >= 2 && self.leaf_set.is_multiple_of(2),
-            "leaf set must be even"
-        );
-        assert!(
-            self.leaf_set <= 16,
-            "leaf set exceeds the 8-per-side inline capacity"
+            self.bits.is_multiple_of(Self::DIGIT_BITS),
+            "bits must be whole base-4 digits"
         );
     }
 
@@ -69,20 +59,20 @@ impl PastryConfig {
     /// Number of digits per identifier.
     #[must_use]
     pub fn digits(&self) -> u32 {
-        self.bits / self.digit_bits
+        self.bits / Self::DIGIT_BITS
     }
 
     /// Digit alphabet size `2^b`.
     #[must_use]
     pub fn base(&self) -> u32 {
-        1 << self.digit_bits
+        1 << Self::DIGIT_BITS
     }
 
     /// Extracts digit `row` (0 = most significant) of `id`.
     #[must_use]
     pub fn digit(&self, id: u64, row: u32) -> u32 {
         debug_assert!(row < self.digits());
-        let shift = self.bits - (row + 1) * self.digit_bits;
+        let shift = self.bits - (row + 1) * Self::DIGIT_BITS;
         ((id >> shift) & u64::from(self.base() - 1)) as u32
     }
 
@@ -95,9 +85,9 @@ impl PastryConfig {
     }
 }
 
-/// Fixed-capacity half of a Pastry leaf set. The configured `|L|` is 8
-/// (four per side); eight inline slots per side cover any even `|L|` up
-/// to 16, keeping the leaf set inside the membership slab.
+/// Fixed-capacity half of a Pastry leaf set. `|L|` is 8 (four per side);
+/// eight inline slots per side keep the leaf set inside the membership
+/// slab.
 pub type LeafHalf = InlineVec<u64, 8>;
 
 /// Routing state of one Pastry node.
@@ -219,11 +209,11 @@ impl PastryNetwork {
         if self.config.digit(id, row) == col {
             return None; // own digit: the row "points at" the node itself
         }
-        let digit_shift = c.bits - (row + 1) * c.digit_bits;
+        let digit_shift = c.bits - (row + 1) * PastryConfig::DIGIT_BITS;
         let prefix_mask = if row == 0 {
             0
         } else {
-            !((1u64 << (c.bits - row * c.digit_bits)) - 1)
+            !((1u64 << (c.bits - row * PastryConfig::DIGIT_BITS)) - 1)
         };
         let base = (id & prefix_mask) | (u64::from(col) << digit_shift);
         let top = base | ((1u64 << digit_shift) - 1);
@@ -245,7 +235,7 @@ impl PastryNetwork {
     /// place in the order (searched from `hint`).
     pub fn resolve_leafs(&self, id: u64, hint: &mut Pos) -> (LeafHalf, LeafHalf) {
         let order = &self.members.store;
-        let half = (self.config.leaf_set / 2).min(self.members.store.len().saturating_sub(1));
+        let half = (PastryConfig::LEAF_SET / 2).min(self.members.store.len().saturating_sub(1));
         let mut smaller = LeafHalf::new();
         let mut larger = LeafHalf::new();
         let Some(at) = order.successor_from(hint, id) else {
@@ -307,7 +297,7 @@ impl Refresh for PastryNetwork {
 
     /// The `|L|/2` nodes either side hold `id` in their leaf sets.
     fn notified_window(&self) -> (usize, usize) {
-        let half = self.config.leaf_set / 2;
+        let half = PastryConfig::LEAF_SET / 2;
         (half, half)
     }
 }

@@ -14,13 +14,12 @@ use dht_core::rng::stream;
 use dht_core::workload::random_pairs;
 
 fn main() {
-    let retry = RetryPolicy::standard();
     println!(
         "retry policy: {} attempts, {} ms base timeout, x{} backoff capped at {} ms",
-        retry.max_attempts,
-        retry.base_timeout_us / 1_000,
-        retry.backoff_factor,
-        retry.max_timeout_us / 1_000
+        RetryPolicy::MAX_ATTEMPTS,
+        RetryPolicy::BASE_TIMEOUT_US / 1_000,
+        RetryPolicy::BACKOFF_FACTOR,
+        RetryPolicy::MAX_TIMEOUT_US / 1_000
     );
     println!("delay model: uniform 20-80 ms RTT, 1% duplication\n");
     println!(
@@ -37,7 +36,7 @@ fn main() {
                 delay: DelayModel::Uniform(20_000, 80_000),
                 duplicate: 0.01,
             },
-            retry,
+            RetryPolicy::standard(),
         ));
         let reqs = random_pairs(net.as_ref(), 2_000, &mut stream(7, "lossy-demo"));
         let mut ok = 0usize;

@@ -3,8 +3,8 @@
 //! from the resolvers that join, leave and stabilize write the state
 //! with. This file holds the other side of that bargain: a per-node
 //! oracle written *here*, from the public resolvers
-//! (`Membership::ring_pointers`, `resolve_leafs`, `resolve_inside_leafs`,
-//! `resolve_outside_leafs`), making the same `check` / `check_eq` calls in
+//! (`Membership::ring_pointers`, `resolve_leafs`, the leaf fields of a
+//! Cycloid `refresh_into` row), making the same `check` / `check_eq` calls in
 //! the same order. Sweep and oracle must agree violation by violation —
 //! on clean states, on states left stale by ungraceful failures, and on
 //! every corruption strategy — so no second audit path has to live in
@@ -19,11 +19,12 @@
 //! The full audit must report exactly the online oracle's violations
 //! plus these, as a multiset of (node, invariant) pairs.
 
+use cycloid::NodeState;
 use cycloid_repro::prelude::*;
 use dht_core::corrupt::{CorruptionPlan, CorruptionStrategy};
 use dht_core::rng::stream_indexed;
-use dht_core::sim::SimOverlay;
-use dht_core::store::Pos;
+use dht_core::sim::{RefreshInto, SimOverlay};
+use dht_core::store::{Hints, Pos};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -107,9 +108,9 @@ fn pastry_oracle(net: &PastryNetwork) -> AuditReport {
     report
 }
 
-/// Cycloid's online checks, expected leaf sets from
-/// `resolve_inside_leafs` / `resolve_outside_leafs`; the state-size check
-/// counts the degree on every node.
+/// Cycloid's online checks, expected leaf sets from a `refresh_into` row
+/// made with fresh hints; the state-size check counts the degree on every
+/// node.
 fn cycloid_oracle(net: &CycloidNetwork) -> AuditReport {
     let mut report = AuditReport::new(net.name(), AuditScope::Online);
     let dim = net.dim();
@@ -153,7 +154,9 @@ fn cycloid_oracle(net: &CycloidNetwork) -> AuditReport {
                 },
             );
         }
-        let (in_left, in_right) = net.resolve_inside_leafs(id);
+        let mut fresh = NodeState::default();
+        assert!(net.refresh_into(token, &mut Hints::default(), &mut fresh));
+        let (in_left, in_right) = (fresh.inside_left, fresh.inside_right);
         report.check_eq(
             token,
             "cycloid/inside-leaf-set",
@@ -166,7 +169,7 @@ fn cycloid_oracle(net: &CycloidNetwork) -> AuditReport {
             &state.inside_right,
             &in_right,
         );
-        let (out_left, out_right) = net.resolve_outside_leafs(id);
+        let (out_left, out_right) = (fresh.outside_left, fresh.outside_right);
         report.check_eq(
             token,
             "cycloid/outside-leaf-set",

@@ -138,10 +138,10 @@ fn render_with(
             c.plan.loss,
             c.plan.delay,
             c.plan.duplicate,
-            c.retry.max_attempts,
-            c.retry.base_timeout_us,
-            c.retry.backoff_factor,
-            c.retry.max_timeout_us
+            RetryPolicy::MAX_ATTEMPTS,
+            RetryPolicy::BASE_TIMEOUT_US,
+            RetryPolicy::BACKOFF_FACTOR,
+            RetryPolicy::MAX_TIMEOUT_US
         )
         .unwrap();
         writeln!(

@@ -137,7 +137,7 @@ fn path_length_driver_fig5_6_7() {
         let agg = c.lookups("");
         assert!(agg.path.mean > 0.0, "{} at n={}", c.label, c.x);
         assert_eq!(agg.failures, 0);
-        assert!(agg.breakdown.lookups() > 0);
+        assert!(agg.path_hist.count() > 0);
     }
     // Sizes follow the paper's n = d * 2^d: Fig 6's axis reads d = 3..=8.
     let fig6 = shown("path_length", "fig6", &cells);
@@ -158,8 +158,45 @@ fn path_length_driver_fig5_6_7() {
         cycloid.path.mean
     );
     // Fig. 7(a): ascending is a small share of Cycloid's path.
-    let share = cycloid.breakdown.share(HopPhase::Ascending);
+    let share = cycloid.phase_share(HopPhase::Ascending);
     assert!(share < 0.4, "ascending share {share} should be small");
+}
+
+/// Fig 7 reads each phase's hops off the batch's per-phase histograms and
+/// the whole path off its path histogram: for every kind Fig 7 shows, at
+/// every quick size, the phases' mean hops add up to the mean path and
+/// their shares to 100 %.
+#[test]
+fn fig7_phases_add_up_to_the_whole_path() {
+    const PHASES: [HopPhase; 6] = [
+        HopPhase::Ascending,
+        HopPhase::Descending,
+        HopPhase::TraverseCycle,
+        HopPhase::DeBruijn,
+        HopPhase::Successor,
+        HopPhase::Finger,
+    ];
+    let cells = quick("path_length");
+    for label in ["Cycloid(7)", "Cycloid(11)", "Viceroy", "Koorde"] {
+        let rows: Vec<&Cell> = cells.iter().filter(|c| c.label == label).collect();
+        assert_eq!(rows.len(), 6, "{label}");
+        for c in rows {
+            let agg = c.lookups("");
+            let hops: f64 = PHASES.iter().map(|&p| agg.phase_mean_hops(p)).sum();
+            let share: f64 = PHASES.iter().map(|&p| agg.phase_share(p)).sum();
+            assert!(
+                (hops - agg.path.mean).abs() < 1e-9,
+                "{label} at n={}: phases {hops} hops, path {}",
+                c.x,
+                agg.path.mean
+            );
+            assert!(
+                (share - 1.0).abs() < 1e-9,
+                "{label} at n={}: shares sum to {share}",
+                c.x
+            );
+        }
+    }
 }
 
 #[test]
@@ -321,8 +358,7 @@ fn sparsity_driver_fig13_14() {
     let succ_share = |s: f64| {
         at(&cells, "Koorde", s)
             .lookups("")
-            .breakdown
-            .share(HopPhase::Successor)
+            .phase_share(HopPhase::Successor)
     };
     assert!(
         succ_share(0.9) > succ_share(0.0),

@@ -97,7 +97,7 @@ fn total_loss_fails_after_exactly_max_attempts_per_contact() {
     let plan = FaultPlan {
         seed: 4,
         loss: 1.0,
-        delay: DelayModel::Constant(0),
+        delay: DelayModel::Uniform(0, 0),
         duplicate: 0.0,
     };
     for kind in ALL_KINDS {
@@ -124,14 +124,14 @@ fn total_loss_fails_after_exactly_max_attempts_per_contact() {
             // exactly max_attempts sends, i.e. max_attempts - 1 retries.
             assert_eq!(
                 c.retries,
-                c.msg_timeouts * (retry.max_attempts - 1),
+                c.msg_timeouts * (RetryPolicy::MAX_ATTEMPTS - 1),
                 "{} lookup {i}",
                 kind.label()
             );
             // And each cost the full backoff cycle of waiting.
             assert_eq!(
                 c.latency_us,
-                u64::from(c.msg_timeouts) * retry.give_up_us(),
+                u64::from(c.msg_timeouts) * RetryPolicy::give_up_us(),
                 "{} lookup {i}",
                 kind.label()
             );

@@ -110,7 +110,7 @@ ring_pointers_notified!(KoordeNetwork, KoordeNode);
 impl Notified for PastryNetwork {
     fn window(&self, id: NodeToken) -> BTreeSet<NodeToken> {
         let live = self.membership().store.tokens();
-        let half = self.config().leaf_set / 2;
+        let half = PastryConfig::LEAF_SET / 2;
         ring_window(&live, id, half, half)
     }
 

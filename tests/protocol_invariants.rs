@@ -2,9 +2,11 @@
 //! must leave every overlay in a state where the notification-maintained
 //! pointers are exactly correct and lookups resolve.
 
-use cycloid::{CycloidConfig, CycloidNetwork};
+use cycloid::{CycloidConfig, CycloidNetwork, NodeState};
 use cycloid_repro::prelude::*;
 use dht_core::rng::stream;
+use dht_core::sim::RefreshInto;
+use dht_core::store::Hints;
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -35,8 +37,10 @@ proptest! {
         // §3.3 keep them exact without global stabilization.
         for id in net.ids().collect::<Vec<_>>() {
             let state = net.node(id).unwrap().clone();
-            let (in_l, in_r) = net.resolve_inside_leafs(id);
-            let (out_l, out_r) = net.resolve_outside_leafs(id);
+            let mut fresh = NodeState::default();
+            assert!(net.refresh_into(id.linear(net.dim()), &mut Hints::default(), &mut fresh));
+            let (in_l, in_r) = (fresh.inside_left, fresh.inside_right);
+            let (out_l, out_r) = (fresh.outside_left, fresh.outside_right);
             prop_assert_eq!(&state.inside_left, &in_l, "inside-left of {}", id);
             prop_assert_eq!(&state.inside_right, &in_r, "inside-right of {}", id);
             prop_assert_eq!(&state.outside_left, &out_l, "outside-left of {}", id);
@@ -210,8 +214,10 @@ fn replay_regression_through_repair(script: &[bool], seed: u64) {
         // every leaf set equals a fresh resolution over the membership.
         for id in net.ids().collect::<Vec<_>>() {
             let state = net.node(id).unwrap().clone();
-            let (in_l, in_r) = net.resolve_inside_leafs(id);
-            let (out_l, out_r) = net.resolve_outside_leafs(id);
+            let mut fresh = NodeState::default();
+            assert!(net.refresh_into(id.linear(net.dim()), &mut Hints::default(), &mut fresh));
+            let (in_l, in_r) = (fresh.inside_left, fresh.inside_right);
+            let (out_l, out_r) = (fresh.outside_left, fresh.outside_right);
             assert_eq!(state.inside_left, in_l, "{strategy:?} inside-left of {id}");
             assert_eq!(
                 state.inside_right, in_r,
