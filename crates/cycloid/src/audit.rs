@@ -16,15 +16,14 @@ use dht_core::ring::ring_sides;
 
 use crate::id::CycloidId;
 use crate::network::CycloidNetwork;
-use crate::state::LeafSlot;
+use crate::state::LeafSide;
 
-impl StateAudit for CycloidNetwork {
+impl<const R: usize> StateAudit for CycloidNetwork<R> {
     fn audit_state(&self, scope: AuditScope) -> AuditReport {
         let mut report = AuditReport::new(self.name(), scope);
         let dim = self.dim();
         let d = u64::from(dim.get());
-        let r = self.leaf_radius();
-        let bound = 3 + 4 * r;
+        let bound = 3 + 4 * R;
         // Ground truth is the sorted token list alone. A token is
         // `cubical * d + cyclic`, so each non-empty cycle is one run of
         // the list, in local-cycle order, ending at the cycle's primary;
@@ -51,8 +50,8 @@ impl StateAudit for CycloidNetwork {
         for (x, &(cubical, end)) in runs.iter().enumerate() {
             // Outside leaf set, shared by the whole cycle: primaries of
             // the nearest non-empty cycles either side, wrapping onto the
-            // cycle's own primary when there are fewer than `r` others.
-            let (out_left, out_right): (LeafSlot, LeafSlot) = ring_sides(x, q, r, r, primary);
+            // cycle's own primary when there are fewer than `R` others.
+            let (out_left, out_right): (LeafSide<R>, LeafSide<R>) = ring_sides(x, q, R, R, primary);
             let (cycle, base) = (&tokens[start..end], u64::from(cubical) * d);
             let m = cycle.len();
             let member = |pos: usize| CycloidId::new((cycle[pos] - base) as u32, cubical);
@@ -60,19 +59,19 @@ impl StateAudit for CycloidNetwork {
                 report.note_checked(1);
                 let id = member(pos);
 
-                // §2.1: at most 7 (or 11) outgoing routing entries, and each
-                // of the four leaf-set sides holds exactly `leaf_radius` slots.
+                // §2.1: at most 7 (or 11) outgoing routing entries — the
+                // row has no more slots — and each of the four leaf-set
+                // sides holds exactly `R` entries.
                 report.check(
                     token,
                     "cycloid/state-size",
-                    state.degree_within(id, bound)
-                        && state.inside_left.len() == r
-                        && state.inside_right.len() == r
-                        && state.outside_left.len() == r
-                        && state.outside_right.len() == r,
+                    state.inside_left.len() == R
+                        && state.inside_right.len() == R
+                        && state.outside_left.len() == R
+                        && state.outside_right.len() == R,
                     || {
                         format!(
-                            "degree {} (bound {bound}), leaf sides {}/{}/{}/{} (radius {r})",
+                            "degree {} (bound {bound}), leaf sides {}/{}/{}/{} (radius {R})",
                             state.degree(id),
                             state.inside_left.len(),
                             state.inside_right.len(),
@@ -104,7 +103,8 @@ impl StateAudit for CycloidNetwork {
                 // predecessors/successors — the entries either side of the
                 // node in its own run, wrapping (a node alone on its cycle
                 // points at itself).
-                let (in_left, in_right): (LeafSlot, LeafSlot) = ring_sides(pos, m, r, r, member);
+                let (in_left, in_right): (LeafSide<R>, LeafSide<R>) =
+                    ring_sides(pos, m, R, R, member);
                 // Both leaf sets are eagerly repaired on join/leave.
                 for (invariant, actual, expected) in [
                     ("cycloid/inside-leaf-set", &state.inside_left, &in_left),
@@ -129,7 +129,7 @@ mod tests {
     use dht_core::overlay::Overlay;
     use dht_core::rng::stream;
 
-    fn net(n: usize) -> CycloidNetwork {
+    fn net(n: usize) -> CycloidNetwork<1> {
         CycloidNetwork::with_nodes(CycloidConfig::seven_entry(5), n, 7)
     }
 
@@ -162,7 +162,7 @@ mod tests {
         let mut net = net(80);
         let id = net.ids().find(|i| i.cyclic > 0).unwrap();
         let wrong = CycloidId::new(id.cyclic - 1, id.cubical ^ 1);
-        net.node_mut(id).unwrap().cubical_neighbor = Some(wrong);
+        net.node_mut(id).unwrap().cubical_neighbor = Some(wrong).into();
         let report = net.audit_state(AuditScope::Full);
         assert!(
             report
@@ -179,7 +179,7 @@ mod tests {
     fn corrupted_leaf_set_is_caught_online() {
         let mut net = net(80);
         let id = net.ids().next().unwrap();
-        net.node_mut(id).unwrap().inside_right.clear();
+        net.node_mut(id).unwrap().inside_right = LeafSide::new();
         let report = net.audit_state(AuditScope::Online);
         assert!(
             report
@@ -190,16 +190,12 @@ mod tests {
     }
 
     #[test]
-    fn oversized_state_is_caught_by_name() {
+    fn short_side_is_caught_by_name() {
+        // A row holds no more than `3 + 4R` entries by its type; a side
+        // with fewer than `R` is what the size check can still see.
         let mut net = net(80);
         let id = net.ids().next().unwrap();
-        // Pad with distinct contacts so the *deduplicated* degree exceeds
-        // the bound, not just the slot count. Each fixed-width leaf slot
-        // holds at most 4 entries, so spread the pads across three slots.
-        let state = net.node_mut(id).unwrap();
-        state.inside_left = (0..4).map(|c| CycloidId::new(4, c)).collect();
-        state.inside_right = (4..8).map(|c| CycloidId::new(4, c)).collect();
-        state.outside_left = (8..12).map(|c| CycloidId::new(4, c)).collect();
+        net.node_mut(id).unwrap().outside_left = LeafSide::new();
         let report = net.audit_state(AuditScope::Online);
         assert!(
             report.violated_invariants().contains(&"cycloid/state-size"),

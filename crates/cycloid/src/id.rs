@@ -53,8 +53,10 @@ impl Dim {
 /// Both indices fit a `u32` because [`Dim::new`] caps `d` at 32. The
 /// derived order is cyclic index first, then cubical index.
 ///
-/// `Default` is `(0, 0)` — only used as the padding value inside
-/// fixed-capacity leaf-set slots, never observed as a live identifier.
+/// `Default` is `(0, 0)` — only used as the padding value inside the
+/// fixed-capacity stack lists of a lookup step, never observed as a live
+/// identifier. An empty slot of a stored row is a different value: see
+/// [`crate::state`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct CycloidId {
     /// Cyclic index `k ∈ [0, d)` — position on the local cycle.

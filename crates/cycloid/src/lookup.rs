@@ -42,7 +42,7 @@ pub struct CycloidWalk {
     visited: Vec<u64>,
 }
 
-impl CycloidNetwork {
+impl<const R: usize> CycloidNetwork<R> {
     /// Performs one lookup from `src` for `raw_key`, walking the overlay
     /// hop by hop using only each node's private routing state, and
     /// returns the full trace. Every visited node's query-load counter is
@@ -78,7 +78,7 @@ impl CycloidNetwork {
     /// ordered preference list of candidates appended to `out`, each
     /// tagged with the phase it would be accounted to. The sorted lists
     /// behind it live on the stack, sized by the leaf-radius bound (four
-    /// slots of up to four entries), and are filled by `push`: `collect`
+    /// sides of up to four entries), and are filled by `push`: `collect`
     /// builds a list in a temporary and copies all of it out, ~50 ns a hop.
     fn plan_step(
         &self,
@@ -134,7 +134,7 @@ impl CycloidNetwork {
                 // Phase 2: descending.
                 if k == m {
                     // Correct bit k through the cubical neighbour.
-                    if let Some(cb) = state.cubical_neighbor {
+                    if let Some(cb) = state.cubical_neighbor.get() {
                         emit(HopPhase::Descending, cb);
                     }
                 } else {
@@ -170,7 +170,12 @@ impl CycloidNetwork {
     /// with the current node's, or lies on the clockwise arc from the
     /// farthest preceding outside-leaf cycle to the farthest succeeding
     /// one (the arc through the current node).
-    fn target_within_leaf_span(&self, cur: CycloidId, state: &NodeState, key: CycloidId) -> bool {
+    fn target_within_leaf_span(
+        &self,
+        cur: CycloidId,
+        state: &NodeState<R>,
+        key: CycloidId,
+    ) -> bool {
         if key.cubical == cur.cubical {
             return true;
         }
@@ -191,13 +196,13 @@ impl CycloidNetwork {
     }
 }
 
-impl Protocol for CycloidNetwork {
+impl<const R: usize> Protocol for CycloidNetwork<R> {
     fn name(&self) -> String {
-        format!("Cycloid({})", 3 + 4 * self.leaf_radius())
+        format!("Cycloid({})", 3 + 4 * R)
     }
 
     fn degree_bound(&self) -> Option<usize> {
-        Some(3 + 4 * self.leaf_radius())
+        Some(3 + 4 * R)
     }
 
     fn key_id(&self, raw_key: u64) -> u64 {
@@ -248,15 +253,15 @@ impl Protocol for CycloidNetwork {
     }
 }
 
-impl SimOverlay for CycloidNetwork {
-    type State = NodeState;
+impl<const R: usize> SimOverlay for CycloidNetwork<R> {
+    type State = NodeState<R>;
     type Walk = CycloidWalk;
 
-    fn membership(&self) -> &Membership<NodeState> {
+    fn membership(&self) -> &Membership<NodeState<R>> {
         &self.members
     }
 
-    fn membership_mut(&mut self) -> &mut Membership<NodeState> {
+    fn membership_mut(&mut self) -> &mut Membership<NodeState<R>> {
         &mut self.members
     }
 
@@ -341,7 +346,11 @@ mod tests {
 
     /// Routes between explicit IDs in a complete network and checks
     /// success.
-    fn route_ok(net: &mut CycloidNetwork, src: CycloidId, key: CycloidId) -> LookupTrace {
+    fn route_ok<const R: usize>(
+        net: &mut CycloidNetwork<R>,
+        src: CycloidId,
+        key: CycloidId,
+    ) -> LookupTrace {
         let t = net.route_to_id(src, key);
         assert_eq!(
             t.outcome,
@@ -440,16 +449,16 @@ mod tests {
         let mut eleven = CycloidNetwork::with_nodes(CycloidConfig::eleven_entry(7), 500, 3);
         let mut rng = stream(19, "cmp");
         let reqs: Vec<(usize, u64)> = (0..2000).map(|i| (i % 500, rng.gen())).collect();
-        let mean = |net: &mut CycloidNetwork| -> f64 {
+        fn mean<const R: usize>(net: &mut CycloidNetwork<R>, reqs: &[(usize, u64)]) -> f64 {
             let ids: Vec<CycloidId> = net.ids().collect();
             let mut total = 0usize;
-            for &(i, raw) in &reqs {
+            for &(i, raw) in reqs {
                 total += net.route(ids[i], raw).path_len();
             }
             total as f64 / reqs.len() as f64
-        };
-        let m7 = mean(&mut seven);
-        let m11 = mean(&mut eleven);
+        }
+        let m7 = mean(&mut seven, &reqs);
+        let m11 = mean(&mut eleven, &reqs);
         assert!(
             m11 <= m7 + 0.3,
             "11-entry mean {m11} should not exceed 7-entry mean {m7}"

@@ -18,69 +18,51 @@ use dht_core::store::{CompactStore, Hints, Pos};
 use rand::RngCore;
 
 use crate::id::{CycloidId, Dim, KeyDistance};
-use crate::state::{LeafSlot, NodeState};
+use crate::state::{LeafSide, NodeState};
 
-/// Configuration of a Cycloid deployment.
+/// Configuration of a Cycloid deployment whose leaf sets have radius `R`:
+/// 1 gives the paper's seven-entry DHT, 2 the eleven-entry variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CycloidConfig {
+pub struct CycloidConfig<const R: usize> {
     /// Dimension `d`; the identifier space holds `d * 2^d` nodes.
     pub dimension: u32,
-    /// Leaf-set radius: 1 gives the paper's seven-entry DHT, 2 the
-    /// eleven-entry variant.
-    pub leaf_radius: usize,
 }
 
-impl CycloidConfig {
+impl CycloidConfig<1> {
     /// The paper's default seven-entry configuration.
     #[must_use]
     pub fn seven_entry(dimension: u32) -> Self {
-        Self {
-            dimension,
-            leaf_radius: 1,
-        }
+        Self { dimension }
     }
+}
 
+impl CycloidConfig<2> {
     /// The eleven-entry configuration (two predecessors and two successors
     /// in each leaf set).
     #[must_use]
     pub fn eleven_entry(dimension: u32) -> Self {
-        Self {
-            dimension,
-            leaf_radius: 2,
-        }
-    }
-
-    /// Maximum routing-state entries per node: 3 routing-table neighbours
-    /// plus `4 * leaf_radius` leaf pointers.
-    #[must_use]
-    pub fn degree_bound(&self) -> usize {
-        3 + 4 * self.leaf_radius
+        Self { dimension }
     }
 }
 
-/// A simulated Cycloid network.
+/// A simulated Cycloid network with leaf radius `R` (1 to 4), whose rows
+/// are [`NodeState<R>`].
 #[derive(Debug, Clone)]
-pub struct CycloidNetwork {
+pub struct CycloidNetwork<const R: usize> {
     dim: Dim,
-    leaf_radius: usize,
     /// Live nodes, keyed by linear identifier (`cubical * d + cyclic`):
     /// in token order, cycle `a` is the run of tokens in `[a·d, (a+1)·d)`
     /// and its primary the run's last.
-    pub(crate) members: Membership<NodeState>,
+    pub(crate) members: Membership<NodeState<R>>,
 }
 
-impl CycloidNetwork {
+impl<const R: usize> CycloidNetwork<R> {
     /// Creates an empty network.
     #[must_use]
-    pub fn new(config: CycloidConfig, seed: u64) -> Self {
-        let dim = Dim::new(config.dimension);
-        assert!(
-            config.leaf_radius >= 1 && config.leaf_radius <= 4,
-            "leaf radius must be in [1, 4]"
-        );
+    pub fn new(config: CycloidConfig<R>, seed: u64) -> Self {
+        const { assert!(R >= 1 && R <= 4, "leaf radius must be in [1, 4]") };
         Self {
-            dim,
-            leaf_radius: config.leaf_radius,
+            dim: Dim::new(config.dimension),
             members: Membership::new(seed),
         }
     }
@@ -89,7 +71,7 @@ impl CycloidNetwork {
     /// ("once the network becomes stable", §4.3). Panics if `count` exceeds
     /// the identifier space.
     #[must_use]
-    pub fn with_nodes(config: CycloidConfig, count: usize, seed: u64) -> Self {
+    pub fn with_nodes(config: CycloidConfig<R>, count: usize, seed: u64) -> Self {
         let mut net = Self::new(config, seed);
         assert!(
             count as u64 <= net.dim.id_space(),
@@ -107,7 +89,7 @@ impl CycloidNetwork {
     /// identifiers is occupied ("the network will be the traditional
     /// cube-connected cycles if all nodes are alive", §3.1).
     #[must_use]
-    pub fn complete(config: CycloidConfig) -> Self {
+    pub fn complete(config: CycloidConfig<R>) -> Self {
         let mut net = Self::new(config, 0);
         for linear in 0..net.dim.id_space() {
             net.members.store.insert(linear, NodeState::default());
@@ -122,10 +104,10 @@ impl CycloidNetwork {
         self.dim
     }
 
-    /// The leaf-set radius (1 = seven-entry, 2 = eleven-entry).
+    /// The leaf-set radius `R` (1 = seven-entry, 2 = eleven-entry).
     #[must_use]
     pub fn leaf_radius(&self) -> usize {
-        self.leaf_radius
+        R
     }
 
     /// `true` iff `id` is a live node.
@@ -136,12 +118,12 @@ impl CycloidNetwork {
 
     /// State of a live node.
     #[must_use]
-    pub fn node(&self, id: CycloidId) -> Option<&NodeState> {
+    pub fn node(&self, id: CycloidId) -> Option<&NodeState<R>> {
         self.members.store.get(id.linear(self.dim))
     }
 
     /// Mutable state of a live node.
-    pub fn node_mut(&mut self, id: CycloidId) -> Option<&mut NodeState> {
+    pub fn node_mut(&mut self, id: CycloidId) -> Option<&mut NodeState<R>> {
         self.members.store.get_mut(id.linear(self.dim))
     }
 
@@ -185,7 +167,7 @@ impl CycloidNetwork {
             .insert(id.linear(self.dim), NodeState::default());
     }
 
-    fn remove_membership(&mut self, id: CycloidId) -> Option<NodeState> {
+    fn remove_membership(&mut self, id: CycloidId) -> Option<NodeState<R>> {
         self.members.store.remove(id.linear(self.dim))
     }
 
@@ -212,7 +194,7 @@ impl CycloidNetwork {
     fn runs<'a>(
         &'a self,
         from: Pos,
-        step: impl Fn(&'a CompactStore<NodeState>, Pos) -> Pos + 'a,
+        step: impl Fn(&'a CompactStore<NodeState<R>>, Pos) -> Pos + 'a,
         count: usize,
     ) -> impl Iterator<Item = CycloidId> + 'a {
         let order = &self.members.store;
@@ -334,11 +316,11 @@ impl CycloidNetwork {
 
     /// The inside leaf set of the live node `id`, which sits at `own`: one
     /// step a side per entry, wrapping at the ends of the cycle's run.
-    fn inside_leafs_at(&self, id: CycloidId, own: Pos) -> (LeafSlot, LeafSlot) {
+    fn inside_leafs_at(&self, id: CycloidId, own: Pos) -> (LeafSide<R>, LeafSide<R>) {
         let order = &self.members.store;
-        let (mut left, mut right) = (LeafSlot::new(), LeafSlot::new());
+        let (mut left, mut right) = (LeafSide::new(), LeafSide::new());
         let (mut before, mut after) = (own, own);
-        for _ in 0..self.leaf_radius {
+        for _ in 0..R {
             before = order.prev(before);
             if self.id_at(before).cubical != id.cubical {
                 before = self.cycle_end(id.cubical, before);
@@ -357,12 +339,12 @@ impl CycloidNetwork {
     /// or any other): the token before a cycle's first member is the
     /// previous non-empty cycle's primary, and the token after its primary
     /// is the next one's first member.
-    fn outside_leafs_at(&self, id: CycloidId, near: Pos) -> (LeafSlot, LeafSlot) {
+    fn outside_leafs_at(&self, id: CycloidId, near: Pos) -> (LeafSide<R>, LeafSide<R>) {
         let order = &self.members.store;
-        let (mut left, mut right) = (LeafSlot::new(), LeafSlot::new());
+        let (mut left, mut right) = (LeafSide::new(), LeafSide::new());
         let (mut before, mut after) = (near, near);
         let (mut preceding, mut succeeding) = (id.cubical, id.cubical);
-        for _ in 0..self.leaf_radius {
+        for _ in 0..R {
             before = order.prev(self.cycle_start(preceding, before));
             preceding = self.id_at(before).cubical;
             left.push(self.id_at(before));
@@ -432,9 +414,9 @@ impl CycloidNetwork {
         let (cyc_small, cyc_large) = self.resolve_cyclic_neighbors(id);
         {
             let state = self.node_mut(id).expect("just inserted");
-            state.cubical_neighbor = cubical;
-            state.cyclic_smaller = cyc_small;
-            state.cyclic_larger = cyc_large;
+            state.cubical_neighbor = cubical.into();
+            state.cyclic_smaller = cyc_small.into();
+            state.cyclic_larger = cyc_large.into();
         }
 
         // 4. Notifications: inside leaf set, plus the outside propagation
@@ -453,8 +435,7 @@ impl CycloidNetwork {
         &self,
         z: CycloidId,
         x: CycloidId,
-    ) -> (LeafSlot, LeafSlot, LeafSlot, LeafSlot) {
-        let r = self.leaf_radius;
+    ) -> (LeafSide<R>, LeafSide<R>, LeafSide<R>, LeafSide<R>) {
         let z_state = self.node(z).expect("Z is live").clone();
         if z.cubical == x.cubical {
             // Case 1: X joins Z's cycle. Z is X's nearest cycle member, so
@@ -474,9 +455,9 @@ impl CycloidNetwork {
                 .binary_search(&x.cyclic)
                 .expect("x was added to the set");
             let n = members.len();
-            let mut left = LeafSlot::new();
-            let mut right = LeafSlot::new();
-            for i in 1..=r {
+            let mut left = LeafSide::new();
+            let mut right = LeafSide::new();
+            for i in 1..=R {
                 left.push(CycloidId::new(members[(pos + n - (i % n)) % n], x.cubical));
                 right.push(CycloidId::new(members[(pos + i) % n], x.cubical));
             }
@@ -484,7 +465,7 @@ impl CycloidNetwork {
         } else {
             // Case 2: X is alone on its cycle; Z sits on an adjacent one.
             // "Two nodes in X's inside leaf set are X itself."
-            let inside = LeafSlot::repeat(x, r);
+            let inside: LeafSide<R> = std::iter::repeat_n(x, R).collect();
             // Locally known non-empty cycles and their primaries: Z's own
             // cycle (Z reports its primary) plus Z's outside entries.
             let mut known: BTreeMap<u32, CycloidId> = BTreeMap::new();
@@ -497,10 +478,10 @@ impl CycloidNetwork {
             }
             known.remove(&x.cubical);
             let cubicals: Vec<u32> = known.keys().copied().collect();
-            let pick = |dir_left: bool| -> LeafSlot {
-                let mut out = LeafSlot::new();
+            let pick = |dir_left: bool| -> LeafSide<R> {
+                let mut out = LeafSide::new();
                 let mut cursor = x.cubical;
-                for _ in 0..r {
+                for _ in 0..R {
                     let next = if dir_left {
                         cubicals
                             .iter()
@@ -587,7 +568,7 @@ impl CycloidNetwork {
 
     /// Repairs the leaf sets the §3.3 notification chains repair after
     /// `id` joined or left: all members of `id`'s local cycle (inside leaf
-    /// sets), and all members of the `leaf_radius` nearest non-empty
+    /// sets), and all members of the `R` nearest non-empty
     /// cycles on each side (outside leaf sets — reached via the primary
     /// notification that "is passed along in the joining node's
     /// neighbouring remote cycle until all the nodes in that cycle finish
@@ -596,7 +577,7 @@ impl CycloidNetwork {
     /// not be overwritten.
     ///
     /// One walk of the token order, at most one lap, through those runs:
-    /// back `leaf_radius` runs from `id`'s place, then forwards run by run.
+    /// back `R` runs from `id`'s place, then forwards run by run.
     fn notify_runs(&mut self, id: CycloidId, skip: Option<CycloidId>) {
         let order = &self.members.store;
         let point = u64::from(id.cubical) * u64::from(self.dim.get());
@@ -604,12 +585,12 @@ impl CycloidNetwork {
             return;
         };
         let own = usize::from(self.id_at(start).cubical == id.cubical);
-        for _ in 0..self.leaf_radius {
+        for _ in 0..R {
             let last = order.prev(start);
             start = self.cycle_start(self.id_at(last).cubical, last);
         }
         let mut left = order.len();
-        for _ in 0..2 * self.leaf_radius + own {
+        for _ in 0..2 * R + own {
             if left == 0 {
                 break;
             }
@@ -635,14 +616,14 @@ impl CycloidNetwork {
             pos = order.next(pos);
             *left -= 1;
         }
-        let (n, r) = (run.len(), self.leaf_radius);
+        let n = run.len();
         let member = |i: usize| CycloidId::new(run[i].1, cubical);
         let (out_l, out_r) = self.outside_leafs_at(member(0), start);
         for (i, &(at, cyclic)) in run.iter().enumerate() {
             if skip == Some(CycloidId::new(cyclic, cubical)) {
                 continue;
             }
-            let (in_l, in_r) = ring_sides(i, n, r, r, member);
+            let (in_l, in_r) = ring_sides(i, n, R, R, member);
             let state = self.members.store.state_at_mut(at);
             state.inside_left = in_l;
             state.inside_right = in_r;
@@ -656,14 +637,15 @@ impl CycloidNetwork {
 /// Cycloid's row (what the node's own stabilizer plus fresh leaf-set
 /// knowledge would produce): the three routing-table entries and both
 /// leaf sets. Hint 0 is the node's own place in the token order.
-impl RefreshInto for CycloidNetwork {
-    fn refresh_into(&self, id: NodeToken, hints: &mut Hints, out: &mut NodeState) -> bool {
+impl<const R: usize> RefreshInto for CycloidNetwork<R> {
+    fn refresh_into(&self, id: NodeToken, hints: &mut Hints, out: &mut NodeState<R>) -> bool {
         let Some(own) = self.members.store.position_of(hints.slot(0), id) else {
             return false;
         };
         let id = CycloidId::from_linear(id, self.dim);
-        out.cubical_neighbor = self.resolve_cubical_neighbor(id);
-        (out.cyclic_smaller, out.cyclic_larger) = self.resolve_cyclic_neighbors(id);
+        out.cubical_neighbor = self.resolve_cubical_neighbor(id).into();
+        let (smaller, larger) = self.resolve_cyclic_neighbors(id);
+        (out.cyclic_smaller, out.cyclic_larger) = (smaller.into(), larger.into());
         (out.inside_left, out.inside_right) = self.inside_leafs_at(id, own);
         (out.outside_left, out.outside_right) = self.outside_leafs_at(id, own);
         true
@@ -679,7 +661,7 @@ mod tests {
     }
 
     /// The row one refresh of the live `id` computes from the membership.
-    fn fresh_row(net: &CycloidNetwork, id: CycloidId) -> NodeState {
+    fn fresh_row<const R: usize>(net: &CycloidNetwork<R>, id: CycloidId) -> NodeState<R> {
         let mut row = NodeState::default();
         assert!(net.refresh_into(id.linear(net.dim), &mut Hints::default(), &mut row));
         row
@@ -703,22 +685,19 @@ mod tests {
     /// states — and audits clean by name.
     #[test]
     fn bulk_built_indexes_equal_incremental_inserts() {
-        use dht_core::audit::{AuditScope, StateAudit};
-        let config = |d, radius| match radius {
-            1 => CycloidConfig::seven_entry(d),
-            _ => CycloidConfig::eleven_entry(d),
-        };
-        for radius in [1, 2] {
+        fn check<const R: usize>() {
+            use dht_core::audit::{AuditScope, StateAudit};
+            let config = |dimension| CycloidConfig::<R> { dimension };
             // One node, two, a cycle's worth, most of a space, all of one.
-            let mut built: Vec<CycloidNetwork> = [1, 2, 6, 300]
+            let mut built: Vec<CycloidNetwork<R>> = [1, 2, 6, 300]
                 .iter()
-                .map(|&n| CycloidNetwork::with_nodes(config(6, radius), n, n as u64))
+                .map(|&n| CycloidNetwork::with_nodes(config(6), n, n as u64))
                 .collect();
-            built.push(CycloidNetwork::complete(config(4, radius)));
+            built.push(CycloidNetwork::complete(config(4)));
             for bulk in built {
                 let n = bulk.len();
                 let d = bulk.dim().get();
-                let mut one_by_one = CycloidNetwork::new(config(d, radius), 0);
+                let mut one_by_one = CycloidNetwork::new(config(d), 0);
                 // Descending, so no insert lands where the last one did.
                 let ids: Vec<CycloidId> = bulk.ids().collect();
                 ids.iter()
@@ -733,6 +712,8 @@ mod tests {
                 assert!(report.is_clean(), "n = {n}: {report}");
             }
         }
+        check::<1>();
+        check::<2>();
     }
 
     #[test]

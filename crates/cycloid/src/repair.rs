@@ -3,7 +3,7 @@
 //! Cycloid's link table for the shared skeleton in
 //! [`dht_core::corrupt`]: the seven- or eleven-entry state — the three
 //! routing-table pointers (cubical, two cyclics; optional, visited even
-//! when unset so corruption can plant one) and the four leaf-set slots
+//! when unset so corruption can plant one) and the four leaf-set sides
 //! (list entries: an erased entry is dropped). Corruption is
 //! [`dht_core::corrupt::corrupt_links`] over this table. Repair is
 //! [`dht_core::corrupt::repair_links`]: the node's stabilizer run as an
@@ -29,7 +29,7 @@ const SALT_INSIDE_RIGHT: u64 = 0x20;
 const SALT_OUTSIDE_LEFT: u64 = 0x30;
 const SALT_OUTSIDE_RIGHT: u64 = 0x40;
 
-impl Links for NodeState {
+impl<const R: usize> Links for NodeState<R> {
     type Id = CycloidId;
 
     /// The routing table (§3.3.2: "the responsibility of system
@@ -45,16 +45,16 @@ impl Links for NodeState {
     }
 
     fn rewrite_links(&mut self, f: &mut dyn FnMut(u64, Option<CycloidId>) -> Option<CycloidId>) {
-        self.cubical_neighbor = f(SALT_CUBICAL, self.cubical_neighbor);
-        self.cyclic_larger = f(SALT_CYCLIC_LARGER, self.cyclic_larger);
-        self.cyclic_smaller = f(SALT_CYCLIC_SMALLER, self.cyclic_smaller);
-        for (slot, base) in [
+        self.cubical_neighbor = f(SALT_CUBICAL, self.cubical_neighbor.get()).into();
+        self.cyclic_larger = f(SALT_CYCLIC_LARGER, self.cyclic_larger.get()).into();
+        self.cyclic_smaller = f(SALT_CYCLIC_SMALLER, self.cyclic_smaller.get()).into();
+        for (side, base) in [
             (&mut self.inside_left, SALT_INSIDE_LEFT),
             (&mut self.inside_right, SALT_INSIDE_RIGHT),
             (&mut self.outside_left, SALT_OUTSIDE_LEFT),
             (&mut self.outside_right, SALT_OUTSIDE_RIGHT),
         ] {
-            slot.filter_map_in_place(|i, entry| f(base + i as u64, Some(entry)));
+            side.filter_map_in_place(|i, entry| f(base + i as u64, Some(entry)));
         }
     }
 
@@ -73,21 +73,18 @@ mod tests {
     use dht_core::corrupt::{link_diff, CorruptionPlan, CorruptionStrategy};
     use dht_core::overlay::{Overlay, Protocol};
 
-    fn net(n: usize) -> CycloidNetwork {
+    fn net(n: usize) -> CycloidNetwork<1> {
         CycloidNetwork::with_nodes(CycloidConfig::seven_entry(5), n, 42)
     }
 
-    fn repair_sweep(net: &mut CycloidNetwork) -> u64 {
+    fn repair_sweep(net: &mut CycloidNetwork<1>) -> u64 {
         let tokens = net.node_tokens();
         tokens.into_iter().map(|t| net.repair_node(t)).sum()
     }
 
     #[test]
     fn link_table_is_salt_ordered_and_equal_to_its_clone() {
-        for config in [
-            CycloidConfig::seven_entry(5),
-            CycloidConfig::eleven_entry(5),
-        ] {
+        fn check<const R: usize>(config: CycloidConfig<R>) {
             let n = CycloidNetwork::with_nodes(config, 80, 42);
             let mut state = n.node(n.ids().last().unwrap()).unwrap().clone();
             let mut salts = Vec::new();
@@ -103,6 +100,8 @@ mod tests {
             assert!(salts.windows(2).all(|w| w[0] < w[1]), "{salts:?}");
             assert_eq!(link_diff(&mut state.clone(), &mut state), 0);
         }
+        check(CycloidConfig::seven_entry(5));
+        check(CycloidConfig::eleven_entry(5));
     }
 
     #[test]

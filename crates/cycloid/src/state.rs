@@ -13,20 +13,169 @@
 //!
 //! The 11-entry variant (§3.2, §4) widens each leaf set to two predecessors
 //! and two successors.
+//!
+//! A row is its entries and nothing else. Every slot is one 8-byte
+//! [`CycloidId`], and an empty slot holds a sentinel that no identifier
+//! can equal, so the seven-entry row is 56 bytes and the eleven-entry
+//! row 88: the leaf radius is the row's type parameter `R`.
+
+use std::fmt;
+use std::ops::Deref;
 
 use dht_core::inline::InlineVec;
 
 use crate::id::CycloidId;
 
-/// Fixed-capacity slot for one side of a leaf set. The paper's leaf
-/// radius is 1 (7-entry state) or 2 (11-entry state); the substrate
-/// accepts radii up to 4, so four inline entries always suffice — the
-/// whole routing state stays inside the membership slab with no
-/// per-node heap allocations.
-pub type LeafSlot = InlineVec<CycloidId, 4>;
+/// The empty slot. No identifier has this cyclic index: [`crate::Dim`]
+/// caps `d` at 32, and every identifier has `cyclic < d`.
+const EMPTY: CycloidId = CycloidId {
+    cyclic: u32::MAX,
+    cubical: 0,
+};
 
-/// Routing state of one Cycloid node: 180 bytes, every entry an 8-byte
-/// [`CycloidId`]. The node's own identifier is not stored here — the
+/// One routing-table entry: a node or nothing, in 8 bytes where an
+/// `Option<CycloidId>` takes 12. [`Link::get`] reads it as that `Option`;
+/// it compares, iterates and prints as one too.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Link(CycloidId);
+
+impl Link {
+    /// The entry as an `Option`.
+    #[inline]
+    #[must_use]
+    pub fn get(self) -> Option<CycloidId> {
+        (self.0 != EMPTY).then_some(self.0)
+    }
+
+    /// `true` when the entry is unset.
+    #[must_use]
+    pub fn is_none(self) -> bool {
+        self.0 == EMPTY
+    }
+
+    /// The node, as [`Option::expect`]: panics with `msg` when unset.
+    #[track_caller]
+    #[must_use]
+    pub fn expect(self, msg: &str) -> CycloidId {
+        self.get().expect(msg)
+    }
+}
+
+impl Default for Link {
+    fn default() -> Self {
+        Self(EMPTY)
+    }
+}
+
+impl From<Option<CycloidId>> for Link {
+    #[inline]
+    fn from(id: Option<CycloidId>) -> Self {
+        debug_assert_ne!(id, Some(EMPTY), "the sentinel is not a node");
+        Self(id.unwrap_or(EMPTY))
+    }
+}
+
+impl PartialEq<Option<CycloidId>> for Link {
+    fn eq(&self, other: &Option<CycloidId>) -> bool {
+        self.get() == *other
+    }
+}
+
+impl IntoIterator for Link {
+    type Item = CycloidId;
+    type IntoIter = std::option::IntoIter<CycloidId>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.get().into_iter()
+    }
+}
+
+impl fmt::Debug for Link {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
+/// One side of a leaf set: up to `R` entries, nearest first, then empty
+/// slots to the end. It derefs to the entries, so it reads as a slice.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct LeafSide<const R: usize>([CycloidId; R]);
+
+impl<const R: usize> LeafSide<R> {
+    /// An empty side.
+    #[must_use]
+    pub fn new() -> Self {
+        Self([EMPTY; R])
+    }
+
+    /// Appends an entry. Panics if the side already holds `R`.
+    pub fn push(&mut self, id: CycloidId) {
+        let len = self.len();
+        assert!(len < R, "leaf side overflow: radius {R}");
+        self.0[len] = id;
+    }
+
+    /// Replaces each entry by `f(original index, entry)`, dropping those
+    /// mapped to `None` and closing the gaps in order.
+    pub fn filter_map_in_place(
+        &mut self,
+        mut f: impl FnMut(usize, CycloidId) -> Option<CycloidId>,
+    ) {
+        let mut kept = 0;
+        for i in 0..self.len() {
+            if let Some(id) = f(i, self.0[i]) {
+                self.0[kept] = id;
+                kept += 1;
+            }
+        }
+        self.0[kept..].fill(EMPTY);
+    }
+}
+
+impl<const R: usize> Default for LeafSide<R> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<const R: usize> Deref for LeafSide<R> {
+    type Target = [CycloidId];
+    #[inline]
+    fn deref(&self) -> &[CycloidId] {
+        let len = self.0.iter().position(|&c| c == EMPTY).unwrap_or(R);
+        &self.0[..len]
+    }
+}
+
+impl<const R: usize> FromIterator<CycloidId> for LeafSide<R> {
+    fn from_iter<I: IntoIterator<Item = CycloidId>>(iter: I) -> Self {
+        let mut side = Self::new();
+        iter.into_iter().for_each(|id| side.push(id));
+        side
+    }
+}
+
+impl<'a, const R: usize> IntoIterator for &'a LeafSide<R> {
+    type Item = &'a CycloidId;
+    type IntoIter = std::slice::Iter<'a, CycloidId>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<const R: usize> PartialEq<Vec<CycloidId>> for LeafSide<R> {
+    fn eq(&self, other: &Vec<CycloidId>) -> bool {
+        **self == other[..]
+    }
+}
+
+impl<const R: usize> fmt::Debug for LeafSide<R> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Routing state of one Cycloid node with leaf radius `R`: `3 + 4R`
+/// slots of 8 bytes. The node's own identifier is not stored here — the
 /// membership store keys the row by it — so the methods that exclude
 /// the node itself take it as an argument.
 ///
@@ -34,32 +183,32 @@ pub type LeafSlot = InlineVec<CycloidId, 4>;
 /// connections"); they may go stale when the pointed-to node departs, which
 /// is exactly what the paper's timeout experiments measure.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct NodeState {
+pub struct NodeState<const R: usize> {
     /// Cubical neighbour: a node matching `(k-1, a_{d-1}…a_{k+1} ā_k x…x)`,
-    /// or `None` when `k == 0` or no such node is live.
-    pub cubical_neighbor: Option<CycloidId>,
+    /// unset when `k == 0` or no such node is live.
+    pub cubical_neighbor: Link,
     /// First *larger* cyclic neighbour: smallest cubical index `>= a`
     /// among nodes with cyclic index `k-1` differing from `a` only below
     /// bit `k`.
-    pub cyclic_larger: Option<CycloidId>,
+    pub cyclic_larger: Link,
     /// First *smaller* cyclic neighbour (mirror of `cyclic_larger`).
-    pub cyclic_smaller: Option<CycloidId>,
+    pub cyclic_smaller: Link,
     /// Inside leaf set, predecessor side: nearest live local-cycle
     /// predecessors, nearest first. Points at self when the node is alone
     /// on its cycle.
-    pub inside_left: LeafSlot,
+    pub inside_left: LeafSide<R>,
     /// Inside leaf set, successor side: nearest live local-cycle
     /// successors, nearest first.
-    pub inside_right: LeafSlot,
+    pub inside_right: LeafSide<R>,
     /// Outside leaf set, preceding side: primaries of the nearest preceding
     /// non-empty remote cycles, nearest first.
-    pub outside_left: LeafSlot,
+    pub outside_left: LeafSide<R>,
     /// Outside leaf set, succeeding side: primaries of the nearest
     /// succeeding non-empty remote cycles, nearest first.
-    pub outside_right: LeafSlot,
+    pub outside_right: LeafSide<R>,
 }
 
-impl NodeState {
+impl<const R: usize> NodeState<R> {
     /// All distinct routing-table entries (the three neighbours), live or
     /// stale.
     pub fn routing_entries(&self) -> impl Iterator<Item = CycloidId> + '_ {
@@ -79,14 +228,6 @@ impl NodeState {
             .copied()
     }
 
-    /// `self.degree(id) <= bound`, not counted when the state has no more
-    /// filled slots than `bound` — as on every node of the right shape.
-    #[must_use]
-    pub fn degree_within(&self, id: CycloidId, bound: usize) -> bool {
-        self.routing_entries().count() + self.leaf_entries().count() <= bound
-            || self.degree(id) <= bound
-    }
-
     /// Every contact the node `id` knows (routing table + both leaf sets),
     /// deduplicated, excluding itself.
     #[must_use]
@@ -99,11 +240,11 @@ impl NodeState {
     }
 
     /// Number of distinct entries other than `id` itself that the node
-    /// `id` holds — its degree. Bounded by 7 (leaf radius 1) or 11 (leaf
-    /// radius 2).
+    /// `id` holds — its degree. Bounded by the row's `3 + 4R` slots:
+    /// 7 at leaf radius 1, 11 at radius 2.
     #[must_use]
     pub fn degree(&self, id: CycloidId) -> usize {
-        // Three routing entries plus four full leaf slots.
+        // Three routing entries plus four sides of at most four.
         let mut distinct = InlineVec::<CycloidId, 19>::new();
         for c in self.routing_entries().chain(self.leaf_entries()) {
             if c != id && !distinct.contains(&c) {
@@ -122,34 +263,68 @@ mod tests {
         CycloidId::new(k, a)
     }
 
+    fn side<const R: usize>(ids: &[CycloidId]) -> LeafSide<R> {
+        ids.iter().copied().collect()
+    }
+
     #[test]
     fn a_row_is_its_entries_and_nothing_else() {
         use std::mem::size_of;
         assert_eq!(size_of::<CycloidId>(), 8);
-        // Three 12-byte optional pointers and four 36-byte leaf slots.
-        assert!(size_of::<NodeState>() <= 184, "{}", size_of::<NodeState>());
+        assert_eq!(size_of::<Link>(), 8);
+        // Seven and eleven 8-byte slots.
+        assert_eq!(size_of::<NodeState<1>>(), 56);
+        assert_eq!(size_of::<NodeState<2>>(), 88);
     }
 
     #[test]
     fn fresh_state_is_empty() {
-        let s = NodeState::default();
+        let s = NodeState::<1>::default();
         assert_eq!(s.degree(id(4, 0b1011_0110)), 0);
         assert_eq!(s.routing_entries().count(), 0);
         assert_eq!(s.leaf_entries().count(), 0);
+        assert_eq!(s.cubical_neighbor, None);
+        assert_eq!(format!("{:?}", s.inside_left), "[]");
+    }
+
+    #[test]
+    fn a_link_reads_as_an_option() {
+        for held in [None, Some(id(0, 0)), Some(id(31, u32::MAX))] {
+            let link = Link::from(held);
+            assert_eq!(link.get(), held);
+            assert_eq!(link, held);
+            assert_eq!(link.is_none(), held.is_none());
+            assert!(link.into_iter().eq(held));
+            assert_eq!(format!("{link:?}"), format!("{held:?}"));
+        }
+    }
+
+    #[test]
+    fn a_side_that_shrinks_ends_at_its_last_entry() {
+        // Dropping an entry closes the gap in order, and what was the
+        // last entry's slot reads empty, not as a second copy.
+        let mut s: LeafSide<3> = side(&[id(1, 1), id(2, 2), id(3, 3)]);
+        s.filter_map_in_place(|i, c| (i != 0).then_some(c));
+        assert_eq!(s, vec![id(2, 2), id(3, 3)]);
+        s.filter_map_in_place(|_, c| (c.cyclic == 3).then_some(c));
+        assert_eq!(s, vec![id(3, 3)]);
+        assert_eq!(s, side(&[id(3, 3)]));
+        s.push(id(4, 4));
+        assert_eq!(s, vec![id(3, 3), id(4, 4)]);
     }
 
     #[test]
     fn known_contacts_dedup_and_exclude_self() {
         let me = id(2, 5);
         let other = id(1, 5);
-        let s = NodeState {
-            cubical_neighbor: Some(other),
-            cyclic_larger: Some(other),
-            cyclic_smaller: None,
-            inside_left: vec![me].into(), // alone on cycle: points at self
-            inside_right: vec![me].into(),
-            outside_left: vec![id(0, 4)].into(),
-            outside_right: vec![id(0, 6)].into(),
+        let s = NodeState::<1> {
+            cubical_neighbor: Some(other).into(),
+            cyclic_larger: Some(other).into(),
+            cyclic_smaller: None.into(),
+            inside_left: side(&[me]), // alone on cycle: points at self
+            inside_right: side(&[me]),
+            outside_left: side(&[id(0, 4)]),
+            outside_right: side(&[id(0, 6)]),
         };
         let contacts = s.known_contacts(me);
         assert!(!contacts.contains(&me), "self must be excluded");
@@ -159,17 +334,17 @@ mod tests {
     #[test]
     fn degree_is_the_known_contact_count_on_every_shape() {
         // Duplicates across slots, self-pointers, unset routing entries
-        // and over-long sides: the stack count is the sorted-and-deduped
-        // list's length, and `degree_within` is the plain comparison.
+        // and full radius-4 sides: the stack count is the sorted-and-deduped
+        // list's length.
         let me = id(2, 5);
-        let mut s = NodeState::default();
+        let mut s = NodeState::<4>::default();
         let mut shapes = vec![s.clone()];
-        s.cubical_neighbor = Some(id(1, 7));
-        s.cyclic_larger = Some(id(1, 7));
-        s.inside_left = vec![me, id(3, 5)].into();
-        s.inside_right = vec![id(3, 5), me].into();
+        s.cubical_neighbor = Some(id(1, 7)).into();
+        s.cyclic_larger = Some(id(1, 7)).into();
+        s.inside_left = side(&[me, id(3, 5)]);
+        s.inside_right = side(&[id(3, 5), me]);
         shapes.push(s.clone());
-        s.cyclic_smaller = Some(id(1, 4));
+        s.cyclic_smaller = Some(id(1, 4)).into();
         s.outside_left = (0..4).map(|c| id(4, c)).collect();
         s.outside_right = (2..6).map(|c| id(4, c)).collect();
         shapes.push(s.clone());
@@ -180,13 +355,6 @@ mod tests {
         assert_eq!(degrees, vec![0, 2, 9, 16]);
         for s in &shapes {
             assert_eq!(s.degree(me), s.known_contacts(me).len());
-            for bound in 0..=20 {
-                assert_eq!(
-                    s.degree_within(me, bound),
-                    s.degree(me) <= bound,
-                    "bound {bound}"
-                );
-            }
         }
     }
 
@@ -194,16 +362,15 @@ mod tests {
     fn seven_entry_bound() {
         // Radius-1 leaf sets + 3 routing entries can never exceed 7.
         let me = id(3, 9);
-        let s = NodeState {
-            cubical_neighbor: Some(id(2, 1)),
-            cyclic_larger: Some(id(2, 9)),
-            cyclic_smaller: Some(id(2, 8)),
-            inside_left: vec![id(1, 9)].into(),
-            inside_right: vec![id(4, 9)].into(),
-            outside_left: vec![id(7, 8)].into(),
-            outside_right: vec![id(7, 10)].into(),
+        let s = NodeState::<1> {
+            cubical_neighbor: Some(id(2, 1)).into(),
+            cyclic_larger: Some(id(2, 9)).into(),
+            cyclic_smaller: Some(id(2, 8)).into(),
+            inside_left: side(&[id(1, 9)]),
+            inside_right: side(&[id(4, 9)]),
+            outside_left: side(&[id(7, 8)]),
+            outside_right: side(&[id(7, 10)]),
         };
-        assert!(s.degree(me) <= 7);
         assert_eq!(s.degree(me), 7);
     }
 }

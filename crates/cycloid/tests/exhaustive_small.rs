@@ -14,15 +14,12 @@ const D: u32 = 3;
 const SLOTS: u64 = 24; // 3 * 2^3
 
 /// Builds a random membership of the d=3 space with the given occupancy
-/// mask bits.
-fn network_from_mask(mask: u32, radius: usize) -> Option<CycloidNetwork> {
+/// mask bits, at leaf radius `R`.
+fn network_from_mask<const R: usize>(mask: u32) -> Option<CycloidNetwork<R>> {
     if mask == 0 {
         return None;
     }
-    let config = CycloidConfig {
-        dimension: D,
-        leaf_radius: radius,
-    };
+    let config = CycloidConfig::<R> { dimension: D };
     let mut net = CycloidNetwork::new(config, 0);
     let dim = Dim::new(D);
     for slot in 0..SLOTS {
@@ -37,7 +34,6 @@ fn network_from_mask(mask: u32, radius: usize) -> Option<CycloidNetwork> {
 /// leaf radii, over many random memberships.
 #[test]
 fn every_pair_resolves_in_sampled_memberships() {
-    let dim = Dim::new(D);
     for trial in 0..60u64 {
         let mut rng = stream_indexed(2024, "exhaustive", trial);
         // Random occupancy between 1 and 24 nodes, biased across the range.
@@ -51,35 +47,40 @@ fn every_pair_resolves_in_sampled_memberships() {
         if mask == 0 {
             mask = 1 << (trial % SLOTS);
         }
-        for radius in [1usize, 2] {
-            let mut net = network_from_mask(mask, radius).unwrap();
-            net.stabilize();
-            let ids: Vec<CycloidId> = net.ids().collect();
-            for &src in &ids {
-                for key_lin in 0..SLOTS {
-                    let key = CycloidId::from_linear(key_lin, dim);
-                    let owner = net.owner_of_key(key).unwrap();
-                    let t = net.route_to_id(src, key);
-                    assert_eq!(
-                        t.outcome,
-                        LookupOutcome::Found,
-                        "mask {mask:#x} radius {radius}: {src} -> key {key} ended {:?} at {}",
-                        t.outcome,
-                        CycloidId::from_linear(t.terminal, dim)
-                    );
-                    assert_eq!(
-                        t.terminal,
-                        owner.linear(dim),
-                        "mask {mask:#x} radius {radius}: {src} -> key {key} wrong owner"
-                    );
-                    assert_eq!(t.timeouts, 0, "stable network must not time out");
-                    assert!(
-                        t.path_len() <= 24,
-                        "path {} absurd in a 24-slot space",
-                        t.path_len()
-                    );
-                }
-            }
+        every_pair_resolves::<1>(mask);
+        every_pair_resolves::<2>(mask);
+    }
+}
+
+/// Every (source, key) pair of the `mask` membership at leaf radius `R`.
+fn every_pair_resolves<const R: usize>(mask: u32) {
+    let dim = Dim::new(D);
+    let mut net = network_from_mask::<R>(mask).unwrap();
+    net.stabilize();
+    let ids: Vec<CycloidId> = net.ids().collect();
+    for &src in &ids {
+        for key_lin in 0..SLOTS {
+            let key = CycloidId::from_linear(key_lin, dim);
+            let owner = net.owner_of_key(key).unwrap();
+            let t = net.route_to_id(src, key);
+            assert_eq!(
+                t.outcome,
+                LookupOutcome::Found,
+                "mask {mask:#x} radius {R}: {src} -> key {key} ended {:?} at {}",
+                t.outcome,
+                CycloidId::from_linear(t.terminal, dim)
+            );
+            assert_eq!(
+                t.terminal,
+                owner.linear(dim),
+                "mask {mask:#x} radius {R}: {src} -> key {key} wrong owner"
+            );
+            assert_eq!(t.timeouts, 0, "stable network must not time out");
+            assert!(
+                t.path_len() <= 24,
+                "path {} absurd in a 24-slot space",
+                t.path_len()
+            );
         }
     }
 }
@@ -111,7 +112,7 @@ fn all_two_node_networks_resolve() {
     for a in 0..SLOTS {
         for b in (a + 1)..SLOTS {
             let mask = (1u32 << a) | (1 << b);
-            let mut net = network_from_mask(mask, 1).unwrap();
+            let mut net = network_from_mask::<1>(mask).unwrap();
             net.stabilize();
             for src_lin in [a, b] {
                 let src = CycloidId::from_linear(src_lin, dim);

@@ -15,7 +15,10 @@ fn dim_strategy() -> impl Strategy<Value = u32> {
 
 /// §3.1's assignment rule, written out: the minimum of [`KeyDistance`]
 /// over every live node.
-fn owner_by_definition(net: &CycloidNetwork, key: CycloidId) -> Option<CycloidId> {
+fn owner_by_definition<const R: usize>(
+    net: &CycloidNetwork<R>,
+    key: CycloidId,
+) -> Option<CycloidId> {
     net.ids()
         .min_by_key(|&n| KeyDistance::between(key, n, net.dim()))
 }
@@ -23,7 +26,10 @@ fn owner_by_definition(net: &CycloidNetwork, key: CycloidId) -> Option<CycloidId
 /// `owner_of_key` and `primary_of` against their definitions over
 /// `net.ids()`: the owner on hashed keys and on keys in cycle 0, in cycle
 /// `2^d - 1` and in an empty cycle, the primary for every cubical index.
-fn check_positional_readers(net: &CycloidNetwork, rng: &mut impl Rng) -> Result<(), TestCaseError> {
+fn check_positional_readers<const R: usize>(
+    net: &CycloidNetwork<R>,
+    rng: &mut impl Rng,
+) -> Result<(), TestCaseError> {
     let dim = net.dim();
     let cycles = u32::try_from(dim.cubical_space()).expect("d < 32");
     let live: Vec<CycloidId> = net.ids().collect();
@@ -96,37 +102,9 @@ proptest! {
         radius in 1usize..=2,
         departures in 0usize..32,
     ) {
-        // From one node to every slot, then a seeded mix of graceful leaves
-        // and failures that nothing stabilizes: the resolvers read the
-        // membership as it is, and stabilization stores what they read.
-        let space = Dim::new(d).id_space();
-        let count = (space * fill / 100).max(1) as usize;
-        let config = CycloidConfig { dimension: d, leaf_radius: radius };
-        let mut net = CycloidNetwork::with_nodes(config, count, seed);
-        let mut rng = stream(seed, "neighbour-prop");
-        for _ in 0..departures.min(net.len() - 1) {
-            let victim = net.ids().nth(rng.gen_range(0..net.len())).unwrap();
-            if rng.gen() {
-                prop_assert!(net.leave(victim));
-            } else {
-                prop_assert!(net.fail_node(victim));
-            }
-        }
-        let live: Vec<CycloidId> = net.ids().collect();
-        let expected: Vec<_> = live
-            .iter()
-            .map(|&id| routing_neighbours_by_definition(&live, id))
-            .collect();
-        for (&id, (cubical, cyclic)) in live.iter().zip(&expected) {
-            prop_assert_eq!(&net.resolve_cubical_neighbor(id), cubical, "cubical of {}", id);
-            prop_assert_eq!(&net.resolve_cyclic_neighbors(id), cyclic, "cyclic of {}", id);
-        }
-        net.stabilize();
-        for (&id, (cubical, cyclic)) in live.iter().zip(&expected) {
-            let state = net.node(id).unwrap();
-            prop_assert_eq!(&state.cubical_neighbor, cubical, "stored cubical of {}", id);
-            let stored = (state.cyclic_smaller, state.cyclic_larger);
-            prop_assert_eq!(&stored, cyclic, "stored cyclic of {}", id);
+        match radius {
+            1 => routing_neighbours_case::<1>(seed, d, fill, departures)?,
+            _ => routing_neighbours_case::<2>(seed, d, fill, departures)?,
         }
     }
 
@@ -189,54 +167,17 @@ proptest! {
         radius in 1usize..=2,
         script in proptest::collection::vec((0u8..3, any::<u64>()), 0..12),
     ) {
-        // One node, two, one full cycle (at cubical 0, at 2^d - 1, somewhere
-        // between), the complete d = 4 network, or `count` uniform nodes.
-        let config = |dimension| CycloidConfig { dimension, leaf_radius: radius };
-        let full_cycle = |cubical: u32| {
-            let mut net = CycloidNetwork::new(config(6), seed);
-            (0..6).for_each(|k| assert!(net.join_id(CycloidId::new(k, cubical))));
-            net
-        };
-        let mut net = match shape {
-            0 => CycloidNetwork::with_nodes(config(6), 1, seed),
-            1 => CycloidNetwork::with_nodes(config(6), 2, seed),
-            2 => full_cycle([0, 63, (seed % 64) as u32][(seed % 3) as usize]),
-            3 => CycloidNetwork::complete(config(4)),
-            _ => CycloidNetwork::with_nodes(config(6), count, seed),
-        };
-        let mut rng = stream(seed, "owner-prop");
-        for _ in 0..10 {
-            // Routing from an arbitrary source terminates at the owner.
-            let raw: u64 = rng.gen();
-            let brute = owner_by_definition(&net, net.key_of(raw)).unwrap();
-            let src = net.ids().next().unwrap();
-            let trace = net.route(src, raw);
-            prop_assert_eq!(trace.outcome, LookupOutcome::Found);
-            prop_assert_eq!(trace.terminal, brute.linear(net.dim()));
-        }
-        check_positional_readers(&net, &mut rng)?;
-        // Joins, graceful leaves and failures, down to the empty ring.
-        for (op, pick) in script {
-            let victim = net.ids().nth((pick % net.len().max(1) as u64) as usize);
-            match (op, victim) {
-                (1, Some(victim)) => prop_assert!(net.leave(victim)),
-                (2, Some(victim)) => prop_assert!(net.fail_node(victim)),
-                _ => {
-                    let room = (net.len() as u64) < net.dim().id_space();
-                    prop_assert_eq!(net.join_random(&mut rng).is_some(), room);
-                }
-            }
-            check_positional_readers(&net, &mut rng)?;
+        match radius {
+            1 => owner_case::<1>(seed, shape, count, script)?,
+            _ => owner_case::<2>(seed, shape, count, script)?,
         }
     }
 
     #[test]
     fn degree_never_exceeds_bound(seed in any::<u64>(), count in 1usize..120, radius in 1usize..=2) {
-        let config = CycloidConfig { dimension: 7, leaf_radius: radius };
-        let net = CycloidNetwork::with_nodes(config, count, seed);
-        let bound = 3 + 4 * radius;
-        for id in net.ids() {
-            prop_assert!(net.node(id).unwrap().degree(id) <= bound);
+        match radius {
+            1 => degree_case::<1>(seed, count)?,
+            _ => degree_case::<2>(seed, count)?,
         }
     }
 
@@ -257,40 +198,9 @@ proptest! {
 
     #[test]
     fn protocol_join_equals_oracle_join(seed in any::<u64>(), count in 3usize..90, radius in 1usize..=2) {
-        // §3.3.1: initializing the newcomer's leaf sets from Z's state
-        // must produce exactly what a global-knowledge resolution gives,
-        // and the resulting network must match one built with the oracle
-        // join, node for node.
-        let config = CycloidConfig { dimension: 7, leaf_radius: radius };
-        let mut by_protocol = CycloidNetwork::with_nodes(config, count, seed);
-        let mut by_oracle = by_protocol.clone();
-        let mut rng = stream(seed, "pj");
-        // Find a free identifier.
-        let dim = by_protocol.dim();
-        let newcomer = loop {
-            let cand = CycloidId::from_hash(rng.gen(), dim);
-            if by_protocol.node(cand).is_none() {
-                break cand;
-            }
-        };
-        let ids: Vec<CycloidId> = by_protocol.ids().collect();
-        let bootstrap = ids[(rng.gen::<u64>() % ids.len() as u64) as usize];
-        prop_assert!(by_protocol.join_via_protocol(bootstrap, newcomer));
-        prop_assert!(by_oracle.join_id(newcomer));
-        // The newcomer's protocol-derived leaf sets match the oracle's.
-        for id in by_oracle.ids().collect::<Vec<_>>() {
-            let a = by_protocol.node(id).unwrap();
-            let b = by_oracle.node(id).unwrap();
-            prop_assert_eq!(&a.inside_left, &b.inside_left, "inside-left of {}", id);
-            prop_assert_eq!(&a.inside_right, &b.inside_right, "inside-right of {}", id);
-            prop_assert_eq!(&a.outside_left, &b.outside_left, "outside-left of {}", id);
-            prop_assert_eq!(&a.outside_right, &b.outside_right, "outside-right of {}", id);
-        }
-        // Lookups keep resolving after the protocol join.
-        for i in 0..10 {
-            let src = ids[i % ids.len()];
-            let t = by_protocol.route(src, rng.gen());
-            prop_assert_eq!(t.outcome, LookupOutcome::Found);
+        match radius {
+            1 => protocol_join_case::<1>(seed, count)?,
+            _ => protocol_join_case::<2>(seed, count)?,
         }
     }
 
@@ -320,7 +230,7 @@ proptest! {
         let net = CycloidNetwork::with_nodes(CycloidConfig::seven_entry(6), count, seed);
         for id in net.ids() {
             let state = net.node(id).unwrap();
-            if let Some(cb) = state.cubical_neighbor {
+            if let Some(cb) = state.cubical_neighbor.get() {
                 prop_assert!(net.is_live(cb));
                 prop_assert_eq!(cb.cyclic, id.cyclic - 1);
                 let k = id.cyclic;
@@ -339,4 +249,161 @@ proptest! {
             }
         }
     }
+}
+
+/// `routing_neighbours_follow_the_definition` at leaf radius `R`.
+fn routing_neighbours_case<const R: usize>(
+    seed: u64,
+    d: u32,
+    fill: u64,
+    departures: usize,
+) -> Result<(), TestCaseError> {
+    // From one node to every slot, then a seeded mix of graceful leaves
+    // and failures that nothing stabilizes: the resolvers read the
+    // membership as it is, and stabilization stores what they read.
+    let space = Dim::new(d).id_space();
+    let count = (space * fill / 100).max(1) as usize;
+    let config = CycloidConfig::<R> { dimension: d };
+    let mut net = CycloidNetwork::with_nodes(config, count, seed);
+    let mut rng = stream(seed, "neighbour-prop");
+    for _ in 0..departures.min(net.len() - 1) {
+        let victim = net.ids().nth(rng.gen_range(0..net.len())).unwrap();
+        if rng.gen() {
+            prop_assert!(net.leave(victim));
+        } else {
+            prop_assert!(net.fail_node(victim));
+        }
+    }
+    let live: Vec<CycloidId> = net.ids().collect();
+    let expected: Vec<_> = live
+        .iter()
+        .map(|&id| routing_neighbours_by_definition(&live, id))
+        .collect();
+    for (&id, (cubical, cyclic)) in live.iter().zip(&expected) {
+        prop_assert_eq!(
+            &net.resolve_cubical_neighbor(id),
+            cubical,
+            "cubical of {}",
+            id
+        );
+        prop_assert_eq!(
+            &net.resolve_cyclic_neighbors(id),
+            cyclic,
+            "cyclic of {}",
+            id
+        );
+    }
+    net.stabilize();
+    for (&id, (cubical, cyclic)) in live.iter().zip(&expected) {
+        let state = net.node(id).unwrap();
+        prop_assert_eq!(&state.cubical_neighbor, cubical, "stored cubical of {}", id);
+        let stored = (state.cyclic_smaller.get(), state.cyclic_larger.get());
+        prop_assert_eq!(&stored, cyclic, "stored cyclic of {}", id);
+    }
+    Ok(())
+}
+
+/// `owner_matches_brute_force` at leaf radius `R`.
+fn owner_case<const R: usize>(
+    seed: u64,
+    shape: usize,
+    count: usize,
+    script: Vec<(u8, u64)>,
+) -> Result<(), TestCaseError> {
+    // One node, two, one full cycle (at cubical 0, at 2^d - 1, somewhere
+    // between), the complete d = 4 network, or `count` uniform nodes.
+    let config = |dimension| CycloidConfig::<R> { dimension };
+    let full_cycle = |cubical: u32| {
+        let mut net = CycloidNetwork::new(config(6), seed);
+        (0..6).for_each(|k| assert!(net.join_id(CycloidId::new(k, cubical))));
+        net
+    };
+    let mut net = match shape {
+        0 => CycloidNetwork::with_nodes(config(6), 1, seed),
+        1 => CycloidNetwork::with_nodes(config(6), 2, seed),
+        2 => full_cycle([0, 63, (seed % 64) as u32][(seed % 3) as usize]),
+        3 => CycloidNetwork::complete(config(4)),
+        _ => CycloidNetwork::with_nodes(config(6), count, seed),
+    };
+    let mut rng = stream(seed, "owner-prop");
+    for _ in 0..10 {
+        // Routing from an arbitrary source terminates at the owner.
+        let raw: u64 = rng.gen();
+        let brute = owner_by_definition(&net, net.key_of(raw)).unwrap();
+        let src = net.ids().next().unwrap();
+        let trace = net.route(src, raw);
+        prop_assert_eq!(trace.outcome, LookupOutcome::Found);
+        prop_assert_eq!(trace.terminal, brute.linear(net.dim()));
+    }
+    check_positional_readers(&net, &mut rng)?;
+    // Joins, graceful leaves and failures, down to the empty ring.
+    for (op, pick) in script {
+        let victim = net.ids().nth((pick % net.len().max(1) as u64) as usize);
+        match (op, victim) {
+            (1, Some(victim)) => prop_assert!(net.leave(victim)),
+            (2, Some(victim)) => prop_assert!(net.fail_node(victim)),
+            _ => {
+                let room = (net.len() as u64) < net.dim().id_space();
+                prop_assert_eq!(net.join_random(&mut rng).is_some(), room);
+            }
+        }
+        check_positional_readers(&net, &mut rng)?;
+    }
+    Ok(())
+}
+
+/// `degree_never_exceeds_bound` at leaf radius `R`.
+fn degree_case<const R: usize>(seed: u64, count: usize) -> Result<(), TestCaseError> {
+    let config = CycloidConfig::<R> { dimension: 7 };
+    let net = CycloidNetwork::with_nodes(config, count, seed);
+    let bound = 3 + 4 * R;
+    for id in net.ids() {
+        prop_assert!(net.node(id).unwrap().degree(id) <= bound);
+    }
+    Ok(())
+}
+
+/// `protocol_join_equals_oracle_join` at leaf radius `R`.
+fn protocol_join_case<const R: usize>(seed: u64, count: usize) -> Result<(), TestCaseError> {
+    // §3.3.1: initializing the newcomer's leaf sets from Z's state
+    // must produce exactly what a global-knowledge resolution gives,
+    // and the resulting network must match one built with the oracle
+    // join, node for node.
+    let config = CycloidConfig::<R> { dimension: 7 };
+    let mut by_protocol = CycloidNetwork::with_nodes(config, count, seed);
+    let mut by_oracle = by_protocol.clone();
+    let mut rng = stream(seed, "pj");
+    // Find a free identifier.
+    let dim = by_protocol.dim();
+    let newcomer = loop {
+        let cand = CycloidId::from_hash(rng.gen(), dim);
+        if by_protocol.node(cand).is_none() {
+            break cand;
+        }
+    };
+    let ids: Vec<CycloidId> = by_protocol.ids().collect();
+    let bootstrap = ids[(rng.gen::<u64>() % ids.len() as u64) as usize];
+    prop_assert!(by_protocol.join_via_protocol(bootstrap, newcomer));
+    prop_assert!(by_oracle.join_id(newcomer));
+    // The newcomer's protocol-derived leaf sets match the oracle's.
+    for id in by_oracle.ids().collect::<Vec<_>>() {
+        let a = by_protocol.node(id).unwrap();
+        let b = by_oracle.node(id).unwrap();
+        prop_assert_eq!(&a.inside_left, &b.inside_left, "inside-left of {}", id);
+        prop_assert_eq!(&a.inside_right, &b.inside_right, "inside-right of {}", id);
+        prop_assert_eq!(&a.outside_left, &b.outside_left, "outside-left of {}", id);
+        prop_assert_eq!(
+            &a.outside_right,
+            &b.outside_right,
+            "outside-right of {}",
+            id
+        );
+    }
+    // Lookups keep resolving after the protocol join.
+    for i in 0..10 {
+        let src = ids[i % ids.len()];
+        let t = by_protocol.route(src, rng.gen());
+        prop_assert_eq!(t.outcome, LookupOutcome::Found);
+    }
+    Ok(())
 }

@@ -1,19 +1,21 @@
 //! Fixed-capacity inline vectors for constant-degree routing state.
 //!
-//! Cycloid's headline property is a constant routing degree: every node
-//! keeps ~7 links regardless of network size. Storing those links in
-//! heap-allocated `Vec`s costs a pointer chase plus a 24-byte header per
-//! list — for a four-entry leaf set that is more header than payload.
+//! A constant-degree overlay keeps a fixed handful of links per node
+//! regardless of network size. Storing those links in heap-allocated
+//! `Vec`s costs a pointer chase plus a 24-byte header per list — for a
+//! four-entry successor list that is more header than payload.
 //! [`InlineVec`] keeps the elements inline in the owning struct (and
 //! therefore inline in the [`crate::sim::Membership`] state slab), so a
 //! node's entire routing table lives in one contiguous allocation.
+//! (Cycloid goes one step further: its leaf-set sides are sized by the
+//! leaf radius and carry no length byte; see `cycloid::state`.)
 //!
 //! The API is the small slice of `Vec` the overlay crates actually use:
 //! push/clear/truncate, `Deref` to `[T]` for iteration and indexing, and
 //! conversions from `Vec`/slices for code that builds lists dynamically
 //! before freezing them into a node's state. Capacity overflow panics —
-//! the overlays validate their degree bounds (e.g. Cycloid's leaf radius
-//! ≤ 4) at configuration time, so an overflow here is a logic error.
+//! the overlays validate their list lengths (e.g. Koorde's backup lists)
+//! at configuration time, so an overflow here is a logic error.
 
 use std::fmt;
 

@@ -43,10 +43,10 @@
 //! # Zero-cost when disabled
 //!
 //! With [`FaultPlan::none`] every send is delivered on the first
-//! attempt with zero delay: no retries, no message timeouts, no added
-//! latency, and — critically — no change to any routing decision, so
-//! every fixed-seed trace is bit-identical to the engine without this
-//! layer. With `loss = 0.0` and a non-zero delay model, hop counts are
+//! attempt with zero delay and no fault draw: no retries, no message
+//! timeouts, no added latency, and — critically — no change to any
+//! routing decision, so every fixed-seed trace is bit-identical to the
+//! engine without this layer. With `loss = 0.0` and a non-zero delay model, hop counts are
 //! still exactly those of the fault-free engine; only
 //! [`NetCosts::latency_us`] changes.
 
@@ -259,9 +259,19 @@ impl NetConditions {
     /// contacting the same target twice within one lookup yields the
     /// same outcome (the network's disposition toward that pair is fixed
     /// for the lookup's duration), and contacts from different lookups
-    /// never perturb each other.
+    /// never perturb each other. On a plan that can neither lose, delay
+    /// nor duplicate, every send is delivered at once and no draw is made.
     #[must_use]
     pub fn contact(&self, lookup: u64, target: u64) -> ContactOutcome {
+        let plan = &self.plan;
+        if plan.loss <= 0.0 && plan.duplicate <= 0.0 && plan.delay == DelayModel::Uniform(0, 0) {
+            return ContactOutcome {
+                delivered: true,
+                attempts: 1,
+                latency_us: 0,
+                duplicated: false,
+            };
+        }
         let mut latency: SimMicros = 0;
         for attempt in 1..=RetryPolicy::MAX_ATTEMPTS {
             let r = self.draw(lookup, target, attempt);

@@ -6,8 +6,6 @@
 //! operations: clockwise distance, minimal (either-direction) distance, and
 //! half-open interval membership with wraparound.
 
-use crate::inline::InlineVec;
-
 /// Clockwise (increasing-identifier) distance from `from` to `to` on a ring
 /// of size `modulus`.
 #[inline]
@@ -81,13 +79,13 @@ pub fn in_interval_oo(x: u64, from: u64, to: u64, modulus: u64) -> bool {
 /// searches on the ring return. The audits read every expected pointer
 /// this way, off the sorted token list alone.
 #[must_use]
-pub fn ring_sides<T: Copy + Default, const N: usize>(
+pub fn ring_sides<T, B: FromIterator<T>>(
     i: usize,
     n: usize,
     before: usize,
     after: usize,
     at: impl Fn(usize) -> T,
-) -> (InlineVec<T, N>, InlineVec<T, N>) {
+) -> (B, B) {
     // A position is rarely past `n` and all but never past `2n`:
     // subtract, and divide only when that is not enough.
     let wrap = |j: usize| match j.checked_sub(n) {
@@ -103,6 +101,7 @@ pub fn ring_sides<T: Copy + Default, const N: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inline::InlineVec;
 
     #[test]
     fn clockwise_basics() {

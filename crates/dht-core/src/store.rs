@@ -191,11 +191,13 @@ impl TokenIndex {
         Self { entries, len: 0 }
     }
 
+    #[inline]
     fn probe_start(&self, token: u64) -> usize {
         (splitmix64(token) as usize) & (self.entries.len() - 1)
     }
 
     /// Index of `token`'s entry, if present.
+    #[inline]
     fn find(&self, token: u64) -> Option<usize> {
         if self.entries.is_empty() {
             return None;
@@ -214,6 +216,7 @@ impl TokenIndex {
         }
     }
 
+    #[inline]
     fn get(&self, token: u64) -> Option<u32> {
         self.find(token).map(|i| self.entries[i].1)
     }

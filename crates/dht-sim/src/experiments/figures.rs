@@ -10,6 +10,7 @@
 use std::collections::BTreeMap;
 
 use chord::ChordNetwork;
+use cycloid::state::Link;
 use cycloid::{CycloidConfig, CycloidId, CycloidNetwork};
 use dht_core::audit::AuditScope;
 use dht_core::clock::SECOND;
@@ -933,7 +934,7 @@ fn table2() -> Table {
     let node = CycloidId::new(4, 0b1011_0110);
     let state = net.node(node).expect("node exists in complete network");
     let fmt = |id: CycloidId| format!("({},{:08b})", id.cyclic, id.cubical);
-    let fmt_opt = |id: Option<CycloidId>| id.map_or("-".to_string(), fmt);
+    let fmt_opt = |link: Link| link.get().map_or("-".to_string(), fmt);
     let mut t = Table::new(
         "Table 2: routing table state of Cycloid node (4,10110110), d = 8",
         &["Entry", "Value"],
@@ -1164,11 +1165,19 @@ fn maintenance(g: &Grid, at: At) -> Measured {
 
 /// Every node's routing-state entries as tokens, repeats included: the
 /// link table [`Links`] visits, and Viceroy's seven resolved links.
+/// Cycloid's rows are typed by leaf radius, so each of the factory's
+/// two radii is its own type to try.
 fn links(net: &dyn Overlay) -> Vec<(u64, Vec<u64>)> {
-    let any = net.as_any();
-    if let Some(net) = any.downcast_ref::<CycloidNetwork>() {
+    fn cycloid<const R: usize>(net: &CycloidNetwork<R>) -> Vec<(u64, Vec<u64>)> {
         let dim = net.dim();
-        return link_table(net, |id| id.linear(dim));
+        link_table(net, |id| id.linear(dim))
+    }
+    let any = net.as_any();
+    if let Some(net) = any.downcast_ref::<CycloidNetwork<1>>() {
+        return cycloid(net);
+    }
+    if let Some(net) = any.downcast_ref::<CycloidNetwork<2>>() {
+        return cycloid(net);
     }
     if let Some(net) = any.downcast_ref::<KoordeNetwork>() {
         return link_table(net, |id| id);

@@ -59,15 +59,15 @@ fn main() {
     );
     println!(
         "  cubical neighbor : {:?}",
-        state.cubical_neighbor.map(|n| n.to_string())
+        state.cubical_neighbor.get().map(|n| n.to_string())
     );
     println!(
         "  cyclic larger    : {:?}",
-        state.cyclic_larger.map(|n| n.to_string())
+        state.cyclic_larger.get().map(|n| n.to_string())
     );
     println!(
         "  cyclic smaller   : {:?}",
-        state.cyclic_smaller.map(|n| n.to_string())
+        state.cyclic_smaller.get().map(|n| n.to_string())
     );
     println!(
         "  inside leaf set  : {} | {}",

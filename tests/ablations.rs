@@ -20,23 +20,28 @@ fn mean_hops(hops: impl FnMut(usize) -> usize) -> f64 {
     (0..LOOKUPS).map(hops).sum::<usize>() as f64 / LOOKUPS as f64
 }
 
+/// Mean path of a 1024-node Cycloid at leaf radius `R`, printed.
+fn leaf_radius_hops<const R: usize>() -> f64 {
+    let radius = R;
+    let config = CycloidConfig::<R> { dimension: 8 };
+    let mut net = CycloidNetwork::with_nodes(config, 1024, 7);
+    let ids: Vec<_> = net.ids().collect();
+    let mut rng = stream(7, "ablate-radius");
+    let hops = mean_hops(|i| net.route(ids[i % ids.len()], rng.gen()).path_len());
+    println!(
+        "[ablation] leaf radius {radius} (degree {}): mean path {hops:.3} hops",
+        3 + 4 * radius
+    );
+    hops
+}
+
 #[test]
 fn wider_leaf_sets_shorten_paths_with_diminishing_returns() {
-    let hops = [1usize, 2, 3].map(|radius| {
-        let config = CycloidConfig {
-            dimension: 8,
-            leaf_radius: radius,
-        };
-        let mut net = CycloidNetwork::with_nodes(config, 1024, 7);
-        let ids: Vec<_> = net.ids().collect();
-        let mut rng = stream(7, "ablate-radius");
-        let hops = mean_hops(|i| net.route(ids[i % ids.len()], rng.gen()).path_len());
-        println!(
-            "[ablation] leaf radius {radius} (degree {}): mean path {hops:.3} hops",
-            3 + 4 * radius
-        );
-        hops
-    });
+    let hops = [
+        leaf_radius_hops::<1>(),
+        leaf_radius_hops::<2>(),
+        leaf_radius_hops::<3>(),
+    ];
     assert!(hops[0] > hops[1] && hops[1] > hops[2], "{hops:?}");
     assert!(
         hops[1] - hops[2] < hops[0] - hops[1],

@@ -111,7 +111,7 @@ fn pastry_oracle(net: &PastryNetwork) -> AuditReport {
 /// Cycloid's online checks, expected leaf sets from a `refresh_into` row
 /// made with fresh hints; the state-size check counts the degree on every
 /// node.
-fn cycloid_oracle(net: &CycloidNetwork) -> AuditReport {
+fn cycloid_oracle<const R: usize>(net: &CycloidNetwork<R>) -> AuditReport {
     let mut report = AuditReport::new(net.name(), AuditScope::Online);
     let dim = net.dim();
     let r = net.leaf_radius();
@@ -287,7 +287,7 @@ fn pastry_lazy(net: &PastryNetwork) -> Vec<(NodeToken, &'static str)> {
 /// cyclic neighbours agree with `a` from bit `k` up and are the first
 /// smaller and first larger such index. Index 0 links to nobody. The
 /// cyclic pair counts once per node.
-fn cycloid_lazy(net: &CycloidNetwork) -> Vec<(NodeToken, &'static str)> {
+fn cycloid_lazy<const R: usize>(net: &CycloidNetwork<R>) -> Vec<(NodeToken, &'static str)> {
     let dim = net.dim();
     let d = u64::from(dim.get());
     let live: Vec<CycloidId> = net
@@ -322,7 +322,8 @@ fn cycloid_lazy(net: &CycloidNetwork) -> Vec<(NodeToken, &'static str)> {
         if state.cubical_neighbor != cubical {
             out.push((token, "cycloid/cubical-neighbor"));
         }
-        if (state.cyclic_smaller, state.cyclic_larger) != (smaller.copied(), larger.copied()) {
+        let stored = (state.cyclic_smaller.get(), state.cyclic_larger.get());
+        if stored != (smaller.copied(), larger.copied()) {
             out.push((token, "cycloid/cyclic-neighbors"));
         }
     }
@@ -380,7 +381,8 @@ enum Net {
     Chord(ChordNetwork),
     Koorde(KoordeNetwork),
     Pastry(PastryNetwork),
-    Cycloid(CycloidNetwork),
+    Cycloid7(CycloidNetwork<1>),
+    Cycloid11(CycloidNetwork<2>),
 }
 
 const KINDS: [&str; 6] = [
@@ -407,11 +409,11 @@ impl Net {
             "pastry" => Net::Pastry(PastryNetwork::with_nodes(PastryConfig::new(8), n, seed)),
             "cycloid7" => {
                 let config = CycloidConfig::seven_entry(5);
-                Net::Cycloid(CycloidNetwork::with_nodes(config, n, seed))
+                Net::Cycloid7(CycloidNetwork::with_nodes(config, n, seed))
             }
             "cycloid11" => {
                 let config = CycloidConfig::eleven_entry(5);
-                Net::Cycloid(CycloidNetwork::with_nodes(config, n, seed))
+                Net::Cycloid11(CycloidNetwork::with_nodes(config, n, seed))
             }
             other => panic!("unknown kind {other}"),
         }
@@ -422,7 +424,8 @@ impl Net {
             Net::Chord(net) => net,
             Net::Koorde(net) => net,
             Net::Pastry(net) => net,
-            Net::Cycloid(net) => net,
+            Net::Cycloid7(net) => net,
+            Net::Cycloid11(net) => net,
         }
     }
 
@@ -445,13 +448,20 @@ impl Net {
                 assert_full_is_definition(net, &online, pastry_lazy(net), ctx);
                 online
             }
-            Net::Cycloid(net) => {
-                let online = assert_sweep_is_oracle(net, &cycloid_oracle(net), ctx);
-                assert_full_is_definition(net, &online, cycloid_lazy(net), ctx);
-                online
-            }
+            Net::Cycloid7(net) => assert_cycloid_sweep_is_oracle(net, ctx),
+            Net::Cycloid11(net) => assert_cycloid_sweep_is_oracle(net, ctx),
         }
     }
+}
+
+/// [`Net::assert_sweep_is_oracle`] for Cycloid at leaf radius `R`.
+fn assert_cycloid_sweep_is_oracle<const R: usize>(
+    net: &CycloidNetwork<R>,
+    ctx: &str,
+) -> AuditReport {
+    let online = assert_sweep_is_oracle(net, &cycloid_oracle(net), ctx);
+    assert_full_is_definition(net, &online, cycloid_lazy(net), ctx);
+    online
 }
 
 /// One step of a membership script.
@@ -570,7 +580,7 @@ fn tiny_rings_audit_clean_and_match_the_oracle() {
 }
 
 /// A Cycloid network holding exactly `ids`, joined one by one.
-fn cycloid_of(config: CycloidConfig, ids: &[(u32, u32)]) -> CycloidNetwork {
+fn cycloid_of<const R: usize>(config: CycloidConfig<R>, ids: &[(u32, u32)]) -> CycloidNetwork<R> {
     let mut net = CycloidNetwork::new(config, 1);
     for &(cyclic, cubical) in ids {
         assert!(net.join_id(CycloidId::new(cyclic, cubical)));
@@ -605,14 +615,13 @@ fn cycloid_edge_shapes_audit_clean_and_match_the_oracle() {
         ),
     ];
     for (shape, ids) in shapes {
-        for config in [
-            CycloidConfig::seven_entry(5),
-            CycloidConfig::eleven_entry(5),
+        for mut net in [
+            Net::Cycloid7(cycloid_of(CycloidConfig::seven_entry(5), ids)),
+            Net::Cycloid11(cycloid_of(CycloidConfig::eleven_entry(5), ids)),
         ] {
             // Joins keep the online invariants; the full scope (the
             // cubical and cyclic neighbours) wants one stabilization
             // round first.
-            let mut net = Net::Cycloid(cycloid_of(config, ids));
             let ctx = format!("{} / {shape}", net.overlay().name());
             let report = net.assert_sweep_is_oracle(&ctx);
             assert!(report.is_clean(), "{ctx}: {report}");

@@ -284,18 +284,18 @@ fn full_round_stabilize_is_a_run_over_every_token() {
 /// One constant per drawn build, as the build is today: `(kind, n, seed,
 /// fold)`. The fold is [`drawn_build_fold`].
 const DRAWN_BUILDS: [(OverlayKind, usize, u64, u64); 48] = [
-    (OverlayKind::Cycloid7, 250, 3, 0xe79dec71f964d493),
-    (OverlayKind::Cycloid7, 250, 2004, 0x2e5e0c73b0a4dc23),
-    (OverlayKind::Cycloid7, 1000, 3, 0x1fc2e6785a0ec59e),
-    (OverlayKind::Cycloid7, 1000, 2004, 0x8e436d11cf737890),
+    (OverlayKind::Cycloid7, 250, 3, 0xa025b49e4d9824d8),
+    (OverlayKind::Cycloid7, 250, 2004, 0xeaabafb3373af516),
+    (OverlayKind::Cycloid7, 1000, 3, 0xb987c3de3f044021),
+    (OverlayKind::Cycloid7, 1000, 2004, 0xd83ef4fb7fe7cb8d),
     (OverlayKind::Cycloid7, 4096, 3, 0x5efefdb1547695b1),
     (OverlayKind::Cycloid7, 4096, 2004, 0xe964458c9b99820d),
     (OverlayKind::Cycloid7, 20000, 3, 0xbd46846f3586c4a0),
     (OverlayKind::Cycloid7, 20000, 2004, 0xecfc778072eb3e2d),
-    (OverlayKind::Cycloid11, 250, 3, 0x5dec42f59309d8a8),
-    (OverlayKind::Cycloid11, 250, 2004, 0xaa0d006a89db4487),
-    (OverlayKind::Cycloid11, 1000, 3, 0xb1a3a2f5bae0dc96),
-    (OverlayKind::Cycloid11, 1000, 2004, 0xd4381ff46b73455e),
+    (OverlayKind::Cycloid11, 250, 3, 0x3e0977c46410af90),
+    (OverlayKind::Cycloid11, 250, 2004, 0xc92bcd38559badeb),
+    (OverlayKind::Cycloid11, 1000, 3, 0x7b3a0836adf47830),
+    (OverlayKind::Cycloid11, 1000, 2004, 0x0a7d866502ea68cd),
     (OverlayKind::Cycloid11, 4096, 3, 0xd415374b07fa9829),
     (OverlayKind::Cycloid11, 4096, 2004, 0xf222cc34fc7fb4d3),
     (OverlayKind::Cycloid11, 20000, 3, 0xf92aa545cf30c295),

@@ -124,7 +124,7 @@ impl Notified for PastryNetwork {
     }
 }
 
-impl Notified for CycloidNetwork {
+impl<const R: usize> Notified for CycloidNetwork<R> {
     fn window(&self, id: NodeToken) -> BTreeSet<NodeToken> {
         let d = u64::from(self.dim().get());
         let live = self.membership().store.tokens();
@@ -141,7 +141,7 @@ impl Notified for CycloidNetwork {
             .collect()
     }
 
-    fn mended(&self, token: NodeToken, state: &NodeState) -> NodeState {
+    fn mended(&self, token: NodeToken, state: &NodeState<R>) -> NodeState<R> {
         let fresh = refreshed(self, token);
         NodeState {
             inside_left: fresh.inside_left,
@@ -154,7 +154,7 @@ impl Notified for CycloidNetwork {
 
     /// The routing table is the stabilizer's; the leaf sets are the
     /// §3.3.1 derivation's.
-    fn joined(&self, token: NodeToken, held: &NodeState) -> NodeState {
+    fn joined(&self, token: NodeToken, held: &NodeState<R>) -> NodeState<R> {
         let stabilized = refreshed(self, token);
         NodeState {
             cubical_neighbor: stabilized.cubical_neighbor,

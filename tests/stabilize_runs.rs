@@ -313,34 +313,36 @@ fn cycloid_runs_hold_where_the_cycles_wrap() {
         &[(4, last)],
     ];
     for ids in shapes {
-        for config in [
-            CycloidConfig::seven_entry(5),
-            CycloidConfig::eleven_entry(5),
-        ] {
-            let mut net = CycloidNetwork::new(config, 1);
-            for &(cyclic, cubical) in ids {
-                assert!(net.join_id(CycloidId::new(cyclic, cubical)));
-            }
-            let ctx = format!("{} / {ids:?}", net.name());
-            let mut rng = stream_indexed(1, "stabilize-runs-shapes", ids.len() as u64);
-            assert_runs(&net, &[], &mut rng, &ctx);
-            // Zeroed links, so that the round below writes every entry.
-            let zero = CorruptionPlan::new(CorruptionStrategy::ZeroLinks, 1.0, 7);
-            net.corrupt_state(&zero);
-            assert_runs(&net, &[], &mut rng, &format!("{ctx}, zeroed"));
-            net.stabilize();
-            let report = net.audit_state(AuditScope::Full);
-            assert!(report.is_clean(), "{ctx}: {report}");
-            for id in net.ids().collect::<Vec<_>>() {
-                let node = net.node(id).unwrap();
-                let mut fresh = NodeState::default();
-                assert!(net.refresh_into(id.linear(net.dim()), &mut Hints::default(), &mut fresh));
-                let leafs = |s: &NodeState| {
-                    let inside = (s.inside_left, s.inside_right);
-                    (inside, (s.outside_left, s.outside_right))
-                };
-                assert_eq!(leafs(&fresh), leafs(node), "{ctx}: {id}");
-            }
-        }
+        assert_shape_holds(CycloidConfig::seven_entry(5), ids);
+        assert_shape_holds(CycloidConfig::eleven_entry(5), ids);
+    }
+}
+
+/// `cycloid_runs_hold_where_the_cycles_wrap` for one shape at leaf
+/// radius `R`.
+fn assert_shape_holds<const R: usize>(config: CycloidConfig<R>, ids: &[(u32, u32)]) {
+    let mut net = CycloidNetwork::new(config, 1);
+    for &(cyclic, cubical) in ids {
+        assert!(net.join_id(CycloidId::new(cyclic, cubical)));
+    }
+    let ctx = format!("{} / {ids:?}", net.name());
+    let mut rng = stream_indexed(1, "stabilize-runs-shapes", ids.len() as u64);
+    assert_runs(&net, &[], &mut rng, &ctx);
+    // Zeroed links, so that the round below writes every entry.
+    let zero = CorruptionPlan::new(CorruptionStrategy::ZeroLinks, 1.0, 7);
+    net.corrupt_state(&zero);
+    assert_runs(&net, &[], &mut rng, &format!("{ctx}, zeroed"));
+    net.stabilize();
+    let report = net.audit_state(AuditScope::Full);
+    assert!(report.is_clean(), "{ctx}: {report}");
+    for id in net.ids().collect::<Vec<_>>() {
+        let node = net.node(id).unwrap();
+        let mut fresh = NodeState::default();
+        assert!(net.refresh_into(id.linear(net.dim()), &mut Hints::default(), &mut fresh));
+        let leafs = |s: &NodeState<R>| {
+            let inside = (s.inside_left, s.inside_right);
+            (inside, (s.outside_left, s.outside_right))
+        };
+        assert_eq!(leafs(&fresh), leafs(node), "{ctx}: {id}");
     }
 }
