@@ -15,13 +15,21 @@
 //!   a layer left short holds a piece of a node the table misses.
 //!
 //! Crash-orphaned zones are only re-adopted by the takeover stabilizer, so
-//! the no-orphans and probe-grid tiling checks run at [`AuditScope::Full`],
-//! which also recomputes every table by face sweeps of the zone index
-//! (`can/neighbor-sweep`).
+//! the no-orphans check runs at [`AuditScope::Full`], as do the face-sweep
+//! recomputation of every table (`can/neighbor-sweep`) and
+//! `can/zone-tiling`: no live or orphan zone repeats or lies inside
+//! another. Zones are boxes of one fixed binary partition, so two overlap
+//! only if one contains the other, and disjoint zones whose volumes sum to
+//! the torus (`can/volume-conservation`) tile it. The check walks each
+//! zone's ancestors: `O(zones · depth)` hash probes, and no sample.
+
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 
 use dht_core::audit::{AuditReport, AuditScope, StateAudit};
 use dht_core::overlay::Protocol;
 
+use crate::index::ZoneHasher;
 use crate::network::{abut, CanNetwork, CanNode};
 use crate::zone::{Zone, MAX_DIMS};
 
@@ -98,7 +106,7 @@ impl StateAudit for CanNetwork {
         // Live zones plus crash orphans always partition the torus, so
         // their volumes sum to `side^dims` — conservation holds through
         // every split, merge, and takeover.
-        let orphaned: u128 = self.orphan_zones().iter().map(|z| z.volume()).sum();
+        let orphaned: u128 = self.orphans.iter().map(|z| z.volume()).sum();
         let space = (u128::from(side)).pow(config.dims as u32);
         report.check(
             0,
@@ -108,16 +116,12 @@ impl StateAudit for CanNetwork {
         );
 
         if scope == AuditScope::Full {
-            report.check(0, "can/no-orphans", self.orphan_zones().is_empty(), || {
-                format!(
-                    "{} orphaned zones await takeover",
-                    self.orphan_zones().len()
-                )
+            report.check(0, "can/no-orphans", self.orphans.is_empty(), || {
+                format!("{} orphaned zones await takeover", self.orphans.len())
             });
-            let probes = (2 * n).max(256);
-            let holes = self.tiling_holes(probes);
-            report.check(0, "can/zone-tiling", holes == 0, || {
-                format!("{holes} of {probes} probe points not covered exactly once")
+            let nested = self.nested_zones();
+            report.check(0, "can/zone-tiling", nested == 0, || {
+                format!("{nested} zones repeat or lie inside another")
             });
         }
         report
@@ -125,6 +129,19 @@ impl StateAudit for CanNetwork {
 }
 
 impl CanNetwork {
+    /// How many live and orphan zones repeat, or lie inside another live
+    /// or orphan zone: 0 iff the zones are pairwise disjoint.
+    fn nested_zones(&self) -> usize {
+        let mut set = HashSet::with_hasher(BuildHasherDefault::<ZoneHasher>::default());
+        let live = self.members.store.states().flat_map(|n| n.zones.iter());
+        let repeats = live
+            .chain(&self.orphans)
+            .filter(|&&z| !set.insert(z))
+            .count();
+        let inside = |z: &&Zone| ancestors(z).any(|a| set.contains(&a));
+        repeats + set.iter().filter(inside).count()
+    }
+
     /// `true` iff every face layer of `node`'s zones is covered exactly
     /// by its own zones, its table's zones and the orphans. The orphan
     /// list is read only for a zone the first two leave short.
@@ -143,13 +160,25 @@ impl CanNetwork {
                 cover_faces(z, w, &mut got);
             }
             if !faces_full(z, &got) {
-                for w in self.orphan_zones() {
+                for w in &self.orphans {
                     cover_faces(z, w, &mut got);
                 }
             }
             faces_full(z, &got)
         })
     }
+}
+
+/// The boxes of the partition strictly containing `z`, from the full
+/// torus down: each split keeps the half holding `z`'s lower corner.
+fn ancestors(z: &Zone) -> impl Iterator<Item = Zone> + '_ {
+    let root = Zone::full(z.dims(), z.side().trailing_zeros());
+    std::iter::successors(Some(root), |a| {
+        let k = a.split_dim();
+        let (lower, upper) = a.split()?;
+        Some(if z.lo(k) < upper.lo(k) { lower } else { upper })
+    })
+    .take(z.depth() as usize)
 }
 
 /// Adds to `got[2k]` and `got[2k + 1]` the measure of `w`'s intersection
@@ -242,6 +271,40 @@ mod tests {
                 .contains(&"can/volume-conservation"),
             "{report}"
         );
+    }
+
+    /// The live zone of the network's fourth node.
+    fn a_live_zone(net: &CanNetwork) -> (u64, Zone) {
+        let token = net.members.store.tokens()[3];
+        (token, net.members.store.get(token).unwrap().zones[0])
+    }
+
+    #[test]
+    fn an_orphan_inside_a_live_zone_breaks_the_tiling() {
+        let mut net = net(40);
+        let (_, zone) = a_live_zone(&net);
+        net.orphans.push(zone.split().unwrap().1);
+        let report = net.audit_state(AuditScope::Full);
+        assert!(
+            report.violated_invariants().contains(&"can/zone-tiling"),
+            "{report}"
+        );
+    }
+
+    #[test]
+    fn an_orphan_duplicating_a_live_zone_breaks_the_tiling() {
+        // The owner keeps only the lower half, and the orphan repeats
+        // it: the volumes still sum to the torus, the upper half is a
+        // hole, and only the partition check sees it.
+        let mut net = net(40);
+        let (token, zone) = a_live_zone(&net);
+        let lower = zone.split().unwrap().0;
+        net.members.store.get_mut(token).unwrap().zones[0] = lower;
+        net.orphans.push(lower);
+        let report = net.audit_state(AuditScope::Full);
+        let violated = report.violated_invariants();
+        assert!(violated.contains(&"can/zone-tiling"), "{report}");
+        assert!(!violated.contains(&"can/volume-conservation"), "{report}");
     }
 
     #[test]

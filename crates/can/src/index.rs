@@ -36,12 +36,12 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// crash and the takeover stabilizer.
 pub(crate) type Slot = Option<u64>;
 
-/// One splitmix64 round per word written. Only splits insert keys, at
-/// points the network draws from its own allocator, so no caller can
-/// craft colliding ones; and a `locate` probes up to `dims · bits` of
-/// them, so SipHash's cost per probe is not worth paying.
+/// One splitmix64 round per word written. The keys are the network's own
+/// zones, split at points it draws from its own allocator, so no caller
+/// can craft colliding ones; and a `locate` or an audit's ancestor walk
+/// probes up to `dims · bits` of them: SipHash's cost is not worth paying.
 #[derive(Default)]
-struct ZoneHasher(u64);
+pub(crate) struct ZoneHasher(u64);
 
 impl Hasher for ZoneHasher {
     fn finish(&self) -> u64 {

@@ -17,22 +17,24 @@
 //! Each node stores its neighbour table, the `O(d)` routing entries
 //! Table 1 charges CAN for, and every zone handover updates the tables of
 //! the few nodes involved, so a hop reads stored tokens. A [`Zone`] is a
-//! `Copy` value, split depth plus packed lower corner, and doubles as the
-//! key of the dyadic zone index. That index locates points and finds the
-//! neighbours of orphan zones, which have no owner's table.
+//! `Copy` box of one fixed binary partition, split depth plus packed lower
+//! corner, and the key of the dyadic zone index, which locates points and
+//! finds the neighbours of orphan zones. Zones overlap only by nesting, so
+//! the `Full` audit checks the tiling exactly, with no sample.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! ```
 //! use can::{CanConfig, CanNetwork};
+//! use dht_core::audit::{AuditScope, StateAudit};
 //! use dht_core::overlay::Overlay;
 //!
 //! let mut net = CanNetwork::with_nodes(CanConfig::new(2), 100, 42);
 //! let src = net.node_tokens()[0];
 //! let trace = net.lookup(src, 0xfeed);
 //! assert!(trace.outcome.is_success());
-//! assert_eq!(net.tiling_holes(200), 0); // zones tile the torus exactly
+//! assert!(net.audit_state(AuditScope::Full).is_clean()); // zones tile the torus exactly
 //! ```
 
 mod audit;

@@ -167,11 +167,6 @@ impl CanNetwork {
         self.config
     }
 
-    /// Zones orphaned by crashes, awaiting takeover.
-    pub(crate) fn orphan_zones(&self) -> &[Zone] {
-        &self.orphans
-    }
-
     /// Maps a raw key to its point on the torus (one derived coordinate
     /// per dimension).
     #[must_use]
@@ -344,32 +339,6 @@ impl CanNetwork {
         let node = self.members.store.get_mut(token).expect("adopter is live");
         node.set_table(table);
         node.zones = [&node.zones[..], &[zone]].concat().into();
-    }
-
-    /// Validates the tiling invariant: every point belongs to exactly one
-    /// zone (live or orphaned). Checks a probe grid rather than the whole
-    /// space.
-    #[must_use]
-    pub fn tiling_holes(&self, probes: usize) -> usize {
-        let side = self.config.side();
-        let mut holes = 0;
-        for i in 0..probes {
-            let point: Point = (0..self.config.dims)
-                .map(|k| reduce(splitmix64((i as u64) << 8 | k as u64), side))
-                .collect();
-            let owners = self
-                .members
-                .store
-                .states()
-                .flat_map(|n| &n.zones)
-                .chain(&self.orphans)
-                .filter(|z| z.contains(&point))
-                .count();
-            if owners != 1 {
-                holes += 1;
-            }
-        }
-        holes
     }
 }
 
@@ -634,6 +603,7 @@ impl SimOverlay for CanNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dht_core::audit::{AuditScope, StateAudit};
     use dht_core::lookup::LookupOutcome;
     use dht_core::overlay::{Overlay, Protocol};
     use dht_core::rng::stream;
@@ -644,7 +614,7 @@ mod tests {
     fn with_nodes_tiles_the_torus() {
         let net = CanNetwork::with_nodes(CanConfig::new(2), 100, 1);
         assert_eq!(net.members.store.len(), 100);
-        assert_eq!(net.tiling_holes(500), 0, "zones must tile exactly");
+        assert_tiles(&net);
         let total: u128 = net
             .members
             .store
@@ -696,7 +666,7 @@ mod tests {
         let toks = net.members.store.tokens();
         assert!(net.leave(toks[10]));
         assert_eq!(net.members.store.len(), 49);
-        assert_eq!(net.tiling_holes(300), 0, "no holes after graceful leave");
+        assert_tiles(&net);
         let mut rng = stream(7, "canleave");
         let toks = net.members.store.tokens();
         for i in 0..200 {
@@ -723,7 +693,7 @@ mod tests {
         assert!(stuck > 0, "orphaned zone must break some lookups");
         // ... until takeover adopts it.
         net.stabilize_takeover();
-        assert_eq!(net.tiling_holes(300), 0);
+        assert_tiles(&net);
         let mut rng = stream(9, "cancrash");
         for i in 0..400 {
             let t = net.lookup(
@@ -732,6 +702,58 @@ mod tests {
             );
             assert_eq!(t.outcome, LookupOutcome::Found);
         }
+    }
+
+    /// The probe-grid formulation of the `Full` audit's `can/zone-tiling`,
+    /// kept as the reference its partition check is held to: how many of
+    /// `points` are not covered by exactly one live or orphan zone, each
+    /// point tested against every zone.
+    fn probe_holes(net: &CanNetwork, points: &[Point]) -> usize {
+        points
+            .iter()
+            .filter(|p| {
+                net.members
+                    .store
+                    .states()
+                    .flat_map(|n| n.zones.iter())
+                    .chain(&net.orphans)
+                    .filter(|z| z.contains(p))
+                    .count()
+                    != 1
+            })
+            .count()
+    }
+
+    /// The probe's original sample: `probes` hashed points.
+    fn probe_grid(net: &CanNetwork, probes: usize) -> Vec<Point> {
+        let side = net.config.side();
+        (0..probes as u64)
+            .map(|i| {
+                (0..net.config.dims as u64)
+                    .map(|k| reduce(splitmix64(i << 8 | k), side))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The lower corner of every live and orphan zone. A zone inside
+    /// another shares its corner with it, so the probe finds every
+    /// overlap of the partition's boxes on these points.
+    fn zone_corners(net: &CanNetwork) -> Vec<Point> {
+        net.members
+            .store
+            .states()
+            .flat_map(|n| n.zones.iter())
+            .chain(&net.orphans)
+            .map(|z| (0..z.dims()).map(|k| z.lo(k)).collect())
+            .collect()
+    }
+
+    /// The zones tile the torus by the `Full` audit and by the probe.
+    fn assert_tiles(net: &CanNetwork) {
+        let report = net.audit_state(AuditScope::Full);
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(probe_holes(net, &probe_grid(net, 500)), 0);
     }
 
     /// The original O(n) membership-scan formulation of
@@ -826,7 +848,6 @@ mod tests {
             seed in any::<u64>(),
             script in proptest::collection::vec(step(), 1..40),
         ) {
-            use dht_core::audit::{AuditScope, StateAudit};
             let mut net = CanNetwork::with_nodes(CanConfig::new(dims), 24, seed);
             let mut rng = stream(seed, "canidx");
             for (i, step) in script.iter().enumerate() {
@@ -856,6 +877,41 @@ mod tests {
                     let p = net.point_of(rng.gen());
                     prop_assert_eq!(net.owner_of_point(&p), scan_owner_of_point(&net, &p));
                 }
+            }
+        }
+
+        /// After a join / leave / fail / takeover / corrupt / repair
+        /// script, and again with a box of the partition planted among the
+        /// orphans, `can/zone-tiling` fires exactly when the probe finds a
+        /// zone corner covered twice, and whenever the hashed grid finds
+        /// a point not covered once. Every planted box overlaps the tiling.
+        #[test]
+        fn zone_tiling_matches_the_probe(
+            dims in 1usize..=3,
+            seed in any::<u64>(),
+            script in proptest::collection::vec(step(), 1..30),
+            raw in any::<u64>(),
+            depth in 0u32..=48,
+        ) {
+            let mut net = CanNetwork::with_nodes(CanConfig::new(dims), 24, seed);
+            for step in &script {
+                apply(&mut net, step);
+            }
+            let point = net.point_of(raw);
+            let mut planted = Zone::full(dims, CanConfig::BITS_PER_DIM);
+            for _ in 0..depth.min(dims as u32 * CanConfig::BITS_PER_DIM) {
+                let (a, b) = planted.split().unwrap();
+                planted = if a.contains(&point) { a } else { b };
+            }
+            for plant in [false, true] {
+                if plant {
+                    net.orphans.push(planted);
+                }
+                let report = net.audit_state(AuditScope::Full);
+                let flagged = report.violated_invariants().contains(&"can/zone-tiling");
+                prop_assert_eq!(flagged, plant, "{}", report);
+                prop_assert_eq!(probe_holes(&net, &zone_corners(&net)) > 0, flagged);
+                prop_assert!(flagged || probe_holes(&net, &probe_grid(&net, 256)) == 0);
             }
         }
     }
@@ -892,7 +948,7 @@ mod tests {
     #[test]
     fn three_dimensional_torus_works() {
         let mut net = CanNetwork::with_nodes(CanConfig::new(3), 64, 12);
-        assert_eq!(net.tiling_holes(300), 0);
+        assert_tiles(&net);
         let toks = net.members.store.tokens();
         let mut rng = stream(13, "can3");
         for i in 0..300 {

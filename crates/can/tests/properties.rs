@@ -1,6 +1,7 @@
 //! Property-based tests of CAN's geometric invariants.
 
 use can::{CanConfig, CanNetwork, Zone};
+use dht_core::audit::{AuditScope, StateAudit};
 use dht_core::lookup::LookupOutcome;
 use dht_core::overlay::{Overlay, Protocol};
 use dht_core::rng::stream;
@@ -14,7 +15,7 @@ proptest! {
     #[test]
     fn zones_always_tile_the_torus(seed in any::<u64>(), count in 1usize..120, dims in 1usize..=3) {
         let net = CanNetwork::with_nodes(CanConfig::new(dims), count, seed);
-        prop_assert_eq!(net.tiling_holes(200), 0);
+        prop_assert!(net.audit_state(AuditScope::Full).is_clean());
         let total: u128 = net
             .membership().store.tokens()
             .iter()
@@ -35,7 +36,7 @@ proptest! {
                 net.leave(toks[(rng.gen::<u64>() % toks.len() as u64) as usize]);
             }
         }
-        prop_assert_eq!(net.tiling_holes(200), 0);
+        prop_assert!(net.audit_state(AuditScope::Full).is_clean());
         // Every lookup still resolves.
         let toks = net.membership().store.tokens();
         for i in 0..10 {
@@ -55,7 +56,7 @@ proptest! {
             }
         }
         net.stabilize_takeover();
-        prop_assert_eq!(net.tiling_holes(200), 0);
+        prop_assert!(net.audit_state(AuditScope::Full).is_clean());
         let toks = net.membership().store.tokens();
         for i in 0..10 {
             let t = net.lookup(toks[i % toks.len()], rng.gen());

@@ -324,7 +324,7 @@ impl<const R: usize> SimOverlay for CycloidNetwork<R> {
     /// is judged like a deliberate terminal (preserving the `WrongOwner`
     /// distinction), exactly as a real querier would conclude.
     fn on_exhausted(&self, cur: NodeToken, walk: &CycloidWalk) -> LookupOutcome {
-        self.classify_terminal(cur, walk)
+        dht_core::sim::classify_terminal(cur, self.walk_owner(walk))
     }
 
     fn stabilize_one(&mut self, node: NodeToken, hints: &mut Hints) {

@@ -72,10 +72,10 @@
 //! beyond liveness, [`SimOverlay::on_hop`] for per-hop *walk-state*
 //! bookkeeping (cursor advancement, visited sets),
 //! [`SimOverlay::repair_on_use`] for the deferred *network-state*
-//! mutation (stale-entry eviction), [`SimOverlay::on_exhausted`] /
-//! [`SimOverlay::classify_terminal`] for outcome classification, and
-//! [`SimOverlay::budget_before_terminal`] when the protocol checks its
-//! termination test before the hop budget.
+//! mutation (stale-entry eviction), [`SimOverlay::on_exhausted`] for a
+//! walk left without a live candidate (one that stops by its own decision
+//! is [`classify_terminal`]'s), and [`SimOverlay::budget_before_terminal`]
+//! when the protocol checks its termination test before the hop budget.
 
 use std::any::Any;
 
@@ -203,17 +203,6 @@ pub trait SimOverlay: Protocol + Sync + 'static {
         let _ = (from, phase, to, timed_out);
     }
 
-    /// Classifies a walk that stopped at `cur` by its own decision
-    /// ([`StepDecision::Terminate`]). Default: compare against
-    /// [`SimOverlay::walk_owner`].
-    fn classify_terminal(&self, cur: NodeToken, walk: &Self::Walk) -> LookupOutcome {
-        match self.walk_owner(walk) {
-            Some(owner) if owner == cur => LookupOutcome::Found,
-            Some(_) => LookupOutcome::WrongOwner,
-            None => LookupOutcome::Stuck,
-        }
-    }
-
     /// Classifies a walk stranded at `cur` with no live candidate —
     /// read-only. Default:
     /// [`LookupOutcome::Found`] when `cur` happens to be the owner,
@@ -252,6 +241,17 @@ pub trait SimOverlay: Protocol + Sync + 'static {
     /// [`Membership`] arena (e.g. Viceroy's level sets). Default: none.
     fn aux_bytes(&self) -> usize {
         0
+    }
+}
+
+/// Classifies a walk that stopped at `cur` by its own decision
+/// ([`StepDecision::Terminate`]), given its [`SimOverlay::walk_owner`].
+#[inline]
+pub fn classify_terminal(cur: NodeToken, owner: Option<NodeToken>) -> LookupOutcome {
+    match owner {
+        Some(owner) if owner == cur => LookupOutcome::Found,
+        Some(_) => LookupOutcome::WrongOwner,
+        None => LookupOutcome::Stuck,
     }
 }
 

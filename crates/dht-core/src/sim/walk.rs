@@ -2,7 +2,7 @@
 //! hop against `&T` and records what a mutating walk would have done as
 //! [`WalkEffects`], which [`apply_effects`] plays back against `&mut T`.
 
-use super::SimOverlay;
+use super::{classify_terminal, SimOverlay};
 use crate::lookup::{HopPhase, LookupOutcome, LookupTrace};
 use crate::net::{NetConditions, NetCosts};
 use crate::obs::{Event, Phase, PhaseCosts, TimeoutKind};
@@ -12,7 +12,7 @@ use crate::overlay::{NodeToken, Overlay};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepDecision {
     /// The current node is (locally provably) where the walk stops;
-    /// classify via [`SimOverlay::classify_terminal`].
+    /// classify via [`classify_terminal`].
     Terminate,
     /// Forward to the first live candidate of the buffer
     /// [`SimOverlay::next_hop`] filled, in preference order; each
@@ -291,7 +291,7 @@ impl<W> WalkCursor<W> {
         scratch.candidates.clear();
         let decision = net.next_hop(self.cur, &mut self.state, &mut scratch.candidates);
         if decision == StepDecision::Terminate {
-            return Some(net.classify_terminal(self.cur, &self.state));
+            return Some(classify_terminal(self.cur, net.walk_owner(&self.state)));
         }
         if !net.budget_before_terminal() && self.hops.len() >= self.budget {
             return Some(LookupOutcome::HopBudgetExhausted);

@@ -21,10 +21,14 @@
 # after naming, per seed, each sim metric that differs with both values
 # (`bytes_per_node 302.43 -> 297.9`) and whether the fingerprint does, so
 # a declared move of one sim metric reads apart from an undeclared one.
-# After the host metrics, per kind of the runs' kind table: the median of
-# each side and their ratio for lookup/s, ns/hop, cycles/s, audit n/s and
-# B/node, so a geomean that moved names the kind that moved it, and a
-# lookup/s that moved shows whether the hop did.
+# After the host metrics, per kind of the runs' kind table: each side's
+# median and quartiles, their ratio and how many pairs the change won for
+# lookup/s, ns/hop, cycles/s, audit n/s and B/node, so a geomean that
+# moved names the kind that moved it, a lookup/s that moved shows whether
+# the hop did, and a kind's swing can be read against its spread.
+# The header names the commit each side was built from; a change side
+# with uncommitted edits is named as HEAD plus `git diff --shortstat`
+# (the runs' own `git` headers read HEAD either way).
 # Every run's full output stays in bench-out/pairs/<side>-<seed>.out.
 set -eu
 [ $# -ge 2 ] || {
@@ -41,6 +45,8 @@ else
     what="--workload $2 --seconds $seconds --trace 0"
 fi
 
+head=$(git rev-parse --short HEAD)
+edits=$(git diff --shortstat HEAD)
 out=bench-out/pairs
 parent=$out/src-$sha
 mkdir -p "$out"
@@ -77,6 +83,11 @@ while [ "$i" -lt "$pairs" ]; do
 done
 
 echo "# parent $sha vs working tree: $2, $pairs pairs, seeds 101..$((100 + pairs))"
+if [ -n "$edits" ]; then
+    echo "# working tree: HEAD $head +$edits"
+else
+    echo "# working tree: HEAD $head, no tracked file edited"
+fi
 echo "# $(nproc) cores, $(sed -n 's/^model name[^:]*: *//p' /proc/cpuinfo | head -n 1)"
 awk '
 # q-quantile (linear interpolation) of v[1..n], sorted ascending.
@@ -84,10 +95,10 @@ function quantile(v, n, q,    h, lo) {
     h = 1 + (n - 1) * q; lo = int(h)
     return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
 }
-function summary(side, m,    v, n, s, j, k, t) {
+function summary(side, m,    v, n, s) {
     n = 0
     for (s = 1; s <= seeds; s++) if ((side, m, seed[s]) in val) v[++n] = val[side, m, seed[s]]
-    for (j = 2; j <= n; j++) { t = v[j]; for (k = j - 1; k >= 1 && v[k] > t; k--) v[k + 1] = v[k]; v[k + 1] = t }
+    sort(v, n)
     med[side] = quantile(v, n, 0.5); iqr[side] = quantile(v, n, 0.75) - quantile(v, n, 0.25)
     edge[side] = (better[m] == "lower") == (side == "change") ? v[n] : v[1]
     return sprintf("%14.6g [%.6g .. %.6g]", med[side], quantile(v, n, 0.25), quantile(v, n, 0.75))
@@ -97,17 +108,22 @@ function summary(side, m,    v, n, s, j, k, t) {
 function spread(side, m) {
     return sprintf("%s iqr %.4g %s", side, iqr[side], iqr[side] <= bound[m] * med["parent"] ? "ok" : "OVER")
 }
-# Median over the seeds of column c in the row of kind k on one side, skipping
-# "-" cells; "" if every cell is "-".
-function kmedian(side, k, c,    v, n, s, x, j, i, t) {
+# Sorts v[1..n] ascending.
+function sort(v, n,    j, k, t) {
+    for (j = 2; j <= n; j++) { t = v[j]; for (k = j - 1; k >= 1 && v[k] > t; k--) v[k + 1] = v[k]; v[k + 1] = t }
+}
+# Median and quartiles over the seeds of column c in the row of kind k on
+# one side, skipping "-" cells; "" if every cell is "-".
+function ksummary(side, k, c,    v, n, s, x) {
     n = 0
     for (s = 1; s <= seeds; s++) {
         x = kv[side, k, c, seed[s]]
         if (x != "" && x != "-") v[++n] = x + 0
     }
     if (n == 0) return ""
-    for (j = 2; j <= n; j++) { t = v[j]; for (i = j - 1; i >= 1 && v[i] > t; i--) v[i + 1] = v[i]; v[i + 1] = t }
-    return quantile(v, n, 0.5)
+    sort(v, n)
+    kmed[side] = quantile(v, n, 0.5)
+    return sprintf("%14.6g [%.6g .. %.6g]", kmed[side], quantile(v, n, 0.25), quantile(v, n, 0.75))
 }
 function values(side, m,    s, line) {
     line = ""
@@ -171,12 +187,21 @@ END {
         }
     }
     ncols = split("lookup/s,ns/hop,cycles/s,audit n/s,B/node", col, ",")
+    split("higher,lower,higher,higher,lower", kbetter, ",")
     for (k = 1; k <= kinds; k++)
         for (c = 1; c <= ncols; c++) {
-            p = kmedian("parent", kind[k], col[c]); q = kmedian("change", kind[k], col[c])
-            if (p != "" && q != "")
-                printf "kind %-10s %-9s median parent %14.6g  change %14.6g  change/parent %.3f\n", \
-                    kind[k], col[c], p, q, p ? q / p : 0
+            p = ksummary("parent", kind[k], col[c]); q = ksummary("change", kind[k], col[c])
+            if (p == "" || q == "") continue
+            won = 0; lost = 0; n = 0
+            for (s = 1; s <= seeds; s++) {
+                x = kv["parent", kind[k], col[c], seed[s]]; y = kv["change", kind[k], col[c], seed[s]]
+                if (x == "" || x == "-" || y == "" || y == "-") continue
+                n++; x += 0; y += 0
+                if (kbetter[c] == "lower") { t = x; x = y; y = t }
+                if (y > x) won++; else if (y < x) lost++
+            }
+            printf "kind %-10s %-9s parent %s  change %s  change/parent %.3f  change won %d, lost %d of %d\n", \
+                kind[k], col[c], p, q, kmed["parent"] ? kmed["change"] / kmed["parent"] : 0, won, lost, n
         }
     bad = 0
     for (s = 1; s <= seeds; s++) {
