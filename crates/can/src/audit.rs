@@ -41,6 +41,7 @@ impl StateAudit for CanNetwork {
         let n = self.members.store.len();
 
         let mut total: u128 = 0;
+        let (mut slots, mut swept) = (Vec::new(), Vec::new());
         for (token, node) in self.members.store.iter() {
             report.note_checked(1);
             report.check_eq(token, "can/token-id", &node.token, &token);
@@ -96,7 +97,7 @@ impl StateAudit for CanNetwork {
             );
 
             if scope == AuditScope::Full {
-                let swept = self.sweep_neighbors(token);
+                self.sweep_neighbors(token, &mut slots, &mut swept);
                 report.check(token, "can/neighbor-sweep", swept == table, || {
                     format!("stored {table:?}, face sweep {swept:?}")
                 });
@@ -132,9 +133,13 @@ impl CanNetwork {
     /// How many live and orphan zones repeat, or lie inside another live
     /// or orphan zone: 0 iff the zones are pairwise disjoint.
     fn nested_zones(&self) -> usize {
-        let mut set = HashSet::with_hasher(BuildHasherDefault::<ZoneHasher>::default());
-        let live = self.members.store.states().flat_map(|n| n.zones.iter());
-        let repeats = live
+        let live = || self.members.store.states().flat_map(|n| n.zones.iter());
+        // Sized once: a set grown by doubling allocates more the larger
+        // the network.
+        let zones = live().count() + self.orphans.len();
+        let hasher = BuildHasherDefault::<ZoneHasher>::default();
+        let mut set = HashSet::with_capacity_and_hasher(zones, hasher);
+        let repeats = live()
             .chain(&self.orphans)
             .filter(|&&z| !set.insert(z))
             .count();

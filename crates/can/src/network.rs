@@ -200,25 +200,22 @@ impl CanNetwork {
 
     /// The same set recomputed from the tiling by face sweeps of the
     /// zone index — the independent side of the `Full` audit's
-    /// `can/neighbor-sweep` check.
-    pub(crate) fn sweep_neighbors(&self, token: u64) -> Vec<u64> {
+    /// `can/neighbor-sweep` check — written into `out`, with the face
+    /// owners gathered in `slots`: both are the caller's to reuse.
+    pub(crate) fn sweep_neighbors(&self, token: u64, slots: &mut Vec<Slot>, out: &mut Vec<u64>) {
+        slots.clear();
+        out.clear();
         let Some(me) = self.members.store.get(token) else {
-            return Vec::new();
+            return;
         };
-        let mut slots = Vec::new();
         for zone in &me.zones {
-            self.index.face_owners(zone, &mut slots);
+            self.index.face_owners(zone, slots);
         }
         // Orphaned zones (owner `None`) and the node's own zones drop
         // out, exactly like the membership scan they replace.
-        let mut nbrs: Vec<u64> = slots
-            .into_iter()
-            .flatten()
-            .filter(|&t| t != token)
-            .collect();
-        nbrs.sort_unstable();
-        nbrs.dedup();
-        nbrs
+        out.extend(slots.iter().flatten().filter(|&&t| t != token));
+        out.sort_unstable();
+        out.dedup();
     }
 
     /// Protocol join: a random point is drawn, the zone containing it is
@@ -857,7 +854,9 @@ mod tests {
                     .into_iter()
                     .filter(|&t| {
                         let table = net.neighbors_of(t);
-                        table != net.sweep_neighbors(t) || table != scan_neighbors(&net, t)
+                        let mut swept = Vec::new();
+                        net.sweep_neighbors(t, &mut Vec::new(), &mut swept);
+                        table != swept || table != scan_neighbors(&net, t)
                     })
                     .collect();
                 let report = net.audit_state(AuditScope::Online);

@@ -5,7 +5,8 @@
 //! neighbourhood, so the predecessor pointer and successor list are always
 //! correct and are checked at [`AuditScope::Online`]. Fingers are only
 //! repaired by stabilization, so [`AuditScope::Full`] adds
-//! [`audit_lazy_links`]: would one round rewrite a finger? Their
+//! [`audit_lazy_links`]: would one round rewrite a finger? It refreshes
+//! only the fingers, the row's lazy half, over a copy of each row. Their
 //! independent definition lives in `tests/audit_sweep.rs`.
 
 use dht_core::audit::{AuditReport, AuditScope, StateAudit};

@@ -11,7 +11,7 @@
 //! `depart(id, notify)` — is not written here: it is the provided half
 //! of [`dht_core::sim::Refresh`] (bring the trait into scope to call
 //! it), driven by the Chord pieces in the `impl Refresh` below and the
-//! row computation in `impl RefreshInto`.
+//! row's two halves in `impl RefreshInto`.
 
 use dht_core::hash::{reduce, splitmix64};
 use dht_core::lookup::HopPhase;
@@ -104,30 +104,36 @@ pub struct ChordWalk {
     pub key: u64,
 }
 
-/// Chord's row: ring pointers, successor list and fingers.
+/// Chord's row: the ring pointers are its notified half, the fingers its
+/// lazy half.
 impl RefreshInto for ChordNetwork {
-    /// Hint 0 is the node's own place in the order, hint `1 + i` finger
-    /// `i`'s: `id + 2^i` ascends with `id`, up to one wrap per finger.
-    /// The fingers are refilled in the buffer `out` has.
-    fn refresh_into(&self, id: u64, hints: &mut Hints, out: &mut ChordNode) -> bool {
+    /// Predecessor and successor list.
+    type Notified = (u64, SuccessorList);
+
+    fn notified_half(&self, id: u64, hint: &mut Pos) -> (u64, SuccessorList) {
+        let r = self.config.successor_list;
+        self.members
+            .ring_pointers(id, r, hint)
+            .expect("own ring is not empty")
+    }
+
+    fn store_notified(row: &mut ChordNode, (pred, succs): (u64, SuccessorList)) {
+        row.predecessor = pred;
+        row.successors = succs;
+    }
+
+    /// Hint `1 + i` is finger `i`'s: `id + 2^i` ascends with `id`, up to
+    /// one wrap per finger. The fingers are refilled in the buffer `out`
+    /// has.
+    fn refresh_lazy(&self, id: u64, hints: &mut Hints, out: &mut ChordNode) {
         let order = &self.members.store;
-        if order.position_of(hints.slot(0), id).is_none() {
-            return false;
-        }
-        let (pred, succs) = self
-            .members
-            .ring_pointers(id, self.config.successor_list, hints.slot(0))
-            .expect("own ring is not empty");
-        out.id = id;
-        out.predecessor = pred;
-        out.successors = succs;
-        out.fingers.clear();
         let space = self.config.space();
+        out.id = id;
+        out.fingers.clear();
         out.fingers.extend((0..self.config.bits as usize).map(|i| {
             let at = order.successor_from(hints.slot(1 + i), (id + (1u64 << i)) % space);
             order.token_at(at.expect("own ring is not empty"))
         }));
-        true
     }
 }
 
@@ -138,16 +144,6 @@ impl RefreshInto for ChordNetwork {
 impl Refresh for ChordNetwork {
     fn id_space(&self) -> u64 {
         self.config.space()
-    }
-
-    fn refresh_notified(&mut self, id: u64, mut hint: Pos) {
-        let (pred, succs) = self
-            .members
-            .ring_pointers(id, self.config.successor_list, &mut hint)
-            .expect("refresh on empty ring");
-        let node = self.members.store.state_at_mut(hint);
-        node.predecessor = pred;
-        node.successors = succs;
     }
 
     /// The `r` predecessors hold `id` in their successor lists, the

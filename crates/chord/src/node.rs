@@ -13,7 +13,7 @@ pub type SuccessorList = InlineVec<u64, 4>;
 /// All pointers are node identifiers on the `2^bits` ring; they may be
 /// stale (pointing at departed nodes) until stabilization refreshes them.
 /// The `Default` row is empty and holds no heap buffer.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, PartialEq, Default)]
 pub struct ChordNode {
     /// This node's ring identifier.
     pub id: u64,
@@ -24,6 +24,20 @@ pub struct ChordNode {
     pub successors: SuccessorList,
     /// Finger table: `fingers[i]` is `successor(id + 2^i)`.
     pub fingers: Vec<u64>,
+}
+
+/// Written out so that `clone_from` refills the finger buffer it has.
+impl Clone for ChordNode {
+    fn clone(&self) -> Self {
+        let fingers = self.fingers.clone();
+        Self { fingers, ..*self }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let mut fingers = std::mem::take(&mut self.fingers);
+        fingers.clone_from(&source.fingers);
+        *self = Self { fingers, ..*source };
+    }
 }
 
 impl ChordNode {

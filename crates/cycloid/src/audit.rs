@@ -6,8 +6,9 @@
 //! (§3.3), so they are checked at [`AuditScope::Online`]; the cubical and
 //! cyclic neighbours are "the responsibility of system stabilization, as in
 //! Chord" (§3.3.2), so [`AuditScope::Full`] adds [`audit_lazy_links`]:
-//! would one stabilization round rewrite a neighbour? The independent §3.1
-//! definition lives in `tests/audit_sweep.rs`.
+//! would one stabilization round rewrite a neighbour? It refreshes only
+//! the three neighbours, the row's lazy half, over a copy of each row. The
+//! independent §3.1 definition lives in `tests/audit_sweep.rs`.
 
 use dht_core::audit::{AuditReport, AuditScope, StateAudit};
 use dht_core::corrupt::audit_lazy_links;

@@ -10,7 +10,6 @@
 
 use std::collections::BTreeMap;
 
-use dht_core::inline::InlineVec;
 use dht_core::overlay::{NodeToken, Overlay};
 use dht_core::ring::ring_sides;
 use dht_core::sim::{refresh_in_place, Membership, RefreshInto};
@@ -398,26 +397,13 @@ impl<const R: usize> CycloidNetwork<R> {
         let z = CycloidId::from_linear(trace.terminal, self.dim);
 
         // 2. "Z's Leaf Sets are the basis for X's Leaf Sets."
-        self.insert_membership(id);
-        let (in_l, in_r, out_l, out_r) = self.derive_leafs_from(z, id);
-        {
-            let state = self.node_mut(id).expect("just inserted");
-            state.inside_left = in_l;
-            state.inside_right = in_r;
-            state.outside_left = out_l;
-            state.outside_right = out_r;
-        }
-
         // 3. "We use a local remote method to initialize the three
-        //    neighbors in the X's routing table."
-        let cubical = self.resolve_cubical_neighbor(id);
-        let (cyc_small, cyc_large) = self.resolve_cyclic_neighbors(id);
-        {
-            let state = self.node_mut(id).expect("just inserted");
-            state.cubical_neighbor = cubical.into();
-            state.cyclic_smaller = cyc_small.into();
-            state.cyclic_larger = cyc_large.into();
-        }
+        //    neighbors in the X's routing table": the row's lazy half.
+        self.insert_membership(id);
+        let mut row = NodeState::default();
+        Self::store_notified(&mut row, self.derive_leafs_from(z, id));
+        self.refresh_lazy(id.linear(self.dim), &mut Hints::default(), &mut row);
+        *self.node_mut(id).expect("just inserted") = row;
 
         // 4. Notifications: inside leaf set, plus the outside propagation
         //    when the newcomer is a primary. The newcomer's own sets were
@@ -431,11 +417,7 @@ impl<const R: usize> CycloidNetwork<R> {
     /// set; case 2 (`x` alone on its cycle) points inside at `x` itself
     /// and assembles the outside leaf set from `z`'s cycle's primary and
     /// `z`'s outside entries.
-    fn derive_leafs_from(
-        &self,
-        z: CycloidId,
-        x: CycloidId,
-    ) -> (LeafSide<R>, LeafSide<R>, LeafSide<R>, LeafSide<R>) {
+    fn derive_leafs_from(&self, z: CycloidId, x: CycloidId) -> Leafs<R> {
         let z_state = self.node(z).expect("Z is live").clone();
         if z.cubical == x.cubical {
             // Case 1: X joins Z's cycle. Z is X's nearest cycle member, so
@@ -454,13 +436,8 @@ impl<const R: usize> CycloidNetwork<R> {
             let pos = members
                 .binary_search(&x.cyclic)
                 .expect("x was added to the set");
-            let n = members.len();
-            let mut left = LeafSide::new();
-            let mut right = LeafSide::new();
-            for i in 1..=R {
-                left.push(CycloidId::new(members[(pos + n - (i % n)) % n], x.cubical));
-                right.push(CycloidId::new(members[(pos + i) % n], x.cubical));
-            }
+            let member = |j: usize| CycloidId::new(members[j], x.cubical);
+            let (left, right) = ring_sides(pos, members.len(), R, R, member);
             (left, right, z_state.outside_left, z_state.outside_right)
         } else {
             // Case 2: X is alone on its cycle; Z sits on an adjacent one.
@@ -477,37 +454,13 @@ impl<const R: usize> CycloidNetwork<R> {
                 known.insert(p.cubical, *p);
             }
             known.remove(&x.cubical);
-            let cubicals: Vec<u32> = known.keys().copied().collect();
-            let pick = |dir_left: bool| -> LeafSide<R> {
-                let mut out = LeafSide::new();
-                let mut cursor = x.cubical;
-                for _ in 0..R {
-                    let next = if dir_left {
-                        cubicals
-                            .iter()
-                            .rev()
-                            .find(|&&c| c < cursor)
-                            .or_else(|| cubicals.last())
-                    } else {
-                        cubicals
-                            .iter()
-                            .find(|&&c| c > cursor)
-                            .or_else(|| cubicals.first())
-                    };
-                    match next {
-                        Some(&c) => {
-                            out.push(known[&c]);
-                            cursor = c;
-                        }
-                        None => break,
-                    }
-                }
-                if out.is_empty() {
-                    out.push(x);
-                }
-                out
-            };
-            (inside, inside, pick(true), pick(false))
+            // X's place among them (Z's cycle is one), read both ways.
+            let primaries: Vec<CycloidId> = known.into_values().collect();
+            let (at, n) = (|j: usize| primaries[j], primaries.len());
+            let place = primaries.partition_point(|p| p.cubical < x.cubical);
+            let (left, _) = ring_sides(place, n, R, 0, at);
+            let (_, right) = ring_sides(place + n - 1, n, 0, R, at);
+            (inside, inside, left, right)
         }
     }
 
@@ -601,54 +554,55 @@ impl<const R: usize> CycloidNetwork<R> {
     /// Mends the leaf sets of every member of the run that starts at
     /// `start` but `skip`, taking at most `left` of them off `left`, and
     /// returns the position after the last. The outside leaf set depends
-    /// only on the cubical index, so it is resolved once for the run; the
-    /// inside leaf sets are the run read by index, wrapping at its ends.
+    /// only on the cubical index, so it is resolved once for the run.
     fn notify_run(&mut self, start: Pos, left: &mut usize, skip: Option<CycloidId>) -> Pos {
-        let order = &self.members.store;
-        let d = u64::from(self.dim.get());
-        // One division a run, not one a token.
-        let base = order.token_at(start) / d * d;
-        let cubical = (base / d) as u32;
-        let mut run = InlineVec::<(Pos, u32), 32>::new(); // d ≤ 32 (`Dim::new`)
+        let first = self.id_at(start);
+        let (out_l, out_r) = self.outside_leafs_at(first, start);
         let mut pos = start;
-        while *left > 0 && (base..base + d).contains(&order.token_at(pos)) {
-            run.push((pos, (order.token_at(pos) - base) as u32));
-            pos = order.next(pos);
-            *left -= 1;
-        }
-        let n = run.len();
-        let member = |i: usize| CycloidId::new(run[i].1, cubical);
-        let (out_l, out_r) = self.outside_leafs_at(member(0), start);
-        for (i, &(at, cyclic)) in run.iter().enumerate() {
-            if skip == Some(CycloidId::new(cyclic, cubical)) {
-                continue;
+        while *left > 0 && self.id_at(pos).cubical == first.cubical {
+            let id = self.id_at(pos);
+            if skip != Some(id) {
+                let (in_l, in_r) = self.inside_leafs_at(id, pos);
+                let row = self.members.store.state_at_mut(pos);
+                Self::store_notified(row, (in_l, in_r, out_l, out_r));
             }
-            let (in_l, in_r) = ring_sides(i, n, R, R, member);
-            let state = self.members.store.state_at_mut(at);
-            state.inside_left = in_l;
-            state.inside_right = in_r;
-            state.outside_left = out_l;
-            state.outside_right = out_r;
+            pos = self.members.store.next(pos);
+            *left -= 1;
         }
         pos
     }
 }
 
-/// Cycloid's row (what the node's own stabilizer plus fresh leaf-set
-/// knowledge would produce): the three routing-table entries and both
-/// leaf sets. Hint 0 is the node's own place in the token order.
+/// A node's leaf sets: inside left and right, outside left and right.
+type Leafs<const R: usize> = (LeafSide<R>, LeafSide<R>, LeafSide<R>, LeafSide<R>);
+
+/// Cycloid's row: the leaf sets are its notified half, mended by the §3.3
+/// notifications; the routing table is its lazy half, "the responsibility
+/// of system stabilization" (§3.3.2).
 impl<const R: usize> RefreshInto for CycloidNetwork<R> {
-    fn refresh_into(&self, id: NodeToken, hints: &mut Hints, out: &mut NodeState<R>) -> bool {
-        let Some(own) = self.members.store.position_of(hints.slot(0), id) else {
-            return false;
-        };
+    type Notified = Leafs<R>;
+
+    fn notified_half(&self, id: NodeToken, hint: &mut Pos) -> Leafs<R> {
+        let order = &self.members.store;
+        let own = order.position_of(hint, id).expect("a live node");
+        let id = CycloidId::from_linear(id, self.dim);
+        let (in_l, in_r) = self.inside_leafs_at(id, own);
+        let (out_l, out_r) = self.outside_leafs_at(id, own);
+        (in_l, in_r, out_l, out_r)
+    }
+
+    fn store_notified(row: &mut NodeState<R>, leafs: Leafs<R>) {
+        (row.inside_left, row.inside_right) = (leafs.0, leafs.1);
+        (row.outside_left, row.outside_right) = (leafs.2, leafs.3);
+    }
+
+    /// The cubical neighbour and the two cyclic neighbours; no hint is
+    /// read.
+    fn refresh_lazy(&self, id: NodeToken, _hints: &mut Hints, out: &mut NodeState<R>) {
         let id = CycloidId::from_linear(id, self.dim);
         out.cubical_neighbor = self.resolve_cubical_neighbor(id).into();
         let (smaller, larger) = self.resolve_cyclic_neighbors(id);
         (out.cyclic_smaller, out.cyclic_larger) = (smaller.into(), larger.into());
-        (out.inside_left, out.inside_right) = self.inside_leafs_at(id, own);
-        (out.outside_left, out.outside_right) = self.outside_leafs_at(id, own);
-        true
     }
 }
 

@@ -7,10 +7,11 @@
 //! (list entries: an erased entry is dropped). Corruption is
 //! [`dht_core::corrupt::corrupt_links`] over this table. Repair is
 //! [`dht_core::corrupt::repair_links`]: the node's stabilizer run as an
-//! *audited* recompute — compute the entire state from live membership
-//! (the network's [`dht_core::sim::RefreshInto`]) into a copy of the
-//! held one, write it back if it differs, and report how many entries
-//! changed. On a healthy node that count is zero and nothing is written
+//! *audited* recompute — compute both halves of the row from live
+//! membership (the network's [`dht_core::sim::RefreshInto`]) into a copy
+//! of the held one, write it back if it differs, and report how many
+//! entries changed. The `Full` audit refreshes only the lazy half, the
+//! three routing-table pointers. On a healthy node that count is zero and nothing is written
 //! — repair draws from no RNG stream — which is what lets the churn
 //! engine substitute repair for stabilization without perturbing a
 //! single golden byte.

@@ -159,13 +159,9 @@ impl AuditReport {
         actual: &T,
         expected: &T,
     ) {
-        if actual != expected {
-            self.record(
-                node,
-                invariant,
-                format!("expected {expected:?}, found {actual:?}"),
-            );
-        }
+        self.check(node, invariant, actual == expected, || {
+            format!("expected {expected:?}, found {actual:?}")
+        });
     }
 
     /// Every violation found, in discovery order.

@@ -15,8 +15,8 @@
 //! share the rest: [`corrupt_links`] (the victim loop and the only
 //! mapping from strategy to written value), [`repair_links`] (refresh a
 //! copy of the row, count what changed), [`audit_lazy_links`] (would a
-//! round rewrite a lazily repaired link?) and [`link_diff`] (the one
-//! definition of "entries that differ"). CAN and Viceroy hold zones and
+//! round rewrite a link of the row's lazy half?) and [`link_diff`] (the
+//! one definition of "entries that differ"). CAN and Viceroy hold zones and
 //! level claims, not link tables, and write their own
 //! `Protocol::corrupt_state`.
 //!
@@ -222,9 +222,9 @@ pub trait Links: Clone + PartialEq {
     /// The identifier type the links hold.
     type Id: Copy + PartialEq + std::fmt::Debug;
 
-    /// The lazily repaired family of the entry at `salt`, if any: what
-    /// only a stabilization round mends, which [`audit_lazy_links`]
-    /// checks. The other entries are mended by join/leave notifications.
+    /// The family [`audit_lazy_links`] reports the entry at `salt` by if
+    /// [`RefreshInto::refresh_lazy`] writes it; `None` for the notified
+    /// half, which join/leave notifications mend.
     fn lazy_family(salt: u64) -> Option<LazyFamily>;
 
     /// Visits every corruptible entry in strictly ascending salt order,
@@ -364,10 +364,10 @@ where
 
 /// The lazily repaired half of a [`AuditScope::Full`] report (an
 /// `Online` one is left as it is): would one stabilization round rewrite
-/// a lazily repaired link? One ascending pass refreshes each node into
-/// one scratch row, with a round's running hints, and diffs the held row
-/// against it by salt where they differ, recording each differing entry
-/// of a [`Links::lazy_family`] as its family counts.
+/// a lazily repaired link? One ascending pass copies each held row into
+/// one scratch row, refreshes its lazy half there with a round's running
+/// hints, and diffs the two by salt where they differ, recording each
+/// differing entry as its [`Links::lazy_family`] counts.
 pub fn audit_lazy_links<T>(net: &T, mut report: AuditReport) -> AuditReport
 where
     T: RefreshInto + ?Sized,
@@ -378,16 +378,17 @@ where
     }
     let (mut hints, mut fresh) = (Hints::default(), T::State::default());
     for (node, held) in net.membership().store.iter() {
-        net.refresh_into(node, &mut hints, &mut fresh);
+        fresh.clone_from(held);
+        net.refresh_lazy(node, &mut hints, &mut fresh);
         if *held == fresh {
             continue;
         }
         let mut listed = Vec::new();
         by_salt(&mut held.clone(), &mut fresh, |salt, was, now| {
-            let name = match T::State::lazy_family(salt) {
-                Some(LazyFamily::PerEntry(name)) => name,
-                Some(LazyFamily::PerNode(name)) if !listed.contains(&name) => name,
-                _ => return,
+            let name = match T::State::lazy_family(salt).expect("a lazy half salt") {
+                LazyFamily::PerEntry(name) => name,
+                LazyFamily::PerNode(name) if !listed.contains(&name) => name,
+                LazyFamily::PerNode(_) => return,
             };
             listed.push(name);
             let detail = format!("link {salt:#x}: {was:?}, a round writes {now:?}");
@@ -465,7 +466,8 @@ mod tests {
     }
 
     /// The least `SimOverlay` that holds `Toy` states: no routing, and a
-    /// refresh that computes [`Toy::healthy`]. Not
+    /// refresh that computes [`Toy::healthy`], `ptr` and `wide` its
+    /// notified half. Not
     /// `sim::fixture::StaleRing`, whose `u64` state has no `Links` to corrupt
     /// and whose stabilizer repairs nothing.
     struct ToyNet(Membership<Toy>);
@@ -550,12 +552,17 @@ mod tests {
     }
 
     impl RefreshInto for ToyNet {
-        fn refresh_into(&self, id: NodeToken, _hints: &mut Hints, out: &mut Toy) -> bool {
-            let live = self.0.store.contains(id);
-            if live {
-                *out = Toy::healthy(id);
-            }
-            live
+        type Notified = u64;
+        fn notified_half(&self, id: NodeToken, _hint: &mut crate::store::Pos) -> u64 {
+            Toy::healthy(id).ptr
+        }
+        fn store_notified(row: &mut Toy, ptr: u64) {
+            row.ptr = ptr;
+            row.wide.clear();
+        }
+        fn refresh_lazy(&self, id: NodeToken, _hints: &mut Hints, out: &mut Toy) {
+            let Toy { opt, list, .. } = Toy::healthy(id);
+            (out.id, out.opt, out.list) = (id, opt, list);
         }
     }
 

@@ -67,15 +67,10 @@
 //! its own name: liveness, states, token order and loads are
 //! `membership().store`'s ([`crate::store::CompactStore`]). Add an
 //! inherent method only where it converts an identifier or computes
-//! something. Override the defaulted hooks only where the
-//! protocol deviates: [`SimOverlay::admit`] for candidate filters
-//! beyond liveness, [`SimOverlay::on_hop`] for per-hop *walk-state*
-//! bookkeeping (cursor advancement, visited sets),
-//! [`SimOverlay::repair_on_use`] for the deferred *network-state*
-//! mutation (stale-entry eviction), [`SimOverlay::on_exhausted`] for a
-//! walk left without a live candidate (one that stops by its own decision
-//! is [`classify_terminal`]'s), and [`SimOverlay::budget_before_terminal`]
-//! when the protocol checks its termination test before the hop budget.
+//! something. Override a defaulted hook only where the protocol deviates;
+//! each hook's doc says when. A stabilizer that recomputes a node's links
+//! from the membership is a [`RefreshInto`] row in two halves, and the
+//! ring kinds' whole node lifecycle follows from it ([`Refresh`]).
 
 use std::any::Any;
 
@@ -256,14 +251,37 @@ pub fn classify_terminal(cur: NodeToken, owner: Option<NodeToken>) -> LookupOutc
 }
 
 /// An overlay whose stabilizer is a *refresh*: a node's row is a pure
-/// function of the sorted live membership. Read by [`refresh_in_place`],
-/// `corrupt::repair_links` and `corrupt::audit_lazy_links`; the `Default`
-/// row is what a node knows before its first refresh.
+/// function of the sorted live membership, in two halves. The *notified
+/// half* (ring pointers, successor lists, leaf sets) is what a join or
+/// graceful leave mends; the *lazy half* only stabilization mends, and
+/// `corrupt::audit_lazy_links` checks. The `Default` row is what a node
+/// knows before its first refresh.
 pub trait RefreshInto: SimOverlay<State: Default> {
-    /// Writes every field of live node `id`'s row into `out`, searching
-    /// from `hints` and leaving them at this node's answers; `false`, with
-    /// `out` untouched, if `id` has departed.
-    fn refresh_into(&self, id: NodeToken, hints: &mut Hints, out: &mut Self::State) -> bool;
+    /// The values of a row's notified half.
+    type Notified;
+
+    /// The notified half of live node `id`'s row, searched from `hint`,
+    /// which is left at `id`'s place.
+    fn notified_half(&self, id: NodeToken, hint: &mut Pos) -> Self::Notified;
+
+    /// Writes `links` over the notified half of `row`, and nothing else.
+    fn store_notified(row: &mut Self::State, links: Self::Notified);
+
+    /// Writes live node `id`'s lazy half and id into `out`, and nothing
+    /// else, searching from `hints` past slot 0.
+    fn refresh_lazy(&self, id: NodeToken, hints: &mut Hints, out: &mut Self::State);
+
+    /// The halves' one composition: every field of live node `id`'s row,
+    /// hint 0 at its place; `false`, with `out` untouched, if it departed.
+    fn refresh_into(&self, id: NodeToken, hints: &mut Hints, out: &mut Self::State) -> bool {
+        let store = &self.membership().store;
+        let live = store.position_of(hints.slot(0), id).is_some();
+        if live {
+            Self::store_notified(out, self.notified_half(id, hints.slot(0)));
+            self.refresh_lazy(id, hints, out);
+        }
+        live
+    }
 }
 
 /// The one writer of [`RefreshInto::refresh_into`]: node `id`'s row moves
@@ -282,18 +300,13 @@ pub fn refresh_in_place<T: RefreshInto + ?Sized>(net: &mut T, id: NodeToken, hin
 /// The node lifecycle of an overlay whose stabilizer is a *refresh*: a
 /// node's links are a pure function of the live membership, so joining,
 /// leaving and stabilizing are all "recompute somebody's links". The
-/// overlay supplies the three protocol pieces below plus its
+/// overlay supplies the two protocol pieces below plus its
 /// [`RefreshInto`]; the lifecycle is written once here (the paper's §3.3
 /// shape: a join or graceful leave notifies only the neighbourhood that
 /// lists the node, everything else waits for stabilization).
 pub trait Refresh: RefreshInto + Sized {
     /// Size of the identifier space joins draw from.
     fn id_space(&self) -> u64;
-
-    /// Recomputes only the links a join/leave notification mends (ring
-    /// pointers, leaf sets) of the live node `id`, found from `hint`, in
-    /// place (`state_at_mut`); long-range links stay stale.
-    fn refresh_notified(&mut self, id: NodeToken, hint: Pos);
 
     /// How many live nodes before and after a changed position it notifies.
     fn notified_window(&self) -> (usize, usize);
@@ -362,7 +375,7 @@ pub trait Refresh: RefreshInto + Sized {
 
 /// The fan-out of a join or graceful leave at `id`: one search from
 /// `hint`, then steps through the [`Refresh::notified_window`] around it,
-/// at most one lap and the joiner skipped.
+/// at most one lap and the joiner skipped, mending notified halves in place.
 fn notify_window<T: Refresh>(net: &mut T, id: NodeToken, mut hint: Pos) {
     let (before, after) = net.notified_window();
     let store = &net.membership().store;
@@ -378,7 +391,8 @@ fn notify_window<T: Refresh>(net: &mut T, id: NodeToken, mut hint: Pos) {
         if store.token_at(pos) == id {
             pos = store.next(pos);
         }
-        net.refresh_notified(store.token_at(pos), pos);
+        let links = net.notified_half(store.token_at(pos), &mut pos);
+        T::store_notified(net.membership_mut().store.state_at_mut(pos), links);
         pos = net.membership().store.next(pos);
     }
 }

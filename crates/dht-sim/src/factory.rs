@@ -136,37 +136,26 @@ pub fn build_overlay_spaced(
 ) -> Box<dyn Overlay> {
     assert!(n > 0, "cannot build an empty overlay");
     let id_space = id_space.max(n);
+    let (dim, bits) = (cycloid_dim_for(id_space), ring_bits_for(id_space));
+    let koorde =
+        |config| -> Box<dyn Overlay> { Box::new(KoordeNetwork::with_nodes(config, n, seed)) };
     match kind {
-        OverlayKind::Cycloid7 => Box::new(CycloidNetwork::with_nodes(
-            CycloidConfig::seven_entry(cycloid_dim_for(id_space)),
-            n,
-            seed,
-        )),
-        OverlayKind::Cycloid11 => Box::new(CycloidNetwork::with_nodes(
-            CycloidConfig::eleven_entry(cycloid_dim_for(id_space)),
-            n,
-            seed,
-        )),
+        OverlayKind::Cycloid7 => {
+            let config = CycloidConfig::seven_entry(dim);
+            Box::new(CycloidNetwork::with_nodes(config, n, seed))
+        }
+        OverlayKind::Cycloid11 => {
+            let config = CycloidConfig::eleven_entry(dim);
+            Box::new(CycloidNetwork::with_nodes(config, n, seed))
+        }
         OverlayKind::Viceroy => Box::new(ViceroyNetwork::with_nodes(ViceroyConfig::new(), n, seed)),
-        OverlayKind::Koorde => Box::new(KoordeNetwork::with_nodes(
-            KoordeConfig::new(ring_bits_for(id_space)),
-            n,
-            seed,
-        )),
-        OverlayKind::KoordeBestFit => Box::new(KoordeNetwork::with_nodes(
-            KoordeConfig::with_best_fit(ring_bits_for(id_space)),
-            n,
-            seed,
-        )),
-        OverlayKind::Chord => Box::new(ChordNetwork::with_nodes(
-            ChordConfig::new(ring_bits_for(id_space)),
-            n,
-            seed,
-        )),
+        OverlayKind::Koorde => koorde(KoordeConfig::new(bits)),
+        OverlayKind::KoordeBestFit => koorde(KoordeConfig::with_best_fit(bits)),
+        OverlayKind::Chord => Box::new(ChordNetwork::with_nodes(ChordConfig::new(bits), n, seed)),
         OverlayKind::Pastry => {
             // Round the ring up to a whole number of base-4 digits.
-            let bits = ring_bits_for(id_space).div_ceil(2) * 2;
-            Box::new(PastryNetwork::with_nodes(PastryConfig::new(bits), n, seed))
+            let config = PastryConfig::new(bits.div_ceil(2) * 2);
+            Box::new(PastryNetwork::with_nodes(config, n, seed))
         }
         OverlayKind::Can => Box::new(CanNetwork::with_nodes(CanConfig::new(2), n, seed)),
     }

@@ -7,7 +7,8 @@
 //! backups are repaired by stabilization (§4.4) *and* opportunistically
 //! during lookups (a querier that times out on a de Bruijn hop adopts the
 //! backup it used), so only [`AuditScope::Full`] checks them, by
-//! [`audit_lazy_links`]: would one stabilization round rewrite them?
+//! [`audit_lazy_links`]: would one stabilization round rewrite them? It
+//! refreshes only those, the row's lazy half, over a copy of each row.
 //! Their independent definition lives in `tests/audit_sweep.rs`.
 
 use dht_core::audit::{AuditReport, AuditScope, StateAudit};

@@ -5,7 +5,7 @@
 //! `depart(id, notify)` — is not written here: it is the provided half
 //! of [`dht_core::sim::Refresh`] (bring the trait into scope to call
 //! it), driven by the Koorde pieces in the `impl Refresh` below and the
-//! row computation in `impl RefreshInto`.
+//! row's two halves in `impl RefreshInto`.
 
 use dht_core::hash::{reduce, splitmix64};
 use dht_core::lookup::{HopPhase, LookupOutcome};
@@ -162,34 +162,39 @@ impl KoordeNetwork {
     }
 }
 
-/// Koorde's row: ring pointers, successor list, de Bruijn pointer and
-/// its backups.
+/// Koorde's row: the ring pointers are its notified half, the de Bruijn
+/// pointer and its backups its lazy half.
 impl RefreshInto for KoordeNetwork {
-    /// Hint 0 is the node's own place in the order, hint 1 the de Bruijn
-    /// point's: `2 * id` ascends with `id`, wrapping once per round. The
-    /// backups are steps back from the pointer.
-    fn refresh_into(&self, id: u64, hints: &mut Hints, out: &mut KoordeNode) -> bool {
+    /// Predecessor and successor list.
+    type Notified = (u64, RingList);
+
+    fn notified_half(&self, id: u64, hint: &mut Pos) -> (u64, RingList) {
+        let r = self.config.successor_list;
+        self.members
+            .ring_pointers(id, r, hint)
+            .expect("own ring is not empty")
+    }
+
+    fn store_notified(row: &mut KoordeNode, (pred, succs): (u64, RingList)) {
+        row.predecessor = pred;
+        row.successors = succs;
+    }
+
+    /// Hint 1 is the de Bruijn point's: `2 * id` ascends with `id`,
+    /// wrapping once per round. The backups are steps back from the
+    /// pointer.
+    fn refresh_lazy(&self, id: u64, hints: &mut Hints, out: &mut KoordeNode) {
         let order = &self.members.store;
-        if order.position_of(hints.slot(0), id).is_none() {
-            return false;
-        }
-        let (pred, succs) = self
-            .members
-            .ring_pointers(id, self.config.successor_list, hints.slot(0))
-            .expect("own ring is not empty");
         let mut cursor = order
             .at_or_before_from(hints.slot(1), (2 * id) % self.config.space())
             .expect("own ring is not empty");
         out.id = id;
-        out.predecessor = pred;
-        out.successors = succs;
         out.debruijn = order.token_at(cursor);
         out.debruijn_preds.clear();
         for _ in 0..self.config.debruijn_backups {
             cursor = order.prev(cursor);
             out.debruijn_preds.push(order.token_at(cursor));
         }
-        true
     }
 }
 
@@ -203,16 +208,6 @@ impl RefreshInto for KoordeNetwork {
 impl Refresh for KoordeNetwork {
     fn id_space(&self) -> u64 {
         self.config.space()
-    }
-
-    fn refresh_notified(&mut self, id: u64, mut hint: Pos) {
-        let (pred, succs) = self
-            .members
-            .ring_pointers(id, self.config.successor_list, &mut hint)
-            .expect("refresh on empty ring");
-        let node = self.members.store.state_at_mut(hint);
-        node.predecessor = pred;
-        node.successors = succs;
     }
 
     /// The `r` predecessors hold `id` in their successor lists, the

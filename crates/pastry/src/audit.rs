@@ -4,7 +4,8 @@
 //! Leaf sets are repaired eagerly by the graceful join/leave protocol and
 //! are checked at [`AuditScope::Online`]; table slots are only repaired by
 //! stabilization, so [`AuditScope::Full`] adds [`audit_lazy_links`]: would
-//! one round rewrite a slot? Their independent definition lives in
+//! one round rewrite a slot? It refreshes only the table, the row's lazy
+//! half, over a copy of each row. Their independent definition lives in
 //! `tests/audit_sweep.rs`.
 
 use dht_core::audit::{AuditReport, AuditScope, StateAudit};

@@ -5,7 +5,7 @@
 //! `depart(id, notify)` — is not written here: it is the provided half
 //! of [`dht_core::sim::Refresh`] (bring the trait into scope to call
 //! it), driven by the Pastry pieces in the `impl Refresh` below and the
-//! row computation in `impl RefreshInto`.
+//! row's two halves in `impl RefreshInto`.
 
 use dht_core::hash::{reduce, splitmix64};
 use dht_core::inline::InlineVec;
@@ -91,7 +91,7 @@ impl PastryConfig {
 pub type LeafHalf = InlineVec<u64, 8>;
 
 /// Routing state of one Pastry node.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, PartialEq, Default)]
 pub struct PastryNode {
     /// This node's identifier.
     pub id: u64,
@@ -104,6 +104,20 @@ pub struct PastryNode {
     pub leaf_smaller: LeafHalf,
     /// Numerically larger leaf-set half, nearest first.
     pub leaf_larger: LeafHalf,
+}
+
+/// Written out so that `clone_from` refills the table buffer it has.
+impl Clone for PastryNode {
+    fn clone(&self) -> Self {
+        let table = self.table.clone();
+        Self { table, ..*self }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let mut table = std::mem::take(&mut self.table);
+        table.clone_from(&source.table);
+        *self = Self { table, ..*source };
+    }
 }
 
 impl PastryNode {
@@ -259,14 +273,24 @@ impl PastryNetwork {
     }
 }
 
-/// Pastry's row: the prefix table and both leaf halves.
+/// Pastry's row: the leaf set is its notified half, the prefix table its
+/// lazy half.
 impl RefreshInto for PastryNetwork {
-    /// Hint 0 is the node's own place in the order, hint `1 + cell` the
-    /// table cell's. The table is refilled in the buffer `out` has.
-    fn refresh_into(&self, id: u64, hints: &mut Hints, out: &mut PastryNode) -> bool {
-        if self.members.store.position_of(hints.slot(0), id).is_none() {
-            return false;
-        }
+    /// The smaller and the larger leaf half.
+    type Notified = (LeafHalf, LeafHalf);
+
+    fn notified_half(&self, id: u64, hint: &mut Pos) -> (LeafHalf, LeafHalf) {
+        self.resolve_leafs(id, hint)
+    }
+
+    fn store_notified(row: &mut PastryNode, (smaller, larger): (LeafHalf, LeafHalf)) {
+        row.leaf_smaller = smaller;
+        row.leaf_larger = larger;
+    }
+
+    /// Hint `1 + cell` is the table cell's. The table is refilled in the
+    /// buffer `out` has.
+    fn refresh_lazy(&self, id: u64, hints: &mut Hints, out: &mut PastryNode) {
         let c = self.config;
         out.id = id;
         out.table.clear();
@@ -274,8 +298,6 @@ impl RefreshInto for PastryNetwork {
             let hint = hints.slot(1 + cell as usize);
             self.resolve_entry(id, cell / c.base(), cell % c.base(), hint)
         }));
-        (out.leaf_smaller, out.leaf_larger) = self.resolve_leafs(id, hints.slot(0));
-        true
     }
 }
 
@@ -285,14 +307,6 @@ impl RefreshInto for PastryNetwork {
 impl Refresh for PastryNetwork {
     fn id_space(&self) -> u64 {
         self.config.space()
-    }
-
-    /// Refreshes only the leaf set.
-    fn refresh_notified(&mut self, id: u64, mut hint: Pos) {
-        let (smaller, larger) = self.resolve_leafs(id, &mut hint);
-        let node = self.members.store.state_at_mut(hint);
-        node.leaf_smaller = smaller;
-        node.leaf_larger = larger;
     }
 
     /// The `|L|/2` nodes either side hold `id` in their leaf sets.

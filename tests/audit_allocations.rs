@@ -11,10 +11,11 @@
 //! bound. Viceroy is left out: its audit is not a ring sweep.
 //!
 //! A clean `Full` pass of a kind whose stabilizer is a refresh adds one
-//! ascending pass that computes each node's row into one scratch row: the
-//! scratch's heap table (Chord's fingers, Pastry's prefix table) is
-//! allocated once, at the first node, and reused for every other, so the
-//! same equality holds.
+//! ascending pass that copies each node's row into one scratch row and
+//! refreshes its lazy half there: the scratch's heap table (Chord's
+//! fingers, Pastry's prefix table) is allocated once, at the first node,
+//! and reused for every other, so the same equality holds. CAN's `Full`
+//! pass sweeps each node's faces into two buffers the pass owns.
 
 #[path = "common/counting.rs"]
 mod counting;
@@ -64,7 +65,8 @@ fn a_clean_online_pass_allocates_per_pass_not_per_node() {
 #[test]
 fn a_clean_full_pass_allocates_per_pass_not_per_node() {
     // The online pass's allocations, plus Chord's and Pastry's one
-    // scratch table.
+    // scratch table; CAN's, plus the face sweep's two buffers (grown to
+    // the largest node's need) and the tiling check's one set.
     for (kind, bound) in [
         (OverlayKind::Chord, 3),
         (OverlayKind::Koorde, 2),
@@ -72,6 +74,7 @@ fn a_clean_full_pass_allocates_per_pass_not_per_node() {
         (OverlayKind::Pastry, 3),
         (OverlayKind::Cycloid7, 3),
         (OverlayKind::Cycloid11, 3),
+        (OverlayKind::Can, 8),
     ] {
         let small = pass_allocations(kind, 500, AuditScope::Full);
         let large = pass_allocations(kind, 2_000, AuditScope::Full);
