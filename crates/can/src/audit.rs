@@ -44,7 +44,6 @@ impl StateAudit for CanNetwork {
         let (mut slots, mut swept) = (Vec::new(), Vec::new());
         for (token, node) in self.members.store.iter() {
             report.note_checked(1);
-            report.check_eq(token, "can/token-id", &node.token, &token);
 
             // Every zone belongs to this torus, and a live node owns at
             // least one.

@@ -38,12 +38,11 @@ impl CanConfig {
     }
 }
 
-/// One CAN node: a token, the zones it currently owns (one after a plain
-/// join; several after takeovers), and its neighbour table.
+/// One CAN node's row: the zones it currently owns (one after a plain
+/// join; several after takeovers) and its neighbour table. Its token is
+/// the key the membership store holds the row under.
 #[derive(Debug, Clone)]
 pub struct CanNode {
-    /// Opaque node token.
-    pub token: u64,
     /// Owned zones (disjoint boxes), without spare capacity.
     pub zones: Box<[Zone]>,
     /// The routing table Table 1 charges CAN for: the live nodes owning
@@ -134,7 +133,6 @@ impl CanNetwork {
         let mut members = Membership::new(seed);
         let token = members.next_raw();
         let founder = CanNode {
-            token,
             zones: Box::new([Zone::full(config.dims, CanConfig::BITS_PER_DIM)]),
             neighbors: Box::default(),
         };
@@ -282,7 +280,6 @@ impl CanNetwork {
             .expect("live")
             .set_table(owner_table);
         let mut newcomer = CanNode {
-            token,
             zones: Box::new([newcomer_zone]),
             neighbors: Box::default(),
         };
@@ -586,14 +583,15 @@ impl SimOverlay for CanNetwork {
         self.stabilize_takeover();
     }
 
-    fn state_heap_bytes(&self, state: &CanNode) -> usize {
-        // Zone list plus the neighbour table.
-        std::mem::size_of_val(&*state.zones) + std::mem::size_of_val(&*state.neighbors)
-    }
-
-    fn aux_bytes(&self) -> usize {
-        // The dyadic zone index plus the orphan list.
-        self.index.heap_bytes() + self.orphans.capacity() * std::mem::size_of::<Zone>()
+    fn heap_beyond_rows(&self) -> usize {
+        // Each row's zone list and neighbour table, the dyadic zone
+        // index and the orphan list.
+        use std::mem::{size_of, size_of_val};
+        let rows = self.members.store.states();
+        let rows: usize = rows
+            .map(|s| size_of_val(&*s.zones) + size_of_val(&*s.neighbors))
+            .sum();
+        rows + self.index.heap_bytes() + self.orphans.capacity() * size_of::<Zone>()
     }
 }
 
@@ -759,9 +757,9 @@ mod tests {
     fn scan_owner_of_point(net: &CanNetwork, point: &[u64]) -> Option<u64> {
         net.members
             .store
-            .states()
-            .find(|n| n.zones.iter().any(|z| z.contains(point)))
-            .map(|n| n.token)
+            .iter()
+            .find(|(_, n)| n.zones.iter().any(|z| z.contains(point)))
+            .map(|(token, _)| token)
     }
 
     /// The original O(n²)-ish membership-scan formulation of

@@ -128,7 +128,6 @@ impl RefreshInto for ChordNetwork {
     fn refresh_lazy(&self, id: u64, hints: &mut Hints, out: &mut ChordNode) {
         let order = &self.members.store;
         let space = self.config.space();
-        out.id = id;
         out.fingers.clear();
         out.fingers.extend((0..self.config.bits as usize).map(|i| {
             let at = order.successor_from(hints.slot(1 + i), (id + (1u64 << i)) % space);
@@ -199,7 +198,7 @@ impl Protocol for ChordNetwork {
         self.members
             .store
             .get(node)
-            .map_or(1, |s| (s.degree() as u64).max(1))
+            .map_or(1, |s| (s.degree(node) as u64).max(1))
     }
 }
 
@@ -275,10 +274,11 @@ impl SimOverlay for ChordNetwork {
         refresh_in_place(self, node, hints);
     }
 
-    fn state_heap_bytes(&self, state: &ChordNode) -> usize {
-        // Successor list is inline; only the O(log n) finger table
-        // lives on the heap.
-        state.fingers.capacity() * std::mem::size_of::<u64>()
+    fn heap_beyond_rows(&self) -> usize {
+        // Successor list is inline; only the O(log n) finger tables
+        // live on the heap.
+        let fingers = self.members.store.states().map(|s| s.fingers.capacity());
+        fingers.sum::<usize>() * std::mem::size_of::<u64>()
     }
 }
 
@@ -442,8 +442,8 @@ mod tests {
         let mean: f64 = net
             .members
             .store
-            .states()
-            .map(|n| n.degree() as f64)
+            .iter()
+            .map(|(id, n)| n.degree(id) as f64)
             .sum::<f64>()
             / net.len() as f64;
         assert!(mean > 7.0, "Chord mean degree {mean} should exceed 7");

@@ -8,15 +8,14 @@ use dht_core::inline::InlineVec;
 /// allocated).
 pub type SuccessorList = InlineVec<u64, 4>;
 
-/// Routing state of one Chord node.
+/// Routing state of one Chord node: its links, not its own identifier,
+/// which is the token the membership store keys the row by.
 ///
 /// All pointers are node identifiers on the `2^bits` ring; they may be
 /// stale (pointing at departed nodes) until stabilization refreshes them.
 /// The `Default` row is empty and holds no heap buffer.
 #[derive(Debug, PartialEq, Default)]
 pub struct ChordNode {
-    /// This node's ring identifier.
-    pub id: u64,
     /// Immediate predecessor on the ring.
     pub predecessor: u64,
     /// Successor list: the `r` nodes immediately following this node,
@@ -47,15 +46,15 @@ impl ChordNode {
         self.successors[0]
     }
 
-    /// Distinct non-self entries currently held (the node's actual
-    /// degree), counted on the stack: at most 63 fingers, four successors
-    /// and the predecessor.
+    /// Distinct entries other than node `id` itself currently held (the
+    /// node's actual degree), counted on the stack: at most 63 fingers,
+    /// four successors and the predecessor.
     #[must_use]
-    pub fn degree(&self) -> usize {
+    pub fn degree(&self, id: u64) -> usize {
         let mut distinct = InlineVec::<u64, 68>::new();
         let contacts = self.successors.iter().chain(&self.fingers);
         for &c in contacts.chain([&self.predecessor]) {
-            if c != self.id && !distinct.contains(&c) {
+            if c != id && !distinct.contains(&c) {
                 distinct.push(c);
             }
         }
@@ -70,7 +69,6 @@ mod tests {
     /// A node that knows only itself: its own successor and predecessor.
     fn lone(id: u64, bits: u32, succ_list_len: usize) -> ChordNode {
         ChordNode {
-            id,
             predecessor: id,
             successors: SuccessorList::repeat(id, succ_list_len),
             fingers: vec![id; bits as usize],
@@ -82,7 +80,7 @@ mod tests {
         let n = lone(5, 8, 3);
         assert_eq!(n.successor(), 5);
         assert_eq!(n.predecessor, 5);
-        assert_eq!(n.degree(), 0);
+        assert_eq!(n.degree(5), 0);
         assert_eq!(n.fingers.len(), 8);
         assert_eq!(n.successors.len(), 3);
     }
@@ -93,7 +91,7 @@ mod tests {
         n.successors = vec![3, 7].into();
         n.fingers = vec![3, 3, 7, 9];
         n.predecessor = 12;
-        assert_eq!(n.degree(), 4); // {3, 7, 9, 12}
+        assert_eq!(n.degree(0), 4); // {3, 7, 9, 12}
     }
 
     #[test]
@@ -103,11 +101,11 @@ mod tests {
         n.fingers = (1..=63).collect();
         n.successors = vec![100, 101, 102, 103].into();
         n.predecessor = 200;
-        assert_eq!(n.degree(), 68);
+        assert_eq!(n.degree(0), 68);
         // ... and collapsing onto the node itself and one contact.
         n.fingers = vec![0; 63];
         n.successors = vec![7; 4].into();
         n.predecessor = 7;
-        assert_eq!(n.degree(), 1);
+        assert_eq!(n.degree(0), 1);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Chord's link table for the shared skeleton in [`dht_core::corrupt`]:
 //! predecessor, successor list and finger table, each a mandatory
-//! pointer (an erased entry falls back to the node's own id — the "knows
+//! pointer (an erased entry falls back to the node itself — the "knows
 //! nobody" state of a fresh node). Corruption is
 //! [`dht_core::corrupt::corrupt_links`] over this table; repair is
 //! [`dht_core::corrupt::repair_links`], an audited recompute from live
@@ -26,8 +26,7 @@ impl Links for ChordNode {
         (salt >= SALT_FINGER).then_some(LazyFamily::PerEntry("chord/finger-table"))
     }
 
-    fn rewrite_links(&mut self, f: &mut dyn FnMut(u64, Option<u64>) -> Option<u64>) {
-        let id = self.id;
+    fn rewrite_links(&mut self, id: u64, f: &mut dyn FnMut(u64, Option<u64>) -> Option<u64>) {
         self.predecessor = f(SALT_PRED, Some(self.predecessor)).unwrap_or(id);
         for (i, s) in self.successors.iter_mut().enumerate() {
             *s = f(SALT_SUCC + i as u64, Some(*s)).unwrap_or(id);
@@ -69,20 +68,16 @@ mod tests {
     #[test]
     fn link_table_is_salt_ordered_and_equal_to_its_clone() {
         let n = net(80);
-        let mut state = n
-            .membership()
-            .store
-            .get(n.node_tokens()[0])
-            .unwrap()
-            .clone();
+        let own = n.node_tokens()[0];
+        let mut state = n.membership().store.get(own).unwrap().clone();
         let mut salts = Vec::new();
-        state.rewrite_links(&mut |salt, cur| {
+        state.rewrite_links(own, &mut |salt, cur| {
             salts.push(salt);
             cur
         });
         assert_eq!(salts.len(), 1 + 3 + 11, "pred + successors + fingers");
         assert!(salts.windows(2).all(|w| w[0] < w[1]), "{salts:?}");
-        assert_eq!(link_diff(&mut state.clone(), &mut state), 0);
+        assert_eq!(link_diff(own, &mut state.clone(), &mut state), 0);
     }
 
     #[test]

@@ -277,6 +277,23 @@ mod tests {
         assert_eq!(size_of::<NodeState<2>>(), 88);
     }
 
+    /// The baselines' rows hold no copy of the token the store keys them
+    /// by either.
+    #[test]
+    fn a_baseline_row_holds_no_copy_of_its_key() {
+        use std::mem::size_of;
+        // Predecessor, four inline successors and the finger `Vec`.
+        assert_eq!(size_of::<chord::ChordNode>(), 72);
+        // Predecessor, de Bruijn pointer and two four-slot ring lists.
+        assert_eq!(size_of::<koorde::KoordeNode>(), 96);
+        // The table `Vec` and two eight-slot leaf halves.
+        assert_eq!(size_of::<pastry::PastryNode>(), 168);
+        // The butterfly level alone.
+        assert_eq!(size_of::<viceroy::ViceroyNode>(), 4);
+        // Two boxed slices: zones and neighbour table.
+        assert_eq!(size_of::<can::CanNode>(), 32);
+    }
+
     #[test]
     fn fresh_state_is_empty() {
         let s = NodeState::<1>::default();

@@ -216,7 +216,7 @@ const SALT_ATTACKER: u64 = 0xa77a;
 /// are frozen constants (changing one changes every committed
 /// corruption count). Three kinds of entry exist, told apart by what an
 /// erase (`f` returning `None`) leaves behind: a mandatory pointer falls
-/// back to the node's own id, an optional pointer becomes `None`, a list
+/// back to the node itself, an optional pointer becomes `None`, a list
 /// entry is dropped from its list.
 pub trait Links: Clone + PartialEq {
     /// The identifier type the links hold.
@@ -227,10 +227,14 @@ pub trait Links: Clone + PartialEq {
     /// half, which join/leave notifications mend.
     fn lazy_family(salt: u64) -> Option<LazyFamily>;
 
-    /// Visits every corruptible entry in strictly ascending salt order,
-    /// passing its current value (`None` for an unset optional pointer),
-    /// and stores what `f` returns.
-    fn rewrite_links(&mut self, f: &mut dyn FnMut(u64, Option<Self::Id>) -> Option<Self::Id>);
+    /// Visits every corruptible entry of node `own`'s row in strictly
+    /// ascending salt order, passing its current value (`None` for an
+    /// unset optional pointer), and stores what `f` returns.
+    fn rewrite_links(
+        &mut self,
+        own: NodeToken,
+        f: &mut dyn FnMut(u64, Option<Self::Id>) -> Option<Self::Id>,
+    );
 
     /// [`CorruptionStrategy::CrossWireLeafSets`]: swap the paired link
     /// sets against each other.
@@ -250,23 +254,26 @@ pub enum LazyFamily {
 /// covers every constant-degree state.
 const INLINE_ENTRIES: usize = 32;
 
-/// Number of entries on which two states differ, matched by salt: an
-/// entry with different values counts once, and so does an entry only
-/// one side has (a list that changed length). `&mut` only because
-/// [`Links::rewrite_links`] is the one visitor; neither state changes.
-pub fn link_diff<S: Links>(a: &mut S, b: &mut S) -> u64 {
+/// Number of entries on which two rows of node `own` differ, matched by
+/// salt: an entry with different values counts once, and so does an
+/// entry only one side has (a list that changed length). `&mut` only
+/// because [`Links::rewrite_links`] is the one visitor; neither changes.
+pub fn link_diff<S: Links>(own: NodeToken, a: &mut S, b: &mut S) -> u64 {
     let mut differing = 0;
-    by_salt(a, b, |_, _, _| differing += 1);
+    by_salt(own, a, b, |_, _, _| differing += 1);
     differing
 }
 
 /// [`link_diff`]'s walk: `f(salt, in a, in b)` for each differing
 /// entry, by ascending salt; the side an entry is missing from reads `None`.
-fn by_salt<S: Links>(a: &mut S, b: &mut S, mut f: impl FnMut(u64, Option<S::Id>, Option<S::Id>)) {
+fn by_salt<S: Links, F>(own: NodeToken, a: &mut S, b: &mut S, mut f: F)
+where
+    F: FnMut(u64, Option<S::Id>, Option<S::Id>),
+{
     let mut head = [(0u64, None::<S::Id>); INLINE_ENTRIES];
     let mut tail = Vec::new();
     let mut len = 0;
-    a.rewrite_links(&mut |salt, cur| {
+    a.rewrite_links(own, &mut |salt, cur| {
         match head.get_mut(len) {
             Some(slot) => *slot = (salt, cur),
             None => tail.push((salt, cur)),
@@ -276,7 +283,7 @@ fn by_salt<S: Links>(a: &mut S, b: &mut S, mut f: impl FnMut(u64, Option<S::Id>,
     });
     let entry = |i: usize| *head.get(i).unwrap_or_else(|| &tail[i - INLINE_ENTRIES]);
     let mut i = 0;
-    b.rewrite_links(&mut |salt, cur| {
+    b.rewrite_links(own, &mut |salt, cur| {
         while i < len && entry(i).0 < salt {
             f(entry(i).0, entry(i).1, None);
             i += 1;
@@ -323,20 +330,21 @@ where
             .expect("victim chosen from live tokens");
         let mut before = state.clone();
         match plan.strategy {
-            CorruptionStrategy::RandomizeLinks => state
-                .rewrite_links(&mut |salt, cur| plan.pick(tok, salt, &live).map(&to_id).or(cur)),
-            CorruptionStrategy::GhostLinks => state.rewrite_links(&mut |salt, cur| {
+            CorruptionStrategy::RandomizeLinks => state.rewrite_links(tok, &mut |salt, cur| {
+                plan.pick(tok, salt, &live).map(&to_id).or(cur)
+            }),
+            CorruptionStrategy::GhostLinks => state.rewrite_links(tok, &mut |salt, cur| {
                 plan.ghost(tok, salt, space, is_live).map(&to_id).or(cur)
             }),
             CorruptionStrategy::CrossWireLeafSets => state.cross_wire(),
-            CorruptionStrategy::ZeroLinks => state.rewrite_links(&mut |_, _| None),
+            CorruptionStrategy::ZeroLinks => state.rewrite_links(tok, &mut |_, _| None),
             CorruptionStrategy::EclipseRegion => {
                 if let Some(attacker) = attacker {
-                    state.rewrite_links(&mut |_, _| Some(attacker));
+                    state.rewrite_links(tok, &mut |_, _| Some(attacker));
                 }
             }
         }
-        report.note(link_diff(&mut before, state));
+        report.note(link_diff(tok, &mut before, state));
     }
     report
 }
@@ -359,7 +367,7 @@ where
         return 0;
     }
     std::mem::swap(held, &mut fresh);
-    link_diff(&mut fresh, held)
+    link_diff(node, &mut fresh, held)
 }
 
 /// The lazily repaired half of a [`AuditScope::Full`] report (an
@@ -384,7 +392,7 @@ where
             continue;
         }
         let mut listed = Vec::new();
-        by_salt(&mut held.clone(), &mut fresh, |salt, was, now| {
+        by_salt(node, &mut held.clone(), &mut fresh, |salt, was, now| {
             let name = match T::State::lazy_family(salt).expect("a lazy half salt") {
                 LazyFamily::PerEntry(name) => name,
                 LazyFamily::PerNode(name) if !listed.contains(&name) => name,
@@ -414,7 +422,6 @@ mod tests {
     /// push [`link_diff`] past its inline buffer.
     #[derive(Debug, Clone, PartialEq, Default)]
     struct Toy {
-        id: u64,
         ptr: u64,
         opt: Option<u64>,
         list: InlineVec<u64, 4>,
@@ -425,7 +432,6 @@ mod tests {
         /// What the toy stabilizer converges to.
         fn healthy(id: u64) -> Self {
             Self {
-                id,
                 ptr: id + 1,
                 opt: Some(id + 2),
                 list: vec![id + 3, id + 4, id + 5].into(),
@@ -449,8 +455,8 @@ mod tests {
                 _ => None,
             }
         }
-        fn rewrite_links(&mut self, f: &mut dyn FnMut(u64, Option<u64>) -> Option<u64>) {
-            self.ptr = f(1, Some(self.ptr)).unwrap_or(self.id);
+        fn rewrite_links(&mut self, own: u64, f: &mut dyn FnMut(u64, Option<u64>) -> Option<u64>) {
+            self.ptr = f(1, Some(self.ptr)).unwrap_or(own);
             self.opt = f(2, self.opt);
             self.list
                 .filter_map_in_place(|i, e| f(0x10 + i as u64, Some(e)));
@@ -480,8 +486,9 @@ mod tests {
             }
             Self(members)
         }
-        fn states(&self) -> Vec<Toy> {
-            self.0.store.states().cloned().collect()
+        /// Each live token with its row, ascending.
+        fn rows(&self) -> Vec<(u64, Toy)> {
+            self.0.store.iter().map(|(t, s)| (t, s.clone())).collect()
         }
     }
 
@@ -562,30 +569,30 @@ mod tests {
         }
         fn refresh_lazy(&self, id: NodeToken, _hints: &mut Hints, out: &mut Toy) {
             let Toy { opt, list, .. } = Toy::healthy(id);
-            (out.id, out.opt, out.list) = (id, opt, list);
+            (out.opt, out.list) = (opt, list);
         }
     }
 
     #[test]
     fn link_diff_counts_entries_matched_by_salt() {
         let mut a = Toy::healthy(10);
-        assert_eq!(link_diff(&mut a.clone(), &mut a), 0);
+        assert_eq!(link_diff(10, &mut a.clone(), &mut a), 0);
 
         let mut b = a.clone();
         b.ptr = 99;
         b.opt = None; // an unset optional pointer is still an entry
-        assert_eq!(link_diff(&mut a, &mut b), 2);
+        assert_eq!(link_diff(10, &mut a, &mut b), 2);
 
         // An erased list entry shifts its successors down one salt: the
         // moved value differs and the vanished last position counts
         // once, from whichever side holds it.
         let mut c = a.clone();
         c.list = vec![13, 15].into();
-        assert_eq!(link_diff(&mut a, &mut c), 2);
-        assert_eq!(link_diff(&mut c, &mut a), 2);
+        assert_eq!(link_diff(10, &mut a, &mut c), 2);
+        assert_eq!(link_diff(10, &mut c, &mut a), 2);
         c.list.clear();
-        assert_eq!(link_diff(&mut a, &mut c), 3);
-        assert_eq!(link_diff(&mut c, &mut a), 3);
+        assert_eq!(link_diff(10, &mut a, &mut c), 3);
+        assert_eq!(link_diff(10, &mut c, &mut a), 3);
         assert_eq!(a, Toy::healthy(10), "diffing leaves both sides alone");
     }
 
@@ -594,24 +601,24 @@ mod tests {
         let mut a = Toy::healthy(10);
         a.wide = (0..40).collect(); // 5 + 40 entries > INLINE_ENTRIES
         let mut b = a.clone();
-        assert_eq!(link_diff(&mut a, &mut b), 0);
+        assert_eq!(link_diff(10, &mut a, &mut b), 0);
         b.wide[3] = 777; // inside the inline part
         b.wide[35] = 777; // inside the spilled part
         b.wide.truncate(38); // two entries only `a` has
-        assert_eq!(link_diff(&mut a, &mut b), 4);
-        assert_eq!(link_diff(&mut b, &mut a), 4);
+        assert_eq!(link_diff(10, &mut a, &mut b), 4);
+        assert_eq!(link_diff(10, &mut b, &mut a), 4);
     }
 
     /// Runs `plan` on a fresh toy network and checks the report against
     /// an independent per-victim [`link_diff`].
-    fn corrupt_toy(net: &mut ToyNet, plan: &CorruptionPlan, space: u64) -> Vec<Toy> {
-        let mut before = net.states();
+    fn corrupt_toy(net: &mut ToyNet, plan: &CorruptionPlan, space: u64) -> Vec<(u64, Toy)> {
+        let mut before = net.rows();
         let report = corrupt_links(net, plan, space, |t| t);
-        let mut after = net.states();
+        let mut after = net.rows();
         let diffs: Vec<u64> = before
             .iter_mut()
             .zip(&mut after)
-            .map(|(b, a)| link_diff(b, a))
+            .map(|((t, b), (_, a))| link_diff(*t, b, a))
             .collect();
         assert_eq!(report.mutated_entries, diffs.iter().sum::<u64>());
         assert_eq!(
@@ -629,8 +636,8 @@ mod tests {
     fn zero_erases_every_entry_by_its_kind() {
         let mut net = ToyNet::with_ids([10, 20, 30, 40]);
         let plan = CorruptionPlan::new(CorruptionStrategy::ZeroLinks, 1.0, 5);
-        for s in corrupt_toy(&mut net, &plan, 64) {
-            assert_eq!(s.ptr, s.id, "mandatory pointer falls back to own id");
+        for (t, s) in corrupt_toy(&mut net, &plan, 64) {
+            assert_eq!(s.ptr, t, "mandatory pointer falls back to the node");
             assert_eq!(s.opt, None);
             assert!(s.list.is_empty(), "list entries are dropped");
         }
@@ -642,9 +649,9 @@ mod tests {
         net.0.store.get_mut(20).unwrap().opt = None;
         let plan = CorruptionPlan::new(CorruptionStrategy::EclipseRegion, 1.0, 5);
         let after = corrupt_toy(&mut net, &plan, 64);
-        let attacker = after[0].ptr;
+        let attacker = after[0].1.ptr;
         assert!(net.0.store.contains(attacker));
-        for s in after {
+        for (_, s) in after {
             assert_eq!(s.ptr, attacker);
             assert_eq!(s.opt, Some(attacker), "unset pointers are planted too");
             assert_eq!(s.list, vec![attacker; 3]);
@@ -657,17 +664,21 @@ mod tests {
         let mut net = ToyNet::with_ids([10, 20, 30, 40]);
         let after = corrupt_toy(&mut net, &plan(CorruptionStrategy::RandomizeLinks), 64);
         let victims = plan(CorruptionStrategy::RandomizeLinks).victims(&net.0.store.tokens());
-        for s in &after {
-            if victims.contains(&s.id) {
+        for (t, s) in &after {
+            if victims.contains(t) {
                 assert!(s.links().all(|l| net.0.store.contains(l)), "{s:?}");
             } else {
-                assert_eq!(*s, Toy::healthy(s.id), "non-victims are untouched");
+                assert_eq!(*s, Toy::healthy(*t), "non-victims are untouched");
             }
         }
 
         let mut net = ToyNet::with_ids([10, 20, 30, 40]);
         let after = corrupt_toy(&mut net, &plan(CorruptionStrategy::GhostLinks), 64);
-        let hit: Vec<&Toy> = after.iter().filter(|s| **s != Toy::healthy(s.id)).collect();
+        let hit: Vec<&Toy> = after
+            .iter()
+            .filter(|(t, s)| *s != Toy::healthy(*t))
+            .map(|(_, s)| s)
+            .collect();
         assert_eq!(hit.len(), 2);
         for s in hit {
             assert!(s.links().all(|l| !net.0.store.contains(l)), "{s:?}");
@@ -676,7 +687,7 @@ mod tests {
         // A saturated space has no ghost: every draw is `None` and every
         // entry keeps its current value.
         let mut net = ToyNet::with_ids(0..8);
-        let healthy = net.states();
+        let healthy = net.rows();
         let after = corrupt_toy(&mut net, &plan(CorruptionStrategy::GhostLinks), 8);
         assert_eq!(after, healthy);
     }
@@ -686,7 +697,7 @@ mod tests {
         let mut net = ToyNet::with_ids([10]);
         let plan = CorruptionPlan::new(CorruptionStrategy::CrossWireLeafSets, 1.0, 5);
         let after = corrupt_toy(&mut net, &plan, 64);
-        assert_eq!((after[0].ptr, after[0].list[0]), (13, 11));
+        assert_eq!((after[0].1.ptr, after[0].1.list[0]), (13, 11));
     }
 
     #[test]
@@ -701,7 +712,7 @@ mod tests {
             .iter()
             .sum();
         assert_eq!(repaired, report.mutated_entries);
-        assert_eq!(net.states(), ToyNet::with_ids([10, 20, 30, 40]).states());
+        assert_eq!(net.rows(), ToyNet::with_ids([10, 20, 30, 40]).rows());
         assert_eq!(repair_links(&mut net, 20), 0, "idempotent");
     }
 

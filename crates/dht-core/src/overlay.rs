@@ -173,9 +173,8 @@ pub trait Overlay: Protocol {
     fn reset_query_loads(&mut self);
 
     /// Total heap bytes of routing/membership state this overlay holds:
-    /// the node store plus per-state heap payloads plus auxiliary
-    /// indexes (the [`crate::sim::Membership`] store and the
-    /// `SimOverlay::state_heap_bytes` / `SimOverlay::aux_bytes` hooks).
+    /// the node store (the [`crate::sim::Membership`] store) plus what
+    /// the overlay holds beyond its rows (`SimOverlay::heap_beyond_rows`).
     fn state_bytes(&self) -> usize;
 
     /// Average routing/membership bytes per live node — the scale

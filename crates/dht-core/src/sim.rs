@@ -223,18 +223,10 @@ pub trait SimOverlay: Protocol + Sync + 'static {
     /// starting points only, which a resolver may ignore.
     fn stabilize_one(&mut self, node: NodeToken, hints: &mut Hints);
 
-    /// Heap bytes owned by one node's routing state beyond
-    /// `size_of::<Self::State>()` — e.g. a Chord finger table's `Vec`
-    /// buffer. States whose links are stored inline
-    /// ([`crate::inline::InlineVec`]) report 0, the default.
-    fn state_heap_bytes(&self, state: &Self::State) -> usize {
-        let _ = state;
-        0
-    }
-
-    /// Heap bytes of overlay-level auxiliary indexes outside the
-    /// [`Membership`] arena (e.g. Viceroy's level sets). Default: none.
-    fn aux_bytes(&self) -> usize {
+    /// Heap bytes the overlay holds beyond its slab rows: buffers rows
+    /// point at (Chord's fingers) and indexes outside the [`Membership`]
+    /// arena (Viceroy's level sets). Default: 0, as for inline rows.
+    fn heap_beyond_rows(&self) -> usize {
         0
     }
 }
@@ -267,8 +259,8 @@ pub trait RefreshInto: SimOverlay<State: Default> {
     /// Writes `links` over the notified half of `row`, and nothing else.
     fn store_notified(row: &mut Self::State, links: Self::Notified);
 
-    /// Writes live node `id`'s lazy half and id into `out`, and nothing
-    /// else, searching from `hints` past slot 0.
+    /// Writes live node `id`'s lazy half into `out`, and nothing else,
+    /// searching from `hints` past slot 0.
     fn refresh_lazy(&self, id: NodeToken, hints: &mut Hints, out: &mut Self::State);
 
     /// The halves' one composition: every field of live node `id`'s row,
@@ -446,9 +438,7 @@ impl<T: SimOverlay> Overlay for T {
     }
 
     fn state_bytes(&self) -> usize {
-        let store = &self.membership().store;
-        let heap: usize = store.states().map(|s| self.state_heap_bytes(s)).sum();
-        store.heap_bytes() + heap + self.aux_bytes()
+        self.membership().store.heap_bytes() + self.heap_beyond_rows()
     }
 
     fn set_net_conditions(&mut self, net: NetConditions) {

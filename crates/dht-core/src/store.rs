@@ -720,7 +720,7 @@ impl<S> CompactStore<S> {
     /// Heap bytes held by the store itself (chunk spine, state slab,
     /// load counters, hash index), from `Vec` capacities. Per-state
     /// heap payloads (e.g. a Chord finger table) are reported separately
-    /// by the overlay via `SimOverlay::state_heap_bytes`.
+    /// by the overlay via `SimOverlay::heap_beyond_rows`.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         let chunk_bytes: usize = self.chunks.iter().map(Chunk::heap_bytes).sum();

@@ -1216,9 +1216,9 @@ fn link_table<O: SimOverlay>(
 where
     O::State: Links,
 {
-    let entries = |state: &O::State| {
+    let entries = |id, state: &O::State| {
         let mut targets = Vec::new();
-        state.clone().rewrite_links(&mut |_, link| {
+        state.clone().rewrite_links(id, &mut |_, link| {
             targets.extend(link.map(&token));
             link
         });
@@ -1227,7 +1227,7 @@ where
     let store = &net.membership().store;
     store
         .iter()
-        .map(|(id, state)| (id, entries(state)))
+        .map(|(id, state)| (id, entries(id, state)))
         .collect()
 }
 

@@ -31,7 +31,6 @@ impl StateAudit for KoordeNetwork {
         let tokens = self.membership().store.tokens();
         for (i, (id, node)) in self.membership().store.iter().enumerate() {
             report.note_checked(1);
-            report.check_eq(id, "koorde/node-id", &node.id, &id);
 
             // The paper's seven-entry bound on *outgoing* contacts: one de
             // Bruijn node, `r` successors, and the de Bruijn backups (§4).
@@ -39,13 +38,13 @@ impl StateAudit for KoordeNetwork {
             report.check(
                 id,
                 "koorde/state-size",
-                node.degree_within(bound)
+                node.degree_within(id, bound)
                     && node.successors.len() == r
                     && node.debruijn_preds.len() == config.debruijn_backups,
                 || {
                     format!(
                         "degree {} (bound {bound}), {} successors, {} backups",
-                        node.degree(),
+                        node.degree(id),
                         node.successors.len(),
                         node.debruijn_preds.len()
                     )

@@ -28,7 +28,7 @@
 //! let trace = ring.lookup(src, 0xfeed);
 //! assert!(trace.outcome.is_success());
 //! // Seven neighbours per node: 1 de Bruijn + 3 successors + 3 backups.
-//! assert!(ring.membership().store.get(src).unwrap().degree() <= 7);
+//! assert!(ring.membership().store.get(src).unwrap().degree(src) <= 7);
 //! ```
 
 mod audit;

@@ -188,7 +188,6 @@ impl RefreshInto for KoordeNetwork {
         let mut cursor = order
             .at_or_before_from(hints.slot(1), (2 * id) % self.config.space())
             .expect("own ring is not empty");
-        out.id = id;
         out.debruijn = order.token_at(cursor);
         out.debruijn_preds.clear();
         for _ in 0..self.config.debruijn_backups {
@@ -263,7 +262,7 @@ impl Protocol for KoordeNetwork {
         self.members
             .store
             .get(node)
-            .map_or(1, |s| (s.degree() as u64).max(1))
+            .map_or(1, |s| (s.degree(node) as u64).max(1))
     }
 }
 
@@ -599,7 +598,7 @@ mod tests {
     fn degree_bounded_by_seven() {
         let net = KoordeNetwork::with_nodes(KoordeConfig::new(11), 700, 17);
         for id in net.members.store.token_iter() {
-            let deg = net.members.store.get(id).unwrap().degree();
+            let deg = net.members.store.get(id).unwrap().degree(id);
             assert!(deg <= 7, "node {id} degree {deg} > 7");
         }
     }

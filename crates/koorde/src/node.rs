@@ -9,11 +9,10 @@ pub type RingList = InlineVec<u64, 4>;
 
 /// Routing state of one Koorde node (the paper's seven-entry setup:
 /// "one de Bruijn node, three successors and three immediate predecessors
-/// of the de Bruijn node", §4).
+/// of the de Bruijn node", §4). The row holds links only: the node's
+/// own identifier is the token the membership store keys it by.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct KoordeNode {
-    /// This node's ring identifier.
-    pub id: u64,
     /// Immediate predecessor on the ring.
     pub predecessor: u64,
     /// Successor list, nearest first.
@@ -33,21 +32,21 @@ impl KoordeNode {
         self.successors[0]
     }
 
-    /// `self.degree() <= bound`, not counted when the state has no more
-    /// slots than `bound` — as on every node of the right shape.
+    /// `self.degree(id) <= bound`, not counted when the state has no
+    /// more slots than `bound` — as on every node of the right shape.
     #[must_use]
-    pub fn degree_within(&self, bound: usize) -> bool {
-        self.successors.len() + self.debruijn_preds.len() < bound || self.degree() <= bound
+    pub fn degree_within(&self, id: u64, bound: usize) -> bool {
+        self.successors.len() + self.debruijn_preds.len() < bound || self.degree(id) <= bound
     }
 
-    /// Distinct non-self contacts (actual degree, bounded by 7 in the
-    /// paper's configuration).
+    /// Distinct contacts other than node `id` itself (actual degree,
+    /// bounded by 7 in the paper's configuration).
     #[must_use]
-    pub fn degree(&self) -> usize {
+    pub fn degree(&self, id: u64) -> usize {
         let mut distinct = InlineVec::<u64, 9>::new();
         let contacts = self.successors.iter().chain(&self.debruijn_preds);
         for &c in contacts.chain([&self.debruijn]) {
-            if c != self.id && !distinct.contains(&c) {
+            if c != id && !distinct.contains(&c) {
                 distinct.push(c);
             }
         }
@@ -62,7 +61,6 @@ mod tests {
     /// A node that knows only itself: every pointer is its own id.
     fn lone(id: u64, succ_list_len: usize, backup_len: usize) -> KoordeNode {
         KoordeNode {
-            id,
             predecessor: id,
             successors: RingList::repeat(id, succ_list_len),
             debruijn: id,
@@ -74,7 +72,7 @@ mod tests {
     fn lone_node_state() {
         let n = lone(9, 3, 3);
         assert_eq!(n.successor(), 9);
-        assert_eq!(n.degree(), 0);
+        assert_eq!(n.degree(9), 0);
     }
 
     #[test]
@@ -88,9 +86,9 @@ mod tests {
         n.successors = vec![6, 7, 8, 11].into();
         shapes.push((n, 6)); // {6, 7, 8, 9, 10, 11}
         for (n, degree) in shapes {
-            assert_eq!(n.degree(), degree);
+            assert_eq!(n.degree(5), degree);
             for bound in 0..=10 {
-                assert_eq!(n.degree_within(bound), degree <= bound, "bound {bound}");
+                assert_eq!(n.degree_within(5, bound), degree <= bound, "bound {bound}");
             }
         }
     }
@@ -101,6 +99,6 @@ mod tests {
         n.successors = vec![1, 2, 3].into();
         n.debruijn = 10;
         n.debruijn_preds = vec![9, 8, 7].into();
-        assert_eq!(n.degree(), 7);
+        assert_eq!(n.degree(0), 7);
     }
 }

@@ -29,7 +29,6 @@ impl StateAudit for PastryNetwork {
         let reach = (PastryConfig::LEAF_SET / 2).min(n.saturating_sub(1));
         for (i, (id, node)) in self.membership().store.iter().enumerate() {
             report.note_checked(1);
-            report.check_eq(id, "pastry/node-id", &node.id, &id);
 
             // Structural shape: `digits × base` slots, and the slot for a
             // node's own digit in each row is always empty (the row

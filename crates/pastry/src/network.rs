@@ -90,11 +90,10 @@ impl PastryConfig {
 /// slab.
 pub type LeafHalf = InlineVec<u64, 8>;
 
-/// Routing state of one Pastry node.
+/// Routing state of one Pastry node: its links, not its own identifier,
+/// which is the token the membership store keys the row by.
 #[derive(Debug, PartialEq, Default)]
 pub struct PastryNode {
-    /// This node's identifier.
-    pub id: u64,
     /// `table[row * base + col]`: a node sharing the first `row` digits
     /// with this node and having digit `col` at position `row`. `None`
     /// where no such node is live (or where `col` is the node's own
@@ -126,19 +125,16 @@ impl PastryNode {
         self.leaf_smaller.iter().chain(&self.leaf_larger).copied()
     }
 
-    /// Distinct non-self contacts currently held.
+    /// Distinct contacts other than node `id` itself currently held,
+    /// counted on the stack: at most 124 table cells (31 base-4 digits)
+    /// and two leaf halves.
     #[must_use]
-    pub fn degree(&self) -> usize {
-        let mut all: Vec<u64> = self
-            .table
-            .iter()
-            .flatten()
-            .copied()
-            .chain(self.leafs())
-            .collect();
+    pub fn degree(&self, id: u64) -> usize {
+        let table = self.table.iter().flatten().copied();
+        let mut all: InlineVec<u64, { 124 + 2 * 8 }> =
+            table.chain(self.leafs()).filter(|&x| x != id).collect();
         all.sort_unstable();
         all.dedup();
-        all.retain(|&x| x != self.id);
         all.len()
     }
 }
@@ -292,7 +288,6 @@ impl RefreshInto for PastryNetwork {
     /// buffer `out` has.
     fn refresh_lazy(&self, id: u64, hints: &mut Hints, out: &mut PastryNode) {
         let c = self.config;
-        out.id = id;
         out.table.clear();
         out.table.extend((0..c.digits() * c.base()).map(|cell| {
             let hint = hints.slot(1 + cell as usize);
@@ -362,7 +357,7 @@ impl Protocol for PastryNetwork {
         self.members
             .store
             .get(node)
-            .map_or(1, |s| (s.degree() as u64).max(1))
+            .map_or(1, |s| (s.degree(node) as u64).max(1))
     }
 }
 
@@ -443,10 +438,11 @@ impl SimOverlay for PastryNetwork {
         refresh_in_place(self, node, hints);
     }
 
-    fn state_heap_bytes(&self, state: &PastryNode) -> usize {
+    fn heap_beyond_rows(&self) -> usize {
         // Leaf-set halves are inline; the prefix table is the per-node
         // heap payload.
-        state.table.capacity() * std::mem::size_of::<Option<u64>>()
+        let tables = self.members.store.states().map(|s| s.table.capacity());
+        tables.sum::<usize>() * std::mem::size_of::<Option<u64>>()
     }
 }
 
@@ -581,7 +577,7 @@ mod tests {
             .membership()
             .store
             .token_iter()
-            .map(|id| net.members.store.get(id).unwrap().degree() as f64)
+            .map(|id| net.members.store.get(id).unwrap().degree(id) as f64)
             .sum::<f64>()
             / net.len() as f64;
         assert!(

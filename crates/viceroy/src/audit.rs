@@ -19,7 +19,6 @@ impl StateAudit for ViceroyNetwork {
 
         for (id, node) in store.iter() {
             report.note_checked(1);
-            report.check_eq(id, "viceroy/node-id", &node.id, &id);
 
             // Levels are 1-based (§2.4 draws from [1, log n₀]).
             let level = node.level;

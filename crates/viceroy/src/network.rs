@@ -40,15 +40,14 @@ impl Default for ViceroyConfig {
     }
 }
 
-/// One Viceroy node: a fixed-point identifier in `[0,1)` and a butterfly
-/// level. The identifier is fixed for the node's lifetime; the level was
-/// drawn uniformly from `[1, max(1, ⌈log₂ n₀⌉)]` at join time, with `n₀`
-/// the then-current network-size estimate (§2.4: "the level is randomly
+/// One Viceroy node's row: its butterfly level. Its identifier, a
+/// fixed-point fraction of the circle fixed for the node's lifetime, is
+/// the token the membership store keys the row by. The level was drawn
+/// uniformly from `[1, max(1, ⌈log₂ n₀⌉)]` at join time, with `n₀` the
+/// then-current network-size estimate (§2.4: "the level is randomly
 /// selected from a range of [1, log n₀]").
 #[derive(Debug, Clone)]
 pub struct ViceroyNode {
-    /// Ring identifier (fixed-point fraction of the circle).
-    pub id: u64,
     /// Butterfly level, 1-based.
     pub level: u32,
 }
@@ -140,7 +139,7 @@ impl ViceroyNetwork {
     }
 
     fn insert_raw(&mut self, id: u64, level: u32) {
-        self.members.store.insert(id, ViceroyNode { id, level });
+        self.members.store.insert(id, ViceroyNode { level });
         if self.by_level.len() < level as usize {
             self.by_level.resize(level as usize, BTreeSet::new());
         }
@@ -229,16 +228,16 @@ impl ViceroyNetwork {
             .copied()
     }
 
-    /// Down-left butterfly link: the level `l+1` node nearest clockwise
-    /// from the node's own position.
+    /// Down-left butterfly link: the level `l+1` node nearest, in either
+    /// direction, to the node's own position.
     #[must_use]
     pub fn down_left_link(&self, id: u64) -> Option<u64> {
         let level = self.members.store.get(id)?.level;
         self.nearest_at_level(level + 1, id)
     }
 
-    /// Down-right butterfly link: the level `l+1` node nearest clockwise
-    /// from `id + 2^{-l}` (a jump of one butterfly span).
+    /// Down-right butterfly link: the level `l+1` node nearest, in either
+    /// direction, to `id + 2^{-l}` (a jump of one butterfly span).
     #[must_use]
     pub fn down_right_link(&self, id: u64) -> Option<u64> {
         let level = self.members.store.get(id)?.level;
@@ -247,8 +246,8 @@ impl ViceroyNetwork {
         self.nearest_at_level(level + 1, (id + jump) % space)
     }
 
-    /// Up butterfly link: the level `l-1` node nearest clockwise. `None`
-    /// at level 1.
+    /// Up butterfly link: the level `l-1` node nearest, in either
+    /// direction, to the node's own position. `None` at level 1.
     #[must_use]
     pub fn up_link(&self, id: u64) -> Option<u64> {
         let level = self.members.store.get(id)?.level;
@@ -436,7 +435,7 @@ impl SimOverlay for ViceroyNetwork {
 
     fn stabilize_one(&mut self, _node: NodeToken, _hints: &mut Hints) {}
 
-    fn aux_bytes(&self) -> usize {
+    fn heap_beyond_rows(&self) -> usize {
         // The per-level membership index outside the node arena.
         self.by_level
             .iter()

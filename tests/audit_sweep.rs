@@ -34,7 +34,6 @@ fn chord_oracle(net: &ChordNetwork) -> AuditReport {
     let config = net.config();
     for (id, node) in net.membership().store.iter() {
         report.note_checked(1);
-        report.check_eq(id, "chord/node-id", &node.id, &id);
         let (pred, succs) = net
             .membership()
             .ring_pointers(id, config.successor_list, &mut Pos::default())
@@ -53,18 +52,17 @@ fn koorde_oracle(net: &KoordeNetwork) -> AuditReport {
     let r = config.successor_list;
     for (id, node) in net.membership().store.iter() {
         report.note_checked(1);
-        report.check_eq(id, "koorde/node-id", &node.id, &id);
         let bound = r + config.debruijn_backups + 1;
         report.check(
             id,
             "koorde/state-size",
-            node.degree() <= bound
+            node.degree(id) <= bound
                 && node.successors.len() == r
                 && node.debruijn_preds.len() == config.debruijn_backups,
             || {
                 format!(
                     "degree {} (bound {bound}), {} successors, {} backups",
-                    node.degree(),
+                    node.degree(id),
                     node.successors.len(),
                     node.debruijn_preds.len()
                 )
@@ -86,7 +84,6 @@ fn pastry_oracle(net: &PastryNetwork) -> AuditReport {
     let c = net.config();
     for (id, node) in net.membership().store.iter() {
         report.note_checked(1);
-        report.check_eq(id, "pastry/node-id", &node.id, &id);
         let slots = (c.digits() * c.base()) as usize;
         report.check(
             id,

@@ -300,34 +300,34 @@ const DRAWN_BUILDS: [(OverlayKind, usize, u64, u64); 48] = [
     (OverlayKind::Cycloid11, 4096, 2004, 0xf222cc34fc7fb4d3),
     (OverlayKind::Cycloid11, 20000, 3, 0xf92aa545cf30c295),
     (OverlayKind::Cycloid11, 20000, 2004, 0xa973a99b3355451d),
-    (OverlayKind::Koorde, 250, 3, 0xecbd3a7186c565b3),
-    (OverlayKind::Koorde, 250, 2004, 0x6fa0850487e97ae2),
-    (OverlayKind::Koorde, 1000, 3, 0x2d4d3674752b0d28),
-    (OverlayKind::Koorde, 1000, 2004, 0xa25d1c0b62b11ebf),
+    (OverlayKind::Koorde, 250, 3, 0x8469f5abdc9d728d),
+    (OverlayKind::Koorde, 250, 2004, 0xc60be47cde333ced),
+    (OverlayKind::Koorde, 1000, 3, 0xeefedb106507528c),
+    (OverlayKind::Koorde, 1000, 2004, 0x253d2fc4482366ab),
     (OverlayKind::Koorde, 4096, 3, 0x0e8062a5f34d6300),
     (OverlayKind::Koorde, 4096, 2004, 0x905580d8051ac779),
     (OverlayKind::Koorde, 20000, 3, 0x3a9d89812bbab2b5),
     (OverlayKind::Koorde, 20000, 2004, 0x2696663a5d6a31bb),
-    (OverlayKind::KoordeBestFit, 250, 3, 0x3e2df70d2a08dcfe),
-    (OverlayKind::KoordeBestFit, 250, 2004, 0x7edd77d22afc347d),
-    (OverlayKind::KoordeBestFit, 1000, 3, 0x195378f76e6479be),
-    (OverlayKind::KoordeBestFit, 1000, 2004, 0x6276dbb96d1cd13f),
+    (OverlayKind::KoordeBestFit, 250, 3, 0xe69a6501376588c9),
+    (OverlayKind::KoordeBestFit, 250, 2004, 0xee8bc4ed87ec6a20),
+    (OverlayKind::KoordeBestFit, 1000, 3, 0x9b081dddd8654d9c),
+    (OverlayKind::KoordeBestFit, 1000, 2004, 0xb6977da4739de5da),
     (OverlayKind::KoordeBestFit, 4096, 3, 0x0e8062a5f34d6300),
     (OverlayKind::KoordeBestFit, 4096, 2004, 0x905580d8051ac779),
     (OverlayKind::KoordeBestFit, 20000, 3, 0x3f5f1609d9b58f0d),
     (OverlayKind::KoordeBestFit, 20000, 2004, 0x6c462f99f994078a),
-    (OverlayKind::Chord, 250, 3, 0xab7f0b3278210d30),
-    (OverlayKind::Chord, 250, 2004, 0x77513c1d12c5b788),
-    (OverlayKind::Chord, 1000, 3, 0x65e2dc7f9471907a),
-    (OverlayKind::Chord, 1000, 2004, 0x5602e74fdac0d22b),
+    (OverlayKind::Chord, 250, 3, 0x1fc18dd84e45effc),
+    (OverlayKind::Chord, 250, 2004, 0xfeb69a68bc2beb08),
+    (OverlayKind::Chord, 1000, 3, 0x2a59f6b902897740),
+    (OverlayKind::Chord, 1000, 2004, 0x7a536049d3eb5db4),
     (OverlayKind::Chord, 4096, 3, 0xb45c0129651408a2),
     (OverlayKind::Chord, 4096, 2004, 0x6f99ab469df3547e),
     (OverlayKind::Chord, 20000, 3, 0xc98d1d71bd7348a5),
     (OverlayKind::Chord, 20000, 2004, 0x3a90b073f8d001be),
-    (OverlayKind::Pastry, 250, 3, 0xf0f1f9d1a58db3eb),
-    (OverlayKind::Pastry, 250, 2004, 0x490e8718c2882ba3),
-    (OverlayKind::Pastry, 1000, 3, 0x72458fc0ab915f18),
-    (OverlayKind::Pastry, 1000, 2004, 0x3c142d1e2ede5e7f),
+    (OverlayKind::Pastry, 250, 3, 0xf5cc51c2a542fd08),
+    (OverlayKind::Pastry, 250, 2004, 0xbb093ea5c96244b3),
+    (OverlayKind::Pastry, 1000, 3, 0x47b54406eb6a1ba0),
+    (OverlayKind::Pastry, 1000, 2004, 0x579a082f31656cb9),
     (OverlayKind::Pastry, 4096, 3, 0xaf079f9d1ce431e7),
     (OverlayKind::Pastry, 4096, 2004, 0x5ddb5301cfd8247b),
     (OverlayKind::Pastry, 20000, 3, 0x93b3179e1a5da250),

@@ -22,20 +22,20 @@ use dht_core::store::{Hints, Pos};
 /// wrap and run into empty blocks and cycles.
 const N: usize = 300;
 
-/// Every entry of `row` as (salt, value), by ascending salt.
-fn entries<S: Links>(row: &S) -> Vec<(u64, Option<S::Id>)> {
+/// Every entry of node `own`'s `row` as (salt, value), by ascending salt.
+fn entries<S: Links>(own: u64, row: &S) -> Vec<(u64, Option<S::Id>)> {
     let mut all = Vec::new();
-    row.clone().rewrite_links(&mut |salt, cur| {
+    row.clone().rewrite_links(own, &mut |salt, cur| {
         all.push((salt, cur));
         cur
     });
     all
 }
 
-/// The salts at which `a` and `b` differ: a changed value, or an entry
-/// only one side has.
-fn differing_salts<S: Links>(a: &S, b: &S) -> Vec<u64> {
-    let (a, b) = (entries(a), entries(b));
+/// The salts at which node `own`'s rows `a` and `b` differ: a changed
+/// value, or an entry only one side has.
+fn differing_salts<S: Links>(own: u64, a: &S, b: &S) -> Vec<u64> {
+    let (a, b) = (entries(own, a), entries(own, b));
     let at = |side: &[(u64, Option<S::Id>)], salt| side.iter().find(|e| e.0 == salt).map(|e| e.1);
     let mut salts: Vec<u64> = a.iter().chain(&b).map(|e| e.0).collect();
     salts.sort_unstable();
@@ -75,7 +75,7 @@ where
         for (node, held) in net.membership().store.iter() {
             let mut halves = held.clone();
             net.refresh_lazy(node, &mut Hints::default(), &mut halves);
-            for salt in differing_salts(held, &halves) {
+            for salt in differing_salts(node, held, &halves) {
                 assert!(
                     T::State::lazy_family(salt).is_some(),
                     "{what}: node {node}'s lazy half wrote notified link {salt:#x}"
@@ -86,7 +86,7 @@ where
             let mut copy = held.clone();
             let links = net.notified_half(node, &mut Pos::default());
             T::store_notified(&mut copy, links);
-            for salt in differing_salts(held, &copy) {
+            for salt in differing_salts(node, held, &copy) {
                 assert!(
                     T::State::lazy_family(salt).is_none(),
                     "{what}: node {node}'s notified half wrote lazy link {salt:#x}"

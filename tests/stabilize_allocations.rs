@@ -7,7 +7,8 @@
 //! allocations whatever the network size — one allocation per node breaks
 //! the equality between n = 500 and n = 2 000 at once. The tokens are
 //! stale first (a tenth of the nodes failed), so the run rewrites entries
-//! instead of confirming them.
+//! instead of confirming them. With telemetry on, the run also bills each
+//! node's maintenance messages, its degree, which is counted on the stack.
 //!
 //! A join or graceful leave: the notification fan-out walks the token
 //! order in place, so a leave allocates nothing and a join only the
@@ -21,6 +22,7 @@
 mod counting;
 
 use counting::allocations;
+use dht_core::obs::Telemetry;
 use dht_core::rng::stream;
 use dht_sim::{build_overlay, OverlayKind};
 
@@ -35,9 +37,11 @@ const REFRESH_KINDS: [OverlayKind; 6] = [
 ];
 
 /// Allocations of one `stabilize_nodes` run over every 7th token of a
-/// `kind` network that has lost every 10th node unannounced.
-fn run_allocations(kind: OverlayKind, n: usize) -> u64 {
+/// `kind` network that has lost every 10th node unannounced, under
+/// `telemetry`.
+fn run_allocations(kind: OverlayKind, n: usize, telemetry: &Telemetry) -> u64 {
     let mut net = build_overlay(kind, n, 15);
+    net.set_telemetry(telemetry.clone());
     for &victim in net.node_tokens().iter().step_by(10) {
         assert!(net.fail(victim));
     }
@@ -49,20 +53,23 @@ fn run_allocations(kind: OverlayKind, n: usize) -> u64 {
 
 #[test]
 fn a_run_allocates_per_run_not_per_node() {
-    for kind in REFRESH_KINDS {
-        let small = run_allocations(kind, 500);
-        let large = run_allocations(kind, 2_000);
-        assert_eq!(
-            small,
-            large,
-            "{}: {small} allocations at n = 500, {large} at n = 2 000",
-            kind.label()
-        );
-        assert!(
-            small <= 4,
-            "{}: {small} allocations in one run",
-            kind.label()
-        );
+    for telemetry in [Telemetry::disabled(), Telemetry::enabled()] {
+        let metered = telemetry.is_enabled();
+        for kind in REFRESH_KINDS {
+            let small = run_allocations(kind, 500, &telemetry);
+            let large = run_allocations(kind, 2_000, &telemetry);
+            assert_eq!(
+                small,
+                large,
+                "{} (metered: {metered}): {small} allocations at n = 500, {large} at n = 2 000",
+                kind.label()
+            );
+            assert!(
+                small <= 4,
+                "{} (metered: {metered}): {small} allocations in one run",
+                kind.label()
+            );
+        }
     }
 }
 
