@@ -498,6 +498,9 @@ pub(crate) mod fixture {
         /// When set, `owner_of` names this token, live or not — the
         /// inconsistency `overlay::key_counts` must tolerate.
         pub(crate) ghost_owner: Option<NodeToken>,
+        /// When set, no node terminates a walk, the owner included: a
+        /// walk ends only on its budget or with no live candidate.
+        pub(crate) never_terminates: bool,
     }
 
     impl StaleRing {
@@ -517,6 +520,7 @@ pub(crate) mod fixture {
                 repair_log: Vec::new(),
                 budget_cap: usize::MAX,
                 ghost_owner: None,
+                never_terminates: false,
             }
         }
     }
@@ -578,7 +582,7 @@ pub(crate) mod fixture {
             walk: &mut u64,
             out: &mut Vec<(HopPhase, NodeToken)>,
         ) -> StepDecision {
-            if self.members.store.successor_of(*walk) == Some(cur) {
+            if !self.never_terminates && self.members.store.successor_of(*walk) == Some(cur) {
                 return StepDecision::Terminate;
             }
             // Prefer the (possibly stale) stored pointer, then the

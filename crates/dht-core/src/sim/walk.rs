@@ -561,6 +561,38 @@ mod tests {
     }
 
     #[test]
+    fn a_walk_that_arrives_on_its_last_budgeted_hop_is_found() {
+        let mut net = StaleRing::with_tokens(&[0, 16, 32, 48], 64);
+        net.budget_cap = 3;
+        let t = walk_key(&mut net, 0, 40, true);
+        assert_eq!(t.outcome, LookupOutcome::Found);
+        assert_eq!((t.terminal, t.path_len()), (48, 3), "0 -> 16 -> 32 -> 48");
+    }
+
+    #[test]
+    fn a_walk_with_no_live_candidate_is_found_only_at_the_owner() {
+        let mut ring = StaleRing::with_tokens(&[0, 16, 32, 48], 64);
+        ring.never_terminates = true;
+        let plan = FaultPlan {
+            seed: 3,
+            loss: 1.0,
+            delay: DelayModel::Uniform(0, 0),
+            duplicate: 0.0,
+        };
+        ring.membership_mut().net = NetConditions::new(plan, RetryPolicy::standard());
+        // Every contact is lost, so each walk ends where it starts.
+        for (src, outcome) in [
+            (48, LookupOutcome::Found),
+            (0, LookupOutcome::Stuck),
+            (32, LookupOutcome::Stuck),
+        ] {
+            let t = walk_key(&mut ring, src, 40, false);
+            assert_eq!((t.terminal, t.path_len()), (src, 0));
+            assert_eq!(t.outcome, outcome, "exhausted at {src}, owner 48");
+        }
+    }
+
+    #[test]
     fn walk_emits_structured_events_matching_the_trace() {
         let mut net = StaleRing::with_tokens(&[0, 16, 32, 48], 64);
         assert!(net.leave(16));

@@ -281,6 +281,41 @@ fn full_round_stabilize_is_a_run_over_every_token() {
     }
 }
 
+#[test]
+fn a_lookup_that_ends_within_its_budget_is_found_only_at_the_owner() {
+    // One rule for every kind, whichever way a walk ends: by the holder's
+    // own decision or with no live candidate left. Half of each network
+    // crashes without notice and nothing stabilizes, so many walks run
+    // out of live candidates.
+    for kind in dht_sim::ALL_KINDS {
+        let mut net = build_overlay(kind, 2048, 41);
+        let mut crash = stream(11, kind.label());
+        for token in net.node_tokens() {
+            if crash.gen_bool(0.5) {
+                net.fail(token);
+            }
+        }
+        let tokens = net.node_tokens();
+        let mut rng = stream(12, kind.label());
+        for i in 0..4000 {
+            let raw: u64 = rng.gen();
+            let owner = net.owner_of(raw).expect("survivors remain");
+            let t = net.lookup(tokens[rng.gen_range(0..tokens.len())], raw);
+            if t.outcome == LookupOutcome::HopBudgetExhausted {
+                continue;
+            }
+            assert_eq!(
+                t.outcome.is_success(),
+                t.terminal == owner,
+                "{} lookup {i}: {:?} at {}, owner {owner}",
+                kind.label(),
+                t.outcome,
+                t.terminal
+            );
+        }
+    }
+}
+
 /// One constant per drawn build, as the build is today: `(kind, n, seed,
 /// fold)`. The fold is [`drawn_build_fold`].
 const DRAWN_BUILDS: [(OverlayKind, usize, u64, u64); 48] = [
