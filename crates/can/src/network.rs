@@ -566,16 +566,10 @@ impl SimOverlay for CanNetwork {
             .filter(|&(d, _)| d < cur_dist)
             .min();
         // No closer neighbour is a local minimum: the target zone is
-        // orphaned (or the greedy frontier is blocked by a hole) —
-        // Stuck via `on_exhausted`.
+        // orphaned (or the greedy frontier is blocked by a hole), and
+        // the walk ends here with no candidate: `Stuck`.
         out.extend(next.map(|(_, t)| (HopPhase::Finger, t)));
         StepDecision::Forward
-    }
-
-    fn budget_before_terminal(&self) -> bool {
-        // Landing in the target zone ends the walk even on the last
-        // budgeted hop (the original loop tested the zone first).
-        false
     }
 
     fn stabilize_one(&mut self, _node: NodeToken, _hints: &mut Hints) {

@@ -20,7 +20,7 @@
 use std::cmp::Reverse;
 
 use dht_core::inline::InlineVec;
-use dht_core::lookup::{HopPhase, LookupOutcome, LookupTrace};
+use dht_core::lookup::{HopPhase, LookupTrace};
 use dht_core::overlay::{NodeToken, Protocol};
 use dht_core::ring::clockwise_dist;
 use dht_core::sim::{refresh_in_place, walk_from, Membership, SimOverlay, StepDecision};
@@ -320,13 +320,6 @@ impl<const R: usize> SimOverlay for CycloidNetwork<R> {
         walk.visited.push(to);
     }
 
-    /// A walk whose candidates were all skipped stops where it stands and
-    /// is judged like a deliberate terminal (preserving the `WrongOwner`
-    /// distinction), exactly as a real querier would conclude.
-    fn on_exhausted(&self, cur: NodeToken, walk: &CycloidWalk) -> LookupOutcome {
-        dht_core::sim::classify_terminal(cur, self.walk_owner(walk))
-    }
-
     fn stabilize_one(&mut self, node: NodeToken, hints: &mut Hints) {
         refresh_in_place(self, node, hints);
     }
@@ -336,6 +329,7 @@ impl<const R: usize> SimOverlay for CycloidNetwork<R> {
 mod tests {
     use super::*;
     use crate::network::CycloidConfig;
+    use dht_core::lookup::LookupOutcome;
     use dht_core::overlay::Overlay;
     use dht_core::rng::stream;
     use rand::Rng;

@@ -48,20 +48,23 @@ impl HopPhase {
     }
 }
 
-/// How a lookup ended.
+/// How a lookup ended. The walk engine ([`crate::sim::WalkCursor`])
+/// applies one rule to every overlay: it asks the holder first, tests the
+/// hop budget second, and ends a walk no live candidate answers where it
+/// stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LookupOutcome {
-    /// The lookup terminated at the node that is responsible for the key.
+    /// The walk ended at the key's owner, by the owner's decision or for
+    /// want of a live candidate.
     Found,
-    /// The lookup terminated at a node that is *not* responsible for the
-    /// key (routing converged to the wrong place — §4.3 counts these for
-    /// Koorde as "lookup failures").
+    /// The holder ended the walk at a node that does not own the key
+    /// (§4.3 counts these for Koorde as "lookup failures").
     WrongOwner,
-    /// Routing could not make progress (every candidate next hop was dead
-    /// or farther from the target).
+    /// No live candidate answered short of the owner, the holder departed
+    /// mid-flight, or the key has no live owner.
     Stuck,
-    /// The hop budget was exhausted — treated as a failure; a correct
-    /// overlay should never produce this.
+    /// The walk took [`crate::sim::SimOverlay::hop_budget`] hops and the
+    /// holder did not end it — a failure a correct overlay never produces.
     HopBudgetExhausted,
 }
 

@@ -26,7 +26,7 @@
 //! is *read-only* on the overlay: it routes against `&T` and yields the
 //! trace **plus** a [`WalkEffects`] record of everything a mutating
 //! walk would have done in place — query-load increments,
-//! repair-on-use evictions, exhaustion accounting, and trace events —
+//! repair-on-use evictions, the walk's bill, and trace events —
 //! which [`apply_effects`] plays back against `&mut T`. A
 //! discrete-event driver steps a cursor one hop per reply event
 //! ([`LookupCursor`]) and the batch executor steps a handful in turn;
@@ -76,7 +76,7 @@ use std::any::Any;
 
 use rand::RngCore;
 
-use crate::lookup::{HopPhase, LookupOutcome, LookupTrace};
+use crate::lookup::{HopPhase, LookupTrace};
 use crate::net::NetConditions;
 use crate::obs::Telemetry;
 use crate::overlay::{NodeToken, Overlay, Protocol};
@@ -119,8 +119,8 @@ pub trait SimOverlay: Protocol + Sync + 'static {
     /// The node arena, mutably.
     fn membership_mut(&mut self) -> &mut Membership<Self::State>;
 
-    /// Maximum hops before a walk is declared broken. Generous by
-    /// design: only genuinely broken routing should trip it.
+    /// The most hops a walk may take and still arrive. Generous by
+    /// design: only genuinely broken routing should exhaust it.
     fn hop_budget(&self) -> usize;
 
     /// Initializes the walk state for a lookup of `raw_key` starting
@@ -198,24 +198,6 @@ pub trait SimOverlay: Protocol + Sync + 'static {
         let _ = (from, phase, to, timed_out);
     }
 
-    /// Classifies a walk stranded at `cur` with no live candidate —
-    /// read-only. Default:
-    /// [`LookupOutcome::Found`] when `cur` happens to be the owner,
-    /// otherwise [`LookupOutcome::Stuck`].
-    fn on_exhausted(&self, cur: NodeToken, walk: &Self::Walk) -> LookupOutcome {
-        match self.walk_owner(walk) {
-            Some(owner) if owner == cur => LookupOutcome::Found,
-            _ => LookupOutcome::Stuck,
-        }
-    }
-
-    /// Whether the hop budget is checked before the terminal test.
-    /// Protocols that can cheaply prove local termination first
-    /// (Viceroy, CAN) override this to `false`.
-    fn budget_before_terminal(&self) -> bool {
-        true
-    }
-
     /// The stabilization routine of a single node: a full round is
     /// this over every live token ([`Overlay::stabilize`]), and a
     /// departed `node` is ignored. `hints` are where the last node of
@@ -228,17 +210,6 @@ pub trait SimOverlay: Protocol + Sync + 'static {
     /// arena (Viceroy's level sets). Default: 0, as for inline rows.
     fn heap_beyond_rows(&self) -> usize {
         0
-    }
-}
-
-/// Classifies a walk that stopped at `cur` by its own decision
-/// ([`StepDecision::Terminate`]), given its [`SimOverlay::walk_owner`].
-#[inline]
-pub fn classify_terminal(cur: NodeToken, owner: Option<NodeToken>) -> LookupOutcome {
-    match owner {
-        Some(owner) if owner == cur => LookupOutcome::Found,
-        Some(_) => LookupOutcome::WrongOwner,
-        None => LookupOutcome::Stuck,
     }
 }
 
@@ -632,6 +603,7 @@ pub(crate) mod fixture {
 mod tests {
     use super::fixture::StaleRing;
     use super::*;
+    use crate::lookup::LookupOutcome;
 
     #[test]
     fn blanket_overlay_impl_drives_the_substrate() {

@@ -2,7 +2,7 @@
 //! hop against `&T` and records what a mutating walk would have done as
 //! [`WalkEffects`], which [`apply_effects`] plays back against `&mut T`.
 
-use super::{classify_terminal, SimOverlay};
+use super::SimOverlay;
 use crate::lookup::{HopPhase, LookupOutcome, LookupTrace};
 use crate::net::{NetConditions, NetCosts};
 use crate::obs::{Event, Phase, PhaseCosts, TimeoutKind};
@@ -11,8 +11,8 @@ use crate::overlay::{NodeToken, Overlay};
 /// What one node decides about a lookup it currently holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepDecision {
-    /// The current node is (locally provably) where the walk stops;
-    /// classify via [`classify_terminal`].
+    /// The current node is (locally provably) where the walk stops:
+    /// [`LookupOutcome::Found`] at the owner, `WrongOwner` elsewhere.
     Terminate,
     /// Forward to the first live candidate of the buffer
     /// [`SimOverlay::next_hop`] filled, in preference order; each
@@ -279,21 +279,18 @@ impl<W> WalkCursor<W> {
         }
     }
 
-    /// One loop iteration; `Some` terminates the walk.
+    /// One loop iteration; `Some` ends the walk, by [`LookupOutcome`]'s rule.
     fn step_inner<T: SimOverlay<Walk = W> + ?Sized>(
         &mut self,
         net: &T,
         scratch: &mut WalkScratch,
     ) -> Option<LookupOutcome> {
-        if net.budget_before_terminal() && self.hops.len() >= self.budget {
-            return Some(LookupOutcome::HopBudgetExhausted);
-        }
         scratch.candidates.clear();
         let decision = net.next_hop(self.cur, &mut self.state, &mut scratch.candidates);
         if decision == StepDecision::Terminate {
             return Some(classify_terminal(self.cur, net.walk_owner(&self.state)));
         }
-        if !net.budget_before_terminal() && self.hops.len() >= self.budget {
+        if self.hops.len() >= self.budget {
             return Some(LookupOutcome::HopBudgetExhausted);
         }
         let mut next: Option<(HopPhase, NodeToken)> = None;
@@ -385,7 +382,8 @@ impl<W> WalkCursor<W> {
                 }
                 None
             }
-            None => Some(net.on_exhausted(self.cur, &self.state)),
+            None if net.walk_owner(&self.state) == Some(self.cur) => Some(LookupOutcome::Found),
+            None => Some(LookupOutcome::Stuck),
         }
     }
 
@@ -452,6 +450,17 @@ impl<W> WalkCursor<W> {
             },
             fx,
         )
+    }
+}
+
+/// Classifies a walk that stopped at `cur` by its own decision
+/// ([`StepDecision::Terminate`]), given its [`SimOverlay::walk_owner`].
+#[inline]
+fn classify_terminal(cur: NodeToken, owner: Option<NodeToken>) -> LookupOutcome {
+    match owner {
+        Some(owner) if owner == cur => LookupOutcome::Found,
+        Some(_) => LookupOutcome::WrongOwner,
+        None => LookupOutcome::Stuck,
     }
 }
 

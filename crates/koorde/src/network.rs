@@ -8,7 +8,7 @@
 //! row's two halves in `impl RefreshInto`.
 
 use dht_core::hash::{reduce, splitmix64};
-use dht_core::lookup::{HopPhase, LookupOutcome};
+use dht_core::lookup::HopPhase;
 use dht_core::overlay::{NodeToken, Protocol};
 use dht_core::ring::{in_interval_co, in_interval_oc};
 use dht_core::sim::{refresh_in_place, Membership, Refresh, RefreshInto, SimOverlay, StepDecision};
@@ -380,11 +380,6 @@ impl SimOverlay for KoordeNetwork {
         }
     }
 
-    fn on_exhausted(&self, _cur: NodeToken, _walk: &KoordeWalk) -> LookupOutcome {
-        // De Bruijn pointer and all backups dead (§4.3): the lookup fails.
-        LookupOutcome::Stuck
-    }
-
     fn stabilize_one(&mut self, node: NodeToken, hints: &mut Hints) {
         refresh_in_place(self, node, hints);
     }
@@ -393,6 +388,7 @@ impl SimOverlay for KoordeNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dht_core::lookup::LookupOutcome;
     use dht_core::overlay::{Overlay, Protocol};
     use dht_core::rng::stream;
     use rand::Rng;

@@ -426,13 +426,6 @@ impl SimOverlay for ViceroyNetwork {
         StepDecision::Forward
     }
 
-    fn budget_before_terminal(&self) -> bool {
-        // The termination test is a pure local-interval check, so it is
-        // evaluated before the budget (a lookup that has already arrived
-        // never counts as exhausted).
-        false
-    }
-
     fn stabilize_one(&mut self, _node: NodeToken, _hints: &mut Hints) {}
 
     fn heap_beyond_rows(&self) -> usize {

@@ -299,15 +299,16 @@ fn a_lookup_that_ends_within_its_budget_is_found_only_at_the_owner() {
         let mut rng = stream(12, kind.label());
         for i in 0..4000 {
             let raw: u64 = rng.gen();
-            let owner = net.owner_of(raw).expect("survivors remain");
+            // CAN names no owner for a key in an orphaned zone.
+            let owner = net.owner_of(raw);
             let t = net.lookup(tokens[rng.gen_range(0..tokens.len())], raw);
             if t.outcome == LookupOutcome::HopBudgetExhausted {
                 continue;
             }
             assert_eq!(
                 t.outcome.is_success(),
-                t.terminal == owner,
-                "{} lookup {i}: {:?} at {}, owner {owner}",
+                Some(t.terminal) == owner,
+                "{} lookup {i}: {:?} at {}, owner {owner:?}",
                 kind.label(),
                 t.outcome,
                 t.terminal
